@@ -105,11 +105,7 @@ impl HBaseRelation {
     }
 
     fn acquire_connection(&self, token: Option<AuthToken>) -> ConnectionLease {
-        if self.conf.use_connection_cache {
-            ConnectionLease::Cached(self.cache.acquire(&self.cluster, token))
-        } else {
-            ConnectionLease::Fresh(Connection::open(Arc::clone(&self.cluster), token))
-        }
+        ConnectionLease::acquire(&self.cache, &self.cluster, token, &self.conf)
     }
 
     /// Columns selected by an engine projection (indices into the catalog
@@ -123,13 +119,27 @@ impl HBaseRelation {
 }
 
 /// A connection lease: cached (ref-counted) or private.
-enum ConnectionLease {
+pub(crate) enum ConnectionLease {
     Cached(crate::conn_cache::CachedConnection),
     Fresh(Arc<Connection>),
 }
 
 impl ConnectionLease {
-    fn connection(&self) -> &Arc<Connection> {
+    /// Through `cache` unless `conf` turns connection caching off.
+    pub(crate) fn acquire(
+        cache: &Arc<ConnectionCache>,
+        cluster: &Arc<HBaseCluster>,
+        token: Option<AuthToken>,
+        conf: &SHCConf,
+    ) -> ConnectionLease {
+        if conf.use_connection_cache {
+            ConnectionLease::Cached(cache.acquire(cluster, token))
+        } else {
+            ConnectionLease::Fresh(Connection::open(Arc::clone(cluster), token))
+        }
+    }
+
+    pub(crate) fn connection(&self) -> &Arc<Connection> {
         match self {
             ConnectionLease::Cached(lease) => lease.connection(),
             ConnectionLease::Fresh(conn) => conn,

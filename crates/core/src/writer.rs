@@ -7,11 +7,12 @@
 
 use crate::catalog::HBaseTableCatalog;
 use crate::conf::SHCConf;
+use crate::conn_cache::ConnectionCache;
 use crate::error::{Result, ShcError};
+use crate::relation::ConnectionLease;
 use crate::rowkey::encode_rowkey;
 use shc_engine::row::Row;
 use shc_engine::value::Value;
-use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
 use shc_kvstore::types::{FamilyDescriptor, Put, TableDescriptor};
 use std::sync::Arc;
@@ -43,8 +44,10 @@ pub fn write_rows(
         }
         _ => None,
     };
-    let connection = Connection::open(Arc::clone(cluster), token);
-    let table = connection.table(catalog.table.clone());
+    // Leased for this call only: the guard drops on return, so the cache's
+    // idle eviction can still reclaim the connection between writes.
+    let lease = ConnectionLease::acquire(&ConnectionCache::global(), cluster, token, conf);
+    let table = lease.connection().table(catalog.table.clone());
 
     let width = catalog.columns.len();
     let mut bytes = 0u64;
@@ -160,6 +163,7 @@ fn sample_split_keys(
 mod tests {
     use super::*;
     use crate::catalog::actives_catalog_json;
+    use shc_kvstore::client::Connection;
     use shc_kvstore::cluster::ClusterConfig;
     use shc_kvstore::types::{Get, Scan};
 
@@ -238,6 +242,26 @@ mod tests {
         let table = conn.table(catalog.table.clone());
         // Same keys: still 10 logical rows.
         assert_eq!(table.scan(&Scan::new()).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn repeated_writes_share_one_cached_connection() {
+        let cluster = HBaseCluster::start_default();
+        let catalog = catalog();
+        let conf = SHCConf::default();
+        let before = cluster.metrics.snapshot().connections_created;
+        for _ in 0..4 {
+            write_rows(&cluster, &catalog, &conf, &sample_rows(10)).unwrap();
+        }
+        assert_eq!(cluster.metrics.snapshot().connections_created, before + 1);
+        // No lease outlives a call: the idle pass can reclaim the entry
+        // (other tests' clusters may be reclaimed with it).
+        assert!(ConnectionCache::global().evict_idle(std::time::Duration::ZERO) >= 1);
+        // The ablation switch still bypasses the cache.
+        let uncached = conf.without_connection_cache();
+        write_rows(&cluster, &catalog, &uncached, &sample_rows(10)).unwrap();
+        write_rows(&cluster, &catalog, &uncached, &sample_rows(10)).unwrap();
+        assert_eq!(cluster.metrics.snapshot().connections_created, before + 3);
     }
 
     #[test]

@@ -282,43 +282,51 @@ impl Table {
     /// Like the HBase client, delivery is at-least-once: a retried batch may
     /// re-apply puts that already landed, which is idempotent at the cell
     /// level (same value, newer version).
-    pub fn put_batch(&self, puts: Vec<Put>) -> Result<()> {
-        self.with_retries("put_batch", || self.try_put_batch(&puts))
+    pub fn put_batch(&self, mut puts: Vec<Put>) -> Result<()> {
+        self.with_retries("put_batch", || self.try_put_batch(&mut puts))
     }
 
-    fn try_put_batch(&self, puts: &[Put]) -> Result<()> {
-        let mut by_region: HashMap<u64, (RegionLocation, Vec<Put>)> = HashMap::new();
-        for put in puts {
-            let loc = self.connection.locate_row(&self.name, &put.row)?;
-            by_region
-                .entry(loc.info.region_id)
-                .or_insert_with(|| (loc, Vec::new()))
-                .1
-                .push(put.clone());
+    /// One attempt. Puts are grouped by owning region in place (stably, so
+    /// same-row puts keep their order) and each region gets a borrowed
+    /// sub-slice: no put is cloned, on the first attempt or on a retry.
+    fn try_put_batch(&self, puts: &mut Vec<Put>) -> Result<()> {
+        let regions = self.connection.locate_regions(&self.name)?;
+        let mut owners = Vec::with_capacity(puts.len());
+        for put in puts.iter() {
+            let owner = regions
+                .iter()
+                .position(|loc| loc.info.contains_row(&put.row));
+            owners.push(owner.ok_or_else(|| KvError::NoRegionForRow {
+                table: self.name.to_string(),
+                row: put.row.to_vec(),
+            })?);
         }
-        let network = *self.connection.cluster.network();
+        if !owners.is_sorted() {
+            let mut keyed: Vec<(usize, Put)> = owners.drain(..).zip(puts.drain(..)).collect();
+            keyed.sort_by_key(|(owner, _)| *owner);
+            (owners, *puts) = keyed.into_iter().unzip();
+        }
+        let mut batches: Vec<(&RegionLocation, &[Put])> = Vec::new();
+        let mut rest: &[Put] = puts;
+        for run in owners.chunk_by(|a, b| a == b) {
+            let (batch, tail) = rest.split_at(run.len());
+            batches.push((&regions[run[0]], batch));
+            rest = tail;
+        }
+        // A batch for one region is sent from the calling thread; several
+        // dispatch concurrently.
+        if let [(loc, batch)] = batches[..] {
+            return self.send_puts(loc, batch);
+        }
         let ctx = trace::capture();
         let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = by_region
+            let handles: Vec<_> = batches
                 .into_iter()
-                .map(|(region_id, (loc, batch))| {
-                    let connection = &self.connection;
+                .map(|(loc, batch)| {
                     let ctx = ctx.clone();
-                    scope.spawn(move || -> Result<()> {
+                    scope.spawn(move || {
                         let _ctx = shc_obs::TraceContext::adopt_opt(ctx.as_ref());
-                        let bytes: usize = batch.iter().map(Put::payload_bytes).sum();
-                        let mut sp = trace::span("rpc");
-                        sp.annotate("op", "put");
-                        sp.annotate("region", region_id);
-                        sp.annotate("server", &loc.hostname);
-                        sp.annotate("bytes", bytes);
-                        let server = connection.cluster.server(loc.server_id)?;
-                        server.put(region_id, &batch, connection.token())?;
-                        charge_rpc(
-                            &connection.cluster,
-                            network.transfer_cost(bytes as u64, false),
-                        );
-                        Ok(())
+                        self.send_puts(loc, batch)
                     })
                 })
                 .collect();
@@ -327,9 +335,26 @@ impl Table {
                 .map(|h| h.join().expect("put batch thread"))
                 .collect()
         });
-        for r in results {
-            r?;
-        }
+        results.into_iter().collect()
+    }
+
+    /// The put RPC for one region's share of a batch.
+    fn send_puts(&self, loc: &RegionLocation, batch: &[Put]) -> Result<()> {
+        let connection = &self.connection;
+        let region_id = loc.info.region_id;
+        let bytes: usize = batch.iter().map(Put::payload_bytes).sum();
+        let mut sp = trace::span("rpc");
+        sp.annotate("op", "put");
+        sp.annotate("region", region_id);
+        sp.annotate("server", &loc.hostname);
+        sp.annotate("bytes", bytes);
+        let server = connection.cluster.server(loc.server_id)?;
+        server.put(region_id, batch, connection.token())?;
+        let network = connection.cluster.network();
+        charge_rpc(
+            &connection.cluster,
+            network.transfer_cost(bytes as u64, false),
+        );
         Ok(())
     }
 
@@ -914,6 +939,27 @@ mod tests {
                 .as_ref(),
             b"2"
         );
+    }
+
+    #[test]
+    fn put_batch_regroups_by_region_keeping_same_row_order() {
+        let (cluster, _conn, table) = cluster_with_table(&["h", "p"]);
+        // Regions interleaved, and "zebra"/"apple" written twice: regrouping
+        // must keep each row's later put later.
+        let puts = ["zebra:1", "apple:1", "mango:1", "zebra:2", "apple:2"]
+            .iter()
+            .map(|kv| {
+                let (key, value) = kv.split_once(':').unwrap();
+                Put::new(key.to_string()).add("cf", "q", value.to_string())
+            })
+            .collect();
+        let before = cluster.metrics.snapshot().rpc_count;
+        table.put_batch(puts).unwrap();
+        assert_eq!(cluster.metrics.snapshot().rpc_count, before + 3);
+        for (key, want) in [("apple", "2"), ("mango", "1"), ("zebra", "2")] {
+            let row = table.get(Get::new(key)).unwrap();
+            assert_eq!(row.value(b"cf", b"q").unwrap().as_ref(), want.as_bytes());
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::storage::{self, Reader, StorageEnv};
 use crate::storefile::{Block, CellSrc, StoreFile};
 use crate::types::{
     Cell, CellKey, CellType, Delete, DeleteScope, Get, Put, RowResult, Scan, TableDescriptor,
-    TableName,
+    TableName, Timestamp,
 };
 use crate::wal::Wal;
 use bytes::Bytes;
@@ -197,6 +197,99 @@ impl ScanStats {
         self.files_pruned += other.files_pruned;
         self.blocks_read += other.blocks_read;
         self.block_cache_hits += other.block_cache_hits;
+    }
+}
+
+/// What the write path needs from a row mutation ([`Put`] or [`Delete`]).
+trait Mutation {
+    fn row(&self) -> &Bytes;
+    /// A column family the mutation names that the table does not have.
+    fn unknown_family<'a>(&'a self, descriptor: &TableDescriptor) -> Option<&'a Bytes>;
+    /// The cells to log and insert, with a placeholder seq (the write path
+    /// stamps the one the WAL assigns); `now` is the server time for
+    /// columns without their own timestamp.
+    fn cells(&self, descriptor: &TableDescriptor, now: Timestamp) -> Vec<Cell>;
+}
+
+impl Mutation for Put {
+    fn row(&self) -> &Bytes {
+        &self.row
+    }
+
+    fn unknown_family<'a>(&'a self, descriptor: &TableDescriptor) -> Option<&'a Bytes> {
+        self.columns
+            .iter()
+            .map(|col| &col.family)
+            .find(|family| !descriptor.has_family(family))
+    }
+
+    fn cells(&self, _: &TableDescriptor, now: Timestamp) -> Vec<Cell> {
+        self.columns
+            .iter()
+            .map(|col| Cell {
+                key: CellKey {
+                    row: self.row.clone(),
+                    family: col.family.clone(),
+                    qualifier: col.qualifier.clone(),
+                    timestamp: col.timestamp.unwrap_or(now),
+                    seq: 0,
+                    cell_type: CellType::Put,
+                },
+                value: col.value.clone(),
+            })
+            .collect()
+    }
+}
+
+impl Mutation for Delete {
+    fn row(&self) -> &Bytes {
+        &self.row
+    }
+
+    fn unknown_family<'a>(&'a self, descriptor: &TableDescriptor) -> Option<&'a Bytes> {
+        match &self.scope {
+            DeleteScope::Row => None,
+            DeleteScope::Family(family)
+            | DeleteScope::Column { family, .. }
+            | DeleteScope::Version { family, .. } => {
+                (!descriptor.has_family(family)).then_some(family)
+            }
+        }
+    }
+
+    fn cells(&self, descriptor: &TableDescriptor, now: Timestamp) -> Vec<Cell> {
+        let tombstone =
+            |family: &Bytes, qualifier: &Bytes, timestamp: Timestamp, cell_type: CellType| Cell {
+                key: CellKey {
+                    row: self.row.clone(),
+                    family: family.clone(),
+                    qualifier: qualifier.clone(),
+                    timestamp,
+                    seq: 0,
+                    cell_type,
+                },
+                value: Bytes::new(),
+            };
+        let ts = self.timestamp.unwrap_or(now);
+        let none = Bytes::new();
+        match &self.scope {
+            DeleteScope::Row => descriptor
+                .families
+                .iter()
+                .map(|fd| tombstone(&fd.name, &none, ts, CellType::DeleteFamily))
+                .collect(),
+            DeleteScope::Family(family) => {
+                vec![tombstone(family, &none, ts, CellType::DeleteFamily)]
+            }
+            DeleteScope::Column { family, qualifier } => {
+                vec![tombstone(family, qualifier, ts, CellType::DeleteColumn)]
+            }
+            DeleteScope::Version {
+                family,
+                qualifier,
+                timestamp,
+            } => vec![tombstone(family, qualifier, *timestamp, CellType::Delete)],
+        }
     }
 }
 
@@ -439,150 +532,125 @@ impl Region {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Apply a put: WAL append, then memstore insert, then advance the read
-    /// point. Auto-flushes when the memstore crosses the threshold.
+    /// Apply a single put: [`put_batch`](Self::put_batch) with a batch of one.
     pub fn put(&self, put: &Put) -> Result<()> {
-        if !self.info.contains_row(&put.row) {
-            return Err(KvError::NoRegionForRow {
-                table: self.info.table.to_string(),
-                row: put.row.to_vec(),
-            });
-        }
-        for col in &put.columns {
-            if !self.descriptor.has_family(&col.family) {
+        self.put_batch(std::slice::from_ref(put))
+    }
+
+    /// Apply a single delete (as tombstone cells): a batch of one.
+    pub fn delete(&self, delete: &Delete) -> Result<()> {
+        self.delete_batch(std::slice::from_ref(delete))
+    }
+
+    /// Apply puts in order with the batch as the unit of durability.
+    pub fn put_batch(&self, puts: &[Put]) -> Result<()> {
+        self.apply_batch(puts)
+    }
+
+    /// Apply deletes in order with the batch as the unit of durability.
+    pub fn delete_batch(&self, deletes: &[Delete]) -> Result<()> {
+        self.apply_batch(deletes)
+    }
+
+    /// The one write path. Every mutation is validated before anything is
+    /// applied, then the batch is committed in *groups*: a group's records
+    /// (one per mutation, one seq each) reach the WAL in one write and one
+    /// fsync, its cells enter the memstores under one lock, the read point
+    /// moves to its last seq, and the flush watermarks are checked once. A
+    /// group ends where mutation-at-a-time application would have found a
+    /// watermark crossed ([`group_room`](Self::group_room)), so flush points
+    /// — and with them store-file sizes and the compaction schedule — do not
+    /// depend on how mutations are batched. An error fails the group it
+    /// hits and everything after it; earlier groups are durable and visible
+    /// (the client contract is at-least-once, so it retries the batch).
+    fn apply_batch<M: Mutation>(&self, mutations: &[M]) -> Result<()> {
+        for m in mutations {
+            if !self.info.contains_row(m.row()) {
+                return Err(KvError::NoRegionForRow {
+                    table: self.info.table.to_string(),
+                    row: m.row().to_vec(),
+                });
+            }
+            if let Some(family) = m.unknown_family(&self.descriptor) {
                 return Err(KvError::NoSuchColumnFamily {
                     table: self.info.table.to_string(),
-                    family: String::from_utf8_lossy(&col.family).into_owned(),
+                    family: String::from_utf8_lossy(family).into_owned(),
                 });
             }
         }
-        let now = self.clock.now_ms();
         let _guard = self.write_lock.lock();
-        // Build cells with a placeholder seq, stamp after the WAL assigns one.
-        let mut cells: Vec<Cell> = put
-            .columns
-            .iter()
-            .map(|col| Cell {
-                key: CellKey {
-                    row: put.row.clone(),
-                    family: col.family.clone(),
-                    qualifier: col.qualifier.clone(),
-                    timestamp: col.timestamp.unwrap_or(now),
-                    seq: 0,
-                    cell_type: CellType::Put,
-                },
-                value: col.value.clone(),
-            })
-            .collect();
-        let seq = self
-            .wal
-            .read()
-            .append(self.info.region_id, cells.clone(), now)?;
-        for cell in &mut cells {
-            cell.key.seq = seq;
-        }
-        self.key_sampler.lock().observe(&put.row);
-        {
-            let mut stores = self.stores.write();
-            for cell in cells {
-                stores
-                    .get_mut(&cell.key.family)
-                    .expect("family validated above")
-                    .memstore
-                    .insert(cell);
+        let mut rest = mutations;
+        while !rest.is_empty() {
+            let room = self.group_room();
+            let mut group: Vec<(Timestamp, Vec<Cell>)> = Vec::new();
+            let mut bytes = 0;
+            for m in rest {
+                // One clock tick per mutation, taken in application order.
+                let now = self.clock.now_ms();
+                let cells = m.cells(&self.descriptor, now);
+                bytes += cells.iter().map(Cell::heap_size).sum::<usize>();
+                group.push((now, cells));
+                if bytes >= room {
+                    break;
+                }
             }
+            let (applied, tail) = rest.split_at(group.len());
+            rest = tail;
+            let first_seq = self.wal.read().append_group(self.info.region_id, &group)?;
+            let last_seq = first_seq + group.len() as u64 - 1;
+            {
+                let mut sampler = self.key_sampler.lock();
+                for m in applied {
+                    sampler.observe(m.row());
+                }
+            }
+            {
+                let mut stores = self.stores.write();
+                for (seq, (_, cells)) in (first_seq..).zip(group) {
+                    for mut cell in cells {
+                        cell.key.seq = seq;
+                        stores
+                            .get_mut(&cell.key.family)
+                            .expect("family validated above")
+                            .memstore
+                            .insert(cell);
+                    }
+                }
+            }
+            self.read_point.fetch_max(last_seq, Ordering::Release);
+            self.maybe_flush()?;
         }
-        self.read_point.fetch_max(seq, Ordering::Release);
-        self.maybe_flush()?;
         Ok(())
     }
 
-    /// Apply a delete as tombstone cells.
-    pub fn delete(&self, delete: &Delete) -> Result<()> {
-        if !self.info.contains_row(&delete.row) {
-            return Err(KvError::NoRegionForRow {
-                table: self.info.table.to_string(),
-                row: delete.row.to_vec(),
-            });
-        }
-        let now = self.clock.now_ms();
-        let ts = delete.timestamp.unwrap_or(now);
-        let mut cells = Vec::new();
-        let mut tombstone = |family: &Bytes, qualifier: Bytes, cell_type: CellType| {
-            cells.push(Cell {
-                key: CellKey {
-                    row: delete.row.clone(),
-                    family: family.clone(),
-                    qualifier,
-                    timestamp: ts,
-                    seq: 0,
-                    cell_type,
-                },
-                value: Bytes::new(),
-            });
+    /// Cell bytes the memstores can take before mutation-at-a-time
+    /// application would next act on a watermark: the distance to
+    /// `memstore_flush_size` — or, past it (a background flush is pending),
+    /// to the hard-stall threshold — capped by the distance of the server
+    /// WAL's retained bytes to `wal_flush_trigger_bytes`. Cell heap sizes
+    /// never under-count what the memstore adds, so a crossing cannot fall
+    /// strictly inside a group.
+    fn group_room(&self) -> usize {
+        let mem = self.memstore_size();
+        let flush_at = self.config.memstore_flush_size;
+        let mem_room = if mem < flush_at {
+            flush_at - mem
+        } else {
+            self.stall_size().saturating_sub(mem)
         };
-        match &delete.scope {
-            DeleteScope::Row => {
-                for fd in &self.descriptor.families {
-                    tombstone(&fd.name, Bytes::new(), CellType::DeleteFamily);
-                }
-            }
-            DeleteScope::Family(family) => {
-                if !self.descriptor.has_family(family) {
-                    return Err(KvError::NoSuchColumnFamily {
-                        table: self.info.table.to_string(),
-                        family: String::from_utf8_lossy(family).into_owned(),
-                    });
-                }
-                tombstone(family, Bytes::new(), CellType::DeleteFamily);
-            }
-            DeleteScope::Column { family, qualifier } => {
-                tombstone(family, qualifier.clone(), CellType::DeleteColumn);
-            }
-            DeleteScope::Version {
-                family,
-                qualifier,
-                timestamp,
-            } => {
-                cells.push(Cell {
-                    key: CellKey {
-                        row: delete.row.clone(),
-                        family: family.clone(),
-                        qualifier: qualifier.clone(),
-                        timestamp: *timestamp,
-                        seq: 0,
-                        cell_type: CellType::Delete,
-                    },
-                    value: Bytes::new(),
-                });
-            }
-        }
-        for cell in &cells {
-            if !self.descriptor.has_family(&cell.key.family) {
-                return Err(KvError::NoSuchColumnFamily {
-                    table: self.info.table.to_string(),
-                    family: String::from_utf8_lossy(&cell.key.family).into_owned(),
-                });
-            }
-        }
-        let _guard = self.write_lock.lock();
-        let seq = self
-            .wal
-            .read()
-            .append(self.info.region_id, cells.clone(), now)?;
-        {
-            let mut stores = self.stores.write();
-            for mut cell in cells {
-                cell.key.seq = seq;
-                stores
-                    .get_mut(&cell.key.family)
-                    .expect("family validated above")
-                    .memstore
-                    .insert(cell);
-            }
-        }
-        self.read_point.fetch_max(seq, Ordering::Release);
-        Ok(())
+        let wal_room = self
+            .config
+            .wal_flush_trigger_bytes
+            .saturating_sub(self.wal.read().retained_bytes());
+        mem_room.min(usize::try_from(wal_room).unwrap_or(usize::MAX))
+    }
+
+    /// Memstore size past which the writer flushes inline even when a
+    /// background flusher exists.
+    fn stall_size(&self) -> usize {
+        self.config
+            .memstore_flush_size
+            .saturating_mul(self.config.memstore_stall_multiplier.max(1))
     }
 
     fn maybe_flush(&self) -> Result<()> {
@@ -601,11 +669,7 @@ impl Region {
         // Below the hard stall threshold a background flusher absorbs the
         // work; past it the writer must block even if a worker exists (it is
         // not keeping up and the memstore would grow without bound).
-        let hard_stall = mem
-            >= self
-                .config
-                .memstore_flush_size
-                .saturating_mul(self.config.memstore_stall_multiplier.max(1));
+        let hard_stall = mem >= self.stall_size();
         if !hard_stall {
             let notifier = self.flush_notifier.read();
             if let Some(notify) = notifier.as_ref() {
@@ -2130,6 +2194,68 @@ mod tests {
         let r = test_region();
         let err = r.put(&Put::new("a").add("nope", "q", "v")).unwrap_err();
         assert!(matches!(err, KvError::NoSuchColumnFamily { .. }));
+    }
+
+    #[test]
+    fn invalid_mutation_rejects_the_whole_batch() {
+        let r = test_region();
+        let puts = [
+            Put::new("a").add("cf", "q", "v"),
+            Put::new("b").add("nope", "q", "v"),
+        ];
+        let err = r.put_batch(&puts).unwrap_err();
+        assert!(matches!(err, KvError::NoSuchColumnFamily { .. }));
+        let deletes = [Delete::row("a"), Delete::column("b", "nope", "q")];
+        assert!(r.delete_batch(&deletes).is_err());
+        assert!(r.wal().is_empty(), "nothing logged");
+        assert!(scan_all(&r).is_empty(), "nothing applied");
+    }
+
+    /// With a flusher that never gets to its queue, the writer's hard stall
+    /// is the only flush: it must fire at the same mutation, and bound the
+    /// memstore the same, whether the puts come one at a time or as a batch.
+    #[test]
+    fn stuck_flusher_stalls_a_batch_where_it_stalls_single_puts() {
+        let region = || {
+            let td = TableDescriptor::new(TableName::default_ns("t"))
+                .with_family(FamilyDescriptor::new("cf"));
+            let r = Region::new(
+                RegionInfo {
+                    region_id: 1,
+                    table: td.name.clone(),
+                    start_key: Bytes::new(),
+                    end_key: Bytes::new(),
+                },
+                td,
+                RegionConfig {
+                    memstore_flush_size: 1024,
+                    memstore_stall_multiplier: 3,
+                    compact_at_file_count: 100,
+                    tier_min_files: 100,
+                    ..RegionConfig::default()
+                },
+                Arc::new(Wal::new()),
+                Clock::logical(0),
+            );
+            r.set_flush_notifier(|_, _| {});
+            r
+        };
+        let puts: Vec<Put> = (0..200)
+            .map(|i| Put::new(format!("row{i:03}")).add("cf", "q", vec![7u8; 20 + i % 50]))
+            .collect();
+        let (single, batched) = (region(), region());
+        for put in &puts {
+            single.put(put).unwrap();
+        }
+        batched.put_batch(&puts).unwrap();
+        assert!(single.flush_count() >= 3, "the stall threshold was reached");
+        assert_eq!(batched.flush_count(), single.flush_count());
+        assert_eq!(batched.store_file_bytes(), single.store_file_bytes());
+        assert_eq!(batched.memstore_size(), single.memstore_size());
+        assert_eq!(
+            batched.scan(&Scan::new().with_max_versions(3)).unwrap().0,
+            single.scan(&Scan::new().with_max_versions(3)).unwrap().0
+        );
     }
 
     #[test]

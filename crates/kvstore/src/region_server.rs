@@ -434,13 +434,10 @@ impl RegionServer {
         self.count_rpc();
         self.rpc_entry(RpcOp::Put, region_id)?;
         let region = self.region(region_id)?;
-        let mut bytes = 0u64;
-        for put in puts {
-            bytes += put.payload_bytes() as u64;
-            region.put(put)?;
-        }
+        region.put_batch(puts)?;
         region.load_counters().record_writes(puts.len() as u64);
-        self.metrics.add(&self.metrics.bytes_written, bytes);
+        let bytes: usize = puts.iter().map(Put::payload_bytes).sum();
+        self.metrics.add(&self.metrics.bytes_written, bytes as u64);
         Ok(())
     }
 
@@ -454,9 +451,7 @@ impl RegionServer {
         self.count_rpc();
         self.rpc_entry(RpcOp::Delete, region_id)?;
         let region = self.region(region_id)?;
-        for d in deletes {
-            region.delete(d)?;
-        }
+        region.delete_batch(deletes)?;
         region.load_counters().record_writes(deletes.len() as u64);
         Ok(())
     }

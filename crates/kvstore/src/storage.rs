@@ -48,10 +48,18 @@ fn crc32_table() -> &'static [u32; 256] {
 
 /// CRC-32 (IEEE polynomial) over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_parts(&[data])
+}
+
+/// CRC-32 over the concatenation of `parts`, without materializing it — the
+/// WAL checksums `type byte | fragment` this way.
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
     let table = crc32_table();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for part in parts {
+        for &b in *part {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
     }
     c ^ 0xFFFF_FFFF
 }
@@ -301,20 +309,52 @@ impl StorageEnv {
         v
     }
 
-    /// Append `buf` to an open file, honoring injected file faults: a
-    /// firing rule persists only a prefix and returns
-    /// [`KvError::SimulatedCrash`]. Successful appends are fsynced.
-    pub fn append(&self, file: &mut File, op: FileOp, buf: &[u8]) -> Result<()> {
-        let v = self.verdict(op, buf.len());
-        let persist = v.persist.min(buf.len());
+    /// Fault-checked write of `buf` to an open file, without syncing. `buf`
+    /// holds consecutive logical writes ending at the offsets in `ends`
+    /// (the last being `buf.len()`); each takes its own fault verdict, in
+    /// order, exactly as if it were written alone, but the bytes reach the
+    /// file in one `write_all`. A firing crash rule persists every earlier
+    /// write plus the surviving prefix of its own and returns
+    /// [`KvError::SimulatedCrash`].
+    pub fn write_parts(
+        &self,
+        file: &mut File,
+        op: FileOp,
+        buf: &[u8],
+        ends: &[usize],
+    ) -> Result<()> {
+        // Where the write is cut short, if a crash rule fires on a part.
+        let mut torn_at = None;
+        let mut start = 0;
+        for &end in ends {
+            let v = self.verdict(op, end - start);
+            if v.crash {
+                torn_at = Some(start + v.persist.min(end - start));
+                break;
+            }
+            start = end;
+        }
+        let persist = torn_at.unwrap_or(buf.len());
         file.write_all(&buf[..persist])?;
+        self.charge(op, persist as u64);
+        match torn_at {
+            Some(_) => Err(KvError::SimulatedCrash(format!("{op:?}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// [`write_parts`](Self::write_parts) for a single logical write.
+    pub fn write(&self, file: &mut File, op: FileOp, buf: &[u8]) -> Result<()> {
+        self.write_parts(file, op, buf, &[buf.len()])
+    }
+
+    /// Make everything written to `file` so far durable. Nothing written
+    /// through [`write`](Self::write) may be acknowledged or referenced by
+    /// a manifest before this returns.
+    pub fn sync(&self, file: &File, op: FileOp) -> Result<()> {
         file.sync_all()?;
         if op == FileOp::WalAppend {
             self.metrics.add(&self.metrics.wal_fsyncs, 1);
-        }
-        self.charge(op, persist as u64);
-        if v.crash {
-            return Err(KvError::SimulatedCrash(format!("{op:?}")));
         }
         Ok(())
     }
@@ -472,7 +512,7 @@ mod tests {
             .unwrap();
         assert_eq!(env.read(&path).unwrap(), b"block-1", "no bytes lost");
         let mut f = env.open_append(&env.root().join("g.sst")).unwrap();
-        env.append(&mut f, FileOp::StoreFileWrite, b"block-2")
+        env.write(&mut f, FileOp::StoreFileWrite, b"block-2")
             .unwrap();
         assert_eq!(metrics.snapshot().storage_slow_write_us, 3_000);
     }
@@ -489,9 +529,42 @@ mod tests {
         let path = env.root().join("wal.log");
         let mut f = env.open_append(&path).unwrap();
         let err = env
-            .append(&mut f, FileOp::WalAppend, b"0123456789")
+            .write(&mut f, FileOp::WalAppend, b"0123456789")
             .unwrap_err();
         assert!(matches!(err, KvError::SimulatedCrash(_)));
         assert_eq!(env.read(&path).unwrap(), b"012345");
+    }
+
+    #[test]
+    fn write_parts_takes_one_verdict_per_part_in_one_write() {
+        let metrics = ClusterMetrics::new();
+        let env = StorageEnv::temp(1 << 20, Arc::clone(&metrics)).unwrap();
+        let inj = FaultInjector::new(9, Arc::clone(&metrics));
+        env.attach_faults(Arc::clone(&inj));
+        let rule = inj.add_file_rule(
+            FileFaultRule::new(FileFaultKind::ShortWrite(1))
+                .on_op(FileOp::WalAppend)
+                .at_nth(3),
+        );
+        let path = env.root().join("wal.log");
+        let mut f = env.open_append(&path).unwrap();
+        // The third part is the rule's third write: the two before it land
+        // whole, it loses its last byte, the fourth never starts.
+        let err = env
+            .write_parts(
+                &mut f,
+                FileOp::WalAppend,
+                b"aaaabbbbccccdddd",
+                &[4, 8, 12, 16],
+            )
+            .unwrap_err();
+        assert!(matches!(err, KvError::SimulatedCrash(_)));
+        assert_eq!(rule.fire_count(), 1);
+        assert_eq!(env.read(&path).unwrap(), b"aaaabbbbccc");
+        assert_eq!(metrics.snapshot().wal_bytes_written, 11);
+        // Syncing is the caller's explicit step, and the one that is counted.
+        assert_eq!(metrics.snapshot().wal_fsyncs, 0);
+        env.sync(&f, FileOp::WalAppend).unwrap();
+        assert_eq!(metrics.snapshot().wal_fsyncs, 1);
     }
 }

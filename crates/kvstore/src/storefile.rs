@@ -402,9 +402,11 @@ impl StoreFile {
 
     /// Serialize the file to `path`, one fault-injectable write per data
     /// block (so a crash fault at the nth write produces a realistically
-    /// torn flush), then meta block + footer as the final write. The file
-    /// is only valid once the footer lands; a partial file fails `open`
-    /// with [`KvError::Corruption`] and is cleaned up as an orphan.
+    /// torn flush), then meta block + footer as the final write, then one
+    /// fsync: callers commit the manifest that references the file only
+    /// after this returns. The file is only valid once the footer lands; a
+    /// partial file fails `open` with [`KvError::Corruption`] and is
+    /// cleaned up as an orphan.
     pub fn write_to(&self, env: &StorageEnv, path: &Path, op: FileOp) -> Result<()> {
         let mut file = env.open_append(path)?;
         let mut index: Vec<(u64, u32)> = Vec::with_capacity(self.blocks.len());
@@ -418,7 +420,7 @@ impl StoreFile {
             index.push((offset, payload.len() as u32));
             let framed = frame_block(&payload);
             offset += framed.len() as u64;
-            env.append(&mut file, op, &framed)?;
+            env.write(&mut file, op, &framed)?;
         }
 
         let mut meta = Vec::new();
@@ -446,7 +448,8 @@ impl StoreFile {
         tail.extend_from_slice(&offset.to_le_bytes());
         tail.extend_from_slice(&meta_len.to_le_bytes());
         tail.extend_from_slice(&STOREFILE_MAGIC.to_le_bytes());
-        env.append(&mut file, op, &tail)?;
+        env.write(&mut file, op, &tail)?;
+        env.sync(&file, op)?;
         let _ = self.disk_path.set(path.to_path_buf());
         Ok(())
     }

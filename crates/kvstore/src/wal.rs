@@ -133,6 +133,8 @@ struct DurableState {
     /// Archived segments awaiting the *next* cleanup pass; deletion lags
     /// archival by one gc cycle so it is observably delayed.
     pending_delete: Vec<PathBuf>,
+    /// Framed bytes of the group being appended; reused across groups.
+    frame_buf: Vec<u8>,
 }
 
 #[derive(Debug, Default)]
@@ -141,6 +143,9 @@ struct WalInner {
     next_seq: u64,
     closed: bool,
     appended_bytes: u64,
+    /// Heap bytes of `records`, kept in step with it: the write path reads
+    /// this for every group it cuts.
+    retained_bytes: u64,
     durable: Option<DurableState>,
 }
 
@@ -183,10 +188,7 @@ fn frame_record(buf: &mut Vec<u8>, mut block_offset: usize, payload: &[u8]) -> u
             (false, true) => CHUNK_LAST,
         };
         let fragment = &left[..take];
-        let mut crc_input = Vec::with_capacity(1 + take);
-        crc_input.push(ty);
-        crc_input.extend_from_slice(fragment);
-        buf.extend_from_slice(&storage::crc32(&crc_input).to_le_bytes());
+        buf.extend_from_slice(&storage::crc32_parts(&[&[ty], fragment]).to_le_bytes());
         buf.extend_from_slice(&(take as u16).to_le_bytes());
         buf.push(ty);
         buf.extend_from_slice(fragment);
@@ -199,17 +201,21 @@ fn frame_record(buf: &mut Vec<u8>, mut block_offset: usize, payload: &[u8]) -> u
     }
 }
 
-fn encode_data_record(record: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
+fn encode_data_record(
+    payload: &mut Vec<u8>,
+    region_id: u64,
+    seq: u64,
+    write_time: Timestamp,
+    cells: &[Cell],
+) {
     payload.push(REC_DATA);
-    payload.extend_from_slice(&record.region_id.to_le_bytes());
-    payload.extend_from_slice(&record.seq.to_le_bytes());
-    payload.extend_from_slice(&record.write_time.to_le_bytes());
-    payload.extend_from_slice(&(record.cells.len() as u32).to_le_bytes());
-    for cell in &record.cells {
-        storage::encode_cell(&mut payload, cell);
+    payload.extend_from_slice(&region_id.to_le_bytes());
+    payload.extend_from_slice(&seq.to_le_bytes());
+    payload.extend_from_slice(&write_time.to_le_bytes());
+    payload.extend_from_slice(&(cells.len() as u32).to_le_bytes());
+    for cell in cells {
+        storage::encode_cell(payload, cell);
     }
-    payload
 }
 
 fn encode_segment_header(base_seq: u64) -> Vec<u8> {
@@ -320,10 +326,7 @@ fn parse_segment(data: &[u8]) -> ParsedSegment {
             break 'scan;
         }
         let fragment = &data[pos + CHUNK_HEADER..pos + CHUNK_HEADER + len];
-        let mut crc_input = Vec::with_capacity(1 + len);
-        crc_input.push(ty);
-        crc_input.extend_from_slice(fragment);
-        if storage::crc32(&crc_input) != crc {
+        if storage::crc32_parts(&[&[ty], fragment]) != crc {
             break 'scan;
         }
         pos += CHUNK_HEADER + len;
@@ -399,6 +402,7 @@ impl Wal {
                     active: None,
                     flushed: HashMap::new(),
                     pending_delete: Vec::new(),
+                    frame_buf: Vec::new(),
                 }),
                 ..Default::default()
             }),
@@ -491,6 +495,7 @@ impl Wal {
         ds.flushed.clear();
         inner.records = records;
         inner.records.sort_by_key(|r| r.seq);
+        inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
         inner.next_seq = (max_seq + 1).max(max_base).max(1);
         inner.closed = false;
 
@@ -509,7 +514,10 @@ impl Wal {
         let mut buf = Vec::new();
         let block_offset = frame_record(&mut buf, 0, &encode_segment_header(next_seq));
         let written = buf.len() as u64;
-        let append = ds.env.append(&mut file, FileOp::WalAppend, &buf);
+        let append = ds
+            .env
+            .write(&mut file, FileOp::WalAppend, &buf)
+            .and_then(|()| ds.env.sync(&file, FileOp::WalAppend));
         ds.segments.push(SegmentMeta {
             id,
             path,
@@ -536,63 +544,86 @@ impl Wal {
         }
     }
 
-    /// Append a record; returns the assigned sequence id.
+    /// Append a single record; returns the assigned sequence id. A group of
+    /// one through [`append_group`](Self::append_group).
     pub fn append(&self, region_id: u64, cells: Vec<Cell>, write_time: Timestamp) -> Result<u64> {
-        let mut inner = self.inner.lock();
+        self.append_group(region_id, &[(write_time, cells)])
+    }
+
+    /// Append one record per `(write_time, cells)` entry as a single group:
+    /// consecutive sequence ids, and in durable mode one device write and
+    /// one fsync for the whole group. Returns the first record's seq. The
+    /// group is the unit of acknowledgement, not of recovery: on disk it is
+    /// ordinary records, so a crash mid-write leaves a whole-record prefix.
+    pub fn append_group(&self, region_id: u64, records: &[(Timestamp, Vec<Cell>)]) -> Result<u64> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if inner.closed {
             return Err(KvError::WalClosed);
         }
-        let seq = inner.next_seq;
-        let record = WalRecord {
-            seq,
-            region_id,
-            cells,
-            write_time,
-        };
+        let first_seq = inner.next_seq;
+        if records.is_empty() {
+            return Ok(first_seq);
+        }
+        let last_seq = first_seq + records.len() as u64 - 1;
 
-        if inner.durable.is_some() {
-            let payload = encode_data_record(&record);
-            let ds = inner.durable.as_mut().expect("durable mode");
+        if let Some(ds) = inner.durable.as_mut() {
             let Some(active) = ds.active.as_mut() else {
                 inner.closed = true;
                 return Err(KvError::WalClosed);
             };
-            let mut buf = Vec::new();
-            let new_offset = frame_record(&mut buf, active.block_offset, &payload);
-            let result = ds.env.append(&mut active.file, FileOp::WalAppend, &buf);
-            let seg = ds.segments.last_mut().expect("active segment meta");
-            match result {
-                Ok(()) => {
-                    active.block_offset = new_offset;
-                    seg.bytes += buf.len() as u64;
-                    active.extents.push((seq, seg.bytes));
-                    let lo = seg.region_min_seq.entry(region_id).or_insert(seq);
-                    *lo = (*lo).min(seq);
-                    let hi = seg.region_max_seq.entry(region_id).or_insert(seq);
-                    *hi = (*hi).max(seq);
-                }
-                Err(e) => {
-                    // A crash-fault fired mid-append: an unknown prefix is on
-                    // disk. The server is about to crash; recovery will drop
-                    // the torn tail via CRC validation.
-                    inner.closed = true;
-                    return Err(e);
-                }
+            ds.frame_buf.clear();
+            let mut payload = Vec::new();
+            let mut ends = Vec::with_capacity(records.len());
+            let mut block_offset = active.block_offset;
+            for (seq, (write_time, cells)) in (first_seq..).zip(records) {
+                payload.clear();
+                encode_data_record(&mut payload, region_id, seq, *write_time, cells);
+                block_offset = frame_record(&mut ds.frame_buf, block_offset, &payload);
+                ends.push(ds.frame_buf.len());
             }
-            let rotate = seg.bytes >= ds.env.wal_segment_bytes;
-            if rotate {
+            // One fault verdict per record, as when each was its own write.
+            let written = ds
+                .env
+                .write_parts(&mut active.file, FileOp::WalAppend, &ds.frame_buf, &ends)
+                .and_then(|()| ds.env.sync(&active.file, FileOp::WalAppend));
+            if let Err(e) = written {
+                // A crash-fault fired mid-group: an unknown prefix is on
+                // disk. The server is about to crash; recovery will drop
+                // the torn tail via CRC validation.
+                inner.closed = true;
+                return Err(e);
+            }
+            let seg = ds.segments.last_mut().expect("active segment meta");
+            active.block_offset = block_offset;
+            active
+                .extents
+                .extend((first_seq..).zip(ends.iter().map(|&end| seg.bytes + end as u64)));
+            seg.bytes += ds.frame_buf.len() as u64;
+            seg.region_min_seq.entry(region_id).or_insert(first_seq);
+            seg.region_max_seq.insert(region_id, last_seq);
+            if seg.bytes >= ds.env.wal_segment_bytes {
                 let next_id = seg.id + 1;
                 seg.sealed = true;
                 let m = ds.env.metrics();
                 m.add(&m.wal_segments_rotated, 1);
-                Self::roll_segment_locked(&mut inner, next_id)?;
+                Self::roll_segment_locked(inner, next_id)?;
             }
         }
 
-        inner.next_seq += 1;
-        inner.appended_bytes += record.heap_size();
-        inner.records.push(record);
-        Ok(seq)
+        inner.next_seq = last_seq + 1;
+        for (seq, (write_time, cells)) in (first_seq..).zip(records) {
+            let record = WalRecord {
+                seq,
+                region_id,
+                cells: cells.clone(),
+                write_time: *write_time,
+            };
+            inner.appended_bytes += record.heap_size();
+            inner.retained_bytes += record.heap_size();
+            inner.records.push(record);
+        }
+        Ok(first_seq)
     }
 
     /// All records for one region with `seq > after_seq`, in order. Replayed
@@ -615,6 +646,7 @@ impl Wal {
         inner
             .records
             .retain(|r| r.region_id != region_id || r.seq > flushed_seq);
+        inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
         if let Some(ds) = inner.durable.as_mut() {
             let mark = ds.flushed.entry(region_id).or_insert(0);
             *mark = (*mark).max(flushed_seq);
@@ -739,12 +771,7 @@ impl Wal {
     /// Heap bytes of records not yet released by `truncate_up_to` — the
     /// WAL-size flush watermark reads this.
     pub fn retained_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .records
-            .iter()
-            .map(|r| r.heap_size())
-            .sum()
+        self.inner.lock().retained_bytes
     }
 }
 
@@ -902,6 +929,183 @@ mod tests {
         );
         let m = env.metrics().snapshot();
         assert!(m.wal_torn_bytes_dropped > 0);
+    }
+
+    /// The framing this log shipped with before the CRC was fed
+    /// incrementally: a `type | fragment` copy per chunk.
+    fn frame_record_reference(buf: &mut Vec<u8>, mut block_offset: usize, payload: &[u8]) -> usize {
+        let mut left = payload;
+        let mut first = true;
+        loop {
+            let room = WAL_BLOCK_SIZE - block_offset;
+            if room < CHUNK_HEADER {
+                buf.extend(std::iter::repeat_n(0u8, room));
+                block_offset = 0;
+                continue;
+            }
+            let take = left.len().min(room - CHUNK_HEADER);
+            let last = take == left.len();
+            let ty = match (first, last) {
+                (true, true) => CHUNK_FULL,
+                (true, false) => CHUNK_FIRST,
+                (false, false) => CHUNK_MIDDLE,
+                (false, true) => CHUNK_LAST,
+            };
+            let mut crc_input = vec![ty];
+            crc_input.extend_from_slice(&left[..take]);
+            buf.extend_from_slice(&storage::crc32(&crc_input).to_le_bytes());
+            buf.extend_from_slice(&(take as u16).to_le_bytes());
+            buf.push(ty);
+            buf.extend_from_slice(&left[..take]);
+            block_offset = (block_offset + CHUNK_HEADER + take) % WAL_BLOCK_SIZE;
+            left = &left[take..];
+            first = false;
+            if last {
+                return block_offset;
+            }
+        }
+    }
+
+    #[test]
+    fn framing_bytes_match_the_reference_framing() {
+        let payloads: Vec<Vec<u8>> = [0usize, 1, 100, WAL_BLOCK_SIZE - 7, 40_000, 100_000]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 % 251) as u8).collect())
+            .collect();
+        for start in [
+            0,
+            5,
+            WAL_BLOCK_SIZE - 8,
+            WAL_BLOCK_SIZE - 7,
+            WAL_BLOCK_SIZE - 3,
+        ] {
+            // One buffer for the whole run of records, as a group frames them.
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut got_off, mut want_off) = (start, start);
+            for payload in &payloads {
+                got_off = frame_record(&mut got, got_off, payload);
+                want_off = frame_record_reference(&mut want, want_off, payload);
+            }
+            assert_eq!(got_off, want_off, "start {start}");
+            assert!(got == want, "framed bytes differ from start {start}");
+        }
+    }
+
+    fn group_of(n: usize) -> Vec<(Timestamp, Vec<Cell>)> {
+        (0..n)
+            .map(|i| {
+                let value = "v".repeat(10 + 7 * i);
+                let mut c = cell(&format!("row-{i:03}"));
+                c.value = Bytes::from(value);
+                (100 + i as u64, vec![c])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_costs_one_fsync_and_the_same_bytes_as_single_appends() {
+        let grouped_env = temp_env(1 << 20);
+        let grouped =
+            Wal::durable(Arc::clone(&grouped_env), grouped_env.root().join("wal")).unwrap();
+        let single_env = temp_env(1 << 20);
+        let single = Wal::durable(Arc::clone(&single_env), single_env.root().join("wal")).unwrap();
+        let group = group_of(12);
+
+        let fsyncs_before = grouped_env.metrics().snapshot().wal_fsyncs;
+        let first = grouped.append_group(4, &group).unwrap();
+        assert_eq!(
+            grouped_env.metrics().snapshot().wal_fsyncs,
+            fsyncs_before + 1,
+            "one fsync for the whole group"
+        );
+        for (i, (write_time, cells)) in group.iter().enumerate() {
+            let seq = single.append(4, cells.clone(), *write_time).unwrap();
+            assert_eq!(seq, first + i as u64, "one consecutive seq per record");
+        }
+        assert_eq!(
+            grouped.active_record_extents(),
+            single.active_record_extents()
+        );
+        let bytes = |wal: &Wal| std::fs::read(wal.active_segment_path().unwrap()).unwrap();
+        assert!(bytes(&grouped) == bytes(&single), "segment bytes differ");
+        assert_eq!(grouped.appended_bytes(), single.appended_bytes());
+        assert_eq!(grouped.replay(4, 0).len(), 12);
+        // An empty group is a no-op that burns no seq.
+        assert_eq!(grouped.append_group(4, &[]).unwrap(), first + 12);
+        assert_eq!(
+            grouped.append(4, vec![cell("next")], 1).unwrap(),
+            first + 12
+        );
+    }
+
+    /// Cut the active segment at *every* byte offset — record boundaries and
+    /// inside records alike: reopen must recover exactly the records that fit
+    /// whole, and numbering must continue right after them.
+    #[test]
+    fn group_truncated_anywhere_recovers_a_whole_record_prefix() {
+        let env = temp_env(1 << 20);
+        let dir = env.root().join("wal");
+        let wal = Wal::durable(Arc::clone(&env), dir.clone()).unwrap();
+        let first = wal.append_group(7, &group_of(8)).unwrap();
+        let extents = wal.active_record_extents();
+        assert_eq!(extents.len(), 8);
+        let path = wal.active_segment_path().unwrap();
+        wal.close();
+        drop(wal);
+        let data = std::fs::read(&path).unwrap();
+        for cut in 0..=data.len() {
+            // A fresh directory per cut: recovery rolls a new segment.
+            let trial = env.root().join(format!("trial-{cut}"));
+            std::fs::create_dir_all(&trial).unwrap();
+            std::fs::write(trial.join(path.file_name().unwrap()), &data[..cut]).unwrap();
+            let recovered = Wal::durable(Arc::clone(&env), trial.clone()).unwrap();
+            let got: Vec<u64> = recovered.replay(7, 0).iter().map(|r| r.seq).collect();
+            let want: Vec<u64> = extents
+                .iter()
+                .filter(|(_, end)| *end <= cut as u64)
+                .map(|(seq, _)| *seq)
+                .collect();
+            assert_eq!(got, want, "cut at {cut}/{}", data.len());
+            let next = recovered.append(7, vec![cell("after")], 1).unwrap();
+            assert_eq!(next, want.last().map_or(first, |s| s + 1), "cut at {cut}");
+            drop(recovered);
+            std::fs::remove_dir_all(&trial).unwrap();
+        }
+    }
+
+    #[test]
+    fn fault_inside_a_group_keeps_earlier_records_and_closes_the_log() {
+        use crate::fault::{FaultInjector, FileFaultKind, FileFaultRule};
+        for kind in [FileFaultKind::CrashAt, FileFaultKind::Torn] {
+            let env = temp_env(1 << 20);
+            let inj = FaultInjector::new(11, Arc::clone(env.metrics()));
+            env.attach_faults(Arc::clone(&inj));
+            let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+            let acked = wal.append_group(3, &group_of(3)).unwrap();
+            // Records take one verdict each: the 4th write of the next
+            // group is its 4th record.
+            let rule =
+                inj.add_file_rule(FileFaultRule::new(kind).on_op(FileOp::WalAppend).at_nth(4));
+            let err = wal.append_group(3, &group_of(6)).unwrap_err();
+            assert!(
+                matches!(err, KvError::SimulatedCrash(_)),
+                "{kind:?}: {err:?}"
+            );
+            assert_eq!(rule.fire_count(), 1);
+            assert!(wal.is_closed());
+            assert_eq!(
+                wal.replay(3, 0).len(),
+                3,
+                "the failed group is not mirrored"
+            );
+            inj.clear();
+            wal.reopen().unwrap();
+            // On disk the group is ordinary records: the three whole ones
+            // before the fault survive, the faulted one and its successors
+            // do not.
+            let seqs: Vec<u64> = wal.replay(3, 0).iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, (acked..acked + 6).collect::<Vec<_>>(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -208,8 +208,11 @@ fn block_cache_alert_fires_and_clears_with_exemplar() {
 /// Determinism discipline for background work: the flush worker journals at
 /// the *enqueue* timestamp captured on the writer thread, with a TraceId
 /// derived from (server, queue position) — so the journal is a pure
-/// function of the write schedule, not of thread timing. Draining between
-/// phases fixes the seq interleaving.
+/// function of the write schedule, not of thread timing. What a background
+/// flush *contains* is whatever the memstore holds when the worker gets to
+/// it, so the writer lets the worker catch up after every put (a put that
+/// queued nothing finds it idle); draining between phases fixes the seq
+/// interleaving.
 fn background_flush_run(seed: u64) -> String {
     use shc::kvstore::prelude::*;
     let cluster = HBaseCluster::start(ClusterConfig {
@@ -236,9 +239,9 @@ fn background_flush_run(seed: u64) -> String {
             table
                 .put(Put::new(format!("p{phase}r{i:04}")).add("cf", "v", payload.clone()))
                 .unwrap();
-        }
-        while !cluster.flushes_idle() {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            while !cluster.flushes_idle() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
         }
         cluster.quiesce();
     }
