@@ -9,14 +9,16 @@
 //!
 //! Recency is tracked with a logical tick counter under the same mutex as
 //! the map, so eviction order depends only on the access sequence — no
-//! wall-clock reads, keeping traces and metrics deterministic.
+//! wall-clock reads, keeping traces and metrics deterministic. Entries are
+//! also indexed by tick, so eviction pops the index's first key instead of
+//! scanning the map for the least recently used entry.
 
 use crate::clock::Clock;
 use crate::metrics::ClusterMetrics;
 use crate::storefile::{Block, StoreFile};
 use parking_lot::{Mutex, RwLock};
 use shc_obs::events::{EventJournal, Severity};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,6 +38,12 @@ pub struct BlockCache {
 
 struct CacheInner {
     map: HashMap<(u64, usize), Entry>,
+    /// One `tick → key` per entry of `map`, where `tick` is the entry's
+    /// `last_used` as of when it was indexed. A hit only bumps `last_used`
+    /// (hits stay one hash lookup); eviction re-indexes the stale entries
+    /// it pops, so the first *current* one it reaches is the true LRU —
+    /// every entry still indexed was last used no earlier than its key.
+    by_tick: BTreeMap<u64, (u64, usize)>,
     used_bytes: usize,
     tick: u64,
 }
@@ -65,6 +73,7 @@ impl BlockCache {
             metrics,
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
+                by_tick: BTreeMap::new(),
                 used_bytes: 0,
                 tick: 0,
             }),
@@ -75,7 +84,8 @@ impl BlockCache {
     }
 
     /// Attach the cluster's flight recorder; evictions are journaled as
-    /// `block-cache` events from then on.
+    /// `block-cache` events from then on (see
+    /// [`journal_evictions`](Self::journal_evictions)).
     pub fn attach_events(&self, journal: Arc<EventJournal>, clock: Clock) {
         *self.events.write() = Some((journal, clock));
     }
@@ -106,21 +116,29 @@ impl BlockCache {
         self.len() == 0
     }
 
-    /// Fetch a block through the cache. Returns the block and whether it was
-    /// a hit. Misses insert the block (when it fits at all) and evict
-    /// least-recently-used entries until the capacity holds again.
-    pub fn get_or_load(&self, file: &StoreFile, block_idx: usize) -> (Arc<Block>, bool) {
+    /// Fetch a block through the cache, counting the hit or miss — and what
+    /// a miss evicted — in `tally`. Misses insert the block (when it fits at
+    /// all) and evict least-recently-used entries until the capacity holds
+    /// again.
+    pub fn get_or_load(
+        &self,
+        file: &StoreFile,
+        block_idx: usize,
+        tally: &mut ReadTally,
+    ) -> Arc<Block> {
         let key = (file.file_id(), block_idx);
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&key) {
             entry.last_used = tick;
             let block = Arc::clone(&entry.block);
-            drop(inner);
+            drop(guard);
+            tally.hits += 1;
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.add(&self.metrics.block_cache_hits, 1);
-            return (block, true);
+            return block;
         }
         let block = Arc::clone(file.block(block_idx));
         let bytes = block.byte_size();
@@ -134,56 +152,61 @@ impl BlockCache {
                     last_used: tick,
                 },
             );
+            // The block just inserted is indexed only after the loop, so it
+            // is never its own victim.
             while inner.used_bytes > self.capacity_bytes {
-                // Ticks are strictly increasing, so the minimum is unique
-                // and eviction order is fully determined by access order.
-                let victim = inner
-                    .map
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k);
-                let Some(victim) = victim else { break };
-                let gone = inner.map.remove(&victim).expect("victim present");
+                let Some((indexed_at, victim)) = inner.by_tick.pop_first() else {
+                    break;
+                };
+                let last_used = inner.map[&victim].last_used;
+                if last_used != indexed_at {
+                    inner.by_tick.insert(last_used, victim);
+                    continue;
+                }
+                let gone = inner.map.remove(&victim).expect("indexed entry present");
                 inner.used_bytes -= gone.block.byte_size();
                 evictions += 1;
             }
+            inner.by_tick.insert(tick, key);
         }
-        drop(inner);
+        drop(guard);
+        tally.misses += 1;
+        tally.evictions += evictions;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.add(&self.metrics.block_cache_misses, 1);
         if evictions > 0 {
             self.metrics
                 .add(&self.metrics.block_cache_evictions, evictions);
-            if let Some((journal, clock)) = self.events.read().as_ref() {
-                journal.record(
-                    Severity::Warn,
-                    "block-cache",
-                    clock.peek_ms(),
-                    format!("evicted {evictions} block(s) under capacity pressure"),
-                );
-            }
         }
-        (block, false)
+        block
+    }
+
+    /// Leave one flight-recorder event for the `evicted` blocks a read
+    /// pushed out — called once per scan batch or get, not per block, so
+    /// cache pressure cannot flush every other category out of the ring.
+    pub fn journal_evictions(&self, evicted: u64) {
+        if evicted == 0 {
+            return;
+        }
+        if let Some((journal, clock)) = self.events.read().as_ref() {
+            journal.record(
+                Severity::Warn,
+                "block-cache",
+                clock.peek_ms(),
+                format!("evicted {evicted} block(s) under capacity pressure"),
+            );
+        }
     }
 }
 
-/// Per-scan block-read tally, shared by the lazy file streams feeding one
-/// merge; folded into `ScanStats` when the scan finishes.
-#[derive(Debug, Default)]
+/// Block reads of one scan (or get, or compaction), folded into `ScanStats`
+/// when it finishes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadTally {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-}
-
-impl ReadTally {
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
+    pub hits: u64,
+    pub misses: u64,
+    /// Blocks the misses pushed out of the cache.
+    pub evictions: u64,
 }
 
 /// Load one block — through the cache when one is present, straight from
@@ -193,20 +216,12 @@ pub fn load_block(
     file: &StoreFile,
     idx: usize,
     cache: Option<&BlockCache>,
-    tally: &ReadTally,
+    tally: &mut ReadTally,
 ) -> Arc<Block> {
     match cache {
-        Some(cache) => {
-            let (block, hit) = cache.get_or_load(file, idx);
-            if hit {
-                tally.hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                tally.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            block
-        }
+        Some(cache) => cache.get_or_load(file, idx, tally),
         None => {
-            tally.misses.fetch_add(1, Ordering::Relaxed);
+            tally.misses += 1;
             Arc::clone(file.block(idx))
         }
     }
@@ -235,15 +250,21 @@ mod tests {
         StoreFile::from_sorted(cells)
     }
 
+    /// Load through `cache` and say whether it was a hit.
+    fn hit(cache: &BlockCache, file: &StoreFile, idx: usize) -> bool {
+        let mut tally = ReadTally::default();
+        cache.get_or_load(file, idx, &mut tally);
+        assert_eq!(tally.hits + tally.misses, 1);
+        tally.hits == 1
+    }
+
     #[test]
     fn second_read_hits() {
         let metrics = ClusterMetrics::new();
         let cache = BlockCache::new(1 << 20, Arc::clone(&metrics));
         let f = file_with_rows(10, "a");
-        let (_, hit) = cache.get_or_load(&f, 0);
-        assert!(!hit);
-        let (_, hit) = cache.get_or_load(&f, 0);
-        assert!(hit);
+        assert!(!hit(&cache, &f, 0));
+        assert!(hit(&cache, &f, 0));
         let snap = metrics.snapshot();
         assert_eq!(snap.block_cache_hits, 1);
         assert_eq!(snap.block_cache_misses, 1);
@@ -257,17 +278,53 @@ mod tests {
         let one_block = f.block(0).byte_size();
         // Room for two blocks, not three.
         let cache = BlockCache::new(one_block * 2, Arc::clone(&metrics));
-        cache.get_or_load(&f, 0);
-        cache.get_or_load(&f, 1);
+        let mut tally = ReadTally::default();
+        cache.get_or_load(&f, 0, &mut tally);
+        cache.get_or_load(&f, 1, &mut tally);
         // Touch block 0 so block 1 is the LRU victim.
-        cache.get_or_load(&f, 0);
-        cache.get_or_load(&f, 2);
+        cache.get_or_load(&f, 0, &mut tally);
+        cache.get_or_load(&f, 2, &mut tally);
+        assert_eq!(
+            tally,
+            ReadTally {
+                hits: 1,
+                misses: 3,
+                evictions: 1
+            }
+        );
         assert_eq!(metrics.snapshot().block_cache_evictions, 1);
-        let (_, hit) = cache.get_or_load(&f, 0);
-        assert!(hit, "recently used block survives");
-        let (_, hit) = cache.get_or_load(&f, 1);
-        assert!(!hit, "LRU block was evicted");
+        assert!(hit(&cache, &f, 0), "recently used block survives");
+        assert!(!hit(&cache, &f, 1), "LRU block was evicted");
         assert!(cache.used_bytes() <= cache.capacity_bytes());
+    }
+
+    /// The tick index must pick the victims a full scan for the minimum
+    /// `last_used` would: replay a seeded access sequence against a model
+    /// LRU and compare every hit/miss and the final contents.
+    #[test]
+    fn eviction_order_matches_a_model_lru() {
+        let f = file_with_rows(crate::storefile::BLOCK_SIZE * 12, "a");
+        let one_block = f.block(0).byte_size();
+        let cache = BlockCache::new(one_block * 4, ClusterMetrics::new());
+        let mut model: Vec<usize> = Vec::new(); // least recently used first
+        let mut x = 2018u64;
+        for _ in 0..500 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let idx = (x >> 33) as usize % 12;
+            let expect_hit = model.contains(&idx);
+            model.retain(|&b| b != idx);
+            model.push(idx);
+            if model.len() > 4 {
+                model.remove(0);
+            }
+            assert_eq!(hit(&cache, &f, idx), expect_hit, "block {idx}");
+        }
+        assert_eq!(cache.len(), model.len());
+        for idx in model {
+            assert!(hit(&cache, &f, idx));
+        }
     }
 
     #[test]
@@ -276,8 +333,7 @@ mod tests {
         let cache = BlockCache::new(0, Arc::clone(&metrics));
         let f = file_with_rows(4, "a");
         for _ in 0..3 {
-            let (_, hit) = cache.get_or_load(&f, 0);
-            assert!(!hit);
+            assert!(!hit(&cache, &f, 0));
         }
         assert!(cache.is_empty());
         assert_eq!(metrics.snapshot().block_cache_misses, 3);
@@ -289,20 +345,41 @@ mod tests {
         let cache = BlockCache::new(1 << 20, Arc::clone(&metrics));
         let a = file_with_rows(4, "a");
         let b = file_with_rows(4, "b");
-        cache.get_or_load(&a, 0);
-        let (block, hit) = cache.get_or_load(&b, 0);
-        assert!(!hit, "different files must not share entries");
-        assert_eq!(block.cells()[0].key.row.as_ref(), b"b-00000");
+        let mut tally = ReadTally::default();
+        cache.get_or_load(&a, 0, &mut tally);
+        let block = cache.get_or_load(&b, 0, &mut tally);
+        assert_eq!(tally.hits, 0, "different files must not share entries");
+        assert_eq!(block.cell(0).row, b"b-00000");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn cacheless_loads_count_as_misses() {
-        let tally = ReadTally::default();
+        let mut tally = ReadTally::default();
         let f = file_with_rows(4, "a");
-        let block = load_block(&f, 0, None, &tally);
+        let block = load_block(&f, 0, None, &mut tally);
         assert_eq!(block.len(), 4);
-        assert_eq!(tally.misses(), 1);
-        assert_eq!(tally.hits(), 0);
+        assert_eq!(tally.misses, 1);
+        assert_eq!(tally.hits, 0);
+    }
+
+    #[test]
+    fn evictions_are_journaled_once_per_read_with_their_count() {
+        let f = file_with_rows(crate::storefile::BLOCK_SIZE * 6, "a");
+        let cache = BlockCache::new(f.block(0).byte_size(), ClusterMetrics::new());
+        let journal = EventJournal::new(16);
+        cache.attach_events(Arc::clone(&journal), Clock::logical(5));
+        let mut tally = ReadTally::default();
+        for idx in 0..6 {
+            cache.get_or_load(&f, idx, &mut tally);
+        }
+        assert_eq!(tally.evictions, 5);
+        assert!(journal.is_empty(), "loading a block journals nothing");
+        cache.journal_evictions(tally.evictions);
+        cache.journal_evictions(0);
+        let events = journal.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].category, "block-cache");
+        assert!(events[0].message.starts_with("evicted 5 block(s)"));
     }
 }

@@ -1,13 +1,32 @@
 //! Server-side filters, evaluated inside the region server against raw byte
 //! arrays — the substrate that SHC's selective predicate pushdown targets.
 //!
-//! Filters operate at row granularity: once the cells of a row are assembled,
+//! Filters operate at row granularity: once the cells of a row are known,
 //! the filter decides whether the row is returned. This mirrors how SHC uses
 //! HBase's `RowFilter`, `SingleColumnValueFilter`, `FilterList` and
-//! `MultiRowRangeFilter`.
+//! `MultiRowRangeFilter`. A filter sees a row through [`RowView`], so the
+//! scan path can evaluate it on cells still sitting encoded in their blocks
+//! and build a [`RowResult`] only for rows that pass.
 
 use crate::types::RowResult;
 use bytes::Bytes;
+
+/// What a filter can ask of a row: its key, and the newest value a read
+/// kept for a column.
+pub trait RowView {
+    fn row_key(&self) -> &[u8];
+    fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]>;
+}
+
+impl RowView for RowResult {
+    fn row_key(&self) -> &[u8] {
+        &self.row
+    }
+
+    fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]> {
+        self.value(family, qualifier).map(|v| v.as_ref())
+    }
+}
 
 /// Byte-wise comparison operator, as in HBase `CompareOperator`. Comparisons
 /// are on the raw byte order, which is why SHC's codecs must be
@@ -125,19 +144,19 @@ pub enum Filter {
 }
 
 impl Filter {
-    /// Evaluate the filter against an assembled row.
-    pub fn matches(&self, row: &RowResult) -> bool {
+    /// Evaluate the filter against a row.
+    pub fn matches(&self, row: &impl RowView) -> bool {
         match self {
-            Filter::RowRanges(ranges) => ranges.iter().any(|r| r.contains(&row.row)),
-            Filter::RowCompare(op, value) => op.eval(&row.row, value),
-            Filter::RowPrefix(prefix) => row.row.starts_with(prefix),
+            Filter::RowRanges(ranges) => ranges.iter().any(|r| r.contains(row.row_key())),
+            Filter::RowCompare(op, value) => op.eval(row.row_key(), value),
+            Filter::RowPrefix(prefix) => row.row_key().starts_with(prefix),
             Filter::ColumnValue {
                 family,
                 qualifier,
                 op,
                 value,
                 filter_if_missing,
-            } => match row.value(family, qualifier) {
+            } => match row.column_value(family, qualifier) {
                 Some(v) => op.eval(v, value),
                 None => !filter_if_missing,
             },
@@ -146,7 +165,7 @@ impl Filter {
                 qualifier,
                 prefix,
             } => row
-                .value(family, qualifier)
+                .column_value(family, qualifier)
                 .is_some_and(|v| v.starts_with(prefix)),
             Filter::And(children) => children.iter().all(|f| f.matches(row)),
             Filter::Or(children) => children.iter().any(|f| f.matches(row)),

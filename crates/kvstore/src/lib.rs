@@ -55,6 +55,7 @@ pub mod heat;
 pub mod load;
 pub mod master;
 pub mod memstore;
+mod merge;
 pub mod metrics;
 pub mod network;
 pub mod region;

@@ -4,13 +4,14 @@
 //! the flush threshold the region snapshots the memstore into an immutable
 //! [`crate::storefile::StoreFile`].
 
-use crate::types::{Cell, CellKey};
-use std::collections::BTreeMap;
+use crate::types::{Cell, CellKey, CellType};
+use bytes::Bytes;
+use std::collections::{btree_map, BTreeMap};
 
 /// Sorted in-memory cell buffer with heap-size accounting.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    cells: BTreeMap<CellKey, bytes::Bytes>,
+    cells: BTreeMap<CellKey, Bytes>,
     heap_size: usize,
     min_ts: u64,
     max_ts: u64,
@@ -34,7 +35,7 @@ impl MemStore {
     pub fn insert(&mut self, cell: Cell) {
         self.min_ts = self.min_ts.min(cell.key.timestamp);
         self.max_ts = self.max_ts.max(cell.key.timestamp);
-        self.has_tombstones |= cell.key.cell_type != crate::types::CellType::Put;
+        self.has_tombstones |= cell.key.cell_type != CellType::Put;
         let size = cell.heap_size();
         let new_value_len = cell.value.len();
         if let Some(old) = self.cells.insert(cell.key, cell.value) {
@@ -71,43 +72,33 @@ impl MemStore {
         self.has_tombstones
     }
 
-    /// Iterate cells in `CellKey` order within a row-key window.
-    /// `start`/`stop` follow the same half-open convention as scans:
-    /// `start` inclusive, `stop` exclusive, empty `stop` unbounded.
-    pub fn scan_range<'a>(
-        &'a self,
-        start: &'a [u8],
-        stop: &'a [u8],
-    ) -> impl Iterator<Item = Cell> + 'a {
-        self.cells
-            .iter()
-            .skip_while(move |(k, _)| k.row.as_ref() < start)
-            .take_while(move |(k, _)| stop.is_empty() || k.row.as_ref() < stop)
-            .map(|(k, v)| Cell {
-                key: k.clone(),
-                value: v.clone(),
-            })
+    /// Iterate cells in `CellKey` order from the first cell of the first
+    /// row `>= start` — a tree seek, not a walk from the front. The caller
+    /// stops at its own upper bound.
+    pub fn seek(&self, start: &Bytes) -> btree_map::Range<'_, CellKey, Bytes> {
+        // The lowest key `start` can have: every later component at the
+        // value that sorts first.
+        let lowest = CellKey {
+            row: start.clone(),
+            family: Bytes::new(),
+            qualifier: Bytes::new(),
+            timestamp: u64::MAX,
+            seq: u64::MAX,
+            cell_type: CellType::DeleteFamily,
+        };
+        self.cells.range(lowest..)
     }
 
-    /// Drain every cell in order, leaving the memstore empty. Used by flush.
-    pub fn drain_sorted(&mut self) -> Vec<Cell> {
-        let cells = std::mem::take(&mut self.cells);
-        self.heap_size = 0;
-        self.min_ts = u64::MAX;
-        self.max_ts = 0;
-        self.has_tombstones = false;
-        cells
-            .into_iter()
-            .map(|(key, value)| Cell { key, value })
-            .collect()
+    /// Drop every cell, leaving the memstore empty. Used by flush once the
+    /// cells are in a store file.
+    pub fn clear(&mut self) {
+        *self = MemStore::new();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::CellType;
-    use bytes::Bytes;
 
     fn cell(row: &str, ts: u64, seq: u64, val: &str) -> Cell {
         Cell {
@@ -134,30 +125,39 @@ mod tests {
         assert_eq!(ms.time_span(), (5, 10));
     }
 
+    fn rows_from(ms: &MemStore, start: &'static str) -> Vec<String> {
+        ms.seek(&Bytes::from_static(start.as_bytes()))
+            .map(|(k, _)| String::from_utf8_lossy(&k.row).into_owned())
+            .collect()
+    }
+
     #[test]
-    fn scan_range_is_half_open_and_sorted() {
+    fn seek_starts_at_the_first_row_not_below_start() {
         let mut ms = MemStore::new();
         for r in ["d", "a", "c", "b"] {
             ms.insert(cell(r, 1, 1, r));
         }
-        let got: Vec<_> = ms
-            .scan_range(b"b", b"d")
-            .map(|c| c.key.row.clone())
-            .collect();
-        assert_eq!(
-            got,
-            vec![Bytes::from_static(b"b"), Bytes::from_static(b"c")]
-        );
+        assert_eq!(rows_from(&ms, "b"), ["b", "c", "d"]);
+        assert_eq!(rows_from(&ms, "bb"), ["c", "d"]);
+        assert_eq!(rows_from(&ms, "").len(), 4);
+        assert!(rows_from(&ms, "e").is_empty());
     }
 
     #[test]
-    fn scan_range_unbounded_stop() {
+    fn seek_lands_on_the_first_cell_of_the_row() {
         let mut ms = MemStore::new();
-        for r in ["a", "b", "c"] {
-            ms.insert(cell(r, 1, 1, r));
-        }
-        assert_eq!(ms.scan_range(b"b", b"").count(), 2);
-        assert_eq!(ms.scan_range(b"", b"").count(), 3);
+        // A family tombstone at the largest timestamp is the lowest key a
+        // row can hold; the seek must not skip it.
+        let mut marker = cell("b", u64::MAX, u64::MAX, "");
+        marker.key.family = Bytes::new();
+        marker.key.qualifier = Bytes::new();
+        marker.key.cell_type = CellType::DeleteFamily;
+        ms.insert(marker.clone());
+        ms.insert(cell("a", 1, 1, "x"));
+        ms.insert(cell("b", 1, 2, "y"));
+        let got: Vec<&CellKey> = ms.seek(&Bytes::from_static(b"b")).map(|(k, _)| k).collect();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0], &marker.key);
     }
 
     #[test]
@@ -165,19 +165,17 @@ mod tests {
         let mut ms = MemStore::new();
         ms.insert(cell("a", 1, 1, "old"));
         ms.insert(cell("a", 9, 2, "new"));
-        let got: Vec<_> = ms.scan_range(b"", b"").map(|c| c.value).collect();
+        let got: Vec<&Bytes> = ms.seek(&Bytes::new()).map(|(_, v)| v).collect();
         assert_eq!(got[0].as_ref(), b"new");
         assert_eq!(got[1].as_ref(), b"old");
     }
 
     #[test]
-    fn drain_sorted_empties_and_orders() {
+    fn clear_empties_and_resets_accounting() {
         let mut ms = MemStore::new();
         ms.insert(cell("b", 1, 1, "x"));
         ms.insert(cell("a", 1, 2, "y"));
-        let drained = ms.drain_sorted();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].key.row.as_ref(), b"a");
+        ms.clear();
         assert!(ms.is_empty());
         assert_eq!(ms.heap_size(), 0);
         assert_eq!(ms.time_span(), (u64::MAX, 0));

@@ -1,0 +1,511 @@
+//! The one read path under scans, gets, flushes, compactions and splits:
+//! block-at-a-time cursors over store files and memstores, merged by
+//! comparing their heads, and the tombstone/version walk over the merged
+//! cells.
+//!
+//! Nothing here owns a cell. A cursor lends [`CellRef`] views into the block
+//! it currently holds (or into the memstore's tree); the walk copies the
+//! current row and column names into reused buffers, pins the cells that may
+//! be returned as `(Arc<Block>, index)`, evaluates the pushed-down filter on
+//! those still-encoded cells, and only then builds [`Cell`]s — for the rows
+//! that are returned, nothing else.
+
+use crate::block_cache::{load_block, BlockCache, ReadTally};
+use crate::filter::RowView;
+use crate::memstore::MemStore;
+use crate::region::ScanStats;
+use crate::storefile::{Block, StoreFile};
+use crate::types::{Cell, CellKey, CellRef, CellType, RowResult, Scan};
+use bytes::Bytes;
+use std::cmp::Ordering;
+use std::collections::btree_map;
+use std::sync::Arc;
+
+#[cfg(test)]
+thread_local! {
+    static SHARED_CELLS_CLONED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many block-backed cells this thread has copied out of their blocks so
+/// far. A delta around a scan measures exactly the copies the read path
+/// could not avoid — returned cells, not scanned ones.
+#[cfg(test)]
+pub(crate) fn shared_cells_cloned() -> u64 {
+    SHARED_CELLS_CLONED.with(|c| c.get())
+}
+
+// ----------------------------------------------------------------------
+// Cursors and their merge
+// ----------------------------------------------------------------------
+
+/// A position in one sorted source of cells.
+enum Cursor<'a> {
+    /// A store file, read a block at a time through the optional block
+    /// cache. `block` is `None` once the file is exhausted.
+    File {
+        file: &'a StoreFile,
+        cache: Option<&'a BlockCache>,
+        block: Option<Arc<Block>>,
+        block_idx: usize,
+        cell_idx: usize,
+    },
+    /// A memstore, read through a range iterator of its tree.
+    Mem {
+        rest: btree_map::Range<'a, CellKey, Bytes>,
+        head: Option<(&'a CellKey, &'a Bytes)>,
+    },
+}
+
+impl<'a> Cursor<'a> {
+    fn head(&self) -> Option<CellRef<'_>> {
+        match self {
+            Cursor::File {
+                block, cell_idx, ..
+            } => block.as_ref().map(|b| b.cell(*cell_idx)),
+            Cursor::Mem { head, .. } => head.map(|(key, value)| CellRef::new(key, value)),
+        }
+    }
+
+    /// Step past the head. A file cursor that leaves its block loads the
+    /// next one right away, so block reads happen in merge order.
+    fn advance(&mut self, tally: &mut ReadTally) {
+        match self {
+            Cursor::File {
+                file,
+                cache,
+                block,
+                block_idx,
+                cell_idx,
+            } => {
+                *cell_idx += 1;
+                if block.as_ref().is_some_and(|b| *cell_idx >= b.len()) {
+                    *block_idx += 1;
+                    *cell_idx = 0;
+                    *block = (*block_idx < file.num_blocks())
+                        .then(|| load_block(file, *block_idx, *cache, tally));
+                }
+            }
+            Cursor::Mem { rest, head } => *head = rest.next(),
+        }
+    }
+}
+
+/// A cell held past the cursor position that lent it: a place inside a
+/// shared block, or an entry of the memstore's tree.
+pub(crate) enum PinnedCell<'a> {
+    Block(Arc<Block>, usize),
+    Mem(&'a CellKey, &'a Bytes),
+}
+
+impl PinnedCell<'_> {
+    fn get(&self) -> CellRef<'_> {
+        match self {
+            PinnedCell::Block(block, idx) => block.cell(*idx),
+            PinnedCell::Mem(key, value) => CellRef::new(key, value),
+        }
+    }
+
+    /// Build the cell for a response. A block-backed cell is copied out of
+    /// its block here and nowhere else; it shares the row's one `row` buffer
+    /// and the scan's one buffer per column name, so the value is its only
+    /// allocation.
+    fn into_cell(self, row: &Bytes, names: &mut SharedNames) -> Cell {
+        match self {
+            PinnedCell::Block(block, idx) => {
+                #[cfg(test)]
+                SHARED_CELLS_CLONED.with(|c| c.set(c.get() + 1));
+                let cell = block.cell(idx);
+                Cell {
+                    key: CellKey {
+                        row: row.clone(),
+                        family: names.get(cell.family),
+                        qualifier: names.get(cell.qualifier),
+                        timestamp: cell.timestamp,
+                        seq: cell.seq,
+                        cell_type: cell.cell_type,
+                    },
+                    value: Bytes::copy_from_slice(cell.value),
+                }
+            }
+            PinnedCell::Mem(key, value) => Cell {
+                key: key.clone(),
+                value: value.clone(),
+            },
+        }
+    }
+}
+
+/// Family and qualifier names already copied out during one scan. Rows
+/// repeat the same few names in the same order, so the cells of a scan share
+/// one buffer per name — found from where the last lookup ended — instead of
+/// allocating two per cell. Bounded: past [`SharedNames::CAP`] distinct
+/// names a cell gets its own copy.
+#[derive(Default)]
+struct SharedNames {
+    names: Vec<Bytes>,
+    /// Where the next lookup starts: one past the last hit.
+    next: usize,
+}
+
+impl SharedNames {
+    const CAP: usize = 64;
+
+    fn get(&mut self, name: &[u8]) -> Bytes {
+        let n = self.names.len();
+        for i in 0..n {
+            let at = (self.next + i) % n;
+            if self.names[at] == name {
+                self.next = at + 1;
+                return self.names[at].clone();
+            }
+        }
+        let copy = Bytes::copy_from_slice(name);
+        if n < Self::CAP {
+            self.names.push(copy.clone());
+        }
+        copy
+    }
+}
+
+/// Merges sorted sources into one `CellKey`-ordered stream of borrowed
+/// cells, bounded above by an exclusive `stop` row (empty = unbounded).
+///
+/// The merge compares the sources' heads on every step — read paths here
+/// merge a handful of sources, where that beats maintaining a heap — and the
+/// lowest source index wins ties. Only byte-identical keys tie, so which
+/// copy wins is unobservable.
+pub(crate) struct Merge<'a> {
+    cursors: Vec<Cursor<'a>>,
+    stop: &'a [u8],
+    /// Block reads this merge caused.
+    pub(crate) tally: ReadTally,
+}
+
+impl<'a> Merge<'a> {
+    pub(crate) fn new(stop: &'a [u8]) -> Self {
+        Merge {
+            cursors: Vec::new(),
+            stop,
+            tally: ReadTally::default(),
+        }
+    }
+
+    /// Add a store file, positioned at its first cell with row `>= start`.
+    /// The sparse index picks the block; cells before `start` inside it
+    /// are skipped.
+    pub(crate) fn add_file(
+        &mut self,
+        file: &'a StoreFile,
+        start: &[u8],
+        cache: Option<&'a BlockCache>,
+    ) {
+        let block_idx = file.start_block(start);
+        let block = (block_idx < file.num_blocks())
+            .then(|| load_block(file, block_idx, cache, &mut self.tally));
+        let mut cursor = Cursor::File {
+            file,
+            cache,
+            block,
+            block_idx,
+            cell_idx: 0,
+        };
+        while cursor.head().is_some_and(|cell| cell.row < start) {
+            cursor.advance(&mut self.tally);
+        }
+        self.cursors.push(cursor);
+    }
+
+    /// Add a memstore, positioned by a tree seek at its first cell with row
+    /// `>= start`.
+    pub(crate) fn add_memstore(&mut self, memstore: &'a MemStore, start: &Bytes) {
+        let mut rest = memstore.seek(start);
+        let head = rest.next();
+        self.cursors.push(Cursor::Mem { rest, head });
+    }
+
+    /// The next cell in merge order and the source lending it, or `None`
+    /// when every source is exhausted or at `stop`.
+    pub(crate) fn peek(&self) -> Option<(usize, CellRef<'_>)> {
+        let mut best: Option<(usize, CellRef<'_>)> = None;
+        for (src, cursor) in self.cursors.iter().enumerate() {
+            let Some(cell) = cursor.head() else { continue };
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| cell.key_cmp(b) == Ordering::Less)
+            {
+                best = Some((src, cell));
+            }
+        }
+        // Sorted sources: once the lowest head is at `stop`, all are.
+        best.filter(|(_, cell)| self.stop.is_empty() || cell.row < self.stop)
+    }
+
+    /// Step source `src` past the cell [`peek`](Self::peek) returned.
+    pub(crate) fn advance(&mut self, src: usize) {
+        self.cursors[src].advance(&mut self.tally);
+    }
+
+    /// Keep hold of source `src`'s head cell beyond the next `advance`.
+    pub(crate) fn pin(&self, src: usize) -> PinnedCell<'a> {
+        match &self.cursors[src] {
+            Cursor::File {
+                block, cell_idx, ..
+            } => PinnedCell::Block(
+                Arc::clone(block.as_ref().expect("pinned source has a head")),
+                *cell_idx,
+            ),
+            Cursor::Mem { head, .. } => {
+                let (key, value) = head.expect("pinned source has a head");
+                PinnedCell::Mem(key, value)
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The tombstone / version walk
+// ----------------------------------------------------------------------
+
+/// What a cell starts relative to the cell before it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Boundary {
+    Row,
+    Family,
+    Column,
+    SameColumn,
+}
+
+/// Where a walk over merged cells stands: the current row and column —
+/// copied into reused buffers, since the cell that named them is gone once
+/// its cursor moves — and the delete markers and versions seen in them.
+/// Markers sort before the puts they can mask, so one pass decides each put.
+#[derive(Default)]
+struct VersionWalk {
+    started: bool,
+    row: Vec<u8>,
+    family: Vec<u8>,
+    qualifier: Vec<u8>,
+    /// Newest delete-family marker of the current row and family.
+    family_delete_ts: Option<u64>,
+    /// Newest delete-column marker of the current column.
+    column_delete_ts: Option<u64>,
+    /// Exact-version delete markers of the current column.
+    version_delete_ts: Vec<u64>,
+    versions_taken: u32,
+}
+
+impl VersionWalk {
+    fn boundary(&self, cell: &CellRef<'_>) -> Boundary {
+        if !self.started || self.row != cell.row {
+            Boundary::Row
+        } else if self.family != cell.family {
+            Boundary::Family
+        } else if self.qualifier != cell.qualifier {
+            Boundary::Column
+        } else {
+            Boundary::SameColumn
+        }
+    }
+
+    /// Step onto `cell`, forgetting what the `boundary` it crosses ends.
+    fn enter(&mut self, boundary: Boundary, cell: &CellRef<'_>) {
+        fn set(buf: &mut Vec<u8>, to: &[u8]) {
+            buf.clear();
+            buf.extend_from_slice(to);
+        }
+        if boundary == Boundary::SameColumn {
+            return;
+        }
+        if boundary == Boundary::Row {
+            self.started = true;
+            set(&mut self.row, cell.row);
+        }
+        if matches!(boundary, Boundary::Row | Boundary::Family) {
+            set(&mut self.family, cell.family);
+            self.family_delete_ts = None;
+        }
+        set(&mut self.qualifier, cell.qualifier);
+        self.column_delete_ts = None;
+        self.version_delete_ts.clear();
+        self.versions_taken = 0;
+    }
+
+    /// Record `cell` if it is a delete marker; say whether it is a put that
+    /// no marker seen so far masks.
+    fn is_live_put(&mut self, cell: &CellRef<'_>) -> bool {
+        let ts = cell.timestamp;
+        match cell.cell_type {
+            CellType::DeleteFamily => self.family_delete_ts = self.family_delete_ts.max(Some(ts)),
+            CellType::DeleteColumn => self.column_delete_ts = self.column_delete_ts.max(Some(ts)),
+            CellType::Delete => self.version_delete_ts.push(ts),
+            CellType::Put => {
+                return self.family_delete_ts.is_none_or(|t| ts > t)
+                    && self.column_delete_ts.is_none_or(|t| ts > t)
+                    && !self.version_delete_ts.contains(&ts);
+            }
+        }
+        false
+    }
+
+    /// Count one more version of the current column against `cap`.
+    fn take_version(&mut self, cap: u32) -> bool {
+        let room = self.versions_taken < cap;
+        self.versions_taken += room as u32;
+        room
+    }
+}
+
+/// Drain `merge` into `sink`, cell by cell in order. `retain: None` passes
+/// every cell through (flush, minor compaction, split); `Some(max_versions)`
+/// is a major compaction: at most that many live versions per column, and
+/// neither masked puts nor the markers themselves.
+pub(crate) fn rewrite(
+    merge: &mut Merge<'_>,
+    retain: Option<u32>,
+    mut sink: impl FnMut(CellRef<'_>),
+) {
+    let mut walk = VersionWalk::default();
+    while let Some((src, cell)) = merge.peek() {
+        let keep = retain.is_none_or(|max_versions| {
+            walk.enter(walk.boundary(&cell), &cell);
+            walk.is_live_put(&cell) && walk.take_version(max_versions)
+        });
+        if keep {
+            sink(cell);
+        }
+        merge.advance(src);
+    }
+}
+
+/// The live, projected cells of the row being assembled — what the
+/// pushed-down filter looks at before anything is materialized.
+struct Candidates<'r, 'a> {
+    row: &'r [u8],
+    cells: &'r [PinnedCell<'a>],
+}
+
+impl RowView for Candidates<'_, '_> {
+    fn row_key(&self) -> &[u8] {
+        self.row
+    }
+
+    fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]> {
+        self.cells
+            .iter()
+            .map(PinnedCell::get)
+            .find(|c| c.family == family && c.qualifier == qualifier)
+            .map(|c| c.value)
+    }
+}
+
+/// The row a scan is assembling, and the rows it has finished.
+struct RowAssembly<'s, 'a> {
+    scan: &'s Scan,
+    /// Live, projected cells of the current row, in cell order.
+    candidates: Vec<PinnedCell<'a>>,
+    /// Whether the current row has any live cell, projected or not.
+    witness: bool,
+    names: SharedNames,
+    out: Vec<RowResult>,
+}
+
+impl RowAssembly<'_, '_> {
+    /// Close the current row, `row`: emit it when it has projected cells, or
+    /// — with `include_empty_rows` — when it had any live cell at all (so
+    /// the client can materialize its NULL columns from the key alone), and
+    /// the filter accepts it. Returns whether the scan's limit is reached.
+    fn finish_row(&mut self, row: &[u8], stats: &mut ScanStats) -> bool {
+        let scan = self.scan;
+        let witness = std::mem::take(&mut self.witness);
+        if self.candidates.is_empty() && !(scan.include_empty_rows && witness) {
+            return false;
+        }
+        let view = Candidates {
+            row,
+            cells: &self.candidates,
+        };
+        if !scan.filter.as_ref().is_none_or(|f| f.matches(&view)) {
+            self.candidates.clear();
+            return false;
+        }
+        let row = Bytes::copy_from_slice(row);
+        let cells = self
+            .candidates
+            .drain(..)
+            .map(|pinned| pinned.into_cell(&row, &mut self.names))
+            .collect();
+        let result = RowResult { row, cells };
+        stats.rows_returned += 1;
+        stats.cells_returned += result.cells.len() as u64;
+        stats.bytes_returned += result.payload_bytes() as u64;
+        self.out.push(result);
+        scan.limit > 0 && self.out.len() >= scan.limit
+    }
+}
+
+/// Walk the merged cells of a scan, applying the MVCC read point,
+/// tombstones, the time range, the projection and version limits, and
+/// assemble the rows the filter keeps, up to the scan's limit. `families`
+/// names the scanned families with their retained-version caps.
+pub(crate) fn assemble_rows(
+    merge: &mut Merge<'_>,
+    scan: &Scan,
+    read_point: u64,
+    families: &[(&Bytes, u32)],
+    stats: &mut ScanStats,
+) -> Vec<RowResult> {
+    let mut walk = VersionWalk::default();
+    let mut rows = RowAssembly {
+        scan,
+        candidates: Vec::new(),
+        witness: false,
+        names: SharedNames::default(),
+        out: Vec::new(),
+    };
+    // Resolved once per column: is it projected, and how many versions of
+    // it may be returned.
+    let mut projected = false;
+    let mut cap = 0;
+
+    while let Some((src, cell)) = merge.peek() {
+        stats.cells_scanned += 1;
+        let mut limit_reached = false;
+        // MVCC: ignore writes newer than the scanner's read point.
+        if cell.seq <= read_point {
+            let boundary = walk.boundary(&cell);
+            if boundary == Boundary::Row && walk.started {
+                limit_reached = rows.finish_row(&walk.row, stats);
+            }
+            if !limit_reached {
+                walk.enter(boundary, &cell);
+                if boundary != Boundary::SameColumn {
+                    projected = scan.projection.includes(cell.family, cell.qualifier);
+                    let family_cap = families
+                        .iter()
+                        .find(|(name, _)| *name == cell.family)
+                        .map_or(u32::MAX, |(_, max_versions)| *max_versions);
+                    cap = scan.max_versions.min(family_cap);
+                }
+                if walk.is_live_put(&cell) && scan.time_range.contains(cell.timestamp) {
+                    // The row exists even if the projection excludes this
+                    // cell.
+                    rows.witness = true;
+                    if projected && walk.take_version(cap) {
+                        rows.candidates.push(merge.pin(src));
+                    }
+                }
+            }
+        }
+        // Step past the cell even when it ends the scan: if that takes its
+        // cursor off a block, the next block is read now rather than by the
+        // batch that resumes here.
+        merge.advance(src);
+        if limit_reached {
+            return rows.out;
+        }
+    }
+    if walk.started {
+        rows.finish_row(&walk.row, stats);
+    }
+    rows.out
+}

@@ -1,22 +1,24 @@
 //! A region: one contiguous row-key range of a table, hosting a memstore and
 //! a set of store files per column family, fronted by a WAL.
 //!
-//! This module implements the full HBase-style read path — a k-way merge of
-//! the memstore and every non-pruned store file, with MVCC read points,
-//! version counting, tombstone masking, time-range filtering, column
-//! projection, and row-level server-side filters — plus flush, compaction and
-//! splits on the write side.
+//! Reads choose their sources here — the memstore and every store file that
+//! row-range, time-range and bloom pruning leave — and hand them to the
+//! cursor merge (the crate-private `merge` module), which applies MVCC read
+//! points, version counting, tombstone masking, time-range filtering, column
+//! projection and row-level server-side filters. Flush, compaction and
+//! splits on the write side rewrite cells through the same merge.
 
-use crate::block_cache::{load_block, BlockCache, ReadTally};
+use crate::block_cache::BlockCache;
 use crate::clock::Clock;
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::heat::{self, KeySampler};
 use crate::load::{RegionLoad, RegionLoadCounters};
 use crate::memstore::MemStore;
+use crate::merge::{assemble_rows, rewrite, Merge};
 use crate::metrics::ClusterMetrics;
 use crate::storage::{self, Reader, StorageEnv};
-use crate::storefile::{Block, CellSrc, StoreFile};
+use crate::storefile::{StoreFile, StoreFileBuilder};
 use crate::types::{
     Cell, CellKey, CellType, Delete, DeleteScope, Get, Put, RowResult, Scan, TableDescriptor,
     TableName, Timestamp,
@@ -25,8 +27,7 @@ use crate::wal::Wal;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use shc_obs::events::{EventJournal, Severity};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -760,8 +761,10 @@ impl Region {
             if store.memstore.is_empty() {
                 continue;
             }
-            let cells = store.memstore.drain_sorted();
-            let file = StoreFile::from_sorted(cells);
+            let mut merge = Merge::new(b"");
+            merge.add_memstore(&store.memstore, &Bytes::new());
+            let file = write_merged(&mut merge, None);
+            store.memstore.clear();
             if let Some(rs) = &storage {
                 file.write_to(&rs.env, &rs.next_sst_path(), FileOp::StoreFileWrite)?;
             }
@@ -904,21 +907,8 @@ impl Region {
             let store = stores.get_mut(&family).expect("family exists");
             let picked: Vec<Arc<StoreFile>> =
                 pick.iter().map(|&i| Arc::clone(&store.files[i])).collect();
-            let tally = ReadTally::default();
-            let streams: Vec<Box<dyn Iterator<Item = CellSrc> + '_>> = picked
-                .iter()
-                .map(|f| {
-                    Box::new(FileStream::new(
-                        Arc::clone(f),
-                        Bytes::new(),
-                        Bytes::new(),
-                        None,
-                        &tally,
-                    )) as Box<dyn Iterator<Item = CellSrc> + '_>
-                })
-                .collect();
-            let cells: Vec<Cell> = MergeIter::new(streams).map(CellSrc::into_cell).collect();
-            let merged = StoreFile::from_sorted(cells);
+            // Everything is kept: only a major compaction may drop data.
+            let merged = merge_files(&picked, None);
             if let Some(rs) = &storage {
                 merged.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
             }
@@ -987,23 +977,7 @@ impl Region {
             if store.files.is_empty() {
                 continue;
             }
-            let tally = ReadTally::default();
-            let streams: Vec<Box<dyn Iterator<Item = CellSrc> + '_>> = store
-                .files
-                .iter()
-                .map(|f| {
-                    Box::new(FileStream::new(
-                        Arc::clone(f),
-                        Bytes::new(),
-                        Bytes::new(),
-                        None,
-                        &tally,
-                    )) as Box<dyn Iterator<Item = CellSrc> + '_>
-                })
-                .collect();
-            let merged = MergeIter::new(streams);
-            let compacted = compact_cells(merged, store.max_versions);
-            let file = StoreFile::from_sorted(compacted);
+            let file = merge_files(&store.files, Some(store.max_versions));
             if let Some(rs) = &storage {
                 file.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
             }
@@ -1059,8 +1033,8 @@ impl Region {
     }
 
     /// Range scan reading store-file blocks through an optional block cache.
-    /// Blocks are loaded lazily as the merge consumes them, so a scan with a
-    /// `limit` touches only the blocks it actually needed.
+    /// Blocks are loaded as the merge reaches them, so a scan with a `limit`
+    /// touches only the blocks it actually needed.
     pub fn scan_with(
         &self,
         scan: &Scan,
@@ -1074,33 +1048,25 @@ impl Region {
         let mut stats = ScanStats::default();
         let stores = self.stores.read();
 
-        // Which families does the projection touch?
-        let wanted: Vec<&Bytes> = if scan.projection.is_all() {
-            stores.keys().collect()
-        } else {
-            stores
-                .keys()
-                .filter(|f| scan.projection.families.iter().any(|(pf, _)| pf == *f))
-                .collect()
-        };
-
-        let tally = ReadTally::default();
-        let mut streams: Vec<Box<dyn Iterator<Item = CellSrc> + '_>> = Vec::new();
-        let mut family_versions: HashMap<Bytes, u32> = HashMap::new();
+        let mut merge = Merge::new(&stop);
+        let mut families: Vec<(&Bytes, u32)> = Vec::with_capacity(stores.len());
         let point_row: Option<&Bytes> = match (&scan.start, &scan.stop) {
             (Bound::Included(a), Bound::Included(b)) if a == b => Some(a),
             _ => None,
         };
-        for family in wanted {
-            let store = &stores[family];
-            family_versions.insert(family.clone(), store.max_versions);
+        for (family, store) in stores.iter() {
+            // Only the families the projection touches are read at all.
+            let wanted = scan.projection.is_all()
+                || scan.projection.families.iter().any(|(pf, _)| pf == family);
+            if !wanted {
+                continue;
+            }
+            families.push((family, store.max_versions));
             let (mem_min, mem_max) = store.memstore.time_span();
             if !store.memstore.is_empty()
                 && (store.memstore.has_tombstones() || scan.time_range.overlaps(mem_min, mem_max))
             {
-                streams.push(Box::new(
-                    store.memstore.scan_range(&start, &stop).map(CellSrc::Owned),
-                ));
+                merge.add_memstore(&store.memstore, &start);
             }
             for file in &store.files {
                 // Pruning happens before any block is touched: the bloom
@@ -1113,20 +1079,16 @@ impl Region {
                     stats.files_pruned += 1;
                     continue;
                 }
-                streams.push(Box::new(FileStream::new(
-                    Arc::clone(file),
-                    start.clone(),
-                    stop.clone(),
-                    cache,
-                    &tally,
-                )));
+                merge.add_file(file, &start, cache);
             }
         }
 
-        let merged = MergeIter::new(streams);
-        let rows = assemble_rows(merged, scan, read_point, &family_versions, &mut stats);
-        stats.blocks_read = tally.misses();
-        stats.block_cache_hits = tally.hits();
+        let rows = assemble_rows(&mut merge, scan, read_point, &families, &mut stats);
+        stats.blocks_read = merge.tally.misses;
+        stats.block_cache_hits = merge.tally.hits;
+        if let Some(cache) = cache {
+            cache.journal_evictions(merge.tally.evictions);
+        }
         Ok((rows, stats))
     }
 
@@ -1234,39 +1196,23 @@ impl Region {
         );
         let stores = self.stores.read();
         for (family, store) in stores.iter() {
-            let mut left_cells = Vec::new();
-            let mut right_cells = Vec::new();
-            let tally = ReadTally::default();
-            let streams: Vec<Box<dyn Iterator<Item = CellSrc> + '_>> = store
-                .files
-                .iter()
-                .map(|f| {
-                    Box::new(FileStream::new(
-                        Arc::clone(f),
-                        Bytes::new(),
-                        Bytes::new(),
-                        None,
-                        &tally,
-                    )) as Box<dyn Iterator<Item = CellSrc> + '_>
-                })
-                .collect();
-            for cell in MergeIter::new(streams) {
-                if cell.key().row.as_ref() < split_key.as_ref() {
-                    left_cells.push(cell.into_cell());
+            let mut low = StoreFileBuilder::default();
+            let mut high = StoreFileBuilder::default();
+            rewrite(&mut whole_files(&store.files), None, |cell| {
+                if cell.row < split_key.as_ref() {
+                    low.push(cell)
                 } else {
-                    right_cells.push(cell.into_cell());
+                    high.push(cell)
+                }
+            });
+            for (daughter, builder) in [(&left, low), (&right, high)] {
+                let file = builder.finish();
+                if !file.is_empty() {
+                    let mut target = daughter.stores.write();
+                    let s = target.get_mut(family).expect("same descriptor");
+                    s.files.push(Arc::new(file));
                 }
             }
-            let install = |region: &Region, cells: Vec<Cell>| {
-                if cells.is_empty() {
-                    return;
-                }
-                let mut target = region.stores.write();
-                let s = target.get_mut(family).expect("same descriptor");
-                s.files.push(Arc::new(StoreFile::from_sorted(cells)));
-            };
-            install(&left, left_cells);
-            install(&right, right_cells);
         }
         let rp = self.read_point.load(Ordering::Acquire);
         left.read_point.store(rp, Ordering::Release);
@@ -1531,351 +1477,26 @@ fn remove_replaced_files(rs: &RegionStorage, replaced: &[Arc<StoreFile>]) {
     }
 }
 
-// ----------------------------------------------------------------------
-// Lazy block-at-a-time store-file stream
-// ----------------------------------------------------------------------
-
-/// Streams one store file's cells in `[start, stop)` order, loading blocks
-/// on demand through the optional block cache and attributing every load to
-/// the scan's [`ReadTally`]. Cells are yielded as [`CellSrc::Shared`]
-/// positions into the `Arc`ed block, so nothing is copied until a cell is
-/// actually kept.
-struct FileStream<'a> {
-    file: Arc<StoreFile>,
-    cache: Option<&'a BlockCache>,
-    tally: &'a ReadTally,
-    start: Bytes,
-    stop: Bytes,
-    block_idx: usize,
-    cell_idx: usize,
-    current: Option<Arc<Block>>,
-    /// Still skipping leading cells `< start` inside the seek block.
-    seeking: bool,
-    done: bool,
+/// Drain `merge` into one new store file; `retain` as in [`rewrite`].
+fn write_merged(merge: &mut Merge<'_>, retain: Option<u32>) -> StoreFile {
+    let mut builder = StoreFileBuilder::default();
+    rewrite(merge, retain, |cell| builder.push(cell));
+    builder.finish()
 }
 
-impl<'a> FileStream<'a> {
-    fn new(
-        file: Arc<StoreFile>,
-        start: Bytes,
-        stop: Bytes,
-        cache: Option<&'a BlockCache>,
-        tally: &'a ReadTally,
-    ) -> Self {
-        // The seek uses only the sparse index: no block is read until the
-        // merge first polls this stream.
-        let block_idx = file.start_block(&start);
-        FileStream {
-            file,
-            cache,
-            tally,
-            start,
-            stop,
-            block_idx,
-            cell_idx: 0,
-            current: None,
-            seeking: true,
-            done: false,
-        }
+/// A merge over every cell of `files`, reading them directly: compactions
+/// and splits do not go through the block cache.
+fn whole_files(files: &[Arc<StoreFile>]) -> Merge<'_> {
+    let mut merge = Merge::new(b"");
+    for file in files {
+        merge.add_file(file, b"", None);
     }
+    merge
 }
 
-impl Iterator for FileStream<'_> {
-    type Item = CellSrc;
-
-    fn next(&mut self) -> Option<CellSrc> {
-        loop {
-            if self.done {
-                return None;
-            }
-            if self.current.is_none() {
-                if self.block_idx >= self.file.num_blocks() {
-                    self.done = true;
-                    return None;
-                }
-                self.current = Some(load_block(
-                    &self.file,
-                    self.block_idx,
-                    self.cache,
-                    self.tally,
-                ));
-                self.cell_idx = 0;
-            }
-            let block = Arc::clone(self.current.as_ref().expect("just loaded"));
-            if self.cell_idx >= block.len() {
-                self.current = None;
-                self.block_idx += 1;
-                continue;
-            }
-            let row = block.cells()[self.cell_idx].key.row.as_ref();
-            if self.seeking && row < self.start.as_ref() {
-                self.cell_idx += 1;
-                continue;
-            }
-            self.seeking = false;
-            if !self.stop.is_empty() && row >= self.stop.as_ref() {
-                // Sorted input: nothing later can re-enter the range.
-                self.done = true;
-                return None;
-            }
-            let idx = self.cell_idx;
-            self.cell_idx += 1;
-            return Some(CellSrc::Shared { block, idx });
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// K-way merge over cell streams
-// ----------------------------------------------------------------------
-
-struct HeapEntry {
-    cell: CellSrc,
-    src: usize,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cell.key() == other.cell.key() && self.src == other.src
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.cell
-            .key()
-            .cmp(other.cell.key())
-            .then_with(|| self.src.cmp(&other.src))
-    }
-}
-
-/// Merges pre-sorted cell streams into one `CellKey`-ordered stream.
-pub(crate) struct MergeIter<'a> {
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    streams: Vec<Box<dyn Iterator<Item = CellSrc> + 'a>>,
-}
-
-impl<'a> MergeIter<'a> {
-    pub(crate) fn new(mut streams: Vec<Box<dyn Iterator<Item = CellSrc> + 'a>>) -> Self {
-        let mut heap = BinaryHeap::with_capacity(streams.len());
-        for (src, stream) in streams.iter_mut().enumerate() {
-            if let Some(cell) = stream.next() {
-                heap.push(Reverse(HeapEntry { cell, src }));
-            }
-        }
-        MergeIter { heap, streams }
-    }
-}
-
-impl Iterator for MergeIter<'_> {
-    type Item = CellSrc;
-
-    fn next(&mut self) -> Option<CellSrc> {
-        let Reverse(entry) = self.heap.pop()?;
-        if let Some(next) = self.streams[entry.src].next() {
-            self.heap.push(Reverse(HeapEntry {
-                cell: next,
-                src: entry.src,
-            }));
-        }
-        Some(entry.cell)
-    }
-}
-
-// ----------------------------------------------------------------------
-// Row assembly: versions, tombstones, projection, filters
-// ----------------------------------------------------------------------
-
-/// State tracked while walking the cells of one column.
-#[derive(Default)]
-struct ColumnTracker {
-    delete_column_ts: Option<u64>,
-    exact_delete_ts: Vec<u64>,
-    versions_taken: u32,
-}
-
-/// Walk the merged cell stream, applying MVCC, tombstones, version limits,
-/// the time range and the projection, and assemble filtered rows. Cells are
-/// inspected through their [`CellSrc`] and only materialized (cloned out of
-/// their shared block) when they make it into a returned row.
-fn assemble_rows(
-    merged: impl Iterator<Item = CellSrc>,
-    scan: &Scan,
-    read_point: u64,
-    family_versions: &HashMap<Bytes, u32>,
-    stats: &mut ScanStats,
-) -> Vec<RowResult> {
-    let mut out = Vec::new();
-    let mut current = RowResult::default();
-    let mut family_delete_ts: HashMap<Bytes, u64> = HashMap::new();
-    let mut col_key: Option<(Bytes, Bytes)> = None;
-    let mut col = ColumnTracker::default();
-
-    let mut witness = false;
-    let finish_row = |row: &mut RowResult,
-                      witness: bool,
-                      out: &mut Vec<RowResult>,
-                      stats: &mut ScanStats|
-     -> bool {
-        // A row is emitted when it has projected cells, or — with
-        // `include_empty_rows` — when it had any live cell at all (so the
-        // client can materialize its NULL columns from the key alone).
-        if row.cells.is_empty() && !(scan.include_empty_rows && witness) {
-            return false;
-        }
-        let keep = scan.filter.as_ref().is_none_or(|f| f.matches(row));
-        if keep {
-            stats.rows_returned += 1;
-            stats.cells_returned += row.cells.len() as u64;
-            stats.bytes_returned += row.payload_bytes() as u64;
-            out.push(std::mem::take(row));
-            if scan.limit > 0 && out.len() >= scan.limit {
-                return true; // limit reached
-            }
-        } else {
-            row.cells.clear();
-        }
-        false
-    };
-
-    for cell in merged {
-        stats.cells_scanned += 1;
-        let key = cell.key();
-        // MVCC: ignore writes newer than the scanner's read point.
-        if key.seq > read_point {
-            continue;
-        }
-        // Row boundary?
-        if current.row.as_ref() != key.row.as_ref() {
-            if !current.row.is_empty() && finish_row(&mut current, witness, &mut out, stats) {
-                return out;
-            }
-            current = RowResult {
-                row: key.row.clone(),
-                cells: Vec::new(),
-            };
-            witness = false;
-            family_delete_ts.clear();
-            col_key = None;
-            col = ColumnTracker::default();
-        }
-        // Column boundary?
-        let this_col = (key.family.clone(), key.qualifier.clone());
-        if col_key.as_ref() != Some(&this_col) {
-            col_key = Some(this_col);
-            col = ColumnTracker::default();
-        }
-        match key.cell_type {
-            CellType::DeleteFamily => {
-                let entry = family_delete_ts.entry(key.family.clone()).or_insert(0);
-                *entry = (*entry).max(key.timestamp);
-            }
-            CellType::DeleteColumn => {
-                col.delete_column_ts = Some(
-                    col.delete_column_ts
-                        .map_or(key.timestamp, |t| t.max(key.timestamp)),
-                );
-            }
-            CellType::Delete => {
-                col.exact_delete_ts.push(key.timestamp);
-            }
-            CellType::Put => {
-                if !scan.time_range.contains(key.timestamp) {
-                    continue;
-                }
-                if let Some(&fd_ts) = family_delete_ts.get(&key.family) {
-                    if key.timestamp <= fd_ts {
-                        continue;
-                    }
-                }
-                if let Some(dc_ts) = col.delete_column_ts {
-                    if key.timestamp <= dc_ts {
-                        continue;
-                    }
-                }
-                if col.exact_delete_ts.contains(&key.timestamp) {
-                    continue;
-                }
-                // The cell is live: the row exists even if the projection
-                // excludes this cell.
-                witness = true;
-                if !scan.projection.includes(&key.family, &key.qualifier) {
-                    continue;
-                }
-                let family_cap = family_versions
-                    .get(&key.family)
-                    .copied()
-                    .unwrap_or(u32::MAX);
-                let cap = scan.max_versions.min(family_cap);
-                if col.versions_taken >= cap {
-                    continue;
-                }
-                col.versions_taken += 1;
-                // Only here does a block-backed cell actually get copied.
-                current.cells.push(cell.into_cell());
-            }
-        }
-    }
-    if !current.row.is_empty() {
-        let _ = finish_row(&mut current, witness, &mut out, stats);
-    }
-    out
-}
-
-/// Compaction rewrite: keep at most `max_versions` live versions per column,
-/// drop everything masked by tombstones, and drop the tombstones themselves
-/// (major-compaction semantics).
-fn compact_cells(merged: impl Iterator<Item = CellSrc>, max_versions: u32) -> Vec<Cell> {
-    let mut out = Vec::new();
-    let mut current_row: Option<Bytes> = None;
-    let mut family_delete_ts: HashMap<Bytes, u64> = HashMap::new();
-    let mut col_key: Option<(Bytes, Bytes)> = None;
-    let mut col = ColumnTracker::default();
-    for cell in merged {
-        let key = cell.key();
-        if current_row.as_deref() != Some(key.row.as_ref()) {
-            current_row = Some(key.row.clone());
-            family_delete_ts.clear();
-            col_key = None;
-            col = ColumnTracker::default();
-        }
-        let this_col = (key.family.clone(), key.qualifier.clone());
-        if col_key.as_ref() != Some(&this_col) {
-            col_key = Some(this_col);
-            col = ColumnTracker::default();
-        }
-        match key.cell_type {
-            CellType::DeleteFamily => {
-                let e = family_delete_ts.entry(key.family.clone()).or_insert(0);
-                *e = (*e).max(key.timestamp);
-            }
-            CellType::DeleteColumn => {
-                col.delete_column_ts = Some(
-                    col.delete_column_ts
-                        .map_or(key.timestamp, |t| t.max(key.timestamp)),
-                );
-            }
-            CellType::Delete => col.exact_delete_ts.push(key.timestamp),
-            CellType::Put => {
-                let masked = family_delete_ts
-                    .get(&key.family)
-                    .is_some_and(|&t| key.timestamp <= t)
-                    || col.delete_column_ts.is_some_and(|t| key.timestamp <= t)
-                    || col.exact_delete_ts.contains(&key.timestamp)
-                    || col.versions_taken >= max_versions;
-                if !masked {
-                    col.versions_taken += 1;
-                    out.push(cell.into_cell());
-                }
-            }
-        }
-    }
-    out
+/// Merge whole store files into one; `retain` as in [`rewrite`].
+fn merge_files(files: &[Arc<StoreFile>], retain: Option<u32>) -> StoreFile {
+    write_merged(&mut whole_files(files), retain)
 }
 
 #[cfg(test)]
@@ -2328,7 +1949,8 @@ mod tests {
     #[test]
     fn mvcc_read_point_hides_in_flight_writes() {
         // Directly exercise assemble_rows with a cell above the read point.
-        let cell = Cell {
+        let mut memstore = MemStore::new();
+        memstore.insert(Cell {
             key: CellKey {
                 row: Bytes::from_static(b"r"),
                 family: Bytes::from_static(b"cf"),
@@ -2338,13 +1960,15 @@ mod tests {
                 cell_type: CellType::Put,
             },
             value: Bytes::from_static(b"v"),
-        };
+        });
+        let mut merge = Merge::new(b"");
+        merge.add_memstore(&memstore, &Bytes::new());
         let mut stats = ScanStats::default();
         let rows = assemble_rows(
-            vec![CellSrc::Owned(cell)].into_iter(),
+            &mut merge,
             &Scan::new(),
             50, // read point below the cell's seq
-            &HashMap::new(),
+            &[],
             &mut stats,
         );
         assert!(rows.is_empty());
@@ -2414,26 +2038,52 @@ mod tests {
         for i in 0..200 {
             r.put(
                 &Put::new(format!("row-{i:04}"))
-                    .add("cf", "q", "v")
+                    .add("cf", "q", format!("v{}", i % 10))
                     .add("cf", "q2", "w"),
             )
             .unwrap();
         }
         r.flush().unwrap();
+        let cloned_by = |scan: &Scan| {
+            let before = crate::merge::shared_cells_cloned();
+            let (rows, stats) = r.scan(scan).unwrap();
+            (crate::merge::shared_cells_cloned() - before, rows, stats)
+        };
         // Project one qualifier of the family: the merge still visits both
         // cells per row (family pruning can't help), but only half make it
         // into the response — and only those may be cloned out of the
         // shared blocks.
-        let scan = Scan::new().with_projection(Projection::all().column("cf", "q"));
-        let before = crate::storefile::shared_cells_cloned();
-        let (rows, stats) = r.scan(&scan).unwrap();
-        let cloned = crate::storefile::shared_cells_cloned() - before;
+        let projection = Projection::all().column("cf", "q");
+        let (cloned, rows, stats) = cloned_by(&Scan::new().with_projection(projection.clone()));
         assert_eq!(rows.len(), 200);
         assert_eq!(
             cloned, stats.cells_returned,
             "only cells that made it into the response may be copied"
         );
         assert!(stats.cells_scanned >= 2 * stats.cells_returned);
+
+        // A pushed-down filter that rejects nine rows in ten: the rejected
+        // rows' cells were candidates, but the filter reads them where they
+        // lie — nothing of a rejected row is copied.
+        let filter = Filter::ColumnValue {
+            family: Bytes::from_static(b"cf"),
+            qualifier: Bytes::from_static(b"q"),
+            op: crate::filter::CompareOp::Eq,
+            value: Bytes::from_static(b"v3"),
+            filter_if_missing: true,
+        };
+        for scan in [
+            Scan::new().with_filter(filter.clone()),
+            Scan::new().with_filter(filter).with_projection(projection),
+        ] {
+            let (cloned, rows, stats) = cloned_by(&scan);
+            assert_eq!(rows.len(), 20);
+            assert_eq!(stats.cells_scanned, 400);
+            assert_eq!(
+                cloned, stats.cells_returned,
+                "rejected rows are never copied"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::security::{AuthToken, TokenService};
 use crate::storage::StorageEnv;
 use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan};
 use crate::wal::Wal;
-use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Bound;
@@ -47,13 +46,18 @@ struct FlushRequest {
     enqueue_ms: u64,
 }
 
-/// Cursor state of one open server-side scanner.
+/// Cursor state of one open server-side scanner. Each scanner sits behind
+/// its own lock: a batch holds that lock while it scans, and the server-wide
+/// map lock only to find the scanner or drop it — scanners on one server run
+/// side by side.
 struct ScannerState {
     region_id: u64,
+    /// The scan to run for the next batch: the client's, with `start`
+    /// moved past the last row returned and `limit` set per batch.
     scan: Scan,
-    /// First row (inclusive) of the next batch; `None` before any batch.
-    next_start: Option<Bytes>,
-    /// Rows returned so far, to honor `scan.limit` across batches.
+    /// The client's row limit across all batches (0 = unlimited).
+    limit: usize,
+    /// Rows returned so far, to honor `limit` across batches.
     rows_returned: usize,
     /// Virtual-clock deadline; renewed by every successful batch.
     lease_expires_ms: u64,
@@ -107,7 +111,7 @@ pub struct RegionServer {
     /// Shared LRU over store-file blocks of every hosted region.
     block_cache: Arc<BlockCache>,
     /// Open scanners by id.
-    scanners: Mutex<HashMap<u64, ScannerState>>,
+    scanners: Mutex<HashMap<u64, Arc<Mutex<ScannerState>>>>,
     next_scanner_id: AtomicU64,
     scanner_lease_ms: AtomicU64,
     /// Virtual clock used for scanner leases (peeked, never advanced).
@@ -540,13 +544,13 @@ impl RegionServer {
         let lease = self.clock.peek_ms() + self.scanner_lease_ms.load(Ordering::Relaxed);
         self.scanners.lock().insert(
             id,
-            ScannerState {
+            Arc::new(Mutex::new(ScannerState {
                 region_id,
                 scan: scan.clone(),
-                next_start: None,
+                limit: scan.limit,
                 rows_returned: 0,
                 lease_expires_ms: lease,
-            },
+            })),
         );
         self.metrics.add(&self.metrics.scanner_opens, 1);
         Ok(id)
@@ -565,58 +569,47 @@ impl RegionServer {
     ) -> Result<ScanBatch> {
         self.authorize(token)?;
         self.count_rpc();
-        // Resolve the cursor (no side effects) so fault injection sees the
-        // right region.
-        let region_id = {
-            let scanners = self.scanners.lock();
-            scanners
-                .get(&scanner_id)
-                .ok_or(KvError::UnknownScanner(scanner_id))?
-                .region_id
-        };
+        let scanner = self
+            .scanners
+            .lock()
+            .get(&scanner_id)
+            .cloned()
+            .ok_or(KvError::UnknownScanner(scanner_id))?;
+        let drop_scanner = || self.scanners.lock().remove(&scanner_id);
+        let mut state = scanner.lock();
+        let region_id = state.region_id;
         // Injected faults fire before the cursor moves: a failed RPC never
-        // advances `next_start`, so the client's resume is duplicate-free.
-        // They also fire before the lease check — faults model the network,
-        // and a delayed request can arrive to find its lease lapsed.
+        // advances the scan's start, so the client's resume is
+        // duplicate-free. They also fire before the lease check — faults
+        // model the network, and a delayed request can arrive to find its
+        // lease lapsed.
         self.rpc_entry(RpcOp::Scan, region_id)?;
-        {
-            let mut scanners = self.scanners.lock();
-            let state = scanners
-                .get(&scanner_id)
-                .ok_or(KvError::UnknownScanner(scanner_id))?;
-            if self.clock.peek_ms() > state.lease_expires_ms {
-                let region_id = state.region_id;
-                scanners.remove(&scanner_id);
-                self.metrics.add(&self.metrics.scanner_lease_expirations, 1);
-                drop(scanners);
-                self.journal(
-                    shc_obs::Severity::Warn,
-                    "scanner",
-                    format!(
-                        "scanner {scanner_id} lease expired on server {} region {region_id}",
-                        self.server_id
-                    ),
-                );
-                return Err(KvError::ScannerExpired(scanner_id));
-            }
+        if self.clock.peek_ms() > state.lease_expires_ms {
+            drop_scanner();
+            self.metrics.add(&self.metrics.scanner_lease_expirations, 1);
+            self.journal(
+                shc_obs::Severity::Warn,
+                "scanner",
+                format!(
+                    "scanner {scanner_id} lease expired on server {} region {region_id}",
+                    self.server_id
+                ),
+            );
+            return Err(KvError::ScannerExpired(scanner_id));
         }
         let region = match self.region(region_id) {
             Ok(r) => r,
             Err(e) => {
                 // The region moved away; the cursor is useless state.
-                self.scanners.lock().remove(&scanner_id);
+                drop_scanner();
                 return Err(e);
             }
         };
-        let mut scanners = self.scanners.lock();
-        let state = scanners
-            .get_mut(&scanner_id)
-            .ok_or(KvError::UnknownScanner(scanner_id))?;
         let n = n.max(1);
-        let batch_limit = if state.scan.limit > 0 {
-            let remaining = state.scan.limit.saturating_sub(state.rows_returned);
+        let batch_limit = if state.limit > 0 {
+            let remaining = state.limit.saturating_sub(state.rows_returned);
             if remaining == 0 {
-                scanners.remove(&scanner_id);
+                drop_scanner();
                 return Ok(ScanBatch {
                     rows: Vec::new(),
                     stats: ScanStats::default(),
@@ -627,33 +620,29 @@ impl RegionServer {
         } else {
             n
         };
-        let mut batch_scan = state.scan.clone();
-        batch_scan.limit = batch_limit;
-        if let Some(next) = &state.next_start {
-            batch_scan.start = Bound::Included(next.clone());
-        }
-        let (rows, stats) = region.scan_with(&batch_scan, Some(&self.block_cache))?;
+        state.scan.limit = batch_limit;
+        let (rows, stats) = region.scan_with(&state.scan, Some(&self.block_cache))?;
         region
             .load_counters()
             .record_reads(1, stats.cells_scanned, stats.cells_returned);
-        self.record_scan_stats(&stats, batch_scan.filter.is_some());
+        self.record_scan_stats(&stats, state.scan.filter.is_some());
         self.metrics.add(&self.metrics.scanner_batches, 1);
         self.metrics
             .scan_batch_peak_bytes
             .fetch_max(stats.bytes_returned, Ordering::Relaxed);
         state.rows_returned += rows.len();
-        let exhausted_limit = state.scan.limit > 0 && state.rows_returned >= state.scan.limit;
+        let exhausted_limit = state.limit > 0 && state.rows_returned >= state.limit;
         // A full batch may have more behind it; a short one hit the end of
         // the region's range.
         let more = rows.len() == batch_limit && !exhausted_limit;
         if more {
             if let Some(last) = rows.last() {
-                state.next_start = Some(row_successor(&last.row));
+                state.scan.start = Bound::Included(row_successor(&last.row));
             }
             state.lease_expires_ms =
                 self.clock.peek_ms() + self.scanner_lease_ms.load(Ordering::Relaxed);
         } else {
-            scanners.remove(&scanner_id);
+            drop_scanner();
         }
         Ok(ScanBatch { rows, stats, more })
     }
@@ -1036,6 +1025,33 @@ mod tests {
             server.next_batch(sid, 3, None).unwrap_err(),
             KvError::UnknownScanner(sid)
         );
+    }
+
+    #[test]
+    fn a_scanner_mid_batch_does_not_block_other_scanners() {
+        let (server, rid) = server_with_region();
+        let puts: Vec<Put> = (0..6)
+            .map(|i| Put::new(format!("row{i}")).add("cf", "q", "v"))
+            .collect();
+        server.put(rid, &puts, None).unwrap();
+        let first = server.open_scanner(rid, &Scan::new(), None).unwrap();
+        let second = server.open_scanner(rid, &Scan::new(), None).unwrap();
+        // Hold the first scanner's state exactly as its in-flight batch
+        // would; the second scanner must still be served.
+        let held = Arc::clone(&server.scanners.lock()[&first]);
+        let in_flight = held.lock();
+        let batch = server.next_batch(second, 4, None).unwrap();
+        assert_eq!(batch.rows.len(), 4);
+        assert!(batch.more);
+        assert_eq!(server.open_scanner_count(), 2);
+        drop(in_flight);
+        // And the first resumes where it was, one batch after another.
+        assert_eq!(server.next_batch(first, 4, None).unwrap().rows.len(), 4);
+        let rest = server.next_batch(first, 4, None).unwrap();
+        assert_eq!(rest.rows.len(), 2);
+        assert_eq!(rest.rows[0].row.as_ref(), b"row4");
+        assert!(!rest.more);
+        assert_eq!(server.open_scanner_count(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::error::{KvError, Result};
 use crate::fault::{FaultInjector, FileOp};
 use crate::metrics::ClusterMetrics;
-use crate::types::{Cell, CellKey, CellType};
+use crate::types::{Cell, CellRef, CellType};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
@@ -142,51 +142,98 @@ fn cell_type_code(t: CellType) -> u8 {
     }
 }
 
-fn cell_type_from(code: u8) -> Result<CellType> {
-    Ok(match code {
+fn cell_type_from(code: u8) -> Option<CellType> {
+    Some(match code {
         0 => CellType::Put,
         1 => CellType::Delete,
         2 => CellType::DeleteColumn,
         3 => CellType::DeleteFamily,
-        other => return Err(KvError::Corruption(format!("bad cell type {other}"))),
+        _ => return None,
     })
 }
 
 /// Append one cell's wire form to `buf`.
 pub fn encode_cell(buf: &mut Vec<u8>, cell: &Cell) {
-    put_u32(buf, cell.key.row.len() as u32);
-    buf.extend_from_slice(&cell.key.row);
-    put_u16(buf, cell.key.family.len() as u16);
-    buf.extend_from_slice(&cell.key.family);
-    put_u16(buf, cell.key.qualifier.len() as u16);
-    buf.extend_from_slice(&cell.key.qualifier);
-    put_u64(buf, cell.key.timestamp);
-    put_u64(buf, cell.key.seq);
-    buf.push(cell_type_code(cell.key.cell_type));
+    encode_cell_ref(buf, &cell.as_ref());
+}
+
+/// Append a borrowed cell's wire form to `buf`: the bytes it was parsed from
+/// when it came out of an encoded block, field by field otherwise.
+pub fn encode_cell_ref(buf: &mut Vec<u8>, cell: &CellRef<'_>) {
+    if !cell.encoded.is_empty() {
+        buf.extend_from_slice(cell.encoded);
+        return;
+    }
+    put_u32(buf, cell.row.len() as u32);
+    buf.extend_from_slice(cell.row);
+    put_u16(buf, cell.family.len() as u16);
+    buf.extend_from_slice(cell.family);
+    put_u16(buf, cell.qualifier.len() as u16);
+    buf.extend_from_slice(cell.qualifier);
+    put_u64(buf, cell.timestamp);
+    put_u64(buf, cell.seq);
+    buf.push(cell_type_code(cell.cell_type));
     put_u32(buf, cell.value.len() as u32);
-    buf.extend_from_slice(&cell.value);
+    buf.extend_from_slice(cell.value);
+}
+
+/// View the cell encoded at the front of `buf` without copying it, and
+/// return how many bytes it occupies. Every length is checked against `buf`
+/// and the type code validated, so the slices of the returned view are in
+/// bounds whatever the input.
+#[inline]
+pub fn parse_cell(buf: &[u8]) -> Result<(CellRef<'_>, usize)> {
+    parse_cell_checked(buf).ok_or_else(|| KvError::Corruption("truncated or malformed cell".into()))
+}
+
+/// [`parse_cell`] without an error value to build: `None` for input that is
+/// not a whole, well-formed cell. This is the read path's per-cell step, so
+/// it is a straight line of length checks and nothing else.
+#[inline]
+pub(crate) fn parse_cell_checked(buf: &[u8]) -> Option<(CellRef<'_>, usize)> {
+    fn u16_at(b: &[u8]) -> Option<(usize, &[u8])> {
+        let (n, rest) = b.split_first_chunk::<2>()?;
+        Some((u16::from_le_bytes(*n) as usize, rest))
+    }
+    fn u32_at(b: &[u8]) -> Option<(usize, &[u8])> {
+        let (n, rest) = b.split_first_chunk::<4>()?;
+        Some((u32::from_le_bytes(*n) as usize, rest))
+    }
+    fn u64_at(b: &[u8]) -> Option<(u64, &[u8])> {
+        let (n, rest) = b.split_first_chunk::<8>()?;
+        Some((u64::from_le_bytes(*n), rest))
+    }
+    let (row_len, rest) = u32_at(buf)?;
+    let (row, rest) = rest.split_at_checked(row_len)?;
+    let (family_len, rest) = u16_at(rest)?;
+    let (family, rest) = rest.split_at_checked(family_len)?;
+    let (qualifier_len, rest) = u16_at(rest)?;
+    let (qualifier, rest) = rest.split_at_checked(qualifier_len)?;
+    let (timestamp, rest) = u64_at(rest)?;
+    let (seq, rest) = u64_at(rest)?;
+    let (&type_code, rest) = rest.split_first()?;
+    let cell_type = cell_type_from(type_code)?;
+    let (value_len, rest) = u32_at(rest)?;
+    let (value, rest) = rest.split_at_checked(value_len)?;
+    let len = buf.len() - rest.len();
+    let cell = CellRef {
+        row,
+        family,
+        qualifier,
+        timestamp,
+        seq,
+        cell_type,
+        value,
+        encoded: &buf[..len],
+    };
+    Some((cell, len))
 }
 
 /// Decode one cell from the reader's cursor.
 pub fn decode_cell(r: &mut Reader<'_>) -> Result<Cell> {
-    let row = r.bytes32()?;
-    let family = r.bytes16()?;
-    let qualifier = r.bytes16()?;
-    let timestamp = r.u64()?;
-    let seq = r.u64()?;
-    let cell_type = cell_type_from(r.u8()?)?;
-    let value = r.bytes32()?;
-    Ok(Cell {
-        key: CellKey {
-            row,
-            family,
-            qualifier,
-            timestamp,
-            seq,
-            cell_type,
-        },
-        value,
-    })
+    let (cell, len) = parse_cell(&r.buf[r.pos..])?;
+    r.pos += len;
+    Ok(cell.to_cell())
 }
 
 // ----------------------------------------------------------------------
@@ -421,6 +468,7 @@ impl Drop for StorageEnv {
 mod tests {
     use super::*;
     use crate::fault::{FileFaultKind, FileFaultRule};
+    use crate::types::CellKey;
 
     fn cell(row: &str, val: &str) -> Cell {
         Cell {

@@ -7,10 +7,11 @@
 //! pruning.
 //!
 //! Cells live in fixed-size [`Block`]s behind `Arc`s, mirroring HFile data
-//! blocks: the read path loads whole blocks (normally through the region
-//! server's block cache) and yields [`CellSrc`] references into those shared
-//! blocks, so a scan only copies the cells that actually end up in a
-//! response.
+//! blocks, and a block in memory is the block on disk: one buffer holding
+//! the encoded cells plus an offset per cell. The read path loads whole
+//! blocks (normally through the region server's block cache) and reads
+//! cells through borrowed [`CellRef`] views, so a scan only copies the cells
+//! that actually end up in a response.
 //!
 //! In durable clusters a store file also has an on-disk form
 //! ([`StoreFile::write_to`] / [`StoreFile::open`]):
@@ -22,14 +23,16 @@
 //! footer = meta_off u64 | meta_len u64 | magic u64
 //! ```
 //!
-//! Every block — data and meta — carries its own CRC, so a torn flush or a
-//! flipped byte is detected at open time and surfaces as
-//! [`KvError::Corruption`] instead of silently wrong query results.
+//! Every block — data and meta — carries its own CRC, and every cell of a
+//! data block has its lengths and type checked as the block is indexed, so
+//! a torn flush, a flipped byte or a malformed cell is detected at open time
+//! and surfaces as [`KvError::Corruption`] instead of silently wrong query
+//! results or a slice out of bounds.
 
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::storage::{self, Reader, StorageEnv};
-use crate::types::{Cell, TimeRange};
+use crate::types::{Cell, CellRef, CellType, TimeRange};
 use bytes::Bytes;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
@@ -47,17 +50,6 @@ pub const BLOCK_SIZE: usize = 64;
 
 /// Process-wide store-file id source; cache keys are `(file_id, block_idx)`.
 static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static SHARED_CELLS_CLONED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many block-backed cells this thread has materialized (cloned out of
-/// their shared block) so far. A delta around a scan measures exactly the
-/// copies the read path could not avoid — returned cells, not scanned ones.
-pub fn shared_cells_cloned() -> u64 {
-    SHARED_CELLS_CLONED.with(|c| c.get())
-}
 
 /// A simple split-hash bloom filter over row keys.
 ///
@@ -94,7 +86,12 @@ impl BloomFilter {
     }
 
     pub fn insert(&mut self, key: &[u8]) {
-        let (a, b) = Self::hash_pair(key);
+        self.insert_hashed(Self::hash_pair(key));
+    }
+
+    /// Insert a key by its [`hash_pair`](Self::hash_pair), for builders that
+    /// learn how large the filter must be only after seeing every key.
+    fn insert_hashed(&mut self, (a, b): (u64, u64)) {
         for i in 0..self.n_hashes as u64 {
             let bit = (a.wrapping_add(i.wrapping_mul(b)) % self.n_bits as u64) as usize;
             self.bits[bit / 64] |= 1 << (bit % 64);
@@ -131,63 +128,198 @@ impl BloomFilter {
     }
 }
 
+/// Smallest possible encoded cell: every length zero.
+const MIN_CELL_LEN: usize = 4 + 2 + 2 + 8 + 8 + 1 + 4;
+
 /// One data block: up to [`BLOCK_SIZE`] cells in `CellKey` order, shared
 /// between the file, the block cache and in-flight scans via `Arc`.
+///
+/// The block holds its on-disk payload verbatim — `count u32 |
+/// encode_cell*` in one allocation — plus the byte offset of every cell.
+/// Every length and cell type in the payload was checked when the block was
+/// built (when [`StoreFile::open`] indexed it, for bytes read from disk), so
+/// [`Block::cell`] cannot leave the buffer.
 #[derive(Debug)]
 pub struct Block {
-    cells: Vec<Cell>,
+    payload: Box<[u8]>,
+    offsets: Box<[u32]>,
     bytes: usize,
 }
 
 impl Block {
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
+    /// Index a block payload read from disk, validating it cell by cell:
+    /// any length that overruns the payload, unknown cell type, count that
+    /// is zero or disagrees with the cells present, or trailing byte is
+    /// [`KvError::Corruption`].
+    fn parse(payload: &[u8]) -> Result<Block> {
+        let count = Reader::new(payload).u32()? as usize;
+        if count == 0 {
+            return Err(KvError::Corruption("empty data block".into()));
+        }
+        let mut offsets = Vec::with_capacity(count.min(payload.len() / MIN_CELL_LEN));
+        let mut pos = 4;
+        let mut bytes = 0;
+        for _ in 0..count {
+            let (cell, len) = storage::parse_cell(&payload[pos..])?;
+            // A payload is framed with a u32 length, so offsets fit.
+            offsets.push(pos as u32);
+            bytes += cell.heap_size();
+            pos += len;
+        }
+        if pos != payload.len() {
+            return Err(KvError::Corruption("trailing bytes in data block".into()));
+        }
+        Ok(Block {
+            payload: payload.into(),
+            offsets: offsets.into(),
+            bytes,
+        })
+    }
+
+    /// The cell at `idx`, borrowed from the block.
+    pub fn cell(&self, idx: usize) -> CellRef<'_> {
+        let at = self.offsets[idx] as usize;
+        storage::parse_cell_checked(&self.payload[at..])
+            .expect("block payload validated when the block was built")
+            .0
+    }
+
+    /// Every cell of the block in order.
+    pub fn cells(&self) -> impl Iterator<Item = CellRef<'_>> {
+        (0..self.len()).map(|idx| self.cell(idx))
     }
 
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.offsets.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.offsets.is_empty()
     }
 
-    /// Payload bytes in this block; what the block cache charges.
+    /// What the block cache charges: the sum of the cells'
+    /// [`heap_size`](CellRef::heap_size).
     pub fn byte_size(&self) -> usize {
         self.bytes
     }
 }
 
-/// A cell yielded by the read path: owned (memstore) or a position inside a
-/// shared store-file block. [`CellSrc::into_cell`] is the only point where a
-/// block-backed cell gets cloned, so the thread-local counter behind
-/// [`shared_cells_cloned`] measures exactly the copies a read performs.
-#[derive(Clone, Debug)]
-pub enum CellSrc {
-    Owned(Cell),
-    Shared { block: Arc<Block>, idx: usize },
+/// Builds a [`StoreFile`] from cells pushed in `CellKey` order, encoding
+/// them straight into block payloads (a cell that came out of another block
+/// is copied as the bytes it already is).
+pub struct StoreFileBuilder {
+    blocks: Vec<Arc<Block>>,
+    block_index: Vec<Bytes>,
+    /// The open block: payload so far (count patched in when it seals),
+    /// cell offsets, and cache charge.
+    payload: Vec<u8>,
+    offsets: Vec<u32>,
+    block_bytes: usize,
+    n_cells: usize,
+    total_bytes: usize,
+    /// Bloom hashes of the distinct rows; the filter is sized by the cell
+    /// count, which is only known at the end.
+    row_hashes: Vec<(u64, u64)>,
+    first_row: Option<Bytes>,
+    last_row: Vec<u8>,
+    min_ts: u64,
+    max_ts: u64,
+    max_seq: u64,
+    has_tombstones: bool,
 }
 
-impl CellSrc {
-    pub fn cell(&self) -> &Cell {
-        match self {
-            CellSrc::Owned(c) => c,
-            CellSrc::Shared { block, idx } => &block.cells[*idx],
+impl Default for StoreFileBuilder {
+    fn default() -> Self {
+        StoreFileBuilder {
+            blocks: Vec::new(),
+            block_index: Vec::new(),
+            payload: Vec::new(),
+            offsets: Vec::with_capacity(BLOCK_SIZE),
+            block_bytes: 0,
+            n_cells: 0,
+            total_bytes: 0,
+            row_hashes: Vec::new(),
+            first_row: None,
+            last_row: Vec::new(),
+            min_ts: u64::MAX,
+            max_ts: 0,
+            max_seq: 0,
+            has_tombstones: false,
+        }
+    }
+}
+
+impl StoreFileBuilder {
+    /// Append the next cell; it must not sort before the previous one.
+    pub fn push(&mut self, cell: CellRef<'_>) {
+        debug_assert!(
+            self.n_cells == 0 || self.last_row.as_slice() <= cell.row,
+            "store file input must be sorted"
+        );
+        if self.offsets.is_empty() {
+            self.block_index.push(Bytes::copy_from_slice(cell.row));
+            self.payload.extend_from_slice(&[0; 4]);
+        }
+        // Avoid rehashing identical consecutive rows.
+        if self.n_cells == 0 || self.last_row != cell.row {
+            self.row_hashes.push(BloomFilter::hash_pair(cell.row));
+            self.last_row.clear();
+            self.last_row.extend_from_slice(cell.row);
+        }
+        if self.n_cells == 0 {
+            self.first_row = Some(Bytes::copy_from_slice(cell.row));
+        }
+        self.min_ts = self.min_ts.min(cell.timestamp);
+        self.max_ts = self.max_ts.max(cell.timestamp);
+        self.max_seq = self.max_seq.max(cell.seq);
+        self.has_tombstones |= cell.cell_type != CellType::Put;
+        self.block_bytes += cell.heap_size();
+        self.n_cells += 1;
+        self.offsets.push(self.payload.len() as u32);
+        storage::encode_cell_ref(&mut self.payload, &cell);
+        if self.offsets.len() == BLOCK_SIZE {
+            self.seal_block();
         }
     }
 
-    pub fn key(&self) -> &crate::types::CellKey {
-        &self.cell().key
+    fn seal_block(&mut self) {
+        let count = self.offsets.len() as u32;
+        self.payload[..4].copy_from_slice(&count.to_le_bytes());
+        self.total_bytes += self.block_bytes;
+        // Exact-size copies: the scratch buffers keep their capacity for
+        // the next block, the block carries no slack.
+        self.blocks.push(Arc::new(Block {
+            payload: self.payload.as_slice().into(),
+            offsets: self.offsets.as_slice().into(),
+            bytes: self.block_bytes,
+        }));
+        self.payload.clear();
+        self.offsets.clear();
+        self.block_bytes = 0;
     }
 
-    /// Materialize the cell, cloning it out of its block if shared.
-    pub fn into_cell(self) -> Cell {
-        match self {
-            CellSrc::Owned(c) => c,
-            CellSrc::Shared { block, idx } => {
-                SHARED_CELLS_CLONED.with(|c| c.set(c.get() + 1));
-                block.cells[idx].clone()
-            }
+    pub fn finish(mut self) -> StoreFile {
+        if !self.offsets.is_empty() {
+            self.seal_block();
+        }
+        let mut bloom = BloomFilter::with_capacity(self.n_cells);
+        for hashes in self.row_hashes {
+            bloom.insert_hashed(hashes);
+        }
+        StoreFile {
+            file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
+            blocks: self.blocks,
+            block_index: self.block_index,
+            n_cells: self.n_cells,
+            total_bytes: self.total_bytes,
+            bloom,
+            min_ts: self.min_ts,
+            max_ts: self.max_ts,
+            has_tombstones: self.has_tombstones,
+            max_seq: self.max_seq,
+            first_row: self.first_row,
+            last_row: (self.n_cells > 0).then(|| Bytes::from(self.last_row)),
+            disk_path: OnceLock::new(),
         }
     }
 }
@@ -222,73 +354,17 @@ pub struct StoreFile {
 }
 
 impl StoreFile {
-    /// Build a store file from cells that are already in `CellKey` order
-    /// (a memstore drain or a compaction merge).
+    /// Build a store file from cells that are already in `CellKey` order.
     pub fn from_sorted(cells: Vec<Cell>) -> Self {
         debug_assert!(
             cells.windows(2).all(|w| w[0].key <= w[1].key),
             "store file input must be sorted"
         );
-        let mut bloom = BloomFilter::with_capacity(cells.len());
-        let mut blocks = Vec::with_capacity(cells.len() / BLOCK_SIZE + 1);
-        let mut block_index = Vec::with_capacity(cells.len() / BLOCK_SIZE + 1);
-        let mut min_ts = u64::MAX;
-        let mut max_ts = 0u64;
-        let mut max_seq = 0u64;
-        let mut total_bytes = 0usize;
-        let mut has_tombstones = false;
-        let mut last_bloom_row: Option<Bytes> = None;
-        let first_row = cells.first().map(|c| c.key.row.clone());
-        let last_row = cells.last().map(|c| c.key.row.clone());
-        let n_cells = cells.len();
-        let mut current: Vec<Cell> = Vec::with_capacity(BLOCK_SIZE.min(n_cells));
-        let mut current_bytes = 0usize;
-        for cell in cells {
-            if current.is_empty() {
-                block_index.push(cell.key.row.clone());
-            }
-            // Avoid rehashing identical consecutive rows.
-            if last_bloom_row.as_ref() != Some(&cell.key.row) {
-                bloom.insert(&cell.key.row);
-                last_bloom_row = Some(cell.key.row.clone());
-            }
-            min_ts = min_ts.min(cell.key.timestamp);
-            max_ts = max_ts.max(cell.key.timestamp);
-            max_seq = max_seq.max(cell.key.seq);
-            has_tombstones |= cell.key.cell_type != crate::types::CellType::Put;
-            current_bytes += cell.heap_size();
-            current.push(cell);
-            if current.len() == BLOCK_SIZE {
-                total_bytes += current_bytes;
-                blocks.push(Arc::new(Block {
-                    cells: std::mem::replace(&mut current, Vec::with_capacity(BLOCK_SIZE)),
-                    bytes: current_bytes,
-                }));
-                current_bytes = 0;
-            }
+        let mut builder = StoreFileBuilder::default();
+        for cell in &cells {
+            builder.push(cell.as_ref());
         }
-        if !current.is_empty() {
-            total_bytes += current_bytes;
-            blocks.push(Arc::new(Block {
-                cells: current,
-                bytes: current_bytes,
-            }));
-        }
-        StoreFile {
-            file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
-            blocks,
-            block_index,
-            n_cells,
-            total_bytes,
-            bloom,
-            min_ts,
-            max_ts,
-            has_tombstones,
-            max_seq,
-            first_row,
-            last_row,
-            disk_path: OnceLock::new(),
-        }
+        builder.finish()
     }
 
     pub fn len(&self) -> usize {
@@ -365,32 +441,6 @@ impl StoreFile {
         self.bloom.may_contain(row)
     }
 
-    /// Iterate cells whose rows fall in `[start, stop)` in `CellKey` order.
-    /// Borrowing form for tests and inspection; the region scan path streams
-    /// blocks through the cache instead.
-    pub fn scan_range<'a>(
-        &'a self,
-        start: &'a [u8],
-        stop: &'a [u8],
-    ) -> impl Iterator<Item = &'a Cell> + 'a {
-        let begin = self.start_block(start);
-        self.blocks[begin.min(self.blocks.len())..]
-            .iter()
-            .flat_map(|b| b.cells.iter())
-            .skip_while(move |c| c.key.row.as_ref() < start)
-            .take_while(move |c| stop.is_empty() || c.key.row.as_ref() < stop)
-    }
-
-    /// All cells of a single row (used by gets after a bloom hit).
-    pub fn row_cells<'a>(&'a self, row: &'a [u8]) -> impl Iterator<Item = &'a Cell> + 'a {
-        let begin = self.start_block(row);
-        self.blocks[begin.min(self.blocks.len())..]
-            .iter()
-            .flat_map(|b| b.cells.iter())
-            .skip_while(move |c| c.key.row.as_ref() < row)
-            .take_while(move |c| c.key.row.as_ref() == row)
-    }
-
     // ------------------------------------------------------------------
     // On-disk form
     // ------------------------------------------------------------------
@@ -411,14 +461,10 @@ impl StoreFile {
         let mut file = env.open_append(path)?;
         let mut index: Vec<(u64, u32)> = Vec::with_capacity(self.blocks.len());
         let mut offset = 0u64;
+        let mut framed = Vec::new();
         for block in &self.blocks {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&(block.cells.len() as u32).to_le_bytes());
-            for cell in &block.cells {
-                storage::encode_cell(&mut payload, cell);
-            }
-            index.push((offset, payload.len() as u32));
-            let framed = frame_block(&payload);
+            index.push((offset, block.payload.len() as u32));
+            frame_block(&mut framed, &block.payload);
             offset += framed.len() as u64;
             env.write(&mut file, op, &framed)?;
         }
@@ -441,9 +487,8 @@ impl StoreFile {
         for w in words {
             meta.extend_from_slice(&w.to_le_bytes());
         }
-        let framed_meta = frame_block(&meta);
-
-        let mut tail = framed_meta;
+        let mut tail = framed;
+        frame_block(&mut tail, &meta);
         let meta_len = tail.len() as u64;
         tail.extend_from_slice(&offset.to_le_bytes());
         tail.extend_from_slice(&meta_len.to_le_bytes());
@@ -512,8 +557,6 @@ impl StoreFile {
         let mut block_index = Vec::with_capacity(n_blocks);
         let mut decoded_cells = 0usize;
         let mut total_bytes = 0usize;
-        let mut first_row = None;
-        let mut last_row = None;
         for (off, payload_len) in index {
             let end = off
                 .checked_add(payload_len)
@@ -522,34 +565,11 @@ impl StoreFile {
                 .ok_or_else(|| {
                     KvError::Corruption(format!("block index out of bounds: {}", path.display()))
                 })?;
-            let payload = unframe_block(&data[off..end])?;
-            let mut br = Reader::new(payload);
-            let count = br.u32()? as usize;
-            let mut cells = Vec::with_capacity(count.min(1 << 20));
-            let mut bytes = 0usize;
-            for _ in 0..count {
-                let cell = storage::decode_cell(&mut br)?;
-                bytes += cell.heap_size();
-                cells.push(cell);
-            }
-            if br.remaining() != 0 {
-                return Err(KvError::Corruption(format!(
-                    "trailing bytes in data block: {}",
-                    path.display()
-                )));
-            }
-            if let Some(first) = cells.first() {
-                block_index.push(first.key.row.clone());
-                if first_row.is_none() {
-                    first_row = Some(first.key.row.clone());
-                }
-            }
-            if let Some(cell) = cells.last() {
-                last_row = Some(cell.key.row.clone());
-            }
-            decoded_cells += cells.len();
-            total_bytes += bytes;
-            blocks.push(Arc::new(Block { cells, bytes }));
+            let block = Block::parse(unframe_block(&data[off..end])?)?;
+            block_index.push(Bytes::copy_from_slice(block.cell(0).row));
+            decoded_cells += block.len();
+            total_bytes += block.bytes;
+            blocks.push(Arc::new(block));
         }
         if decoded_cells != n_cells {
             return Err(KvError::Corruption(format!(
@@ -559,6 +579,10 @@ impl StoreFile {
         }
         let file = StoreFile {
             file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
+            first_row: block_index.first().cloned(),
+            last_row: blocks
+                .last()
+                .map(|b| Bytes::copy_from_slice(b.cell(b.len() - 1).row)),
             blocks,
             block_index,
             n_cells,
@@ -568,8 +592,6 @@ impl StoreFile {
             max_ts,
             has_tombstones,
             max_seq,
-            first_row,
-            last_row,
             disk_path: OnceLock::new(),
         };
         let _ = file.disk_path.set(path.to_path_buf());
@@ -577,13 +599,13 @@ impl StoreFile {
     }
 }
 
-/// `len u32 | crc32 u32 | payload` framing shared by data and meta blocks.
-fn frame_block(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
+/// `len u32 | crc32 u32 | payload` framing shared by data and meta blocks,
+/// written over `out`.
+fn frame_block(out: &mut Vec<u8>, payload: &[u8]) {
+    out.clear();
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&storage::crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 fn unframe_block(buf: &[u8]) -> Result<&[u8]> {
@@ -630,6 +652,13 @@ mod tests {
         StoreFile::from_sorted(cells)
     }
 
+    fn all_cells(file: &StoreFile) -> Vec<Cell> {
+        (0..file.num_blocks())
+            .flat_map(|i| file.block(i).cells())
+            .map(|c| c.to_cell())
+            .collect()
+    }
+
     #[test]
     fn bloom_no_false_negatives() {
         let mut b = BloomFilter::with_capacity(100);
@@ -655,26 +684,6 @@ mod tests {
             false_positives < 60,
             "too many false positives: {false_positives}"
         );
-    }
-
-    #[test]
-    fn seek_finds_first_matching_row() {
-        let rows: Vec<String> = (0..500).map(|i| format!("row-{i:05}")).collect();
-        let f = file_with_rows(&rows.iter().map(String::as_str).collect::<Vec<_>>());
-        let got: Vec<_> = f
-            .scan_range(b"row-00100", b"row-00103")
-            .map(|c| c.key.row.clone())
-            .collect();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0].as_ref(), b"row-00100");
-        assert_eq!(got[2].as_ref(), b"row-00102");
-    }
-
-    #[test]
-    fn scan_range_unbounded() {
-        let f = file_with_rows(&["a", "b", "c"]);
-        assert_eq!(f.scan_range(b"", b"").count(), 3);
-        assert_eq!(f.scan_range(b"b", b"").count(), 2);
     }
 
     #[test]
@@ -714,23 +723,15 @@ mod tests {
     }
 
     #[test]
-    fn cellsrc_clones_only_on_materialize() {
+    fn cells_are_read_in_place() {
         let f = file_with_rows(&["a", "b"]);
-        let block = Arc::clone(f.block(0));
-        let src = CellSrc::Shared {
-            block: Arc::clone(&block),
-            idx: 1,
-        };
-        let before = shared_cells_cloned();
-        assert_eq!(src.key().row.as_ref(), b"b");
-        assert_eq!(src.cell().key.row.as_ref(), b"b");
-        assert_eq!(shared_cells_cloned(), before, "inspection must not clone");
-        let owned = src.into_cell();
-        assert_eq!(owned.key.row.as_ref(), b"b");
-        assert_eq!(shared_cells_cloned(), before + 1);
-        let before = shared_cells_cloned();
-        let _ = CellSrc::Owned(cell("x", 1, 1)).into_cell();
-        assert_eq!(shared_cells_cloned(), before, "owned cells are free");
+        let view = f.block(0).cell(1);
+        assert_eq!(view.to_cell(), cell("b", 1, 1));
+        // The view's slices lie inside the block's one buffer.
+        let payload = f.block(0).payload.as_ptr_range();
+        for part in [view.row, view.family, view.qualifier, view.value] {
+            assert!(payload.start <= part.as_ptr() && part.as_ptr_range().end <= payload.end);
+        }
     }
 
     #[test]
@@ -749,16 +750,6 @@ mod tests {
         assert!(f.overlaps_time_range(&TimeRange::new(15, 25)));
         assert!(!f.overlaps_time_range(&TimeRange::new(21, 30)));
         assert!(!f.overlaps_time_range(&TimeRange::new(0, 10)));
-    }
-
-    #[test]
-    fn row_cells_returns_only_that_row() {
-        let mut cells = vec![cell("a", 2, 2), cell("a", 1, 1), cell("b", 1, 3)];
-        cells.sort_by(|x, y| x.key.cmp(&y.key));
-        let f = StoreFile::from_sorted(cells);
-        assert_eq!(f.row_cells(b"a").count(), 2);
-        assert_eq!(f.row_cells(b"b").count(), 1);
-        assert_eq!(f.row_cells(b"c").count(), 0);
     }
 
     #[test]
@@ -822,9 +813,7 @@ mod tests {
         assert_eq!(reopened.first_row, original.first_row);
         assert_eq!(reopened.last_row, original.last_row);
         assert_ne!(reopened.file_id(), original.file_id());
-        let a: Vec<&Cell> = original.scan_range(b"", b"").collect();
-        let b: Vec<&Cell> = reopened.scan_range(b"", b"").collect();
-        assert_eq!(a, b);
+        assert_eq!(all_cells(&original), all_cells(&reopened));
         // The serialized bloom behaves identically.
         assert!(reopened.may_contain_row(b"row-00042"));
         assert_eq!(
@@ -876,5 +865,113 @@ mod tests {
         // And the pristine bytes still open.
         std::fs::write(&path, &clean).unwrap();
         assert!(StoreFile::open(&env, &path).is_ok());
+    }
+
+    /// The on-disk form as the previous, `Vec<Cell>`-backed implementation
+    /// wrote it: every block payload framed from `storage::encode_cell`.
+    fn legacy_file_bytes(file: &StoreFile, cells: &[Cell]) -> Vec<u8> {
+        fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&storage::crc32(payload).to_le_bytes());
+            out.extend_from_slice(payload);
+        }
+        let mut out = Vec::new();
+        let mut index = Vec::new();
+        for chunk in cells.chunks(BLOCK_SIZE) {
+            let mut payload = (chunk.len() as u32).to_le_bytes().to_vec();
+            for cell in chunk {
+                storage::encode_cell(&mut payload, cell);
+            }
+            index.push((out.len() as u64, payload.len() as u32));
+            frame(&mut out, &payload);
+        }
+        let mut meta = (index.len() as u32).to_le_bytes().to_vec();
+        for (off, len) in &index {
+            meta.extend_from_slice(&off.to_le_bytes());
+            meta.extend_from_slice(&len.to_le_bytes());
+        }
+        meta.extend_from_slice(&(cells.len() as u64).to_le_bytes());
+        for v in [file.min_ts, file.max_ts, file.max_seq] {
+            meta.extend_from_slice(&v.to_le_bytes());
+        }
+        meta.push(file.has_tombstones as u8);
+        let (words, n_bits, n_hashes) = file.bloom.parts();
+        meta.extend_from_slice(&(n_bits as u64).to_le_bytes());
+        meta.extend_from_slice(&n_hashes.to_le_bytes());
+        meta.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        for w in words {
+            meta.extend_from_slice(&w.to_le_bytes());
+        }
+        let meta_off = out.len() as u64;
+        frame(&mut out, &meta);
+        let meta_len = out.len() as u64 - meta_off;
+        for v in [meta_off, meta_len, STOREFILE_MAGIC] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn disk_format_is_the_framed_cell_codec_in_both_directions() {
+        let env = temp_env();
+        let mut cells: Vec<Cell> = (0..BLOCK_SIZE * 2 + 9)
+            .map(|i| {
+                cell(
+                    &format!("row-{:04}", i / 3),
+                    100 - (i % 3) as u64,
+                    i as u64 + 1,
+                )
+            })
+            .collect();
+        cells[5].key.cell_type = CellType::DeleteColumn;
+        cells[5].value = Bytes::new();
+        cells.sort_by(|a, b| a.key.cmp(&b.key));
+        let file = StoreFile::from_sorted(cells.clone());
+        let legacy = legacy_file_bytes(&file, &cells);
+
+        // Forward: what we write is what the cell codec frames.
+        let path = env.root().join("new.sst");
+        file.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), legacy);
+
+        // Backward: a file in that format opens to the same cells and metadata.
+        let old_path = env.root().join("old.sst");
+        std::fs::write(&old_path, &legacy).unwrap();
+        let opened = StoreFile::open(&env, &old_path).unwrap();
+        assert_eq!(all_cells(&opened), cells);
+        assert_eq!(opened.byte_size(), file.byte_size());
+        assert_eq!(opened.block_index_keys(), file.block_index_keys());
+        assert_eq!(
+            (&opened.first_row, &opened.last_row),
+            (&file.first_row, &file.last_row)
+        );
+        for i in 0..file.num_blocks() {
+            assert_eq!(opened.block(i).byte_size(), file.block(i).byte_size());
+        }
+    }
+
+    #[test]
+    fn open_rejects_recrced_damage_to_cell_lengths() {
+        let env = temp_env();
+        let f = file_with_rows(&["aaaa", "bbbb", "cccc"]);
+        let path = env.root().join("sf.sst");
+        f.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let payload_len = u32::from_le_bytes(clean[0..4].try_into().unwrap()) as usize;
+        // (offset inside the payload, new byte): the cell count, the first
+        // row length, and the first cell's type code.
+        let first_cell = 4;
+        let type_at = first_cell + 4 + 4 + 2 + 2 + 2 + 1 + 8 + 8;
+        for (at, byte) in [(0, 9u8), (first_cell, 200), (type_at, 7)] {
+            let mut data = clean.clone();
+            data[8 + at] = byte;
+            let crc = storage::crc32(&data[8..8 + payload_len]);
+            data[4..8].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &data).unwrap();
+            assert!(
+                matches!(StoreFile::open(&env, &path), Err(KvError::Corruption(_))),
+                "payload byte {at} = {byte} passes its CRC but must fail validation"
+            );
+        }
     }
 }

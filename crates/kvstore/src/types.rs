@@ -89,20 +89,7 @@ impl CellKey {
 
 impl Ord for CellKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.row
-            .cmp(&other.row)
-            .then_with(|| self.family.cmp(&other.family))
-            .then_with(|| self.qualifier.cmp(&other.qualifier))
-            // Descending timestamp: newest first.
-            .then_with(|| other.timestamp.cmp(&self.timestamp))
-            // Tombstones sort before puts at the same timestamp, so a
-            // delete marker masks every put at its timestamp regardless of
-            // write order — HBase's "deletes mask puts, even puts that
-            // happened after the delete" semantics (resolved only by major
-            // compaction removing the marker).
-            .then_with(|| tombstone_rank(self.cell_type).cmp(&tombstone_rank(other.cell_type)))
-            // Descending sequence: later write wins among equals.
-            .then_with(|| other.seq.cmp(&self.seq))
+        CellRef::new(self, &[]).key_cmp(&CellRef::new(other, &[]))
     }
 }
 
@@ -151,11 +138,84 @@ pub struct Cell {
 impl Cell {
     /// Approximate heap footprint, used for memstore flush accounting.
     pub fn heap_size(&self) -> usize {
-        self.key.row.len()
-            + self.key.family.len()
-            + self.key.qualifier.len()
-            + self.value.len()
-            + 48 // fixed overhead: timestamps, seq, enum, struct padding
+        self.as_ref().heap_size()
+    }
+
+    /// Borrow this cell as the view the read path works on.
+    pub fn as_ref(&self) -> CellRef<'_> {
+        CellRef::new(&self.key, &self.value)
+    }
+}
+
+/// A borrowed cell: the coordinates and value as slices into wherever the
+/// cell is stored — an encoded store-file block, a memstore entry, a
+/// [`Cell`]. The read path compares, masks and filters these; a [`Cell`] is
+/// only built ([`CellRef::to_cell`]) for what a read returns.
+#[derive(Clone, Copy, Debug)]
+pub struct CellRef<'a> {
+    pub row: &'a [u8],
+    pub family: &'a [u8],
+    pub qualifier: &'a [u8],
+    pub timestamp: Timestamp,
+    pub seq: u64,
+    pub cell_type: CellType,
+    pub value: &'a [u8],
+    /// The cell's wire form when it was read out of an encoded block (empty
+    /// otherwise), so rewriting it is one copy instead of a re-encode.
+    pub(crate) encoded: &'a [u8],
+}
+
+impl<'a> CellRef<'a> {
+    pub fn new(key: &'a CellKey, value: &'a [u8]) -> Self {
+        CellRef {
+            row: &key.row,
+            family: &key.family,
+            qualifier: &key.qualifier,
+            timestamp: key.timestamp,
+            seq: key.seq,
+            cell_type: key.cell_type,
+            value,
+            encoded: &[],
+        }
+    }
+
+    /// The [`CellKey`] order, on borrowed coordinates.
+    pub fn key_cmp(&self, other: &CellRef<'_>) -> Ordering {
+        self.row
+            .cmp(other.row)
+            .then_with(|| self.family.cmp(other.family))
+            .then_with(|| self.qualifier.cmp(other.qualifier))
+            // Descending timestamp: newest first.
+            .then_with(|| other.timestamp.cmp(&self.timestamp))
+            // Tombstones sort before puts at the same timestamp, so a
+            // delete marker masks every put at its timestamp regardless of
+            // write order — HBase's "deletes mask puts, even puts that
+            // happened after the delete" semantics (resolved only by major
+            // compaction removing the marker).
+            .then_with(|| tombstone_rank(self.cell_type).cmp(&tombstone_rank(other.cell_type)))
+            // Descending sequence: later write wins among equals.
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+
+    /// Same accounting as [`Cell::heap_size`].
+    pub fn heap_size(&self) -> usize {
+        self.row.len() + self.family.len() + self.qualifier.len() + self.value.len() + 48
+        // fixed overhead: timestamps, seq, enum, struct padding
+    }
+
+    /// Copy the cell out of its storage.
+    pub fn to_cell(&self) -> Cell {
+        Cell {
+            key: CellKey {
+                row: Bytes::copy_from_slice(self.row),
+                family: Bytes::copy_from_slice(self.family),
+                qualifier: Bytes::copy_from_slice(self.qualifier),
+                timestamp: self.timestamp,
+                seq: self.seq,
+                cell_type: self.cell_type,
+            },
+            value: Bytes::copy_from_slice(self.value),
+        }
     }
 }
 

@@ -489,7 +489,7 @@ mod durability {
 
         let clean = StoreFile::open(&env, &path).unwrap();
         let reread: Vec<Cell> = (0..clean.num_blocks())
-            .flat_map(|i| clean.block(i).cells().to_vec())
+            .flat_map(|i| clean.block(i).cells().map(|c| c.to_cell()))
             .collect();
         assert_eq!(reread, cells, "clean open round-trips");
 
