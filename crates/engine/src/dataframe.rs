@@ -255,6 +255,8 @@ impl DataFrame {
         self.session.store_trace(trace.clone());
         self.session.store_timeline(Arc::clone(&timeline));
         attach_region_attribution(&profile, &trace);
+        let mut subplans_reused = 0;
+        profile.walk(&mut |p| subplans_reused += p.reused_from.get().is_some() as u64);
         Ok(QueryAnalysis {
             rows,
             profile,
@@ -262,6 +264,7 @@ impl DataFrame {
             plan,
             io,
             timeline,
+            subplans_reused,
         })
     }
 
@@ -273,12 +276,13 @@ impl DataFrame {
         let analysis = self.collect_analyzed()?;
         let mut out = format!(
             "== Physical Plan (analyzed, {} rows returned) ==\n{}I/O: blocks_read={} \
-             block_cache_hits={} wal_bytes_appended={}\n",
+             block_cache_hits={} wal_bytes_appended={}\nsubplans_reused={}\n",
             analysis.rows.len(),
             analysis.profile.render(),
             analysis.io.blocks_read,
             analysis.io.block_cache_hits,
             analysis.io.wal_bytes_appended,
+            analysis.subplans_reused,
         );
         for stats in analysis.timeline.stage_stats() {
             let skew = stats
@@ -350,6 +354,10 @@ pub struct QueryAnalysis {
     ///
     /// [`TaskProfile`]: crate::task_timeline::TaskProfile
     pub timeline: Arc<crate::task_timeline::TaskTimeline>,
+    /// Operators of this run that were handed an identical subplan's result
+    /// instead of executing (the query's share of
+    /// `QueryMetrics::subplans_reused`).
+    pub subplans_reused: u64,
 }
 
 /// Copy per-region scan rows out of the trace into the matching scan

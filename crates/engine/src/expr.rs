@@ -255,56 +255,65 @@ impl Expr {
         }
     }
 
-    /// Collect every column referenced by this expression.
-    pub fn referenced_columns(&self, out: &mut Vec<(Option<String>, String)>) {
+    /// Visit this expression and every sub-expression, parents before
+    /// children, children left to right.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
         match self {
-            Expr::Column { qualifier, name } => {
-                let key = (qualifier.clone(), name.clone());
-                if !out.contains(&key) {
-                    out.push(key);
-                }
-            }
-            Expr::Literal(_) => {}
+            Expr::Column { .. } | Expr::Literal(_) => {}
             Expr::BinaryOp { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
+                left.for_each(f);
+                right.for_each(f);
             }
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) | Expr::Negate(e) => {
-                e.referenced_columns(out)
-            }
+            Expr::Not(e)
+            | Expr::IsNull(e)
+            | Expr::IsNotNull(e)
+            | Expr::Negate(e)
+            | Expr::Like { expr: e, .. }
+            | Expr::Cast { expr: e, .. } => e.for_each(f),
             Expr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
+                expr.for_each(f);
                 for e in list {
-                    e.referenced_columns(out);
+                    e.for_each(f);
                 }
             }
-            Expr::Like { expr, .. } => expr.referenced_columns(out),
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
+                expr.for_each(f);
+                low.for_each(f);
+                high.for_each(f);
             }
-            Expr::Cast { expr, .. } => expr.referenced_columns(out),
             Expr::Case {
                 branches,
                 else_expr,
             } => {
                 for (c, v) in branches {
-                    c.referenced_columns(out);
-                    v.referenced_columns(out);
+                    c.for_each(f);
+                    v.for_each(f);
                 }
                 if let Some(e) = else_expr {
-                    e.referenced_columns(out);
+                    e.for_each(f);
                 }
             }
             Expr::ScalarFunc { args, .. } => {
                 for a in args {
-                    a.referenced_columns(out);
+                    a.for_each(f);
                 }
             }
         }
+    }
+
+    /// Collect every column referenced by this expression.
+    pub fn referenced_columns(&self, out: &mut Vec<(Option<String>, String)>) {
+        self.for_each(&mut |e| {
+            if let Expr::Column { qualifier, name } = e {
+                let key = (qualifier.clone(), name.clone());
+                if !out.contains(&key) {
+                    out.push(key);
+                }
+            }
+        });
     }
 
     /// Bind names to indices against a schema, producing an executable

@@ -7,8 +7,10 @@ use crate::datasource::TableProvider;
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::schema::{Field, Schema};
-use crate::value::DataType;
+use crate::value::{DataType, Value};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Join types supported by the engine.
@@ -114,7 +116,7 @@ pub enum LogicalPlan {
     /// Literal rows, for tests and VALUES-style sources.
     Values {
         schema: Schema,
-        rows: Vec<Vec<crate::value::Value>>,
+        rows: Vec<Vec<Value>>,
     },
 }
 
@@ -374,6 +376,256 @@ impl LogicalPlan {
     }
 }
 
+// ----------------------------------------------------------------------
+// Common subplans: what counts as "the same subplan"
+// ----------------------------------------------------------------------
+
+/// Same literal: same variant, same bits. `Value`'s own `==` follows SQL
+/// comparison (`Int32(1) == Float64(1.0)`), but a literal's type decides
+/// output types, so two plans differing in it are different plans.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float32(x), Value::Float32(y)) => x.to_bits() == y.to_bits(),
+        (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+    }
+}
+
+fn literals(e: &Expr) -> Vec<&Value> {
+    let mut out = Vec::new();
+    e.for_each(&mut |e| {
+        if let Expr::Literal(v) = e {
+            out.push(v);
+        }
+    });
+    out
+}
+
+fn same_expr(a: &Expr, b: &Expr) -> bool {
+    // Derived equality fixes the shape, so the literal sequences line up.
+    a == b && same_all(&literals(a), &literals(b), |x, y| same_value(x, y))
+}
+
+fn same_all<T>(a: &[T], b: &[T], same: impl Fn(&T, &T) -> bool) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y))
+}
+
+fn hash_expr(e: &Expr, h: &mut impl Hasher) {
+    e.for_each(&mut |e| {
+        std::mem::discriminant(e).hash(h);
+        match e {
+            Expr::Column { qualifier, name } => {
+                qualifier.hash(h);
+                name.hash(h);
+            }
+            Expr::Literal(v) => v.group_hash(h),
+            Expr::BinaryOp { op, .. } => (*op as u8).hash(h),
+            _ => {}
+        }
+    });
+}
+
+impl LogicalPlan {
+    /// Whether `self` and `other` are the same subplan: executing either
+    /// gives the other's result. Scans are the same only when they read the
+    /// same provider *instance* (not merely the same table name) under the
+    /// same qualifier with the same pushed projection and filters;
+    /// everything else compares by value, never by rendered text.
+    pub(crate) fn same_subplan(&self, other: &LogicalPlan) -> bool {
+        self.same_node(other)
+            && same_all(&self.children(), &other.children(), |a, b| {
+                a.same_subplan(b)
+            })
+    }
+
+    /// [`same_subplan`](Self::same_subplan) for this node alone, inputs
+    /// not compared.
+    fn same_node(&self, other: &LogicalPlan) -> bool {
+        use LogicalPlan::*;
+        let named = |(x, n): &(Expr, String), (y, m): &(Expr, String)| n == m && same_expr(x, y);
+        match (self, other) {
+            (
+                Scan {
+                    qualifier: qa,
+                    provider: pa,
+                    projection: ja,
+                    filters: fa,
+                    ..
+                },
+                Scan {
+                    qualifier: qb,
+                    provider: pb,
+                    projection: jb,
+                    filters: fb,
+                    ..
+                },
+            ) => Arc::ptr_eq(pa, pb) && qa == qb && ja == jb && same_all(fa, fb, same_expr),
+            (Filter { predicate: a, .. }, Filter { predicate: b, .. }) => same_expr(a, b),
+            (Projection { exprs: a, .. }, Projection { exprs: b, .. }) => same_all(a, b, named),
+            (
+                Join {
+                    on: oa,
+                    join_type: ta,
+                    ..
+                },
+                Join {
+                    on: ob,
+                    join_type: tb,
+                    ..
+                },
+            ) => {
+                ta == tb
+                    && same_all(oa, ob, |(l1, r1), (l2, r2)| {
+                        same_expr(l1, l2) && same_expr(r1, r2)
+                    })
+            }
+            (
+                Aggregate {
+                    group: ga,
+                    aggs: aa,
+                    ..
+                },
+                Aggregate {
+                    group: gb,
+                    aggs: ab,
+                    ..
+                },
+            ) => {
+                same_all(ga, gb, named)
+                    && same_all(aa, ab, |(x, n), (y, m)| {
+                        n == m
+                            && x.func == y.func
+                            && match (&x.arg, &y.arg) {
+                                (Some(x), Some(y)) => same_expr(x, y),
+                                (None, None) => true,
+                                _ => false,
+                            }
+                    })
+            }
+            (Sort { keys: a, .. }, Sort { keys: b, .. }) => {
+                same_all(a, b, |(x, asc), (y, bsc)| asc == bsc && same_expr(x, y))
+            }
+            (Limit { n: a, .. }, Limit { n: b, .. }) => a == b,
+            (SubqueryAlias { alias: a, .. }, SubqueryAlias { alias: b, .. }) => a == b,
+            (
+                Values {
+                    schema: sa,
+                    rows: ra,
+                },
+                Values {
+                    schema: sb,
+                    rows: rb,
+                },
+            ) => sa == sb && same_all(ra, rb, |r, s| same_all(r, s, same_value)),
+            _ => false,
+        }
+    }
+
+    /// Hash of this node alone, consistent with [`same_node`](Self::same_node)
+    /// (same ⇒ equal hash; the converse is what `same_node` is for).
+    fn hash_node(&self, h: &mut impl Hasher) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            LogicalPlan::Scan {
+                qualifier,
+                provider,
+                projection,
+                filters,
+                ..
+            } => {
+                (Arc::as_ptr(provider) as *const () as usize).hash(h);
+                qualifier.hash(h);
+                projection.hash(h);
+                filters.iter().for_each(|f| hash_expr(f, h));
+            }
+            LogicalPlan::Filter { predicate, .. } => hash_expr(predicate, h),
+            LogicalPlan::Projection { exprs, .. } => {
+                for (e, name) in exprs {
+                    hash_expr(e, h);
+                    name.hash(h);
+                }
+            }
+            LogicalPlan::Join { on, join_type, .. } => {
+                (*join_type as u8).hash(h);
+                for (l, r) in on {
+                    hash_expr(l, h);
+                    hash_expr(r, h);
+                }
+            }
+            LogicalPlan::Aggregate { group, aggs, .. } => {
+                for (e, name) in group {
+                    hash_expr(e, h);
+                    name.hash(h);
+                }
+                for (agg, name) in aggs {
+                    agg.arg.iter().for_each(|e| hash_expr(e, h));
+                    name.hash(h);
+                }
+            }
+            LogicalPlan::Sort { keys, .. } => {
+                for (e, asc) in keys {
+                    hash_expr(e, h);
+                    asc.hash(h);
+                }
+            }
+            LogicalPlan::Limit { n, .. } => n.hash(h),
+            LogicalPlan::SubqueryAlias { alias, .. } => alias.hash(h),
+            LogicalPlan::Values { rows, .. } => {
+                rows.len().hash(h);
+                rows.iter().flatten().for_each(|v| v.group_hash(h));
+            }
+        }
+    }
+
+    /// The maximal subtrees of this plan that occur more than once, one
+    /// group per distinct subplan, occurrences in execution order (pre-order,
+    /// a join's left side before its right). Executing the first of a group
+    /// gives the result of the others, so nothing inside a later occurrence
+    /// is listed: a subtree that repeats only because an enclosing one does
+    /// is not a group of its own.
+    pub(crate) fn repeated_subplans(&self) -> Vec<Vec<&LogicalPlan>> {
+        /// Pre-order listing: (node, hash of its subtree, nodes in it).
+        fn index<'a>(plan: &'a LogicalPlan, nodes: &mut Vec<(&'a LogicalPlan, u64, usize)>) -> u64 {
+            let at = nodes.len();
+            nodes.push((plan, 0, 0));
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            plan.hash_node(&mut h);
+            for child in plan.children() {
+                index(child, nodes).hash(&mut h);
+            }
+            let hash = h.finish();
+            nodes[at] = (plan, hash, nodes.len() - at);
+            hash
+        }
+        let mut nodes = Vec::new();
+        index(self, &mut nodes);
+
+        let mut groups: Vec<Vec<&LogicalPlan>> = Vec::new();
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut at = 0;
+        while at < nodes.len() {
+            let (node, hash, size) = nodes[at];
+            let candidates = by_hash.entry(hash).or_default();
+            match candidates
+                .iter()
+                .find(|&&g| groups[g][0].same_subplan(node))
+            {
+                Some(&g) => {
+                    groups[g].push(node);
+                    at += size;
+                }
+                None => {
+                    candidates.push(groups.len());
+                    groups.push(vec![node]);
+                    at += 1;
+                }
+            }
+        }
+        groups.retain(|g| g.len() > 1);
+        groups
+    }
+}
+
 impl fmt::Debug for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.explain())
@@ -483,6 +735,157 @@ mod tests {
         };
         assert_eq!(plan.schema().unwrap().len(), 1);
         assert!(plan.check().is_ok());
+    }
+
+    fn scan_of(provider: &Arc<MemTable>, qualifier: &str) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table_name: "t".into(),
+            qualifier: qualifier.into(),
+            provider: Arc::clone(provider) as Arc<dyn TableProvider>,
+            projection: Some(vec![0, 2]),
+            filters: vec![Expr::col("id").gt(Expr::lit(1i64))],
+        }
+    }
+
+    fn table() -> Arc<MemTable> {
+        Arc::new(MemTable::new(
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("name", DataType::Utf8),
+                Field::new("score", DataType::Float64),
+            ]),
+            1,
+        ))
+    }
+
+    fn join(left: LogicalPlan, right: LogicalPlan, join_type: JoinType) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            on: vec![(Expr::col("l.id"), Expr::col("r.id"))],
+            join_type,
+        }
+    }
+
+    fn count_by_id(input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Aggregate {
+            group: vec![(Expr::col("id"), "id".into())],
+            aggs: vec![(AggExpr::count_star(), "n".into())],
+            input: Box::new(input),
+        }
+    }
+
+    #[test]
+    fn same_subplan_needs_the_same_provider_instance_and_the_same_values() {
+        let t = table();
+        let base = scan_of(&t, "t");
+        assert!(base.same_subplan(&scan_of(&t, "t")));
+        // Equal content, equal name, another instance: a different source.
+        assert!(!base.same_subplan(&scan_of(&table(), "t")));
+        assert!(!base.same_subplan(&scan_of(&t, "u")), "qualifier");
+        let with = |projection: Option<Vec<usize>>, filters: Vec<Expr>| LogicalPlan::Scan {
+            table_name: "t".into(),
+            qualifier: "t".into(),
+            provider: Arc::clone(&t) as Arc<dyn TableProvider>,
+            projection,
+            filters,
+        };
+        let gt = |v: Value| vec![Expr::col("id").gt(Expr::Literal(v))];
+        assert!(base.same_subplan(&with(Some(vec![0, 2]), gt(Value::Int64(1)))));
+        assert!(!base.same_subplan(&with(Some(vec![0]), gt(Value::Int64(1)))));
+        assert!(!base.same_subplan(&with(Some(vec![0, 2]), gt(Value::Int64(2)))));
+        // `Value`'s SQL equality calls these equal; as plans they are not.
+        assert!(!base.same_subplan(&with(Some(vec![0, 2]), gt(Value::Int32(1)))));
+        assert!(!base.same_subplan(&with(Some(vec![0, 2]), gt(Value::Float64(1.0)))));
+        assert!(
+            !base.same_subplan(&with(
+                Some(vec![0, 2]),
+                vec![Expr::col("id").gt_eq(Expr::lit(1i64))]
+            )),
+            "operator"
+        );
+
+        let alias = |a: &str| LogicalPlan::SubqueryAlias {
+            alias: a.into(),
+            input: Box::new(scan_of(&t, "t")),
+        };
+        let inner = join(alias("l"), alias("r"), JoinType::Inner);
+        assert!(inner.same_subplan(&join(alias("l"), alias("r"), JoinType::Inner)));
+        assert!(!inner.same_subplan(&join(alias("l"), alias("r"), JoinType::Left)));
+        assert!(!inner.same_subplan(&join(alias("l"), alias("x"), JoinType::Inner)));
+
+        let agg = count_by_id(scan_of(&t, "t"));
+        assert!(agg.same_subplan(&count_by_id(scan_of(&t, "t"))));
+        let renamed = LogicalPlan::Aggregate {
+            group: vec![(Expr::col("id"), "id".into())],
+            aggs: vec![(AggExpr::count_star(), "cnt".into())],
+            input: Box::new(scan_of(&t, "t")),
+        };
+        assert!(!agg.same_subplan(&renamed), "output name");
+
+        let values = |v: Value| LogicalPlan::Values {
+            schema: Schema::new(vec![Field::new("v", DataType::Int64)]),
+            rows: vec![vec![v]],
+        };
+        assert!(values(Value::Int64(7)).same_subplan(&values(Value::Int64(7))));
+        assert!(!values(Value::Int64(7)).same_subplan(&values(Value::Int32(7))));
+    }
+
+    #[test]
+    fn repeated_subplans_lists_only_the_outermost_repeats() {
+        let t = table();
+        let block = |alias: &str| LogicalPlan::SubqueryAlias {
+            alias: alias.into(),
+            input: Box::new(count_by_id(scan_of(&t, "t"))),
+        };
+        // The aggregate repeats; the scan under it repeats only because the
+        // aggregate does, so it is not a group of its own.
+        let plan = join(block("l"), block("r"), JoinType::Inner);
+        let groups = plan.repeated_subplans();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), 2);
+        assert!(groups[0]
+            .iter()
+            .all(|n| matches!(n, LogicalPlan::Aggregate { .. })));
+
+        // A third, bare use of the scan outside any repeated aggregate pairs
+        // with the scan inside the aggregate that runs (the first one).
+        let with_scan = LogicalPlan::Join {
+            left: Box::new(plan.clone()),
+            right: Box::new(scan_of(&t, "t")),
+            on: vec![(Expr::col("l.id"), Expr::col("t.id"))],
+            join_type: JoinType::Inner,
+        };
+        let groups = with_scan.repeated_subplans();
+        assert_eq!(groups.len(), 2);
+        let scans = groups
+            .iter()
+            .find(|g| matches!(g[0], LogicalPlan::Scan { .. }))
+            .expect("scan group");
+        assert_eq!(scans.len(), 2);
+
+        // Three uses: one group, occurrences in execution order.
+        let three = LogicalPlan::Join {
+            left: Box::new(plan),
+            right: Box::new(block("x")),
+            on: vec![(Expr::col("l.id"), Expr::col("x.id"))],
+            join_type: JoinType::Inner,
+        };
+        let groups = three.repeated_subplans();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), 3);
+
+        // Nothing repeats: one block reads another instance.
+        let other = table();
+        let distinct = join(
+            block("l"),
+            LogicalPlan::SubqueryAlias {
+                alias: "r".into(),
+                input: Box::new(count_by_id(scan_of(&other, "t"))),
+            },
+            JoinType::Inner,
+        );
+        assert!(distinct.repeated_subplans().is_empty());
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! [`ExecContext::adaptive`] is on; disagreements are re-planned, noted in
 //! the operator profile, journaled as `adaptive` events, and counted in
 //! `replanned_stages`.
+//!
+//! The plan is executed as a DAG, not a tree: each distinct subplan runs
+//! once, and every later occurrence of it (`LogicalPlan::repeated_subplans`)
+//! is handed the first one's partitions.
 
 use crate::aggregate::Accumulator;
 use crate::columnar::{
@@ -33,7 +37,7 @@ use parking_lot::Mutex;
 use shc_obs::trace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bytes of input a single shuffle partition should hold, when the count is
 /// chosen adaptively. Capped by [`ExecContext::shuffle_partitions`].
@@ -165,6 +169,11 @@ pub struct OpProfile {
     pub notes: Mutex<Vec<String>>,
     /// Scan operators only: per-region work attribution.
     pub regions: Mutex<Vec<RegionScanProfile>>,
+    /// Set when this operator did not run because an identical subplan
+    /// already had: the `id` of the operator whose result it was handed.
+    /// Nothing below a reused operator ran, so [`walk`](Self::walk) and
+    /// [`render`](Self::render) stop here.
+    pub reused_from: OnceLock<usize>,
     pub children: Vec<Arc<OpProfile>>,
 }
 
@@ -196,6 +205,7 @@ impl OpProfile {
             elapsed_us: AtomicU64::new(0),
             notes: Mutex::new(Vec::new()),
             regions: Mutex::new(Vec::new()),
+            reused_from: OnceLock::new(),
             children,
         })
     }
@@ -243,11 +253,14 @@ impl OpProfile {
         }
     }
 
-    /// Depth-first walk over the profile tree, `self` included.
+    /// Depth-first walk over the operators that ran or were handed a
+    /// result, `self` included.
     pub fn walk(&self, f: &mut dyn FnMut(&OpProfile)) {
         f(self);
-        for c in &self.children {
-            c.walk(f);
+        if self.reused_from.get().is_none() {
+            for c in &self.children {
+                c.walk(f);
+            }
         }
     }
 
@@ -299,8 +312,91 @@ impl OpProfile {
                 r.region_id, r.server, r.rows, r.visits
             ));
         }
-        for c in &self.children {
-            c.render_into(indent + 1, out);
+        match self.reused_from.get() {
+            Some(op) => out.push_str(&format!("{pad}  (reused: result of op #{op})\n")),
+            None => {
+                for c in &self.children {
+                    c.render_into(indent + 1, out);
+                }
+            }
+        }
+    }
+}
+
+/// Partitions of the first occurrence of each repeated subplan, held until
+/// the last occurrence has taken them. Lives for one execution: a failed
+/// query drops it, so nothing is left behind to be reused.
+struct SharedResults {
+    /// Every occurrence of a repeated subplan, by node address (stable while
+    /// the plan is borrowed for execution), to its slot.
+    slot_of: HashMap<*const LogicalPlan, usize>,
+    slots: Vec<SharedSlot>,
+}
+
+struct SharedSlot {
+    /// Occurrences that have not been handed the result yet.
+    waiting: usize,
+    /// `None` until the first occurrence has run, and again once the last
+    /// one has taken ownership.
+    partitions: Option<Vec<PartitionData>>,
+    /// Profile id of the operator that produced `partitions`.
+    producer: Option<usize>,
+}
+
+impl SharedResults {
+    fn of(plan: &LogicalPlan) -> SharedResults {
+        let mut shared = SharedResults {
+            slot_of: HashMap::new(),
+            slots: Vec::new(),
+        };
+        for group in plan.repeated_subplans() {
+            for node in &group {
+                shared
+                    .slot_of
+                    .insert(*node as *const LogicalPlan, shared.slots.len());
+            }
+            shared.slots.push(SharedSlot {
+                waiting: group.len() - 1,
+                partitions: None,
+                producer: None,
+            });
+        }
+        shared
+    }
+
+    fn slot(&mut self, plan: &LogicalPlan) -> Option<&mut SharedSlot> {
+        let slot = *self.slot_of.get(&(plan as *const LogicalPlan))?;
+        Some(&mut self.slots[slot])
+    }
+
+    /// The result of an earlier occurrence of `plan`, with the id of the
+    /// operator that produced it: a clone (an `Arc` per column, or the rows)
+    /// while other occurrences still wait, the partitions themselves for the
+    /// last one.
+    fn take(&mut self, plan: &LogicalPlan) -> Option<(Vec<PartitionData>, Option<usize>)> {
+        let slot = self.slot(plan)?;
+        slot.partitions.as_ref()?;
+        slot.waiting -= 1;
+        let partitions = if slot.waiting == 0 {
+            slot.partitions.take()
+        } else {
+            slot.partitions.clone()
+        };
+        partitions.map(|p| (p, slot.producer))
+    }
+
+    /// After the first occurrence of a repeated subplan ran: keep a handle
+    /// on its output for the later ones.
+    fn offer(&mut self, plan: &LogicalPlan, out: &[PartitionData], prof: Option<&Arc<OpProfile>>) {
+        if let Some(slot) = self.slot(plan) {
+            slot.partitions = Some(out.to_vec());
+            slot.producer = prof.map(|p| p.id);
+            if let Some(p) = prof {
+                p.note(format!(
+                    "op #{}: result shared with {} later operator(s)",
+                    p.id, slot.waiting
+                ));
+            }
         }
     }
 }
@@ -317,13 +413,14 @@ pub fn collect_profiled(
     ctx: &ExecContext,
 ) -> Result<(Vec<Row>, Arc<OpProfile>)> {
     let profile = OpProfile::build(plan);
-    let rows = gather_rows(execute_node(plan, ctx, Some(&profile))?);
+    let mut shared = SharedResults::of(plan);
+    let rows = gather_rows(execute_node(plan, ctx, &mut shared, Some(&profile))?);
     Ok((rows, profile))
 }
 
 /// Execute a plan, returning partitioned output.
 pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<PartitionData>> {
-    execute_node(plan, ctx, None)
+    execute_node(plan, ctx, &mut SharedResults::of(plan), None)
 }
 
 /// Static span name for an operator (span names must not allocate).
@@ -378,8 +475,19 @@ fn count_batch(metrics: &QueryMetrics, batch: &ColumnarBatch) {
 fn execute_node(
     plan: &LogicalPlan,
     ctx: &ExecContext,
+    shared: &mut SharedResults,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
+    if let Some((out, producer)) = shared.take(plan) {
+        // This subplan already ran elsewhere in the query: no stage, no
+        // task, no RPC — only its output shape shows in the profile.
+        ctx.metrics.add(&ctx.metrics.subplans_reused, 1);
+        if let (Some(p), Some(producer)) = (prof, producer) {
+            p.record_output(&out, None);
+            let _ = p.reused_from.set(producer);
+        }
+        return Ok(out);
+    }
     let mut sp = trace::span(op_name(plan));
     if sp.is_active() {
         if let Some(p) = prof {
@@ -397,7 +505,7 @@ fn execute_node(
         LogicalPlan::Filter { predicate, input } => {
             let schema = input.schema()?;
             let bound = predicate.bind(&schema)?;
-            let partitions = execute_node(input, ctx, child(prof, 0))?;
+            let partitions = execute_node(input, ctx, shared, child(prof, 0))?;
             let op_prof = prof.map(Arc::clone);
             let metrics = Arc::clone(&ctx.metrics);
             parallel_map(partitions, ctx, move |part, _| match part {
@@ -463,7 +571,7 @@ fn execute_node(
                 .collect();
             let metrics = Arc::clone(&ctx.metrics);
             let batch_size = ctx.batch_size;
-            let partitions = execute_node(input, ctx, child(prof, 0))?;
+            let partitions = execute_node(input, ctx, shared, child(prof, 0))?;
             parallel_map(partitions, ctx, move |part, _| match part {
                 PartitionData::Batches(batches) => {
                     if let Some(indices) = &col_indices {
@@ -528,17 +636,19 @@ fn execute_node(
             right,
             on,
             join_type,
-        } => exec_join(left, right, on, *join_type, ctx, prof),
+        } => exec_join(left, right, on, *join_type, ctx, shared, prof),
         LogicalPlan::Aggregate { group, aggs, input } => {
-            exec_aggregate(group, aggs, input, ctx, prof)
+            exec_aggregate(group, aggs, input, ctx, shared, prof)
         }
-        LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, prof),
+        LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, shared, prof),
         LogicalPlan::Limit { n, input } => {
-            let mut rows = gather_rows(execute_node(input, ctx, child(prof, 0))?);
+            let mut rows = gather_rows(execute_node(input, ctx, shared, child(prof, 0))?);
             rows.truncate(*n);
             Ok(vec![rows.into()])
         }
-        LogicalPlan::SubqueryAlias { input, .. } => execute_node(input, ctx, child(prof, 0)),
+        LogicalPlan::SubqueryAlias { input, .. } => {
+            execute_node(input, ctx, shared, child(prof, 0))
+        }
         LogicalPlan::Values { rows, .. } => Ok(vec![rows
             .iter()
             .cloned()
@@ -557,6 +667,7 @@ fn execute_node(
             p.record_output(&out, elapsed);
         }
     }
+    shared.offer(plan, &out, prof);
     Ok(out)
 }
 
@@ -564,6 +675,7 @@ fn exec_sort(
     keys: &[(crate::expr::Expr, bool)],
     input: &LogicalPlan,
     ctx: &ExecContext,
+    shared: &mut SharedResults,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     let schema = input.schema()?;
@@ -571,7 +683,7 @@ fn exec_sort(
         .iter()
         .map(|(e, asc)| Ok((e.bind(&schema)?, *asc)))
         .collect::<Result<_>>()?;
-    let mut rows = gather_rows(execute_node(input, ctx, child(prof, 0))?);
+    let mut rows = gather_rows(execute_node(input, ctx, shared, child(prof, 0))?);
     let mut err = None;
     rows.sort_by(|a, b| {
         for (key, asc) in &bound {
@@ -1061,6 +1173,7 @@ fn exec_join(
     on: &[(crate::expr::Expr, crate::expr::Expr)],
     join_type: JoinType,
     ctx: &ExecContext,
+    shared: &mut SharedResults,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     let left_schema = left.schema()?;
@@ -1076,8 +1189,8 @@ fn exec_join(
     let left_dtypes = schema_dtypes(&left_schema);
     let right_dtypes = schema_dtypes(&right_schema);
 
-    let left_parts = execute_node(left, ctx, child(prof, 0))?;
-    let right_parts = execute_node(right, ctx, child(prof, 1))?;
+    let left_parts = execute_node(left, ctx, shared, child(prof, 0))?;
+    let right_parts = execute_node(right, ctx, shared, child(prof, 1))?;
     let left_bytes = partitions_byte_size(&left_parts);
     let right_bytes = partitions_byte_size(&right_parts);
 
@@ -1274,6 +1387,7 @@ fn exec_aggregate(
     aggs: &[(AggExpr, String)],
     input: &LogicalPlan,
     ctx: &ExecContext,
+    shared: &mut SharedResults,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     let schema = input.schema()?;
@@ -1291,7 +1405,7 @@ fn exec_aggregate(
         })
         .collect::<Result<_>>()?;
 
-    let input_parts = execute_node(input, ctx, child(prof, 0))?;
+    let input_parts = execute_node(input, ctx, shared, child(prof, 0))?;
     let observed_bytes = partitions_byte_size(&input_parts);
 
     // Exchange partition count: planned from the estimated input size,
@@ -1663,28 +1777,21 @@ mod tests {
         }
     }
 
+    fn sorted_debug(mut rows: Vec<Row>) -> Vec<String> {
+        rows.sort_by_key(|r| format!("{:?}", r.values));
+        rows.iter().map(|r| format!("{r:?}")).collect()
+    }
+
     /// Run the same plan vectorized and row-at-a-time; results must agree
     /// as multisets (partitioning may reorder).
     fn assert_paths_agree(plan: &LogicalPlan) {
-        let sort_key = |r: &Row| format!("{:?}", r.values);
-        let vec_ctx = ExecContext::default();
-        let mut vec_rows = collect(plan, &vec_ctx).unwrap();
-        vec_rows.sort_by_key(sort_key);
         let row_ctx = ExecContext {
             vectorized: false,
             ..Default::default()
         };
-        let mut row_rows = collect(plan, &row_ctx).unwrap();
-        row_rows.sort_by_key(sort_key);
         assert_eq!(
-            vec_rows
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect::<Vec<_>>(),
-            row_rows
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect::<Vec<_>>(),
+            sorted_debug(collect(plan, &ExecContext::default()).unwrap()),
+            sorted_debug(collect(plan, &row_ctx).unwrap()),
         );
     }
 
@@ -1983,6 +2090,186 @@ mod tests {
                 .map(|r| format!("{r:?}"))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// `SELECT dept, AVG(score) m FROM users GROUP BY dept`, under an alias.
+    fn dept_block(users: &Arc<MemTable>, alias: &str) -> LogicalPlan {
+        dept_block_from(users, alias, "users", 0)
+    }
+
+    /// The same over `users AS qualifier WHERE id >= min_id`.
+    fn dept_block_from(
+        users: &Arc<MemTable>,
+        alias: &str,
+        qualifier: &str,
+        min_id: i64,
+    ) -> LogicalPlan {
+        LogicalPlan::SubqueryAlias {
+            alias: alias.into(),
+            input: Box::new(LogicalPlan::Aggregate {
+                group: vec![(Expr::col("dept"), "dept".into())],
+                aggs: vec![(AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into())],
+                input: Box::new(LogicalPlan::Filter {
+                    predicate: Expr::col("id").gt_eq(Expr::lit(min_id)),
+                    input: Box::new(scan(Arc::clone(users), qualifier)),
+                }),
+            }),
+        }
+    }
+
+    fn join_on_dept(left: LogicalPlan, right: LogicalPlan, right_alias: &str) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            on: vec![(
+                Expr::col("l.dept"),
+                Expr::col(format!("{right_alias}.dept")),
+            )],
+            join_type: JoinType::Inner,
+        }
+    }
+
+    #[test]
+    fn a_repeated_subplan_runs_once_and_is_counted_once() {
+        let users = users_table();
+        let shared = join_on_dept(dept_block(&users, "l"), dept_block(&users, "r"), "r");
+        // The reference needs no switch: an equal-content table registered
+        // separately is another provider, so both blocks run.
+        let separate = join_on_dept(
+            dept_block(&users, "l"),
+            dept_block(&users_table(), "r"),
+            "r",
+        );
+
+        let ctx = ExecContext::default();
+        let rows = collect(&shared, &ctx).unwrap();
+        let snap = ctx.metrics.snapshot();
+        assert_eq!(snap.subplans_reused, 1);
+        assert_eq!(snap.scan_rows, 20, "users scanned once");
+
+        let reference_ctx = ExecContext::default();
+        let reference = collect(&separate, &reference_ctx).unwrap();
+        let reference_snap = reference_ctx.metrics.snapshot();
+        assert_eq!(reference_snap.subplans_reused, 0);
+        assert_eq!(reference_snap.scan_rows, 40);
+        // One qualifier apart is another subplan; one filter literal apart
+        // leaves only what is below the filter — the scan — to share.
+        for (right, reused, scan_rows) in [
+            (dept_block_from(&users, "r", "u", 0), 0, 40),
+            (dept_block_from(&users, "r", "users", 1), 1, 20),
+        ] {
+            let ctx = ExecContext::default();
+            collect(&join_on_dept(dept_block(&users, "l"), right, "r"), &ctx).unwrap();
+            assert_eq!(ctx.metrics.snapshot().subplans_reused, reused);
+            assert_eq!(ctx.metrics.snapshot().scan_rows, scan_rows);
+        }
+        assert_eq!(
+            reference_snap.tasks - snap.tasks,
+            8,
+            "one scan and one filter stage less, four partitions each"
+        );
+        assert_eq!(rows.len(), 2);
+        assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
+
+        // Row-at-a-time and non-adaptive execution share the same way.
+        for ctx in [
+            ExecContext {
+                vectorized: false,
+                ..Default::default()
+            },
+            ExecContext {
+                adaptive: false,
+                ..Default::default()
+            },
+        ] {
+            let again = collect(&shared, &ctx).unwrap();
+            assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
+            assert_eq!(ctx.metrics.snapshot().scan_rows, 20);
+            assert_eq!(sorted_debug(again), sorted_debug(rows.clone()));
+        }
+    }
+
+    #[test]
+    fn a_subplan_used_three_times_runs_once() {
+        let users = users_table();
+        let plan = join_on_dept(
+            join_on_dept(dept_block(&users, "l"), dept_block(&users, "r"), "r"),
+            dept_block(&users, "x"),
+            "x",
+        );
+        let ctx = ExecContext::default();
+        let rows = collect(&plan, &ctx).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].len(), 6);
+        let snap = ctx.metrics.snapshot();
+        assert_eq!(snap.subplans_reused, 2);
+        assert_eq!(snap.scan_rows, 20);
+    }
+
+    #[test]
+    fn a_reused_operator_profiles_its_output_and_names_its_source() {
+        let users = users_table();
+        let plan = join_on_dept(dept_block(&users, "l"), dept_block(&users, "r"), "r");
+        let (_, profile) = collect_profiled(&plan, &ExecContext::default()).unwrap();
+        // Pre-order: 0 join, 1 alias l, 2 aggregate, 3 filter, 4 scan,
+        // 5 alias r, 6 aggregate (reused), 7 filter, 8 scan (never reached).
+        let producer = &profile.children[0].children[0];
+        let reused = &profile.children[1].children[0];
+        assert_eq!((producer.id, reused.id), (2, 6));
+        assert_eq!(reused.reused_from.get(), Some(&2));
+        assert_eq!(producer.reused_from.get(), None);
+        let shape = |p: &OpProfile| {
+            [&p.rows, &p.bytes, &p.partitions, &p.batches].map(|c| c.load(Ordering::Relaxed))
+        };
+        assert_eq!(shape(reused), shape(producer));
+        assert_eq!(reused.rows.load(Ordering::Relaxed), 2);
+        assert_eq!(reused.elapsed_us.load(Ordering::Relaxed), 0);
+        let mut visited = Vec::new();
+        profile.walk(&mut |p| visited.push(p.id));
+        assert_eq!(visited, vec![0, 1, 2, 3, 4, 5, 6]);
+        let rendered = profile.render();
+        assert!(rendered.contains("(reused: result of op #2)"), "{rendered}");
+        assert!(
+            rendered.contains("(op #2: result shared with 1 later operator(s))"),
+            "{rendered}"
+        );
+        assert_eq!(rendered.matches("Scan: users").count(), 1, "{rendered}");
+    }
+
+    #[test]
+    fn a_task_failure_inside_a_shared_subplan_is_retried_or_fails_the_query_once() {
+        let users = users_table();
+        let plan = join_on_dept(dept_block(&users, "l"), dept_block(&users, "r"), "r");
+        let expected = sorted_debug(collect(&plan, &ExecContext::default()).unwrap());
+
+        // The first attempt of the query is a scan task of the shared block.
+        let faults = SchedulerFaults::new();
+        faults.fail_once_on_host("localhost", "injected");
+        let ctx = ExecContext {
+            sched_faults: Some(Arc::clone(&faults)),
+            ..Default::default()
+        };
+        let rows = collect(&plan, &ctx).unwrap();
+        let snap = ctx.metrics.snapshot();
+        assert_eq!(snap.task_retries, 1);
+        assert_eq!(snap.subplans_reused, 1);
+        assert_eq!(snap.scan_rows, 20, "the failed attempt counted nothing");
+        assert_eq!(sorted_debug(rows), expected);
+
+        // No retry budget: the query fails, once, and nothing of the failed
+        // run is left for the next one to pick up.
+        faults.fail_once_on_host("localhost", "injected again");
+        let mut ctx = ExecContext {
+            sched_faults: Some(faults),
+            ..Default::default()
+        };
+        ctx.executors.task_retries = 0;
+        let err = collect(&plan, &ctx).unwrap_err();
+        assert!(err.to_string().contains("injected again"), "{err}");
+        assert_eq!(ctx.metrics.snapshot().subplans_reused, 0);
+        let rows = collect(&plan, &ctx).unwrap();
+        assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
+        assert_eq!(sorted_debug(rows), expected);
     }
 
     #[test]

@@ -618,11 +618,13 @@ fn finalize_stage(
             .attempts
             .iter()
             .any(|a| !a.speculative && cutoff.map(|c| a.cost_us > c).unwrap_or(false));
-        let (rows, bytes) = match &f.outcome {
-            Ok(p) => (p.num_rows() as u64, p.byte_size() as u64),
-            Err(_) => (0, 0),
-        };
         if obs.timeline.is_some() {
+            // Sizing an output walks its columns (dictionary columns row by
+            // row): only when a profile will hold the numbers.
+            let (rows, bytes) = match &f.outcome {
+                Ok(p) => (p.num_rows() as u64, p.byte_size() as u64),
+                Err(_) => (0, 0),
+            };
             let a = &f.slot.attempts[win];
             profiles.push(TaskProfile {
                 stage_id,

@@ -4,7 +4,10 @@
 //! Loads the four q39 tables into the HBase substrate, runs q39a and q39b
 //! through two sessions (one registered with SHC relations, one with the
 //! generic provider), verifies both return identical rows, and prints the
-//! latency / scan / shuffle comparison that Figures 4 and 5 plot.
+//! latency / scan / shuffle comparison that Figures 4 and 5 plot, plus the
+//! RPCs and bytes shipped per query: q39's two month-blocks share one
+//! `inventory ⋈ item ⋈ warehouse` execution (`subplans_reused = 1`), so
+//! each fact-table region is scanned once per query for either provider.
 //!
 //! Run with: `cargo run --release --example tpcds_q39`
 
@@ -66,7 +69,17 @@ fn main() -> Result<()> {
         ("q39a", shc::tpcds::queries::q39a(2001, 1)),
         ("q39b", shc::tpcds::queries::q39b(2001, 1)),
     ] {
-        let run = |session: &Arc<Session>| -> Result<(Vec<Row>, f64, u64, u64)> {
+        /// Rows, seconds, then the deterministic counters of one run.
+        struct Run {
+            rows: Vec<Row>,
+            seconds: f64,
+            shuffle_bytes: u64,
+            cells_scanned: u64,
+            rpcs: u64,
+            bytes_shipped: u64,
+            subplans_reused: u64,
+        }
+        let run = |session: &Arc<Session>| -> Result<Run> {
             session.metrics.reset();
             cluster.metrics.reset();
             let started = Instant::now();
@@ -75,36 +88,50 @@ fn main() -> Result<()> {
                 .map_err(shc::core::error::ShcError::from)?
                 .collect()
                 .map_err(shc::core::error::ShcError::from)?;
-            let elapsed = started.elapsed().as_secs_f64();
+            let seconds = started.elapsed().as_secs_f64();
             let engine = session.metrics.snapshot();
             let store = cluster.metrics.snapshot();
-            Ok((rows, elapsed, engine.shuffle_bytes, store.cells_scanned))
+            Ok(Run {
+                rows,
+                seconds,
+                shuffle_bytes: engine.shuffle_bytes,
+                cells_scanned: store.cells_scanned,
+                rpcs: store.rpc_count,
+                bytes_shipped: store.bytes_returned,
+                subplans_reused: engine.subplans_reused,
+            })
         };
 
-        let (shc_rows, shc_time, shc_shuffle, shc_cells) = run(&shc_session)?;
-        let (gen_rows, gen_time, gen_shuffle, gen_cells) = run(&generic_session)?;
-        assert_eq!(shc_rows, gen_rows, "providers must agree on {name}");
+        let shc = run(&shc_session)?;
+        let generic = run(&generic_session)?;
+        assert_eq!(shc.rows, generic.rows, "providers must agree on {name}");
 
         println!(
             "{name}: {} unstable (warehouse, item) pairs",
-            shc_rows.len()
+            shc.rows.len()
         );
+        for (label, r) in [("SHC", &shc), ("SparkSQL", &generic)] {
+            println!(
+                "  {label:<8} {:>8.3}s  shuffle {:>7} B  cells scanned {:>8}  rpcs {:>3}  \
+                 shipped {:>8} B  subplans_reused {}",
+                r.seconds,
+                r.shuffle_bytes,
+                r.cells_scanned,
+                r.rpcs,
+                r.bytes_shipped,
+                r.subplans_reused
+            );
+        }
         println!(
-            "  SHC      {:>8.3}s  shuffle {:>7} B  cells scanned {:>8}",
-            shc_time, shc_shuffle, shc_cells
-        );
-        println!(
-            "  SparkSQL {:>8.3}s  shuffle {:>7} B  cells scanned {:>8}",
-            gen_time, gen_shuffle, gen_cells
-        );
-        println!(
-            "  speedup {:.1}x, shuffle reduced {:.1}x, server work reduced {:.1}x\n",
-            gen_time / shc_time.max(1e-9),
-            gen_shuffle as f64 / shc_shuffle.max(1) as f64,
-            gen_cells as f64 / shc_cells.max(1) as f64
+            "  speedup {:.1}x, shuffle reduced {:.1}x, server work reduced {:.1}x, \
+             bytes shipped reduced {:.1}x\n",
+            generic.seconds / shc.seconds.max(1e-9),
+            generic.shuffle_bytes as f64 / shc.shuffle_bytes.max(1) as f64,
+            generic.cells_scanned as f64 / shc.cells_scanned.max(1) as f64,
+            generic.bytes_shipped as f64 / shc.bytes_shipped.max(1) as f64
         );
 
-        if let Some(row) = shc_rows.first() {
+        if let Some(row) = shc.rows.first() {
             println!(
                 "  sample: warehouse={} item={} month={} mean={:.1} stdev={:.1}\n",
                 row.get(0),

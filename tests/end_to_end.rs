@@ -258,3 +258,58 @@ fn write_back_through_provider() {
         &Value::Int64(50)
     );
 }
+
+#[test]
+fn self_joined_temp_view_is_computed_once() {
+    let sql = "SELECT a.city, a.n, b.top FROM by_city a JOIN by_city b ON a.city = b.city";
+    let mut results = Vec::new();
+    let (reference, shc, generic) = sessions();
+    for session in [&reference, &shc, &generic] {
+        session
+            .sql("SELECT city, COUNT(*) n, MAX(age) top FROM people GROUP BY city")
+            .unwrap()
+            .create_or_replace_temp_view("by_city");
+        let before = session.metrics.snapshot();
+        let rows = sorted(session.sql(sql).unwrap().collect().unwrap());
+        let delta = session.metrics.snapshot().delta_since(&before);
+        assert_eq!(rows.len(), 4);
+        // Both aliases expand to the view's plan over the same provider:
+        // the aggregate (and the scan under it) runs once.
+        assert_eq!(delta.subplans_reused, 1);
+        assert_eq!(delta.scan_rows, 50);
+        results.push(rows);
+    }
+    assert_eq!(results[1], results[0], "SHC disagrees");
+    assert_eq!(results[2], results[0], "generic disagrees");
+}
+
+#[test]
+fn a_failed_shared_subplan_fails_the_query_once_and_the_session_recovers() {
+    let sql = "SELECT a.city, a.n, b.n FROM \
+               (SELECT city, COUNT(*) n FROM people GROUP BY city) a JOIN \
+               (SELECT city, COUNT(*) n FROM people GROUP BY city) b ON a.city = b.city";
+    let (reference, _, _) = sessions();
+    let expected = sorted(reference.sql(sql).unwrap().collect().unwrap());
+    assert_eq!(expected.len(), 4);
+
+    // The query's first task attempt is a scan inside the shared block.
+    let faults = SchedulerFaults::new();
+    reference.update_config(|c| c.scheduler_faults = Some(Arc::clone(&faults)));
+    faults.fail_once_on_host("localhost", "injected");
+    let before = reference.metrics.snapshot();
+    let rows = sorted(reference.sql(sql).unwrap().collect().unwrap());
+    let delta = reference.metrics.snapshot().delta_since(&before);
+    assert_eq!(rows, expected);
+    assert_eq!((delta.task_retries, delta.subplans_reused), (1, 1));
+
+    // Retries exhausted: one error, and the next run shares afresh.
+    reference.update_config(|c| c.executors.task_retries = 0);
+    faults.fail_once_on_host("localhost", "injected again");
+    let err = reference.sql(sql).unwrap().collect().unwrap_err();
+    assert!(err.to_string().contains("injected again"), "{err}");
+    let before = reference.metrics.snapshot();
+    let rows = sorted(reference.sql(sql).unwrap().collect().unwrap());
+    assert_eq!(rows, expected);
+    let delta = reference.metrics.snapshot().delta_since(&before);
+    assert_eq!((delta.subplans_reused, delta.scan_rows), (1, 50));
+}

@@ -444,3 +444,188 @@ fn explain_analyze_row_counts_match_actual_cardinality() {
         "rows came from several servers: {servers:?}"
     );
 }
+
+/// q39's SQL with the second month-block reading `inventory2`, `item2` and
+/// `warehouse2`: registered as separate providers over the same data, they
+/// make the knob-free reference in which nothing can be shared.
+fn second_block_reads_copies(sql: &str) -> String {
+    let (first, second) = sql
+        .split_once(" inv1 ")
+        .expect("q39 names its first block inv1");
+    let second = second
+        .replace("FROM inventory ", "FROM inventory2 ")
+        .replace("JOIN item ", "JOIN item2 ")
+        .replace("JOIN warehouse ", "JOIN warehouse2 ");
+    assert!(second.contains("inventory2") && second.contains("item2"));
+    assert!(second.contains("warehouse2"));
+    format!("{first} inv1 {second}")
+}
+
+#[test]
+fn q39_month_blocks_share_one_fact_table_scan_and_join() {
+    let generator = Generator::new(Scale::from_gb(5.0), 11);
+    let cluster = HBaseCluster::start(ClusterConfig {
+        num_servers: 3,
+        ..Default::default()
+    });
+    let session = session_for(&cluster);
+    shc::tpcds::load_into_hbase(
+        &session,
+        &cluster,
+        &generator,
+        &Table::Q39_TABLES,
+        "PrimitiveType",
+        &SHCConf::default(),
+        Provider::Shc,
+    )
+    .unwrap();
+    for table in [Table::Inventory, Table::Item, Table::Warehouse] {
+        let catalog = Arc::new(
+            HBaseTableCatalog::parse_simple(&table.catalog_json("PrimitiveType")).unwrap(),
+        );
+        register_hbase_table(
+            &session,
+            Arc::clone(&cluster),
+            catalog,
+            SHCConf::default(),
+            &format!("{}2", table.name()),
+        );
+    }
+    let inventory_cells = || -> u64 {
+        cluster
+            .region_loads()
+            .iter()
+            .filter(|(_, load)| load.table.ends_with(":inventory"))
+            .map(|(_, load)| load.cells_scanned)
+            .sum()
+    };
+    let inventory_regions = cluster
+        .region_loads()
+        .iter()
+        .filter(|(_, load)| load.table.ends_with(":inventory"))
+        .count() as u64;
+    assert!(inventory_regions >= 2);
+
+    for sql in [
+        shc::tpcds::queries::q39a(2001, 1),
+        shc::tpcds::queries::q39b(2001, 1),
+    ] {
+        let measure = |sql: &str| {
+            let (store, engine, cells) = (
+                cluster.metrics.snapshot(),
+                session.metrics.snapshot(),
+                inventory_cells(),
+            );
+            let rows = run(&session, sql);
+            (
+                rows,
+                cluster.metrics.snapshot().delta_since(&store),
+                session.metrics.snapshot().delta_since(&engine),
+                inventory_cells() - cells,
+            )
+        };
+        let (rows, store, engine, cells) = measure(&sql);
+        let (ref_rows, ref_store, ref_engine, ref_cells) =
+            measure(&second_block_reads_copies(&sql));
+
+        assert_eq!(rows, ref_rows);
+        assert_eq!(engine.subplans_reused, 1);
+        assert_eq!(ref_engine.subplans_reused, 0);
+        // One scanner per region: inventory's regions once, item and
+        // warehouse once, date_dim once per month — against everything
+        // twice when the blocks cannot share.
+        assert_eq!(store.scanner_opens, inventory_regions + 4);
+        assert_eq!(ref_store.scanner_opens, 2 * (inventory_regions + 3));
+        assert_eq!(
+            ref_cells,
+            2 * cells,
+            "inventory cells visited once, not twice"
+        );
+        assert!(store.rpc_count < ref_store.rpc_count);
+        assert!(store.bytes_returned < ref_store.bytes_returned);
+        // Only the month-independent part is shared: the date filter, the
+        // aggregate and its exchange still run per block.
+        assert_eq!(engine.shuffle_bytes, ref_engine.shuffle_bytes);
+        assert!(engine.scan_rows < ref_engine.scan_rows);
+        assert!(engine.tasks < ref_engine.tasks);
+    }
+    assert!(session
+        .metrics_exposition()
+        .contains("shc_query_subplans_reused 2\n"));
+
+    // EXPLAIN ANALYZE shows the second block's join as a reused operator
+    // with its real shape, nothing below it, and the count on the footer.
+    let text = session
+        .sql(&shc::tpcds::queries::q39a(2001, 1))
+        .unwrap()
+        .explain_analyze()
+        .unwrap();
+    assert!(text.contains("(reused: result of op #"), "{text}");
+    assert!(
+        text.contains("result shared with 1 later operator(s)"),
+        "{text}"
+    );
+    assert!(text.contains("subplans_reused=1\n"), "{text}");
+    assert_eq!(text.matches("Scan: inventory").count(), 1, "{text}");
+    assert_eq!(text.matches("Scan: date_dim").count(), 2, "{text}");
+    // The shared stages appear once on the task timeline: three scans and
+    // two probes shared, one date_dim scan and one probe per block.
+    let timeline = session.last_timeline().unwrap();
+    let scans = timeline
+        .stage_stats()
+        .iter()
+        .filter(|s| s.label == "scan")
+        .count();
+    assert_eq!(scans, 5);
+    // `system.queries.rpc_count` is what the cluster counted for the query.
+    register_system_tables(&session, &cluster);
+    let before = cluster.metrics.snapshot();
+    session
+        .sql(&shc::tpcds::queries::q39a(2001, 1))
+        .unwrap()
+        .collect_analyzed()
+        .unwrap();
+    let rpcs = cluster.metrics.snapshot().delta_since(&before).rpc_count;
+    let logged = session.query_log().entries();
+    assert_eq!(logged.last().unwrap().rpc_count, rpcs);
+}
+
+#[test]
+fn q39_over_memtables_shares_the_same_subplan() {
+    let generator = Generator::new(Scale::from_gb(5.0), 11);
+    let session = Session::new_default();
+    shc::tpcds::load_into_memory(&session, &generator, &Table::Q39_TABLES, 4);
+    for table in [Table::Inventory, Table::Item, Table::Warehouse] {
+        let copy = MemTable::with_rows(table.schema(), generator.rows(table), 4);
+        session.register_table(format!("{}2", table.name()), Arc::new(copy));
+    }
+    let inventory_rows = generator.rows(Table::Inventory).len() as u64;
+    for sql in [
+        shc::tpcds::queries::q39a(2001, 1),
+        shc::tpcds::queries::q39b(2001, 1),
+    ] {
+        let measure = |sql: &str| {
+            let before = session.metrics.snapshot();
+            let rows = run(&session, sql);
+            (rows, session.metrics.snapshot().delta_since(&before))
+        };
+        let (rows, engine) = measure(&sql);
+        let (ref_rows, ref_engine) = measure(&second_block_reads_copies(&sql));
+        assert_eq!(rows, ref_rows);
+        assert_eq!((engine.subplans_reused, ref_engine.subplans_reused), (1, 0));
+        assert!(ref_engine.scan_rows - engine.scan_rows >= inventory_rows);
+
+        // The row-at-a-time engine and fixed (non-adaptive) plans share the
+        // same subplan and return the same rows.
+        for tweak in [
+            (|c: &mut SessionConfig| c.vectorized = false) as fn(&mut SessionConfig),
+            |c: &mut SessionConfig| c.adaptive = false,
+        ] {
+            session.update_config(tweak);
+            let (again, engine) = measure(&sql);
+            session.update_config(|c| *c = SessionConfig::default());
+            assert_eq!(engine.subplans_reused, 1);
+            assert_eq!(again, rows);
+        }
+    }
+}
