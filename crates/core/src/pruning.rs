@@ -141,15 +141,36 @@ fn convert(catalog: &HBaseTableCatalog, filter: &SourceFilter) -> Converted {
         SourceFilter::LtEq(col, v) => convert_compare(catalog, col, CompareOp::Le, v),
         SourceFilter::In(col, values) => {
             // Union of equality conversions; exact iff all are.
-            let mut out: Option<Converted> = None;
-            for v in values {
-                let c = convert_compare(catalog, col, CompareOp::Eq, v);
-                out = Some(match out {
-                    None => c,
-                    Some(acc) => or_converted(acc, c),
-                });
+            let points: Vec<Converted> = values
+                .iter()
+                .map(|v| convert_compare(catalog, col, CompareOp::Eq, v))
+                .collect();
+            let key_ranges: Option<Vec<&RangeSet>> = points
+                .iter()
+                .map(|c| match c {
+                    Converted {
+                        ranges: Some(r),
+                        kv: None,
+                        exact: true,
+                    } => Some(r),
+                    _ => None,
+                })
+                .collect();
+            match key_ranges {
+                // Key points merge in one pass however long the list is; an
+                // empty list admits no value, so no row: the empty set.
+                Some(sets) => Converted {
+                    ranges: Some(RangeSet::from_ranges(
+                        sets.into_iter().flat_map(|s| s.ranges().iter().cloned()),
+                    )),
+                    kv: None,
+                    exact: true,
+                },
+                None => points
+                    .into_iter()
+                    .reduce(or_converted)
+                    .unwrap_or_else(Converted::nothing),
             }
-            out.unwrap_or_else(Converted::nothing)
         }
         // The paper's §VI.3 example: NOT IN is never pushed down — scanning
         // a huge table to exclude a few points is not worth a server-side
@@ -359,7 +380,7 @@ fn all_dimension_refine(
         }
     }
     // Longest fully point-constrained prefix.
-    let p = eq.iter().take_while(|e| e.is_some()).count();
+    let p = eq.iter().map_while(Option::as_ref).count();
     if p == 0 {
         return None;
     }
@@ -368,8 +389,7 @@ fn all_dimension_refine(
     // unless the prefix covers the whole key.
     let mut prefix = Vec::new();
     let mut handled = Vec::new();
-    for (idx, entry) in eq.iter().enumerate().take(p) {
-        let (encoded, filter) = entry.as_ref().expect("prefix is Some");
+    for (idx, (encoded, filter)) in eq.iter().map_while(Option::as_ref).enumerate() {
         prefix.extend_from_slice(encoded);
         let is_last_dim = idx + 1 == n;
         if !is_last_dim && !is_fixed_width(dims[idx].data_type) {
@@ -428,7 +448,6 @@ fn all_dimension_refine(
                 }
             };
             let refined = match op {
-                CompareOp::Eq => unreachable!("eq handled above"),
                 CompareOp::Ge => make_range(block_start, prefix_end.clone()),
                 CompareOp::Gt => match block_end {
                     Some(end) => make_range(end, prefix_end.clone()),
@@ -436,7 +455,8 @@ fn all_dimension_refine(
                 },
                 CompareOp::Lt => make_range(prefix.clone(), Some(block_start)),
                 CompareOp::Le => make_range(prefix.clone(), block_end),
-                CompareOp::Ne => continue,
+                // Equalities went into the prefix; `<>` has no range form.
+                CompareOp::Eq | CompareOp::Ne => continue,
             };
             ranges = ranges.intersect(&refined);
             handled.push(filter);
@@ -679,6 +699,71 @@ mod tests {
         assert!(plan.ranges.contains(b"a"));
         assert!(!plan.ranges.contains(b"b"));
         assert!(plan.ranges.contains(b"c"));
+    }
+
+    #[test]
+    fn an_empty_in_list_admits_no_row() {
+        for col in ["col0", "user-id"] {
+            let filters = vec![SourceFilter::In(col.into(), vec![])];
+            let plan = plan_pushdown(&catalog(), &conf(), &filters);
+            assert!(plan.ranges.is_empty(), "{col}");
+            assert_eq!(plan.handled, filters, "{col}");
+        }
+    }
+
+    #[test]
+    fn a_long_in_list_converts_in_one_pass() {
+        // 20 000 keys out of order, each twice: blocks of a composite key
+        // that touch when consecutive, so every run of 16 keys is one range.
+        let mut keys: Vec<i64> = (0..10_000).map(|i| i + 16 * (i / 16)).collect();
+        keys.extend(keys.clone());
+        keys.reverse();
+        keys.swap(3, 9_000);
+        let catalog = HBaseTableCatalog::parse_simple(
+            r#"{
+            "table":{"namespace":"default","name":"t"},
+            "rowkey":"k1:k2",
+            "columns":{
+                "k1":{"cf":"rowkey","col":"k1","type":"bigint"},
+                "k2":{"cf":"rowkey","col":"k2","type":"int"},
+                "v":{"cf":"cf1","col":"v","type":"int"}
+            }}"#,
+        )
+        .unwrap();
+        let filters = vec![SourceFilter::In(
+            "k1".into(),
+            keys.iter().map(|&k| Value::Int64(k)).collect(),
+        )];
+        let plan = plan_pushdown(&catalog, &conf(), &filters);
+        assert_eq!(plan.handled, filters);
+        assert_eq!(plan.ranges.len(), 625);
+        let key = |k1: i64| {
+            crate::rowkey::encode_rowkey(&catalog, &[Value::Int64(k1), Value::Int32(7)]).unwrap()
+        };
+        assert!(plan.ranges.contains(&key(0)));
+        assert!(plan.ranges.contains(&key(15)));
+        assert!(!plan.ranges.contains(&key(16)));
+        assert!(plan.ranges.contains(&key(32)));
+        assert!(!plan.ranges.contains(&key(-1)));
+    }
+
+    #[test]
+    fn an_in_list_with_a_value_the_key_cannot_hold_is_not_pushed() {
+        let filters = vec![SourceFilter::In(
+            "k2".into(),
+            vec![Value::Int32(1), Value::Float64(2.5)],
+        )];
+        let plan = plan_pushdown(&composite(), &conf(), &filters);
+        assert!(plan.handled.is_empty());
+        assert!(plan.ranges.is_full());
+        // On a value column the list is still a server-side OR.
+        let filters = vec![SourceFilter::In(
+            "v".into(),
+            vec![Value::Int32(1), Value::Int32(2), Value::Int32(3)],
+        )];
+        let plan = plan_pushdown(&composite(), &conf(), &filters);
+        assert_eq!(plan.handled, filters);
+        assert!(matches!(plan.kv_filter, Some(Filter::Or(_))));
     }
 
     #[test]

@@ -43,8 +43,17 @@ impl RangeSet {
     }
 
     pub fn from_range(range: RowRange) -> Self {
-        let mut set = RangeSet::none();
-        set.insert(range);
+        RangeSet::from_ranges([range])
+    }
+
+    /// The union of any number of ranges in one pass: collect, sort once,
+    /// merge once — `O(k log k)`, where folding [`insert`](Self::insert) or
+    /// [`union`](Self::union) over the list re-sorts it per element.
+    pub fn from_ranges(ranges: impl IntoIterator<Item = RowRange>) -> Self {
+        let mut set = RangeSet {
+            ranges: ranges.into_iter().collect(),
+        };
+        set.normalize();
         set
     }
 
@@ -62,8 +71,11 @@ impl RangeSet {
             && self.ranges[0].is_unbounded_stop()
     }
 
+    /// Binary search: the ranges are sorted and disjoint, so only the last
+    /// one starting at or before `key` can hold it.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.ranges.iter().any(|r| r.contains(key))
+        let after = self.ranges.partition_point(|r| r.start.as_ref() <= key);
+        after > 0 && self.ranges[after - 1].contains(key)
     }
 
     /// Insert one range, merging with overlapping or adjacent neighbours.
@@ -103,11 +115,37 @@ impl RangeSet {
 
     /// Union with another set.
     pub fn union(&self, other: &RangeSet) -> RangeSet {
-        let mut out = self.clone();
-        for r in &other.ranges {
-            out.insert(r.clone());
+        RangeSet::from_ranges(self.ranges.iter().chain(&other.ranges).cloned())
+    }
+
+    /// At most `max` ranges covering this set: the smallest gaps between
+    /// neighbours are closed first, so a sparse key set costs a bounded
+    /// number of scanner opens and as few rows outside it as that allows.
+    /// Gap width is the distance between the leading 16 key bytes, read as
+    /// a big-endian number.
+    pub fn coalesced(&self, max: usize) -> RangeSet {
+        let max = max.max(1);
+        if self.ranges.len() <= max {
+            return self.clone();
         }
-        out
+        let gap = |i: usize| {
+            key_position(&self.ranges[i + 1].start)
+                .saturating_sub(key_position(&self.ranges[i].stop))
+        };
+        // Gap `i` lies after range `i`; the `max - 1` widest stay open.
+        let mut widest: Vec<usize> = (0..self.ranges.len() - 1).collect();
+        widest.sort_by_key(|&i| std::cmp::Reverse(gap(i)));
+        widest.truncate(max - 1);
+        let mut out: Vec<RowRange> = Vec::with_capacity(max);
+        for (i, range) in self.ranges.iter().enumerate() {
+            match out.last_mut() {
+                Some(last) if i > 0 && !widest.contains(&(i - 1)) => {
+                    last.stop = range.stop.clone();
+                }
+                _ => out.push(range.clone()),
+            }
+        }
+        RangeSet { ranges: out }
     }
 
     /// Intersection with another set (paper's `[a,b] ∩ [c,d] → [c,b]`
@@ -162,6 +200,15 @@ impl RangeSet {
     pub fn len(&self) -> usize {
         self.ranges.len()
     }
+}
+
+/// Where a key lies in the key space, to the resolution of its first 16
+/// bytes.
+fn key_position(key: &[u8]) -> u128 {
+    let mut leading = [0u8; 16];
+    let n = key.len().min(16);
+    leading[..n].copy_from_slice(&key[..n]);
+    u128::from_be_bytes(leading)
 }
 
 /// Do two ranges (with `a.start <= b.start`) overlap or touch?
@@ -293,6 +340,86 @@ mod tests {
         let s1 = RangeSet::from_range(r("a", "c"));
         let s2 = RangeSet::from_range(r("b", "f"));
         assert_eq!(s1.union(&s2).ranges(), &[r("a", "f")]);
+    }
+
+    #[test]
+    fn from_ranges_is_the_fold_of_inserts() {
+        // Overlapping, adjacent, disjoint, empty and out of order.
+        let list = [
+            r("m", "p"),
+            r("a", "c"),
+            r("b", "e"),
+            r("e", "f"),
+            r("z", "y"),
+            r("x", ""),
+            r("y", "z"),
+        ];
+        let mut folded = RangeSet::none();
+        for range in &list {
+            folded.insert(range.clone());
+        }
+        let at_once = RangeSet::from_ranges(list);
+        assert_eq!(at_once, folded);
+        assert_eq!(at_once.ranges(), &[r("a", "f"), r("m", "p"), r("x", "")]);
+        assert!(RangeSet::from_ranges([]).is_empty());
+    }
+
+    #[test]
+    fn contains_finds_the_one_range_that_can_hold_a_key() {
+        let set = RangeSet::from_ranges(
+            (0..200u8)
+                .step_by(2)
+                .map(|i| RowRange::new(vec![i], vec![i + 1])),
+        );
+        assert_eq!(set.len(), 100);
+        for i in 0..200u8 {
+            assert_eq!(set.contains(&[i]), i % 2 == 0, "{i}");
+            assert_eq!(set.contains(&[i, 7]), i % 2 == 0, "{i}, 7");
+        }
+        assert!(!set.contains(&[200]));
+        assert!(!RangeSet::none().contains(b"a"));
+        assert!(RangeSet::all().contains(b""));
+    }
+
+    #[test]
+    fn coalescing_closes_the_smallest_gaps_first() {
+        let day = |d: u8| RowRange::new(vec![0, d], vec![0, d + 1]);
+        let set = RangeSet::from_ranges([day(1), day(3), day(10), day(12), day(40), day(41)]);
+        assert_eq!(set.len(), 5, "40 and 41 touch");
+        // Gaps: 1, 6, 1, 27. Down to three ranges the two one-day gaps go.
+        let three = set.coalesced(3);
+        assert_eq!(
+            three.ranges(),
+            &[
+                RowRange::new(vec![0, 1], vec![0, 4]),
+                RowRange::new(vec![0, 10], vec![0, 13]),
+                RowRange::new(vec![0, 40], vec![0, 42]),
+            ]
+        );
+        assert_eq!(
+            set.coalesced(2).ranges(),
+            &[
+                RowRange::new(vec![0, 1], vec![0, 13]),
+                RowRange::new(vec![0, 40], vec![0, 42]),
+            ]
+        );
+        assert_eq!(
+            set.coalesced(1).ranges(),
+            &[RowRange::new(vec![0, 1], vec![0, 42])]
+        );
+        // Within the bound nothing is read that was not asked for.
+        assert_eq!(set.coalesced(5), set);
+        assert_eq!(set.coalesced(9), set);
+        // An open end stays open.
+        let open = RangeSet::from_ranges([day(1), day(3), RowRange::new(vec![0, 9], vec![])]);
+        assert_eq!(
+            open.coalesced(1).ranges(),
+            &[RowRange::new(vec![0, 1], vec![])]
+        );
+        // Every key of the set is still covered.
+        for d in [1u8, 3, 10, 12, 40, 41] {
+            assert!(three.contains(&[0, d, 9]));
+        }
     }
 
     #[test]

@@ -163,6 +163,17 @@ impl TableProvider for HBaseRelation {
         plan_pushdown(&self.catalog, &self.conf, filters).unhandled(filters)
     }
 
+    /// Only first-dimension predicates become row-key ranges (§VI.1), and
+    /// only while pushdown and pruning are on and the dimension's encoding
+    /// keeps its order.
+    fn prunes_partitions_on(&self, column: &str) -> bool {
+        let first = self.catalog.first_key_column();
+        first.name == column
+            && first.codec.order_preserving()
+            && self.conf.predicate_pushdown
+            && self.conf.partition_pruning != PruningMode::Disabled
+    }
+
     fn scan(
         &self,
         projection: Option<&[usize]>,
@@ -198,7 +209,7 @@ impl TableProvider for HBaseRelation {
         }
 
         let projected = self.projected_indices(projection);
-        let decoder = Arc::new(RowDecoder::new(&self.catalog, &projected));
+        let decoder = Arc::new(RowDecoder::new(&self.catalog, &projected)?);
         let kv_projection = build_kv_projection(&self.catalog, &projected, &plan.kv_filter);
 
         // §VI.4 operator fusion: group regions by hosting server so each
@@ -330,44 +341,64 @@ fn collect_filter_columns(filter: &Filter, projection: &mut Projection, any: &mu
 /// Decodes store rows into engine rows for a fixed projection.
 struct RowDecoder {
     catalog: Arc<HBaseTableCatalog>,
-    /// Projected catalog column indices, in output order.
-    columns: Vec<usize>,
+    /// Projected catalog columns in output order, each with its position
+    /// among the row-key dimensions when it is one.
+    columns: Vec<(usize, Option<usize>)>,
     /// Does any projected column come from the row key?
     needs_rowkey: bool,
 }
 
 impl RowDecoder {
-    fn new(catalog: &Arc<HBaseTableCatalog>, projected: &[usize]) -> RowDecoder {
-        RowDecoder {
+    /// Fails when the catalog marks a projected column as part of the row
+    /// key without listing it among the key's dimensions.
+    fn new(catalog: &Arc<HBaseTableCatalog>, projected: &[usize]) -> ShcResult<RowDecoder> {
+        let columns = projected
+            .iter()
+            .map(|&idx| {
+                let col = &catalog.columns[idx];
+                if !col.is_rowkey() {
+                    return Ok((idx, None));
+                }
+                match catalog.row_key.iter().position(|&k| k == idx) {
+                    Some(dim) => Ok((idx, Some(dim))),
+                    None => Err(ShcError::Catalog(format!(
+                        "column {} is stored in the row key but is not one of its dimensions",
+                        col.name
+                    ))),
+                }
+            })
+            .collect::<ShcResult<Vec<_>>>()?;
+        Ok(RowDecoder {
             catalog: Arc::clone(catalog),
-            columns: projected.to_vec(),
-            needs_rowkey: projected.iter().any(|&i| catalog.columns[i].is_rowkey()),
-        }
+            needs_rowkey: columns.iter().any(|(_, dim)| dim.is_some()),
+            columns,
+        })
     }
 
     fn decode(&self, row: &RowResult) -> ShcResult<Row> {
-        let key_values: Option<Vec<Value>> = if self.needs_rowkey {
-            Some(decode_rowkey(&self.catalog, &row.row)?)
+        let key_values = if self.needs_rowkey {
+            decode_rowkey(&self.catalog, &row.row)?
         } else {
-            None
+            Vec::new()
         };
         let mut values = Vec::with_capacity(self.columns.len());
-        for &idx in &self.columns {
+        for &(idx, dim) in &self.columns {
             let col = &self.catalog.columns[idx];
-            if col.is_rowkey() {
-                let dim = self
-                    .catalog
-                    .row_key
-                    .iter()
-                    .position(|&k| k == idx)
-                    .expect("rowkey column is a key dimension");
-                values.push(key_values.as_ref().expect("row key decoded when needed")[dim].clone());
-            } else {
-                match row.value(col.family.as_bytes(), col.qualifier.as_bytes()) {
+            match dim {
+                Some(dim) => match key_values.get(dim) {
+                    Some(value) => values.push(value.clone()),
+                    None => {
+                        return Err(ShcError::Codec(format!(
+                            "row key holds no dimension {}",
+                            col.name
+                        )))
+                    }
+                },
+                None => match row.value(col.family.as_bytes(), col.qualifier.as_bytes()) {
                     Some(bytes) => values.push(col.codec.decode(bytes, col.data_type)?),
                     // Absent cell = SQL NULL.
                     None => values.push(Value::Null),
-                }
+                },
             }
         }
         Ok(Row::new(values))
@@ -377,6 +408,10 @@ impl RowDecoder {
 // ----------------------------------------------------------------------
 // Scan partition
 // ----------------------------------------------------------------------
+
+/// Scanners one task opens on one region at most, whatever the number of
+/// disjoint key ranges it was given there.
+const MAX_SCANNERS_PER_REGION: usize = 4;
 
 /// Is this range a single-row point (`[k, k ‖ 0x00)`)?
 fn point_row(range: &RowRange) -> Option<bytes::Bytes> {
@@ -408,11 +443,11 @@ impl HBaseScanPartition {
     /// All ranges this partition is responsible for, independent of the
     /// (possibly stale) region assignment.
     fn merged_ranges(&self) -> RangeSet {
-        let mut out = RangeSet::none();
-        for (_, ranges) in &self.work {
-            out = out.union(ranges);
-        }
-        out
+        RangeSet::from_ranges(
+            self.work
+                .iter()
+                .flat_map(|(_, ranges)| ranges.ranges().iter().cloned()),
+        )
     }
 
     /// Re-derive (region, ranges) work against the current region layout,
@@ -459,17 +494,29 @@ impl HBaseScanPartition {
             let mut region_rows = 0usize;
             // Fuse point lookups into one BulkGet per region.
             let mut gets: Vec<Get> = Vec::new();
+            let mut spans: Vec<RowRange> = Vec::new();
             for range in ranges.ranges() {
-                if let Some(row_key) = point_row(range) {
-                    let mut get = Get::new(row_key);
-                    get.projection = self.kv_projection.clone();
-                    get.time_range = conf.time_range();
-                    get.max_versions = conf.max_versions;
-                    get.filter = self.kv_filter.clone();
-                    get.include_empty_rows = true;
-                    gets.push(get);
-                    continue;
+                match point_row(range) {
+                    Some(row_key) => {
+                        let mut get = Get::new(row_key);
+                        get.projection = self.kv_projection.clone();
+                        get.time_range = conf.time_range();
+                        get.max_versions = conf.max_versions;
+                        get.filter = self.kv_filter.clone();
+                        get.include_empty_rows = true;
+                        gets.push(get);
+                    }
+                    None => spans.push(range.clone()),
                 }
+            }
+            // A key set scattered over the region (an IN list, a join's
+            // keys) must not cost one scanner open per key: the smallest
+            // gaps are read through, and the rows in them dropped here,
+            // before they are decoded.
+            let spans = RangeSet::from_ranges(spans);
+            let scans = spans.coalesced(MAX_SCANNERS_PER_REGION);
+            let reads_gaps = scans.len() < spans.len();
+            for range in scans.ranges() {
                 let scan = Scan {
                     start: Bound::Included(range.start.clone()),
                     stop: if range.is_unbounded_stop() {
@@ -495,6 +542,9 @@ impl HBaseScanPartition {
                 {
                     let mut rows = Vec::with_capacity(batch.len());
                     for row in &batch {
+                        if reads_gaps && !spans.contains(&row.row) {
+                            continue;
+                        }
                         rows.push(self.decoder.decode(row).map_err(EngineError::from)?);
                     }
                     region_rows += rows.len();
@@ -736,6 +786,126 @@ mod tests {
         ];
         let parts = relation.scan(None, &filters).unwrap();
         assert!(parts.is_empty());
+    }
+
+    /// `t(day, item, qty)` keyed by `(day, item)`: 40 days of 5 items each
+    /// in one region of a one-server cluster.
+    fn daily() -> (Arc<HBaseCluster>, Arc<HBaseRelation>) {
+        let cluster = HBaseCluster::start(ClusterConfig {
+            num_servers: 1,
+            ..Default::default()
+        });
+        let catalog = Arc::new(
+            HBaseTableCatalog::parse_simple(
+                r#"{
+                "table":{"namespace":"default","name":"daily"},
+                "rowkey":"day:item",
+                "columns":{
+                    "day":{"cf":"rowkey","col":"day","type":"bigint"},
+                    "item":{"cf":"rowkey","col":"item","type":"int"},
+                    "qty":{"cf":"cf","col":"qty","type":"int"}
+                }}"#,
+            )
+            .unwrap(),
+        );
+        let rows: Vec<Row> = (0..40i64)
+            .flat_map(|day| {
+                (0..5).map(move |item| {
+                    Row::new(vec![
+                        Value::Int64(day),
+                        Value::Int32(item),
+                        Value::Int32(day as i32 * 10 + item),
+                    ])
+                })
+            })
+            .collect();
+        let relation = HBaseRelation::new(Arc::clone(&cluster), catalog, SHCConf::default());
+        writer::write_rows(&cluster, &relation.catalog, &relation.conf, &rows).unwrap();
+        (cluster, relation)
+    }
+
+    fn days_in(days: &[i32]) -> Vec<SourceFilter> {
+        // `Int32` against a `bigint` dimension: the connector casts.
+        vec![SourceFilter::In(
+            "day".into(),
+            days.iter().map(|&d| Value::Int32(d)).collect(),
+        )]
+    }
+
+    #[test]
+    fn a_scattered_key_set_opens_a_bounded_number_of_scanners() {
+        let (cluster, relation) = daily();
+        // Nine separate days; the three widest gaps (after 2, 12 and 22)
+        // stay closed to the scan, the rest are read through and dropped.
+        let days = [0, 2, 10, 12, 20, 22, 30, 32, 34];
+        let before = cluster.metrics.snapshot();
+        let parts = relation.scan(None, &days_in(&days)).unwrap();
+        assert_eq!(parts.len(), 1);
+        let mut rows = run_partitions(&parts);
+        let delta = cluster.metrics.snapshot().delta_since(&before);
+        assert_eq!(delta.scanner_opens, MAX_SCANNERS_PER_REGION as u64);
+        rows.sort_by_key(|r| (r.get(0).as_i64(), r.get(1).as_i64()));
+        let got: Vec<(i64, i64)> = rows
+            .iter()
+            .map(|r| (r.get(0).as_i64().unwrap(), r.get(1).as_i64().unwrap()))
+            .collect();
+        let expected: Vec<(i64, i64)> = days
+            .iter()
+            .flat_map(|&d| (0..5).map(move |i| (d as i64, i)))
+            .collect();
+        assert_eq!(got, expected, "the days asked for, nothing from the gaps");
+        // Days 1, 11, 21, 31 and 33 were read and left behind: five rows each.
+        assert_eq!(delta.cells_returned, (9 + 5) * 5);
+
+        // Within the bound every range has its own scanner and no gap is read.
+        let before = cluster.metrics.snapshot();
+        let rows = run_partitions(&relation.scan(None, &days_in(&[0, 10, 20, 30])).unwrap());
+        let delta = cluster.metrics.snapshot().delta_since(&before);
+        assert_eq!((rows.len(), delta.scanner_opens), (20, 4));
+        assert_eq!(delta.cells_returned, 20);
+    }
+
+    #[test]
+    fn an_empty_key_set_plans_no_task() {
+        let (cluster, relation) = daily();
+        let before = cluster.metrics.snapshot();
+        assert!(relation.scan(None, &days_in(&[])).unwrap().is_empty());
+        assert_eq!(cluster.metrics.snapshot().delta_since(&before).rpc_count, 0);
+    }
+
+    #[test]
+    fn partitions_are_pruned_on_the_first_key_dimension_only() {
+        let (cluster, relation) = daily();
+        assert!(relation.prunes_partitions_on("day"));
+        assert!(!relation.prunes_partitions_on("item"));
+        assert!(!relation.prunes_partitions_on("qty"));
+        for conf in [
+            SHCConf::default().without_pruning(),
+            SHCConf::default().without_pushdown(),
+        ] {
+            let off = HBaseRelation::new(Arc::clone(&cluster), Arc::clone(&relation.catalog), conf);
+            assert!(!off.prunes_partitions_on("day"));
+        }
+    }
+
+    #[test]
+    fn a_catalog_that_contradicts_its_row_key_is_an_error() {
+        let (cluster, relation) = daily();
+        // `item` is stored in the key but no longer one of its dimensions.
+        let mut catalog = (*relation.catalog).clone();
+        catalog.row_key.pop();
+        let broken =
+            HBaseRelation::new(Arc::clone(&cluster), Arc::new(catalog), SHCConf::default());
+        let err = broken.scan(None, &[]).err().expect("scan must fail");
+        assert!(
+            err.to_string().contains("not one of its dimensions"),
+            "{err}"
+        );
+        // Only the key column is affected; and a key that is longer than the
+        // catalog says fails in the task, as an error.
+        let parts = broken.scan(Some(&[0, 2]), &[]).unwrap();
+        let err = parts[0].execute("host-0").unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
     #[test]

@@ -255,8 +255,11 @@ impl DataFrame {
         self.session.store_trace(trace.clone());
         self.session.store_timeline(Arc::clone(&timeline));
         attach_region_attribution(&profile, &trace);
-        let mut subplans_reused = 0;
-        profile.walk(&mut |p| subplans_reused += p.reused_from.get().is_some() as u64);
+        let (mut subplans_reused, mut dynamic_filters) = (0, 0);
+        profile.walk(&mut |p| {
+            subplans_reused += p.reused_from.get().is_some() as u64;
+            dynamic_filters += p.dynamic_filter_keys.get().is_some() as u64;
+        });
         Ok(QueryAnalysis {
             rows,
             profile,
@@ -265,6 +268,7 @@ impl DataFrame {
             io,
             timeline,
             subplans_reused,
+            dynamic_filters,
         })
     }
 
@@ -276,13 +280,15 @@ impl DataFrame {
         let analysis = self.collect_analyzed()?;
         let mut out = format!(
             "== Physical Plan (analyzed, {} rows returned) ==\n{}I/O: blocks_read={} \
-             block_cache_hits={} wal_bytes_appended={}\nsubplans_reused={}\n",
+             block_cache_hits={} wal_bytes_appended={}\nsubplans_reused={}\n\
+             dynamic_filters={}\n",
             analysis.rows.len(),
             analysis.profile.render(),
             analysis.io.blocks_read,
             analysis.io.block_cache_hits,
             analysis.io.wal_bytes_appended,
             analysis.subplans_reused,
+            analysis.dynamic_filters,
         );
         for stats in analysis.timeline.stage_stats() {
             let skew = stats
@@ -358,6 +364,10 @@ pub struct QueryAnalysis {
     /// instead of executing (the query's share of
     /// `QueryMetrics::subplans_reused`).
     pub subplans_reused: u64,
+    /// Scans of this run that were handed the join keys of a filtering
+    /// input as one more source filter (the query's share of
+    /// `QueryMetrics::dynamic_filters`).
+    pub dynamic_filters: u64,
 }
 
 /// Copy per-region scan rows out of the trace into the matching scan

@@ -87,6 +87,16 @@ pub trait TableProvider: Send + Sync {
         filters.to_vec()
     }
 
+    /// Does a filter on `column` (a name in `schema()`) let this provider
+    /// skip whole partitions rather than read and drop rows? For such a
+    /// column the executor may append to `scan`'s filters one
+    /// [`SourceFilter::In`] holding the keys a join's other input produced.
+    /// That filter is a hint like any other: the join still tests every
+    /// row, and `unhandled_filters` is never asked about it.
+    fn prunes_partitions_on(&self, _column: &str) -> bool {
+        false
+    }
+
     /// Build scan partitions. `projection` holds indices into `schema()`
     /// (already ignored by providers that don't support projection).
     /// `filters` are best-effort hints: correctness never depends on the

@@ -626,6 +626,271 @@ impl LogicalPlan {
     }
 }
 
+// ----------------------------------------------------------------------
+// Dynamic partition pruning: which join can hand its keys to which scan
+// ----------------------------------------------------------------------
+
+/// The input of an inner equi-join whose keys bound what a scan under the
+/// join's other input has to read: no row of that scan survives the join
+/// unless its column equals one of the values `key` takes over `side`.
+#[derive(Clone, Copy)]
+pub(crate) struct KeySource<'a> {
+    pub join: &'a LogicalPlan,
+    /// The filtering input of `join`. It carries a predicate of its own; an
+    /// input that keeps every row has no keys worth passing on.
+    pub side: &'a LogicalPlan,
+    /// The join key over `side`'s schema.
+    pub key: &'a Expr,
+}
+
+impl KeySource<'_> {
+    fn side_is_right(&self) -> bool {
+        matches!(self.join, LogicalPlan::Join { right, .. } if std::ptr::eq(&**right, self.side))
+    }
+}
+
+/// A scan that may be handed join keys as one more source filter: every
+/// consumer of its rows joins them with one of `sources`, so rows whose
+/// `column` is in none of their key sets reach no result.
+pub(crate) struct DynamicFilter<'a> {
+    pub scan: &'a LogicalPlan,
+    /// Column of the scan's provider the keys restrict.
+    pub column: String,
+    pub sources: Vec<KeySource<'a>>,
+}
+
+fn address(plan: &LogicalPlan) -> *const LogicalPlan {
+    plan
+}
+
+/// The position `expr` names in `schema`, when it is a plain column.
+fn column_index(expr: &Expr, schema: &Schema) -> Option<usize> {
+    match expr {
+        Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
+        _ => None,
+    }
+}
+
+/// The plan in execution order with what the upward walk needs: each
+/// node's parent, the size of its subtree, and the occurrences of the
+/// repeated subplan it is one of.
+struct PlanIndex<'a, 'g> {
+    /// Pre-order: (node, position of its parent, nodes in its subtree).
+    nodes: Vec<(&'a LogicalPlan, Option<usize>, usize)>,
+    at: HashMap<*const LogicalPlan, usize>,
+    occurrences: HashMap<*const LogicalPlan, &'g [&'a LogicalPlan]>,
+}
+
+impl<'a, 'g> PlanIndex<'a, 'g> {
+    fn of(plan: &'a LogicalPlan, repeated: &'g [Vec<&'a LogicalPlan>]) -> PlanIndex<'a, 'g> {
+        fn list<'a>(
+            plan: &'a LogicalPlan,
+            parent: Option<usize>,
+            nodes: &mut Vec<(&'a LogicalPlan, Option<usize>, usize)>,
+        ) {
+            let at = nodes.len();
+            nodes.push((plan, parent, 0));
+            for child in plan.children() {
+                list(child, Some(at), nodes);
+            }
+            nodes[at].2 = nodes.len() - at;
+        }
+        let mut nodes = Vec::new();
+        list(plan, None, &mut nodes);
+        let at = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, (node, ..))| (address(node), i))
+            .collect();
+        let occurrences = repeated
+            .iter()
+            .flat_map(|group| group.iter().map(move |node| (address(node), &group[..])))
+            .collect();
+        PlanIndex {
+            nodes,
+            at,
+            occurrences,
+        }
+    }
+
+    /// The dynamic filter of the scan at `at`, if the provider prunes
+    /// partitions on one of its output columns and every consumer of the
+    /// scan's rows joins that column with a filtering input.
+    fn filter_for(&self, at: usize) -> Option<DynamicFilter<'a>> {
+        let scan = self.nodes[at].0;
+        let LogicalPlan::Scan {
+            provider,
+            projection,
+            ..
+        } = scan
+        else {
+            return None;
+        };
+        let full = provider.schema();
+        let pushed = projection
+            .as_deref()
+            .filter(|_| provider.supports_projection());
+        (0..pushed.map_or(full.len(), <[usize]>::len)).find_map(|out| {
+            let field = full.field(pushed.map_or(out, |indices| indices[out]));
+            // `0.0 = -0.0` joins, but the two need not encode alike.
+            let float = matches!(field.data_type, DataType::Float32 | DataType::Float64);
+            if float || !provider.prunes_partitions_on(&field.name) {
+                return None;
+            }
+            let sources = self.sources(at, out)?;
+            self.clear_of_running(at, &sources).then(|| DynamicFilter {
+                scan,
+                column: field.name.clone(),
+                sources,
+            })
+        })
+    }
+
+    /// The key sources that between them cover every consumer of output
+    /// column `col` of the node at `at`: the node's own parent chain and,
+    /// when it is an occurrence of a repeated subplan (which runs once and
+    /// feeds them all), that of every other occurrence.
+    fn sources(&self, at: usize, col: usize) -> Option<Vec<KeySource<'a>>> {
+        let Some(occurrences) = self.occurrences.get(&address(self.nodes[at].0)) else {
+            return self.sources_above(at, col);
+        };
+        let mut all = Vec::new();
+        for node in occurrences.iter() {
+            all.extend(self.sources_above(self.at[&address(node)], col)?);
+        }
+        Some(all)
+    }
+
+    /// Follow `col` from the node at `at` into its parent: the nearest
+    /// inner join that equates it with a key of a filtering input is the
+    /// source; filters, aliases, plain-column projections and joins that
+    /// only carry the column along are walked through; anything else
+    /// (aggregates, limits, outer joins, the root) ends the walk with none.
+    fn sources_above(&self, at: usize, col: usize) -> Option<Vec<KeySource<'a>>> {
+        let (node, parent, _) = self.nodes[at];
+        let up = parent?;
+        match self.nodes[up].0 {
+            LogicalPlan::Filter { .. } | LogicalPlan::SubqueryAlias { .. } => self.sources(up, col),
+            LogicalPlan::Projection { exprs, input } => {
+                let schema = input.schema().ok()?;
+                let out = exprs
+                    .iter()
+                    .position(|(e, _)| column_index(e, &schema) == Some(col))?;
+                self.sources(up, out)
+            }
+            join @ LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type: JoinType::Inner,
+            } => {
+                let from_left = std::ptr::eq(&**left, node);
+                let (mine, other) = if from_left {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                let schema = mine.schema().ok()?;
+                let key = on
+                    .iter()
+                    .map(|(l, r)| if from_left { (l, r) } else { (r, l) })
+                    .find(|(mine, _)| column_index(mine, &schema) == Some(col));
+                match key {
+                    Some((_, key)) if other.has_predicate() => Some(vec![KeySource {
+                        join,
+                        side: other,
+                        key,
+                    }]),
+                    _ => {
+                        let shift = if from_left {
+                            0
+                        } else {
+                            left.schema().ok()?.len()
+                        };
+                        self.sources(up, col + shift)
+                    }
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// A source that has not run when the scan does is run ahead of its
+    /// place in the plan. That must not start anything that is already
+    /// under way: the scan itself, or another occurrence of a repeated
+    /// subplan that the scan or an operator above it is the running
+    /// occurrence of.
+    fn clear_of_running(&self, at: usize, sources: &[KeySource<'a>]) -> bool {
+        let mut running = vec![at];
+        let mut up = Some(at);
+        while let Some(a) = up {
+            let (node, parent, _) = self.nodes[a];
+            if let Some(occurrences) = self.occurrences.get(&address(node)) {
+                running.extend(occurrences.iter().map(|o| self.at[&address(o)]));
+            }
+            up = parent;
+        }
+        sources.iter().all(|source| {
+            let start = self.at[&address(source.side)];
+            let inside = start..start + self.nodes[start].2;
+            !running.iter().any(|r| inside.contains(r))
+        })
+    }
+}
+
+impl LogicalPlan {
+    /// Does anything in this subtree drop rows by a predicate — a filter
+    /// operator or a filter pushed into a scan?
+    fn has_predicate(&self) -> bool {
+        match self {
+            LogicalPlan::Filter { .. } => true,
+            LogicalPlan::Scan { filters, .. } => !filters.is_empty(),
+            _ => self.children().iter().any(|c| c.has_predicate()),
+        }
+    }
+
+    /// The scans of this plan that a join can hand its other input's keys
+    /// to (dynamic partition pruning), `repeated` being
+    /// [`repeated_subplans`](Self::repeated_subplans) of the same plan. Only
+    /// scans that run are listed — none inside a later occurrence of a
+    /// repeated subplan — and a join passes keys in one direction only:
+    /// where two filters would each have the other's target side run first,
+    /// the one whose filtering input is the join's right input stays.
+    pub(crate) fn dynamic_filters<'a>(
+        &'a self,
+        repeated: &[Vec<&'a LogicalPlan>],
+    ) -> Vec<DynamicFilter<'a>> {
+        let index = PlanIndex::of(self, repeated);
+        let mut found = Vec::new();
+        let mut at = 0;
+        while at < index.nodes.len() {
+            let (node, _, size) = index.nodes[at];
+            let later_occurrence = index
+                .occurrences
+                .get(&address(node))
+                .is_some_and(|group| !std::ptr::eq(group[0], node));
+            if later_occurrence {
+                at += size;
+                continue;
+            }
+            found.extend(index.filter_for(at));
+            at += 1;
+        }
+        let right_first: Vec<*const LogicalPlan> = found
+            .iter()
+            .flat_map(|f| &f.sources)
+            .filter(|s| s.side_is_right())
+            .map(|s| address(s.join))
+            .collect();
+        found.retain(|f| {
+            f.sources
+                .iter()
+                .all(|s| s.side_is_right() || !right_first.contains(&address(s.join)))
+        });
+        found
+    }
+}
+
 impl fmt::Debug for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.explain())
@@ -886,6 +1151,275 @@ mod tests {
             JoinType::Inner,
         );
         assert!(distinct.repeated_subplans().is_empty());
+    }
+
+    use crate::memtable::KeyedTable;
+
+    /// A three-column table that prunes partitions on `key`.
+    fn keyed(key: &'static str) -> Arc<KeyedTable> {
+        KeyedTable::new(Arc::try_unwrap(table()).ok().unwrap(), key)
+    }
+
+    fn scan_as(
+        provider: Arc<dyn TableProvider>,
+        qualifier: &str,
+        filters: Vec<Expr>,
+    ) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table_name: "t".into(),
+            qualifier: qualifier.into(),
+            provider,
+            projection: None,
+            filters,
+        }
+    }
+
+    /// `d`: a plain table, filtered unless `filtered` is false.
+    fn dim(qualifier: &str, filtered: bool) -> LogicalPlan {
+        let filters = if filtered {
+            vec![Expr::col("name").eq(Expr::lit("x"))]
+        } else {
+            vec![]
+        };
+        scan_as(table(), qualifier, filters)
+    }
+
+    fn join_keys(
+        left: LogicalPlan,
+        right: LogicalPlan,
+        on: (Expr, Expr),
+        join_type: JoinType,
+    ) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            on: vec![on],
+            join_type,
+        }
+    }
+
+    fn alias(name: &str, input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::SubqueryAlias {
+            alias: name.into(),
+            input: Box::new(input),
+        }
+    }
+
+    fn filters_of(plan: &LogicalPlan) -> Vec<DynamicFilter<'_>> {
+        plan.dynamic_filters(&plan.repeated_subplans())
+    }
+
+    #[test]
+    fn a_key_column_is_followed_up_to_the_nearest_filtering_join() {
+        let fact = keyed("id");
+        // Through a plain-column projection, an alias and a filter, on the
+        // left of one join and the right of another that only carries it.
+        let wrapped = LogicalPlan::Filter {
+            predicate: Expr::col("f.score").gt(Expr::lit(0.0)),
+            input: Box::new(alias(
+                "f",
+                LogicalPlan::Projection {
+                    exprs: vec![
+                        (Expr::col("score"), "score".into()),
+                        (Expr::col("id"), "id".into()),
+                    ],
+                    input: Box::new(scan_as(fact.clone(), "t", vec![])),
+                },
+            )),
+        };
+        let carried = join_keys(
+            dim("other", false),
+            wrapped,
+            (Expr::col("other.name"), Expr::col("f.score")),
+            JoinType::Inner,
+        );
+        let plan = join_keys(
+            carried,
+            dim("d", true),
+            (Expr::col("f.id"), Expr::col("d.id").add(Expr::lit(0i64))),
+            JoinType::Inner,
+        );
+        let found = filters_of(&plan);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].column, "id");
+        assert!(matches!(found[0].scan, LogicalPlan::Scan { qualifier, .. } if qualifier == "t"));
+        let [source] = &found[0].sources[..] else {
+            panic!("one consumer, one source");
+        };
+        assert!(std::ptr::eq(source.join, &plan));
+        assert!(matches!(source.side, LogicalPlan::Scan { qualifier, .. } if qualifier == "d"));
+        // Any expression will do on the filtering side: it is only evaluated.
+        assert_eq!(source.key, &Expr::col("d.id").add(Expr::lit(0i64)));
+
+        // The filtering input may as well be the left one.
+        let plan = join_keys(
+            dim("d", true),
+            scan_as(fact.clone(), "f", vec![]),
+            (Expr::col("d.id"), Expr::col("f.id")),
+            JoinType::Inner,
+        );
+        let found = filters_of(&plan);
+        assert_eq!(found.len(), 1);
+        assert!(
+            matches!(found[0].sources[0].side, LogicalPlan::Scan { qualifier, .. } if qualifier == "d")
+        );
+    }
+
+    #[test]
+    fn no_dynamic_filter_without_all_three_of_inner_join_plain_key_and_predicate() {
+        let fact = keyed("id");
+        let f = || scan_as(fact.clone(), "f", vec![]);
+        let on = || (Expr::col("f.id"), Expr::col("d.id"));
+        let inner = |left, right, on| join_keys(left, right, on, JoinType::Inner);
+        assert_eq!(filters_of(&inner(f(), dim("d", true), on())).len(), 1);
+
+        let none = |plan: LogicalPlan, why: &str| assert!(filters_of(&plan).is_empty(), "{why}");
+        none(
+            join_keys(f(), dim("d", true), on(), JoinType::Left),
+            "left join",
+        );
+        none(
+            inner(f(), dim("d", false), on()),
+            "other side keeps every row",
+        );
+        none(
+            inner(
+                f(),
+                dim("d", true),
+                (Expr::col("f.id").add(Expr::lit(0i64)), Expr::col("d.id")),
+            ),
+            "key wrapped in an expression",
+        );
+        none(
+            inner(
+                f(),
+                dim("d", true),
+                (Expr::col("f.name"), Expr::col("d.name")),
+            ),
+            "not the column the source prunes on",
+        );
+        none(
+            inner(scan_as(table(), "f", vec![]), dim("d", true), on()),
+            "a source that prunes on nothing",
+        );
+        none(
+            inner(
+                alias("f", count_by_id(scan_as(fact.clone(), "t", vec![]))),
+                dim("d", true),
+                on(),
+            ),
+            "an aggregate between scan and join",
+        );
+        none(
+            inner(
+                alias(
+                    "f",
+                    LogicalPlan::Projection {
+                        exprs: vec![(Expr::col("id").add(Expr::lit(1i64)), "id".into())],
+                        input: Box::new(scan_as(fact.clone(), "t", vec![])),
+                    },
+                ),
+                dim("d", true),
+                on(),
+            ),
+            "a computed projection",
+        );
+        none(
+            inner(
+                LogicalPlan::Limit {
+                    n: 5,
+                    input: Box::new(f()),
+                },
+                dim("d", true),
+                on(),
+            ),
+            "a limit picks other rows from a narrower scan",
+        );
+        // A float key column: `0.0 = -0.0`, but they encode differently.
+        let by_score = keyed("score");
+        none(
+            inner(
+                scan_as(by_score, "f", vec![]),
+                dim("d", true),
+                (Expr::col("f.score"), Expr::col("d.score")),
+            ),
+            "float key",
+        );
+    }
+
+    #[test]
+    fn every_consumer_of_a_shared_scan_needs_a_source() {
+        let fact = keyed("id");
+        let block = |name: &str, filtered: bool| {
+            alias(
+                name,
+                join_keys(
+                    scan_as(fact.clone(), "f", vec![]),
+                    dim("d", filtered),
+                    (Expr::col("f.id"), Expr::col("d.id")),
+                    JoinType::Inner,
+                ),
+            )
+        };
+        let both = |second_filtered: bool| LogicalPlan::Join {
+            left: Box::new(block("l", true)),
+            right: Box::new(block("r", second_filtered)),
+            on: vec![(Expr::col("l.name"), Expr::col("r.name"))],
+            join_type: JoinType::Inner,
+        };
+        // The scan runs once for both blocks: its filter is the union of
+        // both blocks' keys, listed once, for the occurrence that runs.
+        let plan = both(true);
+        let found = filters_of(&plan);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].sources.len(), 2);
+        assert!(!std::ptr::eq(
+            found[0].sources[0].side,
+            found[0].sources[1].side
+        ));
+        // One block keeps every row of its dimension: nothing may be pushed.
+        assert!(filters_of(&both(false)).is_empty());
+    }
+
+    #[test]
+    fn a_source_containing_the_running_scan_is_no_source() {
+        // (A ⋈ d[filtered]) ⋈ A: the bare A's only source would be the left
+        // input, which holds the occurrence of A that runs.
+        let fact = keyed("id");
+        let a = |name: &str| alias(name, scan_as(fact.clone(), "t", vec![]));
+        let left = join_keys(
+            a("a1"),
+            dim("d", true),
+            (Expr::col("a1.id"), Expr::col("d.id")),
+            JoinType::Inner,
+        );
+        let plan = join_keys(
+            left,
+            a("a2"),
+            (Expr::col("a1.id"), Expr::col("a2.id")),
+            JoinType::Inner,
+        );
+        assert_eq!(plan.repeated_subplans().len(), 1);
+        assert!(filters_of(&plan).is_empty());
+    }
+
+    #[test]
+    fn a_join_passes_keys_one_way() {
+        // Both inputs are filtered and both prune on the join key: the right
+        // one runs first and the left one is narrowed, not the reverse too.
+        let (a, b) = (keyed("id"), keyed("id"));
+        let filtered = |t: &Arc<KeyedTable>, q: &str| {
+            scan_as(t.clone(), q, vec![Expr::col("name").eq(Expr::lit("x"))])
+        };
+        let plan = join_keys(
+            filtered(&a, "a"),
+            filtered(&b, "b"),
+            (Expr::col("a.id"), Expr::col("b.id")),
+            JoinType::Inner,
+        );
+        let found = filters_of(&plan);
+        assert_eq!(found.len(), 1);
+        assert!(matches!(found[0].scan, LogicalPlan::Scan { qualifier, .. } if qualifier == "a"));
     }
 
     #[test]

@@ -239,6 +239,55 @@ pub fn filter_rows(rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
     Ok(out)
 }
 
+/// A [`MemTable`] that declares it prunes partitions on one of its columns
+/// and remembers every filter list `scan` was offered: the stand-in for a
+/// row-key-partitioned source in the engine's own tests.
+#[cfg(test)]
+pub(crate) struct KeyedTable {
+    pub table: MemTable,
+    pub key: &'static str,
+    pub offered: parking_lot::Mutex<Vec<Vec<SourceFilter>>>,
+}
+
+#[cfg(test)]
+impl KeyedTable {
+    pub fn new(table: MemTable, key: &'static str) -> Arc<KeyedTable> {
+        Arc::new(KeyedTable {
+            table,
+            key,
+            offered: parking_lot::Mutex::new(Vec::new()),
+        })
+    }
+}
+
+#[cfg(test)]
+impl TableProvider for KeyedTable {
+    fn schema(&self) -> Schema {
+        self.table.schema()
+    }
+
+    fn unhandled_filters(&self, filters: &[SourceFilter]) -> Vec<SourceFilter> {
+        self.table.unhandled_filters(filters)
+    }
+
+    fn prunes_partitions_on(&self, column: &str) -> bool {
+        column == self.key
+    }
+
+    fn scan(
+        &self,
+        projection: Option<&[usize]>,
+        filters: &[SourceFilter],
+    ) -> Result<Vec<Arc<dyn ScanPartition>>> {
+        self.offered.lock().push(filters.to_vec());
+        self.table.scan(projection, filters)
+    }
+
+    fn name(&self) -> String {
+        format!("keyed:{}", self.key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,10 @@
 //!
 //! The plan is executed as a DAG, not a tree: each distinct subplan runs
 //! once, and every later occurrence of it (`LogicalPlan::repeated_subplans`)
-//! is handed the first one's partitions.
+//! is handed the first one's partitions. Nor is it always executed in plan
+//! order: an inner join whose one input is small and filtered runs that
+//! input first and hands its keys to the scan its other input starts from
+//! (dynamic partition pruning, `LogicalPlan::dynamic_filters`).
 
 use crate::aggregate::Accumulator;
 use crate::columnar::{
@@ -23,8 +26,8 @@ use crate::columnar::{
 };
 use crate::datasource::ScanPartition;
 use crate::error::{EngineError, Result};
-use crate::expr::BoundExpr;
-use crate::logical::{AggExpr, JoinType, LogicalPlan};
+use crate::expr::{BoundExpr, Expr};
+use crate::logical::{AggExpr, DynamicFilter, JoinType, LogicalPlan};
 use crate::metrics::QueryMetrics;
 use crate::row::{rows_byte_size, Row};
 use crate::scheduler::{run_stage, ExecutorConfig, SchedulerFaults, StageObs, Task};
@@ -35,7 +38,7 @@ use crate::task_timeline::TaskTimeline;
 use crate::value::{DataType, Value};
 use parking_lot::Mutex;
 use shc_obs::trace;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -174,6 +177,9 @@ pub struct OpProfile {
     /// Nothing below a reused operator ran, so [`walk`](Self::walk) and
     /// [`render`](Self::render) stop here.
     pub reused_from: OnceLock<usize>,
+    /// Scans only: set when the scan was handed join keys as one more
+    /// source filter, to how many.
+    pub dynamic_filter_keys: OnceLock<usize>,
     pub children: Vec<Arc<OpProfile>>,
 }
 
@@ -206,6 +212,7 @@ impl OpProfile {
             notes: Mutex::new(Vec::new()),
             regions: Mutex::new(Vec::new()),
             reused_from: OnceLock::new(),
+            dynamic_filter_keys: OnceLock::new(),
             children,
         })
     }
@@ -344,13 +351,13 @@ struct SharedSlot {
 }
 
 impl SharedResults {
-    fn of(plan: &LogicalPlan) -> SharedResults {
+    fn of(repeated: &[Vec<&LogicalPlan>]) -> SharedResults {
         let mut shared = SharedResults {
             slot_of: HashMap::new(),
             slots: Vec::new(),
         };
-        for group in plan.repeated_subplans() {
-            for node in &group {
+        for group in repeated {
+            for node in group {
                 shared
                     .slot_of
                     .insert(*node as *const LogicalPlan, shared.slots.len());
@@ -401,6 +408,192 @@ impl SharedResults {
     }
 }
 
+/// The keys one filtering input of a join produced, for the scans they
+/// restrict.
+struct KeySet {
+    /// Distinct and non-NULL, in SQL order; `None` when the input turned out
+    /// larger than a broadcast, which is too large to be worth listing.
+    keys: Option<Vec<Value>>,
+    /// Profile id of the operator that produced them.
+    op: Option<usize>,
+}
+
+/// Dynamic partition pruning over one execution: which scans may be handed
+/// join keys, which joins collect them, and what has been collected so far.
+struct DynamicPruning<'a> {
+    /// Scans that may be handed keys, by node address, until they run.
+    filters: HashMap<*const LogicalPlan, DynamicFilter<'a>>,
+    /// Joins with a filtering input, by node address: that input — it runs
+    /// before the other one — and the key expressions to evaluate over it.
+    joins: HashMap<*const LogicalPlan, (&'a LogicalPlan, Vec<&'a Expr>)>,
+    /// Key sets collected so far, by the address of their key expression.
+    keys: HashMap<*const Expr, KeySet>,
+    /// Filtering inputs that ran before their join was reached (its other
+    /// input is a repeated subplan whose scan ran under another join), kept
+    /// for the join to take.
+    ahead: HashMap<*const LogicalPlan, Vec<PartitionData>>,
+    /// Set while such an input runs: nothing inside it runs a second one
+    /// ahead, so no chain of them can lead back to an operator under way.
+    running_ahead: bool,
+    /// The plan and its profile tree, to find the profile node of an input
+    /// that runs ahead.
+    root: Option<(&'a LogicalPlan, Arc<OpProfile>)>,
+}
+
+impl<'a> DynamicPruning<'a> {
+    /// Like adaptive join selection, the rule follows observed sizes, so a
+    /// context that trusts plan-time estimates passes no keys.
+    fn of(
+        plan: &'a LogicalPlan,
+        repeated: &[Vec<&'a LogicalPlan>],
+        ctx: &ExecContext,
+        profile: Option<&Arc<OpProfile>>,
+    ) -> DynamicPruning<'a> {
+        let found = if ctx.adaptive {
+            plan.dynamic_filters(repeated)
+        } else {
+            Vec::new()
+        };
+        let mut joins: HashMap<_, (&'a LogicalPlan, Vec<&'a Expr>)> = HashMap::new();
+        for source in found.iter().flat_map(|f| &f.sources) {
+            let (_, keys) = joins
+                .entry(source.join as *const LogicalPlan)
+                .or_insert((source.side, Vec::new()));
+            if !keys.iter().any(|k| std::ptr::eq(*k, source.key)) {
+                keys.push(source.key);
+            }
+        }
+        DynamicPruning {
+            filters: found
+                .into_iter()
+                .map(|f| (f.scan as *const LogicalPlan, f))
+                .collect(),
+            joins,
+            keys: HashMap::new(),
+            ahead: HashMap::new(),
+            running_ahead: false,
+            root: profile.map(|p| (plan, Arc::clone(p))),
+        }
+    }
+
+    /// Collect the key sets `keys` names over the output of `side`, unless
+    /// a run ahead of the join already has.
+    fn collect_keys(
+        &mut self,
+        side: &LogicalPlan,
+        keys: &[&'a Expr],
+        parts: &[PartitionData],
+        ctx: &ExecContext,
+        prof: Option<&Arc<OpProfile>>,
+    ) -> Result<()> {
+        let small = partitions_byte_size(parts) <= ctx.broadcast_threshold;
+        let schema = side.schema()?;
+        for &key in keys {
+            if self.keys.contains_key(&(key as *const Expr)) {
+                continue;
+            }
+            let values = if small {
+                let bound = key.bind(&schema)?;
+                let mut values = Vec::new();
+                for part in parts {
+                    match part {
+                        PartitionData::Rows(rows) => {
+                            for row in rows {
+                                values.push(bound.eval(row)?);
+                            }
+                        }
+                        PartitionData::Batches(batches) => {
+                            for batch in batches {
+                                for i in 0..batch.num_rows() {
+                                    values.push(match &bound {
+                                        BoundExpr::Column(c, _) => batch.column(*c).value(i),
+                                        _ => bound.eval(&batch.row_at(i))?,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+                Some(distinct_keys(values))
+            } else {
+                None
+            };
+            self.keys.insert(
+                key,
+                KeySet {
+                    keys: values,
+                    op: prof.map(|p| p.id),
+                },
+            );
+        }
+        Ok(())
+    }
+}
+
+/// The distinct non-NULL values among `values`, in SQL order. Equality is
+/// the join's: `Int32(5)` and `Int64(5)` are one key.
+fn distinct_keys(values: impl IntoIterator<Item = Value>) -> Vec<Value> {
+    let distinct: HashSet<GroupKey> = values
+        .into_iter()
+        .filter(|v| !v.is_null())
+        .map(|v| GroupKey(vec![v]))
+        .collect();
+    let mut keys: Vec<Value> = distinct.into_iter().flat_map(|k| k.0).collect();
+    keys.sort_by(|a, b| a.sql_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    keys
+}
+
+/// How many runs of consecutive integers the sorted `keys` form (any other
+/// key is a run of its own): the contiguous key ranges a source that keeps
+/// its rows in key order is asked for.
+fn key_runs(keys: &[Value]) -> usize {
+    let mut runs = 0;
+    let mut last: Option<i64> = None;
+    for key in keys {
+        let this = key.as_i64();
+        let continues = matches!((last, this), (Some(l), Some(t)) if l.checked_add(1) == Some(t));
+        runs += usize::from(!continues);
+        last = this;
+    }
+    runs
+}
+
+/// What one execution carries from operator to operator besides rows.
+struct PlanState<'a> {
+    shared: SharedResults,
+    dynamic: DynamicPruning<'a>,
+}
+
+impl<'a> PlanState<'a> {
+    fn of(
+        plan: &'a LogicalPlan,
+        ctx: &ExecContext,
+        profile: Option<&Arc<OpProfile>>,
+    ) -> PlanState<'a> {
+        let repeated = plan.repeated_subplans();
+        PlanState {
+            shared: SharedResults::of(&repeated),
+            dynamic: DynamicPruning::of(plan, &repeated, ctx, profile),
+        }
+    }
+}
+
+/// The profile node of `target`, found by walking `plan` and its profile
+/// tree side by side.
+fn profile_of(
+    plan: &LogicalPlan,
+    prof: &Arc<OpProfile>,
+    target: &LogicalPlan,
+) -> Option<Arc<OpProfile>> {
+    if std::ptr::eq(plan, target) {
+        return Some(Arc::clone(prof));
+    }
+    plan.children()
+        .into_iter()
+        .zip(&prof.children)
+        .find_map(|(c, p)| profile_of(c, p, target))
+}
+
 /// Execute a plan to completion, returning all rows at the driver.
 pub fn collect(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
     Ok(gather_rows(execute(plan, ctx)?))
@@ -413,14 +606,14 @@ pub fn collect_profiled(
     ctx: &ExecContext,
 ) -> Result<(Vec<Row>, Arc<OpProfile>)> {
     let profile = OpProfile::build(plan);
-    let mut shared = SharedResults::of(plan);
-    let rows = gather_rows(execute_node(plan, ctx, &mut shared, Some(&profile))?);
+    let mut state = PlanState::of(plan, ctx, Some(&profile));
+    let rows = gather_rows(execute_node(plan, ctx, &mut state, Some(&profile))?);
     Ok((rows, profile))
 }
 
 /// Execute a plan, returning partitioned output.
 pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<PartitionData>> {
-    execute_node(plan, ctx, &mut SharedResults::of(plan), None)
+    execute_node(plan, ctx, &mut PlanState::of(plan, ctx, None), None)
 }
 
 /// Static span name for an operator (span names must not allocate).
@@ -472,13 +665,17 @@ fn count_batch(metrics: &QueryMetrics, batch: &ColumnarBatch) {
 
 /// Recursive execution; `prof` is the profile node for *this* operator
 /// (children line up with the plan's children, in order).
-fn execute_node(
-    plan: &LogicalPlan,
+fn execute_node<'a>(
+    plan: &'a LogicalPlan,
     ctx: &ExecContext,
-    shared: &mut SharedResults,
+    state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
-    if let Some((out, producer)) = shared.take(plan) {
+    if let Some(out) = state.dynamic.ahead.remove(&(plan as *const LogicalPlan)) {
+        // Ran ahead of its join, profiled and counted then.
+        return Ok(out);
+    }
+    if let Some((out, producer)) = state.shared.take(plan) {
         // This subplan already ran elsewhere in the query: no stage, no
         // task, no RPC — only its output shape shows in the profile.
         ctx.metrics.add(&ctx.metrics.subplans_reused, 1);
@@ -501,11 +698,19 @@ fn execute_node(
             projection,
             filters,
             ..
-        } => exec_scan(plan, provider, projection.as_deref(), filters, ctx, prof),
+        } => exec_scan(
+            plan,
+            provider,
+            projection.as_deref(),
+            filters,
+            ctx,
+            state,
+            prof,
+        ),
         LogicalPlan::Filter { predicate, input } => {
             let schema = input.schema()?;
             let bound = predicate.bind(&schema)?;
-            let partitions = execute_node(input, ctx, shared, child(prof, 0))?;
+            let partitions = execute_node(input, ctx, state, child(prof, 0))?;
             let op_prof = prof.map(Arc::clone);
             let metrics = Arc::clone(&ctx.metrics);
             parallel_map(partitions, ctx, move |part, _| match part {
@@ -571,7 +776,7 @@ fn execute_node(
                 .collect();
             let metrics = Arc::clone(&ctx.metrics);
             let batch_size = ctx.batch_size;
-            let partitions = execute_node(input, ctx, shared, child(prof, 0))?;
+            let partitions = execute_node(input, ctx, state, child(prof, 0))?;
             parallel_map(partitions, ctx, move |part, _| match part {
                 PartitionData::Batches(batches) => {
                     if let Some(indices) = &col_indices {
@@ -636,19 +841,17 @@ fn execute_node(
             right,
             on,
             join_type,
-        } => exec_join(left, right, on, *join_type, ctx, shared, prof),
+        } => exec_join(plan, left, right, on, *join_type, ctx, state, prof),
         LogicalPlan::Aggregate { group, aggs, input } => {
-            exec_aggregate(group, aggs, input, ctx, shared, prof)
+            exec_aggregate(group, aggs, input, ctx, state, prof)
         }
-        LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, shared, prof),
+        LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, state, prof),
         LogicalPlan::Limit { n, input } => {
-            let mut rows = gather_rows(execute_node(input, ctx, shared, child(prof, 0))?);
+            let mut rows = gather_rows(execute_node(input, ctx, state, child(prof, 0))?);
             rows.truncate(*n);
             Ok(vec![rows.into()])
         }
-        LogicalPlan::SubqueryAlias { input, .. } => {
-            execute_node(input, ctx, shared, child(prof, 0))
-        }
+        LogicalPlan::SubqueryAlias { input, .. } => execute_node(input, ctx, state, child(prof, 0)),
         LogicalPlan::Values { rows, .. } => Ok(vec![rows
             .iter()
             .cloned()
@@ -667,15 +870,15 @@ fn execute_node(
             p.record_output(&out, elapsed);
         }
     }
-    shared.offer(plan, &out, prof);
+    state.shared.offer(plan, &out, prof);
     Ok(out)
 }
 
-fn exec_sort(
-    keys: &[(crate::expr::Expr, bool)],
-    input: &LogicalPlan,
+fn exec_sort<'a>(
+    keys: &[(Expr, bool)],
+    input: &'a LogicalPlan,
     ctx: &ExecContext,
-    shared: &mut SharedResults,
+    state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     let schema = input.schema()?;
@@ -683,7 +886,7 @@ fn exec_sort(
         .iter()
         .map(|(e, asc)| Ok((e.bind(&schema)?, *asc)))
         .collect::<Result<_>>()?;
-    let mut rows = gather_rows(execute_node(input, ctx, shared, child(prof, 0))?);
+    let mut rows = gather_rows(execute_node(input, ctx, state, child(prof, 0))?);
     let mut err = None;
     rows.sort_by(|a, b| {
         for (key, asc) in &bound {
@@ -718,12 +921,67 @@ fn exec_sort(
 // Scan
 // ----------------------------------------------------------------------
 
-fn exec_scan(
-    plan: &LogicalPlan,
+/// The keys the joins above a scan produced for it: `None` unless every
+/// consumer of the scan's rows is covered by a key set that was small enough
+/// to list. Filtering inputs of joins the plan has not reached yet run here,
+/// ahead of their place, and keep their partitions for the join to take.
+fn dynamic_filter_keys<'a>(
+    filter: &DynamicFilter<'a>,
+    ctx: &ExecContext,
+    state: &mut PlanState<'a>,
+) -> Result<Option<(Vec<Value>, Vec<usize>)>> {
+    for source in &filter.sources {
+        if state
+            .dynamic
+            .keys
+            .contains_key(&(source.key as *const Expr))
+        {
+            continue;
+        }
+        if state.dynamic.running_ahead {
+            return Ok(None);
+        }
+        let prof = state
+            .dynamic
+            .root
+            .as_ref()
+            .and_then(|(plan, prof)| profile_of(plan, prof, source.side));
+        state.dynamic.running_ahead = true;
+        let parts = execute_node(source.side, ctx, state, prof.as_ref());
+        state.dynamic.running_ahead = false;
+        let parts = parts?;
+        state
+            .dynamic
+            .collect_keys(source.side, &[source.key], &parts, ctx, prof.as_ref())?;
+        state
+            .dynamic
+            .ahead
+            .insert(source.side as *const LogicalPlan, parts);
+    }
+    let mut all = Vec::new();
+    let mut ops = Vec::new();
+    for source in &filter.sources {
+        match state.dynamic.keys.get(&(source.key as *const Expr)) {
+            Some(KeySet {
+                keys: Some(keys),
+                op,
+            }) => {
+                all.extend(keys.iter().cloned());
+                ops.extend(*op);
+            }
+            _ => return Ok(None),
+        }
+    }
+    Ok(Some((distinct_keys(all), ops)))
+}
+
+fn exec_scan<'a>(
+    plan: &'a LogicalPlan,
     provider: &Arc<dyn crate::datasource::TableProvider>,
     projection: Option<&[usize]>,
-    filters: &[crate::expr::Expr],
+    filters: &[Expr],
     ctx: &ExecContext,
+    state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     // Translate pushable predicates to source form; remember which engine
@@ -761,6 +1019,28 @@ fn exec_scan(
     } else {
         None
     };
+    // Join keys from the other side of a join above go to the source as one
+    // more filter. It only narrows what is read: the join tests every row
+    // itself, so the filter is neither re-applied here nor ever asked about
+    // in `unhandled_filters`.
+    let pushed = translated.len() - unhandled.len();
+    let mut dynamic_note = None;
+    if let Some(filter) = state.dynamic.filters.remove(&(plan as *const LogicalPlan)) {
+        if let Some((keys, ops)) = dynamic_filter_keys(&filter, ctx, state)? {
+            ctx.metrics.add(&ctx.metrics.dynamic_filters, 1);
+            if let Some(p) = prof {
+                let _ = p.dynamic_filter_keys.set(keys.len());
+                let ops: Vec<String> = ops.iter().map(|op| format!("#{op}")).collect();
+                dynamic_note = Some(format!(
+                    "dynamic filter: {} keys from op {} → {} range(s)",
+                    keys.len(),
+                    ops.join(", "),
+                    key_runs(&keys)
+                ));
+            }
+            translated.push(SourceFilter::In(filter.column, keys));
+        }
+    }
     let partitions = provider
         .scan(effective_projection, &translated)
         .map_err(|e| EngineError::DataSource(e.to_string()))?;
@@ -769,7 +1049,6 @@ fn exec_scan(
     // source accepted vs how many the engine re-applies, and how many
     // partitions survived the provider's pruning.
     if let Some(p) = prof {
-        let pushed = translated.len() - unhandled.len();
         p.note(format!(
             "pushdown: {pushed} filter(s) at source, {residual_count} residual, projection {}",
             if effective_projection.is_some() {
@@ -778,6 +1057,9 @@ fn exec_scan(
                 "full-width"
             }
         ));
+        if let Some(note) = dynamic_note {
+            p.note(note);
+        }
         p.note(format!("partitions after pruning: {}", partitions.len()));
     }
 
@@ -1167,13 +1449,15 @@ fn build_join_table(
     Ok(table)
 }
 
-fn exec_join(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
-    on: &[(crate::expr::Expr, crate::expr::Expr)],
+#[allow(clippy::too_many_arguments)]
+fn exec_join<'a>(
+    plan: &'a LogicalPlan,
+    left: &'a LogicalPlan,
+    right: &'a LogicalPlan,
+    on: &[(Expr, Expr)],
     join_type: JoinType,
     ctx: &ExecContext,
-    shared: &mut SharedResults,
+    state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     let left_schema = left.schema()?;
@@ -1189,8 +1473,36 @@ fn exec_join(
     let left_dtypes = schema_dtypes(&left_schema);
     let right_dtypes = schema_dtypes(&right_schema);
 
-    let left_parts = execute_node(left, ctx, shared, child(prof, 0))?;
-    let right_parts = execute_node(right, ctx, shared, child(prof, 1))?;
+    // An input whose keys a scan under the other one can use runs first,
+    // whichever it is; its keys are collected before that scan starts.
+    let filtering = state
+        .dynamic
+        .joins
+        .get(&(plan as *const LogicalPlan))
+        .cloned();
+    let run_input = |i: usize, state: &mut PlanState<'a>| {
+        let input = if i == 0 { left } else { right };
+        let parts = execute_node(input, ctx, state, child(prof, i))?;
+        if let Some((_, keys)) = filtering.as_ref().filter(|(f, _)| std::ptr::eq(*f, input)) {
+            state
+                .dynamic
+                .collect_keys(input, keys, &parts, ctx, child(prof, i))?;
+            if let (Some(p), Some(first)) = (prof, child(prof, i)) {
+                p.note(format!(
+                    "dynamic filter: filtering side op #{} ran first",
+                    first.id
+                ));
+            }
+        }
+        Ok::<_, EngineError>(parts)
+    };
+    let (left_parts, right_parts) = match &filtering {
+        Some((side, _)) if std::ptr::eq(*side, right) => {
+            let right_parts = run_input(1, state)?;
+            (run_input(0, state)?, right_parts)
+        }
+        _ => (run_input(0, state)?, run_input(1, state)?),
+    };
     let left_bytes = partitions_byte_size(&left_parts);
     let right_bytes = partitions_byte_size(&right_parts);
 
@@ -1382,12 +1694,12 @@ struct BoundAgg {
     arg: Option<BoundExpr>,
 }
 
-fn exec_aggregate(
-    group: &[(crate::expr::Expr, String)],
+fn exec_aggregate<'a>(
+    group: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
-    input: &LogicalPlan,
+    input: &'a LogicalPlan,
     ctx: &ExecContext,
-    shared: &mut SharedResults,
+    state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Vec<PartitionData>> {
     let schema = input.schema()?;
@@ -1405,7 +1717,7 @@ fn exec_aggregate(
         })
         .collect::<Result<_>>()?;
 
-    let input_parts = execute_node(input, ctx, shared, child(prof, 0))?;
+    let input_parts = execute_node(input, ctx, state, child(prof, 0))?;
     let observed_bytes = partitions_byte_size(&input_parts);
 
     // Exchange partition count: planned from the estimated input size,
@@ -2269,6 +2581,323 @@ mod tests {
         assert_eq!(ctx.metrics.snapshot().subplans_reused, 0);
         let rows = collect(&plan, &ctx).unwrap();
         assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
+        assert_eq!(sorted_debug(rows), expected);
+    }
+
+    use crate::memtable::KeyedTable;
+
+    /// `f(k, v)`: forty rows, `k = v % 10`, in a table that prunes on `k`.
+    fn facts() -> Arc<KeyedTable> {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("v", DataType::Int64),
+        ]);
+        let rows = (0..40)
+            .map(|v| Row::new(vec![Value::Int64(v % 10), Value::Int64(v)]))
+            .collect();
+        KeyedTable::new(MemTable::with_rows(schema, rows, 4), "k")
+    }
+
+    /// `d(dk, tag)`: keys 0..10 as `Int32` (the fact key is `Int64`), one of
+    /// them twice, one row without a key.
+    fn dims() -> Arc<MemTable> {
+        let schema = Schema::new(vec![
+            Field::new("dk", DataType::Int32),
+            Field::new("tag", DataType::Utf8),
+        ]);
+        let mut rows: Vec<Row> = (0..10)
+            .map(|dk| Row::new(vec![Value::Int32(dk), Value::Utf8("t".into())]))
+            .collect();
+        rows.push(Row::new(vec![Value::Int32(1), Value::Utf8("t".into())]));
+        rows.push(Row::new(vec![Value::Null, Value::Utf8("t".into())]));
+        Arc::new(MemTable::with_rows(schema, rows, 2))
+    }
+
+    fn scan_where(
+        provider: Arc<dyn crate::datasource::TableProvider>,
+        qualifier: &str,
+        filters: Vec<Expr>,
+    ) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table_name: qualifier.into(),
+            qualifier: qualifier.into(),
+            provider,
+            projection: None,
+            filters,
+        }
+    }
+
+    /// `f JOIN d ON f.k = d.dk WHERE d.dk < below`.
+    fn facts_of_dims_below(facts: &Arc<KeyedTable>, below: i32) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(scan_where(facts.clone(), "f", vec![])),
+            right: Box::new(scan_where(
+                dims(),
+                "d",
+                vec![Expr::col("dk").lt(Expr::lit(below))],
+            )),
+            on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
+            join_type: JoinType::Inner,
+        }
+    }
+
+    fn fixed_plans() -> ExecContext {
+        ExecContext {
+            adaptive: false,
+            ..Default::default()
+        }
+    }
+
+    fn keys_in(values: &[i32]) -> Vec<SourceFilter> {
+        vec![SourceFilter::In(
+            "k".into(),
+            values.iter().map(|&v| Value::Int32(v)).collect(),
+        )]
+    }
+
+    #[test]
+    fn a_small_filtered_input_hands_its_keys_to_the_scan_across_the_join() {
+        let table = facts();
+        let plan = facts_of_dims_below(&table, 3);
+        let ctx = ExecContext::default();
+        let rows = collect(&plan, &ctx).unwrap();
+        // Keys are distinct (1 occurs twice), not NULL, in order, and still
+        // `Int32`: casting to the column's type is the source's business.
+        assert_eq!(*table.offered.lock(), vec![keys_in(&[0, 1, 2])]);
+        let snap = ctx.metrics.snapshot();
+        assert_eq!(snap.dynamic_filters, 1);
+        assert_eq!(snap.scan_rows, 12 + 4, "three keys of ten, four dims");
+        assert_eq!(rows.len(), 4 + 8 + 4, "key 1 joins two dims");
+
+        // A row without a key joins nothing and names no key; a `Filter`
+        // operator is as good a predicate as a pushed one.
+        let all_dims = LogicalPlan::Join {
+            left: Box::new(scan_where(table.clone(), "f", vec![])),
+            right: Box::new(LogicalPlan::Filter {
+                predicate: Expr::col("d.tag").eq(Expr::lit("t")),
+                input: Box::new(scan_where(dims(), "d", vec![])),
+            }),
+            on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
+            join_type: JoinType::Inner,
+        };
+        assert_eq!(
+            collect(&all_dims, &ExecContext::default()).unwrap().len(),
+            44
+        );
+        let every_key: Vec<i32> = (0..10).collect();
+        assert_eq!(table.offered.lock().pop().unwrap(), keys_in(&every_key));
+
+        // Plans fixed at plan time read the whole table for the same rows.
+        let fixed = fixed_plans();
+        let reference = collect(&plan, &fixed).unwrap();
+        assert_eq!(table.offered.lock().last().unwrap(), &vec![]);
+        assert_eq!(fixed.metrics.snapshot().dynamic_filters, 0);
+        assert_eq!(fixed.metrics.snapshot().scan_rows, 40 + 4);
+        assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
+        assert_eq!(fixed.metrics.snapshot().tasks, snap.tasks);
+
+        // Row-at-a-time execution, and the filtering input on the left.
+        let LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } = plan
+        else {
+            unreachable!()
+        };
+        let swapped = LogicalPlan::Join {
+            left: right,
+            right: left,
+            on: on.into_iter().map(|(l, r)| (r, l)).collect(),
+            join_type,
+        };
+        let row_ctx = ExecContext {
+            vectorized: false,
+            ..Default::default()
+        };
+        let again = collect(&swapped, &row_ctx).unwrap();
+        assert_eq!(table.offered.lock().last().unwrap(), &keys_in(&[0, 1, 2]));
+        assert_eq!(row_ctx.metrics.snapshot().dynamic_filters, 1);
+        assert_eq!(again.len(), rows.len());
+    }
+
+    #[test]
+    fn an_empty_key_set_is_still_a_key_set() {
+        let table = facts();
+        let ctx = ExecContext::default();
+        let rows = collect(&facts_of_dims_below(&table, 0), &ctx).unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(*table.offered.lock(), vec![keys_in(&[])]);
+        assert_eq!(ctx.metrics.snapshot().scan_rows, 0);
+    }
+
+    #[test]
+    fn no_keys_are_passed_where_the_rule_does_not_hold() {
+        let table = facts();
+        let with = |join_type, key: Expr, dim_filters: Vec<Expr>| LogicalPlan::Join {
+            left: Box::new(scan_where(table.clone(), "f", vec![])),
+            right: Box::new(scan_where(dims(), "d", dim_filters)),
+            on: vec![(key, Expr::col("d.dk"))],
+            join_type,
+        };
+        let below_3 = || vec![Expr::col("dk").lt(Expr::lit(3))];
+        let tiny_broadcasts = ExecContext {
+            broadcast_threshold: 16,
+            ..Default::default()
+        };
+        for (plan, ctx, why) in [
+            (
+                with(JoinType::Left, Expr::col("f.k"), below_3()),
+                ExecContext::default(),
+                "left join",
+            ),
+            (
+                with(
+                    JoinType::Inner,
+                    Expr::col("f.k").add(Expr::lit(0i64)),
+                    below_3(),
+                ),
+                ExecContext::default(),
+                "key wrapped in an expression",
+            ),
+            (
+                with(JoinType::Inner, Expr::col("f.v"), below_3()),
+                ExecContext::default(),
+                "not the column the table prunes on",
+            ),
+            (
+                with(JoinType::Inner, Expr::col("f.k"), vec![]),
+                ExecContext::default(),
+                "the other input keeps every row",
+            ),
+            (
+                with(JoinType::Inner, Expr::col("f.k"), below_3()),
+                tiny_broadcasts,
+                "the other input is larger than a broadcast",
+            ),
+        ] {
+            let rows = collect(&plan, &ctx).unwrap();
+            assert_eq!(table.offered.lock().pop().unwrap(), vec![], "{why}");
+            assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0, "{why}");
+            let reference = collect(&plan, &fixed_plans()).unwrap();
+            table.offered.lock().clear();
+            assert_eq!(sorted_debug(rows), sorted_debug(reference), "{why}");
+        }
+    }
+
+    /// Two blocks `f JOIN d WHERE dk < 3` and `f JOIN d WHERE dk >= 2 AND
+    /// dk < below` joined on `v`: the scan of `f` is a repeated subplan.
+    fn two_blocks_over_one_scan(facts: &Arc<KeyedTable>, second: Vec<Expr>) -> LogicalPlan {
+        let block = |name: &str, dim_filters: Vec<Expr>| LogicalPlan::SubqueryAlias {
+            alias: name.into(),
+            input: Box::new(LogicalPlan::Join {
+                left: Box::new(scan_where(facts.clone(), "f", vec![])),
+                right: Box::new(scan_where(dims(), "d", dim_filters)),
+                on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
+                join_type: JoinType::Inner,
+            }),
+        };
+        LogicalPlan::Join {
+            left: Box::new(block("l", vec![Expr::col("dk").lt(Expr::lit(3))])),
+            right: Box::new(block("r", second)),
+            on: vec![(Expr::col("l.v"), Expr::col("r.v"))],
+            join_type: JoinType::Inner,
+        }
+    }
+
+    #[test]
+    fn a_shared_scan_is_handed_the_union_of_its_consumers_keys() {
+        let table = facts();
+        let from_2_below_5 = vec![
+            Expr::col("dk").gt_eq(Expr::lit(2)),
+            Expr::col("dk").lt(Expr::lit(5)),
+        ];
+        let plan = two_blocks_over_one_scan(&table, from_2_below_5);
+        let ctx = ExecContext::default();
+        let (rows, profile) = collect_profiled(&plan, &ctx).unwrap();
+        assert_eq!(*table.offered.lock(), vec![keys_in(&[0, 1, 2, 3, 4])]);
+        let snap = ctx.metrics.snapshot();
+        assert_eq!((snap.dynamic_filters, snap.subplans_reused), (1, 1));
+        // The second block's dims ran ahead of their join, once.
+        assert_eq!(snap.scan_rows, 20 + 4 + 3);
+        assert_eq!(rows.len(), 4, "v with k = 2, in both blocks");
+        let fixed = fixed_plans();
+        let reference = collect(&plan, &fixed).unwrap();
+        assert_eq!(fixed.metrics.snapshot().scan_rows, 40 + 4 + 3);
+        assert_eq!(fixed.metrics.snapshot().tasks, snap.tasks);
+        assert_eq!(sorted_debug(rows), sorted_debug(reference));
+
+        // Pre-order: 0 join, 1 alias l, 2 join, 3 scan f, 4 scan d,
+        // 5 alias r, 6 join, 7 scan f (reused), 8 scan d (ran ahead).
+        let rendered = profile.render();
+        assert!(
+            rendered.contains("(dynamic filter: 5 keys from op #4, #8 → 1 range(s))"),
+            "{rendered}"
+        );
+        for op in [4, 8] {
+            let note = format!("(dynamic filter: filtering side op #{op} ran first)");
+            assert!(rendered.contains(&note), "{rendered}");
+        }
+        let mut scans = Vec::new();
+        profile.walk(&mut |p| {
+            if p.describe.starts_with("Scan") {
+                scans.push((
+                    p.id,
+                    p.rows.load(Ordering::Relaxed),
+                    p.dynamic_filter_keys.get().copied(),
+                ));
+            }
+        });
+        assert_eq!(
+            scans,
+            vec![(3, 20, Some(5)), (4, 4, None), (7, 20, None), (8, 3, None)]
+        );
+
+        // A block whose dims keep every row reads all of `f`: nothing is
+        // pushed for the other block either.
+        let plan = two_blocks_over_one_scan(&table, vec![]);
+        let ctx = ExecContext::default();
+        collect(&plan, &ctx).unwrap();
+        assert_eq!(table.offered.lock().pop().unwrap(), vec![]);
+        assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0);
+    }
+
+    #[test]
+    fn a_task_failure_in_the_filtering_input_is_retried_or_fails_the_query_once() {
+        let table = facts();
+        let plan = facts_of_dims_below(&table, 3);
+        let expected = sorted_debug(collect(&plan, &ExecContext::default()).unwrap());
+        table.offered.lock().clear();
+
+        // The filtering input runs first: the query's first task is its scan.
+        let faults = SchedulerFaults::new();
+        faults.fail_once_on_host("localhost", "injected");
+        let ctx = ExecContext {
+            sched_faults: Some(Arc::clone(&faults)),
+            ..Default::default()
+        };
+        let rows = collect(&plan, &ctx).unwrap();
+        let snap = ctx.metrics.snapshot();
+        assert_eq!((snap.task_retries, snap.dynamic_filters), (1, 1));
+        assert_eq!(snap.scan_rows, 12 + 4, "the failed attempt counted nothing");
+        assert_eq!(*table.offered.lock(), vec![keys_in(&[0, 1, 2])]);
+        assert_eq!(sorted_debug(rows), expected);
+
+        // No retry budget: the query fails before the fact table is asked
+        // for anything, and the next run starts from nothing.
+        faults.fail_once_on_host("localhost", "injected again");
+        let mut ctx = ExecContext {
+            sched_faults: Some(faults),
+            ..Default::default()
+        };
+        ctx.executors.task_retries = 0;
+        let err = collect(&plan, &ctx).unwrap_err();
+        assert!(err.to_string().contains("injected again"), "{err}");
+        assert_eq!(table.offered.lock().len(), 1);
+        assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0);
+        let rows = collect(&plan, &ctx).unwrap();
+        assert_eq!(ctx.metrics.snapshot().dynamic_filters, 1);
         assert_eq!(sorted_debug(rows), expected);
     }
 

@@ -29,28 +29,6 @@ pub enum SourceFilter {
 }
 
 impl SourceFilter {
-    /// All column names referenced by this filter.
-    pub fn references(&self) -> Vec<&str> {
-        match self {
-            SourceFilter::Eq(c, _)
-            | SourceFilter::Gt(c, _)
-            | SourceFilter::GtEq(c, _)
-            | SourceFilter::Lt(c, _)
-            | SourceFilter::LtEq(c, _)
-            | SourceFilter::In(c, _)
-            | SourceFilter::NotIn(c, _)
-            | SourceFilter::StringStartsWith(c, _)
-            | SourceFilter::IsNull(c)
-            | SourceFilter::IsNotNull(c) => vec![c.as_str()],
-            SourceFilter::And(a, b) | SourceFilter::Or(a, b) => {
-                let mut v = a.references();
-                v.extend(b.references());
-                v.dedup();
-                v
-            }
-        }
-    }
-
     /// Attempt to translate an engine expression into source form. Returns
     /// `None` for shapes the source API cannot express (arithmetic, CASE,
     /// column-to-column comparisons…) — those stay engine-side.
@@ -276,14 +254,5 @@ mod tests {
             SourceFilter::from_expr(&Expr::col("a").not_eq(Expr::lit(1i64))),
             None
         );
-    }
-
-    #[test]
-    fn references_collects_columns() {
-        let f = SourceFilter::And(
-            Box::new(SourceFilter::Eq("a".into(), Value::Int32(1))),
-            Box::new(SourceFilter::Gt("b".into(), Value::Int32(2))),
-        );
-        assert_eq!(f.references(), vec!["a", "b"]);
     }
 }

@@ -5,9 +5,12 @@
 //! through two sessions (one registered with SHC relations, one with the
 //! generic provider), verifies both return identical rows, and prints the
 //! latency / scan / shuffle comparison that Figures 4 and 5 plot, plus the
-//! RPCs and bytes shipped per query: q39's two month-blocks share one
-//! `inventory ⋈ item ⋈ warehouse` execution (`subplans_reused = 1`), so
-//! each fact-table region is scanned once per query for either provider.
+//! RPCs, bytes shipped, rows scanned and regions visited per query: q39's
+//! two month-blocks share one `inventory ⋈ item ⋈ warehouse` execution
+//! (`subplans_reused = 1`), so each fact-table region is scanned at most
+//! once per query for either provider, and through SHC the two `date_dim`
+//! filters hand their keys to that scan (`dynamic_filters = 1`), which then
+//! reads the two months' rows and visits their regions only.
 //!
 //! Run with: `cargo run --release --example tpcds_q39`
 
@@ -78,10 +81,18 @@ fn main() -> Result<()> {
             rpcs: u64,
             bytes_shipped: u64,
             subplans_reused: u64,
+            dynamic_filters: u64,
+            scan_rows: u64,
+            regions_visited: usize,
         }
+        let region_reads = || -> Vec<u64> {
+            let loads = cluster.region_loads();
+            loads.iter().map(|(_, load)| load.read_requests).collect()
+        };
         let run = |session: &Arc<Session>| -> Result<Run> {
             session.metrics.reset();
             cluster.metrics.reset();
+            let reads_before = region_reads();
             let started = Instant::now();
             let rows = session
                 .sql(&sql)
@@ -99,6 +110,13 @@ fn main() -> Result<()> {
                 rpcs: store.rpc_count,
                 bytes_shipped: store.bytes_returned,
                 subplans_reused: engine.subplans_reused,
+                dynamic_filters: engine.dynamic_filters,
+                scan_rows: engine.scan_rows,
+                regions_visited: region_reads()
+                    .iter()
+                    .zip(&reads_before)
+                    .filter(|(after, before)| after != before)
+                    .count(),
             })
         };
 
@@ -113,13 +131,17 @@ fn main() -> Result<()> {
         for (label, r) in [("SHC", &shc), ("SparkSQL", &generic)] {
             println!(
                 "  {label:<8} {:>8.3}s  shuffle {:>7} B  cells scanned {:>8}  rpcs {:>3}  \
-                 shipped {:>8} B  subplans_reused {}",
+                 shipped {:>8} B  rows scanned {:>6}  regions visited {:>2}  \
+                 subplans_reused {}  dynamic_filters {}",
                 r.seconds,
                 r.shuffle_bytes,
                 r.cells_scanned,
                 r.rpcs,
                 r.bytes_shipped,
-                r.subplans_reused
+                r.scan_rows,
+                r.regions_visited,
+                r.subplans_reused,
+                r.dynamic_filters
             );
         }
         println!(

@@ -313,3 +313,63 @@ fn a_failed_shared_subplan_fails_the_query_once_and_the_session_recovers() {
     let delta = reference.metrics.snapshot().delta_since(&before);
     assert_eq!((delta.subplans_reused, delta.scan_rows), (1, 50));
 }
+
+/// `people` joined with the names of its own elders: the derived side is
+/// small and filtered, and `name` is the row key SHC prunes on.
+const ELDERS: &str = "SELECT p.name, p.city, e.age FROM people p \
+     JOIN (SELECT name, age FROM people WHERE age > 60) e ON p.name = e.name";
+
+#[test]
+fn join_keys_reach_the_row_key_scan_only_where_a_source_can_use_them() {
+    let (reference, shc, generic) = sessions();
+    let mut results = Vec::new();
+    for (session, filters) in [(&reference, 0), (&shc, 1), (&generic, 0)] {
+        let before = session.metrics.snapshot();
+        results.push(sorted(session.sql(ELDERS).unwrap().collect().unwrap()));
+        let delta = session.metrics.snapshot().delta_since(&before);
+        assert_eq!(delta.dynamic_filters, filters);
+        if filters == 1 {
+            // The elders once as the filtering side, once more by key.
+            assert_eq!(delta.scan_rows, 2 * results[0].len() as u64);
+        }
+    }
+    assert!(!results[0].is_empty());
+    assert_eq!(results[1], results[0], "SHC disagrees");
+    assert_eq!(results[2], results[0], "generic disagrees");
+}
+
+#[test]
+fn a_failed_filtering_side_fails_the_query_once_and_the_session_recovers() {
+    let (reference, shc, _) = sessions();
+    let expected = sorted(reference.sql(ELDERS).unwrap().collect().unwrap());
+
+    // The filtering side runs first: the query's first task attempt is its.
+    let faults = SchedulerFaults::new();
+    shc.update_config(|c| c.scheduler_faults = Some(Arc::clone(&faults)));
+    faults.fail_once_on_host("localhost", "injected");
+    let before = shc.metrics.snapshot();
+    let rows = sorted(shc.sql(ELDERS).unwrap().collect().unwrap());
+    let delta = shc.metrics.snapshot().delta_since(&before);
+    assert_eq!(rows, expected);
+    assert_eq!((delta.task_retries, delta.dynamic_filters), (1, 1));
+    assert_eq!(delta.scan_rows, 2 * expected.len() as u64);
+
+    // Retries exhausted: one error, no key passed, and the next run is whole.
+    shc.update_config(|c| c.executors.task_retries = 0);
+    faults.fail_once_on_host("localhost", "injected again");
+    let before = shc.metrics.snapshot();
+    let err = shc.sql(ELDERS).unwrap().collect().unwrap_err();
+    assert!(err.to_string().contains("injected again"), "{err}");
+    assert_eq!(
+        shc.metrics.snapshot().delta_since(&before).dynamic_filters,
+        0
+    );
+    let before = shc.metrics.snapshot();
+    let rows = sorted(shc.sql(ELDERS).unwrap().collect().unwrap());
+    assert_eq!(rows, expected);
+    let delta = shc.metrics.snapshot().delta_since(&before);
+    assert_eq!(
+        (delta.dynamic_filters, delta.scan_rows),
+        (1, 2 * expected.len() as u64)
+    );
+}

@@ -469,6 +469,10 @@ fn q39_month_blocks_share_one_fact_table_scan_and_join() {
         ..Default::default()
     });
     let session = session_for(&cluster);
+    // Plans fixed at plan time pass no join keys to the fact scan, so what
+    // sharing alone saves is counted here; the two together are
+    // `q39_and_q38_join_keys_prune_the_fact_scan`.
+    session.update_config(|c| c.adaptive = false);
     shc::tpcds::load_into_hbase(
         &session,
         &cluster,
@@ -628,4 +632,441 @@ fn q39_over_memtables_shares_the_same_subplan() {
             assert_eq!(again, rows);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Dynamic partition pruning: a small, filtered join input hands its keys to
+// the row-key scan on the other side of the join.
+// ---------------------------------------------------------------------------
+
+/// Equal up to the last bits of float aggregates: a scan that has other
+/// partitions merges its partial sums in another order.
+fn assert_rows_close(got: &[Row], expected: &[Row], what: &str) {
+    assert_eq!(got.len(), expected.len(), "{what}: row counts differ");
+    for (i, (g, e)) in got.iter().zip(expected).enumerate() {
+        assert_eq!(g.len(), e.len(), "{what}: row {i} arity");
+        for (gv, ev) in g.values.iter().zip(&e.values) {
+            match (gv, ev) {
+                (Value::Float64(a), Value::Float64(b)) => {
+                    assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{what}: row {i}")
+                }
+                _ => assert_eq!(gv, ev, "{what}: row {i}"),
+            }
+        }
+    }
+}
+
+/// The TPC-DS tables in a three-server cluster, read by a session through
+/// `HBaseRelation`.
+fn tpcds_over_hbase() -> (Arc<HBaseCluster>, Generator, Arc<Session>) {
+    let generator = Generator::new(Scale::from_gb(5.0), 11);
+    let cluster = HBaseCluster::start(ClusterConfig {
+        num_servers: 3,
+        ..Default::default()
+    });
+    let session = session_for(&cluster);
+    shc::tpcds::load_into_hbase(
+        &session,
+        &cluster,
+        &generator,
+        &Table::ALL,
+        "PrimitiveType",
+        &SHCConf::default(),
+        Provider::Shc,
+    )
+    .unwrap();
+    (cluster, generator, session)
+}
+
+/// Reads each region of `table` has served so far, by region id.
+fn region_reads(cluster: &HBaseCluster, table: Table) -> Vec<(u64, u64)> {
+    cluster
+        .region_loads()
+        .iter()
+        .filter(|(_, load)| load.table.ends_with(&format!(":{}", table.name())))
+        .map(|(_, load)| (load.region_id, load.read_requests))
+        .collect()
+}
+
+/// Ids of the regions whose reads moved between two `region_reads`.
+fn regions_read(before: &[(u64, u64)], after: &[(u64, u64)]) -> Vec<u64> {
+    after
+        .iter()
+        .filter(|(id, reads)| !before.contains(&(*id, *reads)))
+        .map(|(id, _)| *id)
+        .collect()
+}
+
+/// Ids of the regions of `table` that hold a row whose first column (the
+/// leading row-key dimension) is one of `keys`.
+fn regions_holding(
+    cluster: &HBaseCluster,
+    generator: &Generator,
+    table: Table,
+    keys: std::ops::RangeInclusive<i64>,
+) -> Vec<u64> {
+    let catalog = HBaseTableCatalog::parse_simple(&table.catalog_json("PrimitiveType")).unwrap();
+    let dims = catalog.row_key.len();
+    let loads = cluster.region_loads();
+    let mut regions: Vec<u64> = Vec::new();
+    for row in generator.rows(table) {
+        if !keys.contains(&row.get(0).as_i64().unwrap()) {
+            continue;
+        }
+        let key = shc::core::rowkey::encode_rowkey(&catalog, &row.values[..dims]).unwrap();
+        let (_, holder) = loads
+            .iter()
+            .find(|(_, load)| {
+                load.table.ends_with(&format!(":{}", table.name()))
+                    && load.start_key.as_ref() <= key.as_slice()
+                    && (load.end_key.is_empty() || key.as_slice() < load.end_key.as_ref())
+            })
+            .expect("every key has a region");
+        if !regions.contains(&holder.region_id) {
+            regions.push(holder.region_id);
+        }
+    }
+    regions.sort();
+    regions
+}
+
+#[test]
+fn q39_and_q38_join_keys_prune_the_fact_scan() {
+    let (cluster, generator, session) = tpcds_over_hbase();
+    // The references need no switch of their own: the same tables read
+    // without partition pruning, plans fixed at plan time, and MemTables.
+    let unpruned = session_for(&cluster);
+    for table in Table::ALL {
+        let catalog = Arc::new(
+            HBaseTableCatalog::parse_simple(&table.catalog_json("PrimitiveType")).unwrap(),
+        );
+        register_hbase_table(
+            &unpruned,
+            Arc::clone(&cluster),
+            catalog,
+            SHCConf::default().without_pruning(),
+            table.name(),
+        );
+    }
+    let memory = Session::new_default();
+    shc::tpcds::load_into_memory(&memory, &generator, &Table::ALL, 4);
+
+    let first_two_months = regions_holding(&cluster, &generator, Table::Inventory, 1..=60);
+    let inventory_regions = region_reads(&cluster, Table::Inventory).len();
+    assert!(
+        first_two_months.len() < inventory_regions,
+        "{first_two_months:?} of {inventory_regions}"
+    );
+
+    for (sql, fact) in [
+        (shc::tpcds::queries::q39a(2001, 1), Table::Inventory),
+        (shc::tpcds::queries::q39b(2001, 1), Table::Inventory),
+        (shc::tpcds::queries::q38(2001), Table::StoreSales),
+    ] {
+        let measure = |session: &Arc<Session>| {
+            let (store, engine, reads) = (
+                cluster.metrics.snapshot(),
+                session.metrics.snapshot(),
+                region_reads(&cluster, fact),
+            );
+            let rows = run(session, &sql);
+            (
+                rows,
+                cluster.metrics.snapshot().delta_since(&store),
+                session.metrics.snapshot().delta_since(&engine),
+                regions_read(&reads, &region_reads(&cluster, fact)),
+            )
+        };
+        let (rows, store, engine, read) = measure(&session);
+        assert!(!rows.is_empty() || sql.contains("> 1.5"), "{sql}");
+        assert!(engine.dynamic_filters >= 1, "{sql}");
+
+        let (ref_rows, _, ref_engine, ref_read) = measure(&unpruned);
+        assert_rows_close(&rows, &ref_rows, "without pruning");
+        assert_eq!(ref_engine.dynamic_filters, 0);
+        assert_eq!(ref_read.len(), region_reads(&cluster, fact).len());
+
+        session.update_config(|c| c.adaptive = false);
+        let (fixed_rows, fixed_store, fixed_engine, fixed_read) = measure(&session);
+        session.update_config(|c| c.adaptive = true);
+        assert_rows_close(&rows, &fixed_rows, "fixed plans");
+        assert_eq!(fixed_engine.dynamic_filters, 0);
+        // q38's quarter is three months of the four loaded: fewer rows, but
+        // a row in every region.
+        assert!(read.len() <= fixed_read.len(), "{read:?} / {fixed_read:?}");
+        assert!(store.rpc_count <= fixed_store.rpc_count);
+        assert!(store.bytes_returned < fixed_store.bytes_returned);
+        assert!(engine.scan_rows < fixed_engine.scan_rows);
+        // What reaches the exchanges is what the joins let through, and the
+        // joins let through what they always did.
+        assert_eq!(engine.shuffle_rows, fixed_engine.shuffle_rows);
+
+        assert_rows_close(&rows, &run(&memory, &sql), "MemTables");
+
+        if fact == Table::Inventory {
+            // One scan of `inventory` for both month-blocks, handed both
+            // months' keys, opening scanners on their regions only.
+            assert_eq!((engine.dynamic_filters, engine.subplans_reused), (1, 1));
+            assert_eq!(read, first_two_months);
+            assert!(store.rpc_count < fixed_store.rpc_count);
+            let others = 4; // item, warehouse, date_dim per month
+            assert_eq!(store.scanner_opens, first_two_months.len() as u64 + others);
+            assert_eq!(fixed_store.scanner_opens, inventory_regions as u64 + others);
+        }
+    }
+    assert!(session
+        .metrics_exposition()
+        .contains("shc_query_dynamic_filters "));
+
+    let text = session
+        .sql(&shc::tpcds::queries::q39a(2001, 1))
+        .unwrap()
+        .explain_analyze()
+        .unwrap();
+    assert!(
+        text.contains("(dynamic filter: 60 keys from op #"),
+        "{text}"
+    );
+    assert!(text.contains("→ 1 range(s))"), "{text}");
+    assert_eq!(text.matches("ran first)").count(), 2, "{text}");
+    assert!(
+        text.contains("subplans_reused=1\ndynamic_filters=1\n"),
+        "{text}"
+    );
+    let partitions = format!("(partitions after pruning: {})", first_two_months.len());
+    assert!(text.contains(&partitions), "{text}");
+}
+
+#[test]
+fn join_keys_are_not_passed_where_the_rule_does_not_hold() {
+    let (cluster, generator, session) = tpcds_over_hbase();
+    // Every query leaves the cluster the RPCs it costs with plans fixed at
+    // plan time, which pass no keys.
+    let unchanged = |session: &Arc<Session>, sql: &str, why: &str| {
+        let measure = || {
+            let (store, engine) = (cluster.metrics.snapshot(), session.metrics.snapshot());
+            let rows = run(session, sql);
+            (
+                rows,
+                cluster.metrics.snapshot().delta_since(&store),
+                session.metrics.snapshot().delta_since(&engine),
+            )
+        };
+        let (rows, store, engine) = measure();
+        session.update_config(|c| c.adaptive = false);
+        let (fixed_rows, fixed_store, _) = measure();
+        session.update_config(|c| c.adaptive = true);
+        assert_eq!(engine.dynamic_filters, 0, "{why}");
+        assert_eq!(rows, fixed_rows, "{why}");
+        assert_eq!(store.rpc_count, fixed_store.rpc_count, "{why}");
+        assert_eq!(store.scanner_opens, fixed_store.scanner_opens, "{why}");
+        assert_eq!(store.cells_scanned, fixed_store.cells_scanned, "{why}");
+    };
+    unchanged(
+        &session,
+        "SELECT inv_item_sk, i_category FROM inventory \
+         JOIN item ON inv_item_sk = i_item_sk WHERE i_item_sk < 5",
+        "the key is the row key's second dimension",
+    );
+    unchanged(
+        &session,
+        "SELECT inv_item_sk, d.d_date_sk FROM inventory \
+         LEFT JOIN (SELECT d_date_sk FROM date_dim WHERE d_moy = 1) d \
+         ON inv_date_sk = d.d_date_sk",
+        "left join",
+    );
+    unchanged(
+        &session,
+        "SELECT inv_item_sk, w_warehouse_name FROM inventory \
+         JOIN warehouse ON inv_warehouse_sk = w_warehouse_sk \
+         JOIN date_dim ON inv_date_sk = d_date_sk",
+        "no input carries a predicate",
+    );
+    unchanged(
+        &session,
+        "SELECT inv_item_sk, d_moy FROM inventory \
+         JOIN date_dim ON inv_date_sk + 0 = d_date_sk WHERE d_moy = 1",
+        "the key is wrapped in an expression",
+    );
+    session.update_config(|c| c.broadcast_threshold = 64);
+    unchanged(
+        &session,
+        &shc::tpcds::queries::q39a(2001, 1),
+        "the filtering input is larger than a broadcast",
+    );
+
+    // Sources that cannot prune on a key are never offered one.
+    let generic = session_for(&cluster);
+    for table in Table::Q39_TABLES {
+        let catalog = Arc::new(
+            HBaseTableCatalog::parse_simple(&table.catalog_json("PrimitiveType")).unwrap(),
+        );
+        register_generic_hbase_table(&generic, Arc::clone(&cluster), catalog, table.name());
+    }
+    unchanged(
+        &generic,
+        &shc::tpcds::queries::q39a(2001, 1),
+        "generic source",
+    );
+    let memory = Session::new_default();
+    shc::tpcds::load_into_memory(&memory, &generator, &Table::Q39_TABLES, 4);
+    unchanged(&memory, &shc::tpcds::queries::q39a(2001, 1), "MemTables");
+}
+
+#[test]
+fn dynamic_filters_at_the_edges_of_the_key_space() {
+    let (cluster, generator, session) = tpcds_over_hbase();
+    let inventory_by_day = |days: &str| {
+        format!(
+            "SELECT inv_date_sk, inv_item_sk, inv_warehouse_sk, inv_quantity_on_hand \
+             FROM inventory JOIN date_dim ON inv_date_sk = d_date_sk WHERE {days} \
+             ORDER BY inv_date_sk, inv_item_sk, inv_warehouse_sk"
+        )
+    };
+    let expected = |keep: &dyn Fn(i64) -> bool| -> Vec<Row> {
+        let mut rows: Vec<Row> = generator
+            .rows(Table::Inventory)
+            .into_iter()
+            .filter(|r| keep(r.get(0).as_i64().unwrap()))
+            .collect();
+        rows.sort_by_key(|r| [0, 1, 2].map(|c| r.get(c).as_i64()));
+        rows
+    };
+    let inventory_regions = region_reads(&cluster, Table::Inventory).len() as u64;
+
+    // No month 13: an empty key set is no scan at all, not a full one.
+    let reads = region_reads(&cluster, Table::Inventory);
+    let analysis = session
+        .sql(&inventory_by_day("d_year = 2001 AND d_moy = 13"))
+        .unwrap()
+        .collect_analyzed()
+        .unwrap();
+    assert!(analysis.rows.is_empty());
+    assert_eq!(analysis.dynamic_filters, 1);
+    assert_eq!(reads, region_reads(&cluster, Table::Inventory), "no RPC");
+    let text = analysis.profile.render();
+    assert!(text.contains("dynamic filter: 0 keys from op #"), "{text}");
+    assert!(text.contains("(partitions after pruning: 0)"), "{text}");
+    let inventory_tasks = analysis
+        .timeline
+        .stage_stats()
+        .iter()
+        .filter(|s| s.label == "scan")
+        .map(|s| s.tasks)
+        .collect::<Vec<_>>();
+    assert_eq!(inventory_tasks, vec![1], "date_dim's one task only");
+
+    // The first of each month: four days a month apart, a scanner each.
+    let before = cluster.metrics.snapshot();
+    let rows = run(&session, &inventory_by_day("d_dom = 1"));
+    let delta = cluster.metrics.snapshot().delta_since(&before);
+    assert_eq!(rows, expected(&|day| day % 30 == 1));
+    assert_eq!(delta.scanner_opens, 1 + 4);
+
+    // Every third day: forty ranges, read with at most four scanners per
+    // region, the rows between them dropped before they are decoded.
+    let before = (cluster.metrics.snapshot(), session.metrics.snapshot());
+    let rows = run(
+        &session,
+        &inventory_by_day("d_dom IN (1, 4, 7, 10, 13, 16, 19, 22, 25, 28)"),
+    );
+    let store = cluster.metrics.snapshot().delta_since(&before.0);
+    let engine = session.metrics.snapshot().delta_since(&before.1);
+    let kept = expected(&|day| (day - 1) % 30 % 3 == 0);
+    assert_eq!(rows, kept);
+    assert_eq!(engine.dynamic_filters, 1);
+    assert_eq!(store.scanner_opens, 1 + 4 * inventory_regions);
+    assert_eq!(engine.scan_rows, kept.len() as u64 + 40, "and 40 dates");
+
+    // A single-dimension row key: the keys are points, fetched with one
+    // BulkGet per region and no scanner.
+    let few_items = "SELECT i_item_sk, i_category FROM item \
+         JOIN (SELECT DISTINCT inv_item_sk FROM inventory WHERE inv_date_sk = 5) picked \
+         ON i_item_sk = picked.inv_item_sk ORDER BY i_item_sk";
+    let before = cluster.metrics.snapshot();
+    run(
+        &session,
+        "SELECT DISTINCT inv_item_sk FROM inventory WHERE inv_date_sk = 5",
+    );
+    let picking = cluster.metrics.snapshot().delta_since(&before);
+    let before = (
+        cluster.metrics.snapshot(),
+        session.metrics.snapshot(),
+        region_reads(&cluster, Table::Item),
+    );
+    let rows = run(&session, few_items);
+    let store = cluster.metrics.snapshot().delta_since(&before.0);
+    let engine = session.metrics.snapshot().delta_since(&before.1);
+    let mut items: Vec<i64> = generator
+        .rows(Table::Inventory)
+        .iter()
+        .filter(|r| r.get(0).as_i64() == Some(5))
+        .map(|r| r.get(1).as_i64().unwrap())
+        .collect();
+    items.sort();
+    items.dedup();
+    assert!(items.len() > 1);
+    assert_eq!(
+        rows.iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect::<Vec<_>>(),
+        items
+    );
+    assert_eq!(engine.dynamic_filters, 1);
+    assert_eq!(store.scanner_opens, 1, "inventory's one day, one region");
+    let item_reads = region_reads(&cluster, Table::Item);
+    assert_eq!(item_reads.len(), 1);
+    assert_eq!(
+        item_reads[0].1 - before.2[0].1,
+        items.len() as u64,
+        "one read per key"
+    );
+    assert_eq!(store.rpc_count, picking.rpc_count + 1, "one BulkGet");
+}
+
+#[test]
+fn a_region_split_after_the_filtering_side_ran_loses_and_repeats_nothing() {
+    let (cluster, _, session) = tpcds_over_hbase();
+    let sql = shc::tpcds::queries::q39a(2001, 1);
+    let measure = || {
+        let (store, engine) = (cluster.metrics.snapshot(), session.metrics.snapshot());
+        let rows = run(&session, &sql);
+        (
+            rows,
+            cluster.metrics.snapshot().delta_since(&store),
+            session.metrics.snapshot().delta_since(&engine),
+        )
+    };
+    // Once, so the client has the fact table's regions cached.
+    let (expected, _, engine) = measure();
+    assert_eq!(engine.dynamic_filters, 1);
+
+    // The filtering side runs first, so the query's first scan RPC is
+    // `date_dim`'s: split the first `inventory` region under it. The fact
+    // scan is then planned and started against a layout that is gone.
+    let inventory = shc::kvstore::types::TableName::default_ns("inventory");
+    let regions = cluster.master.regions_of(&inventory).unwrap();
+    let first = regions[0].info.region_id;
+    let hook = (Arc::clone(&cluster), inventory.clone());
+    cluster
+        .faults()
+        .on_nth_op(Some(shc::kvstore::fault::RpcOp::Scan), 1, move || {
+            hook.0.master.split_region(&hook.1, first).unwrap();
+        });
+    let (rows, store, after) = measure();
+    assert_eq!(
+        cluster.master.regions_of(&inventory).unwrap().len(),
+        regions.len() + 1
+    );
+    assert!(
+        store.location_invalidations >= 1,
+        "the stale layout was met"
+    );
+    assert_rows_close(&rows, &expected, "after the split");
+    assert_eq!(after.dynamic_filters, 1);
+    // Two months of `inventory`, each row once, through the daughters.
+    assert_eq!(after.scan_rows, engine.scan_rows);
+    let (again, _, settled) = measure();
+    assert_rows_close(&again, &expected, "on the new layout");
+    assert_eq!(settled.scan_rows, engine.scan_rows);
 }
