@@ -17,18 +17,16 @@
 //! match the SHC path — only the work differs.
 
 use crate::catalog::HBaseTableCatalog;
-use crate::error::ShcError;
-use crate::rowkey::decode_rowkey;
+use crate::relation::RowDecoder;
+use shc_engine::columnar::{BatchBuilder, ColumnarBatch};
 use shc_engine::datasource::{ScanPartition, TableProvider};
 use shc_engine::error::{EngineError, Result as EngineResult};
-use shc_engine::row::Row;
 use shc_engine::schema::Schema;
 use shc_engine::source_filter::SourceFilter;
-use shc_engine::value::Value;
 use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
 use shc_kvstore::master::RegionLocation;
-use shc_kvstore::types::{RowResult, Scan};
+use shc_kvstore::types::Scan;
 use std::sync::Arc;
 
 /// The generic-source baseline provider.
@@ -63,6 +61,10 @@ impl TableProvider for GenericHBaseRelation {
         _projection: Option<&[usize]>,
         _filters: &[SourceFilter],
     ) -> EngineResult<Vec<Arc<dyn ScanPartition>>> {
+        // Every column, always: a catalog that contradicts its row key is
+        // an error here, at plan time.
+        let every_column: Vec<usize> = (0..self.catalog.columns.len()).collect();
+        let decoder = Arc::new(RowDecoder::new(&self.catalog, &every_column)?);
         let connection = Connection::open(Arc::clone(&self.cluster), None);
         let regions = connection
             .locate_regions(&self.catalog.table)
@@ -73,6 +75,7 @@ impl TableProvider for GenericHBaseRelation {
                 Arc::new(GenericScanPartition {
                     cluster: Arc::clone(&self.cluster),
                     catalog: Arc::clone(&self.catalog),
+                    decoder: Arc::clone(&decoder),
                     location,
                 }) as Arc<dyn ScanPartition>
             })
@@ -87,37 +90,19 @@ impl TableProvider for GenericHBaseRelation {
 struct GenericScanPartition {
     cluster: Arc<HBaseCluster>,
     catalog: Arc<HBaseTableCatalog>,
+    decoder: Arc<RowDecoder>,
     location: RegionLocation,
-}
-
-impl GenericScanPartition {
-    fn decode_full(&self, row: &RowResult) -> Result<Row, ShcError> {
-        let key_values = decode_rowkey(&self.catalog, &row.row)?;
-        let mut values = Vec::with_capacity(self.catalog.columns.len());
-        for (idx, col) in self.catalog.columns.iter().enumerate() {
-            if col.is_rowkey() {
-                let dim = self
-                    .catalog
-                    .row_key
-                    .iter()
-                    .position(|&k| k == idx)
-                    .expect("rowkey column is a key dimension");
-                values.push(key_values[dim].clone());
-            } else {
-                match row.value(col.family.as_bytes(), col.qualifier.as_bytes()) {
-                    Some(bytes) => values.push(col.codec.decode(bytes, col.data_type)?),
-                    None => values.push(Value::Null),
-                }
-            }
-        }
-        Ok(Row::new(values))
-    }
 }
 
 impl ScanPartition for GenericScanPartition {
     // No preferred_host: the generic path has no locality information.
 
-    fn execute(&self, _running_on: &str) -> EngineResult<Vec<Row>> {
+    fn execute(
+        &self,
+        _running_on: &str,
+        batch_size: usize,
+        on_batch: &mut dyn FnMut(ColumnarBatch) -> EngineResult<()>,
+    ) -> EngineResult<()> {
         // A fresh connection per task: the costly pattern SHC's cache
         // eliminates.
         let connection = Connection::open(Arc::clone(&self.cluster), None);
@@ -135,11 +120,11 @@ impl ScanPartition for GenericScanPartition {
         if region_sp.is_active() {
             region_sp.annotate("rows", result.rows.len());
         }
-        result
-            .rows
-            .iter()
-            .map(|r| self.decode_full(r).map_err(EngineError::from))
-            .collect()
+        let mut builder = BatchBuilder::new(self.decoder.dtypes(), batch_size);
+        for row in &result.rows {
+            builder.push_row_to(&self.decoder.decode(row)?, on_batch)?;
+        }
+        builder.finish_to(on_batch)
     }
 
     fn describe(&self) -> String {
@@ -154,6 +139,9 @@ mod tests {
     use crate::conf::SHCConf;
     use crate::relation::HBaseRelation;
     use crate::writer::write_rows;
+    use shc_engine::datasource::partition_rows;
+    use shc_engine::row::Row;
+    use shc_engine::value::Value;
     use shc_kvstore::cluster::ClusterConfig;
 
     fn setup() -> (
@@ -209,7 +197,7 @@ mod tests {
         let collect = |parts: Vec<Arc<dyn ScanPartition>>| {
             let mut rows: Vec<Row> = parts
                 .into_iter()
-                .flat_map(|p| p.execute("host-0").unwrap())
+                .flat_map(|p| partition_rows(&*p, "host-0").unwrap())
                 .collect();
             rows.sort_by(|a, b| a.get(0).as_str().cmp(&b.get(0).as_str()));
             rows
@@ -226,7 +214,7 @@ mod tests {
         let filters = vec![SourceFilter::Eq("col0".into(), Value::Utf8("row05".into()))];
         let run = |parts: Vec<Arc<dyn ScanPartition>>| {
             for p in parts {
-                p.execute("host-0").unwrap();
+                partition_rows(&*p, "host-0").unwrap();
             }
         };
         let before = cluster.metrics.snapshot();
@@ -247,12 +235,26 @@ mod tests {
     }
 
     #[test]
+    fn a_catalog_that_contradicts_its_row_key_fails_the_plan_not_a_task() {
+        let (cluster, generic, _) = setup();
+        // `col0` is stored in the key but no longer one of its dimensions.
+        let mut catalog = (*generic.catalog).clone();
+        catalog.row_key.clear();
+        let broken = GenericHBaseRelation::new(cluster, Arc::new(catalog));
+        let err = broken.scan(None, &[]).err().expect("scan must fail");
+        assert!(
+            err.to_string().contains("not one of its dimensions"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn generic_creates_connections_per_task() {
         let (cluster, generic, _) = setup();
         let before = cluster.metrics.snapshot().connections_created;
         let parts = generic.scan(None, &[]).unwrap();
         for p in &parts {
-            p.execute("host-0").unwrap();
+            partition_rows(&**p, "host-0").unwrap();
         }
         let created = cluster.metrics.snapshot().connections_created - before;
         // One at planning + one per task.

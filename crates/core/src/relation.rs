@@ -23,12 +23,13 @@ use crate::error::{Result as ShcResult, ShcError};
 use crate::pruning::plan_pushdown;
 use crate::ranges::RangeSet;
 use crate::rowkey::decode_rowkey;
+use shc_engine::columnar::{BatchBuilder, ColumnarBatch};
 use shc_engine::datasource::{ScanPartition, TableProvider};
 use shc_engine::error::{EngineError, Result as EngineResult};
 use shc_engine::row::Row;
 use shc_engine::schema::Schema;
 use shc_engine::source_filter::SourceFilter;
-use shc_engine::value::Value;
+use shc_engine::value::{DataType, Value};
 use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
 use shc_kvstore::filter::{Filter, RowRange};
@@ -339,7 +340,7 @@ fn collect_filter_columns(filter: &Filter, projection: &mut Projection, any: &mu
 // ----------------------------------------------------------------------
 
 /// Decodes store rows into engine rows for a fixed projection.
-struct RowDecoder {
+pub(crate) struct RowDecoder {
     catalog: Arc<HBaseTableCatalog>,
     /// Projected catalog columns in output order, each with its position
     /// among the row-key dimensions when it is one.
@@ -351,7 +352,10 @@ struct RowDecoder {
 impl RowDecoder {
     /// Fails when the catalog marks a projected column as part of the row
     /// key without listing it among the key's dimensions.
-    fn new(catalog: &Arc<HBaseTableCatalog>, projected: &[usize]) -> ShcResult<RowDecoder> {
+    pub(crate) fn new(
+        catalog: &Arc<HBaseTableCatalog>,
+        projected: &[usize],
+    ) -> ShcResult<RowDecoder> {
         let columns = projected
             .iter()
             .map(|&idx| {
@@ -375,7 +379,15 @@ impl RowDecoder {
         })
     }
 
-    fn decode(&self, row: &RowResult) -> ShcResult<Row> {
+    /// The declared types of the decoded columns, in output order.
+    pub(crate) fn dtypes(&self) -> Vec<DataType> {
+        self.columns
+            .iter()
+            .map(|&(idx, _)| self.catalog.columns[idx].data_type)
+            .collect()
+    }
+
+    pub(crate) fn decode(&self, row: &RowResult) -> ShcResult<Row> {
         let key_values = if self.needs_rowkey {
             decode_rowkey(&self.catalog, &row.row)?
         } else {
@@ -476,8 +488,7 @@ impl HBaseScanPartition {
         table: &shc_kvstore::client::Table,
         work: &[(RegionLocation, RangeSet)],
         running_on: &str,
-        on_batch: &mut dyn FnMut(Vec<Row>) -> EngineResult<()>,
-        delivered: &mut bool,
+        rows_out: &mut RowsOut<'_>,
     ) -> EngineResult<()> {
         let conf = &self.relation.conf;
         for (location, ranges) in work {
@@ -532,43 +543,35 @@ impl HBaseScanPartition {
                     caching: conf.caching,
                     include_empty_rows: true,
                 };
-                // Stream the range: decode and hand off one RPC batch
-                // (≤ `caching` rows) at a time while the scanner's worker
-                // prefetches the next one.
+                // Stream the range: decode one RPC batch (≤ `caching`
+                // rows) at a time while the scanner's worker prefetches the
+                // next one.
                 let mut scanner = table.region_scanner(location, &scan, Some(running_on));
                 while let Some(batch) = scanner
                     .next_batch()
                     .map_err(|e| EngineError::DataSource(e.to_string()))?
                 {
-                    let mut rows = Vec::with_capacity(batch.len());
                     for row in &batch {
                         if reads_gaps && !spans.contains(&row.row) {
                             continue;
                         }
-                        rows.push(self.decoder.decode(row).map_err(EngineError::from)?);
+                        rows_out.push(&self.decoder.decode(row).map_err(EngineError::from)?)?;
+                        region_rows += 1;
                     }
-                    region_rows += rows.len();
-                    *delivered = true;
-                    on_batch(rows)?;
                 }
             }
             if !gets.is_empty() {
                 let rows = table
                     .bulk_get_region(location, &gets, Some(running_on))
                     .map_err(|e| EngineError::DataSource(e.to_string()))?;
-                let mut decoded = Vec::with_capacity(rows.len());
                 for row in &rows {
                     // Empty key = row not found; empty cells with a key =
                     // a live row whose projected columns are all NULL.
                     if row.row.is_empty() {
                         continue;
                     }
-                    decoded.push(self.decoder.decode(row).map_err(EngineError::from)?);
-                }
-                region_rows += decoded.len();
-                if !decoded.is_empty() {
-                    *delivered = true;
-                    on_batch(decoded)?;
+                    rows_out.push(&self.decoder.decode(row).map_err(EngineError::from)?)?;
+                    region_rows += 1;
                 }
             }
             if region_sp.is_active() {
@@ -579,24 +582,32 @@ impl HBaseScanPartition {
     }
 }
 
+/// Where a scan's decoded rows go: into batches cut at the engine's batch
+/// size, whatever the size of the scanner's RPCs, each handed on as it fills.
+struct RowsOut<'a> {
+    builder: BatchBuilder,
+    on_batch: &'a mut dyn FnMut(ColumnarBatch) -> EngineResult<()>,
+    /// Rows taken so far, handed on or still in the builder.
+    taken: usize,
+}
+
+impl RowsOut<'_> {
+    fn push(&mut self, row: &Row) -> EngineResult<()> {
+        self.taken += 1;
+        self.builder.push_row_to(row, self.on_batch)
+    }
+}
+
 impl ScanPartition for HBaseScanPartition {
     fn preferred_host(&self) -> Option<&str> {
         Some(&self.hostname)
     }
 
-    fn execute(&self, running_on: &str) -> EngineResult<Vec<Row>> {
-        let mut out: Vec<Row> = Vec::new();
-        self.execute_batched(running_on, &mut |batch| {
-            out.extend(batch);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    fn execute_batched(
+    fn execute(
         &self,
         running_on: &str,
-        on_batch: &mut dyn FnMut(Vec<Row>) -> EngineResult<()>,
+        batch_size: usize,
+        on_batch: &mut dyn FnMut(ColumnarBatch) -> EngineResult<()>,
     ) -> EngineResult<()> {
         // Each task acquires its connection — through the cache when
         // enabled, freshly otherwise (this is the §V.B.1 cost).
@@ -604,26 +615,33 @@ impl ScanPartition for HBaseScanPartition {
         let table = lease
             .connection()
             .table(self.relation.catalog.table.clone());
-        let mut delivered = false;
-        match self.run_work(&table, &self.work, running_on, on_batch, &mut delivered) {
-            Ok(()) => Ok(()),
+        let mut rows_out = RowsOut {
+            builder: BatchBuilder::new(self.decoder.dtypes(), batch_size),
+            on_batch,
+            taken: 0,
+        };
+        match self.run_work(&table, &self.work, running_on, &mut rows_out) {
+            Ok(()) => {}
             // The planned region layout went stale (split/move between
             // planning and execution): refresh locations and retry once,
             // exactly like the HBase client's NotServingRegion handling.
             // The client already retried under its own policy; this extra
             // partition-level pass rebuilds the partition's work list from
             // fresh locations, which also repairs stale locality planning.
-            // Only safe while no batch has escaped to the consumer — after
-            // that, a rerun would duplicate rows, so the error propagates
-            // and the scheduler retries the whole task from scratch.
+            // Only safe while no row has been taken — whether it went on in
+            // a batch or still sits in the builder, a rerun would read it
+            // again — so after that the error propagates and the scheduler
+            // retries the whole task from scratch.
             Err(EngineError::DataSource(msg))
-                if !delivered && (msg.contains("not serving") || msg.contains("timed out")) =>
+                if rows_out.taken == 0
+                    && (msg.contains("not serving") || msg.contains("timed out")) =>
             {
                 let work = self.relocate(lease.connection())?;
-                self.run_work(&table, &work, running_on, on_batch, &mut delivered)
+                self.run_work(&table, &work, running_on, &mut rows_out)?;
             }
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
         }
+        rows_out.builder.finish_to(rows_out.on_batch)
     }
 
     fn describe(&self) -> String {
@@ -636,17 +654,23 @@ mod tests {
     use super::*;
     use crate::catalog::actives_catalog_json;
     use crate::writer;
+    use shc_engine::datasource::partition_rows;
     use shc_kvstore::cluster::ClusterConfig;
 
     fn setup() -> (Arc<HBaseCluster>, Arc<HBaseRelation>) {
+        setup_with(3, SHCConf::default().caching)
+    }
+
+    /// Thirty rows, `row00..row29`, in three regions spread over
+    /// `num_servers`, read `caching` rows per scanner RPC.
+    fn setup_with(num_servers: usize, caching: usize) -> (Arc<HBaseCluster>, Arc<HBaseRelation>) {
         let cluster = HBaseCluster::start(ClusterConfig {
-            num_servers: 3,
+            num_servers,
             ..Default::default()
         });
         let catalog = Arc::new(HBaseTableCatalog::parse_simple(actives_catalog_json()).unwrap());
-        let conf = SHCConf::default().with_new_table_regions(3);
-        // Seed 30 rows: row00..row29.
-        let schema = catalog.schema();
+        let mut conf = SHCConf::default().with_new_table_regions(3);
+        conf.caching = caching;
         let rows: Vec<Row> = (0..30)
             .map(|i| {
                 Row::new(vec![
@@ -658,7 +682,6 @@ mod tests {
                 ])
             })
             .collect();
-        let _ = schema;
         let relation = HBaseRelation::new(Arc::clone(&cluster), catalog, conf);
         writer::write_rows(&cluster, &relation.catalog, &relation.conf, &rows).unwrap();
         (cluster, relation)
@@ -667,7 +690,7 @@ mod tests {
     fn run_partitions(parts: &[Arc<dyn ScanPartition>]) -> Vec<Row> {
         let mut out = Vec::new();
         for p in parts {
-            out.extend(p.execute("host-0").unwrap());
+            out.extend(partition_rows(&**p, "host-0").unwrap());
         }
         out
     }
@@ -904,8 +927,117 @@ mod tests {
         // Only the key column is affected; and a key that is longer than the
         // catalog says fails in the task, as an error.
         let parts = broken.scan(Some(&[0, 2]), &[]).unwrap();
-        let err = parts[0].execute("host-0").unwrap_err();
+        let err = partition_rows(&*parts[0], "host-0").unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    /// `setup`'s rows on a single server: one fused partition.
+    fn one_server(caching: usize) -> (Arc<HBaseCluster>, Arc<HBaseRelation>) {
+        setup_with(1, caching)
+    }
+
+    fn keys_of(batch: &ColumnarBatch) -> Vec<String> {
+        (0..batch.num_rows())
+            .map(|i| batch.column(0).value(i).to_display_string())
+            .collect()
+    }
+
+    #[test]
+    fn batches_are_cut_at_the_batch_size_not_at_rpc_or_region_boundaries() {
+        let (cluster, relation) = one_server(4);
+        let parts = relation.scan(None, &[]).unwrap();
+        assert_eq!(parts.len(), 1, "three regions, one server, one task");
+        let before = cluster.metrics.snapshot();
+        let (mut sizes, mut keys) = (Vec::new(), Vec::new());
+        parts[0]
+            .execute("host-0", 7, &mut |batch| {
+                sizes.push(batch.num_rows());
+                keys.extend(keys_of(&batch));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(sizes, vec![7, 7, 7, 7, 2]);
+        let rpcs = cluster.metrics.snapshot().delta_since(&before);
+        assert!(
+            rpcs.scanner_batches >= 8,
+            "30 rows came 4 at most at a time: {}",
+            rpcs.scanner_batches
+        );
+        let expected: Vec<String> = (0..30).map(|i| format!("row{i:02}")).collect();
+        assert_eq!(keys, expected);
+        // Typed from the catalog, projection applied.
+        let mut dtypes = Vec::new();
+        relation.scan(Some(&[3, 0]), &[]).unwrap()[0]
+            .execute("host-0", 1024, &mut |batch| {
+                dtypes = batch.dtypes();
+                assert!(batch.column(0).f64_slice().is_some());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(dtypes, vec![DataType::Float64, DataType::Utf8]);
+    }
+
+    #[test]
+    fn a_sink_error_stops_the_scan_and_surfaces_once() {
+        let (cluster, relation) = one_server(4);
+        let parts = relation.scan(None, &[]).unwrap();
+        let before = cluster.metrics.snapshot();
+        let mut calls = 0;
+        let err = parts[0]
+            .execute("host-0", 7, &mut |_| {
+                calls += 1;
+                Err(EngineError::Execution("sink is full".into()))
+            })
+            .unwrap_err();
+        assert_eq!(calls, 1);
+        assert_eq!(err.to_string(), "execution error: sink is full");
+        // Two scanner RPCs filled the first batch; the other regions were
+        // never asked.
+        let rpcs = cluster.metrics.snapshot().delta_since(&before);
+        assert!(rpcs.scanner_batches <= 3, "{}", rpcs.scanner_batches);
+    }
+
+    #[test]
+    fn a_stale_layout_met_with_rows_in_the_builder_never_repeats_them() {
+        use shc_kvstore::fault::{FaultKind, FaultRule, RpcOp};
+        let (cluster, relation) = one_server(1024);
+        let regions = cluster.master.regions_of(&relation.catalog.table).unwrap();
+        // As many refusals as the client has attempts: the partition sees
+        // the error.
+        let refuse_scans_of = |region: usize| {
+            cluster.faults().add_rule(
+                FaultRule::new(FaultKind::NotServing)
+                    .on_op(RpcOp::Scan)
+                    .on_region(regions[region].info.region_id)
+                    .first_n(4),
+            );
+        };
+        let run = |seen: &mut Vec<String>| {
+            relation.scan(None, &[]).unwrap()[0].execute("host-0", 1024, &mut |batch| {
+                seen.extend(keys_of(&batch));
+                Ok(())
+            })
+        };
+
+        // The last region refuses with the first two regions' twenty rows
+        // taken and, at this batch size, none of them handed on yet. A rerun
+        // from fresh locations would read them again: it is refused, and the
+        // error goes to the scheduler, which runs the task from scratch.
+        refuse_scans_of(2);
+        let mut seen = Vec::new();
+        let err = run(&mut seen).unwrap_err();
+        assert!(err.to_string().contains("not serving"), "{err}");
+        assert!(seen.is_empty(), "nothing of the failed attempt escaped");
+        run(&mut seen).unwrap();
+        assert_eq!(seen.len(), 30);
+
+        // The first region refuses before anything was taken: the partition
+        // re-derives its work and reads every row once.
+        refuse_scans_of(0);
+        let mut seen = Vec::new();
+        run(&mut seen).unwrap();
+        let expected: Vec<String> = (0..30).map(|i| format!("row{i:02}")).collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! (i64/f64/bool), null bitmaps, and dictionary-encoded strings, plus the
 //! vectorized predicate kernels that evaluate filters to selection bitmaps.
 //!
-//! The execution currency of the physical layer is [`PartitionData`]: a
-//! partition either carries row vectors (the legacy representation, still
-//! used by sorts/limits and by `vectorized=false` sessions) or a run of
-//! [`ColumnarBatch`]es. Every operator can convert at its boundary, so the
-//! two worlds compose.
+//! The execution currency of the physical layer is [`Partition`]: a run of
+//! [`ColumnarBatch`]es. Every operator takes and returns partitions; rows
+//! are materialized once, by [`gather_rows`], when `collect` hands the
+//! result to the caller.
 //!
 //! **Losslessness contract**: `ColumnarBatch::from_rows` followed by
 //! `to_rows` reproduces the input exactly, down to the `Value` variant.
@@ -731,6 +730,23 @@ impl BatchBuilder {
         std::mem::take(&mut self.batches)
     }
 
+    /// [`push_row`](Self::push_row), handing the batch it completes, if
+    /// any, to `sink`: how a source that decodes rows streams them out in
+    /// batches cut at `capacity`, whatever the size of its reads.
+    pub fn push_row_to(
+        &mut self,
+        row: &Row,
+        sink: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
+    ) -> Result<()> {
+        self.push_row(row);
+        self.drain_completed().into_iter().try_for_each(sink)
+    }
+
+    /// Seal the rows still in progress and hand them to `sink`.
+    pub fn finish_to(self, sink: &mut dyn FnMut(ColumnarBatch) -> Result<()>) -> Result<()> {
+        self.finish().into_iter().try_for_each(sink)
+    }
+
     pub fn finish(mut self) -> Vec<ColumnarBatch> {
         self.flush();
         self.batches
@@ -747,94 +763,38 @@ pub fn rows_to_batches(dtypes: &[DataType], rows: &[Row], capacity: usize) -> Ve
 }
 
 // ----------------------------------------------------------------------
-// PartitionData: the physical layer's execution currency
+// Partition: the physical layer's execution currency
 // ----------------------------------------------------------------------
 
-/// One partition's worth of intermediate data: either legacy row vectors or
-/// columnar batches. Operators convert at their boundary as needed.
-#[derive(Clone, Debug)]
-pub enum PartitionData {
-    Rows(Vec<Row>),
-    Batches(Vec<ColumnarBatch>),
+/// One partition's worth of data between two physical operators: a run of
+/// batches. No batch is a partition without rows.
+pub type Partition = Vec<ColumnarBatch>;
+
+/// Rows held by a run of batches.
+pub fn batches_num_rows(batches: &[ColumnarBatch]) -> usize {
+    batches.iter().map(ColumnarBatch::num_rows).sum()
 }
 
-impl PartitionData {
-    pub fn empty() -> PartitionData {
-        PartitionData::Rows(Vec::new())
-    }
-
-    pub fn num_rows(&self) -> usize {
-        match self {
-            PartitionData::Rows(rows) => rows.len(),
-            PartitionData::Batches(batches) => batches.iter().map(ColumnarBatch::num_rows).sum(),
-        }
-    }
-
-    pub fn byte_size(&self) -> usize {
-        match self {
-            PartitionData::Rows(rows) => crate::row::rows_byte_size(rows),
-            PartitionData::Batches(batches) => batches.iter().map(ColumnarBatch::byte_size).sum(),
-        }
-    }
-
-    /// Number of columnar batches held (0 for row-vector partitions).
-    pub fn batch_count(&self) -> usize {
-        match self {
-            PartitionData::Rows(_) => 0,
-            PartitionData::Batches(batches) => batches.len(),
-        }
-    }
-
-    pub fn into_rows(self) -> Vec<Row> {
-        match self {
-            PartitionData::Rows(rows) => rows,
-            PartitionData::Batches(batches) => {
-                let total = batches.iter().map(ColumnarBatch::num_rows).sum();
-                let mut out = Vec::with_capacity(total);
-                for batch in batches {
-                    for i in 0..batch.num_rows() {
-                        out.push(batch.row_at(i));
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// The batch view, columnarizing row partitions at the boundary.
-    pub fn into_batches(self, dtypes: &[DataType], capacity: usize) -> Vec<ColumnarBatch> {
-        match self {
-            PartitionData::Rows(rows) => rows_to_batches(dtypes, &rows, capacity),
-            PartitionData::Batches(batches) => batches,
-        }
-    }
-}
-
-impl From<Vec<Row>> for PartitionData {
-    fn from(rows: Vec<Row>) -> Self {
-        PartitionData::Rows(rows)
-    }
-}
-
-impl From<Vec<ColumnarBatch>> for PartitionData {
-    fn from(batches: Vec<ColumnarBatch>) -> Self {
-        PartitionData::Batches(batches)
-    }
-}
-
-/// Flatten partitions into one row vector (driver-side gather).
-pub fn gather_rows(parts: Vec<PartitionData>) -> Vec<Row> {
-    let total: usize = parts.iter().map(PartitionData::num_rows).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p.into_rows());
-    }
-    out
+/// Row-equivalent bytes of a run of batches (see [`Column::byte_size`]).
+pub fn batches_byte_size(batches: &[ColumnarBatch]) -> usize {
+    batches.iter().map(ColumnarBatch::byte_size).sum()
 }
 
 /// Total row-equivalent bytes across partitions.
-pub fn partitions_byte_size(parts: &[PartitionData]) -> usize {
-    parts.iter().map(PartitionData::byte_size).sum()
+pub fn partitions_byte_size(parts: &[Partition]) -> usize {
+    parts.iter().map(|p| batches_byte_size(p)).sum()
+}
+
+/// Materialize partitions as one row vector, in partition then batch order:
+/// the driver-side gather `collect` ends with, and what the operators that
+/// work on whole rows (sort, the join's build side) start from.
+pub fn gather_rows(parts: Vec<Partition>) -> Vec<Row> {
+    let total: usize = parts.iter().map(|p| batches_num_rows(p)).sum();
+    let mut out = Vec::with_capacity(total);
+    for batch in parts.iter().flatten() {
+        out.extend((0..batch.num_rows()).map(|i| batch.row_at(i)));
+    }
+    out
 }
 
 // ----------------------------------------------------------------------
@@ -1246,19 +1206,52 @@ mod tests {
     }
 
     #[test]
-    fn partition_data_conversions() {
+    fn partitions_count_rows_and_bytes_like_their_rows_and_gather_in_order() {
         let rows = sample_rows();
-        let pd: PartitionData = rows.clone().into();
-        assert_eq!(pd.num_rows(), 10);
-        assert_eq!(pd.batch_count(), 0);
-        let batches = pd.into_batches(&dtypes(), 4);
+        let batches = rows_to_batches(&dtypes(), &rows, 4);
         assert_eq!(batches.len(), 3); // 4 + 4 + 2
         assert_eq!(batches[2].num_rows(), 2);
-        let pd2 = PartitionData::Batches(batches);
-        assert_eq!(pd2.num_rows(), 10);
-        assert_eq!(pd2.byte_size(), crate::row::rows_byte_size(&rows));
-        let back = pd2.into_rows();
-        assert_eq!(back, rows);
+        assert_eq!(batches_num_rows(&batches), 10);
+        assert_eq!(
+            batches_byte_size(&batches),
+            crate::row::rows_byte_size(&rows)
+        );
+        let (head, tail) = batches.split_at(1);
+        let parts = vec![head.to_vec(), Vec::new(), tail.to_vec()];
+        assert_eq!(
+            partitions_byte_size(&parts),
+            crate::row::rows_byte_size(&rows)
+        );
+        assert_eq!(gather_rows(parts), rows);
+    }
+
+    #[test]
+    fn a_builder_hands_its_sink_full_batches_then_the_rest_and_stops_on_error() {
+        let rows = sample_rows();
+        let mut seen = Vec::new();
+        let mut builder = BatchBuilder::new(dtypes(), 4);
+        for row in &rows {
+            builder
+                .push_row_to(row, &mut |b| {
+                    seen.push(b.num_rows());
+                    Ok(())
+                })
+                .unwrap();
+        }
+        assert_eq!(seen, vec![4, 4]);
+        builder
+            .finish_to(&mut |b| {
+                seen.push(b.num_rows());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(seen, vec![4, 4, 2]);
+
+        let mut builder = BatchBuilder::new(dtypes(), 1);
+        let refused = builder.push_row_to(&rows[0], &mut |_| {
+            Err(crate::error::EngineError::Execution("sink full".into()))
+        });
+        assert!(refused.unwrap_err().to_string().contains("sink full"));
     }
 
     #[test]

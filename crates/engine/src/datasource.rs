@@ -5,8 +5,14 @@
 //! filters; the provider returns partitioned scan tasks (with preferred
 //! hosts for locality) and declares which filters it did NOT fully apply so
 //! the engine can re-apply exactly those.
+//!
+//! A scan task has one way to run: [`ScanPartition::execute`] streams the
+//! partition as columnar batches. A provider that decodes rows feeds them
+//! through a [`BatchBuilder`](crate::columnar::BatchBuilder)
+//! (`push_row_to` / `finish_to`); callers that want rows back — tests,
+//! examples — use [`partition_rows`].
 
-use crate::columnar::ColumnarBatch;
+use crate::columnar::{ColumnarBatch, DEFAULT_BATCH_ROWS};
 use crate::error::Result;
 use crate::row::Row;
 use crate::schema::Schema;
@@ -22,49 +28,35 @@ pub trait ScanPartition: Send + Sync {
         None
     }
 
-    /// Execute the partition. `running_on` is the hostname of the executor
-    /// actually running the task; providers use it for locality-aware I/O.
-    fn execute(&self, running_on: &str) -> Result<Vec<Row>>;
-
-    /// Execute the partition incrementally, handing each batch of rows to
-    /// `on_batch` as it arrives. Streaming providers (SHC's region scanner)
-    /// override this so the engine never holds more than one RPC batch per
-    /// partition in memory; the default materializes [`execute`](Self::execute) and
-    /// delivers it as a single batch, so existing providers keep working.
-    fn execute_batched(
+    /// Execute the partition, handing its rows to `on_batch` as batches of
+    /// at most `batch_size` rows, in the scan's column order, with every
+    /// filter the provider claimed and the pushed projection already
+    /// applied. `running_on` is the hostname of the executor actually
+    /// running the task; providers use it for locality-aware I/O. Batches
+    /// are cut at `batch_size`, not at the provider's read boundaries, and
+    /// delivered as they fill, so a streaming provider holds one batch per
+    /// partition; an error from `on_batch` ends the scan and is returned.
+    fn execute(
         &self,
         running_on: &str,
-        on_batch: &mut dyn FnMut(Vec<Row>) -> Result<()>,
-    ) -> Result<()> {
-        let rows = self.execute(running_on)?;
-        if rows.is_empty() {
-            return Ok(());
-        }
-        on_batch(rows)
-    }
-
-    /// Execute the partition directly as columnar batches of at most
-    /// `batch_size` rows, when the provider can produce them more cheaply
-    /// than row streams (e.g. from a cached columnar representation).
-    /// Returns `Ok(false)` — the default — when the provider has no
-    /// columnar fast path; the engine then falls back to
-    /// [`execute_batched`](Self::execute_batched) and columnarizes the row
-    /// stream itself. Providers that return `Ok(true)` must deliver exactly
-    /// the rows `execute` would, with every pushed filter and projection
-    /// already applied.
-    fn execute_columnar(
-        &self,
-        _running_on: &str,
-        _batch_size: usize,
-        _on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
-    ) -> Result<bool> {
-        Ok(false)
-    }
+        batch_size: usize,
+        on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
+    ) -> Result<()>;
 
     /// Short description for plan explanations.
     fn describe(&self) -> String {
         "partition".to_string()
     }
+}
+
+/// Run one partition to completion and materialize its rows.
+pub fn partition_rows(part: &dyn ScanPartition, running_on: &str) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    part.execute(running_on, DEFAULT_BATCH_ROWS, &mut |batch| {
+        rows.extend(batch.to_rows());
+        Ok(())
+    })?;
+    Ok(rows)
 }
 
 /// A table that can be scanned through the data source API.
@@ -132,13 +124,21 @@ pub trait TableProvider: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::BatchBuilder;
     use crate::schema::Field;
     use crate::value::{DataType, Value};
 
     struct OnePartition;
     impl ScanPartition for OnePartition {
-        fn execute(&self, _running_on: &str) -> Result<Vec<Row>> {
-            Ok(vec![Row::new(vec![Value::Int32(1)])])
+        fn execute(
+            &self,
+            _running_on: &str,
+            batch_size: usize,
+            on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
+        ) -> Result<()> {
+            let mut builder = BatchBuilder::new(vec![DataType::Int32], batch_size);
+            builder.push_row_to(&Row::new(vec![Value::Int32(1)]), on_batch)?;
+            builder.finish_to(on_batch)
         }
     }
 
@@ -174,7 +174,7 @@ mod tests {
         let parts = Fixed.scan(None, &[]).unwrap();
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].preferred_host(), None);
-        let rows = parts[0].execute("anywhere").unwrap();
-        assert_eq!(rows.len(), 1);
+        let rows = partition_rows(&*parts[0], "anywhere").unwrap();
+        assert_eq!(rows, vec![Row::new(vec![Value::Int32(1)])]);
     }
 }

@@ -56,6 +56,8 @@ pub mod optimizer;
 pub mod parser;
 pub mod physical;
 pub mod query_log;
+#[cfg(test)]
+mod reference;
 pub mod row;
 pub mod scheduler;
 pub mod schema;
@@ -69,7 +71,7 @@ pub mod value;
 /// Common imports for engine users.
 pub mod prelude {
     pub use crate::aggregate::AggFunc;
-    pub use crate::columnar::{Bitmap, Column, ColumnarBatch, PartitionData};
+    pub use crate::columnar::{Bitmap, Column, ColumnarBatch, Partition};
     pub use crate::dataframe::{
         avg, col, count, count_star, lit, max, min, stddev, sum, DataFrame, QueryAnalysis,
     };

@@ -1,17 +1,16 @@
 //! An in-memory table provider — the engine's native source, standing in
 //! for Hive/Parquet tables in the experiments. Fully supports projection
-//! and filter pushdown, and serves vectorized scans from a cached columnar
-//! representation (built lazily on first columnar scan, invalidated by
+//! and filter pushdown, and serves unfiltered scans from a cached columnar
+//! representation (built lazily on the first such scan, invalidated by
 //! writes).
 
-use crate::columnar::{rows_to_batches, ColumnarBatch};
+use crate::columnar::{rows_to_batches, BatchBuilder, ColumnarBatch};
 use crate::datasource::{ScanPartition, TableProvider};
 use crate::error::Result;
-use crate::expr::BoundExpr;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::source_filter::SourceFilter;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use parking_lot::RwLock;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -98,37 +97,37 @@ struct MemPartition {
 }
 
 impl ScanPartition for MemPartition {
-    fn execute(&self, _running_on: &str) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        for row in &self.rows {
-            if self
-                .filters
-                .iter()
-                .all(|f| filter_matches(f, row, &self.schema))
-            {
-                out.push(match &self.projection {
-                    Some(indices) => row.project(indices),
-                    None => row.clone(),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Vectorized scans over unfiltered partitions are served from the
-    /// table's columnar cache: cold scans columnarize this partition once
-    /// (full width, so every projection shares the build), warm scans only
-    /// clone column `Arc`s. Projection is applied per batch as a pointer
-    /// copy. Filtered scans fall back to the row path — source filters
-    /// evaluate row-wise against the full schema.
-    fn execute_columnar(
+    /// Unfiltered partitions are served from the table's columnar cache:
+    /// cold scans columnarize this partition once (full width, so every
+    /// projection shares the build), warm scans only clone column `Arc`s.
+    /// Projection is applied per batch as a pointer copy. Source filters
+    /// evaluate row-wise against the full schema, so a filtered scan
+    /// batches the rows it keeps.
+    fn execute(
         &self,
         _running_on: &str,
         batch_size: usize,
         on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
-    ) -> Result<bool> {
+    ) -> Result<()> {
         if !self.filters.is_empty() {
-            return Ok(false);
+            let dtypes = match &self.projection {
+                Some(indices) => self.schema.project(indices).data_types(),
+                None => self.schema.data_types(),
+            };
+            let mut builder = BatchBuilder::new(dtypes, batch_size);
+            for row in &self.rows {
+                if self
+                    .filters
+                    .iter()
+                    .all(|f| filter_matches(f, row, &self.schema))
+                {
+                    match &self.projection {
+                        Some(indices) => builder.push_row_to(&row.project(indices), on_batch)?,
+                        None => builder.push_row_to(row, on_batch)?,
+                    }
+                }
+            }
+            return builder.finish_to(on_batch);
         }
         let key = (self.index, batch_size);
         let cached = self
@@ -140,9 +139,7 @@ impl ScanPartition for MemPartition {
         let batches = match cached {
             Some(batches) => batches,
             None => {
-                let dtypes: Vec<DataType> = (0..self.schema.len())
-                    .map(|i| self.schema.field(i).data_type)
-                    .collect();
+                let dtypes = self.schema.data_types();
                 let built = Arc::new(rows_to_batches(&dtypes, &self.rows, batch_size));
                 self.cache
                     .write()
@@ -151,13 +148,12 @@ impl ScanPartition for MemPartition {
             }
         };
         for batch in batches.iter() {
-            let batch = match &self.projection {
+            on_batch(match &self.projection {
                 Some(indices) => batch.project(indices),
                 None => batch.clone(),
-            };
-            on_batch(batch)?;
+            })?;
         }
-        Ok(true)
+        Ok(())
     }
 
     fn describe(&self) -> String {
@@ -225,18 +221,6 @@ impl TableProvider for MemTable {
     fn name(&self) -> String {
         "memory".to_string()
     }
-}
-
-/// Helper: evaluate a bound predicate over rows (used by tests and the
-/// physical filter operator).
-pub fn filter_rows(rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if predicate.eval_predicate(&row)? {
-            out.push(row);
-        }
-    }
-    Ok(out)
 }
 
 /// A [`MemTable`] that declares it prunes partitions on one of its columns
@@ -308,7 +292,7 @@ mod tests {
     fn collect(parts: Vec<Arc<dyn ScanPartition>>) -> Vec<Row> {
         parts
             .into_iter()
-            .flat_map(|p| p.execute("host").unwrap())
+            .flat_map(|p| crate::datasource::partition_rows(&*p, "host").unwrap())
             .collect()
     }
 

@@ -2,10 +2,11 @@
 //! the executor pool, with hash joins (shuffle or broadcast), two-phase
 //! hash aggregation, and shuffle/memory accounting.
 //!
-//! Operators exchange [`PartitionData`] — fixed-size columnar batches on
-//! the vectorized path (the default), or legacy row vectors — and every
-//! operator can convert at its boundary, so row-only operators (sort,
-//! limit) still compose. Join strategy and exchange partition counts are
+//! Every operator takes and returns [`Partition`]s — runs of fixed-size
+//! columnar batches. An operator that works on whole rows (the sort, a
+//! join's build side, the aggregate's finalisation) materializes them
+//! inside itself and emits batches again; rows leave the executor once, in
+//! [`collect`]. Join strategy and exchange partition counts are
 //! chosen twice: once at plan time from the optimizer's estimates, and
 //! again at the stage boundary from observed input sizes when
 //! [`ExecContext::adaptive`] is on; disagreements are re-planned, noted in
@@ -21,17 +22,16 @@
 
 use crate::aggregate::Accumulator;
 use crate::columnar::{
-    eval_predicate_mask, gather_rows, partitions_byte_size, BatchBuilder, ColumnBuilder,
-    ColumnarBatch, PartitionData, DEFAULT_BATCH_ROWS,
+    batches_num_rows, eval_predicate_mask, gather_rows, partitions_byte_size, rows_to_batches,
+    BatchBuilder, ColumnBuilder, ColumnarBatch, Partition, DEFAULT_BATCH_ROWS,
 };
 use crate::datasource::ScanPartition;
 use crate::error::{EngineError, Result};
 use crate::expr::{BoundExpr, Expr};
 use crate::logical::{AggExpr, DynamicFilter, JoinType, LogicalPlan};
 use crate::metrics::QueryMetrics;
-use crate::row::{rows_byte_size, Row};
+use crate::row::Row;
 use crate::scheduler::{run_stage, ExecutorConfig, SchedulerFaults, StageObs, Task};
-use crate::schema::Schema;
 use crate::shuffle::{hash_key, shuffle_batches_by_key};
 use crate::source_filter::SourceFilter;
 use crate::task_timeline::TaskTimeline;
@@ -59,10 +59,7 @@ pub struct ExecContext {
     pub broadcast_threshold: usize,
     /// Use map-side partial aggregation before the exchange.
     pub partial_agg: bool,
-    /// Execute over columnar batches (vectorized kernels). Off = legacy
-    /// row-at-a-time execution, kept as the fallback baseline.
-    pub vectorized: bool,
-    /// Rows per columnar batch on the vectorized path.
+    /// Rows per columnar batch.
     pub batch_size: usize,
     /// Re-choose join strategy and exchange partition counts at stage
     /// boundaries from observed input statistics. Off = trust the plan-time
@@ -95,7 +92,6 @@ impl Default for ExecContext {
             shuffle_partitions: 8,
             broadcast_threshold: 512 * 1024,
             partial_agg: true,
-            vectorized: true,
             batch_size: DEFAULT_BATCH_ROWS,
             adaptive: true,
             task_metrics: crate::metrics::TaskMetrics::new(),
@@ -158,7 +154,7 @@ pub struct OpProfile {
     pub rows: AtomicU64,
     pub bytes: AtomicU64,
     pub partitions: AtomicU64,
-    /// Columnar batches this operator emitted (0 = row-vector output).
+    /// Columnar batches this operator emitted.
     pub batches: AtomicU64,
     /// Filter operators: rows evaluated by the selection bitmap.
     pub sel_in_rows: AtomicU64,
@@ -217,19 +213,19 @@ impl OpProfile {
         })
     }
 
-    fn record_output(&self, partitions: &[PartitionData], elapsed: Option<u64>) {
-        let rows: usize = partitions.iter().map(PartitionData::num_rows).sum();
+    fn record_output(&self, partitions: &[Partition], elapsed: Option<u64>) {
+        let rows: usize = partitions.iter().map(|p| batches_num_rows(p)).sum();
         let bytes = partitions_byte_size(partitions);
         self.rows.fetch_add(rows as u64, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        let batches: usize = partitions.iter().map(PartitionData::batch_count).sum();
+        let batches: usize = partitions.iter().map(Vec::len).sum();
         self.batches.fetch_add(batches as u64, Ordering::Relaxed);
         self.record_shape(partitions, elapsed);
     }
 
     /// Partition count and elapsed time only — for operators (scans) whose
     /// tasks already accumulated rows/bytes/batches batch by batch.
-    fn record_shape(&self, partitions: &[PartitionData], elapsed: Option<u64>) {
+    fn record_shape(&self, partitions: &[Partition], elapsed: Option<u64>) {
         self.partitions
             .store(partitions.len() as u64, Ordering::Relaxed);
         if let Some(us) = elapsed {
@@ -345,7 +341,7 @@ struct SharedSlot {
     waiting: usize,
     /// `None` until the first occurrence has run, and again once the last
     /// one has taken ownership.
-    partitions: Option<Vec<PartitionData>>,
+    partitions: Option<Vec<Partition>>,
     /// Profile id of the operator that produced `partitions`.
     producer: Option<usize>,
 }
@@ -377,10 +373,9 @@ impl SharedResults {
     }
 
     /// The result of an earlier occurrence of `plan`, with the id of the
-    /// operator that produced it: a clone (an `Arc` per column, or the rows)
-    /// while other occurrences still wait, the partitions themselves for the
-    /// last one.
-    fn take(&mut self, plan: &LogicalPlan) -> Option<(Vec<PartitionData>, Option<usize>)> {
+    /// operator that produced it: a clone (an `Arc` per column) while other
+    /// occurrences still wait, the partitions themselves for the last one.
+    fn take(&mut self, plan: &LogicalPlan) -> Option<(Vec<Partition>, Option<usize>)> {
         let slot = self.slot(plan)?;
         slot.partitions.as_ref()?;
         slot.waiting -= 1;
@@ -394,7 +389,7 @@ impl SharedResults {
 
     /// After the first occurrence of a repeated subplan ran: keep a handle
     /// on its output for the later ones.
-    fn offer(&mut self, plan: &LogicalPlan, out: &[PartitionData], prof: Option<&Arc<OpProfile>>) {
+    fn offer(&mut self, plan: &LogicalPlan, out: &[Partition], prof: Option<&Arc<OpProfile>>) {
         if let Some(slot) = self.slot(plan) {
             slot.partitions = Some(out.to_vec());
             slot.producer = prof.map(|p| p.id);
@@ -431,7 +426,7 @@ struct DynamicPruning<'a> {
     /// Filtering inputs that ran before their join was reached (its other
     /// input is a repeated subplan whose scan ran under another join), kept
     /// for the join to take.
-    ahead: HashMap<*const LogicalPlan, Vec<PartitionData>>,
+    ahead: HashMap<*const LogicalPlan, Vec<Partition>>,
     /// Set while such an input runs: nothing inside it runs a second one
     /// ahead, so no chain of them can lead back to an operator under way.
     running_ahead: bool,
@@ -482,7 +477,7 @@ impl<'a> DynamicPruning<'a> {
         &mut self,
         side: &LogicalPlan,
         keys: &[&'a Expr],
-        parts: &[PartitionData],
+        parts: &[Partition],
         ctx: &ExecContext,
         prof: Option<&Arc<OpProfile>>,
     ) -> Result<()> {
@@ -495,23 +490,12 @@ impl<'a> DynamicPruning<'a> {
             let values = if small {
                 let bound = key.bind(&schema)?;
                 let mut values = Vec::new();
-                for part in parts {
-                    match part {
-                        PartitionData::Rows(rows) => {
-                            for row in rows {
-                                values.push(bound.eval(row)?);
-                            }
-                        }
-                        PartitionData::Batches(batches) => {
-                            for batch in batches {
-                                for i in 0..batch.num_rows() {
-                                    values.push(match &bound {
-                                        BoundExpr::Column(c, _) => batch.column(*c).value(i),
-                                        _ => bound.eval(&batch.row_at(i))?,
-                                    });
-                                }
-                            }
-                        }
+                for batch in parts.iter().flatten() {
+                    for i in 0..batch.num_rows() {
+                        values.push(match &bound {
+                            BoundExpr::Column(c, _) => batch.column(*c).value(i),
+                            _ => bound.eval(&batch.row_at(i))?,
+                        });
                     }
                 }
                 Some(distinct_keys(values))
@@ -539,7 +523,7 @@ fn distinct_keys(values: impl IntoIterator<Item = Value>) -> Vec<Value> {
         .map(|v| GroupKey(vec![v]))
         .collect();
     let mut keys: Vec<Value> = distinct.into_iter().flat_map(|k| k.0).collect();
-    keys.sort_by(|a, b| a.sql_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    keys.sort_by(Value::sort_cmp);
     keys
 }
 
@@ -558,7 +542,7 @@ fn key_runs(keys: &[Value]) -> usize {
     runs
 }
 
-/// What one execution carries from operator to operator besides rows.
+/// What one execution carries from operator to operator besides batches.
 struct PlanState<'a> {
     shared: SharedResults,
     dynamic: DynamicPruning<'a>,
@@ -612,7 +596,7 @@ pub fn collect_profiled(
 }
 
 /// Execute a plan, returning partitioned output.
-pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<PartitionData>> {
+pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<Partition>> {
     execute_node(plan, ctx, &mut PlanState::of(plan, ctx, None), None)
 }
 
@@ -636,11 +620,21 @@ fn child(prof: Option<&Arc<OpProfile>>, i: usize) -> Option<&Arc<OpProfile>> {
     prof.and_then(|p| p.children.get(i))
 }
 
-/// The declared column types of a schema, in order.
-fn schema_dtypes(schema: &Schema) -> Vec<DataType> {
-    (0..schema.len())
-        .map(|i| schema.field(i).data_type)
-        .collect()
+/// The type to build an output column with. Where none can be derived the
+/// column is built as `Binary`, whose storage is boxed [`Value`]s: whatever
+/// the expression evaluates to comes back out exactly.
+fn dtype_or_boxed(derived: Result<DataType>) -> DataType {
+    derived.unwrap_or(DataType::Binary)
+}
+
+/// `rows` as one partition of counted batches: what an operator that worked
+/// on whole rows emits.
+fn emit_rows(dtypes: &[DataType], rows: &[Row], ctx: &ExecContext) -> Partition {
+    let batches = rows_to_batches(dtypes, rows, ctx.batch_size);
+    for batch in &batches {
+        count_batch(&ctx.metrics, batch);
+    }
+    batches
 }
 
 /// Plan-time byte estimate for a stage input: the optimizer's cardinality
@@ -670,7 +664,7 @@ fn execute_node<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     if let Some(out) = state.dynamic.ahead.remove(&(plan as *const LogicalPlan)) {
         // Ran ahead of its join, profiled and counted then.
         return Ok(out);
@@ -713,46 +707,28 @@ fn execute_node<'a>(
             let partitions = execute_node(input, ctx, state, child(prof, 0))?;
             let op_prof = prof.map(Arc::clone);
             let metrics = Arc::clone(&ctx.metrics);
-            parallel_map(partitions, ctx, move |part, _| match part {
-                PartitionData::Batches(batches) => {
-                    // Vectorized: each batch's predicate evaluates to a
-                    // selection bitmap, then a single gather keeps the
-                    // selected rows columnar.
-                    let mut out = Vec::with_capacity(batches.len());
-                    let (mut sel_in, mut sel_out) = (0u64, 0u64);
-                    for batch in batches {
-                        let mask = eval_predicate_mask(&bound, &batch)?;
-                        sel_in += batch.num_rows() as u64;
-                        let kept = mask.count_ones();
-                        sel_out += kept as u64;
-                        if kept == 0 {
-                            continue;
-                        }
-                        let selected = batch.select(&mask);
-                        count_batch(&metrics, &selected);
-                        out.push(selected);
+            parallel_map(partitions, ctx, move |batches, _| {
+                // Each batch's predicate evaluates to a selection bitmap,
+                // then a single gather keeps the selected rows columnar.
+                let mut out = Vec::with_capacity(batches.len());
+                let (mut sel_in, mut sel_out) = (0u64, 0u64);
+                for batch in batches {
+                    let mask = eval_predicate_mask(&bound, &batch)?;
+                    sel_in += batch.num_rows() as u64;
+                    let kept = mask.count_ones();
+                    sel_out += kept as u64;
+                    if kept == 0 {
+                        continue;
                     }
-                    if let Some(p) = &op_prof {
-                        p.sel_in_rows.fetch_add(sel_in, Ordering::Relaxed);
-                        p.sel_out_rows.fetch_add(sel_out, Ordering::Relaxed);
-                    }
-                    Ok(PartitionData::Batches(out))
+                    let selected = batch.select(&mask);
+                    count_batch(&metrics, &selected);
+                    out.push(selected);
                 }
-                PartitionData::Rows(rows) => {
-                    let mut out = Vec::with_capacity(rows.len());
-                    let sel_in = rows.len() as u64;
-                    for row in rows {
-                        if bound.eval_predicate(&row)? {
-                            out.push(row);
-                        }
-                    }
-                    if let Some(p) = &op_prof {
-                        p.sel_in_rows.fetch_add(sel_in, Ordering::Relaxed);
-                        p.sel_out_rows
-                            .fetch_add(out.len() as u64, Ordering::Relaxed);
-                    }
-                    Ok(PartitionData::Rows(out))
+                if let Some(p) = &op_prof {
+                    p.sel_in_rows.fetch_add(sel_in, Ordering::Relaxed);
+                    p.sel_out_rows.fetch_add(sel_out, Ordering::Relaxed);
                 }
+                Ok(out)
             })
         }
         LogicalPlan::Projection { exprs, input } => {
@@ -770,70 +746,34 @@ fn execute_node<'a>(
                     _ => None,
                 })
                 .collect();
-            let out_dtypes: Option<Vec<DataType>> = exprs
+            let out_dtypes: Vec<DataType> = exprs
                 .iter()
-                .map(|(e, _)| e.data_type(&schema).ok())
+                .map(|(e, _)| dtype_or_boxed(e.data_type(&schema)))
                 .collect();
             let metrics = Arc::clone(&ctx.metrics);
             let batch_size = ctx.batch_size;
             let partitions = execute_node(input, ctx, state, child(prof, 0))?;
-            parallel_map(partitions, ctx, move |part, _| match part {
-                PartitionData::Batches(batches) => {
-                    if let Some(indices) = &col_indices {
-                        return Ok(PartitionData::Batches(
-                            batches.into_iter().map(|b| b.project(indices)).collect(),
-                        ));
-                    }
-                    match &out_dtypes {
-                        Some(dtypes) => {
-                            // Computed projection: evaluate row-wise but
-                            // re-emit columnar so downstream stays
-                            // vectorized.
-                            let mut builder = BatchBuilder::new(dtypes.clone(), batch_size.max(1));
-                            for batch in &batches {
-                                for i in 0..batch.num_rows() {
-                                    let row = batch.row_at(i);
-                                    let values = bound
-                                        .iter()
-                                        .map(|e| e.eval(&row))
-                                        .collect::<Result<Vec<_>>>()?;
-                                    builder.push_row(&Row::new(values));
-                                }
-                            }
-                            let out = builder.finish();
-                            for b in &out {
-                                count_batch(&metrics, b);
-                            }
-                            Ok(PartitionData::Batches(out))
-                        }
-                        None => {
-                            // Output types unknowable — fall back to rows.
-                            let rows = PartitionData::Batches(batches).into_rows();
-                            let out = rows
-                                .into_iter()
-                                .map(|row| {
-                                    bound
-                                        .iter()
-                                        .map(|e| e.eval(&row))
-                                        .collect::<Result<Vec<_>>>()
-                                        .map(Row::new)
-                                })
-                                .collect::<Result<Vec<_>>>()?;
-                            Ok(PartitionData::Rows(out))
-                        }
+            parallel_map(partitions, ctx, move |batches, _| {
+                if let Some(indices) = &col_indices {
+                    return Ok(batches.into_iter().map(|b| b.project(indices)).collect());
+                }
+                // Computed projection: evaluate row-wise, emit columnar.
+                let mut builder = BatchBuilder::new(out_dtypes.clone(), batch_size);
+                for batch in &batches {
+                    for i in 0..batch.num_rows() {
+                        let row = batch.row_at(i);
+                        let values = bound
+                            .iter()
+                            .map(|e| e.eval(&row))
+                            .collect::<Result<Vec<_>>>()?;
+                        builder.push_row(&Row::new(values));
                     }
                 }
-                PartitionData::Rows(rows) => Ok(PartitionData::Rows(
-                    rows.into_iter()
-                        .map(|row| {
-                            bound
-                                .iter()
-                                .map(|e| e.eval(&row))
-                                .collect::<Result<Vec<_>>>()
-                                .map(Row::new)
-                        })
-                        .collect::<Result<Vec<_>>>()?,
-                )),
+                let out = builder.finish();
+                for b in &out {
+                    count_batch(&metrics, b);
+                }
+                Ok(out)
             })
         }
         LogicalPlan::Join {
@@ -847,17 +787,34 @@ fn execute_node<'a>(
         }
         LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, state, prof),
         LogicalPlan::Limit { n, input } => {
-            let mut rows = gather_rows(execute_node(input, ctx, state, child(prof, 0))?);
-            rows.truncate(*n);
-            Ok(vec![rows.into()])
+            // The first `n` rows in partition order, gathered to one
+            // partition; the batch the limit falls in is cut.
+            let mut left = *n;
+            let mut out = Vec::new();
+            for batch in execute_node(input, ctx, state, child(prof, 0))?
+                .into_iter()
+                .flatten()
+            {
+                if left == 0 {
+                    break;
+                }
+                let batch = if batch.num_rows() > left {
+                    let head = batch.gather(&(0..left as u32).collect::<Vec<_>>());
+                    count_batch(&ctx.metrics, &head);
+                    head
+                } else {
+                    batch
+                };
+                left -= batch.num_rows();
+                out.push(batch);
+            }
+            Ok(vec![out])
         }
         LogicalPlan::SubqueryAlias { input, .. } => execute_node(input, ctx, state, child(prof, 0)),
-        LogicalPlan::Values { rows, .. } => Ok(vec![rows
-            .iter()
-            .cloned()
-            .map(Row::new)
-            .collect::<Vec<_>>()
-            .into()]),
+        LogicalPlan::Values { schema, rows } => {
+            let rows: Vec<Row> = rows.iter().cloned().map(Row::new).collect();
+            Ok(vec![emit_rows(&schema.data_types(), &rows, ctx)])
+        }
     }?;
     if let Some(p) = prof {
         let elapsed = t0.and_then(|start| trace::now_us().map(|end| end.saturating_sub(start)));
@@ -880,41 +837,36 @@ fn exec_sort<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     let schema = input.schema()?;
     let bound: Vec<(BoundExpr, bool)> = keys
         .iter()
         .map(|(e, asc)| Ok((e.bind(&schema)?, *asc)))
         .collect::<Result<_>>()?;
-    let mut rows = gather_rows(execute_node(input, ctx, state, child(prof, 0))?);
-    let mut err = None;
-    rows.sort_by(|a, b| {
-        for (key, asc) in &bound {
-            let (va, vb) = match (key.eval(a), key.eval(b)) {
-                (Ok(x), Ok(y)) => (x, y),
-                (Err(e), _) | (_, Err(e)) => {
-                    err.get_or_insert(e);
-                    return std::cmp::Ordering::Equal;
-                }
-            };
-            // NULLs sort first, as in Spark's default.
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Less,
-                (false, true) => std::cmp::Ordering::Greater,
-                (false, false) => va.sql_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal),
-            };
-            let ord = if *asc { ord } else { ord.reverse() };
+    // Gathered to the driver and sorted as rows, each with its key values
+    // evaluated once.
+    let mut keyed: Vec<(Vec<Value>, Row)> =
+        gather_rows(execute_node(input, ctx, state, child(prof, 0))?)
+            .into_iter()
+            .map(|row| {
+                let key = bound
+                    .iter()
+                    .map(|(e, _)| e.eval(&row))
+                    .collect::<Result<_>>()?;
+                Ok((key, row))
+            })
+            .collect::<Result<_>>()?;
+    keyed.sort_by(|(a, _), (b, _)| {
+        for ((va, vb), (_, asc)) in a.iter().zip(b).zip(&bound) {
+            let ord = va.sort_cmp(vb);
             if ord != std::cmp::Ordering::Equal {
-                return ord;
+                return if *asc { ord } else { ord.reverse() };
             }
         }
         std::cmp::Ordering::Equal
     });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(vec![rows.into()])
+    let rows: Vec<Row> = keyed.into_iter().map(|(_, row)| row).collect();
+    Ok(vec![emit_rows(&schema.data_types(), &rows, ctx)])
 }
 
 // ----------------------------------------------------------------------
@@ -983,7 +935,7 @@ fn exec_scan<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     // Translate pushable predicates to source form; remember which engine
     // expression each came from.
     let mut translated: Vec<SourceFilter> = Vec::new();
@@ -1063,8 +1015,6 @@ fn exec_scan<'a>(
         p.note(format!("partitions after pruning: {}", partitions.len()));
     }
 
-    let dtypes: Arc<Vec<DataType>> = Arc::new(schema_dtypes(&scan_schema));
-    let vectorized = ctx.vectorized;
     let batch_size = ctx.batch_size.max(1);
     let metrics = Arc::clone(&ctx.metrics);
     let op_id = prof.map(|p| p.id);
@@ -1076,7 +1026,6 @@ fn exec_scan<'a>(
             let residual = residual.clone();
             let metrics = Arc::clone(&metrics);
             let op_prof = op_prof.clone();
-            let dtypes = Arc::clone(&dtypes);
             let preferred = part.preferred_host().map(String::from);
             Task::new(preferred, move |running_on| {
                 // `region_scan` spans emitted by the provider nest under
@@ -1090,104 +1039,45 @@ fn exec_scan<'a>(
                     psp.annotate("partition", part_index);
                     psp.annotate("desc", part.describe());
                 }
-                // Pull the partition batch by batch (one scanner RPC each
-                // for streaming providers). Vectorized: streamed rows fill
-                // fixed-size columnar batches as they arrive; each sealed
-                // batch has the residual filter applied as a selection
-                // bitmap, so unselected rows never travel further. Counters
-                // flush only on task success to stay exact under retries.
-                let mut out: PartitionData;
+                // The partition streams its batches; each has the residual
+                // filter applied as a selection bitmap on arrival, so
+                // unselected rows never travel further. Counters flush only
+                // on task success to stay exact under retries.
+                let mut out: Partition = Vec::new();
                 let mut stat_rows = 0u64;
                 let mut stat_bytes = 0u64;
-                let mut stat_batches = 0u64;
                 let mut stat_sel_in = 0u64;
                 let mut stat_sel_out = 0u64;
-                if vectorized {
-                    let mut batches: Vec<ColumnarBatch> = Vec::new();
-                    {
-                        let mut accept = |batch: ColumnarBatch| -> Result<()> {
-                            let batch = match &residual {
-                                Some(pred) => {
-                                    stat_sel_in += batch.num_rows() as u64;
-                                    let mask = eval_predicate_mask(pred, &batch)?;
-                                    let batch = batch.select(&mask);
-                                    stat_sel_out += batch.num_rows() as u64;
-                                    batch
-                                }
-                                None => batch,
-                            };
-                            if batch.num_rows() == 0 {
-                                return Ok(());
-                            }
-                            stat_rows += batch.num_rows() as u64;
-                            stat_bytes += batch.byte_size() as u64;
-                            stat_batches += 1;
-                            batches.push(batch);
-                            Ok(())
-                        };
-                        // Providers with a columnar fast path (cached
-                        // column vectors) hand over finished batches; the
-                        // rest stream rows that fill fixed-size batches as
-                        // they arrive.
-                        let served = part.execute_columnar(running_on, batch_size, &mut accept)?;
-                        if !served {
-                            let mut builder = BatchBuilder::new((*dtypes).clone(), batch_size);
-                            part.execute_batched(running_on, &mut |chunk| {
-                                for row in &chunk {
-                                    builder.push_row(row);
-                                }
-                                for sealed in builder.drain_completed() {
-                                    accept(sealed)?;
-                                }
-                                Ok(())
-                            })?;
-                            builder.flush();
-                            for sealed in builder.drain_completed() {
-                                accept(sealed)?;
-                            }
+                part.execute(running_on, batch_size, &mut |batch| {
+                    let batch = match &residual {
+                        Some(pred) => {
+                            stat_sel_in += batch.num_rows() as u64;
+                            let mask = eval_predicate_mask(pred, &batch)?;
+                            let batch = batch.select(&mask);
+                            stat_sel_out += batch.num_rows() as u64;
+                            batch
                         }
+                        None => batch,
+                    };
+                    if batch.num_rows() > 0 {
+                        stat_rows += batch.num_rows() as u64;
+                        stat_bytes += batch.byte_size() as u64;
+                        out.push(batch);
                     }
-                    out = PartitionData::Batches(batches);
-                } else {
-                    let mut rows: Vec<Row> = Vec::new();
-                    part.execute_batched(running_on, &mut |batch| {
-                        let batch = match &residual {
-                            Some(pred) => {
-                                stat_sel_in += batch.len() as u64;
-                                let mut kept = Vec::with_capacity(batch.len());
-                                for row in batch {
-                                    if pred.eval_predicate(&row)? {
-                                        kept.push(row);
-                                    }
-                                }
-                                stat_sel_out += kept.len() as u64;
-                                kept
-                            }
-                            None => batch,
-                        };
-                        stat_rows += batch.len() as u64;
-                        stat_bytes += rows_byte_size(&batch) as u64;
-                        rows.extend(batch);
-                        Ok(())
-                    })?;
-                    out = PartitionData::Rows(rows);
-                }
-                if out.num_rows() == 0 {
-                    // Normalize empty output so downstream shape checks and
-                    // tests see a consistent representation.
-                    out = PartitionData::empty();
-                }
+                    Ok(())
+                })?;
+                let stat_batches = out.len() as u64;
                 metrics.add(&metrics.scan_rows, stat_rows);
                 metrics.add(&metrics.scan_bytes, stat_bytes);
-                metrics.add(&metrics.batch_rows, stat_rows * (stat_batches > 0) as u64);
+                metrics.add(&metrics.batch_rows, stat_rows);
                 metrics.add(&metrics.batches_built, stat_batches);
                 if let Some(p) = &op_prof {
                     p.rows.fetch_add(stat_rows, Ordering::Relaxed);
                     p.bytes.fetch_add(stat_bytes, Ordering::Relaxed);
                     p.batches.fetch_add(stat_batches, Ordering::Relaxed);
-                    // Residual filters run inside the scan (as selection
-                    // bitmaps on the vectorized path); report their
-                    // selectivity exactly like a standalone Filter would.
+                    // Residual filters run inside the scan as selection
+                    // bitmaps; report their selectivity exactly like a
+                    // standalone Filter would.
                     p.sel_in_rows.fetch_add(stat_sel_in, Ordering::Relaxed);
                     p.sel_out_rows.fetch_add(stat_sel_out, Ordering::Relaxed);
                 }
@@ -1290,12 +1180,12 @@ fn choose_join_strategy(
 }
 
 /// Probe one partition against a built hash table, emitting joined rows in
-/// left-then-right column order. Columnar probe partitions stay columnar:
-/// key values are read straight off the key columns and output columns are
-/// appended typed, so full probe rows never materialize.
+/// left-then-right column order. Key values are read straight off the key
+/// columns and output columns are appended typed, so full probe rows never
+/// materialize.
 #[allow(clippy::too_many_arguments)]
 fn probe_partition(
-    part: PartitionData,
+    batches: Partition,
     table: &HashMap<GroupKey, Vec<Row>>,
     probe_keys: &[BoundExpr],
     build_is_left: bool,
@@ -1304,138 +1194,95 @@ fn probe_partition(
     emit_unmatched: bool,
     batch_size: usize,
     metrics: &QueryMetrics,
-) -> Result<PartitionData> {
-    match part {
-        PartitionData::Rows(rows) => {
-            let mut out = Vec::new();
-            for prow in rows {
-                let key = eval_key(probe_keys, &prow)?;
-                let matched = if key.iter().any(Value::is_null) {
-                    None
-                } else {
-                    table.get(&GroupKey(key))
-                };
-                match matched {
-                    Some(matches) => {
-                        for brow in matches {
-                            out.push(if build_is_left {
-                                brow.concat(&prow)
-                            } else {
-                                prow.concat(brow)
-                            });
-                        }
-                    }
-                    None => {
-                        if emit_unmatched {
-                            let nulls = Row::new(vec![Value::Null; build_dtypes.len()]);
-                            out.push(prow.concat(&nulls));
-                        }
-                    }
-                }
-            }
-            Ok(PartitionData::Rows(out))
+) -> Result<Partition> {
+    let probe_key_cols: Option<Vec<usize>> = probe_keys
+        .iter()
+        .map(|e| match e {
+            BoundExpr::Column(i, _) => Some(*i),
+            _ => None,
+        })
+        .collect();
+    let mk_builders = |dtypes: &[DataType]| -> Vec<ColumnBuilder> {
+        dtypes.iter().map(|&d| ColumnBuilder::new(d)).collect()
+    };
+    let mut probe_builders = mk_builders(probe_dtypes);
+    let mut build_builders = mk_builders(build_dtypes);
+    let mut len = 0usize;
+    let mut out: Vec<ColumnarBatch> = Vec::new();
+    let flush = |probe_builders: &mut Vec<ColumnBuilder>,
+                 build_builders: &mut Vec<ColumnBuilder>,
+                 len: &mut usize,
+                 out: &mut Vec<ColumnarBatch>| {
+        if *len == 0 {
+            return;
         }
-        PartitionData::Batches(batches) => {
-            let probe_key_cols: Option<Vec<usize>> = probe_keys
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Column(i, _) => Some(*i),
-                    _ => None,
-                })
-                .collect();
-            let mk_builders = |dtypes: &[DataType]| -> Vec<ColumnBuilder> {
-                dtypes.iter().map(|&d| ColumnBuilder::new(d)).collect()
-            };
-            let mut probe_builders = mk_builders(probe_dtypes);
-            let mut build_builders = mk_builders(build_dtypes);
-            let mut len = 0usize;
-            let mut out: Vec<ColumnarBatch> = Vec::new();
-            let flush = |probe_builders: &mut Vec<ColumnBuilder>,
-                         build_builders: &mut Vec<ColumnBuilder>,
-                         len: &mut usize,
-                         out: &mut Vec<ColumnarBatch>| {
-                if *len == 0 {
-                    return;
+        let pb = std::mem::replace(probe_builders, mk_builders(probe_dtypes));
+        let bb = std::mem::replace(build_builders, mk_builders(build_dtypes));
+        let (first, second) = if build_is_left { (bb, pb) } else { (pb, bb) };
+        let columns = first
+            .into_iter()
+            .chain(second)
+            .map(|b| Arc::new(b.finish()))
+            .collect();
+        let batch = ColumnarBatch::with_row_count(columns, *len);
+        count_batch(metrics, &batch);
+        out.push(batch);
+        *len = 0;
+    };
+    for batch in &batches {
+        for i in 0..batch.num_rows() {
+            let key: Vec<Value> = match &probe_key_cols {
+                Some(cols) => cols.iter().map(|&c| batch.column(c).value(i)).collect(),
+                None => {
+                    let row = batch.row_at(i);
+                    eval_key(probe_keys, &row)?
                 }
-                let pb = std::mem::replace(probe_builders, mk_builders(probe_dtypes));
-                let bb = std::mem::replace(build_builders, mk_builders(build_dtypes));
-                let (first, second) = if build_is_left { (bb, pb) } else { (pb, bb) };
-                let columns = first
-                    .into_iter()
-                    .chain(second)
-                    .map(|b| Arc::new(b.finish()))
-                    .collect();
-                let batch = ColumnarBatch::with_row_count(columns, *len);
-                count_batch(metrics, &batch);
-                out.push(batch);
-                *len = 0;
             };
-            for batch in &batches {
-                for i in 0..batch.num_rows() {
-                    let key: Vec<Value> = match &probe_key_cols {
-                        Some(cols) => cols.iter().map(|&c| batch.column(c).value(i)).collect(),
-                        None => {
-                            let row = batch.row_at(i);
-                            eval_key(probe_keys, &row)?
+            let matched = if key.iter().any(Value::is_null) {
+                None
+            } else {
+                table.get(&GroupKey(key))
+            };
+            match matched {
+                Some(matches) => {
+                    for brow in matches {
+                        for (c, b) in probe_builders.iter_mut().enumerate() {
+                            b.append_from(batch.column(c), i);
                         }
-                    };
-                    let matched = if key.iter().any(Value::is_null) {
-                        None
-                    } else {
-                        table.get(&GroupKey(key))
-                    };
-                    match matched {
-                        Some(matches) => {
-                            for brow in matches {
-                                for (c, b) in probe_builders.iter_mut().enumerate() {
-                                    b.append_from(batch.column(c), i);
-                                }
-                                for (b, v) in build_builders.iter_mut().zip(&brow.values) {
-                                    b.push(v);
-                                }
-                                len += 1;
-                                if len >= batch_size {
-                                    flush(
-                                        &mut probe_builders,
-                                        &mut build_builders,
-                                        &mut len,
-                                        &mut out,
-                                    );
-                                }
-                            }
+                        for (b, v) in build_builders.iter_mut().zip(&brow.values) {
+                            b.push(v);
                         }
-                        None => {
-                            if emit_unmatched {
-                                for (c, b) in probe_builders.iter_mut().enumerate() {
-                                    b.append_from(batch.column(c), i);
-                                }
-                                for b in build_builders.iter_mut() {
-                                    b.push_null();
-                                }
-                                len += 1;
-                                if len >= batch_size {
-                                    flush(
-                                        &mut probe_builders,
-                                        &mut build_builders,
-                                        &mut len,
-                                        &mut out,
-                                    );
-                                }
-                            }
+                        len += 1;
+                        if len >= batch_size {
+                            flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
+                        }
+                    }
+                }
+                None => {
+                    if emit_unmatched {
+                        for (c, b) in probe_builders.iter_mut().enumerate() {
+                            b.append_from(batch.column(c), i);
+                        }
+                        for b in build_builders.iter_mut() {
+                            b.push_null();
+                        }
+                        len += 1;
+                        if len >= batch_size {
+                            flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
                         }
                     }
                 }
             }
-            flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
-            Ok(PartitionData::Batches(out))
         }
     }
+    flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
+    Ok(out)
 }
 
 /// Build a hash table keyed by join key over one side's partitions. Rows
 /// with any NULL key component never match and are dropped here.
 fn build_join_table(
-    parts: Vec<PartitionData>,
+    parts: Vec<Partition>,
     keys: &[BoundExpr],
 ) -> Result<HashMap<GroupKey, Vec<Row>>> {
     let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
@@ -1459,7 +1306,7 @@ fn exec_join<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     let left_schema = left.schema()?;
     let right_schema = right.schema()?;
     let left_keys: Vec<BoundExpr> = on
@@ -1470,8 +1317,8 @@ fn exec_join<'a>(
         .iter()
         .map(|(_, r)| r.bind(&right_schema))
         .collect::<Result<_>>()?;
-    let left_dtypes = schema_dtypes(&left_schema);
-    let right_dtypes = schema_dtypes(&right_schema);
+    let left_dtypes = left_schema.data_types();
+    let right_dtypes = right_schema.data_types();
 
     // An input whose keys a scan under the other one can use runs first,
     // whichever it is; its keys are collected before that scan starts.
@@ -1701,7 +1548,7 @@ fn exec_aggregate<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     let schema = input.schema()?;
     let group_exprs: Vec<BoundExpr> = group
         .iter()
@@ -1752,29 +1599,12 @@ fn exec_aggregate<'a>(
         ctx.metrics.add(&ctx.metrics.replanned_stages, 1);
     }
 
-    // Phase 1 (map side): per-partition partial aggregation. When disabled,
-    // each row becomes its own singleton group state, i.e. a raw shuffle.
+    // Phase 1 (map side): per-partition partial aggregation.
     type PartialMap = HashMap<GroupKey, Vec<Accumulator>>;
-    let mut partials: Vec<PartialMap> = Vec::with_capacity(input_parts.len());
-    for part in input_parts {
-        let map = match part {
-            PartitionData::Batches(batches) => {
-                partial_aggregate_batches(&batches, &group_exprs, &bound_aggs)?
-            }
-            PartitionData::Rows(rows) => {
-                let mut map: PartialMap = HashMap::new();
-                for row in &rows {
-                    let key = GroupKey(eval_key(&group_exprs, row)?);
-                    let states = map
-                        .entry(key)
-                        .or_insert_with(|| bound_aggs.iter().map(|a| a.template.clone()).collect());
-                    update_states(states, &bound_aggs, row)?;
-                }
-                map
-            }
-        };
-        partials.push(map);
-    }
+    let partials: Vec<PartialMap> = input_parts
+        .into_iter()
+        .map(|batches| partial_aggregate_batches(&batches, &group_exprs, &bound_aggs))
+        .collect::<Result<_>>()?;
 
     // Phase 2: exchange partial states by group-key hash.
     let mut shuffled: Vec<PartialMap> = (0..n_out).map(|_| HashMap::new()).collect();
@@ -1805,7 +1635,14 @@ fn exec_aggregate<'a>(
         shuffle_rows,
     );
 
-    // Phase 3: finalize.
+    // Phase 3: finalize each exchange partition's group states into batches
+    // of the operator's output schema.
+    let out_dtypes: Vec<DataType> = group
+        .iter()
+        .map(|(e, _)| e.data_type(&schema))
+        .chain(aggs.iter().map(|(a, _)| a.output_type(&schema)))
+        .map(dtype_or_boxed)
+        .collect();
     let mut out: Vec<Vec<Row>> = Vec::with_capacity(n_out);
     for map in shuffled {
         let mut rows = Vec::with_capacity(map.len());
@@ -1822,12 +1659,15 @@ fn exec_aggregate<'a>(
         let values: Vec<Value> = bound_aggs.iter().map(|a| a.template.finish()).collect();
         out[0] = vec![Row::new(values)];
     }
-    let out: Vec<PartitionData> = out.into_iter().map(PartitionData::from).collect();
+    let out: Vec<Partition> = out
+        .iter()
+        .map(|rows| emit_rows(&out_dtypes, rows, ctx))
+        .collect();
     record_stage_memory(&out, ctx);
     Ok(out)
 }
 
-/// Vectorized map-side partial aggregation over columnar batches.
+/// Map-side partial aggregation over one partition's batches.
 ///
 /// Group keys that are plain column references are read straight off the
 /// column vectors; a single dictionary-encoded group column additionally
@@ -2008,10 +1848,10 @@ fn state_bytes(key: &GroupKey, states: &[Accumulator]) -> u64 {
 
 /// Run a narrow (per-partition) transformation on the executor pool.
 fn parallel_map(
-    partitions: Vec<PartitionData>,
+    partitions: Vec<Partition>,
     ctx: &ExecContext,
-    f: impl Fn(PartitionData, &str) -> Result<PartitionData> + Send + Sync + Clone + 'static,
-) -> Result<Vec<PartitionData>> {
+    f: impl Fn(Partition, &str) -> Result<Partition> + Send + Sync + Clone + 'static,
+) -> Result<Vec<Partition>> {
     let tasks: Vec<Task> = partitions
         .into_iter()
         .map(|part| {
@@ -2035,7 +1875,7 @@ fn parallel_map(
     Ok(out)
 }
 
-fn record_stage_memory(partitions: &[PartitionData], ctx: &ExecContext) {
+fn record_stage_memory(partitions: &[Partition], ctx: &ExecContext) {
     ctx.metrics
         .record_materialized(partitions_byte_size(partitions) as u64);
 }
@@ -2046,6 +1886,7 @@ mod tests {
     use crate::aggregate::AggFunc;
     use crate::expr::Expr;
     use crate::memtable::MemTable;
+    use crate::reference::{canonical, canonical_multiset, evaluate};
     use crate::schema::{Field, Schema};
     use crate::value::DataType;
 
@@ -2094,17 +1935,36 @@ mod tests {
         rows.iter().map(|r| format!("{r:?}")).collect()
     }
 
-    /// Run the same plan vectorized and row-at-a-time; results must agree
-    /// as multisets (partitioning may reorder).
-    fn assert_paths_agree(plan: &LogicalPlan) {
-        let row_ctx = ExecContext {
-            vectorized: false,
-            ..Default::default()
-        };
-        assert_eq!(
-            sorted_debug(collect(plan, &ExecContext::default()).unwrap()),
-            sorted_debug(collect(plan, &row_ctx).unwrap()),
-        );
+    /// The ways one plan can be executed: as planned and re-planned from
+    /// observed sizes, as planned only, and with every join a shuffle join.
+    fn contexts() -> [ExecContext; 3] {
+        [
+            ExecContext::default(),
+            fixed_plans(),
+            ExecContext {
+                broadcast_threshold: 0,
+                ..Default::default()
+            },
+        ]
+    }
+
+    /// `rows` of `plan` as text two runs agree on: in order if the plan
+    /// sorts, as a multiset if not (partitioning may reorder).
+    fn comparable(plan: &LogicalPlan, rows: &[Row]) -> Vec<String> {
+        match plan {
+            LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. } => canonical(rows),
+            _ => canonical_multiset(rows),
+        }
+    }
+
+    /// Run the plan every way; each must produce what the reference
+    /// evaluator says the plan means.
+    fn assert_matches_reference(plan: &LogicalPlan) {
+        let expected = comparable(plan, &evaluate(plan).unwrap());
+        for ctx in contexts() {
+            let rows = collect(plan, &ctx).unwrap();
+            assert_eq!(comparable(plan, &rows), expected, "{}", plan.explain());
+        }
     }
 
     #[test]
@@ -2122,9 +1982,8 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0].get(0), &Value::Int64(30));
         assert!(ctx.metrics.snapshot().scan_rows >= 20);
-        // The vectorized path actually ran: batches were constructed.
         assert!(ctx.metrics.snapshot().batches_built > 0);
-        assert_paths_agree(&plan);
+        assert_matches_reference(&plan);
     }
 
     #[test]
@@ -2141,7 +2000,7 @@ mod tests {
         };
         let rows = collect(&plan, &ctx).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_paths_agree(&plan);
+        assert_matches_reference(&plan);
     }
 
     #[test]
@@ -2175,7 +2034,7 @@ mod tests {
         assert_eq!(snap.shuffle_bytes, 0);
         // Estimates and observations agree here — nothing to re-plan.
         assert_eq!(snap.replanned_stages, 0);
-        assert_paths_agree(&plan);
+        assert_matches_reference(&plan);
     }
 
     #[test]
@@ -2218,7 +2077,7 @@ mod tests {
         assert_eq!(rows.len(), 20);
         let unmatched = rows.iter().filter(|r| r.get(3).is_null()).count();
         assert_eq!(unmatched, 10);
-        assert_paths_agree(&plan);
+        assert_matches_reference(&plan);
     }
 
     #[test]
@@ -2239,7 +2098,7 @@ mod tests {
         assert_eq!(rows[0].get(1), &Value::Float64(9.0));
         assert_eq!(rows[0].get(2), &Value::Int64(10));
         assert_eq!(rows[1].get(1), &Value::Float64(10.0));
-        assert_paths_agree(&plan);
+        assert_matches_reference(&plan);
     }
 
     #[test]
@@ -2483,22 +2342,13 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
 
-        // Row-at-a-time and non-adaptive execution share the same way.
-        for ctx in [
-            ExecContext {
-                vectorized: false,
-                ..Default::default()
-            },
-            ExecContext {
-                adaptive: false,
-                ..Default::default()
-            },
-        ] {
-            let again = collect(&shared, &ctx).unwrap();
-            assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
-            assert_eq!(ctx.metrics.snapshot().scan_rows, 20);
-            assert_eq!(sorted_debug(again), sorted_debug(rows.clone()));
-        }
+        // Plans fixed at plan time share the same way.
+        let ctx = fixed_plans();
+        let again = collect(&shared, &ctx).unwrap();
+        assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
+        assert_eq!(ctx.metrics.snapshot().scan_rows, 20);
+        assert_eq!(sorted_debug(again), sorted_debug(rows));
+        assert_matches_reference(&shared);
     }
 
     #[test]
@@ -2696,7 +2546,7 @@ mod tests {
         assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
         assert_eq!(fixed.metrics.snapshot().tasks, snap.tasks);
 
-        // Row-at-a-time execution, and the filtering input on the left.
+        // The filtering input on the left.
         let LogicalPlan::Join {
             left,
             right,
@@ -2712,14 +2562,12 @@ mod tests {
             on: on.into_iter().map(|(l, r)| (r, l)).collect(),
             join_type,
         };
-        let row_ctx = ExecContext {
-            vectorized: false,
-            ..Default::default()
-        };
-        let again = collect(&swapped, &row_ctx).unwrap();
+        let ctx = ExecContext::default();
+        let again = collect(&swapped, &ctx).unwrap();
         assert_eq!(table.offered.lock().last().unwrap(), &keys_in(&[0, 1, 2]));
-        assert_eq!(row_ctx.metrics.snapshot().dynamic_filters, 1);
+        assert_eq!(ctx.metrics.snapshot().dynamic_filters, 1);
         assert_eq!(again.len(), rows.len());
+        assert_matches_reference(&swapped);
     }
 
     #[test]
@@ -2915,5 +2763,420 @@ mod tests {
         let rendered = profile.render();
         assert!(rendered.contains("selectivity: 5/20"), "{rendered}");
         assert!(rendered.contains("batches="), "{rendered}");
+    }
+    // ------------------------------------------------------------------
+    // Shapes whose input or output used to be row vectors.
+    // ------------------------------------------------------------------
+
+    /// `SELECT dept, AVG(score) m, COUNT(*) n FROM users GROUP BY dept`.
+    fn dept_stats() -> LogicalPlan {
+        LogicalPlan::Aggregate {
+            group: vec![(Expr::col("dept"), "dept".into())],
+            aggs: vec![
+                (AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into()),
+                (AggExpr::count_star(), "n".into()),
+            ],
+            input: Box::new(scan(users_table(), "users")),
+        }
+    }
+
+    #[test]
+    fn operators_above_an_aggregate_take_its_batches() {
+        let having = LogicalPlan::Filter {
+            predicate: Expr::col("m").gt(Expr::lit(9.5)),
+            input: Box::new(dept_stats()),
+        };
+        let computed = LogicalPlan::Projection {
+            exprs: vec![
+                (Expr::col("dept"), "dept".into()),
+                (Expr::col("m").div(Expr::col("n")), "ratio".into()),
+            ],
+            input: Box::new(dept_stats()),
+        };
+        let joined = LogicalPlan::Join {
+            left: Box::new(dept_stats()),
+            right: Box::new(scan(depts_table(), "depts")),
+            on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
+            join_type: JoinType::Left,
+        };
+        let again = LogicalPlan::Aggregate {
+            group: vec![],
+            aggs: vec![
+                (AggExpr::new(AggFunc::Sum, Expr::col("n")), "rows".into()),
+                (AggExpr::new(AggFunc::Max, Expr::col("m")), "top".into()),
+            ],
+            input: Box::new(dept_stats()),
+        };
+        for plan in [having, computed, joined, again] {
+            assert_matches_reference(&plan);
+            // Every operator of the plan emitted batches, the aggregate and
+            // what runs above it included.
+            let (rows, profile) = collect_profiled(&plan, &ExecContext::default()).unwrap();
+            assert!(!rows.is_empty());
+            profile.walk(&mut |p| {
+                assert!(p.batches.load(Ordering::Relaxed) > 0, "{}", p.describe);
+            });
+        }
+    }
+
+    #[test]
+    fn count_star_counts_rows_that_have_no_columns_and_inputs_that_have_no_rows() {
+        // An empty pushed projection: batches with a row count and nothing
+        // else reach the aggregate.
+        let no_columns = LogicalPlan::Aggregate {
+            group: vec![],
+            aggs: vec![(AggExpr::count_star(), "n".into())],
+            input: Box::new(LogicalPlan::Scan {
+                table_name: "users".into(),
+                qualifier: "users".into(),
+                provider: users_table(),
+                projection: Some(vec![]),
+                filters: vec![],
+            }),
+        };
+        let parts = execute(&no_columns, &ExecContext::default()).unwrap();
+        assert_eq!(gather_rows(parts), vec![Row::new(vec![Value::Int64(20)])]);
+        assert_matches_reference(&no_columns);
+
+        let empty = Arc::new(MemTable::new(
+            Schema::new(vec![Field::new("x", DataType::Int64)]),
+            2,
+        ));
+        let no_rows = LogicalPlan::Aggregate {
+            group: vec![],
+            aggs: vec![
+                (AggExpr::count_star(), "n".into()),
+                (AggExpr::new(AggFunc::Sum, Expr::col("x")), "s".into()),
+            ],
+            input: Box::new(scan(empty.clone(), "e")),
+        };
+        let parts = execute(&no_rows, &ExecContext::default()).unwrap();
+        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1, "one batch");
+        assert_eq!(
+            gather_rows(parts),
+            vec![Row::new(vec![Value::Int64(0), Value::Null])]
+        );
+        assert_matches_reference(&no_rows);
+        // Grouped, there is no group to report.
+        let grouped = LogicalPlan::Aggregate {
+            group: vec![(Expr::col("x"), "x".into())],
+            aggs: vec![(AggExpr::count_star(), "n".into())],
+            input: Box::new(scan(empty, "e")),
+        };
+        assert!(collect(&grouped, &ExecContext::default())
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn values_and_limits_emit_batches() {
+        let values = LogicalPlan::Values {
+            schema: Schema::new(vec![
+                Field::new("k", DataType::Int32),
+                Field::new("s", DataType::Utf8),
+            ]),
+            rows: (0..5)
+                .map(|i| vec![Value::Int32(i), Value::Utf8(format!("s{i}"))])
+                .collect(),
+        };
+        let ctx = ExecContext {
+            batch_size: 2,
+            ..Default::default()
+        };
+        let parts = execute(&values, &ctx).unwrap();
+        let sizes: Vec<usize> = parts[0].iter().map(ColumnarBatch::num_rows).collect();
+        assert_eq!(sizes, vec![2, 2, 1]);
+        assert_eq!(parts[0][0].column(1).dict_size(), Some(2), "typed columns");
+        assert_matches_reference(&values);
+
+        // A limit keeps whole batches and cuts the one it falls in.
+        let limit = |n| LogicalPlan::Limit {
+            n,
+            input: Box::new(values.clone()),
+        };
+        let parts = execute(&limit(3), &ctx).unwrap();
+        let sizes: Vec<usize> = parts[0].iter().map(ColumnarBatch::num_rows).collect();
+        assert_eq!(sizes, vec![2, 1]);
+        for n in [0, 3, 5, 9] {
+            assert_matches_reference(&limit(n));
+        }
+        let none = execute(&limit(0), &ctx).unwrap();
+        assert_eq!(none.len(), 1);
+        assert!(none[0].is_empty(), "no rows, no batch");
+        // Above a filter that keeps nothing, and below an aggregate.
+        let nothing = LogicalPlan::Aggregate {
+            group: vec![],
+            aggs: vec![(AggExpr::count_star(), "n".into())],
+            input: Box::new(limit(0)),
+        };
+        assert_matches_reference(&nothing);
+    }
+
+    #[test]
+    fn a_projection_whose_type_cannot_be_derived_builds_boxed_columns() {
+        // A string compared with a number has no type the analyzer accepts;
+        // evaluated, it is NULL for every row.
+        let untyped = Expr::col("dept").lt(Expr::lit(1i64));
+        let users = scan(users_table(), "users");
+        assert!(untyped.data_type(&users.schema().unwrap()).is_err());
+        let plan = LogicalPlan::Projection {
+            exprs: vec![(Expr::col("id"), "id".into()), (untyped, "u".into())],
+            input: Box::new(users),
+        };
+        let parts = execute(&plan, &ExecContext::default()).unwrap();
+        let batch = parts.iter().flatten().next().unwrap();
+        assert_eq!(batch.dtypes(), vec![DataType::Int64, DataType::Binary]);
+        assert!(batch.column(0).i64_slice().is_some(), "derived: typed");
+        assert_eq!(batch.column(1).null_count(), batch.num_rows());
+        assert_matches_reference(&plan);
+    }
+
+    #[test]
+    fn order_by_is_a_total_order_over_nan_null_and_signed_zero() {
+        // Every 7th value NaN, every 11th NULL, zeros of both signs: the
+        // comparator that called an incomparable pair equal left the rest
+        // out of order.
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("x", DataType::Float64),
+        ]);
+        let rows: Vec<Row> = (0..500i64)
+            .map(|i| {
+                let x = match i {
+                    _ if i % 7 == 0 => Value::Float64(f64::NAN),
+                    _ if i % 11 == 0 => Value::Null,
+                    _ if i % 13 == 0 => Value::Float64(if i % 2 == 0 { 0.0 } else { -0.0 }),
+                    _ => Value::Float64(((i * 37) % 101 - 50) as f64 / 4.0),
+                };
+                Row::new(vec![Value::Int64(i), x])
+            })
+            .collect();
+        let table = Arc::new(MemTable::with_rows(schema, rows, 3));
+        for asc in [true, false] {
+            let plan = LogicalPlan::Sort {
+                keys: vec![(Expr::col("x"), asc), (Expr::col("i"), true)],
+                input: Box::new(scan(table.clone(), "t")),
+            };
+            assert_matches_reference(&plan);
+            let xs: Vec<Value> = collect(&plan, &ExecContext::default())
+                .unwrap()
+                .iter()
+                .map(|r| r.get(1).clone())
+                .collect();
+            let (nulls, nans) = (500 / 11 + 1 - 7, 500 / 7 + 1);
+            let (first, last) = if asc {
+                (&xs[..nulls], &xs[xs.len() - nans..])
+            } else {
+                (&xs[xs.len() - nulls..], &xs[..nans])
+            };
+            assert!(first.iter().all(Value::is_null), "NULLs before all");
+            assert!(last.iter().all(|v| v.as_f64().is_some_and(f64::is_nan)));
+            let numbers: Vec<f64> = xs
+                .iter()
+                .filter_map(Value::as_f64)
+                .filter(|x| !x.is_nan())
+                .collect();
+            assert!(numbers
+                .windows(2)
+                .all(|w| if asc { w[0] <= w[1] } else { w[0] >= w[1] }));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Seeded random plans against the reference evaluator.
+    // ------------------------------------------------------------------
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `a(ak Int32, g, x, n)` over 4 partitions, `b(bk Int64, tag, w)` over 8
+    /// of which 3 stay empty, and `e`, `b` without rows. NULLs in every
+    /// column but `n`; `x` in quarters, so sums are exact in any order.
+    fn random_plan_tables() -> [Arc<MemTable>; 3] {
+        let a_schema = Schema::new(vec![
+            Field::new("ak", DataType::Int32),
+            Field::new("g", DataType::Utf8),
+            Field::new("x", DataType::Float64),
+            Field::new("n", DataType::Int64),
+        ]);
+        let a_rows = (0..23i64)
+            .map(|i| {
+                Row::new(vec![
+                    if i % 6 == 5 {
+                        Value::Null
+                    } else {
+                        Value::Int32((i % 7) as i32)
+                    },
+                    match i % 5 {
+                        4 => Value::Null,
+                        g => Value::Utf8(format!("g{}", g % 3)),
+                    },
+                    if i % 8 == 3 {
+                        Value::Null
+                    } else {
+                        Value::Float64(((i * 13) % 41 - 20) as f64 / 4.0)
+                    },
+                    Value::Int64(i * i - 40),
+                ])
+            })
+            .collect();
+        let b_schema = Schema::new(vec![
+            Field::new("bk", DataType::Int64),
+            Field::new("tag", DataType::Utf8),
+            Field::new("w", DataType::Int32),
+        ]);
+        let b_rows = [Some(1), Some(3), Some(3), None, Some(6)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, bk)| {
+                Row::new(vec![
+                    bk.map_or(Value::Null, Value::Int64),
+                    Value::Utf8(format!("t{}", i % 2)),
+                    Value::Int32(i as i32 * 10),
+                ])
+            })
+            .collect();
+        [
+            Arc::new(MemTable::with_rows(a_schema, a_rows, 4)),
+            Arc::new(MemTable::with_rows(b_schema.clone(), b_rows, 8)),
+            Arc::new(MemTable::new(b_schema, 2)),
+        ]
+    }
+
+    /// scan → filter? → computed projection? → join? → group-by? →
+    /// (sort → limit?)?, each step drawn from `rng`.
+    fn random_plan(rng: &mut StdRng, [a, b, e]: &[Arc<MemTable>; 3]) -> LogicalPlan {
+        let pushed: [Vec<Expr>; 3] = [
+            vec![],
+            vec![Expr::col("ak").gt_eq(Expr::lit(2))],
+            vec![Expr::col("n").add(Expr::lit(0i64)).lt(Expr::lit(200i64))],
+        ];
+        let mut plan = scan_where(a.clone(), "a", pushed[rng.gen_range(0..3usize)].clone());
+        if rng.gen_bool(0.5) {
+            let predicates = [
+                Expr::col("x").gt(Expr::lit(-1.5)),
+                Expr::col("g")
+                    .eq(Expr::lit("g1"))
+                    .or(Expr::col("ak").is_null()),
+                Expr::col("ak").is_not_null(),
+                Expr::col("n").mul(Expr::lit(2i64)).gt(Expr::col("x")),
+            ];
+            plan = LogicalPlan::Filter {
+                predicate: predicates[rng.gen_range(0..4usize)].clone(),
+                input: Box::new(plan),
+            };
+        }
+        if rng.gen_bool(0.5) {
+            let keep = |name: &str| (Expr::col(name), name.to_string());
+            plan = LogicalPlan::Projection {
+                exprs: vec![
+                    keep("ak"),
+                    keep("g"),
+                    (Expr::col("x").mul(Expr::lit(2.0)), "x".into()),
+                    (Expr::col("n").add(Expr::col("ak")), "n".into()),
+                ],
+                input: Box::new(plan),
+            };
+        }
+        let joined = rng.gen_bool(0.6);
+        if joined {
+            let right = if rng.gen_bool(0.8) { b } else { e };
+            plan = LogicalPlan::Join {
+                left: Box::new(plan),
+                right: Box::new(scan_where(right.clone(), "b", vec![])),
+                on: vec![(Expr::col("ak"), Expr::col("bk"))],
+                join_type: if rng.gen_bool(0.5) {
+                    JoinType::Inner
+                } else {
+                    JoinType::Left
+                },
+            };
+        }
+        if rng.gen_bool(0.6) {
+            let groups: &[&[&str]] = if joined {
+                &[&[], &["g"], &["ak"], &["g", "tag"], &["bk"]]
+            } else {
+                &[&[], &["g"], &["ak"], &["g", "ak"]]
+            };
+            let agg = |f, c: &str| (AggExpr::new(f, Expr::col(c)), format!("{f:?}_{c}"));
+            let mut aggs = vec![
+                (AggExpr::count_star(), "rows".to_string()),
+                agg(AggFunc::Count, "x"),
+                agg(AggFunc::Sum, "n"),
+                agg(AggFunc::Sum, "x"),
+                agg(AggFunc::Avg, "x"),
+                agg(AggFunc::Min, "x"),
+                agg(AggFunc::Max, "n"),
+                agg(AggFunc::Stddev, "x"),
+            ];
+            if joined {
+                aggs.push(agg(AggFunc::Sum, "w"));
+            }
+            // Any non-empty selection of them, in order.
+            let mask = rng.gen_range(1..1u32 << aggs.len());
+            let mut bit = 0;
+            aggs.retain(|_| {
+                bit += 1;
+                mask >> (bit - 1) & 1 == 1
+            });
+            plan = LogicalPlan::Aggregate {
+                group: groups[rng.gen_range(0..groups.len())]
+                    .iter()
+                    .map(|c| (Expr::col(*c), c.to_string()))
+                    .collect(),
+                aggs,
+                input: Box::new(plan),
+            };
+        }
+        if rng.gen_bool(0.5) {
+            // By every output column, so only rows equal throughout tie;
+            // group keys come first and decide before an inexact float can.
+            let keys = plan
+                .schema()
+                .unwrap()
+                .field_names()
+                .into_iter()
+                .map(|c| (Expr::col(c), rng.gen_bool(0.5)))
+                .collect();
+            plan = LogicalPlan::Sort {
+                keys,
+                input: Box::new(plan),
+            };
+            if rng.gen_bool(0.5) {
+                plan = LogicalPlan::Limit {
+                    n: rng.gen_range(0..9usize),
+                    input: Box::new(plan),
+                };
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn random_plans_agree_with_the_reference_evaluator() {
+        let tables = random_plan_tables();
+        let mut rng = StdRng::seed_from_u64(2018);
+        for case in 0..300 {
+            let plan = random_plan(&mut rng, &tables);
+            let expected = comparable(&plan, &evaluate(&plan).unwrap());
+            for adaptive in [true, false] {
+                for broadcast_threshold in [0, ExecContext::default().broadcast_threshold] {
+                    let ctx = ExecContext {
+                        adaptive,
+                        broadcast_threshold,
+                        batch_size: [2, DEFAULT_BATCH_ROWS][case % 2],
+                        ..Default::default()
+                    };
+                    let rows = collect(&plan, &ctx).unwrap();
+                    assert_eq!(
+                        comparable(&plan, &rows),
+                        expected,
+                        "case {case}, adaptive={adaptive}, \
+                         broadcast_threshold={broadcast_threshold}:\n{}",
+                        plan.explain()
+                    );
+                }
+            }
+        }
     }
 }

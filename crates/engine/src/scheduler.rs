@@ -25,7 +25,7 @@
 //! and — when speculation is enabled — re-runs each straggler on the least
 //! loaded other lane with first-result-wins, duplicate-free semantics.
 
-use crate::columnar::PartitionData;
+use crate::columnar::{batches_byte_size, batches_num_rows, Partition};
 use crate::error::{EngineError, Result};
 use crate::metrics::{QueryMetrics, TaskMetrics};
 use crate::task_timeline::{TaskAttempt, TaskProfile, TaskTimeline};
@@ -35,10 +35,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The closure type a task runs: receives the hostname of the executor it
-/// landed on and produces one partition's data (row vectors or columnar
-/// batches). `FnMut` (not `FnOnce`) so a failed attempt can be re-run on
-/// another executor — and so a speculative duplicate can re-run it.
-pub type TaskFn = Box<dyn FnMut(&str) -> Result<PartitionData> + Send>;
+/// landed on and produces one partition's batches. `FnMut` (not `FnOnce`)
+/// so a failed attempt can be re-run on another executor — and so a
+/// speculative duplicate can re-run it.
+pub type TaskFn = Box<dyn FnMut(&str) -> Result<Partition> + Send>;
 
 /// A unit of work: runs on some executor and produces one partition.
 pub struct Task {
@@ -51,7 +51,7 @@ pub struct Task {
 impl Task {
     pub fn new(
         preferred_host: Option<String>,
-        run: impl FnMut(&str) -> Result<PartitionData> + Send + 'static,
+        run: impl FnMut(&str) -> Result<Partition> + Send + 'static,
     ) -> Self {
         Task {
             preferred_host,
@@ -230,7 +230,7 @@ struct Slot {
 /// A finished slot plus its final outcome, staged for stage-end analysis.
 struct Finished {
     slot: Slot,
-    outcome: Result<PartitionData>,
+    outcome: Result<Partition>,
 }
 
 /// Run a batch of tasks across the executor pool; results come back in task
@@ -240,7 +240,7 @@ pub fn run_tasks(
     config: &ExecutorConfig,
     tasks: Vec<Task>,
     metrics: &Arc<QueryMetrics>,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     run_stage(config, tasks, metrics, &StageObs::default())
 }
 
@@ -281,7 +281,7 @@ pub fn run_stage(
     tasks: Vec<Task>,
     metrics: &Arc<QueryMetrics>,
     obs: &StageObs,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     let n_tasks = tasks.len();
     if n_tasks == 0 {
         return Ok(Vec::new());
@@ -467,7 +467,7 @@ fn finalize_stage(
     hosts: &[String],
     lane_totals: &[u64],
     obs: &StageObs,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     let mut finished: Vec<Finished> = finished
         .into_iter()
         .map(|f| f.ok_or_else(|| EngineError::Execution("task never executed".into())))
@@ -622,7 +622,7 @@ fn finalize_stage(
             // Sizing an output walks its columns (dictionary columns row by
             // row): only when a profile will hold the numbers.
             let (rows, bytes) = match &f.outcome {
-                Ok(p) => (p.num_rows() as u64, p.byte_size() as u64),
+                Ok(p) => (batches_num_rows(p) as u64, batches_byte_size(p) as u64),
                 Err(_) => (0, 0),
             };
             let a = &f.slot.attempts[win];
@@ -652,16 +652,26 @@ fn finalize_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::ColumnarBatch;
     use crate::row::Row;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
+
+    /// A one-row partition: `id`, and the host that produced it.
+    fn one_row(id: i64, host: &str) -> Partition {
+        let row = Row::new(vec![Value::Int64(id), Value::Utf8(host.to_string())]);
+        vec![ColumnarBatch::from_rows(
+            &[DataType::Int64, DataType::Utf8],
+            &[row],
+        )]
+    }
+
+    fn first_row(part: &Partition) -> Row {
+        part[0].row_at(0)
+    }
 
     fn mk_task(host: Option<&str>, id: i64) -> Task {
         Task::new(host.map(String::from), move |running_on| {
-            Ok(vec![Row::new(vec![
-                Value::Int64(id),
-                Value::Utf8(running_on.to_string()),
-            ])]
-            .into())
+            Ok(one_row(id, running_on))
         })
     }
 
@@ -677,7 +687,7 @@ mod tests {
         let results = run_tasks(&cfg, tasks, &metrics).unwrap();
         assert_eq!(results.len(), 20);
         for (i, part) in results.into_iter().enumerate() {
-            assert_eq!(part.into_rows()[0].get(0), &Value::Int64(i as i64));
+            assert_eq!(first_row(&part).get(0), &Value::Int64(i as i64));
         }
         assert_eq!(metrics.snapshot().tasks, 20);
     }
@@ -704,7 +714,7 @@ mod tests {
             .enumerate()
             .filter(|(i, part)| {
                 let want = if i % 2 == 0 { "h0" } else { "h1" };
-                part.clone().into_rows()[0].get(1).as_str() == Some(want)
+                first_row(part).get(1).as_str() == Some(want)
             })
             .count();
         assert!(local >= 2, "local = {local}");
@@ -720,10 +730,7 @@ mod tests {
         };
         let metrics = QueryMetrics::new();
         let results = run_tasks(&cfg, vec![mk_task(Some("mars"), 7)], &metrics).unwrap();
-        assert_eq!(
-            results[0].clone().into_rows()[0].get(1).as_str(),
-            Some("h0")
-        );
+        assert_eq!(first_row(&results[0]).get(1).as_str(), Some("h0"));
         assert_eq!(metrics.snapshot().local_tasks, 0);
     }
 
@@ -758,12 +765,12 @@ mod tests {
             if c.fetch_add(1, Ordering::SeqCst) == 0 {
                 Err(EngineError::Execution("executor lost".into()))
             } else {
-                Ok(vec![Row::new(vec![Value::Int64(1)])].into())
+                Ok(one_row(1, ""))
             }
         })
         .with_retries(1);
         let results = run_tasks(&cfg, vec![flaky], &metrics).unwrap();
-        assert_eq!(results[0].clone().into_rows()[0].get(0), &Value::Int64(1));
+        assert_eq!(first_row(&results[0]).get(0), &Value::Int64(1));
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(metrics.snapshot().task_retries, 1);
     }
@@ -857,9 +864,7 @@ mod tests {
                 let tasks: Vec<Task> = (0..3)
                     .map(|i| {
                         let pref = format!("h{i}");
-                        Task::new(Some(pref), move |_| {
-                            Ok(vec![Row::new(vec![Value::Int64(i)])].into())
-                        })
+                        Task::new(Some(pref), move |_| Ok(one_row(i, "")))
                     })
                     .collect();
                 let results = run_stage(&cfg, tasks, &metrics, &obs).unwrap();
@@ -922,7 +927,7 @@ mod tests {
                     .map(|i| {
                         Task::new(None, move |_| {
                             shc_obs::trace::advance_us(100);
-                            Ok(vec![Row::new(vec![Value::Int64(i)])].into())
+                            Ok(one_row(i, ""))
                         })
                     })
                     .collect();

@@ -149,6 +149,11 @@ impl Schema {
     pub fn field_names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
+
+    /// The declared column types, in order.
+    pub fn data_types(&self) -> Vec<DataType> {
+        self.fields.iter().map(|f| f.data_type).collect()
+    }
 }
 
 impl fmt::Display for Schema {

@@ -38,10 +38,7 @@ pub struct SessionConfig {
     pub shuffle_partitions: usize,
     pub broadcast_threshold: usize,
     pub partial_agg: bool,
-    /// Execute over columnar batches (vectorized kernels); off = legacy
-    /// row-at-a-time execution.
-    pub vectorized: bool,
-    /// Rows per columnar batch on the vectorized path.
+    /// Rows per columnar batch.
     pub batch_size: usize,
     /// Re-choose join strategies and exchange partition counts at stage
     /// boundaries from observed statistics.
@@ -76,7 +73,6 @@ impl Default for SessionConfig {
             shuffle_partitions: 8,
             broadcast_threshold: 512 * 1024,
             partial_agg: true,
-            vectorized: true,
             batch_size: crate::columnar::DEFAULT_BATCH_ROWS,
             adaptive: true,
             optimizer: OptimizerConfig::default(),
@@ -446,7 +442,6 @@ impl Session {
             shuffle_partitions: cfg.shuffle_partitions,
             broadcast_threshold: cfg.broadcast_threshold,
             partial_agg: cfg.partial_agg,
-            vectorized: cfg.vectorized,
             batch_size: cfg.batch_size,
             adaptive: cfg.adaptive,
             speculative: cfg.speculative_execution,

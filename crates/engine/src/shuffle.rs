@@ -1,13 +1,12 @@
-//! Shuffle (exchange): hash-repartition rows by key across N partitions,
+//! Shuffle (exchange): hash-repartition batches by key across N partitions,
 //! charging the serialized bytes to the query metrics. This is the cost the
 //! paper measures in Figure 5 — SHC's pushdown shrinks what reaches the
 //! exchange.
 
-use crate::columnar::{rows_to_batches, ColumnarBatch, PartitionData};
+use crate::columnar::Partition;
 use crate::error::Result;
 use crate::expr::BoundExpr;
 use crate::metrics::{QueryMetrics, ShuffleEdges};
-use crate::row::Row;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -27,52 +26,21 @@ pub fn hash_key(values: &[crate::value::Value]) -> u64 {
 }
 
 /// Repartition `partitions` into `num_output` partitions by the hash of the
-/// key expressions, recording shuffle volume.
-pub fn shuffle_by_key(
-    partitions: Vec<Vec<Row>>,
-    keys: &[BoundExpr],
-    num_output: usize,
-    metrics: &Arc<QueryMetrics>,
-    edge: EdgeSink,
-) -> Result<Vec<Vec<Row>>> {
-    let num_output = num_output.max(1);
-    let mut out: Vec<Vec<Row>> = vec![Vec::new(); num_output];
-    let mut bytes = 0u64;
-    let mut rows = 0u64;
-    for partition in partitions {
-        for row in partition {
-            let key: Vec<_> = keys.iter().map(|k| k.eval(&row)).collect::<Result<_>>()?;
-            let target = (hash_key(&key) % num_output as u64) as usize;
-            bytes += row.byte_size() as u64;
-            rows += 1;
-            out[target].push(row);
-        }
-    }
-    metrics.add(&metrics.shuffle_bytes, bytes);
-    metrics.add(&metrics.shuffle_rows, rows);
-    if let Some((edges, label)) = edge {
-        edges.record(label, bytes, rows);
-    }
-    Ok(out)
-}
-
-/// Batch-aware exchange: repartition [`PartitionData`] by key hash,
-/// recording the same shuffle volume as the row path. Columnar partitions
-/// stay columnar — per-row hashes are computed straight off the column
-/// vectors via [`crate::columnar::Column::group_hash_into`] (consistent
-/// with [`hash_key`]), per-target index lists drive a single `gather` per
+/// key expressions, recording shuffle volume in row-equivalent bytes.
+/// Per-row hashes are computed straight off the column vectors via
+/// [`crate::columnar::Column::group_hash_into`] (consistent with
+/// [`hash_key`]), per-target index lists drive a single `gather` per
 /// (batch, target), and rows never materialize. Key expressions that are
 /// not plain column references fall back to row-at-a-time evaluation.
 pub fn shuffle_batches_by_key(
-    partitions: Vec<PartitionData>,
+    partitions: Vec<Partition>,
     keys: &[BoundExpr],
     num_output: usize,
     metrics: &Arc<QueryMetrics>,
     edge: EdgeSink,
-) -> Result<Vec<PartitionData>> {
+) -> Result<Vec<Partition>> {
     let num_output = num_output.max(1);
-    let mut out_rows: Vec<Vec<Row>> = vec![Vec::new(); num_output];
-    let mut out_batches: Vec<Vec<ColumnarBatch>> = vec![Vec::new(); num_output];
+    let mut out: Vec<Partition> = vec![Vec::new(); num_output];
     let mut bytes = 0u64;
     let mut rows = 0u64;
 
@@ -84,55 +52,39 @@ pub fn shuffle_batches_by_key(
         })
         .collect();
 
-    for partition in partitions {
-        match partition {
-            PartitionData::Rows(part) => {
-                for row in part {
+    for batch in partitions.into_iter().flatten() {
+        let n = batch.num_rows();
+        let mut targets: Vec<Vec<u32>> = vec![Vec::new(); num_output];
+        match &key_cols {
+            Some(cols) => {
+                for i in 0..n {
+                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                    for &c in cols {
+                        batch.column(c).group_hash_into(i, &mut hasher);
+                    }
+                    let target = (hasher.finish() % num_output as u64) as usize;
+                    targets[target].push(i as u32);
+                }
+            }
+            None => {
+                for i in 0..n {
+                    let row = batch.row_at(i);
                     let key: Vec<_> = keys.iter().map(|k| k.eval(&row)).collect::<Result<_>>()?;
                     let target = (hash_key(&key) % num_output as u64) as usize;
-                    bytes += row.byte_size() as u64;
-                    rows += 1;
-                    out_rows[target].push(row);
+                    targets[target].push(i as u32);
                 }
             }
-            PartitionData::Batches(batches) => {
-                for batch in batches {
-                    let n = batch.num_rows();
-                    let mut targets: Vec<Vec<u32>> = vec![Vec::new(); num_output];
-                    match &key_cols {
-                        Some(cols) => {
-                            for i in 0..n {
-                                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                                for &c in cols {
-                                    batch.column(c).group_hash_into(i, &mut hasher);
-                                }
-                                let target = (hasher.finish() % num_output as u64) as usize;
-                                targets[target].push(i as u32);
-                            }
-                        }
-                        None => {
-                            for i in 0..n {
-                                let row = batch.row_at(i);
-                                let key: Vec<_> =
-                                    keys.iter().map(|k| k.eval(&row)).collect::<Result<_>>()?;
-                                let target = (hash_key(&key) % num_output as u64) as usize;
-                                targets[target].push(i as u32);
-                            }
-                        }
-                    }
-                    rows += n as u64;
-                    for (target, idx) in targets.into_iter().enumerate() {
-                        if idx.is_empty() {
-                            continue;
-                        }
-                        let sub = batch.gather(&idx);
-                        bytes += sub.byte_size() as u64;
-                        metrics.add(&metrics.batches_built, 1);
-                        metrics.add(&metrics.batch_rows, sub.num_rows() as u64);
-                        out_batches[target].push(sub);
-                    }
-                }
+        }
+        rows += n as u64;
+        for (target, idx) in targets.into_iter().enumerate() {
+            if idx.is_empty() {
+                continue;
             }
+            let sub = batch.gather(&idx);
+            bytes += sub.byte_size() as u64;
+            metrics.add(&metrics.batches_built, 1);
+            metrics.add(&metrics.batch_rows, sub.num_rows() as u64);
+            out[target].push(sub);
         }
     }
     metrics.add(&metrics.shuffle_bytes, bytes);
@@ -140,40 +92,14 @@ pub fn shuffle_batches_by_key(
     if let Some((edges, label)) = edge {
         edges.record(label, bytes, rows);
     }
-
-    Ok(out_rows
-        .into_iter()
-        .zip(out_batches)
-        .map(|(rows, mut batches)| {
-            if batches.is_empty() {
-                PartitionData::Rows(rows)
-            } else {
-                if !rows.is_empty() {
-                    // Mixed inputs: columnarize the stray rows so the
-                    // target partition stays uniform.
-                    let dtypes = batches[0].dtypes();
-                    batches.extend(rows_to_batches(&dtypes, &rows, rows.len().max(1)));
-                }
-                PartitionData::Batches(batches)
-            }
-        })
-        .collect())
-}
-
-/// Coalesce every partition into one (a gather to the driver). Not counted
-/// as shuffle — mirrors Spark's `collect`.
-pub fn gather(partitions: Vec<Vec<Row>>) -> Vec<Row> {
-    let total: usize = partitions.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in partitions {
-        out.extend(p);
-    }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::{gather_rows, rows_to_batches};
+    use crate::row::{rows_byte_size, Row};
     use crate::value::{DataType, Value};
 
     fn rows(n: i64) -> Vec<Row> {
@@ -182,45 +108,60 @@ mod tests {
             .collect()
     }
 
+    /// `rows(n)` as one partition of 16-row batches.
+    fn batches(n: i64) -> Vec<Partition> {
+        vec![rows_to_batches(
+            &[DataType::Int64, DataType::Int64],
+            &rows(n),
+            16,
+        )]
+    }
+
     fn key0() -> BoundExpr {
         BoundExpr::Column(0, DataType::Int64)
     }
 
     #[test]
-    fn same_key_lands_in_same_partition() {
-        let metrics = QueryMetrics::new();
-        let parts = shuffle_by_key(vec![rows(100)], &[key0()], 4, &metrics, None).unwrap();
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 100);
-        // Each output partition must contain complete key groups.
-        for p in &parts {
-            let keys: std::collections::HashSet<i64> =
-                p.iter().map(|r| r.get(0).as_i64().unwrap()).collect();
-            for other in &parts {
-                if std::ptr::eq(p, other) {
-                    continue;
-                }
-                for r in other.iter() {
-                    assert!(!keys.contains(&r.get(0).as_i64().unwrap()) || p.is_empty());
+    fn every_row_lands_in_the_partition_its_key_hashes_to() {
+        // A key column, and the same key as an expression that has to be
+        // evaluated row by row.
+        let computed = BoundExpr::BinaryOp {
+            left: Box::new(key0()),
+            op: crate::expr::BinaryOp::Plus,
+            right: Box::new(BoundExpr::Literal(Value::Int64(0))),
+        };
+        for key in [key0(), computed] {
+            let metrics = QueryMetrics::new();
+            let parts = shuffle_batches_by_key(batches(100), &[key], 4, &metrics, None).unwrap();
+            assert_eq!(parts.len(), 4);
+            let mut seen = 0;
+            for (target, part) in parts.into_iter().enumerate() {
+                for row in gather_rows(vec![part]) {
+                    let want = hash_key(&[row.get(0).clone()]) % 4;
+                    assert_eq!(want as usize, target, "{row:?}");
+                    seen += 1;
                 }
             }
+            assert_eq!(seen, 100);
         }
     }
 
     #[test]
-    fn shuffle_records_bytes_and_rows() {
+    fn shuffle_records_row_equivalent_bytes_and_rows() {
         let metrics = QueryMetrics::new();
-        shuffle_by_key(vec![rows(10)], &[key0()], 2, &metrics, None).unwrap();
+        shuffle_batches_by_key(batches(10), &[key0()], 2, &metrics, None).unwrap();
         let snap = metrics.snapshot();
         assert_eq!(snap.shuffle_rows, 10);
         assert_eq!(snap.shuffle_bytes, 10 * (8 + 8 + 8));
+        assert_eq!(snap.shuffle_bytes, rows_byte_size(&rows(10)) as u64);
     }
 
     #[test]
     fn edge_sink_receives_same_volume_as_globals() {
         let metrics = QueryMetrics::new();
         let edges = ShuffleEdges::new();
-        shuffle_by_key(
-            vec![rows(10)],
+        shuffle_batches_by_key(
+            batches(10),
             &[key0()],
             2,
             &metrics,
@@ -235,57 +176,19 @@ mod tests {
     }
 
     #[test]
-    fn gather_flattens_in_order() {
-        let parts = vec![rows(2), rows(3)];
-        assert_eq!(gather(parts).len(), 5);
-    }
-
-    #[test]
-    fn single_output_partition() {
+    fn single_output_partition_and_empty_inputs() {
         let metrics = QueryMetrics::new();
-        let parts = shuffle_by_key(vec![rows(7)], &[key0()], 1, &metrics, None).unwrap();
+        let parts = shuffle_batches_by_key(batches(7), &[key0()], 1, &metrics, None).unwrap();
         assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].len(), 7);
+        assert_eq!(gather_rows(parts).len(), 7);
+        let empty = vec![Vec::new(), Vec::new()];
+        let parts = shuffle_batches_by_key(empty, &[key0()], 3, &metrics, None).unwrap();
+        assert_eq!(parts.len(), 3);
+        assert!(parts.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn hash_key_consistency_across_widths() {
         assert_eq!(hash_key(&[Value::Int32(5)]), hash_key(&[Value::Int64(5)]));
-    }
-
-    #[test]
-    fn batch_shuffle_matches_row_shuffle() {
-        let row_metrics = QueryMetrics::new();
-        let by_rows = shuffle_by_key(vec![rows(100)], &[key0()], 4, &row_metrics, None).unwrap();
-
-        let batch_metrics = QueryMetrics::new();
-        let batches = rows_to_batches(&[DataType::Int64, DataType::Int64], &rows(100), 16);
-        let by_batches = shuffle_batches_by_key(
-            vec![PartitionData::Batches(batches)],
-            &[key0()],
-            4,
-            &batch_metrics,
-            None,
-        )
-        .unwrap();
-
-        // Same placement (hashing is consistent) and same shuffle volume.
-        for (rp, bp) in by_rows.iter().zip(by_batches) {
-            let mut got = bp.into_rows();
-            let mut want = rp.clone();
-            // Batch shuffle preserves order within a batch but interleaves
-            // across batches differently; compare as multisets.
-            got.sort_by_key(|r| r.get(1).as_i64());
-            want.sort_by_key(|r| r.get(1).as_i64());
-            assert_eq!(got, want);
-        }
-        assert_eq!(
-            row_metrics.snapshot().shuffle_bytes,
-            batch_metrics.snapshot().shuffle_bytes
-        );
-        assert_eq!(
-            row_metrics.snapshot().shuffle_rows,
-            batch_metrics.snapshot().shuffle_rows
-        );
     }
 }

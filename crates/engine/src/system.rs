@@ -18,12 +18,14 @@
 //! use the hints to skip building rows it can prove won't survive, and may
 //! just as correctly ignore them.
 
+use crate::columnar::{BatchBuilder, ColumnarBatch};
 use crate::datasource::{ScanPartition, TableProvider};
 use crate::error::Result;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::session::Session;
 use crate::source_filter::SourceFilter;
+use crate::value::DataType;
 use std::sync::Arc;
 
 /// The row producer: called once per scan with the scan's pushed-down
@@ -73,11 +75,21 @@ impl SystemTable {
 
 struct SystemPartition {
     rows: Vec<Row>,
+    dtypes: Vec<DataType>,
 }
 
 impl ScanPartition for SystemPartition {
-    fn execute(&self, _running_on: &str) -> Result<Vec<Row>> {
-        Ok(self.rows.clone())
+    fn execute(
+        &self,
+        _running_on: &str,
+        batch_size: usize,
+        on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
+    ) -> Result<()> {
+        let mut builder = BatchBuilder::new(self.dtypes.clone(), batch_size);
+        for row in &self.rows {
+            builder.push_row_to(row, on_batch)?;
+        }
+        builder.finish_to(on_batch)
     }
 
     fn describe(&self) -> String {
@@ -104,6 +116,7 @@ impl TableProvider for SystemTable {
         // through as a pruning hint only — they all stay unhandled.
         Ok(vec![Arc::new(SystemPartition {
             rows: (self.rows)(filters),
+            dtypes: self.schema.data_types(),
         })])
     }
 
@@ -146,6 +159,7 @@ impl SystemCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasource::partition_rows;
     use crate::schema::Field;
     use crate::value::{DataType, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,10 +182,10 @@ mod tests {
         let table = counter_table(Arc::clone(&counter));
         counter.store(7, Ordering::Relaxed);
         let parts = table.scan(None, &[]).unwrap();
-        let rows = parts[0].execute("anywhere").unwrap();
+        let rows = partition_rows(&*parts[0], "anywhere").unwrap();
         assert_eq!(rows[0].get(0), &Value::Int64(7));
         counter.store(9, Ordering::Relaxed);
-        let rows = table.scan(None, &[]).unwrap()[0].execute("x").unwrap();
+        let rows = partition_rows(&*table.scan(None, &[]).unwrap()[0], "x").unwrap();
         assert_eq!(rows[0].get(0), &Value::Int64(9));
     }
 

@@ -207,6 +207,25 @@ impl Value {
         }
     }
 
+    /// The total order `ORDER BY` sorts by. Where [`sql_cmp`](Self::sql_cmp)
+    /// decides, it decides here too (so `-0.0 = 0.0`); where it cannot,
+    /// NULL sorts before everything, NaN after every other number (Spark's
+    /// order), and values of different kinds — which one key column never
+    /// mixes — by kind.
+    pub fn sort_cmp(&self, other: &Value) -> Ordering {
+        fn rank(v: &Value) -> (u8, bool) {
+            match v {
+                Value::Null => (0, false),
+                Value::Boolean(_) => (1, false),
+                Value::Utf8(_) => (3, false),
+                Value::Binary(_) => (4, false),
+                number => (2, number.as_f64().is_some_and(f64::is_nan)),
+            }
+        }
+        self.sql_cmp(other)
+            .unwrap_or_else(|| rank(self).cmp(&rank(other)))
+    }
+
     /// Strict equality for grouping/joining: NULL equals NULL here (SQL
     /// GROUP BY semantics), and numeric comparison follows `sql_cmp`.
     pub fn group_eq(&self, other: &Value) -> bool {

@@ -88,8 +88,8 @@ proptest! {
     }
 
     /// Batch byte accounting equals row byte accounting — the invariance
-    /// that keeps scan/shuffle byte metrics identical across the vectorized
-    /// and row paths.
+    /// that keeps scan/shuffle byte metrics independent of how rows are cut
+    /// into batches.
     #[test]
     fn batch_byte_size_matches_row_accounting(
         ints in prop::collection::vec(any::<i64>(), 1..64),

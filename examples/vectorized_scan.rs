@@ -1,10 +1,9 @@
 //! Vectorized scan + aggregation: columnar batches end to end.
 //!
-//! A grouped aggregation over a seeded in-memory table runs twice through
-//! the vectorized pipeline. The cold run columnarizes the scan source
-//! (building the provider's cached column vectors as a side effect); the
-//! warm run is served straight from that cache, so the same query costs
-//! only `Arc` clones on the scan side. Both runs flow through selection
+//! A grouped aggregation over a seeded in-memory table runs twice. The cold
+//! run columnarizes the scan source (building the provider's cached column
+//! vectors as a side effect); the warm run is served straight from that
+//! cache, so the same query costs only `Arc` clones on the scan side. Both runs flow through selection
 //! bitmaps and typed accumulator loops, and the per-run batch statistics —
 //! rows/sec through batches, average batch fill, and any adaptive replans —
 //! are printed as a `BENCH` JSON line per run.
@@ -54,7 +53,7 @@ fn run(session: &Arc<Session>, label: &str) -> Result<()> {
     );
     assert!(
         delta.batches_built > 0,
-        "the vectorized path must move rows in columnar batches"
+        "operators must move rows in columnar batches"
     );
     println!(
         "BENCH {{\"experiment\":\"vectorized_scan\",\"x\":\"{label}\",\"system\":\"SHC\",\

@@ -619,18 +619,13 @@ fn q39_over_memtables_shares_the_same_subplan() {
         assert_eq!((engine.subplans_reused, ref_engine.subplans_reused), (1, 0));
         assert!(ref_engine.scan_rows - engine.scan_rows >= inventory_rows);
 
-        // The row-at-a-time engine and fixed (non-adaptive) plans share the
-        // same subplan and return the same rows.
-        for tweak in [
-            (|c: &mut SessionConfig| c.vectorized = false) as fn(&mut SessionConfig),
-            |c: &mut SessionConfig| c.adaptive = false,
-        ] {
-            session.update_config(tweak);
-            let (again, engine) = measure(&sql);
-            session.update_config(|c| *c = SessionConfig::default());
-            assert_eq!(engine.subplans_reused, 1);
-            assert_eq!(again, rows);
-        }
+        // Fixed (non-adaptive) plans share the same subplan and return the
+        // same rows.
+        session.update_config(|c| c.adaptive = false);
+        let (again, engine) = measure(&sql);
+        session.update_config(|c| *c = SessionConfig::default());
+        assert_eq!(engine.subplans_reused, 1);
+        assert_eq!(again, rows);
     }
 }
 
