@@ -1,49 +1,95 @@
-//! Regenerate every table and figure of the paper's evaluation (§VII).
+//! Regenerate every table and figure of the paper's evaluation (§VII), plus
+//! the ablations over the §VI optimizations. This binary is the one figure
+//! driver of the repository.
 //!
 //! ```text
-//! paper_tables [--table1] [--fig4] [--fig5] [--fig6] [--fig7] [--table2] [--all]
-//!              [--quick]
+//! paper_tables [--table1] [--fig4] [--fig5] [--fig6] [--fig7] [--table2]
+//!              [--ablations] [--metrics] [--all] [--quick]
 //! ```
 //!
-//! With no flags (or `--all`) every experiment runs. `--quick` shrinks the
-//! sweeps so the whole suite finishes in ~a minute; the full sweeps match
-//! the paper's x-axes (5–30 nominal GB, 4–24 executors).
+//! The section flags select experiments; with none of them (or with
+//! `--all`) every experiment runs. `--quick` selects nothing: it shrinks
+//! the sweeps of whatever runs, so `paper_tables --quick` is the whole suite
+//! in a few seconds; the full sweeps match the paper's x-axes (5–30 nominal
+//! GB, 4–24 executors). Any other argument is an error.
 //!
 //! Absolute numbers cannot match the paper's physical cluster; the *shape*
 //! of each curve — who wins, how the gap scales — is the reproduction
 //! target. EXPERIMENTS.md records paper-vs-measured for each panel.
 
-use shc_bench::{bench_json, measure_query, measure_write, print_table, Env, EnvConfig, System};
+use shc_bench::{
+    bench_json, measure, measure_query, measure_write, print_table, session_config, Env, EnvConfig,
+    Measurement, System,
+};
+use shc_core::catalog::HBaseTableCatalog;
+use shc_core::conf::SHCConf;
+use shc_core::generic::GenericHBaseRelation;
+use shc_core::relation::HBaseRelation;
+use shc_engine::prelude::{Session, TableProvider};
 use shc_kvstore::cluster::{ClusterConfig, HBaseCluster};
 use shc_kvstore::network::NetworkSim;
-use shc_tpcds::{queries, Generator, Scale, Table};
+use shc_tpcds::{queries, Generator, Provider, Scale, Table};
+use std::sync::Arc;
+
+/// An experiment: its selection flag and its driver (which takes `quick`).
+type Section = (&'static str, fn(bool));
+
+/// Every experiment, in print order.
+const SECTIONS: [Section; 8] = [
+    ("--table1", |_| table1()),
+    ("--fig4", fig4),
+    ("--fig5", fig5),
+    ("--fig6", fig6),
+    ("--fig7", fig7),
+    ("--table2", table2),
+    ("--ablations", ablations),
+    ("--metrics", |_| metrics_dump()),
+];
+
+/// What a command line asks for: which sections (indices into
+/// [`SECTIONS`], in print order) and whether to shrink their sweeps.
+#[derive(Debug, PartialEq)]
+struct Selection {
+    sections: Vec<usize>,
+    quick: bool,
+}
+
+/// "All" means no section flag was given (or `--all` was); `--quick` only
+/// modifies, and an argument that is neither is refused.
+fn parse_args(args: &[String]) -> Result<Selection, String> {
+    let mut picked = vec![false; SECTIONS.len()];
+    let (mut quick, mut all) = (false, false);
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--all" => all = true,
+            flag => match SECTIONS.iter().position(|(section, _)| *section == flag) {
+                Some(i) => picked[i] = true,
+                None => return Err(format!("unknown argument {arg:?}")),
+            },
+        }
+    }
+    all |= !picked.contains(&true);
+    let sections = (0..SECTIONS.len()).filter(|&i| all || picked[i]).collect();
+    Ok(Selection { sections, quick })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let all = args.is_empty() || args.iter().any(|a| a == "--all");
-    let wants = |flag: &str| all || args.iter().any(|a| a == flag);
-
-    if wants("--table1") {
-        table1();
-    }
-    if wants("--fig4") {
-        fig4(quick);
-    }
-    if wants("--fig5") {
-        fig5(quick);
-    }
-    if wants("--fig6") {
-        fig6(quick);
-    }
-    if wants("--fig7") {
-        fig7(quick);
-    }
-    if wants("--table2") {
-        table2(quick);
-    }
-    if wants("--metrics") {
-        metrics_dump();
+    match parse_args(&args) {
+        Ok(selection) => {
+            for i in selection.sections {
+                SECTIONS[i].1(selection.quick);
+            }
+        }
+        Err(message) => {
+            let flags: Vec<&str> = SECTIONS.iter().map(|(flag, _)| *flag).collect();
+            eprintln!(
+                "paper_tables: {message}\nusage: paper_tables [{}] [--all] [--quick]",
+                flags.join("] [")
+            );
+            std::process::exit(2);
+        }
     }
 }
 
@@ -160,7 +206,7 @@ fn table1() {
     let started = std::time::Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let session = std::sync::Arc::clone(&env.shc);
+            let session = Arc::clone(&env.shc);
             scope.spawn(move || {
                 session
                     .sql("SELECT COUNT(*) FROM inventory")
@@ -177,42 +223,52 @@ fn table1() {
 }
 
 // ----------------------------------------------------------------------
-// Figure 4: query latency vs data size
+// Figures 4–6: q39a / q39b through both systems
 // ----------------------------------------------------------------------
 
+/// A panel of Figures 4–6: its letter and its query (year, month → SQL).
+type Panel = (&'static str, fn(i32, i32) -> String);
+
+const PANELS: [Panel; 2] = [("a", queries::q39a), ("b", queries::q39b)];
+
+/// One point of Figures 4–6: a fresh environment, the panel's query through
+/// both systems (which must agree), one `BENCH` record each.
+fn run_point(
+    experiment: &str,
+    x: &str,
+    sql: &str,
+    config: EnvConfig,
+) -> (Measurement, Measurement) {
+    let env = Env::build(&config);
+    let shc = measure_query(&env, System::Shc, sql);
+    let generic = measure_query(&env, System::SparkSql, sql);
+    assert_eq!(shc.rows, generic.rows, "systems must agree");
+    bench_json(experiment, x, System::Shc, &shc);
+    bench_json(experiment, x, System::SparkSql, &generic);
+    (shc, generic)
+}
+
+/// Figure 4: query latency vs data size.
 fn fig4(quick: bool) {
-    for (panel, query_of) in [
-        ("a", &queries::q39a as &dyn Fn(i32, i32) -> String),
-        ("b", &queries::q39b),
-    ] {
+    for (panel, query_of) in PANELS {
         let mut rows = Vec::new();
         for gb in size_sweep(quick) {
-            let env = Env::build(&EnvConfig {
+            let x = format!("{gb:.0}");
+            let config = EnvConfig {
                 nominal_gb: gb,
                 ..Default::default()
-            });
-            let sql = query_of(2001, 1);
-            let shc = measure_query(&env, System::Shc, &sql);
-            let generic = measure_query(&env, System::SparkSql, &sql);
-            assert_eq!(shc.rows, generic.rows, "systems must agree");
-            bench_json(
-                &format!("fig4{panel}"),
-                &format!("{gb:.0}"),
-                System::Shc,
-                &shc,
-            );
-            bench_json(
-                &format!("fig4{panel}"),
-                &format!("{gb:.0}"),
-                System::SparkSql,
-                &generic,
-            );
+            };
+            let (shc, generic) = run_point(&format!("fig4{panel}"), &x, &query_of(2001, 1), config);
             rows.push(vec![
-                format!("{gb:.0}"),
+                x,
                 format!("{:.3}", shc.seconds),
                 format!("{:.3}", generic.seconds),
                 format!("{:.1}x", generic.seconds / shc.seconds.max(1e-9)),
-                format!("{}us/{}us", shc.rpc_p50_us, shc.rpc_p99_us),
+                format!(
+                    "{}us/{}us",
+                    shc.store.rpc_latency_us.p50(),
+                    shc.store.rpc_latency_us.p99()
+                ),
                 format!("{}", shc.rows),
             ]);
         }
@@ -231,33 +287,24 @@ fn fig4(quick: bool) {
     }
 }
 
-// ----------------------------------------------------------------------
-// Figure 5: shuffle cost vs data size
-// ----------------------------------------------------------------------
-
+/// Figure 5: shuffle cost vs data size.
 fn fig5(quick: bool) {
-    for (panel, query_of) in [
-        ("a", &queries::q39a as &dyn Fn(i32, i32) -> String),
-        ("b", &queries::q39b),
-    ] {
+    for (panel, query_of) in PANELS {
         let mut rows = Vec::new();
         for gb in size_sweep(quick) {
-            let env = Env::build(&EnvConfig {
+            let x = format!("{gb:.0}");
+            let config = EnvConfig {
                 nominal_gb: gb,
                 network: NetworkSim::off(), // shuffle volume is size-only
                 ..Default::default()
-            });
-            let sql = query_of(2001, 1);
-            let shc = measure_query(&env, System::Shc, &sql);
-            let generic = measure_query(&env, System::SparkSql, &sql);
+            };
+            let (shc, generic) = run_point(&format!("fig5{panel}"), &x, &query_of(2001, 1), config);
+            let (shc, generic) = (shc.engine.shuffle_bytes, generic.engine.shuffle_bytes);
             rows.push(vec![
-                format!("{gb:.0}"),
-                format!("{:.1}", shc.shuffle_bytes as f64 / 1024.0),
-                format!("{:.1}", generic.shuffle_bytes as f64 / 1024.0),
-                format!(
-                    "{:.2}x",
-                    generic.shuffle_bytes as f64 / shc.shuffle_bytes.max(1) as f64
-                ),
+                x,
+                format!("{:.1}", shc as f64 / 1024.0),
+                format!("{:.1}", generic as f64 / 1024.0),
+                format!("{:.2}x", generic as f64 / shc.max(1) as f64),
             ]);
         }
         print_table(
@@ -268,43 +315,24 @@ fn fig5(quick: bool) {
     }
 }
 
-// ----------------------------------------------------------------------
-// Figure 6: query time vs number of executors
-// ----------------------------------------------------------------------
-
+/// Figure 6: query time vs number of executors.
 fn fig6(quick: bool) {
-    for (panel, query_of) in [
-        ("a", &queries::q39a as &dyn Fn(i32, i32) -> String),
-        ("b", &queries::q39b),
-    ] {
+    for (panel, query_of) in PANELS {
         let mut rows = Vec::new();
         let gb = if quick { 2.0 } else { 10.0 };
         for executors in executor_sweep(quick) {
-            let env = Env::build(&EnvConfig {
+            let x = format!("{executors}");
+            let config = EnvConfig {
                 nominal_gb: gb,
                 num_executors: executors,
                 ..Default::default()
-            });
-            let sql = query_of(2001, 1);
-            let shc = measure_query(&env, System::Shc, &sql);
-            let generic = measure_query(&env, System::SparkSql, &sql);
-            bench_json(
-                &format!("fig6{panel}"),
-                &format!("{executors}"),
-                System::Shc,
-                &shc,
-            );
-            bench_json(
-                &format!("fig6{panel}"),
-                &format!("{executors}"),
-                System::SparkSql,
-                &generic,
-            );
+            };
+            let (shc, generic) = run_point(&format!("fig6{panel}"), &x, &query_of(2001, 1), config);
             rows.push(vec![
-                format!("{executors}"),
+                x,
                 format!("{:.3}", shc.seconds),
                 format!("{:.3}", generic.seconds),
-                format!("{:.0}%", shc.locality * 100.0),
+                format!("{:.0}%", shc.engine.locality_ratio() * 100.0),
             ]);
         }
         print_table(
@@ -404,7 +432,7 @@ fn table2(quick: bool) {
         };
         // Rebuild sessions over the already-written cluster; take the best
         // of three runs to damp scheduler noise.
-        let env = reuse_env(&cluster, &env_cfg);
+        let env = Env::over(&cluster, &env_cfg);
         let query = (0..3)
             .map(|_| measure_query(&env, system, &queries::q39a(2001, 1)))
             .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
@@ -414,8 +442,8 @@ fn table2(quick: bool) {
             coder.to_string(),
             format!("{:.3}", query.seconds),
             format!("{:.3}", write.seconds),
-            format!("{:.2}", query.peak_bytes as f64 / (1024.0 * 1024.0)),
-            format!("{:.1}", query.bytes_shipped as f64 / 1024.0),
+            format!("{:.2}", query.engine.peak_bytes as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", query.store.bytes_returned as f64 / 1024.0),
         ]);
     }
     // The paper's unsupported cells.
@@ -452,45 +480,135 @@ fn table2(quick: bool) {
     );
 }
 
-/// Build sessions over an existing, already-loaded cluster.
-fn reuse_env(cluster: &std::sync::Arc<HBaseCluster>, config: &EnvConfig) -> Env {
-    use shc_core::catalog::HBaseTableCatalog;
-    use shc_core::conf::SHCConf;
-    use shc_core::generic::GenericHBaseRelation;
-    use shc_core::relation::HBaseRelation;
-    use shc_engine::prelude::*;
-    let session_config = SessionConfig {
-        executors: ExecutorConfig {
-            num_executors: config.num_executors,
-            hosts: cluster.hostnames(),
-            task_retries: 1,
-        },
-        broadcast_threshold: 0,
+// ----------------------------------------------------------------------
+// Ablations: one §VI optimization off at a time
+// ----------------------------------------------------------------------
+
+/// Each §VI optimization DESIGN.md calls out is disabled in isolation and a
+/// selective scan (row-key range + value predicate — the query shape every
+/// one of them targets) is measured again over the same loaded cluster.
+/// Full SHC should be cheapest; each ablation should cost something that
+/// its counters name; the generic source bounds the worst case.
+fn ablations(quick: bool) {
+    let gb = if quick { 1.0 } else { 2.0 };
+    let generator = Generator::new(Scale::from_gb(gb), 2018);
+    let cluster = HBaseCluster::start(ClusterConfig {
+        num_servers: 5,
+        network: NetworkSim::gigabit(),
         ..Default::default()
+    });
+    let session_config = session_config(&cluster, 5);
+    shc_tpcds::load_into_hbase(
+        &Session::new(session_config.clone()),
+        &cluster,
+        &generator,
+        &[Table::Inventory],
+        "PrimitiveType",
+        &SHCConf::default(),
+        Provider::Shc,
+    )
+    .expect("load inventory");
+    let catalog = Arc::new(
+        HBaseTableCatalog::parse_simple(&Table::Inventory.catalog_json("PrimitiveType")).unwrap(),
+    );
+    let sql = queries::inventory_range_scan(generator.scale().days as i64 / 10, 150);
+
+    let shc = |conf: SHCConf| -> Arc<dyn TableProvider> {
+        HBaseRelation::new(Arc::clone(&cluster), Arc::clone(&catalog), conf)
     };
-    let shc = Session::new(session_config.clone());
-    let generic = Session::new(session_config);
-    for &table in &config.tables {
-        let catalog = std::sync::Arc::new(
-            HBaseTableCatalog::parse_simple(&table.catalog_json(config.coder)).unwrap(),
-        );
-        shc.register_table(
-            table.name(),
-            HBaseRelation::new(
-                std::sync::Arc::clone(cluster),
-                std::sync::Arc::clone(&catalog),
-                SHCConf::default(),
-            ),
-        );
-        generic.register_table(
-            table.name(),
-            GenericHBaseRelation::new(std::sync::Arc::clone(cluster), catalog),
-        );
+    let variants: [(&str, Arc<dyn TableProvider>); 6] = [
+        ("full", shc(SHCConf::default())),
+        ("no_pruning", shc(SHCConf::default().without_pruning())),
+        ("no_pushdown", shc(SHCConf::default().without_pushdown())),
+        ("no_fusion", shc(SHCConf::default().without_fusion())),
+        (
+            "no_conn_cache",
+            shc(SHCConf::default().without_connection_cache()),
+        ),
+        (
+            "generic source",
+            GenericHBaseRelation::new(Arc::clone(&cluster), Arc::clone(&catalog)),
+        ),
+    ];
+    let mut rows = Vec::new();
+    let mut full_seconds = 0.0;
+    for (name, provider) in variants {
+        let session = Session::new(session_config.clone());
+        session.register_table("inventory", provider);
+        // Best of three runs damps scheduler noise; the counters repeat.
+        let m = (0..3)
+            .map(|_| measure(&session, &cluster, &sql))
+            .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+            .unwrap();
+        if name == "full" {
+            full_seconds = m.seconds;
+        }
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.2}", m.seconds * 1e3),
+            format!("{:.2}x", m.seconds / full_seconds.max(1e-9)),
+            format!("{}", m.store.rpc_count),
+            format!("{}", m.store.connections_created),
+            format!("{}", m.engine.scan_rows),
+            format!("{:.1}", m.store.bytes_returned as f64 / 1024.0),
+            format!("{}", m.engine.tasks),
+            format!("{}", m.rows),
+        ]);
     }
-    Env {
-        cluster: std::sync::Arc::clone(cluster),
-        shc,
-        generic,
-        generator: Generator::new(Scale::from_gb(config.nominal_gb), config.seed),
+    print_table(
+        &format!(
+            "Ablations: selective inventory scan ({gb:.0} GB), one optimization off at a time"
+        ),
+        &[
+            "variant",
+            "time (ms)",
+            "vs full",
+            "RPCs",
+            "connections",
+            "rows scanned",
+            "wire (KB)",
+            "tasks",
+            "result rows",
+        ],
+        &rows,
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Selection, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn quick_alone_runs_everything_and_an_unknown_flag_is_an_error() {
+        let everything: Vec<usize> = (0..SECTIONS.len()).collect();
+        for args in [&[][..], &["--all"], &["--fig4", "--all"]] {
+            let selection = parse(args).unwrap();
+            assert_eq!(
+                (selection.sections, selection.quick),
+                (everything.clone(), false)
+            );
+        }
+        // `--quick` modifies; it selects nothing, so alone it still means all.
+        for args in [&["--quick"][..], &["--quick", "--all"]] {
+            let selection = parse(args).unwrap();
+            assert_eq!(
+                (selection.sections, selection.quick),
+                (everything.clone(), true)
+            );
+        }
+        // Section flags select, in print order whatever order they came in.
+        assert_eq!(
+            parse(&["--ablations", "--quick", "--fig4"]).unwrap(),
+            Selection {
+                sections: vec![1, 6],
+                quick: true
+            }
+        );
+        assert!(parse(&["--fig8"]).unwrap_err().contains("--fig8"));
+        assert!(parse(&["--quick", "quick"]).is_err());
     }
 }

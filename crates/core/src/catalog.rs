@@ -460,6 +460,20 @@ mod tests {
         .is_err());
     }
 
+    /// The catalog reader is the workspace's strict JSON parser: a raw tab
+    /// inside a string (valid only as `\t`) is a catalog error, not a name.
+    #[test]
+    fn raw_control_character_in_a_string_is_a_catalog_error() {
+        let text = actives_catalog_json().replace("actives", "act\tives");
+        match HBaseTableCatalog::parse_simple(&text) {
+            Err(ShcError::Catalog(why)) => assert!(why.contains("control character"), "{why}"),
+            other => panic!("expected a catalog error, got {other:?}"),
+        }
+        let escaped = actives_catalog_json().replace("actives", "act\\tives");
+        let catalog = HBaseTableCatalog::parse_simple(&escaped).unwrap();
+        assert_eq!(catalog.table.name, "act\tives");
+    }
+
     #[test]
     fn case_insensitive_lookup() {
         let c = HBaseTableCatalog::parse_simple(actives_catalog_json()).unwrap();

@@ -42,6 +42,12 @@ impl From<KvError> for ShcError {
     }
 }
 
+impl From<shc_obs::json::JsonError> for ShcError {
+    fn from(e: shc_obs::json::JsonError) -> Self {
+        ShcError::Catalog(e.0)
+    }
+}
+
 impl From<EngineError> for ShcError {
     fn from(e: EngineError) -> Self {
         ShcError::Engine(e.to_string())

@@ -9,6 +9,9 @@
 //! discipline as span attribution), and the kvstore never learns SQL.
 //! Every scan takes a fresh snapshot: `system.regions` triggers a
 //! heartbeat round, so the numbers are current as of the query.
+//! `system.metrics_history`, `system.region_heat` and the rate alerts all
+//! read one series store, the cluster's ([`HBaseCluster::tsdb`]): nothing
+//! here builds, owns or hangs a store on the session.
 //!
 //! | table            | one row per                                    |
 //! |------------------|------------------------------------------------|
@@ -34,11 +37,6 @@ use shc_kvstore::load::RegionLoad;
 use shc_kvstore::metrics::EXPOSITION_PREFIX as STORE_PREFIX;
 use shc_obs::{AlertRule, Comparison, Event, Tsdb};
 use std::sync::Arc;
-
-/// Ring-buffer capacity per metric series in the session's time-series
-/// store — enough to answer rate-over-window queries across a test or
-/// example run without unbounded growth.
-const TSDB_CAPACITY_PER_SERIES: usize = 512;
 
 /// Window the default rate alerts look back over, in virtual milliseconds.
 const RATE_WINDOW_MS: u64 = 10_000;
@@ -304,59 +302,12 @@ fn stage_stats_schema() -> Schema {
     ])
 }
 
-/// Build the session's metrics time-series store: scrape sources over the
-/// cluster's counter registry, per-histogram p50/p99 quantiles, and the
-/// live compaction backlog (total and per-server labeled series).
-fn build_tsdb(cluster: &Arc<HBaseCluster>) -> Arc<Tsdb> {
-    let tsdb = Tsdb::new(TSDB_CAPACITY_PER_SERIES);
-    let counters_cluster = Arc::clone(cluster);
-    tsdb.add_source(move || {
-        counters_cluster
-            .metrics
-            .snapshot()
-            .counter_values()
-            .iter()
-            .map(|(name, value)| (format!("{STORE_PREFIX}{name}"), *value as f64))
-            .collect()
-    });
-    let hist_cluster = Arc::clone(cluster);
-    tsdb.add_source(move || {
-        let mut out = Vec::new();
-        for (name, snap) in hist_cluster.metrics.snapshot().histogram_values() {
-            out.push((format!("{STORE_PREFIX}{name}_p50"), snap.p50() as f64));
-            out.push((format!("{STORE_PREFIX}{name}_p99"), snap.p99() as f64));
-        }
-        out
-    });
-    let backlog_cluster = Arc::clone(cluster);
-    tsdb.add_source(move || {
-        let (bytes, files) = backlog_cluster.compaction_backlog();
-        let mut out = vec![
-            (
-                format!("{STORE_PREFIX}compaction_backlog_bytes"),
-                bytes as f64,
-            ),
-            (
-                format!("{STORE_PREFIX}compaction_backlog_files"),
-                files as f64,
-            ),
-        ];
-        for (server_id, server_bytes) in backlog_cluster.compaction_backlog_by_server() {
-            out.push((
-                format!("{STORE_PREFIX}compaction_backlog_bytes{{server=\"{server_id}\"}}"),
-                server_bytes as f64,
-            ));
-        }
-        out
-    });
-    tsdb
-}
-
 /// Register the twelve `system.*` virtual tables on `session`, backed by
 /// `cluster`; install the RPC and storage-I/O probes that let the query
 /// log attribute store RPCs, block reads, cache hits, and WAL appends to
-/// individual queries; wire up the metrics time-series store behind
-/// `system.metrics_history`; and add the seven default alert rules
+/// individual queries; put the cluster's series store
+/// ([`HBaseCluster::tsdb`]) behind `system.metrics_history`; and add the
+/// seven default alert rules
 /// (`block_cache_hit_ratio_low`, `task_retry_spike`, `write_stall_rate`,
 /// `compaction_backlog_growth`, `stage_skew_high`, `straggler_spike`,
 /// `region_hot_sustained`) to the session's alert engine. Returns the
@@ -380,9 +331,7 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
             }
         });
     }
-    let tsdb = build_tsdb(cluster);
-    session.set_tsdb(Arc::clone(&tsdb));
-    register_default_alerts(session, cluster, &tsdb);
+    register_default_alerts(session, cluster);
 
     let regions_cluster = Arc::clone(cluster);
     let servers_cluster = Arc::clone(cluster);
@@ -394,7 +343,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
     let session_events = Arc::clone(session.events());
     let alerts_engine = Arc::clone(session.alerts());
     let alerts_cluster = Arc::clone(cluster);
-    let history_tsdb = Arc::clone(&tsdb);
     let history_cluster = Arc::clone(cluster);
     let heat_cluster = Arc::clone(cluster);
     let advisor_cluster = Arc::clone(cluster);
@@ -554,37 +502,31 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
             "system.metrics_history",
             metrics_history_schema(),
             move |filters| {
-                // Scanning the table scrapes every source at the cluster's
-                // current virtual time, then dumps the retained samples —
-                // querying *is* the collection loop, so a run that never
-                // looks at history pays nothing for it. Dead servers' series
-                // are marked stale first so their frozen counters stop
-                // answering windowed queries. Pushed metric/labels
-                // predicates prune which series materialize rows (the
-                // engine still re-applies every predicate afterwards).
-                let status = history_cluster.master.cluster_status();
-                for server in &status.servers {
-                    let fragment = format!("server=\"{}\"", server.load.server_id);
-                    if server.live {
-                        history_tsdb.mark_live_matching(&fragment);
-                    } else {
-                        history_tsdb.mark_stale_matching(&fragment);
-                    }
-                }
-                history_tsdb.scrape(history_cluster.clock.peek_ms());
+                // Scanning the table is the collection loop — scrape every
+                // source at the cluster's current virtual time, then dump
+                // the retained samples — so a run that never looks at
+                // history pays nothing for it. Dead servers' series are
+                // marked stale first (from the heartbeats the master already
+                // has: a scan adds no `region_*` sample) so their frozen
+                // counters stop answering windowed queries. Pushed
+                // metric/labels predicates prune which series materialize
+                // rows (the engine still re-applies every predicate
+                // afterwards).
+                history_cluster.reported_status();
+                let tsdb = history_cluster.tsdb();
+                tsdb.scrape(history_cluster.clock.peek_ms());
                 let mut rows = Vec::new();
-                for series in history_tsdb.series_names() {
+                for (series, samples) in tsdb.all_series() {
                     let (metric, labels) = Tsdb::split_series_name(&series);
-                    if !series_admitted(filters, metric, labels) {
+                    if !series_admitted(filters, metric, labels.0) {
                         continue;
                     }
-                    let (metric, labels) = (metric.to_string(), labels.to_string());
-                    for s in history_tsdb.samples(&series) {
+                    for s in samples {
                         rows.push(Row::new(vec![
-                            Value::Utf8(metric.clone()),
+                            Value::Utf8(metric.to_string()),
                             Value::Int64(s.ts_ms as i64),
                             Value::Float64(s.value),
-                            Value::Utf8(labels.clone()),
+                            Value::Utf8(labels.0.to_string()),
                         ]));
                     }
                 }
@@ -764,11 +706,12 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
 ///   is the TraceId of the most recent traced request against the hottest
 ///   region, so the alert names a concrete offending query.
 ///
-/// The two rate rules read the session's time-series store, so they only
-/// have data once something scrapes it (a `system.metrics_history` scan or
-/// an explicit [`Tsdb::scrape`]).
-fn register_default_alerts(session: &Arc<Session>, cluster: &Arc<HBaseCluster>, tsdb: &Arc<Tsdb>) {
+/// The two rate rules read the cluster's series store, so they only have
+/// data once something scrapes it (a `system.metrics_history` scan or an
+/// explicit [`Tsdb::scrape`]).
+fn register_default_alerts(session: &Arc<Session>, cluster: &Arc<HBaseCluster>) {
     let alerts = session.alerts();
+    let tsdb = cluster.tsdb();
 
     let ratio_cluster = Arc::clone(cluster);
     let exemplar_cluster = Arc::clone(cluster);
@@ -1102,8 +1045,50 @@ mod tests {
         let last = rows.last().unwrap().get(1).as_f64().unwrap();
         assert!(last > first, "rpc_count series must grow across scans");
 
-        // The tsdb behind the table answers window queries directly.
-        let tsdb = session.tsdb().expect("session has a tsdb");
+        // The store behind the table answers window queries directly.
+        let tsdb = cluster.tsdb();
         assert!(tsdb.rate("shc_store_rpc_count", u64::MAX).unwrap() > 0.0);
+    }
+
+    /// One store behind the table: scraped store metrics and heartbeat-fed
+    /// region series come back from the same scan, and pushed-down
+    /// `metric = … AND labels LIKE …` still prunes what materializes.
+    #[test]
+    fn metrics_history_serves_store_and_region_series_from_the_one_store() {
+        let cluster = cluster_with_table();
+        let conn = Connection::open(Arc::clone(&cluster), None);
+        conn.table(TableName::default_ns("t"))
+            .put(Put::new("r1").add("cf", "q", "v"))
+            .unwrap();
+        // One heartbeat round records the `region_*` series; scans add none.
+        cluster.cluster_status();
+        let session = Session::new_default();
+        register_system_tables(&session, &cluster);
+        let metrics = session
+            .sql("SELECT DISTINCT metric FROM system.metrics_history")
+            .unwrap()
+            .collect()
+            .unwrap();
+        let has = |name: &str| metrics.iter().any(|r| r.get(0).as_str() == Some(name));
+        assert!(has("shc_store_rpc_count") && has("region_read_requests"));
+        assert!(has("shc_store_compaction_backlog_bytes"));
+
+        // The scan hands the engine only the series the pushed-down
+        // predicates admit, not the whole store.
+        let scanned_before = session.metrics.snapshot().scan_rows;
+        let rows = session
+            .sql(
+                "SELECT labels, value FROM system.metrics_history \
+                 WHERE metric = 'region_write_requests' AND labels LIKE 'region=%'",
+            )
+            .unwrap()
+            .collect()
+            .unwrap();
+        assert_eq!(rows.len(), 1, "one region, one heartbeat: scans add none");
+        let labels = rows[0].get(0).as_str().unwrap();
+        assert!(labels.contains("server=\"host-") && labels.contains("table=\"default:t\""));
+        assert_eq!(rows[0].get(1).as_f64(), Some(1.0));
+        assert_eq!(session.metrics.snapshot().scan_rows - scanned_before, 1);
+        assert!(cluster.tsdb().series_names().len() > 50);
     }
 }

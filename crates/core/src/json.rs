@@ -1,338 +1,5 @@
-//! A minimal JSON parser for SHC catalogs and Avro schemas.
-//!
-//! The catalog grammar (paper §IV, Code 1) is a small, flat JSON document;
-//! a hand-written parser keeps the dependency set to the approved crates.
-//! Object member order is preserved — the catalog's column order defines
-//! the relational schema's field order.
+//! JSON for SHC catalogs and Avro schemas: the workspace's one reader and
+//! writer, re-exported from [`shc_obs::json`] (the crate below both the
+//! store and the engine, which write JSON too).
 
-use crate::error::{Result, ShcError};
-
-/// A parsed JSON value. Objects preserve insertion order.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Look up an object member (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
-    /// `get` then `as_str`.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key)?.as_str()
-    }
-}
-
-/// Parse a JSON document.
-pub fn parse_json(input: &str) -> Result<Json> {
-    let mut parser = JsonParser {
-        chars: input.chars().collect(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.chars.len() {
-        return Err(ShcError::Catalog(format!(
-            "trailing characters at offset {}",
-            parser.pos
-        )));
-    }
-    Ok(value)
-}
-
-struct JsonParser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl JsonParser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<()> {
-        if self.bump() == Some(c) {
-            Ok(())
-        } else {
-            Err(ShcError::Catalog(format!(
-                "expected {c:?} at offset {}",
-                self.pos.saturating_sub(1)
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json> {
-        self.skip_ws();
-        match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
-            Some('"') => Ok(Json::String(self.parse_string()?)),
-            Some('t') => self.parse_keyword("true", Json::Bool(true)),
-            Some('f') => self.parse_keyword("false", Json::Bool(false)),
-            Some('n') => self.parse_keyword("null", Json::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(ShcError::Catalog(format!(
-                "unexpected character {other:?} at offset {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Json) -> Result<Json> {
-        for expected in word.chars() {
-            if self.bump() != Some(expected) {
-                return Err(ShcError::Catalog(format!("invalid keyword near {word}")));
-            }
-        }
-        Ok(value)
-    }
-
-    fn parse_object(&mut self) -> Result<Json> {
-        self.expect('{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.bump();
-            return Ok(Json::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => {
-                    return Err(ShcError::Catalog(format!(
-                        "expected ',' or '}}' in object, found {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(Json::Object(members))
-    }
-
-    fn parse_array(&mut self) -> Result<Json> {
-        self.expect('[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(']') {
-            self.bump();
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => break,
-                other => {
-                    return Err(ShcError::Catalog(format!(
-                        "expected ',' or ']' in array, found {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(Json::Array(items))
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => break,
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .ok_or_else(|| ShcError::Catalog("truncated \\u escape".into()))?;
-                            code = code * 16
-                                + d.to_digit(16).ok_or_else(|| {
-                                    ShcError::Catalog("invalid \\u escape".into())
-                                })?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(ShcError::Catalog(format!("invalid escape {other:?}"))),
-                },
-                Some(c) => out.push(c),
-                None => return Err(ShcError::Catalog("unterminated string".into())),
-            }
-        }
-        Ok(out)
-    }
-
-    fn parse_number(&mut self) -> Result<Json> {
-        let start = self.pos;
-        if self.peek() == Some('-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
-        if self.peek() == Some('.') {
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
-        }
-        if matches!(self.peek(), Some('e' | 'E')) {
-            self.bump();
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.bump();
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| ShcError::Catalog(format!("invalid number {text}")))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_scalars() {
-        assert_eq!(parse_json("null").unwrap(), Json::Null);
-        assert_eq!(parse_json("true").unwrap(), Json::Bool(true));
-        assert_eq!(parse_json("false").unwrap(), Json::Bool(false));
-        assert_eq!(parse_json("42").unwrap(), Json::Number(42.0));
-        assert_eq!(parse_json("-3.5e2").unwrap(), Json::Number(-350.0));
-        assert_eq!(parse_json("\"hi\"").unwrap(), Json::String("hi".into()));
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let doc = parse_json(r#"{"a": [1, {"b": "c"}], "d": {}}"#).unwrap();
-        let a = doc.get("a").unwrap().as_array().unwrap();
-        assert_eq!(a[0], Json::Number(1.0));
-        assert_eq!(a[1].get_str("b"), Some("c"));
-        assert!(doc.get("d").unwrap().as_object().unwrap().is_empty());
-    }
-
-    #[test]
-    fn preserves_member_order() {
-        let doc = parse_json(r#"{"z": 1, "a": 2, "m": 3}"#).unwrap();
-        let keys: Vec<&str> = doc
-            .as_object()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
-        assert_eq!(keys, vec!["z", "a", "m"]);
-    }
-
-    #[test]
-    fn string_escapes() {
-        assert_eq!(
-            parse_json(r#""a\"b\\c\ndA""#).unwrap(),
-            Json::String("a\"b\\c\ndA".into())
-        );
-    }
-
-    #[test]
-    fn parses_paper_catalog() {
-        // The exact catalog from the paper (Code 1).
-        let catalog = r#"{
-            "table":{"namespace":"default", "name":"actives",
-                     "tableCoder":"PrimitiveType", "Version":"2.0"},
-            "rowkey":"key",
-            "columns":{
-                "col0":{"cf":"rowkey", "col":"key", "type":"string"},
-                "user-id":{"cf":"cf1", "col":"col1", "type":"tinyint"},
-                "visit-pages":{"cf":"cf2", "col":"col2", "type":"string"},
-                "stay-time":{"cf":"cf3", "col":"col3", "type":"double"},
-                "time":{"cf":"cf4", "col":"col4", "type":"time"}
-            }
-        }"#;
-        let doc = parse_json(catalog).unwrap();
-        assert_eq!(doc.get("table").unwrap().get_str("name"), Some("actives"));
-        assert_eq!(doc.get_str("rowkey"), Some("key"));
-        let columns = doc.get("columns").unwrap().as_object().unwrap();
-        assert_eq!(columns.len(), 5);
-        assert_eq!(columns[0].0, "col0");
-        assert_eq!(columns[3].1.get_str("type"), Some("double"));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\" 1}").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-        assert!(parse_json("12 34").is_err());
-        assert!(parse_json("nul").is_err());
-    }
-
-    #[test]
-    fn empty_containers() {
-        assert_eq!(parse_json("[]").unwrap(), Json::Array(vec![]));
-        assert_eq!(parse_json("{}").unwrap(), Json::Object(vec![]));
-    }
-}
+pub use shc_obs::json::{parse_json, render, Json, JsonError};

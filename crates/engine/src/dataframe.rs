@@ -146,8 +146,7 @@ impl DataFrame {
 
     /// The optimized logical plan (what `collect` will run).
     pub fn optimized_plan(&self) -> Result<LogicalPlan> {
-        let cfg = self.session.config();
-        optimize(self.plan.clone(), &cfg.optimizer)
+        optimize(self.plan.clone())
     }
 
     pub fn explain(&self) -> Result<String> {

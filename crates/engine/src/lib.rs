@@ -84,7 +84,6 @@ pub mod prelude {
         EdgeStat, QueryMetrics, QueryMetricsSnapshot, ShuffleEdges, TaskMetrics,
         TaskMetricsSnapshot,
     };
-    pub use crate::optimizer::OptimizerConfig;
     pub use crate::physical::{OpProfile, RegionScanProfile};
     pub use crate::query_log::{QueryIo, QueryLog, QueryLogEntry};
     pub use crate::row::Row;

@@ -17,42 +17,10 @@ use crate::logical::{JoinType, LogicalPlan};
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// Which rules to run; ablation benches toggle these.
-#[derive(Clone, Copy, Debug)]
-pub struct OptimizerConfig {
-    pub predicate_pushdown: bool,
-    pub constant_folding: bool,
-    pub column_pruning: bool,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            predicate_pushdown: true,
-            constant_folding: true,
-            column_pruning: true,
-        }
-    }
-}
-
-/// Run the full rule pipeline.
-pub fn optimize(plan: LogicalPlan, config: &OptimizerConfig) -> Result<LogicalPlan> {
-    let mut plan = plan;
-    if config.constant_folding {
-        plan = fold_plan(plan)?;
-    }
-    if config.predicate_pushdown {
-        plan = push_down_filters(plan)?;
-    }
-    if config.column_pruning {
-        plan = prune_columns(plan, None)?;
-    }
-    Ok(plan)
-}
-
-/// Optimize with defaults.
-pub fn optimize_default(plan: LogicalPlan) -> Result<LogicalPlan> {
-    optimize(plan, &OptimizerConfig::default())
+/// Run the full rule pipeline: fold constants, push filters down, prune
+/// columns.
+pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
+    prune_columns(push_down_filters(fold_plan(plan)?)?, None)
 }
 
 // ----------------------------------------------------------------------
@@ -858,7 +826,7 @@ mod tests {
             predicate: Expr::col("a").gt(Expr::lit(1i64)).and(Expr::lit(true)),
             input: Box::new(scan(&["a", "b"])),
         };
-        let optimized = optimize_default(plan).unwrap();
+        let optimized = optimize(plan).unwrap();
         assert_eq!(scan_filters(&optimized), vec!["(a > 1)"]);
     }
 }

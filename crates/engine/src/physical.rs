@@ -43,22 +43,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Bytes of input a single shuffle partition should hold, when the count is
-/// chosen adaptively. Capped by [`ExecContext::shuffle_partitions`].
+/// chosen adaptively. Capped by [`SHUFFLE_PARTITIONS`].
 const SHUFFLE_TARGET_PARTITION_BYTES: usize = 256 * 1024;
+
+/// Upper bound on partitions produced by exchanges (the adaptive chooser
+/// picks `1..=SHUFFLE_PARTITIONS` from observed bytes; fixed plans use it).
+const SHUFFLE_PARTITIONS: usize = 8;
 
 /// Everything execution needs besides the plan.
 #[derive(Clone)]
 pub struct ExecContext {
     pub executors: ExecutorConfig,
     pub metrics: Arc<QueryMetrics>,
-    /// Upper bound on partitions produced by exchanges (the adaptive
-    /// chooser picks `1..=shuffle_partitions` from observed bytes).
-    pub shuffle_partitions: usize,
     /// Build-side byte bound below which joins broadcast instead of
     /// shuffling.
     pub broadcast_threshold: usize,
-    /// Use map-side partial aggregation before the exchange.
-    pub partial_agg: bool,
     /// Rows per columnar batch.
     pub batch_size: usize,
     /// Re-choose join strategy and exchange partition counts at stage
@@ -76,10 +75,6 @@ pub struct ExecContext {
     pub timeline: Option<Arc<TaskTimeline>>,
     /// Launch speculative duplicate attempts for detected stragglers.
     pub speculative: bool,
-    /// Straggler cutoff multiplier over the stage's median run cost.
-    pub straggler_k: f64,
-    /// Absolute straggler floor in virtual µs.
-    pub straggler_min_run_us: u64,
     /// Scheduler-level fault injection (tests and examples).
     pub sched_faults: Option<Arc<SchedulerFaults>>,
 }
@@ -89,17 +84,13 @@ impl Default for ExecContext {
         ExecContext {
             executors: ExecutorConfig::default(),
             metrics: QueryMetrics::new(),
-            shuffle_partitions: 8,
             broadcast_threshold: 512 * 1024,
-            partial_agg: true,
             batch_size: DEFAULT_BATCH_ROWS,
             adaptive: true,
             task_metrics: crate::metrics::TaskMetrics::new(),
             shuffle_edges: crate::metrics::ShuffleEdges::new(),
             timeline: None,
             speculative: false,
-            straggler_k: 3.0,
-            straggler_min_run_us: 1_000,
             sched_faults: None,
         }
     }
@@ -114,8 +105,6 @@ impl ExecContext {
             label,
             op: prof.map(|p| p.id),
             speculative: self.speculative,
-            straggler_k: self.straggler_k,
-            straggler_min_run_us: self.straggler_min_run_us,
             faults: self.sched_faults.clone(),
         }
     }
@@ -1175,7 +1164,7 @@ fn choose_join_strategy(
     let build_left = join_type == JoinType::Inner && left_bytes < right_bytes;
     let n = (left_bytes + right_bytes)
         .div_ceil(SHUFFLE_TARGET_PARTITION_BYTES)
-        .clamp(1, ctx.shuffle_partitions.max(1));
+        .clamp(1, SHUFFLE_PARTITIONS);
     JoinStrategy::Shuffle { n, build_left }
 }
 
@@ -1573,7 +1562,7 @@ fn exec_aggregate<'a>(
     let pick_n = |bytes: usize| {
         bytes
             .div_ceil(SHUFFLE_TARGET_PARTITION_BYTES)
-            .clamp(1, ctx.shuffle_partitions.max(1))
+            .clamp(1, SHUFFLE_PARTITIONS)
     };
     let planned_n = pick_n(estimated_bytes(input, observed_bytes));
     let n_out = if ctx.adaptive {
@@ -1582,10 +1571,7 @@ fn exec_aggregate<'a>(
         planned_n
     };
     if let Some(p) = prof {
-        p.note(format!(
-            "partial_agg={} exchange_partitions={n_out}",
-            ctx.partial_agg
-        ));
+        p.note(format!("exchange_partitions={n_out}"));
     }
     if n_out != planned_n {
         let msg = format!(

@@ -173,6 +173,14 @@ impl SchedulerFaults {
     }
 }
 
+/// Straggler cutoff multiplier: a task is a straggler when its winning run
+/// cost exceeds `max(STRAGGLER_K × stage median, STRAGGLER_MIN_RUN_US)`.
+const STRAGGLER_K: f64 = 3.0;
+
+/// Absolute floor (virtual µs) under which nothing is a straggler — keeps
+/// tick-level noise in trivial stages from firing the detector.
+const STRAGGLER_MIN_RUN_US: u64 = 1_000;
+
 /// Observability context for one scheduler stage: where to record task
 /// profiles and task metrics, and how to detect/speculate stragglers.
 /// [`run_tasks`] uses the default (no recording, no speculation).
@@ -188,12 +196,6 @@ pub struct StageObs {
     pub op: Option<usize>,
     /// Launch speculative duplicates for detected stragglers.
     pub speculative: bool,
-    /// Straggler cutoff multiplier: a task is a straggler when its winning
-    /// run cost exceeds `max(k × stage median, floor)`. `0` disables.
-    pub straggler_k: f64,
-    /// Absolute floor (virtual µs) under which nothing is a straggler —
-    /// keeps tick-level noise in trivial stages from firing the detector.
-    pub straggler_min_run_us: u64,
     /// Fault injection for this stage's attempts.
     pub faults: Option<Arc<SchedulerFaults>>,
 }
@@ -206,8 +208,6 @@ impl Default for StageObs {
             label: "stage",
             op: None,
             speculative: false,
-            straggler_k: 3.0,
-            straggler_min_run_us: 1_000,
             faults: None,
         }
     }
@@ -481,9 +481,9 @@ fn finalize_stage(
         .map(|f| f.slot.attempts.last().map(|a| a.cost_us).unwrap_or(0))
         .collect();
     runs.sort_unstable();
-    let cutoff = if runs.len() >= 2 && obs.straggler_k > 0.0 {
+    let cutoff = if runs.len() >= 2 {
         let median = runs[(runs.len() - 1) / 2];
-        Some(((median as f64 * obs.straggler_k) as u64).max(obs.straggler_min_run_us))
+        Some(((median as f64 * STRAGGLER_K) as u64).max(STRAGGLER_MIN_RUN_US))
     } else {
         None
     };
@@ -505,7 +505,7 @@ fn finalize_stage(
                 "straggler",
                 format!(
                     "stage {} task {} ran {}us (cutoff {}us, k={})",
-                    stage_id, f.slot.index, run_us, cutoff, obs.straggler_k
+                    stage_id, f.slot.index, run_us, cutoff, STRAGGLER_K
                 ),
             );
             if obs.speculative && n_exec > 1 {

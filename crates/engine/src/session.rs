@@ -7,7 +7,6 @@ use crate::datasource::TableProvider;
 use crate::error::{EngineError, Result};
 use crate::logical::LogicalPlan;
 use crate::metrics::{QueryMetrics, ShuffleEdges, TaskMetrics};
-use crate::optimizer::OptimizerConfig;
 use crate::parser::parse;
 use crate::physical::ExecContext;
 use crate::query_log::{plan_digest, QueryIo, QueryLog, QueryLogEntry};
@@ -35,15 +34,12 @@ pub(crate) struct ExecStats {
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     pub executors: ExecutorConfig,
-    pub shuffle_partitions: usize,
     pub broadcast_threshold: usize,
-    pub partial_agg: bool,
     /// Rows per columnar batch.
     pub batch_size: usize,
     /// Re-choose join strategies and exchange partition counts at stage
     /// boundaries from observed statistics.
     pub adaptive: bool,
-    pub optimizer: OptimizerConfig,
     /// Queries whose virtual duration exceeds this many modeled µs are
     /// flagged slow in the query log (and in `system.queries`).
     pub slow_query_threshold_us: u64,
@@ -54,13 +50,6 @@ pub struct SessionConfig {
     /// Launch a speculative duplicate attempt (on a different executor,
     /// first result wins) for every task the straggler detector flags.
     pub speculative_execution: bool,
-    /// Straggler cutoff multiplier: a task is flagged when its winning run
-    /// cost exceeds `max(k × stage median, straggler_min_run_us)`. Zero
-    /// disables detection.
-    pub straggler_threshold: f64,
-    /// Absolute floor (virtual µs) below which nothing counts as a
-    /// straggler — keeps tick-level noise in trivial stages quiet.
-    pub straggler_min_run_us: u64,
     /// Deterministic scheduler fault injection (tests and examples): delay
     /// or fail task attempts by executor host.
     pub scheduler_faults: Option<Arc<SchedulerFaults>>,
@@ -70,17 +59,12 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             executors: ExecutorConfig::default(),
-            shuffle_partitions: 8,
             broadcast_threshold: 512 * 1024,
-            partial_agg: true,
             batch_size: crate::columnar::DEFAULT_BATCH_ROWS,
             adaptive: true,
-            optimizer: OptimizerConfig::default(),
             slow_query_threshold_us: 100_000,
             query_log_capacity: 128,
             speculative_execution: false,
-            straggler_threshold: 3.0,
-            straggler_min_run_us: 1_000,
             scheduler_faults: None,
         }
     }
@@ -108,9 +92,6 @@ pub struct Session {
     /// installed alongside the RPC probe; diffed per execution to attribute
     /// I/O to queries.
     io_probe: RwLock<Option<Box<dyn Fn() -> QueryIo + Send + Sync>>>,
-    /// The session's metrics time-series store, when the connecting layer
-    /// installed one (see [`shc_obs::Tsdb`]); backs `system.metrics_history`.
-    tsdb: RwLock<Option<Arc<shc_obs::Tsdb>>>,
     /// TraceId mint: one id per `collect()`, starting at 1 (0 = untraced).
     next_trace_id: AtomicU64,
     /// Query-layer flight recorder (scheduler retries, slow queries, query
@@ -144,7 +125,6 @@ impl Session {
             query_log,
             rpc_probe: RwLock::new(None),
             io_probe: RwLock::new(None),
-            tsdb: RwLock::new(None),
             next_trace_id: AtomicU64::new(1),
             events: EventJournal::new(1024),
             alerts: AlertEngine::new(),
@@ -234,17 +214,6 @@ impl Session {
             .as_ref()
             .map(|p| p())
             .unwrap_or_default()
-    }
-
-    /// Install the metrics time-series store scraped by the connecting
-    /// layer; exposed to SQL as `system.metrics_history`.
-    pub fn set_tsdb(&self, tsdb: Arc<shc_obs::Tsdb>) {
-        *self.tsdb.write() = Some(tsdb);
-    }
-
-    /// The session's metrics time-series store, when one is installed.
-    pub fn tsdb(&self) -> Option<Arc<shc_obs::Tsdb>> {
-        self.tsdb.read().clone()
     }
 
     /// This session's flight recorder (also backing `system.events`).
@@ -439,14 +408,10 @@ impl Session {
             task_metrics: Arc::clone(&self.task_metrics),
             shuffle_edges: Arc::clone(&self.shuffle_edges),
             timeline: None,
-            shuffle_partitions: cfg.shuffle_partitions,
             broadcast_threshold: cfg.broadcast_threshold,
-            partial_agg: cfg.partial_agg,
             batch_size: cfg.batch_size,
             adaptive: cfg.adaptive,
             speculative: cfg.speculative_execution,
-            straggler_k: cfg.straggler_threshold,
-            straggler_min_run_us: cfg.straggler_min_run_us,
             sched_faults: cfg.scheduler_faults.clone(),
         }
     }
@@ -595,7 +560,7 @@ mod tests {
     #[test]
     fn config_updates_apply() {
         let s = session_with_data();
-        s.update_config(|c| c.shuffle_partitions = 3);
-        assert_eq!(s.exec_context().shuffle_partitions, 3);
+        s.update_config(|c| c.broadcast_threshold = 3);
+        assert_eq!(s.exec_context().broadcast_threshold, 3);
     }
 }

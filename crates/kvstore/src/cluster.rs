@@ -6,7 +6,7 @@ use crate::error::{KvError, Result};
 use crate::fault::FaultInjector;
 use crate::heat::{self, AdvisorConfig, HeatObservatory, ShardRecommendation};
 use crate::master::Master;
-use crate::metrics::ClusterMetrics;
+use crate::metrics::{ClusterMetrics, EXPOSITION_PREFIX};
 use crate::network::NetworkSim;
 use crate::region::RegionConfig;
 use crate::region_server::RegionServer;
@@ -15,8 +15,14 @@ use crate::storage::StorageEnv;
 use crate::types::TableDescriptor;
 use crate::zookeeper::ZooKeeper;
 use parking_lot::RwLock;
+use shc_obs::Tsdb;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Samples each series of the cluster's one series store retains — enough
+/// to answer rate-over-window queries and draw the heat grid across a test
+/// or example run without unbounded growth.
+const TSDB_CAPACITY_PER_SERIES: usize = 512;
 
 /// Construction-time settings for a simulated cluster.
 #[derive(Clone, Debug)]
@@ -105,10 +111,15 @@ pub struct HBaseCluster {
     /// scanner lease expirations, block-cache pressure, and injected faults
     /// all land here, timestamped on the cluster's logical clock.
     events: Arc<shc_obs::EventJournal>,
-    /// Region heat observatory: every heartbeat round records per-region
-    /// load counters as labeled time series; rates, hotspot scores, the
-    /// heat report and the shard advisor all read from it.
-    heat: Arc<HeatObservatory>,
+    /// The cluster's one series store: the store metrics' scrape sources
+    /// and the heartbeat-fed `region_*` series both land here, and
+    /// `system.metrics_history`, the rate alerts and the heat observatory
+    /// all read it.
+    tsdb: Arc<Tsdb>,
+    /// Region heat observatory: the window and the views (rates, hotspot
+    /// scores, the heat report, the shard advisor's input) over the
+    /// `region_*` series every heartbeat round records into `tsdb`.
+    heat: HeatObservatory,
 }
 
 impl HBaseCluster {
@@ -177,7 +188,8 @@ impl HBaseCluster {
         }
         master.attach_event_journal(Arc::clone(&events));
         static NEXT_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        Arc::new(HBaseCluster {
+        let tsdb = Tsdb::new(TSDB_CAPACITY_PER_SERIES);
+        let cluster = Arc::new(HBaseCluster {
             instance_id: NEXT_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             config,
             zk,
@@ -189,11 +201,58 @@ impl HBaseCluster {
             storage,
             faults,
             events,
-            heat: Arc::new(HeatObservatory::new(
-                heat::DEFAULT_HEAT_CAPACITY,
-                heat::DEFAULT_HEAT_WINDOW_MS,
-            )),
-        })
+            heat: HeatObservatory::new(Arc::clone(&tsdb), heat::DEFAULT_HEAT_WINDOW_MS),
+            tsdb,
+        });
+        cluster.add_scrape_sources();
+        cluster
+    }
+
+    /// Register what a [`Tsdb::scrape`] of the cluster's store reads: every
+    /// counter of the metrics registry, p50/p99 of every histogram, and the
+    /// live compaction backlog — total, and per online server as
+    /// `…{server="<hostname>"}`. The backlog source holds the cluster
+    /// weakly: the store belongs to the cluster, and a strong capture would
+    /// keep every cluster, its temp dir and its flusher threads alive.
+    fn add_scrape_sources(self: &Arc<Self>) {
+        let name = |metric: &str| format!("{EXPOSITION_PREFIX}{metric}");
+        let metrics = Arc::clone(&self.metrics);
+        self.tsdb.add_source(move || {
+            let snap = metrics.snapshot();
+            let mut out: Vec<(String, f64)> = snap
+                .counter_values()
+                .iter()
+                .map(|(metric, value)| (name(metric), *value as f64))
+                .collect();
+            for (metric, hist) in snap.histogram_values() {
+                out.push((name(&format!("{metric}_p50")), hist.p50() as f64));
+                out.push((name(&format!("{metric}_p99")), hist.p99() as f64));
+            }
+            out
+        });
+        let cluster = Arc::downgrade(self);
+        self.tsdb.add_source(move || {
+            let Some(cluster) = cluster.upgrade() else {
+                return Vec::new();
+            };
+            let (bytes, files) = cluster.compaction_backlog();
+            let mut out = vec![
+                (name("compaction_backlog_bytes"), bytes as f64),
+                (name("compaction_backlog_files"), files as f64),
+            ];
+            // A crashed server reports nothing, like its heartbeat: a fresh
+            // sample would revive the series liveness marked stale.
+            for server in cluster.servers.read().iter().filter(|s| s.is_online()) {
+                out.push((
+                    Tsdb::series_name(
+                        &name("compaction_backlog_bytes"),
+                        &[("server", &server.hostname)],
+                    ),
+                    server.compaction_backlog().0 as f64,
+                ));
+            }
+            out
+        });
     }
 
     /// Default 5-node insecure cluster with no simulated network cost.
@@ -293,19 +352,6 @@ impl HBaseCluster {
         (bytes, files)
     }
 
-    /// Per-server compaction backlog bytes, sorted by server id — the
-    /// labeled series the metrics scraper exports.
-    pub fn compaction_backlog_by_server(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .servers
-            .read()
-            .iter()
-            .map(|s| (s.server_id, s.compaction_backlog().0))
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
-    }
-
     /// Every server's retained background-flush traces, in server-id order.
     pub fn background_flush_traces(&self) -> Vec<shc_obs::Trace> {
         let mut servers: Vec<_> = self.servers.read().iter().cloned().collect();
@@ -319,7 +365,7 @@ impl HBaseCluster {
     /// Every *online* server reports its current load to the master, as if
     /// the periodic heartbeat ticker fired once. Crashed servers stay
     /// silent — that silence is what eventually marks them dead. Each
-    /// heartbeat is also recorded into the heat observatory as labeled
+    /// heartbeat is also recorded into the series store as labeled
     /// per-region time series (which revives series a crash marked stale).
     pub fn heartbeat_all(&self) {
         let now = self.clock.peek_ms();
@@ -333,18 +379,41 @@ impl HBaseCluster {
     }
 
     /// Fresh heartbeats from every online server, then the master's
-    /// aggregated [`ClusterStatus`](crate::load::ClusterStatus). Server
-    /// liveness is propagated into the heat observatory: a dead server's
-    /// series go stale so its frozen counters stop reading as live load.
+    /// aggregated [`ClusterStatus`](crate::load::ClusterStatus). This is
+    /// the one place server liveness reaches the series store: every series
+    /// labeled with a dead server's hostname — its regions' and its
+    /// compaction backlog alike — goes stale, so frozen counters stop
+    /// reading as live load, until the server reports again.
     pub fn cluster_status(&self) -> crate::load::ClusterStatus {
         self.heartbeat_all();
+        self.reported_status()
+    }
+
+    /// [`cluster_status`](Self::cluster_status) without the heartbeat
+    /// round: the master's view of the heartbeats it already has, liveness
+    /// marked the same way. For a reader that must not add samples to what
+    /// it reads (a `system.metrics_history` scan).
+    pub fn reported_status(&self) -> crate::load::ClusterStatus {
         let status = self.master.cluster_status();
-        self.heat.sync_liveness(&status);
+        for server in &status.servers {
+            if server.live {
+                self.tsdb.mark_live("server", &server.load.hostname);
+            } else {
+                self.tsdb.mark_stale("server", &server.load.hostname);
+            }
+        }
         status
     }
 
+    /// The cluster's series store (see [`shc_obs::tsdb`]). Nothing scrapes
+    /// it in the background: a `system.metrics_history` scan does, and so
+    /// can any caller, at a virtual time of its choosing.
+    pub fn tsdb(&self) -> &Arc<Tsdb> {
+        &self.tsdb
+    }
+
     /// The region heat observatory (see [`crate::heat`]).
-    pub fn heat(&self) -> &Arc<HeatObservatory> {
+    pub fn heat(&self) -> &HeatObservatory {
         &self.heat
     }
 
@@ -474,6 +543,59 @@ mod tests {
         cluster.server(1).unwrap().restart();
         let status = cluster.cluster_status();
         assert_eq!(status.live_servers().count(), 5);
+    }
+
+    /// One store, one `server="<hostname>"` convention, one liveness pass:
+    /// a dead server's scraped backlog series and its heartbeat-fed region
+    /// series mute together, and a scrape does not bring them back.
+    #[test]
+    fn a_dead_servers_backlog_and_region_series_go_stale_together() {
+        let cluster = HBaseCluster::start(ClusterConfig {
+            num_servers: 2,
+            ..Default::default()
+        });
+        cluster
+            .create_table(
+                TableDescriptor::new(TableName::default_ns("t"))
+                    .with_family(FamilyDescriptor::new("cf"))
+                    .with_split_keys(vec![bytes::Bytes::from("m")]),
+            )
+            .unwrap();
+        let tsdb = cluster.tsdb();
+        for _ in 0..2 {
+            cluster.clock.now_ms();
+            cluster.cluster_status();
+            tsdb.scrape(cluster.clock.peek_ms());
+        }
+        let backlog = Tsdb::series_name(
+            "shc_store_compaction_backlog_bytes",
+            &[("server", "host-1")],
+        );
+        let reads = tsdb
+            .series_names()
+            .into_iter()
+            .find(|s| s.starts_with("region_read_requests") && s.contains("host-1"))
+            .expect("host-1 serves a region");
+        assert!(tsdb.rate(&backlog, u64::MAX).is_some() && tsdb.rate(&reads, u64::MAX).is_some());
+
+        cluster.master.set_heartbeat_timeout_ms(500);
+        cluster.server(1).unwrap().crash();
+        for _ in 0..600 {
+            cluster.clock.now_ms();
+        }
+        cluster.cluster_status();
+        tsdb.scrape(cluster.clock.peek_ms());
+        assert!(tsdb.is_stale(&backlog) && tsdb.is_stale(&reads));
+        assert_eq!(tsdb.rate(&backlog, u64::MAX), None);
+        assert_eq!(
+            tsdb.stale_series().len(),
+            5,
+            "four region series and the backlog"
+        );
+
+        cluster.server(1).unwrap().restart();
+        cluster.cluster_status();
+        assert!(tsdb.stale_series().is_empty());
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //!
 //! PR 4's load accounting ([`crate::load`]) freezes counters into heartbeat
 //! snapshots; nothing observed their *evolution*. This module feeds every
-//! heartbeat's per-region counters into a [`Tsdb`] as labeled series
-//! (`region_read_requests{region="7",server="host-0",table="default:t"}`),
-//! computes trailing-window rates on the virtual clock, and scores regions
-//! by request rate so the hottest region — and the *trend* of its heat — is
-//! a query away (`system.region_heat`).
+//! heartbeat's per-region counters into the cluster's series store
+//! ([`HBaseCluster::tsdb`](crate::cluster::HBaseCluster::tsdb) — the
+//! observatory is a window and a set of views over it, with no store of its
+//! own) as labeled series
+//! (`region_read_requests{region="7",server="host-0",table="default:t"}`,
+//! named and taken apart by [`Tsdb::series_name`] /
+//! [`Tsdb::split_series_name`]), computes trailing-window rates on the
+//! virtual clock, and scores regions by request rate so the hottest region —
+//! and the *trend* of its heat — is a query away (`system.region_heat`). A
+//! dead server's regions leave every view when
+//! [`cluster_status`](crate::cluster::HBaseCluster::cluster_status) marks
+//! its series stale.
 //!
 //! Knowing a region is hot is half the story; acting on it needs to know
 //! *where in the key space* the heat concentrates. Each region keeps a
@@ -29,17 +36,15 @@
 //! runs produce byte-identical heat reports — the reproducibility contract
 //! the rest of the observability stack follows.
 
-use crate::load::{ClusterStatus, RegionLoad, ServerLoad};
+use crate::load::ServerLoad;
 use bytes::Bytes;
+use shc_obs::json::{render, Json};
 use shc_obs::Tsdb;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default trailing window for heat rates, in virtual milliseconds.
 pub const DEFAULT_HEAT_WINDOW_MS: u64 = 10_000;
-
-/// Default ring capacity per heat series.
-pub const DEFAULT_HEAT_CAPACITY: usize = 256;
 
 /// Default reservoir capacity per region.
 pub const KEY_SAMPLE_CAPACITY: usize = 64;
@@ -148,35 +153,50 @@ pub struct RegionHeat {
     pub window_ms: u64,
 }
 
-/// Heartbeat-fed labeled time series over per-region load, plus the derived
-/// views: heat snapshots, the hotspot maximum, and the time × region grid.
+/// A region's identity as its series carry it.
+struct RegionLabels {
+    region_id: u64,
+    server: String,
+    table: String,
+}
+
+impl RegionLabels {
+    /// The labels of a `region_*` series; `None` for any other series.
+    fn of(labels: shc_obs::Labels<'_>) -> Option<RegionLabels> {
+        Some(RegionLabels {
+            region_id: labels.get("region")?.parse().ok()?,
+            server: labels.get("server")?,
+            table: labels.get("table")?,
+        })
+    }
+
+    fn series(&self, metric: &str) -> String {
+        Tsdb::series_name(
+            metric,
+            &[
+                ("region", &self.region_id.to_string()),
+                ("server", &self.server),
+                ("table", &self.table),
+            ],
+        )
+    }
+}
+
+/// Heartbeat-fed labeled time series over per-region load in the cluster's
+/// series store, plus the derived views: heat snapshots, the hotspot
+/// maximum, and the time × region grid.
 pub struct HeatObservatory {
     tsdb: Arc<Tsdb>,
     window_ms: u64,
 }
 
 impl HeatObservatory {
-    pub fn new(capacity_per_series: usize, window_ms: u64) -> Self {
+    /// An observatory recording into and reading from `tsdb`.
+    pub fn new(tsdb: Arc<Tsdb>, window_ms: u64) -> Self {
         HeatObservatory {
-            tsdb: Tsdb::new(capacity_per_series),
+            tsdb,
             window_ms: window_ms.max(1),
         }
-    }
-
-    /// The backing series store (shared with alert rules that watch it).
-    pub fn tsdb(&self) -> &Arc<Tsdb> {
-        &self.tsdb
-    }
-
-    pub fn window_ms(&self) -> u64 {
-        self.window_ms
-    }
-
-    fn labels(region: &RegionLoad, hostname: &str) -> String {
-        format!(
-            "region=\"{}\",server=\"{}\",table=\"{}\"",
-            region.region_id, hostname, region.table
-        )
     }
 
     /// Record one server heartbeat's per-region counters as labeled samples
@@ -185,69 +205,36 @@ impl HeatObservatory {
     /// had marked stale.
     pub fn observe_server(&self, load: &ServerLoad, now_ms: u64) {
         for region in &load.regions {
-            let labels = Self::labels(region, &load.hostname);
-            self.tsdb.record(
-                &format!("region_read_requests{{{labels}}}"),
-                now_ms,
-                region.read_requests as f64,
-            );
-            self.tsdb.record(
-                &format!("region_write_requests{{{labels}}}"),
-                now_ms,
-                region.write_requests as f64,
-            );
-            self.tsdb.record(
-                &format!("region_memstore_bytes{{{labels}}}"),
-                now_ms,
-                region.memstore_bytes as f64,
-            );
-            self.tsdb.record(
-                &format!("region_store_file_bytes{{{labels}}}"),
-                now_ms,
-                region.store_file_bytes as f64,
-            );
-        }
-    }
-
-    /// Propagate server liveness into series staleness: a dead server's
-    /// series stop answering windowed queries (its frozen counters must not
-    /// read as live load) until a restart heartbeat revives them. Returns
-    /// `(marked_stale, revived)`.
-    pub fn sync_liveness(&self, status: &ClusterStatus) -> (usize, usize) {
-        let mut marked = 0;
-        let mut revived = 0;
-        for server in &status.servers {
-            let fragment = format!("server=\"{}\"", server.load.hostname);
-            if server.live {
-                revived += self.tsdb.mark_live_matching(&fragment);
-            } else {
-                marked += self.tsdb.mark_stale_matching(&fragment);
+            let labels = RegionLabels {
+                region_id: region.region_id,
+                server: load.hostname.clone(),
+                table: region.table.clone(),
+            };
+            for (metric, value) in [
+                ("region_read_requests", region.read_requests),
+                ("region_write_requests", region.write_requests),
+                ("region_memstore_bytes", region.memstore_bytes),
+                ("region_store_file_bytes", region.store_file_bytes),
+            ] {
+                self.tsdb
+                    .record(&labels.series(metric), now_ms, value as f64);
             }
         }
-        (marked, revived)
     }
 
-    /// Number of labeled series currently retained.
-    pub fn series_count(&self) -> usize {
-        self.tsdb.series_names().len()
-    }
-
-    /// Parse `region="..",server="..",table=".."` back into its parts.
-    fn parse_labels(labels: &str) -> Option<(u64, String, String)> {
-        let mut region = None;
-        let mut server = None;
-        let mut table = None;
-        for part in labels.split("\",") {
-            let (key, value) = part.split_once("=\"")?;
-            let value = value.strip_suffix('"').unwrap_or(value);
-            match key {
-                "region" => region = value.parse::<u64>().ok(),
-                "server" => server = Some(value.to_string()),
-                "table" => table = Some(value.to_string()),
-                _ => {}
+    /// The live `metric` series and whose they are, in series-name order.
+    fn live_series(&self, metric: &str) -> Vec<(String, RegionLabels)> {
+        let mut out = Vec::new();
+        for series in self.tsdb.series_names() {
+            let (name, labels) = Tsdb::split_series_name(&series);
+            if name != metric || self.tsdb.is_stale(&series) {
+                continue;
+            }
+            if let Some(labels) = RegionLabels::of(labels) {
+                out.push((series, labels));
             }
         }
-        Some((region?, server?, table?))
+        out
     }
 
     /// One heat snapshot per live region, sorted by region id. Regions whose
@@ -255,18 +242,8 @@ impl HeatObservatory {
     /// two in-window samples read as zero-rate.
     pub fn region_heat(&self) -> Vec<RegionHeat> {
         let mut out = Vec::new();
-        for series in self.tsdb.series_names() {
-            let (metric, labels) = Tsdb::split_series_name(&series);
-            if metric != "region_read_requests" {
-                continue;
-            }
-            if self.tsdb.is_stale(&series) {
-                continue;
-            }
-            let Some((region_id, server, table)) = Self::parse_labels(labels) else {
-                continue;
-            };
-            let write_series = format!("region_write_requests{{{labels}}}");
+        for (series, labels) in self.live_series("region_read_requests") {
+            let write_series = labels.series("region_write_requests");
             let read_rate = self.tsdb.rate(&series, self.window_ms).unwrap_or(0.0);
             let write_rate = self.tsdb.rate(&write_series, self.window_ms).unwrap_or(0.0);
             let heat_score = read_rate + write_rate;
@@ -285,13 +262,13 @@ impl HeatObservatory {
             };
             let latest = |name: &str| self.tsdb.latest(name).map(|s| s.value).unwrap_or(0.0);
             out.push(RegionHeat {
-                region_id,
-                table,
-                server,
+                memstore_bytes: latest(&labels.series("region_memstore_bytes")),
+                store_file_bytes: latest(&labels.series("region_store_file_bytes")),
+                region_id: labels.region_id,
+                table: labels.table,
+                server: labels.server,
                 read_rate,
                 write_rate,
-                memstore_bytes: latest(&format!("region_memstore_bytes{{{labels}}}")),
-                store_file_bytes: latest(&format!("region_store_file_bytes{{{labels}}}")),
                 heat_score,
                 trend,
                 window_ms: self.window_ms,
@@ -321,24 +298,16 @@ impl HeatObservatory {
         // cumulative total per timestamp.
         let mut regions: BTreeMap<u64, (String, String, BTreeMap<u64, f64>)> = BTreeMap::new();
         let (mut t0, mut t1) = (u64::MAX, 0u64);
-        for series in self.tsdb.series_names() {
-            let (metric, labels) = Tsdb::split_series_name(&series);
-            if metric != "region_read_requests" && metric != "region_write_requests" {
-                continue;
-            }
-            if self.tsdb.is_stale(&series) {
-                continue;
-            }
-            let Some((region_id, server, table)) = Self::parse_labels(labels) else {
-                continue;
-            };
-            let entry = regions
-                .entry(region_id)
-                .or_insert_with(|| (table, server, BTreeMap::new()));
-            for s in self.tsdb.samples(&series) {
-                t0 = t0.min(s.ts_ms);
-                t1 = t1.max(s.ts_ms);
-                *entry.2.entry(s.ts_ms).or_insert(0.0) += s.value;
+        for metric in ["region_read_requests", "region_write_requests"] {
+            for (series, labels) in self.live_series(metric) {
+                let entry = regions
+                    .entry(labels.region_id)
+                    .or_insert_with(|| (labels.table, labels.server, BTreeMap::new()));
+                for s in self.tsdb.samples(&series) {
+                    t0 = t0.min(s.ts_ms);
+                    t1 = t1.max(s.ts_ms);
+                    *entry.2.entry(s.ts_ms).or_insert(0.0) += s.value;
+                }
             }
         }
         if regions.is_empty() || t0 > t1 {
@@ -409,29 +378,23 @@ impl HeatObservatory {
     }
 
     /// The same grid as [`heat_report`](Self::heat_report), as one JSON
-    /// object (numbers only, so it is trivially parseable and deterministic).
+    /// object, written by the workspace's one JSON writer.
     pub fn heat_report_json(&self, buckets: usize) -> String {
         let (start_ms, bucket_ms, rows) = self.request_grid(buckets);
-        let mut out = format!("{{\"start_ms\":{start_ms},\"bucket_ms\":{bucket_ms},\"regions\":[");
-        for (i, (region_id, table, server, deltas)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let cells: Vec<String> = deltas.iter().map(|d| d.to_string()).collect();
-            out.push_str(&format!(
-                "{{\"region\":{region_id},\"table\":\"{}\",\"server\":\"{}\",\"buckets\":[{}]}}",
-                json_escape(table),
-                json_escape(server),
-                cells.join(",")
-            ));
-        }
-        out.push_str("]}");
-        out
+        let regions = rows.iter().map(|(region_id, table, server, deltas)| {
+            Json::object([
+                ("region", Json::from(*region_id)),
+                ("table", table.as_str().into()),
+                ("server", server.as_str().into()),
+                ("buckets", Json::array(deltas.iter().copied())),
+            ])
+        });
+        render(&Json::object([
+            ("start_ms", start_ms.into()),
+            ("bucket_ms", bucket_ms.into()),
+            ("regions", Json::Array(regions.collect())),
+        ]))
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Pick a split key from a (sorted or unsorted) key sample: the weighted
@@ -667,7 +630,12 @@ pub fn advise(inputs: &[AdvisorInput], config: &AdvisorConfig) -> Vec<ShardRecom
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::ServerLoad;
+    use crate::load::RegionLoad;
+
+    fn observatory() -> (Arc<Tsdb>, HeatObservatory) {
+        let tsdb = Tsdb::new(64);
+        (Arc::clone(&tsdb), HeatObservatory::new(tsdb, 10_000))
+    }
 
     fn region_load(id: u64, reads: u64, writes: u64) -> RegionLoad {
         RegionLoad {
@@ -732,7 +700,7 @@ mod tests {
 
     #[test]
     fn observe_and_score_region_heat() {
-        let obs = HeatObservatory::new(64, 10_000);
+        let (tsdb, obs) = observatory();
         for tick in 0..5u64 {
             let load = server_load("host-0", vec![region_load(1, tick * 40, tick * 10)]);
             obs.observe_server(&load, tick * 1_000);
@@ -748,12 +716,12 @@ mod tests {
         assert!((h.heat_score - 50.0).abs() < 1e-9);
         assert_eq!(h.trend, Trend::Flat, "steady rate reads flat");
         assert_eq!(obs.hotspot_score_max(), Some(h.heat_score));
-        assert_eq!(obs.series_count(), 4);
+        assert_eq!(tsdb.series_names().len(), 4);
     }
 
     #[test]
     fn stale_regions_drop_out_of_heat_and_report() {
-        let obs = HeatObservatory::new(64, 10_000);
+        let (tsdb, obs) = observatory();
         for tick in 0..3u64 {
             obs.observe_server(
                 &server_load("host-0", vec![region_load(1, tick * 10, 0)]),
@@ -765,8 +733,7 @@ mod tests {
             );
         }
         assert_eq!(obs.region_heat().len(), 2);
-        let marked = obs.tsdb().mark_stale_matching("server=\"host-1\"");
-        assert_eq!(marked, 4);
+        assert_eq!(tsdb.mark_stale("server", "host-1"), 4);
         let heats = obs.region_heat();
         assert_eq!(heats.len(), 1);
         assert_eq!(heats[0].region_id, 1);
@@ -776,7 +743,7 @@ mod tests {
     #[test]
     fn heat_report_is_byte_identical_for_same_inputs() {
         let build = || {
-            let obs = HeatObservatory::new(64, 10_000);
+            let (_, obs) = observatory();
             for tick in 0..6u64 {
                 let load = server_load(
                     "host-0",
@@ -796,6 +763,33 @@ mod tests {
         assert!(text_a.starts_with("heat-report | start_ms=1000"));
         assert!(json_a.starts_with("{\"start_ms\":1000"));
         assert!(json_a.contains("\"region\":1"));
+    }
+
+    /// Quotes, commas, tabs and newlines in a table or host name are label
+    /// values like any other: the region stays in every view and the JSON
+    /// report stays JSON. (Unescaped, `a",b` split into two labels and the
+    /// region vanished; a tab made the report unparseable.)
+    #[test]
+    fn hostile_table_and_host_names_stay_in_the_views_and_the_report_parses() {
+        let (_, obs) = observatory();
+        let (table, host) = ("a\",b", "host\t0\nrack\\1");
+        for tick in 0..3u64 {
+            let mut region = region_load(1, tick * 10, tick);
+            region.table = table.into();
+            obs.observe_server(&server_load(host, vec![region]), tick * 1_000);
+        }
+        let heats = obs.region_heat();
+        assert_eq!(heats.len(), 1, "the region must not vanish");
+        assert_eq!(
+            (heats[0].table.as_str(), heats[0].server.as_str()),
+            (table, host)
+        );
+        assert!((heats[0].heat_score - 11.0).abs() < 1e-9);
+
+        let report = shc_obs::json::parse_json(&obs.heat_report_json(4)).expect("valid JSON");
+        let region = &report.get("regions").unwrap().as_array().unwrap()[0];
+        assert_eq!(region.get_str("table"), Some(table));
+        assert_eq!(region.get_str("server"), Some(host));
     }
 
     #[test]

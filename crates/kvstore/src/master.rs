@@ -790,10 +790,7 @@ mod tests {
         let servers = servers.read();
         let mut total = 0;
         for loc in &regions {
-            let (rows, _) = servers[0]
-                .scan(loc.info.region_id, &Scan::new(), None)
-                .unwrap();
-            total += rows.len();
+            total += servers[0].scan_all(loc.info.region_id, &Scan::new()).len();
         }
         assert_eq!(total, 20);
     }

@@ -503,29 +503,6 @@ impl RegionServer {
         Ok(out)
     }
 
-    /// Range scan over one region in a single RPC, materializing every
-    /// qualifying row at once. Administrative uses only (e.g. split-point
-    /// probing); clients stream through
-    /// [`open_scanner`](Self::open_scanner)/[`next_batch`](Self::next_batch)
-    /// so no call materializes more than `scan.caching` rows.
-    pub fn scan(
-        &self,
-        region_id: u64,
-        scan: &Scan,
-        token: Option<&AuthToken>,
-    ) -> Result<(Vec<RowResult>, ScanStats)> {
-        self.authorize(token)?;
-        self.count_rpc();
-        self.rpc_entry(RpcOp::Scan, region_id)?;
-        let region = self.region(region_id)?;
-        let (rows, stats) = region.scan_with(scan, Some(&self.block_cache))?;
-        region
-            .load_counters()
-            .record_reads(1, stats.cells_scanned, stats.cells_returned);
-        self.record_scan_stats(&stats, scan.filter.is_some());
-        Ok((rows, stats))
-    }
-
     /// Register a server-side scanner for `scan` against one region and
     /// lease it on the virtual clock. Returns the scanner id for
     /// [`next_batch`](Self::next_batch).
@@ -798,6 +775,22 @@ mod tests {
     use crate::types::{FamilyDescriptor, TableDescriptor, TableName};
     use bytes::Bytes;
 
+    impl RegionServer {
+        /// Every row of `scan` over one region, drained the way clients
+        /// scan: `open_scanner`, then `next_batch` until the region's end.
+        pub(crate) fn scan_all(&self, region_id: u64, scan: &Scan) -> Vec<RowResult> {
+            let scanner = self.open_scanner(region_id, scan, None).unwrap();
+            let mut rows = Vec::new();
+            loop {
+                let batch = self.next_batch(scanner, 1024, None).unwrap();
+                rows.extend(batch.rows);
+                if !batch.more {
+                    return rows;
+                }
+            }
+        }
+    }
+
     fn server_with_region() -> (RegionServer, u64) {
         let metrics = ClusterMetrics::new();
         let server =
@@ -828,7 +821,7 @@ mod tests {
             .unwrap();
         let row = server.get(rid, &Get::new("a"), None).unwrap();
         assert_eq!(row.value(b"cf", b"q").unwrap().as_ref(), b"v");
-        let (rows, _) = server.scan(rid, &Scan::new(), None).unwrap();
+        let rows = server.scan_all(rid, &Scan::new());
         assert_eq!(rows.len(), 1);
     }
 
@@ -875,7 +868,7 @@ mod tests {
                 .put(rid, &[Put::new(format!("r{i}")).add("cf", "q", "v")], None)
                 .unwrap();
         }
-        server.scan(rid, &Scan::new(), None).unwrap();
+        server.scan_all(rid, &Scan::new());
         let snap = server.metrics.snapshot();
         assert!(snap.cells_scanned >= 5);
         assert!(snap.bytes_returned > 0);
@@ -962,8 +955,9 @@ mod tests {
             server.next_batch(sid, 3, None).unwrap_err(),
             KvError::UnknownScanner(sid)
         );
-        // Batches equal the unchunked scan, duplicate-free.
-        let (all, _) = server.scan(rid, &Scan::new(), None).unwrap();
+        // Batches equal the region's own unchunked scan (no scanner
+        // involved), duplicate-free.
+        let (all, _) = server.region(rid).unwrap().scan(&Scan::new()).unwrap();
         assert_eq!(rows, all);
     }
 
@@ -1071,7 +1065,7 @@ mod tests {
         server
             .bulk_get(rid, &[Get::new("a"), Get::new("b")], None)
             .unwrap();
-        server.scan(rid, &Scan::new(), None).unwrap();
+        server.scan_all(rid, &Scan::new());
         let load = server.server_load();
         assert_eq!(load.server_id, 1);
         assert_eq!(load.hostname, "host-1");

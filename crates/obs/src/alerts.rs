@@ -269,10 +269,7 @@ impl AlertEngine {
             .iter()
             .map(|s| {
                 (
-                    format!(
-                        "{prefix}alert_firing{{alert=\"{}\"}}",
-                        TextExporter::escape_label_value(&s.name)
-                    ),
+                    Tsdb::series_name(&format!("{prefix}alert_firing"), &[("alert", &s.name)]),
                     if s.state == AlertState::Firing {
                         1.0
                     } else {

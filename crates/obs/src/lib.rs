@@ -15,7 +15,9 @@
 //!   debounced on a virtual clock, with TraceId exemplars at fire time.
 //! - [`tsdb`]: a bounded per-series time-series store fed by virtual-clock
 //!   scrapes, with trailing-window `rate()`/`delta()`/`max_over_window()`
-//!   queries that power rate-based alert rules.
+//!   queries that power rate-based alert rules; one store per cluster.
+//! - [`json`]: the workspace's one JSON tree, parser and writer (catalogs
+//!   and Avro schemas in; traces, heat reports and `BENCH` lines out).
 //! - [`export`]: a Prometheus-style text exposition builder.
 //! - [`metrics_registry!`]: a macro that generates counter/histogram
 //!   registries (struct + snapshot + `snapshot()`/`reset()`/`delta_since()`
@@ -28,6 +30,7 @@ pub mod alerts;
 pub mod events;
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod trace;
 pub mod tsdb;
 
@@ -36,7 +39,7 @@ pub use events::{Event, EventJournal, Severity};
 pub use export::TextExporter;
 pub use hist::{BucketExemplar, Histogram, HistogramSnapshot};
 pub use trace::{span, SpanGuard, SpanRecord, Trace, TraceContext, Tracer};
-pub use tsdb::{Sample, Tsdb};
+pub use tsdb::{Labels, Sample, Tsdb};
 
 /// Generate a metrics registry: a struct of relaxed `AtomicU64` counters,
 /// high-water marks ("watermarks", updated via `fetch_max`, whose delta is a

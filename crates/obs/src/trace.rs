@@ -22,6 +22,7 @@
 //! the trace and once at merge time), and [`Tracer::finish`] merges the
 //! per-thread buffers into a single [`Trace`] tree.
 
+use crate::json::{render, Json};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -479,63 +480,59 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         // Lanes: executor index → (tid, host). Collected in span order, but
         // emitted sorted by executor index for byte-stable output.
+        let exec_of = |s: &SpanRecord| s.attr("exec").and_then(|v| v.parse::<u64>().ok());
         let mut lanes: Vec<(u64, String)> = Vec::new();
         for s in &self.spans {
-            if let Some(exec) = s.attr("exec").and_then(|v| v.parse::<u64>().ok()) {
+            if let Some(exec) = exec_of(s) {
                 if !lanes.iter().any(|(e, _)| *e == exec) {
                     lanes.push((exec, s.attr("host").unwrap_or("?").to_string()));
                 }
             }
         }
         lanes.sort_by_key(|(e, _)| *e);
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
+        let lane_name = |tid: u64, name: &str| {
+            Json::object([
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 1u64.into()),
+                ("tid", tid.into()),
+                ("args", Json::object([("name", name.into())])),
+            ])
+        };
+        let mut events = Vec::new();
         if !lanes.is_empty() {
-            out.push_str(
-                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-                 \"args\":{\"name\":\"driver\"}}",
-            );
+            events.push(lane_name(0, "driver"));
             for (exec, host) in &lanes {
-                out.push_str(&format!(
-                    ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                     \"args\":{{\"name\":{}}}}}",
-                    exec + 1,
-                    json_string(&format!("executor-{exec} ({host})"))
-                ));
+                events.push(lane_name(exec + 1, &format!("executor-{exec} ({host})")));
             }
-            first = false;
         }
-        for s in self.spans.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let tid = s
-                .attr("exec")
-                .and_then(|v| v.parse::<u64>().ok())
-                .map(|e| e + 1)
-                .unwrap_or(0);
-            out.push_str(&format!(
-                "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{",
-                json_string(s.name),
-                s.start_us,
-                s.duration_us(),
-                tid
-            ));
-            out.push_str(&format!("\"span_id\":{}", s.id));
+        for s in &self.spans {
+            let mut args = vec![("span_id", Json::from(s.id))];
             if let Some(p) = s.parent {
-                out.push_str(&format!(",\"parent\":{p}"));
+                args.push(("parent", p.into()));
             }
-            for (k, v) in &s.attrs {
-                out.push_str(&format!(",{}:{}", json_string(k), json_string(v)));
-            }
-            out.push_str("}}");
+            args.extend(s.attrs.iter().map(|(k, v)| (*k, v.as_str().into())));
+            events.push(Json::object([
+                ("name", s.name.into()),
+                ("ph", "X".into()),
+                ("ts", s.start_us.into()),
+                ("dur", s.duration_us().into()),
+                ("pid", 1u64.into()),
+                ("tid", exec_of(s).map_or(0, |e| e + 1).into()),
+                ("args", Json::object(args)),
+            ]));
         }
-        out.push_str(&format!(
-            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"trace_id\":\"{:#x}\"}}}}",
-            self.trace_id
-        ));
-        out
+        // The TraceId travels as a string: it is a full u64, and a JSON
+        // number is only exact to 2^53.
+        let trace_id = format!("{:#x}", self.trace_id);
+        render(&Json::object([
+            ("traceEvents", Json::Array(events)),
+            ("displayTimeUnit", "ms".into()),
+            (
+                "otherData",
+                Json::object([("trace_id", trace_id.as_str().into())]),
+            ),
+        ]))
     }
 
     fn render_into(&self, span: &SpanRecord, depth: usize, out: &mut String) {
@@ -558,26 +555,6 @@ impl Trace {
             self.render_into(c, depth + 1, out);
         }
     }
-}
-
-/// Serialize a string as a JSON string literal (quotes, backslashes,
-/// newlines, and control characters escaped).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -790,6 +767,76 @@ mod tests {
         assert!(json.contains("\"tid\":1"));
         assert!(json.contains("\"tid\":2"));
         assert!(json.contains("\"name\":\"query\",\"ph\":\"X\",\"ts\":0"));
+    }
+
+    /// Byte-for-byte what the hand-formatted exporter this replaced wrote
+    /// for the same trace: lane metadata in executor order, spans in
+    /// allocation order, every string escaped, the TraceId as a string.
+    #[test]
+    fn chrome_json_of_a_fixed_two_lane_trace_is_golden() {
+        let span =
+            |id, parent, name, start_us, end_us, attrs: &[(&'static str, &str)]| SpanRecord {
+                id,
+                parent,
+                name,
+                start_us,
+                end_us,
+                attrs: attrs.iter().map(|(k, v)| (*k, v.to_string())).collect(),
+            };
+        let sql = "SELECT \"x\"\nFROM t\\u\t\u{1}é";
+        let trace = Trace {
+            trace_id: 0xfeed_beef_cafe,
+            spans: vec![
+                span(0, None, "query", 0, 900, &[("sql", sql)]),
+                span(
+                    1,
+                    Some(0),
+                    "task",
+                    10,
+                    400,
+                    &[("exec", "1"), ("host", "host-1")],
+                ),
+                span(
+                    2,
+                    Some(1),
+                    "rpc",
+                    20,
+                    270,
+                    &[("region", "3"), ("bytes", "4096")],
+                ),
+                span(
+                    3,
+                    Some(0),
+                    "task",
+                    15,
+                    800,
+                    &[("exec", "0"), ("host", "h\"0")],
+                ),
+            ],
+        };
+        let lane = r#"{"name":"thread_name","ph":"M","pid":1,"tid""#;
+        assert_eq!(
+            trace.to_chrome_json(),
+            [
+                r#"{"traceEvents":["#,
+                lane,
+                r#":0,"args":{"name":"driver"}},"#,
+                lane,
+                r#":1,"args":{"name":"executor-0 (h\"0)"}},"#,
+                lane,
+                r#":2,"args":{"name":"executor-1 (host-1)"}},"#,
+                r#"{"name":"query","ph":"X","ts":0,"dur":900,"pid":1,"tid":0,"#,
+                r#""args":{"span_id":0,"sql":"SELECT \"x\"\nFROM t\\u\t\u0001é"}},"#,
+                r#"{"name":"task","ph":"X","ts":10,"dur":390,"pid":1,"tid":2,"#,
+                r#""args":{"span_id":1,"parent":0,"exec":"1","host":"host-1"}},"#,
+                r#"{"name":"rpc","ph":"X","ts":20,"dur":250,"pid":1,"tid":0,"#,
+                r#""args":{"span_id":2,"parent":1,"region":"3","bytes":"4096"}},"#,
+                r#"{"name":"task","ph":"X","ts":15,"dur":785,"pid":1,"tid":1,"#,
+                r#""args":{"span_id":3,"parent":0,"exec":"0","host":"h\"0"}}],"#,
+                r#""displayTimeUnit":"ms","otherData":{"trace_id":"0xfeedbeefcafe"}}"#,
+            ]
+            .concat()
+        );
     }
 
     #[test]

@@ -13,14 +13,24 @@
 //! ends at the newest sample, so they need no clock): [`Tsdb::delta`],
 //! [`Tsdb::rate`] (per virtual second) and [`Tsdb::max_over_window`].
 //! These are what rate-over-window alert rules
-//! ([`crate::alerts::AlertRule::rate_over_window`]) evaluate — the signals
-//! that predict collapse are growth rates (compaction backlog, write-stall
-//! time), not instantaneous gauges.
+//! ([`crate::alerts::AlertRule::rate_over_window`]) and the region heat
+//! views evaluate — the signals that predict collapse are growth rates
+//! (compaction backlog, write-stall time), not instantaneous gauges.
 //!
 //! Series names follow Prometheus conventions: a bare metric name, or
-//! `name{label="value"}` for labeled series. The SQL surface splits the two
-//! parts back into `metric` and `labels` columns.
+//! `name{label="value"}` for labeled series. [`Tsdb::series_name`] is the
+//! one place such a name is spelled (label values escaped the way the text
+//! exposition escapes them) and [`Tsdb::split_series_name`] the one place
+//! it is taken apart again — into the `metric` and `labels` columns of the
+//! SQL surface, and through [`Labels::get`] into the values that went in.
+//!
+//! There is one store per cluster (`HBaseCluster::tsdb()`): the store
+//! metrics' scrape sources and the heartbeat-fed `region_*` series share
+//! it, so a rate alert, `system.metrics_history` and the heat observatory
+//! all read the same rings and one liveness mark mutes a dead server
+//! everywhere.
 
+use crate::export::TextExporter;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,6 +47,40 @@ pub struct Sample {
 /// order. Counter registries, histogram snapshots and computed gauges all
 /// fit this shape.
 pub type ScrapeFn = Box<dyn Fn() -> Vec<(String, f64)> + Send + Sync>;
+
+/// The `k="v",…` text between a series name's braces (empty for a bare
+/// metric name), as [`Tsdb::split_series_name`] returns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Labels<'a>(pub &'a str);
+
+impl Labels<'_> {
+    /// The unescaped value of label `key`; `None` when the series does not
+    /// carry it.
+    pub fn get(&self, key: &str) -> Option<String> {
+        let mut rest = self.0;
+        while !rest.is_empty() {
+            let (name, after) = rest.split_once("=\"")?;
+            let mut value = String::new();
+            let mut chars = after.char_indices();
+            let end = loop {
+                match chars.next()? {
+                    (i, '"') => break i,
+                    (_, '\\') => match chars.next()?.1 {
+                        'n' => value.push('\n'),
+                        c => value.push(c),
+                    },
+                    (_, c) => value.push(c),
+                }
+            };
+            if name == key {
+                return Some(value);
+            }
+            rest = &after[end + 1..];
+            rest = rest.strip_prefix(',').unwrap_or(rest);
+        }
+        None
+    }
+}
 
 /// Bounded per-series ring buffers plus the scrape sources that feed them.
 pub struct Tsdb {
@@ -144,31 +188,28 @@ impl Tsdb {
             .and_then(|r| r.back().copied())
     }
 
-    /// Mark every series whose name contains `fragment` stale. Windowed
+    /// Mark every series carrying the label `key="value"` stale. Windowed
     /// queries ([`delta`](Self::delta), [`rate`](Self::rate),
     /// [`max_over_window`](Self::max_over_window)) return `None` for stale
     /// series until a fresh [`record`](Self::record) revives them. Returns
-    /// the number of series newly marked. Typical fragment:
-    /// `server="host-2"` when that server misses its heartbeat deadline.
-    pub fn mark_stale_matching(&self, fragment: &str) -> usize {
+    /// the number of series newly marked. Typical label: `server`, with the
+    /// hostname of a server that missed its heartbeat deadline.
+    pub fn mark_stale(&self, key: &str, value: &str) -> usize {
         let all = self.series.lock();
         let mut stale = self.stale.lock();
-        let mut marked = 0;
-        for name in all.keys() {
-            if name.contains(fragment) && stale.insert(name.clone()) {
-                marked += 1;
-            }
-        }
-        marked
+        all.keys()
+            .filter(|name| has_label(name, key, value))
+            .filter(|name| stale.insert((*name).clone()))
+            .count()
     }
 
-    /// Clear the stale flag on every series whose name contains `fragment`
-    /// (a server came back before writing new samples). Returns the number
-    /// of series revived.
-    pub fn mark_live_matching(&self, fragment: &str) -> usize {
+    /// Clear the stale flag on every series carrying the label
+    /// `key="value"` (a server came back before writing new samples).
+    /// Returns the number of series revived.
+    pub fn mark_live(&self, key: &str, value: &str) -> usize {
         let mut stale = self.stale.lock();
         let before = stale.len();
-        stale.retain(|name| !name.contains(fragment));
+        stale.retain(|name| !has_label(name, key, value));
         before - stale.len()
     }
 
@@ -259,19 +300,33 @@ impl Tsdb {
         out
     }
 
-    /// Split a series name into `(metric, labels)` — the inside of a
-    /// `{...}` suffix, or an empty string for bare names.
-    pub fn split_series_name(series: &str) -> (&str, &str) {
-        match series.find('{') {
-            Some(i) => (
-                &series[..i],
-                series[i + 1..]
-                    .strip_suffix('}')
-                    .unwrap_or(&series[i + 1..]),
-            ),
-            None => (series, ""),
+    /// The series name of `metric` with `labels`, in the given order:
+    /// `metric{k="v",…}`, or the bare metric when there are none. Values
+    /// are escaped, so a table called `a",b` is one label value, not two
+    /// labels.
+    pub fn series_name(metric: &str, labels: &[(&str, &str)]) -> String {
+        if labels.is_empty() {
+            return metric.to_string();
+        }
+        let pairs: Vec<String> = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", TextExporter::escape_label_value(v)))
+            .collect();
+        format!("{metric}{{{}}}", pairs.join(","))
+    }
+
+    /// Split a series name into its metric and its [`Labels`] — the inverse
+    /// of [`series_name`](Self::series_name).
+    pub fn split_series_name(series: &str) -> (&str, Labels<'_>) {
+        match series.split_once('{') {
+            Some((metric, rest)) => (metric, Labels(rest.strip_suffix('}').unwrap_or(rest))),
+            None => (series, Labels("")),
         }
     }
+}
+
+fn has_label(series: &str, key: &str, value: &str) -> bool {
+    Tsdb::split_series_name(series).1.get(key).as_deref() == Some(value)
 }
 
 #[cfg(test)]
@@ -402,12 +457,8 @@ mod tests {
         tsdb.record("reqs{server=\"host-1\"}", 1_000, 10.0);
         assert!(tsdb.rate("reqs{server=\"host-0\"}", 5_000).is_some());
 
-        assert_eq!(tsdb.mark_stale_matching("server=\"host-0\""), 1);
-        assert_eq!(
-            tsdb.mark_stale_matching("server=\"host-0\""),
-            0,
-            "idempotent"
-        );
+        assert_eq!(tsdb.mark_stale("server", "host-0"), 1);
+        assert_eq!(tsdb.mark_stale("server", "host-0"), 0, "idempotent");
         assert!(tsdb.is_stale("reqs{server=\"host-0\"}"));
         assert!(!tsdb.is_stale("reqs{server=\"host-1\"}"));
         assert_eq!(tsdb.rate("reqs{server=\"host-0\"}", 5_000), None);
@@ -428,21 +479,48 @@ mod tests {
     }
 
     #[test]
-    fn mark_live_matching_revives_without_new_samples() {
+    fn mark_live_revives_without_new_samples() {
         let tsdb = Tsdb::new(8);
         tsdb.record("a{server=\"2\"}", 0, 1.0);
         tsdb.record("b{server=\"2\"}", 0, 1.0);
-        assert_eq!(tsdb.mark_stale_matching("server=\"2\""), 2);
-        assert_eq!(tsdb.mark_live_matching("server=\"2\""), 2);
+        assert_eq!(tsdb.mark_stale("server", "2"), 2);
+        assert_eq!(tsdb.mark_live("server", "2"), 2);
         assert!(tsdb.stale_series().is_empty());
     }
 
     #[test]
     fn series_name_splits_into_metric_and_labels() {
-        assert_eq!(Tsdb::split_series_name("plain"), ("plain", ""));
+        assert_eq!(Tsdb::split_series_name("plain"), ("plain", Labels("")));
         assert_eq!(
             Tsdb::split_series_name("m{region=\"7\"}"),
-            ("m", "region=\"7\"")
+            ("m", Labels("region=\"7\""))
         );
+        assert_eq!(Tsdb::series_name("plain", &[]), "plain");
+    }
+
+    /// Label values come back exactly as they went in, whatever they hold:
+    /// the unescaped form of these used to split on the `",` inside a value.
+    #[test]
+    fn label_values_round_trip_through_a_series_name() {
+        let table = "a\",b=\"c\\\nd{}";
+        let series = Tsdb::series_name(
+            "region_read_requests",
+            &[("region", "7"), ("server", "host-0"), ("table", table)],
+        );
+        let (metric, labels) = Tsdb::split_series_name(&series);
+        assert_eq!(metric, "region_read_requests");
+        assert_eq!(labels.get("region").as_deref(), Some("7"));
+        assert_eq!(labels.get("server").as_deref(), Some("host-0"));
+        assert_eq!(labels.get("table").as_deref(), Some(table));
+        assert_eq!(labels.get("b"), None, "a key inside a value is not a label");
+        assert_eq!(Labels("").get("server"), None);
+
+        // Liveness matches whole label values, never text inside another.
+        let tsdb = Tsdb::new(4);
+        tsdb.record(&series, 0, 1.0);
+        let decoy = "server=\"host-0\"";
+        tsdb.record(&Tsdb::series_name("m", &[("table", decoy)]), 0, 1.0);
+        assert_eq!(tsdb.mark_stale("server", "host-0"), 1);
+        assert!(tsdb.is_stale(&series));
     }
 }

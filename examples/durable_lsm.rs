@@ -8,6 +8,7 @@
 //! ```
 
 use shc::kvstore::prelude::*;
+use shc::obs::json::{render, Json};
 use std::sync::Arc;
 
 const ROWS: usize = 400;
@@ -109,21 +110,35 @@ fn main() {
         "restart replayed the WAL tail"
     );
 
-    let (backlog_bytes, _backlog_files) = cluster.compaction_backlog();
-    println!(
-        "BENCH {{\"experiment\":\"durable_lsm\",\"x\":\"crash_restart\",\"system\":\"SHC\",\
-         \"rows\":{after},\"write_amplification\":{write_amp:.4},\
-         \"wal_replayed_records\":{},\"wal_segments_rotated\":{},\
-         \"compaction_bytes_rewritten\":{},\
-         \"flush_cause\":{{\"memstore\":{},\"wal\":{},\"explicit\":{}}},\
-         \"write_stall_ms\":{},\"compaction_backlog_bytes\":{backlog_bytes},\
-         \"tsdb_samples\":0}}",
-        snap.wal_replayed_records,
-        snap.wal_segments_rotated,
-        snap.compaction_bytes_rewritten,
-        snap.flushes_memstore_pressure,
-        snap.flushes_wal_pressure,
-        snap.flushes_explicit,
-        snap.write_stall_ms,
-    );
+    // One scrape of the cluster's series store: the samples behind
+    // `system.metrics_history`, counted for real.
+    cluster.tsdb().scrape(cluster.clock.peek_ms());
+    let record = Json::object([
+        ("experiment", Json::from("durable_lsm")),
+        ("x", "crash_restart".into()),
+        ("system", "SHC".into()),
+        ("rows", (after as u64).into()),
+        ("write_amplification", write_amp.into()),
+        ("wal_replayed_records", snap.wal_replayed_records.into()),
+        ("wal_segments_rotated", snap.wal_segments_rotated.into()),
+        (
+            "compaction_bytes_rewritten",
+            snap.compaction_bytes_rewritten.into(),
+        ),
+        (
+            "flush_cause",
+            Json::object([
+                ("memstore", Json::from(snap.flushes_memstore_pressure)),
+                ("wal", snap.flushes_wal_pressure.into()),
+                ("explicit", snap.flushes_explicit.into()),
+            ]),
+        ),
+        ("write_stall_ms", snap.write_stall_ms.into()),
+        (
+            "compaction_backlog_bytes",
+            cluster.compaction_backlog().0.into(),
+        ),
+        ("tsdb_samples", cluster.tsdb().sample_count().into()),
+    ]);
+    println!("BENCH {}", render(&record));
 }

@@ -112,7 +112,7 @@ fn main() -> Result<()> {
     }
 
     // 4a. Rate-over-window queries straight off the time-series store.
-    let tsdb = session.tsdb().expect("system tables install a tsdb");
+    let tsdb = cluster.tsdb();
     println!(
         "\nrates over the run: write_stall_ms={:.3}/s compaction_backlog_bytes={:.3}/s",
         tsdb.rate("shc_store_write_stall_ms", u64::MAX)

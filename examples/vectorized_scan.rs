@@ -12,6 +12,7 @@
 
 use shc::engine::error::Result;
 use shc::engine::metrics::QueryMetricsSnapshot;
+use shc::obs::json::{render, Json};
 use shc::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,15 +56,19 @@ fn run(session: &Arc<Session>, label: &str) -> Result<()> {
         delta.batches_built > 0,
         "operators must move rows in columnar batches"
     );
-    println!(
-        "BENCH {{\"experiment\":\"vectorized_scan\",\"x\":\"{label}\",\"system\":\"SHC\",\
-         \"rows\":{},\"batch_rows_per_sec\":{:.1},\"avg_batch_fill\":{},\
-         \"replanned_stages\":{}}}",
-        delta.scan_rows,
-        delta.batch_rows as f64 / seconds,
-        fill.map_or("null".to_string(), |f| format!("{f:.4}")),
-        delta.replanned_stages,
-    );
+    let record = Json::object([
+        ("experiment", Json::from("vectorized_scan")),
+        ("x", label.into()),
+        ("system", "SHC".into()),
+        ("rows", delta.scan_rows.into()),
+        (
+            "batch_rows_per_sec",
+            (delta.batch_rows as f64 / seconds).into(),
+        ),
+        ("avg_batch_fill", fill.into()),
+        ("replanned_stages", delta.replanned_stages.into()),
+    ]);
+    println!("BENCH {}", render(&record));
     Ok(())
 }
 

@@ -136,7 +136,7 @@ fn slow_query_trace_resolves_to_parseable_chrome_json() {
     let json = trace.to_chrome_json();
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains(&format!("{:#x}", entry.trace_id)));
-    parse_json(&json);
+    shc::obs::json::parse_json(&json).expect("the export is JSON");
 
     // The slow query also captured an automatic flight-recorder dump.
     let dump = session.last_event_dump().expect("slow query dumps events");
@@ -296,7 +296,7 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
         .unwrap();
     let session = Session::new_default();
     register_system_tables(&session, &cluster);
-    let tsdb = session.tsdb().expect("system tables install a tsdb");
+    let tsdb = cluster.tsdb();
 
     // Every store-file write in the first episode takes an extra 500 virtual
     // ms — the injected disk slowness that makes the stalls expensive.
@@ -351,11 +351,7 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
         "the alert's exemplar is the blocked ingest's TraceId"
     );
     let snap = cluster.metrics.snapshot();
-    (snap_render(&tsdb), status.fired_count, snap.write_stalls)
-}
-
-fn snap_render(tsdb: &Arc<shc::obs::Tsdb>) -> String {
-    tsdb.render()
+    (tsdb.render(), status.fired_count, snap.write_stalls)
 }
 
 #[test]
@@ -448,8 +444,10 @@ fn metrics_history_answers_rate_over_window_for_stalls() {
         "stall rate {rate_per_s} must clear the alert threshold"
     );
     // The SQL answer agrees with the tsdb's own window query.
-    let tsdb = session.tsdb().unwrap();
-    let native = tsdb.rate("shc_store_write_stall_ms", u64::MAX).unwrap();
+    let native = cluster
+        .tsdb()
+        .rate("shc_store_write_stall_ms", u64::MAX)
+        .unwrap();
     assert!((native - rate_per_s).abs() < 1e-9);
 
     // The backlog ramp is visible in history: flushed files pile up while
@@ -501,149 +499,4 @@ fn system_queries_trace_id_joins_to_system_events() {
         .unwrap();
     assert!(!events.is_empty(), "slow-query event joins on trace_id");
     assert_eq!(events[0].get(0).as_str(), Some(Severity::Warn.as_str()));
-}
-
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON reader — no JSON dependency exists in
-// this workspace, and the exported trace must be checked as *JSON*, not by
-// substring. Panics (failing the test) on the first syntax error.
-
-fn parse_json(s: &str) {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos);
-    skip_ws(b, &mut pos);
-    assert_eq!(pos, b.len(), "trailing garbage after JSON document");
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, b"true"),
-        Some(b'f') => parse_literal(b, pos, b"false"),
-        Some(b'n') => parse_literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        other => panic!("unexpected token {other:?} at byte {pos}"),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return;
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos);
-        skip_ws(b, pos);
-        assert_eq!(b.get(*pos), Some(&b':'), "expected ':' at byte {pos}");
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return;
-            }
-            other => panic!("expected ',' or '}}' but found {other:?} at byte {pos}"),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return;
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return;
-            }
-            other => panic!("expected ',' or ']' but found {other:?} at byte {pos}"),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) {
-    assert_eq!(b.get(*pos), Some(&b'"'), "expected '\"' at byte {pos}");
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return;
-            }
-            b'\\' => match b.get(*pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                Some(b'u') => {
-                    let hex = b.get(*pos + 2..*pos + 6).expect("truncated \\u escape");
-                    assert!(
-                        hex.iter().all(u8::is_ascii_hexdigit),
-                        "bad \\u escape at byte {pos}"
-                    );
-                    *pos += 6;
-                }
-                other => panic!("bad escape {other:?} at byte {pos}"),
-            },
-            0x00..=0x1f => panic!("unescaped control byte {c:#04x} at byte {pos}"),
-            _ => *pos += 1,
-        }
-    }
-    panic!("unterminated string");
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) {
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    assert!(*pos > digits_start, "expected digits at byte {pos}");
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, expected: &[u8]) {
-    assert_eq!(
-        b.get(*pos..*pos + expected.len()),
-        Some(expected),
-        "bad literal at byte {pos}"
-    );
-    *pos += expected.len();
 }
