@@ -5,6 +5,7 @@
 //! ```text
 //! paper_tables [--table1] [--fig4] [--fig5] [--fig6] [--fig7] [--table2]
 //!              [--ablations] [--metrics] [--all] [--quick]
+//! paper_tables --compare <a.json> <b.json>
 //! ```
 //!
 //! The section flags select experiments; with none of them (or with
@@ -12,6 +13,11 @@
 //! the sweeps of whatever runs, so `paper_tables --quick` is the whole suite
 //! in a few seconds; the full sweeps match the paper's x-axes (5–30 nominal
 //! GB, 4–24 executors). Any other argument is an error.
+//!
+//! `--compare` runs nothing: it reads two records of the repository
+//! benchmark (`benchmark/out/<workload>.json`, or a committed `BENCH_*.json`)
+//! and prints every metric they share side by side — a, b, the change in
+//! percent — marking each counter (not a timing) that differs.
 //!
 //! Absolute numbers cannot match the paper's physical cluster; the *shape*
 //! of each curve — who wins, how the gap scales — is the reproduction
@@ -28,6 +34,7 @@ use shc_core::relation::HBaseRelation;
 use shc_engine::prelude::{Session, TableProvider};
 use shc_kvstore::cluster::{ClusterConfig, HBaseCluster};
 use shc_kvstore::network::NetworkSim;
+use shc_obs::json::{parse_json, Json};
 use shc_tpcds::{queries, Generator, Provider, Scale, Table};
 use std::sync::Arc;
 
@@ -47,16 +54,29 @@ const SECTIONS: [Section; 8] = [
 ];
 
 /// What a command line asks for: which sections (indices into
-/// [`SECTIONS`], in print order) and whether to shrink their sweeps.
+/// [`SECTIONS`], in print order) and whether to shrink their sweeps — or,
+/// in place of any experiment, two benchmark records to compare.
 #[derive(Debug, PartialEq)]
 struct Selection {
     sections: Vec<usize>,
     quick: bool,
+    compare: Option<(String, String)>,
 }
 
 /// "All" means no section flag was given (or `--all` was); `--quick` only
-/// modifies, and an argument that is neither is refused.
+/// modifies, `--compare` takes two paths and stands alone, and an argument
+/// that is none of these is refused.
 fn parse_args(args: &[String]) -> Result<Selection, String> {
+    if args.first().is_some_and(|arg| arg == "--compare") {
+        let [_, a, b] = args else {
+            return Err("--compare takes two record files and nothing else".to_string());
+        };
+        return Ok(Selection {
+            sections: Vec::new(),
+            quick: false,
+            compare: Some((a.clone(), b.clone())),
+        });
+    }
     let mut picked = vec![false; SECTIONS.len()];
     let (mut quick, mut all) = (false, false);
     for arg in args {
@@ -71,25 +91,91 @@ fn parse_args(args: &[String]) -> Result<Selection, String> {
     }
     all |= !picked.contains(&true);
     let sections = (0..SECTIONS.len()).filter(|&i| all || picked[i]).collect();
-    Ok(Selection { sections, quick })
+    Ok(Selection {
+        sections,
+        quick,
+        compare: None,
+    })
+}
+
+/// The metrics two benchmark records share, pass by pass, as table rows:
+/// metric, a, b, the change from a to b in percent, and a mark where a
+/// counter differs. A counter is a metric in units the program counts
+/// (`count`, `B`, `ratio`) rather than clocks; it repeats exactly for a seed.
+fn compare_records(a: &str, b: &str) -> Result<Vec<Vec<String>>, String> {
+    let (a, b) = (parse_json(a), parse_json(b));
+    let (a, b) = (a.map_err(|e| e.to_string())?, b.map_err(|e| e.to_string())?);
+    let mut rows = Vec::new();
+    for pass in ["end_to_end", "per_layer"] {
+        let metrics = |record: &Json| Some(record.get(pass)?.get("metrics")?.as_object()?.to_vec());
+        let (Some(a), Some(b)) = (metrics(&a), metrics(&b)) else {
+            continue;
+        };
+        for (name, in_a) in &a {
+            let Some((_, in_b)) = b.iter().find(|(n, _)| n == name) else {
+                continue;
+            };
+            let value = |m: &Json| match m.get("value") {
+                Some(Json::Number(v)) => Ok(*v),
+                _ => Err(format!("{pass}.{name} has no numeric value")),
+            };
+            let (va, vb) = (value(in_a)?, value(in_b)?);
+            let delta = if va == vb {
+                "0.0".to_string()
+            } else if va == 0.0 {
+                "n/a".to_string()
+            } else {
+                format!("{:+.1}", (vb - va) / va.abs() * 100.0)
+            };
+            let counted = matches!(in_a.get_str("unit"), Some("count" | "B" | "ratio"));
+            let note = if counted && va != vb {
+                "COUNTER DIFFERS"
+            } else {
+                ""
+            };
+            let text = |v: f64| v.to_string();
+            rows.push(vec![name.clone(), text(va), text(vb), delta, note.into()]);
+        }
+    }
+    if rows.is_empty() {
+        return Err("the records share no metrics".to_string());
+    }
+    Ok(rows)
+}
+
+/// `--compare`: print the comparison of two record files.
+fn compare_files(a: &str, b: &str) -> Result<(), String> {
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let rows = compare_records(&read(a)?, &read(b)?)?;
+    let header = ["metric", "a", "b", "delta_pct", "note"];
+    print_table(
+        &format!("Benchmark records: a = {a}, b = {b}"),
+        &header,
+        &rows,
+    );
+    let differing = rows.iter().filter(|row| !row[4].is_empty()).count();
+    println!("\n{differing} counter(s) differ");
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(selection) => {
-            for i in selection.sections {
-                SECTIONS[i].1(selection.quick);
-            }
+    let outcome = parse_args(&args).and_then(|selection| {
+        for &i in &selection.sections {
+            SECTIONS[i].1(selection.quick);
         }
-        Err(message) => {
-            let flags: Vec<&str> = SECTIONS.iter().map(|(flag, _)| *flag).collect();
-            eprintln!(
-                "paper_tables: {message}\nusage: paper_tables [{}] [--all] [--quick]",
-                flags.join("] [")
-            );
-            std::process::exit(2);
-        }
+        selection
+            .compare
+            .map_or(Ok(()), |(a, b)| compare_files(&a, &b))
+    });
+    if let Err(message) = outcome {
+        let flags: Vec<&str> = SECTIONS.iter().map(|(flag, _)| *flag).collect();
+        eprintln!(
+            "paper_tables: {message}\nusage: paper_tables [{}] [--all] [--quick]\n       \
+             paper_tables --compare <a.json> <b.json>",
+            flags.join("] [")
+        );
+        std::process::exit(2);
     }
 }
 
@@ -591,6 +677,7 @@ mod tests {
                 (selection.sections, selection.quick),
                 (everything.clone(), false)
             );
+            assert_eq!(selection.compare, None);
         }
         // `--quick` modifies; it selects nothing, so alone it still means all.
         for args in [&["--quick"][..], &["--quick", "--all"]] {
@@ -605,10 +692,57 @@ mod tests {
             parse(&["--ablations", "--quick", "--fig4"]).unwrap(),
             Selection {
                 sections: vec![1, 6],
-                quick: true
+                quick: true,
+                compare: None,
             }
         );
         assert!(parse(&["--fig8"]).unwrap_err().contains("--fig8"));
         assert!(parse(&["--quick", "quick"]).is_err());
+    }
+
+    #[test]
+    fn compare_takes_exactly_two_files_and_runs_no_experiment() {
+        let selection = parse(&["--compare", "a.json", "b.json"]).unwrap();
+        assert_eq!(selection.compare, Some(("a.json".into(), "b.json".into())));
+        assert!(selection.sections.is_empty());
+        for args in [
+            &["--compare"][..],
+            &["--compare", "a.json"],
+            &["--compare", "a.json", "b.json", "--quick"],
+            &["--quick", "--compare", "a.json", "b.json"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn compare_marks_counters_that_differ_and_only_those() {
+        let record = |execute_us: f64, tasks: f64, fill: f64| {
+            format!(
+                r#"{{"workload":"w","per_layer":{{"metrics":{{
+                    "engine.physical.execute_us":{{"value":{execute_us},"unit":"us"}},
+                    "engine.scheduler.tasks_per_op":{{"value":{tasks},"unit":"count"}},
+                    "engine.columnar.batch_fill":{{"value":{fill},"unit":"ratio"}},
+                    "only.in.this.one.{execute_us}":{{"value":1,"unit":"count"}}}}}}}}"#
+            )
+        };
+        let rows =
+            compare_records(&record(10000.0, 57.0, 0.5), &record(7000.0, 57.0, 0.6)).unwrap();
+        let row = |name: &str| rows.iter().find(|r| r[0] == name).unwrap()[1..].to_vec();
+        assert_eq!(rows.len(), 3, "metrics of both records");
+        assert_eq!(
+            row("engine.physical.execute_us"),
+            ["10000", "7000", "-30.0", ""]
+        );
+        assert_eq!(
+            row("engine.scheduler.tasks_per_op"),
+            ["57", "57", "0.0", ""]
+        );
+        assert_eq!(
+            row("engine.columnar.batch_fill"),
+            ["0.5", "0.6", "+20.0", "COUNTER DIFFERS"]
+        );
+        assert!(compare_records("{}", "{}").is_err());
+        assert!(compare_records("not json", "{}").is_err());
     }
 }

@@ -133,9 +133,13 @@ impl Accumulator {
             } => {
                 *saw_any = true;
                 match value {
-                    Value::Float32(_) | Value::Float64(_) => {
+                    Value::Float32(x) => {
                         *saw_float = true;
-                        *float += value.as_f64().unwrap();
+                        *float += *x as f64;
+                    }
+                    Value::Float64(x) => {
+                        *saw_float = true;
+                        *float += x;
                     }
                     other => {
                         let v = other.as_i64().ok_or_else(|| {

@@ -19,7 +19,7 @@ use crate::row::Row;
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default number of rows per columnar batch.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
@@ -79,6 +79,16 @@ impl Bitmap {
         self.len += 1;
         if v {
             self.bits[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Append every bit of `other`.
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        if other.count_ones() == 0 {
+            self.len += other.len;
+            self.bits.resize(self.len.div_ceil(64), 0);
+        } else {
+            (0..other.len).for_each(|i| self.push(other.get(i)));
         }
     }
 
@@ -146,15 +156,29 @@ enum ColumnData {
     Other(Vec<Value>),
 }
 
-/// A typed column vector with a null bitmap.
+/// A typed column vector with a null bitmap. Immutable once built, so its
+/// row-equivalent byte size is worked out at most once.
 #[derive(Clone, Debug)]
 pub struct Column {
     dtype: DataType,
     nulls: Bitmap,
     data: ColumnData,
+    byte_size: OnceLock<usize>,
 }
 
+/// Row position [`Column::gather_or_null`] reads as "no row": a NULL.
+pub const NULL_ROW: u32 = u32::MAX;
+
 impl Column {
+    fn new(dtype: DataType, nulls: Bitmap, data: ColumnData) -> Column {
+        Column {
+            dtype,
+            nulls,
+            data,
+            byte_size: OnceLock::new(),
+        }
+    }
+
     pub fn data_type(&self) -> DataType {
         self.dtype
     }
@@ -187,7 +211,8 @@ impl Column {
         }
     }
 
-    /// Dictionary and codes, for operators with a per-code fast path.
+    /// Dictionary and codes, for kernels that do per entry what they would
+    /// otherwise do per row.
     pub fn dict_parts(&self) -> Option<(&Arc<Vec<String>>, &[u32])> {
         match &self.data {
             ColumnData::Dict { dict, codes } => Some((dict, codes)),
@@ -239,6 +264,10 @@ impl Column {
     /// by [`ColumnarBatch::byte_size`]). Keeps shuffle/broadcast/memory
     /// metrics invariant under the columnar refactor.
     pub fn byte_size(&self) -> usize {
+        *self.byte_size.get_or_init(|| self.compute_byte_size())
+    }
+
+    fn compute_byte_size(&self) -> usize {
         let n = self.len();
         let null_count = self.null_count();
         let non_null = n - null_count;
@@ -262,14 +291,16 @@ impl Column {
             }
             ColumnData::Bool(_) => n,
             ColumnData::Dict { dict, codes } => {
-                let lens: Vec<usize> = dict.iter().map(|s| s.len() + 4).collect();
-                let mut total = null_count;
-                for (i, &c) in codes.iter().enumerate() {
-                    if !self.nulls.get(i) {
-                        total += lens[c as usize];
-                    }
+                let cell = |c: u32| dict[c as usize].len() + 4;
+                if null_count == 0 {
+                    codes.iter().map(|&c| cell(c)).sum()
+                } else {
+                    let valid = codes
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| !self.nulls.get(*i));
+                    null_count + valid.map(|(_, &c)| cell(c)).sum::<usize>()
                 }
-                total
             }
             // Null slots hold `Value::Null` (1 byte), so a plain sum is
             // already row-equivalent.
@@ -280,29 +311,58 @@ impl Column {
     /// Take the listed positions, in order (a column-wise tight loop; the
     /// dictionary is shared, not copied).
     pub fn gather(&self, idx: &[u32]) -> Column {
+        let nulls = if self.null_count() == 0 {
+            Bitmap::new(idx.len())
+        } else {
+            let mut nulls = Bitmap::default();
+            for &i in idx {
+                nulls.push(self.nulls.get(i as usize));
+            }
+            nulls
+        };
+        self.take(idx, nulls, |i| i as usize)
+    }
+
+    /// [`gather`](Self::gather) where the position [`NULL_ROW`] yields a
+    /// NULL: the build side of a left join's output.
+    pub fn gather_or_null(&self, idx: &[u32]) -> Column {
         let mut nulls = Bitmap::default();
         for &i in idx {
-            nulls.push(self.nulls.get(i as usize));
+            nulls.push(i == NULL_ROW || self.nulls.get(i as usize));
         }
+        if self.is_empty() {
+            // Nothing to read a placeholder from: every position is NULL.
+            let mut builder = ColumnBuilder::new(self.dtype);
+            idx.iter().for_each(|_| builder.push_null());
+            return builder.finish();
+        }
+        // A NULL slot's payload is never read; row 0's stands in.
+        self.take(idx, nulls, |i| if i == NULL_ROW { 0 } else { i as usize })
+    }
+
+    fn take(&self, idx: &[u32], nulls: Bitmap, at: impl Fn(u32) -> usize) -> Column {
         let data = match &self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(idx.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float64(v) => {
-                ColumnData::Float64(idx.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::Bool(v) => ColumnData::Bool(idx.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::Int64(v) => ColumnData::Int64(idx.iter().map(|&i| v[at(i)]).collect()),
+            ColumnData::Float64(v) => ColumnData::Float64(idx.iter().map(|&i| v[at(i)]).collect()),
+            ColumnData::Bool(v) => ColumnData::Bool(idx.iter().map(|&i| v[at(i)]).collect()),
             ColumnData::Dict { dict, codes } => ColumnData::Dict {
                 dict: Arc::clone(dict),
-                codes: idx.iter().map(|&i| codes[i as usize]).collect(),
+                codes: idx.iter().map(|&i| codes[at(i)]).collect(),
             },
-            ColumnData::Other(v) => {
-                ColumnData::Other(idx.iter().map(|&i| v[i as usize].clone()).collect())
-            }
+            ColumnData::Other(v) => ColumnData::Other(
+                idx.iter()
+                    .zip(0..)
+                    .map(|(&i, out)| {
+                        if nulls.get(out) {
+                            Value::Null
+                        } else {
+                            v[at(i)].clone()
+                        }
+                    })
+                    .collect(),
+            ),
         };
-        Column {
-            dtype: self.dtype,
-            nulls,
-            data,
-        }
+        Column::new(self.dtype, nulls, data)
     }
 
     /// Feed the grouping hash of the value at `i` into `state`, exactly as
@@ -342,8 +402,23 @@ enum BuilderData {
         dict: Vec<String>,
         index: HashMap<String, u32>,
         codes: Vec<u32>,
+        /// The dictionary cells were last appended from, and the code each
+        /// of its entries has here ([`NULL_CODE`] until first asked for):
+        /// appending from one column again and again is a table lookup.
+        from: Option<(Arc<Vec<String>>, Vec<u32>)>,
     },
     Other(Vec<Value>),
+}
+
+/// The code of `s` in a builder's dictionary, entered if new.
+fn intern(dict: &mut Vec<String>, index: &mut HashMap<String, u32>, s: &str) -> u32 {
+    if let Some(&code) = index.get(s) {
+        return code;
+    }
+    let code = dict.len() as u32;
+    dict.push(s.to_string());
+    index.insert(s.to_string(), code);
+    code
 }
 
 /// Incremental [`Column`] builder. Starts in typed storage chosen from the
@@ -369,6 +444,7 @@ impl ColumnBuilder {
                 dict: Vec::new(),
                 index: HashMap::new(),
                 codes: Vec::new(),
+                from: None,
             },
             DataType::Binary => BuilderData::Other(Vec::new()),
         };
@@ -437,19 +513,13 @@ impl ColumnBuilder {
                 v.push(*b);
                 true
             }
-            (BuilderData::Dict { dict, index, codes }, Value::Utf8(s))
-                if self.dtype == DataType::Utf8 =>
-            {
-                let code = match index.get(s.as_str()) {
-                    Some(&c) => c,
-                    None => {
-                        let c = dict.len() as u32;
-                        dict.push(s.clone());
-                        index.insert(s.clone(), c);
-                        c
-                    }
-                };
-                codes.push(code);
+            (
+                BuilderData::Dict {
+                    dict, index, codes, ..
+                },
+                Value::Utf8(s),
+            ) if self.dtype == DataType::Utf8 => {
+                codes.push(intern(dict, index, s));
                 true
             }
             (BuilderData::Other(v), value) => {
@@ -487,22 +557,27 @@ impl ColumnBuilder {
                 self.nulls.push(false);
             }
             (
-                BuilderData::Dict { dict, index, codes },
+                BuilderData::Dict {
+                    dict,
+                    index,
+                    codes,
+                    from,
+                },
                 ColumnData::Dict {
                     dict: sdict,
                     codes: scodes,
                 },
             ) if self.dtype == DataType::Utf8 && col.dtype == DataType::Utf8 => {
-                let s = &sdict[scodes[i] as usize];
-                let code = match index.get(s.as_str()) {
-                    Some(&c) => c,
-                    None => {
-                        let c = dict.len() as u32;
-                        dict.push(s.clone());
-                        index.insert(s.clone(), c);
-                        c
-                    }
-                };
+                if from.as_ref().is_some_and(|(d, _)| !Arc::ptr_eq(d, sdict)) {
+                    *from = None;
+                }
+                let (_, known) =
+                    from.get_or_insert_with(|| (Arc::clone(sdict), vec![NULL_CODE; sdict.len()]));
+                let source = scodes[i] as usize;
+                if known[source] == NULL_CODE {
+                    known[source] = intern(dict, index, &sdict[source]);
+                }
+                let code = known[source];
                 codes.push(code);
                 self.nulls.push(false);
             }
@@ -510,36 +585,83 @@ impl ColumnBuilder {
         }
     }
 
+    /// Append every row of `col`: whole vectors at once where the storages
+    /// line up, cell by cell otherwise.
+    pub fn extend_from(&mut self, col: &Column) {
+        match (&mut self.data, &col.data) {
+            (BuilderData::Int64(dst), ColumnData::Int64(src)) if self.dtype == col.dtype => {
+                dst.extend_from_slice(src)
+            }
+            (BuilderData::Float64(dst), ColumnData::Float64(src)) if self.dtype == col.dtype => {
+                dst.extend_from_slice(src)
+            }
+            (BuilderData::Bool(dst), ColumnData::Bool(src)) if self.dtype == col.dtype => {
+                dst.extend_from_slice(src)
+            }
+            _ => return (0..col.len()).for_each(|i| self.append_from(col, i)),
+        }
+        self.nulls.extend_from(&col.nulls);
+    }
+
+    /// Whether cell `e` built so far and cell `i` of `col` belong to one
+    /// group or join key: [`Value::group_eq`] on the values they hold (NULL
+    /// with NULL, a number with every number of its value whatever the
+    /// width, strings by content), read off the typed storage.
+    pub fn group_eq_at(&self, e: usize, col: &Column, i: usize) -> bool {
+        match (self.nulls.get(e), col.nulls.get(i)) {
+            (true, true) => return true,
+            (false, false) => {}
+            _ => return false,
+        }
+        match (&self.data, &col.data) {
+            (BuilderData::Int64(a), ColumnData::Int64(b)) => a[e] == b[i],
+            (BuilderData::Float64(a), ColumnData::Float64(b)) => a[e] == b[i],
+            (BuilderData::Int64(a), ColumnData::Float64(b)) => a[e] as f64 == b[i],
+            (BuilderData::Float64(a), ColumnData::Int64(b)) => a[e] == b[i] as f64,
+            (BuilderData::Bool(a), ColumnData::Bool(b)) => a[e] == b[i],
+            (
+                BuilderData::Dict { dict, codes, .. },
+                ColumnData::Dict {
+                    dict: other,
+                    codes: other_codes,
+                },
+            ) => dict[codes[e] as usize] == other[other_codes[i] as usize],
+            (BuilderData::Other(_), _) | (_, ColumnData::Other(_)) => {
+                self.value_at(e).group_eq(&col.value(i))
+            }
+            // Typed storages of different kinds: a string, a boolean and a
+            // number never compare equal.
+            _ => false,
+        }
+    }
+
+    /// The exact [`Value`] of cell `e`.
+    fn value_at(&self, e: usize) -> Value {
+        if self.nulls.get(e) {
+            return Value::Null;
+        }
+        match &self.data {
+            BuilderData::Int64(v) => match self.dtype {
+                DataType::Int8 => Value::Int8(v[e] as i8),
+                DataType::Int16 => Value::Int16(v[e] as i16),
+                DataType::Int32 => Value::Int32(v[e] as i32),
+                DataType::Timestamp => Value::Timestamp(v[e]),
+                _ => Value::Int64(v[e]),
+            },
+            BuilderData::Float64(v) => match self.dtype {
+                DataType::Float32 => Value::Float32(v[e] as f32),
+                _ => Value::Float64(v[e]),
+            },
+            BuilderData::Bool(v) => Value::Boolean(v[e]),
+            BuilderData::Dict { dict, codes, .. } => Value::Utf8(dict[codes[e] as usize].clone()),
+            BuilderData::Other(v) => v[e].clone(),
+        }
+    }
+
     /// Switch to boxed-`Value` storage, re-materializing what was pushed so
     /// far so nothing already accepted is coerced.
     fn degrade(&mut self) {
-        let n = self.nulls.len();
-        let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            if self.nulls.get(i) {
-                values.push(Value::Null);
-                continue;
-            }
-            values.push(match &self.data {
-                BuilderData::Int64(v) => match self.dtype {
-                    DataType::Int8 => Value::Int8(v[i] as i8),
-                    DataType::Int16 => Value::Int16(v[i] as i16),
-                    DataType::Int32 => Value::Int32(v[i] as i32),
-                    DataType::Timestamp => Value::Timestamp(v[i]),
-                    _ => Value::Int64(v[i]),
-                },
-                BuilderData::Float64(v) => match self.dtype {
-                    DataType::Float32 => Value::Float32(v[i] as f32),
-                    _ => Value::Float64(v[i]),
-                },
-                BuilderData::Bool(v) => Value::Boolean(v[i]),
-                BuilderData::Dict { dict, codes, .. } => {
-                    Value::Utf8(dict[codes[i] as usize].clone())
-                }
-                BuilderData::Other(v) => v[i].clone(),
-            });
-        }
-        self.data = BuilderData::Other(values);
+        self.data = BuilderData::Other((0..self.nulls.len()).map(|e| self.value_at(e)).collect());
     }
 
     pub fn finish(self) -> Column {
@@ -553,11 +675,7 @@ impl ColumnBuilder {
             },
             BuilderData::Other(v) => ColumnData::Other(v),
         };
-        Column {
-            dtype: self.dtype,
-            nulls: self.nulls,
-            data,
-        }
+        Column::new(self.dtype, self.nulls, data)
     }
 }
 
@@ -651,6 +769,28 @@ impl ColumnarBatch {
                 .collect(),
             num_rows: idx.len(),
         }
+    }
+
+    /// The rows of `batches`, which have one schema, as one batch; none at
+    /// all is a batch without columns. Typed vectors are copied whole;
+    /// dictionaries are merged entry by entry, not cell by cell.
+    pub fn concat(batches: &[ColumnarBatch]) -> ColumnarBatch {
+        let [first, rest @ ..] = batches else {
+            return ColumnarBatch::with_row_count(Vec::new(), 0);
+        };
+        if rest.is_empty() {
+            return first.clone();
+        }
+        let columns = (0..first.num_columns())
+            .map(|c| {
+                let mut builder = ColumnBuilder::new(first.column(c).dtype);
+                batches
+                    .iter()
+                    .for_each(|b| builder.extend_from(b.column(c)));
+                Arc::new(builder.finish())
+            })
+            .collect();
+        ColumnarBatch::with_row_count(columns, batches_num_rows(batches))
     }
 
     /// Apply a selection bitmap; a full mask is a cheap `Arc` clone.
@@ -786,8 +926,8 @@ pub fn partitions_byte_size(parts: &[Partition]) -> usize {
 }
 
 /// Materialize partitions as one row vector, in partition then batch order:
-/// the driver-side gather `collect` ends with, and what the operators that
-/// work on whole rows (sort, the join's build side) start from.
+/// the driver-side gather `collect` ends with, and what the sort, the one
+/// operator that works on whole rows, starts from.
 pub fn gather_rows(parts: Vec<Partition>) -> Vec<Row> {
     let total: usize = parts.iter().map(|p| batches_num_rows(p)).sum();
     let mut out = Vec::with_capacity(total);
@@ -1172,6 +1312,53 @@ mod tests {
         let p = batch.project(&[2, 0]);
         assert_eq!(p.num_columns(), 2);
         assert_eq!(p.row_at(4).get(1), &Value::Int64(4));
+    }
+
+    #[test]
+    fn concat_and_gather_or_null_hold_exactly_the_rows_they_were_given() {
+        let exact = |rows: &[Row]| format!("{rows:?}");
+        let rows = sample_rows();
+        // Three batches, a dictionary each.
+        let whole = ColumnarBatch::concat(&rows_to_batches(&dtypes(), &rows, 4));
+        assert_eq!(exact(&whole.to_rows()), exact(&rows));
+        assert_eq!(whole.byte_size(), crate::row::rows_byte_size(&rows));
+        assert_eq!(
+            whole.column(1).dict_size(),
+            Some(2),
+            "one merged dictionary"
+        );
+        // Pieces of one batch; a single piece is handed back as it is.
+        let pieces = [whole.gather(&[0, 1]), whole.gather(&[]), whole.gather(&[5])];
+        let picked = [rows[0].clone(), rows[1].clone(), rows[5].clone()];
+        assert_eq!(
+            exact(&ColumnarBatch::concat(&pieces).to_rows()),
+            exact(&picked)
+        );
+        assert_eq!(ColumnarBatch::concat(&pieces[..1]).num_rows(), 2);
+        assert_eq!(ColumnarBatch::concat(&[]).num_columns(), 0);
+        // A typed column and a boxed one of the same values, either first.
+        let boxed = ColumnarBatch::from_rows(&[DataType::Binary; 3], &rows[..2]);
+        for pair in [[boxed.clone(), whole.clone()], [whole.clone(), boxed]] {
+            let both = ColumnarBatch::concat(&pair);
+            assert_eq!(both.num_rows(), 12);
+            assert_eq!(
+                exact(&both.to_rows()),
+                exact(&gather_rows(vec![pair.to_vec()]))
+            );
+        }
+
+        for c in 0..3 {
+            let col = whole.column(c);
+            let taken = col.gather_or_null(&[2, NULL_ROW, 3, 7]);
+            let expect = [col.value(2), Value::Null, col.value(3), col.value(7)];
+            let got: Vec<Value> = (0..4).map(|i| taken.value(i)).collect();
+            assert_eq!(format!("{got:?}"), format!("{expect:?}"));
+            let bytes: usize = expect.iter().map(Value::byte_size).sum();
+            assert_eq!(taken.byte_size(), bytes);
+            assert_eq!(taken.byte_size(), bytes, "asked twice, answered the same");
+            let none = col.gather(&[]).gather_or_null(&[NULL_ROW, NULL_ROW]);
+            assert_eq!((none.len(), none.null_count()), (2, 2));
+        }
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub mod dataframe;
 pub mod datasource;
 pub mod error;
 pub mod expr;
+mod hash_aggregate;
+mod hash_join;
+mod key_table;
 pub mod logical;
 pub mod memtable;
 pub mod metrics;

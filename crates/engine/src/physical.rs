@@ -1,17 +1,18 @@
 //! Physical execution: compiles a [`LogicalPlan`] into parallel tasks over
-//! the executor pool, with hash joins (shuffle or broadcast), two-phase
-//! hash aggregation, and shuffle/memory accounting.
+//! the executor pool — planning and dispatch. This module decides *how* an
+//! operator runs (join strategy, exchange partition counts, which input of a
+//! join goes first, what is shared or handed keys), cuts the work into
+//! tasks and accounts for what moved; the hash kernels themselves live in
+//! `hash_join` and `hash_aggregate`, over the key table of `key_table`.
 //!
 //! Every operator takes and returns [`Partition`]s — runs of fixed-size
-//! columnar batches. An operator that works on whole rows (the sort, a
-//! join's build side, the aggregate's finalisation) materializes them
-//! inside itself and emits batches again; rows leave the executor once, in
-//! [`collect`]. Join strategy and exchange partition counts are
-//! chosen twice: once at plan time from the optimizer's estimates, and
-//! again at the stage boundary from observed input sizes when
-//! [`ExecContext::adaptive`] is on; disagreements are re-planned, noted in
-//! the operator profile, journaled as `adaptive` events, and counted in
-//! `replanned_stages`.
+//! columnar batches. Only the sort materializes rows inside itself, and
+//! emits batches again; rows leave the executor once, in [`collect`]. Join
+//! strategy and exchange partition counts are chosen twice: once at plan
+//! time from the optimizer's estimates, and again at the stage boundary
+//! from observed input sizes when [`ExecContext::adaptive`] is on;
+//! disagreements are re-planned, noted in the operator profile, journaled
+//! as `adaptive` events, and counted in `replanned_stages`.
 //!
 //! The plan is executed as a DAG, not a tree: each distinct subplan runs
 //! once, and every later occurrence of it (`LogicalPlan::repeated_subplans`)
@@ -20,25 +21,26 @@
 //! input first and hands its keys to the scan its other input starts from
 //! (dynamic partition pruning, `LogicalPlan::dynamic_filters`).
 
-use crate::aggregate::Accumulator;
 use crate::columnar::{
     batches_num_rows, eval_predicate_mask, gather_rows, partitions_byte_size, rows_to_batches,
-    BatchBuilder, ColumnBuilder, ColumnarBatch, Partition, DEFAULT_BATCH_ROWS,
+    BatchBuilder, ColumnarBatch, Partition, DEFAULT_BATCH_ROWS,
 };
 use crate::datasource::ScanPartition;
 use crate::error::{EngineError, Result};
 use crate::expr::{BoundExpr, Expr};
+use crate::hash_aggregate::{hash_aggregate, BoundAgg};
+use crate::hash_join::{JoinTable, Probe};
 use crate::logical::{AggExpr, DynamicFilter, JoinType, LogicalPlan};
 use crate::metrics::QueryMetrics;
 use crate::row::Row;
 use crate::scheduler::{run_stage, ExecutorConfig, SchedulerFaults, StageObs, Task};
-use crate::shuffle::{hash_key, shuffle_batches_by_key};
+use crate::shuffle::shuffle_batches_by_key;
 use crate::source_filter::SourceFilter;
 use crate::task_timeline::TaskTimeline;
 use crate::value::{DataType, Value};
 use parking_lot::Mutex;
 use shc_obs::trace;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -504,15 +506,11 @@ impl<'a> DynamicPruning<'a> {
 }
 
 /// The distinct non-NULL values among `values`, in SQL order. Equality is
-/// the join's: `Int32(5)` and `Int64(5)` are one key.
+/// the join's: `Int32(5)` and `Int64(5)` are one key, the first one seen.
 fn distinct_keys(values: impl IntoIterator<Item = Value>) -> Vec<Value> {
-    let distinct: HashSet<GroupKey> = values
-        .into_iter()
-        .filter(|v| !v.is_null())
-        .map(|v| GroupKey(vec![v]))
-        .collect();
-    let mut keys: Vec<Value> = distinct.into_iter().flat_map(|k| k.0).collect();
+    let mut keys: Vec<Value> = values.into_iter().filter(|v| !v.is_null()).collect();
     keys.sort_by(Value::sort_cmp);
+    keys.dedup_by(|later, first| later.group_eq(first));
     keys
 }
 
@@ -696,7 +694,7 @@ fn execute_node<'a>(
             let partitions = execute_node(input, ctx, state, child(prof, 0))?;
             let op_prof = prof.map(Arc::clone);
             let metrics = Arc::clone(&ctx.metrics);
-            parallel_map(partitions, ctx, move |batches, _| {
+            parallel_map(partitions, ctx, move |batches| {
                 // Each batch's predicate evaluates to a selection bitmap,
                 // then a single gather keeps the selected rows columnar.
                 let mut out = Vec::with_capacity(batches.len());
@@ -742,7 +740,7 @@ fn execute_node<'a>(
             let metrics = Arc::clone(&ctx.metrics);
             let batch_size = ctx.batch_size;
             let partitions = execute_node(input, ctx, state, child(prof, 0))?;
-            parallel_map(partitions, ctx, move |batches, _| {
+            parallel_map(partitions, ctx, move |batches| {
                 if let Some(indices) = &col_indices {
                     return Ok(batches.into_iter().map(|b| b.project(indices)).collect());
                 }
@@ -1089,33 +1087,6 @@ fn exec_scan<'a>(
 // Join
 // ----------------------------------------------------------------------
 
-/// Hash-map key with SQL grouping semantics.
-#[derive(Clone, Debug)]
-pub struct GroupKey(pub Vec<Value>);
-
-impl PartialEq for GroupKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self
-                .0
-                .iter()
-                .zip(other.0.iter())
-                .all(|(a, b)| a.group_eq(b))
-    }
-}
-impl Eq for GroupKey {}
-impl std::hash::Hash for GroupKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            v.group_hash(state);
-        }
-    }
-}
-
-fn eval_key(exprs: &[BoundExpr], row: &Row) -> Result<Vec<Value>> {
-    exprs.iter().map(|e| e.eval(row)).collect()
-}
-
 /// A physical join strategy, chosen from build/probe input sizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum JoinStrategy {
@@ -1166,123 +1137,6 @@ fn choose_join_strategy(
         .div_ceil(SHUFFLE_TARGET_PARTITION_BYTES)
         .clamp(1, SHUFFLE_PARTITIONS);
     JoinStrategy::Shuffle { n, build_left }
-}
-
-/// Probe one partition against a built hash table, emitting joined rows in
-/// left-then-right column order. Key values are read straight off the key
-/// columns and output columns are appended typed, so full probe rows never
-/// materialize.
-#[allow(clippy::too_many_arguments)]
-fn probe_partition(
-    batches: Partition,
-    table: &HashMap<GroupKey, Vec<Row>>,
-    probe_keys: &[BoundExpr],
-    build_is_left: bool,
-    build_dtypes: &[DataType],
-    probe_dtypes: &[DataType],
-    emit_unmatched: bool,
-    batch_size: usize,
-    metrics: &QueryMetrics,
-) -> Result<Partition> {
-    let probe_key_cols: Option<Vec<usize>> = probe_keys
-        .iter()
-        .map(|e| match e {
-            BoundExpr::Column(i, _) => Some(*i),
-            _ => None,
-        })
-        .collect();
-    let mk_builders = |dtypes: &[DataType]| -> Vec<ColumnBuilder> {
-        dtypes.iter().map(|&d| ColumnBuilder::new(d)).collect()
-    };
-    let mut probe_builders = mk_builders(probe_dtypes);
-    let mut build_builders = mk_builders(build_dtypes);
-    let mut len = 0usize;
-    let mut out: Vec<ColumnarBatch> = Vec::new();
-    let flush = |probe_builders: &mut Vec<ColumnBuilder>,
-                 build_builders: &mut Vec<ColumnBuilder>,
-                 len: &mut usize,
-                 out: &mut Vec<ColumnarBatch>| {
-        if *len == 0 {
-            return;
-        }
-        let pb = std::mem::replace(probe_builders, mk_builders(probe_dtypes));
-        let bb = std::mem::replace(build_builders, mk_builders(build_dtypes));
-        let (first, second) = if build_is_left { (bb, pb) } else { (pb, bb) };
-        let columns = first
-            .into_iter()
-            .chain(second)
-            .map(|b| Arc::new(b.finish()))
-            .collect();
-        let batch = ColumnarBatch::with_row_count(columns, *len);
-        count_batch(metrics, &batch);
-        out.push(batch);
-        *len = 0;
-    };
-    for batch in &batches {
-        for i in 0..batch.num_rows() {
-            let key: Vec<Value> = match &probe_key_cols {
-                Some(cols) => cols.iter().map(|&c| batch.column(c).value(i)).collect(),
-                None => {
-                    let row = batch.row_at(i);
-                    eval_key(probe_keys, &row)?
-                }
-            };
-            let matched = if key.iter().any(Value::is_null) {
-                None
-            } else {
-                table.get(&GroupKey(key))
-            };
-            match matched {
-                Some(matches) => {
-                    for brow in matches {
-                        for (c, b) in probe_builders.iter_mut().enumerate() {
-                            b.append_from(batch.column(c), i);
-                        }
-                        for (b, v) in build_builders.iter_mut().zip(&brow.values) {
-                            b.push(v);
-                        }
-                        len += 1;
-                        if len >= batch_size {
-                            flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
-                        }
-                    }
-                }
-                None => {
-                    if emit_unmatched {
-                        for (c, b) in probe_builders.iter_mut().enumerate() {
-                            b.append_from(batch.column(c), i);
-                        }
-                        for b in build_builders.iter_mut() {
-                            b.push_null();
-                        }
-                        len += 1;
-                        if len >= batch_size {
-                            flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    flush(&mut probe_builders, &mut build_builders, &mut len, &mut out);
-    Ok(out)
-}
-
-/// Build a hash table keyed by join key over one side's partitions. Rows
-/// with any NULL key component never match and are dropped here.
-fn build_join_table(
-    parts: Vec<Partition>,
-    keys: &[BoundExpr],
-) -> Result<HashMap<GroupKey, Vec<Row>>> {
-    let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
-    for row in gather_rows(parts) {
-        let key = eval_key(keys, &row)?;
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        table.entry(GroupKey(key)).or_default().push(row);
-    }
-    Ok(table)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1374,161 +1228,79 @@ fn exec_join<'a>(
         ctx.metrics.add(&ctx.metrics.replanned_stages, 1);
     }
 
-    let out = match strategy {
-        JoinStrategy::BroadcastRight | JoinStrategy::BroadcastLeft => {
-            let build_is_left = strategy == JoinStrategy::BroadcastLeft;
-            let (build_parts, probe_parts) = if build_is_left {
-                (left_parts, right_parts)
-            } else {
-                (left_parts, right_parts).swap()
-            };
-            let build_bytes = if build_is_left {
-                left_bytes
-            } else {
-                right_bytes
-            };
-            let copies = probe_parts.len().max(1) as u64;
-            ctx.metrics
-                .add(&ctx.metrics.broadcast_bytes, build_bytes as u64 * copies);
-            let build_keys = if build_is_left {
-                &left_keys
-            } else {
-                &right_keys
-            };
-            let table = Arc::new(build_join_table(build_parts, build_keys)?);
-            let probe_keys = Arc::new(if build_is_left { right_keys } else { left_keys });
-            let (build_dtypes, probe_dtypes) = if build_is_left {
-                (Arc::new(left_dtypes), Arc::new(right_dtypes))
-            } else {
-                (Arc::new(right_dtypes), Arc::new(left_dtypes))
-            };
-            let batch_size = ctx.batch_size.max(1);
-            let metrics = Arc::clone(&ctx.metrics);
-            let mut tasks = Vec::with_capacity(probe_parts.len());
-            for part in probe_parts {
-                let table = Arc::clone(&table);
-                let probe_keys = Arc::clone(&probe_keys);
-                let build_dtypes = Arc::clone(&build_dtypes);
-                let probe_dtypes = Arc::clone(&probe_dtypes);
-                let metrics = Arc::clone(&metrics);
-                let mut part = Some(part);
-                tasks.push(Task::new(None, move |_| {
-                    let part = part.take().ok_or_else(|| {
-                        EngineError::Execution("join partition already consumed".into())
-                    })?;
-                    probe_partition(
-                        part,
-                        &table,
-                        &probe_keys,
-                        build_is_left,
-                        &build_dtypes,
-                        &probe_dtypes,
-                        false,
-                        batch_size,
-                        &metrics,
-                    )
-                }));
-            }
-            run_stage(
-                &ctx.executors,
-                tasks,
-                &ctx.metrics,
-                &ctx.stage_obs("probe", prof),
-            )?
-        }
-        JoinStrategy::Shuffle { n, build_left } => {
+    // Which input is built into the table; the other one probes it.
+    let build_left = match strategy {
+        JoinStrategy::BroadcastLeft => true,
+        JoinStrategy::BroadcastRight => false,
+        JoinStrategy::Shuffle { build_left, .. } => build_left,
+    };
+    let (left_parts, right_parts) = match strategy {
+        JoinStrategy::Shuffle { n, .. } => {
             // Each side of the exchange is its own labeled edge, keyed by
             // the join operator's plan position.
             let op = prof.map(|p| p.id).unwrap_or(0);
-            let left_shuffled = shuffle_batches_by_key(
-                left_parts,
-                &left_keys,
-                n,
-                &ctx.metrics,
-                Some((&ctx.shuffle_edges, &format!("join#{op}:left"))),
-            )?;
-            let right_shuffled = shuffle_batches_by_key(
-                right_parts,
-                &right_keys,
-                n,
-                &ctx.metrics,
-                Some((&ctx.shuffle_edges, &format!("join#{op}:right"))),
-            )?;
-            let (build_shuffled, probe_shuffled) = if build_left {
-                (left_shuffled, right_shuffled)
-            } else {
-                (right_shuffled, left_shuffled)
+            let shuffle = |parts, keys: &[BoundExpr], side: &str| {
+                let edge = format!("join#{op}:{side}");
+                let edge = Some((&*ctx.shuffle_edges, edge.as_str()));
+                shuffle_batches_by_key(parts, keys, n, &ctx.metrics, edge)
             };
-            let (build_keys, probe_keys) = if build_left {
-                (Arc::new(left_keys), Arc::new(right_keys))
-            } else {
-                (Arc::new(right_keys), Arc::new(left_keys))
-            };
-            let (build_dtypes, probe_dtypes) = if build_left {
-                (Arc::new(left_dtypes), Arc::new(right_dtypes))
-            } else {
-                (Arc::new(right_dtypes), Arc::new(left_dtypes))
-            };
-            let emit_unmatched = join_type == JoinType::Left && !build_left;
-            let batch_size = ctx.batch_size.max(1);
-            let metrics = Arc::clone(&ctx.metrics);
-            let mut tasks = Vec::with_capacity(n);
-            for (bpart, ppart) in build_shuffled.into_iter().zip(probe_shuffled) {
-                let build_keys = Arc::clone(&build_keys);
-                let probe_keys = Arc::clone(&probe_keys);
-                let build_dtypes = Arc::clone(&build_dtypes);
-                let probe_dtypes = Arc::clone(&probe_dtypes);
-                let metrics = Arc::clone(&metrics);
-                let mut parts = Some((bpart, ppart));
-                tasks.push(Task::new(None, move |_| {
-                    let (bpart, ppart) = parts.take().ok_or_else(|| {
-                        EngineError::Execution("join partition already consumed".into())
-                    })?;
-                    let table = build_join_table(vec![bpart], &build_keys)?;
-                    probe_partition(
-                        ppart,
-                        &table,
-                        &probe_keys,
-                        build_left,
-                        &build_dtypes,
-                        &probe_dtypes,
-                        emit_unmatched,
-                        batch_size,
-                        &metrics,
-                    )
-                }));
-            }
-            run_stage(
-                &ctx.executors,
-                tasks,
-                &ctx.metrics,
-                &ctx.stage_obs("probe", prof),
-            )?
+            (
+                shuffle(left_parts, &left_keys, "left")?,
+                shuffle(right_parts, &right_keys, "right")?,
+            )
+        }
+        _ => {
+            let (build_bytes, _) = build_first(build_left, left_bytes, right_bytes);
+            let (_, probe_parts) = build_first(build_left, &left_parts, &right_parts);
+            let copies = probe_parts.len().max(1) as u64;
+            ctx.metrics
+                .add(&ctx.metrics.broadcast_bytes, build_bytes as u64 * copies);
+            (left_parts, right_parts)
         }
     };
+    let (build_parts, probe_parts) = build_first(build_left, left_parts, right_parts);
+    let (build_keys, probe_keys) = build_first(build_left, left_keys, right_keys);
+    let (build_dtypes, _) = build_first(build_left, left_dtypes, right_dtypes);
+    let probe = Arc::new(Probe {
+        keys: probe_keys,
+        build_is_left: build_left,
+        emit_unmatched: join_type == JoinType::Left && !build_left,
+        batch_size: ctx.batch_size.max(1),
+    });
+    let tasks: Vec<Task> = if matches!(strategy, JoinStrategy::Shuffle { .. }) {
+        // One table per exchange partition, built by the task that probes it.
+        let build = Arc::new((build_keys, build_dtypes));
+        let probe_task = |parts| {
+            let (build, probe) = (Arc::clone(&build), Arc::clone(&probe));
+            once_task(parts, move |(bpart, ppart)| {
+                JoinTable::build(vec![bpart], &build.0, &build.1)?.probe(ppart, &probe)
+            })
+        };
+        let pairs = build_parts.into_iter().zip(probe_parts);
+        pairs.map(probe_task).collect()
+    } else {
+        // One table, built here and shared by every probe task.
+        let table = Arc::new(JoinTable::build(build_parts, &build_keys, &build_dtypes)?);
+        let probe_task = |part| {
+            let (table, probe) = (Arc::clone(&table), Arc::clone(&probe));
+            once_task(part, move |part| table.probe(part, &probe))
+        };
+        probe_parts.into_iter().map(probe_task).collect()
+    };
+    let out = run_stage(
+        &ctx.executors,
+        tasks,
+        &ctx.metrics,
+        &ctx.stage_obs("probe", prof),
+    )?;
+    count_batches(&out, ctx);
     record_stage_memory(&out, ctx);
     Ok(out)
-}
-
-/// `swap` helper for readability when re-pairing tuples above.
-trait SwapExt<T> {
-    fn swap(self) -> T;
-}
-impl<A, B> SwapExt<(B, A)> for (A, B) {
-    fn swap(self) -> (B, A) {
-        (self.1, self.0)
-    }
 }
 
 // ----------------------------------------------------------------------
 // Aggregate
 // ----------------------------------------------------------------------
-
-struct BoundAgg {
-    template: Accumulator,
-    /// `None` evaluates COUNT(*) (always counts).
-    arg: Option<BoundExpr>,
-}
 
 fn exec_aggregate<'a>(
     group: &[(Expr, String)],
@@ -1585,271 +1357,73 @@ fn exec_aggregate<'a>(
         ctx.metrics.add(&ctx.metrics.replanned_stages, 1);
     }
 
-    // Phase 1 (map side): per-partition partial aggregation.
-    type PartialMap = HashMap<GroupKey, Vec<Accumulator>>;
-    let partials: Vec<PartialMap> = input_parts
-        .into_iter()
-        .map(|batches| partial_aggregate_batches(&batches, &group_exprs, &bound_aggs))
-        .collect::<Result<_>>()?;
-
-    // Phase 2: exchange partial states by group-key hash.
-    let mut shuffled: Vec<PartialMap> = (0..n_out).map(|_| HashMap::new()).collect();
-    let mut shuffle_bytes = 0u64;
-    let mut shuffle_rows = 0u64;
-    for map in partials {
-        for (key, states) in map {
-            let target = (hash_key(&key.0) % n_out as u64) as usize;
-            shuffle_bytes += state_bytes(&key, &states);
-            shuffle_rows += 1;
-            match shuffled[target].entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (acc, other) in e.get_mut().iter_mut().zip(&states) {
-                        acc.merge(other)?;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-            }
-        }
-    }
-    ctx.metrics.add(&ctx.metrics.shuffle_bytes, shuffle_bytes);
-    ctx.metrics.add(&ctx.metrics.shuffle_rows, shuffle_rows);
-    ctx.shuffle_edges.record(
-        &format!("agg#{}", prof.map(|p| p.id).unwrap_or(0)),
-        shuffle_bytes,
-        shuffle_rows,
-    );
-
-    // Phase 3: finalize each exchange partition's group states into batches
-    // of the operator's output schema.
+    // Partial aggregation per input partition, exchange of the partial
+    // states by group-key hash, finalisation into batches of the operator's
+    // output schema: all three on this thread (`hash_aggregate`).
     let out_dtypes: Vec<DataType> = group
         .iter()
         .map(|(e, _)| e.data_type(&schema))
         .chain(aggs.iter().map(|(a, _)| a.output_type(&schema)))
         .map(dtype_or_boxed)
         .collect();
-    let mut out: Vec<Vec<Row>> = Vec::with_capacity(n_out);
-    for map in shuffled {
-        let mut rows = Vec::with_capacity(map.len());
-        for (key, states) in map {
-            let mut values = key.0;
-            values.extend(states.iter().map(Accumulator::finish));
-            rows.push(Row::new(values));
-        }
-        out.push(rows);
-    }
-    // Global aggregation with no groups must emit one row even on empty
-    // input (SELECT COUNT(*) FROM empty → 0).
-    if group.is_empty() && out.iter().all(Vec::is_empty) {
-        let values: Vec<Value> = bound_aggs.iter().map(|a| a.template.finish()).collect();
-        out[0] = vec![Row::new(values)];
-    }
-    let out: Vec<Partition> = out
-        .iter()
-        .map(|rows| emit_rows(&out_dtypes, rows, ctx))
-        .collect();
+    let batch_size = ctx.batch_size.max(1);
+    let (out, moved) = hash_aggregate(
+        input_parts,
+        &group_exprs,
+        &bound_aggs,
+        &out_dtypes,
+        n_out,
+        batch_size,
+    )?;
+    ctx.metrics.add(&ctx.metrics.shuffle_bytes, moved.bytes);
+    ctx.metrics.add(&ctx.metrics.shuffle_rows, moved.rows);
+    ctx.shuffle_edges.record(
+        &format!("agg#{}", prof.map(|p| p.id).unwrap_or(0)),
+        moved.bytes,
+        moved.rows,
+    );
+    count_batches(&out, ctx);
     record_stage_memory(&out, ctx);
     Ok(out)
-}
-
-/// Map-side partial aggregation over one partition's batches.
-///
-/// Group keys that are plain column references are read straight off the
-/// column vectors; a single dictionary-encoded group column additionally
-/// gets a per-batch `code -> group slot` dense cache, so the per-row inner
-/// loop does no hashing and no string work at all. Aggregate arguments that
-/// are plain `i64`/`f64` columns feed the accumulators through the typed
-/// `update_i64`/`update_f64` paths without constructing a `Value`.
-fn partial_aggregate_batches(
-    batches: &[ColumnarBatch],
-    group_exprs: &[BoundExpr],
-    bound_aggs: &[BoundAgg],
-) -> Result<HashMap<GroupKey, Vec<Accumulator>>> {
-    let group_cols: Option<Vec<usize>> = group_exprs
-        .iter()
-        .map(|e| match e {
-            BoundExpr::Column(i, _) => Some(*i),
-            _ => None,
-        })
-        .collect();
-    let agg_cols: Option<Vec<Option<usize>>> = bound_aggs
-        .iter()
-        .map(|a| match &a.arg {
-            None => Some(None),
-            Some(BoundExpr::Column(i, _)) => Some(Some(*i)),
-            Some(_) => None,
-        })
-        .collect();
-
-    let (group_cols, agg_cols) = match (group_cols, agg_cols) {
-        (Some(g), Some(a)) => (g, a),
-        _ => {
-            // Some key or argument is a computed expression — evaluate
-            // row-at-a-time.
-            let mut map: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-            for batch in batches {
-                for i in 0..batch.num_rows() {
-                    let row = batch.row_at(i);
-                    let key = GroupKey(eval_key(group_exprs, &row)?);
-                    let states = map
-                        .entry(key)
-                        .or_insert_with(|| bound_aggs.iter().map(|a| a.template.clone()).collect());
-                    update_states(states, bound_aggs, &row)?;
-                }
-            }
-            return Ok(map);
-        }
-    };
-
-    let mut key_index: HashMap<GroupKey, usize> = HashMap::new();
-    let mut states: Vec<Vec<Accumulator>> = Vec::new();
-    let typed_ok: Vec<bool> = bound_aggs
-        .iter()
-        .map(|a| a.template.supports_typed_update())
-        .collect();
-
-    for batch in batches {
-        let n = batch.num_rows();
-        // Dict fast path: one group column, dictionary-encoded.
-        let dict_group = if group_cols.len() == 1 {
-            batch.column(group_cols[0]).dict_parts().map(|(d, c)| {
-                let cache: Vec<usize> = vec![usize::MAX; d.len()];
-                (Arc::clone(d), c.to_vec(), cache)
-            })
-        } else {
-            None
-        };
-        let mut dict_cache = dict_group;
-        let mut null_slot: Option<usize> = None;
-
-        for i in 0..n {
-            let slot = match &mut dict_cache {
-                Some((dict, codes, cache)) => {
-                    let col = batch.column(group_cols[0]);
-                    if col.is_null(i) {
-                        *null_slot.get_or_insert_with(|| {
-                            lookup_slot(
-                                &mut key_index,
-                                &mut states,
-                                GroupKey(vec![Value::Null]),
-                                bound_aggs,
-                            )
-                        })
-                    } else {
-                        let code = codes[i] as usize;
-                        if cache[code] == usize::MAX {
-                            let key = GroupKey(vec![Value::Utf8(dict[code].clone())]);
-                            cache[code] = lookup_slot(&mut key_index, &mut states, key, bound_aggs);
-                        }
-                        cache[code]
-                    }
-                }
-                None => {
-                    let key = GroupKey(
-                        group_cols
-                            .iter()
-                            .map(|&c| batch.column(c).value(i))
-                            .collect(),
-                    );
-                    lookup_slot(&mut key_index, &mut states, key, bound_aggs)
-                }
-            };
-            let row_states = &mut states[slot];
-            for ((state, col), typed) in row_states.iter_mut().zip(&agg_cols).zip(&typed_ok) {
-                match col {
-                    // COUNT(*): every row counts, typed or not.
-                    None => {
-                        if *typed {
-                            state.update_i64(1);
-                        } else {
-                            state.update(&Value::Int64(1))?;
-                        }
-                    }
-                    Some(c) => {
-                        let column = batch.column(*c);
-                        if column.is_null(i) {
-                            continue;
-                        }
-                        if *typed {
-                            if let Some(v) = column.i64_slice() {
-                                state.update_i64(v[i]);
-                                continue;
-                            }
-                            if let Some(v) = column.f64_slice() {
-                                state.update_f64(v[i]);
-                                continue;
-                            }
-                        }
-                        state.update(&column.value(i))?;
-                    }
-                }
-            }
-        }
-    }
-
-    let mut map: HashMap<GroupKey, Vec<Accumulator>> = HashMap::with_capacity(key_index.len());
-    for (key, slot) in key_index {
-        map.insert(key, std::mem::take(&mut states[slot]));
-    }
-    Ok(map)
-}
-
-/// Find or create the state slot for a group key.
-fn lookup_slot(
-    key_index: &mut HashMap<GroupKey, usize>,
-    states: &mut Vec<Vec<Accumulator>>,
-    key: GroupKey,
-    bound_aggs: &[BoundAgg],
-) -> usize {
-    if let Some(&slot) = key_index.get(&key) {
-        return slot;
-    }
-    let slot = states.len();
-    states.push(bound_aggs.iter().map(|a| a.template.clone()).collect());
-    key_index.insert(key, slot);
-    slot
-}
-
-fn update_states(states: &mut [Accumulator], aggs: &[BoundAgg], row: &Row) -> Result<()> {
-    for (state, agg) in states.iter_mut().zip(aggs) {
-        match &agg.arg {
-            Some(expr) => state.update(&expr.eval(row)?)?,
-            // COUNT(*): every row counts.
-            None => state.update(&Value::Int64(1))?,
-        }
-    }
-    Ok(())
-}
-
-/// Approximate serialized size of a partial-aggregation record.
-fn state_bytes(key: &GroupKey, states: &[Accumulator]) -> u64 {
-    let key_bytes: usize = key.0.iter().map(Value::byte_size).sum();
-    (key_bytes + states.len() * 24 + 8) as u64
 }
 
 // ----------------------------------------------------------------------
 // Helpers
 // ----------------------------------------------------------------------
 
+/// `(build, probe)` of a join's `(left, right)`.
+fn build_first<T>(build_left: bool, left: T, right: T) -> (T, T) {
+    if build_left {
+        (left, right)
+    } else {
+        (right, left)
+    }
+}
+
+/// A task that hands `input` to `f`. The first attempt consumes it, and
+/// without a retry budget there is no second.
+fn once_task<T: Send + 'static>(
+    input: T,
+    f: impl Fn(T) -> Result<Partition> + Send + 'static,
+) -> Task {
+    let mut input = Some(input);
+    Task::new(None, move |_| {
+        let input = input
+            .take()
+            .ok_or_else(|| EngineError::Execution("task input already consumed".into()))?;
+        f(input)
+    })
+}
+
 /// Run a narrow (per-partition) transformation on the executor pool.
 fn parallel_map(
     partitions: Vec<Partition>,
     ctx: &ExecContext,
-    f: impl Fn(Partition, &str) -> Result<Partition> + Send + Sync + Clone + 'static,
+    f: impl Fn(Partition) -> Result<Partition> + Send + Sync + Clone + 'static,
 ) -> Result<Vec<Partition>> {
     let tasks: Vec<Task> = partitions
         .into_iter()
-        .map(|part| {
-            let f = f.clone();
-            let mut part = Some(part);
-            Task::new(None, move |host| {
-                let part = part.take().ok_or_else(|| {
-                    EngineError::Execution("map partition already consumed".into())
-                })?;
-                f(part, host)
-            })
-        })
+        .map(|part| once_task(part, f.clone()))
         .collect();
     let out = run_stage(
         &ctx.executors,
@@ -1859,6 +1433,13 @@ fn parallel_map(
     )?;
     record_stage_memory(&out, ctx);
     Ok(out)
+}
+
+/// Count the batches a hash operator built, once its stage is through.
+fn count_batches(partitions: &[Partition], ctx: &ExecContext) {
+    for batch in partitions.iter().flatten() {
+        count_batch(&ctx.metrics, batch);
+    }
 }
 
 fn record_stage_memory(partitions: &[Partition], ctx: &ExecContext) {
@@ -2084,6 +1665,41 @@ mod tests {
         assert_eq!(rows[0].get(1), &Value::Float64(9.0));
         assert_eq!(rows[0].get(2), &Value::Int64(10));
         assert_eq!(rows[1].get(1), &Value::Float64(10.0));
+        assert_matches_reference(&plan);
+    }
+
+    #[test]
+    fn groups_come_out_in_the_order_they_were_first_seen_run_after_run() {
+        let users = scan(users_table(), "users");
+        let plan = LogicalPlan::Aggregate {
+            group: vec![
+                (Expr::col("dept"), "dept".into()),
+                (Expr::col("id").mul(Expr::lit(3i64)), "k".into()),
+            ],
+            aggs: vec![(AggExpr::count_star(), "n".into())],
+            input: Box::new(users.clone()),
+        };
+        // Small enough for one exchange partition: the order is that of the
+        // input, partition by partition.
+        let ctx = ExecContext {
+            batch_size: 8,
+            ..Default::default()
+        };
+        let first = execute(&plan, &ctx).unwrap();
+        assert_eq!(first.len(), 1);
+        let sizes: Vec<usize> = first[0].iter().map(ColumnarBatch::num_rows).collect();
+        assert_eq!(sizes, vec![8, 8, 4]);
+        let ints = |parts, column| {
+            gather_rows(parts)
+                .iter()
+                .map(|r| r.get(column).as_i64().unwrap())
+                .collect::<Vec<_>>()
+        };
+        let scanned = ints(execute(&users, &ctx).unwrap(), 0);
+        let grouped = ints(first, 1);
+        assert_eq!(grouped, scanned.iter().map(|id| id * 3).collect::<Vec<_>>());
+        let again = ints(execute(&plan, &ctx).unwrap(), 1);
+        assert_eq!(again, grouped, "a second run");
         assert_matches_reference(&plan);
     }
 
@@ -2975,15 +2591,81 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// `a(ak Int32, g, x, n)` over 4 partitions, `b(bk Int64, tag, w)` over 8
-    /// of which 3 stay empty, and `e`, `b` without rows. NULLs in every
-    /// column but `n`; `x` in quarters, so sums are exact in any order.
-    fn random_plan_tables() -> [Arc<MemTable>; 3] {
+    /// A table whose string columns arrive dictionary-encoded in some
+    /// batches and as boxed values in the others.
+    struct SomeBatchesBoxed(Arc<MemTable>);
+
+    struct SomeBatchesBoxedPartition {
+        inner: Arc<dyn ScanPartition>,
+        index: usize,
+    }
+
+    impl crate::datasource::TableProvider for SomeBatchesBoxed {
+        fn schema(&self) -> Schema {
+            self.0.schema()
+        }
+        fn supports_projection(&self) -> bool {
+            false
+        }
+        fn unhandled_filters(&self, filters: &[SourceFilter]) -> Vec<SourceFilter> {
+            self.0.unhandled_filters(filters)
+        }
+        fn scan(
+            &self,
+            _projection: Option<&[usize]>,
+            filters: &[SourceFilter],
+        ) -> Result<Vec<Arc<dyn ScanPartition>>> {
+            let parts = self.0.scan(None, filters)?.into_iter().enumerate();
+            Ok(parts
+                .map(|(index, inner)| {
+                    Arc::new(SomeBatchesBoxedPartition { inner, index }) as Arc<dyn ScanPartition>
+                })
+                .collect())
+        }
+    }
+
+    impl ScanPartition for SomeBatchesBoxedPartition {
+        fn execute(
+            &self,
+            running_on: &str,
+            batch_size: usize,
+            on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
+        ) -> Result<()> {
+            let mut nth = self.index;
+            self.inner.execute(running_on, batch_size, &mut |batch| {
+                nth += 1;
+                if nth % 2 == 1 {
+                    return on_batch(batch);
+                }
+                let boxed = |col: &Arc<crate::columnar::Column>| {
+                    if col.dict_size().is_none() {
+                        return Arc::clone(col);
+                    }
+                    let mut values = crate::columnar::ColumnBuilder::new(DataType::Binary);
+                    (0..col.len()).for_each(|i| values.push(&col.value(i)));
+                    Arc::new(values.finish())
+                };
+                let columns = batch.columns().iter().map(boxed).collect();
+                on_batch(ColumnarBatch::with_row_count(columns, batch.num_rows()))
+            })
+        }
+    }
+
+    type Provider = Arc<dyn crate::datasource::TableProvider>;
+
+    /// `a(ak Int32, g, x, n, f)` over 4 partitions, its strings boxed in every
+    /// other batch; `b(bk Int64, tag, w, bg)` over 8 of which 2 stay empty,
+    /// with a key that occurs three times and one that is NULL; and `e`, `b`
+    /// without rows. NULLs in every column but `n`; `x` in quarters, so sums
+    /// are exact in any order; `f` holds both zeros and whole numbers that
+    /// are keys of `b`.
+    fn random_plan_tables() -> [Provider; 3] {
         let a_schema = Schema::new(vec![
             Field::new("ak", DataType::Int32),
             Field::new("g", DataType::Utf8),
             Field::new("x", DataType::Float64),
             Field::new("n", DataType::Int64),
+            Field::new("f", DataType::Float64),
         ]);
         let a_rows = (0..23i64)
             .map(|i| {
@@ -3003,6 +2685,14 @@ mod tests {
                         Value::Float64(((i * 13) % 41 - 20) as f64 / 4.0)
                     },
                     Value::Int64(i * i - 40),
+                    match i % 6 {
+                        0 => Value::Float64(-0.0),
+                        1 => Value::Float64(0.0),
+                        2 => Value::Float64(3.0),
+                        3 => Value::Null,
+                        4 => Value::Float64(2.5),
+                        _ => Value::Float64(1.0),
+                    },
                 ])
             })
             .collect();
@@ -3010,20 +2700,32 @@ mod tests {
             Field::new("bk", DataType::Int64),
             Field::new("tag", DataType::Utf8),
             Field::new("w", DataType::Int32),
+            Field::new("bg", DataType::Utf8),
         ]);
-        let b_rows = [Some(1), Some(3), Some(3), None, Some(6)]
+        let b_keys = [
+            (Some(1), Some("g1")),
+            (Some(3), Some("g0")),
+            (Some(3), Some("g0")),
+            (None, Some("g2")),
+            (Some(6), Some("g0")),
+            (Some(3), None),
+        ];
+        let b_rows = b_keys
             .into_iter()
             .enumerate()
-            .map(|(i, bk)| {
+            .map(|(i, (bk, bg))| {
                 Row::new(vec![
                     bk.map_or(Value::Null, Value::Int64),
                     Value::Utf8(format!("t{}", i % 2)),
                     Value::Int32(i as i32 * 10),
+                    bg.map_or(Value::Null, |s| Value::Utf8(s.into())),
                 ])
             })
             .collect();
         [
-            Arc::new(MemTable::with_rows(a_schema, a_rows, 4)),
+            Arc::new(SomeBatchesBoxed(Arc::new(MemTable::with_rows(
+                a_schema, a_rows, 4,
+            )))),
             Arc::new(MemTable::with_rows(b_schema.clone(), b_rows, 8)),
             Arc::new(MemTable::new(b_schema, 2)),
         ]
@@ -3031,7 +2733,7 @@ mod tests {
 
     /// scan → filter? → computed projection? → join? → group-by? →
     /// (sort → limit?)?, each step drawn from `rng`.
-    fn random_plan(rng: &mut StdRng, [a, b, e]: &[Arc<MemTable>; 3]) -> LogicalPlan {
+    fn random_plan(rng: &mut StdRng, [a, b, e]: &[Provider; 3]) -> LogicalPlan {
         let pushed: [Vec<Expr>; 3] = [
             vec![],
             vec![Expr::col("ak").gt_eq(Expr::lit(2))],
@@ -3060,17 +2762,31 @@ mod tests {
                     keep("g"),
                     (Expr::col("x").mul(Expr::lit(2.0)), "x".into()),
                     (Expr::col("n").add(Expr::col("ak")), "n".into()),
+                    keep("f"),
                 ],
                 input: Box::new(plan),
             };
         }
+        // A key the kernels read off a column, and the same key computed.
+        let ak_computed = || Expr::col("ak").add(Expr::lit(0i64));
         let joined = rng.gen_bool(0.6);
         if joined {
             let right = if rng.gen_bool(0.8) { b } else { e };
+            // One column; two of mixed widths, (Int32, Utf8) = (Int64,
+            // Utf8); a computed key; a Float64 key against an Int64 one.
+            let on = [
+                vec![(Expr::col("ak"), Expr::col("bk"))],
+                vec![
+                    (Expr::col("ak"), Expr::col("bk")),
+                    (Expr::col("g"), Expr::col("bg")),
+                ],
+                vec![(ak_computed(), Expr::col("bk"))],
+                vec![(Expr::col("f"), Expr::col("bk"))],
+            ];
             plan = LogicalPlan::Join {
                 left: Box::new(plan),
                 right: Box::new(scan_where(right.clone(), "b", vec![])),
-                on: vec![(Expr::col("ak"), Expr::col("bk"))],
+                on: on[rng.gen_range(0..on.len())].clone(),
                 join_type: if rng.gen_bool(0.5) {
                     JoinType::Inner
                 } else {
@@ -3079,11 +2795,18 @@ mod tests {
             };
         }
         if rng.gen_bool(0.6) {
-            let groups: &[&[&str]] = if joined {
-                &[&[], &["g"], &["ak"], &["g", "tag"], &["bk"]]
-            } else {
-                &[&[], &["g"], &["ak"], &["g", "ak"]]
-            };
+            let mut groups: Vec<Vec<&str>> = vec![
+                vec![],
+                vec!["g"],
+                vec!["ak"],
+                vec!["g", "ak"],
+                vec!["f"],
+                vec!["ak + 0"],
+                vec!["g", "ak + 0"],
+            ];
+            if joined {
+                groups.extend([vec!["g", "tag"], vec!["bk"], vec!["f", "bg"]]);
+            }
             let agg = |f, c: &str| (AggExpr::new(f, Expr::col(c)), format!("{f:?}_{c}"));
             let mut aggs = vec![
                 (AggExpr::count_star(), "rows".to_string()),
@@ -3108,7 +2831,10 @@ mod tests {
             plan = LogicalPlan::Aggregate {
                 group: groups[rng.gen_range(0..groups.len())]
                     .iter()
-                    .map(|c| (Expr::col(*c), c.to_string()))
+                    .map(|c| match *c {
+                        "ak + 0" => (ak_computed(), "k".to_string()),
+                        c => (Expr::col(c), c.to_string()),
+                    })
                     .collect(),
                 aggs,
                 input: Box::new(plan),

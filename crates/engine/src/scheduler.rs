@@ -31,6 +31,7 @@ use crate::metrics::{QueryMetrics, TaskMetrics};
 use crate::task_timeline::{TaskAttempt, TaskProfile, TaskTimeline};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -254,10 +255,11 @@ fn place(preferred: Option<&str>, hosts: &[String], load: &[usize]) -> usize {
         }
         _ => (0..hosts.len()).collect(),
     };
+    // A pool has a lane 0, whatever else it has.
     candidates
         .into_iter()
         .min_by_key(|&i| (load[i], i))
-        .expect("at least one executor lane")
+        .unwrap_or(0)
 }
 
 /// Deterministic re-placement for attempt `attempts_done` of a task whose
@@ -271,6 +273,34 @@ fn replace_lane(from: usize, attempts_done: u32, n_exec: usize) -> usize {
         t = (t + 1) % n_exec;
     }
     t
+}
+
+/// One attempt of a task on `host`: its outcome and the modeled delay
+/// `injection` added. A panic in the task's closure is caught here and
+/// becomes the attempt's error, so it is retried, re-placed or reported
+/// like any other failure instead of leaving its stage waiting for a
+/// result that never comes.
+fn run_attempt(
+    run: &mut TaskFn,
+    host: &str,
+    injection: Option<Injection>,
+) -> (Result<Partition>, u64) {
+    let injected_us = match injection {
+        Some(Injection::Fail(msg)) => return (Err(EngineError::Execution(msg)), 0),
+        Some(Injection::DelayUs(us)) => us,
+        None => 0,
+    };
+    // The closure's captures are not looked at again after a panic: a retry
+    // calls it afresh and a failed task's state is dropped with it.
+    let outcome = catch_unwind(AssertUnwindSafe(|| run(host))).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown payload".to_string());
+        Err(EngineError::Execution(format!("task panicked: {what}")))
+    });
+    (outcome, injected_us)
 }
 
 /// Run a batch of tasks as one observed stage: records per-task profiles
@@ -380,15 +410,8 @@ pub fn run_stage(
                             // charged to the query clock at stage end.
                             let injection = faults.as_ref().and_then(|f| f.next(&host));
                             let cost0 = shc_obs::trace::thread_cost_us();
-                            let mut injected_us = 0u64;
-                            let outcome = match injection {
-                                Some(Injection::Fail(msg)) => Err(EngineError::Execution(msg)),
-                                Some(Injection::DelayUs(us)) => {
-                                    injected_us = us;
-                                    (slot.run)(&host)
-                                }
-                                None => (slot.run)(&host),
-                            };
+                            let (outcome, injected_us) =
+                                run_attempt(&mut slot.run, &host, injection);
                             let closure_cost =
                                 shc_obs::trace::thread_cost_us().saturating_sub(cost0);
                             let cost = closure_cost + injected_us;
@@ -508,14 +531,14 @@ fn finalize_stage(
                     stage_id, f.slot.index, run_us, cutoff, STRAGGLER_K
                 ),
             );
-            if obs.speculative && n_exec > 1 {
-                // Duplicate attempt on the least-loaded *other* lane,
-                // launched (in virtual time) at the detection cutoff.
-                let orig = f.slot.attempts[last].exec;
-                let lane = (0..n_exec)
-                    .filter(|&i| i != orig)
-                    .min_by_key(|&i| (lane_load[i], i))
-                    .expect("n_exec > 1");
+            // Duplicate attempt on the least-loaded *other* lane, if the
+            // pool has one, launched (in virtual time) at the detection
+            // cutoff.
+            let orig = f.slot.attempts[last].exec;
+            let other = (0..n_exec)
+                .filter(|&i| i != orig)
+                .min_by_key(|&i| (lane_load[i], i));
+            if let Some(lane) = other.filter(|_| obs.speculative) {
                 if let Some(tm) = &obs.task_metrics {
                     tm.add(&tm.speculative_launches, 1);
                 }
@@ -533,15 +556,8 @@ fn finalize_stage(
                 }
                 let injection = obs.faults.as_ref().and_then(|fa| fa.next(&hosts[lane]));
                 let cost0 = shc_obs::trace::thread_cost_us();
-                let mut injected_us = 0u64;
-                let dup_outcome = match injection {
-                    Some(Injection::Fail(msg)) => Err(EngineError::Execution(msg)),
-                    Some(Injection::DelayUs(us)) => {
-                        injected_us = us;
-                        (f.slot.run)(&hosts[lane])
-                    }
-                    None => (f.slot.run)(&hosts[lane]),
-                };
+                let (dup_outcome, injected_us) =
+                    run_attempt(&mut f.slot.run, &hosts[lane], injection);
                 let dup_cost = shc_obs::trace::thread_cost_us().saturating_sub(cost0) + injected_us;
                 drop(sp);
                 lane_load[lane] += dup_cost;
@@ -732,6 +748,54 @@ mod tests {
         let results = run_tasks(&cfg, vec![mk_task(Some("mars"), 7)], &metrics).unwrap();
         assert_eq!(first_row(&results[0]).get(1).as_str(), Some("h0"));
         assert_eq!(metrics.snapshot().local_tasks, 0);
+    }
+
+    #[test]
+    fn a_panicking_task_fails_or_is_retried_on_every_lane() {
+        // Under a watchdog: the regression is a stage that never returns.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for n_exec in 1..=3usize {
+                let cfg = ExecutorConfig {
+                    num_executors: n_exec,
+                    hosts: (0..n_exec).map(|i| format!("h{i}")).collect(),
+                    task_retries: 0,
+                };
+                // One task per lane, each lane's in turn panicking on its
+                // first attempt.
+                for (bad, retries) in (0..n_exec).flat_map(|bad| [(bad, 0), (bad, 1)]) {
+                    let tasks: Vec<Task> = (0..n_exec)
+                        .map(|i| {
+                            let host = format!("h{i}");
+                            let mut attempts = 0;
+                            Task::new(Some(host), move |running_on| {
+                                attempts += 1;
+                                assert!(i != bad || attempts > 1, "lane {i} blew up");
+                                Ok(one_row(i as i64, running_on))
+                            })
+                            .with_retries(retries)
+                        })
+                        .collect();
+                    let metrics = QueryMetrics::new();
+                    let outcome = run_tasks(&cfg, tasks, &metrics);
+                    if retries == 0 {
+                        let err = outcome.unwrap_err().to_string();
+                        assert!(err.contains("task panicked: lane"), "{err}");
+                    } else {
+                        let parts = outcome.unwrap();
+                        assert_eq!(parts.len(), n_exec);
+                        let ran_on = first_row(&parts[bad]).get(1).clone();
+                        let elsewhere = format!("h{}", (bad + 1) % n_exec);
+                        assert_eq!(ran_on.as_str(), Some(elsewhere.as_str()));
+                        assert_eq!(metrics.snapshot().task_retries, 1);
+                    }
+                }
+            }
+            done.send(()).unwrap();
+        });
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a stage with a panicking task returned");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use crate::columnar::Partition;
 use crate::error::Result;
 use crate::expr::BoundExpr;
+use crate::key_table::{hash_rows, key_columns};
 use crate::metrics::{QueryMetrics, ShuffleEdges};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -26,12 +27,11 @@ pub fn hash_key(values: &[crate::value::Value]) -> u64 {
 }
 
 /// Repartition `partitions` into `num_output` partitions by the hash of the
-/// key expressions, recording shuffle volume in row-equivalent bytes.
-/// Per-row hashes are computed straight off the column vectors via
-/// [`crate::columnar::Column::group_hash_into`] (consistent with
-/// [`hash_key`]), per-target index lists drive a single `gather` per
-/// (batch, target), and rows never materialize. Key expressions that are
-/// not plain column references fall back to row-at-a-time evaluation.
+/// key expressions, recording shuffle volume in row-equivalent bytes. A
+/// batch's key columns are hashed in one pass (`key_table::hash_rows`, consistent
+/// with [`hash_key`]; a key that is not a column is evaluated into one
+/// first), per-target index lists drive a single `gather` per (batch,
+/// target), and rows never materialize.
 pub fn shuffle_batches_by_key(
     partitions: Vec<Partition>,
     keys: &[BoundExpr],
@@ -43,37 +43,14 @@ pub fn shuffle_batches_by_key(
     let mut out: Vec<Partition> = vec![Vec::new(); num_output];
     let mut bytes = 0u64;
     let mut rows = 0u64;
-
-    let key_cols: Option<Vec<usize>> = keys
-        .iter()
-        .map(|k| match k {
-            BoundExpr::Column(i, _) => Some(*i),
-            _ => None,
-        })
-        .collect();
+    let mut hashes = Vec::new();
 
     for batch in partitions.into_iter().flatten() {
         let n = batch.num_rows();
+        hash_rows(&key_columns(keys, &batch)?, n, &mut hashes);
         let mut targets: Vec<Vec<u32>> = vec![Vec::new(); num_output];
-        match &key_cols {
-            Some(cols) => {
-                for i in 0..n {
-                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                    for &c in cols {
-                        batch.column(c).group_hash_into(i, &mut hasher);
-                    }
-                    let target = (hasher.finish() % num_output as u64) as usize;
-                    targets[target].push(i as u32);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    let row = batch.row_at(i);
-                    let key: Vec<_> = keys.iter().map(|k| k.eval(&row)).collect::<Result<_>>()?;
-                    let target = (hash_key(&key) % num_output as u64) as usize;
-                    targets[target].push(i as u32);
-                }
-            }
+        for (i, hash) in hashes.iter().enumerate() {
+            targets[(hash % num_output as u64) as usize].push(i as u32);
         }
         rows += n as u64;
         for (target, idx) in targets.into_iter().enumerate() {
