@@ -26,7 +26,6 @@
 //! | `system.task_timeline` | task attempt of a retained query timeline |
 //! | `system.stage_stats` | scheduler stage of a retained query timeline, with skew/locality stats |
 //! | `system.region_heat` | live region × heat window: request rates, hotspot score, trend |
-//! | `system.shard_advisor` | advisory Split/Merge/Salt recommendation with evidence |
 
 use parking_lot::Mutex;
 use shc_engine::prelude::*;
@@ -204,19 +203,6 @@ fn region_heat_schema() -> Schema {
     ])
 }
 
-fn shard_advisor_schema() -> Schema {
-    Schema::new(vec![
-        Field::new("action", DataType::Utf8),
-        Field::new("region_id", DataType::Int64),
-        Field::new("table_name", DataType::Utf8),
-        Field::new("server", DataType::Utf8),
-        Field::new("split_key", DataType::Utf8),
-        Field::new("heat_score", DataType::Float64),
-        Field::new("expected_post_score", DataType::Float64),
-        Field::new("rationale", DataType::Utf8),
-    ])
-}
-
 /// Does a pushed-down predicate set admit this `(metric, labels)` series?
 /// Understands the equality/prefix shapes the optimizer can push for
 /// `system.metrics_history` (`metric = …`, `labels LIKE 'a%'`, `metric IN
@@ -345,7 +331,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
     let alerts_cluster = Arc::clone(cluster);
     let history_cluster = Arc::clone(cluster);
     let heat_cluster = Arc::clone(cluster);
-    let advisor_cluster = Arc::clone(cluster);
     // The timeline tables read back through the session that owns them, so
     // they hold it weakly — a strong closure capture would make the session
     // own a table that owns the session.
@@ -646,31 +631,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
                     })
                     .collect()
             },
-        ))
-        .with_table(SystemTable::new(
-            "system.shard_advisor",
-            shard_advisor_schema(),
-            move || {
-                advisor_cluster
-                    .shard_advice()
-                    .iter()
-                    .map(|r| {
-                        Row::new(vec![
-                            Value::Utf8(r.action.as_str().to_string()),
-                            Value::Int64(r.region_id as i64),
-                            Value::Utf8(r.table.clone()),
-                            Value::Utf8(r.server.clone()),
-                            r.split_key
-                                .as_ref()
-                                .map(|k| Value::Utf8(key_display(k)))
-                                .unwrap_or(Value::Null),
-                            Value::Float64(r.heat_score),
-                            Value::Float64(r.expected_post_score),
-                            Value::Utf8(r.rationale.clone()),
-                        ])
-                    })
-                    .collect()
-            },
         ));
     let names = catalog.names();
     catalog.register(session);
@@ -879,7 +839,22 @@ mod tests {
         }
         let session = Session::new_default();
         let names = register_system_tables(&session, &cluster);
-        assert_eq!(names.len(), 12);
+        assert_eq!(
+            names,
+            [
+                "system.regions",
+                "system.servers",
+                "system.tables",
+                "system.metrics",
+                "system.queries",
+                "system.events",
+                "system.alerts",
+                "system.metrics_history",
+                "system.task_timeline",
+                "system.stage_stats",
+                "system.region_heat",
+            ]
+        );
 
         let rows = session
             .sql("SELECT table_name, SUM(write_requests) FROM system.regions GROUP BY table_name")
@@ -1090,5 +1065,33 @@ mod tests {
         assert_eq!(rows[0].get(1).as_f64(), Some(1.0));
         assert_eq!(session.metrics.snapshot().scan_rows - scanned_before, 1);
         assert!(cluster.tsdb().series_names().len() > 50);
+
+        // The same series, read as heat: more writes to `t`, a second table
+        // nobody touches, and the scan's own heartbeat round closes the
+        // window — the written-to region leads the view.
+        cluster
+            .create_table(
+                TableDescriptor::new(TableName::default_ns("idle"))
+                    .with_family(FamilyDescriptor::new("cf")),
+            )
+            .unwrap();
+        for i in 0..8 {
+            conn.table(TableName::default_ns("t"))
+                .put(Put::new(format!("h{i}")).add("cf", "q", "v"))
+                .unwrap();
+        }
+        let heat = session
+            .sql(
+                "SELECT table_name, heat_score, write_rate FROM system.region_heat \
+                 ORDER BY heat_score DESC",
+            )
+            .unwrap()
+            .collect()
+            .unwrap();
+        let tables: Vec<_> = heat.iter().map(|r| r.get(0).as_str()).collect();
+        assert_eq!(tables, [Some("default:t"), Some("default:idle")]);
+        assert!(heat[0].get(1).as_f64().unwrap() > 0.0);
+        assert_eq!(heat[0].get(1), heat[0].get(2), "all of it writes");
+        assert_eq!(heat[1].get(1).as_f64(), Some(0.0));
     }
 }

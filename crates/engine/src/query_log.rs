@@ -119,11 +119,6 @@ impl QueryLog {
         self.len() == 0
     }
 
-    /// Retained entries flagged slow.
-    pub fn slow_count(&self) -> usize {
-        self.entries.lock().iter().filter(|e| e.slow).count()
-    }
-
     pub fn clear(&self) {
         self.entries.lock().clear();
     }
@@ -170,7 +165,6 @@ mod tests {
         assert_eq!(entries[1].sql, "q3");
         // Ids keep counting across eviction.
         assert_eq!(entries[1].id, 3);
-        assert_eq!(log.slow_count(), 1);
     }
 
     #[test]

@@ -255,11 +255,6 @@ impl Session {
             .cloned()
     }
 
-    /// The most recently stored trace, if any.
-    pub fn last_trace(&self) -> Option<Trace> {
-        self.traces.lock().back().cloned()
-    }
-
     /// Scheduler task metrics (straggler/speculation counters and the
     /// `shc_task_*` histograms) accumulated across this session's queries.
     pub fn task_metrics(&self) -> &Arc<TaskMetrics> {

@@ -4,7 +4,7 @@
 use crate::clock::Clock;
 use crate::error::{KvError, Result};
 use crate::fault::FaultInjector;
-use crate::heat::{self, AdvisorConfig, HeatObservatory, ShardRecommendation};
+use crate::heat::{self, HeatObservatory};
 use crate::master::Master;
 use crate::metrics::{ClusterMetrics, EXPOSITION_PREFIX};
 use crate::network::NetworkSim;
@@ -116,15 +116,24 @@ pub struct HBaseCluster {
     /// `system.metrics_history`, the rate alerts and the heat observatory
     /// all read it.
     tsdb: Arc<Tsdb>,
-    /// Region heat observatory: the window and the views (rates, hotspot
-    /// scores, the heat report, the shard advisor's input) over the
-    /// `region_*` series every heartbeat round records into `tsdb`.
+    /// Region heat observatory: the window and the view (rates, hotspot
+    /// scores, trend) over the `region_*` series every heartbeat round
+    /// records into `tsdb`.
     heat: HeatObservatory,
 }
 
 impl HBaseCluster {
     /// Start a cluster: register servers in ZooKeeper, elect the master.
+    /// Panics when a durable cluster cannot open its storage root or a
+    /// server's log, or a flusher thread cannot be spawned.
     pub fn start(config: ClusterConfig) -> Arc<Self> {
+        match Self::try_start(config) {
+            Ok(cluster) => cluster,
+            Err(e) => panic!("cluster failed to start: {e}"),
+        }
+    }
+
+    fn try_start(config: ClusterConfig) -> Result<Arc<Self>> {
         let zk = Arc::new(ZooKeeper::new());
         let metrics = ClusterMetrics::new();
         let clock = Clock::default();
@@ -142,7 +151,7 @@ impl HBaseCluster {
                 }
                 None => StorageEnv::temp(config.wal_segment_bytes, Arc::clone(&metrics)),
             };
-            Some(env.expect("open cluster storage root"))
+            Some(env?)
         } else {
             None
         };
@@ -150,7 +159,7 @@ impl HBaseCluster {
         if let Some(env) = &storage {
             env.attach_faults(Arc::clone(&faults));
         }
-        let servers: Vec<Arc<RegionServer>> = (0..config.num_servers.max(1))
+        let servers = (0..config.num_servers.max(1))
             .map(|i| {
                 let hostname = format!("host-{i}");
                 zk.set(&format!("/hbase/rs/{hostname}"), hostname.clone());
@@ -162,13 +171,13 @@ impl HBaseCluster {
                     clock.clone(),
                     config.block_cache_bytes,
                     storage.clone(),
-                ));
+                )?);
                 if config.background_flush {
-                    server.enable_background_flush();
+                    server.enable_background_flush()?;
                 }
-                server
+                Ok(server)
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
         let servers = Arc::new(RwLock::new(servers));
         let events = shc_obs::EventJournal::new(config.event_journal_capacity);
         for server in servers.read().iter() {
@@ -205,7 +214,7 @@ impl HBaseCluster {
             tsdb,
         });
         cluster.add_scrape_sources();
-        cluster
+        Ok(cluster)
     }
 
     /// Register what a [`Tsdb::scrape`] of the cluster's store reads: every
@@ -279,15 +288,6 @@ impl HBaseCluster {
             .ok_or(KvError::ServerNotFound(server_id))
     }
 
-    pub fn server_by_host(&self, hostname: &str) -> Result<Arc<RegionServer>> {
-        self.servers
-            .read()
-            .iter()
-            .find(|s| s.hostname == hostname)
-            .cloned()
-            .ok_or(KvError::ServerNotFound(u64::MAX))
-    }
-
     pub fn hostnames(&self) -> Vec<String> {
         self.servers
             .read()
@@ -352,16 +352,6 @@ impl HBaseCluster {
         (bytes, files)
     }
 
-    /// Every server's retained background-flush traces, in server-id order.
-    pub fn background_flush_traces(&self) -> Vec<shc_obs::Trace> {
-        let mut servers: Vec<_> = self.servers.read().iter().cloned().collect();
-        servers.sort_by_key(|s| s.server_id);
-        servers
-            .iter()
-            .flat_map(|s| s.background_flush_traces())
-            .collect()
-    }
-
     /// Every *online* server reports its current load to the master, as if
     /// the periodic heartbeat ticker fired once. Crashed servers stay
     /// silent — that silence is what eventually marks them dead. Each
@@ -417,52 +407,6 @@ impl HBaseCluster {
         &self.heat
     }
 
-    /// Deterministic text heatmap of per-region request activity over the
-    /// observed time span — time buckets × regions, from the observatory's
-    /// series rings. Byte-identical across same-seed runs.
-    pub fn heat_report(&self) -> String {
-        self.heat.heat_report(heat::HEAT_REPORT_BUCKETS)
-    }
-
-    /// The heat grid as one JSON object (see
-    /// [`HeatObservatory::heat_report_json`]).
-    pub fn heat_report_json(&self) -> String {
-        self.heat.heat_report_json(heat::HEAT_REPORT_BUCKETS)
-    }
-
-    /// Run the shard advisor with default thresholds: fresh heartbeats,
-    /// then advisory Split/Merge/Salt recommendations from the current heat
-    /// snapshots and each region's key-distribution sample.
-    pub fn shard_advice(&self) -> Vec<ShardRecommendation> {
-        self.shard_advice_with(&AdvisorConfig {
-            num_servers: self.num_servers(),
-            ..Default::default()
-        })
-    }
-
-    /// [`shard_advice`](Self::shard_advice) with caller-chosen thresholds.
-    pub fn shard_advice_with(&self, config: &AdvisorConfig) -> Vec<ShardRecommendation> {
-        self.cluster_status();
-        let mut inputs = Vec::new();
-        for h in self.heat.region_heat() {
-            // Resolve the live region for its key range and key sample; a
-            // region mid-move (host gone, id unknown) is skipped this round.
-            let Ok(server) = self.server_by_host(&h.server) else {
-                continue;
-            };
-            let Ok(region) = server.region(h.region_id) else {
-                continue;
-            };
-            inputs.push(crate::heat::AdvisorInput {
-                start_key: region.info.start_key.clone(),
-                end_key: region.info.end_key.clone(),
-                key_sample: region.key_sample(),
-                heat: h,
-            });
-        }
-        heat::advise(&inputs, config)
-    }
-
     /// Current per-region loads across every online server, with the
     /// hosting hostname — a direct dump, bypassing heartbeat history.
     pub fn region_loads(&self) -> Vec<(String, crate::load::RegionLoad)> {
@@ -512,12 +456,10 @@ mod tests {
     }
 
     #[test]
-    fn server_lookup_by_id_and_host() {
+    fn server_lookup_by_id() {
         let cluster = HBaseCluster::start_default();
         assert_eq!(cluster.server(2).unwrap().hostname, "host-2");
-        assert_eq!(cluster.server_by_host("host-3").unwrap().server_id, 3);
         assert!(cluster.server(99).is_err());
-        assert!(cluster.server_by_host("nope").is_err());
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   cluster-wide metrics ([`clock`], [`network`], [`metrics`]).
 //! * **Introspection** — per-region/server load accounting, virtual-clock
 //!   heartbeats to the master, and the aggregated cluster status ([`load`]);
-//!   heartbeat-fed per-region heat time series, key-distribution sampling
-//!   and the advisory split/merge engine ([`heat`]).
+//!   heartbeat-fed per-region heat time series ([`heat`]).
 //!
 //! ## Quick start
 //!
@@ -78,10 +77,7 @@ pub mod prelude {
         FaultInjector, FaultKind, FaultRule, FileFaultKind, FileFaultRule, FileOp, RpcOp, Trigger,
     };
     pub use crate::filter::{CompareOp, Filter, RowRange};
-    pub use crate::heat::{
-        AdvisorConfig, HeatObservatory, KeySampler, RegionHeat, ShardAction, ShardRecommendation,
-        Trend,
-    };
+    pub use crate::heat::{HeatObservatory, RegionHeat, Trend};
     pub use crate::load::{
         ClusterStatus, HotRegion, RegionLoad, ServerLoad, ServerStatus, TableLoadSummary,
     };

@@ -398,18 +398,16 @@ impl Master {
         }
         let mut moves = 0;
         loop {
-            let (max_idx, max_count) = servers
+            let counts = servers
                 .iter()
                 .enumerate()
-                .map(|(i, s)| (i, s.region_count()))
-                .max_by_key(|&(_, c)| c)
-                .unwrap();
-            let (min_idx, min_count) = servers
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i, s.region_count()))
-                .min_by_key(|&(_, c)| c)
-                .unwrap();
+                .map(|(i, s)| (i, s.region_count()));
+            let (Some((max_idx, max_count)), Some((min_idx, min_count))) = (
+                counts.clone().max_by_key(|&(_, c)| c),
+                counts.min_by_key(|&(_, c)| c),
+            ) else {
+                break;
+            };
             if max_count <= min_count + 1 {
                 break;
             }
@@ -663,7 +661,7 @@ mod tests {
         let metrics = ClusterMetrics::new();
         let servers: Vec<Arc<RegionServer>> = (0..n_servers)
             .map(|i| {
-                Arc::new(RegionServer::new(
+                let server = RegionServer::new(
                     i as u64,
                     format!("host-{i}"),
                     Arc::clone(&metrics),
@@ -671,7 +669,8 @@ mod tests {
                     Clock::logical(0),
                     1 << 20,
                     None,
-                ))
+                );
+                Arc::new(server.unwrap())
             })
             .collect();
         let servers = Arc::new(RwLock::new(servers));

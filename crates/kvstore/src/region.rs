@@ -12,7 +12,6 @@ use crate::block_cache::BlockCache;
 use crate::clock::Clock;
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
-use crate::heat::{self, KeySampler};
 use crate::load::{RegionLoad, RegionLoadCounters};
 use crate::memstore::MemStore;
 use crate::merge::{assemble_rows, rewrite, Merge};
@@ -316,10 +315,6 @@ pub struct Region {
     /// Per-region request accounting, bumped by the hosting server's RPC
     /// handlers. Lives on the region so the history follows a move.
     load: RegionLoadCounters,
-    /// Deterministic reservoir over written row keys (seeded by region id);
-    /// merged with store-file block-index keys it names where in the key
-    /// space writes concentrate — the evidence behind an advised split key.
-    key_sampler: Mutex<KeySampler>,
     /// Durable storage for this region's store files, if the cluster has a
     /// data directory. `None` keeps the original in-memory behaviour.
     storage: RwLock<Option<Arc<RegionStorage>>>,
@@ -359,7 +354,6 @@ impl Region {
                 )
             })
             .collect();
-        let key_sampler = Mutex::new(KeySampler::new(info.region_id, heat::KEY_SAMPLE_CAPACITY));
         Region {
             info,
             descriptor,
@@ -372,7 +366,6 @@ impl Region {
             flush_count: AtomicU64::new(0),
             compaction_count: AtomicU64::new(0),
             load: RegionLoadCounters::default(),
-            key_sampler,
             storage: RwLock::new(None),
             flush_notifier: RwLock::new(None),
             metrics: RwLock::new(None),
@@ -504,31 +497,6 @@ impl Region {
         }
     }
 
-    /// The region's key-distribution sample: the write reservoir (duplicates
-    /// preserved — repeated writes to a hot row weight it) merged with every
-    /// store file's sparse block-index keys (evenly-spaced-by-bytes probes
-    /// into the persisted distribution), sorted.
-    pub fn key_sample(&self) -> Vec<Bytes> {
-        let mut sample: Vec<Bytes> = self.key_sampler.lock().keys().to_vec();
-        let stores = self.stores.read();
-        for store in stores.values() {
-            for file in &store.files {
-                sample.extend(file.block_index_keys().iter().cloned());
-            }
-        }
-        sample.sort();
-        sample
-    }
-
-    /// The split key the key sample advises: the weighted median of
-    /// [`key_sample`](Self::key_sample), clamped inside the region's range.
-    /// `None` when the sample names no viable point — unlike
-    /// [`split_point`](Self::split_point) this never scans the data.
-    pub fn suggest_split_key(&self) -> Option<Bytes> {
-        heat::split_key_from_sample(&self.key_sample(), &self.info.start_key, &self.info.end_key)
-            .map(|(key, _)| key)
-    }
-
     // ------------------------------------------------------------------
     // Write path
     // ------------------------------------------------------------------
@@ -573,10 +541,7 @@ impl Region {
                 });
             }
             if let Some(family) = m.unknown_family(&self.descriptor) {
-                return Err(KvError::NoSuchColumnFamily {
-                    table: self.info.table.to_string(),
-                    family: String::from_utf8_lossy(family).into_owned(),
-                });
+                return Err(self.no_such_family(family));
             }
         }
         let _guard = self.write_lock.lock();
@@ -595,16 +560,9 @@ impl Region {
                     break;
                 }
             }
-            let (applied, tail) = rest.split_at(group.len());
-            rest = tail;
+            rest = &rest[group.len()..];
             let first_seq = self.wal.read().append_group(self.info.region_id, &group)?;
             let last_seq = first_seq + group.len() as u64 - 1;
-            {
-                let mut sampler = self.key_sampler.lock();
-                for m in applied {
-                    sampler.observe(m.row());
-                }
-            }
             {
                 let mut stores = self.stores.write();
                 for (seq, (_, cells)) in (first_seq..).zip(group) {
@@ -612,7 +570,7 @@ impl Region {
                         cell.key.seq = seq;
                         stores
                             .get_mut(&cell.key.family)
-                            .expect("family validated above")
+                            .ok_or_else(|| self.no_such_family(&cell.key.family))?
                             .memstore
                             .insert(cell);
                     }
@@ -622,6 +580,13 @@ impl Region {
             self.maybe_flush()?;
         }
         Ok(())
+    }
+
+    fn no_such_family(&self, family: &[u8]) -> KvError {
+        KvError::NoSuchColumnFamily {
+            table: self.info.table.to_string(),
+            family: String::from_utf8_lossy(family).into_owned(),
+        }
     }
 
     /// Cell bytes the memstores can take before mutation-at-a-time
@@ -889,22 +854,21 @@ impl Region {
         let storage = self.storage.read().clone();
         let mut stores = self.stores.write();
         // One family per round; callers loop until no tier qualifies.
-        let target: Option<(Bytes, Vec<usize>)> = stores.iter().find_map(|(family, store)| {
+        let target = stores.values_mut().find_map(|store| {
             select_tier(
                 &store.files,
                 self.config.tier_min_files,
                 self.config.tier_size_ratio,
             )
-            .map(|pick| (family.clone(), pick))
+            .map(|pick| (store, pick))
         });
-        let Some((family, pick)) = target else {
+        let Some((store, pick)) = target else {
             return Ok(None);
         };
         let mut sp = shc_obs::trace::span("compaction");
         sp.annotate("region", self.info.region_id);
         sp.annotate("kind", "minor");
         let (replaced, rewritten) = {
-            let store = stores.get_mut(&family).expect("family exists");
             let picked: Vec<Arc<StoreFile>> =
                 pick.iter().map(|&i| Arc::clone(&store.files[i])).collect();
             // Everything is kept: only a major compaction may drop data.
@@ -1209,7 +1173,9 @@ impl Region {
                 let file = builder.finish();
                 if !file.is_empty() {
                     let mut target = daughter.stores.write();
-                    let s = target.get_mut(family).expect("same descriptor");
+                    let s = target
+                        .get_mut(family)
+                        .ok_or_else(|| self.no_such_family(family))?;
                     s.files.push(Arc::new(file));
                 }
             }
@@ -1434,15 +1400,11 @@ fn read_manifest(rs: &RegionStorage) -> Result<Vec<ManifestEntry>> {
         return Ok(Vec::new());
     }
     let data = rs.env.read(&path)?;
-    if data.len() < 4 {
-        return Err(KvError::Corruption("manifest shorter than its crc".into()));
-    }
-    let crc = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    let payload = &data[4..];
-    if storage::crc32(payload) != crc {
+    let mut r = Reader::new(&data);
+    let crc = r.u32()?;
+    if storage::crc32(&data[4..]) != crc {
         return Err(KvError::Corruption("manifest crc mismatch".into()));
     }
-    let mut r = Reader::new(payload);
     let n_families = r.u32()? as usize;
     let mut out = Vec::with_capacity(n_families);
     for _ in 0..n_families {

@@ -21,7 +21,7 @@ use crate::storage::StorageEnv;
 use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan};
 use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -32,9 +32,6 @@ pub const DEFAULT_SCANNER_LEASE_MS: u64 = 60_000;
 
 /// Sentinel region id that tells the background flush worker to exit.
 const FLUSHER_STOP: u64 = u64::MAX;
-
-/// Background flush traces kept per server (a bounded ring).
-const BACKGROUND_TRACE_CAP: usize = 64;
 
 /// One queued background flush. `enqueue_ms` is the server clock captured on
 /// the *writer* thread at notification time — the worker stamps its journal
@@ -105,9 +102,6 @@ pub struct RegionServer {
     /// journaled when attached. `Arc`-wrapped so the background flush
     /// worker shares the slot (it may be attached after the worker spawns).
     events: Arc<RwLock<Option<Arc<shc_obs::EventJournal>>>>,
-    /// Finished span trees of background flushes (bounded ring, newest
-    /// last). Each carries a deterministic high-bit TraceId.
-    background_traces: Arc<Mutex<VecDeque<shc_obs::Trace>>>,
     /// Shared LRU over store-file blocks of every hosted region.
     block_cache: Arc<BlockCache>,
     /// Open scanners by id.
@@ -127,14 +121,13 @@ impl RegionServer {
         clock: Clock,
         block_cache_bytes: usize,
         storage: Option<Arc<StorageEnv>>,
-    ) -> Self {
+    ) -> Result<Self> {
         let block_cache = Arc::new(BlockCache::new(block_cache_bytes, Arc::clone(&metrics)));
         let wal = match &storage {
-            Some(env) => Wal::durable(Arc::clone(env), env.wal_dir(server_id))
-                .expect("durable WAL open failed"),
+            Some(env) => Wal::durable(Arc::clone(env), env.wal_dir(server_id))?,
             None => Wal::new(),
         };
-        RegionServer {
+        Ok(RegionServer {
             server_id,
             hostname: hostname.into(),
             regions: Arc::new(RwLock::new(HashMap::new())),
@@ -146,13 +139,12 @@ impl RegionServer {
             flusher: Mutex::new(None),
             fault: RwLock::new(None),
             events: Arc::new(RwLock::new(None)),
-            background_traces: Arc::new(Mutex::new(VecDeque::new())),
             block_cache,
             scanners: Mutex::new(HashMap::new()),
             next_scanner_id: AtomicU64::new(1),
             scanner_lease_ms: AtomicU64::new(DEFAULT_SCANNER_LEASE_MS),
             clock,
-        }
+        })
     }
 
     /// Whether this server writes through a [`StorageEnv`] (durable cluster).
@@ -190,11 +182,6 @@ impl RegionServer {
             region.attach_observability(Arc::clone(&self.metrics), Some(Arc::clone(&journal)));
         }
         *self.events.write() = Some(journal);
-    }
-
-    /// Finished background-flush traces (bounded ring, oldest first).
-    pub fn background_flush_traces(&self) -> Vec<shc_obs::Trace> {
-        self.background_traces.lock().iter().cloned().collect()
     }
 
     fn journal(&self, severity: shc_obs::Severity, category: &'static str, message: String) {
@@ -274,10 +261,10 @@ impl RegionServer {
     /// the write path: when a memstore or the WAL crosses its watermark the
     /// region id is queued here instead, and a dedicated thread flushes it.
     /// Idempotent.
-    pub fn enable_background_flush(&self) {
+    pub fn enable_background_flush(&self) -> Result<()> {
         let mut guard = self.flusher.lock();
         if guard.is_some() {
-            return;
+            return Ok(());
         }
         let (tx, rx) = mpsc::channel::<FlushRequest>();
         let pending = Arc::new(Mutex::new(HashSet::new()));
@@ -286,7 +273,6 @@ impl RegionServer {
         let offline = Arc::clone(&self.offline);
         let metrics = Arc::clone(&self.metrics);
         let events = Arc::clone(&self.events);
-        let traces = Arc::clone(&self.background_traces);
         let server_id = self.server_id;
         let worker_pending = Arc::clone(&pending);
         let worker_inflight = Arc::clone(&inflight);
@@ -312,14 +298,13 @@ impl RegionServer {
                         if let Some(region) = region {
                             trace_seq += 1;
                             // High bit marks a background trace; server id and
-                            // sequence make it unique and reproducible.
+                            // sequence make it unique and reproducible. The
+                            // flush runs under it so the flush and compaction
+                            // histograms take it as their exemplar.
                             let trace_id = 0x8000_0000_0000_0000u64 | (server_id << 32) | trace_seq;
                             let tracer = shc_obs::Tracer::with_id(trace_id);
                             let outcome = {
-                                let mut root = tracer.root("background_flush");
-                                root.annotate("server", server_id);
-                                root.annotate("region", req.region_id);
-                                root.annotate("cause", req.cause.as_str());
+                                let _root = tracer.root("background_flush");
                                 region.flush_with_cause(req.cause)
                             };
                             if let Ok(outcome) = outcome {
@@ -344,19 +329,13 @@ impl RegionServer {
                                             trace_id,
                                         );
                                     }
-                                    let mut ring = traces.lock();
-                                    if ring.len() >= BACKGROUND_TRACE_CAP {
-                                        ring.pop_front();
-                                    }
-                                    ring.push_back(tracer.finish());
                                 }
                             }
                         }
                     }
                     worker_inflight.fetch_sub(1, Ordering::AcqRel);
                 }
-            })
-            .expect("spawn flush thread");
+            })?;
         let flusher = Flusher {
             tx: Mutex::new(tx),
             handle: Some(handle),
@@ -367,6 +346,7 @@ impl RegionServer {
             Self::hook_region(region, &flusher, &self.clock);
         }
         *guard = Some(flusher);
+        Ok(())
     }
 
     /// Whether the background flusher has no queued or in-flight work right
@@ -717,9 +697,16 @@ impl RegionServer {
 
     /// Restart after a crash: reopen the WAL, reload every durable region
     /// from its manifest, replay the WAL tail into the memstores, and come
-    /// back online.
+    /// back online. A failed recovery is journaled and leaves the server
+    /// offline; [`try_restart`](Self::try_restart) returns the error.
     pub fn restart(&self) {
-        self.try_restart().expect("server restart recovery failed");
+        if let Err(e) = self.try_restart() {
+            self.journal(
+                shc_obs::Severity::Error,
+                "wal",
+                format!("server {} failed to restart: {e}", self.server_id),
+            );
+        }
     }
 
     /// Fallible restart. Returns the number of WAL records replayed.
@@ -794,7 +781,8 @@ mod tests {
     fn server_with_region() -> (RegionServer, u64) {
         let metrics = ClusterMetrics::new();
         let server =
-            RegionServer::new(1, "host-1", metrics, None, Clock::logical(0), 1 << 20, None);
+            RegionServer::new(1, "host-1", metrics, None, Clock::logical(0), 1 << 20, None)
+                .unwrap();
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf"));
         let region = Region::new(
@@ -889,7 +877,8 @@ mod tests {
             clock.clone(),
             1 << 20,
             None,
-        );
+        )
+        .unwrap();
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf"));
         let region = Region::new(

@@ -396,14 +396,6 @@ impl StoreFile {
         &self.blocks[idx]
     }
 
-    /// The sparse block index: the first row key of every block, ascending.
-    /// These are cheap, evenly-spaced-by-bytes probes into the file's key
-    /// distribution — the key-distribution sampler merges them with the
-    /// memstore reservoir to place split keys without scanning any block.
-    pub fn block_index_keys(&self) -> &[Bytes] {
-        &self.block_index
-    }
-
     /// Index of the first block that can contain a cell with row `>= start`,
     /// from the sparse index alone — no block is touched. The answer may be
     /// one block early when a row spans a block boundary; callers skip
@@ -512,10 +504,10 @@ impl StoreFile {
                 path.display()
             )));
         }
-        let footer = &data[data.len() - FOOTER_LEN..];
-        let meta_off = u64::from_le_bytes(footer[0..8].try_into().unwrap()) as usize;
-        let meta_len = u64::from_le_bytes(footer[8..16].try_into().unwrap()) as usize;
-        let magic = u64::from_le_bytes(footer[16..24].try_into().unwrap());
+        let mut footer = Reader::new(&data[data.len() - FOOTER_LEN..]);
+        let meta_off = footer.u64()? as usize;
+        let meta_len = footer.u64()? as usize;
+        let magic = footer.u64()?;
         if magic != STOREFILE_MAGIC {
             return Err(KvError::Corruption(format!(
                 "bad store file magic: {}",
@@ -609,11 +601,9 @@ fn frame_block(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 fn unframe_block(buf: &[u8]) -> Result<&[u8]> {
-    if buf.len() < 8 {
-        return Err(KvError::Corruption("block shorter than its header".into()));
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+    let mut header = Reader::new(buf);
+    let len = header.u32()? as usize;
+    let crc = header.u32()?;
     if len + 8 != buf.len() {
         return Err(KvError::Corruption(format!(
             "block length mismatch: header says {len}, got {}",
@@ -940,7 +930,7 @@ mod tests {
         let opened = StoreFile::open(&env, &old_path).unwrap();
         assert_eq!(all_cells(&opened), cells);
         assert_eq!(opened.byte_size(), file.byte_size());
-        assert_eq!(opened.block_index_keys(), file.block_index_keys());
+        assert_eq!(opened.block_index, file.block_index);
         assert_eq!(
             (&opened.first_row, &opened.last_row),
             (&file.first_row, &file.last_row)

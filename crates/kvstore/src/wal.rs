@@ -305,12 +305,11 @@ fn parse_segment(data: &[u8]) -> ParsedSegment {
             }
             continue;
         }
-        if pos + CHUNK_HEADER > data.len() {
+        let mut header = Reader::new(&data[pos..]);
+        let (Ok(crc), Ok(len), Ok(ty)) = (header.u32(), header.u16(), header.u8()) else {
             break 'scan; // torn mid-header
-        }
-        let crc = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-        let len = u16::from_le_bytes(data[pos + 4..pos + 6].try_into().unwrap()) as usize;
-        let ty = data[pos + 6];
+        };
+        let len = len as usize;
         if crc == 0 && len == 0 && ty == 0 {
             // Explicit zero header: writer padded the rest of this block.
             pos += room;
@@ -500,15 +499,13 @@ impl Wal {
         inner.closed = false;
 
         // Roll a fresh active segment; old files are never appended again.
-        Self::roll_segment_locked(inner, max_id + 1)?;
-        Ok(())
+        Self::roll_segment(ds, inner.next_seq, max_id + 1).inspect_err(|_| inner.closed = true)
     }
 
     /// Open segment `id` as the new active segment and write its header
     /// record (carrying `next_seq` so sequence ids survive full truncation).
-    fn roll_segment_locked(inner: &mut WalInner, id: u64) -> Result<()> {
-        let next_seq = inner.next_seq;
-        let ds = inner.durable.as_mut().expect("durable mode");
+    /// On an error there is no active segment: the caller closes the log.
+    fn roll_segment(ds: &mut DurableState, next_seq: u64, id: u64) -> Result<()> {
         let path = ds.dir.join(format!("{id:020}.log"));
         let mut file = ds.env.open_append(&path)?;
         let mut buf = Vec::new();
@@ -538,7 +535,6 @@ impl Wal {
             }
             Err(e) => {
                 ds.active = None;
-                inner.closed = true;
                 Err(e)
             }
         }
@@ -568,7 +564,8 @@ impl Wal {
         let last_seq = first_seq + records.len() as u64 - 1;
 
         if let Some(ds) = inner.durable.as_mut() {
-            let Some(active) = ds.active.as_mut() else {
+            // The active segment's metadata is the last entry.
+            let (Some(active), Some(seg)) = (ds.active.as_mut(), ds.segments.last_mut()) else {
                 inner.closed = true;
                 return Err(KvError::WalClosed);
             };
@@ -594,7 +591,6 @@ impl Wal {
                 inner.closed = true;
                 return Err(e);
             }
-            let seg = ds.segments.last_mut().expect("active segment meta");
             active.block_offset = block_offset;
             active
                 .extents
@@ -607,7 +603,7 @@ impl Wal {
                 seg.sealed = true;
                 let m = ds.env.metrics();
                 m.add(&m.wal_segments_rotated, 1);
-                Self::roll_segment_locked(inner, next_id)?;
+                Self::roll_segment(ds, first_seq, next_id).inspect_err(|_| inner.closed = true)?;
             }
         }
 
@@ -668,7 +664,10 @@ impl Wal {
             if !seg.sealed || seg.archived || seg.min_unflushed_seq(&ds.flushed).is_some() {
                 continue;
             }
-            let dst = archive_dir.join(seg.path.file_name().expect("segment file name"));
+            let Some(file_name) = seg.path.file_name() else {
+                continue;
+            };
+            let dst = archive_dir.join(file_name);
             if ds.env.rename(&seg.path, &dst).is_ok() {
                 seg.archived = true;
                 seg.path = dst.clone();

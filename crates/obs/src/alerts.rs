@@ -186,10 +186,6 @@ impl AlertEngine {
         });
     }
 
-    pub fn rule_count(&self) -> usize {
-        self.rules.lock().len()
-    }
-
     /// Read every rule's metric and step its fire/clear state machine at
     /// virtual time `now_ms`. Returns the transitions this tick produced,
     /// in rule-registration order (deterministic).
@@ -254,11 +250,6 @@ impl AlertEngine {
             .collect()
     }
 
-    /// Fire transitions across every rule over the engine's lifetime.
-    pub fn fired_total(&self) -> u64 {
-        self.fired_total.load(Ordering::Relaxed)
-    }
-
     /// Prometheus exposition: one `alert_firing` gauge sample per rule (with
     /// an escaped `alert` label) plus the lifetime `alerts_fired_total`
     /// counter. Rule order is registration order, so output is stable.
@@ -286,7 +277,7 @@ impl AlertEngine {
         e.counter_with_help(
             &format!("{prefix}alerts_fired_total"),
             "Alert fire transitions over the engine's lifetime.",
-            self.fired_total(),
+            self.fired_total.load(Ordering::Relaxed),
         );
         e.finish()
     }
@@ -328,7 +319,7 @@ mod tests {
             engine.evaluate(1_200).is_empty(),
             "no refire while breaching"
         );
-        assert_eq!(engine.fired_total(), 1);
+        assert_eq!(engine.statuses()[0].fired_count, 1);
         // Healthy reading clears.
         v.store(0, Ordering::Relaxed);
         let t = engine.evaluate(1_300);

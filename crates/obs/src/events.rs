@@ -41,15 +41,6 @@ impl Severity {
             Severity::Error => "ERROR",
         }
     }
-
-    fn from_u8(v: u8) -> Severity {
-        match v {
-            0 => Severity::Debug,
-            1 => Severity::Info,
-            2 => Severity::Warn,
-            _ => Severity::Error,
-        }
-    }
 }
 
 impl std::fmt::Display for Severity {
@@ -166,10 +157,6 @@ impl EventJournal {
         self.min_severity.store(severity as u8, Ordering::Relaxed);
     }
 
-    pub fn min_severity(&self) -> Severity {
-        Severity::from_u8(self.min_severity.load(Ordering::Relaxed))
-    }
-
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.events.lock().iter().cloned().collect()
@@ -268,7 +255,6 @@ mod tests {
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
         assert_eq!(j.total_recorded(), 2);
-        assert_eq!(j.min_severity(), Severity::Warn);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The format is the classic text exposition: a `# HELP` line (when help
 //! text is available) and a `# TYPE` line per metric, plain `name value`
 //! samples for counters, and `summary`-style quantile samples plus
-//! `_sum`/`_count` for histograms. It is line-oriented on purpose so CI
-//! (and humans) can `grep` a metric name out of example output.
+//! `_sum`/`_count` for histograms. It is line-oriented on purpose, so a
+//! metric name can be `grep`ped out of the output.
 
-use crate::hist::{BucketExemplar, HistogramSnapshot};
+use crate::hist::HistogramSnapshot;
 
 /// Incremental builder for a text exposition document.
 #[derive(Debug, Default)]
@@ -80,23 +80,6 @@ impl TextExporter {
         self.out.push_str(&format!("# TYPE {family} gauge\n"));
         for (sample, value) in samples {
             self.out.push_str(&format!("{sample} {value}\n"));
-        }
-    }
-
-    /// Emit exemplar-bearing histogram buckets in OpenMetrics style: one
-    /// `name_bucket{le="…"} count # {trace_id="0x…"}` line per bucket that
-    /// remembers a TraceId. The input comes from
-    /// [`Histogram::exemplars`](crate::hist::Histogram::exemplars), which
-    /// yields buckets in ascending order, so the output is deterministic for
-    /// a given histogram state.
-    pub fn exemplar_buckets(&mut self, name: &str, exemplars: &[BucketExemplar]) {
-        for ex in exemplars {
-            let le = Self::escape_label_value(&ex.upper.to_string());
-            let trace = Self::escape_label_value(&format!("{:#x}", ex.trace_id));
-            self.out.push_str(&format!(
-                "{name}_bucket{{le=\"{le}\"}} {} # {{trace_id=\"{trace}\"}}\n",
-                ex.count
-            ));
         }
     }
 
@@ -224,24 +207,6 @@ mod tests {
             TextExporter::escape_label_value("a\"b\\c\nd"),
             "a\\\"b\\\\c\\nd"
         );
-    }
-
-    #[test]
-    fn exemplar_buckets_emit_in_stable_order() {
-        let h = Histogram::new();
-        h.record_with_exemplar(3000, 0x1);
-        h.record_with_exemplar(40, 0x2);
-        h.record_with_exemplar(50, 0x3);
-        let mut e = TextExporter::new();
-        e.exemplar_buckets("m_lat_us", &h.exemplars());
-        let text = e.finish();
-        let expected = "m_lat_us_bucket{le=\"63\"} 2 # {trace_id=\"0x3\"}\n\
-                        m_lat_us_bucket{le=\"4095\"} 1 # {trace_id=\"0x1\"}\n";
-        assert_eq!(text, expected);
-        // Re-rendering the same state is byte-identical.
-        let mut e2 = TextExporter::new();
-        e2.exemplar_buckets("m_lat_us", &h.exemplars());
-        assert_eq!(e2.finish(), text);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a [`std::time::Duration`] in microseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_micros() as u64);
-    }
-
     /// Record one sample and, when `trace_id` is non-zero, remember it as
     /// the sample's bucket's exemplar (latest write wins). This is how
     /// `rpc_p99` links to a concrete exportable trace.

@@ -3,8 +3,8 @@
 //! [`parse_json`] reads SHC catalogs and Avro schemas (paper §IV, Code 1: a
 //! small, flat document; a hand-written parser keeps the dependency set to
 //! the approved crates) and [`render`] writes every JSON line the workspace
-//! emits — Chrome traces, heat reports, `BENCH` records. Both live here
-//! because this is the one crate below `shc-kvstore` and `shc-engine`;
+//! emits — Chrome traces, `BENCH` records. Both live here because this is
+//! the one crate below `shc-kvstore` and `shc-engine`;
 //! `shc_core::json` re-exports them. Object member order is preserved in
 //! both directions: the catalog's column order defines the relational
 //! schema's field order, and a rendered document's keys come out in the

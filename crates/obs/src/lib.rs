@@ -14,10 +14,10 @@
 //! - [`alerts`]: declarative threshold rules over metric readings,
 //!   debounced on a virtual clock, with TraceId exemplars at fire time.
 //! - [`tsdb`]: a bounded per-series time-series store fed by virtual-clock
-//!   scrapes, with trailing-window `rate()`/`delta()`/`max_over_window()`
-//!   queries that power rate-based alert rules; one store per cluster.
+//!   scrapes, with the trailing-window `rate()` query that powers
+//!   rate-based alert rules; one store per cluster.
 //! - [`json`]: the workspace's one JSON tree, parser and writer (catalogs
-//!   and Avro schemas in; traces, heat reports and `BENCH` lines out).
+//!   and Avro schemas in; traces and `BENCH` lines out).
 //! - [`export`]: a Prometheus-style text exposition builder.
 //! - [`metrics_registry!`]: a macro that generates counter/histogram
 //!   registries (struct + snapshot + `snapshot()`/`reset()`/`delta_since()`

@@ -9,10 +9,9 @@
 //! iteration, a test step), the same discipline the [`crate::alerts`]
 //! engine uses, so two seeded runs produce byte-identical series.
 //!
-//! Queries are windowed over the *trailing* end of a series (the window
-//! ends at the newest sample, so they need no clock): [`Tsdb::delta`],
-//! [`Tsdb::rate`] (per virtual second) and [`Tsdb::max_over_window`].
-//! These are what rate-over-window alert rules
+//! The one windowed query, [`Tsdb::rate`] (per virtual second), looks at
+//! the *trailing* end of a series — the window ends at the newest sample,
+//! so it needs no clock. It is what rate-over-window alert rules
 //! ([`crate::alerts::AlertRule::rate_over_window`]) and the region heat
 //! views evaluate — the signals that predict collapse are growth rates
 //! (compaction backlog, write-stall time), not instantaneous gauges.
@@ -96,7 +95,6 @@ pub struct Tsdb {
     sources: RwLock<Vec<ScrapeFn>>,
     /// Lifetime samples recorded (including ones the rings later evicted).
     samples_total: AtomicU64,
-    scrapes_total: AtomicU64,
 }
 
 impl Tsdb {
@@ -109,7 +107,6 @@ impl Tsdb {
             stale: Mutex::new(BTreeSet::new()),
             sources: RwLock::new(Vec::new()),
             samples_total: AtomicU64::new(0),
-            scrapes_total: AtomicU64::new(0),
         })
     }
 
@@ -125,7 +122,6 @@ impl Tsdb {
     /// one virtual millisecond must not manufacture zero-width rate
     /// windows).
     pub fn scrape(&self, now_ms: u64) -> usize {
-        self.scrapes_total.fetch_add(1, Ordering::Relaxed);
         let sources = self.sources.read();
         let mut appended = 0;
         for source in sources.iter() {
@@ -188,9 +184,8 @@ impl Tsdb {
             .and_then(|r| r.back().copied())
     }
 
-    /// Mark every series carrying the label `key="value"` stale. Windowed
-    /// queries ([`delta`](Self::delta), [`rate`](Self::rate),
-    /// [`max_over_window`](Self::max_over_window)) return `None` for stale
+    /// Mark every series carrying the label `key="value"` stale. The
+    /// windowed query ([`rate`](Self::rate)) returns `None` for stale
     /// series until a fresh [`record`](Self::record) revives them. Returns
     /// the number of series newly marked. Typical label: `server`, with the
     /// hostname of a server that missed its heartbeat deadline.
@@ -241,20 +236,10 @@ impl Tsdb {
         ring.iter().filter(|s| s.ts_ms >= floor).copied().collect()
     }
 
-    /// Newest value minus oldest value inside the trailing window. `None`
-    /// with fewer than two samples in the window.
-    pub fn delta(&self, series: &str, window_ms: u64) -> Option<f64> {
-        let w = self.window(series, window_ms);
-        if w.len() < 2 {
-            return None;
-        }
-        Some(w[w.len() - 1].value - w[0].value)
-    }
-
-    /// Change per **virtual second** across the trailing window: delta
-    /// divided by the elapsed virtual time between the oldest and newest
-    /// in-window samples. `None` with fewer than two samples (a rate needs
-    /// a slope). Negative for a draining gauge.
+    /// Change per **virtual second** across the trailing window: newest
+    /// minus oldest in-window value, divided by the virtual time between
+    /// them. `None` with fewer than two samples (a rate needs a slope).
+    /// Negative for a draining gauge.
     pub fn rate(&self, series: &str, window_ms: u64) -> Option<f64> {
         let w = self.window(series, window_ms);
         if w.len() < 2 {
@@ -268,23 +253,9 @@ impl Tsdb {
         Some((last.value - first.value) / (elapsed_ms as f64 / 1000.0))
     }
 
-    /// Largest value inside the trailing window. `None` for an empty or
-    /// unknown series.
-    pub fn max_over_window(&self, series: &str, window_ms: u64) -> Option<f64> {
-        self.window(series, window_ms)
-            .into_iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
     /// Lifetime samples recorded (eviction does not subtract).
     pub fn sample_count(&self) -> u64 {
         self.samples_total.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime scrape passes performed.
-    pub fn scrape_count(&self) -> u64 {
-        self.scrapes_total.load(Ordering::Relaxed)
     }
 
     /// Deterministic text dump — one `series ts=.. value=..` line per
@@ -348,7 +319,6 @@ mod tests {
             })
         );
         assert_eq!(tsdb.sample_count(), 2);
-        assert_eq!(tsdb.scrape_count(), 1);
     }
 
     #[test]
@@ -373,18 +343,16 @@ mod tests {
     }
 
     #[test]
-    fn rate_and_delta_over_trailing_window() {
+    fn rate_over_trailing_window() {
         let tsdb = Tsdb::new(64);
         // Counter rising 10/sample, 500ms apart.
         for i in 0..8u64 {
             tsdb.record("ctr", i * 500, (i * 10) as f64);
         }
         // Full history: 70 over 3.5s = 20/s.
-        assert_eq!(tsdb.delta("ctr", 10_000), Some(70.0));
         let r = tsdb.rate("ctr", 10_000).unwrap();
         assert!((r - 20.0).abs() < 1e-9);
         // Trailing 1s window: samples at 2500, 3000, 3500 → 20 over 1s.
-        assert_eq!(tsdb.delta("ctr", 1_000), Some(20.0));
         assert!((tsdb.rate("ctr", 1_000).unwrap() - 20.0).abs() < 1e-9);
     }
 
@@ -402,19 +370,6 @@ mod tests {
         assert_eq!(tsdb.rate("missing", 1_000), None);
         tsdb.record("one", 10, 5.0);
         assert_eq!(tsdb.rate("one", 1_000), None, "one sample has no slope");
-        assert_eq!(tsdb.delta("one", 1_000), None);
-        assert_eq!(tsdb.max_over_window("one", 1_000), Some(5.0));
-        assert_eq!(tsdb.max_over_window("missing", 1_000), None);
-    }
-
-    #[test]
-    fn max_over_window_ignores_samples_outside() {
-        let tsdb = Tsdb::new(8);
-        tsdb.record("m", 0, 99.0);
-        tsdb.record("m", 5_000, 1.0);
-        tsdb.record("m", 6_000, 3.0);
-        assert_eq!(tsdb.max_over_window("m", 1_000), Some(3.0));
-        assert_eq!(tsdb.max_over_window("m", 60_000), Some(99.0));
     }
 
     #[test]
@@ -462,12 +417,6 @@ mod tests {
         assert!(tsdb.is_stale("reqs{server=\"host-0\"}"));
         assert!(!tsdb.is_stale("reqs{server=\"host-1\"}"));
         assert_eq!(tsdb.rate("reqs{server=\"host-0\"}", 5_000), None);
-        assert_eq!(tsdb.delta("reqs{server=\"host-0\"}", 5_000), None);
-        assert_eq!(tsdb.max_over_window("reqs{server=\"host-0\"}", 5_000), None);
-        // The untouched sibling still answers.
-        assert!(tsdb
-            .max_over_window("reqs{server=\"host-1\"}", 5_000)
-            .is_some());
         // History is retained even while stale.
         assert_eq!(tsdb.samples("reqs{server=\"host-0\"}").len(), 2);
 

@@ -91,7 +91,18 @@ fn chaos_run(fault_seed: u64) -> (String, String) {
             .collect()
             .unwrap();
     }
-    (cluster.events().render(), session.events().render())
+    let journals = (cluster.events().render(), session.events().render());
+
+    // One scan of system.events reads both journals: the cluster's (the
+    // injected drops) and the session's (the slow queries).
+    let sources = session
+        .sql("SELECT DISTINCT source FROM system.events ORDER BY source")
+        .unwrap()
+        .collect()
+        .unwrap();
+    let sources: Vec<_> = sources.iter().map(|r| r.get(0).as_str()).collect();
+    assert_eq!(sources, [Some("query"), Some("store")]);
+    journals
 }
 
 #[test]
@@ -136,7 +147,18 @@ fn slow_query_trace_resolves_to_parseable_chrome_json() {
     let json = trace.to_chrome_json();
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains(&format!("{:#x}", entry.trace_id)));
-    shc::obs::json::parse_json(&json).expect("the export is JSON");
+    let export = shc::obs::json::parse_json(&json).expect("the export is JSON");
+    // Task spans sit on a named lane per executor, beside the driver's.
+    let events = export.get("traceEvents").unwrap().as_array().unwrap();
+    let lanes: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get_str("ph") == Some("M"))
+        .filter_map(|e| e.get("args")?.get_str("name"))
+        .collect();
+    assert!(
+        lanes.contains(&"driver") && lanes.iter().any(|l| l.starts_with("executor-0 (host-")),
+        "{lanes:?}"
+    );
 
     // The slow query also captured an automatic flight-recorder dump.
     let dump = session.last_event_dump().expect("slow query dumps events");
@@ -297,6 +319,10 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
     let session = Session::new_default();
     register_system_tables(&session, &cluster);
     let tsdb = cluster.tsdb();
+    let status_of = |name: &str| {
+        let statuses = session.alerts().statuses();
+        statuses.into_iter().find(|s| s.name == name).unwrap()
+    };
 
     // Every store-file write in the first episode takes an extra 500 virtual
     // ms — the injected disk slowness that makes the stalls expensive.
@@ -325,6 +351,13 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
             }
         }
     }
+    // Compaction stayed lazy all through the ingest: every flushed file
+    // joined the backlog, and the growth rule says so.
+    assert_eq!(
+        status_of("compaction_backlog_growth").state.as_str(),
+        "firing",
+        "flushes outpacing compaction must fire the backlog rule"
+    );
 
     // Stalls over: age the growth samples out of the rate window (rate
     // rules look back 10s of virtual time), then scrape a flat tail so the
@@ -339,12 +372,7 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
     tsdb.scrape(cluster.clock.peek_ms());
     session.alerts().evaluate(cluster.clock.peek_ms());
 
-    let status = session
-        .alerts()
-        .statuses()
-        .into_iter()
-        .find(|s| s.name == "write_stall_rate")
-        .unwrap();
+    let status = status_of("write_stall_rate");
     assert_eq!(status.state.as_str(), "ok", "flat tail clears the alert");
     assert_eq!(
         status.exemplar_trace_id, 0xabcd,
