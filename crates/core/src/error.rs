@@ -13,8 +13,9 @@ pub enum ShcError {
     Codec(String),
     /// Underlying HBase operation failed.
     Store(KvError),
-    /// Engine-side failure.
-    Engine(String),
+    /// Engine-side failure, kept whole: one that only passes through the
+    /// connector (a scan's sink refusing a batch) goes back as it came.
+    Engine(EngineError),
     /// Security/token failure.
     Security(String),
     /// Misconfiguration (bad option values, missing principal, ...).
@@ -50,13 +51,16 @@ impl From<shc_obs::json::JsonError> for ShcError {
 
 impl From<EngineError> for ShcError {
     fn from(e: EngineError) -> Self {
-        ShcError::Engine(e.to_string())
+        ShcError::Engine(e)
     }
 }
 
 impl From<ShcError> for EngineError {
     fn from(e: ShcError) -> Self {
-        EngineError::DataSource(e.to_string())
+        match e {
+            ShcError::Engine(e) => e,
+            e => EngineError::DataSource(e.to_string()),
+        }
     }
 }
 

@@ -32,6 +32,7 @@ use shc_engine::source_filter::SourceFilter;
 use shc_engine::value::{DataType, Value};
 use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
+use shc_kvstore::error::KvError;
 use shc_kvstore::filter::{Filter, RowRange};
 use shc_kvstore::master::RegionLocation;
 use shc_kvstore::security::AuthToken;
@@ -489,7 +490,7 @@ impl HBaseScanPartition {
         work: &[(RegionLocation, RangeSet)],
         running_on: &str,
         rows_out: &mut RowsOut<'_>,
-    ) -> EngineResult<()> {
+    ) -> ShcResult<()> {
         let conf = &self.relation.conf;
         for (location, ranges) in work {
             // One attribution span per region visited. Rows are counted as
@@ -547,30 +548,25 @@ impl HBaseScanPartition {
                 // rows) at a time while the scanner's worker prefetches the
                 // next one.
                 let mut scanner = table.region_scanner(location, &scan, Some(running_on));
-                while let Some(batch) = scanner
-                    .next_batch()
-                    .map_err(|e| EngineError::DataSource(e.to_string()))?
-                {
+                while let Some(batch) = scanner.next_batch()? {
                     for row in &batch {
                         if reads_gaps && !spans.contains(&row.row) {
                             continue;
                         }
-                        rows_out.push(&self.decoder.decode(row).map_err(EngineError::from)?)?;
+                        rows_out.push(&self.decoder.decode(row)?)?;
                         region_rows += 1;
                     }
                 }
             }
             if !gets.is_empty() {
-                let rows = table
-                    .bulk_get_region(location, &gets, Some(running_on))
-                    .map_err(|e| EngineError::DataSource(e.to_string()))?;
+                let rows = table.bulk_get_region(location, &gets, Some(running_on))?;
                 for row in &rows {
                     // Empty key = row not found; empty cells with a key =
                     // a live row whose projected columns are all NULL.
                     if row.row.is_empty() {
                         continue;
                     }
-                    rows_out.push(&self.decoder.decode(row).map_err(EngineError::from)?)?;
+                    rows_out.push(&self.decoder.decode(row)?)?;
                     region_rows += 1;
                 }
             }
@@ -595,6 +591,15 @@ impl RowsOut<'_> {
     fn push(&mut self, row: &Row) -> EngineResult<()> {
         self.taken += 1;
         self.builder.push_row_to(row, self.on_batch)
+    }
+}
+
+/// Whether the client stopped on an error a fresh layout can cure: a
+/// transient one, or its retry budget spent on one.
+fn gave_up_on_transient(e: &KvError) -> bool {
+    match e {
+        KvError::RetriesExhausted { last, .. } => last.is_transient(),
+        e => e.is_transient(),
     }
 }
 
@@ -632,14 +637,11 @@ impl ScanPartition for HBaseScanPartition {
             // a batch or still sits in the builder, a rerun would read it
             // again — so after that the error propagates and the scheduler
             // retries the whole task from scratch.
-            Err(EngineError::DataSource(msg))
-                if rows_out.taken == 0
-                    && (msg.contains("not serving") || msg.contains("timed out")) =>
-            {
+            Err(ShcError::Store(e)) if rows_out.taken == 0 && gave_up_on_transient(&e) => {
                 let work = self.relocate(lease.connection())?;
                 self.run_work(&table, &work, running_on, &mut rows_out)?;
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
         rows_out.builder.finish_to(rows_out.on_batch)
     }
@@ -1037,6 +1039,28 @@ mod tests {
         let mut seen = Vec::new();
         run(&mut seen).unwrap();
         let expected: Vec<String> = (0..30).map(|i| format!("row{i:02}")).collect();
+        assert_eq!(seen, expected);
+
+        // A crashed server answers `ServerNotFound`, transient like a moved
+        // region: with nothing taken the partition re-derives its work and
+        // spends a second retry budget before the error goes up.
+        let server = cluster.server(0).unwrap();
+        server.crash();
+        let before = cluster.metrics.snapshot();
+        let mut seen = Vec::new();
+        let err = run(&mut seen).unwrap_err();
+        assert!(
+            err.to_string().contains("region server 0 not found"),
+            "{err}"
+        );
+        let retries = cluster
+            .metrics
+            .snapshot()
+            .delta_since(&before)
+            .client_retries;
+        assert_eq!(retries, 6, "two passes of four attempts");
+        server.restart();
+        run(&mut seen).unwrap();
         assert_eq!(seen, expected);
     }
 

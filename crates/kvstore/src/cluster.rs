@@ -45,21 +45,15 @@ pub struct ClusterConfig {
     /// Capacity of the cluster's flight-recorder event journal (oldest
     /// events are evicted first). Zero disables event recording.
     pub event_journal_capacity: usize,
-    /// When set, the cluster is *durable*: WAL segments, store files and
-    /// region manifests live under this directory and survive crashes.
-    /// `None` keeps everything in memory (the pre-LSM behavior).
+    /// Where WAL segments, store files and region manifests live. `None`
+    /// roots the cluster at a fresh temp directory that is removed when the
+    /// last handle to its storage drops — what tests and examples want.
     pub data_dir: Option<PathBuf>,
-    /// Rotate WAL segments at this size (durable clusters only).
+    /// Rotate WAL segments at this size.
     pub wal_segment_bytes: u64,
     /// Run memstore flushes on a background thread per server instead of
-    /// inline on the write path (durable clusters benefit most; works for
-    /// in-memory clusters too).
+    /// inline on the write path.
     pub background_flush: bool,
-    /// Durable storage without naming a directory: when true and `data_dir`
-    /// is `None`, the cluster roots itself at a fresh temp directory that is
-    /// removed when the last handle to its storage drops. Set by
-    /// [`ClusterConfig::durable_temp`].
-    pub ephemeral_storage: bool,
 }
 
 impl Default for ClusterConfig {
@@ -76,18 +70,6 @@ impl Default for ClusterConfig {
             data_dir: None,
             wal_segment_bytes: 256 * 1024,
             background_flush: false,
-            ephemeral_storage: false,
-        }
-    }
-}
-
-impl ClusterConfig {
-    /// A durable cluster rooted at a fresh temp directory that is removed
-    /// when the cluster handle is dropped — what tests and examples want.
-    pub fn durable_temp() -> Self {
-        ClusterConfig {
-            ephemeral_storage: true,
-            ..Default::default()
         }
     }
 }
@@ -104,8 +86,8 @@ pub struct HBaseCluster {
     pub metrics: Arc<ClusterMetrics>,
     pub clock: Clock,
     pub security: Option<Arc<TokenService>>,
-    /// Durable storage root, when the cluster was started with one.
-    storage: Option<Arc<StorageEnv>>,
+    /// The storage root every server's log and every region's files are under.
+    storage: Arc<StorageEnv>,
     faults: Arc<FaultInjector>,
     /// Cluster-wide flight recorder: master transitions, WAL replays,
     /// scanner lease expirations, block-cache pressure, and injected faults
@@ -124,8 +106,8 @@ pub struct HBaseCluster {
 
 impl HBaseCluster {
     /// Start a cluster: register servers in ZooKeeper, elect the master.
-    /// Panics when a durable cluster cannot open its storage root or a
-    /// server's log, or a flusher thread cannot be spawned.
+    /// Panics when the cluster cannot open its storage root or a server's
+    /// log, or a flusher thread cannot be spawned.
     pub fn start(config: ClusterConfig) -> Arc<Self> {
         match Self::try_start(config) {
             Ok(cluster) => cluster,
@@ -144,21 +126,14 @@ impl HBaseCluster {
                 life,
             ))
         });
-        let storage = if config.data_dir.is_some() || config.ephemeral_storage {
-            let env = match &config.data_dir {
-                Some(dir) => {
-                    StorageEnv::new(dir.clone(), config.wal_segment_bytes, Arc::clone(&metrics))
-                }
-                None => StorageEnv::temp(config.wal_segment_bytes, Arc::clone(&metrics)),
-            };
-            Some(env?)
-        } else {
-            None
-        };
+        let storage = match &config.data_dir {
+            Some(dir) => {
+                StorageEnv::new(dir.clone(), config.wal_segment_bytes, Arc::clone(&metrics))
+            }
+            None => StorageEnv::temp(config.wal_segment_bytes, Arc::clone(&metrics)),
+        }?;
         let faults = FaultInjector::new(config.fault_seed, Arc::clone(&metrics));
-        if let Some(env) = &storage {
-            env.attach_faults(Arc::clone(&faults));
-        }
+        storage.attach_faults(Arc::clone(&faults));
         let servers = (0..config.num_servers.max(1))
             .map(|i| {
                 let hostname = format!("host-{i}");
@@ -170,7 +145,7 @@ impl HBaseCluster {
                     security.clone(),
                     clock.clone(),
                     config.block_cache_bytes,
-                    storage.clone(),
+                    Arc::clone(&storage),
                 )?);
                 if config.background_flush {
                     server.enable_background_flush()?;
@@ -191,10 +166,8 @@ impl HBaseCluster {
             config.region_config.clone(),
             clock.clone(),
             Arc::clone(&metrics),
+            Arc::clone(&storage),
         ));
-        if let Some(env) = &storage {
-            master.attach_storage(Arc::clone(env));
-        }
         master.attach_event_journal(Arc::clone(&events));
         static NEXT_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         let tsdb = Tsdb::new(TSDB_CAPACITY_PER_SERIES);
@@ -313,14 +286,10 @@ impl HBaseCluster {
         Ok(())
     }
 
-    /// Whether this cluster persists data on disk.
-    pub fn is_durable(&self) -> bool {
-        self.storage.is_some()
-    }
-
-    /// The durable storage root, when the cluster has one.
+    /// The cluster's storage root. Every cluster has one; the `Option` is
+    /// the signature `benchmark/` compiles against (ROADMAP 5(b)).
     pub fn storage(&self) -> Option<&Arc<StorageEnv>> {
-        self.storage.as_ref()
+        Some(&self.storage)
     }
 
     /// Wait for every server's background flusher to drain (no-op unless

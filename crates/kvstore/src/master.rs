@@ -54,8 +54,8 @@ pub struct Master {
     /// Optional flight recorder; splits, moves, failovers, and reassignments
     /// are journaled when attached.
     events: RwLock<Option<Arc<shc_obs::EventJournal>>>,
-    /// Durable storage root; new regions are rooted under it when set.
-    storage: RwLock<Option<Arc<StorageEnv>>>,
+    /// The cluster's storage root; new regions get their directory under it.
+    storage: Arc<StorageEnv>,
 }
 
 /// Default staleness window before a silent server is declared dead.
@@ -68,6 +68,7 @@ impl Master {
         region_config: RegionConfig,
         clock: Clock,
         metrics: Arc<ClusterMetrics>,
+        storage: Arc<StorageEnv>,
     ) -> Self {
         zk.set("/hbase/master", "active");
         Master {
@@ -82,14 +83,8 @@ impl Master {
             heartbeats: RwLock::new(HashMap::new()),
             heartbeat_timeout_ms: AtomicU64::new(DEFAULT_HEARTBEAT_TIMEOUT_MS),
             events: RwLock::new(None),
-            storage: RwLock::new(None),
+            storage,
         }
-    }
-
-    /// Attach the cluster's durable storage root; regions created from now
-    /// on get an on-disk directory (store files + manifest) under it.
-    pub fn attach_storage(&self, env: Arc<StorageEnv>) {
-        *self.storage.write() = Some(env);
     }
 
     /// Attach the cluster's flight recorder; region lifecycle transitions
@@ -150,10 +145,8 @@ impl Master {
                 self.region_config.clone(),
                 server.wal(),
                 self.clock.clone(),
-            );
-            if let Some(env) = self.storage.read().as_ref() {
-                region.attach_storage(Arc::clone(env))?;
-            }
+                Arc::clone(&self.storage),
+            )?;
             server.open_region(Arc::new(region));
             self.zk.set(
                 &format!("/hbase/table/{}/region/{}", descriptor.name, region_id),
@@ -287,16 +280,9 @@ impl Master {
         let right_id = self.next_region_id.fetch_add(1, Ordering::Relaxed);
         let (left, right) = region.split(split_key, left_id, right_id)?;
         let (left, right) = (Arc::new(left), Arc::new(right));
-        if let Some(env) = self.storage.read().as_ref() {
-            // Daughters are fresh in-memory regions holding re-split store
-            // files: give them directories, persist, then retire the
-            // parent's directory so recovery never resurrects it.
-            left.attach_storage(Arc::clone(env))?;
-            right.attach_storage(Arc::clone(env))?;
-            left.persist_all_files()?;
-            right.persist_all_files()?;
-            region.remove_storage_dir();
-        }
+        // The daughters are on disk: retire the parent's directory so
+        // recovery never resurrects it.
+        region.remove_storage_dir();
         server.close_region(region_id);
         server.open_region(Arc::clone(&left));
         server.open_region(Arc::clone(&right));
@@ -337,8 +323,8 @@ impl Master {
         Ok(())
     }
 
-    /// Administratively move one region to a target server, flushing it
-    /// first and updating the meta registry.
+    /// Administratively move one region to a target server: flush it,
+    /// re-home it on the target's WAL and update the meta registry.
     pub fn move_region(&self, name: &TableName, region_id: u64, dest_server_id: u64) -> Result<()> {
         let src_id = {
             let tables = self.tables.read();
@@ -366,6 +352,7 @@ impl Master {
         let region = src.region(region_id)?;
         region.flush()?;
         src.close_region(region_id);
+        region.rewire_wal(dst.wal());
         dst.open_region(region);
         let dst_host = dst.hostname.clone();
         drop(servers);
@@ -420,6 +407,7 @@ impl Master {
             let region = src.region(region_id)?;
             region.flush()?;
             src.close_region(region_id);
+            region.rewire_wal(dst.wal());
             let table = region.info.table.clone();
             dst.open_region(region);
             self.with_meta_mut(&table, |meta| {
@@ -651,14 +639,14 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ClusterMetrics;
     use crate::types::{FamilyDescriptor, Put, Scan};
 
     type SharedServers = Arc<RwLock<Vec<Arc<RegionServer>>>>;
 
     fn setup(n_servers: usize) -> (Arc<Master>, SharedServers) {
         let zk = Arc::new(ZooKeeper::new());
-        let metrics = ClusterMetrics::new();
+        let env = crate::storage::temp_env(1 << 20);
+        let metrics = Arc::clone(env.metrics());
         let servers: Vec<Arc<RegionServer>> = (0..n_servers)
             .map(|i| {
                 let server = RegionServer::new(
@@ -668,7 +656,7 @@ mod tests {
                     None,
                     Clock::logical(0),
                     1 << 20,
-                    None,
+                    Arc::clone(&env),
                 );
                 Arc::new(server.unwrap())
             })
@@ -680,6 +668,7 @@ mod tests {
             RegionConfig::default(),
             Clock::logical(0),
             metrics,
+            env,
         ));
         (master, servers)
     }

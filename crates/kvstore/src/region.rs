@@ -140,8 +140,8 @@ fn modeled_write_us(bytes: u64) -> u64 {
     20 + bytes / 200
 }
 
-/// A region's slice of the durable storage tree: its directory, its
-/// manifest, and the counter naming new store files.
+/// A region's slice of the storage tree: its directory, its manifest, and
+/// the counter naming new store files.
 struct RegionStorage {
     env: Arc<StorageEnv>,
     dir: PathBuf,
@@ -299,32 +299,29 @@ pub struct Region {
     descriptor: TableDescriptor,
     config: RegionConfig,
     stores: RwLock<HashMap<Bytes, Store>>,
-    /// The hosting server's WAL. Behind a lock because master failover can
-    /// re-home the region onto a different server's WAL.
+    /// The hosting server's WAL. Behind a lock because a move or a failover
+    /// re-homes the region onto a different server's WAL.
     wal: RwLock<Arc<Wal>>,
     clock: Clock,
     /// Highest WAL sequence whose mutation is visible to readers.
     read_point: AtomicU64,
     /// Serializes the write path (WAL append + memstore apply).
     write_lock: Mutex<()>,
-    /// Lifetime counters of *durably completed* flushes/compactions. In
-    /// durable mode these only advance after the manifest commit — a flush
-    /// that crashed mid-write is not a flush.
+    /// Lifetime counters of *durably completed* flushes/compactions: they
+    /// only advance after the manifest commit — a flush that crashed
+    /// mid-write is not a flush.
     flush_count: AtomicU64,
     compaction_count: AtomicU64,
     /// Per-region request accounting, bumped by the hosting server's RPC
     /// handlers. Lives on the region so the history follows a move.
     load: RegionLoadCounters,
-    /// Durable storage for this region's store files, if the cluster has a
-    /// data directory. `None` keeps the original in-memory behaviour.
-    storage: RwLock<Option<Arc<RegionStorage>>>,
+    /// Where flushes and compactions persist store files and publish them
+    /// through the manifest; [`Region::reload_from_disk`] rebuilds from it.
+    storage: RegionStorage,
     /// When set, `maybe_flush` hands the flush to a background thread via
     /// this callback instead of flushing synchronously on the write path.
     #[allow(clippy::type_complexity)]
     flush_notifier: RwLock<Option<Box<dyn Fn(u64, FlushCause) + Send + Sync>>>,
-    /// Cluster metrics, attached by the hosting server. `None` for bare
-    /// regions in unit tests — instrumentation is then a no-op.
-    metrics: RwLock<Option<Arc<ClusterMetrics>>>,
     /// Flight recorder, attached by the hosting server. Only the *sync*
     /// write path journals through this (the background worker stamps its
     /// own events at enqueue time to stay deterministic).
@@ -332,13 +329,19 @@ pub struct Region {
 }
 
 impl Region {
+    /// A region rooted at its directory under `env`, created if missing.
+    /// It starts empty: [`Region::reload_from_disk`] loads what a manifest
+    /// already there lists.
     pub fn new(
         info: RegionInfo,
         descriptor: TableDescriptor,
         config: RegionConfig,
         wal: Arc<Wal>,
         clock: Clock,
-    ) -> Self {
+        env: Arc<StorageEnv>,
+    ) -> Result<Self> {
+        let dir = env.region_dir(info.region_id);
+        std::fs::create_dir_all(&dir)?;
         let stores = descriptor
             .families
             .iter()
@@ -354,7 +357,7 @@ impl Region {
                 )
             })
             .collect();
-        Region {
+        Ok(Region {
             info,
             descriptor,
             config,
@@ -366,29 +369,14 @@ impl Region {
             flush_count: AtomicU64::new(0),
             compaction_count: AtomicU64::new(0),
             load: RegionLoadCounters::default(),
-            storage: RwLock::new(None),
+            storage: RegionStorage {
+                env,
+                dir,
+                next_file_no: AtomicU64::new(1),
+            },
             flush_notifier: RwLock::new(None),
-            metrics: RwLock::new(None),
             events: RwLock::new(None),
-        }
-    }
-
-    /// Give the region a durable directory under `env`. Flushes and
-    /// compactions persist store files there and publish them through the
-    /// region's manifest; [`Region::reload_from_disk`] rebuilds from it.
-    pub fn attach_storage(&self, env: Arc<StorageEnv>) -> Result<()> {
-        let dir = env.region_dir(self.info.region_id);
-        std::fs::create_dir_all(&dir)?;
-        *self.storage.write() = Some(Arc::new(RegionStorage {
-            env,
-            dir,
-            next_file_no: AtomicU64::new(1),
-        }));
-        Ok(())
-    }
-
-    pub fn is_durable(&self) -> bool {
-        self.storage.read().is_some()
+        })
     }
 
     /// Route automatic flushes to a background worker. The callback gets
@@ -402,18 +390,17 @@ impl Region {
         *self.flush_notifier.write() = None;
     }
 
-    /// Attach the hosting server's metrics and (optionally) flight recorder.
-    /// Flushes, compactions and write stalls meter through these; a bare
-    /// region without them runs uninstrumented.
-    pub fn attach_observability(
-        &self,
-        metrics: Arc<ClusterMetrics>,
-        events: Option<Arc<EventJournal>>,
-    ) {
-        *self.metrics.write() = Some(metrics);
+    /// Attach the hosting server's flight recorder, when it has one; write
+    /// stalls are journaled through it. (Metrics need no attaching: the
+    /// storage env carries the cluster's.)
+    pub fn attach_observability(&self, events: Option<Arc<EventJournal>>) {
         if let Some(journal) = events {
             *self.events.write() = Some(journal);
         }
+    }
+
+    fn metrics(&self) -> &ClusterMetrics {
+        self.storage.env.metrics()
     }
 
     pub fn descriptor(&self) -> &TableDescriptor {
@@ -425,9 +412,12 @@ impl Region {
         Arc::clone(&self.wal.read())
     }
 
-    /// Re-home the region onto a different WAL (the destination server's),
-    /// as the master does when it reassigns regions away from a dead server.
+    /// Re-home the flushed region onto a different WAL (the destination
+    /// server's), as the master does when it moves a region or reassigns it
+    /// away from a dead server. The new log numbers on from the region's
+    /// newest edit.
     pub fn rewire_wal(&self, wal: Arc<Wal>) {
+        wal.advance_seq_past(self.read_point.load(Ordering::Acquire));
         *self.wal.write() = wal;
     }
 
@@ -648,14 +638,13 @@ impl Region {
         let outcome = self.flush_with_cause(cause)?;
         if outcome.flushed {
             let stall_ms = outcome.duration_us.div_ceil(1000).max(1);
-            if let Some(m) = self.metrics.read().as_ref() {
-                m.add(&m.write_stalls, 1);
-                m.add(&m.write_stall_ms, stall_ms);
-                m.write_stall_us.record_with_exemplar(
-                    outcome.duration_us,
-                    shc_obs::trace::current_trace_id().unwrap_or(0),
-                );
-            }
+            let m = self.metrics();
+            m.add(&m.write_stalls, 1);
+            m.add(&m.write_stall_ms, stall_ms);
+            m.write_stall_us.record_with_exemplar(
+                outcome.duration_us,
+                shc_obs::trace::current_trace_id().unwrap_or(0),
+            );
             self.journal(
                 Severity::Warn,
                 "flush",
@@ -699,7 +688,7 @@ impl Region {
 
     /// Flush with cause attribution, returning what the flush did.
     ///
-    /// Durable ordering: store files are written and fsynced first, the
+    /// Ordering: store files are written and fsynced first, the
     /// manifest commit publishes them, and only *then* does `flush_count`
     /// advance and the WAL release the covered records. A crash at any
     /// earlier point leaves the old manifest intact, the WAL untouched, and
@@ -708,16 +697,13 @@ impl Region {
         let mut sp = shc_obs::trace::span("flush");
         sp.annotate("region", self.info.region_id);
         sp.annotate("cause", cause.as_str());
-        let metrics = self.metrics.read().clone();
+        let m = self.metrics();
+        let rs = &self.storage;
         // Injected slow-write delays land in this counter at the fault
         // site; the delta around the write loop attributes them to this
         // flush (exact single-threaded, approximate under concurrency).
-        let slow_us_before = metrics
-            .as_ref()
-            .map(|m| m.storage_slow_write_us.load(Ordering::Relaxed))
-            .unwrap_or(0);
+        let slow_us_before = m.storage_slow_write_us.load(Ordering::Relaxed);
         let read_point = self.read_point.load(Ordering::Acquire);
-        let storage = self.storage.read().clone();
         let mut stores = self.stores.write();
         let mut any = false;
         let mut bytes = 0u64;
@@ -730,9 +716,7 @@ impl Region {
             merge.add_memstore(&store.memstore, &Bytes::new());
             let file = write_merged(&mut merge, None);
             store.memstore.clear();
-            if let Some(rs) = &storage {
-                file.write_to(&rs.env, &rs.next_sst_path(), FileOp::StoreFileWrite)?;
-            }
+            file.write_to(&rs.env, &rs.next_sst_path(), FileOp::StoreFileWrite)?;
             bytes += file.byte_size() as u64;
             files += 1;
             store.flushed_seq = store.flushed_seq.max(file.max_seq);
@@ -744,48 +728,39 @@ impl Region {
             .map(|s| s.flushed_seq)
             .min()
             .unwrap_or(read_point);
-        if any {
-            if let Some(rs) = &storage {
-                write_manifest(rs, &stores)?;
-            }
-        }
-        drop(stores);
         if !any {
             return Ok(FlushOutcome::default());
         }
+        write_manifest(rs, &stores)?;
+        drop(stores);
         // Durable completion point: everything below is bookkeeping on
         // state that is already safe on disk.
         self.flush_count.fetch_add(1, Ordering::Relaxed);
         self.wal
             .read()
             .truncate_up_to(self.info.region_id, min_flushed);
-        let injected_us = metrics
-            .as_ref()
-            .map(|m| m.storage_slow_write_us.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        let injected_us = m
+            .storage_slow_write_us
+            .load(Ordering::Relaxed)
             .saturating_sub(slow_us_before);
         let duration_us = modeled_write_us(bytes) + injected_us;
         // Injected delays already advanced the active trace at the fault
         // site; only the throughput model is added here.
         shc_obs::trace::advance_us(modeled_write_us(bytes));
-        if let Some(m) = &metrics {
-            match cause {
-                FlushCause::MemstorePressure => m.add(&m.flushes_memstore_pressure, 1),
-                FlushCause::WalPressure => m.add(&m.flushes_wal_pressure, 1),
-                FlushCause::Explicit => m.add(&m.flushes_explicit, 1),
-            }
-            m.flush_bytes.record(bytes);
-            m.flush_us
-                .record_with_exemplar(duration_us, shc_obs::trace::current_trace_id().unwrap_or(0));
+        match cause {
+            FlushCause::MemstorePressure => m.add(&m.flushes_memstore_pressure, 1),
+            FlushCause::WalPressure => m.add(&m.flushes_wal_pressure, 1),
+            FlushCause::Explicit => m.add(&m.flushes_explicit, 1),
         }
+        m.flush_bytes.record(bytes);
+        m.flush_us
+            .record_with_exemplar(duration_us, shc_obs::trace::current_trace_id().unwrap_or(0));
         sp.annotate("bytes", bytes);
         sp.annotate("files", files);
         let (compactions, compaction_bytes) = self.maybe_compact()?;
-        if let Some(m) = &metrics {
-            let (backlog_bytes, _) = self.compaction_backlog();
-            m.compaction_backlog_peak_bytes
-                .fetch_max(backlog_bytes, Ordering::Relaxed);
-        }
+        let (backlog_bytes, _) = self.compaction_backlog();
+        m.compaction_backlog_peak_bytes
+            .fetch_max(backlog_bytes, Ordering::Relaxed);
         Ok(FlushOutcome {
             flushed: true,
             bytes,
@@ -851,7 +826,7 @@ impl Region {
     /// Inner minor compaction returning the bytes rewritten (`None` when no
     /// tier qualified).
     fn minor_compact_inner(&self) -> Result<Option<u64>> {
-        let storage = self.storage.read().clone();
+        let rs = &self.storage;
         let mut stores = self.stores.write();
         // One family per round; callers loop until no tier qualifies.
         let target = stores.values_mut().find_map(|store| {
@@ -873,9 +848,7 @@ impl Region {
                 pick.iter().map(|&i| Arc::clone(&store.files[i])).collect();
             // Everything is kept: only a major compaction may drop data.
             let merged = merge_files(&picked, None);
-            if let Some(rs) = &storage {
-                merged.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
-            }
+            merged.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
             let rewritten = merged.byte_size() as u64;
             let keep: HashSet<usize> = pick.iter().copied().collect();
             let mut replaced = Vec::new();
@@ -892,10 +865,8 @@ impl Region {
             store.files = files;
             (replaced, rewritten)
         };
-        if let Some(rs) = &storage {
-            write_manifest(rs, &stores)?;
-            remove_replaced_files(rs, &replaced);
-        }
+        write_manifest(rs, &stores)?;
+        remove_replaced_files(rs, &replaced);
         drop(stores);
         self.compaction_count.fetch_add(1, Ordering::Relaxed);
         self.meter_compaction(&mut sp, rewritten);
@@ -907,18 +878,17 @@ impl Region {
     fn meter_compaction(&self, sp: &mut shc_obs::SpanGuard, rewritten: u64) {
         let duration_us = modeled_write_us(rewritten);
         shc_obs::trace::advance_us(duration_us);
-        if let Some(m) = self.metrics.read().as_ref() {
-            m.compaction_bytes.record(rewritten);
-            m.compaction_us
-                .record_with_exemplar(duration_us, shc_obs::trace::current_trace_id().unwrap_or(0));
-        }
+        let m = self.metrics();
+        m.compaction_bytes.record(rewritten);
+        m.compaction_us
+            .record_with_exemplar(duration_us, shc_obs::trace::current_trace_id().unwrap_or(0));
         sp.annotate("bytes", rewritten);
     }
 
     /// Major compaction: merge each family's files into one, dropping masked
     /// versions beyond the family's `max_versions` and all tombstones.
     ///
-    /// Same durable ordering as flush: the merged file is written and the
+    /// Same ordering as flush: the merged file is written and the
     /// manifest committed before the old files are deleted or the counter
     /// advances.
     pub fn compact(&self) -> Result<()> {
@@ -932,7 +902,7 @@ impl Region {
         sp.annotate("region", self.info.region_id);
         sp.annotate("kind", "major");
         let mut rewritten = 0u64;
-        let storage = self.storage.read().clone();
+        let rs = &self.storage;
         let mut stores = self.stores.write();
         let mut all_replaced = Vec::new();
         for store in stores.values_mut() {
@@ -942,17 +912,13 @@ impl Region {
                 continue;
             }
             let file = merge_files(&store.files, Some(store.max_versions));
-            if let Some(rs) = &storage {
-                file.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
-            }
+            file.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
             rewritten += file.byte_size() as u64;
             all_replaced.append(&mut store.files);
             store.files = vec![Arc::new(file)];
         }
-        if let Some(rs) = &storage {
-            write_manifest(rs, &stores)?;
-            remove_replaced_files(rs, &all_replaced);
-        }
+        write_manifest(rs, &stores)?;
+        remove_replaced_files(rs, &all_replaced);
         drop(stores);
         self.compaction_count.fetch_add(1, Ordering::Relaxed);
         self.meter_compaction(&mut sp, rewritten);
@@ -1122,7 +1088,8 @@ impl Region {
     }
 
     /// Split this region at `split_key`, producing two daughter regions that
-    /// take over the data. The parent should be discarded afterwards.
+    /// take over the data, each with its store files and manifest already in
+    /// its own directory. The parent should be discarded afterwards.
     pub fn split(&self, split_key: Bytes, left_id: u64, right_id: u64) -> Result<(Region, Region)> {
         if !self.info.contains_row(&split_key) {
             return Err(KvError::InvalidRequest(format!(
@@ -1144,20 +1111,17 @@ impl Region {
             start_key: split_key.clone(),
             end_key: self.info.end_key.clone(),
         };
-        let left = Region::new(
-            left_info,
-            self.descriptor.clone(),
-            self.config.clone(),
-            Arc::clone(&self.wal.read()),
-            self.clock.clone(),
-        );
-        let right = Region::new(
-            right_info,
-            self.descriptor.clone(),
-            self.config.clone(),
-            Arc::clone(&self.wal.read()),
-            self.clock.clone(),
-        );
+        let new_daughter = |info| {
+            Region::new(
+                info,
+                self.descriptor.clone(),
+                self.config.clone(),
+                Arc::clone(&self.wal.read()),
+                self.clock.clone(),
+                Arc::clone(&self.storage.env),
+            )
+        };
+        let (left, right) = (new_daughter(left_info)?, new_daughter(right_info)?);
         let stores = self.stores.read();
         for (family, store) in stores.iter() {
             let mut low = StoreFileBuilder::default();
@@ -1180,9 +1144,17 @@ impl Region {
                 }
             }
         }
+        drop(stores);
         let rp = self.read_point.load(Ordering::Acquire);
-        left.read_point.store(rp, Ordering::Release);
-        right.read_point.store(rp, Ordering::Release);
+        for daughter in [&left, &right] {
+            let rs = &daughter.storage;
+            let stores = daughter.stores.read();
+            for file in stores.values().flat_map(|s| &s.files) {
+                file.write_to(&rs.env, &rs.next_sst_path(), FileOp::StoreFileWrite)?;
+            }
+            write_manifest(rs, &stores)?;
+            daughter.read_point.store(rp, Ordering::Release);
+        }
         Ok((left, right))
     }
 
@@ -1232,12 +1204,11 @@ impl Region {
     /// every listed file (validating CRCs), restore flushed watermarks,
     /// sweep orphaned `.sst` files left by a flush or compaction that
     /// crashed before its manifest commit, and re-seed the WAL's flushed
-    /// watermark so segment archival stays correct. No-op without storage.
+    /// watermark (so segment archival stays correct) and its sequence floor
+    /// (a region moved here and not yet written to is ahead of this log).
     pub fn reload_from_disk(&self) -> Result<()> {
-        let Some(rs) = self.storage.read().clone() else {
-            return Ok(());
-        };
-        let manifest = read_manifest(&rs)?;
+        let rs = &self.storage;
+        let manifest = read_manifest(rs)?;
         let mut stores = self.stores.write();
         let mut listed: HashSet<PathBuf> = HashSet::new();
         listed.insert(rs.manifest_path());
@@ -1282,44 +1253,23 @@ impl Region {
             }
         }
 
+        let wal = self.wal.read();
+        wal.advance_seq_past(max_flushed);
         if min_flushed > 0 {
-            self.wal
-                .read()
-                .truncate_up_to(self.info.region_id, min_flushed);
+            wal.truncate_up_to(self.info.region_id, min_flushed);
         }
         Ok(())
     }
 
-    /// Persist every store file that is not yet on disk, then commit the
-    /// manifest. Used when a region gains storage after its files already
-    /// exist in memory — split daughters, failover re-homing.
-    pub fn persist_all_files(&self) -> Result<()> {
-        let Some(rs) = self.storage.read().clone() else {
-            return Ok(());
-        };
-        let stores = self.stores.write();
-        for store in stores.values() {
-            for file in &store.files {
-                if file.disk_path().is_none() {
-                    file.write_to(&rs.env, &rs.next_sst_path(), FileOp::StoreFileWrite)?;
-                }
-            }
-        }
-        write_manifest(&rs, &stores)?;
-        Ok(())
-    }
-
-    /// Remove this region's durable directory (parent cleanup after a
-    /// split). The region must no longer be serving.
+    /// Remove this region's directory (a dropped table's regions, the
+    /// parent after a split). The region must no longer be serving.
     pub fn remove_storage_dir(&self) {
-        if let Some(rs) = self.storage.read().as_ref() {
-            let _ = std::fs::remove_dir_all(&rs.dir);
-        }
+        let _ = std::fs::remove_dir_all(&self.storage.dir);
     }
 }
 
 // ----------------------------------------------------------------------
-// Durable helpers: manifest codec, tier selection, file cleanup
+// Storage helpers: manifest codec, tier selection, file cleanup
 // ----------------------------------------------------------------------
 
 /// Pick indices of at least `min_files` store files in the same size tier
@@ -1465,13 +1415,26 @@ fn merge_files(files: &[Arc<StoreFile>], retain: Option<u32>) -> StoreFile {
 mod tests {
     use super::*;
     use crate::filter::Filter;
+    use crate::storage::temp_env;
     use crate::types::{FamilyDescriptor, Projection, TimeRange};
+
+    /// A region alone on a throwaway env: its own log, no server.
+    fn bare_region(
+        info: RegionInfo,
+        descriptor: TableDescriptor,
+        config: RegionConfig,
+        clock: Clock,
+    ) -> Region {
+        let env = temp_env(1 << 20);
+        let wal = Arc::new(Wal::open(Arc::clone(&env), env.wal_dir(0)).unwrap());
+        Region::new(info, descriptor, config, wal, clock, env).unwrap()
+    }
 
     fn test_region() -> Region {
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf").with_max_versions(10))
             .with_family(FamilyDescriptor::new("cf2"));
-        Region::new(
+        bare_region(
             RegionInfo {
                 region_id: 1,
                 table: td.name.clone(),
@@ -1480,7 +1443,6 @@ mod tests {
             },
             td,
             RegionConfig::default(),
-            Arc::new(Wal::new()),
             Clock::logical(1000),
         )
     }
@@ -1727,7 +1689,7 @@ mod tests {
     fn auto_flush_on_threshold() {
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf"));
-        let r = Region::new(
+        let r = bare_region(
             RegionInfo {
                 region_id: 1,
                 table: td.name.clone(),
@@ -1740,7 +1702,6 @@ mod tests {
                 compact_at_file_count: 100,
                 ..RegionConfig::default()
             },
-            Arc::new(Wal::new()),
             Clock::logical(0),
         );
         for i in 0..50 {
@@ -1755,7 +1716,7 @@ mod tests {
     fn region_boundaries_reject_foreign_rows() {
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf"));
-        let r = Region::new(
+        let r = bare_region(
             RegionInfo {
                 region_id: 1,
                 table: td.name.clone(),
@@ -1764,7 +1725,6 @@ mod tests {
             },
             td,
             RegionConfig::default(),
-            Arc::new(Wal::new()),
             Clock::logical(0),
         );
         assert!(r.put(&Put::new("a").add("cf", "q", "v")).is_err());
@@ -1802,7 +1762,7 @@ mod tests {
         let region = || {
             let td = TableDescriptor::new(TableName::default_ns("t"))
                 .with_family(FamilyDescriptor::new("cf"));
-            let r = Region::new(
+            let r = bare_region(
                 RegionInfo {
                     region_id: 1,
                     table: td.name.clone(),
@@ -1817,7 +1777,6 @@ mod tests {
                     tier_min_files: 100,
                     ..RegionConfig::default()
                 },
-                Arc::new(Wal::new()),
                 Clock::logical(0),
             );
             r.set_flush_notifier(|_, _| {});
@@ -1865,7 +1824,8 @@ mod tests {
 
     #[test]
     fn wal_recovery_restores_unflushed_writes() {
-        let wal = Arc::new(Wal::new());
+        let env = temp_env(1 << 20);
+        let wal = Arc::new(Wal::open(Arc::clone(&env), env.wal_dir(0)).unwrap());
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf"));
         let info = RegionInfo {
@@ -1880,18 +1840,22 @@ mod tests {
             RegionConfig::default(),
             Arc::clone(&wal),
             Clock::logical(0),
-        );
+            Arc::clone(&env),
+        )
+        .unwrap();
         r.put(&Put::new("a").add("cf", "q", "flushed")).unwrap();
         r.flush().unwrap();
         r.put(&Put::new("b").add("cf", "q", "lost")).unwrap();
-        // Simulate a crash: the memstore content is gone, the WAL survives.
-        let recovered = Region::new(info, td, RegionConfig::default(), wal, Clock::logical(1000));
-        let applied = recovered.recover_from_wal().unwrap();
-        assert!(applied >= 1);
-        let rows = recovered.scan(&Scan::new()).unwrap().0;
-        // The flushed row lived in a store file we "lost" with the process in
-        // this simulation, but the unflushed row must be recovered.
-        assert!(rows.iter().any(|r| r.row.as_ref() == b"b"));
+        // Simulate a crash: the memstore content is gone; the store file,
+        // the manifest and the log survive in the region's directory.
+        drop(r);
+        let config = RegionConfig::default();
+        let recovered = Region::new(info, td, config, wal, Clock::logical(1000), env).unwrap();
+        assert!(scan_all(&recovered).is_empty(), "a new region starts empty");
+        recovered.reload_from_disk().unwrap();
+        assert_eq!(recovered.recover_from_wal().unwrap(), 1);
+        let rows: Vec<_> = scan_all(&recovered).into_iter().map(|r| r.row).collect();
+        assert_eq!(rows, vec![Bytes::from("a"), Bytes::from("b")]);
     }
 
     #[test]

@@ -89,8 +89,6 @@ pub struct RegionServer {
     wal: Arc<Wal>,
     metrics: Arc<ClusterMetrics>,
     security: Option<Arc<TokenService>>,
-    /// The cluster's durable storage root, when this is a durable cluster.
-    storage: Option<Arc<StorageEnv>>,
     /// True between [`crash`](Self::crash) and [`restart`](Self::restart):
     /// every RPC is refused as if the process were gone.
     offline: Arc<AtomicBool>,
@@ -120,13 +118,10 @@ impl RegionServer {
         security: Option<Arc<TokenService>>,
         clock: Clock,
         block_cache_bytes: usize,
-        storage: Option<Arc<StorageEnv>>,
+        storage: Arc<StorageEnv>,
     ) -> Result<Self> {
         let block_cache = Arc::new(BlockCache::new(block_cache_bytes, Arc::clone(&metrics)));
-        let wal = match &storage {
-            Some(env) => Wal::durable(Arc::clone(env), env.wal_dir(server_id))?,
-            None => Wal::new(),
-        };
+        let wal = Wal::open(Arc::clone(&storage), storage.wal_dir(server_id))?;
         Ok(RegionServer {
             server_id,
             hostname: hostname.into(),
@@ -134,7 +129,6 @@ impl RegionServer {
             wal: Arc::new(wal),
             metrics,
             security,
-            storage,
             offline: Arc::new(AtomicBool::new(false)),
             flusher: Mutex::new(None),
             fault: RwLock::new(None),
@@ -145,11 +139,6 @@ impl RegionServer {
             scanner_lease_ms: AtomicU64::new(DEFAULT_SCANNER_LEASE_MS),
             clock,
         })
-    }
-
-    /// Whether this server writes through a [`StorageEnv`] (durable cluster).
-    pub fn is_durable(&self) -> bool {
-        self.storage.is_some()
     }
 
     pub fn block_cache(&self) -> &BlockCache {
@@ -179,7 +168,7 @@ impl RegionServer {
         self.block_cache
             .attach_events(Arc::clone(&journal), self.clock.clone());
         for region in self.regions.read().values() {
-            region.attach_observability(Arc::clone(&self.metrics), Some(Arc::clone(&journal)));
+            region.attach_observability(Some(Arc::clone(&journal)));
         }
         *self.events.write() = Some(journal);
     }
@@ -230,7 +219,7 @@ impl RegionServer {
     }
 
     pub fn open_region(&self, region: Arc<Region>) {
-        region.attach_observability(Arc::clone(&self.metrics), self.events.read().clone());
+        region.attach_observability(self.events.read().clone());
         match self.flusher.lock().as_ref() {
             Some(flusher) => Self::hook_region(&region, flusher, &self.clock),
             None => region.clear_flush_notifier(),
@@ -675,10 +664,9 @@ impl RegionServer {
     }
 
     /// Simulate a crash: the process drops off the network, the WAL refuses
-    /// appends, and every unflushed memstore is lost. On a durable server
-    /// only un-fsynced state is gone — flushed store files, the manifest,
-    /// and every fsynced WAL record survive on disk for
-    /// [`restart`](Self::restart) to recover.
+    /// appends, and every unflushed memstore is lost. Only un-fsynced state
+    /// is gone — flushed store files, the manifests and every fsynced WAL
+    /// record survive on disk for [`restart`](Self::restart) to recover.
     pub fn crash(&self) {
         self.offline.store(true, Ordering::Release);
         self.wal.close();
@@ -695,10 +683,11 @@ impl RegionServer {
         }
     }
 
-    /// Restart after a crash: reopen the WAL, reload every durable region
-    /// from its manifest, replay the WAL tail into the memstores, and come
-    /// back online. A failed recovery is journaled and leaves the server
-    /// offline; [`try_restart`](Self::try_restart) returns the error.
+    /// Restart after a crash: reopen the WAL, reload every region from its
+    /// manifest, replay the WAL tail into the memstores, release the log
+    /// records of regions no longer hosted here, and come back online. A
+    /// failed recovery is journaled and leaves the server offline;
+    /// [`try_restart`](Self::try_restart) returns the error.
     pub fn restart(&self) {
         if let Err(e) = self.try_restart() {
             self.journal(
@@ -714,14 +703,18 @@ impl RegionServer {
         self.wal.reopen()?;
         let mut regions_recovered = 0u64;
         let mut records = 0u64;
-        for region in self.regions.read().values() {
-            if region.is_durable() {
-                region.reload_from_disk()?;
-            }
+        let regions = self.regions.read();
+        for region in regions.values() {
+            region.reload_from_disk()?;
             records += region.recover_from_wal()? as u64;
             self.metrics.add(&self.metrics.wal_replays, 1);
             regions_recovered += 1;
         }
+        // The reopened log also holds what regions that failed over or moved
+        // away wrote here. They left flushed and log at their new hosts.
+        self.wal
+            .release_regions_not_in(&regions.keys().copied().collect());
+        drop(regions);
         self.metrics
             .add(&self.metrics.wal_replayed_records, records);
         self.offline.store(false, Ordering::Release);
@@ -759,6 +752,7 @@ mod tests {
     use super::*;
     use crate::clock::Clock;
     use crate::region::{RegionConfig, RegionInfo};
+    use crate::storage::temp_env;
     use crate::types::{FamilyDescriptor, TableDescriptor, TableName};
     use bytes::Bytes;
 
@@ -779,9 +773,11 @@ mod tests {
     }
 
     fn server_with_region() -> (RegionServer, u64) {
-        let metrics = ClusterMetrics::new();
+        let env = temp_env(1 << 20);
+        let metrics = Arc::clone(env.metrics());
+        let clock = Clock::logical(0);
         let server =
-            RegionServer::new(1, "host-1", metrics, None, Clock::logical(0), 1 << 20, None)
+            RegionServer::new(1, "host-1", metrics, None, clock, 1 << 20, Arc::clone(&env))
                 .unwrap();
         let td = TableDescriptor::new(TableName::default_ns("t"))
             .with_family(FamilyDescriptor::new("cf"));
@@ -796,8 +792,9 @@ mod tests {
             RegionConfig::default(),
             server.wal(),
             Clock::logical(0),
+            env,
         );
-        server.open_region(Arc::new(region));
+        server.open_region(Arc::new(region.unwrap()));
         (server, 10)
     }
 
@@ -865,7 +862,8 @@ mod tests {
 
     #[test]
     fn secure_server_requires_token() {
-        let metrics = ClusterMetrics::new();
+        let env = temp_env(1 << 20);
+        let metrics = Arc::clone(env.metrics());
         let clock = Clock::logical(0);
         let service = Arc::new(TokenService::new("c1", clock.clone(), 1_000_000));
         service.register_principal("p", "k");
@@ -876,7 +874,7 @@ mod tests {
             Some(Arc::clone(&service)),
             clock.clone(),
             1 << 20,
-            None,
+            Arc::clone(&env),
         )
         .unwrap();
         let td = TableDescriptor::new(TableName::default_ns("t"))
@@ -892,8 +890,9 @@ mod tests {
             RegionConfig::default(),
             server.wal(),
             clock,
+            env,
         );
-        server.open_region(Arc::new(region));
+        server.open_region(Arc::new(region.unwrap()));
 
         assert!(matches!(
             server.get(1, &Get::new("a"), None),

@@ -277,29 +277,32 @@ impl StorageEnv {
         wal_segment_bytes: u64,
         metrics: Arc<ClusterMetrics>,
     ) -> Result<Arc<Self>> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        Ok(Arc::new(StorageEnv {
-            root,
-            ephemeral: false,
-            wal_segment_bytes: wal_segment_bytes.max(4 * 1024),
-            metrics,
-            faults: RwLock::new(None),
-        }))
+        Self::at(root.into(), false, wal_segment_bytes, metrics)
     }
 
     /// A unique throwaway root under the system temp dir, removed when the
-    /// env drops. This is what tests and ephemeral benchmark clusters use.
+    /// env drops: what a cluster started without a `data_dir` runs on. A root
+    /// a recycled pid left under this very name is emptied first: a new
+    /// cluster must never recover a stranger's log.
     pub fn temp(wal_segment_bytes: u64, metrics: Arc<ClusterMetrics>) -> Result<Arc<Self>> {
-        let dir = std::env::temp_dir().join(format!(
-            "shc-lsm-{}-{}",
-            std::process::id(),
-            NEXT_TEMP_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)?;
+        let id = NEXT_TEMP_ID.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("shc-lsm-{}-{id}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir)?;
+        }
+        Self::at(dir, true, wal_segment_bytes, metrics)
+    }
+
+    fn at(
+        root: PathBuf,
+        ephemeral: bool,
+        wal_segment_bytes: u64,
+        metrics: Arc<ClusterMetrics>,
+    ) -> Result<Arc<Self>> {
+        std::fs::create_dir_all(&root)?;
         Ok(Arc::new(StorageEnv {
-            root: dir,
-            ephemeral: true,
+            root,
+            ephemeral,
             wal_segment_bytes: wal_segment_bytes.max(4 * 1024),
             metrics,
             faults: RwLock::new(None),
@@ -469,6 +472,12 @@ impl Drop for StorageEnv {
             let _ = std::fs::remove_dir_all(&self.root);
         }
     }
+}
+
+/// A throwaway env for the unit tests that build a bare `Wal` or `Region`.
+#[cfg(test)]
+pub(crate) fn temp_env(wal_segment_bytes: u64) -> Arc<StorageEnv> {
+    StorageEnv::temp(wal_segment_bytes, ClusterMetrics::new()).expect("temp dir")
 }
 
 #[cfg(test)]

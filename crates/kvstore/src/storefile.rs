@@ -13,8 +13,8 @@
 //! cells through borrowed [`CellRef`] views, so a scan only copies the cells
 //! that actually end up in a response.
 //!
-//! In durable clusters a store file also has an on-disk form
-//! ([`StoreFile::write_to`] / [`StoreFile::open`]):
+//! A flush or compaction writes the file it built to disk before the
+//! manifest names it ([`StoreFile::write_to`] / [`StoreFile::open`]):
 //!
 //! ```text
 //! [data block]* [meta block] [footer]
@@ -348,8 +348,8 @@ pub struct StoreFile {
     /// First and last row keys, for range pruning.
     pub first_row: Option<Bytes>,
     pub last_row: Option<Bytes>,
-    /// Where this file lives on disk, once persisted. Unset for purely
-    /// in-memory files (non-durable clusters, or a flush not yet written).
+    /// Where this file lives on disk, once persisted. Unset between the
+    /// builder finishing a file and `write_to` landing it.
     disk_path: OnceLock<PathBuf>,
 }
 
@@ -620,6 +620,7 @@ fn unframe_block(buf: &[u8]) -> Result<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::temp_env;
     use crate::types::{CellKey, CellType};
 
     fn cell(row: &str, ts: u64, seq: u64) -> Cell {
@@ -763,13 +764,9 @@ mod tests {
         assert!(!f.overlaps_time_range(&TimeRange::default()));
     }
 
-    fn temp_env() -> Arc<StorageEnv> {
-        StorageEnv::temp(1 << 20, crate::metrics::ClusterMetrics::new()).unwrap()
-    }
-
     #[test]
     fn disk_roundtrip_preserves_everything() {
-        let env = temp_env();
+        let env = temp_env(1 << 20);
         let mut cells: Vec<Cell> = (0..BLOCK_SIZE * 3 + 17)
             .map(|i| cell(&format!("row-{i:05}"), 10 + i as u64, i as u64 + 1))
             .collect();
@@ -814,7 +811,7 @@ mod tests {
 
     #[test]
     fn open_rejects_truncation_at_any_length() {
-        let env = temp_env();
+        let env = temp_env(1 << 20);
         let cells: Vec<Cell> = (0..BLOCK_SIZE + 9)
             .map(|i| cell(&format!("r{i:04}"), 1, i as u64 + 1))
             .collect();
@@ -835,7 +832,7 @@ mod tests {
 
     #[test]
     fn open_rejects_single_bit_corruption() {
-        let env = temp_env();
+        let env = temp_env(1 << 20);
         let cells: Vec<Cell> = (0..200)
             .map(|i| cell(&format!("r{i:04}"), 1, i as u64 + 1))
             .collect();
@@ -903,7 +900,7 @@ mod tests {
 
     #[test]
     fn disk_format_is_the_framed_cell_codec_in_both_directions() {
-        let env = temp_env();
+        let env = temp_env(1 << 20);
         let mut cells: Vec<Cell> = (0..BLOCK_SIZE * 2 + 9)
             .map(|i| {
                 cell(
@@ -942,7 +939,7 @@ mod tests {
 
     #[test]
     fn open_rejects_recrced_damage_to_cell_lengths() {
-        let env = temp_env();
+        let env = temp_env(1 << 20);
         let f = file_with_rows(&["aaaa", "bbbb", "cccc"]);
         let path = env.root().join("sf.sst");
         f.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();

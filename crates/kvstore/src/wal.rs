@@ -5,35 +5,30 @@
 //! layout. Records are retained until the region reports that the memstore
 //! holding them has been flushed (`truncate_up_to`).
 //!
-//! The log runs in one of two modes:
+//! On disk the log is RocksDB's physical format: a segment file is a
+//! sequence of 32 KiB blocks, each record is split into chunks that never
+//! straddle a block boundary, and every chunk carries a
+//! `crc32 | length | type` header so recovery can stop precisely at the last
+//! valid record of a torn tail. Segments rotate at a configured size, are
+//! *archived* only once every region whose edits they hold has flushed past
+//! them (`min_unflushed_seq` gating), and archived segments are deleted one
+//! cleanup cycle later — deletion is always delayed, never eager.
 //!
-//! * **In-memory** ([`Wal::new`]) — the original simulation-only log, kept
-//!   for lightweight clusters that do not configure a data directory.
-//! * **Durable** ([`Wal::durable`]) — RocksDB's physical log format: the
-//!   file is a sequence of 32 KiB blocks, each record is split into chunks
-//!   that never straddle a block boundary, and every chunk carries a
-//!   `crc32 | length | type` header so recovery can stop precisely at the
-//!   last valid record of a torn tail. Segments rotate at a configured
-//!   size, are *archived* only once every region whose edits they hold has
-//!   flushed past them (`min_unflushed_seq` gating), and archived segments
-//!   are deleted one cleanup cycle later — deletion is always delayed,
-//!   never eager.
-//!
-//! Both modes keep an in-memory mirror of the unflushed records so
-//! `replay` stays cheap; in durable mode the mirror is rebuilt from disk by
-//! [`Wal::reopen`] after a crash.
+//! An in-memory mirror of the unflushed records keeps `replay` cheap and
+//! readable on a closed log; [`Wal::reopen`] rebuilds it from disk after a
+//! crash.
 
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::storage::{self, Reader, StorageEnv};
 use crate::types::{Cell, Timestamp};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Physical block size of the durable log (RocksDB's `kBlockSize`).
+/// Physical block size of the log (RocksDB's `kBlockSize`).
 pub const WAL_BLOCK_SIZE: usize = 32 * 1024;
 /// Chunk header: crc32 (4) + length (2) + type (1).
 const CHUNK_HEADER: usize = 7;
@@ -47,7 +42,7 @@ const CHUNK_LAST: u8 = 4;
 const REC_DATA: u8 = 0;
 const REC_SEGMENT_HEADER: u8 = 1;
 
-/// One durable log record.
+/// One log record.
 #[derive(Clone, Debug)]
 pub struct WalRecord {
     /// Monotonic sequence id assigned at append time.
@@ -66,7 +61,7 @@ impl WalRecord {
     }
 }
 
-/// Externally visible state of one durable WAL segment, for tests and
+/// Externally visible state of one WAL segment, for tests and
 /// introspection of the delayed-deletion invariant.
 #[derive(Clone, Debug)]
 pub struct WalSegmentState {
@@ -123,10 +118,19 @@ struct ActiveSegment {
 }
 
 #[derive(Debug)]
-struct DurableState {
+struct WalInner {
+    /// The replay mirror: every record not yet released by a flush.
+    records: Vec<WalRecord>,
+    next_seq: u64,
+    appended_bytes: u64,
+    /// Heap bytes of `records`, kept in step with it: the write path reads
+    /// this for every group it cuts.
+    retained_bytes: u64,
     env: Arc<StorageEnv>,
     dir: PathBuf,
     segments: Vec<SegmentMeta>,
+    /// The segment taking appends. `None` is the closed log: crashed, or a
+    /// write or roll failed.
     active: Option<ActiveSegment>,
     /// Per-region flushed watermark reported via `truncate_up_to`.
     flushed: HashMap<u64, u64>,
@@ -137,28 +141,10 @@ struct DurableState {
     frame_buf: Vec<u8>,
 }
 
-#[derive(Debug, Default)]
-struct WalInner {
-    records: Vec<WalRecord>,
-    next_seq: u64,
-    closed: bool,
-    appended_bytes: u64,
-    /// Heap bytes of `records`, kept in step with it: the write path reads
-    /// this for every group it cuts.
-    retained_bytes: u64,
-    durable: Option<DurableState>,
-}
-
 /// An append-only, crash-recoverable log.
 #[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalInner>,
-}
-
-impl Default for Wal {
-    fn default() -> Self {
-        Wal::new()
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -377,59 +363,38 @@ fn parse_segment(data: &[u8]) -> ParsedSegment {
 // ----------------------------------------------------------------------
 
 impl Wal {
-    /// A purely in-memory log (no durability, original behavior).
-    pub fn new() -> Self {
-        Wal {
-            inner: Mutex::new(WalInner {
-                next_seq: 1,
-                ..Default::default()
-            }),
-        }
-    }
-
-    /// Open (or recover) a durable log rooted at `dir`. Existing segments
-    /// are scanned, valid records rebuilt into the replay mirror, any torn
-    /// tail discarded, and a fresh active segment is rolled.
-    pub fn durable(env: Arc<StorageEnv>, dir: PathBuf) -> Result<Wal> {
-        let wal = Wal {
-            inner: Mutex::new(WalInner {
-                next_seq: 1,
-                durable: Some(DurableState {
-                    env,
-                    dir,
-                    segments: Vec::new(),
-                    active: None,
-                    flushed: HashMap::new(),
-                    pending_delete: Vec::new(),
-                    frame_buf: Vec::new(),
-                }),
-                ..Default::default()
-            }),
+    /// Open (or recover) the log rooted at `dir`. Existing segments are
+    /// scanned, valid records rebuilt into the replay mirror, any torn tail
+    /// discarded, and a fresh active segment is rolled.
+    pub fn open(env: Arc<StorageEnv>, dir: PathBuf) -> Result<Wal> {
+        let mut inner = WalInner {
+            records: Vec::new(),
+            next_seq: 1,
+            appended_bytes: 0,
+            retained_bytes: 0,
+            env,
+            dir,
+            segments: Vec::new(),
+            active: None,
+            flushed: HashMap::new(),
+            pending_delete: Vec::new(),
+            frame_buf: Vec::new(),
         };
-        {
-            let mut inner = wal.inner.lock();
-            Self::recover_locked(&mut inner)?;
-        }
-        Ok(wal)
-    }
-
-    pub fn is_durable(&self) -> bool {
-        self.inner.lock().durable.is_some()
+        Self::recover_locked(&mut inner)?;
+        Ok(Wal {
+            inner: Mutex::new(inner),
+        })
     }
 
     /// Scan the log directory, rebuild the replay mirror and segment
     /// metadata from whatever survived on disk, and roll a new active
     /// segment. Called on first open and after every crash.
     fn recover_locked(inner: &mut WalInner) -> Result<()> {
-        let Some(ds) = inner.durable.as_mut() else {
-            return Ok(());
-        };
-        std::fs::create_dir_all(&ds.dir)?;
-        let archive = ds.dir.join("archive");
+        let archive = inner.dir.join("archive");
         std::fs::create_dir_all(&archive)?;
 
         let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&ds.dir)? {
+        for entry in std::fs::read_dir(&inner.dir)? {
             let path = entry?.path();
             if path.extension().and_then(|e| e.to_str()) != Some("log") {
                 continue;
@@ -452,7 +417,7 @@ impl Wal {
         let mut max_id = 0u64;
         for (id, path) in seg_paths {
             max_id = max_id.max(id);
-            let data = ds.env.read(&path)?;
+            let data = inner.env.read(&path)?;
             let parsed = parse_segment(&data);
             torn += parsed.torn_bytes;
             max_base = max_base.max(parsed.base_seq);
@@ -478,66 +443,56 @@ impl Wal {
 
         // Archived segments left over from before the crash are queued for
         // the next cleanup pass — deletion stays delayed across restarts.
-        ds.pending_delete.clear();
+        inner.pending_delete.clear();
         if let Ok(dirents) = std::fs::read_dir(&archive) {
             for entry in dirents.flatten() {
-                ds.pending_delete.push(entry.path());
+                inner.pending_delete.push(entry.path());
             }
         }
 
         if torn > 0 {
-            let m = ds.env.metrics();
+            let m = inner.env.metrics();
             m.add(&m.wal_torn_bytes_dropped, torn);
         }
 
-        ds.segments = segments;
-        ds.flushed.clear();
+        inner.segments = segments;
+        inner.flushed.clear();
         inner.records = records;
         inner.records.sort_by_key(|r| r.seq);
         inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
         inner.next_seq = (max_seq + 1).max(max_base).max(1);
-        inner.closed = false;
 
         // Roll a fresh active segment; old files are never appended again.
-        Self::roll_segment(ds, inner.next_seq, max_id + 1).inspect_err(|_| inner.closed = true)
+        let next_seq = inner.next_seq;
+        Self::roll_segment(inner, next_seq, max_id + 1)
     }
 
     /// Open segment `id` as the new active segment and write its header
     /// record (carrying `next_seq` so sequence ids survive full truncation).
-    /// On an error there is no active segment: the caller closes the log.
-    fn roll_segment(ds: &mut DurableState, next_seq: u64, id: u64) -> Result<()> {
-        let path = ds.dir.join(format!("{id:020}.log"));
-        let mut file = ds.env.open_append(&path)?;
+    /// On an error there is no active segment: the log is closed.
+    fn roll_segment(inner: &mut WalInner, next_seq: u64, id: u64) -> Result<()> {
+        inner.active = None;
+        let path = inner.dir.join(format!("{id:020}.log"));
+        let mut file = inner.env.open_append(&path)?;
         let mut buf = Vec::new();
         let block_offset = frame_record(&mut buf, 0, &encode_segment_header(next_seq));
-        let written = buf.len() as u64;
-        let append = ds
-            .env
-            .write(&mut file, FileOp::WalAppend, &buf)
-            .and_then(|()| ds.env.sync(&file, FileOp::WalAppend));
-        ds.segments.push(SegmentMeta {
+        inner.segments.push(SegmentMeta {
             id,
             path,
-            bytes: written,
+            bytes: buf.len() as u64,
             sealed: false,
             archived: false,
             region_min_seq: HashMap::new(),
             region_max_seq: HashMap::new(),
         });
-        match append {
-            Ok(()) => {
-                ds.active = Some(ActiveSegment {
-                    file,
-                    block_offset,
-                    extents: Vec::new(),
-                });
-                Ok(())
-            }
-            Err(e) => {
-                ds.active = None;
-                Err(e)
-            }
-        }
+        inner.env.write(&mut file, FileOp::WalAppend, &buf)?;
+        inner.env.sync(&file, FileOp::WalAppend)?;
+        inner.active = Some(ActiveSegment {
+            file,
+            block_offset,
+            extents: Vec::new(),
+        });
+        Ok(())
     }
 
     /// Append a single record; returns the assigned sequence id. A group of
@@ -547,64 +502,57 @@ impl Wal {
     }
 
     /// Append one record per `(write_time, cells)` entry as a single group:
-    /// consecutive sequence ids, and in durable mode one device write and
-    /// one fsync for the whole group. Returns the first record's seq. The
-    /// group is the unit of acknowledgement, not of recovery: on disk it is
-    /// ordinary records, so a crash mid-write leaves a whole-record prefix.
+    /// consecutive sequence ids, one device write and one fsync for the
+    /// whole group. Returns the first record's seq. The group is the unit of
+    /// acknowledgement, not of recovery: on disk it is ordinary records, so
+    /// a crash mid-write leaves a whole-record prefix.
     pub fn append_group(&self, region_id: u64, records: &[(Timestamp, Vec<Cell>)]) -> Result<u64> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if inner.closed {
+        // The active segment's metadata is the last entry.
+        let (Some(active), Some(seg)) = (inner.active.as_mut(), inner.segments.last_mut()) else {
             return Err(KvError::WalClosed);
-        }
+        };
         let first_seq = inner.next_seq;
         if records.is_empty() {
             return Ok(first_seq);
         }
         let last_seq = first_seq + records.len() as u64 - 1;
-
-        if let Some(ds) = inner.durable.as_mut() {
-            // The active segment's metadata is the last entry.
-            let (Some(active), Some(seg)) = (ds.active.as_mut(), ds.segments.last_mut()) else {
-                inner.closed = true;
-                return Err(KvError::WalClosed);
-            };
-            ds.frame_buf.clear();
-            let mut payload = Vec::new();
-            let mut ends = Vec::with_capacity(records.len());
-            let mut block_offset = active.block_offset;
-            for (seq, (write_time, cells)) in (first_seq..).zip(records) {
-                payload.clear();
-                encode_data_record(&mut payload, region_id, seq, *write_time, cells);
-                block_offset = frame_record(&mut ds.frame_buf, block_offset, &payload);
-                ends.push(ds.frame_buf.len());
-            }
-            // One fault verdict per record, as when each was its own write.
-            let written = ds
-                .env
-                .write_parts(&mut active.file, FileOp::WalAppend, &ds.frame_buf, &ends)
-                .and_then(|()| ds.env.sync(&active.file, FileOp::WalAppend));
-            if let Err(e) = written {
-                // A crash-fault fired mid-group: an unknown prefix is on
-                // disk. The server is about to crash; recovery will drop
-                // the torn tail via CRC validation.
-                inner.closed = true;
-                return Err(e);
-            }
-            active.block_offset = block_offset;
-            active
-                .extents
-                .extend((first_seq..).zip(ends.iter().map(|&end| seg.bytes + end as u64)));
-            seg.bytes += ds.frame_buf.len() as u64;
-            seg.region_min_seq.entry(region_id).or_insert(first_seq);
-            seg.region_max_seq.insert(region_id, last_seq);
-            if seg.bytes >= ds.env.wal_segment_bytes {
-                let next_id = seg.id + 1;
-                seg.sealed = true;
-                let m = ds.env.metrics();
-                m.add(&m.wal_segments_rotated, 1);
-                Self::roll_segment(ds, first_seq, next_id).inspect_err(|_| inner.closed = true)?;
-            }
+        inner.frame_buf.clear();
+        let mut payload = Vec::new();
+        let mut ends = Vec::with_capacity(records.len());
+        let mut block_offset = active.block_offset;
+        for (seq, (write_time, cells)) in (first_seq..).zip(records) {
+            payload.clear();
+            encode_data_record(&mut payload, region_id, seq, *write_time, cells);
+            block_offset = frame_record(&mut inner.frame_buf, block_offset, &payload);
+            ends.push(inner.frame_buf.len());
+        }
+        // One fault verdict per record, as when each was its own write.
+        let written = inner
+            .env
+            .write_parts(&mut active.file, FileOp::WalAppend, &inner.frame_buf, &ends)
+            .and_then(|()| inner.env.sync(&active.file, FileOp::WalAppend));
+        if let Err(e) = written {
+            // A crash-fault fired mid-group: an unknown prefix is on disk.
+            // The server is about to crash; recovery will drop the torn
+            // tail via CRC validation.
+            inner.active = None;
+            return Err(e);
+        }
+        active.block_offset = block_offset;
+        active
+            .extents
+            .extend((first_seq..).zip(ends.iter().map(|&end| seg.bytes + end as u64)));
+        seg.bytes += inner.frame_buf.len() as u64;
+        seg.region_min_seq.entry(region_id).or_insert(first_seq);
+        seg.region_max_seq.insert(region_id, last_seq);
+        if seg.bytes >= inner.env.wal_segment_bytes {
+            let next_id = seg.id + 1;
+            seg.sealed = true;
+            let m = inner.env.metrics();
+            m.add(&m.wal_segments_rotated, 1);
+            Self::roll_segment(inner, first_seq, next_id)?;
         }
 
         inner.next_seq = last_seq + 1;
@@ -623,7 +571,7 @@ impl Wal {
     }
 
     /// All records for one region with `seq > after_seq`, in order. Replayed
-    /// into a fresh memstore during recovery.
+    /// into a fresh memstore during recovery; works on a closed log.
     pub fn replay(&self, region_id: u64, after_seq: u64) -> Vec<WalRecord> {
         self.inner
             .lock()
@@ -634,44 +582,79 @@ impl Wal {
             .collect()
     }
 
-    /// Drop records for a region whose seq is `<= flushed_seq`; they are now
-    /// durable in a store file. In durable mode this also advances the
-    /// region's flushed watermark and runs the segment cleanup pass.
+    /// Drop records for a region whose seq is `<= flushed_seq` — they are now
+    /// in a store file — advance the region's flushed watermark and run the
+    /// segment cleanup pass.
     pub fn truncate_up_to(&self, region_id: u64, flushed_seq: u64) {
         let mut inner = self.inner.lock();
-        inner
-            .records
-            .retain(|r| r.region_id != region_id || r.seq > flushed_seq);
-        inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
-        if let Some(ds) = inner.durable.as_mut() {
-            let mark = ds.flushed.entry(region_id).or_insert(0);
-            *mark = (*mark).max(flushed_seq);
-            Self::gc_locked(ds);
+        let mark = inner.flushed.entry(region_id).or_insert(0);
+        *mark = (*mark).max(flushed_seq);
+        Self::release_locked(&mut inner, |r| {
+            r.region_id == region_id && r.seq <= flushed_seq
+        });
+    }
+
+    /// Number every later record above `seq`. A region brings its own
+    /// history to the log it is opened on: edits numbered at or below what
+    /// its store files hold would be skipped by replay and lose to older
+    /// versions in the merge.
+    pub(crate) fn advance_seq_past(&self, seq: u64) {
+        let mut inner = self.inner.lock();
+        inner.next_seq = inner.next_seq.max(seq + 1);
+    }
+
+    /// Release every record of a region `hosted` does not list. A restarted
+    /// server calls this: recovery re-reads the records of regions that
+    /// failed over (or moved) away, whose watermarks were in memory only.
+    /// Those regions left flushed and log elsewhere (`Region::rewire_wal`):
+    /// nothing reads the records again and no flush here will release them. With no such record there is
+    /// no cleanup pass either: a restart alone deletes no archived segment.
+    pub(crate) fn release_regions_not_in(&self, hosted: &HashSet<u64>) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let mut found = false;
+        for r in &inner.records {
+            if !hosted.contains(&r.region_id) {
+                let mark = inner.flushed.entry(r.region_id).or_insert(0);
+                *mark = (*mark).max(r.seq);
+                found = true;
+            }
         }
+        if found {
+            Self::release_locked(inner, |r| !hosted.contains(&r.region_id));
+        }
+    }
+
+    /// Drop the mirrored records `released` selects (their regions'
+    /// watermarks already cover them) and run the segment cleanup pass.
+    fn release_locked(inner: &mut WalInner, released: impl Fn(&WalRecord) -> bool) {
+        inner.records.retain(|r| !released(r));
+        inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
+        Self::gc_locked(inner);
     }
 
     /// Segment cleanup: delete files archived on a *previous* pass, then
     /// archive sealed segments whose every covered memstore has flushed.
-    fn gc_locked(ds: &mut DurableState) {
-        let m = Arc::clone(ds.env.metrics());
-        for path in ds.pending_delete.drain(..) {
+    fn gc_locked(inner: &mut WalInner) {
+        let m = Arc::clone(inner.env.metrics());
+        for path in inner.pending_delete.drain(..) {
             if std::fs::remove_file(&path).is_ok() {
                 m.add(&m.wal_segments_deleted, 1);
             }
         }
-        let archive_dir = ds.dir.join("archive");
-        for seg in ds.segments.iter_mut() {
-            if !seg.sealed || seg.archived || seg.min_unflushed_seq(&ds.flushed).is_some() {
+        let archive_dir = inner.dir.join("archive");
+        for seg in inner.segments.iter_mut() {
+            if !seg.sealed || seg.archived || seg.min_unflushed_seq(&inner.flushed).is_some() {
                 continue;
             }
             let Some(file_name) = seg.path.file_name() else {
                 continue;
             };
             let dst = archive_dir.join(file_name);
-            if ds.env.rename(&seg.path, &dst).is_ok() {
+            if inner.env.rename(&seg.path, &dst).is_ok() {
                 seg.archived = true;
                 seg.path = dst.clone();
-                ds.pending_delete.push(dst);
+                inner.pending_delete.push(dst);
                 m.add(&m.wal_segments_archived, 1);
             }
         }
@@ -681,19 +664,14 @@ impl Wal {
     /// `truncate_up_to`). Two passes are needed to fully delete an
     /// archivable segment: one to archive, the next to delete.
     pub fn gc(&self) {
-        let mut inner = self.inner.lock();
-        if let Some(ds) = inner.durable.as_mut() {
-            Self::gc_locked(ds);
-        }
+        Self::gc_locked(&mut self.inner.lock());
     }
 
-    /// Snapshot of per-segment durability state (durable mode only).
+    /// Snapshot of per-segment durability state.
     pub fn segment_states(&self) -> Vec<WalSegmentState> {
         let inner = self.inner.lock();
-        let Some(ds) = inner.durable.as_ref() else {
-            return Vec::new();
-        };
-        ds.segments
+        inner
+            .segments
             .iter()
             .map(|s| WalSegmentState {
                 id: s.id,
@@ -701,17 +679,17 @@ impl Wal {
                 bytes: s.bytes,
                 sealed: s.sealed,
                 archived: s.archived,
-                min_unflushed_seq: s.min_unflushed_seq(&ds.flushed),
+                min_unflushed_seq: s.min_unflushed_seq(&inner.flushed),
             })
             .collect()
     }
 
-    /// Path of the segment currently being appended to (durable mode).
+    /// Path of the segment currently being appended to; `None` on a closed
+    /// log.
     pub fn active_segment_path(&self) -> Option<PathBuf> {
         let inner = self.inner.lock();
-        let ds = inner.durable.as_ref()?;
-        ds.active.as_ref()?;
-        ds.segments.last().map(|s| s.path.clone())
+        inner.active.as_ref()?;
+        inner.segments.last().map(|s| s.path.clone())
     }
 
     /// `(seq, end offset)` of each record in the active segment, in append
@@ -720,38 +698,26 @@ impl Wal {
     pub fn active_record_extents(&self) -> Vec<(u64, u64)> {
         let inner = self.inner.lock();
         inner
-            .durable
+            .active
             .as_ref()
-            .and_then(|ds| ds.active.as_ref())
             .map(|a| a.extents.clone())
             .unwrap_or_default()
     }
 
-    /// Simulate a server crash: further appends fail until `reopen`.
+    /// Simulate a server crash: further appends fail until `reopen`. The
+    /// file handle is dropped; un-fsynced OS state is gone.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        inner.closed = true;
-        if let Some(ds) = inner.durable.as_mut() {
-            // Drop the file handle; un-fsynced OS state is gone.
-            ds.active = None;
-        }
+        self.inner.lock().active = None;
     }
 
-    /// Bring the log back after a crash. In-memory logs simply accept
-    /// appends again; durable logs re-scan their directory, drop any torn
-    /// tail, rebuild the replay mirror, and roll a fresh segment.
+    /// Bring the log back after a crash: re-scan the directory, drop any
+    /// torn tail, rebuild the replay mirror, and roll a fresh segment.
     pub fn reopen(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.durable.is_some() {
-            Self::recover_locked(&mut inner)?;
-        } else {
-            inner.closed = false;
-        }
-        Ok(())
+        Self::recover_locked(&mut self.inner.lock())
     }
 
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
+        self.inner.lock().active.is_none()
     }
 
     pub fn len(&self) -> usize {
@@ -777,7 +743,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ClusterMetrics;
+    use crate::storage::temp_env;
     use crate::types::{CellKey, CellType};
     use bytes::Bytes;
 
@@ -795,13 +761,15 @@ mod tests {
         }
     }
 
-    fn temp_env(segment_bytes: u64) -> Arc<StorageEnv> {
-        StorageEnv::temp(segment_bytes, ClusterMetrics::new()).unwrap()
+    /// A log on its own throwaway env, which lives as long as the log.
+    fn temp_wal() -> Wal {
+        let env = temp_env(1 << 20);
+        Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap()
     }
 
     #[test]
     fn append_assigns_monotonic_seq() {
-        let wal = Wal::new();
+        let wal = temp_wal();
         let s1 = wal.append(7, vec![cell("a")], 100).unwrap();
         let s2 = wal.append(7, vec![cell("b")], 101).unwrap();
         assert!(s2 > s1);
@@ -811,7 +779,7 @@ mod tests {
 
     #[test]
     fn replay_filters_by_region_and_seq() {
-        let wal = Wal::new();
+        let wal = temp_wal();
         let s1 = wal.append(1, vec![cell("a")], 100).unwrap();
         wal.append(2, vec![cell("b")], 100).unwrap();
         wal.append(1, vec![cell("c")], 100).unwrap();
@@ -824,7 +792,7 @@ mod tests {
 
     #[test]
     fn truncate_drops_flushed_records() {
-        let wal = Wal::new();
+        let wal = temp_wal();
         let s1 = wal.append(1, vec![cell("a")], 100).unwrap();
         let s2 = wal.append(1, vec![cell("b")], 100).unwrap();
         wal.append(2, vec![cell("x")], 100).unwrap();
@@ -837,7 +805,7 @@ mod tests {
 
     #[test]
     fn closed_wal_rejects_appends() {
-        let wal = Wal::new();
+        let wal = temp_wal();
         wal.close();
         assert!(wal.is_closed());
         assert_eq!(
@@ -852,7 +820,7 @@ mod tests {
     fn durable_records_survive_close_and_reopen() {
         let env = temp_env(1 << 20);
         let dir = env.root().join("wal");
-        let wal = Wal::durable(Arc::clone(&env), dir).unwrap();
+        let wal = Wal::open(Arc::clone(&env), dir).unwrap();
         let s1 = wal.append(1, vec![cell("a"), cell("b")], 100).unwrap();
         let s2 = wal.append(2, vec![cell("c")], 101).unwrap();
         wal.close();
@@ -875,7 +843,7 @@ mod tests {
     #[test]
     fn next_seq_survives_even_when_all_records_flushed() {
         let env = temp_env(1 << 20);
-        let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+        let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         let last = wal.append(1, vec![cell("a")], 1).unwrap();
         wal.truncate_up_to(1, last);
         wal.close();
@@ -889,7 +857,7 @@ mod tests {
     #[test]
     fn large_record_spans_blocks_and_recovers() {
         let env = temp_env(1 << 22);
-        let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+        let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         // One record much larger than a 32 KiB block → FIRST/MIDDLE/LAST chunks.
         let big: Vec<Cell> = (0..3000).map(|i| cell(&format!("row-{i:06}"))).collect();
         wal.append(9, big.clone(), 50).unwrap();
@@ -904,7 +872,7 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_at_last_valid_record() {
         let env = temp_env(1 << 20);
-        let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+        let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         wal.append(1, vec![cell("keep-1")], 1).unwrap();
         wal.append(1, vec![cell("keep-2")], 2).unwrap();
         wal.append(1, vec![cell("lost")], 3).unwrap();
@@ -1004,10 +972,9 @@ mod tests {
     #[test]
     fn group_costs_one_fsync_and_the_same_bytes_as_single_appends() {
         let grouped_env = temp_env(1 << 20);
-        let grouped =
-            Wal::durable(Arc::clone(&grouped_env), grouped_env.root().join("wal")).unwrap();
+        let grouped = Wal::open(Arc::clone(&grouped_env), grouped_env.root().join("wal")).unwrap();
         let single_env = temp_env(1 << 20);
-        let single = Wal::durable(Arc::clone(&single_env), single_env.root().join("wal")).unwrap();
+        let single = Wal::open(Arc::clone(&single_env), single_env.root().join("wal")).unwrap();
         let group = group_of(12);
 
         let fsyncs_before = grouped_env.metrics().snapshot().wal_fsyncs;
@@ -1044,7 +1011,7 @@ mod tests {
     fn group_truncated_anywhere_recovers_a_whole_record_prefix() {
         let env = temp_env(1 << 20);
         let dir = env.root().join("wal");
-        let wal = Wal::durable(Arc::clone(&env), dir.clone()).unwrap();
+        let wal = Wal::open(Arc::clone(&env), dir.clone()).unwrap();
         let first = wal.append_group(7, &group_of(8)).unwrap();
         let extents = wal.active_record_extents();
         assert_eq!(extents.len(), 8);
@@ -1057,7 +1024,7 @@ mod tests {
             let trial = env.root().join(format!("trial-{cut}"));
             std::fs::create_dir_all(&trial).unwrap();
             std::fs::write(trial.join(path.file_name().unwrap()), &data[..cut]).unwrap();
-            let recovered = Wal::durable(Arc::clone(&env), trial.clone()).unwrap();
+            let recovered = Wal::open(Arc::clone(&env), trial.clone()).unwrap();
             let got: Vec<u64> = recovered.replay(7, 0).iter().map(|r| r.seq).collect();
             let want: Vec<u64> = extents
                 .iter()
@@ -1079,7 +1046,7 @@ mod tests {
             let env = temp_env(1 << 20);
             let inj = FaultInjector::new(11, Arc::clone(env.metrics()));
             env.attach_faults(Arc::clone(&inj));
-            let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+            let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
             let acked = wal.append_group(3, &group_of(3)).unwrap();
             // Records take one verdict each: the 4th write of the next
             // group is its 4th record.
@@ -1110,7 +1077,7 @@ mod tests {
     #[test]
     fn segments_rotate_archive_only_after_flush_then_delete_delayed() {
         let env = temp_env(4 * 1024); // tiny segments force rotation
-        let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+        let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         let mut last_seq = 0;
         for i in 0..200 {
             let big = vec![cell(&format!("row-{i:04}-{}", "x".repeat(100)))];
@@ -1161,7 +1128,7 @@ mod tests {
     #[test]
     fn partial_flush_keeps_segment_unarchived() {
         let env = temp_env(4 * 1024);
-        let wal = Wal::durable(Arc::clone(&env), env.root().join("wal")).unwrap();
+        let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         // Interleave two regions across segments.
         let mut region1_last = 0;
         for i in 0..100 {
@@ -1184,7 +1151,7 @@ mod tests {
 
     #[test]
     fn retained_bytes_shrinks_after_truncate() {
-        let wal = Wal::new();
+        let wal = temp_wal();
         let s = wal.append(1, vec![cell("abcdefgh")], 1).unwrap();
         assert!(wal.retained_bytes() > 0);
         wal.truncate_up_to(1, s);

@@ -388,7 +388,14 @@ impl Model {
 // The harness
 // ----------------------------------------------------------------------
 
+/// A throwaway storage root, removed when its last holder drops.
+fn temp_env() -> Arc<StorageEnv> {
+    StorageEnv::temp(1 << 20, ClusterMetrics::new()).unwrap()
+}
+
 fn fresh_region() -> Region {
+    let env = temp_env();
+    let wal = Wal::open(Arc::clone(&env), env.wal_dir(0)).unwrap();
     let descriptor = TableDescriptor::new(TableName::default_ns("model"))
         .with_family(FamilyDescriptor::new("cf").with_max_versions(FAMILY_MAX_VERSIONS));
     Region::new(
@@ -405,9 +412,11 @@ fn fresh_region() -> Region {
             tier_min_files: usize::MAX,
             ..RegionConfig::default()
         },
-        Arc::new(Wal::new()),
+        Arc::new(wal),
         Clock::logical(1),
+        env,
     )
+    .unwrap()
 }
 
 fn apply(region: &Region, op: &Op) {
@@ -573,7 +582,7 @@ proptest! {
 /// every cell of every block can be read in full — lengths that passed
 /// validation keep every slice inside its block. No panic either way.
 fn check_recrced_damage(n_cells: usize, block: usize, at: usize, xor: u8) {
-    let env = StorageEnv::temp(1 << 20, ClusterMetrics::new()).unwrap();
+    let env = temp_env();
     let cells: Vec<Cell> = (0..n_cells)
         .map(|i| Cell {
             key: CellKey {

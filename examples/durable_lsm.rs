@@ -1,5 +1,6 @@
-//! The durable LSM storage engine end to end: a cluster rooted on real
-//! disk, an overwrite-heavy workload that drives WAL rotation, background
+//! The LSM storage engine end to end on the disk every cluster has (a temp
+//! root here; `ClusterConfig::data_dir` names a lasting one): an
+//! overwrite-heavy workload that drives WAL rotation, background
 //! flushes and size-tiered compaction, then a hard crash and a restart
 //! that recovers every acknowledged write from the manifest + WAL tail.
 //!
@@ -34,10 +35,10 @@ fn main() {
         },
         wal_segment_bytes: 32 * 1024,
         background_flush: true,
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     println!(
-        "durable cluster rooted at {}",
+        "cluster rooted at {}",
         cluster.storage().unwrap().root().display()
     );
     cluster

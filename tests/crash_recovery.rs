@@ -1,6 +1,6 @@
-//! Crash-recovery harness for the durable LSM engine.
+//! Crash-recovery harness for the LSM engine.
 //!
-//! The core technique is the *twin cluster*: two durable clusters run the
+//! The core technique is the *twin cluster*: two clusters run the
 //! same deterministic workload on the same logical clock, one of them with
 //! a seeded file-layer fault that kills its servers at a precise point of
 //! a flush, a manifest commit, or a compaction. After the crashed cluster
@@ -32,7 +32,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A durable cluster whose flushes happen only when the test says so
+/// A cluster whose flushes happen only when the test says so
 /// (thresholds are effectively infinite), so the fault schedule is exact.
 fn build_cluster() -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
@@ -46,7 +46,7 @@ fn build_cluster() -> Arc<HBaseCluster> {
             ..RegionConfig::default()
         },
         wal_segment_bytes: 16 * 1024,
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(
@@ -283,7 +283,7 @@ fn compaction_workload_reports_write_amplification() {
             ..RegionConfig::default()
         },
         wal_segment_bytes: 16 * 1024,
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(

@@ -369,8 +369,10 @@ fn delayed_scan_rpc_still_returns_full_results() {
 fn server_crash_replays_wal_on_restart() {
     use shc::kvstore::prelude::*;
     let cluster = faulty_kv_cluster(1, 0xfa03, 20);
+    let name = TableName::default_ns("t");
     let conn = Connection::open(Arc::clone(&cluster), None);
-    let table = conn.table(TableName::default_ns("t"));
+    let table = conn.table(name.clone());
+    let before = cluster.metrics.snapshot();
     // Unflushed tail: lives only in the memstore + WAL.
     for i in 20..25 {
         table
@@ -380,13 +382,36 @@ fn server_crash_replays_wal_on_restart() {
     let baseline = scan_keys(&table);
     assert_eq!(baseline.len(), 25);
 
-    let before = cluster.metrics.snapshot();
+    // A cluster started without a `data_dir` still has a disk, and the
+    // flushed rows are on it.
+    let storage = cluster.storage().expect("every cluster has a storage root");
+    let region_id = cluster.master.regions_of(&name).unwrap()[0].info.region_id;
+    let region_dir = storage.region_dir(region_id);
+    assert!(region_dir.join("MANIFEST").exists());
+
     let server = cluster.server(0).unwrap();
     server.crash(); // loses every memstore
-    server.restart(); // replays the WAL
+
+    // What a flush that died before its manifest commit leaves behind: only
+    // a restart that reads the directory and the manifest sweeps it.
+    let orphan = region_dir.join("sf-999999.sst");
+    std::fs::write(&orphan, b"never committed").unwrap();
+    server.restart(); // reloads the store files, replays the WAL
+    assert!(!orphan.exists(), "restart reloaded the region from disk");
+    assert_eq!(scan_keys(&table), baseline, "unflushed rows recovered");
+    cluster.flush_all().unwrap();
+    assert_eq!(scan_keys(&table), baseline, "and flushed in their turn");
+
     let delta = cluster.metrics.snapshot().delta_since(&before);
     assert!(delta.wal_replays >= 1, "restart must replay the WAL");
-    assert_eq!(scan_keys(&table), baseline, "unflushed rows recovered");
+    assert_eq!(delta.wal_replayed_records, 5);
+    assert_eq!(delta.storefile_orphans_removed, 1);
+    assert!(
+        delta.wal_fsyncs > 0 && delta.manifest_writes > 0,
+        "puts and flushes go through a real log and manifest: {} fsyncs, {} manifest writes",
+        delta.wal_fsyncs,
+        delta.manifest_writes
+    );
 }
 
 #[test]
@@ -489,6 +514,79 @@ fn master_failover_reassigns_regions_of_dead_server() {
     assert!(delta.regions_reassigned >= 1);
     assert!(delta.wal_replays >= 1, "failover replays the dead WAL");
     assert!(delta.client_retries >= 1, "stale location must be retried");
+}
+
+/// A server that restarts after its regions failed over finds their records
+/// in its log again. It hosts none of them: the log must let go, or its
+/// retained bytes only grow until every write here flushes on WAL pressure.
+/// What it lets go of is never the only copy: a region that left, by
+/// failover or by a move, left flushed and logs at its new host.
+#[test]
+fn restart_after_failover_releases_the_log_of_regions_that_left() {
+    use shc::kvstore::prelude::*;
+    let cluster = faulty_kv_cluster(2, 0xfa07, 40);
+    let name = TableName::default_ns("t");
+    let conn = Connection::open(Arc::clone(&cluster), None);
+    let table = conn.table(name.clone());
+    let put_rows = |rows: std::ops::Range<usize>| {
+        for i in rows {
+            table
+                .put(Put::new(format!("row{i:04}")).add("cf", "q", format!("v{i}")))
+                .unwrap();
+        }
+    };
+    put_rows(40..48);
+    let baseline = scan_keys(&table);
+    assert_eq!(baseline.len(), 48);
+
+    let region = cluster.master.regions_of(&name).unwrap()[0].clone();
+    let (dead, survivor) = (region.server_id, 1 - region.server_id);
+    let server = cluster.server(dead).unwrap();
+    assert!(server.wal().retained_bytes() > 0, "the unflushed tail");
+    server.crash();
+    assert!(cluster.master.fail_over_server(dead).unwrap() >= 1);
+    server.try_restart().unwrap();
+
+    assert_eq!(server.region_count(), 0);
+    let wal = server.wal();
+    assert_eq!(wal.retained_bytes(), 0);
+    wal.gc();
+    wal.gc();
+    for segment in wal.segment_states() {
+        assert!(
+            !segment.sealed || segment.archived,
+            "segment {} still waits on seq {:?}",
+            segment.id,
+            segment.min_unflushed_seq
+        );
+    }
+    assert_eq!(scan_keys(&table), baseline);
+
+    // The survivor's log was behind the region's history. It numbers on
+    // from it, also when it is reopened before the region's first write
+    // there: replay skips what is not above the store files.
+    let bounce = |ids: [u64; 2]| {
+        for id in ids {
+            let server = cluster.server(id).unwrap();
+            server.crash();
+            server.try_restart().unwrap();
+        }
+    };
+    bounce([dead, survivor]);
+    put_rows(48..52);
+    bounce([dead, survivor]);
+    assert_eq!(scan_keys(&table).len(), 52, "rows put after the failover");
+
+    // A moved region logs at its new host from the move on: the restarted
+    // old host has nothing unflushed of it to release, and the new host's
+    // log alone recovers what was written after the move.
+    cluster
+        .master
+        .move_region(&name, region.info.region_id, dead)
+        .unwrap();
+    put_rows(52..56);
+    bounce([survivor, dead]);
+    assert_eq!(scan_keys(&table).len(), 56, "rows put after the move");
 }
 
 #[test]

@@ -82,12 +82,7 @@ fn runs(ops: &[Op], cut: impl Fn(usize) -> bool) -> Vec<Run> {
     out
 }
 
-fn single_region_cluster(durable: bool, background_flush: bool) -> Arc<HBaseCluster> {
-    let base = if durable {
-        ClusterConfig::durable_temp()
-    } else {
-        ClusterConfig::default()
-    };
+fn single_region_cluster(background_flush: bool) -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 1,
         background_flush,
@@ -96,7 +91,7 @@ fn single_region_cluster(durable: bool, background_flush: bool) -> Arc<HBaseClus
             ..RegionConfig::default()
         },
         wal_segment_bytes: 16 * 1024,
-        ..base
+        ..Default::default()
     });
     cluster
         .create_table(
@@ -182,59 +177,55 @@ fn physical_state(cluster: &Arc<HBaseCluster>) -> (u64, u64, usize, u64, usize) 
 #[test]
 fn batched_and_one_at_a_time_build_the_same_store() {
     let ops = ops(2018, 600);
-    for durable in [false, true] {
-        for background in [false, true] {
-            let label = format!("durable={durable} background_flush={background}");
-            let single = single_region_cluster(durable, background);
-            let flushed_after = apply_one_at_a_time(&single, &ops);
-            assert!(
-                flushed_after.len() >= 5,
-                "{label}: the workload must cross the flush threshold repeatedly"
-            );
+    for background in [false, true] {
+        let label = format!("background_flush={background}");
+        let single = single_region_cluster(background);
+        let flushed_after = apply_one_at_a_time(&single, &ops);
+        assert!(
+            flushed_after.len() >= 5,
+            "{label}: the workload must cross the flush threshold repeatedly"
+        );
 
-            // Inline flushes happen at a group boundary wherever the batch
-            // is cut, so whole runs go in as they come. A background flush
-            // takes whatever the memstore holds when the worker gets to it:
-            // it is a function of the schedule only if a batch ends where
-            // the flush was queued and the writer lets the worker drain.
-            let batched = single_region_cluster(durable, background);
-            let batches = runs(&ops, |i| background && flushed_after.contains(&i));
-            assert!(
-                batches
-                    .iter()
-                    .any(|run| matches!(run, Run::Puts(puts) if puts.len() > 20)),
-                "{label}"
-            );
-            apply_batched(&batched, &batches, background);
+        // Inline flushes happen at a group boundary wherever the batch is
+        // cut, so whole runs go in as they come. A background flush takes
+        // whatever the memstore holds when the worker gets to it: it is a
+        // function of the schedule only if a batch ends where the flush was
+        // queued and the writer lets the worker drain.
+        let batched = single_region_cluster(background);
+        let batches = runs(&ops, |i| background && flushed_after.contains(&i));
+        assert!(
+            batches
+                .iter()
+                .any(|run| matches!(run, Run::Puts(puts) if puts.len() > 20)),
+            "{label}"
+        );
+        apply_batched(&batched, &batches, background);
 
-            assert_eq!(all_versions(&batched), all_versions(&single), "{label}");
-            assert_eq!(physical_state(&batched), physical_state(&single), "{label}");
-            if durable {
-                let (b, s) = (batched.metrics.snapshot(), single.metrics.snapshot());
-                assert_eq!(b.flush_bytes_written, s.flush_bytes_written, "{label}");
-                assert_eq!(
-                    b.compaction_bytes_rewritten, s.compaction_bytes_rewritten,
-                    "{label}"
-                );
-                // One fsync per batch, one more per flush point inside it,
-                // one per segment header (the first and every roll).
-                let budget = batches.len() as u64 + b.wal_segments_rotated + 1;
-                let flushes = physical_state(&batched).0;
-                assert!(
-                    b.wal_fsyncs <= budget + flushes && b.wal_fsyncs < s.wal_fsyncs,
-                    "{label}: {} fsyncs batched, {} one at a time",
-                    b.wal_fsyncs,
-                    s.wal_fsyncs
-                );
-            }
+        assert_eq!(all_versions(&batched), all_versions(&single), "{label}");
+        assert_eq!(physical_state(&batched), physical_state(&single), "{label}");
+        let (b, s) = (batched.metrics.snapshot(), single.metrics.snapshot());
+        assert_eq!(b.flush_bytes_written, s.flush_bytes_written, "{label}");
+        assert_eq!(
+            b.compaction_bytes_rewritten, s.compaction_bytes_rewritten,
+            "{label}"
+        );
+        // One fsync per batch, one more per flush point inside it, one per
+        // segment header (the first and every roll).
+        let budget = batches.len() as u64 + b.wal_segments_rotated + 1;
+        let flushes = physical_state(&batched).0;
+        assert!(
+            b.wal_fsyncs <= budget + flushes && b.wal_fsyncs < s.wal_fsyncs,
+            "{label}: {} fsyncs batched, {} one at a time",
+            b.wal_fsyncs,
+            s.wal_fsyncs
+        );
 
-            // With the flusher racing whole runs, the contents still agree.
-            if background {
-                let racing = single_region_cluster(durable, background);
-                apply_batched(&racing, &runs(&ops, |_| false), false);
-                racing.quiesce();
-                assert_eq!(all_versions(&racing), all_versions(&single), "{label}");
-            }
+        // With the flusher racing whole runs, the contents still agree.
+        if background {
+            let racing = single_region_cluster(background);
+            apply_batched(&racing, &runs(&ops, |_| false), false);
+            racing.quiesce();
+            assert_eq!(all_versions(&racing), all_versions(&single), "{label}");
         }
     }
 }
@@ -247,7 +238,7 @@ fn batch_fsyncs_once_per_region_plus_once_per_flush() {
             memstore_flush_size: 64 * 1024,
             ..RegionConfig::default()
         },
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(
@@ -291,10 +282,10 @@ fn batch_fsyncs_once_per_region_plus_once_per_flush() {
     assert_eq!(table.scan(&Scan::new()).unwrap().len(), 2048);
 }
 
-fn durable_single_region() -> Arc<HBaseCluster> {
+fn default_single_region() -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 1,
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(TableDescriptor::new(table_name()).with_family(FamilyDescriptor::new("a")))
@@ -325,8 +316,8 @@ fn latest(cluster: &Arc<HBaseCluster>) -> Vec<(bytes::Bytes, bytes::Bytes)> {
 #[test]
 fn wal_fault_inside_a_group_acknowledges_nothing_and_a_retry_converges() {
     for kind in [FileFaultKind::Torn, FileFaultKind::CrashAt] {
-        let faulty = durable_single_region();
-        let twin = durable_single_region();
+        let faulty = default_single_region();
+        let twin = default_single_region();
         let conn = Connection::open(Arc::clone(&faulty), None);
         let table = conn.table(table_name());
         let twin_conn = Connection::open(Arc::clone(&twin), None);

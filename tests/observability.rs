@@ -245,7 +245,7 @@ fn background_flush_run(seed: u64) -> String {
             memstore_flush_size: 2 * 1024,
             ..RegionConfig::default()
         },
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(
@@ -308,7 +308,7 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
             tier_size_ratio: 8.0,
             ..RegionConfig::default()
         },
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(
@@ -415,7 +415,7 @@ fn metrics_history_answers_rate_over_window_for_stalls() {
             tier_size_ratio: 8.0,
             ..RegionConfig::default()
         },
-        ..ClusterConfig::durable_temp()
+        ..Default::default()
     });
     cluster
         .create_table(

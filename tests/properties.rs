@@ -402,7 +402,7 @@ mod durability {
     fn check_wal_truncation(n: usize, value_len: usize, cut: usize) {
         let env = StorageEnv::temp(1 << 20, ClusterMetrics::new()).unwrap();
         let dir = env.root().join("wal");
-        let wal = Wal::durable(Arc::clone(&env), dir.clone()).unwrap();
+        let wal = Wal::open(Arc::clone(&env), dir.clone()).unwrap();
         let value = "v".repeat(value_len);
         for i in 0..n {
             wal.append(7, vec![cell(&format!("r{i:03}"), 0, &value)], 1)
@@ -416,7 +416,7 @@ mod durability {
         let cut = cut % (data.len() + 1);
         std::fs::write(&path, &data[..cut]).unwrap();
 
-        let recovered = Wal::durable(Arc::clone(&env), dir).unwrap();
+        let recovered = Wal::open(Arc::clone(&env), dir).unwrap();
         let replayed: Vec<u64> = recovered.replay(7, 0).into_iter().map(|r| r.seq).collect();
         let expected: Vec<u64> = extents
             .iter()
@@ -438,7 +438,7 @@ mod durability {
     fn check_wal_corruption(n: usize, value_len: usize, at: usize, xor: u8) {
         let env = StorageEnv::temp(1 << 20, ClusterMetrics::new()).unwrap();
         let dir = env.root().join("wal");
-        let wal = Wal::durable(Arc::clone(&env), dir.clone()).unwrap();
+        let wal = Wal::open(Arc::clone(&env), dir.clone()).unwrap();
         let value = "w".repeat(value_len);
         for i in 0..n {
             wal.append(7, vec![cell(&format!("r{i:03}"), 0, &value)], 1)
@@ -453,7 +453,7 @@ mod durability {
         data[at] ^= xor;
         std::fs::write(&path, &data).unwrap();
 
-        let recovered = Wal::durable(Arc::clone(&env), dir).unwrap();
+        let recovered = Wal::open(Arc::clone(&env), dir).unwrap();
         let replayed: Vec<u64> = recovered.replay(7, 0).into_iter().map(|r| r.seq).collect();
         let original: Vec<u64> = extents.iter().map(|(seq, _)| *seq).collect();
         assert_eq!(
