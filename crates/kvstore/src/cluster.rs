@@ -51,9 +51,6 @@ pub struct ClusterConfig {
     pub data_dir: Option<PathBuf>,
     /// Rotate WAL segments at this size.
     pub wal_segment_bytes: u64,
-    /// Run memstore flushes on a background thread per server instead of
-    /// inline on the write path.
-    pub background_flush: bool,
 }
 
 impl Default for ClusterConfig {
@@ -69,7 +66,6 @@ impl Default for ClusterConfig {
             event_journal_capacity: 1024,
             data_dir: None,
             wal_segment_bytes: 256 * 1024,
-            background_flush: false,
         }
     }
 }
@@ -107,7 +103,7 @@ pub struct HBaseCluster {
 impl HBaseCluster {
     /// Start a cluster: register servers in ZooKeeper, elect the master.
     /// Panics when the cluster cannot open its storage root or a server's
-    /// log, or a flusher thread cannot be spawned.
+    /// log.
     pub fn start(config: ClusterConfig) -> Arc<Self> {
         match Self::try_start(config) {
             Ok(cluster) => cluster,
@@ -138,7 +134,7 @@ impl HBaseCluster {
             .map(|i| {
                 let hostname = format!("host-{i}");
                 zk.set(&format!("/hbase/rs/{hostname}"), hostname.clone());
-                let server = Arc::new(RegionServer::new(
+                Ok(Arc::new(RegionServer::new(
                     i as u64,
                     hostname,
                     Arc::clone(&metrics),
@@ -146,11 +142,7 @@ impl HBaseCluster {
                     clock.clone(),
                     config.block_cache_bytes,
                     Arc::clone(&storage),
-                )?);
-                if config.background_flush {
-                    server.enable_background_flush()?;
-                }
-                Ok(server)
+                )?))
             })
             .collect::<Result<Vec<_>>>()?;
         let servers = Arc::new(RwLock::new(servers));
@@ -195,7 +187,7 @@ impl HBaseCluster {
     /// live compaction backlog — total, and per online server as
     /// `…{server="<hostname>"}`. The backlog source holds the cluster
     /// weakly: the store belongs to the cluster, and a strong capture would
-    /// keep every cluster, its temp dir and its flusher threads alive.
+    /// keep every cluster and its temp dir alive.
     fn add_scrape_sources(self: &Arc<Self>) {
         let name = |metric: &str| format!("{EXPOSITION_PREFIX}{metric}");
         let metrics = Arc::clone(&self.metrics);
@@ -292,20 +284,10 @@ impl HBaseCluster {
         Some(&self.storage)
     }
 
-    /// Wait for every server's background flusher to drain (no-op unless
-    /// [`ClusterConfig::background_flush`] is on).
-    pub fn quiesce(&self) {
-        for server in self.servers.read().iter() {
-            server.quiesce_flushes();
-        }
-    }
-
-    /// Whether every server's background flusher is idle right now (always
-    /// true when background flushing is off). Unlike [`quiesce`](Self::quiesce)
-    /// this does not block and does not journal an event.
-    pub fn flushes_idle(&self) -> bool {
-        self.servers.read().iter().all(|s| s.flushes_idle())
-    }
+    /// Does nothing: every flush runs inline on the writer that triggered
+    /// it, so no flush is ever left to wait for. Kept for the signature
+    /// `benchmark/` compiles against (ROADMAP 5(b)).
+    pub fn quiesce(&self) {}
 
     /// Cluster-wide compaction backlog: `(pending_bytes, pending_files)`
     /// summed over every server (see

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::master::RegionLocation;
     pub use crate::metrics::{ClusterMetrics, MetricsSnapshot};
     pub use crate::network::NetworkSim;
-    pub use crate::region::{FlushCause, FlushOutcome, RegionConfig, RegionInfo, ScanStats};
+    pub use crate::region::{RegionConfig, RegionInfo, ScanStats};
     pub use crate::security::{AuthToken, TokenService};
     pub use crate::storage::StorageEnv;
     pub use crate::types::{

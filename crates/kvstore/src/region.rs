@@ -73,11 +73,6 @@ pub struct RegionConfig {
     /// Two files are "similarly sized" (same tier) when the larger is at
     /// most this multiple of the smaller.
     pub tier_size_ratio: f64,
-    /// Hard stall threshold as a multiple of `memstore_flush_size`: when the
-    /// memstore runs this far past the flush watermark (the background
-    /// flusher is not keeping up), the writer flushes inline and the blocked
-    /// time is accounted as a write stall.
-    pub memstore_stall_multiplier: usize,
 }
 
 impl Default for RegionConfig {
@@ -88,14 +83,13 @@ impl Default for RegionConfig {
             wal_flush_trigger_bytes: 8 * 1024 * 1024,
             tier_min_files: 4,
             tier_size_ratio: 2.0,
-            memstore_stall_multiplier: 4,
         }
     }
 }
 
-/// Why a flush ran — the attribution dimension of background-work tracing.
+/// Why a flush ran — the attribution dimension of flush metrics and spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlushCause {
+enum FlushCause {
     /// The region's memstore crossed `memstore_flush_size`.
     MemstorePressure,
     /// The server WAL's retained bytes crossed `wal_flush_trigger_bytes`
@@ -106,7 +100,7 @@ pub enum FlushCause {
 }
 
 impl FlushCause {
-    pub fn as_str(&self) -> &'static str {
+    fn as_str(&self) -> &'static str {
         match self {
             FlushCause::MemstorePressure => "memstore_pressure",
             FlushCause::WalPressure => "wal_pressure",
@@ -115,23 +109,19 @@ impl FlushCause {
     }
 }
 
-/// What one flush did: the numbers callers journal and meter.
+/// What one flush did: the numbers a write stall journals and meters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlushOutcome {
+struct FlushOutcome {
     /// Whether any memstore actually drained (an empty region "flushes"
     /// without doing work).
-    pub flushed: bool,
+    flushed: bool,
     /// Store-file payload bytes written across families.
-    pub bytes: u64,
+    bytes: u64,
     /// Store files created (one per non-empty family).
-    pub files: u64,
+    files: u64,
     /// Modeled duration in virtual µs: write-throughput model over `bytes`
     /// plus any injected slow-write device delay.
-    pub duration_us: u64,
-    /// Compactions the flush triggered (minor tiers merged + major passes).
-    pub compactions: u64,
-    /// Bytes those compactions rewrote.
-    pub compaction_bytes: u64,
+    duration_us: u64,
 }
 
 /// Modeled store-file write cost in virtual µs: fixed setup plus ~200 bytes
@@ -318,13 +308,8 @@ pub struct Region {
     /// Where flushes and compactions persist store files and publish them
     /// through the manifest; [`Region::reload_from_disk`] rebuilds from it.
     storage: RegionStorage,
-    /// When set, `maybe_flush` hands the flush to a background thread via
-    /// this callback instead of flushing synchronously on the write path.
-    #[allow(clippy::type_complexity)]
-    flush_notifier: RwLock<Option<Box<dyn Fn(u64, FlushCause) + Send + Sync>>>,
-    /// Flight recorder, attached by the hosting server. Only the *sync*
-    /// write path journals through this (the background worker stamps its
-    /// own events at enqueue time to stay deterministic).
+    /// Flight recorder, attached by the hosting server; write stalls are
+    /// journaled through it.
     events: RwLock<Option<Arc<EventJournal>>>,
 }
 
@@ -374,20 +359,8 @@ impl Region {
                 dir,
                 next_file_no: AtomicU64::new(1),
             },
-            flush_notifier: RwLock::new(None),
             events: RwLock::new(None),
         })
-    }
-
-    /// Route automatic flushes to a background worker. The callback gets
-    /// the region id and the cause that crossed its watermark; the worker is
-    /// expected to call [`Region::flush_with_cause`].
-    pub fn set_flush_notifier(&self, notify: impl Fn(u64, FlushCause) + Send + Sync + 'static) {
-        *self.flush_notifier.write() = Some(Box::new(notify));
-    }
-
-    pub fn clear_flush_notifier(&self) {
-        *self.flush_notifier.write() = None;
     }
 
     /// Attach the hosting server's flight recorder, when it has one; write
@@ -581,19 +554,15 @@ impl Region {
 
     /// Cell bytes the memstores can take before mutation-at-a-time
     /// application would next act on a watermark: the distance to
-    /// `memstore_flush_size` — or, past it (a background flush is pending),
-    /// to the hard-stall threshold — capped by the distance of the server
-    /// WAL's retained bytes to `wal_flush_trigger_bytes`. Cell heap sizes
-    /// never under-count what the memstore adds, so a crossing cannot fall
+    /// `memstore_flush_size`, capped by the distance of the server WAL's
+    /// retained bytes to `wal_flush_trigger_bytes`. Cell heap sizes never
+    /// under-count what the memstore adds, so a crossing cannot fall
     /// strictly inside a group.
     fn group_room(&self) -> usize {
-        let mem = self.memstore_size();
-        let flush_at = self.config.memstore_flush_size;
-        let mem_room = if mem < flush_at {
-            flush_at - mem
-        } else {
-            self.stall_size().saturating_sub(mem)
-        };
+        let mem_room = self
+            .config
+            .memstore_flush_size
+            .saturating_sub(self.memstore_size());
         let wal_room = self
             .config
             .wal_flush_trigger_bytes
@@ -601,40 +570,19 @@ impl Region {
         mem_room.min(usize::try_from(wal_room).unwrap_or(usize::MAX))
     }
 
-    /// Memstore size past which the writer flushes inline even when a
-    /// background flusher exists.
-    fn stall_size(&self) -> usize {
-        self.config
-            .memstore_flush_size
-            .saturating_mul(self.config.memstore_stall_multiplier.max(1))
-    }
-
+    /// Flush when a watermark is crossed. The flush runs inline on the
+    /// writer, which blocks until it is done: every automatic flush is a
+    /// write stall.
     fn maybe_flush(&self) -> Result<()> {
         let mem = self.memstore_size();
-        let memstore_full = mem >= self.config.memstore_flush_size;
-        let wal_full =
-            mem > 0 && self.wal.read().retained_bytes() >= self.config.wal_flush_trigger_bytes;
-        if !(memstore_full || wal_full) {
-            return Ok(());
-        }
-        let cause = if memstore_full {
+        let cause = if mem >= self.config.memstore_flush_size {
             FlushCause::MemstorePressure
-        } else {
+        } else if mem > 0 && self.wal.read().retained_bytes() >= self.config.wal_flush_trigger_bytes
+        {
             FlushCause::WalPressure
+        } else {
+            return Ok(());
         };
-        // Below the hard stall threshold a background flusher absorbs the
-        // work; past it the writer must block even if a worker exists (it is
-        // not keeping up and the memstore would grow without bound).
-        let hard_stall = mem >= self.stall_size();
-        if !hard_stall {
-            let notifier = self.flush_notifier.read();
-            if let Some(notify) = notifier.as_ref() {
-                notify(self.info.region_id, cause);
-                return Ok(());
-            }
-        }
-        // No worker could absorb this: the writer blocks while the flush
-        // runs inline — a write stall.
         let outcome = self.flush_with_cause(cause)?;
         if outcome.flushed {
             let stall_ms = outcome.duration_us.div_ceil(1000).max(1);
@@ -662,9 +610,7 @@ impl Region {
     }
 
     /// Record into the attached flight recorder at the region clock's
-    /// current virtual time. Only safe for determinism on the thread that
-    /// drives the clock (the sync write path); background workers stamp
-    /// their own events at enqueue time instead.
+    /// current virtual time (the writer's thread drives that clock).
     fn journal(&self, severity: Severity, category: &'static str, message: String) {
         if let Some(journal) = self.events.read().as_ref() {
             journal.record_with_trace(
@@ -678,22 +624,21 @@ impl Region {
     }
 
     /// Flush every family's memstore into a new store file and let the WAL
-    /// drop the now-durable records. Equivalent to
-    /// [`flush_with_cause`](Self::flush_with_cause) with
-    /// [`FlushCause::Explicit`].
-    pub fn flush(&self) -> Result<()> {
-        self.flush_with_cause(FlushCause::Explicit)?;
-        Ok(())
-    }
-
-    /// Flush with cause attribution, returning what the flush did.
+    /// drop the now-durable records; counted as an explicit flush.
     ///
     /// Ordering: store files are written and fsynced first, the
     /// manifest commit publishes them, and only *then* does `flush_count`
     /// advance and the WAL release the covered records. A crash at any
     /// earlier point leaves the old manifest intact, the WAL untouched, and
     /// at most some orphaned `.sst` files for recovery to sweep.
-    pub fn flush_with_cause(&self, cause: FlushCause) -> Result<FlushOutcome> {
+    pub fn flush(&self) -> Result<()> {
+        self.flush_with_cause(FlushCause::Explicit)?;
+        Ok(())
+    }
+
+    /// [`flush`](Self::flush) with cause attribution, returning what the
+    /// flush did.
+    fn flush_with_cause(&self, cause: FlushCause) -> Result<FlushOutcome> {
         let mut sp = shc_obs::trace::span("flush");
         sp.annotate("region", self.info.region_id);
         sp.annotate("cause", cause.as_str());
@@ -757,7 +702,7 @@ impl Region {
             .record_with_exemplar(duration_us, shc_obs::trace::current_trace_id().unwrap_or(0));
         sp.annotate("bytes", bytes);
         sp.annotate("files", files);
-        let (compactions, compaction_bytes) = self.maybe_compact()?;
+        self.maybe_compact()?;
         let (backlog_bytes, _) = self.compaction_backlog();
         m.compaction_backlog_peak_bytes
             .fetch_max(backlog_bytes, Ordering::Relaxed);
@@ -766,8 +711,6 @@ impl Region {
             bytes,
             files,
             duration_us,
-            compactions,
-            compaction_bytes,
         })
     }
 
@@ -792,26 +735,19 @@ impl Region {
         (bytes, files)
     }
 
-    /// Returns `(compactions run, bytes rewritten)`.
-    fn maybe_compact(&self) -> Result<(u64, u64)> {
-        let mut count = 0u64;
-        let mut bytes = 0u64;
+    fn maybe_compact(&self) -> Result<()> {
         // Size-tiered minor compactions first: cheap merges of similarly
         // sized files, keeping tombstones and versions.
-        while let Some(rewritten) = self.minor_compact_inner()? {
-            count += 1;
-            bytes += rewritten;
-        }
+        while self.minor_compact()? {}
         let needs_major = self
             .stores
             .read()
             .values()
             .any(|s| s.files.len() >= self.config.compact_at_file_count);
         if needs_major {
-            bytes += self.compact_inner()?;
-            count += 1;
+            self.compact()?;
         }
-        Ok((count, bytes))
+        Ok(())
     }
 
     /// One round of size-tiered selection per family: find at least
@@ -820,12 +756,6 @@ impl Region {
     /// tombstone (only a major compaction may drop data). Returns whether
     /// any merge happened.
     pub fn minor_compact(&self) -> Result<bool> {
-        Ok(self.minor_compact_inner()?.is_some())
-    }
-
-    /// Inner minor compaction returning the bytes rewritten (`None` when no
-    /// tier qualified).
-    fn minor_compact_inner(&self) -> Result<Option<u64>> {
         let rs = &self.storage;
         let mut stores = self.stores.write();
         // One family per round; callers loop until no tier qualifies.
@@ -838,7 +768,7 @@ impl Region {
             .map(|pick| (store, pick))
         });
         let Some((store, pick)) = target else {
-            return Ok(None);
+            return Ok(false);
         };
         let mut sp = shc_obs::trace::span("compaction");
         sp.annotate("region", self.info.region_id);
@@ -870,7 +800,7 @@ impl Region {
         drop(stores);
         self.compaction_count.fetch_add(1, Ordering::Relaxed);
         self.meter_compaction(&mut sp, rewritten);
-        Ok(Some(rewritten))
+        Ok(true)
     }
 
     /// Shared compaction instrumentation: histogram samples, modeled trace
@@ -892,12 +822,6 @@ impl Region {
     /// manifest committed before the old files are deleted or the counter
     /// advances.
     pub fn compact(&self) -> Result<()> {
-        self.compact_inner()?;
-        Ok(())
-    }
-
-    /// Inner major compaction returning the bytes rewritten.
-    fn compact_inner(&self) -> Result<u64> {
         let mut sp = shc_obs::trace::span("compaction");
         sp.annotate("region", self.info.region_id);
         sp.annotate("kind", "major");
@@ -922,7 +846,7 @@ impl Region {
         drop(stores);
         self.compaction_count.fetch_add(1, Ordering::Relaxed);
         self.meter_compaction(&mut sp, rewritten);
-        Ok(rewritten)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1752,52 +1676,6 @@ mod tests {
         assert!(r.delete_batch(&deletes).is_err());
         assert!(r.wal().is_empty(), "nothing logged");
         assert!(scan_all(&r).is_empty(), "nothing applied");
-    }
-
-    /// With a flusher that never gets to its queue, the writer's hard stall
-    /// is the only flush: it must fire at the same mutation, and bound the
-    /// memstore the same, whether the puts come one at a time or as a batch.
-    #[test]
-    fn stuck_flusher_stalls_a_batch_where_it_stalls_single_puts() {
-        let region = || {
-            let td = TableDescriptor::new(TableName::default_ns("t"))
-                .with_family(FamilyDescriptor::new("cf"));
-            let r = bare_region(
-                RegionInfo {
-                    region_id: 1,
-                    table: td.name.clone(),
-                    start_key: Bytes::new(),
-                    end_key: Bytes::new(),
-                },
-                td,
-                RegionConfig {
-                    memstore_flush_size: 1024,
-                    memstore_stall_multiplier: 3,
-                    compact_at_file_count: 100,
-                    tier_min_files: 100,
-                    ..RegionConfig::default()
-                },
-                Clock::logical(0),
-            );
-            r.set_flush_notifier(|_, _| {});
-            r
-        };
-        let puts: Vec<Put> = (0..200)
-            .map(|i| Put::new(format!("row{i:03}")).add("cf", "q", vec![7u8; 20 + i % 50]))
-            .collect();
-        let (single, batched) = (region(), region());
-        for put in &puts {
-            single.put(put).unwrap();
-        }
-        batched.put_batch(&puts).unwrap();
-        assert!(single.flush_count() >= 3, "the stall threshold was reached");
-        assert_eq!(batched.flush_count(), single.flush_count());
-        assert_eq!(batched.store_file_bytes(), single.store_file_bytes());
-        assert_eq!(batched.memstore_size(), single.memstore_size());
-        assert_eq!(
-            batched.scan(&Scan::new().with_max_versions(3)).unwrap().0,
-            single.scan(&Scan::new().with_max_versions(3)).unwrap().0
-        );
     }
 
     #[test]

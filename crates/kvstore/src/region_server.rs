@@ -15,33 +15,20 @@ use crate::error::{KvError, Result};
 use crate::fault::{FaultInjector, RpcOp};
 use crate::load::ServerLoad;
 use crate::metrics::ClusterMetrics;
-use crate::region::{FlushCause, Region, ScanStats};
+use crate::region::{Region, ScanStats};
 use crate::security::{AuthToken, TokenService};
 use crate::storage::StorageEnv;
 use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan};
 use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default scanner lease: virtual milliseconds a scanner may sit idle
 /// between `next_batch` calls before the server reclaims it.
 pub const DEFAULT_SCANNER_LEASE_MS: u64 = 60_000;
-
-/// Sentinel region id that tells the background flush worker to exit.
-const FLUSHER_STOP: u64 = u64::MAX;
-
-/// One queued background flush. `enqueue_ms` is the server clock captured on
-/// the *writer* thread at notification time — the worker stamps its journal
-/// entry with it, so seeded runs journal background work at deterministic
-/// virtual times no matter when the worker thread actually gets scheduled.
-struct FlushRequest {
-    region_id: u64,
-    cause: FlushCause,
-    enqueue_ms: u64,
-}
 
 /// Cursor state of one open server-side scanner. Each scanner sits behind
 /// its own lock: a batch holds that lock while it scans, and the server-wide
@@ -69,37 +56,23 @@ pub struct ScanBatch {
     pub more: bool,
 }
 
-/// Background flush worker state: a queue of region ids plus the
-/// bookkeeping [`RegionServer::quiesce_flushes`] needs to wait for drain.
-struct Flusher {
-    /// Behind a `Mutex` only so `RegionServer` stays `Sync`.
-    tx: Mutex<mpsc::Sender<FlushRequest>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Region ids queued but not yet picked up (dedupes notifications).
-    pending: Arc<Mutex<HashSet<u64>>>,
-    /// Flushes currently executing on the worker.
-    inflight: Arc<AtomicUsize>,
-}
-
-/// One region server ("node") in the simulated cluster.
+/// One region server ("node") in the simulated cluster. It owns no thread:
+/// every RPC, and every flush a write triggers, runs on the caller's.
 pub struct RegionServer {
     pub server_id: u64,
     pub hostname: String,
-    regions: Arc<RwLock<HashMap<u64, Arc<Region>>>>,
+    regions: RwLock<HashMap<u64, Arc<Region>>>,
     wal: Arc<Wal>,
     metrics: Arc<ClusterMetrics>,
     security: Option<Arc<TokenService>>,
     /// True between [`crash`](Self::crash) and [`restart`](Self::restart):
     /// every RPC is refused as if the process were gone.
-    offline: Arc<AtomicBool>,
-    /// Background memstore flusher, when enabled.
-    flusher: Mutex<Option<Flusher>>,
+    offline: AtomicBool,
     /// Optional fault injector consulted at every RPC entry.
     fault: RwLock<Option<Arc<FaultInjector>>>,
     /// Optional flight recorder; lease expirations and WAL replays are
-    /// journaled when attached. `Arc`-wrapped so the background flush
-    /// worker shares the slot (it may be attached after the worker spawns).
-    events: Arc<RwLock<Option<Arc<shc_obs::EventJournal>>>>,
+    /// journaled when attached.
+    events: RwLock<Option<Arc<shc_obs::EventJournal>>>,
     /// Shared LRU over store-file blocks of every hosted region.
     block_cache: Arc<BlockCache>,
     /// Open scanners by id.
@@ -125,14 +98,13 @@ impl RegionServer {
         Ok(RegionServer {
             server_id,
             hostname: hostname.into(),
-            regions: Arc::new(RwLock::new(HashMap::new())),
+            regions: RwLock::new(HashMap::new()),
             wal: Arc::new(wal),
             metrics,
             security,
-            offline: Arc::new(AtomicBool::new(false)),
-            flusher: Mutex::new(None),
+            offline: AtomicBool::new(false),
             fault: RwLock::new(None),
-            events: Arc::new(RwLock::new(None)),
+            events: RwLock::new(None),
             block_cache,
             scanners: Mutex::new(HashMap::new()),
             next_scanner_id: AtomicU64::new(1),
@@ -220,158 +192,7 @@ impl RegionServer {
 
     pub fn open_region(&self, region: Arc<Region>) {
         region.attach_observability(self.events.read().clone());
-        match self.flusher.lock().as_ref() {
-            Some(flusher) => Self::hook_region(&region, flusher, &self.clock),
-            None => region.clear_flush_notifier(),
-        }
         self.regions.write().insert(region.info.region_id, region);
-    }
-
-    /// Point a region's flush notifier at the background worker's queue.
-    fn hook_region(region: &Region, flusher: &Flusher, clock: &Clock) {
-        let tx = flusher.tx.lock().clone();
-        let pending = Arc::clone(&flusher.pending);
-        let clock = clock.clone();
-        region.set_flush_notifier(move |region_id, cause| {
-            // Dedupe: a region already queued is flushed once, not per put.
-            // The enqueue timestamp is read here, on the writer thread that
-            // drives the virtual clock, so it is deterministic.
-            if pending.lock().insert(region_id) {
-                let _ = tx.send(FlushRequest {
-                    region_id,
-                    cause,
-                    enqueue_ms: clock.peek_ms(),
-                });
-            }
-        });
-    }
-
-    /// Spawn the background flush worker. Regions stop flushing inline on
-    /// the write path: when a memstore or the WAL crosses its watermark the
-    /// region id is queued here instead, and a dedicated thread flushes it.
-    /// Idempotent.
-    pub fn enable_background_flush(&self) -> Result<()> {
-        let mut guard = self.flusher.lock();
-        if guard.is_some() {
-            return Ok(());
-        }
-        let (tx, rx) = mpsc::channel::<FlushRequest>();
-        let pending = Arc::new(Mutex::new(HashSet::new()));
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let regions = Arc::clone(&self.regions);
-        let offline = Arc::clone(&self.offline);
-        let metrics = Arc::clone(&self.metrics);
-        let events = Arc::clone(&self.events);
-        let server_id = self.server_id;
-        let worker_pending = Arc::clone(&pending);
-        let worker_inflight = Arc::clone(&inflight);
-        let handle = std::thread::Builder::new()
-            .name(format!("flush-{}", self.server_id))
-            .spawn(move || {
-                // Deterministic per-worker trace sequence: queue order is the
-                // writer's notification order, so seeded runs mint the same
-                // TraceIds for the same background flushes.
-                let mut trace_seq = 0u64;
-                while let Ok(req) = rx.recv() {
-                    if req.region_id == FLUSHER_STOP {
-                        break;
-                    }
-                    // Order matters for `quiesce_flushes`: become inflight
-                    // *before* leaving the pending set, so the drain check
-                    // (`pending empty && inflight == 0`) never races ahead
-                    // of a flush that was picked up but not started.
-                    worker_inflight.fetch_add(1, Ordering::AcqRel);
-                    worker_pending.lock().remove(&req.region_id);
-                    if !offline.load(Ordering::Acquire) {
-                        let region = regions.read().get(&req.region_id).cloned();
-                        if let Some(region) = region {
-                            trace_seq += 1;
-                            // High bit marks a background trace; server id and
-                            // sequence make it unique and reproducible. The
-                            // flush runs under it so the flush and compaction
-                            // histograms take it as their exemplar.
-                            let trace_id = 0x8000_0000_0000_0000u64 | (server_id << 32) | trace_seq;
-                            let tracer = shc_obs::Tracer::with_id(trace_id);
-                            let outcome = {
-                                let _root = tracer.root("background_flush");
-                                region.flush_with_cause(req.cause)
-                            };
-                            if let Ok(outcome) = outcome {
-                                if outcome.flushed {
-                                    metrics.add(&metrics.background_flushes, 1);
-                                    if let Some(journal) = events.read().as_ref() {
-                                        journal.record_with_trace(
-                                            shc_obs::Severity::Info,
-                                            "flush",
-                                            req.enqueue_ms,
-                                            format!(
-                                                "background flush: region {} cause={} \
-                                                 bytes={} files={} compactions={} \
-                                                 duration_us={}",
-                                                req.region_id,
-                                                req.cause.as_str(),
-                                                outcome.bytes,
-                                                outcome.files,
-                                                outcome.compactions,
-                                                outcome.duration_us
-                                            ),
-                                            trace_id,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    worker_inflight.fetch_sub(1, Ordering::AcqRel);
-                }
-            })?;
-        let flusher = Flusher {
-            tx: Mutex::new(tx),
-            handle: Some(handle),
-            pending,
-            inflight,
-        };
-        for region in self.regions.read().values() {
-            Self::hook_region(region, &flusher, &self.clock);
-        }
-        *guard = Some(flusher);
-        Ok(())
-    }
-
-    /// Whether the background flusher has no queued or in-flight work right
-    /// now. `true` when background flushing is disabled. Tests poll this
-    /// before quiescing so the `flush_quiesced` event carries a
-    /// deterministic pending count.
-    pub fn flushes_idle(&self) -> bool {
-        match self.flusher.lock().as_ref() {
-            Some(f) => f.pending.lock().is_empty() && f.inflight.load(Ordering::Acquire) == 0,
-            None => true,
-        }
-    }
-
-    /// Wait until the background flusher has drained every queued and
-    /// in-flight flush, then journal a `flush_quiesced` event carrying how
-    /// much work was pending when the wait began. No-op when background
-    /// flushing is disabled.
-    pub fn quiesce_flushes(&self) {
-        let (pending, inflight) = match self.flusher.lock().as_ref() {
-            Some(f) => (Arc::clone(&f.pending), Arc::clone(&f.inflight)),
-            None => return,
-        };
-        let pending_at_entry = pending.lock().len() + inflight.load(Ordering::Acquire);
-        while !pending.lock().is_empty() || inflight.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        // Journaled after the drain (from the quiescing thread, which owns
-        // the clock) so the event lands at a deterministic seq position.
-        self.journal(
-            shc_obs::Severity::Info,
-            "flush",
-            format!(
-                "flush_quiesced: server {} drained pending={pending_at_entry}",
-                self.server_id
-            ),
-        );
     }
 
     pub fn close_region(&self, region_id: u64) -> Option<Arc<Region>> {
@@ -672,12 +493,6 @@ impl RegionServer {
         self.wal.close();
         // Open scanners die with the process; clients reopen elsewhere.
         self.scanners.lock().clear();
-        // Queued background flushes die too: the worker skips them while
-        // offline, but clear the dedupe set so post-restart notifications
-        // re-enqueue.
-        if let Some(flusher) = self.flusher.lock().as_ref() {
-            flusher.pending.lock().clear();
-        }
         for region in self.regions.read().values() {
             region.lose_memstores();
         }
@@ -728,22 +543,6 @@ impl RegionServer {
             ),
         );
         Ok(records)
-    }
-}
-
-impl Drop for RegionServer {
-    fn drop(&mut self) {
-        let flusher = self.flusher.lock().take();
-        if let Some(mut flusher) = flusher {
-            let _ = flusher.tx.lock().send(FlushRequest {
-                region_id: FLUSHER_STOP,
-                cause: FlushCause::Explicit,
-                enqueue_ms: 0,
-            });
-            if let Some(handle) = flusher.handle.take() {
-                let _ = handle.join();
-            }
-        }
     }
 }
 

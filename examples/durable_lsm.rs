@@ -1,8 +1,9 @@
 //! The LSM storage engine end to end on the disk every cluster has (a temp
 //! root here; `ClusterConfig::data_dir` names a lasting one): an
-//! overwrite-heavy workload that drives WAL rotation, background
-//! flushes and size-tiered compaction, then a hard crash and a restart
-//! that recovers every acknowledged write from the manifest + WAL tail.
+//! overwrite-heavy workload that drives WAL rotation, memstore flushes
+//! (inline on the writer, each one a write stall) and size-tiered
+//! compaction, then a hard crash and a restart that recovers every
+//! acknowledged write from the manifest + WAL tail.
 //!
 //! ```bash
 //! cargo run --example durable_lsm
@@ -34,7 +35,6 @@ fn main() {
             ..RegionConfig::default()
         },
         wal_segment_bytes: 32 * 1024,
-        background_flush: true,
         ..Default::default()
     });
     println!(
@@ -60,7 +60,6 @@ fn main() {
                 .unwrap();
         }
     }
-    cluster.quiesce();
     cluster.flush_all().unwrap();
 
     let before = count_rows(&cluster);
@@ -88,8 +87,8 @@ fn main() {
         .write_amplification()
         .expect("workload wrote physical bytes");
     println!(
-        "rows={after} flushes(bg)={} wal_segments: rotated={} archived={} deleted={}",
-        snap.background_flushes,
+        "rows={after} write_stalls={} wal_segments: rotated={} archived={} deleted={}",
+        snap.write_stalls,
         snap.wal_segments_rotated,
         snap.wal_segments_archived,
         snap.wal_segments_deleted,

@@ -32,18 +32,18 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A cluster whose flushes happen only when the test says so
-/// (thresholds are effectively infinite), so the fault schedule is exact.
-fn build_cluster() -> Arc<HBaseCluster> {
+/// A cluster whose memstores never fill. With `wal_flush_trigger_bytes` at
+/// `u64::MAX` its flushes happen only when the test says so, so the fault
+/// schedule is exact; a small trigger makes writes flush under WAL pressure.
+fn build_cluster(wal_flush_trigger_bytes: u64) -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 2,
         region_config: RegionConfig {
             memstore_flush_size: usize::MAX,
-            wal_flush_trigger_bytes: u64::MAX,
+            wal_flush_trigger_bytes,
             compact_at_file_count: 64,
             tier_min_files: 2,
             tier_size_ratio: 8.0,
-            ..RegionConfig::default()
         },
         wal_segment_bytes: 16 * 1024,
         ..Default::default()
@@ -138,8 +138,8 @@ impl Kill {
 
 /// Run the full matrix entry for one seed and kill point.
 fn crash_and_compare(seed: u64, kill: Kill) {
-    let faulty = build_cluster();
-    let twin = build_cluster();
+    let faulty = build_cluster(u64::MAX);
+    let twin = build_cluster(u64::MAX);
 
     run_round(&faulty, seed, 1);
     run_round(&twin, seed, 1);
@@ -200,25 +200,42 @@ fn crash_matrix_restarts_match_uncrashed_twin() {
 }
 
 /// Crashing while nothing was ever flushed must replay every record from
-/// the WAL alone — and report how many through the metrics.
+/// the WAL alone — and report how many through the metrics. Crashing after
+/// writes that flushed (and compacted) under WAL pressure must recover the
+/// same scan from store files plus the log's tail.
 #[test]
 fn wal_only_recovery_replays_every_record() {
     for seed in seeds() {
-        let faulty = build_cluster();
-        let twin = build_cluster();
-        run_round(&faulty, seed, 3);
-        run_round(&twin, seed, 3);
-        let before = full_scan(&faulty);
-        crash_all(&faulty);
-        restart_all(&faulty);
-        assert_eq!(full_scan(&faulty), before);
-        assert_eq!(full_scan(&faulty), full_scan(&twin));
-        let snap = faulty.metrics.snapshot();
-        assert!(
-            snap.wal_replayed_records >= ROWS_PER_ROUND as u64,
-            "replayed {} records, expected at least {ROWS_PER_ROUND}",
-            snap.wal_replayed_records
-        );
+        for wal_trigger in [u64::MAX, 2 * 1024] {
+            let faulty = build_cluster(wal_trigger);
+            let twin = build_cluster(wal_trigger);
+            run_round(&faulty, seed, 3);
+            run_round(&twin, seed, 3);
+            let before = full_scan(&faulty);
+            let wal_flushes = faulty.metrics.snapshot().flushes_wal_pressure;
+            assert_eq!(wal_flushes > 0, wal_trigger != u64::MAX, "seed {seed}");
+            crash_all(&faulty);
+            restart_all(&faulty);
+            assert_eq!(
+                full_scan(&faulty),
+                before,
+                "seed {seed} trigger {wal_trigger}"
+            );
+            assert_eq!(full_scan(&faulty), full_scan(&twin));
+            // Without a flush the log alone holds the round; with them, the
+            // tail after the last one.
+            let replayed = faulty.metrics.snapshot().wal_replayed_records;
+            let expected = if wal_flushes == 0 {
+                ROWS_PER_ROUND as u64
+            } else {
+                1
+            };
+            assert!(
+                replayed >= expected,
+                "seed {seed} trigger {wal_trigger}: replayed {replayed} records, \
+                 expected at least {expected}"
+            );
+        }
     }
 }
 
@@ -226,7 +243,7 @@ fn wal_only_recovery_replays_every_record() {
 /// deleted) only once every memstore holding edits it covers has flushed.
 #[test]
 fn wal_segments_outlive_unflushed_memstores() {
-    let cluster = build_cluster();
+    let cluster = build_cluster(u64::MAX);
     for round in 1..=6 {
         run_round(&cluster, 11, round);
     }

@@ -4,7 +4,7 @@
 //! * **Equivalence** — twin clusters on the same logical clock take the same
 //!   puts and deletes, one as whole batches and one a mutation at a time:
 //!   multi-version scans, flush counts, store-file bytes and compactions
-//!   must match across many flush-threshold crossings.
+//!   must match across many flush-threshold crossings, memstore and WAL.
 //! * **Fsync budget** — a 2 048-row batch costs one WAL fsync per region it
 //!   touches plus one per flush (or segment roll) it triggers.
 //! * **Atomic acknowledgement** — a WAL fault in the middle of a group fails
@@ -65,29 +65,26 @@ enum Run {
     Deletes(Vec<Delete>),
 }
 
-/// Maximal same-kind runs, additionally ended after mutation `i` where
-/// `cut(i)` says so.
-fn runs(ops: &[Op], cut: impl Fn(usize) -> bool) -> Vec<Run> {
+/// Maximal same-kind runs.
+fn runs(ops: &[Op]) -> Vec<Run> {
     let mut out = Vec::new();
-    let mut cut_before = true;
-    for (i, op) in ops.iter().enumerate() {
-        match (op, out.last_mut().filter(|_| !cut_before)) {
+    for op in ops {
+        match (op, out.last_mut()) {
             (Op::Put(p), Some(Run::Puts(run))) => run.push(p.clone()),
             (Op::Delete(d), Some(Run::Deletes(run))) => run.push(d.clone()),
             (Op::Put(p), _) => out.push(Run::Puts(vec![p.clone()])),
             (Op::Delete(d), _) => out.push(Run::Deletes(vec![d.clone()])),
         }
-        cut_before = cut(i);
     }
     out
 }
 
-fn single_region_cluster(background_flush: bool) -> Arc<HBaseCluster> {
+fn single_region_cluster(wal_flush_trigger_bytes: u64) -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 1,
-        background_flush,
         region_config: RegionConfig {
             memstore_flush_size: 8 * 1024,
+            wal_flush_trigger_bytes,
             ..RegionConfig::default()
         },
         wal_segment_bytes: 16 * 1024,
@@ -113,14 +110,8 @@ fn only_region(cluster: &Arc<HBaseCluster>) -> (Arc<RegionServer>, Arc<Region>) 
     (server, region)
 }
 
-fn drain(cluster: &Arc<HBaseCluster>) {
-    while !cluster.flushes_idle() {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-}
-
 /// One RPC per run: the whole run is one region batch.
-fn apply_batched(cluster: &Arc<HBaseCluster>, runs: &[Run], drain_each: bool) {
+fn apply_batched(cluster: &Arc<HBaseCluster>, runs: &[Run]) {
     let (server, region) = only_region(cluster);
     let region_id = region.info.region_id;
     for run in runs {
@@ -128,31 +119,19 @@ fn apply_batched(cluster: &Arc<HBaseCluster>, runs: &[Run], drain_each: bool) {
             Run::Puts(puts) => server.put(region_id, puts, None).unwrap(),
             Run::Deletes(deletes) => server.delete(region_id, deletes, None).unwrap(),
         }
-        if drain_each {
-            drain(cluster);
-        }
     }
 }
 
-/// One client call per mutation. Returns the indices of the mutations that
-/// completed a flush (observed with the flusher drained after each one).
-fn apply_one_at_a_time(cluster: &Arc<HBaseCluster>, ops: &[Op]) -> Vec<usize> {
+/// One client call per mutation.
+fn apply_one_at_a_time(cluster: &Arc<HBaseCluster>, ops: &[Op]) {
     let conn = Connection::open(Arc::clone(cluster), None);
     let table = conn.table(table_name());
-    let (_, region) = only_region(cluster);
-    let mut flushed_after = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        let before = region.flush_count();
+    for op in ops {
         match op {
             Op::Put(p) => table.put(p.clone()).unwrap(),
             Op::Delete(d) => table.delete(d.clone()).unwrap(),
         }
-        drain(cluster);
-        if region.flush_count() != before {
-            flushed_after.push(i);
-        }
     }
-    flushed_after
 }
 
 fn all_versions(cluster: &Arc<HBaseCluster>) -> Vec<RowResult> {
@@ -174,32 +153,31 @@ fn physical_state(cluster: &Arc<HBaseCluster>) -> (u64, u64, usize, u64, usize) 
     )
 }
 
+/// Flushes run inline at a group boundary wherever the batch is cut, so
+/// whole runs go in as they come — under either watermark: the memstore's
+/// (default WAL trigger) and the WAL's (a 4 KiB trigger fires before any
+/// 8 KiB memstore fills).
 #[test]
 fn batched_and_one_at_a_time_build_the_same_store() {
     let ops = ops(2018, 600);
-    for background in [false, true] {
-        let label = format!("background_flush={background}");
-        let single = single_region_cluster(background);
-        let flushed_after = apply_one_at_a_time(&single, &ops);
+    for wal_trigger in [RegionConfig::default().wal_flush_trigger_bytes, 4 * 1024] {
+        let label = format!("wal_flush_trigger_bytes={wal_trigger}");
+        let single = single_region_cluster(wal_trigger);
+        apply_one_at_a_time(&single, &ops);
         assert!(
-            flushed_after.len() >= 5,
+            physical_state(&single).0 >= 5,
             "{label}: the workload must cross the flush threshold repeatedly"
         );
 
-        // Inline flushes happen at a group boundary wherever the batch is
-        // cut, so whole runs go in as they come. A background flush takes
-        // whatever the memstore holds when the worker gets to it: it is a
-        // function of the schedule only if a batch ends where the flush was
-        // queued and the writer lets the worker drain.
-        let batched = single_region_cluster(background);
-        let batches = runs(&ops, |i| background && flushed_after.contains(&i));
+        let batched = single_region_cluster(wal_trigger);
+        let batches = runs(&ops);
         assert!(
             batches
                 .iter()
                 .any(|run| matches!(run, Run::Puts(puts) if puts.len() > 20)),
             "{label}"
         );
-        apply_batched(&batched, &batches, background);
+        apply_batched(&batched, &batches);
 
         assert_eq!(all_versions(&batched), all_versions(&single), "{label}");
         assert_eq!(physical_state(&batched), physical_state(&single), "{label}");
@@ -208,6 +186,13 @@ fn batched_and_one_at_a_time_build_the_same_store() {
         assert_eq!(
             b.compaction_bytes_rewritten, s.compaction_bytes_rewritten,
             "{label}"
+        );
+        assert_eq!(b.flushes_wal_pressure, s.flushes_wal_pressure, "{label}");
+        assert_eq!(
+            b.flushes_wal_pressure > 0,
+            wal_trigger < 8 * 1024,
+            "{label}: {} WAL-pressure flushes",
+            b.flushes_wal_pressure
         );
         // One fsync per batch, one more per flush point inside it, one per
         // segment header (the first and every roll).
@@ -219,14 +204,6 @@ fn batched_and_one_at_a_time_build_the_same_store() {
             b.wal_fsyncs,
             s.wal_fsyncs
         );
-
-        // With the flusher racing whole runs, the contents still agree.
-        if background {
-            let racing = single_region_cluster(background);
-            apply_batched(&racing, &runs(&ops, |_| false), false);
-            racing.quiesce();
-            assert_eq!(all_versions(&racing), all_versions(&single), "{label}");
-        }
     }
 }
 

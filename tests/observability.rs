@@ -223,79 +223,11 @@ fn block_cache_alert_fires_and_clears_with_exemplar() {
     assert_eq!(status.fired_count, 1, "one complete fire/clear episode");
 }
 
-/// One seeded run with the background flusher on: two write phases, each
-/// followed by a drain (poll `flushes_idle`, then `quiesce`). Returns the
-/// rendered store journal.
-///
-/// Determinism discipline for background work: the flush worker journals at
-/// the *enqueue* timestamp captured on the writer thread, with a TraceId
-/// derived from (server, queue position) — so the journal is a pure
-/// function of the write schedule, not of thread timing. What a background
-/// flush *contains* is whatever the memstore holds when the worker gets to
-/// it, so the writer lets the worker catch up after every put (a put that
-/// queued nothing finds it idle); draining between phases fixes the seq
-/// interleaving.
-fn background_flush_run(seed: u64) -> String {
-    use shc::kvstore::prelude::*;
-    let cluster = HBaseCluster::start(ClusterConfig {
-        num_servers: 1,
-        fault_seed: seed,
-        background_flush: true,
-        region_config: RegionConfig {
-            memstore_flush_size: 2 * 1024,
-            ..RegionConfig::default()
-        },
-        ..Default::default()
-    });
-    cluster
-        .create_table(
-            TableDescriptor::new(TableName::default_ns("bg"))
-                .with_family(FamilyDescriptor::new("cf")),
-        )
-        .unwrap();
-    let conn = Connection::open(Arc::clone(&cluster), None);
-    let table = conn.table(TableName::default_ns("bg"));
-    let payload = "x".repeat(256);
-    for phase in 0..2 {
-        for i in 0..24 {
-            table
-                .put(Put::new(format!("p{phase}r{i:04}")).add("cf", "v", payload.clone()))
-                .unwrap();
-            while !cluster.flushes_idle() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        cluster.quiesce();
-    }
-    cluster.events().render()
-}
-
-#[test]
-fn background_flushes_journal_deterministically() {
-    let a = background_flush_run(0xf1a5);
-    let b = background_flush_run(0xf1a5);
-    assert!(
-        a.contains("background flush: region"),
-        "watermark crossings must journal background flushes: {a}"
-    );
-    assert!(
-        a.contains("cause=memstore_pressure"),
-        "the flush cause must be attributed: {a}"
-    );
-    assert!(
-        a.contains("flush_quiesced: server 0"),
-        "quiesce must journal the drain: {a}"
-    );
-    // Background-flush TraceIds carry the high marker bit.
-    assert!(a.contains("trace=0x80000000"), "{a}");
-    assert_eq!(a, b, "background-flush journal must replay byte-for-byte");
-}
-
-/// One seeded stall run: synchronous flush mode (no background flusher, so
-/// every watermark crossing blocks the writer), slowed store-file writes,
-/// and a scrape after every batch. Returns the tsdb dump, the write-stall
-/// alert's fired count, and the stall count.
-fn stall_run(seed: u64) -> (String, u64, u64) {
+/// One seeded stall run: every watermark crossing flushes inline and blocks
+/// the writer, store-file writes are slowed, and a scrape follows every
+/// batch. Returns the tsdb dump, the write-stall alert's fired count, the
+/// stall count and the rendered store journal.
+fn stall_run(seed: u64) -> (String, u64, u64, String) {
     use shc::kvstore::prelude::*;
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 1,
@@ -379,14 +311,19 @@ fn stall_run(seed: u64) -> (String, u64, u64) {
         "the alert's exemplar is the blocked ingest's TraceId"
     );
     let snap = cluster.metrics.snapshot();
-    (tsdb.render(), status.fired_count, snap.write_stalls)
+    (
+        tsdb.render(),
+        status.fired_count,
+        snap.write_stalls,
+        cluster.events().render(),
+    )
 }
 
 #[test]
 fn seeded_stalls_fire_rate_alert_once_per_episode_and_scrape_identically() {
-    let (series_a, fired_a, stalls_a) = stall_run(0x57a1);
-    let (series_b, fired_b, stalls_b) = stall_run(0x57a1);
-    assert!(stalls_a > 0, "watermark flushes under sync mode must stall");
+    let (series_a, fired_a, stalls_a, journal_a) = stall_run(0x57a1);
+    let (series_b, fired_b, stalls_b, journal_b) = stall_run(0x57a1);
+    assert!(stalls_a > 0, "watermark flushes must stall the writer");
     assert_eq!(
         fired_a, 1,
         "the rate alert fires once per stall episode, not per evaluation"
@@ -400,6 +337,18 @@ fn seeded_stalls_fire_rate_alert_once_per_episode_and_scrape_identically() {
     assert_eq!(
         series_a, series_b,
         "same-seed scrape series must be byte-identical"
+    );
+    // Every stall is journaled with its cause, at the writer's virtual time:
+    // the flush journal is a function of the seed alone.
+    assert!(
+        journal_a
+            .lines()
+            .any(|l| l.contains("write stall: region") && l.contains("memstore_pressure")),
+        "stalls must journal with cause attribution: {journal_a}"
+    );
+    assert_eq!(
+        journal_a, journal_b,
+        "same-seed store journal must replay byte-for-byte"
     );
 }
 
