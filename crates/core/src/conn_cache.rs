@@ -3,9 +3,11 @@
 //! Creating an HBase connection is heavy-weight — ZooKeeper sessions plus
 //! meta lookups — and SHC observed "ZooKeeper connections being established
 //! for each request". The cache keeps connection objects keyed by cluster
-//! (and principal), tracks a reference count per entry, and evicts lazily:
-//! a housekeeping pass closes connections whose reference count has been
-//! zero for longer than `connectionCloseDelay` (10 minutes by default).
+//! (and principal) and tracks a reference count per entry. Eviction is
+//! explicit: [`ConnectionCache::evict_idle`] closes connections whose
+//! reference count has been zero for longer than the delay it is given
+//! (`connectionCloseDelay`, 10 minutes by default). Nothing calls it on a
+//! timer.
 
 use parking_lot::Mutex;
 use shc_kvstore::client::Connection;
@@ -50,7 +52,7 @@ impl ConnectionCache {
             // The token id participates in the key: once the credentials
             // manager rotates a token, connections carrying the stale one
             // must not be reused (they would fail server-side validation).
-            // Stale entries age out through the idle-eviction pass.
+            // Stale entries go when `evict_idle` next runs.
             Some(t) => format!("{}#{}#{}", cluster.instance_key(), t.principal, t.token_id),
             None => cluster.instance_key(),
         }
@@ -135,24 +137,6 @@ impl ConnectionCache {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Spawn the housekeeping thread; it runs until the cache is dropped.
-    pub fn spawn_housekeeper(
-        self: &Arc<Self>,
-        interval: Duration,
-        close_delay: Duration,
-    ) -> std::thread::JoinHandle<()> {
-        let weak: Weak<ConnectionCache> = Arc::downgrade(self);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            match weak.upgrade() {
-                Some(cache) => {
-                    cache.evict_idle(close_delay);
-                }
-                None => break,
-            }
-        })
     }
 }
 
@@ -305,18 +289,5 @@ mod tests {
         let g1 = ConnectionCache::global();
         let g2 = ConnectionCache::global();
         assert!(Arc::ptr_eq(&g1, &g2));
-    }
-
-    #[test]
-    fn housekeeper_evicts_in_background() {
-        let cache = ConnectionCache::new();
-        let cluster = cluster("hk");
-        drop(cache.acquire(&cluster, None));
-        let _handle = cache.spawn_housekeeper(Duration::from_millis(10), Duration::from_millis(1));
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while !cache.is_empty() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(cache.is_empty(), "housekeeper should have evicted");
     }
 }

@@ -1,23 +1,15 @@
 //! Cluster clock. Benchmarks and tests need deterministic timestamps, so the
-//! cluster runs on a logical clock by default: a monotonically increasing
-//! millisecond counter seeded at a fixed epoch. A system-time mode exists for
-//! interactive use.
+//! cluster runs on a logical clock: a monotonically increasing millisecond
+//! counter seeded at a fixed epoch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Source of "server time" for timestamp assignment.
+/// Source of "server time" for timestamp assignment: strictly monotonic
+/// logical milliseconds starting from a seed. Clones share the counter.
 #[derive(Debug, Clone)]
 pub struct Clock {
-    inner: Arc<ClockInner>,
-}
-
-#[derive(Debug)]
-enum ClockInner {
-    /// Strictly monotonic logical milliseconds starting from a seed.
-    Logical(AtomicU64),
-    /// Wall clock, made monotonic by never going backwards.
-    System(AtomicU64),
+    counter: Arc<AtomicU64>,
 }
 
 impl Clock {
@@ -26,37 +18,18 @@ impl Clock {
     /// timestamp.
     pub fn logical(epoch_ms: u64) -> Self {
         Clock {
-            inner: Arc::new(ClockInner::Logical(AtomicU64::new(epoch_ms))),
+            counter: Arc::new(AtomicU64::new(epoch_ms)),
         }
     }
 
-    /// Wall-clock time, clamped to be monotonic.
-    pub fn system() -> Self {
-        Clock {
-            inner: Arc::new(ClockInner::System(AtomicU64::new(0))),
-        }
-    }
-
-    /// Current time in milliseconds; advances the logical clock.
+    /// Current time in milliseconds; advances the clock.
     pub fn now_ms(&self) -> u64 {
-        match &*self.inner {
-            ClockInner::Logical(counter) => counter.fetch_add(1, Ordering::Relaxed),
-            ClockInner::System(last) => {
-                let wall = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_millis() as u64)
-                    .unwrap_or(0);
-                last.fetch_max(wall, Ordering::Relaxed).max(wall)
-            }
-        }
+        self.counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Peek without advancing (logical mode only differs from `now_ms`).
+    /// The time `now_ms` would return next, without advancing.
     pub fn peek_ms(&self) -> u64 {
-        match &*self.inner {
-            ClockInner::Logical(counter) => counter.load(Ordering::Relaxed),
-            ClockInner::System(_) => self.now_ms(),
-        }
+        self.counter.load(Ordering::Relaxed)
     }
 }
 
@@ -95,14 +68,5 @@ mod tests {
         let d = c.clone();
         c.now_ms();
         assert_eq!(d.peek_ms(), 1);
-    }
-
-    #[test]
-    fn system_clock_is_monotonic() {
-        let c = Clock::system();
-        let a = c.now_ms();
-        let b = c.now_ms();
-        assert!(b >= a);
-        assert!(a > 1_600_000_000_000); // after Sep 2020
     }
 }

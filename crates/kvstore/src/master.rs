@@ -519,10 +519,11 @@ impl Master {
     // ------------------------------------------------------------------
 
     /// Reassign every region hosted by a dead server onto the surviving
-    /// servers. This is the WAL-split path: each region first replays the
-    /// dead server's log (its memstores died with the process), flushes the
-    /// recovered state to store files, and only then is re-homed onto a
-    /// live server's WAL. Returns the number of regions reassigned.
+    /// servers. This is the WAL-split path: the dead server's segment files
+    /// are read back once, each region replays its own records from them
+    /// (its memstores died with the process), flushes the recovered state to
+    /// store files, and only then is re-homed onto a live server's WAL.
+    /// Returns the number of regions reassigned.
     pub fn fail_over_server(&self, dead_server_id: u64) -> Result<usize> {
         let servers = self.servers.read();
         let dead = servers
@@ -548,10 +549,11 @@ impl Master {
                 dead.region_ids().len()
             ),
         );
+        // Reading the files works on a closed log; each flush truncates it.
+        let log = dead.wal().read_records()?;
         for (i, region_id) in dead.region_ids().into_iter().enumerate() {
             let region = dead.region(region_id)?;
-            // WAL replay works on a closed log; flush truncates it.
-            let _ = region.recover_from_wal();
+            region.recover_from_wal(&log);
             self.metrics.add(&self.metrics.wal_replays, 1);
             self.journal(
                 shc_obs::Severity::Info,

@@ -22,7 +22,7 @@ use crate::types::{
     Cell, CellKey, CellType, Delete, DeleteScope, Get, Put, RowResult, Scan, TableDescriptor,
     TableName, Timestamp,
 };
-use crate::wal::Wal;
+use crate::wal::{Wal, WalRecord};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use shc_obs::events::{EventJournal, Severity};
@@ -1086,29 +1086,28 @@ impl Region {
     // Recovery
     // ------------------------------------------------------------------
 
-    /// Rebuild memstores from WAL records after a simulated crash. Records
-    /// already flushed to store files are skipped via the per-store flushed
-    /// sequence. Returns the number of WAL records applied.
-    pub fn recover_from_wal(&self) -> Result<usize> {
-        let min_flushed = self
-            .stores
-            .read()
-            .values()
-            .map(|s| s.flushed_seq)
-            .min()
-            .unwrap_or(0);
-        let records = self.wal.read().replay(self.info.region_id, min_flushed);
-        let mut applied = 0;
+    /// Rebuild memstores after a simulated crash from `log`, a server's log
+    /// read back from its segment files (every region's records, in seq
+    /// order): this region takes its own. Records already flushed to store
+    /// files are skipped via the per-store flushed sequence. Returns the
+    /// number of WAL records applied.
+    pub fn recover_from_wal(&self, log: &[WalRecord]) -> usize {
         let mut stores = self.stores.write();
+        let min_flushed = stores.values().map(|s| s.flushed_seq).min().unwrap_or(0);
+        let records = log
+            .iter()
+            .filter(|r| r.region_id == self.info.region_id && r.seq > min_flushed);
+        let mut applied = 0;
         let mut max_seq = 0;
         for record in records {
             let mut any = false;
-            for mut cell in record.cells {
-                cell.key.seq = record.seq;
+            for cell in &record.cells {
                 if let Some(store) = stores.get_mut(&cell.key.family) {
                     // Skip edits a family already has in a store file; a
                     // record straddling the flush point must not duplicate.
                     if record.seq > store.flushed_seq {
+                        let mut cell = cell.clone();
+                        cell.key.seq = record.seq;
                         store.memstore.insert(cell);
                         any = true;
                     }
@@ -1121,7 +1120,7 @@ impl Region {
         }
         drop(stores);
         self.read_point.fetch_max(max_seq, Ordering::Release);
-        Ok(applied)
+        applied
     }
 
     /// Rebuild the store-file sets strictly from the manifest on disk: open
@@ -1674,7 +1673,7 @@ mod tests {
         assert!(matches!(err, KvError::NoSuchColumnFamily { .. }));
         let deletes = [Delete::row("a"), Delete::column("b", "nope", "q")];
         assert!(r.delete_batch(&deletes).is_err());
-        assert!(r.wal().is_empty(), "nothing logged");
+        assert_eq!(r.wal().retained_bytes(), 0, "nothing logged");
         assert!(scan_all(&r).is_empty(), "nothing applied");
     }
 
@@ -1728,10 +1727,11 @@ mod tests {
         // the manifest and the log survive in the region's directory.
         drop(r);
         let config = RegionConfig::default();
+        let log = wal.read_records().unwrap();
         let recovered = Region::new(info, td, config, wal, Clock::logical(1000), env).unwrap();
         assert!(scan_all(&recovered).is_empty(), "a new region starts empty");
         recovered.reload_from_disk().unwrap();
-        assert_eq!(recovered.recover_from_wal().unwrap(), 1);
+        assert_eq!(recovered.recover_from_wal(&log), 1);
         let rows: Vec<_> = scan_all(&recovered).into_iter().map(|r| r.row).collect();
         assert_eq!(rows, vec![Bytes::from("a"), Bytes::from("b")]);
     }

@@ -513,15 +513,16 @@ impl RegionServer {
         }
     }
 
-    /// Fallible restart. Returns the number of WAL records replayed.
+    /// Fallible restart. Returns the number of WAL records replayed. The log
+    /// is parsed once; every region takes its own records from it.
     pub fn try_restart(&self) -> Result<u64> {
-        self.wal.reopen()?;
+        let log = self.wal.reopen()?;
         let mut regions_recovered = 0u64;
         let mut records = 0u64;
         let regions = self.regions.read();
         for region in regions.values() {
             region.reload_from_disk()?;
-            records += region.recover_from_wal()? as u64;
+            records += region.recover_from_wal(&log) as u64;
             self.metrics.add(&self.metrics.wal_replays, 1);
             regions_recovered += 1;
         }

@@ -14,18 +14,18 @@
 //! them (`min_unflushed_seq` gating), and archived segments are deleted one
 //! cleanup cycle later — deletion is always delayed, never eager.
 //!
-//! An in-memory mirror of the unflushed records keeps `replay` cheap and
-//! readable on a closed log; [`Wal::reopen`] rebuilds it from disk after a
-//! crash.
+//! The segment files are the log's only copy of its records. Recovery reads
+//! them back through one parser: [`Wal::reopen`] after a crash, and
+//! [`Wal::read_records`] when failover splits a dead server's log.
 
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::storage::{self, Reader, StorageEnv};
 use crate::types::{Cell, Timestamp};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Physical block size of the log (RocksDB's `kBlockSize`).
@@ -55,10 +55,9 @@ pub struct WalRecord {
     pub write_time: Timestamp,
 }
 
-impl WalRecord {
-    fn heap_size(&self) -> u64 {
-        self.cells.iter().map(|c| c.heap_size() as u64).sum()
-    }
+/// Heap bytes of one record's cells: what `retained_bytes` counts.
+fn heap_size(cells: &[Cell]) -> u64 {
+    cells.iter().map(|c| c.heap_size() as u64).sum()
 }
 
 /// Externally visible state of one WAL segment, for tests and
@@ -111,20 +110,16 @@ struct ActiveSegment {
     file: File,
     /// Write offset within the current 32 KiB block.
     block_offset: usize,
-    /// (seq, byte offset just past the record's last chunk) for every data
-    /// record in the active segment — lets property tests truncate at exact
-    /// record boundaries and predict what recovery must return.
-    extents: Vec<(u64, u64)>,
 }
 
 #[derive(Debug)]
 struct WalInner {
-    /// The replay mirror: every record not yet released by a flush.
-    records: Vec<WalRecord>,
     next_seq: u64,
-    appended_bytes: u64,
-    /// Heap bytes of `records`, kept in step with it: the write path reads
-    /// this for every group it cuts.
+    /// Per region, `(seq, heap bytes)` of every record not yet released by
+    /// a flush, in seq order. A region with none has no entry.
+    retained: HashMap<u64, VecDeque<(u64, u64)>>,
+    /// Sum of the bytes in `retained`: the write path reads this for every
+    /// group it cuts.
     retained_bytes: u64,
     env: Arc<StorageEnv>,
     dir: PathBuf,
@@ -139,6 +134,27 @@ struct WalInner {
     pending_delete: Vec<PathBuf>,
     /// Framed bytes of the group being appended; reused across groups.
     frame_buf: Vec<u8>,
+}
+
+impl WalInner {
+    fn retain(&mut self, region_id: u64, seq: u64, bytes: u64) {
+        self.retained
+            .entry(region_id)
+            .or_default()
+            .push_back((seq, bytes));
+        self.retained_bytes += bytes;
+    }
+
+    /// Release a region's retained records numbered `<= up_to`.
+    fn release(&mut self, region_id: u64, up_to: u64) {
+        if let Some(queue) = self.retained.get_mut(&region_id) {
+            let n = queue.partition_point(|&(seq, _)| seq <= up_to);
+            self.retained_bytes -= queue.drain(..n).map(|(_, bytes)| bytes).sum::<u64>();
+            if queue.is_empty() {
+                self.retained.remove(&region_id);
+            }
+        }
+    }
 }
 
 /// An append-only, crash-recoverable log.
@@ -205,39 +221,33 @@ fn encode_data_record(
 }
 
 fn encode_segment_header(base_seq: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(REC_SEGMENT_HEADER);
+    let mut payload = vec![REC_SEGMENT_HEADER];
     payload.extend_from_slice(&base_seq.to_le_bytes());
     payload
 }
 
 /// Everything a recovery scan learned from one segment file.
 struct ParsedSegment {
+    /// Length of the file.
+    bytes: u64,
     records: Vec<WalRecord>,
     /// Largest `base_seq` seen in a segment-header record.
     base_seq: u64,
     /// Bytes past the last fully valid record (torn tail / corruption).
     torn_bytes: u64,
-    /// (seq, end offset) of each decoded data record.
-    extents: Vec<(u64, u64)>,
 }
 
-fn decode_payload(payload: &[u8]) -> Result<(u8, Option<WalRecord>)> {
+/// One decoded chunk-framed record.
+enum Payload {
+    /// A segment header and the `base_seq` it carries.
+    SegmentHeader(u64),
+    Data(WalRecord),
+}
+
+fn decode_payload(payload: &[u8]) -> Result<Payload> {
     let mut r = Reader::new(payload);
     match r.u8()? {
-        REC_SEGMENT_HEADER => {
-            let base = r.u64()?;
-            // Smuggle base_seq through the seq field of a cell-less record.
-            Ok((
-                REC_SEGMENT_HEADER,
-                Some(WalRecord {
-                    seq: base,
-                    region_id: 0,
-                    cells: Vec::new(),
-                    write_time: 0,
-                }),
-            ))
-        }
+        REC_SEGMENT_HEADER => Ok(Payload::SegmentHeader(r.u64()?)),
         REC_DATA => {
             let region_id = r.u64()?;
             let seq = r.u64()?;
@@ -247,15 +257,12 @@ fn decode_payload(payload: &[u8]) -> Result<(u8, Option<WalRecord>)> {
             for _ in 0..n {
                 cells.push(storage::decode_cell(&mut r)?);
             }
-            Ok((
-                REC_DATA,
-                Some(WalRecord {
-                    seq,
-                    region_id,
-                    cells,
-                    write_time,
-                }),
-            ))
+            Ok(Payload::Data(WalRecord {
+                seq,
+                region_id,
+                cells,
+                write_time,
+            }))
         }
         other => Err(KvError::Corruption(format!("bad wal record kind {other}"))),
     }
@@ -265,10 +272,10 @@ fn decode_payload(payload: &[u8]) -> Result<(u8, Option<WalRecord>)> {
 /// panics: a torn or corrupted tail simply ends the scan.
 fn parse_segment(data: &[u8]) -> ParsedSegment {
     let mut out = ParsedSegment {
+        bytes: data.len() as u64,
         records: Vec::new(),
         base_seq: 0,
         torn_bytes: 0,
-        extents: Vec::new(),
     };
     let mut pos = 0usize;
     // End of the last fully decoded record (for torn-byte accounting).
@@ -342,14 +349,9 @@ fn parse_segment(data: &[u8]) -> ParsedSegment {
         };
         if let Some(payload) = complete {
             match decode_payload(&payload) {
-                Ok((REC_SEGMENT_HEADER, Some(rec))) => {
-                    out.base_seq = out.base_seq.max(rec.seq);
-                }
-                Ok((_, Some(rec))) => {
-                    out.extents.push((rec.seq, pos as u64));
-                    out.records.push(rec);
-                }
-                _ => break 'scan,
+                Ok(Payload::SegmentHeader(base)) => out.base_seq = out.base_seq.max(base),
+                Ok(Payload::Data(rec)) => out.records.push(rec),
+                Err(_) => break 'scan,
             }
             valid_end = pos;
         }
@@ -358,19 +360,36 @@ fn parse_segment(data: &[u8]) -> ParsedSegment {
     out
 }
 
+/// Every live segment file in `dir` (archived ones are not), in id order:
+/// `(id, parsed contents, path)`.
+fn read_segments(env: &StorageEnv, dir: &Path) -> Result<Vec<(u64, ParsedSegment, PathBuf)>> {
+    let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let id = path.file_stem().and_then(|s| s.to_str()?.parse().ok());
+        if let (Some(id), true) = (id, path.extension().is_some_and(|e| e == "log")) {
+            seg_paths.push((id, path));
+        }
+    }
+    seg_paths.sort_by_key(|(id, _)| *id);
+    seg_paths
+        .into_iter()
+        .map(|(id, path)| Ok((id, parse_segment(&env.read(&path)?), path)))
+        .collect()
+}
+
 // ----------------------------------------------------------------------
 // Wal
 // ----------------------------------------------------------------------
 
 impl Wal {
     /// Open (or recover) the log rooted at `dir`. Existing segments are
-    /// scanned, valid records rebuilt into the replay mirror, any torn tail
-    /// discarded, and a fresh active segment is rolled.
+    /// scanned, their valid records retained, any torn tail discarded, and
+    /// a fresh active segment is rolled.
     pub fn open(env: Arc<StorageEnv>, dir: PathBuf) -> Result<Wal> {
         let mut inner = WalInner {
-            records: Vec::new(),
             next_seq: 1,
-            appended_bytes: 0,
+            retained: HashMap::new(),
             retained_bytes: 0,
             env,
             dir,
@@ -386,28 +405,13 @@ impl Wal {
         })
     }
 
-    /// Scan the log directory, rebuild the replay mirror and segment
+    /// Scan the log directory, rebuild the retained records and segment
     /// metadata from whatever survived on disk, and roll a new active
-    /// segment. Called on first open and after every crash.
-    fn recover_locked(inner: &mut WalInner) -> Result<()> {
+    /// segment. Called on first open and after every crash. Returns the
+    /// records read, in seq order.
+    fn recover_locked(inner: &mut WalInner) -> Result<Vec<WalRecord>> {
         let archive = inner.dir.join("archive");
         std::fs::create_dir_all(&archive)?;
-
-        let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&inner.dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("log") {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(id) = stem.parse::<u64>() else {
-                continue;
-            };
-            seg_paths.push((id, path));
-        }
-        seg_paths.sort_by_key(|(id, _)| *id);
 
         let mut records: Vec<WalRecord> = Vec::new();
         let mut segments: Vec<SegmentMeta> = Vec::new();
@@ -415,16 +419,14 @@ impl Wal {
         let mut max_base = 0u64;
         let mut torn = 0u64;
         let mut max_id = 0u64;
-        for (id, path) in seg_paths {
+        for (id, parsed, path) in read_segments(&inner.env, &inner.dir)? {
             max_id = max_id.max(id);
-            let data = inner.env.read(&path)?;
-            let parsed = parse_segment(&data);
             torn += parsed.torn_bytes;
             max_base = max_base.max(parsed.base_seq);
             let mut meta = SegmentMeta {
                 id,
                 path,
-                bytes: data.len() as u64,
+                bytes: parsed.bytes,
                 sealed: true,
                 archived: false,
                 region_min_seq: HashMap::new(),
@@ -457,14 +459,18 @@ impl Wal {
 
         inner.segments = segments;
         inner.flushed.clear();
-        inner.records = records;
-        inner.records.sort_by_key(|r| r.seq);
-        inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
+        records.sort_by_key(|r| r.seq);
+        inner.retained.clear();
+        inner.retained_bytes = 0;
+        for r in &records {
+            inner.retain(r.region_id, r.seq, heap_size(&r.cells));
+        }
         inner.next_seq = (max_seq + 1).max(max_base).max(1);
 
         // Roll a fresh active segment; old files are never appended again.
         let next_seq = inner.next_seq;
-        Self::roll_segment(inner, next_seq, max_id + 1)
+        Self::roll_segment(inner, next_seq, max_id + 1)?;
+        Ok(records)
     }
 
     /// Open segment `id` as the new active segment and write its header
@@ -487,11 +493,7 @@ impl Wal {
         });
         inner.env.write(&mut file, FileOp::WalAppend, &buf)?;
         inner.env.sync(&file, FileOp::WalAppend)?;
-        inner.active = Some(ActiveSegment {
-            file,
-            block_offset,
-            extents: Vec::new(),
-        });
+        inner.active = Some(ActiveSegment { file, block_offset });
         Ok(())
     }
 
@@ -541,9 +543,6 @@ impl Wal {
             return Err(e);
         }
         active.block_offset = block_offset;
-        active
-            .extents
-            .extend((first_seq..).zip(ends.iter().map(|&end| seg.bytes + end as u64)));
         seg.bytes += inner.frame_buf.len() as u64;
         seg.region_min_seq.entry(region_id).or_insert(first_seq);
         seg.region_max_seq.insert(region_id, last_seq);
@@ -556,42 +555,35 @@ impl Wal {
         }
 
         inner.next_seq = last_seq + 1;
-        for (seq, (write_time, cells)) in (first_seq..).zip(records) {
-            let record = WalRecord {
-                seq,
-                region_id,
-                cells: cells.clone(),
-                write_time: *write_time,
-            };
-            inner.appended_bytes += record.heap_size();
-            inner.retained_bytes += record.heap_size();
-            inner.records.push(record);
+        for (seq, (_, cells)) in (first_seq..).zip(records) {
+            inner.retain(region_id, seq, heap_size(cells));
         }
         Ok(first_seq)
     }
 
-    /// All records for one region with `seq > after_seq`, in order. Replayed
-    /// into a fresh memstore during recovery; works on a closed log.
-    pub fn replay(&self, region_id: u64, after_seq: u64) -> Vec<WalRecord> {
-        self.inner
-            .lock()
-            .records
-            .iter()
-            .filter(|r| r.region_id == region_id && r.seq > after_seq)
-            .cloned()
-            .collect()
+    /// Every record in the log's live segment files, in seq order, parsed
+    /// from disk; works on a closed log. Failover reads a dead server's log
+    /// this way (HBase's WAL split); each region takes its own records.
+    pub fn read_records(&self) -> Result<Vec<WalRecord>> {
+        let inner = self.inner.lock();
+        let mut records: Vec<WalRecord> = read_segments(&inner.env, &inner.dir)?
+            .into_iter()
+            .flat_map(|(_, parsed, _)| parsed.records)
+            .collect();
+        records.sort_by_key(|r| r.seq);
+        Ok(records)
     }
 
-    /// Drop records for a region whose seq is `<= flushed_seq` — they are now
-    /// in a store file — advance the region's flushed watermark and run the
-    /// segment cleanup pass.
+    /// Release a region's records numbered `<= flushed_seq` — they are now
+    /// in a store file — advance its flushed watermark and run the segment
+    /// cleanup pass.
     pub fn truncate_up_to(&self, region_id: u64, flushed_seq: u64) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let mark = inner.flushed.entry(region_id).or_insert(0);
         *mark = (*mark).max(flushed_seq);
-        Self::release_locked(&mut inner, |r| {
-            r.region_id == region_id && r.seq <= flushed_seq
-        });
+        inner.release(region_id, flushed_seq);
+        Self::gc_locked(inner);
     }
 
     /// Number every later record above `seq`. A region brings its own
@@ -607,29 +599,27 @@ impl Wal {
     /// server calls this: recovery re-reads the records of regions that
     /// failed over (or moved) away, whose watermarks were in memory only.
     /// Those regions left flushed and log elsewhere (`Region::rewire_wal`):
-    /// nothing reads the records again and no flush here will release them. With no such record there is
-    /// no cleanup pass either: a restart alone deletes no archived segment.
+    /// nothing reads the records again and no flush here will release them.
+    /// With no such record there is no cleanup pass either: a restart alone
+    /// deletes no archived segment.
     pub(crate) fn release_regions_not_in(&self, hosted: &HashSet<u64>) {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let mut found = false;
-        for r in &inner.records {
-            if !hosted.contains(&r.region_id) {
-                let mark = inner.flushed.entry(r.region_id).or_insert(0);
-                *mark = (*mark).max(r.seq);
-                found = true;
-            }
+        // A region with an entry retains at least one record.
+        let gone: Vec<(u64, u64)> = inner
+            .retained
+            .iter()
+            .filter(|(region, _)| !hosted.contains(region))
+            .filter_map(|(&region, queue)| Some((region, queue.back()?.0)))
+            .collect();
+        if gone.is_empty() {
+            return;
         }
-        if found {
-            Self::release_locked(inner, |r| !hosted.contains(&r.region_id));
+        for (region, last_seq) in gone {
+            let mark = inner.flushed.entry(region).or_insert(0);
+            *mark = (*mark).max(last_seq);
+            inner.release(region, last_seq);
         }
-    }
-
-    /// Drop the mirrored records `released` selects (their regions'
-    /// watermarks already cover them) and run the segment cleanup pass.
-    fn release_locked(inner: &mut WalInner, released: impl Fn(&WalRecord) -> bool) {
-        inner.records.retain(|r| !released(r));
-        inner.retained_bytes = inner.records.iter().map(WalRecord::heap_size).sum();
         Self::gc_locked(inner);
     }
 
@@ -692,18 +682,6 @@ impl Wal {
         inner.segments.last().map(|s| s.path.clone())
     }
 
-    /// `(seq, end offset)` of each record in the active segment, in append
-    /// order. Property tests truncate the file between/inside these extents
-    /// and assert recovery returns exactly the records whose extent fits.
-    pub fn active_record_extents(&self) -> Vec<(u64, u64)> {
-        let inner = self.inner.lock();
-        inner
-            .active
-            .as_ref()
-            .map(|a| a.extents.clone())
-            .unwrap_or_default()
-    }
-
     /// Simulate a server crash: further appends fail until `reopen`. The
     /// file handle is dropped; un-fsynced OS state is gone.
     pub fn close(&self) {
@@ -711,8 +689,9 @@ impl Wal {
     }
 
     /// Bring the log back after a crash: re-scan the directory, drop any
-    /// torn tail, rebuild the replay mirror, and roll a fresh segment.
-    pub fn reopen(&self) -> Result<()> {
+    /// torn tail, and roll a fresh segment. Returns every record the segment
+    /// files held, in seq order, for the server's regions to replay.
+    pub fn reopen(&self) -> Result<Vec<WalRecord>> {
         Self::recover_locked(&mut self.inner.lock())
     }
 
@@ -720,21 +699,8 @@ impl Wal {
         self.inner.lock().active.is_none()
     }
 
-    pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total logical bytes ever appended (durability traffic metric).
-    pub fn appended_bytes(&self) -> u64 {
-        self.inner.lock().appended_bytes
-    }
-
-    /// Heap bytes of records not yet released by `truncate_up_to` — the
-    /// WAL-size flush watermark reads this.
+    /// Heap bytes of records not yet released by a flush (`truncate_up_to`)
+    /// — the WAL-size flush watermark reads this.
     pub fn retained_bytes(&self) -> u64 {
         self.inner.lock().retained_bytes
     }
@@ -767,40 +733,71 @@ mod tests {
         Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap()
     }
 
+    /// Append each entry as its own record and return `(seq, end offset)`
+    /// per record: the active segment file's length after each append, an
+    /// oracle that does not go through the parser.
+    fn append_singly(
+        wal: &Wal,
+        region_id: u64,
+        records: &[(Timestamp, Vec<Cell>)],
+    ) -> Vec<(u64, u64)> {
+        let path = wal.active_segment_path().unwrap();
+        records
+            .iter()
+            .map(|(write_time, cells)| {
+                let seq = wal.append(region_id, cells.clone(), *write_time).unwrap();
+                (seq, std::fs::metadata(&path).unwrap().len())
+            })
+            .collect()
+    }
+
+    fn seqs(records: &[WalRecord]) -> Vec<u64> {
+        records.iter().map(|r| r.seq).collect()
+    }
+
     #[test]
     fn append_assigns_monotonic_seq() {
         let wal = temp_wal();
         let s1 = wal.append(7, vec![cell("a")], 100).unwrap();
         let s2 = wal.append(7, vec![cell("b")], 101).unwrap();
         assert!(s2 > s1);
-        assert_eq!(wal.len(), 2);
-        assert!(wal.appended_bytes() > 0);
+        assert_eq!(seqs(&wal.read_records().unwrap()), [s1, s2]);
     }
 
+    /// The log hands back every region's records in seq order; a region
+    /// replays the ones that are its own and newer than its store files.
     #[test]
     fn replay_filters_by_region_and_seq() {
         let wal = temp_wal();
         let s1 = wal.append(1, vec![cell("a")], 100).unwrap();
-        wal.append(2, vec![cell("b")], 100).unwrap();
-        wal.append(1, vec![cell("c")], 100).unwrap();
-        let replayed = wal.replay(1, s1);
+        let s2 = wal.append(2, vec![cell("b")], 100).unwrap();
+        let s3 = wal.append(1, vec![cell("c")], 100).unwrap();
+        let records = wal.read_records().unwrap();
+        let by_region: Vec<(u64, u64)> = records.iter().map(|r| (r.region_id, r.seq)).collect();
+        assert_eq!(by_region, [(1, s1), (2, s2), (1, s3)]);
+        let replayed: Vec<&WalRecord> = records
+            .iter()
+            .filter(|r| r.region_id == 1 && r.seq > s1)
+            .collect();
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].cells[0].key.row.as_ref(), b"c");
-        assert_eq!(wal.replay(1, 0).len(), 2);
-        assert_eq!(wal.replay(3, 0).len(), 0);
     }
 
     #[test]
     fn truncate_drops_flushed_records() {
         let wal = temp_wal();
+        let one = heap_size(&[cell("a")]);
         let s1 = wal.append(1, vec![cell("a")], 100).unwrap();
         let s2 = wal.append(1, vec![cell("b")], 100).unwrap();
         wal.append(2, vec![cell("x")], 100).unwrap();
+        assert_eq!(wal.retained_bytes(), 3 * one);
         wal.truncate_up_to(1, s1);
-        assert_eq!(wal.replay(1, 0).len(), 1);
-        assert_eq!(wal.replay(2, 0).len(), 1); // other region untouched
+        assert_eq!(wal.retained_bytes(), 2 * one);
         wal.truncate_up_to(1, s2);
-        assert_eq!(wal.replay(1, 0).len(), 0);
+        assert_eq!(wal.retained_bytes(), one, "other region untouched");
+        // Release is bookkeeping: the records stay in the active segment
+        // file until it is sealed and archived.
+        assert_eq!(wal.read_records().unwrap().len(), 3);
     }
 
     #[test]
@@ -825,16 +822,13 @@ mod tests {
         let s2 = wal.append(2, vec![cell("c")], 101).unwrap();
         wal.close();
         assert!(wal.append(1, vec![cell("x")], 102).is_err());
-        wal.reopen().unwrap();
-        let r1 = wal.replay(1, 0);
-        assert_eq!(r1.len(), 1);
-        assert_eq!(r1[0].seq, s1);
-        assert_eq!(r1[0].cells.len(), 2);
-        assert_eq!(r1[0].cells[0].key.row.as_ref(), b"a");
-        assert_eq!(r1[0].write_time, 100);
-        let r2 = wal.replay(2, 0);
-        assert_eq!(r2.len(), 1);
-        assert_eq!(r2[0].seq, s2);
+        let records = wal.reopen().unwrap();
+        assert_eq!(seqs(&records), [s1, s2]);
+        assert_eq!(records[0].region_id, 1);
+        assert_eq!(records[0].cells.len(), 2);
+        assert_eq!(records[0].cells[0].key.row.as_ref(), b"a");
+        assert_eq!(records[0].write_time, 100);
+        assert_eq!(records[1].region_id, 2);
         // Sequence numbering continues past the recovered records.
         let s3 = wal.append(1, vec![cell("d")], 103).unwrap();
         assert!(s3 > s2);
@@ -862,8 +856,7 @@ mod tests {
         let big: Vec<Cell> = (0..3000).map(|i| cell(&format!("row-{i:06}"))).collect();
         wal.append(9, big.clone(), 50).unwrap();
         wal.close();
-        wal.reopen().unwrap();
-        let replayed = wal.replay(9, 0);
+        let replayed = wal.reopen().unwrap();
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].cells.len(), big.len());
         assert_eq!(replayed[0].cells[2999].key.row.as_ref(), b"row-002999");
@@ -873,20 +866,21 @@ mod tests {
     fn torn_tail_is_dropped_at_last_valid_record() {
         let env = temp_env(1 << 20);
         let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
-        wal.append(1, vec![cell("keep-1")], 1).unwrap();
-        wal.append(1, vec![cell("keep-2")], 2).unwrap();
-        wal.append(1, vec![cell("lost")], 3).unwrap();
+        let records = [
+            (1, vec![cell("keep-1")]),
+            (2, vec![cell("keep-2")]),
+            (3, vec![cell("lost")]),
+        ];
+        let extents = append_singly(&wal, 1, &records);
         let path = wal.active_segment_path().unwrap();
-        let extents = wal.active_record_extents();
-        assert_eq!(extents.len(), 3);
         wal.close();
         // Tear the file mid-way through the third record.
         let cut = (extents[1].1 + 3) as usize;
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..cut]).unwrap();
-        wal.reopen().unwrap();
         let rows: Vec<_> = wal
-            .replay(1, 0)
+            .reopen()
+            .unwrap()
             .iter()
             .map(|r| r.cells[0].key.row.clone())
             .collect();
@@ -988,14 +982,10 @@ mod tests {
             let seq = single.append(4, cells.clone(), *write_time).unwrap();
             assert_eq!(seq, first + i as u64, "one consecutive seq per record");
         }
-        assert_eq!(
-            grouped.active_record_extents(),
-            single.active_record_extents()
-        );
         let bytes = |wal: &Wal| std::fs::read(wal.active_segment_path().unwrap()).unwrap();
         assert!(bytes(&grouped) == bytes(&single), "segment bytes differ");
-        assert_eq!(grouped.appended_bytes(), single.appended_bytes());
-        assert_eq!(grouped.replay(4, 0).len(), 12);
+        assert_eq!(grouped.retained_bytes(), single.retained_bytes());
+        assert_eq!(grouped.read_records().unwrap().len(), 12);
         // An empty group is a no-op that burns no seq.
         assert_eq!(grouped.append_group(4, &[]).unwrap(), first + 12);
         assert_eq!(
@@ -1013,19 +1003,22 @@ mod tests {
         let dir = env.root().join("wal");
         let wal = Wal::open(Arc::clone(&env), dir.clone()).unwrap();
         let first = wal.append_group(7, &group_of(8)).unwrap();
-        let extents = wal.active_record_extents();
-        assert_eq!(extents.len(), 8);
         let path = wal.active_segment_path().unwrap();
         wal.close();
         drop(wal);
         let data = std::fs::read(&path).unwrap();
+        // The same records appended one at a time write the same bytes and
+        // give each record's end offset.
+        let single = temp_wal();
+        let extents = append_singly(&single, 7, &group_of(8));
+        assert!(data == std::fs::read(single.active_segment_path().unwrap()).unwrap());
         for cut in 0..=data.len() {
             // A fresh directory per cut: recovery rolls a new segment.
             let trial = env.root().join(format!("trial-{cut}"));
             std::fs::create_dir_all(&trial).unwrap();
             std::fs::write(trial.join(path.file_name().unwrap()), &data[..cut]).unwrap();
             let recovered = Wal::open(Arc::clone(&env), trial.clone()).unwrap();
-            let got: Vec<u64> = recovered.replay(7, 0).iter().map(|r| r.seq).collect();
+            let got = seqs(&recovered.read_records().unwrap());
             let want: Vec<u64> = extents
                 .iter()
                 .filter(|(_, end)| *end <= cut as u64)
@@ -1059,18 +1052,22 @@ mod tests {
             );
             assert_eq!(rule.fire_count(), 1);
             assert!(wal.is_closed());
+            let acked_bytes: u64 = group_of(3).iter().map(|(_, c)| heap_size(c)).sum();
             assert_eq!(
-                wal.replay(3, 0).len(),
-                3,
-                "the failed group is not mirrored"
+                wal.retained_bytes(),
+                acked_bytes,
+                "the failed group is not retained"
             );
             inj.clear();
-            wal.reopen().unwrap();
             // On disk the group is ordinary records: the three whole ones
             // before the fault survive, the faulted one and its successors
             // do not.
-            let seqs: Vec<u64> = wal.replay(3, 0).iter().map(|r| r.seq).collect();
-            assert_eq!(seqs, (acked..acked + 6).collect::<Vec<_>>(), "{kind:?}");
+            let recovered = seqs(&wal.reopen().unwrap());
+            assert_eq!(
+                recovered,
+                (acked..acked + 6).collect::<Vec<_>>(),
+                "{kind:?}"
+            );
         }
     }
 

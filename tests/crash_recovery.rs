@@ -239,6 +239,72 @@ fn wal_only_recovery_replays_every_record() {
     }
 }
 
+/// Restart and failover recover a dead server from the same log. A crash
+/// on the second record of a three-record group leaves the first record
+/// whole on disk but unacknowledged. Both paths read the segment files, so
+/// both replay it, and the restarted twin and the failed-over twin scan
+/// alike.
+#[test]
+fn restart_and_failover_replay_the_same_log() {
+    for seed in seeds() {
+        let restarted = build_cluster(u64::MAX);
+        let failed_over = build_cluster(u64::MAX);
+        let mut dead = 0;
+        for cluster in [&restarted, &failed_over] {
+            run_round(cluster, seed, 4);
+            let table = TableName::default_ns(TABLE);
+            let locations = cluster.master.regions_of(&table).unwrap();
+            let loc = locations
+                .iter()
+                .find(|loc| loc.info.contains_row(b"row0000"))
+                .unwrap();
+            let region = cluster
+                .server(loc.server_id)
+                .unwrap()
+                .region(loc.info.region_id)
+                .unwrap();
+            let rule = cluster.faults().add_file_rule(
+                FileFaultRule::new(FileFaultKind::CrashAt)
+                    .on_op(FileOp::WalAppend)
+                    .at_nth(2),
+            );
+            let puts: Vec<Put> = (0..3)
+                .map(|i| Put::new(format!("row{i:04}")).add("cf", "balance", format!("torn {i}")))
+                .collect();
+            let err = region.put_batch(&puts).unwrap_err();
+            assert!(
+                matches!(err, KvError::SimulatedCrash(_)),
+                "seed {seed}: {err:?}"
+            );
+            assert_eq!(rule.fire_count(), 1);
+            crash_all(cluster);
+            cluster.faults().clear();
+            dead = loc.server_id;
+        }
+
+        restart_all(&restarted);
+        failed_over.server(1 - dead).unwrap().try_restart().unwrap();
+        failed_over.master.fail_over_server(dead).unwrap();
+
+        let reference = full_scan(&restarted);
+        let torn_head = reference
+            .iter()
+            .find(|row| row.row.as_ref() == b"row0000")
+            .and_then(|row| row.cells.first())
+            .map(|cell| cell.value.clone());
+        assert_eq!(
+            torn_head.as_deref(),
+            Some(&b"torn 0"[..]),
+            "seed {seed}: restart replays the group's whole first record"
+        );
+        assert_eq!(
+            full_scan(&failed_over),
+            reference,
+            "seed {seed}: failover recovered a different log than restart"
+        );
+    }
+}
+
 /// The delayed-deletion invariant: a WAL segment may be archived (and later
 /// deleted) only once every memstore holding edits it covers has flushed.
 #[test]

@@ -395,6 +395,27 @@ mod durability {
         }
     }
 
+    /// Append `n` records to `wal`, returning `(seq, end offset)` of each:
+    /// the segment file's length after its append, an oracle independent
+    /// of the parser under test.
+    fn append_records(wal: &Wal, n: usize, value: &str) -> Vec<(u64, u64)> {
+        let path = wal.active_segment_path().unwrap();
+        (0..n)
+            .map(|i| {
+                let seq = wal
+                    .append(7, vec![cell(&format!("r{i:03}"), 0, value)], 1)
+                    .unwrap();
+                (seq, std::fs::metadata(&path).unwrap().len())
+            })
+            .collect()
+    }
+
+    fn recovered_seqs(env: &Arc<StorageEnv>, dir: std::path::PathBuf) -> Vec<u64> {
+        let recovered = Wal::open(Arc::clone(env), dir).unwrap();
+        let records = recovered.read_records().unwrap();
+        records.into_iter().map(|r| r.seq).collect()
+    }
+
     /// Append `n` records, remember each record's end offset, truncate the
     /// segment at an arbitrary byte, and recover with a fresh Wal: the
     /// survivors must be exactly the records that ended at or before the
@@ -403,12 +424,7 @@ mod durability {
         let env = StorageEnv::temp(1 << 20, ClusterMetrics::new()).unwrap();
         let dir = env.root().join("wal");
         let wal = Wal::open(Arc::clone(&env), dir.clone()).unwrap();
-        let value = "v".repeat(value_len);
-        for i in 0..n {
-            wal.append(7, vec![cell(&format!("r{i:03}"), 0, &value)], 1)
-                .unwrap();
-        }
-        let extents = wal.active_record_extents();
+        let extents = append_records(&wal, n, &"v".repeat(value_len));
         let path = wal.active_segment_path().unwrap();
         wal.close();
 
@@ -416,8 +432,7 @@ mod durability {
         let cut = cut % (data.len() + 1);
         std::fs::write(&path, &data[..cut]).unwrap();
 
-        let recovered = Wal::open(Arc::clone(&env), dir).unwrap();
-        let replayed: Vec<u64> = recovered.replay(7, 0).into_iter().map(|r| r.seq).collect();
+        let replayed = recovered_seqs(&env, dir);
         let expected: Vec<u64> = extents
             .iter()
             .filter(|(_, end)| *end <= cut as u64)
@@ -439,12 +454,7 @@ mod durability {
         let env = StorageEnv::temp(1 << 20, ClusterMetrics::new()).unwrap();
         let dir = env.root().join("wal");
         let wal = Wal::open(Arc::clone(&env), dir.clone()).unwrap();
-        let value = "w".repeat(value_len);
-        for i in 0..n {
-            wal.append(7, vec![cell(&format!("r{i:03}"), 0, &value)], 1)
-                .unwrap();
-        }
-        let extents = wal.active_record_extents();
+        let extents = append_records(&wal, n, &"w".repeat(value_len));
         let path = wal.active_segment_path().unwrap();
         wal.close();
 
@@ -453,8 +463,7 @@ mod durability {
         data[at] ^= xor;
         std::fs::write(&path, &data).unwrap();
 
-        let recovered = Wal::open(Arc::clone(&env), dir).unwrap();
-        let replayed: Vec<u64> = recovered.replay(7, 0).into_iter().map(|r| r.seq).collect();
+        let replayed = recovered_seqs(&env, dir);
         let original: Vec<u64> = extents.iter().map(|(seq, _)| *seq).collect();
         assert_eq!(
             &original[..replayed.len()],
