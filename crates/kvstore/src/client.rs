@@ -1,7 +1,8 @@
 //! Client library: heavy-weight connections, table handles, and the
 //! region-routed read/write operations. The connection setup cost and the
 //! per-RPC network charges modelled here are exactly what SHC's connection
-//! cache and operator fusion optimize away.
+//! cache and operator fusion optimize away. A region scan pays one charge
+//! per batch: the RPC that opens the scanner carries the first one.
 
 use crate::cluster::HBaseCluster;
 use crate::error::{KvError, Result};
@@ -12,7 +13,7 @@ use crate::security::AuthToken;
 use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan, TableName};
 use parking_lot::Mutex;
 use shc_obs::trace;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -407,9 +408,11 @@ impl Table {
     }
 
     /// One ungrouped bulk-get pass: route every get to the region currently
-    /// owning its row, one RPC per region, results in request order.
+    /// owning its row, one RPC per region, results in request order. The
+    /// RPCs go out in region-id order, so which of them a seeded fault hits,
+    /// and the order of their trace spans, repeat from run to run.
     fn bulk_get_once(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<RowResult>> {
-        let mut grouped: HashMap<u64, (RegionLocation, Vec<(usize, Get)>)> = HashMap::new();
+        let mut grouped: BTreeMap<u64, (RegionLocation, Vec<(usize, Get)>)> = BTreeMap::new();
         for (idx, get) in gets.iter().enumerate() {
             let loc = self.connection.locate_row(&self.name, &get.row)?;
             grouped
@@ -611,14 +614,17 @@ struct BatchMsg {
 /// A pipelined, client-side iterator over one region's rows.
 ///
 /// A background worker drives the HBase-style scanner RPC lifecycle —
-/// `open_scanner`, repeated `next_batch(scanner_id, caching)`, implicit or
-/// explicit `close_scanner` — and pushes each batch through a bounded
-/// channel, so the next batch is being fetched while the caller processes
-/// the current one. Transient failures (region moved or split, server gone,
-/// dropped RPC, scanner lease lapsed) are recovered inside the worker under
-/// the connection's [`RetryPolicy`]: it re-locates the key range and reopens
-/// a scanner at the row *after* the last one delivered, so the concatenated
-/// batches are complete, duplicate-free, and key-ordered.
+/// `open_scanner`, which returns the first batch, then
+/// `next_batch(scanner_id, caching)` while the server reports `more`, and an
+/// explicit `close_scanner` only when abandoning a scanner that is still
+/// open — and pushes each batch through a bounded channel, so the next batch
+/// is being fetched while the caller processes the current one. A region
+/// range that fits in one batch costs one RPC. Transient failures (region
+/// moved or split, server gone, dropped RPC, scanner lease lapsed) are
+/// recovered inside the worker under the connection's [`RetryPolicy`]: it
+/// re-locates the key range and reopens a scanner at the row *after* the
+/// last one delivered, so the concatenated batches are complete,
+/// duplicate-free, and key-ordered.
 ///
 /// Dropping the scanner early stops the worker and releases any server-side
 /// scanner state.
@@ -667,8 +673,8 @@ impl RegionScanner {
         &self.stats
     }
 
-    /// `next_batch` RPCs that produced a delivered batch so far (scanner
-    /// opens and closes are not counted).
+    /// Scan RPCs that produced a delivered batch so far: the opening one
+    /// and every `next_batch` after it (closes are not counted).
     pub fn rpc_batches(&self) -> u64 {
         self.rpc_batches
     }
@@ -795,28 +801,31 @@ fn drive_region_scan(
             region_scan.limit = remaining;
         }
 
-        let scanner_id = {
-            let mut sp = trace::span("rpc");
-            sp.annotate("op", "open_scanner");
-            sp.annotate("region", loc.info.region_id);
-            sp.annotate("server", &loc.hostname);
-            match server.open_scanner(loc.info.region_id, &region_scan, connection.token()) {
-                Ok(id) => {
-                    charge_rpc(&connection.cluster, network.rpc_latency);
-                    id
-                }
-                Err(e) => recover!(e),
-            }
-        };
-
+        // The first RPC opens the scanner and carries the first batch; every
+        // later one is a `next_batch` on the id it returned. The id is held
+        // only while the server reports `more`, that is, while a cursor is
+        // registered there.
+        let caching = scan.caching.max(1);
+        let mut scanner_id = None;
         loop {
-            let batch = {
+            let (id, batch) = {
                 let mut sp = trace::span("rpc");
-                sp.annotate("op", "next_batch");
+                sp.annotate("op", scanner_id.map_or("open_scanner", |_| "next_batch"));
                 sp.annotate("region", loc.info.region_id);
                 sp.annotate("server", &loc.hostname);
-                match server.next_batch(scanner_id, scan.caching.max(1), connection.token()) {
-                    Ok(batch) => {
+                let reply = match scanner_id {
+                    None => server.open_scanner(
+                        loc.info.region_id,
+                        &region_scan,
+                        caching,
+                        connection.token(),
+                    ),
+                    Some(id) => server
+                        .next_batch(id, caching, connection.token())
+                        .map(|batch| (batch.more.then_some(id), batch)),
+                };
+                match reply {
+                    Ok((id, batch)) => {
                         let bytes: usize = batch.rows.iter().map(RowResult::payload_bytes).sum();
                         sp.annotate("rows", batch.rows.len());
                         sp.annotate("bytes", bytes);
@@ -825,16 +834,20 @@ fn drive_region_scan(
                             &connection.cluster,
                             network.transfer_cost(bytes as u64, local),
                         );
-                        batch
+                        (id, batch)
                     }
                     Err(e) => {
                         // Best-effort release before recovering; the server
-                        // side is also protected by the lease.
-                        let _ = server.close_scanner(scanner_id, connection.token());
+                        // side is also protected by the lease. A failed open
+                        // left nothing to release.
+                        if let Some(id) = scanner_id {
+                            let _ = server.close_scanner(id, connection.token());
+                        }
                         recover!(e)
                     }
                 }
             };
+            scanner_id = id;
             attempts = 0;
             if let Some(last) = batch.rows.last() {
                 cur_start = row_successor(&last.row);
@@ -842,7 +855,6 @@ fn drive_region_scan(
                     remaining = remaining.saturating_sub(batch.rows.len());
                 }
             }
-            let more = batch.more;
             if tx
                 .send(Ok(BatchMsg {
                     rows: batch.rows,
@@ -852,12 +864,12 @@ fn drive_region_scan(
             {
                 // Consumer hung up (dropped the scanner): release the
                 // server-side state and quit.
-                if more {
-                    let _ = server.close_scanner(scanner_id, connection.token());
+                if let Some(id) = scanner_id {
+                    let _ = server.close_scanner(id, connection.token());
                 }
                 return;
             }
-            if !more {
+            if scanner_id.is_none() {
                 break;
             }
         }
@@ -997,11 +1009,58 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 1);
         let delta = cluster.metrics.snapshot().delta_since(&before);
-        // Only the third region should have been contacted: one
-        // `open_scanner` plus one `next_batch` (which drained it).
-        assert_eq!(delta.rpc_count, 2);
+        // Only the third region was contacted, by one RPC: the open, whose
+        // batch drained it. It left no scanner behind, so nothing was closed.
+        assert_eq!(delta.rpc_count, 1);
         assert_eq!(delta.scanner_opens, 1);
         assert_eq!(delta.scanner_batches, 1);
+        for id in 0..3 {
+            assert_eq!(cluster.server(id).unwrap().open_scanner_count(), 0);
+        }
+    }
+
+    #[test]
+    fn a_region_scan_costs_one_rpc_per_batch() {
+        let (cluster, conn, table) = cluster_with_table(&[]);
+        for i in 0..10 {
+            table
+                .put(Put::new(format!("k{i:02}")).add("cf", "q", "v"))
+                .unwrap();
+        }
+        let loc = conn.locate_regions(&TableName::default_ns("t")).unwrap()[0].clone();
+        let server = cluster.server(loc.server_id).unwrap();
+        for (k, caching) in [
+            (0, 3),
+            (1, 3),
+            (2, 3),
+            (4, 3),
+            (10, 3),
+            (10, 4),
+            (10, 20),
+            (3, 1),
+        ] {
+            // ["k", "k{k}") holds exactly the first k rows; for k = 0 it is a
+            // non-empty key range with no rows in it.
+            let mut scan = Scan::new().with_range(
+                Bound::Included(Bytes::from_static(b"k")),
+                Bound::Excluded(Bytes::from(format!("k{k:02}"))),
+            );
+            scan.caching = caching;
+            let before = cluster.metrics.snapshot();
+            let result = table.scan_region(&loc, &scan, None).unwrap();
+            let delta = cluster.metrics.snapshot().delta_since(&before);
+            assert_eq!(result.rows.len(), k);
+            // A short batch ends the scan, so this is max(1, ceil(k/c)) —
+            // except that a full last batch cannot tell it was last, and
+            // when c divides k one empty batch follows.
+            let rpcs = (k / caching + 1) as u64;
+            let why = format!("{k} rows at caching {caching}");
+            assert_eq!(delta.rpc_count, rpcs, "{why}: every RPC a Scan, no close");
+            assert_eq!(delta.scanner_opens, 1, "{why}");
+            assert_eq!(delta.scanner_batches, rpcs, "{why}: each RPC one batch");
+            assert_eq!(result.rpc_batches, rpcs, "{why}");
+            assert_eq!(server.open_scanner_count(), 0, "{why}");
+        }
     }
 
     #[test]
@@ -1016,6 +1075,38 @@ mod tests {
         assert_eq!(rows[0].value(b"cf", b"q").unwrap().as_ref(), b"q");
         assert_eq!(rows[1].value(b"cf", b"q").unwrap().as_ref(), b"a");
         assert_eq!(rows[2].value(b"cf", b"q").unwrap().as_ref(), b"i");
+    }
+
+    #[test]
+    fn bulk_get_issues_its_region_rpcs_in_region_id_order() {
+        use crate::fault::{FaultKind, FaultRule, RpcOp};
+        let (cluster, conn, _table) = cluster_with_table(&["h", "p"]);
+        let name = TableName::default_ns("t");
+        let lowest = conn
+            .locate_regions(&name)
+            .unwrap()
+            .iter()
+            .map(|loc| loc.info.region_id)
+            .min()
+            .unwrap();
+        let no_retry =
+            Connection::open_with_policy(Arc::clone(&cluster), None, RetryPolicy::none());
+        let table = no_retry.table(name);
+        for run in 0..20 {
+            cluster.faults().add_rule(
+                FaultRule::new(FaultKind::NotServing)
+                    .on_op(RpcOp::BulkGet)
+                    .first_n(1),
+            );
+            // One get per region, requested highest region first.
+            let err = table
+                .bulk_get(vec![Get::new("q"), Get::new("i"), Get::new("a")])
+                .unwrap_err();
+            let KvError::RetriesExhausted { last, .. } = err else {
+                panic!("run {run}: {err:?}");
+            };
+            assert_eq!(*last, KvError::RegionNotServing(lowest), "run {run}");
+        }
     }
 
     #[test]
@@ -1086,19 +1177,21 @@ mod tests {
         let loc = conn.locate_regions(&TableName::default_ns("t")).unwrap()[0].clone();
         let server = cluster.server(loc.server_id).unwrap();
         server.set_scanner_lease_ms(5);
-        // Scan RPC #1 is open_scanner, #2 the first next_batch. Before #3
-        // executes, burn the virtual clock past the lease so the server
-        // reclaims the scanner mid-scan.
+        // Scan RPC #1 opens the scanner and returns k00..k02. Before #2, the
+        // first next_batch, burn the virtual clock past the lease so the
+        // server reclaims the scanner mid-scan.
         let clock = cluster.clock.clone();
-        cluster.faults().on_nth_op(Some(RpcOp::Scan), 3, move || {
+        cluster.faults().on_nth_op(Some(RpcOp::Scan), 2, move || {
             for _ in 0..20 {
                 clock.now_ms();
             }
         });
-        // After recovery (#4 reopen, #5 next_batch), fail #6 with a one-shot
-        // NotServing between batches.
+        // #3 reopens at k03 and returns k03..k05, leaving a cursor
+        // registered. Fail #4, its next_batch, with a one-shot NotServing
+        // between batches: the server keeps that cursor, so only the
+        // client's close releases it before #5 reopens at k06.
         let faults = Arc::clone(cluster.faults());
-        cluster.faults().on_nth_op(Some(RpcOp::Scan), 6, move || {
+        cluster.faults().on_nth_op(Some(RpcOp::Scan), 4, move || {
             faults.add_rule(
                 FaultRule::new(FaultKind::NotServing)
                     .on_op(RpcOp::Scan)
@@ -1118,6 +1211,41 @@ mod tests {
         assert_eq!(delta.scanner_lease_expirations, 1);
         assert_eq!(delta.faults_injected, 1);
         assert_eq!(delta.client_retries, 2);
+        // Opens #1, #3 and #5; batches from #1, #3, #5 and #6 (k09).
+        assert_eq!(delta.scanner_opens, 3);
+        assert_eq!(delta.scanner_batches, 4);
+        assert_eq!(server.open_scanner_count(), 0, "no leaked scanner state");
+    }
+
+    #[test]
+    fn a_dropped_opening_rpc_is_reopened_without_duplicates() {
+        use crate::fault::{FaultKind, FaultRule, RpcOp};
+        let (cluster, conn, table) = cluster_with_table(&[]);
+        for i in 0..10 {
+            table
+                .put(Put::new(format!("k{i:02}")).add("cf", "q", "v"))
+                .unwrap();
+        }
+        let loc = conn.locate_regions(&TableName::default_ns("t")).unwrap()[0].clone();
+        let server = cluster.server(loc.server_id).unwrap();
+        let mut scan = Scan::new();
+        scan.caching = 3;
+        let expected: Vec<Bytes> = (0..10).map(|i| Bytes::from(format!("k{i:02}"))).collect();
+        // The opening RPC is the one that carries the first rows: drop it.
+        let rule = cluster.faults().add_rule(
+            FaultRule::new(FaultKind::Drop)
+                .on_op(RpcOp::Scan)
+                .first_n(1),
+        );
+        let before = cluster.metrics.snapshot();
+        let result = table.scan_region(&loc, &scan, None).unwrap();
+        let keys: Vec<Bytes> = result.rows.into_iter().map(|r| r.row).collect();
+        assert_eq!(keys, expected, "complete, ordered, duplicate-free");
+        assert_eq!(rule.fire_count(), 1);
+        let delta = cluster.metrics.snapshot().delta_since(&before);
+        assert_eq!(delta.client_retries, 1);
+        assert_eq!(delta.scanner_opens, 1, "the dropped open served nothing");
+        assert_eq!(result.rpc_batches, 4);
         assert_eq!(server.open_scanner_count(), 0, "no leaked scanner state");
     }
 

@@ -47,7 +47,8 @@ shc_obs::metrics_registry! {
             block_cache_evictions,
             /// Server-side scanners opened via `open_scanner`.
             scanner_opens,
-            /// `next_batch` calls served by server-side scanners.
+            /// Scan batches served: the one each `open_scanner` carries, then
+            /// one per `next_batch`.
             scanner_batches,
             /// Scanners discarded because their lease expired between batches.
             scanner_lease_expirations,

@@ -73,23 +73,6 @@ impl NetworkSim {
         }
     }
 
-    /// Total cost of moving `bytes` split across `batches` equal-as-possible
-    /// RPC payloads. Naively charging `transfer_cost(bytes / batches)` per
-    /// batch drops up to `batches - 1` bytes of payload to integer division;
-    /// this distributes the remainder over the first `bytes % batches`
-    /// batches so the summed per-batch cost accounts for every byte.
-    pub fn chunked_transfer_cost(&self, bytes: u64, batches: u64, local: bool) -> Duration {
-        let batches = batches.max(1);
-        let base = bytes / batches;
-        let extra = bytes % batches;
-        // Two distinct batch sizes at most: `extra` batches of base+1 bytes,
-        // the rest of base bytes. Cost is per-batch, so latency is paid
-        // `batches` times.
-        let fat = self.transfer_cost(base + 1, local);
-        let lean = self.transfer_cost(base, local);
-        fat * extra as u32 + lean * (batches - extra) as u32
-    }
-
     /// [`charge`](Self::charge), additionally advancing any active query
     /// trace's deterministic clock by the modeled cost — so span intervals
     /// reflect simulated time even though sub-granularity charges never
@@ -98,10 +81,6 @@ impl NetworkSim {
     pub fn charge_traced(&self, cost: Duration) {
         shc_obs::trace::advance_us(cost.as_micros() as u64);
         self.charge(cost);
-    }
-
-    pub fn is_off(&self) -> bool {
-        self.rpc_latency.is_zero() && self.bytes_per_sec == 0 && self.connection_setup.is_zero()
     }
 }
 
@@ -118,7 +97,6 @@ mod tests {
     #[test]
     fn off_profile_costs_nothing() {
         let n = NetworkSim::off();
-        assert!(n.is_off());
         assert_eq!(n.transfer_cost(1_000_000, false), Duration::ZERO);
     }
 
@@ -141,25 +119,6 @@ mod tests {
         assert!(remote > local);
         let ratio = remote.as_nanos() as f64 / local.as_nanos() as f64;
         assert!((ratio - 1.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn chunked_transfer_accounts_for_every_byte() {
-        let n = NetworkSim::gigabit();
-        // 10 bytes over 3 batches: 10/3 == 3 would bill 9 bytes; the helper
-        // bills one batch of 4 and two of 3, i.e. all 10 bytes plus three
-        // round-trip latencies.
-        let chunked = n.chunked_transfer_cost(10, 3, true);
-        let manual = n.transfer_cost(4, true) + n.transfer_cost(3, true) * 2;
-        assert_eq!(chunked, manual);
-        // Payload portion must equal an unchunked transfer; only the extra
-        // round trips differ.
-        let unchunked = n.transfer_cost(10, true);
-        let extra_latency = n.rpc_latency * 2;
-        assert_eq!(chunked, unchunked + extra_latency);
-        // Degenerate cases.
-        assert_eq!(n.chunked_transfer_cost(10, 1, true), unchunked);
-        assert_eq!(n.chunked_transfer_cost(10, 0, true), unchunked);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! Every public method is one "RPC": it validates security, bumps the
 //! cluster metrics, and dispatches to the region.
 //!
-//! Scans are served HBase-style through server-side scanner state:
-//! [`open_scanner`](RegionServer::open_scanner) registers a cursor,
-//! [`next_batch`](RegionServer::next_batch) returns at most `n` rows and
-//! advances it, and a lease on the virtual clock reclaims cursors whose
-//! client went away. All store-file reads go through the server's shared
-//! [`BlockCache`].
+//! Scans are served HBase-style through server-side scanner state, one
+//! batch of at most `n` rows per RPC:
+//! [`open_scanner`](RegionServer::open_scanner) serves the first batch and,
+//! when more rows may follow, registers a cursor for
+//! [`next_batch`](RegionServer::next_batch) to advance. A lease on the
+//! virtual clock reclaims cursors whose client went away. All store-file
+//! reads go through the server's shared [`BlockCache`].
 
 use crate::block_cache::BlockCache;
 use crate::clock::Clock;
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default scanner lease: virtual milliseconds a scanner may sit idle
-/// between `next_batch` calls before the server reclaims it.
+/// between batches before the server reclaims it.
 pub const DEFAULT_SCANNER_LEASE_MS: u64 = 60_000;
 
 /// Cursor state of one open server-side scanner. Each scanner sits behind
@@ -47,8 +48,9 @@ struct ScannerState {
     lease_expires_ms: u64,
 }
 
-/// One `next_batch` response: the rows, the work they cost, and whether the
-/// scanner is still open (more data may remain).
+/// One scan RPC's response (`open_scanner` or `next_batch`): the rows, the
+/// work they cost, and whether the scanner is still open (more data may
+/// remain).
 #[derive(Clone, Debug)]
 pub struct ScanBatch {
     pub rows: Vec<RowResult>,
@@ -293,40 +295,43 @@ impl RegionServer {
         Ok(out)
     }
 
-    /// Register a server-side scanner for `scan` against one region and
-    /// lease it on the virtual clock. Returns the scanner id for
-    /// [`next_batch`](Self::next_batch).
+    /// Open a scanner for `scan` against one region and serve its first
+    /// batch of at most `n` rows in the same RPC, like HBase's first
+    /// `ScanRequest`. Only when the batch says `more` is a cursor
+    /// registered, its lease on the virtual clock started, and its id
+    /// returned for [`next_batch`](Self::next_batch). A range that fits in
+    /// one batch returns no id, leaves no server state and needs no close.
     pub fn open_scanner(
         &self,
         region_id: u64,
         scan: &Scan,
+        n: usize,
         token: Option<&AuthToken>,
-    ) -> Result<u64> {
+    ) -> Result<(Option<u64>, ScanBatch)> {
         self.authorize(token)?;
         self.count_rpc();
         self.rpc_entry(RpcOp::Scan, region_id)?;
-        // Fail fast when the region is not hosted here; no state is created.
-        let _ = self.region(region_id)?;
-        let id = self.next_scanner_id.fetch_add(1, Ordering::Relaxed);
-        let lease = self.clock.peek_ms() + self.scanner_lease_ms.load(Ordering::Relaxed);
-        self.scanners.lock().insert(
-            id,
-            Arc::new(Mutex::new(ScannerState {
-                region_id,
-                scan: scan.clone(),
-                limit: scan.limit,
-                rows_returned: 0,
-                lease_expires_ms: lease,
-            })),
-        );
+        let region = self.region(region_id)?;
         self.metrics.add(&self.metrics.scanner_opens, 1);
-        Ok(id)
+        let mut state = ScannerState {
+            region_id,
+            scan: scan.clone(),
+            limit: scan.limit,
+            rows_returned: 0,
+            lease_expires_ms: 0,
+        };
+        let batch = self.serve_batch(&mut state, &region, n)?;
+        let id = batch.more.then(|| {
+            let id = self.next_scanner_id.fetch_add(1, Ordering::Relaxed);
+            self.scanners.lock().insert(id, Arc::new(Mutex::new(state)));
+            id
+        });
+        Ok((id, batch))
     }
 
-    /// Serve the next batch of an open scanner: at most `n` rows, scanned
-    /// on demand from the cursor position — the server never materializes
-    /// more than one batch. A successful batch renews the lease; a scanner
-    /// that lapses between calls is discarded and the call fails with the
+    /// Serve the next batch of an open scanner: at most `n` rows from the
+    /// cursor position. A successful batch renews the lease; a scanner that
+    /// lapses between calls is discarded and the call fails with the
     /// transient [`KvError::ScannerExpired`].
     pub fn next_batch(
         &self,
@@ -372,18 +377,27 @@ impl RegionServer {
                 return Err(e);
             }
         };
+        let batch = self.serve_batch(&mut state, &region, n)?;
+        if !batch.more {
+            drop_scanner();
+        }
+        Ok(batch)
+    }
+
+    /// The batch body both scan RPCs share: scan at most `n` rows on demand
+    /// from the cursor — the server never materializes more than one batch
+    /// — record the work, and, when more rows may follow, move the cursor
+    /// past the last row returned and (re)start the lease.
+    fn serve_batch(
+        &self,
+        state: &mut ScannerState,
+        region: &Region,
+        n: usize,
+    ) -> Result<ScanBatch> {
         let n = n.max(1);
         let batch_limit = if state.limit > 0 {
-            let remaining = state.limit.saturating_sub(state.rows_returned);
-            if remaining == 0 {
-                drop_scanner();
-                return Ok(ScanBatch {
-                    rows: Vec::new(),
-                    stats: ScanStats::default(),
-                    more: false,
-                });
-            }
-            remaining.min(n)
+            // A cursor is kept only while `more`, so rows remain under the limit.
+            (state.limit - state.rows_returned).min(n)
         } else {
             n
         };
@@ -408,8 +422,6 @@ impl RegionServer {
             }
             state.lease_expires_ms =
                 self.clock.peek_ms() + self.scanner_lease_ms.load(Ordering::Relaxed);
-        } else {
-            drop_scanner();
         }
         Ok(ScanBatch { rows, stats, more })
     }
@@ -558,16 +570,18 @@ mod tests {
 
     impl RegionServer {
         /// Every row of `scan` over one region, drained the way clients
-        /// scan: `open_scanner`, then `next_batch` until the region's end.
+        /// scan: `open_scanner` serves the first batch, then `next_batch`
+        /// while the server reports `more`.
         pub(crate) fn scan_all(&self, region_id: u64, scan: &Scan) -> Vec<RowResult> {
-            let scanner = self.open_scanner(region_id, scan, None).unwrap();
+            let (scanner, mut batch) = self.open_scanner(region_id, scan, 1024, None).unwrap();
             let mut rows = Vec::new();
             loop {
-                let batch = self.next_batch(scanner, 1024, None).unwrap();
                 rows.extend(batch.rows);
                 if !batch.more {
                     return rows;
                 }
+                let id = scanner.expect("an open that says `more` returns an id");
+                batch = self.next_batch(id, 1024, None).unwrap();
             }
         }
     }
@@ -723,21 +737,27 @@ mod tests {
                 .put(rid, &[Put::new(format!("r{i}")).add("cf", "q", "v")], None)
                 .unwrap();
         }
-        let sid = server.open_scanner(rid, &Scan::new(), None).unwrap();
+        let (sid, mut batch) = server.open_scanner(rid, &Scan::new(), 3, None).unwrap();
+        // The open served the first batch and left a leased cursor behind.
+        let sid = sid.expect("more rows follow: a cursor is open");
+        assert_eq!(batch.rows.len(), 3);
+        assert!(batch.more);
+        assert_eq!(server.open_scanner_count(), 1);
         let mut rows = Vec::new();
-        let mut batches = 0;
+        let mut batches = 1;
         loop {
-            let batch = server.next_batch(sid, 3, None).unwrap();
             assert!(batch.rows.len() <= 3, "batch must respect the cap");
-            batches += 1;
             rows.extend(batch.rows);
             if !batch.more {
                 break;
             }
+            batch = server.next_batch(sid, 3, None).unwrap();
+            batches += 1;
         }
         assert_eq!(rows.len(), 10);
-        assert_eq!(batches, 4); // 3 + 3 + 3 + 1
-                                // Exhaustion auto-closed the scanner.
+        assert_eq!(batches, 4); // 3 + 3 + 3 + 1, the first from the open
+        assert_eq!(server.metrics.snapshot().scanner_batches, 4);
+        // Exhaustion auto-closed the scanner.
         assert_eq!(server.open_scanner_count(), 0);
         assert_eq!(
             server.next_batch(sid, 3, None).unwrap_err(),
@@ -757,18 +777,46 @@ mod tests {
                 .put(rid, &[Put::new(format!("r{i}")).add("cf", "q", "v")], None)
                 .unwrap();
         }
-        let sid = server
-            .open_scanner(rid, &Scan::new().with_limit(5), None)
+        let (sid, mut batch) = server
+            .open_scanner(rid, &Scan::new().with_limit(5), 2, None)
             .unwrap();
+        let sid = sid.expect("more rows follow: a cursor is open");
         let mut rows = Vec::new();
         loop {
-            let batch = server.next_batch(sid, 2, None).unwrap();
             rows.extend(batch.rows);
             if !batch.more {
                 break;
             }
+            batch = server.next_batch(sid, 2, None).unwrap();
         }
         assert_eq!(rows.len(), 5);
+        assert_eq!(server.open_scanner_count(), 0);
+        // A limit the first batch already meets ends the scan at the open.
+        let (sid, batch) = server
+            .open_scanner(rid, &Scan::new().with_limit(2), 3, None)
+            .unwrap();
+        assert_eq!((sid, batch.rows.len(), batch.more), (None, 2, false));
+        assert_eq!(server.open_scanner_count(), 0);
+    }
+
+    #[test]
+    fn a_one_batch_scan_leaves_no_scanner() {
+        let (server, rid) = server_with_region();
+        let puts: Vec<Put> = (0..3)
+            .map(|i| Put::new(format!("r{i}")).add("cf", "q", "v"))
+            .collect();
+        server.put(rid, &puts, None).unwrap();
+        let before = server.metrics.snapshot();
+        let (sid, batch) = server.open_scanner(rid, &Scan::new(), 10, None).unwrap();
+        assert_eq!((sid, batch.rows.len(), batch.more), (None, 3, false));
+        // An empty range is one RPC too, and says so.
+        let empty =
+            Scan::new().with_range(Bound::Included(Bytes::from_static(b"x")), Bound::Unbounded);
+        let (sid, nothing) = server.open_scanner(rid, &empty, 10, None).unwrap();
+        assert_eq!((sid, nothing.rows.len(), nothing.more), (None, 0, false));
+        let delta = server.metrics.snapshot().delta_since(&before);
+        assert_eq!((delta.rpc_count, delta.scanner_opens), (2, 2));
+        assert_eq!(server.open_scanner_count(), 0, "nothing to close");
     }
 
     #[test]
@@ -780,7 +828,8 @@ mod tests {
                 .unwrap();
         }
         server.set_scanner_lease_ms(5);
-        let sid = server.open_scanner(rid, &Scan::new(), None).unwrap();
+        let (sid, _) = server.open_scanner(rid, &Scan::new(), 3, None).unwrap();
+        let sid = sid.expect("more rows follow: the open started the lease");
         // Burn virtual time past the lease (each tick is one clock read).
         for _ in 0..20 {
             let _ = server.clock.now_ms();
@@ -797,10 +846,14 @@ mod tests {
     #[test]
     fn crash_discards_open_scanners() {
         let (server, rid) = server_with_region();
-        server
-            .put(rid, &[Put::new("a").add("cf", "q", "v")], None)
-            .unwrap();
-        let sid = server.open_scanner(rid, &Scan::new(), None).unwrap();
+        let puts = [
+            Put::new("a").add("cf", "q", "v"),
+            Put::new("b").add("cf", "q", "v"),
+        ];
+        server.put(rid, &puts, None).unwrap();
+        let (sid, _) = server.open_scanner(rid, &Scan::new(), 1, None).unwrap();
+        let sid = sid.expect("more rows follow: a cursor is open");
+        assert_eq!(server.open_scanner_count(), 1);
         server.crash();
         server.restart();
         assert_eq!(
@@ -816,20 +869,25 @@ mod tests {
             .map(|i| Put::new(format!("row{i}")).add("cf", "q", "v"))
             .collect();
         server.put(rid, &puts, None).unwrap();
-        let first = server.open_scanner(rid, &Scan::new(), None).unwrap();
-        let second = server.open_scanner(rid, &Scan::new(), None).unwrap();
+        let open = || {
+            let (id, _) = server.open_scanner(rid, &Scan::new(), 1, None).unwrap();
+            id.expect("more rows follow: a cursor is open")
+        };
+        let (first, second) = (open(), open());
         // Hold the first scanner's state exactly as its in-flight batch
         // would; the second scanner must still be served.
         let held = Arc::clone(&server.scanners.lock()[&first]);
         let in_flight = held.lock();
         let batch = server.next_batch(second, 4, None).unwrap();
         assert_eq!(batch.rows.len(), 4);
+        assert_eq!(batch.rows[0].row.as_ref(), b"row1");
         assert!(batch.more);
         assert_eq!(server.open_scanner_count(), 2);
         drop(in_flight);
-        // And the first resumes where it was, one batch after another.
-        assert_eq!(server.next_batch(first, 4, None).unwrap().rows.len(), 4);
-        let rest = server.next_batch(first, 4, None).unwrap();
+        // And the first resumes where its open left it, one batch after
+        // another.
+        assert_eq!(server.next_batch(first, 3, None).unwrap().rows.len(), 3);
+        let rest = server.next_batch(first, 3, None).unwrap();
         assert_eq!(rest.rows.len(), 2);
         assert_eq!(rest.rows[0].row.as_ref(), b"row4");
         assert!(!rest.more);

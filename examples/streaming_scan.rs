@@ -3,8 +3,9 @@
 //!
 //! A full-table query no longer materializes each region in one RPC: the
 //! client opens a server-side scanner per region and pulls
-//! `hbase.spark.query.caching` rows per `next_batch` round trip while a
-//! prefetch thread keeps one batch in flight. Store-file blocks read along
+//! `hbase.spark.query.caching` rows per round trip (the open returns the
+//! first batch, each `next_batch` the next) while a prefetch thread keeps
+//! one batch in flight. Store-file blocks read along
 //! the way land in each region server's block cache, so a repeated scan is
 //! served mostly from memory — visible below as a non-zero hit ratio and
 //! zero new evictions.
@@ -79,7 +80,7 @@ fn main() -> Result<()> {
     let cold_delta = cluster.metrics.snapshot().delta_since(&before);
     println!("\ncold scan: {} rows", cold.len());
     println!(
-        "  scanner RPCs: {} opens, {} next_batch round trips",
+        "  scanner RPCs: {} opens, {} batches (one round trip each)",
         cold_delta.scanner_opens, cold_delta.scanner_batches
     );
     println!(
@@ -90,7 +91,7 @@ fn main() -> Result<()> {
     );
     assert!(
         cold_delta.scanner_batches > cold_delta.scanner_opens,
-        "a full region must take several next_batch RPCs"
+        "a full region must take several batch RPCs"
     );
 
     // ------------------------------------------------------------------

@@ -357,12 +357,24 @@ fn delayed_scan_rpc_still_returns_full_results() {
             .on_op(RpcOp::Scan)
             .with_trigger(Trigger::EveryNth(2)),
     );
-    // Each streamed scan is two Scan RPCs (open_scanner + one next_batch),
-    // so every-2nd delays exactly the next_batch of each scan.
-    assert_eq!(scan_keys(&table), baseline);
-    assert_eq!(scan_keys(&table), baseline);
+    // At caching 20 each scan of the 30 rows is two Scan RPCs: the open,
+    // which carries rows 0..20 and leaves a cursor, and one next_batch for
+    // the last 10. Every-2nd delays exactly the next_batch of each scan.
+    let mut scan = Scan::new();
+    scan.caching = 20;
+    for _ in 0..2 {
+        let keys: Vec<Vec<u8>> = table
+            .scan(&scan)
+            .unwrap()
+            .iter()
+            .map(|r| r.row.as_ref().to_vec())
+            .collect();
+        assert_eq!(keys, baseline);
+    }
     let delta = cluster.metrics.snapshot().delta_since(&before);
+    assert_eq!(delta.rpc_count, 4, "two RPCs per scan");
     assert_eq!(delta.faults_injected, 2, "one delayed batch per scan");
+    assert_eq!(delta.client_retries, 0, "a delay is not a failure");
 }
 
 #[test]

@@ -45,7 +45,8 @@ fn system_tables_match_scripted_workload() {
         events.get(Get::new(format!("row-{}", i % K_PUTS))).unwrap();
     }
     // With K_PUTS rows < the default caching (1024), every scan is exactly
-    // one next_batch round trip, i.e. one read request on the region.
+    // one round trip, the scanner open that serves the whole region, i.e.
+    // one read request on the region.
     for _ in 0..M_SCANS {
         assert_eq!(events.scan(&Scan::new()).unwrap().len(), K_PUTS as usize);
     }
