@@ -142,7 +142,9 @@ mod tests {
     use shc_engine::datasource::partition_rows;
     use shc_engine::row::Row;
     use shc_engine::value::Value;
+    use shc_kvstore::cellblock;
     use shc_kvstore::cluster::ClusterConfig;
+    use shc_kvstore::types::Get;
 
     fn setup() -> (
         Arc<HBaseCluster>,
@@ -231,7 +233,26 @@ mod tests {
             generic_delta.cells_scanned,
             shc_delta.cells_scanned
         );
-        assert!(generic_delta.bytes_returned > shc_delta.bytes_returned);
+        // What crossed the network is the encoded rows each source asked
+        // for: every row of every region from the generic source, one
+        // block per region; row05 alone from SHC.
+        let conn = Connection::open(Arc::clone(&cluster), None);
+        let table = conn.table(generic.catalog.table.clone());
+        let region_blocks: usize = conn
+            .locate_regions(table.name())
+            .unwrap()
+            .iter()
+            .map(|loc| {
+                let rows = table.scan_region(loc, &Scan::new(), None).unwrap().rows;
+                cellblock::encode(&rows).len()
+            })
+            .sum();
+        let row05 = table.get(Get::new("row05")).unwrap();
+        assert_eq!(generic_delta.bytes_returned, region_blocks as u64);
+        assert_eq!(
+            shc_delta.bytes_returned,
+            cellblock::encode(&[row05]).len() as u64
+        );
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! region-routed read/write operations. The connection setup cost and the
 //! per-RPC network charges modelled here are exactly what SHC's connection
 //! cache and operator fusion optimize away. A region scan pays one charge
-//! per batch: the RPC that opens the scanner carries the first one.
+//! per batch: the RPC that opens the scanner carries the first one. A read
+//! is charged for its reply's [cell block](crate::cellblock), which the
+//! thread that made the RPC decodes.
 
+use crate::cellblock;
 use crate::cluster::HBaseCluster;
 use crate::error::{KvError, Result};
 use crate::master::RegionLocation;
@@ -11,6 +14,7 @@ use crate::metrics::ClusterMetrics;
 use crate::region::ScanStats;
 use crate::security::AuthToken;
 use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan, TableName};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use shc_obs::trace;
 use std::collections::{BTreeMap, HashMap};
@@ -391,13 +395,13 @@ impl Table {
             sp.annotate("op", "get");
             sp.annotate("region", loc.info.region_id);
             sp.annotate("server", &loc.hostname);
-            let row = server.get(loc.info.region_id, &get, self.connection.token())?;
+            let block = server.get(loc.info.region_id, &get, self.connection.token())?;
             let network = *self.connection.cluster.network();
             charge_rpc(
                 &self.connection.cluster,
-                network.transfer_cost(row.payload_bytes() as u64, false),
+                network.transfer_cost(block.len() as u64, false),
             );
-            Ok(row)
+            Ok(decode_gets(&block, 1)?.pop().unwrap_or_default())
         })
     }
 
@@ -430,15 +434,14 @@ impl Table {
             sp.annotate("op", "bulk_get");
             sp.annotate("region", region_id);
             sp.annotate("server", &loc.hostname);
-            let rows = server.bulk_get(region_id, &batch, self.connection.token())?;
+            let block = server.bulk_get(region_id, &batch, self.connection.token())?;
             let local = from_host == Some(loc.hostname.as_str());
-            let bytes: usize = rows.iter().map(RowResult::payload_bytes).sum();
-            sp.annotate("bytes", bytes);
+            sp.annotate("bytes", block.len());
             charge_rpc(
                 &self.connection.cluster,
-                network.transfer_cost(bytes as u64, local),
+                network.transfer_cost(block.len() as u64, local),
             );
-            out.extend(indices.into_iter().zip(rows));
+            out.extend(indices.into_iter().zip(decode_gets(&block, batch.len())?));
         }
         out.sort_by_key(|(idx, _)| *idx);
         Ok(out.into_iter().map(|(_, row)| row).collect())
@@ -592,17 +595,28 @@ impl Table {
         sp.annotate("op", "bulk_get");
         sp.annotate("region", location.info.region_id);
         sp.annotate("server", &location.hostname);
-        let rows = server.bulk_get(location.info.region_id, gets, self.connection.token())?;
+        let block = server.bulk_get(location.info.region_id, gets, self.connection.token())?;
         let local = from_host == Some(location.hostname.as_str());
         let network = *self.connection.cluster.network();
-        let bytes: usize = rows.iter().map(RowResult::payload_bytes).sum();
-        sp.annotate("bytes", bytes);
+        sp.annotate("bytes", block.len());
         charge_rpc(
             &self.connection.cluster,
-            network.transfer_cost(bytes as u64, local),
+            network.transfer_cost(block.len() as u64, local),
         );
-        Ok(rows)
+        decode_gets(&block, gets.len())
     }
+}
+
+/// The rows of a get reply: exactly one per get, or the block is corrupt.
+fn decode_gets(block: &Bytes, gets: usize) -> Result<Vec<RowResult>> {
+    let rows = cellblock::decode(block)?;
+    if rows.len() != gets {
+        return Err(KvError::Corruption(format!(
+            "cell block: {} rows answer {gets} gets",
+            rows.len()
+        )));
+    }
+    Ok(rows)
 }
 
 /// One fetched batch travelling from the scanner worker to the consumer.
@@ -808,7 +822,7 @@ fn drive_region_scan(
         let caching = scan.caching.max(1);
         let mut scanner_id = None;
         loop {
-            let (id, batch) = {
+            let (id, rows, stats) = {
                 let mut sp = trace::span("rpc");
                 sp.annotate("op", scanner_id.map_or("open_scanner", |_| "next_batch"));
                 sp.annotate("region", loc.info.region_id);
@@ -826,15 +840,26 @@ fn drive_region_scan(
                 };
                 match reply {
                     Ok((id, batch)) => {
-                        let bytes: usize = batch.rows.iter().map(RowResult::payload_bytes).sum();
-                        sp.annotate("rows", batch.rows.len());
-                        sp.annotate("bytes", bytes);
-                        sp.annotate("cache_hits", batch.stats.block_cache_hits);
+                        let bytes = batch.block.len();
                         charge_rpc(
                             &connection.cluster,
                             network.transfer_cost(bytes as u64, local),
                         );
-                        (id, batch)
+                        let rows = match cellblock::decode(&batch.block) {
+                            Ok(rows) => rows,
+                            Err(e) => {
+                                // Not transient: no retry, but the cursor
+                                // the reply left open is released.
+                                if let Some(id) = id {
+                                    let _ = server.close_scanner(id, connection.token());
+                                }
+                                recover!(e)
+                            }
+                        };
+                        sp.annotate("rows", rows.len());
+                        sp.annotate("bytes", bytes);
+                        sp.annotate("cache_hits", batch.stats.block_cache_hits);
+                        (id, rows, batch.stats)
                     }
                     Err(e) => {
                         // Best-effort release before recovering; the server
@@ -849,19 +874,13 @@ fn drive_region_scan(
             };
             scanner_id = id;
             attempts = 0;
-            if let Some(last) = batch.rows.last() {
+            if let Some(last) = rows.last() {
                 cur_start = row_successor(&last.row);
                 if scan.limit > 0 {
-                    remaining = remaining.saturating_sub(batch.rows.len());
+                    remaining = remaining.saturating_sub(rows.len());
                 }
             }
-            if tx
-                .send(Ok(BatchMsg {
-                    rows: batch.rows,
-                    stats: batch.stats,
-                }))
-                .is_err()
-            {
+            if tx.send(Ok(BatchMsg { rows, stats })).is_err() {
                 // Consumer hung up (dropped the scanner): release the
                 // server-side state and quit.
                 if let Some(id) = scanner_id {
@@ -1247,6 +1266,103 @@ mod tests {
         assert_eq!(delta.scanner_opens, 1, "the dropped open served nothing");
         assert_eq!(result.rpc_batches, 4);
         assert_eq!(server.open_scanner_count(), 0, "no leaked scanner state");
+    }
+
+    #[test]
+    fn a_scan_is_charged_for_exactly_the_blocks_it_received() {
+        use crate::network::NetworkSim;
+        let cluster = HBaseCluster::start(ClusterConfig {
+            num_servers: 1,
+            network: NetworkSim::gigabit(),
+            ..Default::default()
+        });
+        cluster
+            .create_table(
+                TableDescriptor::new(TableName::default_ns("t"))
+                    .with_family(FamilyDescriptor::new("cf")),
+            )
+            .unwrap();
+        let conn = Connection::open(Arc::clone(&cluster), None);
+        let table = conn.table(TableName::default_ns("t"));
+        let puts = (0..10)
+            .map(|i| Put::new(format!("k{i:02}")).add("cf", "q", "v".repeat(i * 40)))
+            .collect();
+        table.put_batch(puts).unwrap();
+        let loc = conn.locate_regions(table.name()).unwrap()[0].clone();
+        let server = cluster.server(loc.server_id).unwrap();
+        let mut scan = Scan::new();
+        scan.caching = 3;
+        // The blocks the scan will receive, fetched straight from the server.
+        let (id, mut batch) = server
+            .open_scanner(loc.info.region_id, &scan, 3, None)
+            .unwrap();
+        let mut lens = Vec::new();
+        loop {
+            lens.push(batch.block.len() as u64);
+            if !batch.more {
+                break;
+            }
+            batch = server.next_batch(id.unwrap(), 3, None).unwrap();
+        }
+        assert_eq!(lens.len(), 4);
+        let network = cluster.network();
+        for local in [false, true] {
+            let before = cluster.metrics.snapshot();
+            let host = local.then_some(loc.hostname.as_str());
+            let result = table.scan_region(&loc, &scan, host).unwrap();
+            assert_eq!(result.rows.len(), 10);
+            let delta = cluster.metrics.snapshot().delta_since(&before);
+            assert_eq!(result.stats.bytes_returned, lens.iter().sum::<u64>());
+            assert_eq!(delta.bytes_returned, lens.iter().sum::<u64>());
+            let charged: u64 = lens
+                .iter()
+                .map(|&len| network.transfer_cost(len, local).as_micros() as u64)
+                .sum();
+            assert_eq!(delta.rpc_latency_us.count, lens.len() as u64);
+            assert_eq!(delta.rpc_latency_us.sum, charged, "local = {local}");
+        }
+    }
+
+    #[test]
+    fn a_reply_that_fails_to_decode_is_corruption_and_not_retried() {
+        let (cluster, conn, table) = cluster_with_table(&[]);
+        for i in 0..10 {
+            table
+                .put(Put::new(format!("k{i:02}")).add("cf", "q", "v"))
+                .unwrap();
+        }
+        let loc = conn.locate_regions(&TableName::default_ns("t")).unwrap()[0].clone();
+        let server = cluster.server(loc.server_id).unwrap();
+        let mut scan = Scan::new();
+        scan.caching = 3;
+        server.reply_cut.store(1, Ordering::Relaxed);
+        let before = cluster.metrics.snapshot();
+        let mut scanner = table.region_scanner(&loc, &scan, None);
+        let err = scanner.next_batch().unwrap_err();
+        assert!(matches!(err, KvError::Corruption(_)), "{err:?}");
+        assert!(
+            scanner.next_batch().unwrap().is_none(),
+            "the scanner is done"
+        );
+        assert_eq!(
+            server.open_scanner_count(),
+            0,
+            "the cursor the bad reply left open is closed"
+        );
+        for err in [
+            table.get(Get::new("k00")).unwrap_err(),
+            table.bulk_get(vec![Get::new("k00")]).unwrap_err(),
+            table
+                .bulk_get_region(&loc, &[Get::new("k01")], None)
+                .unwrap_err(),
+        ] {
+            assert!(matches!(err, KvError::Corruption(_)), "{err:?}");
+        }
+        let delta = cluster.metrics.snapshot().delta_since(&before);
+        assert_eq!(delta.client_retries, 0);
+        assert_eq!(delta.scanner_opens, 1, "no reopen");
+        server.reply_cut.store(0, Ordering::Relaxed);
+        assert_eq!(table.scan_region(&loc, &scan, None).unwrap().rows.len(), 10);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   store files per family, WAL-fronted writes, flushes, compactions and
 //!   splits ([`region`], [`memstore`], [`storefile`], [`wal`]).
 //! * **Region servers** — host regions and execute Scan/Get/BulkGet/Put
-//!   RPCs with server-side filters ([`region_server`], [`filter`]).
+//!   RPCs with server-side filters ([`region_server`], [`filter`]); reads
+//!   answer in one encoded buffer ([`cellblock`]).
 //! * **HMaster + ZooKeeper** — table admin, region assignment, balancing
 //!   and naming ([`master`], [`zookeeper`]).
 //! * **Client** — heavy-weight connections, region-routed tables, scans
@@ -44,6 +45,7 @@
 //! ```
 
 pub mod block_cache;
+pub mod cellblock;
 pub mod client;
 pub mod clock;
 pub mod cluster;

@@ -7,32 +7,20 @@
 //! it currently holds (or into the memstore's tree); the walk copies the
 //! current row and column names into reused buffers, pins the cells that may
 //! be returned as `(Arc<Block>, index)`, evaluates the pushed-down filter on
-//! those still-encoded cells, and only then builds [`Cell`]s — for the rows
-//! that are returned, nothing else.
+//! those still-encoded cells, and only then encodes the row into the
+//! response's cell block — for the rows that are returned, nothing else.
 
 use crate::block_cache::{load_block, BlockCache, ReadTally};
+use crate::cellblock::CellBlockEncoder;
 use crate::filter::RowView;
 use crate::memstore::MemStore;
 use crate::region::ScanStats;
 use crate::storefile::{Block, StoreFile};
-use crate::types::{Cell, CellKey, CellRef, CellType, RowResult, Scan};
+use crate::types::{CellKey, CellRef, CellType, Scan};
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::btree_map;
 use std::sync::Arc;
-
-#[cfg(test)]
-thread_local! {
-    static SHARED_CELLS_CLONED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many block-backed cells this thread has copied out of their blocks so
-/// far. A delta around a scan measures exactly the copies the read path
-/// could not avoid — returned cells, not scanned ones.
-#[cfg(test)]
-pub(crate) fn shared_cells_cloned() -> u64 {
-    SHARED_CELLS_CLONED.with(|c| c.get())
-}
 
 // ----------------------------------------------------------------------
 // Cursors and their merge
@@ -103,67 +91,6 @@ impl PinnedCell<'_> {
             PinnedCell::Block(block, idx) => block.cell(*idx),
             PinnedCell::Mem(key, value) => CellRef::new(key, value),
         }
-    }
-
-    /// Build the cell for a response. A block-backed cell is copied out of
-    /// its block here and nowhere else; it shares the row's one `row` buffer
-    /// and the scan's one buffer per column name, so the value is its only
-    /// allocation.
-    fn into_cell(self, row: &Bytes, names: &mut SharedNames) -> Cell {
-        match self {
-            PinnedCell::Block(block, idx) => {
-                #[cfg(test)]
-                SHARED_CELLS_CLONED.with(|c| c.set(c.get() + 1));
-                let cell = block.cell(idx);
-                Cell {
-                    key: CellKey {
-                        row: row.clone(),
-                        family: names.get(cell.family),
-                        qualifier: names.get(cell.qualifier),
-                        timestamp: cell.timestamp,
-                        seq: cell.seq,
-                        cell_type: cell.cell_type,
-                    },
-                    value: Bytes::copy_from_slice(cell.value),
-                }
-            }
-            PinnedCell::Mem(key, value) => Cell {
-                key: key.clone(),
-                value: value.clone(),
-            },
-        }
-    }
-}
-
-/// Family and qualifier names already copied out during one scan. Rows
-/// repeat the same few names in the same order, so the cells of a scan share
-/// one buffer per name — found from where the last lookup ended — instead of
-/// allocating two per cell. Bounded: past [`SharedNames::CAP`] distinct
-/// names a cell gets its own copy.
-#[derive(Default)]
-struct SharedNames {
-    names: Vec<Bytes>,
-    /// Where the next lookup starts: one past the last hit.
-    next: usize,
-}
-
-impl SharedNames {
-    const CAP: usize = 64;
-
-    fn get(&mut self, name: &[u8]) -> Bytes {
-        let n = self.names.len();
-        for i in 0..n {
-            let at = (self.next + i) % n;
-            if self.names[at] == name {
-                self.next = at + 1;
-                return self.names[at].clone();
-            }
-        }
-        let copy = Bytes::copy_from_slice(name);
-        if n < Self::CAP {
-            self.names.push(copy.clone());
-        }
-        copy
     }
 }
 
@@ -398,22 +325,25 @@ impl RowView for Candidates<'_, '_> {
     }
 }
 
-/// The row a scan is assembling, and the rows it has finished.
-struct RowAssembly<'s, 'a> {
+/// The row a scan is assembling, and where its finished rows go.
+struct RowAssembly<'s, 'a, 'b> {
     scan: &'s Scan,
     /// Live, projected cells of the current row, in cell order.
     candidates: Vec<PinnedCell<'a>>,
     /// Whether the current row has any live cell, projected or not.
     witness: bool,
-    names: SharedNames,
-    out: Vec<RowResult>,
+    block: &'b mut CellBlockEncoder,
+    /// Rows this scan has encoded into `block`.
+    rows: usize,
 }
 
-impl RowAssembly<'_, '_> {
+impl RowAssembly<'_, '_, '_> {
     /// Close the current row, `row`: emit it when it has projected cells, or
     /// — with `include_empty_rows` — when it had any live cell at all (so
     /// the client can materialize its NULL columns from the key alone), and
-    /// the filter accepts it. Returns whether the scan's limit is reached.
+    /// the filter accepts it. An emitted row is encoded into the block
+    /// straight from its pinned cells. Returns whether the scan's limit is
+    /// reached.
     fn finish_row(&mut self, row: &[u8], stats: &mut ScanStats) -> bool {
         let scan = self.scan;
         let witness = std::mem::take(&mut self.witness);
@@ -424,43 +354,37 @@ impl RowAssembly<'_, '_> {
             row,
             cells: &self.candidates,
         };
-        if !scan.filter.as_ref().is_none_or(|f| f.matches(&view)) {
-            self.candidates.clear();
-            return false;
+        if scan.filter.as_ref().is_none_or(|f| f.matches(&view)) {
+            self.block
+                .push_row(row, self.candidates.iter().map(PinnedCell::get));
+            self.rows += 1;
+            stats.rows_returned += 1;
+            stats.cells_returned += self.candidates.len() as u64;
         }
-        let row = Bytes::copy_from_slice(row);
-        let cells = self
-            .candidates
-            .drain(..)
-            .map(|pinned| pinned.into_cell(&row, &mut self.names))
-            .collect();
-        let result = RowResult { row, cells };
-        stats.rows_returned += 1;
-        stats.cells_returned += result.cells.len() as u64;
-        stats.bytes_returned += result.payload_bytes() as u64;
-        self.out.push(result);
-        scan.limit > 0 && self.out.len() >= scan.limit
+        self.candidates.clear();
+        scan.limit > 0 && self.rows >= scan.limit
     }
 }
 
 /// Walk the merged cells of a scan, applying the MVCC read point,
 /// tombstones, the time range, the projection and version limits, and
-/// assemble the rows the filter keeps, up to the scan's limit. `families`
-/// names the scanned families with their retained-version caps.
+/// encode the rows the filter keeps into `block`, up to the scan's limit.
+/// `families` names the scanned families with their retained-version caps.
 pub(crate) fn assemble_rows(
     merge: &mut Merge<'_>,
     scan: &Scan,
     read_point: u64,
     families: &[(&Bytes, u32)],
     stats: &mut ScanStats,
-) -> Vec<RowResult> {
+    block: &mut CellBlockEncoder,
+) {
     let mut walk = VersionWalk::default();
     let mut rows = RowAssembly {
         scan,
         candidates: Vec::new(),
         witness: false,
-        names: SharedNames::default(),
-        out: Vec::new(),
+        block,
+        rows: 0,
     };
     // Resolved once per column: is it projected, and how many versions of
     // it may be returned.
@@ -501,11 +425,10 @@ pub(crate) fn assemble_rows(
         // batch that resumes here.
         merge.advance(src);
         if limit_reached {
-            return rows.out;
+            return;
         }
     }
     if walk.started {
         rows.finish_row(&walk.row, stats);
     }
-    rows.out
 }

@@ -9,6 +9,7 @@
 //! splits on the write side rewrite cells through the same merge.
 
 use crate::block_cache::BlockCache;
+use crate::cellblock::{self, CellBlockEncoder};
 use crate::clock::Clock;
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
@@ -168,6 +169,8 @@ pub struct ScanStats {
     /// Cells included in returned rows (the network payload).
     pub cells_returned: u64,
     pub rows_returned: u64,
+    /// Length of the cell block the rows went out in: what crosses the
+    /// network.
     pub bytes_returned: u64,
     /// Store files skipped by row-range / time-range / bloom pruning.
     pub files_pruned: u64,
@@ -853,19 +856,28 @@ impl Region {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Point read: a single-row scan.
+    /// Point read: a single-row scan. An absent row is the empty
+    /// [`RowResult`].
     pub fn get(&self, get: &Get) -> Result<(RowResult, ScanStats)> {
-        self.get_with(get, None)
+        let mut block = CellBlockEncoder::default();
+        let stats = self.encode_get(get, None, &mut block)?;
+        let row = cellblock::decode(&block.finish())?
+            .pop()
+            .unwrap_or_default();
+        Ok((row, stats))
     }
 
-    /// Point read through an optional block cache. The bloom filter is
-    /// consulted per store file before any block is touched, so a get for an
-    /// absent row on a flushed region reads zero blocks.
-    pub fn get_with(
+    /// Point read through an optional block cache, encoded into `block` as
+    /// exactly one row: an absent row is an empty one (no key, no cells).
+    /// The bloom filter is consulted per store file before any block is
+    /// touched, so a get for an absent row on a flushed region reads zero
+    /// blocks.
+    pub(crate) fn encode_get(
         &self,
         get: &Get,
         cache: Option<&BlockCache>,
-    ) -> Result<(RowResult, ScanStats)> {
+        block: &mut CellBlockEncoder,
+    ) -> Result<ScanStats> {
         let scan = Scan {
             start: Bound::Included(get.row.clone()),
             stop: Bound::Included(get.row.clone()),
@@ -877,27 +889,44 @@ impl Region {
             caching: 1,
             include_empty_rows: get.include_empty_rows,
         };
-        let (mut rows, stats) = self.scan_with(&scan, cache)?;
-        Ok((rows.pop().unwrap_or_default(), stats))
+        let rows = block.rows();
+        let stats = self.encode_scan(&scan, cache, block)?;
+        if block.rows() == rows {
+            block.push_row(b"", std::iter::empty());
+        }
+        Ok(stats)
     }
 
-    /// Range scan clipped to this region's boundaries.
+    /// Range scan clipped to this region's boundaries, decoded.
     pub fn scan(&self, scan: &Scan) -> Result<(Vec<RowResult>, ScanStats)> {
-        self.scan_with(scan, None)
+        let (block, stats) = self.scan_with(scan, None)?;
+        Ok((cellblock::decode(&block)?, stats))
     }
 
-    /// Range scan reading store-file blocks through an optional block cache.
-    /// Blocks are loaded as the merge reaches them, so a scan with a `limit`
-    /// touches only the blocks it actually needed.
-    pub fn scan_with(
+    /// Range scan reading store-file blocks through an optional block cache,
+    /// answered as one cell block; `bytes_returned` is its length.
+    pub fn scan_with(&self, scan: &Scan, cache: Option<&BlockCache>) -> Result<(Bytes, ScanStats)> {
+        let mut block = CellBlockEncoder::default();
+        let mut stats = self.encode_scan(scan, cache, &mut block)?;
+        let block = block.finish();
+        stats.bytes_returned = block.len() as u64;
+        Ok((block, stats))
+    }
+
+    /// Encode the rows of a scan into `block`. Blocks are loaded as the
+    /// merge reaches them, so a scan with a `limit` touches only the blocks
+    /// it actually needed. `bytes_returned` is left to whoever finishes the
+    /// block.
+    pub(crate) fn encode_scan(
         &self,
         scan: &Scan,
         cache: Option<&BlockCache>,
-    ) -> Result<(Vec<RowResult>, ScanStats)> {
+        block: &mut CellBlockEncoder,
+    ) -> Result<ScanStats> {
         let read_point = self.read_point.load(Ordering::Acquire);
         let (start, stop) = self.effective_range(scan)?;
         if !stop.is_empty() && start >= stop {
-            return Ok((Vec::new(), ScanStats::default()));
+            return Ok(ScanStats::default());
         }
         let mut stats = ScanStats::default();
         let stores = self.stores.read();
@@ -937,13 +966,13 @@ impl Region {
             }
         }
 
-        let rows = assemble_rows(&mut merge, scan, read_point, &families, &mut stats);
+        assemble_rows(&mut merge, scan, read_point, &families, &mut stats, block);
         stats.blocks_read = merge.tally.misses;
         stats.block_cache_hits = merge.tally.hits;
         if let Some(cache) = cache {
             cache.journal_evictions(merge.tally.evictions);
         }
-        Ok((rows, stats))
+        Ok(stats)
     }
 
     /// Intersect the scan bounds with the region's key range, producing the
@@ -1768,14 +1797,16 @@ mod tests {
         let mut merge = Merge::new(b"");
         merge.add_memstore(&memstore, &Bytes::new());
         let mut stats = ScanStats::default();
-        let rows = assemble_rows(
+        let mut block = CellBlockEncoder::default();
+        assemble_rows(
             &mut merge,
             &Scan::new(),
             50, // read point below the cell's seq
             &[],
             &mut stats,
+            &mut block,
         );
-        assert!(rows.is_empty());
+        assert_eq!(block.rows(), 0);
         assert_eq!(stats.cells_scanned, 1);
     }
 
@@ -1789,12 +1820,12 @@ mod tests {
                 .unwrap();
         }
         r.flush().unwrap();
-        let (rows, cold) = r.scan_with(&Scan::new(), Some(&cache)).unwrap();
-        assert_eq!(rows.len(), 200);
+        let (block, cold) = r.scan_with(&Scan::new(), Some(&cache)).unwrap();
+        assert_eq!(cellblock::decode(&block).unwrap().len(), 200);
         assert!(cold.blocks_read > 0, "cold scan reads blocks");
         assert_eq!(cold.block_cache_hits, 0);
-        let (rows, warm) = r.scan_with(&Scan::new(), Some(&cache)).unwrap();
-        assert_eq!(rows.len(), 200);
+        let (block, warm) = r.scan_with(&Scan::new(), Some(&cache)).unwrap();
+        assert_eq!(cellblock::decode(&block).unwrap().len(), 200);
         assert_eq!(warm.blocks_read, 0, "warm scan is fully cached");
         assert_eq!(warm.block_cache_hits, cold.blocks_read);
     }
@@ -1808,7 +1839,7 @@ mod tests {
                 .unwrap();
         }
         r.flush().unwrap();
-        let (rows, stats) = r.scan_with(&Scan::new().with_limit(3), None).unwrap();
+        let (rows, stats) = r.scan(&Scan::new().with_limit(3)).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(stats.blocks_read, 1, "limit 3 must not read every block");
     }
@@ -1837,7 +1868,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_clones_only_returned_cells() {
+    fn only_accepted_rows_are_encoded() {
         let r = test_region();
         for i in 0..200 {
             r.put(
@@ -1848,27 +1879,21 @@ mod tests {
             .unwrap();
         }
         r.flush().unwrap();
-        let cloned_by = |scan: &Scan| {
-            let before = crate::merge::shared_cells_cloned();
-            let (rows, stats) = r.scan(scan).unwrap();
-            (crate::merge::shared_cells_cloned() - before, rows, stats)
-        };
-        // Project one qualifier of the family: the merge still visits both
-        // cells per row (family pruning can't help), but only half make it
-        // into the response — and only those may be cloned out of the
-        // shared blocks.
+        let (all, _) = r.scan(&Scan::new()).unwrap();
+        assert_eq!(all.len(), 200);
+        // What each scan must answer, narrowed by hand from the full scan:
+        // one qualifier of the family, and a filter that rejects nine rows
+        // in ten.
         let projection = Projection::all().column("cf", "q");
-        let (cloned, rows, stats) = cloned_by(&Scan::new().with_projection(projection.clone()));
-        assert_eq!(rows.len(), 200);
-        assert_eq!(
-            cloned, stats.cells_returned,
-            "only cells that made it into the response may be copied"
-        );
-        assert!(stats.cells_scanned >= 2 * stats.cells_returned);
-
-        // A pushed-down filter that rejects nine rows in ten: the rejected
-        // rows' cells were candidates, but the filter reads them where they
-        // lie — nothing of a rejected row is copied.
+        let project = |row: &RowResult| RowResult {
+            row: row.row.clone(),
+            cells: row
+                .cells
+                .iter()
+                .filter(|c| c.key.qualifier == "q")
+                .cloned()
+                .collect(),
+        };
         let filter = Filter::ColumnValue {
             family: Bytes::from_static(b"cf"),
             qualifier: Bytes::from_static(b"q"),
@@ -1876,17 +1901,34 @@ mod tests {
             value: Bytes::from_static(b"v3"),
             filter_if_missing: true,
         };
-        for scan in [
-            Scan::new().with_filter(filter.clone()),
-            Scan::new().with_filter(filter).with_projection(projection),
+        let accepted: Vec<RowResult> = all
+            .iter()
+            .filter(|row| row.value(b"cf", b"q").is_some_and(|v| v == "v3"))
+            .cloned()
+            .collect();
+        for (scan, expected) in [
+            (
+                Scan::new().with_projection(projection.clone()),
+                all.iter().map(project).collect::<Vec<_>>(),
+            ),
+            (Scan::new().with_filter(filter.clone()), accepted.clone()),
+            (
+                Scan::new().with_filter(filter).with_projection(projection),
+                accepted.iter().map(project).collect(),
+            ),
         ] {
-            let (cloned, rows, stats) = cloned_by(&scan);
-            assert_eq!(rows.len(), 20);
-            assert_eq!(stats.cells_scanned, 400);
+            let (block, stats) = r.scan_with(&scan, None).unwrap();
+            assert_eq!(cellblock::decode(&block).unwrap(), expected);
             assert_eq!(
-                cloned, stats.cells_returned,
-                "rejected rows are never copied"
+                block,
+                cellblock::encode(&expected),
+                "the block holds the accepted rows and cells, nothing else"
             );
+            assert_eq!(stats.bytes_returned, block.len() as u64);
+            let cells: usize = expected.iter().map(|row| row.cells.len()).sum();
+            assert_eq!(stats.cells_returned, cells as u64);
+            // The merge still visited both cells of every row.
+            assert_eq!(stats.cells_scanned, 400);
         }
     }
 

@@ -8,9 +8,11 @@
 //! when more rows may follow, registers a cursor for
 //! [`next_batch`](RegionServer::next_batch) to advance. A lease on the
 //! virtual clock reclaims cursors whose client went away. All store-file
-//! reads go through the server's shared [`BlockCache`].
+//! reads go through the server's shared [`BlockCache`]. Every read RPC
+//! answers with one [cell block](crate::cellblock).
 
 use crate::block_cache::BlockCache;
+use crate::cellblock::CellBlockEncoder;
 use crate::clock::Clock;
 use crate::error::{KvError, Result};
 use crate::fault::{FaultInjector, RpcOp};
@@ -19,8 +21,9 @@ use crate::metrics::ClusterMetrics;
 use crate::region::{Region, ScanStats};
 use crate::security::{AuthToken, TokenService};
 use crate::storage::StorageEnv;
-use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan};
+use crate::types::{row_successor, Delete, Get, Put, Scan};
 use crate::wal::Wal;
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -48,12 +51,12 @@ struct ScannerState {
     lease_expires_ms: u64,
 }
 
-/// One scan RPC's response (`open_scanner` or `next_batch`): the rows, the
-/// work they cost, and whether the scanner is still open (more data may
-/// remain).
+/// One scan RPC's response (`open_scanner` or `next_batch`): the rows as a
+/// [cell block](crate::cellblock), the work they cost, and whether the
+/// scanner is still open (more data may remain).
 #[derive(Clone, Debug)]
 pub struct ScanBatch {
-    pub rows: Vec<RowResult>,
+    pub block: Bytes,
     pub stats: ScanStats,
     pub more: bool,
 }
@@ -83,6 +86,10 @@ pub struct RegionServer {
     scanner_lease_ms: AtomicU64,
     /// Virtual clock used for scanner leases (peeked, never advanced).
     clock: Clock,
+    /// Bytes cut off the end of every read reply: how tests make the client
+    /// receive a malformed cell block.
+    #[cfg(test)]
+    pub(crate) reply_cut: std::sync::atomic::AtomicUsize,
 }
 
 impl RegionServer {
@@ -112,6 +119,8 @@ impl RegionServer {
             next_scanner_id: AtomicU64::new(1),
             scanner_lease_ms: AtomicU64::new(DEFAULT_SCANNER_LEASE_MS),
             clock,
+            #[cfg(test)]
+            reply_cut: Default::default(),
         })
     }
 
@@ -252,47 +261,48 @@ impl RegionServer {
         Ok(())
     }
 
-    /// Point read.
-    pub fn get(&self, region_id: u64, get: &Get, token: Option<&AuthToken>) -> Result<RowResult> {
-        self.authorize(token)?;
-        self.count_rpc();
-        self.rpc_entry(RpcOp::Get, region_id)?;
-        let region = self.region(region_id)?;
-        let (row, stats) = region.get_with(get, Some(&self.block_cache))?;
-        region
-            .load_counters()
-            .record_reads(1, stats.cells_scanned, stats.cells_returned);
-        self.record_scan_stats(&stats, get.filter.is_some());
-        Ok(row)
+    /// Point read, answered as a cell block of one row (empty when the row
+    /// is absent).
+    pub fn get(&self, region_id: u64, get: &Get, token: Option<&AuthToken>) -> Result<Bytes> {
+        self.serve_gets(RpcOp::Get, region_id, std::slice::from_ref(get), token)
     }
 
-    /// Batched point reads — HBase `BulkGet`. One RPC serves many rows.
+    /// Batched point reads — HBase `BulkGet`. One RPC serves many rows: a
+    /// cell block with one row per get, in request order, an absent row
+    /// empty.
     pub fn bulk_get(
         &self,
         region_id: u64,
         gets: &[Get],
         token: Option<&AuthToken>,
-    ) -> Result<Vec<RowResult>> {
+    ) -> Result<Bytes> {
+        self.serve_gets(RpcOp::BulkGet, region_id, gets, token)
+    }
+
+    fn serve_gets(
+        &self,
+        op: RpcOp,
+        region_id: u64,
+        gets: &[Get],
+        token: Option<&AuthToken>,
+    ) -> Result<Bytes> {
         self.authorize(token)?;
         self.count_rpc();
-        self.rpc_entry(RpcOp::BulkGet, region_id)?;
+        self.rpc_entry(op, region_id)?;
         let region = self.region(region_id)?;
-        let mut out = Vec::with_capacity(gets.len());
-        let mut agg = ScanStats::default();
-        let mut filtered = false;
+        let mut block = CellBlockEncoder::default();
+        let mut stats = ScanStats::default();
         for get in gets {
-            let (row, stats) = region.get_with(get, Some(&self.block_cache))?;
-            agg.merge(&stats);
-            filtered |= get.filter.is_some();
-            out.push(row);
+            stats.merge(&region.encode_get(get, Some(&self.block_cache), &mut block)?);
         }
+        let block = self.reply(block, &mut stats);
         region.load_counters().record_reads(
             gets.len() as u64,
-            agg.cells_scanned,
-            agg.cells_returned,
+            stats.cells_scanned,
+            stats.cells_returned,
         );
-        self.record_scan_stats(&agg, filtered);
-        Ok(out)
+        self.record_scan_stats(&stats, gets.iter().any(|get| get.filter.is_some()));
+        Ok(block)
     }
 
     /// Open a scanner for `scan` against one region and serve its first
@@ -402,7 +412,19 @@ impl RegionServer {
             n
         };
         state.scan.limit = batch_limit;
-        let (rows, stats) = region.scan_with(&state.scan, Some(&self.block_cache))?;
+        let mut block = CellBlockEncoder::default();
+        let mut stats = region.encode_scan(&state.scan, Some(&self.block_cache), &mut block)?;
+        state.rows_returned += block.rows();
+        let exhausted_limit = state.limit > 0 && state.rows_returned >= state.limit;
+        // A full batch may have more behind it; a short one hit the end of
+        // the region's range.
+        let more = block.rows() == batch_limit && !exhausted_limit;
+        if more {
+            state.scan.start = Bound::Included(row_successor(block.last_row()));
+            state.lease_expires_ms =
+                self.clock.peek_ms() + self.scanner_lease_ms.load(Ordering::Relaxed);
+        }
+        let block = self.reply(block, &mut stats);
         region
             .load_counters()
             .record_reads(1, stats.cells_scanned, stats.cells_returned);
@@ -411,19 +433,21 @@ impl RegionServer {
         self.metrics
             .scan_batch_peak_bytes
             .fetch_max(stats.bytes_returned, Ordering::Relaxed);
-        state.rows_returned += rows.len();
-        let exhausted_limit = state.limit > 0 && state.rows_returned >= state.limit;
-        // A full batch may have more behind it; a short one hit the end of
-        // the region's range.
-        let more = rows.len() == batch_limit && !exhausted_limit;
-        if more {
-            if let Some(last) = rows.last() {
-                state.scan.start = Bound::Included(row_successor(&last.row));
-            }
-            state.lease_expires_ms =
-                self.clock.peek_ms() + self.scanner_lease_ms.load(Ordering::Relaxed);
-        }
-        Ok(ScanBatch { rows, stats, more })
+        Ok(ScanBatch { block, stats, more })
+    }
+
+    /// Finish a read RPC's reply: the cell block, whose length is the bytes
+    /// the RPC returns.
+    fn reply(&self, block: CellBlockEncoder, stats: &mut ScanStats) -> Bytes {
+        let block = block.finish();
+        #[cfg(test)]
+        let block = block.slice(
+            ..block
+                .len()
+                .saturating_sub(self.reply_cut.load(Ordering::Relaxed)),
+        );
+        stats.bytes_returned = block.len() as u64;
+        block
     }
 
     /// Release a scanner's server-side state. Idempotent: closing an unknown
@@ -562,11 +586,17 @@ impl RegionServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cellblock;
     use crate::clock::Clock;
     use crate::region::{RegionConfig, RegionInfo};
     use crate::storage::temp_env;
-    use crate::types::{FamilyDescriptor, TableDescriptor, TableName};
-    use bytes::Bytes;
+    use crate::types::{FamilyDescriptor, RowResult, TableDescriptor, TableName};
+
+    impl ScanBatch {
+        fn rows(&self) -> Vec<RowResult> {
+            cellblock::decode(&self.block).unwrap()
+        }
+    }
 
     impl RegionServer {
         /// Every row of `scan` over one region, drained the way clients
@@ -576,7 +606,7 @@ mod tests {
             let (scanner, mut batch) = self.open_scanner(region_id, scan, 1024, None).unwrap();
             let mut rows = Vec::new();
             loop {
-                rows.extend(batch.rows);
+                rows.extend(batch.rows());
                 if !batch.more {
                     return rows;
                 }
@@ -618,7 +648,8 @@ mod tests {
         server
             .put(rid, &[Put::new("a").add("cf", "q", "v")], None)
             .unwrap();
-        let row = server.get(rid, &Get::new("a"), None).unwrap();
+        let block = server.get(rid, &Get::new("a"), None).unwrap();
+        let row = &cellblock::decode(&block).unwrap()[0];
         assert_eq!(row.value(b"cf", b"q").unwrap().as_ref(), b"v");
         let rows = server.scan_all(rid, &Scan::new());
         assert_eq!(rows.len(), 1);
@@ -641,12 +672,14 @@ mod tests {
             let m = server.metrics.snapshot();
             m.rpc_count
         };
-        let rows = server
-            .bulk_get(rid, &[Get::new("a"), Get::new("b"), Get::new("c")], None)
+        let block = server
+            .bulk_get(rid, &[Get::new("b"), Get::new("c"), Get::new("a")], None)
             .unwrap();
-        assert_eq!(rows.len(), 3);
-        assert!(!rows[0].is_empty());
-        assert!(rows[2].is_empty());
+        // One row per get in request order; the absent row is empty.
+        let rows = cellblock::decode(&block).unwrap();
+        let keys: Vec<&[u8]> = rows.iter().map(|r| r.row.as_ref()).collect();
+        assert_eq!(keys, [&b"b"[..], b"", b"a"]);
+        assert!(rows[1].is_empty());
         assert_eq!(server.metrics.snapshot().rpc_count, metrics_before + 1);
     }
 
@@ -660,17 +693,31 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate_scan_work() {
+    fn bytes_returned_are_the_reply_blocks() {
         let (server, rid) = server_with_region();
         for i in 0..5 {
             server
                 .put(rid, &[Put::new(format!("r{i}")).add("cf", "q", "v")], None)
                 .unwrap();
         }
-        server.scan_all(rid, &Scan::new());
+        let (sid, mut batch) = server.open_scanner(rid, &Scan::new(), 2, None).unwrap();
+        let mut scanned = Vec::new();
+        loop {
+            assert_eq!(batch.stats.bytes_returned, batch.block.len() as u64);
+            scanned.push(batch.block.len() as u64);
+            if !batch.more {
+                break;
+            }
+            batch = server.next_batch(sid.unwrap(), 2, None).unwrap();
+        }
+        let got = server.get(rid, &Get::new("r1"), None).unwrap();
         let snap = server.metrics.snapshot();
-        assert!(snap.cells_scanned >= 5);
-        assert!(snap.bytes_returned > 0);
+        assert_eq!(
+            snap.bytes_returned,
+            scanned.iter().sum::<u64>() + got.len() as u64
+        );
+        assert_eq!(snap.scan_batch_peak_bytes, *scanned.iter().max().unwrap());
+        assert!(snap.cells_scanned > 5, "the scan and the get read cells");
         assert!(snap.bytes_written > 0);
     }
 
@@ -740,14 +787,14 @@ mod tests {
         let (sid, mut batch) = server.open_scanner(rid, &Scan::new(), 3, None).unwrap();
         // The open served the first batch and left a leased cursor behind.
         let sid = sid.expect("more rows follow: a cursor is open");
-        assert_eq!(batch.rows.len(), 3);
+        assert_eq!(batch.rows().len(), 3);
         assert!(batch.more);
         assert_eq!(server.open_scanner_count(), 1);
         let mut rows = Vec::new();
         let mut batches = 1;
         loop {
-            assert!(batch.rows.len() <= 3, "batch must respect the cap");
-            rows.extend(batch.rows);
+            assert!(batch.rows().len() <= 3, "batch must respect the cap");
+            rows.extend(batch.rows());
             if !batch.more {
                 break;
             }
@@ -783,7 +830,7 @@ mod tests {
         let sid = sid.expect("more rows follow: a cursor is open");
         let mut rows = Vec::new();
         loop {
-            rows.extend(batch.rows);
+            rows.extend(batch.rows());
             if !batch.more {
                 break;
             }
@@ -795,7 +842,7 @@ mod tests {
         let (sid, batch) = server
             .open_scanner(rid, &Scan::new().with_limit(2), 3, None)
             .unwrap();
-        assert_eq!((sid, batch.rows.len(), batch.more), (None, 2, false));
+        assert_eq!((sid, batch.rows().len(), batch.more), (None, 2, false));
         assert_eq!(server.open_scanner_count(), 0);
     }
 
@@ -808,12 +855,12 @@ mod tests {
         server.put(rid, &puts, None).unwrap();
         let before = server.metrics.snapshot();
         let (sid, batch) = server.open_scanner(rid, &Scan::new(), 10, None).unwrap();
-        assert_eq!((sid, batch.rows.len(), batch.more), (None, 3, false));
+        assert_eq!((sid, batch.rows().len(), batch.more), (None, 3, false));
         // An empty range is one RPC too, and says so.
         let empty =
             Scan::new().with_range(Bound::Included(Bytes::from_static(b"x")), Bound::Unbounded);
         let (sid, nothing) = server.open_scanner(rid, &empty, 10, None).unwrap();
-        assert_eq!((sid, nothing.rows.len(), nothing.more), (None, 0, false));
+        assert_eq!((sid, nothing.rows().len(), nothing.more), (None, 0, false));
         let delta = server.metrics.snapshot().delta_since(&before);
         assert_eq!((delta.rpc_count, delta.scanner_opens), (2, 2));
         assert_eq!(server.open_scanner_count(), 0, "nothing to close");
@@ -879,17 +926,17 @@ mod tests {
         let held = Arc::clone(&server.scanners.lock()[&first]);
         let in_flight = held.lock();
         let batch = server.next_batch(second, 4, None).unwrap();
-        assert_eq!(batch.rows.len(), 4);
-        assert_eq!(batch.rows[0].row.as_ref(), b"row1");
+        assert_eq!(batch.rows().len(), 4);
+        assert_eq!(batch.rows()[0].row.as_ref(), b"row1");
         assert!(batch.more);
         assert_eq!(server.open_scanner_count(), 2);
         drop(in_flight);
         // And the first resumes where its open left it, one batch after
         // another.
-        assert_eq!(server.next_batch(first, 3, None).unwrap().rows.len(), 3);
+        assert_eq!(server.next_batch(first, 3, None).unwrap().rows().len(), 3);
         let rest = server.next_batch(first, 3, None).unwrap();
-        assert_eq!(rest.rows.len(), 2);
-        assert_eq!(rest.rows[0].row.as_ref(), b"row4");
+        assert_eq!(rest.rows().len(), 2);
+        assert_eq!(rest.rows()[0].row.as_ref(), b"row4");
         assert!(!rest.more);
         assert_eq!(server.open_scanner_count(), 1);
     }

@@ -140,7 +140,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn cell_type_code(t: CellType) -> u8 {
+pub(crate) fn cell_type_code(t: CellType) -> u8 {
     match t {
         CellType::Put => 0,
         CellType::Delete => 1,
@@ -149,7 +149,7 @@ fn cell_type_code(t: CellType) -> u8 {
     }
 }
 
-fn cell_type_from(code: u8) -> Option<CellType> {
+pub(crate) fn cell_type_from(code: u8) -> Option<CellType> {
     Some(match code {
         0 => CellType::Put,
         1 => CellType::Delete,

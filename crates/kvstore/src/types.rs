@@ -588,11 +588,6 @@ impl RowResult {
             .filter(|c| c.key.family.as_ref() == family && c.key.qualifier.as_ref() == qualifier)
             .collect()
     }
-
-    /// Total bytes carried by this row (for network accounting).
-    pub fn payload_bytes(&self) -> usize {
-        self.row.len() + self.cells.iter().map(|c| c.heap_size()).sum::<usize>()
-    }
 }
 
 /// Column family descriptor: name plus retention settings.

@@ -119,8 +119,8 @@ fn main() -> Result<()> {
 
     // ------------------------------------------------------------------
     // 5. The same story, scrape-ready: cumulative counters in Prometheus
-    //    text exposition (shc_store_block_cache_*, shc_store_scanner_*,
-    //    shc_store_scan_batch_peak_bytes).
+    //    text exposition (shc_store_block_cache_*, shc_store_scanner_*, and
+    //    shc_store_scan_batch_peak_bytes, the largest reply cell block).
     // ------------------------------------------------------------------
     println!("\nPrometheus exposition (store):");
     print!("{}", cluster.metrics.exposition());

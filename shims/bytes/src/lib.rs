@@ -1,6 +1,8 @@
 //! Minimal `bytes::Bytes` replacement: an immutable, cheaply clonable byte
 //! buffer. Static slices are held by reference; owned data is shared behind
-//! an `Arc`. Only the API surface this workspace uses is implemented.
+//! an `Arc`, and [`Bytes::slice`] is a view into the same allocation. Only
+//! the API surface this workspace uses is implemented, and an owned buffer
+//! holds at most `u32::MAX` bytes, which keeps a `Bytes` three words wide.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -11,7 +13,12 @@ use std::sync::Arc;
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    /// `buf[start..start + len]`.
+    Shared {
+        buf: Arc<[u8]>,
+        start: u32,
+        len: u32,
+    },
 }
 
 /// An immutable, reference-counted byte buffer.
@@ -28,30 +35,51 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes(Repr::Shared(Arc::from(data)))
+        Bytes::shared(Arc::from(data))
+    }
+
+    fn shared(buf: Arc<[u8]>) -> Self {
+        let len = u32::try_from(buf.len()).expect("a Bytes buffer holds at most u32::MAX bytes");
+        Bytes(Repr::Shared { buf, start: 0, len })
     }
 
     pub fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Static(s) => s,
-            Repr::Shared(a) => a,
+            Repr::Shared { buf, start, len } => {
+                let start = *start as usize;
+                &buf[start..start + *len as usize]
+            }
         }
     }
 
-    /// A new buffer holding `self[range]` (copies; fine for a simulator).
+    /// `self[range]` as a view of the same buffer: no bytes are copied.
+    /// Panics when the range is out of bounds, like slice indexing.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
-        let data = self.as_slice();
-        let start = match range.start_bound() {
+        let len = self.len();
+        let from = match range.start_bound() {
             Bound::Included(&n) => n,
             Bound::Excluded(&n) => n + 1,
             Bound::Unbounded => 0,
         };
-        let end = match range.end_bound() {
+        let to = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => data.len(),
+            Bound::Unbounded => len,
         };
-        Bytes::copy_from_slice(&data[start..end])
+        assert!(
+            from <= to && to <= len,
+            "range {from}..{to} out of bounds of {len} bytes"
+        );
+        match &self.0 {
+            Repr::Static(s) => Bytes(Repr::Static(&s[from..to])),
+            // In bounds of a buffer whose length fits a `u32`, so both do.
+            Repr::Shared { buf, start, .. } => Bytes(Repr::Shared {
+                buf: Arc::clone(buf),
+                start: start + from as u32,
+                len: (to - from) as u32,
+            }),
+        }
     }
 }
 
@@ -174,13 +202,13 @@ impl fmt::Debug for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Repr::Shared(Arc::from(v.into_boxed_slice())))
+        Bytes::shared(Arc::from(v.into_boxed_slice()))
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
-        Bytes(Repr::Shared(Arc::from(v)))
+        Bytes::shared(Arc::from(v))
     }
 }
 
@@ -240,11 +268,30 @@ mod tests {
     }
 
     #[test]
-    fn slice_copies_subrange() {
-        let b = Bytes::from_static(b"hello");
-        assert_eq!(b.slice(1..3).as_ref(), b"el");
-        assert_eq!(b.slice(0..0).as_ref(), b"");
-        assert_eq!(b.slice(..).as_ref(), b"hello");
+    fn slice_views_subrange() {
+        for b in [Bytes::from_static(b"hello"), Bytes::from(b"hello".to_vec())] {
+            assert_eq!(b.slice(1..3).as_ref(), b"el");
+            assert_eq!(b.slice(0..0).as_ref(), b"");
+            assert_eq!(b.slice(..).as_ref(), b"hello");
+            assert_eq!(b.slice(1..).slice(1..=2).as_ref(), b"ll");
+        }
+        // A slice of an owned buffer points into it.
+        let owned = Bytes::from(b"hello".to_vec());
+        assert_eq!(owned.slice(2..).as_ptr(), owned[2..].as_ptr());
+    }
+
+    #[test]
+    fn a_bytes_is_three_words() {
+        assert_eq!(
+            std::mem::size_of::<Bytes>(),
+            3 * std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        Bytes::from(vec![1u8, 2]).slice(1..3);
     }
 
     #[test]

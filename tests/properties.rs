@@ -7,7 +7,9 @@
 //!   (checked against a brute-force model);
 //! * the pushdown planner is *sound*: for random predicates, the SHC scan
 //!   (pruning + server filters + engine residue) returns exactly the rows
-//!   a naive full-scan-and-filter returns.
+//!   a naive full-scan-and-filter returns;
+//! * cell blocks, the replies of read RPCs, round-trip any rows, and no
+//!   truncated, damaged or arbitrary block panics the decoder.
 
 use proptest::prelude::*;
 use shc::prelude::*;
@@ -365,6 +367,106 @@ proptest! {
             model(pattern.as_bytes(), input.as_bytes()),
             "pattern={} input={}", pattern, input
         );
+    }
+}
+
+// ----------------------------------------------------------------------
+// Cell blocks, the reply of every read RPC: any rows round-trip exactly,
+// and no damaged or arbitrary input panics or decodes past its end.
+// ----------------------------------------------------------------------
+
+mod cell_blocks {
+    use super::*;
+    use bytes::Bytes;
+    use shc::kvstore::cellblock::{decode, encode};
+    use shc::kvstore::error::KvError;
+    use shc::kvstore::types::{Cell, CellKey, CellType, RowResult};
+
+    /// (family, qualifier, timestamp, seq, type, value): up to 6 × 80
+    /// distinct names, `any::<u64>()` favours 0 and `u64::MAX`.
+    type CellSpec = (u8, u8, u64, u64, u8, Vec<u8>);
+
+    fn arb_rows() -> impl Strategy<Value = Vec<RowResult>> {
+        let cell = (
+            0u8..6,
+            0u8..80,
+            any::<u64>(),
+            any::<u64>(),
+            0u8..4,
+            prop::collection::vec(any::<u8>(), 0..6),
+        );
+        // Keys over a three-letter alphabet share prefixes often; an empty
+        // key with no cells is how a bulk get answers an absent row.
+        let row = (
+            prop::collection::vec(0u8..3, 0..4),
+            prop::collection::vec(cell, 0..6),
+        );
+        prop::collection::vec(row, 0..12).prop_map(|rows| {
+            rows.into_iter()
+                .map(|(key, cells): (Vec<u8>, Vec<CellSpec>)| {
+                    let row = Bytes::from(key);
+                    let cells = cells
+                        .into_iter()
+                        .map(|(f, q, timestamp, seq, t, value)| Cell {
+                            key: CellKey {
+                                row: row.clone(),
+                                family: Bytes::from(format!("f{f}")),
+                                qualifier: Bytes::from(format!("q{q}")),
+                                timestamp,
+                                seq,
+                                cell_type: [
+                                    CellType::Put,
+                                    CellType::Delete,
+                                    CellType::DeleteColumn,
+                                    CellType::DeleteFamily,
+                                ][t as usize],
+                            },
+                            value: Bytes::from(value),
+                        })
+                        .collect();
+                    RowResult { row, cells }
+                })
+                .collect()
+        })
+    }
+
+    fn ok_or_corruption(decoded: &shc::kvstore::error::Result<Vec<RowResult>>) -> bool {
+        matches!(decoded, Ok(_) | Err(KvError::Corruption(_)))
+    }
+
+    proptest! {
+        #[test]
+        fn cell_blocks_round_trip_exactly(rows in arb_rows()) {
+            prop_assert_eq!(decode(&encode(&rows)).unwrap(), rows);
+        }
+
+        #[test]
+        fn truncated_cell_blocks_are_corruption(rows in arb_rows(), cut in any::<usize>()) {
+            let block = encode(&rows);
+            let decoded = decode(&block.slice(..cut % block.len()));
+            prop_assert!(matches!(decoded, Err(KvError::Corruption(_))), "{:?}", decoded);
+        }
+
+        #[test]
+        fn damaged_cell_blocks_never_panic(
+            rows in arb_rows(),
+            at in any::<usize>(),
+            xor in 1u8..=255,
+        ) {
+            let mut bytes = encode(&rows).to_vec();
+            let at = at % bytes.len();
+            bytes[at] ^= xor;
+            prop_assert!(ok_or_corruption(&decode(&Bytes::from(bytes))));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            rows in 0u32..4,
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let bytes = [&rows.to_le_bytes()[..], &tail[..]].concat();
+            prop_assert!(ok_or_corruption(&decode(&Bytes::from(bytes))));
+        }
     }
 }
 
