@@ -10,7 +10,7 @@
 //! timer.
 
 use parking_lot::Mutex;
-use shc_kvstore::client::Connection;
+use shc_kvstore::client::{Connection, IdleConnection};
 use shc_kvstore::cluster::HBaseCluster;
 use shc_kvstore::security::AuthToken;
 use std::collections::HashMap;
@@ -19,7 +19,10 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 struct CacheEntry {
-    connection: Arc<Connection>,
+    /// Held without its cluster, which each lease supplies: an entry must
+    /// not keep a cluster, and the cluster's files, alive.
+    connection: IdleConnection,
+    cluster: Weak<HBaseCluster>,
     refcount: usize,
     /// Set when the refcount last dropped to zero.
     zero_since: Option<Instant>,
@@ -75,13 +78,14 @@ impl ConnectionCache {
                 let entry = e.get_mut();
                 entry.refcount += 1;
                 entry.zero_since = None;
-                Arc::clone(&entry.connection)
+                entry.connection.resume(Arc::clone(cluster))
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let connection = Connection::open(Arc::clone(cluster), token);
                 v.insert(CacheEntry {
-                    connection: Arc::clone(&connection),
+                    connection: connection.idle(),
+                    cluster: Arc::downgrade(cluster),
                     refcount: 1,
                     zero_since: None,
                 });
@@ -122,13 +126,16 @@ impl ConnectionCache {
     /// connection. After a split/move/failover, a single task's failure can
     /// repair the cached topology for all connections in the process, the
     /// way the HBase client shares its meta cache per connection. Returns
-    /// how many connections were told.
+    /// how many connections were told: those whose cluster is still up.
     pub fn invalidate_locations(&self, table: &shc_kvstore::types::TableName) -> usize {
-        let entries = self.entries.lock();
-        for entry in entries.values() {
-            entry.connection.invalidate_locations(table);
+        let mut told = 0;
+        for entry in self.entries.lock().values() {
+            if let Some(cluster) = entry.cluster.upgrade() {
+                entry.connection.resume(cluster).invalidate_locations(table);
+                told += 1;
+            }
         }
-        entries.len()
+        told
     }
 
     pub fn len(&self) -> usize {

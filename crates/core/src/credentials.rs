@@ -3,8 +3,8 @@
 //!
 //! Spark's static token acquisition cannot talk to a *new* secure service
 //! after launch; SHC's manager fetches tokens on demand, caches one per
-//! cluster, refreshes them before expiry from a background executor, and
-//! serializes them for propagation to executors.
+//! cluster, renews them before expiry in a [refresh pass](SHCCredentialsManager::refresh_pass),
+//! and serializes them for propagation to executors.
 
 use crate::conf::SecurityConf;
 use crate::error::{Result, ShcError};
@@ -13,21 +13,18 @@ use shc_kvstore::cluster::HBaseCluster;
 use shc_kvstore::security::AuthToken;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::Arc;
 
-/// Token lifecycle tuning, mirroring `expireTimeFraction`,
-/// `refreshTimeFraction` and `refreshDurationMins`.
+/// Token lifecycle tuning, mirroring `expireTimeFraction` and
+/// `refreshTimeFraction`.
 #[derive(Clone, Copy, Debug)]
 pub struct CredentialsConfig {
     /// A cached token is considered unusable once less than this fraction
     /// of its lifetime remains.
     pub expire_time_fraction: f64,
-    /// The background executor renews tokens with less than this fraction
-    /// of lifetime remaining.
+    /// A refresh pass renews tokens with less than this fraction of
+    /// lifetime remaining.
     pub refresh_time_fraction: f64,
-    /// Background refresh period.
-    pub refresh_interval: Duration,
 }
 
 impl Default for CredentialsConfig {
@@ -35,7 +32,6 @@ impl Default for CredentialsConfig {
         CredentialsConfig {
             expire_time_fraction: 0.05,
             refresh_time_fraction: 0.30,
-            refresh_interval: Duration::from_millis(200),
         }
     }
 }
@@ -96,7 +92,7 @@ impl SHCCredentialsManager {
         Ok(Some(token))
     }
 
-    /// One pass of the token-update executor: renew every cached token
+    /// One token-update pass: renew every cached token
     /// whose remaining lifetime fraction fell below `refresh_time_fraction`.
     /// Returns the number of tokens renewed.
     pub fn refresh_pass(&self, clusters: &[Arc<HBaseCluster>]) -> usize {
@@ -119,25 +115,6 @@ impl SHCCredentialsManager {
             }
         }
         renewed
-    }
-
-    /// Start the background token-update executor. Runs until the manager
-    /// is dropped.
-    pub fn start_refresh_executor(
-        self: &Arc<Self>,
-        clusters: Vec<Arc<HBaseCluster>>,
-    ) -> std::thread::JoinHandle<()> {
-        let weak: Weak<SHCCredentialsManager> = Arc::downgrade(self);
-        let interval = self.config.refresh_interval;
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            match weak.upgrade() {
-                Some(manager) => {
-                    manager.refresh_pass(&clusters);
-                }
-                None => break,
-            }
-        })
     }
 
     /// Serialize every cached token for propagation to executors.

@@ -559,7 +559,7 @@ impl HBaseScanPartition {
                 }
             }
             if !gets.is_empty() {
-                let rows = table.bulk_get_region(location, &gets, Some(running_on))?;
+                let rows = table.bulk_get(&gets, Some(running_on))?;
                 for row in &rows {
                     // Empty key = row not found; empty cells with a key =
                     // a live row whose projected columns are all NULL.
@@ -630,7 +630,7 @@ impl ScanPartition for HBaseScanPartition {
             // The planned region layout went stale (split/move between
             // planning and execution): refresh locations and retry once,
             // exactly like the HBase client's NotServingRegion handling.
-            // The client already retried under its own policy; this extra
+            // The client already retried under its recovery rule; this extra
             // partition-level pass rebuilds the partition's work list from
             // fresh locations, which also repairs stale locality planning.
             // Only safe while no row has been taken — whether it went on in
@@ -1082,6 +1082,63 @@ mod tests {
         let delta = cluster.metrics.snapshot().delta_since(&before);
         // Points fused into (at most one) BulkGet per region touched.
         assert!(delta.rpc_count <= 3, "rpcs = {}", delta.rpc_count);
+    }
+
+    /// A point-key IN list over one region is planned, and then that region
+    /// is split, or moved, before the task runs. The fused bulk get finds
+    /// the rows where they live now: each once, in key order, and with one
+    /// BulkGet served by each region that owns some of them.
+    #[test]
+    fn a_planned_bulk_get_follows_a_split_or_a_move() {
+        use shc_kvstore::fault::{FaultKind, FaultRule, RpcOp};
+        for split in [true, false] {
+            let (cluster, relation) = setup_with(2, SHCConf::default().caching);
+            let name = &relation.catalog.table;
+            let region = cluster.master.regions_of(name).unwrap()[0].clone();
+            let keys: Vec<String> = (0..30)
+                .map(|i| format!("row{i:02}"))
+                .filter(|key| region.info.contains_row(key.as_bytes()))
+                .collect();
+            assert!(keys.len() >= 2, "{keys:?}");
+            let values = keys.iter().map(|k| Value::Utf8(k.clone())).collect();
+            let parts = relation
+                .scan(None, &[SourceFilter::In("col0".into(), values)])
+                .unwrap();
+            let region_id = region.info.region_id;
+            if split {
+                cluster.master.split_region(name, region_id).unwrap();
+            } else {
+                let dst = (region.server_id + 1) % 2;
+                cluster.master.move_region(name, region_id, dst).unwrap();
+            }
+            let owners: Vec<RegionLocation> = cluster
+                .master
+                .regions_of(name)
+                .unwrap()
+                .into_iter()
+                .filter(|loc| keys.iter().any(|k| loc.info.contains_row(k.as_bytes())))
+                .collect();
+            assert_eq!(owners.len(), if split { 2 } else { 1 });
+            // A zero delay fires on, and so counts, every BulkGet an owner
+            // serves at its current host.
+            let served: Vec<_> = owners
+                .iter()
+                .map(|loc| {
+                    cluster.faults().add_rule(
+                        FaultRule::new(FaultKind::Delay(std::time::Duration::ZERO))
+                            .on_op(RpcOp::BulkGet)
+                            .on_server(loc.server_id)
+                            .on_region(loc.info.region_id),
+                    )
+                })
+                .collect();
+            let rows = run_partitions(&parts);
+            let got: Vec<&str> = rows.iter().map(|r| r.get(0).as_str().unwrap()).collect();
+            assert_eq!(got, keys, "split = {split}");
+            for rule in served {
+                assert_eq!(rule.fire_count(), 1, "split = {split}");
+            }
+        }
     }
 
     #[test]

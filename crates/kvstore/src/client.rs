@@ -17,8 +17,10 @@ use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan, TableName};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use shc_obs::trace;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,6 +40,24 @@ fn charge_rpc(cluster: &HBaseCluster, cost: Duration) {
     cluster.network().charge(cost);
 }
 
+/// [`charge_rpc`] for an RPC that moved `bytes`, from a co-located client
+/// when `local`.
+fn charge_transfer(cluster: &HBaseCluster, bytes: usize, local: bool) {
+    charge_rpc(
+        cluster,
+        cluster.network().transfer_cost(bytes as u64, local),
+    );
+}
+
+/// An `rpc` trace span for `op` against the region at `loc`.
+fn rpc_span(op: &str, loc: &RegionLocation) -> trace::SpanGuard {
+    let mut sp = trace::span("rpc");
+    sp.annotate("op", op);
+    sp.annotate("region", loc.info.region_id);
+    sp.annotate("server", &loc.hostname);
+    sp
+}
+
 /// Back off before a retry: record the wait into the backoff histogram and
 /// the trace (as a `backoff` span whose duration is the modeled wait), then
 /// actually sleep it.
@@ -53,54 +73,25 @@ fn backoff_pause(metrics: &ClusterMetrics, wait: Duration, op: &str, attempt: u3
 
 static NEXT_CONNECTION_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Client retry policy for transient failures (stale locations, dropped
-/// RPCs, crashed servers): exponential backoff with deterministic jitter
-/// and a hard attempt budget.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = no retries).
-    pub max_attempts: u32,
-    pub initial_backoff: Duration,
-    pub multiplier: u32,
-    pub max_backoff: Duration,
-    /// Seeds the jitter stream so backoff schedules are reproducible.
-    pub jitter_seed: u64,
-}
+/// Attempts an operation gets, the first included: a transient failure is
+/// retried until this many attempts in a row have failed.
+pub const MAX_ATTEMPTS: u32 = 4;
+const INITIAL_BACKOFF: Duration = Duration::from_micros(500);
+const MAX_BACKOFF: Duration = Duration::from_millis(20);
+/// Seeds the jitter stream, so backoff schedules repeat from run to run.
+const JITTER_SEED: u64 = 0x5eed_0f2e_7261;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            initial_backoff: Duration::from_micros(500),
-            multiplier: 2,
-            max_backoff: Duration::from_millis(20),
-            jitter_seed: 0x5eed_0f2e_7261,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries at all: fail on the first transient error.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
-    }
-
-    /// Backoff before the retry following failure number `attempt`
-    /// (1-based), with ±25% deterministic jitter salted by `salt`.
-    fn backoff(&self, attempt: u32, salt: u64) -> Duration {
-        let exp = self.multiplier.saturating_pow(attempt.saturating_sub(1));
-        let base = self
-            .initial_backoff
-            .saturating_mul(exp.max(1))
-            .min(self.max_backoff);
-        let x = splitmix64(self.jitter_seed ^ salt.rotate_left(17) ^ attempt as u64);
-        // Map to [0.75, 1.25).
-        let factor = 0.75 + (x >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
-        base.mul_f64(factor)
-    }
+/// Backoff before the retry that follows failure number `failures`
+/// (1-based): doubling from `INITIAL_BACKOFF` up to `MAX_BACKOFF`, with
+/// ±25% deterministic jitter salted by `salt`.
+fn backoff(failures: u32, salt: u64) -> Duration {
+    let base = INITIAL_BACKOFF
+        .saturating_mul(2u32.saturating_pow(failures - 1))
+        .min(MAX_BACKOFF);
+    let x = splitmix64(JITTER_SEED ^ salt.rotate_left(17) ^ failures as u64);
+    // Map to [0.75, 1.25).
+    let factor = 0.75 + (x >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
+    base.mul_f64(factor)
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -117,6 +108,59 @@ fn op_salt(op: &str) -> u64 {
     })
 }
 
+/// The client's one recovery rule, which every operation on a table runs
+/// under. A permanent error passes through. A transient one (stale
+/// location, dropped RPC, crashed server, lapsed scanner lease) drops the
+/// table's cached locations and backs off for the caller to try again,
+/// until [`MAX_ATTEMPTS`] attempts in a row have failed; the last error then
+/// comes back as [`KvError::RetriesExhausted`]. Progress resets the count.
+struct Recovery<'a> {
+    table: &'a Table,
+    op: &'static str,
+    salt: u64,
+    failures: u32,
+}
+
+impl<'a> Recovery<'a> {
+    fn new(table: &'a Table, op: &'static str, salt: u64) -> Self {
+        Recovery {
+            table,
+            op,
+            salt,
+            failures: 0,
+        }
+    }
+
+    /// `Ok` when the failed attempt may be retried, after the backoff.
+    fn retry(&mut self, err: KvError) -> Result<()> {
+        if !err.is_transient() {
+            return Err(err);
+        }
+        self.failures += 1;
+        if self.failures >= MAX_ATTEMPTS {
+            return Err(KvError::RetriesExhausted {
+                op: self.op.to_string(),
+                attempts: self.failures,
+                last: Box::new(err),
+            });
+        }
+        let connection = &self.table.connection;
+        let metrics = &connection.cluster.metrics;
+        metrics.add(&metrics.client_retries, 1);
+        connection.invalidate_locations(&self.table.name);
+        let wait = backoff(self.failures, self.salt);
+        backoff_pause(metrics, wait, self.op, self.failures);
+        Ok(())
+    }
+
+    fn progressed(&mut self) {
+        self.failures = 0;
+    }
+}
+
+/// Client-side region locations, per table.
+type LocationCache = Mutex<HashMap<TableName, Vec<RegionLocation>>>;
+
 /// A heavy-weight connection, analogous to HBase's `Connection`. Creation
 /// performs ZooKeeper lookups and pays the simulated setup latency; reuse is
 /// what the connector's connection cache buys.
@@ -124,9 +168,30 @@ pub struct Connection {
     pub id: u64,
     cluster: Arc<HBaseCluster>,
     token: Option<AuthToken>,
-    /// Client-side region location cache, per table.
-    location_cache: Mutex<HashMap<TableName, Vec<RegionLocation>>>,
-    retry_policy: RetryPolicy,
+    /// Shared with every [`IdleConnection`] taken from this connection.
+    location_cache: Arc<LocationCache>,
+}
+
+/// A connection without its cluster: its id, token and cached locations.
+/// A connection cache holds an unused connection this way, so that holding
+/// it does not keep the cluster, and the cluster's files, alive.
+#[derive(Clone)]
+pub struct IdleConnection {
+    id: u64,
+    token: Option<AuthToken>,
+    location_cache: Arc<LocationCache>,
+}
+
+impl IdleConnection {
+    /// The connection on `cluster` again, with no handshake.
+    pub fn resume(&self, cluster: Arc<HBaseCluster>) -> Arc<Connection> {
+        Arc::new(Connection {
+            id: self.id,
+            cluster,
+            token: self.token.clone(),
+            location_cache: Arc::clone(&self.location_cache),
+        })
+    }
 }
 
 impl Connection {
@@ -134,15 +199,6 @@ impl Connection {
     /// master and the server list from ZooKeeper and pays
     /// `connection_setup` on the simulated network.
     pub fn open(cluster: Arc<HBaseCluster>, token: Option<AuthToken>) -> Arc<Connection> {
-        Self::open_with_policy(cluster, token, RetryPolicy::default())
-    }
-
-    /// [`open`](Self::open) with an explicit retry policy.
-    pub fn open_with_policy(
-        cluster: Arc<HBaseCluster>,
-        token: Option<AuthToken>,
-        retry_policy: RetryPolicy,
-    ) -> Arc<Connection> {
         let network = *cluster.network();
         // ZooKeeper traffic of a real connection handshake.
         let _ = cluster.zk.get("/hbase/master");
@@ -153,13 +209,17 @@ impl Connection {
             id: NEXT_CONNECTION_ID.fetch_add(1, Ordering::Relaxed),
             cluster,
             token,
-            location_cache: Mutex::new(HashMap::new()),
-            retry_policy,
+            location_cache: Arc::default(),
         })
     }
 
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry_policy
+    /// This connection without its cluster, to resume later.
+    pub fn idle(&self) -> IdleConnection {
+        IdleConnection {
+            id: self.id,
+            token: self.token.clone(),
+            location_cache: Arc::clone(&self.location_cache),
+        }
     }
 
     pub fn cluster(&self) -> &Arc<HBaseCluster> {
@@ -203,29 +263,6 @@ impl Connection {
                 .add(&self.cluster.metrics.location_invalidations, 1);
         }
     }
-
-    fn locate_row(&self, table: &TableName, row: &[u8]) -> Result<RegionLocation> {
-        // Fast path: search the cache in place (no list clone per lookup —
-        // batched writes locate once per put).
-        if let Some(regions) = self.location_cache.lock().get(table) {
-            return regions
-                .iter()
-                .find(|loc| loc.info.contains_row(row))
-                .cloned()
-                .ok_or_else(|| KvError::NoRegionForRow {
-                    table: table.to_string(),
-                    row: row.to_vec(),
-                });
-        }
-        let regions = self.locate_regions(table)?;
-        regions
-            .into_iter()
-            .find(|loc| loc.info.contains_row(row))
-            .ok_or_else(|| KvError::NoRegionForRow {
-                table: table.to_string(),
-                row: row.to_vec(),
-            })
-    }
 }
 
 /// The result of a region-scoped scan: rows plus server work stats plus the
@@ -238,6 +275,7 @@ pub struct RegionScanResult {
 }
 
 /// A handle for one table over one connection.
+#[derive(Clone)]
 pub struct Table {
     connection: Arc<Connection>,
     name: TableName,
@@ -248,33 +286,40 @@ impl Table {
         &self.name
     }
 
-    /// Run `attempt` under the connection's retry policy. Transient errors
-    /// invalidate cached locations, back off, and retry; once the budget is
-    /// spent the last transient error is wrapped in
-    /// [`KvError::RetriesExhausted`]. Permanent errors pass through.
-    fn with_retries<T>(&self, op: &str, mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
-        let policy = self.connection.retry_policy;
-        let metrics = &self.connection.cluster.metrics;
-        let mut attempts = 0u32;
+    /// Run `attempt` until it succeeds, under the client's [recovery
+    /// rule](Recovery).
+    fn with_retries<T>(
+        &self,
+        op: &'static str,
+        mut attempt: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        let mut recovery = Recovery::new(self, op, op_salt(op));
         loop {
-            attempts += 1;
             match attempt() {
                 Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempts < policy.max_attempts => {
-                    metrics.add(&metrics.client_retries, 1);
-                    self.connection.invalidate_locations(&self.name);
-                    backoff_pause(metrics, policy.backoff(attempts, op_salt(op)), op, attempts);
-                }
-                Err(e) if e.is_transient() => {
-                    return Err(KvError::RetriesExhausted {
-                        op: op.to_string(),
-                        attempts,
-                        last: Box::new(e),
-                    });
-                }
-                Err(e) => return Err(e),
+                Err(e) => recovery.retry(e)?,
             }
         }
+    }
+
+    /// The index in `regions` of the region owning `row`.
+    fn owner(&self, regions: &[RegionLocation], row: &[u8]) -> Result<usize> {
+        let owner = regions.iter().position(|loc| loc.info.contains_row(row));
+        owner.ok_or_else(|| KvError::NoRegionForRow {
+            table: self.name.to_string(),
+            row: row.to_vec(),
+        })
+    }
+
+    /// The location of the region owning `row`. A cached location list is
+    /// searched in place, not cloned.
+    fn locate_row(&self, row: &[u8]) -> Result<RegionLocation> {
+        let connection = &self.connection;
+        if let Some(regions) = connection.location_cache.lock().get(&self.name) {
+            return Ok(regions[self.owner(regions, row)?].clone());
+        }
+        let mut regions = connection.locate_regions(&self.name)?;
+        Ok(regions.swap_remove(self.owner(&regions, row)?))
     }
 
     /// Write a batch of puts, grouped by owning region, one RPC per region.
@@ -282,11 +327,10 @@ impl Table {
     /// AsyncProcess — this is what makes writing into a pre-split table
     /// faster than hammering a single region.
     ///
-    /// Transient failures (stale locations after splits/moves, dropped RPCs,
-    /// crashed servers) are retried under the connection's [`RetryPolicy`].
-    /// Like the HBase client, delivery is at-least-once: a retried batch may
-    /// re-apply puts that already landed, which is idempotent at the cell
-    /// level (same value, newer version).
+    /// Transient failures are retried under the client's recovery rule (see
+    /// [`MAX_ATTEMPTS`]). Like the HBase client, delivery is at-least-once: a
+    /// retried batch may re-apply puts that already landed, which is
+    /// idempotent at the cell level (same value, newer version).
     pub fn put_batch(&self, mut puts: Vec<Put>) -> Result<()> {
         self.with_retries("put_batch", || self.try_put_batch(&mut puts))
     }
@@ -296,16 +340,8 @@ impl Table {
     /// sub-slice: no put is cloned, on the first attempt or on a retry.
     fn try_put_batch(&self, puts: &mut Vec<Put>) -> Result<()> {
         let regions = self.connection.locate_regions(&self.name)?;
-        let mut owners = Vec::with_capacity(puts.len());
-        for put in puts.iter() {
-            let owner = regions
-                .iter()
-                .position(|loc| loc.info.contains_row(&put.row));
-            owners.push(owner.ok_or_else(|| KvError::NoRegionForRow {
-                table: self.name.to_string(),
-                row: put.row.to_vec(),
-            })?);
-        }
+        let owners = puts.iter().map(|put| self.owner(&regions, &put.row));
+        let mut owners = owners.collect::<Result<Vec<_>>>()?;
         if !owners.is_sorted() {
             let mut keyed: Vec<(usize, Put)> = owners.drain(..).zip(puts.drain(..)).collect();
             keyed.sort_by_key(|(owner, _)| *owner);
@@ -345,21 +381,12 @@ impl Table {
 
     /// The put RPC for one region's share of a batch.
     fn send_puts(&self, loc: &RegionLocation, batch: &[Put]) -> Result<()> {
-        let connection = &self.connection;
-        let region_id = loc.info.region_id;
         let bytes: usize = batch.iter().map(Put::payload_bytes).sum();
-        let mut sp = trace::span("rpc");
-        sp.annotate("op", "put");
-        sp.annotate("region", region_id);
-        sp.annotate("server", &loc.hostname);
+        let mut sp = rpc_span("put", loc);
         sp.annotate("bytes", bytes);
-        let server = connection.cluster.server(loc.server_id)?;
-        server.put(region_id, batch, connection.token())?;
-        let network = connection.cluster.network();
-        charge_rpc(
-            &connection.cluster,
-            network.transfer_cost(bytes as u64, false),
-        );
+        let server = self.connection.cluster.server(loc.server_id)?;
+        server.put(loc.info.region_id, batch, self.connection.token())?;
+        charge_transfer(&self.connection.cluster, bytes, false);
         Ok(())
     }
 
@@ -369,19 +396,13 @@ impl Table {
 
     pub fn delete(&self, delete: Delete) -> Result<()> {
         self.with_retries("delete", || {
-            let loc = self.connection.locate_row(&self.name, &delete.row)?;
+            let loc = self.locate_row(&delete.row)?;
             let server = self.connection.cluster.server(loc.server_id)?;
-            let network = *self.connection.cluster.network();
-            let mut sp = trace::span("rpc");
-            sp.annotate("op", "delete");
-            sp.annotate("region", loc.info.region_id);
-            sp.annotate("server", &loc.hostname);
-            server.delete(
-                loc.info.region_id,
-                std::slice::from_ref(&delete),
-                self.connection.token(),
-            )?;
-            charge_rpc(&self.connection.cluster, network.rpc_latency);
+            let _sp = rpc_span("delete", &loc);
+            let deletes = std::slice::from_ref(&delete);
+            server.delete(loc.info.region_id, deletes, self.connection.token())?;
+            let cluster = &self.connection.cluster;
+            charge_rpc(cluster, cluster.network().rpc_latency);
             Ok(())
         })
     }
@@ -389,62 +410,64 @@ impl Table {
     /// Point read routed to the owning region.
     pub fn get(&self, get: Get) -> Result<RowResult> {
         self.with_retries("get", || {
-            let loc = self.connection.locate_row(&self.name, &get.row)?;
+            let loc = self.locate_row(&get.row)?;
             let server = self.connection.cluster.server(loc.server_id)?;
-            let mut sp = trace::span("rpc");
-            sp.annotate("op", "get");
-            sp.annotate("region", loc.info.region_id);
-            sp.annotate("server", &loc.hostname);
+            let _sp = rpc_span("get", &loc);
             let block = server.get(loc.info.region_id, &get, self.connection.token())?;
-            let network = *self.connection.cluster.network();
-            charge_rpc(
-                &self.connection.cluster,
-                network.transfer_cost(block.len() as u64, false),
-            );
+            charge_transfer(&self.connection.cluster, block.len(), false);
             Ok(decode_gets(&block, 1)?.pop().unwrap_or_default())
         })
     }
 
-    /// Batched gets grouped per region server — HBase `BulkGet`. Results
-    /// come back in request order.
-    pub fn bulk_get(&self, gets: Vec<Get>) -> Result<Vec<RowResult>> {
-        self.with_retries("bulk_get", || self.bulk_get_once(&gets, None))
+    /// Batched point reads — HBase `BulkGet`: one RPC per region owning
+    /// some of the rows, results in request order. `from_host` is the
+    /// hostname of the requesting compute task; a co-located region skips
+    /// the remote-hop penalty. A fused partition task passes the gets of
+    /// one planned region, and a region split or moved since the plan is
+    /// met by routing each get to where its row lives now.
+    pub fn bulk_get(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<RowResult>> {
+        self.with_retries("bulk_get", || self.try_bulk_get(gets, from_host))
     }
 
-    /// One ungrouped bulk-get pass: route every get to the region currently
-    /// owning its row, one RPC per region, results in request order. The
-    /// RPCs go out in region-id order, so which of them a seeded fault hits,
-    /// and the order of their trace spans, repeat from run to run.
-    fn bulk_get_once(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<RowResult>> {
-        let mut grouped: BTreeMap<u64, (RegionLocation, Vec<(usize, Get)>)> = BTreeMap::new();
-        for (idx, get) in gets.iter().enumerate() {
-            let loc = self.connection.locate_row(&self.name, &get.row)?;
-            grouped
-                .entry(loc.info.region_id)
-                .or_insert_with(|| (loc, Vec::new()))
-                .1
-                .push((idx, get.clone()));
+    /// One attempt. The RPCs go out in region-id order, so which of them a
+    /// seeded fault hits, and the order of their trace spans, repeat from
+    /// run to run. Gets are cloned only when they span several regions.
+    fn try_bulk_get(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<RowResult>> {
+        let regions = self.connection.locate_regions(&self.name)?;
+        let owners = gets.iter().map(|get| self.owner(&regions, &get.row));
+        let owners = owners.collect::<Result<Vec<_>>>()?;
+        let mut order: Vec<usize> = (0..gets.len()).collect();
+        order.sort_by_key(|&idx| regions[owners[idx]].info.region_id);
+        let mut out = vec![RowResult::default(); gets.len()];
+        for run in order.chunk_by(|&a, &b| owners[a] == owners[b]) {
+            let loc = &regions[owners[run[0]]];
+            let rows = if run.len() == gets.len() {
+                self.send_gets(loc, gets, from_host)?
+            } else {
+                let batch: Vec<Get> = run.iter().map(|&idx| gets[idx].clone()).collect();
+                self.send_gets(loc, &batch, from_host)?
+            };
+            for (&idx, row) in run.iter().zip(rows) {
+                out[idx] = row;
+            }
         }
-        let network = *self.connection.cluster.network();
-        let mut out: Vec<(usize, RowResult)> = Vec::new();
-        for (region_id, (loc, indexed)) in grouped {
-            let server = self.connection.cluster.server(loc.server_id)?;
-            let (indices, batch): (Vec<usize>, Vec<Get>) = indexed.into_iter().unzip();
-            let mut sp = trace::span("rpc");
-            sp.annotate("op", "bulk_get");
-            sp.annotate("region", region_id);
-            sp.annotate("server", &loc.hostname);
-            let block = server.bulk_get(region_id, &batch, self.connection.token())?;
-            let local = from_host == Some(loc.hostname.as_str());
-            sp.annotate("bytes", block.len());
-            charge_rpc(
-                &self.connection.cluster,
-                network.transfer_cost(block.len() as u64, local),
-            );
-            out.extend(indices.into_iter().zip(decode_gets(&block, batch.len())?));
-        }
-        out.sort_by_key(|(idx, _)| *idx);
-        Ok(out.into_iter().map(|(_, row)| row).collect())
+        Ok(out)
+    }
+
+    /// The bulk-get RPC for one region's share of the gets.
+    fn send_gets(
+        &self,
+        loc: &RegionLocation,
+        gets: &[Get],
+        from_host: Option<&str>,
+    ) -> Result<Vec<RowResult>> {
+        let server = self.connection.cluster.server(loc.server_id)?;
+        let mut sp = rpc_span("bulk_get", loc);
+        let block = server.bulk_get(loc.info.region_id, gets, self.connection.token())?;
+        let local = from_host == Some(loc.hostname.as_str());
+        sp.annotate("bytes", block.len());
+        charge_transfer(&self.connection.cluster, block.len(), local);
+        decode_gets(&block, gets.len())
     }
 
     /// Whole-table scan: split across every overlapping region, executed in
@@ -515,22 +538,17 @@ impl Table {
         // Capacity-1 channel: one batch buffered (the prefetch) plus one
         // owned by the consumer.
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let connection = Arc::clone(&self.connection);
-        let name = self.name.clone();
-        let original = location.clone();
-        let scan = scan.clone();
-        let from_host = from_host.map(str::to_string);
+        let job = ScanJob {
+            table: self.clone(),
+            original: location.clone(),
+            scan: scan.clone(),
+            from_host: from_host.map(str::to_string),
+            tx,
+        };
         let ctx = trace::capture();
         let worker = std::thread::spawn(move || {
             let _ctx = shc_obs::TraceContext::adopt_opt(ctx.as_ref());
-            drive_region_scan(
-                &connection,
-                &name,
-                &original,
-                &scan,
-                from_host.as_deref(),
-                &tx,
-            );
+            job.run();
         });
         RegionScanner {
             rx: Some(rx),
@@ -538,72 +556,6 @@ impl Table {
             stats: ScanStats::default(),
             rpc_batches: 0,
         }
-    }
-
-    /// Bulk gets against one region only (used by fused partition tasks).
-    ///
-    /// Recovers like [`scan_region`](Self::scan_region): when the cached
-    /// location is stale or the RPC fails transiently, the gets are
-    /// re-routed to the regions that now own the rows.
-    pub fn bulk_get_region(
-        &self,
-        location: &RegionLocation,
-        gets: &[Get],
-        from_host: Option<&str>,
-    ) -> Result<Vec<RowResult>> {
-        match self.bulk_get_region_once(location, gets, from_host) {
-            Err(e) if e.is_transient() => {
-                let policy = self.connection.retry_policy;
-                let metrics = &self.connection.cluster.metrics;
-                let mut attempts = 1u32;
-                let mut last = e;
-                while attempts < policy.max_attempts {
-                    metrics.add(&metrics.client_retries, 1);
-                    self.connection.invalidate_locations(&self.name);
-                    backoff_pause(
-                        metrics,
-                        policy.backoff(attempts, location.info.region_id),
-                        "bulk_get_region",
-                        attempts,
-                    );
-                    attempts += 1;
-                    // Re-routed pass: group by current owner, order-preserving.
-                    match self.bulk_get_once(gets, from_host) {
-                        Ok(rows) => return Ok(rows),
-                        Err(e) if e.is_transient() => last = e,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(KvError::RetriesExhausted {
-                    op: "bulk_get_region".to_string(),
-                    attempts,
-                    last: Box::new(last),
-                })
-            }
-            other => other,
-        }
-    }
-
-    fn bulk_get_region_once(
-        &self,
-        location: &RegionLocation,
-        gets: &[Get],
-        from_host: Option<&str>,
-    ) -> Result<Vec<RowResult>> {
-        let server = self.connection.cluster.server(location.server_id)?;
-        let mut sp = trace::span("rpc");
-        sp.annotate("op", "bulk_get");
-        sp.annotate("region", location.info.region_id);
-        sp.annotate("server", &location.hostname);
-        let block = server.bulk_get(location.info.region_id, gets, self.connection.token())?;
-        let local = from_host == Some(location.hostname.as_str());
-        let network = *self.connection.cluster.network();
-        sp.annotate("bytes", block.len());
-        charge_rpc(
-            &self.connection.cluster,
-            network.transfer_cost(block.len() as u64, local),
-        );
-        decode_gets(&block, gets.len())
     }
 }
 
@@ -623,6 +575,9 @@ fn decode_gets(block: &Bytes, gets: usize) -> Result<Vec<RowResult>> {
 struct BatchMsg {
     rows: Vec<RowResult>,
     stats: ScanStats,
+    /// What fetching the batch added to the worker's trace cost: its RPCs,
+    /// their spans, any backoff before them.
+    cost_us: u64,
 }
 
 /// A pipelined, client-side iterator over one region's rows.
@@ -635,10 +590,13 @@ struct BatchMsg {
 /// is being fetched while the caller processes the current one. A region
 /// range that fits in one batch costs one RPC. Transient failures (region
 /// moved or split, server gone, dropped RPC, scanner lease lapsed) are
-/// recovered inside the worker under the connection's [`RetryPolicy`]: it
+/// recovered inside the worker under the client's recovery rule (see
+/// [`MAX_ATTEMPTS`]), each delivered batch counting as progress: it
 /// re-locates the key range and reopens a scanner at the row *after* the
 /// last one delivered, so the concatenated batches are complete,
-/// duplicate-free, and key-ordered.
+/// duplicate-free, and key-ordered. The trace cost the worker charges for a
+/// batch moves to the consumer's thread with the batch, so a task's cost
+/// includes the RPCs of its scans.
 ///
 /// Dropping the scanner early stops the worker and releases any server-side
 /// scanner state.
@@ -656,30 +614,18 @@ impl RegionScanner {
     /// scanner) are absorbed here but still counted in
     /// [`rpc_batches`](Self::rpc_batches).
     pub fn next_batch(&mut self) -> Result<Option<Vec<RowResult>>> {
-        loop {
-            let Some(rx) = self.rx.as_ref() else {
-                return Ok(None);
-            };
-            match rx.recv() {
-                Ok(Ok(msg)) => {
-                    self.rpc_batches += 1;
-                    self.stats.merge(&msg.stats);
-                    if msg.rows.is_empty() {
-                        continue;
-                    }
-                    return Ok(Some(msg.rows));
-                }
-                Ok(Err(e)) => {
-                    self.shutdown();
-                    return Err(e);
-                }
-                // Worker finished and hung up: the scan is complete.
-                Err(_) => {
-                    self.shutdown();
-                    return Ok(None);
-                }
+        while let Some(msg) = self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
+            let msg = msg.inspect_err(|_| self.shutdown())?;
+            trace::take_over_cost_us(msg.cost_us);
+            self.rpc_batches += 1;
+            self.stats.merge(&msg.stats);
+            if !msg.rows.is_empty() {
+                return Ok(Some(msg.rows));
             }
         }
+        // The worker finished and hung up: the scan is complete.
+        self.shutdown();
+        Ok(None)
     }
 
     /// Server-side work accumulated across every batch fetched so far.
@@ -709,110 +655,95 @@ impl Drop for RegionScanner {
     }
 }
 
-/// Worker loop behind [`RegionScanner`]: walk the regions currently
-/// covering `original`'s key range (clipped to the scan bounds), stream
-/// each through the scanner RPCs, and recover transient failures by
-/// re-locating and reopening at the row after the last delivered one.
-fn drive_region_scan(
-    connection: &Arc<Connection>,
-    name: &TableName,
-    original: &RegionLocation,
-    scan: &Scan,
-    from_host: Option<&str>,
-    tx: &std::sync::mpsc::SyncSender<Result<BatchMsg>>,
-) {
-    use std::ops::Bound;
-    let policy = connection.retry_policy;
-    let metrics = &connection.cluster.metrics;
-    let network = *connection.cluster.network();
-    // The span this scanner owns: the original region's range intersected
-    // with the scan bounds; empty key = unbounded.
-    let (scan_start, scan_stop) = scan_bounds_bytes(scan);
-    let span_start = match (scan_start.is_empty(), original.info.start_key.is_empty()) {
-        (true, _) => original.info.start_key.clone(),
-        (_, true) => scan_start.clone(),
-        _ => scan_start.clone().max(original.info.start_key.clone()),
-    };
-    let span_stop = match (scan_stop.is_empty(), original.info.end_key.is_empty()) {
-        (true, _) => original.info.end_key.clone(),
-        (_, true) => scan_stop.clone(),
-        _ => scan_stop.clone().min(original.info.end_key.clone()),
-    };
-    // Resume cursor: the first row not yet delivered to the consumer.
-    let mut cur_start = span_start;
-    let mut remaining = scan.limit; // 0 = unlimited
-    let mut attempts = 0u32; // consecutive failures with no progress
+/// What the worker behind a [`RegionScanner`] works from.
+struct ScanJob {
+    table: Table,
+    original: RegionLocation,
+    scan: Scan,
+    from_host: Option<String>,
+    tx: SyncSender<Result<BatchMsg>>,
+}
 
-    'drive: loop {
-        if scan.limit > 0 && remaining == 0 {
-            return;
-        }
-        if !span_stop.is_empty() && !cur_start.is_empty() && cur_start >= span_stop {
-            return;
-        }
-        // On a transient error: burn one attempt, back off, and restart the
-        // drive loop from the cursor against fresh locations. Progress
-        // resets the budget, so a long scan survives many isolated faults.
-        macro_rules! recover {
-            ($err:expr) => {{
-                let e: KvError = $err;
-                if !e.is_transient() {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-                attempts += 1;
-                if attempts >= policy.max_attempts {
-                    let _ = tx.send(Err(KvError::RetriesExhausted {
-                        op: "region_scanner".to_string(),
-                        attempts,
-                        last: Box::new(e),
-                    }));
-                    return;
-                }
-                metrics.add(&metrics.client_retries, 1);
-                connection.invalidate_locations(name);
-                backoff_pause(
-                    metrics,
-                    policy.backoff(attempts, original.info.region_id),
-                    "region_scanner",
-                    attempts,
-                );
-                continue 'drive;
-            }};
-        }
+/// Where a region scan stands.
+struct ScanCursor {
+    /// The first row not yet delivered to the consumer; empty = unbounded.
+    start: Bytes,
+    /// The end of the span the scanner owns, the original region's range
+    /// clipped to the scan bounds; empty = unbounded.
+    stop: Bytes,
+    /// Rows the scan's limit still allows, when it has one.
+    remaining: usize,
+    /// The worker thread's trace cost when it last sent a batch.
+    sent_cost_us: u64,
+}
 
-        // Locate the region currently owning the cursor position.
-        let locs = match connection.locate_regions(name) {
-            Ok(locs) => locs,
-            Err(e) => recover!(e),
+impl ScanJob {
+    /// Walk the regions now covering the original region's key range,
+    /// clipped to the scan bounds, and stream each through the scanner
+    /// RPCs. A transient failure is recovered by re-locating and reopening
+    /// at the cursor.
+    fn run(&self) {
+        let info = &self.original.info;
+        let (scan_start, scan_stop) = scan_bounds_bytes(&self.scan);
+        // An empty key is unbounded: as a start it sorts first anyway, as a
+        // stop it must not win the minimum.
+        let mut cursor = ScanCursor {
+            start: scan_start.max(info.start_key.clone()),
+            stop: [scan_stop, info.end_key.clone()]
+                .into_iter()
+                .filter(|key| !key.is_empty())
+                .min()
+                .unwrap_or_default(),
+            remaining: self.scan.limit,
+            sent_cost_us: trace::thread_cost_us(),
         };
-        let Some(loc) = locs.into_iter().find(|l| l.info.contains_row(&cur_start)) else {
-            recover!(KvError::NoRegionForRow {
-                table: name.to_string(),
-                row: cur_start.to_vec(),
-            });
+        let mut recovery = Recovery::new(&self.table, "region_scanner", info.region_id);
+        let err = loop {
+            match self
+                .stream_region(&mut cursor, &mut recovery)
+                .or_else(|e| recovery.retry(e).map(|()| true))
+            {
+                Ok(true) => {}
+                Ok(false) => return,
+                Err(e) => break e,
+            }
         };
-        let server = match connection.cluster.server(loc.server_id) {
-            Ok(server) => server,
-            Err(e) => recover!(e),
-        };
-        let local = from_host == Some(loc.hostname.as_str());
+        let _ = self.tx.send(Err(err));
+    }
 
-        // Clip the scan to [cursor, span_stop) so daughters/movers return
+    /// Stream the region owning the cursor, batch by batch, then move the
+    /// cursor to where the next region starts. `Ok(false)` when the scan is
+    /// done or the consumer hung up.
+    fn stream_region(&self, cursor: &mut ScanCursor, recovery: &mut Recovery<'_>) -> Result<bool> {
+        let scan = &self.scan;
+        if scan.limit > 0 && cursor.remaining == 0 {
+            return Ok(false);
+        }
+        if !cursor.stop.is_empty() && !cursor.start.is_empty() && cursor.start >= cursor.stop {
+            return Ok(false);
+        }
+        let connection = &self.table.connection;
+        let loc = self.table.locate_row(&cursor.start)?;
+        let server = connection.cluster.server(loc.server_id)?;
+        let local = self.from_host.as_deref() == Some(loc.hostname.as_str());
+        let token = connection.token();
+        let close = |id: Option<u64>| {
+            if let Some(id) = id {
+                let _ = server.close_scanner(id, token);
+            }
+        };
+
+        // Clip the scan to [cursor, stop) so daughters/movers return
         // exactly the rows the original region would have, exactly once.
+        let bound = |key: &Bytes, bound: fn(Bytes) -> Bound<Bytes>| match key.is_empty() {
+            true => Bound::Unbounded,
+            false => bound(key.clone()),
+        };
         let mut region_scan = scan.clone();
-        region_scan.start = if cur_start.is_empty() {
-            Bound::Unbounded
-        } else {
-            Bound::Included(cur_start.clone())
-        };
-        region_scan.stop = if span_stop.is_empty() {
-            Bound::Unbounded
-        } else {
-            Bound::Excluded(span_stop.clone())
-        };
+        region_scan.start = bound(&cursor.start, Bound::Included);
+        region_scan.stop = bound(&cursor.stop, Bound::Excluded);
         if scan.limit > 0 {
-            region_scan.limit = remaining;
+            region_scan.limit = cursor.remaining;
         }
 
         // The first RPC opens the scanner and carries the first batch; every
@@ -822,71 +753,45 @@ fn drive_region_scan(
         let caching = scan.caching.max(1);
         let mut scanner_id = None;
         loop {
-            let (id, rows, stats) = {
-                let mut sp = trace::span("rpc");
-                sp.annotate("op", scanner_id.map_or("open_scanner", |_| "next_batch"));
-                sp.annotate("region", loc.info.region_id);
-                sp.annotate("server", &loc.hostname);
-                let reply = match scanner_id {
-                    None => server.open_scanner(
-                        loc.info.region_id,
-                        &region_scan,
-                        caching,
-                        connection.token(),
-                    ),
-                    Some(id) => server
-                        .next_batch(id, caching, connection.token())
-                        .map(|batch| (batch.more.then_some(id), batch)),
-                };
-                match reply {
-                    Ok((id, batch)) => {
-                        let bytes = batch.block.len();
-                        charge_rpc(
-                            &connection.cluster,
-                            network.transfer_cost(bytes as u64, local),
-                        );
-                        let rows = match cellblock::decode(&batch.block) {
-                            Ok(rows) => rows,
-                            Err(e) => {
-                                // Not transient: no retry, but the cursor
-                                // the reply left open is released.
-                                if let Some(id) = id {
-                                    let _ = server.close_scanner(id, connection.token());
-                                }
-                                recover!(e)
-                            }
-                        };
-                        sp.annotate("rows", rows.len());
-                        sp.annotate("bytes", bytes);
-                        sp.annotate("cache_hits", batch.stats.block_cache_hits);
-                        (id, rows, batch.stats)
-                    }
-                    Err(e) => {
-                        // Best-effort release before recovering; the server
-                        // side is also protected by the lease. A failed open
-                        // left nothing to release.
-                        if let Some(id) = scanner_id {
-                            let _ = server.close_scanner(id, connection.token());
-                        }
-                        recover!(e)
-                    }
-                }
+            let op = scanner_id.map_or("open_scanner", |_| "next_batch");
+            let mut sp = rpc_span(op, &loc);
+            let reply = match scanner_id {
+                None => server.open_scanner(loc.info.region_id, &region_scan, caching, token),
+                Some(id) => server
+                    .next_batch(id, caching, token)
+                    .map(|batch| (batch.more.then_some(id), batch)),
             };
+            // Best-effort release before recovering; the server side is also
+            // protected by the lease. A failed open left nothing to release.
+            let (id, batch) = reply.inspect_err(|_| close(scanner_id))?;
+            charge_transfer(&connection.cluster, batch.block.len(), local);
+            // A reply that does not decode is not transient: no retry, but
+            // the cursor it left open is released.
+            let rows = cellblock::decode(&batch.block).inspect_err(|_| close(id))?;
+            sp.annotate("rows", rows.len());
+            sp.annotate("bytes", batch.block.len());
+            sp.annotate("cache_hits", batch.stats.block_cache_hits);
+            drop(sp);
             scanner_id = id;
-            attempts = 0;
+            recovery.progressed();
             if let Some(last) = rows.last() {
-                cur_start = row_successor(&last.row);
+                cursor.start = row_successor(&last.row);
                 if scan.limit > 0 {
-                    remaining = remaining.saturating_sub(rows.len());
+                    cursor.remaining = cursor.remaining.saturating_sub(rows.len());
                 }
             }
-            if tx.send(Ok(BatchMsg { rows, stats })).is_err() {
+            let cost_us = trace::thread_cost_us() - cursor.sent_cost_us;
+            cursor.sent_cost_us += cost_us;
+            let msg = BatchMsg {
+                rows,
+                stats: batch.stats,
+                cost_us,
+            };
+            if self.tx.send(Ok(msg)).is_err() {
                 // Consumer hung up (dropped the scanner): release the
                 // server-side state and quit.
-                if let Some(id) = scanner_id {
-                    let _ = server.close_scanner(id, connection.token());
-                }
-                return;
+                close(scanner_id);
+                return Ok(false);
             }
             if scanner_id.is_none() {
                 break;
@@ -895,32 +800,24 @@ fn drive_region_scan(
 
         // Region exhausted; continue into the next region covering the span.
         if loc.info.end_key.is_empty() {
-            return;
+            return Ok(false);
         }
-        cur_start = loc.info.end_key.clone();
+        cursor.start = loc.info.end_key.clone();
+        Ok(true)
     }
 }
 
 /// Extract `[start, stop)` byte bounds from a scan for region overlap tests.
-pub fn scan_bounds_bytes(scan: &Scan) -> (bytes::Bytes, bytes::Bytes) {
-    use std::ops::Bound;
+pub fn scan_bounds_bytes(scan: &Scan) -> (Bytes, Bytes) {
     let start = match &scan.start {
-        Bound::Unbounded => bytes::Bytes::new(),
+        Bound::Unbounded => Bytes::new(),
         Bound::Included(s) => s.clone(),
-        Bound::Excluded(s) => {
-            let mut v = s.to_vec();
-            v.push(0);
-            bytes::Bytes::from(v)
-        }
+        Bound::Excluded(s) => row_successor(s),
     };
     let stop = match &scan.stop {
-        Bound::Unbounded => bytes::Bytes::new(),
+        Bound::Unbounded => Bytes::new(),
         Bound::Excluded(s) => s.clone(),
-        Bound::Included(s) => {
-            let mut v = s.to_vec();
-            v.push(0);
-            bytes::Bytes::from(v)
-        }
+        Bound::Included(s) => row_successor(s),
     };
     (start, stop)
 }
@@ -1089,7 +986,7 @@ mod tests {
             table.put(Put::new(key).add("cf", "q", key)).unwrap();
         }
         let rows = table
-            .bulk_get(vec![Get::new("q"), Get::new("a"), Get::new("i")])
+            .bulk_get(&[Get::new("q"), Get::new("a"), Get::new("i")], None)
             .unwrap();
         assert_eq!(rows[0].value(b"cf", b"q").unwrap().as_ref(), b"q");
         assert_eq!(rows[1].value(b"cf", b"q").unwrap().as_ref(), b"a");
@@ -1099,31 +996,27 @@ mod tests {
     #[test]
     fn bulk_get_issues_its_region_rpcs_in_region_id_order() {
         use crate::fault::{FaultKind, FaultRule, RpcOp};
-        let (cluster, conn, _table) = cluster_with_table(&["h", "p"]);
-        let name = TableName::default_ns("t");
+        let (cluster, conn, table) = cluster_with_table(&["h", "p"]);
         let lowest = conn
-            .locate_regions(&name)
+            .locate_regions(table.name())
             .unwrap()
             .iter()
             .map(|loc| loc.info.region_id)
             .min()
             .unwrap();
-        let no_retry =
-            Connection::open_with_policy(Arc::clone(&cluster), None, RetryPolicy::none());
-        let table = no_retry.table(name);
-        for run in 0..20 {
-            cluster.faults().add_rule(
-                FaultRule::new(FaultKind::NotServing)
-                    .on_op(RpcOp::BulkGet)
-                    .first_n(1),
-            );
+        // Every BulkGet fails, so each attempt stops at its first RPC.
+        cluster
+            .faults()
+            .add_rule(FaultRule::new(FaultKind::NotServing).on_op(RpcOp::BulkGet));
+        for run in 0..5 {
             // One get per region, requested highest region first.
             let err = table
-                .bulk_get(vec![Get::new("q"), Get::new("i"), Get::new("a")])
+                .bulk_get(&[Get::new("q"), Get::new("i"), Get::new("a")], None)
                 .unwrap_err();
-            let KvError::RetriesExhausted { last, .. } = err else {
+            let KvError::RetriesExhausted { attempts, last, .. } = err else {
                 panic!("run {run}: {err:?}");
             };
+            assert_eq!(attempts, MAX_ATTEMPTS);
             assert_eq!(*last, KvError::RegionNotServing(lowest), "run {run}");
         }
     }
@@ -1351,9 +1244,9 @@ mod tests {
         );
         for err in [
             table.get(Get::new("k00")).unwrap_err(),
-            table.bulk_get(vec![Get::new("k00")]).unwrap_err(),
+            table.bulk_get(&[Get::new("k00")], None).unwrap_err(),
             table
-                .bulk_get_region(&loc, &[Get::new("k01")], None)
+                .bulk_get(&[Get::new("k01")], Some(&loc.hostname))
                 .unwrap_err(),
         ] {
             assert!(matches!(err, KvError::Corruption(_)), "{err:?}");

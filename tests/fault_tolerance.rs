@@ -601,34 +601,70 @@ fn restart_after_failover_releases_the_log_of_regions_that_left() {
     assert_eq!(scan_keys(&table).len(), 56, "rows put after the move");
 }
 
+/// Every client entry point runs under the same recovery rule: with every
+/// RPC dropped, each spends the same budget and fails the same clean way.
 #[test]
 fn retry_budget_exhaustion_returns_clean_error() {
+    use shc::kvstore::client::MAX_ATTEMPTS;
     use shc::kvstore::prelude::*;
     let cluster = faulty_kv_cluster(1, 0xfa07, 5);
     let conn = Connection::open(Arc::clone(&cluster), None);
     let table = conn.table(TableName::default_ns("t"));
-    cluster
-        .faults()
-        .add_rule(FaultRule::new(FaultKind::Drop).on_op(RpcOp::Get));
-
-    let before = cluster.metrics.snapshot();
-    let err = table.get(Get::new("row0000")).unwrap_err();
-    match err {
-        KvError::RetriesExhausted { op, attempts, last } => {
-            assert_eq!(op, "get");
-            assert_eq!(attempts, conn.retry_policy().max_attempts);
-            assert!(matches!(*last, KvError::RpcTimeout { .. }));
+    let loc = conn.locate_regions(table.name()).unwrap()[0].clone();
+    let host = Some(loc.hostname.as_str());
+    type EntryPoint<'a> = Box<dyn Fn() -> Result<()> + 'a>;
+    let entry_points: Vec<(&str, EntryPoint)> = vec![
+        (
+            "put_batch",
+            Box::new(|| table.put_batch(vec![Put::new("row0009").add("cf", "q", "v9")])),
+        ),
+        ("delete", Box::new(|| table.delete(Delete::row("row0004")))),
+        ("get", Box::new(|| table.get(Get::new("row0000")).map(drop))),
+        (
+            "bulk_get",
+            Box::new(|| {
+                let gets = [Get::new("row0001"), Get::new("row0002")];
+                table.bulk_get(&gets, None).map(drop)
+            }),
+        ),
+        (
+            "bulk_get",
+            Box::new(|| table.bulk_get(&[Get::new("row0003")], host).map(drop)),
+        ),
+        (
+            "region_scanner",
+            Box::new(|| table.scan_region(&loc, &Scan::new(), host).map(drop)),
+        ),
+    ];
+    let budget = MAX_ATTEMPTS as u64;
+    for (want, entry_point) in &entry_points {
+        cluster
+            .faults()
+            .add_rule(FaultRule::new(FaultKind::Drop).with_trigger(Trigger::Always));
+        let before = cluster.metrics.snapshot();
+        match entry_point().unwrap_err() {
+            KvError::RetriesExhausted { op, attempts, last } => {
+                assert_eq!(op, *want);
+                assert_eq!(attempts, MAX_ATTEMPTS, "{want}");
+                assert!(matches!(*last, KvError::RpcTimeout { .. }), "{want}");
+            }
+            other => panic!("{want}: expected RetriesExhausted, got {other:?}"),
         }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
-    }
-    let delta = cluster.metrics.snapshot().delta_since(&before);
-    let budget = conn.retry_policy().max_attempts as u64;
-    assert_eq!(delta.client_retries, budget - 1, "every retry was spent");
-    assert_eq!(delta.faults_injected, budget, "every attempt was dropped");
+        let delta = cluster.metrics.snapshot().delta_since(&before);
+        assert_eq!(
+            delta.client_retries,
+            budget - 1,
+            "{want}: every retry spent"
+        );
+        assert_eq!(
+            delta.faults_injected, budget,
+            "{want}: every attempt dropped"
+        );
 
-    // Clearing the schedule makes the same request succeed again.
-    cluster.faults().clear();
-    assert!(table.get(Get::new("row0000")).is_ok());
+        // Clearing the schedule makes the same request succeed again.
+        cluster.faults().clear();
+        entry_point().unwrap();
+    }
 }
 
 #[test]

@@ -234,6 +234,28 @@ fn connection_cache_eliminates_reconnects() {
     );
 }
 
+/// The process-wide cache keeps an idle connection for reuse, but not its
+/// cluster: once the session, the relation and the last cluster handle are
+/// dropped, the cluster and its temp root go too.
+#[test]
+fn an_idle_cached_connection_does_not_keep_its_cluster_alive() {
+    let (cluster, catalog) = setup(2);
+    let session = session_for(&cluster);
+    let relation = HBaseRelation::new(Arc::clone(&cluster), catalog, SHCConf::default());
+    session.register_table("events", Arc::clone(&relation) as Arc<dyn TableProvider>);
+    let count = run(&session, "SELECT COUNT(*) FROM events");
+    assert_eq!(count[0].get(0), &Value::Int64(400));
+    let root = cluster.storage().unwrap().root().to_path_buf();
+    assert!(root.exists());
+    let weak = Arc::downgrade(&cluster);
+    drop((session, relation, cluster));
+    assert!(
+        weak.upgrade().is_none(),
+        "something still holds the cluster"
+    );
+    assert!(!root.exists(), "{} outlived its cluster", root.display());
+}
+
 #[test]
 fn operator_fusion_collapses_tasks_and_rpcs() {
     let (cluster, catalog) = setup(4);

@@ -300,6 +300,36 @@ fn skewed_scan_surfaces_in_stage_stats_and_fires_skew_alert() {
     assert!(attempts[0].get(0).as_i64().unwrap() >= 4);
 }
 
+/// A scan task's cost includes the RPCs its region scanners made on their
+/// prefetch threads, not only the ticks of its own spans.
+#[test]
+fn scan_task_costs_include_their_scanner_rpcs() {
+    let (cluster, session) = skewed_cluster_session();
+    let before = cluster.metrics.snapshot();
+    session
+        .sql("SELECT COUNT(*) FROM ledger")
+        .unwrap()
+        .collect()
+        .unwrap();
+    let rpc_us = cluster
+        .metrics
+        .snapshot()
+        .delta_since(&before)
+        .rpc_latency_us
+        .sum;
+    assert!(rpc_us > 0);
+    let cost = session
+        .sql("SELECT SUM(cost_us) FROM system.task_timeline WHERE stage_label = 'scan'")
+        .unwrap()
+        .collect()
+        .unwrap();
+    let cost_us = cost[0].get(0).as_i64().unwrap() as u64;
+    assert!(
+        cost_us >= rpc_us,
+        "scan stage cost {cost_us} µs < RPC charges {rpc_us} µs"
+    );
+}
+
 #[test]
 fn straggler_spike_alert_fires_once_then_clears() {
     let (cluster, session) = skewed_cluster_session();
