@@ -247,7 +247,7 @@ mod tests {
                 value: Bytes::from_static(b"value"),
             })
             .collect();
-        StoreFile::from_sorted(cells)
+        StoreFile::from_sorted(cells).unwrap()
     }
 
     /// Load through `cache` and say whether it was a hit.

@@ -1,15 +1,18 @@
-//! The cell block: what a read RPC's reply is on the wire.
+//! The cell block: the one encoding of cells, on the wire and on disk.
 //!
 //! Every read RPC (`open_scanner`, `next_batch`, `get`, `bulk_get`) answers
-//! with one buffer, in the spirit of HBase's RPC cell-block codec: a row key
-//! is written once per row, prefix-compressed against the row before it;
-//! each (family, qualifier) pair is written once per block and referenced by
-//! index after that; timestamps and sequence numbers are deltas. The server
-//! encodes the rows a scan accepts straight from the cells it pinned
-//! ([`CellBlockEncoder`]), the network is charged the block's length, and the
-//! client [`decode`]s it into [`RowResult`]s whose names and values are views
-//! of the block and whose keys share one buffer per block — one `Vec<Cell>`
-//! per row, no allocation per key or value.
+//! with one cell block, in the spirit of HBase's RPC cell-block codec; every
+//! WAL record's cells are a one-row block, and every store-file data block's
+//! payload is a block. A row key is written once per row, prefix-compressed
+//! against the row before it; each (family, qualifier) pair is written once
+//! per block and referenced by index after that; timestamps and sequence
+//! numbers are deltas.
+//!
+//! [`CellBlockEncoder`] takes whole rows or single cells, a row ending where
+//! the key changes. One bounds-checked parser reads every block back:
+//! [`decode`] turns a reply or a WAL record into [`RowResult`]s whose names
+//! and values are views of the block and whose keys share one buffer per
+//! block, and a store-file block builds its per-cell table in the same pass.
 //!
 //! ```text
 //! block  := rows u32le · row*
@@ -27,18 +30,21 @@
 //! round-trips.
 
 use crate::error::{KvError, Result};
-use crate::storage::{cell_type_code, cell_type_from};
-use crate::types::{Cell, CellKey, CellRef, RowResult};
+use crate::storage::Reader;
+use crate::types::{Cell, CellKey, CellRef, CellType, RowResult};
 use bytes::Bytes;
 use std::ops::Range;
 
-/// Builds one cell block a row at a time.
+/// Builds one cell block a row, or a cell, at a time.
 pub struct CellBlockEncoder {
     /// The block so far; its first four bytes are the row count, written by
     /// [`finish`](Self::finish).
     buf: Vec<u8>,
     rows: usize,
     last_row: Vec<u8>,
+    /// The open row: where its cell count goes in `buf` (one byte is
+    /// reserved) and how many cells it has so far.
+    open_row: Option<(usize, u64)>,
     /// The (family, qualifier) dictionary: where each pair's bytes sit in
     /// `buf`.
     columns: Vec<(Range<usize>, Range<usize>)>,
@@ -55,6 +61,7 @@ impl Default for CellBlockEncoder {
             buf: vec![0; 4],
             rows: 0,
             last_row: Vec::new(),
+            open_row: None,
             columns: Vec::new(),
             next_column: 0,
             timestamp: 0,
@@ -65,8 +72,26 @@ impl Default for CellBlockEncoder {
 
 impl CellBlockEncoder {
     /// Append a row: its key and its cells, in order. The cells' own `row`
-    /// is not written; `row` is.
-    pub fn push_row<'c>(&mut self, row: &[u8], cells: impl ExactSizeIterator<Item = CellRef<'c>>) {
+    /// is not written; `row` is. It is a new row even when its key repeats
+    /// the last one's.
+    pub fn push_row<'c>(&mut self, row: &[u8], cells: impl IntoIterator<Item = CellRef<'c>>) {
+        self.start_row(row);
+        for cell in cells {
+            self.put_cell(&cell);
+        }
+    }
+
+    /// Append one cell: to the open row when it has that row's key, as the
+    /// first cell of a new row otherwise.
+    pub fn push_cell(&mut self, cell: &CellRef<'_>) {
+        if self.open_row.is_none() || self.last_row != cell.row {
+            self.start_row(cell.row);
+        }
+        self.put_cell(cell);
+    }
+
+    fn start_row(&mut self, row: &[u8]) {
+        self.close_row();
         let shared = self
             .last_row
             .iter()
@@ -77,14 +102,35 @@ impl CellBlockEncoder {
         put_bytes(&mut self.buf, &row[shared..]);
         self.last_row.truncate(shared);
         self.last_row.extend_from_slice(&row[shared..]);
-        put_varint(&mut self.buf, cells.len() as u64);
-        for cell in cells {
-            self.push_cell(&cell);
-        }
+        self.open_row = Some((self.buf.len(), 0));
+        self.buf.push(0);
         self.rows += 1;
     }
 
-    fn push_cell(&mut self, cell: &CellRef<'_>) {
+    /// Write the open row's cell count into the byte reserved for it,
+    /// widening it in place when the count needs more than one.
+    fn close_row(&mut self) {
+        let Some((at, cells)) = self.open_row.take() else {
+            return;
+        };
+        if cells < 0x80 {
+            self.buf[at] = cells as u8;
+            return;
+        }
+        let mut count = Vec::with_capacity(10);
+        put_varint(&mut count, cells);
+        let shift = count.len() - 1;
+        self.buf.splice(at..=at, count);
+        // Names this row introduced moved with it.
+        for (family, qualifier) in &mut self.columns {
+            if family.start > at {
+                *family = family.start + shift..family.end + shift;
+                *qualifier = qualifier.start + shift..qualifier.end + shift;
+            }
+        }
+    }
+
+    fn put_cell(&mut self, cell: &CellRef<'_>) {
         match self.column_index(cell.family, cell.qualifier) {
             Some(index) => put_varint(&mut self.buf, index as u64),
             None => {
@@ -102,8 +148,11 @@ impl CellBlockEncoder {
         put_varint(&mut self.buf, zigzag(cell.seq.wrapping_sub(self.seq)));
         self.timestamp = cell.timestamp;
         self.seq = cell.seq;
-        self.buf.push(cell_type_code(cell.cell_type));
+        self.buf.push(cell.cell_type as u8);
         put_bytes(&mut self.buf, cell.value);
+        if let Some((_, cells)) = &mut self.open_row {
+            *cells += 1;
+        }
     }
 
     fn column_index(&mut self, family: &[u8], qualifier: &[u8]) -> Option<usize> {
@@ -118,21 +167,40 @@ impl CellBlockEncoder {
         Some(found)
     }
 
-    /// Rows pushed so far.
+    /// Rows started so far.
     pub fn rows(&self) -> usize {
         self.rows
     }
 
-    /// The key of the last row pushed (empty before the first).
+    /// The key of the last row started (empty before the first).
     pub fn last_row(&self) -> &[u8] {
         &self.last_row
     }
 
     /// The finished block.
     pub fn finish(mut self) -> Bytes {
+        self.seal();
+        Bytes::from(self.buf)
+    }
+
+    /// Append the finished block to `out` and start the next one, empty,
+    /// in this encoder's buffers.
+    pub(crate) fn finish_into(&mut self, out: &mut Vec<u8>) {
+        self.seal();
+        out.extend_from_slice(&self.buf);
+        self.buf.truncate(4);
+        self.rows = 0;
+        self.last_row.clear();
+        self.columns.clear();
+        self.next_column = 0;
+        self.timestamp = 0;
+        self.seq = 0;
+    }
+
+    fn seal(&mut self) {
+        self.close_row();
         let rows = u32::try_from(self.rows).expect("a cell block holds at most u32::MAX rows");
         self.buf[..4].copy_from_slice(&rows.to_le_bytes());
-        Bytes::from(self.buf)
     }
 }
 
@@ -146,78 +214,38 @@ pub fn encode(rows: &[RowResult]) -> Bytes {
 }
 
 /// The rows of a block. Names and values are slices of `block`; row keys
-/// are slices of one buffer per block that spells them all out. Anything
-/// but a whole, well-formed block — truncated, forged counts or lengths, an
-/// unknown column index or cell type, trailing bytes — is
-/// [`KvError::Corruption`], never a panic or an out-of-bounds read.
+/// are slices of one buffer per block that spells them all out. Anything but
+/// a whole, well-formed block is [`KvError::Corruption`].
 pub fn decode(block: &Bytes) -> Result<Vec<RowResult>> {
-    let mut r = BlockReader {
-        block,
-        data: block,
-        pos: 0,
-    };
-    let declared = u32::from_le_bytes([r.byte()?, r.byte()?, r.byte()?, r.byte()?]);
-    // A row takes at least three bytes and a cell five: a forged count
-    // cannot make an allocation outgrow the block.
-    let mut rows = Vec::with_capacity((declared as usize).min(r.remaining() / 3));
+    let mut rows: Vec<RowResult> = Vec::new();
     let mut keys = Vec::new();
-    let mut key_spans: Vec<Range<usize>> = Vec::with_capacity(rows.capacity());
-    let mut columns: Vec<(Bytes, Bytes)> = Vec::new();
-    let (mut timestamp, mut seq) = (0u64, 0u64);
-    for _ in 0..declared {
-        let prev = key_spans.last().cloned().unwrap_or_default();
-        let shared = usize::try_from(r.varint()?)
-            .ok()
-            .filter(|&n| n <= prev.len())
-            .ok_or_else(|| corrupt("row key shares more than the previous row's key"))?;
-        let suffix = r.span()?;
-        let start = keys.len();
-        keys.extend_from_within(prev.start..prev.start + shared);
-        keys.extend_from_slice(&r.data[suffix]);
-        key_spans.push(start..keys.len());
-        let n = r.varint()?;
-        let mut cells = Vec::with_capacity(
-            usize::try_from(n)
-                .unwrap_or(usize::MAX)
-                .min(r.remaining() / 5),
-        );
-        for _ in 0..n {
-            let column = usize::try_from(r.varint()?).unwrap_or(usize::MAX);
-            let (family, qualifier) = if column < columns.len() {
-                columns[column].clone()
-            } else if column == columns.len() {
-                let entry = (r.bytes()?, r.bytes()?);
-                columns.push(entry.clone());
-                entry
-            } else {
-                return Err(corrupt("column index past the dictionary"));
-            };
-            timestamp = timestamp.wrapping_add(unzigzag(r.varint()?));
-            seq = seq.wrapping_add(unzigzag(r.varint()?));
-            let cell_type =
-                cell_type_from(r.byte()?).ok_or_else(|| corrupt("unknown cell type"))?;
-            let value = r.bytes()?;
-            cells.push(Cell {
-                key: CellKey {
-                    // Filled in below, once the keys have their buffer.
-                    row: Bytes::new(),
-                    family,
-                    qualifier,
-                    timestamp,
-                    seq,
-                    cell_type,
-                },
-                value,
+    let mut key_spans: Vec<Range<usize>> = Vec::new();
+    read(block, |item| match item {
+        Item::Row(key, cells) => {
+            key_spans.push(keys.len()..keys.len() + key.len());
+            keys.extend_from_slice(key);
+            rows.push(RowResult {
+                row: Bytes::new(),
+                cells: Vec::with_capacity(cells),
             });
         }
-        rows.push(RowResult {
-            row: Bytes::new(),
-            cells,
-        });
-    }
-    if r.remaining() > 0 {
-        return Err(corrupt("trailing bytes after the last row"));
-    }
+        Item::Cell(cell) => {
+            if let Some(row) = rows.last_mut() {
+                row.cells.push(Cell {
+                    key: CellKey {
+                        // Filled in below, once the keys have their buffer.
+                        row: Bytes::new(),
+                        family: block.slice(cell.family),
+                        qualifier: block.slice(cell.qualifier),
+                        timestamp: cell.timestamp,
+                        seq: cell.seq,
+                        cell_type: cell.cell_type,
+                    },
+                    value: block.slice(cell.value),
+                });
+            }
+        }
+    })?;
     let keys = Bytes::from(keys);
     for (row, span) in rows.iter_mut().zip(key_spans) {
         row.row = keys.slice(span);
@@ -232,59 +260,87 @@ fn corrupt(what: &str) -> KvError {
     KvError::Corruption(format!("cell block: {what}"))
 }
 
-/// A position in a block being decoded; every read is bounds-checked.
-struct BlockReader<'b> {
-    block: &'b Bytes,
-    /// `block`'s bytes, borrowed once.
-    data: &'b [u8],
-    pos: usize,
+/// What [`read`] meets in a block, in order: a row — its key, and room worth
+/// reserving for its cells — then each of that row's cells.
+pub(crate) enum Item<'k> {
+    Row(&'k [u8], usize),
+    Cell(CellSpans),
 }
 
-impl BlockReader<'_> {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
+/// Where a cell sits in its block, and its coordinates.
+pub(crate) struct CellSpans {
+    /// The cell's index in the block's (family, qualifier) dictionary.
+    pub column: usize,
+    pub family: Range<usize>,
+    pub qualifier: Range<usize>,
+    pub timestamp: u64,
+    pub seq: u64,
+    pub cell_type: CellType,
+    pub value: Range<usize>,
+}
 
-    fn byte(&mut self) -> Result<u8> {
-        let b = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// An unsigned LEB128 value of at most 64 bits.
-    fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            if shift == 63 && b > 1 {
-                break;
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(corrupt("varint longer than 64 bits"))
-    }
-
-    /// A length-prefixed span: where it sits in the block.
-    fn span(&mut self) -> Result<Range<usize>> {
-        let n = usize::try_from(self.varint()?)
+/// The one cell-block parser: a single pass over `block`, borrowing it,
+/// that hands `visit` every row and cell. Every read is bounds-checked:
+/// anything but a whole, well-formed block — truncated, forged counts or
+/// lengths, an unknown column index or cell type, trailing bytes — is
+/// [`KvError::Corruption`], never a panic or an out-of-bounds read.
+pub(crate) fn read(block: &[u8], mut visit: impl FnMut(Item<'_>)) -> Result<()> {
+    let mut r = Reader::new(block);
+    let declared = r.u32()?;
+    let mut key = Vec::new();
+    let mut columns: Vec<(Range<usize>, Range<usize>)> = Vec::new();
+    let (mut timestamp, mut seq) = (0u64, 0u64);
+    for _ in 0..declared {
+        let shared = usize::try_from(r.varint()?)
             .ok()
-            .filter(|&n| n <= self.remaining())
-            .ok_or_else(|| corrupt("truncated"))?;
-        let span = self.pos..self.pos + n;
-        self.pos += n;
-        Ok(span)
+            .filter(|&n| n <= key.len())
+            .ok_or_else(|| corrupt("row key shares more than the previous row's key"))?;
+        let suffix = r.span()?;
+        key.truncate(shared);
+        key.extend_from_slice(&block[suffix]);
+        let n = r.varint()?;
+        // A cell takes at least five bytes: a forged count cannot make an
+        // allocation outgrow the block.
+        let room = usize::try_from(n).unwrap_or(usize::MAX);
+        visit(Item::Row(&key, room.min(r.remaining() / 5)));
+        for _ in 0..n {
+            let column = usize::try_from(r.varint()?).unwrap_or(usize::MAX);
+            if column == columns.len() {
+                let entry = (r.span()?, r.span()?);
+                columns.push(entry);
+            }
+            let (family, qualifier) = columns
+                .get(column)
+                .cloned()
+                .ok_or_else(|| corrupt("column index past the dictionary"))?;
+            timestamp = timestamp.wrapping_add(unzigzag(r.varint()?));
+            seq = seq.wrapping_add(unzigzag(r.varint()?));
+            let cell_type = cell_type_from(r.u8()?).ok_or_else(|| corrupt("unknown cell type"))?;
+            visit(Item::Cell(CellSpans {
+                column,
+                family,
+                qualifier,
+                timestamp,
+                seq,
+                cell_type,
+                value: r.span()?,
+            }));
+        }
     }
+    if r.remaining() > 0 {
+        return Err(corrupt("trailing bytes after the last row"));
+    }
+    Ok(())
+}
 
-    /// A length-prefixed span, as a slice of the block.
-    fn bytes(&mut self) -> Result<Bytes> {
-        Ok(self.block.slice(self.span()?))
-    }
+fn cell_type_from(code: u8) -> Option<CellType> {
+    Some(match code {
+        0 => CellType::Put,
+        1 => CellType::Delete,
+        2 => CellType::DeleteColumn,
+        3 => CellType::DeleteFamily,
+        _ => return None,
+    })
 }
 
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -316,7 +372,6 @@ fn unzigzag(z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::CellType;
 
     fn cell(
         row: &[u8],
@@ -461,6 +516,54 @@ mod tests {
         // index, Δts, Δseq, type, length and a 4-byte value (≈ 9 B each).
         assert!(block.len() < 100 * 26, "{} bytes", block.len());
         assert_eq!(decode(&block).unwrap(), rows);
+    }
+
+    /// Cells pushed one at a time fall into rows where the key changes and
+    /// make the bytes whole rows make — a row of more than 127 cells, whose
+    /// count outgrows the byte reserved for it, and the names it introduces
+    /// included.
+    #[test]
+    fn cells_pushed_singly_encode_as_their_rows() {
+        let mut rows = every_shape();
+        rows.retain(|row| !row.cells.is_empty());
+        let wide = (0..300)
+            .map(|i| {
+                cell(
+                    b"row-003",
+                    "f0",
+                    &format!("q{i:03}"),
+                    9,
+                    9,
+                    CellType::Put,
+                    b"v",
+                )
+            })
+            .collect();
+        rows.push(row(b"row-003", wide));
+        let after = cell(b"row-004", "f0", "q299", 1, 1, CellType::Put, b"w");
+        rows.push(row(b"row-004", vec![after]));
+        let mut single = CellBlockEncoder::default();
+        for c in rows.iter().flat_map(|row| &row.cells) {
+            single.push_cell(&c.as_ref());
+        }
+        assert_eq!(single.rows(), rows.len());
+        let block = encode(&rows);
+        assert_eq!(single.finish(), block);
+        assert_eq!(decode(&block).unwrap(), rows);
+    }
+
+    #[test]
+    fn a_reused_encoder_starts_each_block_afresh() {
+        let rows = every_shape();
+        let mut encoder = CellBlockEncoder::default();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            for row in &rows {
+                encoder.push_row(&row.row, row.cells.iter().map(Cell::as_ref));
+            }
+            encoder.finish_into(&mut out);
+        }
+        assert_eq!(out, [&encode(&rows)[..], &encode(&rows)[..]].concat());
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl ScanStats {
 }
 
 /// What the write path needs from a row mutation ([`Put`] or [`Delete`]).
-trait Mutation {
+pub(crate) trait Mutation {
     fn row(&self) -> &Bytes;
     /// A column family the mutation names that the table does not have.
     fn unknown_family<'a>(&'a self, descriptor: &TableDescriptor) -> Option<&'a Bytes>;
@@ -285,6 +285,11 @@ impl Mutation for Delete {
         }
     }
 }
+
+/// How a write finds the other regions of its server, by id. A write that
+/// takes the server's log past `wal_flush_trigger_bytes` flushes the region
+/// that pins the log's oldest record, which need not be its own.
+pub(crate) type Peers<'p> = &'p dyn Fn(u64) -> Option<Arc<Region>>;
 
 /// A live region.
 pub struct Region {
@@ -477,14 +482,15 @@ impl Region {
         self.delete_batch(std::slice::from_ref(delete))
     }
 
-    /// Apply puts in order with the batch as the unit of durability.
+    /// Apply puts in order with the batch as the unit of durability. The
+    /// region stands alone: WAL pressure flushes it or nothing.
     pub fn put_batch(&self, puts: &[Put]) -> Result<()> {
-        self.apply_batch(puts)
+        self.apply_batch(puts, &|_| None)
     }
 
     /// Apply deletes in order with the batch as the unit of durability.
     pub fn delete_batch(&self, deletes: &[Delete]) -> Result<()> {
-        self.apply_batch(deletes)
+        self.apply_batch(deletes, &|_| None)
     }
 
     /// The one write path. Every mutation is validated before anything is
@@ -498,7 +504,8 @@ impl Region {
     /// depend on how mutations are batched. An error fails the group it
     /// hits and everything after it; earlier groups are durable and visible
     /// (the client contract is at-least-once, so it retries the batch).
-    fn apply_batch<M: Mutation>(&self, mutations: &[M]) -> Result<()> {
+    /// `peers` finds the region a WAL-pressure flush is owed by.
+    pub(crate) fn apply_batch<M: Mutation>(&self, mutations: &[M], peers: Peers<'_>) -> Result<()> {
         for m in mutations {
             if !self.info.contains_row(m.row()) {
                 return Err(KvError::NoRegionForRow {
@@ -514,14 +521,13 @@ impl Region {
         let mut rest = mutations;
         while !rest.is_empty() {
             let room = self.group_room();
-            let mut group: Vec<(Timestamp, Vec<Cell>)> = Vec::new();
+            let mut group: Vec<Vec<Cell>> = Vec::new();
             let mut bytes = 0;
             for m in rest {
                 // One clock tick per mutation, taken in application order.
-                let now = self.clock.now_ms();
-                let cells = m.cells(&self.descriptor, now);
+                let cells = m.cells(&self.descriptor, self.clock.now_ms());
                 bytes += cells.iter().map(Cell::heap_size).sum::<usize>();
-                group.push((now, cells));
+                group.push(cells);
                 if bytes >= room {
                     break;
                 }
@@ -531,7 +537,7 @@ impl Region {
             let last_seq = first_seq + group.len() as u64 - 1;
             {
                 let mut stores = self.stores.write();
-                for (seq, (_, cells)) in (first_seq..).zip(group) {
+                for (seq, cells) in (first_seq..).zip(group) {
                     for mut cell in cells {
                         cell.key.seq = seq;
                         stores
@@ -543,7 +549,7 @@ impl Region {
                 }
             }
             self.read_point.fetch_max(last_seq, Ordering::Release);
-            self.maybe_flush()?;
+            self.maybe_flush(peers)?;
         }
         Ok(())
     }
@@ -575,18 +581,31 @@ impl Region {
 
     /// Flush when a watermark is crossed. The flush runs inline on the
     /// writer, which blocks until it is done: every automatic flush is a
-    /// write stall.
-    fn maybe_flush(&self) -> Result<()> {
+    /// write stall. A full memstore flushes this region; a log past
+    /// `wal_flush_trigger_bytes` flushes the region holding its oldest
+    /// record — this one or a peer — as only that lets the oldest segment go.
+    fn maybe_flush(&self, peers: Peers<'_>) -> Result<()> {
         let mem = self.memstore_size();
-        let cause = if mem >= self.config.memstore_flush_size {
-            FlushCause::MemstorePressure
-        } else if mem > 0 && self.wal.read().retained_bytes() >= self.config.wal_flush_trigger_bytes
-        {
-            FlushCause::WalPressure
+        let (cause, peer) = if mem >= self.config.memstore_flush_size {
+            (FlushCause::MemstorePressure, None)
         } else {
-            return Ok(());
+            let wal = self.wal();
+            if wal.retained_bytes() < self.config.wal_flush_trigger_bytes {
+                return Ok(());
+            }
+            match wal.pinning_region() {
+                Some(id) if id == self.info.region_id && mem > 0 => (FlushCause::WalPressure, None),
+                Some(id) if id != self.info.region_id => {
+                    match peers(id).filter(|peer| peer.memstore_size() > 0) {
+                        Some(peer) => (FlushCause::WalPressure, Some(peer)),
+                        None => return Ok(()),
+                    }
+                }
+                _ => return Ok(()),
+            }
         };
-        let outcome = self.flush_with_cause(cause)?;
+        let target = peer.as_deref().unwrap_or(self);
+        let outcome = target.flush_with_cause(cause)?;
         if outcome.flushed {
             let stall_ms = outcome.duration_us.div_ceil(1000).max(1);
             let m = self.metrics();
@@ -600,10 +619,11 @@ impl Region {
                 Severity::Warn,
                 "flush",
                 format!(
-                    "write stall: region {} blocked {stall_ms}ms on {} flush \
+                    "write stall: region {} blocked {stall_ms}ms on {} flush of region {} \
                      (memstore={mem}B, wrote {}B in {} file(s))",
                     self.info.region_id,
                     cause.as_str(),
+                    target.info.region_id,
                     outcome.bytes,
                     outcome.files
                 ),
@@ -662,7 +682,7 @@ impl Region {
             }
             let mut merge = Merge::new(b"");
             merge.add_memstore(&store.memstore, &Bytes::new());
-            let file = write_merged(&mut merge, None);
+            let file = write_merged(&mut merge, None)?;
             store.memstore.clear();
             file.write_to(&rs.env, &rs.next_sst_path(), FileOp::StoreFileWrite)?;
             bytes += file.byte_size() as u64;
@@ -780,7 +800,7 @@ impl Region {
             let picked: Vec<Arc<StoreFile>> =
                 pick.iter().map(|&i| Arc::clone(&store.files[i])).collect();
             // Everything is kept: only a major compaction may drop data.
-            let merged = merge_files(&picked, None);
+            let merged = merge_files(&picked, None)?;
             merged.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
             let rewritten = merged.byte_size() as u64;
             let keep: HashSet<usize> = pick.iter().copied().collect();
@@ -838,7 +858,7 @@ impl Region {
             if store.files.is_empty() {
                 continue;
             }
-            let file = merge_files(&store.files, Some(store.max_versions));
+            let file = merge_files(&store.files, Some(store.max_versions))?;
             file.write_to(&rs.env, &rs.next_sst_path(), FileOp::CompactionWrite)?;
             rewritten += file.byte_size() as u64;
             all_replaced.append(&mut store.files);
@@ -1087,7 +1107,7 @@ impl Region {
                 }
             });
             for (daughter, builder) in [(&left, low), (&right, high)] {
-                let file = builder.finish();
+                let file = builder.finish()?;
                 if !file.is_empty() {
                     let mut target = daughter.stores.write();
                     let s = target
@@ -1342,7 +1362,7 @@ fn remove_replaced_files(rs: &RegionStorage, replaced: &[Arc<StoreFile>]) {
 }
 
 /// Drain `merge` into one new store file; `retain` as in [`rewrite`].
-fn write_merged(merge: &mut Merge<'_>, retain: Option<u32>) -> StoreFile {
+fn write_merged(merge: &mut Merge<'_>, retain: Option<u32>) -> Result<StoreFile> {
     let mut builder = StoreFileBuilder::default();
     rewrite(merge, retain, |cell| builder.push(cell));
     builder.finish()
@@ -1359,7 +1379,7 @@ fn whole_files(files: &[Arc<StoreFile>]) -> Merge<'_> {
 }
 
 /// Merge whole store files into one; `retain` as in [`rewrite`].
-fn merge_files(files: &[Arc<StoreFile>], retain: Option<u32>) -> StoreFile {
+fn merge_files(files: &[Arc<StoreFile>], retain: Option<u32>) -> Result<StoreFile> {
     write_merged(&mut whole_files(files), retain)
 }
 
@@ -1763,6 +1783,53 @@ mod tests {
         assert_eq!(recovered.recover_from_wal(&log), 1);
         let rows: Vec<_> = scan_all(&recovered).into_iter().map(|r| r.row).collect();
         assert_eq!(rows, vec![Bytes::from("a"), Bytes::from("b")]);
+    }
+
+    /// A row whose cells straddle a block boundary reads the same from the
+    /// file a flush built, from that file reopened from disk, and after a
+    /// major compaction rewrote it.
+    #[test]
+    fn a_row_straddling_blocks_scans_the_same_after_disk_and_compaction() {
+        let r = test_region();
+        for i in 0..40 {
+            r.put(&Put::new(format!("a{i:03}")).add("cf", "q", format!("v{i}")))
+                .unwrap();
+        }
+        let wide = (0..50).fold(Put::new("b"), |put, i| {
+            put.add("cf", format!("q{i:02}"), format!("w{i}"))
+        });
+        r.put(&wide).unwrap();
+        for i in 0..30 {
+            r.put(&Put::new(format!("c{i:03}")).add("cf", "q", "v"))
+                .unwrap();
+        }
+        let expected = scan_all(&r);
+        r.flush().unwrap();
+        {
+            let stores = r.stores.read();
+            let file = &stores[&Bytes::from_static(b"cf")].files[0];
+            let (first, second) = (file.block(0), file.block(1));
+            assert_eq!(first.cell(first.len() - 1).row, b"b");
+            assert_eq!(second.cell(0).row, b"b");
+        }
+        let reopened = || {
+            let fresh = Region::new(
+                r.info.clone(),
+                r.descriptor.clone(),
+                RegionConfig::default(),
+                r.wal(),
+                Clock::logical(0),
+                Arc::clone(&r.storage.env),
+            )
+            .unwrap();
+            fresh.reload_from_disk().unwrap();
+            scan_all(&fresh)
+        };
+        assert_eq!(scan_all(&r), expected);
+        assert_eq!(reopened(), expected);
+        r.compact().unwrap();
+        assert_eq!(scan_all(&r), expected);
+        assert_eq!(reopened(), expected);
     }
 
     #[test]

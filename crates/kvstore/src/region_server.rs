@@ -239,7 +239,7 @@ impl RegionServer {
         self.count_rpc();
         self.rpc_entry(RpcOp::Put, region_id)?;
         let region = self.region(region_id)?;
-        region.put_batch(puts)?;
+        region.apply_batch(puts, &|id| self.region(id).ok())?;
         region.load_counters().record_writes(puts.len() as u64);
         let bytes: usize = puts.iter().map(Put::payload_bytes).sum();
         self.metrics.add(&self.metrics.bytes_written, bytes as u64);
@@ -256,7 +256,7 @@ impl RegionServer {
         self.count_rpc();
         self.rpc_entry(RpcOp::Delete, region_id)?;
         let region = self.region(region_id)?;
-        region.delete_batch(deletes)?;
+        region.apply_batch(deletes, &|id| self.region(id).ok())?;
         region.load_counters().record_writes(deletes.len() as u64);
         Ok(())
     }

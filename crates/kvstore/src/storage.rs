@@ -7,18 +7,19 @@
 //! physical bytes to the cluster metrics so write amplification is
 //! measurable.
 //!
-//! The module also hosts the two codecs shared by the WAL and store files:
-//! a table-driven CRC-32 (IEEE polynomial, the same castagnoli-free flavor
-//! zlib uses) and the length-prefixed cell encoding.
+//! The module also hosts what the WAL, store files and manifests share
+//! beneath their cells, which are [cell blocks](crate::cellblock): a
+//! table-driven CRC-32 (IEEE polynomial, the same castagnoli-free flavor
+//! zlib uses) and the bounds-checked [`Reader`] every parser reads through.
 
 use crate::error::{KvError, Result};
 use crate::fault::{FaultInjector, FileOp};
 use crate::metrics::ClusterMetrics;
-use crate::types::{Cell, CellRef, CellType};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,21 +66,11 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
 }
 
 // ----------------------------------------------------------------------
-// Cell codec
+// Fixed-width reader
 // ----------------------------------------------------------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Cursor-based reader that fails with [`KvError::Corruption`] instead of
-/// panicking on truncated input.
+/// Cursor-based reader of fixed-width and varint fields that fails with
+/// [`KvError::Corruption`] instead of panicking on truncated input.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -129,118 +120,33 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
+    /// An unsigned LEB128 value of at most 64 bits.
+    pub fn varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(KvError::Corruption("varint longer than 64 bits".into()))
+    }
+
+    /// A varint-length-prefixed run of bytes: where it sits in the buffer.
+    pub fn span(&mut self) -> Result<Range<usize>> {
+        let n = usize::try_from(self.varint()?).unwrap_or(usize::MAX);
+        self.take(n)?;
+        Ok(self.pos - n..self.pos)
+    }
+
     pub fn bytes16(&mut self) -> Result<Bytes> {
         let n = self.u16()? as usize;
         Ok(Bytes::copy_from_slice(self.take(n)?))
     }
-
-    pub fn bytes32(&mut self) -> Result<Bytes> {
-        let n = self.u32()? as usize;
-        Ok(Bytes::copy_from_slice(self.take(n)?))
-    }
-}
-
-pub(crate) fn cell_type_code(t: CellType) -> u8 {
-    match t {
-        CellType::Put => 0,
-        CellType::Delete => 1,
-        CellType::DeleteColumn => 2,
-        CellType::DeleteFamily => 3,
-    }
-}
-
-pub(crate) fn cell_type_from(code: u8) -> Option<CellType> {
-    Some(match code {
-        0 => CellType::Put,
-        1 => CellType::Delete,
-        2 => CellType::DeleteColumn,
-        3 => CellType::DeleteFamily,
-        _ => return None,
-    })
-}
-
-/// Append one cell's wire form to `buf`.
-pub fn encode_cell(buf: &mut Vec<u8>, cell: &Cell) {
-    encode_cell_ref(buf, &cell.as_ref());
-}
-
-/// Append a borrowed cell's wire form to `buf`: the bytes it was parsed from
-/// when it came out of an encoded block, field by field otherwise.
-pub fn encode_cell_ref(buf: &mut Vec<u8>, cell: &CellRef<'_>) {
-    if !cell.encoded.is_empty() {
-        buf.extend_from_slice(cell.encoded);
-        return;
-    }
-    put_u32(buf, cell.row.len() as u32);
-    buf.extend_from_slice(cell.row);
-    put_u16(buf, cell.family.len() as u16);
-    buf.extend_from_slice(cell.family);
-    put_u16(buf, cell.qualifier.len() as u16);
-    buf.extend_from_slice(cell.qualifier);
-    put_u64(buf, cell.timestamp);
-    put_u64(buf, cell.seq);
-    buf.push(cell_type_code(cell.cell_type));
-    put_u32(buf, cell.value.len() as u32);
-    buf.extend_from_slice(cell.value);
-}
-
-/// View the cell encoded at the front of `buf` without copying it, and
-/// return how many bytes it occupies. Every length is checked against `buf`
-/// and the type code validated, so the slices of the returned view are in
-/// bounds whatever the input.
-#[inline]
-pub fn parse_cell(buf: &[u8]) -> Result<(CellRef<'_>, usize)> {
-    parse_cell_checked(buf).ok_or_else(|| KvError::Corruption("truncated or malformed cell".into()))
-}
-
-/// [`parse_cell`] without an error value to build: `None` for input that is
-/// not a whole, well-formed cell. This is the read path's per-cell step, so
-/// it is a straight line of length checks and nothing else.
-#[inline]
-pub(crate) fn parse_cell_checked(buf: &[u8]) -> Option<(CellRef<'_>, usize)> {
-    fn u16_at(b: &[u8]) -> Option<(usize, &[u8])> {
-        let (n, rest) = b.split_first_chunk::<2>()?;
-        Some((u16::from_le_bytes(*n) as usize, rest))
-    }
-    fn u32_at(b: &[u8]) -> Option<(usize, &[u8])> {
-        let (n, rest) = b.split_first_chunk::<4>()?;
-        Some((u32::from_le_bytes(*n) as usize, rest))
-    }
-    fn u64_at(b: &[u8]) -> Option<(u64, &[u8])> {
-        let (n, rest) = b.split_first_chunk::<8>()?;
-        Some((u64::from_le_bytes(*n), rest))
-    }
-    let (row_len, rest) = u32_at(buf)?;
-    let (row, rest) = rest.split_at_checked(row_len)?;
-    let (family_len, rest) = u16_at(rest)?;
-    let (family, rest) = rest.split_at_checked(family_len)?;
-    let (qualifier_len, rest) = u16_at(rest)?;
-    let (qualifier, rest) = rest.split_at_checked(qualifier_len)?;
-    let (timestamp, rest) = u64_at(rest)?;
-    let (seq, rest) = u64_at(rest)?;
-    let (&type_code, rest) = rest.split_first()?;
-    let cell_type = cell_type_from(type_code)?;
-    let (value_len, rest) = u32_at(rest)?;
-    let (value, rest) = rest.split_at_checked(value_len)?;
-    let len = buf.len() - rest.len();
-    let cell = CellRef {
-        row,
-        family,
-        qualifier,
-        timestamp,
-        seq,
-        cell_type,
-        value,
-        encoded: &buf[..len],
-    };
-    Some((cell, len))
-}
-
-/// Decode one cell from the reader's cursor.
-pub fn decode_cell(r: &mut Reader<'_>) -> Result<Cell> {
-    let (cell, len) = parse_cell(&r.buf[r.pos..])?;
-    r.pos += len;
-    Ok(cell.to_cell())
 }
 
 // ----------------------------------------------------------------------
@@ -484,52 +390,12 @@ pub(crate) fn temp_env(wal_segment_bytes: u64) -> Arc<StorageEnv> {
 mod tests {
     use super::*;
     use crate::fault::{FileFaultKind, FileFaultRule};
-    use crate::types::CellKey;
-
-    fn cell(row: &str, val: &str) -> Cell {
-        Cell {
-            key: CellKey {
-                row: Bytes::copy_from_slice(row.as_bytes()),
-                family: Bytes::from_static(b"cf"),
-                qualifier: Bytes::from_static(b"q"),
-                timestamp: 7,
-                seq: 3,
-                cell_type: CellType::Put,
-            },
-            value: Bytes::copy_from_slice(val.as_bytes()),
-        }
-    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn cell_codec_roundtrips() {
-        let cells = vec![cell("row-a", "value-1"), cell("row-b", "")];
-        let mut buf = Vec::new();
-        for c in &cells {
-            encode_cell(&mut buf, c);
-        }
-        let mut r = Reader::new(&buf);
-        for c in &cells {
-            let got = decode_cell(&mut r).unwrap();
-            assert_eq!(&got, c);
-        }
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn decode_truncated_cell_errors_without_panic() {
-        let mut buf = Vec::new();
-        encode_cell(&mut buf, &cell("row", "value"));
-        for cut in 0..buf.len() {
-            let mut r = Reader::new(&buf[..cut]);
-            assert!(matches!(decode_cell(&mut r), Err(KvError::Corruption(_))));
-        }
     }
 
     #[test]

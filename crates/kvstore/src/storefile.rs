@@ -7,11 +7,13 @@
 //! pruning.
 //!
 //! Cells live in fixed-size [`Block`]s behind `Arc`s, mirroring HFile data
-//! blocks, and a block in memory is the block on disk: one buffer holding
-//! the encoded cells plus an offset per cell. The read path loads whole
-//! blocks (normally through the region server's block cache) and reads
-//! cells through borrowed [`CellRef`] views, so a scan only copies the cells
-//! that actually end up in a response.
+//! blocks. A block's payload is a [cell block](crate::cellblock), the codec
+//! read replies and the WAL use too, and the block in memory keeps it next
+//! to the per-cell table it was decoded into once, when it was built or
+//! opened. The read path loads whole blocks (normally through the region
+//! server's block cache) and reads cells through borrowed [`CellRef`] views
+//! of that table, so a scan only copies the cells that actually end up in a
+//! response.
 //!
 //! A flush or compaction writes the file it built to disk before the
 //! manifest names it ([`StoreFile::write_to`] / [`StoreFile::open`]):
@@ -19,22 +21,25 @@
 //! ```text
 //! [data block]* [meta block] [footer]
 //! block  = len u32 | crc32 u32 | payload
+//! data   = a cell block of up to BLOCK_SIZE cells
 //! meta   = block index (offset, len) | file metadata | bloom filter
 //! footer = meta_off u64 | meta_len u64 | magic u64
 //! ```
 //!
-//! Every block — data and meta — carries its own CRC, and every cell of a
-//! data block has its lengths and type checked as the block is indexed, so
-//! a torn flush, a flipped byte or a malformed cell is detected at open time
+//! Every block — data and meta — carries its own CRC, and every data block
+//! is decoded by the cell-block parser before the file opens, so a torn
+//! flush, a flipped byte or a malformed cell block is detected at open time
 //! and surfaces as [`KvError::Corruption`] instead of silently wrong query
 //! results or a slice out of bounds.
 
+use crate::cellblock::{self, CellBlockEncoder, Item};
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::storage::{self, Reader, StorageEnv};
 use crate::types::{Cell, CellRef, CellType, TimeRange};
 use bytes::Bytes;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -128,60 +133,103 @@ impl BloomFilter {
     }
 }
 
-/// Smallest possible encoded cell: every length zero.
-const MIN_CELL_LEN: usize = 4 + 2 + 2 + 8 + 8 + 1 + 4;
-
 /// One data block: up to [`BLOCK_SIZE`] cells in `CellKey` order, shared
 /// between the file, the block cache and in-flight scans via `Arc`.
 ///
-/// The block holds its on-disk payload verbatim — `count u32 |
-/// encode_cell*` in one allocation — plus the byte offset of every cell.
-/// Every length and cell type in the payload was checked when the block was
-/// built (when [`StoreFile::open`] indexed it, for bytes read from disk), so
-/// [`Block::cell`] cannot leave the buffer.
+/// The block keeps its payload — a cell block, the bytes on disk — and the
+/// per-cell table the cell-block parser decoded it into when it was built
+/// or opened: the row keys spelled out, and per cell its coordinates and
+/// where its row, names and value sit. [`Block::cell`] is a few lookups
+/// into buffers every span of which the parser checked.
 #[derive(Debug)]
 pub struct Block {
     payload: Box<[u8]>,
-    offsets: Box<[u32]>,
+    /// The block's row keys, spelled out.
+    keys: Box<[u8]>,
+    /// Per dictionary entry, its family's and qualifier's spans in `payload`.
+    columns: Box<[(Span, Span)]>,
+    cells: Box<[BlockCell]>,
     bytes: usize,
 }
 
+/// A `start..end` range of a block buffer; every offset fits `u32`.
+type Span = (u32, u32);
+
+/// One cell of a [`Block`]'s table.
+#[derive(Debug)]
+struct BlockCell {
+    timestamp: u64,
+    seq: u64,
+    /// The row key's span in `keys`, the value's in `payload`.
+    row: Span,
+    value: Span,
+    /// The names' index in `columns`.
+    column: u32,
+    cell_type: CellType,
+}
+
 impl Block {
-    /// Index a block payload read from disk, validating it cell by cell:
-    /// any length that overruns the payload, unknown cell type, count that
-    /// is zero or disagrees with the cells present, or trailing byte is
+    /// Decode a payload, built in memory or read from disk, into a block.
+    /// What the cell-block parser rejects, a block without cells, and one
+    /// whose payload or spelled-out keys outgrow `u32` offsets are
     /// [`KvError::Corruption`].
-    fn parse(payload: &[u8]) -> Result<Block> {
-        let count = Reader::new(payload).u32()? as usize;
-        if count == 0 {
+    fn decode(payload: &[u8]) -> Result<Block> {
+        let oversized = || KvError::Corruption("oversized data block".into());
+        u32::try_from(payload.len()).map_err(|_| oversized())?;
+        // Payload offsets fit `u32` from here on; the keys' once spelled out.
+        let span = |range: Range<usize>| (range.start as u32, range.end as u32);
+        let (mut keys, mut columns, mut cells) = (Vec::new(), Vec::new(), Vec::new());
+        let mut row = (0, 0);
+        cellblock::read(payload, |item| match item {
+            Item::Row(key, _) => {
+                row = span(keys.len()..keys.len() + key.len());
+                keys.extend_from_slice(key);
+            }
+            Item::Cell(cell) => {
+                if cell.column == columns.len() {
+                    columns.push((span(cell.family), span(cell.qualifier)));
+                }
+                cells.push(BlockCell {
+                    timestamp: cell.timestamp,
+                    seq: cell.seq,
+                    row,
+                    value: span(cell.value),
+                    column: cell.column as u32,
+                    cell_type: cell.cell_type,
+                });
+            }
+        })?;
+        u32::try_from(keys.len()).map_err(|_| oversized())?;
+        if cells.is_empty() {
             return Err(KvError::Corruption("empty data block".into()));
         }
-        let mut offsets = Vec::with_capacity(count.min(payload.len() / MIN_CELL_LEN));
-        let mut pos = 4;
-        let mut bytes = 0;
-        for _ in 0..count {
-            let (cell, len) = storage::parse_cell(&payload[pos..])?;
-            // A payload is framed with a u32 length, so offsets fit.
-            offsets.push(pos as u32);
-            bytes += cell.heap_size();
-            pos += len;
-        }
-        if pos != payload.len() {
-            return Err(KvError::Corruption("trailing bytes in data block".into()));
-        }
-        Ok(Block {
+        let mut block = Block {
             payload: payload.into(),
-            offsets: offsets.into(),
-            bytes,
-        })
+            keys: keys.into(),
+            columns: columns.into(),
+            cells: cells.into(),
+            bytes: 0,
+        };
+        block.bytes = block.cells().map(|cell| cell.heap_size()).sum();
+        Ok(block)
     }
 
     /// The cell at `idx`, borrowed from the block.
     pub fn cell(&self, idx: usize) -> CellRef<'_> {
-        let at = self.offsets[idx] as usize;
-        storage::parse_cell_checked(&self.payload[at..])
-            .expect("block payload validated when the block was built")
-            .0
+        fn at(buf: &[u8], (start, end): Span) -> &[u8] {
+            &buf[start as usize..end as usize]
+        }
+        let cell = &self.cells[idx];
+        let (family, qualifier) = self.columns[cell.column as usize];
+        CellRef {
+            row: at(&self.keys, cell.row),
+            family: at(&self.payload, family),
+            qualifier: at(&self.payload, qualifier),
+            timestamp: cell.timestamp,
+            seq: cell.seq,
+            cell_type: cell.cell_type,
+            value: at(&self.payload, cell.value),
+        }
     }
 
     /// Every cell of the block in order.
@@ -190,11 +238,11 @@ impl Block {
     }
 
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.cells.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.cells.is_empty()
     }
 
     /// What the block cache charges: the sum of the cells'
@@ -205,122 +253,60 @@ impl Block {
 }
 
 /// Builds a [`StoreFile`] from cells pushed in `CellKey` order, encoding
-/// them straight into block payloads (a cell that came out of another block
-/// is copied as the bytes it already is).
+/// them straight into cell-block payloads of [`BLOCK_SIZE`] cells, each
+/// decoded into its block as it seals.
+#[derive(Default)]
 pub struct StoreFileBuilder {
-    blocks: Vec<Arc<Block>>,
-    block_index: Vec<Bytes>,
-    /// The open block: payload so far (count patched in when it seals),
-    /// cell offsets, and cache charge.
+    blocks: Vec<Result<Block>>,
+    /// The open block and its cell count.
+    block: CellBlockEncoder,
+    block_cells: usize,
+    /// A sealing block's payload; reused across blocks.
     payload: Vec<u8>,
-    offsets: Vec<u32>,
-    block_bytes: usize,
-    n_cells: usize,
-    total_bytes: usize,
-    /// Bloom hashes of the distinct rows; the filter is sized by the cell
-    /// count, which is only known at the end.
+    /// Bloom hashes of the rows; the filter is sized by the cell count,
+    /// which is only known at the end.
     row_hashes: Vec<(u64, u64)>,
-    first_row: Option<Bytes>,
-    last_row: Vec<u8>,
-    min_ts: u64,
-    max_ts: u64,
-    max_seq: u64,
-    has_tombstones: bool,
-}
-
-impl Default for StoreFileBuilder {
-    fn default() -> Self {
-        StoreFileBuilder {
-            blocks: Vec::new(),
-            block_index: Vec::new(),
-            payload: Vec::new(),
-            offsets: Vec::with_capacity(BLOCK_SIZE),
-            block_bytes: 0,
-            n_cells: 0,
-            total_bytes: 0,
-            row_hashes: Vec::new(),
-            first_row: None,
-            last_row: Vec::new(),
-            min_ts: u64::MAX,
-            max_ts: 0,
-            max_seq: 0,
-            has_tombstones: false,
-        }
-    }
 }
 
 impl StoreFileBuilder {
     /// Append the next cell; it must not sort before the previous one.
     pub fn push(&mut self, cell: CellRef<'_>) {
+        let open_row = (self.block_cells > 0).then(|| self.block.last_row());
         debug_assert!(
-            self.n_cells == 0 || self.last_row.as_slice() <= cell.row,
+            open_row.is_none_or(|row| row <= cell.row),
             "store file input must be sorted"
         );
-        if self.offsets.is_empty() {
-            self.block_index.push(Bytes::copy_from_slice(cell.row));
-            self.payload.extend_from_slice(&[0; 4]);
-        }
-        // Avoid rehashing identical consecutive rows.
-        if self.n_cells == 0 || self.last_row != cell.row {
+        // A row hashes once per block it has cells in: setting the same
+        // bits again changes nothing.
+        if open_row != Some(cell.row) {
             self.row_hashes.push(BloomFilter::hash_pair(cell.row));
-            self.last_row.clear();
-            self.last_row.extend_from_slice(cell.row);
         }
-        if self.n_cells == 0 {
-            self.first_row = Some(Bytes::copy_from_slice(cell.row));
-        }
-        self.min_ts = self.min_ts.min(cell.timestamp);
-        self.max_ts = self.max_ts.max(cell.timestamp);
-        self.max_seq = self.max_seq.max(cell.seq);
-        self.has_tombstones |= cell.cell_type != CellType::Put;
-        self.block_bytes += cell.heap_size();
-        self.n_cells += 1;
-        self.offsets.push(self.payload.len() as u32);
-        storage::encode_cell_ref(&mut self.payload, &cell);
-        if self.offsets.len() == BLOCK_SIZE {
+        self.block.push_cell(&cell);
+        self.block_cells += 1;
+        if self.block_cells == BLOCK_SIZE {
             self.seal_block();
         }
     }
 
     fn seal_block(&mut self) {
-        let count = self.offsets.len() as u32;
-        self.payload[..4].copy_from_slice(&count.to_le_bytes());
-        self.total_bytes += self.block_bytes;
-        // Exact-size copies: the scratch buffers keep their capacity for
-        // the next block, the block carries no slack.
-        self.blocks.push(Arc::new(Block {
-            payload: self.payload.as_slice().into(),
-            offsets: self.offsets.as_slice().into(),
-            bytes: self.block_bytes,
-        }));
+        self.block.finish_into(&mut self.payload);
+        self.blocks.push(Block::decode(&self.payload));
         self.payload.clear();
-        self.offsets.clear();
-        self.block_bytes = 0;
+        self.block_cells = 0;
     }
 
-    pub fn finish(mut self) -> StoreFile {
-        if !self.offsets.is_empty() {
+    /// The finished file. A block that fails to decode — which a block
+    /// this builder encoded cannot — is the error.
+    pub fn finish(mut self) -> Result<StoreFile> {
+        if self.block_cells > 0 {
             self.seal_block();
         }
-        let mut bloom = BloomFilter::with_capacity(self.n_cells);
+        let blocks = self.blocks.into_iter().collect::<Result<Vec<_>>>()?;
+        let mut bloom = BloomFilter::with_capacity(blocks.iter().map(Block::len).sum());
         for hashes in self.row_hashes {
             bloom.insert_hashed(hashes);
         }
-        StoreFile {
-            file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
-            blocks: self.blocks,
-            block_index: self.block_index,
-            n_cells: self.n_cells,
-            total_bytes: self.total_bytes,
-            bloom,
-            min_ts: self.min_ts,
-            max_ts: self.max_ts,
-            has_tombstones: self.has_tombstones,
-            max_seq: self.max_seq,
-            first_row: self.first_row,
-            last_row: (self.n_cells > 0).then(|| Bytes::from(self.last_row)),
-            disk_path: OnceLock::new(),
-        }
+        Ok(StoreFile::assemble(blocks, bloom))
     }
 }
 
@@ -355,7 +341,7 @@ pub struct StoreFile {
 
 impl StoreFile {
     /// Build a store file from cells that are already in `CellKey` order.
-    pub fn from_sorted(cells: Vec<Cell>) -> Self {
+    pub fn from_sorted(cells: Vec<Cell>) -> Result<Self> {
         debug_assert!(
             cells.windows(2).all(|w| w[0].key <= w[1].key),
             "store file input must be sorted"
@@ -365,6 +351,38 @@ impl StoreFile {
             builder.push(cell.as_ref());
         }
         builder.finish()
+    }
+
+    /// A file over decoded `blocks`, as a builder finished them or `open`
+    /// read them: everything but the bloom filter is derived from them.
+    fn assemble(blocks: Vec<Block>, bloom: BloomFilter) -> StoreFile {
+        let (mut min_ts, mut max_ts, mut max_seq, mut has_tombstones) = (u64::MAX, 0, 0, false);
+        for cell in blocks.iter().flat_map(Block::cells) {
+            min_ts = min_ts.min(cell.timestamp);
+            max_ts = max_ts.max(cell.timestamp);
+            max_seq = max_seq.max(cell.seq);
+            has_tombstones |= cell.cell_type != CellType::Put;
+        }
+        // A decoded block holds at least one cell.
+        let first_row = |b: &Block| Bytes::copy_from_slice(b.cell(0).row);
+        let block_index: Vec<Bytes> = blocks.iter().map(first_row).collect();
+        StoreFile {
+            file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
+            first_row: block_index.first().cloned(),
+            last_row: blocks
+                .last()
+                .map(|b| Bytes::copy_from_slice(b.cell(b.len() - 1).row)),
+            n_cells: blocks.iter().map(Block::len).sum(),
+            total_bytes: blocks.iter().map(Block::byte_size).sum(),
+            blocks: blocks.into_iter().map(Arc::new).collect(),
+            block_index,
+            bloom,
+            min_ts,
+            max_ts,
+            has_tombstones,
+            max_seq,
+            disk_path: OnceLock::new(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -546,9 +564,6 @@ impl StoreFile {
         let bloom = BloomFilter::from_parts(words, n_bits, n_hashes)?;
 
         let mut blocks = Vec::with_capacity(n_blocks);
-        let mut block_index = Vec::with_capacity(n_blocks);
-        let mut decoded_cells = 0usize;
-        let mut total_bytes = 0usize;
         for (off, payload_len) in index {
             let end = off
                 .checked_add(payload_len)
@@ -557,37 +572,19 @@ impl StoreFile {
                 .ok_or_else(|| {
                     KvError::Corruption(format!("block index out of bounds: {}", path.display()))
                 })?;
-            let block = Block::parse(unframe_block(&data[off..end])?)?;
-            block_index.push(Bytes::copy_from_slice(block.cell(0).row));
-            decoded_cells += block.len();
-            total_bytes += block.bytes;
-            blocks.push(Arc::new(block));
+            blocks.push(Block::decode(unframe_block(&data[off..end])?)?);
         }
-        if decoded_cells != n_cells {
+        let f = StoreFile::assemble(blocks, bloom);
+        if (n_cells, min_ts, max_ts) != (f.n_cells, f.min_ts, f.max_ts)
+            || (max_seq, has_tombstones) != (f.max_seq, f.has_tombstones)
+        {
             return Err(KvError::Corruption(format!(
-                "cell count mismatch: meta says {n_cells}, blocks hold {decoded_cells}: {}",
+                "metadata disagrees with the blocks: {}",
                 path.display()
             )));
         }
-        let file = StoreFile {
-            file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
-            first_row: block_index.first().cloned(),
-            last_row: blocks
-                .last()
-                .map(|b| Bytes::copy_from_slice(b.cell(b.len() - 1).row)),
-            blocks,
-            block_index,
-            n_cells,
-            total_bytes,
-            bloom,
-            min_ts,
-            max_ts,
-            has_tombstones,
-            max_seq,
-            disk_path: OnceLock::new(),
-        };
-        let _ = file.disk_path.set(path.to_path_buf());
-        Ok(file)
+        let _ = f.disk_path.set(path.to_path_buf());
+        Ok(f)
     }
 }
 
@@ -640,7 +637,7 @@ mod tests {
     fn file_with_rows(rows: &[&str]) -> StoreFile {
         let mut cells: Vec<Cell> = rows.iter().map(|r| cell(r, 1, 1)).collect();
         cells.sort_by(|a, b| a.key.cmp(&b.key));
-        StoreFile::from_sorted(cells)
+        StoreFile::from_sorted(cells).unwrap()
     }
 
     fn all_cells(file: &StoreFile) -> Vec<Cell> {
@@ -718,11 +715,17 @@ mod tests {
         let f = file_with_rows(&["a", "b"]);
         let view = f.block(0).cell(1);
         assert_eq!(view.to_cell(), cell("b", 1, 1));
-        // The view's slices lie inside the block's one buffer.
-        let payload = f.block(0).payload.as_ptr_range();
-        for part in [view.row, view.family, view.qualifier, view.value] {
-            assert!(payload.start <= part.as_ptr() && part.as_ptr_range().end <= payload.end);
+        // The view's names and value lie inside the block's payload, its
+        // row inside the block's spelled-out keys.
+        let within = |buf: &[u8], part: &[u8]| {
+            let buf = buf.as_ptr_range();
+            buf.start <= part.as_ptr() && part.as_ptr_range().end <= buf.end
+        };
+        let block = f.block(0);
+        for part in [view.family, view.qualifier, view.value] {
+            assert!(within(&block.payload, part));
         }
+        assert!(within(&block.keys, view.row));
     }
 
     #[test]
@@ -737,7 +740,7 @@ mod tests {
     #[test]
     fn overlaps_time_range_prunes() {
         let cells = vec![cell("a", 10, 1), cell("b", 20, 2)];
-        let f = StoreFile::from_sorted(cells);
+        let f = StoreFile::from_sorted(cells).unwrap();
         assert!(f.overlaps_time_range(&TimeRange::new(15, 25)));
         assert!(!f.overlaps_time_range(&TimeRange::new(21, 30)));
         assert!(!f.overlaps_time_range(&TimeRange::new(0, 10)));
@@ -747,7 +750,7 @@ mod tests {
     fn metadata_tracks_seq_and_ts() {
         let mut cells = vec![cell("a", 5, 9), cell("b", 50, 3)];
         cells.sort_by(|x, y| x.key.cmp(&y.key));
-        let f = StoreFile::from_sorted(cells);
+        let f = StoreFile::from_sorted(cells).unwrap();
         assert_eq!(f.min_ts, 5);
         assert_eq!(f.max_ts, 50);
         assert_eq!(f.max_seq, 9);
@@ -757,7 +760,7 @@ mod tests {
 
     #[test]
     fn empty_file_is_harmless() {
-        let f = StoreFile::from_sorted(vec![]);
+        let f = StoreFile::from_sorted(vec![]).unwrap();
         assert!(f.is_empty());
         assert_eq!(f.num_blocks(), 0);
         assert!(!f.overlaps_row_range(b"", b""));
@@ -782,7 +785,7 @@ mod tests {
             value: Bytes::new(),
         });
         cells.sort_by(|a, b| a.key.cmp(&b.key));
-        let original = StoreFile::from_sorted(cells);
+        let original = StoreFile::from_sorted(cells).unwrap();
         let path = env.root().join("sf-1.sst");
         original
             .write_to(&env, &path, FileOp::StoreFileWrite)
@@ -815,7 +818,7 @@ mod tests {
         let cells: Vec<Cell> = (0..BLOCK_SIZE + 9)
             .map(|i| cell(&format!("r{i:04}"), 1, i as u64 + 1))
             .collect();
-        let f = StoreFile::from_sorted(cells);
+        let f = StoreFile::from_sorted(cells).unwrap();
         let path = env.root().join("sf.sst");
         f.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
         let data = std::fs::read(&path).unwrap();
@@ -836,7 +839,7 @@ mod tests {
         let cells: Vec<Cell> = (0..200)
             .map(|i| cell(&format!("r{i:04}"), 1, i as u64 + 1))
             .collect();
-        let f = StoreFile::from_sorted(cells);
+        let f = StoreFile::from_sorted(cells).unwrap();
         let path = env.root().join("sf.sst");
         f.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
         let clean = std::fs::read(&path).unwrap();
@@ -854,30 +857,19 @@ mod tests {
         assert!(StoreFile::open(&env, &path).is_ok());
     }
 
-    /// The on-disk form as the previous, `Vec<Cell>`-backed implementation
-    /// wrote it: every block payload framed from `storage::encode_cell`.
-    fn legacy_file_bytes(file: &StoreFile, cells: &[Cell]) -> Vec<u8> {
-        fn frame(out: &mut Vec<u8>, payload: &[u8]) {
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&storage::crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
+    /// A store file's bytes with `payloads` as its data blocks, framed and
+    /// indexed as `write_to` frames them, under `file`'s metadata.
+    fn file_bytes(file: &StoreFile, payloads: &[Bytes]) -> Vec<u8> {
         let mut out = Vec::new();
-        let mut index = Vec::new();
-        for chunk in cells.chunks(BLOCK_SIZE) {
-            let mut payload = (chunk.len() as u32).to_le_bytes().to_vec();
-            for cell in chunk {
-                storage::encode_cell(&mut payload, cell);
-            }
-            index.push((out.len() as u64, payload.len() as u32));
-            frame(&mut out, &payload);
+        let mut framed = Vec::new();
+        let mut meta = (payloads.len() as u32).to_le_bytes().to_vec();
+        for payload in payloads {
+            meta.extend_from_slice(&(out.len() as u64).to_le_bytes());
+            meta.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame_block(&mut framed, payload);
+            out.extend_from_slice(&framed);
         }
-        let mut meta = (index.len() as u32).to_le_bytes().to_vec();
-        for (off, len) in &index {
-            meta.extend_from_slice(&off.to_le_bytes());
-            meta.extend_from_slice(&len.to_le_bytes());
-        }
-        meta.extend_from_slice(&(cells.len() as u64).to_le_bytes());
+        meta.extend_from_slice(&(file.len() as u64).to_le_bytes());
         for v in [file.min_ts, file.max_ts, file.max_seq] {
             meta.extend_from_slice(&v.to_le_bytes());
         }
@@ -890,17 +882,32 @@ mod tests {
             meta.extend_from_slice(&w.to_le_bytes());
         }
         let meta_off = out.len() as u64;
-        frame(&mut out, &meta);
-        let meta_len = out.len() as u64 - meta_off;
-        for v in [meta_off, meta_len, STOREFILE_MAGIC] {
+        frame_block(&mut framed, &meta);
+        out.extend_from_slice(&framed);
+        for v in [meta_off, framed.len() as u64, STOREFILE_MAGIC] {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out
     }
 
+    /// Every `BLOCK_SIZE` cells as one cell block, encoded a cell at a time.
+    fn cell_blocks(cells: &[Cell]) -> Vec<Bytes> {
+        cells
+            .chunks(BLOCK_SIZE)
+            .map(|chunk| {
+                let mut block = CellBlockEncoder::default();
+                for cell in chunk {
+                    block.push_cell(&cell.as_ref());
+                }
+                block.finish()
+            })
+            .collect()
+    }
+
     #[test]
     fn disk_format_is_the_framed_cell_codec_in_both_directions() {
         let env = temp_env(1 << 20);
+        // Three cells a row, so rows straddle the block boundaries.
         let mut cells: Vec<Cell> = (0..BLOCK_SIZE * 2 + 9)
             .map(|i| {
                 cell(
@@ -913,18 +920,18 @@ mod tests {
         cells[5].key.cell_type = CellType::DeleteColumn;
         cells[5].value = Bytes::new();
         cells.sort_by(|a, b| a.key.cmp(&b.key));
-        let file = StoreFile::from_sorted(cells.clone());
-        let legacy = legacy_file_bytes(&file, &cells);
+        let file = StoreFile::from_sorted(cells.clone()).unwrap();
+        let expected = file_bytes(&file, &cell_blocks(&cells));
 
-        // Forward: what we write is what the cell codec frames.
+        // Forward: what we write is the cells' blocks, framed.
         let path = env.root().join("new.sst");
         file.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), legacy);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
 
-        // Backward: a file in that format opens to the same cells and metadata.
-        let old_path = env.root().join("old.sst");
-        std::fs::write(&old_path, &legacy).unwrap();
-        let opened = StoreFile::open(&env, &old_path).unwrap();
+        // Backward: framed cell blocks open to the same cells and metadata.
+        let other = env.root().join("other.sst");
+        std::fs::write(&other, &expected).unwrap();
+        let opened = StoreFile::open(&env, &other).unwrap();
         assert_eq!(all_cells(&opened), cells);
         assert_eq!(opened.byte_size(), file.byte_size());
         assert_eq!(opened.block_index, file.block_index);
@@ -937,6 +944,36 @@ mod tests {
         }
     }
 
+    /// A data block whose CRC holds but whose payload is not a cell block
+    /// with cells never opens.
+    #[test]
+    fn open_rejects_crc_valid_blocks_that_are_not_cell_blocks() {
+        let env = temp_env(1 << 20);
+        let file = file_with_rows(&["aaaa", "bbbb"]);
+        let valid = cell_blocks(&all_cells(&file)).remove(0);
+        let mut row_without_cells = CellBlockEncoder::default();
+        row_without_cells.push_row(b"aaaa", std::iter::empty());
+        let not_blocks: Vec<(&str, Bytes)> = vec![
+            ("no rows", CellBlockEncoder::default().finish()),
+            ("a row without cells", row_without_cells.finish()),
+            ("truncated", valid.slice(..valid.len() - 1)),
+            ("trailing bytes", [&valid[..], &[0][..]].concat().into()),
+        ];
+        let path = env.root().join("sf.sst");
+        for (what, payload) in not_blocks {
+            std::fs::write(&path, file_bytes(&file, &[payload])).unwrap();
+            assert!(
+                matches!(StoreFile::open(&env, &path), Err(KvError::Corruption(_))),
+                "{what}"
+            );
+        }
+        std::fs::write(&path, file_bytes(&file, &[valid])).unwrap();
+        assert_eq!(
+            all_cells(&StoreFile::open(&env, &path).unwrap()),
+            all_cells(&file)
+        );
+    }
+
     #[test]
     fn open_rejects_recrced_damage_to_cell_lengths() {
         let env = temp_env(1 << 20);
@@ -945,11 +982,12 @@ mod tests {
         f.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
         let clean = std::fs::read(&path).unwrap();
         let payload_len = u32::from_le_bytes(clean[0..4].try_into().unwrap()) as usize;
-        // (offset inside the payload, new byte): the cell count, the first
-        // row length, and the first cell's type code.
-        let first_cell = 4;
-        let type_at = first_cell + 4 + 4 + 2 + 2 + 2 + 1 + 8 + 8;
-        for (at, byte) in [(0, 9u8), (first_cell, 200), (type_at, 7)] {
+        // (offset inside the payload, new byte): the row count, the first
+        // row's shared prefix and key length, and its first cell's column
+        // index and type code. The payload opens `rows u32 | shared |
+        // len | "aaaa" | cells | column | 2 "cf" | 1 "q" | Δts | Δseq | type`.
+        let damage = [(0, 9u8), (4, 1), (5, 200), (11, 5), (19, 7)];
+        for (at, byte) in damage {
             let mut data = clean.clone();
             data[8 + at] = byte;
             let crc = storage::crc32(&data[8..8 + payload_len]);

@@ -52,17 +52,18 @@ pub type Timestamp = u64;
 /// timestamp.
 pub const LATEST_TIMESTAMP: Timestamp = u64::MAX;
 
-/// The type of a cell: a regular value or a tombstone.
+/// The type of a cell: a regular value or a tombstone. The discriminant is
+/// the type code a [cell block](crate::cellblock) stores.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum CellType {
     /// A stored value.
-    Put,
+    Put = 0,
     /// Deletes the single version at exactly this timestamp.
-    Delete,
+    Delete = 1,
     /// Deletes all versions of this column at or below this timestamp.
-    DeleteColumn,
+    DeleteColumn = 2,
     /// Deletes every column of this family at or below this timestamp.
-    DeleteFamily,
+    DeleteFamily = 3,
 }
 
 /// The sort key of a cell inside a store. Cells order by
@@ -148,7 +149,7 @@ impl Cell {
 }
 
 /// A borrowed cell: the coordinates and value as slices into wherever the
-/// cell is stored — an encoded store-file block, a memstore entry, a
+/// cell is stored — a decoded store-file block, a memstore entry, a
 /// [`Cell`]. The read path compares, masks and filters these; a [`Cell`] is
 /// only built ([`CellRef::to_cell`]) for what a read returns.
 #[derive(Clone, Copy, Debug)]
@@ -160,9 +161,6 @@ pub struct CellRef<'a> {
     pub seq: u64,
     pub cell_type: CellType,
     pub value: &'a [u8],
-    /// The cell's wire form when it was read out of an encoded block (empty
-    /// otherwise), so rewriting it is one copy instead of a re-encode.
-    pub(crate) encoded: &'a [u8],
 }
 
 impl<'a> CellRef<'a> {
@@ -175,7 +173,6 @@ impl<'a> CellRef<'a> {
             seq: key.seq,
             cell_type: key.cell_type,
             value,
-            encoded: &[],
         }
     }
 

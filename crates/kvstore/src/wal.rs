@@ -9,7 +9,10 @@
 //! sequence of 32 KiB blocks, each record is split into chunks that never
 //! straddle a block boundary, and every chunk carries a
 //! `crc32 | length | type` header so recovery can stop precisely at the last
-//! valid record of a torn tail. Segments rotate at a configured size, are
+//! valid record of a torn tail. A data record is one mutation:
+//! `kind u8 | region u64 | seq u64 | cells`, its cells a one-row
+//! [cell block](crate::cellblock) that replay decodes with the parser read
+//! replies and store files use. Segments rotate at a configured size, are
 //! *archived* only once every region whose edits they hold has flushed past
 //! them (`min_unflushed_seq` gating), and archived segments are deleted one
 //! cleanup cycle later — deletion is always delayed, never eager.
@@ -18,10 +21,12 @@
 //! them back through one parser: [`Wal::reopen`] after a crash, and
 //! [`Wal::read_records`] when failover splits a dead server's log.
 
+use crate::cellblock::{self, CellBlockEncoder};
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::storage::{self, Reader, StorageEnv};
-use crate::types::{Cell, Timestamp};
+use crate::types::Cell;
+use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
@@ -42,17 +47,15 @@ const CHUNK_LAST: u8 = 4;
 const REC_DATA: u8 = 0;
 const REC_SEGMENT_HEADER: u8 = 1;
 
-/// One log record.
+/// One log record: one mutation.
 #[derive(Clone, Debug)]
 pub struct WalRecord {
     /// Monotonic sequence id assigned at append time.
     pub seq: u64,
     /// Region the mutation belongs to.
     pub region_id: u64,
-    /// The cells (puts and tombstones) produced by the mutation.
+    /// The cells (puts and tombstones) of the mutation's row.
     pub cells: Vec<Cell>,
-    /// Server clock at append time.
-    pub write_time: Timestamp,
 }
 
 /// Heap bytes of one record's cells: what `retained_bytes` counts.
@@ -203,23 +206,6 @@ fn frame_record(buf: &mut Vec<u8>, mut block_offset: usize, payload: &[u8]) -> u
     }
 }
 
-fn encode_data_record(
-    payload: &mut Vec<u8>,
-    region_id: u64,
-    seq: u64,
-    write_time: Timestamp,
-    cells: &[Cell],
-) {
-    payload.push(REC_DATA);
-    payload.extend_from_slice(&region_id.to_le_bytes());
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&write_time.to_le_bytes());
-    payload.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-    for cell in cells {
-        storage::encode_cell(payload, cell);
-    }
-}
-
 fn encode_segment_header(base_seq: u64) -> Vec<u8> {
     let mut payload = vec![REC_SEGMENT_HEADER];
     payload.extend_from_slice(&base_seq.to_le_bytes());
@@ -244,24 +230,21 @@ enum Payload {
     Data(WalRecord),
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Payload> {
-    let mut r = Reader::new(payload);
+fn decode_payload(payload: Bytes) -> Result<Payload> {
+    let mut r = Reader::new(&payload);
     match r.u8()? {
         REC_SEGMENT_HEADER => Ok(Payload::SegmentHeader(r.u64()?)),
         REC_DATA => {
             let region_id = r.u64()?;
             let seq = r.u64()?;
-            let write_time = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut cells = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                cells.push(storage::decode_cell(&mut r)?);
-            }
+            let mut rows = cellblock::decode(&payload.slice(payload.len() - r.remaining()..))?;
+            let (Some(row), true) = (rows.pop(), rows.is_empty()) else {
+                return Err(KvError::Corruption("wal record: not one row".into()));
+            };
             Ok(Payload::Data(WalRecord {
                 seq,
                 region_id,
-                cells,
-                write_time,
+                cells: row.cells,
             }))
         }
         other => Err(KvError::Corruption(format!("bad wal record kind {other}"))),
@@ -348,7 +331,7 @@ fn parse_segment(data: &[u8]) -> ParsedSegment {
             _ => unreachable!(),
         };
         if let Some(payload) = complete {
-            match decode_payload(&payload) {
+            match decode_payload(Bytes::from(payload)) {
                 Ok(Payload::SegmentHeader(base)) => out.base_seq = out.base_seq.max(base),
                 Ok(Payload::Data(rec)) => out.records.push(rec),
                 Err(_) => break 'scan,
@@ -497,18 +480,22 @@ impl Wal {
         Ok(())
     }
 
-    /// Append a single record; returns the assigned sequence id. A group of
-    /// one through [`append_group`](Self::append_group).
-    pub fn append(&self, region_id: u64, cells: Vec<Cell>, write_time: Timestamp) -> Result<u64> {
-        self.append_group(region_id, &[(write_time, cells)])
-    }
-
-    /// Append one record per `(write_time, cells)` entry as a single group:
-    /// consecutive sequence ids, one device write and one fsync for the
-    /// whole group. Returns the first record's seq. The group is the unit of
-    /// acknowledgement, not of recovery: on disk it is ordinary records, so
-    /// a crash mid-write leaves a whole-record prefix.
-    pub fn append_group(&self, region_id: u64, records: &[(Timestamp, Vec<Cell>)]) -> Result<u64> {
+    /// Append one record per entry of `records` — one mutation's cells,
+    /// all of one row — as a single group: consecutive sequence ids, one
+    /// device write and one fsync for the whole group. Returns the first
+    /// record's seq. The group is the unit of acknowledgement, not of
+    /// recovery: on disk it is ordinary records, so a crash mid-write leaves
+    /// a whole-record prefix. A record whose cells span rows is refused
+    /// before anything is written.
+    pub fn append_group(&self, region_id: u64, records: &[Vec<Cell>]) -> Result<u64> {
+        if records
+            .iter()
+            .any(|cells| cells.windows(2).any(|w| w[0].key.row != w[1].key.row))
+        {
+            return Err(KvError::InvalidRequest(
+                "a wal record holds the cells of one row".into(),
+            ));
+        }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         // The active segment's metadata is the last entry.
@@ -522,11 +509,17 @@ impl Wal {
         let last_seq = first_seq + records.len() as u64 - 1;
         inner.frame_buf.clear();
         let mut payload = Vec::new();
+        let mut block = CellBlockEncoder::default();
         let mut ends = Vec::with_capacity(records.len());
         let mut block_offset = active.block_offset;
-        for (seq, (write_time, cells)) in (first_seq..).zip(records) {
+        for (seq, cells) in (first_seq..).zip(records) {
             payload.clear();
-            encode_data_record(&mut payload, region_id, seq, *write_time, cells);
+            payload.push(REC_DATA);
+            payload.extend_from_slice(&region_id.to_le_bytes());
+            payload.extend_from_slice(&seq.to_le_bytes());
+            let row = cells.first().map_or(&[][..], |cell| &cell.key.row);
+            block.push_row(row, cells.iter().map(Cell::as_ref));
+            block.finish_into(&mut payload);
             block_offset = frame_record(&mut inner.frame_buf, block_offset, &payload);
             ends.push(inner.frame_buf.len());
         }
@@ -555,7 +548,7 @@ impl Wal {
         }
 
         inner.next_seq = last_seq + 1;
-        for (seq, (_, cells)) in (first_seq..).zip(records) {
+        for (seq, cells) in (first_seq..).zip(records) {
             inner.retain(region_id, seq, heap_size(cells));
         }
         Ok(first_seq)
@@ -704,6 +697,18 @@ impl Wal {
     pub fn retained_bytes(&self) -> u64 {
         self.inner.lock().retained_bytes
     }
+
+    /// The region holding the oldest retained record: the one whose flush
+    /// lets the oldest segment go. `None` when nothing is retained.
+    pub fn pinning_region(&self) -> Option<u64> {
+        let inner = self.inner.lock();
+        inner
+            .retained
+            .iter()
+            .filter_map(|(&region, queue)| Some((queue.front()?.0, region)))
+            .min()
+            .map(|(_, region)| region)
+    }
 }
 
 #[cfg(test)]
@@ -736,16 +741,14 @@ mod tests {
     /// Append each entry as its own record and return `(seq, end offset)`
     /// per record: the active segment file's length after each append, an
     /// oracle that does not go through the parser.
-    fn append_singly(
-        wal: &Wal,
-        region_id: u64,
-        records: &[(Timestamp, Vec<Cell>)],
-    ) -> Vec<(u64, u64)> {
+    fn append_singly(wal: &Wal, region_id: u64, records: &[Vec<Cell>]) -> Vec<(u64, u64)> {
         let path = wal.active_segment_path().unwrap();
         records
             .iter()
-            .map(|(write_time, cells)| {
-                let seq = wal.append(region_id, cells.clone(), *write_time).unwrap();
+            .map(|cells| {
+                let seq = wal
+                    .append_group(region_id, std::slice::from_ref(cells))
+                    .unwrap();
                 (seq, std::fs::metadata(&path).unwrap().len())
             })
             .collect()
@@ -758,8 +761,8 @@ mod tests {
     #[test]
     fn append_assigns_monotonic_seq() {
         let wal = temp_wal();
-        let s1 = wal.append(7, vec![cell("a")], 100).unwrap();
-        let s2 = wal.append(7, vec![cell("b")], 101).unwrap();
+        let s1 = wal.append_group(7, &[vec![cell("a")]]).unwrap();
+        let s2 = wal.append_group(7, &[vec![cell("b")]]).unwrap();
         assert!(s2 > s1);
         assert_eq!(seqs(&wal.read_records().unwrap()), [s1, s2]);
     }
@@ -769,9 +772,9 @@ mod tests {
     #[test]
     fn replay_filters_by_region_and_seq() {
         let wal = temp_wal();
-        let s1 = wal.append(1, vec![cell("a")], 100).unwrap();
-        let s2 = wal.append(2, vec![cell("b")], 100).unwrap();
-        let s3 = wal.append(1, vec![cell("c")], 100).unwrap();
+        let s1 = wal.append_group(1, &[vec![cell("a")]]).unwrap();
+        let s2 = wal.append_group(2, &[vec![cell("b")]]).unwrap();
+        let s3 = wal.append_group(1, &[vec![cell("c")]]).unwrap();
         let records = wal.read_records().unwrap();
         let by_region: Vec<(u64, u64)> = records.iter().map(|r| (r.region_id, r.seq)).collect();
         assert_eq!(by_region, [(1, s1), (2, s2), (1, s3)]);
@@ -787,9 +790,9 @@ mod tests {
     fn truncate_drops_flushed_records() {
         let wal = temp_wal();
         let one = heap_size(&[cell("a")]);
-        let s1 = wal.append(1, vec![cell("a")], 100).unwrap();
-        let s2 = wal.append(1, vec![cell("b")], 100).unwrap();
-        wal.append(2, vec![cell("x")], 100).unwrap();
+        let s1 = wal.append_group(1, &[vec![cell("a")]]).unwrap();
+        let s2 = wal.append_group(1, &[vec![cell("b")]]).unwrap();
+        wal.append_group(2, &[vec![cell("x")]]).unwrap();
         assert_eq!(wal.retained_bytes(), 3 * one);
         wal.truncate_up_to(1, s1);
         assert_eq!(wal.retained_bytes(), 2 * one);
@@ -806,11 +809,11 @@ mod tests {
         wal.close();
         assert!(wal.is_closed());
         assert_eq!(
-            wal.append(1, vec![cell("a")], 1).unwrap_err(),
+            wal.append_group(1, &[vec![cell("a")]]).unwrap_err(),
             KvError::WalClosed
         );
         wal.reopen().unwrap();
-        assert!(wal.append(1, vec![cell("a")], 1).is_ok());
+        assert!(wal.append_group(1, &[vec![cell("a")]]).is_ok());
     }
 
     #[test]
@@ -818,19 +821,18 @@ mod tests {
         let env = temp_env(1 << 20);
         let dir = env.root().join("wal");
         let wal = Wal::open(Arc::clone(&env), dir).unwrap();
-        let s1 = wal.append(1, vec![cell("a"), cell("b")], 100).unwrap();
-        let s2 = wal.append(2, vec![cell("c")], 101).unwrap();
+        let s1 = wal.append_group(1, &[vec![cell("a"), cell("a")]]).unwrap();
+        let s2 = wal.append_group(2, &[vec![cell("c")]]).unwrap();
         wal.close();
-        assert!(wal.append(1, vec![cell("x")], 102).is_err());
+        assert!(wal.append_group(1, &[vec![cell("x")]]).is_err());
         let records = wal.reopen().unwrap();
         assert_eq!(seqs(&records), [s1, s2]);
         assert_eq!(records[0].region_id, 1);
         assert_eq!(records[0].cells.len(), 2);
         assert_eq!(records[0].cells[0].key.row.as_ref(), b"a");
-        assert_eq!(records[0].write_time, 100);
         assert_eq!(records[1].region_id, 2);
         // Sequence numbering continues past the recovered records.
-        let s3 = wal.append(1, vec![cell("d")], 103).unwrap();
+        let s3 = wal.append_group(1, &[vec![cell("d")]]).unwrap();
         assert!(s3 > s2);
     }
 
@@ -838,13 +840,13 @@ mod tests {
     fn next_seq_survives_even_when_all_records_flushed() {
         let env = temp_env(1 << 20);
         let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
-        let last = wal.append(1, vec![cell("a")], 1).unwrap();
+        let last = wal.append_group(1, &[vec![cell("a")]]).unwrap();
         wal.truncate_up_to(1, last);
         wal.close();
         wal.reopen().unwrap();
         // All data segments may hold nothing useful, but the fresh segment's
         // header carried next_seq forward: new seqs must not reuse old ones.
-        let next = wal.append(1, vec![cell("b")], 2).unwrap();
+        let next = wal.append_group(1, &[vec![cell("b")]]).unwrap();
         assert!(next > last, "seq {next} must exceed flushed seq {last}");
     }
 
@@ -853,13 +855,14 @@ mod tests {
         let env = temp_env(1 << 22);
         let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         // One record much larger than a 32 KiB block → FIRST/MIDDLE/LAST chunks.
-        let big: Vec<Cell> = (0..3000).map(|i| cell(&format!("row-{i:06}"))).collect();
-        wal.append(9, big.clone(), 50).unwrap();
+        let mut big = cell("row");
+        big.value = Bytes::from(vec![7u8; 100_000]);
+        wal.append_group(9, &[vec![big.clone(), cell("row")]])
+            .unwrap();
         wal.close();
         let replayed = wal.reopen().unwrap();
         assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].cells.len(), big.len());
-        assert_eq!(replayed[0].cells[2999].key.row.as_ref(), b"row-002999");
+        assert_eq!(replayed[0].cells, [big, cell("row")]);
     }
 
     #[test]
@@ -867,9 +870,9 @@ mod tests {
         let env = temp_env(1 << 20);
         let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
         let records = [
-            (1, vec![cell("keep-1")]),
-            (2, vec![cell("keep-2")]),
-            (3, vec![cell("lost")]),
+            vec![cell("keep-1")],
+            vec![cell("keep-2")],
+            vec![cell("lost")],
         ];
         let extents = append_singly(&wal, 1, &records);
         let path = wal.active_segment_path().unwrap();
@@ -890,6 +893,61 @@ mod tests {
         );
         let m = env.metrics().snapshot();
         assert!(m.wal_torn_bytes_dropped > 0);
+    }
+
+    /// A data record whose chunk CRCs hold but whose cells are not a
+    /// one-row cell block ends replay where it starts, as a torn tail does:
+    /// the well-formed record framed after it is not replayed either.
+    #[test]
+    fn a_record_that_is_not_one_row_ends_replay() {
+        use crate::types::RowResult;
+        use std::io::Write;
+        let row = |key: &'static str| RowResult {
+            row: Bytes::from_static(key.as_bytes()),
+            cells: vec![cell(key)],
+        };
+        let one_row = cellblock::encode(&[row("x")]);
+        for (what, block) in [
+            ("two rows", cellblock::encode(&[row("x"), row("y")])),
+            ("no row", cellblock::encode(&[])),
+            ("malformed", one_row.slice(..one_row.len() - 1)),
+        ] {
+            let env = temp_env(1 << 20);
+            let wal = Wal::open(Arc::clone(&env), env.root().join("wal")).unwrap();
+            let kept = wal.append_group(1, &[vec![cell("keep")]]).unwrap();
+            let path = wal.active_segment_path().unwrap();
+            wal.close();
+            let mut framed = Vec::new();
+            let mut offset = std::fs::metadata(&path).unwrap().len() as usize % WAL_BLOCK_SIZE;
+            for (seq, block) in [(kept + 1, &block), (kept + 2, &one_row)] {
+                let mut payload = vec![REC_DATA];
+                payload.extend_from_slice(&1u64.to_le_bytes());
+                payload.extend_from_slice(&seq.to_le_bytes());
+                payload.extend_from_slice(block);
+                offset = frame_record(&mut framed, offset, &payload);
+            }
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            file.write_all(&framed).unwrap();
+            assert_eq!(seqs(&wal.reopen().unwrap()), [kept], "{what}");
+            assert!(
+                env.metrics().snapshot().wal_torn_bytes_dropped > 0,
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_record_spanning_rows_is_refused_before_anything_is_written() {
+        let wal = temp_wal();
+        let err = wal
+            .append_group(1, &[vec![cell("a")], vec![cell("a"), cell("b")]])
+            .unwrap_err();
+        assert!(matches!(err, KvError::InvalidRequest(_)), "{err:?}");
+        assert_eq!(wal.retained_bytes(), 0);
+        assert!(wal.read_records().unwrap().is_empty());
     }
 
     /// The framing this log shipped with before the CRC was fed
@@ -952,13 +1010,13 @@ mod tests {
         }
     }
 
-    fn group_of(n: usize) -> Vec<(Timestamp, Vec<Cell>)> {
+    fn group_of(n: usize) -> Vec<Vec<Cell>> {
         (0..n)
             .map(|i| {
                 let value = "v".repeat(10 + 7 * i);
                 let mut c = cell(&format!("row-{i:03}"));
                 c.value = Bytes::from(value);
-                (100 + i as u64, vec![c])
+                vec![c]
             })
             .collect()
     }
@@ -978,8 +1036,8 @@ mod tests {
             fsyncs_before + 1,
             "one fsync for the whole group"
         );
-        for (i, (write_time, cells)) in group.iter().enumerate() {
-            let seq = single.append(4, cells.clone(), *write_time).unwrap();
+        for (i, cells) in group.iter().enumerate() {
+            let seq = single.append_group(4, std::slice::from_ref(cells)).unwrap();
             assert_eq!(seq, first + i as u64, "one consecutive seq per record");
         }
         let bytes = |wal: &Wal| std::fs::read(wal.active_segment_path().unwrap()).unwrap();
@@ -989,7 +1047,7 @@ mod tests {
         // An empty group is a no-op that burns no seq.
         assert_eq!(grouped.append_group(4, &[]).unwrap(), first + 12);
         assert_eq!(
-            grouped.append(4, vec![cell("next")], 1).unwrap(),
+            grouped.append_group(4, &[vec![cell("next")]]).unwrap(),
             first + 12
         );
     }
@@ -1025,7 +1083,7 @@ mod tests {
                 .map(|(seq, _)| *seq)
                 .collect();
             assert_eq!(got, want, "cut at {cut}/{}", data.len());
-            let next = recovered.append(7, vec![cell("after")], 1).unwrap();
+            let next = recovered.append_group(7, &[vec![cell("after")]]).unwrap();
             assert_eq!(next, want.last().map_or(first, |s| s + 1), "cut at {cut}");
             drop(recovered);
             std::fs::remove_dir_all(&trial).unwrap();
@@ -1052,7 +1110,7 @@ mod tests {
             );
             assert_eq!(rule.fire_count(), 1);
             assert!(wal.is_closed());
-            let acked_bytes: u64 = group_of(3).iter().map(|(_, c)| heap_size(c)).sum();
+            let acked_bytes: u64 = group_of(3).iter().map(|c| heap_size(c)).sum();
             assert_eq!(
                 wal.retained_bytes(),
                 acked_bytes,
@@ -1078,7 +1136,7 @@ mod tests {
         let mut last_seq = 0;
         for i in 0..200 {
             let big = vec![cell(&format!("row-{i:04}-{}", "x".repeat(100)))];
-            last_seq = wal.append(1, big, i).unwrap();
+            last_seq = wal.append_group(1, &[big]).unwrap();
         }
         let states = wal.segment_states();
         assert!(
@@ -1131,9 +1189,9 @@ mod tests {
         for i in 0..100 {
             let payload = vec![cell(&format!("r-{i:03}-{}", "y".repeat(120)))];
             if i % 2 == 0 {
-                region1_last = wal.append(1, payload, i).unwrap();
+                region1_last = wal.append_group(1, &[payload]).unwrap();
             } else {
-                wal.append(2, payload, i).unwrap();
+                wal.append_group(2, &[payload]).unwrap();
             }
         }
         wal.truncate_up_to(1, region1_last);
@@ -1149,7 +1207,7 @@ mod tests {
     #[test]
     fn retained_bytes_shrinks_after_truncate() {
         let wal = temp_wal();
-        let s = wal.append(1, vec![cell("abcdefgh")], 1).unwrap();
+        let s = wal.append_group(1, &[vec![cell("abcdefgh")]]).unwrap();
         assert!(wal.retained_bytes() > 0);
         wal.truncate_up_to(1, s);
         assert_eq!(wal.retained_bytes(), 0);

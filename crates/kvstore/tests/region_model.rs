@@ -600,7 +600,7 @@ fn check_recrced_damage(n_cells: usize, block: usize, at: usize, xor: u8) {
             value: Bytes::from(format!("value-{i}").into_bytes()),
         })
         .collect();
-    let file = StoreFile::from_sorted(cells);
+    let file = StoreFile::from_sorted(cells).unwrap();
     let path = env.root().join("sf.sst");
     file.write_to(&env, &path, FileOp::StoreFileWrite).unwrap();
     let mut data = std::fs::read(&path).unwrap();

@@ -259,6 +259,62 @@ fn batch_fsyncs_once_per_region_plus_once_per_flush() {
     assert_eq!(table.scan(&Scan::new()).unwrap().len(), 2048);
 }
 
+/// WAL pressure flushes the region that pins the log, not the writer. A
+/// region written once and then left alone holds the log's oldest records,
+/// so only its flush brings the log back under the trigger; flushing the
+/// writer over and over would not.
+#[test]
+fn wal_pressure_flushes_the_region_pinning_the_log() {
+    const TRIGGER: u64 = 16 * 1024;
+    let cluster = HBaseCluster::start(ClusterConfig {
+        num_servers: 1,
+        region_config: RegionConfig {
+            memstore_flush_size: 64 * 1024,
+            wal_flush_trigger_bytes: TRIGGER,
+            ..RegionConfig::default()
+        },
+        ..Default::default()
+    });
+    cluster
+        .create_table(
+            TableDescriptor::new(table_name())
+                .with_family(FamilyDescriptor::new("a"))
+                .with_split_keys(vec![bytes::Bytes::from_static(b"m")]),
+        )
+        .unwrap();
+    let conn = Connection::open(Arc::clone(&cluster), None);
+    let table = conn.table(table_name());
+    let put = |row: String| {
+        table
+            .put(Put::new(row).add("a", "balance", "z".repeat(256)))
+            .unwrap()
+    };
+    // 46 puts to the upper region stay under the trigger; the lower region's
+    // puts then take the log past it again and again.
+    (0..46).for_each(|i| put(format!("n{i:03}")));
+    (0..200).for_each(|i| put(format!("a{i:03}")));
+
+    let server = cluster.server(0).unwrap();
+    let locations = conn.locate_regions(&table_name()).unwrap();
+    let region = |row: &[u8]| {
+        let loc = locations.iter().find(|l| l.info.contains_row(row)).unwrap();
+        server.region(loc.info.region_id).unwrap()
+    };
+    let (writer, pinning) = (region(b"a"), region(b"n"));
+    assert_eq!(pinning.flush_count(), 1, "the pinning region flushed once");
+    assert!(
+        writer.flush_count() < 10,
+        "the writer flushed {} times",
+        writer.flush_count()
+    );
+    assert!(server.wal().retained_bytes() < TRIGGER);
+    assert_eq!(
+        cluster.metrics.snapshot().flushes_wal_pressure,
+        writer.flush_count() + pinning.flush_count()
+    );
+    assert_eq!(table.scan(&Scan::new()).unwrap().len(), 246);
+}
+
 fn default_single_region() -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 1,

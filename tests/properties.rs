@@ -505,7 +505,7 @@ mod durability {
         (0..n)
             .map(|i| {
                 let seq = wal
-                    .append(7, vec![cell(&format!("r{i:03}"), 0, value)], 1)
+                    .append_group(7, &[vec![cell(&format!("r{i:03}"), 0, value)]])
                     .unwrap();
                 (seq, std::fs::metadata(&path).unwrap().len())
             })
@@ -593,7 +593,7 @@ mod durability {
         let cells: Vec<Cell> = (0..n_cells)
             .map(|i| cell(&format!("r{i:04}"), i as u64 + 1, &format!("value-{i}")))
             .collect();
-        let sf = StoreFile::from_sorted(cells.clone());
+        let sf = StoreFile::from_sorted(cells.clone()).unwrap();
         let path = env.root().join("sf.sst");
         sf.write_to(&env, &path, shc::kvstore::fault::FileOp::StoreFileWrite)
             .unwrap();
