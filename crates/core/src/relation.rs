@@ -22,7 +22,7 @@ use crate::credentials::SHCCredentialsManager;
 use crate::error::{Result as ShcResult, ShcError};
 use crate::pruning::plan_pushdown;
 use crate::ranges::RangeSet;
-use crate::rowkey::decode_rowkey;
+use crate::rowkey::decode_rowkey_into;
 use shc_engine::columnar::{BatchBuilder, ColumnarBatch};
 use shc_engine::datasource::{ScanPartition, TableProvider};
 use shc_engine::error::{EngineError, Result as EngineResult};
@@ -30,6 +30,7 @@ use shc_engine::row::Row;
 use shc_engine::schema::Schema;
 use shc_engine::source_filter::SourceFilter;
 use shc_engine::value::{DataType, Value};
+use shc_kvstore::cellblock;
 use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
 use shc_kvstore::error::KvError;
@@ -37,7 +38,7 @@ use shc_kvstore::filter::{Filter, RowRange};
 use shc_kvstore::master::RegionLocation;
 use shc_kvstore::security::AuthToken;
 use shc_kvstore::types::{Get, Projection, RowResult, Scan};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 /// The SHC table provider.
@@ -343,11 +344,23 @@ fn collect_filter_columns(filter: &Filter, projection: &mut Projection, any: &mu
 /// Decodes store rows into engine rows for a fixed projection.
 pub(crate) struct RowDecoder {
     catalog: Arc<HBaseTableCatalog>,
-    /// Projected catalog columns in output order, each with its position
-    /// among the row-key dimensions when it is one.
-    columns: Vec<(usize, Option<usize>)>,
+    /// Projected catalog columns in output order, each with where its value
+    /// comes from.
+    columns: Vec<(usize, Slot)>,
+    /// The distinct stored cells the projection reads, as the catalog
+    /// column that first names each.
+    cells: Vec<usize>,
     /// Does any projected column come from the row key?
     needs_rowkey: bool,
+}
+
+/// Where an output column's value comes from.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// This row-key dimension.
+    Dim(usize),
+    /// This entry of [`RowDecoder::cells`].
+    Cell(usize),
 }
 
 impl RowDecoder {
@@ -357,15 +370,24 @@ impl RowDecoder {
         catalog: &Arc<HBaseTableCatalog>,
         projected: &[usize],
     ) -> ShcResult<RowDecoder> {
+        let mut cells: Vec<usize> = Vec::new();
         let columns = projected
             .iter()
             .map(|&idx| {
                 let col = &catalog.columns[idx];
                 if !col.is_rowkey() {
-                    return Ok((idx, None));
+                    let same_cell = |&c: &usize| {
+                        let other = &catalog.columns[c];
+                        (&other.family, &other.qualifier) == (&col.family, &col.qualifier)
+                    };
+                    let cell = cells.iter().position(same_cell).unwrap_or_else(|| {
+                        cells.push(idx);
+                        cells.len() - 1
+                    });
+                    return Ok((idx, Slot::Cell(cell)));
                 }
                 match catalog.row_key.iter().position(|&k| k == idx) {
-                    Some(dim) => Ok((idx, Some(dim))),
+                    Some(dim) => Ok((idx, Slot::Dim(dim))),
                     None => Err(ShcError::Catalog(format!(
                         "column {} is stored in the row key but is not one of its dimensions",
                         col.name
@@ -375,8 +397,9 @@ impl RowDecoder {
             .collect::<ShcResult<Vec<_>>>()?;
         Ok(RowDecoder {
             catalog: Arc::clone(catalog),
-            needs_rowkey: columns.iter().any(|(_, dim)| dim.is_some()),
+            needs_rowkey: columns.iter().any(|(_, slot)| matches!(slot, Slot::Dim(_))),
             columns,
+            cells,
         })
     }
 
@@ -388,33 +411,120 @@ impl RowDecoder {
             .collect()
     }
 
-    pub(crate) fn decode(&self, row: &RowResult) -> ShcResult<Row> {
-        let key_values = if self.needs_rowkey {
-            decode_rowkey(&self.catalog, &row.row)?
-        } else {
-            Vec::new()
-        };
-        let mut values = Vec::with_capacity(self.columns.len());
-        for &(idx, dim) in &self.columns {
+    /// The entry of [`cells`](Self::cells) stored under these names, if the
+    /// projection reads them.
+    fn cell_named(&self, family: &[u8], qualifier: &[u8]) -> Option<usize> {
+        self.cells.iter().position(|&idx| {
             let col = &self.catalog.columns[idx];
-            match dim {
-                Some(dim) => match key_values.get(dim) {
-                    Some(value) => values.push(value.clone()),
-                    None => {
-                        return Err(ShcError::Codec(format!(
-                            "row key holds no dimension {}",
-                            col.name
-                        )))
-                    }
-                },
-                None => match row.value(col.family.as_bytes(), col.qualifier.as_bytes()) {
-                    Some(bytes) => values.push(col.codec.decode(bytes, col.data_type)?),
-                    // Absent cell = SQL NULL.
-                    None => values.push(Value::Null),
-                },
-            }
+            col.family.as_bytes() == family && col.qualifier.as_bytes() == qualifier
+        })
+    }
+
+    /// Decode a row into `out` (cleared first), one value per output column:
+    /// the dimensions from `key`, decoded into the reused `dims`; the rest
+    /// from `cell(i)`, the bytes of entry `i` of [`cells`](Self::cells), an
+    /// absent one being SQL NULL.
+    fn decode_into<'v>(
+        &self,
+        key: &[u8],
+        cell: impl Fn(usize) -> Option<&'v [u8]>,
+        dims: &mut Vec<Value>,
+        out: &mut Vec<Value>,
+    ) -> ShcResult<()> {
+        if self.needs_rowkey {
+            decode_rowkey_into(&self.catalog, key, dims)?;
         }
+        out.clear();
+        for &(idx, slot) in &self.columns {
+            let col = &self.catalog.columns[idx];
+            out.push(match slot {
+                // `decode_rowkey_into` yields every dimension or fails.
+                Slot::Dim(dim) => dims[dim].clone(),
+                Slot::Cell(i) => match cell(i) {
+                    Some(bytes) => col.codec.decode(bytes, col.data_type)?,
+                    None => Value::Null,
+                },
+            });
+        }
+        Ok(())
+    }
+
+    /// [`decode_into`](Self::decode_into) for a decoded store row.
+    fn decode_result_into(
+        &self,
+        row: &RowResult,
+        dims: &mut Vec<Value>,
+        out: &mut Vec<Value>,
+    ) -> ShcResult<()> {
+        let cell = |i: usize| {
+            let col = &self.catalog.columns[self.cells[i]];
+            row.value(col.family.as_bytes(), col.qualifier.as_bytes())
+                .map(|value| &value[..])
+        };
+        self.decode_into(&row.row, cell, dims, out)
+    }
+
+    pub(crate) fn decode(&self, row: &RowResult) -> ShcResult<Row> {
+        let mut values = Vec::with_capacity(self.columns.len());
+        self.decode_result_into(row, &mut Vec::new(), &mut values)?;
         Ok(Row::new(values))
+    }
+}
+
+/// Reads scanner reply blocks straight into the engine's columns: no
+/// [`RowResult`], no [`Row`] and no per-row value vector, only buffers reused
+/// from row to row.
+#[derive(Default)]
+struct BlockColumns {
+    /// Per entry of the current block's (family, qualifier) dictionary, the
+    /// decoder's cell it holds, if any — resolved the first time the block
+    /// uses it (outer `None` = not yet).
+    slots: Vec<Option<Option<usize>>>,
+    /// Per decoder cell, where the current row's value of it sits in the
+    /// block: the first, newest, version.
+    found: Vec<Option<Range<usize>>>,
+    dims: Vec<Value>,
+    values: Vec<Value>,
+}
+
+impl BlockColumns {
+    /// Decode every row of `block` the `keep` test passes into `rows_out`;
+    /// returns how many rows that was. Rows `keep` refuses are dropped by
+    /// key, before anything of them is decoded.
+    fn read(
+        &mut self,
+        decoder: &RowDecoder,
+        block: &[u8],
+        keep: impl Fn(&[u8]) -> bool,
+        rows_out: &mut RowsOut<'_>,
+    ) -> ShcResult<usize> {
+        self.slots.clear();
+        let mut rows = 0;
+        cellblock::visit_rows(block, |key, cells| {
+            if !keep(key) {
+                return Ok(());
+            }
+            self.found.clear();
+            self.found.resize(decoder.cells.len(), None);
+            for cell in cells {
+                if self.slots.len() <= cell.column {
+                    self.slots.resize(cell.column + 1, None);
+                }
+                let slot = *self.slots[cell.column].get_or_insert_with(|| {
+                    decoder.cell_named(&block[cell.family.clone()], &block[cell.qualifier.clone()])
+                });
+                if let Some(found) = slot.map(|i| &mut self.found[i]) {
+                    found.get_or_insert_with(|| cell.value.clone());
+                }
+            }
+            let found = &self.found;
+            let cell = |i: usize| found[i].clone().map(|value| &block[value]);
+            decoder.decode_into(key, cell, &mut self.dims, &mut self.values)?;
+            rows_out.push(&self.values)?;
+            rows += 1;
+            Ok::<_, ShcError>(())
+        })?;
+        Ok(rows)
     }
 }
 
@@ -492,6 +602,7 @@ impl HBaseScanPartition {
         rows_out: &mut RowsOut<'_>,
     ) -> ShcResult<()> {
         let conf = &self.relation.conf;
+        let mut columns = BlockColumns::default();
         for (location, ranges) in work {
             // One attribution span per region visited. Rows are counted as
             // scanned (before engine-side residual filtering), so retried
@@ -544,18 +655,13 @@ impl HBaseScanPartition {
                     caching: conf.caching,
                     include_empty_rows: true,
                 };
-                // Stream the range: decode one RPC batch (≤ `caching`
-                // rows) at a time while the scanner's worker prefetches the
-                // next one.
+                // Stream the range: read one RPC batch's block (≤ `caching`
+                // rows) into columns while the scanner's worker prefetches
+                // the next one.
                 let mut scanner = table.region_scanner(location, &scan, Some(running_on));
-                while let Some(batch) = scanner.next_batch()? {
-                    for row in &batch {
-                        if reads_gaps && !spans.contains(&row.row) {
-                            continue;
-                        }
-                        rows_out.push(&self.decoder.decode(row)?)?;
-                        region_rows += 1;
-                    }
+                while let Some(block) = scanner.next_block()? {
+                    let keep = |key: &[u8]| !reads_gaps || spans.contains(key);
+                    region_rows += columns.read(&self.decoder, &block, keep, rows_out)?;
                 }
             }
             if !gets.is_empty() {
@@ -566,7 +672,9 @@ impl HBaseScanPartition {
                     if row.row.is_empty() {
                         continue;
                     }
-                    rows_out.push(&self.decoder.decode(row)?)?;
+                    let (dims, values) = (&mut columns.dims, &mut columns.values);
+                    self.decoder.decode_result_into(row, dims, values)?;
+                    rows_out.push(values)?;
                     region_rows += 1;
                 }
             }
@@ -588,9 +696,10 @@ struct RowsOut<'a> {
 }
 
 impl RowsOut<'_> {
-    fn push(&mut self, row: &Row) -> EngineResult<()> {
+    /// Take one row, given as its values in output order.
+    fn push(&mut self, values: &[Value]) -> EngineResult<()> {
         self.taken += 1;
-        self.builder.push_row_to(row, self.on_batch)
+        self.builder.push_values_to(values, self.on_batch)
     }
 }
 
@@ -888,6 +997,100 @@ mod tests {
         let delta = cluster.metrics.snapshot().delta_since(&before);
         assert_eq!((rows.len(), delta.scanner_opens), (20, 4));
         assert_eq!(delta.cells_returned, 20);
+    }
+
+    /// The SHC scan reads reply blocks straight into columns; it must yield
+    /// what decoding the same scan's `RowResult`s yields. The table holds
+    /// three versions of some `qty` (the newest wins), a `note` only some
+    /// rows have (NULL elsewhere) and rows with no `qty` at all (kept with
+    /// NULLs by `include_empty_rows`), and the key set is scattered enough
+    /// that gaps are read through and dropped.
+    #[test]
+    fn block_columns_equal_the_row_result_path() {
+        let cluster = HBaseCluster::start(ClusterConfig {
+            num_servers: 1,
+            ..Default::default()
+        });
+        let catalog = Arc::new(
+            HBaseTableCatalog::parse_simple(
+                r#"{
+                "table":{"namespace":"default","name":"versions"},
+                "rowkey":"day:item",
+                "columns":{
+                    "day":{"cf":"rowkey","col":"day","type":"bigint"},
+                    "item":{"cf":"rowkey","col":"item","type":"int"},
+                    "qty":{"cf":"cf","col":"qty","type":"int"},
+                    "note":{"cf":"cf","col":"note","type":"string"}
+                }}"#,
+            )
+            .unwrap(),
+        );
+        let conf = SHCConf::default().with_max_versions(3);
+        let relation = HBaseRelation::new(Arc::clone(&cluster), Arc::clone(&catalog), conf);
+        // Round r rewrites `qty` of the rows with `item < 3 - r`; `note`
+        // is written on even days and for item 4, `qty` never for item 4.
+        for round in 0..3i32 {
+            let rows: Vec<Row> = (0..40i64)
+                .flat_map(|day| (0..5).map(move |item| (day, item)))
+                .filter(|&(_, item)| round == 0 || item < 3 - round)
+                .map(|(day, item)| {
+                    let qty = match item {
+                        4 => Value::Null,
+                        _ => Value::Int32(day as i32 * 100 + item * 10 + round),
+                    };
+                    let note = match (day % 2 == 0 || item == 4) && round == 0 {
+                        true => Value::Utf8(format!("note {day}/{item}")),
+                        false => Value::Null,
+                    };
+                    Row::new(vec![Value::Int64(day), Value::Int32(item), qty, note])
+                })
+                .collect();
+            writer::write_rows(&cluster, &catalog, &relation.conf, &rows).unwrap();
+        }
+        let days = [0, 3, 10, 13, 20, 23, 30, 33, 35];
+        let conn = Connection::open(Arc::clone(&cluster), None);
+        let table = conn.table(catalog.table.clone());
+        for projection in [None, Some(&[0, 1, 2][..])] {
+            let parts = relation.scan(projection, &days_in(&days)).unwrap();
+            assert_eq!(parts.len(), 1);
+            let got = run_partitions(&parts);
+
+            let projected = relation.projected_indices(projection);
+            let decoder = RowDecoder::new(&catalog, &projected).unwrap();
+            let scan = Scan {
+                projection: build_kv_projection(&catalog, &projected, &None),
+                max_versions: 3,
+                include_empty_rows: true,
+                ..Scan::new()
+            };
+            let results = table.scan(&scan).unwrap();
+            assert!(
+                results.iter().any(|row| row.cells.len() > 2),
+                "versions read"
+            );
+            let expected: Vec<Row> = results
+                .iter()
+                .map(|row| decoder.decode(row).unwrap())
+                .filter(|row| days.contains(&(row.get(0).as_i64().unwrap() as i32)))
+                .collect();
+            assert_eq!(got, expected, "projection {projection:?}");
+            assert_eq!(got.len(), days.len() * 5);
+            // Spot checks: the newest `qty`, a NULL `note`, an empty row.
+            let at = |day: i64, item: i64| {
+                let key = (Some(day), Some(item));
+                got.iter()
+                    .find(|r| (r.get(0).as_i64(), r.get(1).as_i64()) == key)
+                    .unwrap()
+            };
+            assert_eq!(at(10, 0).get(2), &Value::Int32(1002));
+            assert_eq!(at(10, 2).get(2), &Value::Int32(1020));
+            assert_eq!(at(10, 4).get(2), &Value::Null);
+            if projection.is_none() {
+                assert_eq!(at(10, 1).get(3), &Value::Utf8("note 10/1".into()));
+                assert_eq!(at(13, 1).get(3), &Value::Null);
+                assert_eq!(at(13, 4).get(3), &Value::Utf8("note 13/4".into()));
+            }
+        }
     }
 
     #[test]

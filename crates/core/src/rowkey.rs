@@ -57,11 +57,24 @@ pub fn encode_rowkey(catalog: &HBaseTableCatalog, values: &[Value]) -> Result<Ve
 
 /// Decode a row key back into dimension values (in key order).
 pub fn decode_rowkey(catalog: &HBaseTableCatalog, bytes: &[u8]) -> Result<Vec<Value>> {
-    let dims = catalog.rowkey_columns();
-    let mut out = Vec::with_capacity(dims.len());
+    let mut out = Vec::with_capacity(catalog.row_key.len());
+    decode_rowkey_into(catalog, bytes, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_rowkey`] into `out`, which is cleared first: a reader decoding
+/// row after row reuses one buffer.
+pub fn decode_rowkey_into(
+    catalog: &HBaseTableCatalog,
+    bytes: &[u8],
+    out: &mut Vec<Value>,
+) -> Result<()> {
+    out.clear();
+    let dims = catalog.row_key.len();
     let mut pos = 0usize;
-    for (i, col) in dims.iter().enumerate() {
-        let is_last = i + 1 == dims.len();
+    for (i, &idx) in catalog.row_key.iter().enumerate() {
+        let col = &catalog.columns[idx];
+        let is_last = i + 1 == dims;
         let slice = match fixed_width(col.data_type) {
             Some(width) => {
                 let slice = bytes.get(pos..pos + width).ok_or_else(|| {
@@ -99,7 +112,7 @@ pub fn decode_rowkey(catalog: &HBaseTableCatalog, bytes: &[u8]) -> Result<Vec<Va
             bytes.len() - pos
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode just the first (leading) dimension — the pruning prefix.
@@ -111,11 +124,12 @@ pub fn encode_first_dimension(catalog: &HBaseTableCatalog, value: &Value) -> Res
 /// Encoded byte spans of every dimension within a key, for all-dimension
 /// pruning (the paper's future-work extension).
 pub fn dimension_spans(catalog: &HBaseTableCatalog, bytes: &[u8]) -> Result<Vec<(usize, usize)>> {
-    let dims = catalog.rowkey_columns();
-    let mut spans = Vec::with_capacity(dims.len());
+    let dims = catalog.row_key.len();
+    let mut spans = Vec::with_capacity(dims);
     let mut pos = 0usize;
-    for (i, col) in dims.iter().enumerate() {
-        let is_last = i + 1 == dims.len();
+    for (i, &idx) in catalog.row_key.iter().enumerate() {
+        let col = &catalog.columns[idx];
+        let is_last = i + 1 == dims;
         let start = pos;
         match fixed_width(col.data_type) {
             Some(width) => pos += width,

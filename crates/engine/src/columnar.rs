@@ -837,8 +837,15 @@ impl BatchBuilder {
     }
 
     pub fn push_row(&mut self, row: &Row) {
+        self.push_values(&row.values);
+    }
+
+    /// Append one row given as its values in column order; columns past
+    /// the end of `values` get NULL. A source that decodes into a reused
+    /// buffer appends without building a [`Row`].
+    pub fn push_values(&mut self, values: &[Value]) {
         for (c, b) in self.builders.iter_mut().enumerate() {
-            match row.values.get(c) {
+            match values.get(c) {
                 Some(v) => b.push(v),
                 None => b.push_null(),
             }
@@ -878,7 +885,17 @@ impl BatchBuilder {
         row: &Row,
         sink: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
     ) -> Result<()> {
-        self.push_row(row);
+        self.push_values_to(&row.values, sink)
+    }
+
+    /// [`push_values`](Self::push_values), handing the batch it completes,
+    /// if any, to `sink`.
+    pub fn push_values_to(
+        &mut self,
+        values: &[Value],
+        sink: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
+    ) -> Result<()> {
+        self.push_values(values);
         self.drain_completed().into_iter().try_for_each(sink)
     }
 

@@ -3,9 +3,12 @@
 //!
 //! Mirrors the HBase `BlockCache`: scans and gets read whole blocks, and a
 //! repeated read of the same region is served from memory instead of
-//! "disk". Keys are `(file_id, block index)`; store files are immutable, so
-//! entries never go stale — a compaction simply produces files with fresh
-//! ids and the dead entries age out via LRU.
+//! "disk". Every block here is already resident in the file that owns it, so
+//! the cache holds no block: it keeps the `(file_id, block index) → bytes`
+//! bookkeeping that decides whether a read is a hit or a miss and what a
+//! miss evicts, and the reader borrows the block from its file. Store files
+//! are immutable, so entries never go stale — a compaction simply produces
+//! files with fresh ids and the dead entries age out via LRU.
 //!
 //! Recency is tracked with a logical tick counter under the same mutex as
 //! the map, so eviction order depends only on the access sequence — no
@@ -49,7 +52,8 @@ struct CacheInner {
 }
 
 struct Entry {
-    block: Arc<Block>,
+    /// What the block counts against the capacity: its `byte_size`.
+    bytes: usize,
     last_used: u64,
 }
 
@@ -116,16 +120,11 @@ impl BlockCache {
         self.len() == 0
     }
 
-    /// Fetch a block through the cache, counting the hit or miss — and what
-    /// a miss evicted — in `tally`. Misses insert the block (when it fits at
-    /// all) and evict least-recently-used entries until the capacity holds
-    /// again.
-    pub fn get_or_load(
-        &self,
-        file: &StoreFile,
-        block_idx: usize,
-        tally: &mut ReadTally,
-    ) -> Arc<Block> {
+    /// Account a read of a block through the cache, counting the hit or
+    /// miss — and what a miss evicted — in `tally`. Misses enter the block
+    /// (when it fits at all) and evict least-recently-used entries until the
+    /// capacity holds again.
+    pub fn get_or_load(&self, file: &StoreFile, block_idx: usize, tally: &mut ReadTally) {
         let key = (file.file_id(), block_idx);
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
@@ -133,22 +132,20 @@ impl BlockCache {
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&key) {
             entry.last_used = tick;
-            let block = Arc::clone(&entry.block);
             drop(guard);
             tally.hits += 1;
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.add(&self.metrics.block_cache_hits, 1);
-            return block;
+            return;
         }
-        let block = Arc::clone(file.block(block_idx));
-        let bytes = block.byte_size();
+        let bytes = file.block(block_idx).byte_size();
         let mut evictions = 0u64;
         if bytes > 0 && bytes <= self.capacity_bytes {
             inner.used_bytes += bytes;
             inner.map.insert(
                 key,
                 Entry {
-                    block: Arc::clone(&block),
+                    bytes,
                     last_used: tick,
                 },
             );
@@ -164,7 +161,7 @@ impl BlockCache {
                     continue;
                 }
                 let gone = inner.map.remove(&victim).expect("indexed entry present");
-                inner.used_bytes -= gone.block.byte_size();
+                inner.used_bytes -= gone.bytes;
                 evictions += 1;
             }
             inner.by_tick.insert(tick, key);
@@ -178,7 +175,6 @@ impl BlockCache {
             self.metrics
                 .add(&self.metrics.block_cache_evictions, evictions);
         }
-        block
     }
 
     /// Leave one flight-recorder event for the `evicted` blocks a read
@@ -209,22 +205,20 @@ pub struct ReadTally {
     pub evictions: u64,
 }
 
-/// Load one block — through the cache when one is present, straight from
-/// the file otherwise — and attribute the hit or miss to `tally`. Cacheless
-/// reads count as misses: every block comes from "disk".
-pub fn load_block(
-    file: &StoreFile,
+/// Borrow one block of `file`, accounting the read — through the cache when
+/// one is present — to `tally`. Cacheless reads count as misses: every block
+/// comes from "disk".
+pub fn load_block<'f>(
+    file: &'f StoreFile,
     idx: usize,
     cache: Option<&BlockCache>,
     tally: &mut ReadTally,
-) -> Arc<Block> {
+) -> &'f Block {
     match cache {
         Some(cache) => cache.get_or_load(file, idx, tally),
-        None => {
-            tally.misses += 1;
-            Arc::clone(file.block(idx))
-        }
+        None => tally.misses += 1,
     }
+    file.block(idx)
 }
 
 #[cfg(test)]
@@ -346,8 +340,9 @@ mod tests {
         let a = file_with_rows(4, "a");
         let b = file_with_rows(4, "b");
         let mut tally = ReadTally::default();
-        cache.get_or_load(&a, 0, &mut tally);
-        let block = cache.get_or_load(&b, 0, &mut tally);
+        let block = load_block(&a, 0, Some(&cache), &mut tally);
+        assert_eq!(block.cell(0).row, b"a-00000");
+        let block = load_block(&b, 0, Some(&cache), &mut tally);
         assert_eq!(tally.hits, 0, "different files must not share entries");
         assert_eq!(block.cell(0).row, b"b-00000");
         assert_eq!(cache.len(), 2);

@@ -9,10 +9,13 @@
 //! numbers are deltas.
 //!
 //! [`CellBlockEncoder`] takes whole rows or single cells, a row ending where
-//! the key changes. One bounds-checked parser reads every block back:
-//! [`decode`] turns a reply or a WAL record into [`RowResult`]s whose names
-//! and values are views of the block and whose keys share one buffer per
-//! block, and a store-file block builds its per-cell table in the same pass.
+//! the key changes. One bounds-checked parser, [`visit_rows`], reads every
+//! block back a row at a time and builds nothing: it lends each row's key
+//! and the places of its cells in the block. A reader that wants columns
+//! (the SHC scan) visits the rows itself; [`decode`] turns a reply or a WAL
+//! record into [`RowResult`]s whose names and values are views of the block
+//! and whose keys share one buffer per block; and a store-file block builds
+//! its per-cell table in the same pass.
 //!
 //! ```text
 //! block  := rows u32le · row*
@@ -220,31 +223,26 @@ pub fn decode(block: &Bytes) -> Result<Vec<RowResult>> {
     let mut rows: Vec<RowResult> = Vec::new();
     let mut keys = Vec::new();
     let mut key_spans: Vec<Range<usize>> = Vec::new();
-    read(block, |item| match item {
-        Item::Row(key, cells) => {
-            key_spans.push(keys.len()..keys.len() + key.len());
-            keys.extend_from_slice(key);
-            rows.push(RowResult {
+    visit_rows(block, |key, cells| {
+        key_spans.push(keys.len()..keys.len() + key.len());
+        keys.extend_from_slice(key);
+        let cells = cells.iter().map(|cell| Cell {
+            key: CellKey {
+                // Filled in below, once the keys have their buffer.
                 row: Bytes::new(),
-                cells: Vec::with_capacity(cells),
-            });
-        }
-        Item::Cell(cell) => {
-            if let Some(row) = rows.last_mut() {
-                row.cells.push(Cell {
-                    key: CellKey {
-                        // Filled in below, once the keys have their buffer.
-                        row: Bytes::new(),
-                        family: block.slice(cell.family),
-                        qualifier: block.slice(cell.qualifier),
-                        timestamp: cell.timestamp,
-                        seq: cell.seq,
-                        cell_type: cell.cell_type,
-                    },
-                    value: block.slice(cell.value),
-                });
-            }
-        }
+                family: block.slice(cell.family.clone()),
+                qualifier: block.slice(cell.qualifier.clone()),
+                timestamp: cell.timestamp,
+                seq: cell.seq,
+                cell_type: cell.cell_type,
+            },
+            value: block.slice(cell.value.clone()),
+        });
+        rows.push(RowResult {
+            row: Bytes::new(),
+            cells: cells.collect(),
+        });
+        Ok::<_, KvError>(())
     })?;
     let keys = Bytes::from(keys);
     for (row, span) in rows.iter_mut().zip(key_spans) {
@@ -260,16 +258,13 @@ fn corrupt(what: &str) -> KvError {
     KvError::Corruption(format!("cell block: {what}"))
 }
 
-/// What [`read`] meets in a block, in order: a row — its key, and room worth
-/// reserving for its cells — then each of that row's cells.
-pub(crate) enum Item<'k> {
-    Row(&'k [u8], usize),
-    Cell(CellSpans),
-}
-
-/// Where a cell sits in its block, and its coordinates.
-pub(crate) struct CellSpans {
-    /// The cell's index in the block's (family, qualifier) dictionary.
+/// Where a cell sits in its block, and its coordinates: what
+/// [`visit_rows`] lends for each cell of a row.
+#[derive(Debug)]
+pub struct CellSpans {
+    /// The cell's index in the block's (family, qualifier) dictionary. An
+    /// index first appears one past the highest before it, so a reader can
+    /// resolve each entry once per block, in order.
     pub column: usize,
     pub family: Range<usize>,
     pub qualifier: Range<usize>,
@@ -280,14 +275,21 @@ pub(crate) struct CellSpans {
 }
 
 /// The one cell-block parser: a single pass over `block`, borrowing it,
-/// that hands `visit` every row and cell. Every read is bounds-checked:
-/// anything but a whole, well-formed block — truncated, forged counts or
-/// lengths, an unknown column index or cell type, trailing bytes — is
-/// [`KvError::Corruption`], never a panic or an out-of-bounds read.
-pub(crate) fn read(block: &[u8], mut visit: impl FnMut(Item<'_>)) -> Result<()> {
+/// that hands `visit` every row in order — its key, and where each of its
+/// cells sits in `block` — and builds nothing per row or cell. Every read is
+/// bounds-checked: anything but a whole, well-formed block — truncated,
+/// forged counts or lengths, an unknown column index or cell type, trailing
+/// bytes — is [`KvError::Corruption`], never a panic or an out-of-bounds
+/// read. Rows before the damage have been visited by then. The first error
+/// `visit` returns stops the pass and is returned.
+pub fn visit_rows<E: From<KvError>>(
+    block: &[u8],
+    mut visit: impl FnMut(&[u8], &[CellSpans]) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
     let mut r = Reader::new(block);
     let declared = r.u32()?;
     let mut key = Vec::new();
+    let mut cells: Vec<CellSpans> = Vec::new();
     let mut columns: Vec<(Range<usize>, Range<usize>)> = Vec::new();
     let (mut timestamp, mut seq) = (0u64, 0u64);
     for _ in 0..declared {
@@ -298,12 +300,8 @@ pub(crate) fn read(block: &[u8], mut visit: impl FnMut(Item<'_>)) -> Result<()> 
         let suffix = r.span()?;
         key.truncate(shared);
         key.extend_from_slice(&block[suffix]);
-        let n = r.varint()?;
-        // A cell takes at least five bytes: a forged count cannot make an
-        // allocation outgrow the block.
-        let room = usize::try_from(n).unwrap_or(usize::MAX);
-        visit(Item::Row(&key, room.min(r.remaining() / 5)));
-        for _ in 0..n {
+        cells.clear();
+        for _ in 0..r.varint()? {
             let column = usize::try_from(r.varint()?).unwrap_or(usize::MAX);
             if column == columns.len() {
                 let entry = (r.span()?, r.span()?);
@@ -316,7 +314,7 @@ pub(crate) fn read(block: &[u8], mut visit: impl FnMut(Item<'_>)) -> Result<()> 
             timestamp = timestamp.wrapping_add(unzigzag(r.varint()?));
             seq = seq.wrapping_add(unzigzag(r.varint()?));
             let cell_type = cell_type_from(r.u8()?).ok_or_else(|| corrupt("unknown cell type"))?;
-            visit(Item::Cell(CellSpans {
+            cells.push(CellSpans {
                 column,
                 family,
                 qualifier,
@@ -324,11 +322,12 @@ pub(crate) fn read(block: &[u8], mut visit: impl FnMut(Item<'_>)) -> Result<()> 
                 seq,
                 cell_type,
                 value: r.span()?,
-            }));
+            });
         }
+        visit(&key, &cells)?;
     }
     if r.remaining() > 0 {
-        return Err(corrupt("trailing bytes after the last row"));
+        return Err(corrupt("trailing bytes after the last row").into());
     }
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! cache and operator fusion optimize away. A region scan pays one charge
 //! per batch: the RPC that opens the scanner carries the first one. A read
 //! is charged for its reply's [cell block](crate::cellblock), which the
-//! thread that made the RPC decodes.
+//! thread that made the RPC validates; a scanner hands on the block itself.
 
 use crate::cellblock;
 use crate::cluster::HBaseCluster;
@@ -573,7 +573,9 @@ fn decode_gets(block: &Bytes, gets: usize) -> Result<Vec<RowResult>> {
 
 /// One fetched batch travelling from the scanner worker to the consumer.
 struct BatchMsg {
-    rows: Vec<RowResult>,
+    /// The reply's cell block, validated, and the rows it holds.
+    block: Bytes,
+    rows: usize,
     stats: ScanStats,
     /// What fetching the batch added to the worker's trace cost: its RPCs,
     /// their spans, any backoff before them.
@@ -588,15 +590,20 @@ struct BatchMsg {
 /// explicit `close_scanner` only when abandoning a scanner that is still
 /// open — and pushes each batch through a bounded channel, so the next batch
 /// is being fetched while the caller processes the current one. A region
-/// range that fits in one batch costs one RPC. Transient failures (region
-/// moved or split, server gone, dropped RPC, scanner lease lapsed) are
-/// recovered inside the worker under the client's recovery rule (see
-/// [`MAX_ATTEMPTS`]), each delivered batch counting as progress: it
-/// re-locates the key range and reopens a scanner at the row *after* the
-/// last one delivered, so the concatenated batches are complete,
-/// duplicate-free, and key-ordered. The trace cost the worker charges for a
-/// batch moves to the consumer's thread with the batch, so a task's cost
-/// includes the RPCs of its scans.
+/// range that fits in one batch costs one RPC. A batch travels as the
+/// reply's [cell block](crate::cellblock), which the worker has parsed once
+/// to learn its row count and last key: [`next_block`](Self::next_block)
+/// hands it on for the caller to read in place, and
+/// [`next_batch`](Self::next_batch) decodes it into [`RowResult`]s. A reply
+/// that does not parse fails the worker, which closes its scanner and does
+/// not retry. Transient failures (region moved or split, server gone,
+/// dropped RPC, scanner lease lapsed) are recovered inside the worker under
+/// the client's recovery rule (see [`MAX_ATTEMPTS`]), each delivered batch
+/// counting as progress: it re-locates the key range and reopens a scanner
+/// at the row *after* the last one delivered, so the concatenated batches
+/// are complete, duplicate-free, and key-ordered. The trace cost the worker
+/// charges for a batch moves to the consumer's thread with the batch, so a
+/// task's cost includes the RPCs of its scans.
 ///
 /// Dropping the scanner early stops the worker and releases any server-side
 /// scanner state.
@@ -608,24 +615,32 @@ pub struct RegionScanner {
 }
 
 impl RegionScanner {
-    /// The next non-empty batch of rows, or `None` when the region (clipped
-    /// to the scan bounds) is exhausted. At most `scan.caching` rows per
-    /// call. Empty server batches (e.g. the final probe of an exactly-full
-    /// scanner) are absorbed here but still counted in
-    /// [`rpc_batches`](Self::rpc_batches).
-    pub fn next_batch(&mut self) -> Result<Option<Vec<RowResult>>> {
+    /// The cell block of the next non-empty batch, a well-formed one, or
+    /// `None` when the region (clipped to the scan bounds) is exhausted. At
+    /// most `scan.caching` rows per call. Empty server batches (e.g. the
+    /// final probe of an exactly-full scanner) are absorbed here but still
+    /// counted in [`rpc_batches`](Self::rpc_batches).
+    pub fn next_block(&mut self) -> Result<Option<Bytes>> {
         while let Some(msg) = self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
             let msg = msg.inspect_err(|_| self.shutdown())?;
             trace::take_over_cost_us(msg.cost_us);
             self.rpc_batches += 1;
             self.stats.merge(&msg.stats);
-            if !msg.rows.is_empty() {
-                return Ok(Some(msg.rows));
+            if msg.rows > 0 {
+                return Ok(Some(msg.block));
             }
         }
         // The worker finished and hung up: the scan is complete.
         self.shutdown();
         Ok(None)
+    }
+
+    /// The next non-empty batch of rows: [`next_block`](Self::next_block),
+    /// decoded.
+    pub fn next_batch(&mut self) -> Result<Option<Vec<RowResult>>> {
+        self.next_block()?
+            .map(|block| cellblock::decode(&block))
+            .transpose()
     }
 
     /// Server-side work accumulated across every batch fetched so far.
@@ -765,24 +780,32 @@ impl ScanJob {
             // protected by the lease. A failed open left nothing to release.
             let (id, batch) = reply.inspect_err(|_| close(scanner_id))?;
             charge_transfer(&connection.cluster, batch.block.len(), local);
-            // A reply that does not decode is not transient: no retry, but
+            // A reply that does not parse is not transient: no retry, but
             // the cursor it left open is released.
-            let rows = cellblock::decode(&batch.block).inspect_err(|_| close(id))?;
-            sp.annotate("rows", rows.len());
+            let (mut rows, mut last_row) = (0, Vec::new());
+            cellblock::visit_rows(&batch.block, |key, _| {
+                rows += 1;
+                last_row.clear();
+                last_row.extend_from_slice(key);
+                Ok::<_, KvError>(())
+            })
+            .inspect_err(|_| close(id))?;
+            sp.annotate("rows", rows);
             sp.annotate("bytes", batch.block.len());
             sp.annotate("cache_hits", batch.stats.block_cache_hits);
             drop(sp);
             scanner_id = id;
             recovery.progressed();
-            if let Some(last) = rows.last() {
-                cursor.start = row_successor(&last.row);
+            if rows > 0 {
+                cursor.start = row_successor(&last_row);
                 if scan.limit > 0 {
-                    cursor.remaining = cursor.remaining.saturating_sub(rows.len());
+                    cursor.remaining = cursor.remaining.saturating_sub(rows);
                 }
             }
             let cost_us = trace::thread_cost_us() - cursor.sent_cost_us;
             cursor.sent_cost_us += cost_us;
             let msg = BatchMsg {
+                block: batch.block,
                 rows,
                 stats: batch.stats,
                 cost_us,

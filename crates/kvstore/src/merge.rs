@@ -3,12 +3,15 @@
 //! comparing their heads, and the tombstone/version walk over the merged
 //! cells.
 //!
-//! Nothing here owns a cell. A cursor lends [`CellRef`] views into the block
-//! it currently holds (or into the memstore's tree); the walk copies the
-//! current row and column names into reused buffers, pins the cells that may
-//! be returned as `(Arc<Block>, index)`, evaluates the pushed-down filter on
-//! those still-encoded cells, and only then encodes the row into the
-//! response's cell block — for the rows that are returned, nothing else.
+//! Nothing here owns a cell or counts a reference. A merge runs under the
+//! guard of the region's stores, which keeps every store file and memstore
+//! it reads alive for the merge's whole life, so each cursor lends its head
+//! as a [`CellRef`] with that lifetime: a view into a block borrowed from
+//! its file, or into the memstore's tree. The walk keeps the current row and
+//! column as such views, holds the cells that may be returned as views too,
+//! evaluates the pushed-down filter on those still-encoded cells, and only
+//! then encodes the row into the response's cell block — for the rows that
+//! are returned, nothing else.
 
 use crate::block_cache::{load_block, BlockCache, ReadTally};
 use crate::cellblock::CellBlockEncoder;
@@ -20,45 +23,38 @@ use crate::types::{CellKey, CellRef, CellType, Scan};
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::btree_map;
-use std::sync::Arc;
 
 // ----------------------------------------------------------------------
 // Cursors and their merge
 // ----------------------------------------------------------------------
 
-/// A position in one sorted source of cells.
-enum Cursor<'a> {
-    /// A store file, read a block at a time through the optional block
-    /// cache. `block` is `None` once the file is exhausted.
+/// A position in one sorted source of cells, and the cell it is at.
+struct Cursor<'a> {
+    /// `None` once the source is exhausted.
+    head: Option<CellRef<'a>>,
+    source: Source<'a>,
+}
+
+enum Source<'a> {
+    /// A store file, read a block at a time, each read accounted through
+    /// the optional block cache.
     File {
         file: &'a StoreFile,
         cache: Option<&'a BlockCache>,
-        block: Option<Arc<Block>>,
+        block: &'a Block,
         block_idx: usize,
         cell_idx: usize,
     },
     /// A memstore, read through a range iterator of its tree.
-    Mem {
-        rest: btree_map::Range<'a, CellKey, Bytes>,
-        head: Option<(&'a CellKey, &'a Bytes)>,
-    },
+    Mem(btree_map::Range<'a, CellKey, Bytes>),
 }
 
 impl<'a> Cursor<'a> {
-    fn head(&self) -> Option<CellRef<'_>> {
-        match self {
-            Cursor::File {
-                block, cell_idx, ..
-            } => block.as_ref().map(|b| b.cell(*cell_idx)),
-            Cursor::Mem { head, .. } => head.map(|(key, value)| CellRef::new(key, value)),
-        }
-    }
-
-    /// Step past the head. A file cursor that leaves its block loads the
+    /// Step past the head. A file cursor that leaves its block reads the
     /// next one right away, so block reads happen in merge order.
     fn advance(&mut self, tally: &mut ReadTally) {
-        match self {
-            Cursor::File {
+        self.head = match &mut self.source {
+            Source::File {
                 file,
                 cache,
                 block,
@@ -66,31 +62,15 @@ impl<'a> Cursor<'a> {
                 cell_idx,
             } => {
                 *cell_idx += 1;
-                if block.as_ref().is_some_and(|b| *cell_idx >= b.len()) {
+                if *cell_idx == block.len() && *block_idx + 1 < file.num_blocks() {
                     *block_idx += 1;
                     *cell_idx = 0;
-                    *block = (*block_idx < file.num_blocks())
-                        .then(|| load_block(file, *block_idx, *cache, tally));
+                    *block = load_block(file, *block_idx, *cache, tally);
                 }
+                (*cell_idx < block.len()).then(|| block.cell(*cell_idx))
             }
-            Cursor::Mem { rest, head } => *head = rest.next(),
-        }
-    }
-}
-
-/// A cell held past the cursor position that lent it: a place inside a
-/// shared block, or an entry of the memstore's tree.
-pub(crate) enum PinnedCell<'a> {
-    Block(Arc<Block>, usize),
-    Mem(&'a CellKey, &'a Bytes),
-}
-
-impl PinnedCell<'_> {
-    fn get(&self) -> CellRef<'_> {
-        match self {
-            PinnedCell::Block(block, idx) => block.cell(*idx),
-            PinnedCell::Mem(key, value) => CellRef::new(key, value),
-        }
+            Source::Mem(rest) => rest.next().map(|(key, value)| CellRef::new(key, value)),
+        };
     }
 }
 
@@ -127,16 +107,21 @@ impl<'a> Merge<'a> {
         cache: Option<&'a BlockCache>,
     ) {
         let block_idx = file.start_block(start);
-        let block = (block_idx < file.num_blocks())
-            .then(|| load_block(file, block_idx, cache, &mut self.tally));
-        let mut cursor = Cursor::File {
-            file,
-            cache,
-            block,
-            block_idx,
-            cell_idx: 0,
+        if block_idx >= file.num_blocks() {
+            return; // an empty file: nothing to read
+        }
+        let block = load_block(file, block_idx, cache, &mut self.tally);
+        let mut cursor = Cursor {
+            head: Some(block.cell(0)),
+            source: Source::File {
+                file,
+                cache,
+                block,
+                block_idx,
+                cell_idx: 0,
+            },
         };
-        while cursor.head().is_some_and(|cell| cell.row < start) {
+        while cursor.head.is_some_and(|cell| cell.row < start) {
             cursor.advance(&mut self.tally);
         }
         self.cursors.push(cursor);
@@ -146,16 +131,20 @@ impl<'a> Merge<'a> {
     /// `>= start`.
     pub(crate) fn add_memstore(&mut self, memstore: &'a MemStore, start: &Bytes) {
         let mut rest = memstore.seek(start);
-        let head = rest.next();
-        self.cursors.push(Cursor::Mem { rest, head });
+        let head = rest.next().map(|(key, value)| CellRef::new(key, value));
+        self.cursors.push(Cursor {
+            head,
+            source: Source::Mem(rest),
+        });
     }
 
     /// The next cell in merge order and the source lending it, or `None`
-    /// when every source is exhausted or at `stop`.
-    pub(crate) fn peek(&self) -> Option<(usize, CellRef<'_>)> {
-        let mut best: Option<(usize, CellRef<'_>)> = None;
+    /// when every source is exhausted or at `stop`. The cell stays valid as
+    /// long as the merge's sources do, past any `advance`.
+    pub(crate) fn peek(&self) -> Option<(usize, CellRef<'a>)> {
+        let mut best: Option<(usize, CellRef<'a>)> = None;
         for (src, cursor) in self.cursors.iter().enumerate() {
-            let Some(cell) = cursor.head() else { continue };
+            let Some(cell) = cursor.head else { continue };
             if best
                 .as_ref()
                 .is_none_or(|(_, b)| cell.key_cmp(b) == Ordering::Less)
@@ -170,22 +159,6 @@ impl<'a> Merge<'a> {
     /// Step source `src` past the cell [`peek`](Self::peek) returned.
     pub(crate) fn advance(&mut self, src: usize) {
         self.cursors[src].advance(&mut self.tally);
-    }
-
-    /// Keep hold of source `src`'s head cell beyond the next `advance`.
-    pub(crate) fn pin(&self, src: usize) -> PinnedCell<'a> {
-        match &self.cursors[src] {
-            Cursor::File {
-                block, cell_idx, ..
-            } => PinnedCell::Block(
-                Arc::clone(block.as_ref().expect("pinned source has a head")),
-                *cell_idx,
-            ),
-            Cursor::Mem { head, .. } => {
-                let (key, value) = head.expect("pinned source has a head");
-                PinnedCell::Mem(key, value)
-            }
-        }
     }
 }
 
@@ -202,16 +175,16 @@ enum Boundary {
     SameColumn,
 }
 
-/// Where a walk over merged cells stands: the current row and column —
-/// copied into reused buffers, since the cell that named them is gone once
-/// its cursor moves — and the delete markers and versions seen in them.
-/// Markers sort before the puts they can mask, so one pass decides each put.
+/// Where a walk over merged cells stands: the current row and column — views
+/// of the cell that named them, which outlives its cursor's move — and the
+/// delete markers and versions seen in them. Markers sort before the puts
+/// they can mask, so one pass decides each put.
 #[derive(Default)]
-struct VersionWalk {
+struct VersionWalk<'a> {
     started: bool,
-    row: Vec<u8>,
-    family: Vec<u8>,
-    qualifier: Vec<u8>,
+    row: &'a [u8],
+    family: &'a [u8],
+    qualifier: &'a [u8],
     /// Newest delete-family marker of the current row and family.
     family_delete_ts: Option<u64>,
     /// Newest delete-column marker of the current column.
@@ -221,7 +194,7 @@ struct VersionWalk {
     versions_taken: u32,
 }
 
-impl VersionWalk {
+impl<'a> VersionWalk<'a> {
     fn boundary(&self, cell: &CellRef<'_>) -> Boundary {
         if !self.started || self.row != cell.row {
             Boundary::Row
@@ -235,23 +208,19 @@ impl VersionWalk {
     }
 
     /// Step onto `cell`, forgetting what the `boundary` it crosses ends.
-    fn enter(&mut self, boundary: Boundary, cell: &CellRef<'_>) {
-        fn set(buf: &mut Vec<u8>, to: &[u8]) {
-            buf.clear();
-            buf.extend_from_slice(to);
-        }
+    fn enter(&mut self, boundary: Boundary, cell: &CellRef<'a>) {
         if boundary == Boundary::SameColumn {
             return;
         }
         if boundary == Boundary::Row {
             self.started = true;
-            set(&mut self.row, cell.row);
+            self.row = cell.row;
         }
         if matches!(boundary, Boundary::Row | Boundary::Family) {
-            set(&mut self.family, cell.family);
+            self.family = cell.family;
             self.family_delete_ts = None;
         }
-        set(&mut self.qualifier, cell.qualifier);
+        self.qualifier = cell.qualifier;
         self.column_delete_ts = None;
         self.version_delete_ts.clear();
         self.versions_taken = 0;
@@ -308,7 +277,7 @@ pub(crate) fn rewrite(
 /// pushed-down filter looks at before anything is materialized.
 struct Candidates<'r, 'a> {
     row: &'r [u8],
-    cells: &'r [PinnedCell<'a>],
+    cells: &'r [CellRef<'a>],
 }
 
 impl RowView for Candidates<'_, '_> {
@@ -319,7 +288,6 @@ impl RowView for Candidates<'_, '_> {
     fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]> {
         self.cells
             .iter()
-            .map(PinnedCell::get)
             .find(|c| c.family == family && c.qualifier == qualifier)
             .map(|c| c.value)
     }
@@ -329,7 +297,7 @@ impl RowView for Candidates<'_, '_> {
 struct RowAssembly<'s, 'a, 'b> {
     scan: &'s Scan,
     /// Live, projected cells of the current row, in cell order.
-    candidates: Vec<PinnedCell<'a>>,
+    candidates: Vec<CellRef<'a>>,
     /// Whether the current row has any live cell, projected or not.
     witness: bool,
     block: &'b mut CellBlockEncoder,
@@ -355,8 +323,7 @@ impl RowAssembly<'_, '_, '_> {
             cells: &self.candidates,
         };
         if scan.filter.as_ref().is_none_or(|f| f.matches(&view)) {
-            self.block
-                .push_row(row, self.candidates.iter().map(PinnedCell::get));
+            self.block.push_row(row, self.candidates.iter().copied());
             self.rows += 1;
             stats.rows_returned += 1;
             stats.cells_returned += self.candidates.len() as u64;
@@ -370,8 +337,8 @@ impl RowAssembly<'_, '_, '_> {
 /// tombstones, the time range, the projection and version limits, and
 /// encode the rows the filter keeps into `block`, up to the scan's limit.
 /// `families` names the scanned families with their retained-version caps.
-pub(crate) fn assemble_rows(
-    merge: &mut Merge<'_>,
+pub(crate) fn assemble_rows<'a>(
+    merge: &mut Merge<'a>,
     scan: &Scan,
     read_point: u64,
     families: &[(&Bytes, u32)],
@@ -386,8 +353,11 @@ pub(crate) fn assemble_rows(
         block,
         rows: 0,
     };
-    // Resolved once per column: is it projected, and how many versions of
-    // it may be returned.
+    // What the last resolved column resolved to: is it projected, and how
+    // many versions of it may be returned. Rows repeat their columns, so a
+    // column is resolved again only when its names differ from the last
+    // ones resolved, not at every row.
+    let mut resolved: Option<(&'a [u8], &'a [u8])> = None;
     let mut projected = false;
     let mut cap = 0;
 
@@ -398,11 +368,13 @@ pub(crate) fn assemble_rows(
         if cell.seq <= read_point {
             let boundary = walk.boundary(&cell);
             if boundary == Boundary::Row && walk.started {
-                limit_reached = rows.finish_row(&walk.row, stats);
+                limit_reached = rows.finish_row(walk.row, stats);
             }
             if !limit_reached {
                 walk.enter(boundary, &cell);
-                if boundary != Boundary::SameColumn {
+                let names = (cell.family, cell.qualifier);
+                if boundary != Boundary::SameColumn && resolved != Some(names) {
+                    resolved = Some(names);
                     projected = scan.projection.includes(cell.family, cell.qualifier);
                     let family_cap = families
                         .iter()
@@ -415,7 +387,7 @@ pub(crate) fn assemble_rows(
                     // cell.
                     rows.witness = true;
                     if projected && walk.take_version(cap) {
-                        rows.candidates.push(merge.pin(src));
+                        rows.candidates.push(cell);
                     }
                 }
             }
@@ -429,6 +401,6 @@ pub(crate) fn assemble_rows(
         }
     }
     if walk.started {
-        rows.finish_row(&walk.row, stats);
+        rows.finish_row(walk.row, stats);
     }
 }

@@ -6,14 +6,14 @@
 //! timestamp span for time-range pruning, and first/last keys for range
 //! pruning.
 //!
-//! Cells live in fixed-size [`Block`]s behind `Arc`s, mirroring HFile data
-//! blocks. A block's payload is a [cell block](crate::cellblock), the codec
+//! Cells live in fixed-size [`Block`]s, mirroring HFile data blocks, that
+//! the file owns for its whole life. A block's payload is a [cell block](crate::cellblock), the codec
 //! read replies and the WAL use too, and the block in memory keeps it next
 //! to the per-cell table it was decoded into once, when it was built or
-//! opened. The read path loads whole blocks (normally through the region
-//! server's block cache) and reads cells through borrowed [`CellRef`] views
-//! of that table, so a scan only copies the cells that actually end up in a
-//! response.
+//! opened. The read path borrows whole blocks from the file (accounting each
+//! read to the region server's block cache) and reads cells through
+//! [`CellRef`] views of that table, so a scan only copies the cells that
+//! actually end up in a response.
 //!
 //! A flush or compaction writes the file it built to disk before the
 //! manifest names it ([`StoreFile::write_to`] / [`StoreFile::open`]):
@@ -32,7 +32,7 @@
 //! and surfaces as [`KvError::Corruption`] instead of silently wrong query
 //! results or a slice out of bounds.
 
-use crate::cellblock::{self, CellBlockEncoder, Item};
+use crate::cellblock::{self, CellBlockEncoder};
 use crate::error::{KvError, Result};
 use crate::fault::FileOp;
 use crate::storage::{self, Reader, StorageEnv};
@@ -42,7 +42,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Trailing magic of the on-disk store-file format ("SHCSTORE").
 const STOREFILE_MAGIC: u64 = 0x5348_4353_544f_5245;
@@ -133,8 +133,8 @@ impl BloomFilter {
     }
 }
 
-/// One data block: up to [`BLOCK_SIZE`] cells in `CellKey` order, shared
-/// between the file, the block cache and in-flight scans via `Arc`.
+/// One data block: up to [`BLOCK_SIZE`] cells in `CellKey` order, owned by
+/// its file and borrowed by in-flight reads.
 ///
 /// The block keeps its payload — a cell block, the bytes on disk — and the
 /// per-cell table the cell-block parser decoded it into when it was built
@@ -179,25 +179,23 @@ impl Block {
         // Payload offsets fit `u32` from here on; the keys' once spelled out.
         let span = |range: Range<usize>| (range.start as u32, range.end as u32);
         let (mut keys, mut columns, mut cells) = (Vec::new(), Vec::new(), Vec::new());
-        let mut row = (0, 0);
-        cellblock::read(payload, |item| match item {
-            Item::Row(key, _) => {
-                row = span(keys.len()..keys.len() + key.len());
-                keys.extend_from_slice(key);
-            }
-            Item::Cell(cell) => {
+        cellblock::visit_rows(payload, |key, row_cells| {
+            let row = span(keys.len()..keys.len() + key.len());
+            keys.extend_from_slice(key);
+            for cell in row_cells {
                 if cell.column == columns.len() {
-                    columns.push((span(cell.family), span(cell.qualifier)));
+                    columns.push((span(cell.family.clone()), span(cell.qualifier.clone())));
                 }
                 cells.push(BlockCell {
                     timestamp: cell.timestamp,
                     seq: cell.seq,
                     row,
-                    value: span(cell.value),
+                    value: span(cell.value.clone()),
                     column: cell.column as u32,
                     cell_type: cell.cell_type,
                 });
             }
+            Ok::<_, KvError>(())
         })?;
         u32::try_from(keys.len()).map_err(|_| oversized())?;
         if cells.is_empty() {
@@ -315,8 +313,8 @@ impl StoreFileBuilder {
 pub struct StoreFile {
     /// Unique per process; block-cache keys are `(file_id, block index)`.
     file_id: u64,
-    /// Cells in `CellKey` order, chunked into shared blocks.
-    blocks: Vec<Arc<Block>>,
+    /// Cells in `CellKey` order, chunked into blocks.
+    blocks: Vec<Block>,
     /// Sparse index: the first row key of every block.
     block_index: Vec<Bytes>,
     n_cells: usize,
@@ -374,7 +372,7 @@ impl StoreFile {
                 .map(|b| Bytes::copy_from_slice(b.cell(b.len() - 1).row)),
             n_cells: blocks.iter().map(Block::len).sum(),
             total_bytes: blocks.iter().map(Block::byte_size).sum(),
-            blocks: blocks.into_iter().map(Arc::new).collect(),
+            blocks,
             block_index,
             bloom,
             min_ts,
@@ -407,10 +405,10 @@ impl StoreFile {
         self.blocks.len()
     }
 
-    /// The shared block at `idx`. Callers on the scan path should go through
+    /// The block at `idx`. Callers on the scan path should go through
     /// [`crate::block_cache::load_block`] instead so reads are attributed to
     /// the cache.
-    pub fn block(&self, idx: usize) -> &Arc<Block> {
+    pub fn block(&self, idx: usize) -> &Block {
         &self.blocks[idx]
     }
 

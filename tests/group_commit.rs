@@ -315,6 +315,36 @@ fn wal_pressure_flushes_the_region_pinning_the_log() {
     assert_eq!(table.scan(&Scan::new()).unwrap().len(), 246);
 }
 
+/// A flush releases the log up to the oldest record any family still needs.
+/// A family that was never written needs none: after ten puts to `a` of an
+/// `a` + `b` table and a flush, the log retains nothing.
+#[test]
+fn a_family_never_written_does_not_pin_the_log() {
+    let cluster = HBaseCluster::start(ClusterConfig {
+        num_servers: 1,
+        ..Default::default()
+    });
+    cluster
+        .create_table(
+            TableDescriptor::new(table_name())
+                .with_family(FamilyDescriptor::new("a"))
+                .with_family(FamilyDescriptor::new("b")),
+        )
+        .unwrap();
+    let conn = Connection::open(Arc::clone(&cluster), None);
+    let table = conn.table(table_name());
+    for i in 0..10 {
+        table
+            .put(Put::new(format!("row{i}")).add("a", "q", "v"))
+            .unwrap();
+    }
+    let server = cluster.server(0).unwrap();
+    assert!(server.wal().retained_bytes() > 0);
+    cluster.flush_all().unwrap();
+    assert_eq!(server.wal().retained_bytes(), 0);
+    assert_eq!(table.scan(&Scan::new()).unwrap().len(), 10);
+}
+
 fn default_single_region() -> Arc<HBaseCluster> {
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 1,

@@ -378,7 +378,7 @@ proptest! {
 mod cell_blocks {
     use super::*;
     use bytes::Bytes;
-    use shc::kvstore::cellblock::{decode, encode};
+    use shc::kvstore::cellblock::{decode, encode, visit_rows};
     use shc::kvstore::error::KvError;
     use shc::kvstore::types::{Cell, CellKey, CellType, RowResult};
 
@@ -434,6 +434,62 @@ mod cell_blocks {
         matches!(decoded, Ok(_) | Err(KvError::Corruption(_)))
     }
 
+    /// A cell as a comparison sees it: names, timestamp, seq, type, value.
+    type Seen = (Vec<u8>, Vec<u8>, u64, u64, CellType, Vec<u8>);
+
+    /// What the row visitor lends for `block`, copied out: each row's key
+    /// and cells. Also checks that every dictionary index first appears one
+    /// past the highest before it and always names the same pair.
+    fn visited(block: &[u8]) -> shc::kvstore::error::Result<Vec<(Vec<u8>, Vec<Seen>)>> {
+        let mut rows = Vec::new();
+        let mut dictionary: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        visit_rows(block, |key, cells| {
+            let mut seen = Vec::new();
+            for cell in cells {
+                let names = (
+                    block[cell.family.clone()].to_vec(),
+                    block[cell.qualifier.clone()].to_vec(),
+                );
+                if cell.column == dictionary.len() {
+                    dictionary.push(names.clone());
+                }
+                assert_eq!(dictionary.get(cell.column), Some(&names));
+                seen.push((
+                    names.0,
+                    names.1,
+                    cell.timestamp,
+                    cell.seq,
+                    cell.cell_type,
+                    block[cell.value.clone()].to_vec(),
+                ));
+            }
+            rows.push((key.to_vec(), seen));
+            Ok::<_, KvError>(())
+        })?;
+        Ok(rows)
+    }
+
+    fn as_seen(rows: Vec<RowResult>) -> Vec<(Vec<u8>, Vec<Seen>)> {
+        rows.into_iter()
+            .map(|row| {
+                let cells = row.cells.iter().map(|c| {
+                    assert_eq!(c.key.row, row.row);
+                    let k = &c.key;
+                    let names = (k.family.to_vec(), k.qualifier.to_vec());
+                    (
+                        names.0,
+                        names.1,
+                        k.timestamp,
+                        k.seq,
+                        k.cell_type,
+                        c.value.to_vec(),
+                    )
+                });
+                (row.row.to_vec(), cells.collect())
+            })
+            .collect()
+    }
+
     proptest! {
         #[test]
         fn cell_blocks_round_trip_exactly(rows in arb_rows()) {
@@ -457,6 +513,34 @@ mod cell_blocks {
             let at = at % bytes.len();
             bytes[at] ^= xor;
             prop_assert!(ok_or_corruption(&decode(&Bytes::from(bytes))));
+        }
+
+        /// Whole, cut or damaged, a block reads the same through the row
+        /// visitor as through `decode`: the same rows and cells, or
+        /// `Corruption` from both.
+        #[test]
+        fn the_row_visitor_reads_what_decode_reads(
+            rows in arb_rows(),
+            truncate in any::<bool>(),
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            xor in 0u8..=255,
+        ) {
+            let mut bytes = encode(&rows).to_vec();
+            let at = at % bytes.len();
+            bytes[at] ^= xor;
+            if truncate {
+                bytes.truncate(cut % bytes.len());
+            }
+            let block = Bytes::from(bytes);
+            match (visited(&block), decode(&block)) {
+                (Ok(seen), Ok(decoded)) => prop_assert_eq!(seen, as_seen(decoded)),
+                (Err(KvError::Corruption(_)), Err(KvError::Corruption(_))) => {}
+                (seen, decoded) => prop_assert!(false, "visitor {:?}, decode {:?}", seen, decoded),
+            }
+            if xor == 0 && !truncate {
+                prop_assert_eq!(visited(&block).unwrap(), as_seen(rows));
+            }
         }
 
         #[test]
