@@ -259,7 +259,6 @@ fn task_timeline_schema() -> Schema {
         Field::new("rows", DataType::Int64),
         Field::new("bytes", DataType::Int64),
         Field::new("straggler", DataType::Boolean),
-        Field::new("speculative", DataType::Boolean),
         Field::new("winner", DataType::Boolean),
         Field::new("error", DataType::Utf8),
     ])
@@ -284,7 +283,6 @@ fn stage_stats_schema() -> Schema {
         Field::new("run_median_us", DataType::Int64),
         Field::new("run_max_us", DataType::Int64),
         Field::new("stragglers", DataType::Int64),
-        Field::new("speculative_wins", DataType::Int64),
     ])
 }
 
@@ -554,7 +552,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
                                 Value::Int64(t.rows as i64),
                                 Value::Int64(t.bytes as i64),
                                 Value::Boolean(t.straggler),
-                                Value::Boolean(a.speculative),
                                 Value::Boolean(a.winner),
                                 a.error.clone().map(Value::Utf8).unwrap_or(Value::Null),
                             ]));
@@ -595,7 +592,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
                             Value::Int64(s.run_median_us as i64),
                             Value::Int64(s.run_max_us as i64),
                             Value::Int64(s.stragglers as i64),
-                            Value::Int64(s.speculative_wins as i64),
                         ]));
                     }
                 }

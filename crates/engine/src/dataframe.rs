@@ -197,8 +197,7 @@ impl DataFrame {
                         io,
                     },
                 );
-                self.session.store_trace(tracer.finish());
-                self.session.store_timeline(timeline);
+                self.session.store_run(tracer.finish(), timeline);
                 Ok(rows)
             }
             Err(e) => {
@@ -206,8 +205,7 @@ impl DataFrame {
                 // flight-recorder dump; the partial trace stays resolvable.
                 self.session
                     .note_query_error(trace_id, duration_us, &e.to_string());
-                self.session.store_trace(tracer.finish());
-                self.session.store_timeline(timeline);
+                self.session.store_run(tracer.finish(), timeline);
                 Err(e)
             }
         }
@@ -251,8 +249,7 @@ impl DataFrame {
             },
         );
         let trace = tracer.finish();
-        self.session.store_trace(trace.clone());
-        self.session.store_timeline(Arc::clone(&timeline));
+        self.session.store_run(trace.clone(), Arc::clone(&timeline));
         attach_region_attribution(&profile, &trace);
         let (mut subplans_reused, mut dynamic_filters) = (0, 0);
         profile.walk(&mut |p| {
@@ -311,8 +308,8 @@ impl DataFrame {
                 stats.bytes_max,
             ));
             out.push_str(&format!(
-                "locality: stage {} [{}] hit_ratio={} stragglers={} spec_wins={}\n",
-                stats.stage_id, stats.label, locality, stats.stragglers, stats.speculative_wins,
+                "locality: stage {} [{}] hit_ratio={} stragglers={}\n",
+                stats.stage_id, stats.label, locality, stats.stragglers,
             ));
         }
         Ok(out)

@@ -66,7 +66,7 @@ pub struct ExecContext {
     /// boundaries from observed input statistics. Off = trust the plan-time
     /// estimates unconditionally.
     pub adaptive: bool,
-    /// Session-level task-execution metrics: straggler/speculation counters
+    /// Session-level task-execution metrics: the straggler counter
     /// plus the `shc_task_{queue_wait_us,run_us}` histograms.
     pub task_metrics: Arc<crate::metrics::TaskMetrics>,
     /// Per-exchange-edge shuffle attribution (labeled split of the global
@@ -75,8 +75,6 @@ pub struct ExecContext {
     /// Per-query task timeline scheduler stages record into; `None` for
     /// untraced queries (timelines ride the query trace).
     pub timeline: Option<Arc<TaskTimeline>>,
-    /// Launch speculative duplicate attempts for detected stragglers.
-    pub speculative: bool,
     /// Scheduler-level fault injection (tests and examples).
     pub sched_faults: Option<Arc<SchedulerFaults>>,
 }
@@ -92,7 +90,6 @@ impl Default for ExecContext {
             task_metrics: crate::metrics::TaskMetrics::new(),
             shuffle_edges: crate::metrics::ShuffleEdges::new(),
             timeline: None,
-            speculative: false,
             sched_faults: None,
         }
     }
@@ -106,7 +103,6 @@ impl ExecContext {
             task_metrics: Some(Arc::clone(&self.task_metrics)),
             label,
             op: prof.map(|p| p.id),
-            speculative: self.speculative,
             faults: self.sched_faults.clone(),
         }
     }

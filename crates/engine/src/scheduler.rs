@@ -11,34 +11,34 @@
 //!
 //! Placement is decided **at submit time**: every task is assigned to an
 //! executor lane (preferred host first, then least-loaded, ties to the
-//! lowest lane index), and each lane drains its own FIFO queue on its own
-//! thread. Retries are re-placed onto a deterministically chosen *other*
-//! lane and always land behind that lane's original work, so the sequence
-//! of attempts each lane runs — and therefore every lane-relative
-//! timestamp — is identical across runs regardless of thread interleaving.
+//! lowest lane index). A stage then runs in rounds. In each round every
+//! lane with queued work drains its own queue on its own thread and hands
+//! back its finished tasks, its failed tasks with retries left, and its
+//! lane clock. The driver re-places the failed ones, in task order, onto a
+//! deterministically chosen *other* lane, and runs another round while
+//! anything is queued. A retry so starts after all of its new lane's
+//! earlier work, and the sequence of attempts each lane runs — and
+//! therefore every lane-relative timestamp — is identical across runs
+//! regardless of thread interleaving.
 //!
 //! Every stage records per-task [`TaskProfile`]s (queue wait, per-attempt
 //! modeled cost measured via [`shc_obs::trace::thread_cost_us`], full
 //! attempt chains including failures) into the query's [`TaskTimeline`].
 //! At stage end a straggler detector flags tasks whose winning run cost
-//! exceeds `max(k × median, floor)`, journals a `category=straggler` event,
-//! and — when speculation is enabled — re-runs each straggler on the least
-//! loaded other lane with first-result-wins, duplicate-free semantics.
+//! exceeds `max(k × median, floor)` and journals a `category=straggler`
+//! event.
 
 use crate::columnar::{batches_byte_size, batches_num_rows, Partition};
 use crate::error::{EngineError, Result};
 use crate::metrics::{QueryMetrics, TaskMetrics};
 use crate::task_timeline::{TaskAttempt, TaskProfile, TaskTimeline};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The closure type a task runs: receives the hostname of the executor it
 /// landed on and produces one partition's batches. `FnMut` (not `FnOnce`)
-/// so a failed attempt can be re-run on another executor — and so a
-/// speculative duplicate can re-run it.
+/// so a failed attempt can be re-run on another executor.
 pub type TaskFn = Box<dyn FnMut(&str) -> Result<Partition> + Send>;
 
 /// A unit of work: runs on some executor and produces one partition.
@@ -96,9 +96,8 @@ impl Default for ExecutorConfig {
 /// What a scheduler fault rule injects into a matching task attempt.
 #[derive(Clone, Debug)]
 enum Injection {
-    /// Add this much modeled virtual-µs to the attempt's cost (charged by
-    /// the scheduler at stage end, so an abandoned straggler's delay is
-    /// only charged up to the detection cutoff).
+    /// Add this much modeled virtual-µs to the attempt's cost (charged in
+    /// full by the scheduler at stage end).
     DelayUs(u64),
     /// Fail the attempt before the closure runs.
     Fail(String),
@@ -115,8 +114,8 @@ struct FaultRule {
 /// Deterministic fault injection for the scheduler, keyed by executor
 /// host: slow a host down (straggler seeding) or fail attempts on it
 /// (retry/re-placement testing). Rules fire in registration order, at most
-/// one per attempt; consumption is deterministic as long as each host is
-/// served by a single executor lane.
+/// one per attempt. The driver draws each attempt's verdict when it places
+/// the attempt, in placement order, so consumption is deterministic.
 #[derive(Debug, Default)]
 pub struct SchedulerFaults {
     rules: Mutex<Vec<FaultRule>>,
@@ -183,20 +182,18 @@ const STRAGGLER_K: f64 = 3.0;
 const STRAGGLER_MIN_RUN_US: u64 = 1_000;
 
 /// Observability context for one scheduler stage: where to record task
-/// profiles and task metrics, and how to detect/speculate stragglers.
-/// [`run_tasks`] uses the default (no recording, no speculation).
+/// profiles and task metrics, and which faults to inject. [`run_tasks`]
+/// uses the default (no recording, no faults).
 pub struct StageObs {
     /// Per-query timeline receiving this stage's [`TaskProfile`]s.
     pub timeline: Option<Arc<TaskTimeline>>,
     /// Session-level task metrics (queue-wait/run histograms, straggler
-    /// and speculation counters).
+    /// counter).
     pub task_metrics: Option<Arc<TaskMetrics>>,
     /// Stage label for the timeline (`scan`, `probe`, `map`, …).
     pub label: &'static str,
     /// Operator id (pre-order index in the physical plan) when known.
     pub op: Option<usize>,
-    /// Launch speculative duplicates for detected stragglers.
-    pub speculative: bool,
     /// Fault injection for this stage's attempts.
     pub faults: Option<Arc<SchedulerFaults>>,
 }
@@ -208,35 +205,45 @@ impl Default for StageObs {
             task_metrics: None,
             label: "stage",
             op: None,
-            speculative: false,
             faults: None,
         }
     }
 }
 
-/// One task's mutable scheduling state; moves between lane queues.
+/// One task's scheduling state; the driver places it on a lane's queue
+/// for a round and gets it back when the lane has run it.
 struct Slot {
     index: usize,
     preferred: Option<String>,
     run: TaskFn,
     retries: u32,
-    attempts_done: u32,
-    queue_wait_us: Option<u64>,
+    queue_wait_us: u64,
     attempts: Vec<TaskAttempt>,
-    /// Injected delay per attempt (parallel to `attempts`); kept out of
-    /// the public profile, used for deferred clock charging.
-    injected: Vec<u64>,
+    /// Fault verdict for the next attempt, drawn when it was placed.
+    injection: Option<Injection>,
+    /// Injected delay of every attempt so far; kept out of the public
+    /// profile and charged to the query clock at stage end.
+    injected_us: u64,
 }
 
-/// A finished slot plus its final outcome, staged for stage-end analysis.
+/// A slot whose last attempt is final, plus that attempt's outcome.
 struct Finished {
     slot: Slot,
     outcome: Result<Partition>,
 }
 
+/// What a lane hands back after draining its queue for one round.
+struct LaneRound {
+    finished: Vec<Finished>,
+    /// Slots whose last attempt failed with retries left.
+    failed: Vec<Slot>,
+    /// The lane's clock after its last attempt.
+    clock: u64,
+}
+
 /// Run a batch of tasks across the executor pool; results come back in task
 /// order. Locality statistics are recorded in `metrics`. Equivalent to
-/// [`run_stage`] with a default [`StageObs`] (no timeline, no speculation).
+/// [`run_stage`] with a default [`StageObs`] (no timeline, no faults).
 pub fn run_tasks(
     config: &ExecutorConfig,
     tasks: Vec<Task>,
@@ -304,8 +311,7 @@ fn run_attempt(
 }
 
 /// Run a batch of tasks as one observed stage: records per-task profiles
-/// into the stage's timeline, detects stragglers on the virtual clock, and
-/// (when enabled) launches speculative duplicates for them.
+/// into the stage's timeline and detects stragglers on the virtual clock.
 pub fn run_stage(
     config: &ExecutorConfig,
     tasks: Vec<Task>,
@@ -335,173 +341,170 @@ pub fn run_stage(
         .as_ref()
         .map(|tl| tl.begin_stage(obs.label, obs.op))
         .unwrap_or(0);
+    let verdict = |lane: usize| obs.faults.as_ref().and_then(|f| f.next(&hosts[lane]));
 
     // Submit-time placement: one FIFO queue per executor lane.
-    let mut queues: Vec<VecDeque<Slot>> = (0..n_exec).map(|_| VecDeque::new()).collect();
+    let mut queues: Vec<Vec<Slot>> = (0..n_exec).map(|_| Vec::new()).collect();
     let mut load = vec![0usize; n_exec];
     for (index, task) in tasks.into_iter().enumerate() {
         let lane = place(task.preferred_host.as_deref(), &hosts, &load);
         load[lane] += 1;
-        queues[lane].push_back(Slot {
+        queues[lane].push(Slot {
             index,
             preferred: task.preferred_host,
             run: task.run,
             retries: task.retries,
-            attempts_done: 0,
-            queue_wait_us: None,
+            queue_wait_us: 0,
             attempts: Vec::new(),
-            injected: Vec::new(),
+            injection: verdict(lane),
+            injected_us: 0,
         });
     }
-    let queues: Vec<Mutex<VecDeque<Slot>>> = queues.into_iter().map(Mutex::new).collect();
-    let finished: Mutex<Vec<Option<Finished>>> = Mutex::new((0..n_tasks).map(|_| None).collect());
-    let done = AtomicUsize::new(0);
-    // Final lane-relative clock of each lane (total cost it executed) —
-    // used to pick the least-loaded lane for speculative duplicates.
-    let lane_totals: Mutex<Vec<u64>> = Mutex::new(vec![0; n_exec]);
 
+    // Rounds: every lane with queued work drains its queue on its own
+    // thread, then the driver re-places the failed slots that have retries
+    // left, in task order, behind everything their new lane has run.
+    let mut clocks = vec![0u64; n_exec];
+    let mut finished = Vec::with_capacity(n_tasks);
     // Executors run on their own threads: carry the driver's trace context
     // across so task/RPC spans attach to the active query trace.
     let trace_ctx = shc_obs::trace::capture();
-    std::thread::scope(|scope| {
-        for (me, host) in hosts.iter().enumerate() {
-            let host = host.clone();
-            let queues = &queues;
-            let finished = &finished;
-            let done = &done;
-            let lane_totals = &lane_totals;
-            let metrics = Arc::clone(metrics);
-            let trace_ctx = trace_ctx.clone();
-            let faults = obs.faults.clone();
-            scope.spawn(move || {
-                let _trace_ctx = shc_obs::TraceContext::adopt_opt(trace_ctx.as_ref());
-                // Lane-relative virtual clock: starts at 0 per stage,
-                // advances by the modeled cost of each attempt this lane
-                // runs. All timeline timestamps use it (never the shared
-                // query clock) so profiles are byte-identical across runs.
-                let mut lane_t: u64 = 0;
-                loop {
-                    let slot = queues[me].lock().pop_front();
-                    match slot {
-                        Some(mut slot) => {
-                            if slot.queue_wait_us.is_none() {
-                                slot.queue_wait_us = Some(lane_t);
-                            }
-                            let attempt_no = slot.attempts_done + 1;
-                            let local = slot.preferred.as_deref() == Some(host.as_str());
-                            if local {
-                                metrics.add(&metrics.local_tasks, 1);
-                            }
-                            let mut sp = shc_obs::trace::span("task");
-                            if sp.is_active() {
-                                sp.annotate("index", slot.index);
-                                sp.annotate("host", &host);
-                                sp.annotate("exec", me);
-                                sp.annotate("attempt", attempt_no);
-                                sp.annotate("local", local);
-                                if let Some(tid) = shc_obs::trace::current_trace_id() {
-                                    sp.annotate("trace_id", format_args!("{tid:#x}"));
-                                }
-                            }
-                            // Attempt cost on the trace's deterministic
-                            // clock, measured as this thread's charge delta
-                            // (other lanes' concurrent charges don't leak
-                            // in). Injected delays are noted here but only
-                            // charged to the query clock at stage end.
-                            let injection = faults.as_ref().and_then(|f| f.next(&host));
-                            let cost0 = shc_obs::trace::thread_cost_us();
-                            let (outcome, injected_us) =
-                                run_attempt(&mut slot.run, &host, injection);
-                            let closure_cost =
-                                shc_obs::trace::thread_cost_us().saturating_sub(cost0);
-                            let cost = closure_cost + injected_us;
-                            if shc_obs::trace::active() {
-                                metrics.task_duration_us.record(cost);
-                            }
-                            drop(sp);
-                            let start_us = lane_t;
-                            lane_t += cost;
-                            slot.attempts_done = attempt_no;
-                            slot.attempts.push(TaskAttempt {
-                                attempt: attempt_no,
-                                exec: me,
-                                host: host.clone(),
-                                start_us,
-                                end_us: lane_t,
-                                cost_us: cost,
-                                error: outcome.as_ref().err().map(|e| e.to_string()),
-                                speculative: false,
-                                winner: false,
-                            });
-                            slot.injected.push(injected_us);
-                            match outcome {
-                                Err(_) if slot.attempts_done <= slot.retries => {
-                                    // Re-place onto another lane. The retry
-                                    // lands behind that lane's original
-                                    // queue (push_back), so its position —
-                                    // and timing — is race-free.
-                                    metrics.add(&metrics.task_retries, 1);
-                                    shc_obs::trace::record_event(
-                                        shc_obs::Severity::Warn,
-                                        "scheduler",
-                                        format!(
-                                            "task {} retry (attempt {} of {})",
-                                            slot.index,
-                                            slot.attempts_done + 1,
-                                            slot.retries + 1
-                                        ),
-                                    );
-                                    let target = replace_lane(me, slot.attempts_done, n_exec);
-                                    queues[target].lock().push_back(slot);
-                                }
-                                outcome => {
-                                    let index = slot.index;
-                                    finished.lock()[index] = Some(Finished { slot, outcome });
-                                    done.fetch_add(1, Ordering::SeqCst);
-                                }
-                            }
-                        }
-                        None => {
-                            // Own queue drained. Exit once every task has a
-                            // final outcome; otherwise a retry may still be
-                            // re-placed here — wait a beat.
-                            if done.load(Ordering::SeqCst) >= n_tasks {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                lane_totals.lock()[me] = lane_t;
-            });
+    while queues.iter().any(|q| !q.is_empty()) {
+        let rounds = std::thread::scope(|scope| {
+            let lanes: Vec<_> = queues
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, queue)| !queue.is_empty())
+                .map(|(lane, queue)| {
+                    let queue = std::mem::take(queue);
+                    let (host, clock, trace_ctx) = (&hosts[lane], clocks[lane], trace_ctx.clone());
+                    let handle = scope.spawn(move || {
+                        let _trace_ctx = shc_obs::TraceContext::adopt_opt(trace_ctx.as_ref());
+                        run_lane(lane, host, queue, clock, metrics)
+                    });
+                    (lane, handle)
+                })
+                .collect();
+            lanes
+                .into_iter()
+                .map(|(lane, handle)| (lane, handle.join()))
+                .collect::<Vec<_>>()
+        });
+        let mut failed = Vec::new();
+        for (lane, round) in rounds {
+            // A task's panic is its attempt's error; a lane's is a bug.
+            let round =
+                round.map_err(|_| EngineError::Execution("executor lane panicked".into()))?;
+            clocks[lane] = round.clock;
+            finished.extend(round.finished);
+            failed.extend(round.failed);
         }
-    });
+        failed.sort_by_key(|slot| slot.index);
+        for mut slot in failed {
+            let attempts_done = slot.attempts.len() as u32;
+            metrics.add(&metrics.task_retries, 1);
+            shc_obs::trace::record_event(
+                shc_obs::Severity::Warn,
+                "scheduler",
+                format!(
+                    "task {} retry (attempt {} of {})",
+                    slot.index,
+                    attempts_done + 1,
+                    slot.retries + 1
+                ),
+            );
+            let from = slot.attempts.last().map_or(0, |a| a.exec);
+            let lane = replace_lane(from, attempts_done, n_exec);
+            slot.injection = verdict(lane);
+            queues[lane].push(slot);
+        }
+    }
 
-    let finished = finished.into_inner();
-    let lane_totals = lane_totals.into_inner();
-    finalize_stage(stage_id, finished, &hosts, &lane_totals, obs)
+    finished.sort_by_key(|f| f.slot.index);
+    finalize_stage(stage_id, finished, obs)
 }
 
-/// Stage-end analysis on the driver: straggler detection, speculation,
-/// deferred clock charging, histogram recording, and timeline persistence.
+/// Drain one lane's queue for a round, starting at the lane's `clock`: its
+/// lane-relative virtual time, which advances by the modeled cost of each
+/// attempt the lane runs. All timeline timestamps use it (never the shared
+/// query clock) so profiles are byte-identical across runs.
+fn run_lane(
+    lane: usize,
+    host: &str,
+    queue: Vec<Slot>,
+    mut clock: u64,
+    metrics: &QueryMetrics,
+) -> LaneRound {
+    let mut finished = Vec::new();
+    let mut failed = Vec::new();
+    for mut slot in queue {
+        if slot.attempts.is_empty() {
+            slot.queue_wait_us = clock;
+        }
+        let attempt = slot.attempts.len() as u32 + 1;
+        let local = slot.preferred.as_deref() == Some(host);
+        if local {
+            metrics.add(&metrics.local_tasks, 1);
+        }
+        let mut sp = shc_obs::trace::span("task");
+        if sp.is_active() {
+            sp.annotate("index", slot.index);
+            sp.annotate("host", host);
+            sp.annotate("exec", lane);
+            sp.annotate("attempt", attempt);
+            sp.annotate("local", local);
+            if let Some(tid) = shc_obs::trace::current_trace_id() {
+                sp.annotate("trace_id", format_args!("{tid:#x}"));
+            }
+        }
+        // Attempt cost on the trace's deterministic clock, measured as this
+        // thread's charge delta (other lanes' concurrent charges don't leak
+        // in). Injected delays are noted here but only charged to the query
+        // clock at stage end.
+        let cost0 = shc_obs::trace::thread_cost_us();
+        let (outcome, injected_us) = run_attempt(&mut slot.run, host, slot.injection.take());
+        let cost = shc_obs::trace::thread_cost_us().saturating_sub(cost0) + injected_us;
+        if shc_obs::trace::active() {
+            metrics.task_duration_us.record(cost);
+        }
+        drop(sp);
+        slot.injected_us += injected_us;
+        slot.attempts.push(TaskAttempt {
+            attempt,
+            exec: lane,
+            host: host.to_string(),
+            start_us: clock,
+            end_us: clock + cost,
+            cost_us: cost,
+            error: outcome.as_ref().err().map(|e| e.to_string()),
+            winner: false,
+        });
+        clock += cost;
+        match outcome {
+            Err(_) if attempt <= slot.retries => failed.push(slot),
+            outcome => finished.push(Finished { slot, outcome }),
+        }
+    }
+    LaneRound {
+        finished,
+        failed,
+        clock,
+    }
+}
+
+/// Stage-end analysis on the driver: straggler detection, deferred clock
+/// charging, histogram recording, and timeline persistence. `finished`
+/// holds every task once, in task order.
 fn finalize_stage(
     stage_id: u64,
-    finished: Vec<Option<Finished>>,
-    hosts: &[String],
-    lane_totals: &[u64],
+    finished: Vec<Finished>,
     obs: &StageObs,
 ) -> Result<Vec<Partition>> {
-    let mut finished: Vec<Finished> = finished
-        .into_iter()
-        .map(|f| f.ok_or_else(|| EngineError::Execution("task never executed".into())))
-        .collect::<Result<_>>()?;
-    let n_exec = hosts.len();
-
     // Straggler cutoff from the winning run costs of *successful* tasks.
     let mut runs: Vec<u64> = finished
         .iter()
         .filter(|f| f.outcome.is_ok())
-        .map(|f| f.slot.attempts.last().map(|a| a.cost_us).unwrap_or(0))
+        .filter_map(|f| f.slot.attempts.last().map(|a| a.cost_us))
         .collect();
     runs.sort_unstable();
     let cutoff = if runs.len() >= 2 {
@@ -511,15 +514,19 @@ fn finalize_stage(
         None
     };
 
-    let mut deferred_charge = 0u64;
-    let mut lane_load: Vec<u64> = lane_totals.to_vec();
-    for f in finished.iter_mut() {
-        let last = f.slot.attempts.len() - 1;
-        let run_us = f.slot.attempts[last].cost_us;
-        let mut winner = last;
-        let is_straggler = f.outcome.is_ok() && cutoff.map(|c| run_us > c).unwrap_or(false);
-        if is_straggler {
-            let cutoff = cutoff.unwrap_or(0);
+    let traced = shc_obs::trace::active();
+    let trace_id = shc_obs::trace::current_trace_id().unwrap_or(0);
+    let mut injected_us = 0;
+    let mut profiles = Vec::with_capacity(finished.len());
+    let mut results = Vec::with_capacity(finished.len());
+    for Finished { mut slot, outcome } in finished {
+        injected_us += slot.injected_us;
+        // The winner is the last attempt of a task that succeeded.
+        let last = slot.attempts.len() - 1;
+        slot.attempts[last].winner = outcome.is_ok();
+        let run_us = slot.attempts[last].cost_us;
+        let straggler = outcome.is_ok() && cutoff.is_some_and(|c| run_us > c);
+        if straggler {
             if let Some(tm) = &obs.task_metrics {
                 tm.add(&tm.stragglers, 1);
             }
@@ -528,137 +535,48 @@ fn finalize_stage(
                 "straggler",
                 format!(
                     "stage {} task {} ran {}us (cutoff {}us, k={})",
-                    stage_id, f.slot.index, run_us, cutoff, STRAGGLER_K
+                    stage_id,
+                    slot.index,
+                    run_us,
+                    cutoff.unwrap_or(0),
+                    STRAGGLER_K
                 ),
             );
-            // Duplicate attempt on the least-loaded *other* lane, if the
-            // pool has one, launched (in virtual time) at the detection
-            // cutoff.
-            let orig = f.slot.attempts[last].exec;
-            let other = (0..n_exec)
-                .filter(|&i| i != orig)
-                .min_by_key(|&i| (lane_load[i], i));
-            if let Some(lane) = other.filter(|_| obs.speculative) {
-                if let Some(tm) = &obs.task_metrics {
-                    tm.add(&tm.speculative_launches, 1);
-                }
-                let mut sp = shc_obs::trace::span("task");
-                if sp.is_active() {
-                    sp.annotate("index", f.slot.index);
-                    sp.annotate("host", &hosts[lane]);
-                    sp.annotate("exec", lane);
-                    sp.annotate("attempt", f.slot.attempts_done + 1);
-                    sp.annotate("local", f.slot.preferred.as_deref() == Some(&hosts[lane]));
-                    sp.annotate("speculative", true);
-                    if let Some(tid) = shc_obs::trace::current_trace_id() {
-                        sp.annotate("trace_id", format_args!("{tid:#x}"));
-                    }
-                }
-                let injection = obs.faults.as_ref().and_then(|fa| fa.next(&hosts[lane]));
-                let cost0 = shc_obs::trace::thread_cost_us();
-                let (dup_outcome, injected_us) =
-                    run_attempt(&mut f.slot.run, &hosts[lane], injection);
-                let dup_cost = shc_obs::trace::thread_cost_us().saturating_sub(cost0) + injected_us;
-                drop(sp);
-                lane_load[lane] += dup_cost;
-                f.slot.attempts_done += 1;
-                f.slot.attempts.push(TaskAttempt {
-                    attempt: f.slot.attempts_done,
-                    exec: lane,
-                    host: hosts[lane].clone(),
-                    start_us: cutoff,
-                    end_us: cutoff + dup_cost,
-                    cost_us: dup_cost,
-                    error: dup_outcome.as_ref().err().map(|e| e.to_string()),
-                    speculative: true,
-                    winner: false,
-                });
-                f.slot.injected.push(injected_us);
-                deferred_charge += injected_us;
-                // First result wins: the duplicate only replaces the
-                // original when it finishes earlier in virtual time.
-                if dup_outcome.is_ok() && cutoff + dup_cost < run_us {
-                    if let Some(tm) = &obs.task_metrics {
-                        tm.add(&tm.speculative_wins, 1);
-                    }
-                    winner = f.slot.attempts.len() - 1;
-                    f.outcome = dup_outcome;
-                }
-            }
         }
-        if f.outcome.is_ok() {
-            f.slot.attempts[winner].winner = true;
-        }
-        // Deferred charging of injected delays: full for every attempt the
-        // scheduler waited out; an abandoned straggler (speculative
-        // duplicate won) is only charged up to the detection cutoff —
-        // that's where the latency win comes from.
-        for (i, &inj) in f.slot.injected.iter().enumerate() {
-            if f.slot.attempts[i].speculative {
-                continue; // already charged at launch above
-            }
-            let abandoned = i == last && winner != last;
-            deferred_charge += if abandoned {
-                let closure = f.slot.attempts[i].cost_us - inj;
-                inj.min(cutoff.unwrap_or(0).saturating_sub(closure))
-            } else {
-                inj
-            };
-        }
-    }
-    shc_obs::trace::advance_us(deferred_charge);
-
-    // Record histograms + timeline profiles, in task order.
-    let traced = shc_obs::trace::active();
-    let trace_id = shc_obs::trace::current_trace_id().unwrap_or(0);
-    let mut profiles = Vec::with_capacity(finished.len());
-    let mut results = Vec::with_capacity(finished.len());
-    for f in finished {
-        let win = f
-            .slot
-            .attempts
-            .iter()
-            .rposition(|a| a.winner)
-            .unwrap_or(f.slot.attempts.len() - 1);
-        let run_us = f.slot.attempts[win].cost_us;
-        let queue_wait_us = f.slot.queue_wait_us.unwrap_or(0);
         if traced {
             if let Some(tm) = &obs.task_metrics {
                 tm.queue_wait_us
-                    .record_with_exemplar(queue_wait_us, trace_id);
+                    .record_with_exemplar(slot.queue_wait_us, trace_id);
                 tm.run_us.record_with_exemplar(run_us, trace_id);
             }
         }
-        let is_straggler = f
-            .slot
-            .attempts
-            .iter()
-            .any(|a| !a.speculative && cutoff.map(|c| a.cost_us > c).unwrap_or(false));
         if obs.timeline.is_some() {
             // Sizing an output walks its columns (dictionary columns row by
             // row): only when a profile will hold the numbers.
-            let (rows, bytes) = match &f.outcome {
+            let (rows, bytes) = match &outcome {
                 Ok(p) => (batches_num_rows(p) as u64, batches_byte_size(p) as u64),
                 Err(_) => (0, 0),
             };
-            let a = &f.slot.attempts[win];
+            let (host, exec) = (slot.attempts[last].host.clone(), slot.attempts[last].exec);
             profiles.push(TaskProfile {
                 stage_id,
-                task_index: f.slot.index,
-                preferred_host: f.slot.preferred.clone(),
-                host: a.host.clone(),
-                exec: a.exec,
-                local: f.slot.preferred.as_deref() == Some(a.host.as_str()),
-                queue_wait_us,
+                task_index: slot.index,
+                local: slot.preferred.as_deref() == Some(host.as_str()),
+                preferred_host: slot.preferred,
+                host,
+                exec,
+                queue_wait_us: slot.queue_wait_us,
                 run_us,
                 rows,
                 bytes,
-                straggler: is_straggler,
-                attempts: f.slot.attempts,
+                straggler,
+                attempts: slot.attempts,
             });
         }
-        results.push(f.outcome);
+        results.push(outcome);
     }
+    // Every injected delay is charged in full: the stage waited it out.
+    shc_obs::trace::advance_us(injected_us);
     if let Some(tl) = &obs.timeline {
         tl.record_tasks(profiles);
     }
@@ -900,13 +818,13 @@ mod tests {
     }
 
     #[test]
-    fn straggler_detected_and_speculation_wins_deterministically() {
+    fn straggler_detected_deterministically() {
         let cfg = ExecutorConfig {
             num_executors: 3,
             hosts: vec!["h0".into(), "h1".into(), "h2".into()],
             task_retries: 1,
         };
-        let run = |speculative: bool| {
+        let run = || {
             let metrics = QueryMetrics::new();
             let faults = SchedulerFaults::new();
             faults.delay_once_on_host("h1", 50_000);
@@ -916,57 +834,92 @@ mod tests {
                 timeline: Some(Arc::clone(&tl)),
                 task_metrics: Some(Arc::clone(&tm)),
                 faults: Some(faults),
-                speculative,
                 label: "scan",
                 ..StageObs::default()
             };
             let tracer = shc_obs::Tracer::new();
-            let (results, latency) = {
+            {
                 let _root = tracer.root("query");
-                // Payloads must not depend on the executing host, or the
-                // winning duplicate would legitimately change the bytes.
                 let tasks: Vec<Task> = (0..3)
                     .map(|i| {
                         let pref = format!("h{i}");
                         Task::new(Some(pref), move |_| Ok(one_row(i, "")))
                     })
                     .collect();
-                let results = run_stage(&cfg, tasks, &metrics, &obs).unwrap();
-                (results, tracer.peek_us())
-            };
-            (results, latency, tl, tm)
+                run_stage(&cfg, tasks, &metrics, &obs).unwrap();
+            }
+            (tl, tm)
         };
-        let (plain_res, plain_latency, plain_tl, plain_tm) = run(false);
-        let (spec_res, spec_latency, spec_tl, spec_tm) = run(true);
-        // Duplicate-free, byte-identical results either way.
-        assert_eq!(format!("{plain_res:?}"), format!("{spec_res:?}"));
-        // Both runs flag the delayed task as a straggler…
-        assert_eq!(plain_tm.snapshot().stragglers, 1);
-        assert_eq!(spec_tm.snapshot().stragglers, 1);
-        assert_eq!(plain_tl.stage_stats()[0].stragglers, 1);
-        // …but only the speculative run launches (and wins) a duplicate.
-        assert_eq!(plain_tm.snapshot().speculative_wins, 0);
-        let spec_snap = spec_tm.snapshot();
-        assert_eq!(spec_snap.speculative_launches, 1);
-        assert_eq!(spec_snap.speculative_wins, 1);
-        assert_eq!(spec_tl.stage_stats()[0].speculative_wins, 1);
-        let straggler = spec_tl
+        let (tl, tm) = run();
+        // The delayed task is flagged once, in the counter and the stage.
+        assert_eq!(tm.snapshot().stragglers, 1);
+        assert_eq!(tl.stage_stats()[0].stragglers, 1);
+        let straggler = tl
             .tasks()
             .into_iter()
             .find(|t| t.straggler)
             .expect("straggler profiled");
-        let dup = straggler.attempts.last().unwrap();
-        assert!(dup.speculative && dup.winner);
-        assert_ne!(dup.exec, straggler.attempts[0].exec, "different executor");
-        // Speculation abandons the delayed original at the cutoff, so the
-        // query's virtual-time latency drops.
-        assert!(
-            spec_latency < plain_latency,
-            "spec {spec_latency} >= plain {plain_latency}"
-        );
+        assert_eq!(straggler.host, "h1");
+        assert!(straggler.attempts[0].winner);
         // Same-config runs produce byte-identical timelines.
-        let (_, _, tl2, _) = run(true);
-        assert_eq!(spec_tl.render(), tl2.render());
+        assert_eq!(tl.render(), run().0.render());
+    }
+
+    #[test]
+    fn a_retry_starts_where_its_new_lanes_own_work_ended() {
+        let cfg = ExecutorConfig {
+            num_executors: 2,
+            hosts: vec!["h0".into(), "h1".into()],
+            task_retries: 1,
+        };
+        let run = || {
+            let metrics = QueryMetrics::new();
+            let faults = SchedulerFaults::new();
+            faults.fail_once_on_host("h0", "executor lost");
+            faults.fail_once_on_host("h0", "executor lost");
+            let tl = TaskTimeline::new(0, 64);
+            let obs = StageObs {
+                timeline: Some(Arc::clone(&tl)),
+                faults: Some(faults),
+                label: "scan",
+                ..StageObs::default()
+            };
+            let tracer = shc_obs::Tracer::new();
+            {
+                let _root = tracer.root("query");
+                let tasks: Vec<Task> = (0..4)
+                    .map(|i| {
+                        Task::new(Some(format!("h{}", i % 2)), move |_| {
+                            shc_obs::trace::advance_us(100);
+                            Ok(one_row(i, ""))
+                        })
+                        .with_retries(1)
+                    })
+                    .collect();
+                run_stage(&cfg, tasks, &metrics, &obs).unwrap();
+            }
+            assert_eq!(metrics.snapshot().task_retries, 2);
+            tl
+        };
+        let tl = run();
+        let tasks = tl.tasks();
+        // h0's tasks 0 and 2 fail before running; h1 runs tasks 1 and 3 in
+        // 0..200, then both retries behind them, in task order.
+        let spans = |i: usize| -> Vec<(usize, u64, u64, bool)> {
+            tasks[i]
+                .attempts
+                .iter()
+                .map(|a| (a.exec, a.start_us, a.end_us, a.winner))
+                .collect()
+        };
+        assert_eq!(spans(0), [(0, 0, 0, false), (1, 200, 300, true)]);
+        assert_eq!(spans(2), [(0, 0, 0, false), (1, 300, 400, true)]);
+        assert_eq!(spans(1), [(1, 0, 100, true)]);
+        assert_eq!(spans(3), [(1, 100, 200, true)]);
+        let render = tl.render();
+        for _ in 0..20 {
+            assert_eq!(run().render(), render, "byte-identical timelines");
+        }
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct SessionConfig {
     /// entirely (no per-collect tracer is created). Fixed at session
     /// construction.
     pub query_log_capacity: usize,
-    /// Launch a speculative duplicate attempt (on a different executor,
-    /// first result wins) for every task the straggler detector flags.
-    pub speculative_execution: bool,
     /// Deterministic scheduler fault injection (tests and examples): delay
     /// or fail task attempts by executor host.
     pub scheduler_faults: Option<Arc<SchedulerFaults>>,
@@ -64,7 +61,6 @@ impl Default for SessionConfig {
             adaptive: true,
             slow_query_threshold_us: 100_000,
             query_log_capacity: 128,
-            speculative_execution: false,
             scheduler_faults: None,
         }
     }
@@ -76,7 +72,7 @@ pub struct Session {
     tables: RwLock<HashMap<String, Arc<dyn TableProvider>>>,
     views: RwLock<HashMap<String, LogicalPlan>>,
     pub metrics: Arc<QueryMetrics>,
-    /// Scheduler task metrics: straggler/speculation counters plus the
+    /// Scheduler task metrics: the straggler counter plus the
     /// `shc_task_{queue_wait_us,run_us}` histograms.
     task_metrics: Arc<TaskMetrics>,
     /// Per-exchange-edge shuffle attribution (labeled split of the global
@@ -99,14 +95,12 @@ pub struct Session {
     events: Arc<EventJournal>,
     /// Threshold alert rules, evaluated on demand (`system.alerts` scans).
     alerts: Arc<AlertEngine>,
-    /// Finished traces of recent queries, keyed by TraceId through
-    /// [`trace_for`](Self::trace_for) — what makes a slow query's TraceId
-    /// resolvable to an exportable Chrome trace.
-    traces: Mutex<VecDeque<Trace>>,
-    /// Per-query task timelines of recent queries, keyed by TraceId through
-    /// [`timeline_for`](Self::timeline_for); backs `system.task_timeline`
-    /// and `system.stage_stats`.
-    timelines: Mutex<VecDeque<Arc<TaskTimeline>>>,
+    /// Recent finished runs, oldest first: each query's trace, keyed by
+    /// TraceId through [`trace_for`](Self::trace_for) — what makes a slow
+    /// query's TraceId resolvable to an exportable Chrome trace — and its
+    /// task timeline, which backs `system.task_timeline` and
+    /// `system.stage_stats`.
+    runs: Mutex<VecDeque<(Trace, Arc<TaskTimeline>)>>,
     /// Flight-recorder dump captured when the most recent query errored or
     /// tripped the slow threshold.
     last_event_dump: Mutex<Option<String>>,
@@ -128,8 +122,7 @@ impl Session {
             next_trace_id: AtomicU64::new(1),
             events: EventJournal::new(1024),
             alerts: AlertEngine::new(),
-            traces: Mutex::new(VecDeque::new()),
-            timelines: Mutex::new(VecDeque::new()),
+            runs: Mutex::new(VecDeque::new()),
             last_event_dump: Mutex::new(None),
         })
     }
@@ -232,30 +225,31 @@ impl Session {
         self.next_trace_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Remember a finished trace so its TraceId stays resolvable (bounded
-    /// by the query-log capacity; oldest evicted first).
-    pub fn store_trace(&self, trace: Trace) {
+    /// Remember a finished run's trace and task timeline so its TraceId
+    /// stays resolvable (bounded by the query-log capacity; oldest evicted
+    /// first).
+    pub fn store_run(&self, trace: Trace, timeline: Arc<TaskTimeline>) {
         let capacity = self.query_log.capacity();
         if capacity == 0 {
             return;
         }
-        let mut traces = self.traces.lock();
-        if traces.len() == capacity {
-            traces.pop_front();
+        let mut runs = self.runs.lock();
+        if runs.len() == capacity {
+            runs.pop_front();
         }
-        traces.push_back(trace);
+        runs.push_back((trace, timeline));
     }
 
     /// Resolve a TraceId recorded in `system.queries` to its trace.
     pub fn trace_for(&self, trace_id: u64) -> Option<Trace> {
-        self.traces
+        self.runs
             .lock()
             .iter()
-            .find(|t| t.trace_id == trace_id)
-            .cloned()
+            .find(|(t, _)| t.trace_id == trace_id)
+            .map(|(t, _)| t.clone())
     }
 
-    /// Scheduler task metrics (straggler/speculation counters and the
+    /// Scheduler task metrics (the straggler counter and the
     /// `shc_task_*` histograms) accumulated across this session's queries.
     pub fn task_metrics(&self) -> &Arc<TaskMetrics> {
         &self.task_metrics
@@ -267,38 +261,19 @@ impl Session {
         &self.shuffle_edges
     }
 
-    /// Remember a finished query's task timeline so its TraceId stays
-    /// resolvable (bounded by the query-log capacity, like traces).
-    pub fn store_timeline(&self, timeline: Arc<TaskTimeline>) {
-        let capacity = self.query_log.capacity();
-        if capacity == 0 {
-            return;
-        }
-        let mut timelines = self.timelines.lock();
-        if timelines.len() == capacity {
-            timelines.pop_front();
-        }
-        timelines.push_back(timeline);
-    }
-
-    /// Resolve a TraceId to its per-task execution timeline.
-    pub fn timeline_for(&self, trace_id: u64) -> Option<Arc<TaskTimeline>> {
-        self.timelines
-            .lock()
-            .iter()
-            .find(|t| t.trace_id() == trace_id)
-            .cloned()
-    }
-
     /// The most recently stored task timeline, if any.
     pub fn last_timeline(&self) -> Option<Arc<TaskTimeline>> {
-        self.timelines.lock().back().cloned()
+        self.runs.lock().back().map(|(_, tl)| Arc::clone(tl))
     }
 
     /// All retained task timelines, oldest first (backs
     /// `system.task_timeline` and `system.stage_stats`).
     pub fn timelines(&self) -> Vec<Arc<TaskTimeline>> {
-        self.timelines.lock().iter().cloned().collect()
+        self.runs
+            .lock()
+            .iter()
+            .map(|(_, tl)| Arc::clone(tl))
+            .collect()
     }
 
     /// The flight-recorder dump captured by the most recent slow or errored
@@ -406,7 +381,6 @@ impl Session {
             broadcast_threshold: cfg.broadcast_threshold,
             batch_size: cfg.batch_size,
             adaptive: cfg.adaptive,
-            speculative: cfg.speculative_execution,
             sched_faults: cfg.scheduler_faults.clone(),
         }
     }

@@ -3,11 +3,11 @@
 //! Every stage the scheduler runs appends one [`TaskProfile`] per task into
 //! a bounded per-query [`TaskTimeline`]: where the task wanted to run vs
 //! where it ran, how long it waited behind earlier work on its executor
-//! lane, the modeled cost of every attempt (including failed and
-//! speculative ones — attempt chains survive retries), and the rows/bytes
-//! it produced. [`TaskTimeline::stage_stats`] aggregates the profiles into
-//! per-stage skew statistics (rows/bytes min/median/max, skew ratio,
-//! locality hit ratio, straggler and speculative counts) — the numbers
+//! lane, the modeled cost of every attempt (failed ones included — attempt
+//! chains survive retries), and the rows/bytes it produced.
+//! [`TaskTimeline::stage_stats`] aggregates the profiles into per-stage
+//! skew statistics (rows/bytes min/median/max, skew ratio, locality hit
+//! ratio, straggler count) — the numbers
 //! behind `system.task_timeline`, `system.stage_stats`, the `skew:` /
 //! `locality:` lines in `explain_analyze`, and the `stage_skew_high`
 //! alert.
@@ -22,11 +22,10 @@ use parking_lot::Mutex;
 
 /// One attempt of one task: where it ran and what it cost. Failed attempts
 /// keep their error; the attempt that produced the task's result is marked
-/// `winner`. Speculative duplicates (launched for stragglers when
-/// `SessionConfig::speculative_execution` is on) are marked `speculative`.
+/// `winner`: the last attempt of a task that succeeded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskAttempt {
-    /// 1-based attempt number; speculative duplicates continue the chain.
+    /// 1-based attempt number.
     pub attempt: u32,
     /// Executor lane index the attempt ran on.
     pub exec: usize,
@@ -40,7 +39,6 @@ pub struct TaskAttempt {
     pub cost_us: u64,
     /// Failure message when the attempt errored (retry cause).
     pub error: Option<String>,
-    pub speculative: bool,
     pub winner: bool,
 }
 
@@ -67,7 +65,7 @@ pub struct TaskProfile {
     pub bytes: u64,
     /// Flagged by the detector: `run_us` exceeded the stage cutoff.
     pub straggler: bool,
-    /// Every attempt, in order — including failed and speculative ones.
+    /// Every attempt, in order — failed ones included.
     pub attempts: Vec<TaskAttempt>,
 }
 
@@ -105,7 +103,6 @@ pub struct StageStats {
     pub run_median_us: u64,
     pub run_max_us: u64,
     pub stragglers: u64,
-    pub speculative_wins: u64,
 }
 
 #[derive(Default)]
@@ -209,7 +206,7 @@ impl TaskTimeline {
         for s in self.stage_stats() {
             out.push_str(&format!(
                 "stage {} [{}]: tasks={} rows={}/{}/{} bytes={}/{}/{} skew={} locality={} \
-                 wait_max={}us run={}/{}/{}us stragglers={} spec_wins={}\n",
+                 wait_max={}us run={}/{}/{}us stragglers={}\n",
                 s.stage_id,
                 s.label,
                 s.tasks,
@@ -230,7 +227,6 @@ impl TaskTimeline {
                 s.run_median_us,
                 s.run_max_us,
                 s.stragglers,
-                s.speculative_wins,
             ));
             let mut tasks = self.tasks();
             tasks.retain(|t| t.stage_id == s.stage_id);
@@ -252,14 +248,13 @@ impl TaskTimeline {
                 ));
                 for a in &t.attempts {
                     out.push_str(&format!(
-                        "    attempt {} exec={} host={} [{}..{}] {}us{}{}{}\n",
+                        "    attempt {} exec={} host={} [{}..{}] {}us{}{}\n",
                         a.attempt,
                         a.exec,
                         a.host,
                         a.start_us,
                         a.end_us,
                         a.cost_us,
-                        if a.speculative { " speculative" } else { "" },
                         if a.winner { " winner" } else { "" },
                         a.error
                             .as_deref()
@@ -329,10 +324,6 @@ fn stats_for(stage: &StageRecord, tasks: &[&TaskProfile]) -> StageStats {
         run_median_us: median_sorted(&runs),
         run_max_us: runs.last().copied().unwrap_or(0),
         stragglers: tasks.iter().filter(|t| t.straggler).count() as u64,
-        speculative_wins: tasks
-            .iter()
-            .filter(|t| t.attempts.iter().any(|a| a.speculative && a.winner))
-            .count() as u64,
     }
 }
 
@@ -361,7 +352,6 @@ mod tests {
                 end_us: run,
                 cost_us: run,
                 error: None,
-                speculative: false,
                 winner: true,
             }],
         }
@@ -424,7 +414,6 @@ mod tests {
                     end_us: 5,
                     cost_us: 5,
                     error: Some("executor lost".into()),
-                    speculative: false,
                     winner: false,
                 },
             );

@@ -1,10 +1,9 @@
 //! Task-execution observability end to end: the straggler detector fires
 //! exactly once on an injected delay (journaled under the query's
-//! TraceId), speculative execution beats the straggler with byte-identical
-//! duplicate-free results and a lower virtual latency, same-seed task
-//! timelines replay byte-for-byte, retried tasks keep their full attempt
-//! chains, and a skewed cluster scan surfaces in `system.stage_stats` and
-//! fires the `stage_skew_high` alert.
+//! TraceId), same-seed task timelines replay byte-for-byte, retried tasks
+//! keep their full attempt chains, and a skewed cluster scan surfaces in
+//! `system.stage_stats` and fires the `stage_skew_high` and
+//! `straggler_spike` alerts.
 //!
 //! Determinism discipline: scheduler placement is decided at submit time,
 //! timeline timestamps are lane-relative, and injected faults are keyed by
@@ -20,14 +19,13 @@ const QUERY: &str = "SELECT dept, COUNT(*) AS n FROM jobs GROUP BY dept ORDER BY
 /// An engine-only session: 600 rows over 6 even MemTable partitions on a
 /// 3-executor pool, so every scan task costs the same — any straggler is
 /// the fault injector's doing.
-fn obs_session(speculative: bool, faults: Option<Arc<SchedulerFaults>>) -> Arc<Session> {
+fn obs_session(faults: Option<Arc<SchedulerFaults>>) -> Arc<Session> {
     let session = Session::new(SessionConfig {
         executors: ExecutorConfig {
             num_executors: 3,
             hosts: vec!["h0".into(), "h1".into(), "h2".into()],
             task_retries: 1,
         },
-        speculative_execution: speculative,
         scheduler_faults: faults,
         ..Default::default()
     });
@@ -52,7 +50,7 @@ fn delayed_faults() -> Arc<SchedulerFaults> {
 
 #[test]
 fn straggler_detector_fires_exactly_once_with_query_trace_id() {
-    let session = obs_session(false, Some(delayed_faults()));
+    let session = obs_session(Some(delayed_faults()));
     session.sql(QUERY).unwrap().collect().unwrap();
 
     let trace_id = session.query_log().entries()[0].trace_id;
@@ -74,7 +72,6 @@ fn straggler_detector_fires_exactly_once_with_query_trace_id() {
     );
     let tasks = session.task_metrics().snapshot();
     assert_eq!(tasks.stragglers, 1);
-    assert_eq!(tasks.speculative_launches, 0, "speculation is off");
     // The run-time histogram's tail exemplar is the offending query.
     assert_eq!(
         session.task_metrics().run_us.latest_tail_exemplar(),
@@ -92,75 +89,25 @@ fn straggler_detector_fires_exactly_once_with_query_trace_id() {
 }
 
 #[test]
-fn speculative_copy_wins_with_identical_results_and_lower_latency() {
-    let plain = obs_session(false, Some(delayed_faults()));
-    let spec = obs_session(true, Some(delayed_faults()));
-    let rows_plain = plain.sql(QUERY).unwrap().collect().unwrap();
-    let rows_spec = spec.sql(QUERY).unwrap().collect().unwrap();
-
-    // First-result-wins must not change or duplicate anything.
-    assert_eq!(
-        format!("{rows_plain:?}"),
-        format!("{rows_spec:?}"),
-        "speculation must be result-transparent"
-    );
-    for row in &rows_spec {
-        assert_eq!(
-            row.get(1),
-            &Value::Int64(200),
-            "a duplicated task would double a group count"
-        );
-    }
-
-    assert_eq!(plain.task_metrics().snapshot().speculative_wins, 0);
-    let tasks = spec.task_metrics().snapshot();
-    assert_eq!(tasks.stragglers, 1);
-    assert_eq!(tasks.speculative_launches, 1);
-    assert_eq!(tasks.speculative_wins, 1);
-
-    // The duplicate attempt is recorded on the straggler's chain, ran on a
-    // different executor, and is marked the winner.
-    let task = spec
-        .last_timeline()
-        .unwrap()
-        .tasks()
-        .into_iter()
-        .find(|t| t.straggler)
-        .unwrap();
-    let dup = task.attempts.iter().find(|a| a.speculative).unwrap();
-    assert!(dup.winner);
-    assert_ne!(dup.host, "h1", "duplicate must run on another executor");
-
-    // Abandoning the delayed original at the cutoff drops virtual latency.
-    let d_plain = plain.query_log().entries()[0].duration_us;
-    let d_spec = spec.query_log().entries()[0].duration_us;
-    assert!(
-        d_spec < d_plain,
-        "speculation must cut virtual latency: spec={d_spec}us plain={d_plain}us"
-    );
-}
-
-#[test]
 fn same_seed_timelines_are_byte_identical() {
-    let run = |speculative: bool| {
-        let session = obs_session(speculative, Some(delayed_faults()));
+    let run = || {
+        let session = obs_session(Some(delayed_faults()));
         session.sql(QUERY).unwrap().collect().unwrap();
         session.last_timeline().unwrap().render()
     };
-    let a = run(true);
+    let a = run();
     assert!(
         a.contains("straggler"),
         "render shows the flagged task: {a}"
     );
-    assert_eq!(a, run(true), "speculative timeline must replay");
-    assert_eq!(run(false), run(false), "plain timeline must replay");
+    assert_eq!(a, run(), "timeline must replay");
 }
 
 #[test]
 fn retries_keep_full_attempt_chains_and_shuffle_edges_are_attributed() {
     let faults = SchedulerFaults::new();
     faults.fail_once_on_host("h0", "executor lost");
-    let session = obs_session(false, Some(faults));
+    let session = obs_session(Some(faults));
     session.sql(QUERY).unwrap().collect().unwrap();
 
     let timeline = session.last_timeline().unwrap();
@@ -339,7 +286,6 @@ fn straggler_spike_alert_fires_once_then_clears() {
     faults.delay_once_on_host(&cluster.hostnames()[1], 5_000_000);
     session.update_config(|c| {
         c.scheduler_faults = Some(faults);
-        c.speculative_execution = true;
     });
     session
         .sql("SELECT COUNT(*) FROM ledger")
@@ -347,7 +293,6 @@ fn straggler_spike_alert_fires_once_then_clears() {
         .collect()
         .unwrap();
     assert!(session.task_metrics().snapshot().stragglers >= 1);
-    assert!(session.task_metrics().snapshot().speculative_wins >= 1);
 
     let alert = |name: &str| {
         let rows = session
