@@ -25,7 +25,9 @@ type ColumnarCache = HashMap<(usize, usize), (u64, Arc<Vec<ColumnarBatch>>)>;
 /// An in-memory, partitioned table.
 pub struct MemTable {
     schema: Schema,
-    partitions: RwLock<Vec<Vec<Row>>>,
+    /// Each partition's rows, shared with the scan partitions built from
+    /// them: a write copies a partition only while a scan still holds it.
+    partitions: RwLock<Vec<Arc<Vec<Row>>>>,
     /// Lazily built columnar form of each partition, shared with in-flight
     /// scan partitions (hence the inner `Arc`).
     columnar: Arc<RwLock<ColumnarCache>>,
@@ -37,7 +39,7 @@ impl MemTable {
     pub fn new(schema: Schema, num_partitions: usize) -> Self {
         MemTable {
             schema,
-            partitions: RwLock::new(vec![Vec::new(); num_partitions.max(1)]),
+            partitions: RwLock::new((0..num_partitions.max(1)).map(|_| Arc::default()).collect()),
             columnar: Arc::new(RwLock::new(HashMap::new())),
             version: AtomicU64::new(0),
         }
@@ -50,7 +52,7 @@ impl MemTable {
     }
 
     pub fn row_count(&self) -> usize {
-        self.partitions.read().iter().map(Vec::len).sum()
+        self.partitions.read().iter().map(|rows| rows.len()).sum()
     }
 }
 
@@ -85,7 +87,7 @@ fn filter_matches(filter: &SourceFilter, row: &Row, schema: &Schema) -> bool {
 }
 
 struct MemPartition {
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
     schema: Schema,
     projection: Option<Vec<usize>>,
     filters: Vec<SourceFilter>,
@@ -115,7 +117,7 @@ impl ScanPartition for MemPartition {
                 None => self.schema.data_types(),
             };
             let mut builder = BatchBuilder::new(dtypes, batch_size);
-            for row in &self.rows {
+            for row in self.rows.iter() {
                 if self
                     .filters
                     .iter()
@@ -187,7 +189,7 @@ impl TableProvider for MemTable {
             .enumerate()
             .map(|(index, rows)| {
                 Arc::new(MemPartition {
-                    rows: rows.clone(),
+                    rows: Arc::clone(rows),
                     schema: self.schema.clone(),
                     projection: projection.map(|p| p.to_vec()),
                     filters: filters.to_vec(),
@@ -210,7 +212,8 @@ impl TableProvider for MemTable {
         let n = partitions.len();
         let mut bytes = 0u64;
         // Round-robin starting from the current total, for even spread.
-        let offset = partitions.iter().map(Vec::len).sum::<usize>();
+        let offset = partitions.iter().map(|rows| rows.len()).sum::<usize>();
+        let mut partitions: Vec<&mut Vec<Row>> = partitions.iter_mut().map(Arc::make_mut).collect();
         for (i, row) in rows.iter().enumerate() {
             bytes += row.byte_size() as u64;
             partitions[(offset + i) % n].push(row.clone());
@@ -347,6 +350,23 @@ mod tests {
         );
         let rows = collect(t.scan(None, &[f]).unwrap());
         assert_eq!(rows.len(), 7);
+    }
+
+    #[test]
+    fn a_scan_keeps_the_rows_it_saw_across_an_insert() {
+        let t = table();
+        let before = t.scan(None, &[]).unwrap();
+        t.insert(&[Row::new(vec![Value::Int64(100), Value::Utf8("new".into())])])
+            .unwrap();
+        let after = t.scan(None, &[]).unwrap();
+        let ids = |parts| -> Vec<Value> {
+            let mut ids: Vec<Value> = collect(parts).iter().map(|r| r.get(0).clone()).collect();
+            ids.sort_by(|a, b| a.sql_cmp(b).unwrap());
+            ids
+        };
+        let old: Vec<Value> = (0..10).map(Value::Int64).collect();
+        assert_eq!(ids(before), old);
+        assert_eq!(ids(after), [old, vec![Value::Int64(100)]].concat());
     }
 
     #[test]

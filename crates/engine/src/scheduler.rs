@@ -1,5 +1,5 @@
-//! Task scheduler: a fixed pool of "executors", each pinned to a simulated
-//! host, running tasks with locality preferences.
+//! Task scheduler: a fixed set of executor lanes, each pinned to a
+//! simulated host, running tasks with locality preferences.
 //!
 //! Mirrors the paper's execution model (§VI): the driver builds one task per
 //! region server, tasks carry a preferred location, and the scheduler makes
@@ -12,14 +12,26 @@
 //! Placement is decided **at submit time**: every task is assigned to an
 //! executor lane (preferred host first, then least-loaded, ties to the
 //! lowest lane index). A stage then runs in rounds. In each round every
-//! lane with queued work drains its own queue on its own thread and hands
-//! back its finished tasks, its failed tasks with retries left, and its
-//! lane clock. The driver re-places the failed ones, in task order, onto a
+//! lane with queued work drains its queue and hands back its finished
+//! tasks, its failed tasks with retries left, and its lane clock. The
+//! driver re-places the failed ones, in task order, onto a
 //! deterministically chosen *other* lane, and runs another round while
 //! anything is queued. A retry so starts after all of its new lane's
 //! earlier work, and the sequence of attempts each lane runs — and
 //! therefore every lane-relative timestamp — is identical across runs
-//! regardless of thread interleaving.
+//! regardless of thread interleaving, or of which thread ran a lane.
+//!
+//! ## Threads
+//!
+//! The driver runs the round's first lane with work on its own thread, so
+//! a one-lane round (a one-task stage, a retry round, one executor) hands
+//! nothing off. Every other lane goes to a worker parked on a channel: the
+//! driver thread keeps its idle workers' mailboxes and spawns a worker only
+//! when none is idle, so its pool grows to the peak number of concurrent
+//! lanes and then stops. A lane job owns everything it uses, and a worker
+//! drops the job before it replies, so a parked worker holds nothing of a
+//! finished stage. The driver parks the round's workers again once every
+//! lane has replied; they exit when the driver thread does.
 //!
 //! Every stage records per-task [`TaskProfile`]s (queue wait, per-attempt
 //! modeled cost measured via [`shc_obs::trace::thread_cost_us`], full
@@ -33,7 +45,9 @@ use crate::error::{EngineError, Result};
 use crate::metrics::{QueryMetrics, TaskMetrics};
 use crate::task_timeline::{TaskAttempt, TaskProfile, TaskTimeline};
 use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
 /// The closure type a task runs: receives the hostname of the executor it
@@ -73,7 +87,8 @@ impl Task {
 /// Executor pool configuration.
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
-    /// Number of executor threads.
+    /// Number of executor lanes: the driver runs one, parked workers the
+    /// rest.
     pub num_executors: usize,
     /// Hosts the executors are placed on, round-robin. With Spark-on-YARN
     /// co-location this is the set of region-server hostnames.
@@ -182,8 +197,8 @@ const STRAGGLER_K: f64 = 3.0;
 const STRAGGLER_MIN_RUN_US: u64 = 1_000;
 
 /// Observability context for one scheduler stage: where to record task
-/// profiles and task metrics, and which faults to inject. [`run_tasks`]
-/// uses the default (no recording, no faults).
+/// profiles and task metrics, and which faults to inject. The default
+/// records nothing and injects nothing.
 pub struct StageObs {
     /// Per-query timeline receiving this stage's [`TaskProfile`]s.
     pub timeline: Option<Arc<TaskTimeline>>,
@@ -239,17 +254,6 @@ struct LaneRound {
     failed: Vec<Slot>,
     /// The lane's clock after its last attempt.
     clock: u64,
-}
-
-/// Run a batch of tasks across the executor pool; results come back in task
-/// order. Locality statistics are recorded in `metrics`. Equivalent to
-/// [`run_stage`] with a default [`StageObs`] (no timeline, no faults).
-pub fn run_tasks(
-    config: &ExecutorConfig,
-    tasks: Vec<Task>,
-    metrics: &Arc<QueryMetrics>,
-) -> Result<Vec<Partition>> {
-    run_stage(config, tasks, metrics, &StageObs::default())
 }
 
 /// Deterministic placement: preferred host's least-loaded lane when the
@@ -361,35 +365,41 @@ pub fn run_stage(
         });
     }
 
-    // Rounds: every lane with queued work drains its queue on its own
-    // thread, then the driver re-places the failed slots that have retries
-    // left, in task order, behind everything their new lane has run.
+    // Rounds: every lane with queued work drains its queue, then the driver
+    // re-places the failed slots that have retries left, in task order,
+    // behind everything their new lane has run.
     let mut clocks = vec![0u64; n_exec];
     let mut finished = Vec::with_capacity(n_tasks);
-    // Executors run on their own threads: carry the driver's trace context
+    // Lanes may run on parked workers: carry the driver's trace context
     // across so task/RPC spans attach to the active query trace.
     let trace_ctx = shc_obs::trace::capture();
     while queues.iter().any(|q| !q.is_empty()) {
-        let rounds = std::thread::scope(|scope| {
-            let lanes: Vec<_> = queues
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, queue)| !queue.is_empty())
-                .map(|(lane, queue)| {
-                    let queue = std::mem::take(queue);
-                    let (host, clock, trace_ctx) = (&hosts[lane], clocks[lane], trace_ctx.clone());
-                    let handle = scope.spawn(move || {
-                        let _trace_ctx = shc_obs::TraceContext::adopt_opt(trace_ctx.as_ref());
-                        run_lane(lane, host, queue, clock, metrics)
-                    });
-                    (lane, handle)
-                })
-                .collect();
-            lanes
-                .into_iter()
-                .map(|(lane, handle)| (lane, handle.join()))
-                .collect::<Vec<_>>()
-        });
+        let mut jobs = queues
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, queue)| !queue.is_empty())
+            .map(|(lane, queue)| LaneJob {
+                lane,
+                host: hosts[lane].clone(),
+                queue: std::mem::take(queue),
+                clock: clocks[lane],
+                metrics: Arc::clone(metrics),
+                trace_ctx: trace_ctx.clone(),
+            });
+        let own = jobs.next().expect("a lane has queued work");
+        let (reply, replies) = mpsc::channel();
+        let busy: Vec<Mailbox> = jobs.map(|job| hand_off(job, &reply)).collect();
+        drop(reply);
+        let mut rounds = vec![(own.lane, catch_unwind(AssertUnwindSafe(|| own.run())))];
+        for _ in &busy {
+            // A worker that died without replying took its lane's tasks.
+            let round = replies
+                .recv()
+                .map_err(|_| EngineError::Execution("executor lane panicked".into()))?;
+            rounds.push(round);
+        }
+        // Every lane has replied, so no worker still holds this round's work.
+        IDLE.with(|idle| idle.borrow_mut().extend(busy));
         let mut failed = Vec::new();
         for (lane, round) in rounds {
             // A task's panic is its attempt's error; a lane's is a bug.
@@ -422,6 +432,70 @@ pub fn run_stage(
 
     finished.sort_by_key(|f| f.slot.index);
     finalize_stage(stage_id, finished, obs)
+}
+
+/// One lane's work for a round. It owns everything the lane uses, so a
+/// parked worker can run it and keep nothing once it is done.
+struct LaneJob {
+    lane: usize,
+    host: String,
+    queue: Vec<Slot>,
+    clock: u64,
+    metrics: Arc<QueryMetrics>,
+    trace_ctx: Option<shc_obs::TraceContext>,
+}
+
+impl LaneJob {
+    fn run(self) -> LaneRound {
+        let _trace_ctx = shc_obs::TraceContext::adopt_opt(self.trace_ctx.as_ref());
+        run_lane(self.lane, &self.host, self.queue, self.clock, &self.metrics)
+    }
+}
+
+/// A lane's round, or the panic that ended it, with the lane's index.
+type LaneReply = (usize, std::thread::Result<LaneRound>);
+
+/// A parked lane worker's channel: a lane job and where to send its reply.
+type Mailbox = Sender<(LaneJob, Sender<LaneReply>)>;
+
+thread_local! {
+    /// This thread's idle lane workers. Only the thread that spawned a
+    /// worker hands it work, so they need no lock; a worker exits when its
+    /// mailbox is dropped, at the latest when this thread ends.
+    static IDLE: RefCell<Vec<Mailbox>> = const { RefCell::new(Vec::new()) };
+    /// Lane workers this thread has spawned.
+    pub(crate) static SPAWNED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Send `job` to an idle lane worker, spawning one when none is idle.
+/// Returns the worker's mailbox, to be parked again once it has replied.
+fn hand_off(job: LaneJob, reply: &Sender<LaneReply>) -> Mailbox {
+    let mailbox = IDLE
+        .with(|idle| idle.borrow_mut().pop())
+        .unwrap_or_else(spawn_worker);
+    mailbox
+        .send((job, reply.clone()))
+        .expect("a lane worker runs while its mailbox exists");
+    mailbox
+}
+
+/// Start a lane worker. It is never joined: it catches its lanes' panics
+/// and replies with them, so a detached worker hides none.
+fn spawn_worker() -> Mailbox {
+    let (mailbox, jobs) = mpsc::channel::<(LaneJob, Sender<LaneReply>)>();
+    std::thread::Builder::new()
+        .name("shc-lane".into())
+        .spawn(move || {
+            for (job, reply) in jobs {
+                let lane = job.lane;
+                let round = catch_unwind(AssertUnwindSafe(|| job.run()));
+                // The driver waits for every reply of its round.
+                let _ = reply.send((lane, round));
+            }
+        })
+        .expect("spawn a lane worker");
+    SPAWNED.with(|n| n.set(n.get() + 1));
+    mailbox
 }
 
 /// Drain one lane's queue for a round, starting at the lane's `clock`: its
@@ -618,7 +692,7 @@ mod tests {
         };
         let metrics = QueryMetrics::new();
         let tasks: Vec<Task> = (0..20).map(|i| mk_task(None, i)).collect();
-        let results = run_tasks(&cfg, tasks, &metrics).unwrap();
+        let results = run_stage(&cfg, tasks, &metrics, &StageObs::default()).unwrap();
         assert_eq!(results.len(), 20);
         for (i, part) in results.into_iter().enumerate() {
             assert_eq!(first_row(&part).get(0), &Value::Int64(i as i64));
@@ -640,7 +714,7 @@ mod tests {
             mk_task(Some("h0"), 2),
             mk_task(Some("h1"), 3),
         ];
-        let results = run_tasks(&cfg, tasks, &metrics).unwrap();
+        let results = run_stage(&cfg, tasks, &metrics, &StageObs::default()).unwrap();
         // Placement is static and preferred-host-first: every task runs on
         // its preferred host when that host has an executor.
         let local = results
@@ -663,7 +737,13 @@ mod tests {
             task_retries: 1,
         };
         let metrics = QueryMetrics::new();
-        let results = run_tasks(&cfg, vec![mk_task(Some("mars"), 7)], &metrics).unwrap();
+        let results = run_stage(
+            &cfg,
+            vec![mk_task(Some("mars"), 7)],
+            &metrics,
+            &StageObs::default(),
+        )
+        .unwrap();
         assert_eq!(first_row(&results[0]).get(1).as_str(), Some("h0"));
         assert_eq!(metrics.snapshot().local_tasks, 0);
     }
@@ -695,7 +775,7 @@ mod tests {
                         })
                         .collect();
                     let metrics = QueryMetrics::new();
-                    let outcome = run_tasks(&cfg, tasks, &metrics);
+                    let outcome = run_stage(&cfg, tasks, &metrics, &StageObs::default());
                     if retries == 0 {
                         let err = outcome.unwrap_err().to_string();
                         assert!(err.contains("task panicked: lane"), "{err}");
@@ -709,6 +789,11 @@ mod tests {
                     }
                 }
             }
+            // The workers that ran those lanes are parked again: the next
+            // stage runs on both lanes and starts no thread.
+            let spawned = SPAWNED.with(Cell::get);
+            assert_eq!(ran_on(&lanes(2), 2), ["h0", "h1"]);
+            assert_eq!(SPAWNED.with(Cell::get), spawned);
             done.send(()).unwrap();
         });
         watchdog
@@ -716,12 +801,116 @@ mod tests {
             .expect("a stage with a panicking task returned");
     }
 
+    /// A panic payload that panics when it is dropped. The scheduler drops
+    /// a task's payload after catching it, so this panic ends the lane.
+    struct Bomb;
+
+    impl Drop for Bomb {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                panic!("payload dropped");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lane_panic_is_an_error_on_either_thread() {
+        // Lane 0 runs on the driver, lane 1 on a parked worker.
+        for bad in 0..2 {
+            let tasks = (0..2)
+                .map(|i| {
+                    Task::new(Some(format!("h{i}")), move |on| {
+                        if i == bad {
+                            std::panic::panic_any(Bomb);
+                        }
+                        Ok(one_row(i as i64, on))
+                    })
+                })
+                .collect();
+            let metrics = QueryMetrics::new();
+            let err = run_stage(&lanes(2), tasks, &metrics, &StageObs::default()).unwrap_err();
+            assert_eq!(err.to_string(), "execution error: executor lane panicked");
+        }
+        let spawned = SPAWNED.with(Cell::get);
+        assert_eq!(ran_on(&lanes(2), 2), ["h0", "h1"]);
+        assert_eq!(SPAWNED.with(Cell::get), spawned, "the worker survived");
+    }
+
+    /// `n` lanes on hosts `h0..hn`, no retries.
+    fn lanes(n: usize) -> ExecutorConfig {
+        ExecutorConfig {
+            num_executors: n,
+            hosts: (0..n).map(|i| format!("h{i}")).collect(),
+            task_retries: 0,
+        }
+    }
+
+    /// Run one stage of `n` tasks, task `i` preferring host `h{i % lanes}`,
+    /// and return the host each task ran on.
+    fn ran_on(cfg: &ExecutorConfig, n: usize) -> Vec<String> {
+        let tasks = (0..n)
+            .map(|i| mk_task(Some(&cfg.hosts[i % cfg.hosts.len()]), i as i64))
+            .collect();
+        let metrics = QueryMetrics::new();
+        run_stage(cfg, tasks, &metrics, &StageObs::default())
+            .unwrap()
+            .iter()
+            .map(|part| first_row(part).get(1).as_str().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn parked_lanes_are_reused_across_stages() {
+        let spawned = || SPAWNED.with(Cell::get);
+        // The driver runs a one-lane stage itself.
+        let before = spawned();
+        for _ in 0..50 {
+            assert_eq!(ran_on(&lanes(1), 2), ["h0", "h0"]);
+        }
+        assert_eq!(spawned(), before, "a one-lane pool spawned a thread");
+        // A two-lane stage needs one worker; the next 200 reuse it.
+        ran_on(&lanes(2), 2);
+        let warm = spawned();
+        assert!(warm <= before + 1, "{} threads for one lane", warm - before);
+        for _ in 0..200 {
+            assert_eq!(ran_on(&lanes(2), 2), ["h0", "h1"]);
+        }
+        assert_eq!(spawned(), warm, "a stage round spawned a thread");
+    }
+
+    #[test]
+    fn a_parked_lane_keeps_nothing_of_its_stage() {
+        let captured = Arc::new(());
+        let weak = Arc::downgrade(&captured);
+        let metrics = QueryMetrics::new();
+        let tracer = shc_obs::Tracer::new();
+        {
+            let _root = tracer.root("query");
+            let tasks = (0..4)
+                .map(|i| {
+                    let captured = Arc::clone(&captured);
+                    Task::new(Some(format!("h{}", i % 2)), move |on| {
+                        let _ = &captured;
+                        Ok(one_row(i, on))
+                    })
+                })
+                .collect();
+            drop(captured);
+            run_stage(&lanes(2), tasks, &metrics, &StageObs::default()).unwrap();
+        }
+        assert!(
+            weak.upgrade().is_none(),
+            "a task closure outlived its stage"
+        );
+        assert_eq!(Arc::strong_count(&metrics), 1, "a lane kept the metrics");
+    }
+
     #[test]
     fn task_errors_propagate() {
         let cfg = ExecutorConfig::default();
         let metrics = QueryMetrics::new();
         let bad = Task::new(None, |_| Err(EngineError::Execution("boom".into())));
-        let err = run_tasks(&cfg, vec![bad], &metrics).unwrap_err();
+        let err = run_stage(&cfg, vec![bad], &metrics, &StageObs::default()).unwrap_err();
         assert!(err.to_string().contains("boom"));
     }
 
@@ -729,7 +918,9 @@ mod tests {
     fn empty_task_list_is_ok() {
         let cfg = ExecutorConfig::default();
         let metrics = QueryMetrics::new();
-        assert!(run_tasks(&cfg, vec![], &metrics).unwrap().is_empty());
+        assert!(run_stage(&cfg, vec![], &metrics, &StageObs::default())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -751,7 +942,7 @@ mod tests {
             }
         })
         .with_retries(1);
-        let results = run_tasks(&cfg, vec![flaky], &metrics).unwrap();
+        let results = run_stage(&cfg, vec![flaky], &metrics, &StageObs::default()).unwrap();
         assert_eq!(first_row(&results[0]).get(0), &Value::Int64(1));
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(metrics.snapshot().task_retries, 1);
@@ -763,7 +954,7 @@ mod tests {
         let metrics = QueryMetrics::new();
         let bad =
             Task::new(None, |_| Err(EngineError::Execution("always down".into()))).with_retries(2);
-        let err = run_tasks(&cfg, vec![bad], &metrics).unwrap_err();
+        let err = run_stage(&cfg, vec![bad], &metrics, &StageObs::default()).unwrap_err();
         assert!(err.to_string().contains("always down"));
         assert_eq!(metrics.snapshot().task_retries, 2);
     }
@@ -777,7 +968,7 @@ mod tests {
         };
         let metrics = QueryMetrics::new();
         let tasks: Vec<Task> = (0..100).map(|i| mk_task(None, i)).collect();
-        let results = run_tasks(&cfg, tasks, &metrics).unwrap();
+        let results = run_stage(&cfg, tasks, &metrics, &StageObs::default()).unwrap();
         assert_eq!(results.len(), 100);
     }
 
