@@ -606,9 +606,9 @@ impl HBaseScanPartition {
         for (location, ranges) in work {
             // One attribution span per region visited. Rows are counted as
             // scanned (before engine-side residual filtering), so retried
-            // visits show the work actually performed. The scanner worker
-            // captures the trace context here, so its per-batch `rpc` spans
-            // nest under this region span.
+            // visits show the work actually performed. The scanner runs on
+            // this thread, so its per-batch `rpc` spans nest under this
+            // region span.
             let mut region_sp = shc_obs::trace::span("region_scan");
             if region_sp.is_active() {
                 region_sp.annotate("region", location.info.region_id);
@@ -656,8 +656,7 @@ impl HBaseScanPartition {
                     include_empty_rows: true,
                 };
                 // Stream the range: read one RPC batch's block (≤ `caching`
-                // rows) into columns while the scanner's worker prefetches
-                // the next one.
+                // rows) into columns before fetching the next one.
                 let mut scanner = table.region_scanner(location, &scan, Some(running_on));
                 while let Some(block) = scanner.next_block()? {
                     let keep = |key: &[u8]| !reads_gaps || spans.contains(key);

@@ -4,7 +4,9 @@
 //! cache and operator fusion optimize away. A region scan pays one charge
 //! per batch: the RPC that opens the scanner carries the first one. A read
 //! is charged for its reply's [cell block](crate::cellblock), which the
-//! thread that made the RPC validates; a scanner hands on the block itself.
+//! client validates; a scanner hands on the block itself. Every RPC runs on
+//! the caller's thread, the region scanner's included; only a multi-region
+//! put batch fans out, one scoped thread per region.
 
 use crate::cellblock;
 use crate::cluster::HBaseCluster;
@@ -12,6 +14,7 @@ use crate::error::{KvError, Result};
 use crate::master::RegionLocation;
 use crate::metrics::ClusterMetrics;
 use crate::region::ScanStats;
+use crate::region_server::RegionServer;
 use crate::security::AuthToken;
 use crate::types::{row_successor, Delete, Get, Put, RowResult, Scan, TableName};
 use bytes::Bytes;
@@ -20,7 +23,6 @@ use shc_obs::trace;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,25 +116,24 @@ fn op_salt(op: &str) -> u64 {
 /// table's cached locations and backs off for the caller to try again,
 /// until [`MAX_ATTEMPTS`] attempts in a row have failed; the last error then
 /// comes back as [`KvError::RetriesExhausted`]. Progress resets the count.
-struct Recovery<'a> {
-    table: &'a Table,
+struct Recovery {
     op: &'static str,
     salt: u64,
     failures: u32,
 }
 
-impl<'a> Recovery<'a> {
-    fn new(table: &'a Table, op: &'static str, salt: u64) -> Self {
+impl Recovery {
+    fn new(op: &'static str, salt: u64) -> Self {
         Recovery {
-            table,
             op,
             salt,
             failures: 0,
         }
     }
 
-    /// `Ok` when the failed attempt may be retried, after the backoff.
-    fn retry(&mut self, err: KvError) -> Result<()> {
+    /// `Ok` when the failed attempt on `table` may be retried, after the
+    /// backoff.
+    fn retry(&mut self, table: &Table, err: KvError) -> Result<()> {
         if !err.is_transient() {
             return Err(err);
         }
@@ -144,10 +145,10 @@ impl<'a> Recovery<'a> {
                 last: Box::new(err),
             });
         }
-        let connection = &self.table.connection;
+        let connection = &table.connection;
         let metrics = &connection.cluster.metrics;
         metrics.add(&metrics.client_retries, 1);
-        connection.invalidate_locations(&self.table.name);
+        connection.invalidate_locations(&table.name);
         let wait = backoff(self.failures, self.salt);
         backoff_pause(metrics, wait, self.op, self.failures);
         Ok(())
@@ -293,11 +294,11 @@ impl Table {
         op: &'static str,
         mut attempt: impl FnMut() -> Result<T>,
     ) -> Result<T> {
-        let mut recovery = Recovery::new(self, op, op_salt(op));
+        let mut recovery = Recovery::new(op, op_salt(op));
         loop {
             match attempt() {
                 Ok(v) => return Ok(v),
-                Err(e) => recovery.retry(e)?,
+                Err(e) => recovery.retry(self, e)?,
             }
         }
     }
@@ -502,8 +503,8 @@ impl Table {
     /// region execution. `from_host` is the hostname of the requesting
     /// compute task; co-located requests skip the remote-hop penalty.
     ///
-    /// Streams the whole region through a [`RegionScanner`] and
-    /// concatenates the batches; recovery from moved/split regions, dropped
+    /// Streams the whole region through a [`RegionScanner`] and decodes
+    /// its blocks; recovery from moved/split regions, dropped
     /// RPCs, and lapsed scanner leases all happens inside the scanner, so
     /// the caller still sees one complete, duplicate-free, key-ordered
     /// result.
@@ -515,8 +516,8 @@ impl Table {
     ) -> Result<RegionScanResult> {
         let mut scanner = self.region_scanner(location, scan, from_host);
         let mut rows = Vec::new();
-        while let Some(batch) = scanner.next_batch()? {
-            rows.extend(batch);
+        while let Some(block) = scanner.next_block()? {
+            rows.extend(cellblock::decode(&block)?);
         }
         Ok(RegionScanResult {
             rows,
@@ -525,34 +526,34 @@ impl Table {
         })
     }
 
-    /// Open a streaming scanner over one region. The scanner prefetches the
-    /// next batch on a worker thread while the caller consumes the current
-    /// one, and never holds more than `scan.caching` rows in flight per
-    /// side — the client-side peak is O(caching), not O(region).
+    /// Open a streaming scanner over one region. It is lazy: no RPC is
+    /// issued before the first [`next_block`](RegionScanner::next_block),
+    /// and it never holds more than `scan.caching` rows — the client-side
+    /// peak is O(caching), not O(region).
     pub fn region_scanner(
         &self,
         location: &RegionLocation,
         scan: &Scan,
         from_host: Option<&str>,
     ) -> RegionScanner {
-        // Capacity-1 channel: one batch buffered (the prefetch) plus one
-        // owned by the consumer.
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let job = ScanJob {
+        let info = &location.info;
+        let (scan_start, scan_stop) = scan_bounds_bytes(scan);
+        RegionScanner {
             table: self.clone(),
-            original: location.clone(),
             scan: scan.clone(),
             from_host: from_host.map(str::to_string),
-            tx,
-        };
-        let ctx = trace::capture();
-        let worker = std::thread::spawn(move || {
-            let _ctx = shc_obs::TraceContext::adopt_opt(ctx.as_ref());
-            job.run();
-        });
-        RegionScanner {
-            rx: Some(rx),
-            worker: Some(worker),
+            // An empty key is unbounded: as a start it sorts first anyway, as
+            // a stop it must not win the minimum.
+            start: scan_start.max(info.start_key.clone()),
+            stop: [scan_stop, info.end_key.clone()]
+                .into_iter()
+                .filter(|key| !key.is_empty())
+                .min()
+                .unwrap_or_default(),
+            remaining: scan.limit,
+            cursor: None,
+            done: false,
+            recovery: Recovery::new("region_scanner", info.region_id),
             stats: ScanStats::default(),
             rpc_batches: 0,
         }
@@ -571,47 +572,52 @@ fn decode_gets(block: &Bytes, gets: usize) -> Result<Vec<RowResult>> {
     Ok(rows)
 }
 
-/// One fetched batch travelling from the scanner worker to the consumer.
-struct BatchMsg {
-    /// The reply's cell block, validated, and the rows it holds.
-    block: Bytes,
-    rows: usize,
-    stats: ScanStats,
-    /// What fetching the batch added to the worker's trace cost: its RPCs,
-    /// their spans, any backoff before them.
-    cost_us: u64,
-}
-
-/// A pipelined, client-side iterator over one region's rows.
+/// A client-side iterator over one region's rows that runs on the caller's
+/// thread, like HBase's default `ClientScanner`.
 ///
-/// A background worker drives the HBase-style scanner RPC lifecycle —
-/// `open_scanner`, which returns the first batch, then
-/// `next_batch(scanner_id, caching)` while the server reports `more`, and an
-/// explicit `close_scanner` only when abandoning a scanner that is still
-/// open — and pushes each batch through a bounded channel, so the next batch
-/// is being fetched while the caller processes the current one. A region
-/// range that fits in one batch costs one RPC. A batch travels as the
-/// reply's [cell block](crate::cellblock), which the worker has parsed once
-/// to learn its row count and last key: [`next_block`](Self::next_block)
-/// hands it on for the caller to read in place, and
-/// [`next_batch`](Self::next_batch) decodes it into [`RowResult`]s. A reply
-/// that does not parse fails the worker, which closes its scanner and does
-/// not retry. Transient failures (region moved or split, server gone,
-/// dropped RPC, scanner lease lapsed) are recovered inside the worker under
-/// the client's recovery rule (see [`MAX_ATTEMPTS`]), each delivered batch
-/// counting as progress: it re-locates the key range and reopens a scanner
-/// at the row *after* the last one delivered, so the concatenated batches
-/// are complete, duplicate-free, and key-ordered. The trace cost the worker
-/// charges for a batch moves to the consumer's thread with the batch, so a
-/// task's cost includes the RPCs of its scans.
+/// [`next_block`](Self::next_block) drives the HBase-style scanner RPC
+/// lifecycle — `open_scanner`, which returns the first batch, then
+/// `next_batch(scanner_id, caching)` while the server reports `more`, then
+/// the next region of the span — issuing only the RPCs that one non-empty
+/// batch needs; an explicit `close_scanner` goes out only for a scanner
+/// abandoned while still open. A region range that fits in one batch costs
+/// one RPC. A batch is the reply's [cell block](crate::cellblock), parsed
+/// once to learn its row count and last key and handed on for the caller to
+/// read in place. A reply that does not parse closes its cursor and is
+/// `Corruption`, not retried. Transient failures (region moved or split,
+/// server gone, dropped RPC, scanner lease lapsed) are recovered under the
+/// client's recovery rule (see [`MAX_ATTEMPTS`]), each delivered batch
+/// counting as progress: the scanner re-locates the key range and reopens
+/// at the row *after* the last one delivered, so the concatenated blocks
+/// are complete, duplicate-free, and key-ordered. After an error the
+/// scanner is done.
 ///
-/// Dropping the scanner early stops the worker and releases any server-side
-/// scanner state.
+/// Dropping the scanner early releases any server-side scanner state.
 pub struct RegionScanner {
-    rx: Option<std::sync::mpsc::Receiver<Result<BatchMsg>>>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    table: Table,
+    scan: Scan,
+    from_host: Option<String>,
+    /// The first row not yet delivered to the caller; empty = unbounded.
+    start: Bytes,
+    /// The end of the span the scanner owns, the original region's range
+    /// clipped to the scan bounds; empty = unbounded.
+    stop: Bytes,
+    /// Rows the scan's limit still allows, when it has one.
+    remaining: usize,
+    /// The server-side cursor of the region being read, while the server
+    /// reports `more`.
+    cursor: Option<OpenCursor>,
+    done: bool,
+    recovery: Recovery,
     stats: ScanStats,
     rpc_batches: u64,
+}
+
+/// A scanner cursor registered on a region server.
+struct OpenCursor {
+    loc: RegionLocation,
+    server: Arc<RegionServer>,
+    id: u64,
 }
 
 impl RegionScanner {
@@ -621,26 +627,103 @@ impl RegionScanner {
     /// final probe of an exactly-full scanner) are absorbed here but still
     /// counted in [`rpc_batches`](Self::rpc_batches).
     pub fn next_block(&mut self) -> Result<Option<Bytes>> {
-        while let Some(msg) = self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
-            let msg = msg.inspect_err(|_| self.shutdown())?;
-            trace::take_over_cost_us(msg.cost_us);
-            self.rpc_batches += 1;
-            self.stats.merge(&msg.stats);
-            if msg.rows > 0 {
-                return Ok(Some(msg.block));
+        while !self.done {
+            match self.fetch() {
+                Ok(Some(block)) => return Ok(Some(block)),
+                Ok(None) => {}
+                Err(e) => {
+                    if let Err(e) = self.recovery.retry(&self.table, e) {
+                        self.done = true;
+                        return Err(e);
+                    }
+                }
             }
         }
-        // The worker finished and hung up: the scan is complete.
-        self.shutdown();
         Ok(None)
     }
 
-    /// The next non-empty batch of rows: [`next_block`](Self::next_block),
-    /// decoded.
-    pub fn next_batch(&mut self) -> Result<Option<Vec<RowResult>>> {
-        self.next_block()?
-            .map(|block| cellblock::decode(&block))
-            .transpose()
+    /// One scanner RPC: a `next_batch` on the open cursor, or else the open
+    /// of the region owning `start`. The reply's block when it holds rows.
+    /// A failed call leaves no cursor open.
+    fn fetch(&mut self) -> Result<Option<Bytes>> {
+        let (loc, server, held) = match self.cursor.take() {
+            Some(cursor) => (cursor.loc, cursor.server, Some(cursor.id)),
+            None => {
+                let limited = self.scan.limit > 0 && self.remaining == 0;
+                let bounded = !self.stop.is_empty() && !self.start.is_empty();
+                if limited || (bounded && self.start >= self.stop) {
+                    self.done = true;
+                    return Ok(None);
+                }
+                let loc = self.table.locate_row(&self.start)?;
+                let server = self.table.connection.cluster.server(loc.server_id)?;
+                (loc, server, None)
+            }
+        };
+        let connection = &self.table.connection;
+        let token = connection.token();
+        let close = |id: Option<u64>| {
+            if let Some(id) = id {
+                let _ = server.close_scanner(id, token);
+            }
+        };
+        let mut sp = rpc_span(held.map_or("open_scanner", |_| "next_batch"), &loc);
+        let caching = self.scan.caching.max(1);
+        let reply = match held {
+            None => server.open_scanner(loc.info.region_id, &self.clipped_scan(), caching, token),
+            Some(id) => server
+                .next_batch(id, caching, token)
+                .map(|batch| (batch.more.then_some(id), batch)),
+        };
+        // Best-effort release before recovering; the server side is also
+        // protected by the lease. A failed open left nothing to release.
+        let (id, batch) = reply.inspect_err(|_| close(held))?;
+        let local = self.from_host.as_deref() == Some(loc.hostname.as_str());
+        charge_transfer(&connection.cluster, batch.block.len(), local);
+        // A reply that does not parse is not transient: no retry, but the
+        // cursor it left open is released.
+        let (mut rows, mut last_row) = (0, Vec::new());
+        cellblock::visit_rows(&batch.block, |key, _| {
+            rows += 1;
+            last_row.clear();
+            last_row.extend_from_slice(key);
+            Ok::<_, KvError>(())
+        })
+        .inspect_err(|_| close(id))?;
+        sp.annotate("rows", rows);
+        sp.annotate("bytes", batch.block.len());
+        sp.annotate("cache_hits", batch.stats.block_cache_hits);
+        drop(sp);
+        self.recovery.progressed();
+        self.rpc_batches += 1;
+        self.stats.merge(&batch.stats);
+        if rows > 0 {
+            self.start = row_successor(&last_row);
+            self.remaining = self.remaining.saturating_sub(rows);
+        }
+        match id {
+            Some(id) => self.cursor = Some(OpenCursor { loc, server, id }),
+            // Region exhausted; continue into the next region of the span.
+            None if loc.info.end_key.is_empty() => self.done = true,
+            None => self.start = loc.info.end_key.clone(),
+        }
+        Ok((rows > 0).then_some(batch.block))
+    }
+
+    /// The scan clipped to `[start, stop)`, so daughters and movers return
+    /// exactly the rows the original region would have, exactly once.
+    fn clipped_scan(&self) -> Scan {
+        let bound = |key: &Bytes, bound: fn(Bytes) -> Bound<Bytes>| match key.is_empty() {
+            true => Bound::Unbounded,
+            false => bound(key.clone()),
+        };
+        let mut scan = self.scan.clone();
+        scan.start = bound(&self.start, Bound::Included);
+        scan.stop = bound(&self.stop, Bound::Excluded);
+        if self.scan.limit > 0 {
+            scan.limit = self.remaining;
+        }
+        scan
     }
 
     /// Server-side work accumulated across every batch fetched so far.
@@ -653,180 +736,15 @@ impl RegionScanner {
     pub fn rpc_batches(&self) -> u64 {
         self.rpc_batches
     }
-
-    fn shutdown(&mut self) {
-        // Dropping the receiver unblocks a worker parked in `send`; it then
-        // closes its server-side scanner and exits.
-        self.rx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
 }
 
 impl Drop for RegionScanner {
     fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// What the worker behind a [`RegionScanner`] works from.
-struct ScanJob {
-    table: Table,
-    original: RegionLocation,
-    scan: Scan,
-    from_host: Option<String>,
-    tx: SyncSender<Result<BatchMsg>>,
-}
-
-/// Where a region scan stands.
-struct ScanCursor {
-    /// The first row not yet delivered to the consumer; empty = unbounded.
-    start: Bytes,
-    /// The end of the span the scanner owns, the original region's range
-    /// clipped to the scan bounds; empty = unbounded.
-    stop: Bytes,
-    /// Rows the scan's limit still allows, when it has one.
-    remaining: usize,
-    /// The worker thread's trace cost when it last sent a batch.
-    sent_cost_us: u64,
-}
-
-impl ScanJob {
-    /// Walk the regions now covering the original region's key range,
-    /// clipped to the scan bounds, and stream each through the scanner
-    /// RPCs. A transient failure is recovered by re-locating and reopening
-    /// at the cursor.
-    fn run(&self) {
-        let info = &self.original.info;
-        let (scan_start, scan_stop) = scan_bounds_bytes(&self.scan);
-        // An empty key is unbounded: as a start it sorts first anyway, as a
-        // stop it must not win the minimum.
-        let mut cursor = ScanCursor {
-            start: scan_start.max(info.start_key.clone()),
-            stop: [scan_stop, info.end_key.clone()]
-                .into_iter()
-                .filter(|key| !key.is_empty())
-                .min()
-                .unwrap_or_default(),
-            remaining: self.scan.limit,
-            sent_cost_us: trace::thread_cost_us(),
-        };
-        let mut recovery = Recovery::new(&self.table, "region_scanner", info.region_id);
-        let err = loop {
-            match self
-                .stream_region(&mut cursor, &mut recovery)
-                .or_else(|e| recovery.retry(e).map(|()| true))
-            {
-                Ok(true) => {}
-                Ok(false) => return,
-                Err(e) => break e,
-            }
-        };
-        let _ = self.tx.send(Err(err));
-    }
-
-    /// Stream the region owning the cursor, batch by batch, then move the
-    /// cursor to where the next region starts. `Ok(false)` when the scan is
-    /// done or the consumer hung up.
-    fn stream_region(&self, cursor: &mut ScanCursor, recovery: &mut Recovery<'_>) -> Result<bool> {
-        let scan = &self.scan;
-        if scan.limit > 0 && cursor.remaining == 0 {
-            return Ok(false);
+        if let Some(cursor) = self.cursor.take() {
+            let _ = cursor
+                .server
+                .close_scanner(cursor.id, self.table.connection.token());
         }
-        if !cursor.stop.is_empty() && !cursor.start.is_empty() && cursor.start >= cursor.stop {
-            return Ok(false);
-        }
-        let connection = &self.table.connection;
-        let loc = self.table.locate_row(&cursor.start)?;
-        let server = connection.cluster.server(loc.server_id)?;
-        let local = self.from_host.as_deref() == Some(loc.hostname.as_str());
-        let token = connection.token();
-        let close = |id: Option<u64>| {
-            if let Some(id) = id {
-                let _ = server.close_scanner(id, token);
-            }
-        };
-
-        // Clip the scan to [cursor, stop) so daughters/movers return
-        // exactly the rows the original region would have, exactly once.
-        let bound = |key: &Bytes, bound: fn(Bytes) -> Bound<Bytes>| match key.is_empty() {
-            true => Bound::Unbounded,
-            false => bound(key.clone()),
-        };
-        let mut region_scan = scan.clone();
-        region_scan.start = bound(&cursor.start, Bound::Included);
-        region_scan.stop = bound(&cursor.stop, Bound::Excluded);
-        if scan.limit > 0 {
-            region_scan.limit = cursor.remaining;
-        }
-
-        // The first RPC opens the scanner and carries the first batch; every
-        // later one is a `next_batch` on the id it returned. The id is held
-        // only while the server reports `more`, that is, while a cursor is
-        // registered there.
-        let caching = scan.caching.max(1);
-        let mut scanner_id = None;
-        loop {
-            let op = scanner_id.map_or("open_scanner", |_| "next_batch");
-            let mut sp = rpc_span(op, &loc);
-            let reply = match scanner_id {
-                None => server.open_scanner(loc.info.region_id, &region_scan, caching, token),
-                Some(id) => server
-                    .next_batch(id, caching, token)
-                    .map(|batch| (batch.more.then_some(id), batch)),
-            };
-            // Best-effort release before recovering; the server side is also
-            // protected by the lease. A failed open left nothing to release.
-            let (id, batch) = reply.inspect_err(|_| close(scanner_id))?;
-            charge_transfer(&connection.cluster, batch.block.len(), local);
-            // A reply that does not parse is not transient: no retry, but
-            // the cursor it left open is released.
-            let (mut rows, mut last_row) = (0, Vec::new());
-            cellblock::visit_rows(&batch.block, |key, _| {
-                rows += 1;
-                last_row.clear();
-                last_row.extend_from_slice(key);
-                Ok::<_, KvError>(())
-            })
-            .inspect_err(|_| close(id))?;
-            sp.annotate("rows", rows);
-            sp.annotate("bytes", batch.block.len());
-            sp.annotate("cache_hits", batch.stats.block_cache_hits);
-            drop(sp);
-            scanner_id = id;
-            recovery.progressed();
-            if rows > 0 {
-                cursor.start = row_successor(&last_row);
-                if scan.limit > 0 {
-                    cursor.remaining = cursor.remaining.saturating_sub(rows);
-                }
-            }
-            let cost_us = trace::thread_cost_us() - cursor.sent_cost_us;
-            cursor.sent_cost_us += cost_us;
-            let msg = BatchMsg {
-                block: batch.block,
-                rows,
-                stats: batch.stats,
-                cost_us,
-            };
-            if self.tx.send(Ok(msg)).is_err() {
-                // Consumer hung up (dropped the scanner): release the
-                // server-side state and quit.
-                close(scanner_id);
-                return Ok(false);
-            }
-            if scanner_id.is_none() {
-                break;
-            }
-        }
-
-        // Region exhausted; continue into the next region covering the span.
-        if loc.info.end_key.is_empty() {
-            return Ok(false);
-        }
-        cursor.start = loc.info.end_key.clone();
-        Ok(true)
     }
 }
 
@@ -1254,10 +1172,10 @@ mod tests {
         server.reply_cut.store(1, Ordering::Relaxed);
         let before = cluster.metrics.snapshot();
         let mut scanner = table.region_scanner(&loc, &scan, None);
-        let err = scanner.next_batch().unwrap_err();
+        let err = scanner.next_block().unwrap_err();
         assert!(matches!(err, KvError::Corruption(_)), "{err:?}");
         assert!(
-            scanner.next_batch().unwrap().is_none(),
+            scanner.next_block().unwrap().is_none(),
             "the scanner is done"
         );
         assert_eq!(
@@ -1294,14 +1212,54 @@ mod tests {
         let mut scan = Scan::new();
         scan.caching = 2;
         let mut scanner = table.region_scanner(&loc, &scan, None);
-        let first = scanner.next_batch().unwrap().unwrap();
-        assert_eq!(first.len(), 2);
+        let first = scanner.next_block().unwrap().unwrap();
+        assert_eq!(cellblock::decode(&first).unwrap().len(), 2);
         drop(scanner); // abandon mid-scan
         assert_eq!(
             server.open_scanner_count(),
             0,
             "drop must close the scanner"
         );
+    }
+
+    #[test]
+    fn a_region_scanner_runs_its_rpcs_lazily_on_the_calling_thread() {
+        use crate::fault::RpcOp;
+        let (cluster, conn, table) = cluster_with_table(&[]);
+        for i in 0..10 {
+            table
+                .put(Put::new(format!("k{i:02}")).add("cf", "q", "v"))
+                .unwrap();
+        }
+        let loc = conn.locate_regions(&TableName::default_ns("t")).unwrap()[0].clone();
+        let server = cluster.server(loc.server_id).unwrap();
+        let opened_on = Arc::new(Mutex::new(None));
+        let record = Arc::clone(&opened_on);
+        cluster.faults().on_nth_op(Some(RpcOp::Scan), 1, move || {
+            *record.lock() = Some(std::thread::current().id());
+        });
+        let mut scan = Scan::new();
+        scan.caching = 2;
+        let before = cluster.metrics.snapshot().rpc_count;
+        let mut scanner = table.region_scanner(&loc, &scan, None);
+        // Room for a fetch made behind the caller's back to show.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            cluster.metrics.snapshot().rpc_count,
+            before,
+            "opening is free"
+        );
+        let first = scanner.next_block().unwrap().unwrap();
+        assert_eq!(cellblock::decode(&first).unwrap().len(), 2);
+        assert_eq!(*opened_on.lock(), Some(std::thread::current().id()));
+        assert_eq!(cluster.metrics.snapshot().rpc_count, before + 1);
+        drop(scanner);
+        assert_eq!(
+            cluster.metrics.snapshot().rpc_count,
+            before + 2,
+            "dropping adds the close and nothing else"
+        );
+        assert_eq!(server.open_scanner_count(), 0);
     }
 
     #[test]

@@ -1045,23 +1045,31 @@ impl Region {
     // Split
     // ------------------------------------------------------------------
 
-    /// A reasonable split point: the middle row of the largest store file,
-    /// or of the memstore when no files exist. `None` when the region holds
-    /// fewer than two distinct rows.
+    /// A reasonable split point: the key of the region's middle row. `None`
+    /// when the region holds fewer than two distinct rows.
     pub fn split_point(&self) -> Option<Bytes> {
-        let scan = Scan::new();
-        let (rows, _) = self.scan(&scan).ok()?;
-        if rows.len() < 2 {
+        let (block, _) = self.scan_with(&Scan::new(), None).ok()?;
+        // One pass counts the rows, a second picks the middle one's key.
+        let mut rows = 0;
+        cellblock::visit_rows(&block, |_, _| {
+            rows += 1;
+            Ok::<_, KvError>(())
+        })
+        .ok()?;
+        if rows < 2 {
             return None;
         }
-        let mid = rows.len() / 2;
-        let candidate = rows[mid].row.clone();
+        let (mut row, mut candidate) = (0, Bytes::new());
+        cellblock::visit_rows(&block, |key, _| {
+            if row == rows / 2 {
+                candidate = Bytes::copy_from_slice(key);
+            }
+            row += 1;
+            Ok::<_, KvError>(())
+        })
+        .ok()?;
         // Must differ from the region start key or the split is degenerate.
-        if candidate.as_ref() == self.info.start_key.as_ref() {
-            None
-        } else {
-            Some(candidate)
-        }
+        (candidate != self.info.start_key).then_some(candidate)
     }
 
     /// Split this region at `split_key`, producing two daughter regions that
@@ -1738,6 +1746,8 @@ mod tests {
                 .unwrap();
         }
         let split_key = r.split_point().expect("split point");
+        let (rows, _) = r.scan(&Scan::new()).unwrap();
+        assert_eq!(split_key, rows[rows.len() / 2].row, "the middle row");
         let (left, right) = r.split(split_key.clone(), 100, 101).unwrap();
         let left_rows = left.scan(&Scan::new()).unwrap().0;
         let right_rows = right.scan(&Scan::new()).unwrap().0;

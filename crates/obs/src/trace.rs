@@ -276,14 +276,6 @@ pub fn thread_cost_us() -> u64 {
     THREAD_COST.with(|c| c.get())
 }
 
-/// Add to this thread's [`thread_cost_us`] what another thread charged on
-/// its behalf and reported as the delta of its own: a prefetching worker's
-/// RPCs belong to the task that consumes their batches. The clock is not
-/// advanced again; the other thread did that.
-pub fn take_over_cost_us(us: u64) {
-    THREAD_COST.with(|c| c.set(c.get() + us));
-}
-
 /// The active tracer's TraceId, if a tracer is active on this thread.
 /// Returns `Some(0)` for an anonymous tracer — callers treating 0 as "no
 /// exemplar" can simply `unwrap_or(0)`.

@@ -4,11 +4,10 @@
 //! A full-table query no longer materializes each region in one RPC: the
 //! client opens a server-side scanner per region and pulls
 //! `hbase.spark.query.caching` rows per round trip (the open returns the
-//! first batch, each `next_batch` the next) while a prefetch thread keeps
-//! one batch in flight. Store-file blocks read along
-//! the way land in each region server's block cache, so a repeated scan is
-//! served mostly from memory — visible below as a non-zero hit ratio and
-//! zero new evictions.
+//! first batch, each `next_batch` the next) on the task's own thread, one
+//! batch at a time. Store-file blocks read along the way land in each
+//! region server's block cache, so a repeated scan is served mostly from
+//! memory — visible below as a non-zero hit ratio and zero new evictions.
 //!
 //! Run with: `cargo run --example streaming_scan`
 

@@ -247,8 +247,8 @@ fn skewed_scan_surfaces_in_stage_stats_and_fires_skew_alert() {
     assert!(attempts[0].get(0).as_i64().unwrap() >= 4);
 }
 
-/// A scan task's cost includes the RPCs its region scanners made on their
-/// prefetch threads, not only the ticks of its own spans.
+/// A scan task's cost includes the modeled cost of the RPCs its region
+/// scanners made, not only the ticks of its own spans.
 #[test]
 fn scan_task_costs_include_their_scanner_rpcs() {
     let (cluster, session) = skewed_cluster_session();
