@@ -14,10 +14,13 @@
 //! in a few seconds; the full sweeps match the paper's x-axes (5–30 nominal
 //! GB, 4–24 executors). Any other argument is an error.
 //!
-//! `--compare` runs nothing: it reads two records of the repository
-//! benchmark (`benchmark/out/<workload>.json`, or a committed `BENCH_*.json`)
-//! and prints every metric they share side by side — a, b, the change in
-//! percent — marking each counter (not a timing) that differs.
+//! `--compare` runs nothing: it reads two records of one workload of the
+//! repository benchmark (a committed `records/BENCH_<pr>_<workload>.json`,
+//! or a fresh `benchmark/out/<workload>.json`) and prints every metric they
+//! share side by side — a, b, the change in percent. It then applies the
+//! gate table ([`EXACT`], [`BOUNDS`]) and exits 1 if a gate fails, so
+//! `--compare records/BENCH_<pr>_<w>.json benchmark/out/<w>.json` after a
+//! traced run is the counter check of a build.
 //!
 //! Absolute numbers cannot match the paper's physical cluster; the *shape*
 //! of each curve — who wins, how the gap scales — is the reproduction
@@ -98,84 +101,308 @@ fn parse_args(args: &[String]) -> Result<Selection, String> {
     })
 }
 
-/// The metrics two benchmark records share, pass by pass, as table rows:
-/// metric, a, b, the change from a to b in percent, and a mark where a
-/// counter differs. A counter is a metric in units the program counts
-/// (`count`, `B`, `ratio`) rather than clocks; it repeats exactly for a seed.
-fn compare_records(a: &str, b: &str) -> Result<Vec<Vec<String>>, String> {
-    let (a, b) = (parse_json(a), parse_json(b));
-    let (a, b) = (a.map_err(|e| e.to_string())?, b.map_err(|e| e.to_string())?);
-    let mut rows = Vec::new();
-    for pass in ["end_to_end", "per_layer"] {
-        let metrics = |record: &Json| Some(record.get(pass)?.get("metrics")?.as_object()?.to_vec());
-        let (Some(a), Some(b)) = (metrics(&a), metrics(&b)) else {
-            continue;
-        };
-        for (name, in_a) in &a {
-            let Some((_, in_b)) = b.iter().find(|(n, _)| n == name) else {
-                continue;
-            };
-            let value = |m: &Json| match m.get("value") {
-                Some(Json::Number(v)) => Ok(*v),
-                _ => Err(format!("{pass}.{name} has no numeric value")),
-            };
-            let (va, vb) = (value(in_a)?, value(in_b)?);
-            let delta = if va == vb {
-                "0.0".to_string()
-            } else if va == 0.0 {
-                "n/a".to_string()
-            } else {
-                format!("{:+.1}", (vb - va) / va.abs() * 100.0)
-            };
-            let counted = matches!(in_a.get_str("unit"), Some("count" | "B" | "ratio"));
-            let note = if counted && va != vb {
-                "COUNTER DIFFERS"
-            } else {
-                ""
-            };
-            let text = |v: f64| v.to_string();
-            rows.push(vec![name.clone(), text(va), text(vb), delta, note.into()]);
-        }
-    }
-    if rows.is_empty() {
-        return Err("the records share no metrics".to_string());
-    }
-    Ok(rows)
+/// How a gated metric must stand to its limit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Limit {
+    AtMost(f64),
+    AtLeast(f64),
+    Equal(f64),
 }
 
-/// `--compare`: print the comparison of two record files.
+use Limit::{AtLeast, AtMost, Equal};
+
+impl Limit {
+    fn holds(self, value: f64) -> bool {
+        match self {
+            AtMost(limit) => value <= limit,
+            AtLeast(limit) => value >= limit,
+            Equal(limit) => value == limit,
+        }
+    }
+}
+
+impl std::fmt::Display for Limit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AtMost(limit) => write!(f, "<= {limit}"),
+            AtLeast(limit) => write!(f, ">= {limit}"),
+            Equal(limit) => write!(f, "== {limit}"),
+        }
+    }
+}
+
+/// Metrics two traced runs of one seed must agree on exactly, whatever the
+/// workload: work the program counts itself, which does not depend on how
+/// long a run is or how fast. Not here, because the timestamps and sequence
+/// numbers the load assigns move cell lengths by up to 0.1 % between runs of
+/// one build: `kvstore.client.bytes_shipped_per_op`,
+/// `kvstore.network.modeled_rpc_us_per_op`, `kvstore.storage.disk_bytes_end`,
+/// the flush and compaction bytes per user byte, and
+/// `bench.ingest.write_amp` / `space_amp`. Those keep their [`BOUNDS`] rows.
+const EXACT: [&str; 34] = [
+    "kvstore.client.rpcs_per_op",
+    "kvstore.client.scanner_batches_per_op",
+    "kvstore.client.connections_per_op",
+    "kvstore.client.retries_per_op",
+    "kvstore.region.cells_scanned_per_op",
+    "kvstore.region.cells_returned_per_op",
+    "kvstore.region.cell_yield",
+    "kvstore.region.cells_scanned_per_result_row",
+    "kvstore.storefile.files_pruned_per_op",
+    "kvstore.block_cache.hit_ratio",
+    "kvstore.block_cache.misses_per_op",
+    "kvstore.block_cache.evictions_per_op",
+    "kvstore.wal.bytes_per_user_byte",
+    "kvstore.wal.fsyncs_per_krow",
+    "kvstore.wal.segments_rotated",
+    "kvstore.wal.replayed_records",
+    "kvstore.region.flushes",
+    "kvstore.region.compactions",
+    "kvstore.region.write_stalls",
+    "kvstore.region.write_stall_ms",
+    "kvstore.region.compaction_backlog_bytes_end",
+    "engine.scan.rows_per_op",
+    "engine.scan.bytes_per_op",
+    "engine.shuffle.bytes_per_op",
+    "engine.shuffle.rows_per_op",
+    "engine.shuffle.broadcast_bytes_per_op",
+    "engine.scheduler.tasks_per_op",
+    "engine.scheduler.locality_ratio",
+    "engine.scheduler.task_retries_per_op",
+    "engine.columnar.batch_fill",
+    "engine.columnar.batches_per_op",
+    "engine.physical.peak_bytes",
+    "engine.physical.replanned_stages_per_op",
+    "bench.error_rate",
+];
+
+/// A fixed limit on one workload's metric, and why it is there:
+/// `(workload, metric, limit, reason)`. It holds in both records compared,
+/// so it catches a regression even when a worse record was committed with
+/// it. Every workload has rows; `--compare` refuses one that has none.
+type Bound = (&'static str, &'static str, Limit, &'static str);
+
+const CORRECT: &str = "every operation agrees with the oracle";
+const GROUP_COMMIT: &str = "group commit: one WAL fsync covers a batch of rows";
+const CELL_BLOCKS: &str = "WAL records and store-file blocks are cell blocks: \
+                           the disk may not go back to spelling cells out";
+const READ_PATH: &str = "the read path may not do more work, nor ship longer \
+                         cell blocks, than it does today";
+const ONE_RPC: &str = "one RPC per scanner batch: the scanner open carries the first";
+const SHARED_SCAN: &str = "q39's month-blocks share one inventory-item-warehouse \
+                           scan, handed both months' date keys (12186 rows when \
+                           no key reaches it)";
+const CHARGED: &str = "every reply is one cell block, and its length is what \
+                       the network is charged for";
+const KERNELS: &str = "a kernel may not buy speed with exchange volume or tasks";
+const BASELINE: &str = "the paper's baseline reads the whole table with no \
+                        cached connection, but no more of it, nor more RPCs, \
+                        cells or bytes, than it does today";
+const EXECUTOR: &str = "over MemTables the executor may not shuffle, schedule \
+                        or scan more than it does today";
+const FULL_BATCHES: &str = "batches stay as full as they are today";
+const PEAK: &str = "the largest stage output stays as small as it is today";
+const LANES: &str = "lanes hand work around with no retries, and no re-planned \
+                     stages or batches beyond today's";
+
+#[rustfmt::skip]
+const BOUNDS: [Bound; 32] = [
+    ("ingest_durable", "bench.error_rate", Equal(0.0), CORRECT),
+    ("ingest_durable", "kvstore.wal.fsyncs_per_krow", AtMost(10.0), GROUP_COMMIT),
+    ("ingest_durable", "kvstore.wal.bytes_per_user_byte", AtMost(2.17), CELL_BLOCKS),
+    ("ingest_durable", "kvstore.region.flush_bytes_per_user_byte", AtMost(0.66), CELL_BLOCKS),
+    ("scan_pushdown", "bench.error_rate", Equal(0.0), CORRECT),
+    ("scan_pushdown", "kvstore.region.cells_scanned_per_op", AtMost(19108.0), READ_PATH),
+    ("scan_pushdown", "kvstore.block_cache.misses_per_op", AtMost(296.0), READ_PATH),
+    ("scan_pushdown", "kvstore.client.bytes_shipped_per_op", AtMost(91000.0), READ_PATH),
+    ("fig4_shc", "bench.error_rate", Equal(0.0), CORRECT),
+    ("fig4_shc", "kvstore.client.rpcs_per_op", AtMost(12.0), ONE_RPC),
+    ("fig4_shc", "engine.scan.rows_per_op", AtMost(6200.0), SHARED_SCAN),
+    ("fig4_shc", "kvstore.client.bytes_shipped_per_op", AtMost(129000.0), CHARGED),
+    ("fig4_shc", "kvstore.network.modeled_rpc_us_per_op", AtMost(6000.0), CHARGED),
+    ("fig4_shc", "engine.shuffle.bytes_per_op", AtMost(240166.0), KERNELS),
+    ("fig4_shc", "engine.scheduler.tasks_per_op", AtMost(31.0), KERNELS),
+    ("fig4_generic", "bench.error_rate", Equal(0.0), CORRECT),
+    ("fig4_generic", "kvstore.client.rpcs_per_op", AtMost(19.0), BASELINE),
+    ("fig4_generic", "kvstore.client.connections_per_op", AtMost(14.0), BASELINE),
+    ("fig4_generic", "kvstore.region.cells_scanned_per_op", AtMost(13468.0), BASELINE),
+    ("fig4_generic", "engine.scan.rows_per_op", AtMost(12186.0), BASELINE),
+    ("fig4_generic", "kvstore.client.bytes_shipped_per_op", AtMost(270000.0), BASELINE),
+    ("fig4_generic", "kvstore.network.modeled_rpc_us_per_op", AtMost(11800.0), BASELINE),
+    ("engine_mem", "bench.error_rate", Equal(0.0), CORRECT),
+    ("engine_mem", "engine.shuffle.bytes_per_op", AtMost(401506.0), EXECUTOR),
+    ("engine_mem", "engine.shuffle.rows_per_op", AtMost(4097.0), EXECUTOR),
+    ("engine_mem", "engine.scheduler.tasks_per_op", AtMost(57.0), EXECUTOR),
+    ("engine_mem", "engine.scan.rows_per_op", AtMost(12186.0), EXECUTOR),
+    ("engine_mem", "engine.columnar.batch_fill", AtLeast(0.51), FULL_BATCHES),
+    ("engine_mem", "engine.physical.peak_bytes", AtMost(888000.0), PEAK),
+    ("engine_mem", "engine.scheduler.task_retries_per_op", Equal(0.0), LANES),
+    ("engine_mem", "engine.physical.replanned_stages_per_op", AtMost(2.0), LANES),
+    ("engine_mem", "engine.columnar.batches_per_op", AtMost(84.0), LANES),
+];
+
+/// What `--compare` found: a table row per metric both records hold
+/// (metric, a, b, the change from a to b in percent, its gates), and a line
+/// per gate that fails.
+struct Comparison {
+    rows: Vec<Vec<String>>,
+    failures: Vec<String>,
+}
+
+/// Every metric of a record, end-to-end pass first: name and value.
+fn metric_values(record: &Json) -> Result<Vec<(String, f64)>, String> {
+    let mut values = Vec::new();
+    for pass in ["end_to_end", "per_layer"] {
+        let metrics = record.get(pass).and_then(|p| p.get("metrics"));
+        for (name, metric) in metrics.and_then(Json::as_object).unwrap_or_default() {
+            match metric.get("value") {
+                Some(Json::Number(v)) => values.push((name.clone(), *v)),
+                _ => return Err(format!("{pass}.{name} has no numeric value")),
+            }
+        }
+    }
+    Ok(values)
+}
+
+/// Compare two records of one workload and apply the gates to them: each
+/// [`EXACT`] metric must be equal in both, and each of the workload's
+/// [`BOUNDS`] rows must hold in both. A gated metric missing from either
+/// record fails. Records of two workloads, or of a workload without a
+/// [`BOUNDS`] row, are not compared at all.
+fn compare_records(a: &str, b: &str) -> Result<Comparison, String> {
+    let (a, b) = (parse_json(a), parse_json(b));
+    let (a, b) = (a.map_err(|e| e.to_string())?, b.map_err(|e| e.to_string())?);
+    let named = |record: &Json| {
+        record
+            .get_str("workload")
+            .map(str::to_string)
+            .ok_or_else(|| "a record names no workload".to_string())
+    };
+    let (workload, other) = (named(&a)?, named(&b)?);
+    if other != workload {
+        return Err(format!(
+            "the records are of two workloads, {workload:?} and {other:?}"
+        ));
+    }
+    let bounds: Vec<&Bound> = BOUNDS.iter().filter(|row| row.0 == workload).collect();
+    if bounds.is_empty() {
+        return Err(format!("no BOUNDS row gates workload {workload:?}"));
+    }
+    let (a, b) = (metric_values(&a)?, metric_values(&b)?);
+    let find = |values: &[(String, f64)], name: &str| {
+        values.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    };
+
+    let mut gated = EXACT.to_vec();
+    gated.extend(
+        bounds
+            .iter()
+            .map(|row| row.1)
+            .filter(|m| !EXACT.contains(m)),
+    );
+    let mut failures: Vec<(&str, String)> = Vec::new();
+    for name in gated {
+        for (side, values) in [("a", &a), ("b", &b)] {
+            if find(values, name).is_none() {
+                failures.push((name, format!("missing from {side}")));
+            }
+        }
+    }
+    for name in EXACT {
+        if let (Some(va), Some(vb)) = (find(&a, name), find(&b, name)) {
+            if va != vb {
+                failures.push((name, format!("{va} in a, {vb} in b: it must not change")));
+            }
+        }
+    }
+    for &&(_, name, limit, reason) in &bounds {
+        for (side, values) in [("a", &a), ("b", &b)] {
+            if let Some(v) = find(values, name).filter(|&v| !limit.holds(v)) {
+                failures.push((name, format!("{v} in {side} breaks {limit}: {reason}")));
+            }
+        }
+    }
+
+    let mut rows = Vec::new();
+    for (name, va) in &a {
+        let Some(vb) = find(&b, name) else {
+            continue;
+        };
+        let delta = if *va == vb {
+            "0.0".to_string()
+        } else if *va == 0.0 {
+            "n/a".to_string()
+        } else {
+            format!("{:+.1}", (vb - va) / va.abs() * 100.0)
+        };
+        let mut gates: Vec<String> = bounds
+            .iter()
+            .filter(|row| row.1 == name)
+            .map(|row| row.2.to_string())
+            .collect();
+        if EXACT.contains(&name.as_str()) {
+            gates.insert(0, "exact".to_string());
+        }
+        let mut note = gates.join(", ");
+        if failures.iter().any(|(failed, _)| failed == name) {
+            note = format!("FAILS {note}");
+        }
+        rows.push(vec![
+            name.clone(),
+            va.to_string(),
+            vb.to_string(),
+            delta,
+            note,
+        ]);
+    }
+    let failures = failures
+        .into_iter()
+        .map(|(name, why)| format!("{name}: {why}"))
+        .collect();
+    Ok(Comparison { rows, failures })
+}
+
+/// `--compare`: print the comparison of two record files, then every gate
+/// that fails; an error if one does.
 fn compare_files(a: &str, b: &str) -> Result<(), String> {
     let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
-    let rows = compare_records(&read(a)?, &read(b)?)?;
-    let header = ["metric", "a", "b", "delta_pct", "note"];
+    let Comparison { rows, failures } = compare_records(&read(a)?, &read(b)?)?;
+    let header = ["metric", "a", "b", "delta_pct", "gates"];
     print_table(
         &format!("Benchmark records: a = {a}, b = {b}"),
         &header,
         &rows,
     );
-    let differing = rows.iter().filter(|row| !row[4].is_empty()).count();
-    println!("\n{differing} counter(s) differ");
+    println!();
+    for failure in &failures {
+        println!("FAIL {failure}");
+    }
+    if !failures.is_empty() {
+        return Err(format!("{} gate(s) fail", failures.len()));
+    }
+    println!("every gate holds");
     Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let outcome = parse_args(&args).and_then(|selection| {
-        for &i in &selection.sections {
-            SECTIONS[i].1(selection.quick);
-        }
-        selection
-            .compare
-            .map_or(Ok(()), |(a, b)| compare_files(&a, &b))
-    });
-    if let Err(message) = outcome {
+    let selection = parse_args(&args).unwrap_or_else(|message| {
         let flags: Vec<&str> = SECTIONS.iter().map(|(flag, _)| *flag).collect();
         eprintln!(
             "paper_tables: {message}\nusage: paper_tables [{}] [--all] [--quick]\n       \
-             paper_tables --compare <a.json> <b.json>",
+             paper_tables --compare <record.json> <fresh.json>",
             flags.join("] [")
         );
         std::process::exit(2);
+    });
+    for &i in &selection.sections {
+        SECTIONS[i].1(selection.quick);
+    }
+    if let Some((a, b)) = selection.compare {
+        if let Err(message) = compare_files(&a, &b) {
+            eprintln!("paper_tables: {message}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -715,34 +942,174 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compare_marks_counters_that_differ_and_only_those() {
-        let record = |execute_us: f64, tasks: f64, fill: f64| {
-            format!(
-                r#"{{"workload":"w","per_layer":{{"metrics":{{
-                    "engine.physical.execute_us":{{"value":{execute_us},"unit":"us"}},
-                    "engine.scheduler.tasks_per_op":{{"value":{tasks},"unit":"count"}},
-                    "engine.columnar.batch_fill":{{"value":{fill},"unit":"ratio"}},
-                    "only.in.this.one.{execute_us}":{{"value":1,"unit":"count"}}}}}}}}"#
-            )
+    /// Every gated metric of `workload` at a value its gates pass: 0, or the
+    /// limit of its bound.
+    fn passing(workload: &str) -> Vec<(String, f64)> {
+        let mut metrics: Vec<(String, f64)> = EXACT.iter().map(|m| (m.to_string(), 0.0)).collect();
+        for &(_, name, limit, _) in BOUNDS.iter().filter(|row| row.0 == workload) {
+            let (Limit::AtMost(value) | Limit::AtLeast(value) | Limit::Equal(value)) = limit;
+            set(&mut metrics, name, value);
+        }
+        metrics
+    }
+
+    fn set(metrics: &mut Vec<(String, f64)>, name: &str, value: f64) {
+        match metrics.iter_mut().find(|(n, _)| n == name) {
+            Some(metric) => metric.1 = value,
+            None => metrics.push((name.to_string(), value)),
+        }
+    }
+
+    /// A record of `workload` whose traced pass holds `metrics`.
+    fn record(workload: &str, metrics: &[(String, f64)]) -> String {
+        let metrics: Vec<String> = metrics
+            .iter()
+            .map(|(name, v)| format!(r#""{name}":{{"value":{v},"unit":"count"}}"#))
+            .collect();
+        format!(
+            r#"{{"workload":"{workload}","per_layer":{{"metrics":{{{}}}}}}}"#,
+            metrics.join(",")
+        )
+    }
+
+    /// Compare two fig4_shc records whose metrics are `passing` with `a`
+    /// and `b` set on top.
+    fn compare_fig4_shc(a: &[(&str, f64)], b: &[(&str, f64)]) -> Comparison {
+        let side = |changes: &[(&str, f64)]| {
+            let mut metrics = passing("fig4_shc");
+            for &(name, value) in changes {
+                set(&mut metrics, name, value);
+            }
+            record("fig4_shc", &metrics)
         };
-        let rows =
-            compare_records(&record(10000.0, 57.0, 0.5), &record(7000.0, 57.0, 0.6)).unwrap();
-        let row = |name: &str| rows.iter().find(|r| r[0] == name).unwrap()[1..].to_vec();
-        assert_eq!(rows.len(), 3, "metrics of both records");
+        compare_records(&side(a), &side(b)).unwrap()
+    }
+
+    #[test]
+    fn compare_fails_on_exact_counters_and_bounds_only() {
+        // A timing and a drifting byte count may move; neither fails.
+        let moved = compare_fig4_shc(
+            &[
+                ("engine.physical.execute_us", 10000.0),
+                ("kvstore.client.bytes_shipped_per_op", 128679.0),
+            ],
+            &[
+                ("engine.physical.execute_us", 7000.0),
+                ("kvstore.client.bytes_shipped_per_op", 128786.0),
+            ],
+        );
+        assert_eq!(moved.failures, Vec::<String>::new());
+        let row = |rows: &[Vec<String>], name: &str| {
+            rows.iter().find(|r| r[0] == name).unwrap()[1..].to_vec()
+        };
         assert_eq!(
-            row("engine.physical.execute_us"),
+            row(&moved.rows, "engine.physical.execute_us"),
             ["10000", "7000", "-30.0", ""]
         );
         assert_eq!(
-            row("engine.scheduler.tasks_per_op"),
-            ["57", "57", "0.0", ""]
+            row(&moved.rows, "kvstore.client.bytes_shipped_per_op"),
+            ["128679", "128786", "+0.1", "<= 129000"]
         );
         assert_eq!(
-            row("engine.columnar.batch_fill"),
-            ["0.5", "0.6", "+20.0", "COUNTER DIFFERS"]
+            row(&moved.rows, "engine.scan.bytes_per_op"),
+            ["0", "0", "0.0", "exact"]
         );
+
+        // An exact counter may not move, not even inside its bound.
+        let more_rpcs = compare_fig4_shc(
+            &[("kvstore.client.rpcs_per_op", 11.0)],
+            &[("kvstore.client.rpcs_per_op", 11.5)],
+        );
+        assert_eq!(
+            more_rpcs.failures,
+            ["kvstore.client.rpcs_per_op: 11 in a, 11.5 in b: it must not change"]
+        );
+        assert_eq!(
+            row(&more_rpcs.rows, "kvstore.client.rpcs_per_op"),
+            ["11", "11.5", "+4.5", "FAILS exact, <= 12"]
+        );
+
+        // Equal records still fail a bound they both break, with its reason.
+        let wide = [("engine.scan.rows_per_op", 12186.0)];
+        let broken = compare_fig4_shc(&wide, &wide);
+        assert_eq!(broken.failures.len(), 2, "{:?}", broken.failures);
+        let reason = BOUNDS
+            .iter()
+            .find(|row| row.0 == "fig4_shc" && row.1 == "engine.scan.rows_per_op")
+            .unwrap()
+            .3;
+        for (failure, side) in broken.failures.iter().zip(["a", "b"]) {
+            assert_eq!(
+                failure,
+                &format!("engine.scan.rows_per_op: 12186 in {side} breaks <= 6200: {reason}")
+            );
+        }
         assert!(compare_records("{}", "{}").is_err());
         assert!(compare_records("not json", "{}").is_err());
+    }
+
+    #[test]
+    fn compare_fails_when_a_gated_metric_is_missing() {
+        let full = passing("engine_mem");
+        for name in [
+            "engine.scheduler.locality_ratio",
+            "engine.columnar.batch_fill",
+        ] {
+            let short: Vec<(String, f64)> = full.iter().filter(|m| m.0 != name).cloned().collect();
+            let comparison =
+                compare_records(&record("engine_mem", &full), &record("engine_mem", &short))
+                    .unwrap();
+            assert_eq!(comparison.failures, [format!("{name}: missing from b")]);
+        }
+        // A fresh run without `--trace 1` has no per-layer pass at all: every
+        // exact metric is missing, and fig4_shc's two drifting bounded ones.
+        let untraced = r#"{"workload":"fig4_shc","end_to_end":{"metrics":{}}}"#;
+        let traced = record("fig4_shc", &passing("fig4_shc"));
+        let comparison = compare_records(&traced, untraced).unwrap();
+        assert_eq!(comparison.failures.len(), EXACT.len() + 2);
+        assert!(comparison
+            .failures
+            .iter()
+            .all(|f| f.ends_with(": missing from b")));
+    }
+
+    #[test]
+    fn compare_refuses_records_of_two_workloads() {
+        let a = record("fig4_shc", &passing("fig4_shc"));
+        let b = record("fig4_generic", &passing("fig4_generic"));
+        let error = compare_records(&a, &b).err().unwrap();
+        assert!(error.contains("two workloads"), "{error}");
+        let unnamed = r#"{"per_layer":{"metrics":{}}}"#;
+        assert!(compare_records(&a, unnamed).is_err());
+    }
+
+    #[test]
+    fn compare_refuses_a_workload_without_bounds() {
+        let sixth = record("sixth_workload", &passing("sixth_workload"));
+        let error = compare_records(&sixth, &sixth).err().unwrap();
+        assert!(error.contains("no BOUNDS row"), "{error}");
+    }
+
+    #[test]
+    fn gates_name_the_benchmark_s_workloads_and_metrics() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let benchmark = parse_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let names = |list: &str| -> Vec<String> {
+            let items = benchmark.get(list).and_then(Json::as_array).unwrap();
+            items
+                .iter()
+                .map(|item| item.get_str("name").unwrap().to_string())
+                .collect()
+        };
+        let (workloads, metrics) = (names("workloads"), names("per_layer"));
+        for workload in &workloads {
+            assert!(BOUNDS.iter().any(|row| row.0 == workload), "{workload}");
+        }
+        for name in EXACT.iter().chain(BOUNDS.iter().map(|row| &row.1)) {
+            assert!(metrics.iter().any(|m| m == name), "{name}");
+        }
+        for row in BOUNDS {
+            assert!(workloads.iter().any(|w| w == row.0), "{row:?}");
+        }
     }
 }
