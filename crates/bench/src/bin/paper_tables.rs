@@ -133,13 +133,12 @@ impl std::fmt::Display for Limit {
 
 /// Metrics two traced runs of one seed must agree on exactly, whatever the
 /// workload: work the program counts itself, which does not depend on how
-/// long a run is or how fast. Not here, because the timestamps and sequence
-/// numbers the load assigns move cell lengths by up to 0.1 % between runs of
-/// one build: `kvstore.client.bytes_shipped_per_op`,
-/// `kvstore.network.modeled_rpc_us_per_op`, `kvstore.storage.disk_bytes_end`,
-/// the flush and compaction bytes per user byte, and
-/// `bench.ingest.write_amp` / `space_amp`. Those keep their [`BOUNDS`] rows.
-const EXACT: [&str; 34] = [
+/// long a run is or how fast. Byte sizes are among them: a put batch takes
+/// its timestamps on the calling thread, in batch order, before its regions'
+/// shares apply concurrently, so a load writes the same cells, and the same
+/// bytes, every time (`client.rs`
+/// `repeated_loads_write_identical_store_files`).
+const EXACT: [&str; 41] = [
     "kvstore.client.rpcs_per_op",
     "kvstore.client.scanner_batches_per_op",
     "kvstore.client.connections_per_op",
@@ -161,6 +160,13 @@ const EXACT: [&str; 34] = [
     "kvstore.region.write_stalls",
     "kvstore.region.write_stall_ms",
     "kvstore.region.compaction_backlog_bytes_end",
+    "kvstore.client.bytes_shipped_per_op",
+    "kvstore.network.modeled_rpc_us_per_op",
+    "kvstore.storage.disk_bytes_end",
+    "kvstore.region.flush_bytes_per_user_byte",
+    "kvstore.region.compaction_bytes_per_user_byte",
+    "bench.ingest.write_amp",
+    "bench.ingest.space_amp",
     "engine.scan.rows_per_op",
     "engine.scan.bytes_per_op",
     "engine.shuffle.bytes_per_op",
@@ -987,16 +993,10 @@ mod tests {
 
     #[test]
     fn compare_fails_on_exact_counters_and_bounds_only() {
-        // A timing and a drifting byte count may move; neither fails.
+        // A timing may move; it does not fail.
         let moved = compare_fig4_shc(
-            &[
-                ("engine.physical.execute_us", 10000.0),
-                ("kvstore.client.bytes_shipped_per_op", 128679.0),
-            ],
-            &[
-                ("engine.physical.execute_us", 7000.0),
-                ("kvstore.client.bytes_shipped_per_op", 128786.0),
-            ],
+            &[("engine.physical.execute_us", 10000.0)],
+            &[("engine.physical.execute_us", 7000.0)],
         );
         assert_eq!(moved.failures, Vec::<String>::new());
         let row = |rows: &[Vec<String>], name: &str| {
@@ -1006,9 +1006,18 @@ mod tests {
             row(&moved.rows, "engine.physical.execute_us"),
             ["10000", "7000", "-30.0", ""]
         );
+        // Nor may a byte count, by however little.
+        let more_bytes = compare_fig4_shc(
+            &[("kvstore.client.bytes_shipped_per_op", 128679.0)],
+            &[("kvstore.client.bytes_shipped_per_op", 128786.0)],
+        );
         assert_eq!(
-            row(&moved.rows, "kvstore.client.bytes_shipped_per_op"),
-            ["128679", "128786", "+0.1", "<= 129000"]
+            more_bytes.failures,
+            ["kvstore.client.bytes_shipped_per_op: 128679 in a, 128786 in b: it must not change"]
+        );
+        assert_eq!(
+            row(&more_bytes.rows, "kvstore.client.bytes_shipped_per_op"),
+            ["128679", "128786", "+0.1", "FAILS exact, <= 129000"]
         );
         assert_eq!(
             row(&moved.rows, "engine.scan.bytes_per_op"),
@@ -1062,11 +1071,11 @@ mod tests {
             assert_eq!(comparison.failures, [format!("{name}: missing from b")]);
         }
         // A fresh run without `--trace 1` has no per-layer pass at all: every
-        // exact metric is missing, and fig4_shc's two drifting bounded ones.
+        // exact metric is missing, and fig4_shc bounds no other.
         let untraced = r#"{"workload":"fig4_shc","end_to_end":{"metrics":{}}}"#;
         let traced = record("fig4_shc", &passing("fig4_shc"));
         let comparison = compare_records(&traced, untraced).unwrap();
-        assert_eq!(comparison.failures.len(), EXACT.len() + 2);
+        assert_eq!(comparison.failures.len(), EXACT.len());
         assert!(comparison
             .failures
             .iter()

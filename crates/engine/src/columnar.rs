@@ -211,15 +211,6 @@ impl Column {
         }
     }
 
-    /// Dictionary and codes, for kernels that do per entry what they would
-    /// otherwise do per row.
-    pub fn dict_parts(&self) -> Option<(&Arc<Vec<String>>, &[u32])> {
-        match &self.data {
-            ColumnData::Dict { dict, codes } => Some((dict, codes)),
-            _ => None,
-        }
-    }
-
     /// The raw `i64` vector when integer/timestamp-typed storage is in use.
     pub fn i64_slice(&self) -> Option<&[i64]> {
         match &self.data {

@@ -6,10 +6,11 @@
 //!    one pass, each row finds or opens its group, and every aggregate then
 //!    folds its argument column in — typed, where column and accumulator
 //!    allow.
-//! 2. **Exchange**: a partial group goes to partition `hash % n` by the hash
-//!    it already carries and is merged ([`Accumulator::merge`]) into that
-//!    partition's table. Its cost is the row-equivalent size of its key
-//!    cells plus a fixed size per state.
+//! 2. **Exchange**: a partial group goes to partition `hash % n` by its
+//!    partition hash ([`partition_hash_rows`], one per group, not per row)
+//!    and is merged ([`Accumulator::merge`]) into that partition's table,
+//!    found there by the lookup hash it already carries. Its cost is the
+//!    row-equivalent size of its key cells plus a fixed size per state.
 //! 3. **Final**: the key builders are finished into columns and each
 //!    aggregate appends one value per group.
 //!
@@ -21,6 +22,7 @@ use crate::columnar::{Column, ColumnBuilder, ColumnarBatch, Partition};
 use crate::error::Result;
 use crate::expr::BoundExpr;
 use crate::key_table::{expr_column, hash_rows, key_columns, KeyTable};
+use crate::shuffle::partition_hash_rows;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
 
@@ -62,6 +64,7 @@ pub(crate) fn hash_aggregate(
 
     let mut targets: Vec<Groups> = (0..n_out).map(|_| new_groups()).collect();
     let mut moved = Exchanged { bytes: 0, rows: 0 };
+    let mut parts = Vec::new();
     for batches in input {
         let mut partial = new_groups();
         for batch in &batches {
@@ -71,9 +74,10 @@ pub(crate) fn hash_aggregate(
         let key_bytes: usize = keys.iter().map(|c| c.byte_size()).sum();
         moved.bytes += (key_bytes + hashes.len() * (aggs.len() * 24 + 8)) as u64;
         moved.rows += hashes.len() as u64;
+        partition_hash_rows(&keys, hashes.len(), &mut parts);
         let mut states = partial.states.into_iter();
-        for (row, &hash) in hashes.iter().enumerate() {
-            let target = &mut targets[(hash % n_out as u64) as usize];
+        for (row, (&hash, &part)) in hashes.iter().zip(&parts).enumerate() {
+            let target = &mut targets[(part % n_out as u64) as usize];
             let (group, new) = target.keys.find_or_insert(hash, &keys, row);
             let mine = states.by_ref().take(aggs.len());
             if new {
@@ -170,5 +174,52 @@ impl Groups {
         }
         let rows: Vec<u32> = (0..n as u32).collect();
         rows.chunks(batch_size).map(|c| all.gather(c)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::columnar::{gather_rows, rows_to_batches};
+    use crate::row::Row;
+    use crate::shuffle::hash_key;
+
+    #[test]
+    fn every_group_lands_in_the_partition_its_key_hashes_to() {
+        // Two input partitions that share keys, so partial groups merge.
+        let rows = |from: i64| -> Vec<Row> {
+            (from..from + 300)
+                .map(|i| {
+                    Row::new(vec![
+                        Value::Int64(i % 97),
+                        Value::Utf8(format!("k{}", i % 5)),
+                    ])
+                })
+                .collect()
+        };
+        let dtypes = [DataType::Int64, DataType::Utf8];
+        let input = vec![
+            rows_to_batches(&dtypes, &rows(0), 64),
+            rows_to_batches(&dtypes, &rows(150), 64),
+        ];
+        let group = [
+            BoundExpr::Column(0, DataType::Int64),
+            BoundExpr::Column(1, DataType::Utf8),
+        ];
+        let count = BoundAgg {
+            template: Accumulator::Count { n: 0 },
+            arg: None,
+        };
+        let out_dtypes = [DataType::Int64, DataType::Utf8, DataType::Int64];
+        let (out, _) = hash_aggregate(input, &group, &[count], &out_dtypes, 3, 1024).unwrap();
+        let mut counted = 0;
+        for (target, part) in out.into_iter().enumerate() {
+            for row in gather_rows(vec![part]) {
+                let key = [row.get(0).clone(), row.get(1).clone()];
+                assert_eq!((hash_key(&key) % 3) as usize, target, "{row:?}");
+                counted += row.get(2).as_i64().unwrap();
+            }
+        }
+        assert_eq!(counted, 600);
     }
 }

@@ -1,12 +1,14 @@
 //! The key table both hash operators run on: the distinct keys of a join's
 //! build side, or the groups of an aggregate, held as typed columns.
 //!
-//! A key is hashed once, where it is first read off a batch
-//! ([`hash_rows`]); the `u64` then travels with it — into the table, out of
-//! a partial aggregate, to `hash % n` of an exchange, into the table that
-//! merges it — and is never computed again. It is the hash
-//! [`Column::group_hash_into`] and [`crate::shuffle::hash_key`] agree on, so
-//! a key lands in the partition it always landed in. Equality is
+//! A key is looked up by its [`KeyHasher`] hash, computed once where it is
+//! first read off a batch ([`hash_rows`]); the `u64` then travels with it —
+//! into the table, out of a partial aggregate, into the table that merges
+//! it. Where a key goes is a different hash: an exchange sends it to
+//! partition `hash % n` of [`crate::shuffle::partition_hash_rows`], which
+//! stays SipHash so that placement does not move with the lookup hash. Both
+//! hashes are fed by [`Column::group_hash_into`], so `Int32(5)`,
+//! `Int64(5)` and `Float64(5.0)` are one key under either. Equality is
 //! [`ColumnBuilder::group_eq_at`], i.e. [`crate::value::Value::group_eq`]
 //! read off typed storage; neither a `Value` nor a `Vec` is made per row.
 
@@ -14,7 +16,6 @@ use crate::columnar::{Column, ColumnBuilder, ColumnarBatch};
 use crate::error::Result;
 use crate::expr::BoundExpr;
 use crate::value::DataType;
-use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -37,46 +38,73 @@ pub(crate) fn key_columns(exprs: &[BoundExpr], batch: &ColumnarBatch) -> Result<
     exprs.iter().map(|e| expr_column(e, batch)).collect()
 }
 
-/// The grouping hash of each of the `n` rows of the key `cols` make, into
-/// `out`. Where the first column is dictionary-encoded and its entries
-/// repeat, each entry is hashed once and rows continue from a copy of the
-/// hasher it left.
-pub(crate) fn hash_rows(cols: &[Arc<Column>], n: usize, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(n);
-    let (first, rest) = match cols {
-        [first, rest @ ..] => (Some(first), rest),
-        [] => (None, cols),
-    };
-    let start = |i: usize| {
-        let mut state = DefaultHasher::new();
-        if let Some(first) = first {
-            first.group_hash_into(i, &mut state);
+/// The lookup hash: a seedless word hasher. Each 8-byte word is mixed in
+/// with a multiply and a rotate, and `finish` applies a 64-bit finalizer, so
+/// both the upper half a [`KeyTable`] indexes its slots by and the lower bits
+/// are well mixed. No placement depends on its values, so it can change
+/// without moving a key between exchange partitions.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8 bytes")));
         }
-        state
-    };
-    let finish = |mut state: DefaultHasher, i: usize| {
-        for col in rest {
+        // The tail, zero-padded, with its length in the top byte.
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            word[7] = tail.len() as u8;
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(i as u64);
+    }
+
+    /// MurmurHash3's `fmix64`.
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// The lookup hash of each of the `n` rows of the key `cols` make, into
+/// `out`.
+pub(crate) fn hash_rows(cols: &[Arc<Column>], n: usize, out: &mut Vec<u64>) {
+    hash_rows_with::<KeyHasher>(cols, n, out);
+}
+
+/// The `H` hash of each of the `n` rows of the key `cols` make, into `out`.
+pub(crate) fn hash_rows_with<H: Hasher + Default>(
+    cols: &[Arc<Column>],
+    n: usize,
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    out.extend((0..n).map(|i| {
+        let mut state = H::default();
+        for col in cols {
             col.group_hash_into(i, &mut state);
         }
         state.finish()
-    };
-    match first.and_then(|c| Some((c, c.dict_parts()?))) {
-        Some((first, (dict, codes))) if dict.len() < n => {
-            let mut entries: Vec<Option<DefaultHasher>> = vec![None; dict.len()];
-            for (i, &code) in codes.iter().enumerate() {
-                let state = if first.is_null(i) {
-                    start(i)
-                } else {
-                    entries[code as usize]
-                        .get_or_insert_with(|| start(i))
-                        .clone()
-                };
-                out.push(finish(state, i));
-            }
-        }
-        _ => out.extend((0..n).map(|i| finish(start(i), i))),
-    }
+    }));
 }
 
 /// Distinct keys in the order they were first seen, each with its hash.
@@ -85,8 +113,7 @@ pub(crate) struct KeyTable {
     keys: Vec<ColumnBuilder>,
     hashes: Vec<u64>,
     /// Open addressing with linear probing over a power-of-two length:
-    /// `entry + 1`, or 0 for a free slot. Indexed by the hash's upper half,
-    /// because the entries of an exchange partition share `hash % n`.
+    /// `entry + 1`, or 0 for a free slot. Indexed by the hash's upper half.
     slots: Vec<u32>,
 }
 
@@ -185,7 +212,7 @@ impl KeyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shuffle::hash_key;
+    use crate::shuffle::{hash_key, partition_hash_rows};
     use crate::value::Value;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -229,15 +256,52 @@ mod tests {
         (builder, Arc::new(same.finish()))
     }
 
+    /// The hash `H` gives a key of these values through
+    /// [`Value::group_hash`].
+    fn value_hash<H: Hasher + Default>(values: &[Value]) -> u64 {
+        let mut state = H::default();
+        values.iter().for_each(|v| v.group_hash(&mut state));
+        state.finish()
+    }
+
+    /// `hash` over random columns of every kind, one column and two (the
+    /// second continues the first's hasher), and a key of no columns, is
+    /// `want` of the values the cells hold.
+    fn check_row_hashes(
+        seed: u64,
+        hash: fn(&[Arc<Column>], usize, &mut Vec<u64>),
+        want: fn(&[Value]) -> u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut hashes = Vec::new();
+        for _ in 0..40 {
+            let n = rng.gen_range(1..40usize);
+            let kind = rng.gen_range(0..7usize);
+            let (dtype, a) = random_column(&mut rng, kind, n);
+            let col = column(dtype, &a).1;
+            hash(std::slice::from_ref(&col), n, &mut hashes);
+            for (i, x) in a.iter().enumerate() {
+                assert_eq!(hashes[i], want(std::slice::from_ref(x)), "{x:?}");
+            }
+            hash(&[Arc::clone(&col), col], n, &mut hashes);
+            for (i, x) in a.iter().enumerate() {
+                assert_eq!(hashes[i], want(&[x.clone(), x.clone()]), "{x:?}");
+            }
+        }
+        let mut hashes = vec![7];
+        hash(&[], 2, &mut hashes);
+        assert_eq!(hashes, vec![want(&[]); 2], "a key of no columns");
+    }
+
     #[test]
-    fn cell_equality_and_hash_are_those_of_the_values_the_cells_hold() {
+    fn cell_equality_and_lookup_hash_are_those_of_the_values_the_cells_hold() {
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..40 {
             let (n, m) = (rng.gen_range(1..40usize), rng.gen_range(1..40usize));
             let (kind_a, kind_b) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
             let (dtype_a, a) = random_column(&mut rng, kind_a, n);
             let (dtype_b, b) = random_column(&mut rng, kind_b, m);
-            let (built, col_a) = column(dtype_a, &a);
+            let (built, _) = column(dtype_a, &a);
             let (_, col_b) = column(dtype_b, &b);
             for (e, x) in a.iter().enumerate() {
                 for (i, y) in b.iter().enumerate() {
@@ -248,21 +312,64 @@ mod tests {
                     );
                 }
             }
-            // One column, and two: the second continues the first's hasher.
+        }
+        check_row_hashes(21, hash_rows, value_hash::<KeyHasher>);
+    }
+
+    #[test]
+    fn the_partition_hash_of_a_row_is_hash_key_of_its_values() {
+        check_row_hashes(22, partition_hash_rows, hash_key);
+    }
+
+    /// The longest run of occupied slots in `table`: the most slots a
+    /// lookup can probe.
+    fn longest_run(table: &KeyTable) -> usize {
+        let (mut longest, mut run) = (0, 0);
+        // Twice round, so that a run wrapping past the end counts whole.
+        for &slot in table.slots.iter().chain(&table.slots) {
+            run = if slot == 0 { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        longest
+    }
+
+    #[test]
+    fn sequential_integers_and_short_strings_spread_over_slots_and_partitions() {
+        const N: usize = 100_000;
+        let ints: Vec<Value> = (0..N as i64).map(Value::Int64).collect();
+        let strings: Vec<Value> = (0..N).map(|i| Value::Utf8(format!("k{i}"))).collect();
+        for (dtype, values) in [(DataType::Int64, ints), (DataType::Utf8, strings)] {
+            let cols = [column(dtype, &values).1];
             let mut hashes = Vec::new();
-            hash_rows(std::slice::from_ref(&col_a), n, &mut hashes);
-            for (i, x) in a.iter().enumerate() {
-                assert_eq!(hashes[i], hash_key(std::slice::from_ref(x)), "{x:?}");
+            hash_rows(&cols, N, &mut hashes);
+            let mut table = KeyTable::new([dtype]);
+            for (row, &hash) in hashes.iter().enumerate() {
+                assert!(
+                    table.find_or_insert(hash, &cols, row).1,
+                    "{:?}",
+                    values[row]
+                );
             }
-            let both = [Arc::clone(&col_a), Arc::clone(&col_a)];
-            hash_rows(&both, n, &mut hashes);
-            for (i, x) in a.iter().enumerate() {
-                assert_eq!(hashes[i], hash_key(&[x.clone(), x.clone()]), "{x:?}");
+            let longest = longest_run(&table);
+            assert!(
+                longest <= 64,
+                "{dtype:?}: a run of {longest} occupied slots"
+            );
+
+            let mut parts = Vec::new();
+            partition_hash_rows(&cols, N, &mut parts);
+            for n in 2..=8u64 {
+                for (name, hashes) in [("lookup", &hashes), ("partition", &parts)] {
+                    let mut counts = vec![0usize; n as usize];
+                    hashes.iter().for_each(|h| counts[(h % n) as usize] += 1);
+                    let fair = N / n as usize;
+                    assert!(
+                        counts.iter().all(|&c| c.abs_diff(fair) * 20 < fair),
+                        "{dtype:?}, {name} hash % {n}: {counts:?}"
+                    );
+                }
             }
         }
-        let mut hashes = vec![7];
-        hash_rows(&[], 2, &mut hashes);
-        assert_eq!(hashes, vec![hash_key(&[]); 2], "a key of no columns");
     }
 
     #[test]

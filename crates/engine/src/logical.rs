@@ -588,7 +588,7 @@ impl LogicalPlan {
         fn index<'a>(plan: &'a LogicalPlan, nodes: &mut Vec<(&'a LogicalPlan, u64, usize)>) -> u64 {
             let at = nodes.len();
             nodes.push((plan, 0, 0));
-            let mut h = std::collections::hash_map::DefaultHasher::new();
+            let mut h = crate::key_table::KeyHasher::default();
             plan.hash_node(&mut h);
             for child in plan.children() {
                 index(child, nodes).hash(&mut h);

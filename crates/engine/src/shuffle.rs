@@ -3,11 +3,12 @@
 //! paper measures in Figure 5 — SHC's pushdown shrinks what reaches the
 //! exchange.
 
-use crate::columnar::Partition;
+use crate::columnar::{Column, Partition};
 use crate::error::Result;
 use crate::expr::BoundExpr;
-use crate::key_table::{hash_rows, key_columns};
+use crate::key_table::{hash_rows_with, key_columns};
 use crate::metrics::{QueryMetrics, ShuffleEdges};
+use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -17,20 +18,30 @@ use std::sync::Arc;
 /// the edge, when given, receives the same volume under its label.
 pub type EdgeSink<'a> = Option<(&'a ShuffleEdges, &'a str)>;
 
-/// Hash a key tuple for partitioning; consistent with `Value::group_eq`.
+/// The partition hash of a key tuple: a key goes to partition
+/// `hash_key(key) % n` of an exchange. Consistent with `Value::group_eq`.
+/// It is SipHash (`DefaultHasher`), and is kept apart from the lookup hash
+/// of the key tables (`key_table::KeyHasher`): which partition a key lands
+/// in shows in batch counts, skew and timelines, so changing this hash is a
+/// plan change.
 pub fn hash_key(values: &[crate::value::Value]) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let mut hasher = DefaultHasher::new();
     for v in values {
         v.group_hash(&mut hasher);
     }
     hasher.finish()
 }
 
+/// [`hash_key`] of each of the `n` rows of the key `cols` make, into `out`.
+pub(crate) fn partition_hash_rows(cols: &[Arc<Column>], n: usize, out: &mut Vec<u64>) {
+    hash_rows_with::<DefaultHasher>(cols, n, out);
+}
+
 /// Repartition `partitions` into `num_output` partitions by the hash of the
 /// key expressions, recording shuffle volume in row-equivalent bytes. A
-/// batch's key columns are hashed in one pass (`key_table::hash_rows`, consistent
-/// with [`hash_key`]; a key that is not a column is evaluated into one
-/// first), per-target index lists drive a single `gather` per (batch,
+/// batch's key columns are hashed in one pass (`partition_hash_rows`,
+/// [`hash_key`] of each row; a key that is not a column is evaluated into
+/// one first), per-target index lists drive a single `gather` per (batch,
 /// target), and rows never materialize.
 pub fn shuffle_batches_by_key(
     partitions: Vec<Partition>,
@@ -47,7 +58,7 @@ pub fn shuffle_batches_by_key(
 
     for batch in partitions.into_iter().flatten() {
         let n = batch.num_rows();
-        hash_rows(&key_columns(keys, &batch)?, n, &mut hashes);
+        partition_hash_rows(&key_columns(keys, &batch)?, n, &mut hashes);
         let mut targets: Vec<Vec<u32>> = vec![Vec::new(); num_output];
         for (i, hash) in hashes.iter().enumerate() {
             targets[(hash % num_output as u64) as usize].push(i as u32);
@@ -167,5 +178,37 @@ mod tests {
     #[test]
     fn hash_key_consistency_across_widths() {
         assert_eq!(hash_key(&[Value::Int32(5)]), hash_key(&[Value::Int64(5)]));
+    }
+
+    /// `hash_key(key) % n` for n = 2..=8 is where an exchange of n
+    /// partitions sends a key. A change of the partition hash moves keys
+    /// between tasks, which shows in batch counts, skew and timelines; it
+    /// fails here first.
+    #[test]
+    fn keys_land_in_the_partitions_they_always_landed_in() {
+        let five = [1, 1, 1, 1, 1, 0, 1];
+        let golden: [(Value, [u64; 7]); 13] = [
+            (Value::Int8(5), five),
+            (Value::Int16(5), five),
+            (Value::Int32(5), five),
+            (Value::Int64(5), five),
+            (Value::Timestamp(5), five),
+            (Value::Float64(5.0), five),
+            (Value::Int64(-1), [0, 1, 0, 1, 4, 0, 4]),
+            (Value::Int64(1 << 40), [0, 0, 2, 4, 0, 2, 2]),
+            (Value::Float64(2.5), [1, 0, 3, 2, 3, 1, 3]),
+            (
+                Value::Utf8("AAAAAAAABAAAAAAA".into()),
+                [1, 1, 3, 3, 1, 0, 3],
+            ),
+            (Value::Utf8("x".into()), [1, 0, 1, 3, 3, 5, 5]),
+            (Value::Boolean(true), [0, 0, 0, 0, 0, 6, 0]),
+            (Value::Null, [1, 2, 3, 2, 5, 6, 3]),
+        ];
+        for (key, partitions) in golden {
+            let hash = hash_key(std::slice::from_ref(&key));
+            let got: Vec<u64> = (2..=8).map(|n| hash % n).collect();
+            assert_eq!(got, partitions, "{key:?}");
+        }
     }
 }

@@ -331,7 +331,12 @@ impl Table {
     /// Transient failures are retried under the client's recovery rule (see
     /// [`MAX_ATTEMPTS`]). Like the HBase client, delivery is at-least-once: a
     /// retried batch may re-apply puts that already landed, which is
-    /// idempotent at the cell level (same value, newer version).
+    /// idempotent at the cell level (same value, same timestamp).
+    ///
+    /// Columns without a timestamp of their own are stamped from the
+    /// cluster clock before the batch is sent, one tick per put in the
+    /// order of their regions, so what a load writes does not depend on
+    /// how the regions' shares interleave.
     pub fn put_batch(&self, mut puts: Vec<Put>) -> Result<()> {
         self.with_retries("put_batch", || self.try_put_batch(&mut puts))
     }
@@ -347,6 +352,19 @@ impl Table {
             let mut keyed: Vec<(usize, Put)> = owners.drain(..).zip(puts.drain(..)).collect();
             keyed.sort_by_key(|(owner, _)| *owner);
             (owners, *puts) = keyed.into_iter().unzip();
+        }
+        // Stamped here, in batch order, rather than by each region as its
+        // share lands: the shares apply concurrently, and clock ticks they
+        // took would interleave, moving the timestamps — and the length of
+        // every cell block that encodes them — from run to run.
+        let clock = &self.connection.cluster.clock;
+        for put in puts.iter_mut() {
+            if put.columns.iter().any(|c| c.timestamp.is_none()) {
+                let now = clock.now_ms();
+                for column in &mut put.columns {
+                    column.timestamp.get_or_insert(now);
+                }
+            }
         }
         let mut batches: Vec<(&RegionLocation, &[Put])> = Vec::new();
         let mut rest: &[Put] = puts;
@@ -769,7 +787,9 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::types::{FamilyDescriptor, TableDescriptor};
     use bytes::Bytes;
+    use std::collections::BTreeMap;
     use std::ops::Bound;
+    use std::path::{Path, PathBuf};
 
     fn cluster_with_table(splits: &[&str]) -> (Arc<HBaseCluster>, Arc<Connection>, Table) {
         let cluster = HBaseCluster::start(ClusterConfig {
@@ -828,6 +848,53 @@ mod tests {
         for (key, want) in [("apple", "2"), ("mango", "1"), ("zebra", "2")] {
             let row = table.get(Get::new(key)).unwrap();
             assert_eq!(row.value(b"cf", b"q").unwrap().as_ref(), want.as_bytes());
+        }
+    }
+
+    /// Every store file under `dir`, by its path below `root`.
+    fn store_files(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                store_files(root, &path, out);
+            } else if path.extension().is_some_and(|e| e == "sst") {
+                let bytes = std::fs::read(&path).unwrap();
+                out.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_loads_write_identical_store_files() {
+        // A region on each of three servers: every batch's shares apply
+        // concurrently, and none of its columns has a timestamp. (Regions
+        // that share a server also share its log, and with it the order
+        // their sequence numbers interleave in.)
+        let load = || {
+            let (cluster, _conn, table) = cluster_with_table(&["h", "p"]);
+            for batch in 0..4u32 {
+                let puts = (0..300u32)
+                    .map(|i| {
+                        let row = format!("{}{:04}", (b'a' + (i * 7 % 26) as u8) as char, i);
+                        Put::new(row).add("cf", "a", format!("{batch}:{i}")).add(
+                            "cf",
+                            "b",
+                            "x".repeat((i % 5) as usize),
+                        )
+                    })
+                    .collect();
+                table.put_batch(puts).unwrap();
+            }
+            cluster.flush_all().unwrap();
+            let root = cluster.storage().unwrap().root().to_path_buf();
+            let mut files = BTreeMap::new();
+            store_files(&root, &root, &mut files);
+            files
+        };
+        let first = load();
+        assert_eq!(first.len(), 3, "a store file per region");
+        for _ in 0..3 {
+            assert!(load() == first, "a load wrote other store files");
         }
     }
 

@@ -198,6 +198,9 @@ pub(crate) trait Mutation {
     fn row(&self) -> &Bytes;
     /// A column family the mutation names that the table does not have.
     fn unknown_family<'a>(&'a self, descriptor: &TableDescriptor) -> Option<&'a Bytes>;
+    /// Whether some cell takes the server time: a mutation whose cells all
+    /// carry a timestamp takes no tick of the clock.
+    fn needs_time(&self) -> bool;
     /// The cells to log and insert, with a placeholder seq (the write path
     /// stamps the one the WAL assigns); `now` is the server time for
     /// columns without their own timestamp.
@@ -214,6 +217,10 @@ impl Mutation for Put {
             .iter()
             .map(|col| &col.family)
             .find(|family| !descriptor.has_family(family))
+    }
+
+    fn needs_time(&self) -> bool {
+        self.columns.iter().any(|col| col.timestamp.is_none())
     }
 
     fn cells(&self, _: &TableDescriptor, now: Timestamp) -> Vec<Cell> {
@@ -248,6 +255,10 @@ impl Mutation for Delete {
                 (!descriptor.has_family(family)).then_some(family)
             }
         }
+    }
+
+    fn needs_time(&self) -> bool {
+        self.timestamp.is_none() && !matches!(self.scope, DeleteScope::Version { .. })
     }
 
     fn cells(&self, descriptor: &TableDescriptor, now: Timestamp) -> Vec<Cell> {
@@ -524,8 +535,14 @@ impl Region {
             let mut group: Vec<Vec<Cell>> = Vec::new();
             let mut bytes = 0;
             for m in rest {
-                // One clock tick per mutation, taken in application order.
-                let cells = m.cells(&self.descriptor, self.clock.now_ms());
+                // One clock tick per mutation that needs the time, taken in
+                // application order.
+                let now = if m.needs_time() {
+                    self.clock.now_ms()
+                } else {
+                    0
+                };
+                let cells = m.cells(&self.descriptor, now);
                 bytes += cells.iter().map(Cell::heap_size).sum::<usize>();
                 group.push(cells);
                 if bytes >= room {

@@ -231,7 +231,11 @@ pub fn row_successor(row: &[u8]) -> Bytes {
 pub struct PutColumn {
     pub family: Bytes,
     pub qualifier: Bytes,
-    /// `None` means "use the server clock" (HBase `LATEST_TIMESTAMP`).
+    /// `None` means "take the cluster clock" (HBase `LATEST_TIMESTAMP`):
+    /// `Table::put_batch` (and `Table::put` through it) stamps such a column
+    /// when it sends the batch, one tick per put in region order, and keeps
+    /// the stamp on retries. A put sent straight to a region server takes
+    /// the server's tick instead.
     pub timestamp: Option<Timestamp>,
     pub value: Bytes,
 }
@@ -251,7 +255,8 @@ impl Put {
         }
     }
 
-    /// Add a column value with the server-assigned timestamp.
+    /// Add a column value without a timestamp: the cluster clock stamps it
+    /// when the client sends the batch (see [`PutColumn::timestamp`]).
     pub fn add(
         mut self,
         family: impl Into<Bytes>,
