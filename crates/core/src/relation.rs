@@ -177,6 +177,20 @@ impl TableProvider for HBaseRelation {
             && self.conf.partition_pruning != PruningMode::Disabled
     }
 
+    /// A single-column row key: a scan visits each row key once, one row
+    /// per key whatever the conf's versions or time range (they select
+    /// cells within the row), and the codec gives every value one
+    /// encoding. Not a float key, whose `0.0` and `-0.0` are two row keys
+    /// that join as one value.
+    fn unique_key(&self) -> Option<String> {
+        let [key] = self.catalog.row_key[..] else {
+            return None;
+        };
+        let column = &self.catalog.columns[key];
+        let float = matches!(column.data_type, DataType::Float32 | DataType::Float64);
+        (!float).then(|| column.name.clone())
+    }
+
     fn scan(
         &self,
         projection: Option<&[usize]>,
@@ -955,6 +969,72 @@ mod tests {
         let relation = HBaseRelation::new(Arc::clone(&cluster), catalog, SHCConf::default());
         writer::write_rows(&cluster, &relation.catalog, &relation.conf, &rows).unwrap();
         (cluster, relation)
+    }
+
+    /// `unique_key` rests on a scan emitting one row per row key under
+    /// every conf: versions and time ranges pick cells within a row;
+    /// pushdown, pruning and fusion change how rows are reached, point gets
+    /// and range scans alike.
+    #[test]
+    fn a_single_column_row_key_is_unique_under_every_conf() {
+        let (cluster, relation) = setup();
+        // Two more writes of every row: three versions of each cell.
+        let rows = run_partitions(&relation.scan(None, &[]).unwrap());
+        for _ in 0..2 {
+            writer::write_rows(&cluster, &relation.catalog, &relation.conf, &rows).unwrap();
+        }
+        let key = |i: usize| Value::Utf8(format!("row{i:02}"));
+        let filters = [
+            (vec![], 30),
+            (
+                vec![SourceFilter::In("col0".into(), (3..9).map(key).collect())],
+                6,
+            ),
+            (vec![SourceFilter::Gt("col0".into(), key(20))], 9),
+        ];
+        let confs = [
+            SHCConf::default(),
+            SHCConf::default().with_max_versions(3),
+            SHCConf::default().with_time_range(0, u64::MAX),
+            SHCConf::default().without_pushdown(),
+            SHCConf::default().without_pruning(),
+            SHCConf::default().with_max_versions(3).without_fusion(),
+        ];
+        for conf in confs {
+            let relation = HBaseRelation::new(Arc::clone(&cluster), relation.catalog.clone(), conf);
+            assert_eq!(relation.unique_key().as_deref(), Some("col0"));
+            for (filter, expected) in &filters {
+                let rows = run_partitions(&relation.scan(Some(&[0]), filter).unwrap());
+                let mut keys: Vec<Value> = rows
+                    .iter()
+                    .map(|r| r.get(0).clone())
+                    .filter(|k| filter.iter().all(|f| matches(f, k)))
+                    .collect();
+                let all = keys.len();
+                keys.sort_by(Value::sort_cmp);
+                keys.dedup();
+                assert_eq!((all, keys.len()), (*expected, *expected), "{filter:?}");
+            }
+        }
+        // A composite row key names no single unique column.
+        let composite = HBaseTableCatalog::parse_simple(
+            r#"{"table":{"namespace":"default","name":"c"},
+                "rowkey":"a:b","columns":{"a":{"cf":"rowkey","col":"a","type":"int"},
+                "b":{"cf":"rowkey","col":"b","type":"int"}}}"#,
+        )
+        .unwrap();
+        let relation = HBaseRelation::new(cluster, Arc::new(composite), SHCConf::default());
+        assert_eq!(relation.unique_key(), None);
+    }
+
+    /// Whether key `k` passes `filter` (re-applied where the relation
+    /// leaves a filter unhandled).
+    fn matches(filter: &SourceFilter, k: &Value) -> bool {
+        match filter {
+            SourceFilter::In(_, keys) => keys.contains(k),
+            SourceFilter::Gt(_, bound) => k.sort_cmp(bound).is_gt(),
+            _ => true,
+        }
     }
 
     fn days_in(days: &[i32]) -> Vec<SourceFilter> {

@@ -70,18 +70,8 @@ impl AggFunc {
                 best: Value::Null,
                 is_min: false,
             },
-            AggFunc::Stddev => Accumulator::Moments {
-                n: 0,
-                mean: 0.0,
-                m2: 0.0,
-                variance: false,
-            },
-            AggFunc::Variance => Accumulator::Moments {
-                n: 0,
-                mean: 0.0,
-                m2: 0.0,
-                variance: true,
-            },
+            AggFunc::Stddev => Accumulator::Moments(Moments::new(false)),
+            AggFunc::Variance => Accumulator::Moments(Moments::new(true)),
         }
     }
 }
@@ -107,13 +97,111 @@ pub enum Accumulator {
         best: Value,
         is_min: bool,
     },
-    /// Welford online moments; merges via Chan's parallel formula.
-    Moments {
-        n: i64,
-        mean: f64,
-        m2: f64,
-        variance: bool,
-    },
+    Moments(Moments),
+}
+
+/// Sample variance or standard deviation. Integer inputs are summed
+/// exactly, so the result rounds once, at the end, whatever partitions the
+/// rows came in; float inputs, or integer sums that would overflow, fall
+/// back to Welford's online moments, merged by Chan's parallel formula.
+#[derive(Clone, Debug)]
+pub struct Moments {
+    n: i64,
+    /// `Some((Σx, Σx²))` while every input was an integer and the sums fit.
+    exact: Option<(i64, i64)>,
+    /// Welford's mean and sum of squared deviations, once `exact` is gone.
+    mean: f64,
+    m2: f64,
+    /// VARIANCE rather than STDDEV.
+    variance: bool,
+}
+
+impl Moments {
+    fn new(variance: bool) -> Moments {
+        Moments {
+            n: 0,
+            exact: Some((0, 0)),
+            mean: 0.0,
+            m2: 0.0,
+            variance,
+        }
+    }
+
+    /// `n · Σx² − (Σx)²`, which is `n` times the sum of squared deviations.
+    fn scaled_m2(n: i64, (sum, sumsq): (i64, i64)) -> i128 {
+        n as i128 * sumsq as i128 - sum as i128 * sum as i128
+    }
+
+    /// Leave the exact sums for Welford's state.
+    fn inexact(&mut self) {
+        if let Some(sums) = self.exact.take() {
+            if self.n > 0 {
+                self.mean = sums.0 as f64 / self.n as f64;
+                self.m2 = Moments::scaled_m2(self.n, sums) as f64 / self.n as f64;
+            }
+        }
+    }
+
+    fn push_i64(&mut self, v: i64) {
+        let summed = self.exact.and_then(|(sum, sumsq)| {
+            Some((sum.checked_add(v)?, sumsq.checked_add(v.checked_mul(v)?)?))
+        });
+        match summed {
+            Some(sums) => {
+                self.n += 1;
+                self.exact = Some(sums);
+            }
+            None => self.push_f64(v as f64),
+        }
+    }
+
+    fn push_f64(&mut self, x: f64) {
+        self.inexact();
+        self.n += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.n as f64;
+        self.m2 += delta * (x - self.mean);
+    }
+
+    fn merge(&mut self, other: &Moments) {
+        let summed = match (self.exact, other.exact) {
+            (Some((s1, q1)), Some((s2, q2))) => s1.checked_add(s2).zip(q1.checked_add(q2)),
+            _ => None,
+        };
+        if summed.is_some() {
+            self.n += other.n;
+            self.exact = summed;
+            return;
+        }
+        let mut other = other.clone();
+        other.inexact();
+        self.inexact();
+        // Chan et al. parallel variance merge.
+        if other.n > 0 {
+            if self.n == 0 {
+                (self.n, self.mean, self.m2) = (other.n, other.mean, other.m2);
+            } else {
+                let delta = other.mean - self.mean;
+                let total = (self.n + other.n) as f64;
+                self.m2 += other.m2 + delta * delta * (self.n as f64) * (other.n as f64) / total;
+                self.mean += delta * (other.n as f64) / total;
+                self.n += other.n;
+            }
+        }
+    }
+
+    fn finish(&self) -> Value {
+        if self.n < 2 {
+            return Value::Null;
+        }
+        let var = match self.exact {
+            Some(sums) => {
+                Moments::scaled_m2(self.n, sums) as f64 / (self.n as f64 * (self.n - 1) as f64)
+            }
+            None => self.m2 / (self.n - 1) as f64,
+        };
+        Value::Float64(if self.variance { var } else { var.sqrt() })
+    }
 }
 
 impl Accumulator {
@@ -167,15 +255,14 @@ impl Accumulator {
                     *best = value.clone();
                 }
             }
-            Accumulator::Moments { n, mean, m2, .. } => {
-                let x = value.as_f64().ok_or_else(|| {
+            Accumulator::Moments(moments) => match value {
+                Value::Float32(_) | Value::Float64(_) => {
+                    moments.push_f64(value.as_f64().expect("a float"))
+                }
+                other => moments.push_i64(other.as_i64().ok_or_else(|| {
                     EngineError::Execution(format!("STDDEV of non-numeric {value}"))
-                })?;
-                *n += 1;
-                let delta = x - *mean;
-                *mean += delta / *n as f64;
-                *m2 += delta * (x - *mean);
-            }
+                })?),
+            },
         }
         Ok(())
     }
@@ -206,13 +293,7 @@ impl Accumulator {
                 *sum += v as f64;
                 *n += 1;
             }
-            Accumulator::Moments { n, mean, m2, .. } => {
-                let x = v as f64;
-                *n += 1;
-                let delta = x - *mean;
-                *mean += delta / *n as f64;
-                *m2 += delta * (x - *mean);
-            }
+            Accumulator::Moments(moments) => moments.push_i64(v),
             Accumulator::MinMax { .. } => unreachable!("MinMax has no typed path"),
         }
     }
@@ -236,12 +317,7 @@ impl Accumulator {
                 *sum += v;
                 *n += 1;
             }
-            Accumulator::Moments { n, mean, m2, .. } => {
-                *n += 1;
-                let delta = v - *mean;
-                *mean += delta / *n as f64;
-                *m2 += delta * (v - *mean);
-            }
+            Accumulator::Moments(moments) => moments.push_f64(v),
             Accumulator::MinMax { .. } => unreachable!("MinMax has no typed path"),
         }
     }
@@ -286,30 +362,7 @@ impl Accumulator {
                     }
                 }
             }
-            (
-                Accumulator::Moments { n, mean, m2, .. },
-                Accumulator::Moments {
-                    n: n2,
-                    mean: mean2,
-                    m2: m22,
-                    ..
-                },
-            ) => {
-                // Chan et al. parallel variance merge.
-                if *n2 > 0 {
-                    if *n == 0 {
-                        *n = *n2;
-                        *mean = *mean2;
-                        *m2 = *m22;
-                    } else {
-                        let delta = mean2 - *mean;
-                        let total = (*n + n2) as f64;
-                        *m2 += m22 + delta * delta * (*n as f64) * (*n2 as f64) / total;
-                        *mean += delta * (*n2 as f64) / total;
-                        *n += n2;
-                    }
-                }
-            }
+            (Accumulator::Moments(moments), Accumulator::Moments(other)) => moments.merge(other),
             (a, b) => {
                 return Err(EngineError::Execution(format!(
                     "cannot merge accumulators {a:?} and {b:?}"
@@ -345,16 +398,7 @@ impl Accumulator {
                 }
             }
             Accumulator::MinMax { best, .. } => best.clone(),
-            Accumulator::Moments {
-                n, m2, variance, ..
-            } => {
-                if *n < 2 {
-                    Value::Null
-                } else {
-                    let var = m2 / (*n - 1) as f64;
-                    Value::Float64(if *variance { var } else { var.sqrt() })
-                }
-            }
+            Accumulator::Moments(moments) => moments.finish(),
         }
     }
 }
@@ -473,6 +517,55 @@ mod tests {
         let mut empty2 = AggFunc::Stddev.accumulator();
         empty2.merge(&full).unwrap();
         assert_eq!(empty2.finish(), full.finish());
+    }
+
+    #[test]
+    fn integer_moments_do_not_depend_on_partitioning() {
+        // 20..=69 in a scrambled order: sample variance 212.5 exactly.
+        let ages: Vec<i64> = (0..50).map(|i| 20 + (i * 7) % 50).collect();
+        let stddev_of = |parts: &[&[i64]]| {
+            let mut total = AggFunc::Stddev.accumulator();
+            for part in parts {
+                let mut partial = AggFunc::Stddev.accumulator();
+                part.iter().for_each(|&v| partial.update_i64(v));
+                total.merge(&partial).unwrap();
+            }
+            total.finish()
+        };
+        let expected = Value::Float64(212.5f64.sqrt());
+        assert_eq!(stddev_of(&[&ages]), expected);
+        for cut in [1, 13, 25, 49] {
+            let (a, b) = ages.split_at(cut);
+            assert_eq!(stddev_of(&[b, a]), expected, "cut at {cut}");
+        }
+        let thirds: Vec<&[i64]> = ages.chunks(17).collect();
+        assert_eq!(stddev_of(&thirds), expected);
+    }
+
+    #[test]
+    fn integer_sums_that_would_overflow_fall_back_to_welford() {
+        let big = i64::MAX / 4;
+        let mut sd = AggFunc::Variance.accumulator();
+        for v in [big, big + 2, big + 4] {
+            sd.update(&Value::Int64(v)).unwrap();
+        }
+        // Exact sums are gone; the variance of {0, 2, 4} is 4, up to the
+        // precision of a float near `big`.
+        match sd.finish() {
+            Value::Float64(v) => assert!(v.is_finite() && (v - 4.0).abs() <= 1e3, "{v}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        // A float input, or a merge with an inexact partial, leaves the
+        // exact path too and still agrees with the formula.
+        let mut mixed = AggFunc::Variance.accumulator();
+        [2i64, 4, 4, 4].iter().for_each(|&v| mixed.update_i64(v));
+        let mut floats = AggFunc::Variance.accumulator();
+        feed(&mut floats, &[5.0, 5.0, 7.0, 9.0]);
+        mixed.merge(&floats).unwrap();
+        match mixed.finish() {
+            Value::Float64(v) => assert!((v - 32.0 / 7.0).abs() < 1e-12, "{v}"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -295,6 +295,7 @@ fn plan_aggregate(query: &Query, input: LogicalPlan, has_agg: bool) -> Result<Lo
             group,
             aggs: vec![],
             input: Box::new(input),
+            lookups: Vec::new(),
         });
     }
 
@@ -343,6 +344,7 @@ fn plan_aggregate(query: &Query, input: LogicalPlan, has_agg: bool) -> Result<Lo
         group,
         aggs,
         input: Box::new(input),
+        lookups: Vec::new(),
     };
     // HAVING filters the aggregate output (aliases resolve here).
     if let Some(having) = &query.having {

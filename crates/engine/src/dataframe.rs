@@ -114,6 +114,7 @@ impl DataFrame {
             group: vec![],
             aggs,
             input: Box::new(self.plan.clone()),
+            lookups: Vec::new(),
         })
     }
 
@@ -426,6 +427,7 @@ impl GroupedData {
             group,
             aggs,
             input: Box::new(self.df.plan.clone()),
+            lookups: Vec::new(),
         };
         DataFrame {
             session: self.df.session,

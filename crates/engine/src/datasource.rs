@@ -89,6 +89,15 @@ pub trait TableProvider: Send + Sync {
         false
     }
 
+    /// A column of `schema()` no two rows of a scan share a non-NULL value
+    /// of, whatever the projection and filters: an equi-join on it matches
+    /// each row of the other input at most once. The optimizer moves an
+    /// aggregate below such a join (eager aggregation), so a provider only
+    /// declares a key it guarantees. Default: none.
+    fn unique_key(&self) -> Option<String> {
+        None
+    }
+
     /// Build scan partitions. `projection` holds indices into `schema()`
     /// (already ignored by providers that don't support projection).
     /// `filters` are best-effort hints: correctness never depends on the
@@ -162,6 +171,7 @@ mod tests {
         let filters = vec![SourceFilter::Eq("x".into(), Value::Int32(1))];
         assert_eq!(p.unhandled_filters(&filters), filters);
         assert!(p.supports_projection());
+        assert_eq!(p.unique_key(), None);
     }
 
     #[test]

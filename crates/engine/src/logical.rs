@@ -98,6 +98,10 @@ pub enum LogicalPlan {
         /// (aggregate, output name).
         aggs: Vec<(AggExpr, String)>,
         input: Box<LogicalPlan>,
+        /// The key-preserving lookups the optimizer moved this aggregate
+        /// below (eager aggregation), by name; empty for one it did not
+        /// move. Shown in `EXPLAIN ANALYZE` only.
+        lookups: Vec<String>,
     },
     Sort {
         /// (key, ascending).
@@ -149,7 +153,9 @@ impl LogicalPlan {
                 Ok(Schema::new(fields))
             }
             LogicalPlan::Join { left, right, .. } => Ok(left.schema()?.join(&right.schema()?)),
-            LogicalPlan::Aggregate { group, aggs, input } => {
+            LogicalPlan::Aggregate {
+                group, aggs, input, ..
+            } => {
                 let input_schema = input.schema()?;
                 let mut fields = Vec::with_capacity(group.len() + aggs.len());
                 for (e, name) in group {
@@ -252,6 +258,84 @@ impl LogicalPlan {
         }
     }
 
+    /// This node with each input replaced by `f` of it, in plan order.
+    pub(crate) fn map_inputs(
+        self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+    ) -> Result<LogicalPlan> {
+        let mut map = |input: Box<LogicalPlan>| f(*input).map(Box::new);
+        Ok(match self {
+            LogicalPlan::Filter { predicate, input } => LogicalPlan::Filter {
+                predicate,
+                input: map(input)?,
+            },
+            LogicalPlan::Projection { exprs, input } => LogicalPlan::Projection {
+                exprs,
+                input: map(input)?,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type,
+            } => LogicalPlan::Join {
+                left: map(left)?,
+                right: map(right)?,
+                on,
+                join_type,
+            },
+            LogicalPlan::Aggregate {
+                group,
+                aggs,
+                input,
+                lookups,
+            } => LogicalPlan::Aggregate {
+                group,
+                aggs,
+                input: map(input)?,
+                lookups,
+            },
+            LogicalPlan::Sort { keys, input } => LogicalPlan::Sort {
+                keys,
+                input: map(input)?,
+            },
+            LogicalPlan::Limit { n, input } => LogicalPlan::Limit {
+                n,
+                input: map(input)?,
+            },
+            LogicalPlan::SubqueryAlias { alias, input } => LogicalPlan::SubqueryAlias {
+                alias,
+                input: map(input)?,
+            },
+            leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
+        })
+    }
+
+    /// The position in this node's output of a column no two of its rows
+    /// share a non-NULL value of: a source's declared unique key
+    /// ([`TableProvider::unique_key`]), carried through the operators that
+    /// pass rows on unchanged or drop some — filters, aliases and plain
+    /// column projections.
+    pub(crate) fn unique_key(&self) -> Option<usize> {
+        match self {
+            LogicalPlan::Scan { provider, .. } => {
+                let key = provider.unique_key()?;
+                self.schema().ok()?.resolve(None, &key).ok()
+            }
+            LogicalPlan::Filter { input, .. } | LogicalPlan::SubqueryAlias { input, .. } => {
+                input.unique_key()
+            }
+            LogicalPlan::Projection { exprs, input } => {
+                let key = input.unique_key()?;
+                let schema = input.schema().ok()?;
+                exprs
+                    .iter()
+                    .position(|(e, _)| column_index(e, &schema) == Some(key))
+            }
+            _ => None,
+        }
+    }
+
     /// Crude pre-execution cardinality estimate, or `None` when the source
     /// cannot be sized cheaply. These are the optimizer-side numbers
     /// `EXPLAIN ANALYZE` prints next to observed row counts; the point is
@@ -350,7 +434,9 @@ impl LogicalPlan {
                 }
                 Ok(())
             }
-            LogicalPlan::Aggregate { group, aggs, input } => {
+            LogicalPlan::Aggregate {
+                group, aggs, input, ..
+            } => {
                 input.check()?;
                 let schema = input.schema()?;
                 for (e, _) in group {
@@ -664,7 +750,7 @@ fn address(plan: &LogicalPlan) -> *const LogicalPlan {
 }
 
 /// The position `expr` names in `schema`, when it is a plain column.
-fn column_index(expr: &Expr, schema: &Schema) -> Option<usize> {
+pub(crate) fn column_index(expr: &Expr, schema: &Schema) -> Option<usize> {
     match expr {
         Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
         _ => None,
@@ -951,6 +1037,7 @@ mod tests {
                 (AggExpr::count_star(), "n".into()),
             ],
             input: Box::new(scan()),
+            lookups: Vec::new(),
         };
         let s = plan.schema().unwrap();
         assert_eq!(s.field_names(), vec!["name", "m", "n"]);
@@ -1037,6 +1124,7 @@ mod tests {
             group: vec![(Expr::col("id"), "id".into())],
             aggs: vec![(AggExpr::count_star(), "n".into())],
             input: Box::new(input),
+            lookups: Vec::new(),
         }
     }
 
@@ -1085,6 +1173,7 @@ mod tests {
             group: vec![(Expr::col("id"), "id".into())],
             aggs: vec![(AggExpr::count_star(), "cnt".into())],
             input: Box::new(scan_of(&t, "t")),
+            lookups: Vec::new(),
         };
         assert!(!agg.same_subplan(&renamed), "output name");
 

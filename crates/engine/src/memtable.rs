@@ -2,11 +2,13 @@
 //! for Hive/Parquet tables in the experiments. Fully supports projection
 //! and filter pushdown, and serves unfiltered scans from a cached columnar
 //! representation (built lazily on the first such scan, invalidated by
-//! writes).
+//! writes). Consecutive partitions whose rows fit one batch between them
+//! scan as one task, the way Spark packs small files into one split. A
+//! table may declare a unique key, which it then enforces.
 
-use crate::columnar::{rows_to_batches, BatchBuilder, ColumnarBatch};
+use crate::columnar::{BatchBuilder, ColumnarBatch, DEFAULT_BATCH_ROWS};
 use crate::datasource::{ScanPartition, TableProvider};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::source_filter::SourceFilter;
@@ -17,19 +19,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-/// Cached full-width columnar batches, keyed by (partition index,
-/// batch size). Entries are only valid for the data version they were built
-/// against — writes bump the table version, orphaning stale entries.
+/// Cached full-width columnar batches, keyed by (index of a scan
+/// partition's first table partition, batch size). Entries are only valid
+/// for the data version they were built against — writes bump the table
+/// version, orphaning stale entries; within a version the packing of
+/// partitions into scan partitions is fixed.
 type ColumnarCache = HashMap<(usize, usize), (u64, Arc<Vec<ColumnarBatch>>)>;
 
 /// An in-memory, partitioned table.
 pub struct MemTable {
     schema: Schema,
+    /// The declared unique key, by position in `schema`: no two rows share
+    /// a non-NULL value of it, checked when it is declared and on every
+    /// insert.
+    unique_key: Option<usize>,
     /// Each partition's rows, shared with the scan partitions built from
     /// them: a write copies a partition only while a scan still holds it.
     partitions: RwLock<Vec<Arc<Vec<Row>>>>,
-    /// Lazily built columnar form of each partition, shared with in-flight
-    /// scan partitions (hence the inner `Arc`).
+    /// Lazily built columnar form of each scan partition, shared with
+    /// in-flight scan partitions (hence the inner `Arc`).
     columnar: Arc<RwLock<ColumnarCache>>,
     /// Data version, bumped by every write; guards the columnar cache.
     version: AtomicU64,
@@ -39,6 +47,7 @@ impl MemTable {
     pub fn new(schema: Schema, num_partitions: usize) -> Self {
         MemTable {
             schema,
+            unique_key: None,
             partitions: RwLock::new((0..num_partitions.max(1)).map(|_| Arc::default()).collect()),
             columnar: Arc::new(RwLock::new(HashMap::new())),
             version: AtomicU64::new(0),
@@ -51,8 +60,45 @@ impl MemTable {
         table
     }
 
+    /// Declare `column` the table's unique key (see
+    /// [`TableProvider::unique_key`]). Fails if the column does not exist or
+    /// two rows already share a value of it; from then on an insert that
+    /// would is refused whole.
+    pub fn with_unique_key(mut self, column: &str) -> Result<Self> {
+        let key = self.schema.resolve(None, column)?;
+        check_unique(&self.schema, key, &self.partitions.read(), &[])?;
+        self.unique_key = Some(key);
+        Ok(self)
+    }
+
     pub fn row_count(&self) -> usize {
         self.partitions.read().iter().map(|rows| rows.len()).sum()
+    }
+}
+
+/// Refuse `added` if a non-NULL value of column `key` would then occur twice
+/// among `partitions` and `added`.
+fn check_unique(
+    schema: &Schema,
+    key: usize,
+    partitions: &[Arc<Vec<Row>>],
+    added: &[Row],
+) -> Result<()> {
+    let mut values: Vec<&Value> = partitions
+        .iter()
+        .flat_map(|rows| rows.iter())
+        .chain(added)
+        .map(|row| row.get(key))
+        .filter(|v| !v.is_null())
+        .collect();
+    values.sort_by(|a, b| a.sort_cmp(b));
+    match values.windows(2).find(|pair| pair[0].group_eq(pair[1])) {
+        Some(pair) => Err(EngineError::Execution(format!(
+            "duplicate value {} of unique key {}",
+            pair[0],
+            schema.field(key).name
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -86,16 +132,24 @@ fn filter_matches(filter: &SourceFilter, row: &Row, schema: &Schema) -> bool {
     }
 }
 
+/// One scan task: a run of consecutive table partitions.
 struct MemPartition {
-    rows: Arc<Vec<Row>>,
+    parts: Vec<Arc<Vec<Row>>>,
     schema: Schema,
     projection: Option<Vec<usize>>,
     filters: Vec<SourceFilter>,
     /// The owning table's columnar cache plus this snapshot's identity in
-    /// it (partition index and data version at scan time).
+    /// it (index of its first table partition and data version at scan
+    /// time).
     cache: Arc<RwLock<ColumnarCache>>,
     index: usize,
     version: u64,
+}
+
+impl MemPartition {
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        self.parts.iter().flat_map(|rows| rows.iter())
+    }
 }
 
 impl ScanPartition for MemPartition {
@@ -117,7 +171,7 @@ impl ScanPartition for MemPartition {
                 None => self.schema.data_types(),
             };
             let mut builder = BatchBuilder::new(dtypes, batch_size);
-            for row in self.rows.iter() {
+            for row in self.rows() {
                 if self
                     .filters
                     .iter()
@@ -141,8 +195,9 @@ impl ScanPartition for MemPartition {
         let batches = match cached {
             Some(batches) => batches,
             None => {
-                let dtypes = self.schema.data_types();
-                let built = Arc::new(rows_to_batches(&dtypes, &self.rows, batch_size));
+                let mut builder = BatchBuilder::new(self.schema.data_types(), batch_size);
+                self.rows().for_each(|row| builder.push_row(row));
+                let built = Arc::new(builder.finish());
                 self.cache
                     .write()
                     .insert(key, (self.version, Arc::clone(&built)));
@@ -159,7 +214,7 @@ impl ScanPartition for MemPartition {
     }
 
     fn describe(&self) -> String {
-        format!("mem[{} rows]", self.rows.len())
+        format!("mem[{} rows]", self.rows().count())
     }
 }
 
@@ -177,6 +232,14 @@ impl TableProvider for MemTable {
         Vec::new()
     }
 
+    fn unique_key(&self) -> Option<String> {
+        self.unique_key
+            .map(|key| self.schema.field(key).name.clone())
+    }
+
+    /// One scan partition per run of consecutive table partitions whose
+    /// rows fit one default-sized batch between them (a larger partition
+    /// is a run of its own).
     fn scan(
         &self,
         projection: Option<&[usize]>,
@@ -184,25 +247,34 @@ impl TableProvider for MemTable {
     ) -> Result<Vec<Arc<dyn ScanPartition>>> {
         let partitions = self.partitions.read();
         let version = self.version.load(AtomicOrdering::Acquire);
-        Ok(partitions
-            .iter()
-            .enumerate()
-            .map(|(index, rows)| {
-                Arc::new(MemPartition {
-                    rows: Arc::clone(rows),
-                    schema: self.schema.clone(),
-                    projection: projection.map(|p| p.to_vec()),
-                    filters: filters.to_vec(),
-                    cache: Arc::clone(&self.columnar),
-                    index,
-                    version,
-                }) as Arc<dyn ScanPartition>
-            })
-            .collect())
+        let mut scan: Vec<Arc<dyn ScanPartition>> = Vec::new();
+        let mut start = 0;
+        while start < partitions.len() {
+            let mut end = start + 1;
+            let mut rows = partitions[start].len();
+            while end < partitions.len() && rows + partitions[end].len() <= DEFAULT_BATCH_ROWS {
+                rows += partitions[end].len();
+                end += 1;
+            }
+            scan.push(Arc::new(MemPartition {
+                parts: partitions[start..end].to_vec(),
+                schema: self.schema.clone(),
+                projection: projection.map(|p| p.to_vec()),
+                filters: filters.to_vec(),
+                cache: Arc::clone(&self.columnar),
+                index: start,
+                version,
+            }));
+            start = end;
+        }
+        Ok(scan)
     }
 
     fn insert(&self, rows: &[Row]) -> Result<u64> {
         let mut partitions = self.partitions.write();
+        if let Some(key) = self.unique_key {
+            check_unique(&self.schema, key, &partitions, rows)?;
+        }
         // Orphan cached columnar batches built against the old contents.
         // The version bump happens under the partition write lock, so a
         // concurrent scan sees either (old rows, old version) or (new rows,
@@ -300,12 +372,66 @@ mod tests {
     }
 
     #[test]
-    fn rows_spread_across_partitions() {
+    fn small_partitions_scan_as_one_task() {
         let t = table();
         let parts = t.scan(None, &[]).unwrap();
-        assert_eq!(parts.len(), 3);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].describe(), "mem[10 rows]");
         assert_eq!(collect(parts).len(), 10);
         assert_eq!(t.row_count(), 10);
+    }
+
+    #[test]
+    fn partitions_pack_while_their_rows_fit_one_batch() {
+        let schema = Schema::new(vec![Field::new("id", DataType::Int64)]);
+        let rows: Vec<Row> = (0..2100).map(|i| Row::new(vec![Value::Int64(i)])).collect();
+        // Five partitions of 420 rows: two fit a 1024-row batch, three do not.
+        let t = MemTable::with_rows(schema, rows, 5);
+        let parts = t.scan(None, &[]).unwrap();
+        let sizes: Vec<String> = parts.iter().map(|p| p.describe()).collect();
+        assert_eq!(sizes, ["mem[840 rows]", "mem[840 rows]", "mem[420 rows]"]);
+        // Cold (columnarized) and warm (cached) scans see the same rows.
+        for _ in 0..2 {
+            let mut ids: Vec<i64> = collect(t.scan(None, &[]).unwrap())
+                .iter()
+                .map(|r| r.get(0).as_i64().unwrap())
+                .collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..2100).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_declared_key_is_checked_at_declaration_and_on_insert() {
+        let row = |id: i64| Row::new(vec![Value::Int64(id), Value::Utf8(format!("name{id}"))]);
+        let t = table().with_unique_key("id").unwrap();
+        assert_eq!(t.unique_key().as_deref(), Some("id"));
+        assert_eq!(table().unique_key(), None);
+
+        // A duplicate within the batch or against a stored row refuses the
+        // whole insert; NULLs never collide.
+        let err = t.insert(&[row(10), row(3)]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate value 3 of unique key id"),
+            "{err}"
+        );
+        assert!(t.insert(&[row(11), row(11)]).is_err());
+        assert_eq!(t.row_count(), 10);
+        let null = Row::new(vec![Value::Null, Value::Utf8("none".into())]);
+        t.insert(&[row(10), null.clone(), null]).unwrap();
+        assert_eq!(t.row_count(), 13);
+
+        // Declaring a key the rows already break, or no column at all, fails.
+        let mut rows: Vec<Row> = (0..4).map(row).collect();
+        rows.push(row(2));
+        let schema = table().schema();
+        let err = |table: MemTable, key: &str| table.with_unique_key(key).err().unwrap();
+        let dup = MemTable::with_rows(schema.clone(), rows, 2);
+        assert!(err(dup, "id").to_string().contains("duplicate value 2"));
+        assert!(err(MemTable::new(schema, 1), "nope")
+            .to_string()
+            .contains("nope"));
     }
 
     #[test]

@@ -1,26 +1,34 @@
 //! The rule-based optimizer — a miniature Catalyst.
 //!
-//! Three rules run in order, mirroring the optimizations the paper leans on:
+//! Four rules, mirroring the optimizations the paper leans on:
 //!
 //! 1. **Predicate pushdown** (§VI.3) — filters migrate through projections,
 //!    joins and subquery aliases down into scans, where the provider can
-//!    turn them into source-side filters.
+//!    turn them into source-side filters; filters that stop at the same
+//!    node become one conjunction (Catalyst's `CombineFilters`).
 //! 2. **Constant folding** — literal subtrees evaluate at plan time.
 //! 3. **Column pruning** (§VI.1) — each scan is annotated with exactly the
 //!    columns the query needs; providers that support projection (SHC) emit
 //!    narrow rows, providers that don't (the generic-source baseline) keep
 //!    shipping full rows, which is precisely the gap the paper measures.
+//! 4. **Aggregation below key-preserving lookups** — an aggregate over an
+//!    inner-join chain groups before the joins whose other input is joined
+//!    on its declared unique key and only supplies group columns (eager
+//!    aggregation). The catalog maps an HBase row key onto a column, so SHC
+//!    knows `item`, `warehouse` and `date_dim` are unique on their `*_sk`.
 
 use crate::error::Result;
 use crate::expr::{BinaryOp, Expr};
-use crate::logical::{JoinType, LogicalPlan};
+use crate::logical::{column_index, AggExpr, JoinType, LogicalPlan};
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// Run the full rule pipeline: fold constants, push filters down, prune
-/// columns.
+/// Run the full rule pipeline: fold constants, push filters down, move
+/// aggregates below lookups, push the filters that stopped on them down
+/// again, prune columns.
 pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
-    prune_columns(push_down_filters(fold_plan(plan)?)?, None)
+    let pushed = push_down_filters(fold_plan(plan)?)?;
+    prune_columns(push_down_filters(aggregate_below_lookups(pushed)?)?, None)
 }
 
 // ----------------------------------------------------------------------
@@ -28,7 +36,7 @@ pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
 // ----------------------------------------------------------------------
 
 fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
+    match plan {
         LogicalPlan::Filter { predicate, input } => {
             let mut input = push_down_filters(*input)?;
             let mut conjuncts = Vec::new();
@@ -36,42 +44,10 @@ fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
             for c in conjuncts {
                 input = push_filter(c, input)?;
             }
-            input
+            Ok(input)
         }
-        LogicalPlan::Projection { exprs, input } => LogicalPlan::Projection {
-            exprs,
-            input: Box::new(push_down_filters(*input)?),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => LogicalPlan::Join {
-            left: Box::new(push_down_filters(*left)?),
-            right: Box::new(push_down_filters(*right)?),
-            on,
-            join_type,
-        },
-        LogicalPlan::Aggregate { group, aggs, input } => LogicalPlan::Aggregate {
-            group,
-            aggs,
-            input: Box::new(push_down_filters(*input)?),
-        },
-        LogicalPlan::Sort { keys, input } => LogicalPlan::Sort {
-            keys,
-            input: Box::new(push_down_filters(*input)?),
-        },
-        LogicalPlan::Limit { n, input } => LogicalPlan::Limit {
-            n,
-            input: Box::new(push_down_filters(*input)?),
-        },
-        LogicalPlan::SubqueryAlias { alias, input } => LogicalPlan::SubqueryAlias {
-            alias,
-            input: Box::new(push_down_filters(*input)?),
-        },
-        leaf => leaf,
-    })
+        other => other.map_inputs(push_down_filters),
+    }
 }
 
 fn resolves(expr: &Expr, schema: &Schema) -> bool {
@@ -97,9 +73,19 @@ fn push_filter(conjunct: Expr, plan: LogicalPlan) -> Result<LogicalPlan> {
                 filters,
             }
         }
-        LogicalPlan::Filter { predicate, input } => LogicalPlan::Filter {
-            predicate,
-            input: Box::new(push_filter(conjunct, *input)?),
+        LogicalPlan::Filter { predicate, input } => match push_filter(conjunct, *input)? {
+            // Stopped right below: one filter of both.
+            LogicalPlan::Filter {
+                predicate: below,
+                input,
+            } => LogicalPlan::Filter {
+                predicate: predicate.and(below),
+                input,
+            },
+            pushed => LogicalPlan::Filter {
+                predicate,
+                input: Box::new(pushed),
+            },
         },
         LogicalPlan::Join {
             left,
@@ -283,23 +269,22 @@ fn map_columns(expr: &Expr, f: &impl Fn(Option<&String>, &str) -> Expr) -> Expr 
 // ----------------------------------------------------------------------
 
 fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
+    Ok(match plan.map_inputs(fold_plan)? {
         LogicalPlan::Filter { predicate, input } => {
             let folded = fold_expr(predicate);
-            let input = fold_plan(*input)?;
             // `WHERE true` disappears entirely.
             if matches!(folded, Expr::Literal(Value::Boolean(true))) {
-                input
+                *input
             } else {
                 LogicalPlan::Filter {
                     predicate: folded,
-                    input: Box::new(input),
+                    input,
                 }
             }
         }
         LogicalPlan::Projection { exprs, input } => LogicalPlan::Projection {
             exprs: exprs.into_iter().map(|(e, n)| (fold_expr(e), n)).collect(),
-            input: Box::new(fold_plan(*input)?),
+            input,
         },
         LogicalPlan::Scan {
             table_name,
@@ -314,35 +299,7 @@ fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
             projection,
             filters: filters.into_iter().map(fold_expr).collect(),
         },
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => LogicalPlan::Join {
-            left: Box::new(fold_plan(*left)?),
-            right: Box::new(fold_plan(*right)?),
-            on,
-            join_type,
-        },
-        LogicalPlan::Aggregate { group, aggs, input } => LogicalPlan::Aggregate {
-            group,
-            aggs,
-            input: Box::new(fold_plan(*input)?),
-        },
-        LogicalPlan::Sort { keys, input } => LogicalPlan::Sort {
-            keys,
-            input: Box::new(fold_plan(*input)?),
-        },
-        LogicalPlan::Limit { n, input } => LogicalPlan::Limit {
-            n,
-            input: Box::new(fold_plan(*input)?),
-        },
-        LogicalPlan::SubqueryAlias { alias, input } => LogicalPlan::SubqueryAlias {
-            alias,
-            input: Box::new(fold_plan(*input)?),
-        },
-        leaf => leaf,
+        other => other,
     })
 }
 
@@ -450,7 +407,12 @@ fn prune_columns(plan: LogicalPlan, required: Option<ColSet>) -> Result<LogicalP
                 input: Box::new(prune_columns(*input, child_req)?),
             }
         }
-        LogicalPlan::Aggregate { group, aggs, input } => {
+        LogicalPlan::Aggregate {
+            group,
+            aggs,
+            input,
+            lookups,
+        } => {
             let mut needs = ColSet::new();
             for (e, _) in &group {
                 add_refs(e, &mut needs);
@@ -464,6 +426,7 @@ fn prune_columns(plan: LogicalPlan, required: Option<ColSet>) -> Result<LogicalP
                 group,
                 aggs,
                 input: Box::new(prune_columns(*input, Some(needs))?),
+                lookups,
             }
         }
         LogicalPlan::Join {
@@ -597,6 +560,349 @@ fn prune_columns(plan: LogicalPlan, required: Option<ColSet>) -> Result<LogicalP
         }
         leaf => leaf,
     })
+}
+
+// ----------------------------------------------------------------------
+// Rule 4: aggregation below key-preserving lookups
+// ----------------------------------------------------------------------
+
+/// Move every grouped aggregate below the inner equi-joins of its input
+/// that are key-preserving lookups: Yan & Larson's eager group-by in its
+/// unique-key case, Calcite's `AggregateJoinTransposeRule` for a
+/// unique-keyed side. A join input is such a lookup when
+///
+/// - it joins by a single key pair on its declared unique key
+///   ([`LogicalPlan::unique_key`]), the pair's other side a column (the
+///   fact column);
+/// - it feeds no aggregate argument, only group columns;
+/// - its key, or the fact column, is a group column;
+/// - no other join condition or remaining filter reads its columns.
+///
+/// Each input row then meets at most one lookup row, and the rows of one
+/// group share the fact column, so grouping by the fact column instead and
+/// joining the groups with the lookup gives the same rows: no second
+/// aggregate is needed above the join. The lookups are re-joined above the
+/// aggregate in their original order, under a projection that restores the
+/// aggregate's output columns.
+fn aggregate_below_lookups(plan: LogicalPlan) -> Result<LogicalPlan> {
+    match plan.map_inputs(aggregate_below_lookups)? {
+        LogicalPlan::Aggregate {
+            group,
+            aggs,
+            input,
+            lookups,
+        } if !group.is_empty() => {
+            let found = lookups_of(&group, &aggs, &input)?;
+            if found.is_empty() {
+                return Ok(LogicalPlan::Aggregate {
+                    group,
+                    aggs,
+                    input,
+                    lookups,
+                });
+            }
+            eager_aggregate(group, aggs, *input, found)
+        }
+        other => Ok(other),
+    }
+}
+
+/// An input of an inner-join chain the aggregate above it can be moved
+/// below.
+struct Lookup {
+    /// Position among the chain's inputs, in plan order.
+    at: usize,
+    /// Its output schema: the columns only it supplies.
+    schema: Schema,
+    /// The join key over it (its unique key), and the fact column the join
+    /// equates with it.
+    key: Expr,
+    fact: Expr,
+    /// The name `EXPLAIN ANALYZE` gives it.
+    name: String,
+}
+
+/// Does `expr` read any column of `schema`?
+fn reads(expr: &Expr, schema: &Schema) -> bool {
+    columns_of(expr).iter().any(|c| resolves(c, schema))
+}
+
+fn columns_of(expr: &Expr) -> Vec<Expr> {
+    let mut refs = Vec::new();
+    expr.referenced_columns(&mut refs);
+    refs.into_iter()
+        .map(|(qualifier, name)| Expr::Column { qualifier, name })
+        .collect()
+}
+
+/// A join or a filter above one: a node of the inner-join chain rule 4
+/// takes apart. Anything else is one of the chain's inputs.
+fn in_chain(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Join {
+            join_type: JoinType::Inner,
+            ..
+        } => true,
+        LogicalPlan::Filter { input, .. } => in_chain(input),
+        _ => false,
+    }
+}
+
+/// A join's id and its one key pair, oriented (over the input at hand, over
+/// the other input).
+type KeyPair<'a> = (usize, &'a Expr, &'a Expr);
+
+/// An inner-join chain taken apart, in plan order.
+#[derive(Default)]
+struct Chain<'a> {
+    /// Each input, with the key pair of its join when it is a direct input
+    /// of a join with one.
+    inputs: Vec<(&'a LogicalPlan, Option<KeyPair<'a>>)>,
+    /// Every join key, with its join's id, and every remaining filter.
+    exprs: Vec<(Option<usize>, &'a Expr)>,
+    joins: usize,
+}
+
+impl<'a> Chain<'a> {
+    fn walk(&mut self, plan: &'a LogicalPlan, pair: Option<KeyPair<'a>>) {
+        match plan {
+            LogicalPlan::Filter { predicate, input } if in_chain(input) => {
+                self.exprs.push((None, predicate));
+                self.walk(input, None);
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type: JoinType::Inner,
+            } => {
+                let id = self.joins;
+                self.joins += 1;
+                self.exprs
+                    .extend(on.iter().flat_map(|(l, r)| [(Some(id), l), (Some(id), r)]));
+                let single = match &on[..] {
+                    [(l, r)] => Some((l, r)),
+                    _ => None,
+                };
+                self.walk(left, single.map(|(l, r)| (id, l, r)));
+                self.walk(right, single.map(|(l, r)| (id, r, l)));
+            }
+            input => self.inputs.push((input, pair)),
+        }
+    }
+}
+
+/// The inputs of `input`'s inner-join chain that an aggregate grouping by
+/// `group` and computing `aggs` can be moved below. At most one input of a
+/// join qualifies: the other one stays as what the lookup joins.
+fn lookups_of(
+    group: &[(Expr, String)],
+    aggs: &[(AggExpr, String)],
+    input: &LogicalPlan,
+) -> Result<Vec<Lookup>> {
+    if !in_chain(input) {
+        return Ok(Vec::new());
+    }
+    let mut chain = Chain::default();
+    chain.walk(input, None);
+    let whole = input.schema()?;
+    let mut found: Vec<Lookup> = Vec::new();
+    let mut used_joins = Vec::new();
+    for (at, &(plan, pair)) in chain.inputs.iter().enumerate() {
+        let Some((join, key, fact)) = pair else {
+            continue;
+        };
+        let schema = plan.schema()?;
+        let unique = plan
+            .unique_key()
+            .is_some_and(|k| column_index(key, &schema) == Some(k));
+        let fact_at = column_index(fact, &whole);
+        let keyed_group = group.iter().any(|(g, _)| {
+            let g = column_index(g, &whole);
+            g.is_some() && (g == column_index(key, &whole) || g == fact_at)
+        });
+        let qualifies = unique
+            && fact_at.is_some()
+            && keyed_group
+            && !used_joins.contains(&join)
+            && chain
+                .exprs
+                .iter()
+                .all(|&(owner, e)| owner == Some(join) || !reads(e, &schema))
+            && aggs
+                .iter()
+                .all(|(a, _)| a.arg.as_ref().is_none_or(|e| !reads(e, &schema)))
+            // A group column it supplies is all its own.
+            && group.iter().all(|(g, _)| {
+                !reads(g, &schema) || columns_of(g).iter().all(|c| resolves(c, &schema))
+            });
+        if qualifies {
+            used_joins.push(join);
+            found.push(Lookup {
+                at,
+                schema,
+                key: key.clone(),
+                fact: fact.clone(),
+                name: relation_name(plan),
+            });
+        }
+    }
+    Ok(found)
+}
+
+/// What `EXPLAIN ANALYZE` calls a join input: its alias or table name.
+fn relation_name(plan: &LogicalPlan) -> String {
+    match plan {
+        LogicalPlan::Scan { qualifier, .. } => qualifier.clone(),
+        LogicalPlan::SubqueryAlias { alias, .. } => alias.clone(),
+        other => other
+            .children()
+            .first()
+            .map_or_else(|| "values".to_string(), |c| relation_name(c)),
+    }
+}
+
+/// The aggregate of `group` and `aggs` over `input`, moved below `lookups`
+/// (found by [`lookups_of`] over the same plan). It stays where it is when
+/// its outputs could not be told apart from the lookups' columns by name
+/// above them.
+fn eager_aggregate(
+    group: Vec<(Expr, String)>,
+    aggs: Vec<(AggExpr, String)>,
+    input: LogicalPlan,
+    lookups: Vec<Lookup>,
+) -> Result<LogicalPlan> {
+    let whole = input.schema()?;
+    let supplied = |g: &Expr| lookups.iter().any(|l| reads(g, &l.schema));
+    // Group by what stays below, plus each lookup's fact column.
+    let mut below: Vec<(Expr, String)> = group
+        .iter()
+        .filter(|(g, _)| !supplied(g))
+        .cloned()
+        .collect();
+    let mut fact_names = Vec::new();
+    for lookup in &lookups {
+        let fact_at = column_index(&lookup.fact, &whole);
+        let name = match below
+            .iter()
+            .find(|(g, _)| column_index(g, &whole) == fact_at)
+        {
+            Some((_, name)) => name.clone(),
+            None => {
+                let Expr::Column { name, .. } = &lookup.fact else {
+                    unreachable!("a fact column resolves to a position");
+                };
+                below.push((lookup.fact.clone(), name.clone()));
+                name.clone()
+            }
+        };
+        fact_names.push(name);
+    }
+    let outputs: Vec<&String> = below
+        .iter()
+        .map(|(_, name)| name)
+        .chain(aggs.iter().map(|(_, name)| name))
+        .collect();
+    let clash = |name: &str| {
+        outputs
+            .iter()
+            .filter(|o| o.eq_ignore_ascii_case(name))
+            .count()
+            > 1
+            || lookups.iter().any(|l| {
+                l.schema
+                    .fields
+                    .iter()
+                    .any(|f| f.name.eq_ignore_ascii_case(name))
+            })
+    };
+    if outputs.iter().any(|name| clash(name)) {
+        return Ok(LogicalPlan::Aggregate {
+            group,
+            aggs,
+            input: Box::new(input),
+            lookups: Vec::new(),
+        });
+    }
+
+    let at: Vec<usize> = lookups.iter().map(|l| l.at).collect();
+    let mut taken = Vec::new();
+    let rest = without_inputs(input, &at, &mut 0, &mut taken)
+        .expect("a join keeps the input its lookup joins");
+    let column = |name: &String| Expr::Column {
+        qualifier: None,
+        name: name.clone(),
+    };
+    let mut plan = LogicalPlan::Aggregate {
+        group: below,
+        aggs: aggs.clone(),
+        input: Box::new(rest),
+        lookups: lookups.iter().map(|l| l.name.clone()).collect(),
+    };
+    for ((lookup, side), fact) in lookups.iter().zip(taken).zip(&fact_names) {
+        plan = LogicalPlan::Join {
+            left: Box::new(plan),
+            right: Box::new(side),
+            on: vec![(column(fact), lookup.key.clone())],
+            join_type: JoinType::Inner,
+        };
+    }
+    let exprs = group
+        .iter()
+        .map(|(g, name)| match supplied(g) {
+            true => (g.clone(), name.clone()),
+            false => (column(name), name.clone()),
+        })
+        .chain(aggs.iter().map(|(_, name)| (column(name), name.clone())))
+        .collect();
+    Ok(LogicalPlan::Projection {
+        exprs,
+        input: Box::new(plan),
+    })
+}
+
+/// `plan`'s inner-join chain without the inputs at positions `remove`
+/// (counted by `at`, in plan order), which go to `taken`: a join that
+/// loses one input is replaced by its other one.
+fn without_inputs(
+    plan: LogicalPlan,
+    remove: &[usize],
+    at: &mut usize,
+    taken: &mut Vec<LogicalPlan>,
+) -> Option<LogicalPlan> {
+    match plan {
+        LogicalPlan::Filter { predicate, input } if in_chain(&input) => Some(LogicalPlan::Filter {
+            predicate,
+            input: Box::new(without_inputs(*input, remove, at, taken)?),
+        }),
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type: JoinType::Inner,
+        } => {
+            let left = without_inputs(*left, remove, at, taken);
+            let right = without_inputs(*right, remove, at, taken);
+            match (left, right) {
+                (Some(left), Some(right)) => Some(LogicalPlan::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    on,
+                    join_type: JoinType::Inner,
+                }),
+                (kept, None) | (None, kept) => kept,
+            }
+        }
+        input => {
+            *at += 1;
+            if remove.contains(&(*at - 1)) {
+                taken.push(input);
+                None
+            } else {
+                Some(input)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -807,6 +1113,7 @@ mod tests {
             group: vec![(Expr::col("a"), "a".into())],
             aggs: vec![(AggExpr::new(AggFunc::Sum, Expr::col("c")), "s".into())],
             input: Box::new(scan(&["a", "b", "c"])),
+            lookups: Vec::new(),
         };
         let optimized = prune_columns(plan, None).unwrap();
         match &optimized {
@@ -828,5 +1135,289 @@ mod tests {
         };
         let optimized = optimize(plan).unwrap();
         assert_eq!(scan_filters(&optimized), vec!["(a > 1)"]);
+    }
+
+    #[test]
+    fn stacked_filters_become_one() {
+        use crate::aggregate::AggFunc;
+        let agg = LogicalPlan::Aggregate {
+            group: vec![(Expr::col("a"), "a".into())],
+            aggs: vec![(AggExpr::new(AggFunc::Sum, Expr::col("b")), "s".into())],
+            input: Box::new(scan(&["a", "b"])),
+            lookups: Vec::new(),
+        };
+        let plan = LogicalPlan::Filter {
+            predicate: Expr::col("s").gt(Expr::lit(1i64)),
+            input: Box::new(LogicalPlan::Filter {
+                predicate: Expr::col("s").gt(Expr::lit(2i64)),
+                input: Box::new(agg),
+            }),
+        };
+        let optimized = push_down_filters(plan).unwrap();
+        match &optimized {
+            LogicalPlan::Filter { predicate, input } => {
+                assert_eq!(predicate.to_string(), "((s > 2) AND (s > 1))");
+                assert!(matches!(**input, LogicalPlan::Aggregate { .. }));
+            }
+            other => panic!("expected one filter, got {other:?}"),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Rule 4: aggregation below key-preserving lookups
+    // ------------------------------------------------------------------
+
+    /// `name(cols…)` over `rows`, unique on `key` when one is given.
+    fn table(name: &str, cols: &[&str], key: Option<&str>, rows: &[&[i64]]) -> LogicalPlan {
+        let schema = Schema::new(
+            cols.iter()
+                .map(|c| Field::new(*c, DataType::Int64))
+                .collect(),
+        );
+        let rows = rows
+            .iter()
+            .map(|r| crate::row::Row::new(r.iter().map(|v| Value::Int64(*v)).collect()))
+            .collect();
+        let mut table = MemTable::with_rows(schema, rows, 2);
+        if let Some(key) = key {
+            table = table.with_unique_key(key).unwrap();
+        }
+        LogicalPlan::Scan {
+            table_name: name.into(),
+            qualifier: name.into(),
+            provider: Arc::new(table),
+            projection: None,
+            filters: vec![],
+        }
+    }
+
+    /// Inventory-like facts: (item, warehouse, date, qty); item 7 and
+    /// warehouse 3 have no dimension row.
+    fn facts() -> LogicalPlan {
+        let rows: Vec<[i64; 4]> = (0..40)
+            .map(|i| [i % 8, i % 4, i % 5, (i * 37) % 23])
+            .collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
+        table("f", &["f_item", "f_wh", "f_date", "qty"], None, &rows)
+    }
+
+    /// Items 0..7, two of each name; keyed on `i_sk` or not.
+    fn items(key: Option<&str>) -> LogicalPlan {
+        let rows: Vec<[i64; 2]> = (0..7).map(|i| [i, i / 2]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
+        table("item", &["i_sk", "i_name"], key, &rows)
+    }
+
+    fn warehouses() -> LogicalPlan {
+        table(
+            "warehouse",
+            &["w_sk", "w_name"],
+            Some("w_sk"),
+            &[&[0, 10], &[1, 10], &[2, 30]],
+        )
+    }
+
+    fn dates() -> LogicalPlan {
+        let rows: Vec<[i64; 2]> = (0..5).map(|i| [i, i % 2]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| &r[..]).collect();
+        table("date_dim", &["d_sk", "d_moy"], Some("d_sk"), &rows)
+    }
+
+    fn join(left: LogicalPlan, right: LogicalPlan, l: &str, r: &str) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            on: vec![(Expr::col(l), Expr::col(r))],
+            join_type: JoinType::Inner,
+        }
+    }
+
+    fn grouped(group: &[&str], aggs: &[(&str, &str)], input: LogicalPlan) -> LogicalPlan {
+        use crate::aggregate::AggFunc;
+        LogicalPlan::Aggregate {
+            group: group
+                .iter()
+                .map(|g| (Expr::col(*g), g.to_string()))
+                .collect(),
+            aggs: aggs
+                .iter()
+                .map(|(arg, name)| {
+                    (
+                        AggExpr::new(AggFunc::Stddev, Expr::col(*arg)),
+                        name.to_string(),
+                    )
+                })
+                .collect(),
+            input: Box::new(input),
+            lookups: Vec::new(),
+        }
+    }
+
+    /// q39's month block: facts ⋈ item ⋈ warehouse ⋈ date_dim, grouped by
+    /// warehouse name and key, item key and month.
+    fn month_block(items: LogicalPlan) -> LogicalPlan {
+        let joined = join(
+            join(
+                join(facts(), items, "f_item", "i_sk"),
+                warehouses(),
+                "f_wh",
+                "w_sk",
+            ),
+            dates(),
+            "f_date",
+            "d_sk",
+        );
+        grouped(
+            &["w_name", "w_sk", "i_sk", "d_moy"],
+            &[("qty", "stdev")],
+            joined,
+        )
+    }
+
+    /// Where `plan` groups: each aggregate's group names and lookups, top
+    /// down.
+    fn aggregates(plan: &LogicalPlan) -> Vec<(Vec<String>, Vec<String>)> {
+        let mut found = Vec::new();
+        if let LogicalPlan::Aggregate { group, lookups, .. } = plan {
+            found.push((
+                group.iter().map(|(_, n)| n.clone()).collect(),
+                lookups.clone(),
+            ));
+        }
+        for child in plan.children() {
+            found.extend(aggregates(child));
+        }
+        found
+    }
+
+    fn same_rows(a: &LogicalPlan, b: &LogicalPlan) {
+        use crate::reference::{canonical_multiset, evaluate};
+        let (ra, rb) = (evaluate(a).unwrap(), evaluate(b).unwrap());
+        assert!(!ra.is_empty());
+        assert_eq!(canonical_multiset(&ra), canonical_multiset(&rb));
+        assert_eq!(a.schema().unwrap(), b.schema().unwrap());
+    }
+
+    #[test]
+    fn the_month_block_groups_before_its_lookups() {
+        let plan = month_block(items(Some("i_sk")));
+        let moved = aggregate_below_lookups(plan.clone()).unwrap();
+        same_rows(&plan, &moved);
+        let text = moved.explain();
+        let expected = [
+            "Projection: w_name AS w_name, w_sk AS w_sk, i_sk AS i_sk, d_moy AS d_moy, stdev AS stdev",
+            "  Join(Inner): f_wh = w_sk",
+            "    Join(Inner): f_item = i_sk",
+            "      Aggregate: group=[d_moy, f_item, f_wh] aggs=[stddev(qty)]",
+            "        Join(Inner): f_date = d_sk",
+            "          Scan: f [memory] projection=None filters=",
+            "          Scan: date_dim [memory] projection=None filters=",
+            "      Scan: item [memory] projection=None filters=",
+            "    Scan: warehouse [memory] projection=None filters=",
+        ];
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected, "{text}");
+        assert_eq!(
+            aggregates(&moved),
+            [(
+                vec!["d_moy".into(), "f_item".into(), "f_wh".into()],
+                vec!["item".into(), "warehouse".into()]
+            )]
+        );
+
+        // A lookup anywhere in the chain, joined on its key or on the
+        // fact column: item first, grouped by `f_item`.
+        let plan = grouped(
+            &["f_item", "i_name"],
+            &[("qty", "s")],
+            join(
+                join(items(Some("i_sk")), facts(), "i_sk", "f_item"),
+                dates(),
+                "f_date",
+                "d_sk",
+            ),
+        );
+        let moved = aggregate_below_lookups(plan.clone()).unwrap();
+        same_rows(&plan, &moved);
+        assert_eq!(
+            aggregates(&moved),
+            [(vec!["f_item".into()], vec!["item".into()])]
+        );
+
+        // The whole pipeline puts a filter on the aggregate's output
+        // directly on the aggregate, below the lookups.
+        let filtered = LogicalPlan::Filter {
+            predicate: Expr::col("stdev").gt(Expr::lit(1.0)),
+            input: Box::new(month_block(items(Some("i_sk")))),
+        };
+        let optimized = optimize(filtered.clone()).unwrap();
+        same_rows(&filtered, &optimized);
+        let text = optimized.explain();
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        let at = lines.iter().position(|l| l.starts_with("Filter:")).unwrap();
+        assert!(
+            lines[at + 1].starts_with("Aggregate: group=[d_moy, f_item, f_wh]"),
+            "{text}"
+        );
+        assert!(lines[..at].iter().all(|l| !l.starts_with("Scan")), "{text}");
+    }
+
+    #[test]
+    fn the_aggregate_stays_where_no_lookup_is_key_preserving() {
+        let keyed = || items(Some("i_sk"));
+        let item_join = |items| join(facts(), items, "f_item", "i_sk");
+        let cases = [
+            (
+                "an undeclared key",
+                grouped(&["i_sk", "i_name"], &[("qty", "s")], item_join(items(None))),
+            ),
+            (
+                "an aggregate argument from the lookup",
+                grouped(&["i_sk"], &[("i_name", "s")], item_join(keyed())),
+            ),
+            (
+                "a join key that is not a group column",
+                grouped(&["i_name"], &[("qty", "s")], item_join(keyed())),
+            ),
+            (
+                "a lookup column another join reads",
+                grouped(
+                    &["i_sk"],
+                    &[("qty", "s")],
+                    join(item_join(keyed()), warehouses(), "i_name", "w_sk"),
+                ),
+            ),
+            (
+                "a remaining filter on the lookup",
+                grouped(
+                    &["i_sk"],
+                    &[("qty", "s")],
+                    LogicalPlan::Filter {
+                        predicate: Expr::col("i_name").lt(Expr::col("qty")),
+                        input: Box::new(item_join(keyed())),
+                    },
+                ),
+            ),
+            (
+                "a LEFT join",
+                grouped(
+                    &["i_sk"],
+                    &[("qty", "s")],
+                    LogicalPlan::Join {
+                        left: Box::new(facts()),
+                        right: Box::new(keyed()),
+                        on: vec![(Expr::col("f_item"), Expr::col("i_sk"))],
+                        join_type: JoinType::Left,
+                    },
+                ),
+            ),
+            (
+                "a global aggregate",
+                grouped(&[], &[("qty", "s")], item_join(keyed())),
+            ),
+        ];
+        for (why, plan) in cases {
+            let after = aggregate_below_lookups(plan.clone()).unwrap();
+            assert_eq!(after.explain(), plan.explain(), "{why}");
+        }
     }
 }

@@ -765,7 +765,15 @@ fn execute_node<'a>(
             on,
             join_type,
         } => exec_join(plan, left, right, on, *join_type, ctx, state, prof),
-        LogicalPlan::Aggregate { group, aggs, input } => {
+        LogicalPlan::Aggregate {
+            group,
+            aggs,
+            input,
+            lookups,
+        } => {
+            if let (Some(p), false) = (prof, lookups.is_empty()) {
+                p.note(format!("aggregated below lookups: {}", lookups.join(", ")));
+            }
             exec_aggregate(group, aggs, input, ctx, state, prof)
         }
         LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, state, prof),
@@ -1653,6 +1661,7 @@ mod tests {
                 (AggExpr::count_star(), "n".into()),
             ],
             input: Box::new(scan(users_table(), "users")),
+            lookups: Vec::new(),
         };
         let mut rows = collect(&plan, &ctx).unwrap();
         rows.sort_by(|a, b| a.get(0).as_str().unwrap().cmp(b.get(0).as_str().unwrap()));
@@ -1674,6 +1683,7 @@ mod tests {
             ],
             aggs: vec![(AggExpr::count_star(), "n".into())],
             input: Box::new(users.clone()),
+            lookups: Vec::new(),
         };
         // Small enough for one exchange partition: the order is that of the
         // input, partition by partition.
@@ -1710,6 +1720,7 @@ mod tests {
             group: vec![],
             aggs: vec![(AggExpr::count_star(), "n".into())],
             input: Box::new(scan(empty, "e")),
+            lookups: Vec::new(),
         };
         let rows = collect(&plan, &ctx).unwrap();
         assert_eq!(rows.len(), 1);
@@ -1742,6 +1753,7 @@ mod tests {
                 "sd".into(),
             )],
             input: Box::new(scan(users_table(), "users")),
+            lookups: Vec::new(),
         };
         let rows = collect(&plan, &ctx).unwrap();
         // Sample stddev of 0..19 is sqrt(35).
@@ -1780,6 +1792,7 @@ mod tests {
                 (AggExpr::new(AggFunc::Max, Expr::col("x")), "hi".into()),
             ],
             input: Box::new(scan(table, "t")),
+            lookups: Vec::new(),
         };
         let rows = collect(&plan, &ctx).unwrap();
         assert_eq!(format!("{:?}", rows[0].get(0)), "Int32(-2)");
@@ -1882,6 +1895,7 @@ mod tests {
                     predicate: Expr::col("id").gt_eq(Expr::lit(min_id)),
                     input: Box::new(scan(Arc::clone(users), qualifier)),
                 }),
+                lookups: Vec::new(),
             }),
         }
     }
@@ -1934,8 +1948,9 @@ mod tests {
         }
         assert_eq!(
             reference_snap.tasks - snap.tasks,
-            8,
-            "one scan and one filter stage less, four partitions each"
+            2,
+            "one scan and one filter stage less, one task each: the table's \
+             20 rows pack into one scan partition"
         );
         assert_eq!(rows.len(), 2);
         assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
@@ -2375,6 +2390,7 @@ mod tests {
                 (AggExpr::count_star(), "n".into()),
             ],
             input: Box::new(scan(users_table(), "users")),
+            lookups: Vec::new(),
         }
     }
 
@@ -2404,6 +2420,7 @@ mod tests {
                 (AggExpr::new(AggFunc::Max, Expr::col("m")), "top".into()),
             ],
             input: Box::new(dept_stats()),
+            lookups: Vec::new(),
         };
         for plan in [having, computed, joined, again] {
             assert_matches_reference(&plan);
@@ -2431,6 +2448,7 @@ mod tests {
                 projection: Some(vec![]),
                 filters: vec![],
             }),
+            lookups: Vec::new(),
         };
         let parts = execute(&no_columns, &ExecContext::default()).unwrap();
         assert_eq!(gather_rows(parts), vec![Row::new(vec![Value::Int64(20)])]);
@@ -2447,6 +2465,7 @@ mod tests {
                 (AggExpr::new(AggFunc::Sum, Expr::col("x")), "s".into()),
             ],
             input: Box::new(scan(empty.clone(), "e")),
+            lookups: Vec::new(),
         };
         let parts = execute(&no_rows, &ExecContext::default()).unwrap();
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1, "one batch");
@@ -2460,6 +2479,7 @@ mod tests {
             group: vec![(Expr::col("x"), "x".into())],
             aggs: vec![(AggExpr::count_star(), "n".into())],
             input: Box::new(scan(empty, "e")),
+            lookups: Vec::new(),
         };
         assert!(collect(&grouped, &ExecContext::default())
             .unwrap()
@@ -2506,6 +2526,7 @@ mod tests {
             group: vec![],
             aggs: vec![(AggExpr::count_star(), "n".into())],
             input: Box::new(limit(0)),
+            lookups: Vec::new(),
         };
         assert_matches_reference(&nothing);
     }
@@ -2587,63 +2608,93 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// A table whose string columns arrive dictionary-encoded in some
-    /// batches and as boxed values in the others.
-    struct SomeBatchesBoxed(Arc<MemTable>);
-
-    struct SomeBatchesBoxedPartition {
-        inner: Arc<dyn ScanPartition>,
-        index: usize,
+    /// `table` served as `stripes` scan partitions, the i-th keeping every
+    /// `stripes`-th row from the i-th on: a small MemTable scans as one
+    /// partition, and the random plans want several. A `boxed` one ships
+    /// full-width rows whose string columns arrive dictionary-encoded in
+    /// some batches and as boxed values in the others.
+    struct Striped {
+        table: Arc<MemTable>,
+        stripes: usize,
+        boxed: bool,
     }
 
-    impl crate::datasource::TableProvider for SomeBatchesBoxed {
+    struct Stripe {
+        parts: Vec<Arc<dyn ScanPartition>>,
+        stripes: usize,
+        index: usize,
+        boxed: bool,
+    }
+
+    impl crate::datasource::TableProvider for Striped {
         fn schema(&self) -> Schema {
-            self.0.schema()
+            self.table.schema()
         }
         fn supports_projection(&self) -> bool {
-            false
+            !self.boxed
         }
         fn unhandled_filters(&self, filters: &[SourceFilter]) -> Vec<SourceFilter> {
-            self.0.unhandled_filters(filters)
+            self.table.unhandled_filters(filters)
+        }
+        fn unique_key(&self) -> Option<String> {
+            self.table.unique_key()
         }
         fn scan(
             &self,
-            _projection: Option<&[usize]>,
+            projection: Option<&[usize]>,
             filters: &[SourceFilter],
         ) -> Result<Vec<Arc<dyn ScanPartition>>> {
-            let parts = self.0.scan(None, filters)?.into_iter().enumerate();
-            Ok(parts
-                .map(|(index, inner)| {
-                    Arc::new(SomeBatchesBoxedPartition { inner, index }) as Arc<dyn ScanPartition>
+            let projection = projection.filter(|_| !self.boxed);
+            let parts = self.table.scan(projection, filters)?;
+            Ok((0..self.stripes)
+                .map(|index| {
+                    Arc::new(Stripe {
+                        parts: parts.clone(),
+                        stripes: self.stripes,
+                        index,
+                        boxed: self.boxed,
+                    }) as Arc<dyn ScanPartition>
                 })
                 .collect())
         }
     }
 
-    impl ScanPartition for SomeBatchesBoxedPartition {
+    impl ScanPartition for Stripe {
         fn execute(
             &self,
             running_on: &str,
             batch_size: usize,
             on_batch: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
         ) -> Result<()> {
-            let mut nth = self.index;
-            self.inner.execute(running_on, batch_size, &mut |batch| {
-                nth += 1;
-                if nth % 2 == 1 {
-                    return on_batch(batch);
-                }
-                let boxed = |col: &Arc<crate::columnar::Column>| {
-                    if col.dict_size().is_none() {
-                        return Arc::clone(col);
+            let (mut row, mut nth) = (0, self.index);
+            for part in &self.parts {
+                part.execute(running_on, batch_size, &mut |batch| {
+                    let keep: Vec<u32> = (0..batch.num_rows())
+                        .filter(|i| (row + i) % self.stripes == self.index)
+                        .map(|i| i as u32)
+                        .collect();
+                    row += batch.num_rows();
+                    nth += 1;
+                    if keep.is_empty() {
+                        return Ok(());
                     }
-                    let mut values = crate::columnar::ColumnBuilder::new(DataType::Binary);
-                    (0..col.len()).for_each(|i| values.push(&col.value(i)));
-                    Arc::new(values.finish())
-                };
-                let columns = batch.columns().iter().map(boxed).collect();
-                on_batch(ColumnarBatch::with_row_count(columns, batch.num_rows()))
-            })
+                    let batch = batch.gather(&keep);
+                    if !self.boxed || nth % 2 == 1 {
+                        return on_batch(batch);
+                    }
+                    let boxed = |col: &Arc<crate::columnar::Column>| {
+                        if col.dict_size().is_none() {
+                            return Arc::clone(col);
+                        }
+                        let mut values = crate::columnar::ColumnBuilder::new(DataType::Binary);
+                        (0..col.len()).for_each(|i| values.push(&col.value(i)));
+                        Arc::new(values.finish())
+                    };
+                    let columns = batch.columns().iter().map(boxed).collect();
+                    on_batch(ColumnarBatch::with_row_count(columns, batch.num_rows()))
+                })?;
+            }
+            Ok(())
         }
     }
 
@@ -2651,11 +2702,13 @@ mod tests {
 
     /// `a(ak Int32, g, x, n, f)` over 4 partitions, its strings boxed in every
     /// other batch; `b(bk Int64, tag, w, bg)` over 8 of which 2 stay empty,
-    /// with a key that occurs three times and one that is NULL; and `e`, `b`
-    /// without rows. NULLs in every column but `n`; `x` in quarters, so sums
-    /// are exact in any order; `f` holds both zeros and whole numbers that
-    /// are keys of `b`.
-    fn random_plan_tables() -> [Provider; 3] {
+    /// with a key that occurs three times and one that is NULL; `e`, `b`
+    /// without rows; and the dimension `d(dk Int64, dname, dv)` twice, with
+    /// `dk` declared unique and plain. NULLs in every column but `n`; `x` in
+    /// quarters, so sums are exact in any order; `f` holds both zeros and
+    /// whole numbers that are keys of `b`; `dk` misses some values of `ak`
+    /// and holds one `ak` never takes, and two keys share a `dname`.
+    fn random_plan_tables() -> [Provider; 5] {
         let a_schema = Schema::new(vec![
             Field::new("ak", DataType::Int32),
             Field::new("g", DataType::Utf8),
@@ -2718,18 +2771,42 @@ mod tests {
                 ])
             })
             .collect();
+        let d_schema = Schema::new(vec![
+            Field::new("dk", DataType::Int64),
+            Field::new("dname", DataType::Utf8),
+            Field::new("dv", DataType::Int32),
+        ]);
+        let d_rows = [Some(0), Some(1), Some(2), None, Some(4), Some(5), Some(9)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, dk)| {
+                Row::new(vec![
+                    dk.map_or(Value::Null, Value::Int64),
+                    Value::Utf8(format!("d{}", i % 3)),
+                    Value::Int32(i as i32 * 7 - 10),
+                ])
+            })
+            .collect::<Vec<_>>();
+        let d = || MemTable::with_rows(d_schema.clone(), d_rows.clone(), 3);
+        let striped = |table, stripes, boxed| {
+            Arc::new(Striped {
+                table: Arc::new(table),
+                stripes,
+                boxed,
+            }) as Provider
+        };
         [
-            Arc::new(SomeBatchesBoxed(Arc::new(MemTable::with_rows(
-                a_schema, a_rows, 4,
-            )))),
-            Arc::new(MemTable::with_rows(b_schema.clone(), b_rows, 8)),
+            striped(MemTable::with_rows(a_schema, a_rows, 4), 4, true),
+            striped(MemTable::with_rows(b_schema.clone(), b_rows, 8), 8, false),
             Arc::new(MemTable::new(b_schema, 2)),
+            striped(d().with_unique_key("dk").unwrap(), 2, false),
+            striped(d(), 2, false),
         ]
     }
 
-    /// scan → filter? → computed projection? → join? → group-by? →
-    /// (sort → limit?)?, each step drawn from `rng`.
-    fn random_plan(rng: &mut StdRng, [a, b, e]: &[Provider; 3]) -> LogicalPlan {
+    /// scan → filter? → computed projection? → join? → dimension join? →
+    /// group-by? → (sort → limit?)?, each step drawn from `rng`.
+    fn random_plan(rng: &mut StdRng, [a, b, e, du, dp]: &[Provider; 5]) -> LogicalPlan {
         let pushed: [Vec<Expr>; 3] = [
             vec![],
             vec![Expr::col("ak").gt_eq(Expr::lit(2))],
@@ -2790,6 +2867,26 @@ mod tests {
                 },
             };
         }
+        // A lookup of `d` by `ak`, on a declared unique key or not, with a
+        // filter of its own or not.
+        let looked_up = rng.gen_bool(0.6);
+        if looked_up {
+            let d = if rng.gen_bool(0.5) { du } else { dp };
+            let filters = match rng.gen_bool(0.3) {
+                true => vec![Expr::col("dv").gt(Expr::lit(0))],
+                false => vec![],
+            };
+            plan = LogicalPlan::Join {
+                left: Box::new(plan),
+                right: Box::new(scan_where(d.clone(), "d", filters)),
+                on: vec![(Expr::col("ak"), Expr::col("dk"))],
+                join_type: if rng.gen_bool(0.8) {
+                    JoinType::Inner
+                } else {
+                    JoinType::Left
+                },
+            };
+        }
         if rng.gen_bool(0.6) {
             let mut groups: Vec<Vec<&str>> = vec![
                 vec![],
@@ -2802,6 +2899,14 @@ mod tests {
             ];
             if joined {
                 groups.extend([vec!["g", "tag"], vec!["bk"], vec!["f", "bg"]]);
+            }
+            if looked_up && rng.gen_bool(0.6) {
+                groups = vec![
+                    vec!["dname", "dk"],
+                    vec!["g", "dname", "ak"],
+                    vec!["dk"],
+                    vec!["dname"],
+                ];
             }
             let agg = |f, c: &str| (AggExpr::new(f, Expr::col(c)), format!("{f:?}_{c}"));
             let mut aggs = vec![
@@ -2816,6 +2921,9 @@ mod tests {
             ];
             if joined {
                 aggs.push(agg(AggFunc::Sum, "w"));
+            }
+            if looked_up && rng.gen_bool(0.3) {
+                aggs.push(agg(AggFunc::Sum, "dv"));
             }
             // Any non-empty selection of them, in order.
             let mask = rng.gen_range(1..1u32 << aggs.len());
@@ -2834,6 +2942,7 @@ mod tests {
                     .collect(),
                 aggs,
                 input: Box::new(plan),
+                lookups: Vec::new(),
             };
         }
         if rng.gen_bool(0.5) {
@@ -2864,9 +2973,14 @@ mod tests {
     fn random_plans_agree_with_the_reference_evaluator() {
         let tables = random_plan_tables();
         let mut rng = StdRng::seed_from_u64(2018);
+        let mut moved = 0;
         for case in 0..300 {
             let plan = random_plan(&mut rng, &tables);
             let expected = comparable(&plan, &evaluate(&plan).unwrap());
+            // As built, and as the optimizer rewrites it: an aggregate over
+            // the lookup of `d` moves below it when `dk` is declared unique.
+            let optimized = crate::optimizer::optimize(plan.clone()).unwrap();
+            moved += usize::from(moved_below(&optimized));
             for adaptive in [true, false] {
                 for broadcast_threshold in [0, ExecContext::default().broadcast_threshold] {
                     let ctx = ExecContext {
@@ -2875,16 +2989,25 @@ mod tests {
                         batch_size: [2, DEFAULT_BATCH_ROWS][case % 2],
                         ..Default::default()
                     };
-                    let rows = collect(&plan, &ctx).unwrap();
-                    assert_eq!(
-                        comparable(&plan, &rows),
-                        expected,
-                        "case {case}, adaptive={adaptive}, \
-                         broadcast_threshold={broadcast_threshold}:\n{}",
-                        plan.explain()
-                    );
+                    for run in [&plan, &optimized] {
+                        let rows = collect(run, &ctx).unwrap();
+                        assert_eq!(
+                            comparable(&plan, &rows),
+                            expected,
+                            "case {case}, adaptive={adaptive}, \
+                             broadcast_threshold={broadcast_threshold}:\n{}",
+                            run.explain()
+                        );
+                    }
                 }
             }
         }
+        assert!(moved >= 10, "the rule moved {moved} aggregates");
+    }
+
+    /// Does `plan` hold an aggregate the optimizer moved below lookups?
+    fn moved_below(plan: &LogicalPlan) -> bool {
+        matches!(plan, LogicalPlan::Aggregate { lookups, .. } if !lookups.is_empty())
+            || plan.children().into_iter().any(moved_below)
     }
 }

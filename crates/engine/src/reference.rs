@@ -95,7 +95,9 @@ pub(crate) fn evaluate(plan: &LogicalPlan) -> Result<Vec<Row>> {
             }
             Ok(out)
         }
-        LogicalPlan::Aggregate { group, aggs, input } => {
+        LogicalPlan::Aggregate {
+            group, aggs, input, ..
+        } => {
             let schema = input.schema()?;
             let group_exprs = group
                 .iter()
@@ -306,6 +308,7 @@ mod tests {
                     agg(AggFunc::Stddev),
                 ],
                 input: Box::new(input.clone()),
+                lookups: Vec::new(),
             }),
         };
         assert_eq!(

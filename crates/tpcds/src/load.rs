@@ -63,7 +63,9 @@ pub fn load_into_hbase(
 }
 
 /// Register the tables as plain in-memory engine tables (no HBase) — used
-/// to validate query results against a reference execution.
+/// to validate query results against a reference execution. A table whose
+/// catalog row key is one column declares that column its unique key, as
+/// `HBaseRelation` does.
 pub fn load_into_memory(
     session: &Arc<Session>,
     generator: &Generator,
@@ -72,7 +74,14 @@ pub fn load_into_memory(
 ) {
     for &table in tables {
         let rows = generator.rows(table);
-        let provider = MemTable::with_rows(table.schema(), rows, partitions.max(1));
+        let mut provider = MemTable::with_rows(table.schema(), rows, partitions.max(1));
+        let catalog = HBaseTableCatalog::parse_simple(&table.catalog_json("PrimitiveType"))
+            .expect("every table's catalog parses");
+        if let [key] = catalog.row_key[..] {
+            provider = provider
+                .with_unique_key(&catalog.columns[key].name)
+                .expect("generated row keys are unique");
+        }
         session.register_table(table.name(), Arc::new(provider));
     }
 }

@@ -6,11 +6,16 @@
 //! generic provider), verifies both return identical rows, and prints the
 //! latency / scan / shuffle comparison that Figures 4 and 5 plot, plus the
 //! RPCs, bytes shipped, rows scanned and regions visited per query: q39's
-//! two month-blocks share one `inventory ⋈ item ⋈ warehouse` execution
-//! (`subplans_reused = 1`), so each fact-table region is scanned at most
-//! once per query for either provider, and through SHC the two `date_dim`
-//! filters hand their keys to that scan (`dynamic_filters = 1`), which then
-//! reads the two months' rows and visits their regions only.
+//! two month-blocks share their scan of the fact table, so each of its
+//! regions is scanned at most once per query for either provider. Through
+//! SHC, whose catalog declares `item` and `warehouse` unique on their row
+//! keys, each block aggregates `inventory ⋈ date_dim` before it joins them,
+//! the blocks share the `inventory`, `item` and `warehouse` scans
+//! (`subplans_reused = 3`), and the `date_dim` filters and the aggregates
+//! hand their keys to those scans (`dynamic_filters = 3`), so `inventory`
+//! reads the two months' rows and visits their regions only. The generic
+//! source declares no key: its blocks share one `inventory ⋈ item ⋈
+//! warehouse` execution (`subplans_reused = 1`) and pass no keys.
 //!
 //! Run with: `cargo run --release --example tpcds_q39`
 

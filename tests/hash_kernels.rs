@@ -1,13 +1,15 @@
 //! What the hash operators move is a property of the plan and the data, not
-//! of how their kernels read a key: q39a over in-memory tables exchanges,
-//! broadcasts and schedules exactly what it did when joins and aggregates
-//! built a `Vec<Value>` per row (the figures of commit d268a73). Batch
-//! counts pin placement too: a row's exchange partition is
-//! `shuffle::hash_key(key) % n`, whatever hash the key tables look it up
-//! by, and with every join a shuffle join a change of that hash moves rows
-//! between tasks and changes the batches they are cut into, for q39a and
-//! q39b alike. (The aggregate's exchange is pinned by `hash_aggregate`'s
-//! own test: moving it leaves these figures as they are.)
+//! of how their kernels read a key: q39 over in-memory tables exchanges,
+//! broadcasts and schedules exactly the figures pinned here, whatever hash
+//! the key tables look a key up by. The plan they pin is the eager one: each
+//! month-block aggregates `inventory ⋈ date_dim` by the foreign keys and
+//! joins `item` and `warehouse` to the groups, and the three dimension
+//! tables scan as one packed task each. Batch counts pin placement too: a
+//! row's exchange partition is `shuffle::hash_key(key) % n`, and with every
+//! join a shuffle join a change of that hash moves rows between tasks and
+//! changes the batches they are cut into, for q39a and q39b alike. (The
+//! aggregate's exchange is pinned by `hash_aggregate`'s own test: moving it
+//! leaves these figures as they are.)
 
 use shc::prelude::*;
 
@@ -50,20 +52,20 @@ fn assert_moves(sql: &str, result_rows: usize, expected: [Moved; 2]) {
 }
 
 #[test]
-fn q39a_over_memtables_moves_what_it_moved_before_the_typed_kernels() {
+fn q39a_over_memtables_moves_the_pinned_figures() {
     let broadcast = SessionConfig::default().broadcast_threshold;
     assert_moves(
         &shc::tpcds::queries::q39a(2001, 1),
         34,
         [
-            (broadcast, 402_682, 4_109, 36_684, 56, 86),
-            (0, 3_133_022, 52_295, 0, 48, 291),
+            (broadcast, 312_284, 4_109, 20_868, 31, 39),
+            (0, 1_111_190, 27_740, 0, 25, 111),
         ],
     );
 }
 
 #[test]
-fn q39b_over_memtables_moves_what_it_moved_before_the_word_hash() {
+fn q39b_over_memtables_moves_the_pinned_figures() {
     let broadcast = SessionConfig::default().broadcast_threshold;
     assert_moves(
         &shc::tpcds::queries::q39b(2001, 1),
@@ -71,8 +73,8 @@ fn q39b_over_memtables_moves_what_it_moved_before_the_word_hash() {
         // what it moves still depends on where its groups land.
         0,
         [
-            (broadcast, 402_682, 4_109, 36_684, 58, 83),
-            (0, 3_123_452, 52_150, 0, 50, 288),
+            (broadcast, 312_284, 4_109, 20_868, 31, 37),
+            (0, 1_087_700, 27_305, 0, 25, 109),
         ],
     );
 }

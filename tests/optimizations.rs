@@ -467,6 +467,19 @@ fn explain_analyze_row_counts_match_actual_cardinality() {
     );
 }
 
+/// The note lines under each operator of an `EXPLAIN ANALYZE` text whose
+/// line starts with `operator`, one string per such operator.
+fn notes_of(text: &str, operator: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    (0..lines.len())
+        .filter(|&at| lines[at].starts_with(operator))
+        .map(|at| {
+            let notes = lines[at + 1..].iter().take_while(|l| l.starts_with('('));
+            notes.copied().collect::<Vec<_>>().join("\n")
+        })
+        .collect()
+}
+
 /// q39's SQL with the second month-block reading `inventory2`, `item2` and
 /// `warehouse2`: registered as separate providers over the same data, they
 /// make the knob-free reference in which nothing can be shared.
@@ -484,7 +497,7 @@ fn second_block_reads_copies(sql: &str) -> String {
 }
 
 #[test]
-fn q39_month_blocks_share_one_fact_table_scan_and_join() {
+fn q39_month_blocks_share_one_scan_of_each_table() {
     let generator = Generator::new(Scale::from_gb(5.0), 11);
     let cluster = HBaseCluster::start(ClusterConfig {
         num_servers: 3,
@@ -555,7 +568,10 @@ fn q39_month_blocks_share_one_fact_table_scan_and_join() {
             measure(&second_block_reads_copies(&sql));
 
         assert_eq!(rows, ref_rows);
-        assert_eq!(engine.subplans_reused, 1);
+        // Each block aggregates `inventory ⋈ date_dim` before it joins
+        // `item` and `warehouse`, so what the blocks share is the three
+        // month-independent scans.
+        assert_eq!(engine.subplans_reused, 3);
         assert_eq!(ref_engine.subplans_reused, 0);
         // One scanner per region: inventory's regions once, item and
         // warehouse once, date_dim once per month — against everything
@@ -577,25 +593,31 @@ fn q39_month_blocks_share_one_fact_table_scan_and_join() {
     }
     assert!(session
         .metrics_exposition()
-        .contains("shc_query_subplans_reused 2\n"));
+        .contains("shc_query_subplans_reused 6\n"));
 
-    // EXPLAIN ANALYZE shows the second block's join as a reused operator
-    // with its real shape, nothing below it, and the count on the footer.
+    // EXPLAIN ANALYZE shows the second block's scans of the three shared
+    // tables as reused operators with their real shape, the rewrite on
+    // each block's aggregate, and the count on the footer.
     let text = session
         .sql(&shc::tpcds::queries::q39a(2001, 1))
         .unwrap()
         .explain_analyze()
         .unwrap();
-    assert!(text.contains("(reused: result of op #"), "{text}");
-    assert!(
-        text.contains("result shared with 1 later operator(s)"),
-        "{text}"
-    );
-    assert!(text.contains("subplans_reused=1\n"), "{text}");
-    assert_eq!(text.matches("Scan: inventory").count(), 1, "{text}");
+    for table in ["inventory", "item", "warehouse"] {
+        let scans = notes_of(&text, &format!("Scan: {table} "));
+        assert_eq!(scans.len(), 2, "{table}: {text}");
+        assert!(scans[0].contains("result shared with 1 later operator(s)"));
+        assert!(scans[1].contains("(reused: result of op #"), "{text}");
+    }
+    let aggregates = notes_of(&text, "Aggregate: ");
+    assert_eq!(aggregates.len(), 2, "{text}");
+    for notes in aggregates {
+        assert!(notes.contains("(aggregated below lookups: item, warehouse)"));
+    }
+    assert!(text.contains("subplans_reused=3\n"), "{text}");
     assert_eq!(text.matches("Scan: date_dim").count(), 2, "{text}");
-    // The shared stages appear once on the task timeline: three scans and
-    // two probes shared, one date_dim scan and one probe per block.
+    // The shared stages appear once on the task timeline: three scans
+    // shared, one date_dim scan per block.
     let timeline = session.last_timeline().unwrap();
     let scans = timeline
         .stage_stats()
@@ -638,7 +660,10 @@ fn q39_over_memtables_shares_the_same_subplan() {
         let (rows, engine) = measure(&sql);
         let (ref_rows, ref_engine) = measure(&second_block_reads_copies(&sql));
         assert_eq!(rows, ref_rows);
-        assert_eq!((engine.subplans_reused, ref_engine.subplans_reused), (1, 0));
+        // The copies declare no key, so the second block of the reference
+        // joins all of `inventory` with `item` and `warehouse` before it
+        // aggregates, and no scan is shared.
+        assert_eq!((engine.subplans_reused, ref_engine.subplans_reused), (3, 0));
         assert!(ref_engine.scan_rows - engine.scan_rows >= inventory_rows);
 
         // Fixed (non-adaptive) plans share the same subplan and return the
@@ -646,7 +671,7 @@ fn q39_over_memtables_shares_the_same_subplan() {
         session.update_config(|c| c.adaptive = false);
         let (again, engine) = measure(&sql);
         session.update_config(|c| *c = SessionConfig::default());
-        assert_eq!(engine.subplans_reused, 1);
+        assert_eq!(engine.subplans_reused, 3);
         assert_eq!(again, rows);
     }
 }
@@ -822,12 +847,19 @@ fn q39_and_q38_join_keys_prune_the_fact_scan() {
 
         if fact == Table::Inventory {
             // One scan of `inventory` for both month-blocks, handed both
-            // months' keys, opening scanners on their regions only.
-            assert_eq!((engine.dynamic_filters, engine.subplans_reused), (1, 1));
+            // months' keys, opening scanners on their regions only. The
+            // shared `item` and `warehouse` scans are handed the keys of
+            // both blocks' aggregates, which run first: a point lookup per
+            // key, one BulkGet each instead of a scanner.
+            assert_eq!((engine.dynamic_filters, engine.subplans_reused), (3, 3));
             assert_eq!(read, first_two_months);
             assert!(store.rpc_count < fixed_store.rpc_count);
+            let date_dim = 2; // a scanner per month
+            assert_eq!(
+                store.scanner_opens,
+                first_two_months.len() as u64 + date_dim
+            );
             let others = 4; // item, warehouse, date_dim per month
-            assert_eq!(store.scanner_opens, first_two_months.len() as u64 + others);
             assert_eq!(fixed_store.scanner_opens, inventory_regions as u64 + others);
         }
     }
@@ -845,9 +877,11 @@ fn q39_and_q38_join_keys_prune_the_fact_scan() {
         "{text}"
     );
     assert!(text.contains("→ 1 range(s))"), "{text}");
-    assert_eq!(text.matches("ran first)").count(), 2, "{text}");
+    // Per block: date_dim before inventory, the aggregate before item and
+    // before warehouse.
+    assert_eq!(text.matches("ran first)").count(), 6, "{text}");
     assert!(
-        text.contains("subplans_reused=1\ndynamic_filters=1\n"),
+        text.contains("subplans_reused=3\ndynamic_filters=3\n"),
         "{text}"
     );
     let partitions = format!("(partitions after pruning: {})", first_two_months.len());
@@ -1056,7 +1090,8 @@ fn a_region_split_after_the_filtering_side_ran_loses_and_repeats_nothing() {
     };
     // Once, so the client has the fact table's regions cached.
     let (expected, _, engine) = measure();
-    assert_eq!(engine.dynamic_filters, 1);
+    // Keys for `inventory`, `item` and `warehouse`.
+    assert_eq!(engine.dynamic_filters, 3);
 
     // The filtering side runs first, so the query's first scan RPC is
     // `date_dim`'s: split the first `inventory` region under it. The fact
@@ -1080,7 +1115,7 @@ fn a_region_split_after_the_filtering_side_ran_loses_and_repeats_nothing() {
         "the stale layout was met"
     );
     assert_rows_close(&rows, &expected, "after the split");
-    assert_eq!(after.dynamic_filters, 1);
+    assert_eq!(after.dynamic_filters, 3);
     // Two months of `inventory`, each row once, through the daughters.
     assert_eq!(after.scan_rows, engine.scan_rows);
     let (again, _, settled) = measure();

@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 const QUERY: &str = "SELECT dept, COUNT(*) AS n FROM jobs GROUP BY dept ORDER BY dept";
 
-/// An engine-only session: 600 rows over 6 even MemTable partitions on a
+/// An engine-only session: 3600 rows over 6 even MemTable partitions on a
 /// 3-executor pool, so every scan task costs the same — any straggler is
-/// the fault injector's doing.
+/// the fault injector's doing. A partition holds more than half a batch,
+/// so no two pack into one scan task.
 fn obs_session(faults: Option<Arc<SchedulerFaults>>) -> Arc<Session> {
     let session = Session::new(SessionConfig {
         executors: ExecutorConfig {
@@ -33,7 +34,7 @@ fn obs_session(faults: Option<Arc<SchedulerFaults>>) -> Arc<Session> {
         Field::new("id", DataType::Int64),
         Field::new("dept", DataType::Utf8),
     ]);
-    let rows: Vec<Row> = (0..600)
+    let rows: Vec<Row> = (0..3600)
         .map(|i| Row::new(vec![Value::Int64(i), Value::Utf8(format!("d{}", i % 3))]))
         .collect();
     session.register_table("jobs", Arc::new(MemTable::with_rows(schema, rows, 6)));
