@@ -13,12 +13,13 @@
 //! * **no connection caching** — every task opens a fresh heavy-weight
 //!   connection, the behaviour SHC's cache (§V.B.1) was built to fix.
 //!
-//! It still decodes correctly through the same catalog, so results always
-//! match the SHC path — only the work differs.
+//! It reads the scanner's reply blocks through the connector's one block
+//! reader (`BlockColumns`), over every column and keeping every row, so
+//! results always match the SHC path — only the work differs.
 
 use crate::catalog::HBaseTableCatalog;
-use crate::relation::RowDecoder;
-use shc_engine::columnar::{BatchBuilder, ColumnarBatch};
+use crate::relation::{BlockColumns, RowDecoder, RowsOut};
+use shc_engine::columnar::ColumnarBatch;
 use shc_engine::datasource::{ScanPartition, TableProvider};
 use shc_engine::error::{EngineError, Result as EngineResult};
 use shc_engine::schema::Schema;
@@ -114,17 +115,20 @@ impl ScanPartition for GenericScanPartition {
         }
         // Full, unfiltered, unprojected region scan; `from_host: None`
         // charges the remote-read penalty.
-        let result = table
-            .scan_region(&self.location, &Scan::new(), None)
-            .map_err(|e| EngineError::DataSource(e.to_string()))?;
+        let mut scanner = table.region_scanner(&self.location, &Scan::new(), None);
+        let mut rows_out = RowsOut::new(&self.decoder, batch_size, on_batch);
+        let mut columns = BlockColumns::default();
+        let mut rows = 0;
+        while let Some(block) = scanner
+            .next_block()
+            .map_err(|e| EngineError::DataSource(e.to_string()))?
+        {
+            rows += columns.read(&self.decoder, &block, |_| true, &mut rows_out)?;
+        }
         if region_sp.is_active() {
-            region_sp.annotate("rows", result.rows.len());
+            region_sp.annotate("rows", rows);
         }
-        let mut builder = BatchBuilder::new(self.decoder.dtypes(), batch_size);
-        for row in &result.rows {
-            builder.push_row_to(&self.decoder.decode(row)?, on_batch)?;
-        }
-        builder.finish_to(on_batch)
+        rows_out.finish()
     }
 
     fn describe(&self) -> String {
@@ -142,7 +146,6 @@ mod tests {
     use shc_engine::datasource::partition_rows;
     use shc_engine::row::Row;
     use shc_engine::value::Value;
-    use shc_kvstore::cellblock;
     use shc_kvstore::cluster::ClusterConfig;
     use shc_kvstore::types::Get;
 
@@ -233,26 +236,30 @@ mod tests {
             generic_delta.cells_scanned,
             shc_delta.cells_scanned
         );
-        // What crossed the network is the encoded rows each source asked
-        // for: every row of every region from the generic source, one
-        // block per region; row05 alone from SHC.
+        // What crossed the network is the blocks each source asked for:
+        // every row of every region from the generic source, the blocks of
+        // a full scan of each region; row05 alone from SHC, the block of a
+        // get of it.
         let conn = Connection::open(Arc::clone(&cluster), None);
         let table = conn.table(generic.catalog.table.clone());
-        let region_blocks: usize = conn
-            .locate_regions(table.name())
-            .unwrap()
-            .iter()
-            .map(|loc| {
-                let rows = table.scan_region(loc, &Scan::new(), None).unwrap().rows;
-                cellblock::encode(&rows).len()
-            })
-            .sum();
-        let row05 = table.get(Get::new("row05")).unwrap();
-        assert_eq!(generic_delta.bytes_returned, region_blocks as u64);
-        assert_eq!(
-            shc_delta.bytes_returned,
-            cellblock::encode(&[row05]).len() as u64
-        );
+        let shipped = |read: &dyn Fn()| {
+            let before = cluster.metrics.snapshot();
+            read();
+            cluster
+                .metrics
+                .snapshot()
+                .delta_since(&before)
+                .bytes_returned
+        };
+        let region_blocks = shipped(&|| {
+            for loc in conn.locate_regions(table.name()).unwrap() {
+                let mut scanner = table.region_scanner(&loc, &Scan::new(), None);
+                while scanner.next_block().unwrap().is_some() {}
+            }
+        });
+        let row05 = shipped(&|| drop(table.get(Get::new("row05")).unwrap()));
+        assert_eq!(generic_delta.bytes_returned, region_blocks);
+        assert_eq!(shc_delta.bytes_returned, row05);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!    server's hostname (§VI.2 data locality);
 //! 4. each task acquires its connection through the connection cache
 //!    (§V.B.1) and a security token through the credentials manager
-//!    (§V.B.2), issues Scans/BulkGets, and decodes the returned byte
-//!    arrays into engine rows using the catalog's codecs.
+//!    (§V.B.2), issues Scans/BulkGets, and reads every reply block
+//!    straight into engine columns using the catalog's codecs
+//!    (`BlockColumns`, the one decode path of the connector).
 
 use crate::catalog::HBaseTableCatalog;
 use crate::conf::{PruningMode, SHCConf};
@@ -37,7 +38,7 @@ use shc_kvstore::error::KvError;
 use shc_kvstore::filter::{Filter, RowRange};
 use shc_kvstore::master::RegionLocation;
 use shc_kvstore::security::AuthToken;
-use shc_kvstore::types::{Get, Projection, RowResult, Scan};
+use shc_kvstore::types::{Get, Projection, Scan};
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 
@@ -418,7 +419,7 @@ impl RowDecoder {
     }
 
     /// The declared types of the decoded columns, in output order.
-    pub(crate) fn dtypes(&self) -> Vec<DataType> {
+    fn dtypes(&self) -> Vec<DataType> {
         self.columns
             .iter()
             .map(|&(idx, _)| self.catalog.columns[idx].data_type)
@@ -462,34 +463,15 @@ impl RowDecoder {
         }
         Ok(())
     }
-
-    /// [`decode_into`](Self::decode_into) for a decoded store row.
-    fn decode_result_into(
-        &self,
-        row: &RowResult,
-        dims: &mut Vec<Value>,
-        out: &mut Vec<Value>,
-    ) -> ShcResult<()> {
-        let cell = |i: usize| {
-            let col = &self.catalog.columns[self.cells[i]];
-            row.value(col.family.as_bytes(), col.qualifier.as_bytes())
-                .map(|value| &value[..])
-        };
-        self.decode_into(&row.row, cell, dims, out)
-    }
-
-    pub(crate) fn decode(&self, row: &RowResult) -> ShcResult<Row> {
-        let mut values = Vec::with_capacity(self.columns.len());
-        self.decode_result_into(row, &mut Vec::new(), &mut values)?;
-        Ok(Row::new(values))
-    }
 }
 
-/// Reads scanner reply blocks straight into the engine's columns: no
-/// [`RowResult`], no [`Row`] and no per-row value vector, only buffers reused
-/// from row to row.
+/// The connector's one reader of reply blocks — scanner batches, bulk-get
+/// replies and the generic source's full-width region scans alike: it reads
+/// each block straight into the engine's columns, with no decoded store
+/// row, no [`Row`] and no per-row value vector, only buffers reused from
+/// row to row.
 #[derive(Default)]
-struct BlockColumns {
+pub(crate) struct BlockColumns {
     /// Per entry of the current block's (family, qualifier) dictionary, the
     /// decoder's cell it holds, if any — resolved the first time the block
     /// uses it (outer `None` = not yet).
@@ -505,7 +487,7 @@ impl BlockColumns {
     /// Decode every row of `block` the `keep` test passes into `rows_out`;
     /// returns how many rows that was. Rows `keep` refuses are dropped by
     /// key, before anything of them is decoded.
-    fn read(
+    pub(crate) fn read(
         &mut self,
         decoder: &RowDecoder,
         block: &[u8],
@@ -678,17 +660,12 @@ impl HBaseScanPartition {
                 }
             }
             if !gets.is_empty() {
-                let rows = table.bulk_get(&gets, Some(running_on))?;
-                for row in &rows {
-                    // Empty key = row not found; empty cells with a key =
-                    // a live row whose projected columns are all NULL.
-                    if row.row.is_empty() {
-                        continue;
-                    }
-                    let (dims, values) = (&mut columns.dims, &mut columns.values);
-                    self.decoder.decode_result_into(row, dims, values)?;
-                    rows_out.push(values)?;
-                    region_rows += 1;
+                // An empty key answers a get whose row is absent; a key with
+                // no cells is a live row whose projected columns are all
+                // NULL.
+                for block in table.bulk_get(&gets, Some(running_on))? {
+                    let keep = |key: &[u8]| !key.is_empty();
+                    region_rows += columns.read(&self.decoder, &block, keep, rows_out)?;
                 }
             }
             if region_sp.is_active() {
@@ -701,18 +678,37 @@ impl HBaseScanPartition {
 
 /// Where a scan's decoded rows go: into batches cut at the engine's batch
 /// size, whatever the size of the scanner's RPCs, each handed on as it fills.
-struct RowsOut<'a> {
+pub(crate) struct RowsOut<'a> {
     builder: BatchBuilder,
     on_batch: &'a mut dyn FnMut(ColumnarBatch) -> EngineResult<()>,
     /// Rows taken so far, handed on or still in the builder.
     taken: usize,
 }
 
-impl RowsOut<'_> {
+impl<'a> RowsOut<'a> {
+    /// Batches of `decoder`'s columns, `batch_size` rows each, for
+    /// `on_batch`.
+    pub(crate) fn new(
+        decoder: &RowDecoder,
+        batch_size: usize,
+        on_batch: &'a mut dyn FnMut(ColumnarBatch) -> EngineResult<()>,
+    ) -> Self {
+        RowsOut {
+            builder: BatchBuilder::new(decoder.dtypes(), batch_size),
+            on_batch,
+            taken: 0,
+        }
+    }
+
     /// Take one row, given as its values in output order.
     fn push(&mut self, values: &[Value]) -> EngineResult<()> {
         self.taken += 1;
         self.builder.push_values_to(values, self.on_batch)
+    }
+
+    /// Hand on the rows still in the builder.
+    pub(crate) fn finish(self) -> EngineResult<()> {
+        self.builder.finish_to(self.on_batch)
     }
 }
 
@@ -742,11 +738,7 @@ impl ScanPartition for HBaseScanPartition {
         let table = lease
             .connection()
             .table(self.relation.catalog.table.clone());
-        let mut rows_out = RowsOut {
-            builder: BatchBuilder::new(self.decoder.dtypes(), batch_size),
-            on_batch,
-            taken: 0,
-        };
+        let mut rows_out = RowsOut::new(&self.decoder, batch_size, on_batch);
         match self.run_work(&table, &self.work, running_on, &mut rows_out) {
             Ok(()) => {}
             // The planned region layout went stale (split/move between
@@ -765,7 +757,7 @@ impl ScanPartition for HBaseScanPartition {
             }
             Err(e) => return Err(e.into()),
         }
-        rows_out.builder.finish_to(rows_out.on_batch)
+        rows_out.finish()
     }
 
     fn describe(&self) -> String {
@@ -1078,14 +1070,42 @@ mod tests {
         assert_eq!(delta.cells_returned, 20);
     }
 
-    /// The SHC scan reads reply blocks straight into columns; it must yield
-    /// what decoding the same scan's `RowResult`s yields. The table holds
-    /// three versions of some `qty` (the newest wins), a `note` only some
-    /// rows have (NULL elsewhere) and rows with no `qty` at all (kept with
-    /// NULLs by `include_empty_rows`), and the key set is scattered enough
-    /// that gaps are read through and dropped.
+    /// What a read's rows decode to, by a route that shares nothing with
+    /// [`BlockColumns`] or [`RowDecoder`]: the store's own decode of the
+    /// rows (`cellblock::decode`, behind `Table::scan`), then the catalog's
+    /// row-key decode and each column's codec.
+    fn reference_rows(
+        catalog: &HBaseTableCatalog,
+        projected: &[usize],
+        rows: &[shc_kvstore::types::RowResult],
+    ) -> Vec<Row> {
+        let decode = |row: &shc_kvstore::types::RowResult| {
+            let dims = crate::rowkey::decode_rowkey(catalog, &row.row).unwrap();
+            let values = projected.iter().map(|&idx| {
+                let col = &catalog.columns[idx];
+                match catalog.row_key.iter().position(|&k| k == idx) {
+                    Some(dim) => dims[dim].clone(),
+                    None => row
+                        .value(col.family.as_bytes(), col.qualifier.as_bytes())
+                        .map_or(Value::Null, |v| col.codec.decode(v, col.data_type).unwrap()),
+                }
+            });
+            Row::new(values.collect())
+        };
+        rows.iter().map(decode).collect()
+    }
+
+    /// Every read of the connector goes through [`BlockColumns`]: SHC's
+    /// range scans and bulk gets, and the generic source's full-width
+    /// region scans. Each must yield what the reference decode of the same
+    /// read yields. The table holds three versions of some `qty` (the
+    /// newest wins), a `note` only some rows have (NULL elsewhere) and rows
+    /// with no `qty` at all (kept with NULLs by `include_empty_rows`); the
+    /// scans' key set is scattered enough that gaps are read through and
+    /// dropped, and the gets ask for absent rows and for a live row whose
+    /// projected columns are all NULL.
     #[test]
-    fn block_columns_equal_the_row_result_path() {
+    fn block_columns_equal_a_reference_decode() {
         let cluster = HBaseCluster::start(ClusterConfig {
             num_servers: 1,
             ..Default::default()
@@ -1126,50 +1146,120 @@ mod tests {
                 .collect();
             writer::write_rows(&cluster, &catalog, &relation.conf, &rows).unwrap();
         }
-        let days = [0, 3, 10, 13, 20, 23, 30, 33, 35];
         let conn = Connection::open(Arc::clone(&cluster), None);
         let table = conn.table(catalog.table.clone());
-        for projection in [None, Some(&[0, 1, 2][..])] {
-            let parts = relation.scan(projection, &days_in(&days)).unwrap();
-            assert_eq!(parts.len(), 1);
-            let got = run_partitions(&parts);
-
-            let projected = relation.projected_indices(projection);
-            let decoder = RowDecoder::new(&catalog, &projected).unwrap();
+        // The reference: every row of a table under `projected`, read as
+        // SHC reads it.
+        let reference = |catalog: &HBaseTableCatalog, projected: &[usize]| {
             let scan = Scan {
-                projection: build_kv_projection(&catalog, &projected, &None),
+                projection: build_kv_projection(catalog, projected, &None),
                 max_versions: 3,
                 include_empty_rows: true,
                 ..Scan::new()
             };
-            let results = table.scan(&scan).unwrap();
-            assert!(
-                results.iter().any(|row| row.cells.len() > 2),
-                "versions read"
-            );
-            let expected: Vec<Row> = results
-                .iter()
-                .map(|row| decoder.decode(row).unwrap())
-                .filter(|row| days.contains(&(row.get(0).as_i64().unwrap() as i32)))
-                .collect();
+            let rows = conn.table(catalog.table.clone()).scan(&scan).unwrap();
+            reference_rows(catalog, projected, &rows)
+        };
+        let key = |row: &Row| (row.get(0).as_i64().unwrap(), row.get(1).as_i64().unwrap());
+
+        // Range scans over a scattered key set.
+        let versions = Scan {
+            max_versions: 3,
+            ..Scan::new()
+        };
+        let stored = table.scan(&versions).unwrap();
+        assert!(
+            stored.iter().any(|row| row.cells.len() > 2),
+            "versions read"
+        );
+        let days = [0, 3, 10, 13, 20, 23, 30, 33, 35];
+        for projection in [None, Some(&[0, 1, 2][..])] {
+            let parts = relation.scan(projection, &days_in(&days)).unwrap();
+            assert_eq!(parts.len(), 1);
+            let got = run_partitions(&parts);
+            let mut expected = reference(&catalog, &relation.projected_indices(projection));
+            expected.retain(|row| days.contains(&(key(row).0 as i32)));
             assert_eq!(got, expected, "projection {projection:?}");
             assert_eq!(got.len(), days.len() * 5);
             // Spot checks: the newest `qty`, a NULL `note`, an empty row.
-            let at = |day: i64, item: i64| {
-                let key = (Some(day), Some(item));
-                got.iter()
-                    .find(|r| (r.get(0).as_i64(), r.get(1).as_i64()) == key)
-                    .unwrap()
-            };
-            assert_eq!(at(10, 0).get(2), &Value::Int32(1002));
-            assert_eq!(at(10, 2).get(2), &Value::Int32(1020));
-            assert_eq!(at(10, 4).get(2), &Value::Null);
+            let at = |k| got.iter().find(|r| key(r) == k).unwrap();
+            assert_eq!(at((10, 0)).get(2), &Value::Int32(1002));
+            assert_eq!(at((10, 2)).get(2), &Value::Int32(1020));
+            assert_eq!(at((10, 4)).get(2), &Value::Null);
             if projection.is_none() {
-                assert_eq!(at(10, 1).get(3), &Value::Utf8("note 10/1".into()));
-                assert_eq!(at(13, 1).get(3), &Value::Null);
-                assert_eq!(at(13, 4).get(3), &Value::Utf8("note 13/4".into()));
+                assert_eq!(at((10, 1)).get(3), &Value::Utf8("note 10/1".into()));
+                assert_eq!(at((13, 1)).get(3), &Value::Null);
+                assert_eq!(at((13, 4)).get(3), &Value::Utf8("note 13/4".into()));
             }
         }
+
+        // Bulk gets, over a table keyed by `id` alone: k07 was never
+        // written, and k01 has a `qty` but no `note`.
+        let keyed = Arc::new(
+            HBaseTableCatalog::parse_simple(
+                r#"{
+                "table":{"namespace":"default","name":"keyed"},
+                "rowkey":"id",
+                "columns":{
+                    "id":{"cf":"rowkey","col":"id","type":"string"},
+                    "qty":{"cf":"cf","col":"qty","type":"int"},
+                    "note":{"cf":"cf","col":"note","type":"string"}
+                }}"#,
+            )
+            .unwrap(),
+        );
+        let by_id = HBaseRelation::new(
+            Arc::clone(&cluster),
+            Arc::clone(&keyed),
+            relation.conf.clone(),
+        );
+        for round in 0..3 {
+            let rows: Vec<Row> = (0..6)
+                .map(|i| {
+                    let note = match i % 2 == 0 && round == 0 {
+                        true => Value::Utf8(format!("note {i}")),
+                        false => Value::Null,
+                    };
+                    Row::new(vec![
+                        Value::Utf8(format!("k{i:02}")),
+                        Value::Int32(i * 10 + round),
+                        note,
+                    ])
+                })
+                .collect();
+            writer::write_rows(&cluster, &keyed, &by_id.conf, &rows).unwrap();
+        }
+        let ids = ["k01", "k02", "k04", "k07"];
+        let points = [SourceFilter::In(
+            "id".into(),
+            ids.map(|id| Value::Utf8(id.into())).to_vec(),
+        )];
+        for projection in [None, Some(&[0, 2][..])] {
+            let parts = by_id.scan(projection, &points).unwrap();
+            let before = cluster.metrics.snapshot();
+            let got = run_partitions(&parts);
+            let delta = cluster.metrics.snapshot().delta_since(&before);
+            assert_eq!(delta.scanner_opens, 0, "BulkGets only");
+            let mut expected = reference(&keyed, &by_id.projected_indices(projection));
+            expected.retain(|row| ids.contains(&row.get(0).as_str().unwrap()));
+            assert_eq!(got, expected, "projection {projection:?}");
+            let got_ids: Vec<_> = got.iter().map(|row| row.get(0).as_str().unwrap()).collect();
+            assert_eq!(got_ids, ["k01", "k02", "k04"]);
+            if projection.is_some() {
+                assert_eq!(got[0].get(1), &Value::Null, "a live row, kept");
+            } else {
+                assert_eq!(got[0].get(1), &Value::Int32(12), "the newest version");
+            }
+        }
+
+        // The generic source: full-width rows, every row kept.
+        let generic =
+            crate::generic::GenericHBaseRelation::new(Arc::clone(&cluster), Arc::clone(&catalog));
+        let got = run_partitions(&generic.scan(None, &[]).unwrap());
+        let every_column: Vec<usize> = (0..catalog.columns.len()).collect();
+        let rows = table.scan(&Scan::new()).unwrap();
+        assert_eq!(got, reference_rows(&catalog, &every_column, &rows));
+        assert_eq!(got.len(), 40 * 5);
     }
 
     #[test]

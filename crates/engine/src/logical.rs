@@ -927,7 +927,7 @@ impl<'a, 'g> PlanIndex<'a, 'g> {
 impl LogicalPlan {
     /// Does anything in this subtree drop rows by a predicate — a filter
     /// operator or a filter pushed into a scan?
-    fn has_predicate(&self) -> bool {
+    pub(crate) fn has_predicate(&self) -> bool {
         match self {
             LogicalPlan::Filter { .. } => true,
             LogicalPlan::Scan { filters, .. } => !filters.is_empty(),

@@ -576,7 +576,10 @@ fn prune_columns(plan: LogicalPlan, required: Option<ColSet>) -> Result<LogicalP
 ///   fact column);
 /// - it feeds no aggregate argument, only group columns;
 /// - its key, or the fact column, is a group column;
-/// - no other join condition or remaining filter reads its columns.
+/// - no other join condition or remaining filter reads its columns;
+/// - it drops no rows by a predicate of its own
+///   ([`LogicalPlan::has_predicate`]): joined first, a filtered lookup
+///   cuts the rows the aggregate groups.
 ///
 /// Each input row then meets at most one lookup row, and the rows of one
 /// group share the fact column, so grouping by the fact column instead and
@@ -722,6 +725,7 @@ fn lookups_of(
             g.is_some() && (g == column_index(key, &whole) || g == fact_at)
         });
         let qualifies = unique
+            && !plan.has_predicate()
             && fact_at.is_some()
             && keyed_group
             && !used_joins.contains(&join)
@@ -1208,6 +1212,16 @@ mod tests {
         table("item", &["i_sk", "i_name"], key, &rows)
     }
 
+    /// Keyed items, those named 0 or 1 only: a lookup with a filter of
+    /// its own, pushed into its scan.
+    fn filtered_items() -> LogicalPlan {
+        let mut plan = items(Some("i_sk"));
+        if let LogicalPlan::Scan { filters, .. } = &mut plan {
+            filters.push(Expr::col("i_name").lt(Expr::lit(2i64)));
+        }
+        plan
+    }
+
     fn warehouses() -> LogicalPlan {
         table(
             "warehouse",
@@ -1361,6 +1375,30 @@ mod tests {
         assert!(lines[..at].iter().all(|l| !l.starts_with("Scan")), "{text}");
     }
 
+    /// Of two key-preserving lookups, one filtering rows of its own: the
+    /// aggregate moves below the other only. Joined first, the filtered
+    /// one cuts the rows the aggregate groups.
+    #[test]
+    fn the_aggregate_moves_below_the_unfiltered_lookup_only() {
+        let plan = month_block(filtered_items());
+        let moved = aggregate_below_lookups(plan.clone()).unwrap();
+        same_rows(&plan, &moved);
+        assert_eq!(
+            aggregates(&moved),
+            [(
+                vec!["i_sk".into(), "d_moy".into(), "f_wh".into()],
+                vec!["warehouse".into()]
+            )]
+        );
+        let text = moved.explain();
+        let at = |line: &str| text.lines().position(|l| l.trim_start().starts_with(line));
+        let (aggregate, items) = (at("Aggregate:").unwrap(), at("Scan: item").unwrap());
+        assert!(
+            items > aggregate,
+            "item is joined below the aggregate:\n{text}"
+        );
+    }
+
     #[test]
     fn the_aggregate_stays_where_no_lookup_is_key_preserving() {
         let keyed = || items(Some("i_sk"));
@@ -1413,6 +1451,10 @@ mod tests {
             (
                 "a global aggregate",
                 grouped(&[], &[("qty", "s")], item_join(keyed())),
+            ),
+            (
+                "a lookup with a filter of its own",
+                grouped(&["i_sk"], &[("qty", "s")], item_join(filtered_items())),
             ),
         ];
         for (why, plan) in cases {

@@ -2974,7 +2974,7 @@ mod tests {
         let tables = random_plan_tables();
         let mut rng = StdRng::seed_from_u64(2018);
         let mut moved = 0;
-        for case in 0..300 {
+        for case in 0..400 {
             let plan = random_plan(&mut rng, &tables);
             let expected = comparable(&plan, &evaluate(&plan).unwrap());
             // As built, and as the optimizer rewrites it: an aggregate over

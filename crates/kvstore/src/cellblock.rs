@@ -208,6 +208,7 @@ impl CellBlockEncoder {
 }
 
 /// The block of `rows`, as a server would send them.
+#[cfg(test)]
 pub fn encode(rows: &[RowResult]) -> Bytes {
     let mut block = CellBlockEncoder::default();
     for row in rows {

@@ -4,9 +4,10 @@
 //! cache and operator fusion optimize away. A region scan pays one charge
 //! per batch: the RPC that opens the scanner carries the first one. A read
 //! is charged for its reply's [cell block](crate::cellblock), which the
-//! client validates; a scanner hands on the block itself. Every RPC runs on
-//! the caller's thread, the region scanner's included; only a multi-region
-//! put batch fans out, one scoped thread per region.
+//! client validates; a scanner and a bulk get hand on the block itself.
+//! Every RPC runs on the caller's thread, the region scanner's included;
+//! only a put batch spanning several servers fans out, one scoped thread
+//! per server.
 
 use crate::cellblock;
 use crate::cluster::HBaseCluster;
@@ -266,15 +267,6 @@ impl Connection {
     }
 }
 
-/// The result of a region-scoped scan: rows plus server work stats plus the
-/// number of simulated RPC batches used to fetch them.
-#[derive(Clone, Debug, Default)]
-pub struct RegionScanResult {
-    pub rows: Vec<RowResult>,
-    pub stats: ScanStats,
-    pub rpc_batches: u64,
-}
-
 /// A handle for one table over one connection.
 #[derive(Clone)]
 pub struct Table {
@@ -324,9 +316,9 @@ impl Table {
     }
 
     /// Write a batch of puts, grouped by owning region, one RPC per region.
-    /// Region batches dispatch concurrently, like the HBase client's
-    /// AsyncProcess — this is what makes writing into a pre-split table
-    /// faster than hammering a single region.
+    /// Servers are sent their regions' shares concurrently, like the HBase
+    /// client's AsyncProcess — this is what makes writing into a pre-split
+    /// table faster than hammering a single region.
     ///
     /// Transient failures are retried under the client's recovery rule (see
     /// [`MAX_ATTEMPTS`]). Like the HBase client, delivery is at-least-once: a
@@ -373,20 +365,32 @@ impl Table {
             batches.push((&regions[run[0]], batch));
             rest = tail;
         }
-        // A batch for one region is sent from the calling thread; several
-        // dispatch concurrently.
-        if let [(loc, batch)] = batches[..] {
-            return self.send_puts(loc, batch);
+        // A server's shares go out from one thread, in region-id order:
+        // shares racing on one server would interleave their sequence
+        // numbers in its log, and the store files they flush would differ
+        // from load to load. The shares of one server are sent from the
+        // calling thread; several servers' dispatch concurrently.
+        batches.sort_by_key(|(loc, _)| (loc.server_id, loc.info.region_id));
+        let send = |shares: &[(&RegionLocation, &[Put])]| {
+            shares
+                .iter()
+                .try_for_each(|&(loc, batch)| self.send_puts(loc, batch))
+        };
+        let servers: Vec<_> = batches
+            .chunk_by(|(a, _), (b, _)| a.server_id == b.server_id)
+            .collect();
+        if let [shares] = servers[..] {
+            return send(shares);
         }
         let ctx = trace::capture();
         let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batches
+            let handles: Vec<_> = servers
                 .into_iter()
-                .map(|(loc, batch)| {
+                .map(|shares| {
                     let ctx = ctx.clone();
                     scope.spawn(move || {
                         let _ctx = shc_obs::TraceContext::adopt_opt(ctx.as_ref());
-                        self.send_puts(loc, batch)
+                        send(shares)
                     })
                 })
                 .collect();
@@ -426,7 +430,8 @@ impl Table {
         })
     }
 
-    /// Point read routed to the owning region.
+    /// Point read routed to the owning region, decoded. An absent row is
+    /// the empty [`RowResult`].
     pub fn get(&self, get: Get) -> Result<RowResult> {
         self.with_retries("get", || {
             let loc = self.locate_row(&get.row)?;
@@ -434,43 +439,44 @@ impl Table {
             let _sp = rpc_span("get", &loc);
             let block = server.get(loc.info.region_id, &get, self.connection.token())?;
             charge_transfer(&self.connection.cluster, block.len(), false);
-            Ok(decode_gets(&block, 1)?.pop().unwrap_or_default())
+            check_answers(&block, 1)?;
+            Ok(cellblock::decode(&block)?.pop().unwrap_or_default())
         })
     }
 
     /// Batched point reads — HBase `BulkGet`: one RPC per region owning
-    /// some of the rows, results in request order. `from_host` is the
-    /// hostname of the requesting compute task; a co-located region skips
-    /// the remote-hop penalty. A fused partition task passes the gets of
-    /// one planned region, and a region split or moved since the plan is
+    /// some of the rows, in region-id order, each answered by one reply
+    /// [cell block](crate::cellblock) that is handed on as it came. A block
+    /// holds one row per get sent to its region, in request order; an
+    /// absent row is an empty one, with no key and no cells. `from_host` is
+    /// the hostname of the requesting compute task; a co-located region
+    /// skips the remote-hop penalty. A fused partition task passes the gets
+    /// of one planned region, and a region split or moved since the plan is
     /// met by routing each get to where its row lives now.
-    pub fn bulk_get(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<RowResult>> {
+    pub fn bulk_get(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<Bytes>> {
         self.with_retries("bulk_get", || self.try_bulk_get(gets, from_host))
     }
 
     /// One attempt. The RPCs go out in region-id order, so which of them a
     /// seeded fault hits, and the order of their trace spans, repeat from
     /// run to run. Gets are cloned only when they span several regions.
-    fn try_bulk_get(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<RowResult>> {
+    fn try_bulk_get(&self, gets: &[Get], from_host: Option<&str>) -> Result<Vec<Bytes>> {
         let regions = self.connection.locate_regions(&self.name)?;
         let owners = gets.iter().map(|get| self.owner(&regions, &get.row));
         let owners = owners.collect::<Result<Vec<_>>>()?;
         let mut order: Vec<usize> = (0..gets.len()).collect();
         order.sort_by_key(|&idx| regions[owners[idx]].info.region_id);
-        let mut out = vec![RowResult::default(); gets.len()];
+        let mut blocks = Vec::new();
         for run in order.chunk_by(|&a, &b| owners[a] == owners[b]) {
             let loc = &regions[owners[run[0]]];
-            let rows = if run.len() == gets.len() {
+            blocks.push(if run.len() == gets.len() {
                 self.send_gets(loc, gets, from_host)?
             } else {
                 let batch: Vec<Get> = run.iter().map(|&idx| gets[idx].clone()).collect();
                 self.send_gets(loc, &batch, from_host)?
-            };
-            for (&idx, row) in run.iter().zip(rows) {
-                out[idx] = row;
-            }
+            });
         }
-        Ok(out)
+        Ok(blocks)
     }
 
     /// The bulk-get RPC for one region's share of the gets.
@@ -479,69 +485,41 @@ impl Table {
         loc: &RegionLocation,
         gets: &[Get],
         from_host: Option<&str>,
-    ) -> Result<Vec<RowResult>> {
+    ) -> Result<Bytes> {
         let server = self.connection.cluster.server(loc.server_id)?;
         let mut sp = rpc_span("bulk_get", loc);
         let block = server.bulk_get(loc.info.region_id, gets, self.connection.token())?;
         let local = from_host == Some(loc.hostname.as_str());
         sp.annotate("bytes", block.len());
         charge_transfer(&self.connection.cluster, block.len(), local);
-        decode_gets(&block, gets.len())
+        check_answers(&block, gets.len())?;
+        Ok(block)
     }
 
-    /// Whole-table scan: split across every overlapping region, executed in
-    /// region order from the client (no locality — this is the naive path
-    /// that the connector's distributed scan RDD improves on).
+    /// Whole-table scan, decoded: a [`RegionScanner`] over every overlapping
+    /// region, in region order, from the client (no locality — this is the
+    /// naive path that the connector's distributed scan improves on).
     pub fn scan(&self, scan: &Scan) -> Result<Vec<RowResult>> {
         let regions = self.connection.locate_regions(&self.name)?;
         let (start, stop) = scan_bounds_bytes(scan);
         let mut rows = Vec::new();
-        let mut remaining = scan.limit;
         for loc in regions {
             if !loc.info.overlaps(&start, &stop) {
                 continue;
             }
             let mut region_scan = scan.clone();
             if scan.limit > 0 {
-                if remaining == 0 {
+                if rows.len() >= scan.limit {
                     break;
                 }
-                region_scan.limit = remaining;
+                region_scan.limit = scan.limit - rows.len();
             }
-            let result = self.scan_region(&loc, &region_scan, None)?;
-            if scan.limit > 0 {
-                remaining = remaining.saturating_sub(result.rows.len());
+            let mut scanner = self.region_scanner(&loc, &region_scan, None);
+            while let Some(block) = scanner.next_block()? {
+                rows.extend(cellblock::decode(&block)?);
             }
-            rows.extend(result.rows);
         }
         Ok(rows)
-    }
-
-    /// Scan a single region — the building block of SHC's partition-per-
-    /// region execution. `from_host` is the hostname of the requesting
-    /// compute task; co-located requests skip the remote-hop penalty.
-    ///
-    /// Streams the whole region through a [`RegionScanner`] and decodes
-    /// its blocks; recovery from moved/split regions, dropped
-    /// RPCs, and lapsed scanner leases all happens inside the scanner, so
-    /// the caller still sees one complete, duplicate-free, key-ordered
-    /// result.
-    pub fn scan_region(
-        &self,
-        location: &RegionLocation,
-        scan: &Scan,
-        from_host: Option<&str>,
-    ) -> Result<RegionScanResult> {
-        let mut scanner = self.region_scanner(location, scan, from_host);
-        let mut rows = Vec::new();
-        while let Some(block) = scanner.next_block()? {
-            rows.extend(cellblock::decode(&block)?);
-        }
-        Ok(RegionScanResult {
-            rows,
-            stats: *scanner.stats(),
-            rpc_batches: scanner.rpc_batches(),
-        })
     }
 
     /// Open a streaming scanner over one region. It is lazy: no RPC is
@@ -578,16 +556,20 @@ impl Table {
     }
 }
 
-/// The rows of a get reply: exactly one per get, or the block is corrupt.
-fn decode_gets(block: &Bytes, gets: usize) -> Result<Vec<RowResult>> {
-    let rows = cellblock::decode(block)?;
-    if rows.len() != gets {
+/// A get reply is a well-formed block of exactly one row per get, or it is
+/// corrupt.
+fn check_answers(block: &[u8], gets: usize) -> Result<()> {
+    let mut rows = 0;
+    cellblock::visit_rows(block, |_, _| {
+        rows += 1;
+        Ok::<_, KvError>(())
+    })?;
+    if rows != gets {
         return Err(KvError::Corruption(format!(
-            "cell block: {} rows answer {gets} gets",
-            rows.len()
+            "cell block: {rows} rows answer {gets} gets"
         )));
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// A client-side iterator over one region's rows that runs on the caller's
@@ -791,6 +773,22 @@ mod tests {
     use std::ops::Bound;
     use std::path::{Path, PathBuf};
 
+    /// Every row of one region scan, and the scanner that read them, for
+    /// its stats and batch count.
+    fn drain(
+        table: &Table,
+        loc: &RegionLocation,
+        scan: &Scan,
+        host: Option<&str>,
+    ) -> Result<(Vec<RowResult>, RegionScanner)> {
+        let mut scanner = table.region_scanner(loc, scan, host);
+        let mut rows = Vec::new();
+        while let Some(block) = scanner.next_block()? {
+            rows.extend(cellblock::decode(&block)?);
+        }
+        Ok((rows, scanner))
+    }
+
     fn cluster_with_table(splits: &[&str]) -> (Arc<HBaseCluster>, Arc<Connection>, Table) {
         let cluster = HBaseCluster::start(ClusterConfig {
             num_servers: 3,
@@ -866,12 +864,11 @@ mod tests {
 
     #[test]
     fn repeated_loads_write_identical_store_files() {
-        // A region on each of three servers: every batch's shares apply
-        // concurrently, and none of its columns has a timestamp. (Regions
-        // that share a server also share its log, and with it the order
-        // their sequence numbers interleave in.)
+        // Six regions on three servers, two sharing each server and its
+        // log: every batch's shares apply concurrently, and none of its
+        // columns has a timestamp.
         let load = || {
-            let (cluster, _conn, table) = cluster_with_table(&["h", "p"]);
+            let (cluster, _conn, table) = cluster_with_table(&["d", "h", "l", "p", "t"]);
             for batch in 0..4u32 {
                 let puts = (0..300u32)
                     .map(|i| {
@@ -892,7 +889,7 @@ mod tests {
             files
         };
         let first = load();
-        assert_eq!(first.len(), 3, "a store file per region");
+        assert_eq!(first.len(), 6, "a store file per region");
         for _ in 0..3 {
             assert!(load() == first, "a load wrote other store files");
         }
@@ -971,9 +968,9 @@ mod tests {
             );
             scan.caching = caching;
             let before = cluster.metrics.snapshot();
-            let result = table.scan_region(&loc, &scan, None).unwrap();
+            let (rows, scanner) = drain(&table, &loc, &scan, None).unwrap();
             let delta = cluster.metrics.snapshot().delta_since(&before);
-            assert_eq!(result.rows.len(), k);
+            assert_eq!(rows.len(), k);
             // A short batch ends the scan, so this is max(1, ceil(k/c)) —
             // except that a full last batch cannot tell it was last, and
             // when c divides k one empty batch follows.
@@ -982,23 +979,68 @@ mod tests {
             assert_eq!(delta.rpc_count, rpcs, "{why}: every RPC a Scan, no close");
             assert_eq!(delta.scanner_opens, 1, "{why}");
             assert_eq!(delta.scanner_batches, rpcs, "{why}: each RPC one batch");
-            assert_eq!(result.rpc_batches, rpcs, "{why}");
+            assert_eq!(scanner.rpc_batches(), rpcs, "{why}");
             assert_eq!(server.open_scanner_count(), 0, "{why}");
         }
     }
 
     #[test]
-    fn bulk_get_preserves_request_order() {
-        let (_cluster, _conn, table) = cluster_with_table(&["h", "p"]);
-        for key in ["a", "i", "q"] {
+    fn bulk_get_answers_one_block_per_region_in_request_order() {
+        let (_cluster, conn, table) = cluster_with_table(&["h", "p"]);
+        for key in ["a", "i", "j", "q"] {
             table.put(Put::new(key).add("cf", "q", key)).unwrap();
         }
-        let rows = table
-            .bulk_get(&[Get::new("q"), Get::new("a"), Get::new("i")], None)
-            .unwrap();
-        assert_eq!(rows[0].value(b"cf", b"q").unwrap().as_ref(), b"q");
-        assert_eq!(rows[1].value(b"cf", b"q").unwrap().as_ref(), b"a");
-        assert_eq!(rows[2].value(b"cf", b"q").unwrap().as_ref(), b"i");
+        let ids: Vec<u64> = conn
+            .locate_regions(table.name())
+            .unwrap()
+            .iter()
+            .map(|loc| loc.info.region_id)
+            .collect();
+        assert!(ids.is_sorted(), "regions in key order are in id order");
+        let gets = ["q", "j", "zz", "a", "i"].map(Get::new);
+        let blocks = table.bulk_get(&gets, None).unwrap();
+        // Per region, by id: its gets' rows in request order, an absent
+        // row keyless and empty.
+        let rows: Vec<Vec<(Bytes, Option<Bytes>)>> = blocks
+            .iter()
+            .map(|block| {
+                let rows = cellblock::decode(block).unwrap();
+                let value = |row: &RowResult| row.value(b"cf", b"q").cloned();
+                rows.iter()
+                    .map(|row| (row.row.clone(), value(row)))
+                    .collect()
+            })
+            .collect();
+        let row = |key: &'static str| (Bytes::from(key), Some(Bytes::from(key)));
+        let absent = (Bytes::new(), None);
+        assert_eq!(
+            rows,
+            [
+                vec![row("a")],
+                vec![row("j"), row("i")],
+                vec![row("q"), absent]
+            ]
+        );
+    }
+
+    #[test]
+    fn a_get_reply_that_does_not_answer_every_get_is_corruption() {
+        let block = |rows: &[&[u8]]| {
+            let mut block = cellblock::CellBlockEncoder::default();
+            for row in rows {
+                block.push_row(row, std::iter::empty());
+            }
+            block.finish()
+        };
+        assert_eq!(check_answers(&block(&[b"a", b""]), 2), Ok(()));
+        for (rows, gets) in [
+            (&[][..], 1),
+            (&[&b"a"[..]][..], 2),
+            (&[&b"a"[..], b"b"][..], 1),
+        ] {
+            let err = check_answers(&block(rows), gets).unwrap_err();
+            assert!(matches!(err, KvError::Corruption(_)), "{err:?}");
+        }
     }
 
     #[test]
@@ -1059,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_region_reports_stats_and_batches() {
+    fn a_region_scanner_reports_stats_and_batches() {
         let (_cluster, conn, table) = cluster_with_table(&[]);
         for i in 0..10 {
             table
@@ -1069,10 +1111,10 @@ mod tests {
         let loc = conn.locate_regions(&TableName::default_ns("t")).unwrap()[0].clone();
         let mut scan = Scan::new();
         scan.caching = 3;
-        let result = table.scan_region(&loc, &scan, Some("host-0")).unwrap();
-        assert_eq!(result.rows.len(), 10);
-        assert_eq!(result.rpc_batches, 4); // ceil(10/3)
-        assert!(result.stats.cells_scanned >= 10);
+        let (rows, scanner) = drain(&table, &loc, &scan, Some("host-0")).unwrap();
+        assert_eq!(rows.len(), 10);
+        assert_eq!(scanner.rpc_batches(), 4); // ceil(10/3)
+        assert!(scanner.stats().cells_scanned >= 10);
     }
 
     #[test]
@@ -1122,11 +1164,11 @@ mod tests {
         let before = cluster.metrics.snapshot();
         let mut scan = Scan::new();
         scan.caching = 3;
-        let result = table.scan_region(&loc, &scan, None).unwrap();
-        let keys: Vec<Bytes> = result.rows.into_iter().map(|r| r.row).collect();
+        let (rows, scanner) = drain(&table, &loc, &scan, None).unwrap();
+        let keys: Vec<Bytes> = rows.into_iter().map(|r| r.row).collect();
         // Complete, key-ordered, duplicate-free despite both failures.
         assert_eq!(keys, expected);
-        assert_eq!(result.rpc_batches, 4); // ceil(10/3), faults don't inflate it
+        assert_eq!(scanner.rpc_batches(), 4); // ceil(10/3), faults don't inflate it
         let delta = cluster.metrics.snapshot().delta_since(&before);
         assert_eq!(delta.scanner_lease_expirations, 1);
         assert_eq!(delta.faults_injected, 1);
@@ -1158,14 +1200,14 @@ mod tests {
                 .first_n(1),
         );
         let before = cluster.metrics.snapshot();
-        let result = table.scan_region(&loc, &scan, None).unwrap();
-        let keys: Vec<Bytes> = result.rows.into_iter().map(|r| r.row).collect();
+        let (rows, scanner) = drain(&table, &loc, &scan, None).unwrap();
+        let keys: Vec<Bytes> = rows.into_iter().map(|r| r.row).collect();
         assert_eq!(keys, expected, "complete, ordered, duplicate-free");
         assert_eq!(rule.fire_count(), 1);
         let delta = cluster.metrics.snapshot().delta_since(&before);
         assert_eq!(delta.client_retries, 1);
         assert_eq!(delta.scanner_opens, 1, "the dropped open served nothing");
-        assert_eq!(result.rpc_batches, 4);
+        assert_eq!(scanner.rpc_batches(), 4);
         assert_eq!(server.open_scanner_count(), 0, "no leaked scanner state");
     }
 
@@ -1210,10 +1252,10 @@ mod tests {
         for local in [false, true] {
             let before = cluster.metrics.snapshot();
             let host = local.then_some(loc.hostname.as_str());
-            let result = table.scan_region(&loc, &scan, host).unwrap();
-            assert_eq!(result.rows.len(), 10);
+            let (rows, scanner) = drain(&table, &loc, &scan, host).unwrap();
+            assert_eq!(rows.len(), 10);
             let delta = cluster.metrics.snapshot().delta_since(&before);
-            assert_eq!(result.stats.bytes_returned, lens.iter().sum::<u64>());
+            assert_eq!(scanner.stats().bytes_returned, lens.iter().sum::<u64>());
             assert_eq!(delta.bytes_returned, lens.iter().sum::<u64>());
             let charged: u64 = lens
                 .iter()
@@ -1263,7 +1305,7 @@ mod tests {
         assert_eq!(delta.client_retries, 0);
         assert_eq!(delta.scanner_opens, 1, "no reopen");
         server.reply_cut.store(0, Ordering::Relaxed);
-        assert_eq!(table.scan_region(&loc, &scan, None).unwrap().rows.len(), 10);
+        assert_eq!(drain(&table, &loc, &scan, None).unwrap().0.len(), 10);
     }
 
     #[test]

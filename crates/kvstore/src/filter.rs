@@ -5,10 +5,10 @@
 //! the filter decides whether the row is returned. This mirrors how SHC uses
 //! HBase's `RowFilter`, `SingleColumnValueFilter`, `FilterList` and
 //! `MultiRowRangeFilter`. A filter sees a row through [`RowView`], so the
-//! scan path can evaluate it on cells still sitting encoded in their blocks
-//! and build a [`RowResult`] only for rows that pass.
+//! scan path evaluates it on the row's live cells where they sit, in the
+//! memstore or in a store-file block, and encodes only the rows that pass
+//! into the reply's cell block.
 
-use crate::types::RowResult;
 use bytes::Bytes;
 
 /// What a filter can ask of a row: its key, and the newest value a read
@@ -16,16 +16,6 @@ use bytes::Bytes;
 pub trait RowView {
     fn row_key(&self) -> &[u8];
     fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]>;
-}
-
-impl RowView for RowResult {
-    fn row_key(&self) -> &[u8] {
-        &self.row
-    }
-
-    fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]> {
-        self.value(family, qualifier).map(|v| v.as_ref())
-    }
 }
 
 /// Byte-wise comparison operator, as in HBase `CompareOperator`. Comparisons
@@ -209,7 +199,17 @@ impl Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Cell, CellKey, CellType};
+    use crate::types::{Cell, CellKey, CellType, RowResult};
+
+    impl RowView for RowResult {
+        fn row_key(&self) -> &[u8] {
+            &self.row
+        }
+
+        fn column_value(&self, family: &[u8], qualifier: &[u8]) -> Option<&[u8]> {
+            self.value(family, qualifier).map(|v| v.as_ref())
+        }
+    }
 
     fn row(key: &str, cols: &[(&str, &str, &str)]) -> RowResult {
         RowResult {

@@ -71,7 +71,7 @@ pub mod zookeeper;
 /// The common imports for store users.
 pub mod prelude {
     pub use crate::block_cache::BlockCache;
-    pub use crate::client::{Connection, RegionScanResult, RegionScanner, Table};
+    pub use crate::client::{Connection, RegionScanner, Table};
     pub use crate::clock::Clock;
     pub use crate::cluster::{ClusterConfig, HBaseCluster};
     pub use crate::error::{KvError, Result};

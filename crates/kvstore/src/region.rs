@@ -20,8 +20,8 @@ use crate::metrics::ClusterMetrics;
 use crate::storage::{self, Reader, StorageEnv};
 use crate::storefile::{StoreFile, StoreFileBuilder};
 use crate::types::{
-    Cell, CellKey, CellType, Delete, DeleteScope, Get, Put, RowResult, Scan, TableDescriptor,
-    TableName, Timestamp,
+    Cell, CellKey, CellType, Delete, DeleteScope, Get, Put, Scan, TableDescriptor, TableName,
+    Timestamp,
 };
 use crate::wal::{Wal, WalRecord};
 use bytes::Bytes;
@@ -897,17 +897,6 @@ impl Region {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Point read: a single-row scan. An absent row is the empty
-    /// [`RowResult`].
-    pub fn get(&self, get: &Get) -> Result<(RowResult, ScanStats)> {
-        let mut block = CellBlockEncoder::default();
-        let stats = self.encode_get(get, None, &mut block)?;
-        let row = cellblock::decode(&block.finish())?
-            .pop()
-            .unwrap_or_default();
-        Ok((row, stats))
-    }
-
     /// Point read through an optional block cache, encoded into `block` as
     /// exactly one row: an absent row is an empty one (no key, no cells).
     /// The bloom filter is consulted per store file before any block is
@@ -936,12 +925,6 @@ impl Region {
             block.push_row(b"", std::iter::empty());
         }
         Ok(stats)
-    }
-
-    /// Range scan clipped to this region's boundaries, decoded.
-    pub fn scan(&self, scan: &Scan) -> Result<(Vec<RowResult>, ScanStats)> {
-        let (block, stats) = self.scan_with(scan, None)?;
-        Ok((cellblock::decode(&block)?, stats))
     }
 
     /// Range scan reading store-file blocks through an optional block cache,
@@ -1417,7 +1400,7 @@ mod tests {
     use super::*;
     use crate::filter::Filter;
     use crate::storage::temp_env;
-    use crate::types::{FamilyDescriptor, Projection, TimeRange};
+    use crate::types::{FamilyDescriptor, Projection, RowResult, TimeRange};
 
     /// A region alone on a throwaway env: its own log, no server.
     fn bare_region(
@@ -1448,8 +1431,24 @@ mod tests {
         )
     }
 
+    /// The rows of `scan` over `region`, decoded from its reply block.
+    fn scan_rows(region: &Region, scan: &Scan) -> Result<(Vec<RowResult>, ScanStats)> {
+        let (block, stats) = region.scan_with(scan, None)?;
+        Ok((cellblock::decode(&block)?, stats))
+    }
+
+    /// The row of a point read, decoded: an absent one is empty.
+    fn get_row(region: &Region, get: &Get) -> Result<(RowResult, ScanStats)> {
+        let mut block = CellBlockEncoder::default();
+        let stats = region.encode_get(get, None, &mut block)?;
+        let row = cellblock::decode(&block.finish())?
+            .pop()
+            .unwrap_or_default();
+        Ok((row, stats))
+    }
+
     fn scan_all(region: &Region) -> Vec<RowResult> {
-        region.scan(&Scan::new()).unwrap().0
+        scan_rows(region, &Scan::new()).unwrap().0
     }
 
     #[test]
@@ -1482,7 +1481,7 @@ mod tests {
             r.put(&Put::new("row").add_at("cf", "a", ts, format!("v{ts}")))
                 .unwrap();
         }
-        let (rows, _) = r.scan(&Scan::new().with_max_versions(2)).unwrap();
+        let (rows, _) = scan_rows(&r, &Scan::new().with_max_versions(2)).unwrap();
         let versions = rows[0].versions(b"cf", b"a");
         assert_eq!(versions.len(), 2);
         assert_eq!(versions[0].value.as_ref(), b"v30");
@@ -1497,7 +1496,7 @@ mod tests {
             r.put(&Put::new("row").add_at("cf2", "a", ts, format!("v{ts}")))
                 .unwrap();
         }
-        let (rows, _) = r.scan(&Scan::new().with_max_versions(100)).unwrap();
+        let (rows, _) = scan_rows(&r, &Scan::new().with_max_versions(100)).unwrap();
         assert_eq!(rows[0].versions(b"cf2", b"a").len(), 3);
     }
 
@@ -1521,7 +1520,7 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].value(b"cf", b"a").unwrap().as_ref(), b"new");
         // The old version is masked even when asking for many versions.
-        let (rows, _) = r.scan(&Scan::new().with_max_versions(10)).unwrap();
+        let (rows, _) = scan_rows(&r, &Scan::new().with_max_versions(10)).unwrap();
         assert_eq!(rows[0].versions(b"cf", b"a").len(), 1);
     }
 
@@ -1560,9 +1559,11 @@ mod tests {
         let r = test_region();
         r.put(&Put::new("row").add("cf", "a", "1").add("cf", "b", "2"))
             .unwrap();
-        let (rows, _) = r
-            .scan(&Scan::new().with_projection(Projection::all().column("cf", "a")))
-            .unwrap();
+        let (rows, _) = scan_rows(
+            &r,
+            &Scan::new().with_projection(Projection::all().column("cf", "a")),
+        )
+        .unwrap();
         assert_eq!(rows[0].cells.len(), 1);
         assert_eq!(rows[0].value(b"cf", b"a").unwrap().as_ref(), b"1");
     }
@@ -1574,13 +1575,13 @@ mod tests {
             r.put(&Put::new("row").add_at("cf", "a", ts, format!("v{ts}")))
                 .unwrap();
         }
-        let (rows, _) = r
-            .scan(
-                &Scan::new()
-                    .with_time_range(TimeRange::new(0, 25))
-                    .with_max_versions(10),
-            )
-            .unwrap();
+        let (rows, _) = scan_rows(
+            &r,
+            &Scan::new()
+                .with_time_range(TimeRange::new(0, 25))
+                .with_max_versions(10),
+        )
+        .unwrap();
         let versions = rows[0].versions(b"cf", b"a");
         assert_eq!(versions.len(), 2);
         assert_eq!(versions[0].value.as_ref(), b"v20");
@@ -1593,14 +1594,16 @@ mod tests {
             r.put(&Put::new(format!("row{i}")).add("cf", "a", "v"))
                 .unwrap();
         }
-        let (rows, _) = r
-            .scan(&Scan::new().with_range(
+        let (rows, _) = scan_rows(
+            &r,
+            &Scan::new().with_range(
                 Bound::Included(Bytes::from_static(b"row3")),
                 Bound::Excluded(Bytes::from_static(b"row7")),
-            ))
-            .unwrap();
+            ),
+        )
+        .unwrap();
         assert_eq!(rows.len(), 4);
-        let (rows, _) = r.scan(&Scan::new().with_limit(3)).unwrap();
+        let (rows, _) = scan_rows(&r, &Scan::new().with_limit(3)).unwrap();
         assert_eq!(rows.len(), 3);
     }
 
@@ -1618,7 +1621,7 @@ mod tests {
             value: Bytes::from_static(b"val5"),
             filter_if_missing: true,
         };
-        let (rows, stats) = r.scan(&Scan::new().with_filter(f)).unwrap();
+        let (rows, stats) = scan_rows(&r, &Scan::new().with_filter(f)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].row.as_ref(), b"row5");
         // Server scanned all cells but returned only one row.
@@ -1680,9 +1683,9 @@ mod tests {
         let r = test_region();
         r.put(&Put::new("k1").add("cf", "q", "v1")).unwrap();
         r.put(&Put::new("k2").add("cf", "q", "v2")).unwrap();
-        let (row, _) = r.get(&Get::new("k2")).unwrap();
+        let (row, _) = get_row(&r, &Get::new("k2")).unwrap();
         assert_eq!(row.value(b"cf", b"q").unwrap().as_ref(), b"v2");
-        let (row, _) = r.get(&Get::new("missing")).unwrap();
+        let (row, _) = get_row(&r, &Get::new("missing")).unwrap();
         assert!(row.is_empty());
     }
 
@@ -1763,11 +1766,11 @@ mod tests {
                 .unwrap();
         }
         let split_key = r.split_point().expect("split point");
-        let (rows, _) = r.scan(&Scan::new()).unwrap();
+        let (rows, _) = scan_rows(&r, &Scan::new()).unwrap();
         assert_eq!(split_key, rows[rows.len() / 2].row, "the middle row");
         let (left, right) = r.split(split_key.clone(), 100, 101).unwrap();
-        let left_rows = left.scan(&Scan::new()).unwrap().0;
-        let right_rows = right.scan(&Scan::new()).unwrap().0;
+        let left_rows = scan_rows(&left, &Scan::new()).unwrap().0;
+        let right_rows = scan_rows(&right, &Scan::new()).unwrap().0;
         assert_eq!(left_rows.len() + right_rows.len(), 10);
         assert!(left_rows
             .iter()
@@ -1892,7 +1895,7 @@ mod tests {
         };
         let b = || Bound::Included(Bytes::from_static(b"b"));
         for scan in [Scan::new(), Scan::new().with_range(b(), b())] {
-            let (expected, _) = r.scan(&scan).unwrap();
+            let (expected, _) = scan_rows(&r, &scan).unwrap();
             let metrics = crate::metrics::ClusterMetrics::new();
             let cache = BlockCache::new(one_block, Arc::clone(&metrics));
             let (block, stats) = r.scan_with(&scan, Some(&cache)).unwrap();
@@ -1915,9 +1918,8 @@ mod tests {
         r.put(&Put::new("b").add_at("cf", "q", 1000, "v")).unwrap();
         r.flush().unwrap();
         // Time range that excludes the first file.
-        let (_, stats) = r
-            .scan(&Scan::new().with_time_range(TimeRange::new(500, 2000)))
-            .unwrap();
+        let (_, stats) =
+            scan_rows(&r, &Scan::new().with_time_range(TimeRange::new(500, 2000))).unwrap();
         assert!(stats.files_pruned >= 1);
     }
 
@@ -1981,7 +1983,7 @@ mod tests {
                 .unwrap();
         }
         r.flush().unwrap();
-        let (rows, stats) = r.scan(&Scan::new().with_limit(3)).unwrap();
+        let (rows, stats) = scan_rows(&r, &Scan::new().with_limit(3)).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(stats.blocks_read, 1, "limit 3 must not read every block");
     }
@@ -1995,7 +1997,7 @@ mod tests {
         }
         // Flush so the memstore is empty and only store files remain.
         r.flush().unwrap();
-        let (row, stats) = r.get(&Get::new("definitely-absent")).unwrap();
+        let (row, stats) = get_row(&r, &Get::new("definitely-absent")).unwrap();
         assert!(row.is_empty());
         assert_eq!(
             stats.blocks_read + stats.block_cache_hits,
@@ -2004,7 +2006,7 @@ mod tests {
         );
         assert!(stats.files_pruned >= 1);
         // A present row still reads blocks.
-        let (row, stats) = r.get(&Get::new("row-050")).unwrap();
+        let (row, stats) = get_row(&r, &Get::new("row-050")).unwrap();
         assert!(!row.is_empty());
         assert!(stats.blocks_read > 0);
     }
@@ -2021,7 +2023,7 @@ mod tests {
             .unwrap();
         }
         r.flush().unwrap();
-        let (all, _) = r.scan(&Scan::new()).unwrap();
+        let (all, _) = scan_rows(&r, &Scan::new()).unwrap();
         assert_eq!(all.len(), 200);
         // What each scan must answer, narrowed by hand from the full scan:
         // one qualifier of the family, and a filter that rejects nine rows

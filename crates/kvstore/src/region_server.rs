@@ -812,8 +812,9 @@ mod tests {
         );
         // Batches equal the region's own unchunked scan (no scanner
         // involved), duplicate-free.
-        let (all, _) = server.region(rid).unwrap().scan(&Scan::new()).unwrap();
-        assert_eq!(rows, all);
+        let region = server.region(rid).unwrap();
+        let (block, _) = region.scan_with(&Scan::new(), None).unwrap();
+        assert_eq!(rows, cellblock::decode(&block).unwrap());
     }
 
     #[test]

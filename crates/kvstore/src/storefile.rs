@@ -391,7 +391,10 @@ impl StoreFile {
         self.n_cells == 0
     }
 
-    /// Total payload bytes, for compaction-selection heuristics.
+    /// The file's decoded heap size: the sum of its blocks'
+    /// [`Block::byte_size`], not the bytes of the file on disk. Compaction's
+    /// tier selection, the compaction-backlog gauge, the flush and
+    /// compaction byte counts and `Region::store_file_bytes` all read it.
     pub fn byte_size(&self) -> usize {
         self.total_bytes
     }

@@ -14,6 +14,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use shc_kvstore::cellblock;
 use shc_kvstore::clock::Clock;
 use shc_kvstore::fault::FileOp;
 use shc_kvstore::filter::{CompareOp, Filter, RowRange};
@@ -459,7 +460,8 @@ fn apply(region: &Region, op: &Op) {
 /// Run `scan` and translate the rows into model terms, checking on the way
 /// that they arrive in row order without duplicates.
 fn region_rows(region: &Region, scan: &Scan) -> Rows {
-    let (rows, stats) = region.scan(scan).unwrap();
+    let (block, stats) = region.scan_with(scan, None).unwrap();
+    let rows = cellblock::decode(&block).unwrap();
     assert_eq!(stats.rows_returned as usize, rows.len());
     assert!(
         rows.windows(2).all(|w| w[0].row < w[1].row),

@@ -633,7 +633,11 @@ fn retry_budget_exhaustion_returns_clean_error() {
         ),
         (
             "region_scanner",
-            Box::new(|| table.scan_region(&loc, &Scan::new(), host).map(drop)),
+            Box::new(|| {
+                let mut scanner = table.region_scanner(&loc, &Scan::new(), host);
+                while scanner.next_block()?.is_some() {}
+                Ok(())
+            }),
         ),
     ];
     let budget = MAX_ATTEMPTS as u64;

@@ -378,9 +378,18 @@ proptest! {
 mod cell_blocks {
     use super::*;
     use bytes::Bytes;
-    use shc::kvstore::cellblock::{decode, encode, visit_rows};
+    use shc::kvstore::cellblock::{decode, visit_rows, CellBlockEncoder};
     use shc::kvstore::error::KvError;
     use shc::kvstore::types::{Cell, CellKey, CellType, RowResult};
+
+    /// The block of `rows`, as a server would send them.
+    fn encode(rows: &[RowResult]) -> Bytes {
+        let mut block = CellBlockEncoder::default();
+        for row in rows {
+            block.push_row(&row.row, row.cells.iter().map(Cell::as_ref));
+        }
+        block.finish()
+    }
 
     /// (family, qualifier, timestamp, seq, type, value): up to 6 × 80
     /// distinct names, `any::<u64>()` favours 0 and `u64::MAX`.
