@@ -831,6 +831,24 @@ impl BatchBuilder {
         self.push_values(&row.values);
     }
 
+    /// Append row `row` of `batch`, whose columns line up with this
+    /// builder's, cell by cell through [`ColumnBuilder::append_from`]: the
+    /// batch it completes is what pushing the row's values would build.
+    pub fn push_from(&mut self, batch: &ColumnarBatch, row: usize) {
+        for (b, col) in self.builders.iter_mut().zip(batch.columns()) {
+            b.append_from(col, row);
+        }
+        self.len += 1;
+        if self.len >= self.capacity {
+            self.flush();
+        }
+    }
+
+    /// No row is in progress and no completed batch waits to be drained.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0 && self.batches.is_empty()
+    }
+
     /// Append one row given as its values in column order; columns past
     /// the end of `values` get NULL. A source that decodes into a reused
     /// buffer appends without building a [`Row`].

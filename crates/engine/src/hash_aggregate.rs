@@ -7,8 +7,8 @@
 //!    folds its argument column in — typed, where column and accumulator
 //!    allow.
 //! 2. **Exchange**: a partial group goes to partition `hash % n` by its
-//!    partition hash ([`partition_hash_rows`], one per group, not per row)
-//!    and is merged ([`Accumulator::merge`]) into that partition's table,
+//!    partition hash ([`partition_hash_rows`], one per group, not per row;
+//!    into one partition, no hash is worked out) and is merged ([`Accumulator::merge`]) into that partition's table,
 //!    found there by the lookup hash it already carries. Its cost is the
 //!    row-equivalent size of its key cells plus a fixed size per state.
 //! 3. **Final**: the key builders are finished into columns and each
@@ -74,10 +74,17 @@ pub(crate) fn hash_aggregate(
         let key_bytes: usize = keys.iter().map(|c| c.byte_size()).sum();
         moved.bytes += (key_bytes + hashes.len() * (aggs.len() * 24 + 8)) as u64;
         moved.rows += hashes.len() as u64;
-        partition_hash_rows(&keys, hashes.len(), &mut parts);
+        if n_out > 1 {
+            partition_hash_rows(&keys, hashes.len(), &mut parts);
+        }
         let mut states = partial.states.into_iter();
-        for (row, (&hash, &part)) in hashes.iter().zip(&parts).enumerate() {
-            let target = &mut targets[(part % n_out as u64) as usize];
+        for (row, &hash) in hashes.iter().enumerate() {
+            let part = if n_out == 1 {
+                0
+            } else {
+                parts[row] % n_out as u64
+            };
+            let target = &mut targets[part as usize];
             let (group, new) = target.keys.find_or_insert(hash, &keys, row);
             let mine = states.by_ref().take(aggs.len());
             if new {
@@ -221,5 +228,56 @@ mod tests {
             }
         }
         assert_eq!(counted, 600);
+    }
+
+    #[test]
+    fn one_output_takes_every_group_in_first_seen_order() {
+        let rows = |from: i64| -> Vec<Row> {
+            (from..from + 200)
+                .map(|i| Row::new(vec![Value::Int64(i * 7 % 61)]))
+                .collect()
+        };
+        let dtypes = [DataType::Int64];
+        let input = || {
+            vec![
+                rows_to_batches(&dtypes, &rows(0), 64),
+                rows_to_batches(&dtypes, &rows(90), 64),
+            ]
+        };
+        let group = [BoundExpr::Column(0, DataType::Int64)];
+        let count = || BoundAgg {
+            template: Accumulator::Count { n: 0 },
+            arg: None,
+        };
+        let out_dtypes = [DataType::Int64, DataType::Int64];
+        let run = |n_out| hash_aggregate(input(), &group, &[count()], &out_dtypes, n_out, 1024);
+        let (one, one_moved) = run(1).unwrap();
+        let (three, three_moved) = run(3).unwrap();
+
+        // Groups in the order their keys first occur, partition by partition.
+        let mut first_seen: Vec<(i64, i64)> = Vec::new();
+        for row in rows(0).iter().chain(&rows(90)) {
+            let key = row.get(0).as_i64().unwrap();
+            match first_seen.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, n)) => *n += 1,
+                None => first_seen.push((key, 1)),
+            }
+        }
+        let groups = |parts: Vec<Partition>| -> Vec<(i64, i64)> {
+            gather_rows(parts)
+                .iter()
+                .map(|r| (r.get(0).as_i64().unwrap(), r.get(1).as_i64().unwrap()))
+                .collect()
+        };
+        assert_eq!(one.len(), 1);
+        assert_eq!(groups(one), first_seen);
+        let mut spread = groups(three);
+        spread.sort_unstable();
+        first_seen.sort_unstable();
+        assert_eq!(spread, first_seen);
+        assert_eq!(
+            (one_moved.bytes, one_moved.rows),
+            (three_moved.bytes, three_moved.rows)
+        );
     }
 }

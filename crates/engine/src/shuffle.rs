@@ -42,7 +42,8 @@ pub(crate) fn partition_hash_rows(cols: &[Arc<Column>], n: usize, out: &mut Vec<
 /// batch's key columns are hashed in one pass (`partition_hash_rows`,
 /// [`hash_key`] of each row; a key that is not a column is evaluated into
 /// one first), per-target index lists drive a single `gather` per (batch,
-/// target), and rows never materialize.
+/// target), and rows never materialize. Into one output, no key is hashed
+/// and every batch moves uncopied, counted as a gather of all of it would be.
 pub fn shuffle_batches_by_key(
     partitions: Vec<Partition>,
     keys: &[BoundExpr],
@@ -58,6 +59,17 @@ pub fn shuffle_batches_by_key(
 
     for batch in partitions.into_iter().flatten() {
         let n = batch.num_rows();
+        if num_output == 1 {
+            // Every row lands in the one output: the batch moves as it is.
+            rows += n as u64;
+            if n > 0 {
+                bytes += batch.byte_size() as u64;
+                metrics.add(&metrics.batches_built, 1);
+                metrics.add(&metrics.batch_rows, n as u64);
+                out[0].push(batch);
+            }
+            continue;
+        }
         partition_hash_rows(&key_columns(keys, &batch)?, n, &mut hashes);
         let mut targets: Vec<Vec<u32>> = vec![Vec::new(); num_output];
         for (i, hash) in hashes.iter().enumerate() {
@@ -169,6 +181,25 @@ mod tests {
         let parts = shuffle_batches_by_key(batches(7), &[key0()], 1, &metrics, None).unwrap();
         assert_eq!(parts.len(), 1);
         assert_eq!(gather_rows(parts).len(), 7);
+
+        // Into one output every batch moves uncopied, counted as the hashed
+        // path counts it: its bytes and rows, one batch built per batch.
+        let input = batches(40);
+        let metrics = QueryMetrics::new();
+        let parts = shuffle_batches_by_key(input.clone(), &[key0()], 1, &metrics, None).unwrap();
+        let (sent, got) = (&input[0], &parts[0]);
+        assert_eq!(got.len(), 3);
+        for (a, b) in sent.iter().zip(got) {
+            assert!(a
+                .columns()
+                .iter()
+                .zip(b.columns())
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.shuffle_bytes, rows_byte_size(&rows(40)) as u64);
+        assert_eq!(snap.shuffle_rows, 40);
+        assert_eq!((snap.batches_built, snap.batch_rows), (3, 40));
         let empty = vec![Vec::new(), Vec::new()];
         let parts = shuffle_batches_by_key(empty, &[key0()], 3, &metrics, None).unwrap();
         assert_eq!(parts.len(), 3);

@@ -8,6 +8,7 @@
 //! re-apply — the two-layer filtering described in the paper (§VI.3).
 
 use crate::expr::{BinaryOp, Expr};
+use crate::schema::Schema;
 use crate::value::Value;
 
 /// A predicate in data-source form. Column names are unqualified — they are
@@ -142,6 +143,56 @@ impl SourceFilter {
             _ => None,
         }
     }
+
+    /// The filter as an engine predicate over `schema`, for a provider that
+    /// applies it with the engine's own evaluation. The predicate keeps
+    /// exactly the rows the filter passes. A column `schema` cannot resolve
+    /// passes no row, and an IN list's NULLs match nothing. A prefix test is
+    /// the range of strings the prefix starts, which no other value falls in.
+    pub fn to_expr(&self, schema: &Schema) -> Expr {
+        let on = |column: &str, test: &dyn Fn(Expr) -> Expr| match schema.resolve(None, column) {
+            Ok(_) => test(Expr::Column {
+                qualifier: None,
+                name: column.to_string(),
+            }),
+            Err(_) => Expr::lit(false),
+        };
+        let lit = |v: &Value| Expr::Literal(v.clone());
+        let list = |vs: &[Value]| vs.iter().filter(|v| !v.is_null()).map(lit).collect();
+        match self {
+            SourceFilter::Eq(c, v) => on(c, &|x| x.eq(lit(v))),
+            SourceFilter::Gt(c, v) => on(c, &|x| x.gt(lit(v))),
+            SourceFilter::GtEq(c, v) => on(c, &|x| x.gt_eq(lit(v))),
+            SourceFilter::Lt(c, v) => on(c, &|x| x.lt(lit(v))),
+            SourceFilter::LtEq(c, v) => on(c, &|x| x.lt_eq(lit(v))),
+            SourceFilter::In(c, vs) => on(c, &|x| x.in_list(list(vs), false)),
+            SourceFilter::NotIn(c, vs) => on(c, &|x| x.in_list(list(vs), true)),
+            SourceFilter::StringStartsWith(c, p) => on(c, &|x| {
+                let from = x.clone().gt_eq(Expr::lit(p.as_str()));
+                match prefix_successor(p) {
+                    Some(to) => from.and(x.lt(Expr::lit(to))),
+                    None => from,
+                }
+            }),
+            SourceFilter::IsNull(c) => on(c, &|x| Expr::IsNull(Box::new(x))),
+            SourceFilter::IsNotNull(c) => on(c, &|x| Expr::IsNotNull(Box::new(x))),
+            SourceFilter::And(a, b) => a.to_expr(schema).and(b.to_expr(schema)),
+            SourceFilter::Or(a, b) => a.to_expr(schema).or(b.to_expr(schema)),
+        }
+    }
+}
+
+/// The least string above every string that starts with `prefix`; `None`
+/// when no string is (every character of `prefix` is `char::MAX`).
+fn prefix_successor(prefix: &str) -> Option<String> {
+    let mut chars: Vec<char> = prefix.chars().collect();
+    while let Some(last) = chars.pop() {
+        if let Some(next) = (last as u32 + 1..=char::MAX as u32).find_map(char::from_u32) {
+            chars.push(next);
+            return Some(chars.into_iter().collect());
+        }
+    }
+    None
 }
 
 fn flip(op: BinaryOp) -> BinaryOp {
@@ -242,6 +293,15 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_prefix_is_the_range_up_to_its_successor() {
+        assert_eq!(prefix_successor("ab").as_deref(), Some("ac"));
+        assert_eq!(prefix_successor("a\u{D7FF}").as_deref(), Some("a\u{E000}"));
+        assert_eq!(prefix_successor("a\u{10FFFF}").as_deref(), Some("b"));
+        assert_eq!(prefix_successor("\u{10FFFF}"), None);
+        assert_eq!(prefix_successor(""), None);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::region::{Region, RegionConfig, RegionInfo};
 use crate::region_server::RegionServer;
 use crate::storage::StorageEnv;
 use crate::types::{TableDescriptor, TableName};
+use crate::wal;
 use crate::zookeeper::ZooKeeper;
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -550,10 +551,10 @@ impl Master {
             ),
         );
         // Reading the files works on a closed log; each flush truncates it.
-        let log = dead.wal().read_records()?;
+        let mut log = wal::split_by_region(dead.wal().read_records()?);
         for (i, region_id) in dead.region_ids().into_iter().enumerate() {
             let region = dead.region(region_id)?;
-            region.recover_from_wal(&log);
+            region.recover_from_wal(log.remove(&region_id).unwrap_or_default());
             self.metrics.add(&self.metrics.wal_replays, 1);
             self.journal(
                 shc_obs::Severity::Info,

@@ -1147,27 +1147,28 @@ impl Region {
     // Recovery
     // ------------------------------------------------------------------
 
-    /// Rebuild memstores after a simulated crash from `log`, a server's log
-    /// read back from its segment files (every region's records, in seq
-    /// order): this region takes its own. Records already flushed to store
-    /// files are skipped via the per-store flushed sequence. Returns the
-    /// number of WAL records applied.
-    pub fn recover_from_wal(&self, log: &[WalRecord]) -> usize {
+    /// Rebuild memstores after a simulated crash from `records`, this
+    /// region's records of a server's log read back from its segment files
+    /// (split by [`wal::split_by_region`](crate::wal::split_by_region)), in
+    /// seq order; a record of another region is skipped. Their cells move
+    /// into the memstores. Records already flushed to store files are
+    /// skipped via the per-store flushed sequence. Returns the number of WAL
+    /// records applied.
+    pub fn recover_from_wal(&self, records: Vec<WalRecord>) -> usize {
         let mut stores = self.stores.write();
         let min_flushed = stores.values().map(|s| s.flushed_seq).min().unwrap_or(0);
-        let records = log
-            .iter()
+        let records = records
+            .into_iter()
             .filter(|r| r.region_id == self.info.region_id && r.seq > min_flushed);
         let mut applied = 0;
         let mut max_seq = 0;
         for record in records {
             let mut any = false;
-            for cell in &record.cells {
+            for mut cell in record.cells {
                 if let Some(store) = stores.get_mut(&cell.key.family) {
                     // Skip edits a family already has in a store file; a
                     // record straddling the flush point must not duplicate.
                     if record.seq > store.flushed_seq {
-                        let mut cell = cell.clone();
                         cell.key.seq = record.seq;
                         store.memstore.insert(cell);
                         any = true;
@@ -1814,7 +1815,7 @@ mod tests {
         let recovered = Region::new(info, td, config, wal, Clock::logical(1000), env).unwrap();
         assert!(scan_all(&recovered).is_empty(), "a new region starts empty");
         recovered.reload_from_disk().unwrap();
-        assert_eq!(recovered.recover_from_wal(&log), 1);
+        assert_eq!(recovered.recover_from_wal(log), 1);
         let rows: Vec<_> = scan_all(&recovered).into_iter().map(|r| r.row).collect();
         assert_eq!(rows, vec![Bytes::from("a"), Bytes::from("b")]);
     }

@@ -22,7 +22,7 @@ use crate::region::{Region, ScanStats};
 use crate::security::{AuthToken, TokenService};
 use crate::storage::StorageEnv;
 use crate::types::{row_successor, Delete, Get, Put, Scan};
-use crate::wal::Wal;
+use crate::wal::{self, Wal};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -550,15 +550,17 @@ impl RegionServer {
     }
 
     /// Fallible restart. Returns the number of WAL records replayed. The log
-    /// is parsed once; every region takes its own records from it.
+    /// is parsed and split by region once; every region takes its own
+    /// records.
     pub fn try_restart(&self) -> Result<u64> {
-        let log = self.wal.reopen()?;
+        let mut log = wal::split_by_region(self.wal.reopen()?);
         let mut regions_recovered = 0u64;
         let mut records = 0u64;
         let regions = self.regions.read();
-        for region in regions.values() {
+        for (region_id, region) in regions.iter() {
             region.reload_from_disk()?;
-            records += region.recover_from_wal(&log) as u64;
+            let own = log.remove(region_id).unwrap_or_default();
+            records += region.recover_from_wal(own) as u64;
             self.metrics.add(&self.metrics.wal_replays, 1);
             regions_recovered += 1;
         }

@@ -58,6 +58,16 @@ pub struct WalRecord {
     pub cells: Vec<Cell>,
 }
 
+/// A log split by region, each region's records in their order in `log`:
+/// how recovery hands every region its own records, once and by value.
+pub fn split_by_region(log: Vec<WalRecord>) -> HashMap<u64, Vec<WalRecord>> {
+    let mut by_region: HashMap<u64, Vec<WalRecord>> = HashMap::new();
+    for record in log {
+        by_region.entry(record.region_id).or_default().push(record);
+    }
+    by_region
+}
+
 /// Heap bytes of one record's cells: what `retained_bytes` counts.
 fn heap_size(cells: &[Cell]) -> u64 {
     cells.iter().map(|c| c.heap_size() as u64).sum()

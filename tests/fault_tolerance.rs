@@ -50,7 +50,7 @@ fn wal_replay_recovers_unflushed_writes() {
     let server = cluster.server(0).unwrap();
     let region_id = server.region_ids()[0];
     let region = server.region(region_id).unwrap();
-    let applied = region.recover_from_wal(&server.wal().read_records().unwrap());
+    let applied = region.recover_from_wal(server.wal().read_records().unwrap());
     assert!(applied >= 1);
     let rows = table.scan(&Scan::new()).unwrap();
     assert!(rows.iter().any(|r| r.row.as_ref() == b"b"));
