@@ -271,8 +271,8 @@ impl DataFrame {
 
     /// Run the query and render the physical plan tree annotated with the
     /// observed per-operator statistics (rows, bytes, partitions, virtual
-    /// time) next to the optimizer's cardinality estimates, plus per-region
-    /// scan attribution. The EXPLAIN ANALYZE of this engine.
+    /// time) and the decisions each operator took, plus per-region scan
+    /// attribution. The EXPLAIN ANALYZE of this engine.
     pub fn explain_analyze(&self) -> Result<String> {
         let analysis = self.collect_analyzed()?;
         let mut out = format!(

@@ -120,14 +120,6 @@ pub trait TableProvider: Send + Sync {
     fn name(&self) -> String {
         "table".to_string()
     }
-
-    /// Row-count estimate for the whole table, if the provider can produce
-    /// one cheaply (without scanning). `None` — the default, and what remote
-    /// HBase-backed sources report — renders as an unknown estimate in
-    /// `EXPLAIN ANALYZE`.
-    fn estimated_row_count(&self) -> Option<u64> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!   `PrunedFilteredScan` contract ([`datasource`], [`source_filter`]);
 //! * physical execution over columnar batches (typed vectors, null bitmaps,
 //!   dictionary-encoded strings) with vectorized filters, a locality-aware
-//!   executor pool, broadcast and shuffle hash joins chosen adaptively from
-//!   observed stage statistics, two-phase hash aggregation, and
+//!   executor pool, broadcast and shuffle hash joins chosen from the
+//!   observed sizes of their inputs, two-phase hash aggregation, and
 //!   shuffle/memory accounting ([`columnar`], [`physical`], [`scheduler`],
 //!   [`shuffle`], [`metrics`]);
 //! * introspection: closure-backed virtual tables (`system.*`) and a

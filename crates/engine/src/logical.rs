@@ -194,7 +194,7 @@ impl LogicalPlan {
 
     /// One-line description of this node alone (no children). The same text
     /// [`explain`](Self::explain) prints per line, reused by
-    /// `EXPLAIN ANALYZE` so estimated and observed plans line up.
+    /// `EXPLAIN ANALYZE` so the plan and its observed statistics line up.
     pub fn describe(&self) -> String {
         match self {
             LogicalPlan::Scan {
@@ -333,49 +333,6 @@ impl LogicalPlan {
                     .position(|(e, _)| column_index(e, &schema) == Some(key))
             }
             _ => None,
-        }
-    }
-
-    /// Crude pre-execution cardinality estimate, or `None` when the source
-    /// cannot be sized cheaply. These are the optimizer-side numbers
-    /// `EXPLAIN ANALYZE` prints next to observed row counts; the point is
-    /// showing the *gap*, so the heuristics are deliberately simple
-    /// (filters halve, grouped aggregates quarter, joins take the larger
-    /// side).
-    pub fn estimated_rows(&self) -> Option<u64> {
-        match self {
-            LogicalPlan::Scan {
-                provider, filters, ..
-            } => provider.estimated_row_count().map(|n| {
-                if filters.is_empty() {
-                    n
-                } else {
-                    (n / 2).max(1)
-                }
-            }),
-            LogicalPlan::Values { rows, .. } => Some(rows.len() as u64),
-            LogicalPlan::Filter { input, .. } => input.estimated_rows().map(|n| (n / 2).max(1)),
-            LogicalPlan::Projection { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::SubqueryAlias { input, .. } => input.estimated_rows(),
-            LogicalPlan::Limit { n, input } => Some(
-                input
-                    .estimated_rows()
-                    .map_or(*n as u64, |r| r.min(*n as u64)),
-            ),
-            LogicalPlan::Aggregate { group, input, .. } => {
-                if group.is_empty() {
-                    Some(1)
-                } else {
-                    input.estimated_rows().map(|n| (n / 4).max(1))
-                }
-            }
-            LogicalPlan::Join { left, right, .. } => {
-                match (left.estimated_rows(), right.estimated_rows()) {
-                    (Some(l), Some(r)) => Some(l.max(r)),
-                    _ => None,
-                }
-            }
         }
     }
 

@@ -203,10 +203,6 @@ impl TableProvider for MemTable {
         self.schema.clone()
     }
 
-    fn estimated_row_count(&self) -> Option<u64> {
-        Some(self.row_count() as u64)
-    }
-
     /// MemTable applies every filter it is handed.
     fn unhandled_filters(&self, _filters: &[SourceFilter]) -> Vec<SourceFilter> {
         Vec::new()

@@ -37,8 +37,10 @@ shc_obs::metrics_registry! {
             batch_rows,
             /// Columnar batches constructed by operators.
             batches_built,
-            /// Stages whose join strategy or partition count was re-chosen
-            /// at a stage boundary from observed (not estimated) statistics.
+            /// Never incremented: each join strategy and exchange partition
+            /// count is chosen once, from observed bytes, so no stage is
+            /// re-planned. Kept because the benchmark reports it
+            /// (`engine.physical.replanned_stages_per_op`).
             replanned_stages,
             /// Operators that were handed the result of an identical
             /// subplan executed earlier in the same query instead of running.

@@ -7,12 +7,9 @@
 //!
 //! Every operator takes and returns [`Partition`]s — runs of fixed-size
 //! columnar batches. Only the sort materializes rows inside itself, and
-//! emits batches again; rows leave the executor once, in [`collect`]. Join
-//! strategy and exchange partition counts are chosen twice: once at plan
-//! time from the optimizer's estimates, and again at the stage boundary
-//! from observed input sizes when [`ExecContext::adaptive`] is on;
-//! disagreements are re-planned, noted in the operator profile, journaled
-//! as `adaptive` events, and counted in `replanned_stages`.
+//! emits batches again; rows leave the executor once, in [`collect`]. A join
+//! or aggregate runs its inputs to completion first, so its strategy and its
+//! exchange partition count are chosen once, from the bytes that arrived.
 //!
 //! The plan is executed as a DAG, not a tree: each distinct subplan runs
 //! once, and every later occurrence of it (`LogicalPlan::repeated_subplans`)
@@ -30,6 +27,7 @@ use crate::error::{EngineError, Result};
 use crate::expr::{BoundExpr, Expr};
 use crate::hash_aggregate::{hash_aggregate, BoundAgg};
 use crate::hash_join::{JoinTable, Probe};
+use crate::key_table::expr_column;
 use crate::logical::{AggExpr, DynamicFilter, JoinType, LogicalPlan};
 use crate::metrics::QueryMetrics;
 use crate::row::Row;
@@ -44,13 +42,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Bytes of input a single shuffle partition should hold, when the count is
-/// chosen adaptively. Capped by [`SHUFFLE_PARTITIONS`].
+/// Bytes of input a single shuffle partition should hold. Capped by
+/// [`SHUFFLE_PARTITIONS`].
 const SHUFFLE_TARGET_PARTITION_BYTES: usize = 256 * 1024;
 
-/// Upper bound on partitions produced by exchanges (the adaptive chooser
-/// picks `1..=SHUFFLE_PARTITIONS` from observed bytes; fixed plans use it).
+/// Upper bound on partitions produced by exchanges.
 const SHUFFLE_PARTITIONS: usize = 8;
+
+/// Partitions for an exchange of `bytes` of observed input: one per
+/// [`SHUFFLE_TARGET_PARTITION_BYTES`], `1..=SHUFFLE_PARTITIONS`.
+fn exchange_partitions(bytes: usize) -> usize {
+    bytes
+        .div_ceil(SHUFFLE_TARGET_PARTITION_BYTES)
+        .clamp(1, SHUFFLE_PARTITIONS)
+}
 
 /// Everything execution needs besides the plan.
 #[derive(Clone)]
@@ -62,10 +67,6 @@ pub struct ExecContext {
     pub broadcast_threshold: usize,
     /// Rows per columnar batch.
     pub batch_size: usize,
-    /// Re-choose join strategy and exchange partition counts at stage
-    /// boundaries from observed input statistics. Off = trust the plan-time
-    /// estimates unconditionally.
-    pub adaptive: bool,
     /// Session-level task-execution metrics: the straggler counter
     /// plus the `shc_task_{queue_wait_us,run_us}` histograms.
     pub task_metrics: Arc<crate::metrics::TaskMetrics>,
@@ -86,7 +87,6 @@ impl Default for ExecContext {
             metrics: QueryMetrics::new(),
             broadcast_threshold: 512 * 1024,
             batch_size: DEFAULT_BATCH_ROWS,
-            adaptive: true,
             task_metrics: crate::metrics::TaskMetrics::new(),
             shuffle_edges: crate::metrics::ShuffleEdges::new(),
             timeline: None,
@@ -129,15 +129,13 @@ pub struct RegionScanProfile {
 /// Observed runtime statistics for one physical operator, mirroring the
 /// logical plan tree. Built by [`collect_profiled`] before execution and
 /// filled in as each operator completes; rendered by
-/// `DataFrame::explain_analyze` next to the optimizer's estimates.
+/// `DataFrame::explain_analyze`.
 pub struct OpProfile {
     /// Pre-order index in the plan tree; also the `op` annotation on this
     /// operator's trace spans, which is how post-hoc attribution finds it.
     pub id: usize,
     /// Same one-line text `LogicalPlan::explain` prints for this node.
     pub describe: String,
-    /// Optimizer cardinality estimate (`None` = source could not be sized).
-    pub est_rows: Option<u64>,
     pub rows: AtomicU64,
     pub bytes: AtomicU64,
     pub partitions: AtomicU64,
@@ -150,8 +148,8 @@ pub struct OpProfile {
     /// Inclusive time on the query trace's deterministic clock, µs. Zero
     /// when executed without an active tracer.
     pub elapsed_us: AtomicU64,
-    /// Execution decisions actually taken (join strategy, pushdown split,
-    /// adaptive re-planning).
+    /// Execution decisions actually taken (join strategy, exchange
+    /// partitions, pushdown split).
     pub notes: Mutex<Vec<String>>,
     /// Scan operators only: per-region work attribution.
     pub regions: Mutex<Vec<RegionScanProfile>>,
@@ -184,7 +182,6 @@ impl OpProfile {
         Arc::new(OpProfile {
             id,
             describe: plan.describe(),
-            est_rows: plan.estimated_rows(),
             rows: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             partitions: AtomicU64::new(0),
@@ -265,11 +262,8 @@ impl OpProfile {
     fn render_into(&self, indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);
         out.push_str(&format!("{pad}{}\n", self.describe));
-        let est = self
-            .est_rows
-            .map_or_else(|| "?".to_string(), |n| n.to_string());
         out.push_str(&format!(
-            "{pad}  (actual: rows={} bytes={} partitions={} time={}us | est. rows={est})\n",
+            "{pad}  (actual: rows={} bytes={} partitions={} time={}us)\n",
             self.rows.load(Ordering::Relaxed),
             self.bytes.load(Ordering::Relaxed),
             self.partitions.load(Ordering::Relaxed),
@@ -423,19 +417,12 @@ struct DynamicPruning<'a> {
 }
 
 impl<'a> DynamicPruning<'a> {
-    /// Like adaptive join selection, the rule follows observed sizes, so a
-    /// context that trusts plan-time estimates passes no keys.
     fn of(
         plan: &'a LogicalPlan,
         repeated: &[Vec<&'a LogicalPlan>],
-        ctx: &ExecContext,
         profile: Option<&Arc<OpProfile>>,
     ) -> DynamicPruning<'a> {
-        let found = if ctx.adaptive {
-            plan.dynamic_filters(repeated)
-        } else {
-            Vec::new()
-        };
+        let found = plan.dynamic_filters(repeated);
         let mut joins: HashMap<_, (&'a LogicalPlan, Vec<&'a Expr>)> = HashMap::new();
         for source in found.iter().flat_map(|f| &f.sources) {
             let (_, keys) = joins
@@ -478,12 +465,8 @@ impl<'a> DynamicPruning<'a> {
                 let bound = key.bind(&schema)?;
                 let mut values = Vec::new();
                 for batch in parts.iter().flatten() {
-                    for i in 0..batch.num_rows() {
-                        values.push(match &bound {
-                            BoundExpr::Column(c, _) => batch.column(*c).value(i),
-                            _ => bound.eval(&batch.row_at(i))?,
-                        });
-                    }
+                    let column = expr_column(&bound, batch)?;
+                    values.extend((0..batch.num_rows()).map(|i| column.value(i)));
                 }
                 Some(distinct_keys(values))
             } else {
@@ -532,15 +515,11 @@ struct PlanState<'a> {
 }
 
 impl<'a> PlanState<'a> {
-    fn of(
-        plan: &'a LogicalPlan,
-        ctx: &ExecContext,
-        profile: Option<&Arc<OpProfile>>,
-    ) -> PlanState<'a> {
+    fn of(plan: &'a LogicalPlan, profile: Option<&Arc<OpProfile>>) -> PlanState<'a> {
         let repeated = plan.repeated_subplans();
         PlanState {
             shared: SharedResults::of(&repeated),
-            dynamic: DynamicPruning::of(plan, &repeated, ctx, profile),
+            dynamic: DynamicPruning::of(plan, &repeated, profile),
         }
     }
 }
@@ -573,14 +552,14 @@ pub fn collect_profiled(
     ctx: &ExecContext,
 ) -> Result<(Vec<Row>, Arc<OpProfile>)> {
     let profile = OpProfile::build(plan);
-    let mut state = PlanState::of(plan, ctx, Some(&profile));
+    let mut state = PlanState::of(plan, Some(&profile));
     let rows = gather_rows(execute_node(plan, ctx, &mut state, Some(&profile))?);
     Ok((rows, profile))
 }
 
 /// Execute a plan, returning partitioned output.
 pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<Partition>> {
-    execute_node(plan, ctx, &mut PlanState::of(plan, ctx, None), None)
+    execute_node(plan, ctx, &mut PlanState::of(plan, None), None)
 }
 
 /// Static span name for an operator (span names must not allocate).
@@ -618,20 +597,6 @@ fn emit_rows(dtypes: &[DataType], rows: &[Row], ctx: &ExecContext) -> Partition 
         count_batch(&ctx.metrics, batch);
     }
     batches
-}
-
-/// Plan-time byte estimate for a stage input: the optimizer's cardinality
-/// estimate times a fixed-width row model. Falls back to the observed bytes
-/// when the plan cannot be sized — an estimate that doesn't exist cannot be
-/// contradicted, so no re-planning fires.
-fn estimated_bytes(plan: &LogicalPlan, observed: usize) -> usize {
-    match plan.estimated_rows() {
-        Some(rows) => {
-            let width = plan.schema().map(|s| s.len()).unwrap_or(1);
-            rows as usize * (width * 8 + 8)
-        }
-        None => observed,
-    }
 }
 
 /// Count a freshly constructed batch in the session metrics.
@@ -1092,7 +1057,7 @@ fn exec_scan<'a>(
 // ----------------------------------------------------------------------
 
 /// A physical join strategy, chosen from build/probe input sizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum JoinStrategy {
     /// Ship the right side to every left partition (classic broadcast).
     BroadcastRight,
@@ -1117,9 +1082,8 @@ impl JoinStrategy {
     }
 }
 
-/// Pick a join strategy from input byte sizes. Used twice per join: with
-/// estimated sizes (plan-time decision) and with observed sizes (adaptive
-/// stage-boundary decision).
+/// Pick a join strategy from the byte sizes of its inputs, observed once
+/// both have run.
 fn choose_join_strategy(
     left_bytes: usize,
     right_bytes: usize,
@@ -1137,9 +1101,7 @@ fn choose_join_strategy(
     // Left joins must observe every left row, so the build side is always
     // the right; inner joins build whichever side is smaller.
     let build_left = join_type == JoinType::Inner && left_bytes < right_bytes;
-    let n = (left_bytes + right_bytes)
-        .div_ceil(SHUFFLE_TARGET_PARTITION_BYTES)
-        .clamp(1, SHUFFLE_PARTITIONS);
+    let n = exchange_partitions(left_bytes + right_bytes);
     JoinStrategy::Shuffle { n, build_left }
 }
 
@@ -1199,37 +1161,13 @@ fn exec_join<'a>(
     };
     let left_bytes = partitions_byte_size(&left_parts);
     let right_bytes = partitions_byte_size(&right_parts);
-
-    // Plan-time decision from the optimizer's estimates; stage-boundary
-    // decision from what actually arrived. Adaptive execution runs the
-    // observed-size choice and records the swap when they disagree.
-    let est_left = estimated_bytes(left, left_bytes);
-    let est_right = estimated_bytes(right, right_bytes);
-    let planned = choose_join_strategy(est_left, est_right, join_type, ctx);
-    let strategy = if ctx.adaptive {
-        choose_join_strategy(left_bytes, right_bytes, join_type, ctx)
-    } else {
-        planned
-    };
+    let strategy = choose_join_strategy(left_bytes, right_bytes, join_type, ctx);
     if let Some(p) = prof {
         p.note(format!(
             "strategy={} (left_bytes={left_bytes}, right_bytes={right_bytes}, threshold={})",
             strategy.describe(),
             ctx.broadcast_threshold
         ));
-    }
-    if strategy != planned {
-        let msg = format!(
-            "join strategy replanned {} -> {} (est bytes l/r={est_left}/{est_right}, \
-             observed={left_bytes}/{right_bytes})",
-            planned.describe(),
-            strategy.describe()
-        );
-        if let Some(p) = prof {
-            p.note(format!("replanned: {msg}"));
-        }
-        trace::record_event(shc_obs::Severity::Info, "adaptive", msg);
-        ctx.metrics.add(&ctx.metrics.replanned_stages, 1);
     }
 
     // Which input is built into the table; the other one probes it.
@@ -1330,35 +1268,9 @@ fn exec_aggregate<'a>(
         .collect::<Result<_>>()?;
 
     let input_parts = execute_node(input, ctx, state, child(prof, 0))?;
-    let observed_bytes = partitions_byte_size(&input_parts);
-
-    // Exchange partition count: planned from the estimated input size,
-    // re-chosen from the observed size at this stage boundary when
-    // adaptive.
-    let pick_n = |bytes: usize| {
-        bytes
-            .div_ceil(SHUFFLE_TARGET_PARTITION_BYTES)
-            .clamp(1, SHUFFLE_PARTITIONS)
-    };
-    let planned_n = pick_n(estimated_bytes(input, observed_bytes));
-    let n_out = if ctx.adaptive {
-        pick_n(observed_bytes)
-    } else {
-        planned_n
-    };
+    let n_out = exchange_partitions(partitions_byte_size(&input_parts));
     if let Some(p) = prof {
         p.note(format!("exchange_partitions={n_out}"));
-    }
-    if n_out != planned_n {
-        let msg = format!(
-            "aggregate exchange replanned {planned_n} -> {n_out} partition(s) \
-             (observed {observed_bytes} input bytes)"
-        );
-        if let Some(p) = prof {
-            p.note(format!("replanned: {msg}"));
-        }
-        trace::record_event(shc_obs::Severity::Info, "adaptive", msg);
-        ctx.metrics.add(&ctx.metrics.replanned_stages, 1);
     }
 
     // Partial aggregation per input partition, exchange of the partial
@@ -1506,12 +1418,11 @@ mod tests {
         rows.iter().map(|r| format!("{r:?}")).collect()
     }
 
-    /// The ways one plan can be executed: as planned and re-planned from
-    /// observed sizes, as planned only, and with every join a shuffle join.
-    fn contexts() -> [ExecContext; 3] {
+    /// The ways one plan can be executed: with the default broadcast bound,
+    /// and with a zero one, under which only an empty input is broadcast.
+    fn contexts() -> [ExecContext; 2] {
         [
             ExecContext::default(),
-            fixed_plans(),
             ExecContext {
                 broadcast_threshold: 0,
                 ..Default::default()
@@ -1603,8 +1514,6 @@ mod tests {
         let snap = ctx.metrics.snapshot();
         assert!(snap.broadcast_bytes > 0);
         assert_eq!(snap.shuffle_bytes, 0);
-        // Estimates and observations agree here — nothing to re-plan.
-        assert_eq!(snap.replanned_stages, 0);
         assert_matches_reference(&plan);
     }
 
@@ -1799,81 +1708,6 @@ mod tests {
         assert_eq!(format!("{:?}", rows[0].get(1)), "Int32(7)");
     }
 
-    #[test]
-    fn misestimate_triggers_join_replanning() {
-        // A provider lying about its cardinality: claims millions of rows
-        // but holds two. Plan-time decision says shuffle; the observed
-        // build side is tiny, so the adaptive pass swaps to broadcast.
-        struct Lying(Arc<MemTable>);
-        impl crate::datasource::TableProvider for Lying {
-            fn schema(&self) -> Schema {
-                self.0.schema()
-            }
-            fn scan(
-                &self,
-                projection: Option<&[usize]>,
-                filters: &[SourceFilter],
-            ) -> Result<Vec<Arc<dyn ScanPartition>>> {
-                self.0.scan(projection, filters)
-            }
-            fn name(&self) -> String {
-                "lying".into()
-            }
-            fn estimated_row_count(&self) -> Option<u64> {
-                Some(10_000_000)
-            }
-        }
-        // Both sides claim to be huge so the plan-time choice is a shuffle;
-        // both are actually tiny, so the adaptive pass broadcasts instead.
-        let plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Scan {
-                table_name: "users".into(),
-                qualifier: "users".into(),
-                provider: Arc::new(Lying(users_table())),
-                projection: None,
-                filters: vec![],
-            }),
-            right: Box::new(LogicalPlan::Scan {
-                table_name: "depts".into(),
-                qualifier: "depts".into(),
-                provider: Arc::new(Lying(depts_table())),
-                projection: None,
-                filters: vec![],
-            }),
-            on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
-            join_type: JoinType::Inner,
-        };
-
-        let adaptive_ctx = ExecContext::default();
-        let (rows, profile) = collect_profiled(&plan, &adaptive_ctx).unwrap();
-        assert_eq!(rows.len(), 20);
-        assert_eq!(adaptive_ctx.metrics.snapshot().replanned_stages, 1);
-        let rendered = profile.render();
-        assert!(rendered.contains("replanned"), "{rendered}");
-        assert!(rendered.contains("strategy=broadcast"), "{rendered}");
-
-        // Non-adaptive: trust the (wrong) estimate and shuffle.
-        let fixed_ctx = ExecContext {
-            adaptive: false,
-            ..Default::default()
-        };
-        let mut fixed_rows = collect(&plan, &fixed_ctx).unwrap();
-        assert_eq!(fixed_ctx.metrics.snapshot().replanned_stages, 0);
-        assert!(fixed_ctx.metrics.snapshot().shuffle_bytes > 0);
-        // Byte-identical results either way.
-        let sort_key = |r: &Row| format!("{:?}", r.values);
-        let mut rows = rows;
-        rows.sort_by_key(sort_key);
-        fixed_rows.sort_by_key(sort_key);
-        assert_eq!(
-            rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>(),
-            fixed_rows
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect::<Vec<_>>()
-        );
-    }
-
     /// `SELECT dept, AVG(score) m FROM users GROUP BY dept`, under an alias.
     fn dept_block(users: &Arc<MemTable>, alias: &str) -> LogicalPlan {
         dept_block_from(users, alias, "users", 0)
@@ -1953,14 +1787,7 @@ mod tests {
              20 rows pack into one scan partition"
         );
         assert_eq!(rows.len(), 2);
-        assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
-
-        // Plans fixed at plan time share the same way.
-        let ctx = fixed_plans();
-        let again = collect(&shared, &ctx).unwrap();
-        assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
-        assert_eq!(ctx.metrics.snapshot().scan_rows, 20);
-        assert_eq!(sorted_debug(again), sorted_debug(rows));
+        assert_eq!(sorted_debug(rows), sorted_debug(reference));
         assert_matches_reference(&shared);
     }
 
@@ -2049,6 +1876,39 @@ mod tests {
 
     use crate::memtable::KeyedTable;
 
+    type Provider = Arc<dyn crate::datasource::TableProvider>;
+
+    /// `provider`, forwarded, except that it prunes partitions on no column,
+    /// so no scan of it is ever handed join keys: the reference a plan that
+    /// hands keys across its joins is compared with.
+    struct NoKeyPruning(Provider);
+
+    impl crate::datasource::TableProvider for NoKeyPruning {
+        fn schema(&self) -> Schema {
+            self.0.schema()
+        }
+        fn supports_projection(&self) -> bool {
+            self.0.supports_projection()
+        }
+        fn unhandled_filters(&self, filters: &[SourceFilter]) -> Vec<SourceFilter> {
+            self.0.unhandled_filters(filters)
+        }
+        fn unique_key(&self) -> Option<String> {
+            self.0.unique_key()
+        }
+        fn scan(
+            &self,
+            projection: Option<&[usize]>,
+            filters: &[SourceFilter],
+        ) -> Result<Vec<Arc<dyn ScanPartition>>> {
+            self.0.scan(projection, filters)
+        }
+    }
+
+    fn no_key_pruning(provider: Provider) -> Provider {
+        Arc::new(NoKeyPruning(provider))
+    }
+
     /// `f(k, v)`: forty rows, `k = v % 10`, in a table that prunes on `k`.
     fn facts() -> Arc<KeyedTable> {
         let schema = Schema::new(vec![
@@ -2091,9 +1951,9 @@ mod tests {
     }
 
     /// `f JOIN d ON f.k = d.dk WHERE d.dk < below`.
-    fn facts_of_dims_below(facts: &Arc<KeyedTable>, below: i32) -> LogicalPlan {
+    fn facts_of_dims_below(facts: Provider, below: i32) -> LogicalPlan {
         LogicalPlan::Join {
-            left: Box::new(scan_where(facts.clone(), "f", vec![])),
+            left: Box::new(scan_where(facts, "f", vec![])),
             right: Box::new(scan_where(
                 dims(),
                 "d",
@@ -2101,13 +1961,6 @@ mod tests {
             )),
             on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
             join_type: JoinType::Inner,
-        }
-    }
-
-    fn fixed_plans() -> ExecContext {
-        ExecContext {
-            adaptive: false,
-            ..Default::default()
         }
     }
 
@@ -2121,7 +1974,7 @@ mod tests {
     #[test]
     fn a_small_filtered_input_hands_its_keys_to_the_scan_across_the_join() {
         let table = facts();
-        let plan = facts_of_dims_below(&table, 3);
+        let plan = facts_of_dims_below(table.clone(), 3);
         let ctx = ExecContext::default();
         let rows = collect(&plan, &ctx).unwrap();
         // Keys are distinct (1 occurs twice), not NULL, in order, and still
@@ -2150,14 +2003,15 @@ mod tests {
         let every_key: Vec<i32> = (0..10).collect();
         assert_eq!(table.offered.lock().pop().unwrap(), keys_in(&every_key));
 
-        // Plans fixed at plan time read the whole table for the same rows.
-        let fixed = fixed_plans();
-        let reference = collect(&plan, &fixed).unwrap();
+        // A table that prunes on no column reads all of it for the same rows.
+        let unkeyed = ExecContext::default();
+        let reference = facts_of_dims_below(no_key_pruning(table.clone()), 3);
+        let reference = collect(&reference, &unkeyed).unwrap();
         assert_eq!(table.offered.lock().last().unwrap(), &vec![]);
-        assert_eq!(fixed.metrics.snapshot().dynamic_filters, 0);
-        assert_eq!(fixed.metrics.snapshot().scan_rows, 40 + 4);
+        assert_eq!(unkeyed.metrics.snapshot().dynamic_filters, 0);
+        assert_eq!(unkeyed.metrics.snapshot().scan_rows, 40 + 4);
         assert_eq!(sorted_debug(rows.clone()), sorted_debug(reference));
-        assert_eq!(fixed.metrics.snapshot().tasks, snap.tasks);
+        assert_eq!(unkeyed.metrics.snapshot().tasks, snap.tasks);
 
         // The filtering input on the left.
         let LogicalPlan::Join {
@@ -2187,7 +2041,7 @@ mod tests {
     fn an_empty_key_set_is_still_a_key_set() {
         let table = facts();
         let ctx = ExecContext::default();
-        let rows = collect(&facts_of_dims_below(&table, 0), &ctx).unwrap();
+        let rows = collect(&facts_of_dims_below(table.clone(), 0), &ctx).unwrap();
         assert!(rows.is_empty());
         assert_eq!(*table.offered.lock(), vec![keys_in(&[])]);
         assert_eq!(ctx.metrics.snapshot().scan_rows, 0);
@@ -2196,52 +2050,58 @@ mod tests {
     #[test]
     fn no_keys_are_passed_where_the_rule_does_not_hold() {
         let table = facts();
-        let with = |join_type, key: Expr, dim_filters: Vec<Expr>| LogicalPlan::Join {
-            left: Box::new(scan_where(table.clone(), "f", vec![])),
-            right: Box::new(scan_where(dims(), "d", dim_filters)),
-            on: vec![(key, Expr::col("d.dk"))],
-            join_type,
-        };
         let below_3 = || vec![Expr::col("dk").lt(Expr::lit(3))];
         let tiny_broadcasts = ExecContext {
             broadcast_threshold: 16,
             ..Default::default()
         };
-        for (plan, ctx, why) in [
+        for (join_type, key, dim_filters, ctx, why) in [
             (
-                with(JoinType::Left, Expr::col("f.k"), below_3()),
+                JoinType::Left,
+                Expr::col("f.k"),
+                below_3(),
                 ExecContext::default(),
                 "left join",
             ),
             (
-                with(
-                    JoinType::Inner,
-                    Expr::col("f.k").add(Expr::lit(0i64)),
-                    below_3(),
-                ),
+                JoinType::Inner,
+                Expr::col("f.k").add(Expr::lit(0i64)),
+                below_3(),
                 ExecContext::default(),
                 "key wrapped in an expression",
             ),
             (
-                with(JoinType::Inner, Expr::col("f.v"), below_3()),
+                JoinType::Inner,
+                Expr::col("f.v"),
+                below_3(),
                 ExecContext::default(),
                 "not the column the table prunes on",
             ),
             (
-                with(JoinType::Inner, Expr::col("f.k"), vec![]),
+                JoinType::Inner,
+                Expr::col("f.k"),
+                vec![],
                 ExecContext::default(),
                 "the other input keeps every row",
             ),
             (
-                with(JoinType::Inner, Expr::col("f.k"), below_3()),
+                JoinType::Inner,
+                Expr::col("f.k"),
+                below_3(),
                 tiny_broadcasts,
                 "the other input is larger than a broadcast",
             ),
         ] {
-            let rows = collect(&plan, &ctx).unwrap();
+            let with = |facts: Provider| LogicalPlan::Join {
+                left: Box::new(scan_where(facts, "f", vec![])),
+                right: Box::new(scan_where(dims(), "d", dim_filters.clone())),
+                on: vec![(key.clone(), Expr::col("d.dk"))],
+                join_type,
+            };
+            let rows = collect(&with(table.clone()), &ctx).unwrap();
             assert_eq!(table.offered.lock().pop().unwrap(), vec![], "{why}");
             assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0, "{why}");
-            let reference = collect(&plan, &fixed_plans()).unwrap();
+            let reference = collect(&with(no_key_pruning(table.clone())), &ctx).unwrap();
             table.offered.lock().clear();
             assert_eq!(sorted_debug(rows), sorted_debug(reference), "{why}");
         }
@@ -2249,7 +2109,7 @@ mod tests {
 
     /// Two blocks `f JOIN d WHERE dk < 3` and `f JOIN d WHERE dk >= 2 AND
     /// dk < below` joined on `v`: the scan of `f` is a repeated subplan.
-    fn two_blocks_over_one_scan(facts: &Arc<KeyedTable>, second: Vec<Expr>) -> LogicalPlan {
+    fn two_blocks_over_one_scan(facts: Provider, second: Vec<Expr>) -> LogicalPlan {
         let block = |name: &str, dim_filters: Vec<Expr>| LogicalPlan::SubqueryAlias {
             alias: name.into(),
             input: Box::new(LogicalPlan::Join {
@@ -2274,7 +2134,7 @@ mod tests {
             Expr::col("dk").gt_eq(Expr::lit(2)),
             Expr::col("dk").lt(Expr::lit(5)),
         ];
-        let plan = two_blocks_over_one_scan(&table, from_2_below_5);
+        let plan = two_blocks_over_one_scan(table.clone(), from_2_below_5.clone());
         let ctx = ExecContext::default();
         let (rows, profile) = collect_profiled(&plan, &ctx).unwrap();
         assert_eq!(*table.offered.lock(), vec![keys_in(&[0, 1, 2, 3, 4])]);
@@ -2283,10 +2143,11 @@ mod tests {
         // The second block's dims ran ahead of their join, once.
         assert_eq!(snap.scan_rows, 20 + 4 + 3);
         assert_eq!(rows.len(), 4, "v with k = 2, in both blocks");
-        let fixed = fixed_plans();
-        let reference = collect(&plan, &fixed).unwrap();
-        assert_eq!(fixed.metrics.snapshot().scan_rows, 40 + 4 + 3);
-        assert_eq!(fixed.metrics.snapshot().tasks, snap.tasks);
+        let unkeyed = ExecContext::default();
+        let reference = two_blocks_over_one_scan(no_key_pruning(table.clone()), from_2_below_5);
+        let reference = collect(&reference, &unkeyed).unwrap();
+        assert_eq!(unkeyed.metrics.snapshot().scan_rows, 40 + 4 + 3);
+        assert_eq!(unkeyed.metrics.snapshot().tasks, snap.tasks);
         assert_eq!(sorted_debug(rows), sorted_debug(reference));
 
         // Pre-order: 0 join, 1 alias l, 2 join, 3 scan f, 4 scan d,
@@ -2317,7 +2178,7 @@ mod tests {
 
         // A block whose dims keep every row reads all of `f`: nothing is
         // pushed for the other block either.
-        let plan = two_blocks_over_one_scan(&table, vec![]);
+        let plan = two_blocks_over_one_scan(table.clone(), vec![]);
         let ctx = ExecContext::default();
         collect(&plan, &ctx).unwrap();
         assert_eq!(table.offered.lock().pop().unwrap(), vec![]);
@@ -2327,7 +2188,7 @@ mod tests {
     #[test]
     fn a_task_failure_in_the_filtering_input_is_retried_or_fails_the_query_once() {
         let table = facts();
-        let plan = facts_of_dims_below(&table, 3);
+        let plan = facts_of_dims_below(table.clone(), 3);
         let expected = sorted_debug(collect(&plan, &ExecContext::default()).unwrap());
         table.offered.lock().clear();
 
@@ -2698,8 +2559,6 @@ mod tests {
         }
     }
 
-    type Provider = Arc<dyn crate::datasource::TableProvider>;
-
     /// `a(ak Int32, g, x, n, f)` over 4 partitions, its strings boxed in every
     /// other batch; `b(bk Int64, tag, w, bg)` over 8 of which 2 stay empty,
     /// with a key that occurs three times and one that is NULL; `e`, `b`
@@ -2974,6 +2833,14 @@ mod tests {
         let tables = random_plan_tables();
         let mut rng = StdRng::seed_from_u64(2018);
         let mut moved = 0;
+        // Joins run per strategy, by the text of its profile note.
+        let strategies = [
+            "broadcast (",
+            "broadcast-left (",
+            "build=left)",
+            "build=right)",
+        ];
+        let mut ran = [0usize; 4];
         for case in 0..400 {
             let plan = random_plan(&mut rng, &tables);
             let expected = comparable(&plan, &evaluate(&plan).unwrap());
@@ -2981,28 +2848,38 @@ mod tests {
             // the lookup of `d` moves below it when `dk` is declared unique.
             let optimized = crate::optimizer::optimize(plan.clone()).unwrap();
             moved += usize::from(moved_below(&optimized));
-            for adaptive in [true, false] {
-                for broadcast_threshold in [0, ExecContext::default().broadcast_threshold] {
-                    let ctx = ExecContext {
-                        adaptive,
-                        broadcast_threshold,
-                        batch_size: [2, DEFAULT_BATCH_ROWS][case % 2],
-                        ..Default::default()
-                    };
-                    for run in [&plan, &optimized] {
-                        let rows = collect(run, &ctx).unwrap();
-                        assert_eq!(
-                            comparable(&plan, &rows),
-                            expected,
-                            "case {case}, adaptive={adaptive}, \
-                             broadcast_threshold={broadcast_threshold}:\n{}",
-                            run.explain()
-                        );
-                    }
+            // Only empty inputs broadcast; 150 B, inside the 89–180 B a scan
+            // of `b` or `d` holds and above the smaller left inputs, so either
+            // side may be the one broadcast; the default, above every input.
+            for broadcast_threshold in [0, 150, ExecContext::default().broadcast_threshold] {
+                let ctx = ExecContext {
+                    broadcast_threshold,
+                    batch_size: [2, DEFAULT_BATCH_ROWS][case % 2],
+                    ..Default::default()
+                };
+                for run in [&plan, &optimized] {
+                    let (rows, profile) = collect_profiled(run, &ctx).unwrap();
+                    assert_eq!(
+                        comparable(&plan, &rows),
+                        expected,
+                        "case {case}, broadcast_threshold={broadcast_threshold}:\n{}",
+                        run.explain()
+                    );
+                    profile.walk(&mut |p| {
+                        for note in p.notes.lock().iter().filter(|n| n.starts_with("strategy=")) {
+                            for (count, strategy) in ran.iter_mut().zip(strategies) {
+                                *count += usize::from(note.contains(strategy));
+                            }
+                        }
+                    });
                 }
             }
         }
         assert!(moved >= 10, "the rule moved {moved} aggregates");
+        assert!(
+            ran.iter().all(|&n| n > 0),
+            "joins run per strategy: {ran:?}"
+        );
     }
 
     /// Does `plan` hold an aggregate the optimizer moved below lookups?

@@ -37,9 +37,6 @@ pub struct SessionConfig {
     pub broadcast_threshold: usize,
     /// Rows per columnar batch.
     pub batch_size: usize,
-    /// Re-choose join strategies and exchange partition counts at stage
-    /// boundaries from observed statistics.
-    pub adaptive: bool,
     /// Queries whose virtual duration exceeds this many modeled µs are
     /// flagged slow in the query log (and in `system.queries`).
     pub slow_query_threshold_us: u64,
@@ -58,7 +55,6 @@ impl Default for SessionConfig {
             executors: ExecutorConfig::default(),
             broadcast_threshold: 512 * 1024,
             batch_size: crate::columnar::DEFAULT_BATCH_ROWS,
-            adaptive: true,
             slow_query_threshold_us: 100_000,
             query_log_capacity: 128,
             scheduler_faults: None,
@@ -380,7 +376,6 @@ impl Session {
             timeline: None,
             broadcast_threshold: cfg.broadcast_threshold,
             batch_size: cfg.batch_size,
-            adaptive: cfg.adaptive,
             sched_faults: cfg.scheduler_faults.clone(),
         }
     }

@@ -4,8 +4,8 @@
 //! `DataFrame::explain_analyze()`, and prints:
 //!
 //! 1. the physical plan tree annotated with *observed* per-operator rows,
-//!    bytes, partitions and virtual time next to the optimizer's estimates,
-//!    plus per-region scan attribution (which region, which server);
+//!    bytes, partitions and virtual time, and the decisions each operator
+//!    took, plus per-region scan attribution (which region, which server);
 //! 2. the latency histogram summaries (RPC round trips, task durations)
 //!    with p50/p95/p99;
 //! 3. both metric registries in Prometheus text exposition format.

@@ -1,12 +1,11 @@
 //! Vectorized scan + aggregation: columnar batches end to end.
 //!
-//! A grouped aggregation over a seeded in-memory table runs twice. The cold
-//! run columnarizes the scan source (building the provider's cached column
-//! vectors as a side effect); the warm run is served straight from that
-//! cache, so the same query costs only `Arc` clones on the scan side. Both runs flow through selection
-//! bitmaps and typed accumulator loops, and the per-run batch statistics —
-//! rows/sec through batches, average batch fill, and any adaptive replans —
-//! are printed as a `BENCH` JSON line per run.
+//! A grouped aggregation over a seeded in-memory table runs twice. The table
+//! holds its rows as typed column batches, so either run's scan costs only
+//! `Arc` clones. Both runs flow through selection bitmaps and typed
+//! accumulator loops, and the per-run batch statistics — rows/sec through
+//! batches and average batch fill — are printed as a `BENCH` JSON line per
+//! run.
 //!
 //! Run with: `cargo run --example vectorized_scan`
 
@@ -66,7 +65,6 @@ fn run(session: &Arc<Session>, label: &str) -> Result<()> {
             (delta.batch_rows as f64 / seconds).into(),
         ),
         ("avg_batch_fill", fill.into()),
-        ("replanned_stages", delta.replanned_stages.into()),
     ]);
     println!("BENCH {}", render(&record));
     Ok(())
@@ -104,9 +102,8 @@ fn main() -> Result<()> {
         session.config().batch_size
     );
 
-    // Cold: the scan columnarizes each partition and caches the vectors.
+    // The same query twice: the second run shows what the first paid to warm up.
     run(&session, "cold")?;
-    // Warm: the same batches come back as Arc clones from the cache.
     run(&session, "warm")?;
 
     // The plan side of the story: per-operator batch counts and the

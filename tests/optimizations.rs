@@ -58,6 +58,47 @@ fn run(session: &Arc<Session>, sql: &str) -> Vec<Row> {
     session.sql(sql).unwrap().collect().unwrap()
 }
 
+/// A provider, forwarded, except that it prunes partitions on no column, so
+/// no scan of it is ever handed join keys.
+struct NoKeyPruning(Arc<dyn TableProvider>);
+
+impl TableProvider for NoKeyPruning {
+    fn schema(&self) -> Schema {
+        self.0.schema()
+    }
+    fn supports_projection(&self) -> bool {
+        self.0.supports_projection()
+    }
+    fn unhandled_filters(&self, filters: &[SourceFilter]) -> Vec<SourceFilter> {
+        self.0.unhandled_filters(filters)
+    }
+    fn unique_key(&self) -> Option<String> {
+        self.0.unique_key()
+    }
+    fn scan(
+        &self,
+        projection: Option<&[usize]>,
+        filters: &[SourceFilter],
+    ) -> Result<Vec<Arc<dyn shc::engine::datasource::ScanPartition>>> {
+        self.0.scan(projection, filters)
+    }
+    fn name(&self) -> String {
+        self.0.name()
+    }
+}
+
+/// A session configured like `session`, over its tables each wrapped in
+/// [`NoKeyPruning`]: the reference for what handing join keys to scans
+/// saves, with nothing else changed.
+fn without_key_pruning(session: &Session) -> Arc<Session> {
+    let reference = Session::new(session.config());
+    for name in session.table_names() {
+        let provider = session.table_provider(&name).unwrap();
+        reference.register_table(name, Arc::new(NoKeyPruning(provider)));
+    }
+    reference
+}
+
 #[test]
 fn partition_pruning_reduces_rpcs_and_scanning() {
     let (cluster, catalog) = setup(4);
@@ -503,13 +544,9 @@ fn q39_month_blocks_share_one_scan_of_each_table() {
         num_servers: 3,
         ..Default::default()
     });
-    let session = session_for(&cluster);
-    // Plans fixed at plan time pass no join keys to the fact scan, so what
-    // sharing alone saves is counted here; the two together are
-    // `q39_and_q38_join_keys_prune_the_fact_scan`.
-    session.update_config(|c| c.adaptive = false);
+    let loaded = session_for(&cluster);
     shc::tpcds::load_into_hbase(
-        &session,
+        &loaded,
         &cluster,
         &generator,
         &Table::Q39_TABLES,
@@ -523,13 +560,17 @@ fn q39_month_blocks_share_one_scan_of_each_table() {
             HBaseTableCatalog::parse_simple(&table.catalog_json("PrimitiveType")).unwrap(),
         );
         register_hbase_table(
-            &session,
+            &loaded,
             Arc::clone(&cluster),
             catalog,
             SHCConf::default(),
             &format!("{}2", table.name()),
         );
     }
+    // Tables that prune on no key are handed no join keys, so what sharing
+    // alone saves is counted here; the two together are
+    // `q39_and_q38_join_keys_prune_the_fact_scan`.
+    let session = without_key_pruning(&loaded);
     let inventory_cells = || -> u64 {
         cluster
             .region_loads()
@@ -665,14 +706,6 @@ fn q39_over_memtables_shares_the_same_subplan() {
         // aggregates, and no scan is shared.
         assert_eq!((engine.subplans_reused, ref_engine.subplans_reused), (3, 0));
         assert!(ref_engine.scan_rows - engine.scan_rows >= inventory_rows);
-
-        // Fixed (non-adaptive) plans share the same subplan and return the
-        // same rows.
-        session.update_config(|c| c.adaptive = false);
-        let (again, engine) = measure(&sql);
-        session.update_config(|c| *c = SessionConfig::default());
-        assert_eq!(engine.subplans_reused, 3);
-        assert_eq!(again, rows);
     }
 }
 
@@ -776,7 +809,8 @@ fn regions_holding(
 fn q39_and_q38_join_keys_prune_the_fact_scan() {
     let (cluster, generator, session) = tpcds_over_hbase();
     // The references need no switch of their own: the same tables read
-    // without partition pruning, plans fixed at plan time, and MemTables.
+    // without partition pruning, the same tables pruning on no key, and
+    // MemTables.
     let unpruned = session_for(&cluster);
     for table in Table::ALL {
         let catalog = Arc::new(
@@ -790,6 +824,7 @@ fn q39_and_q38_join_keys_prune_the_fact_scan() {
             table.name(),
         );
     }
+    let unkeyed = without_key_pruning(&session);
     let memory = Session::new_default();
     shc::tpcds::load_into_memory(&memory, &generator, &Table::ALL, 4);
 
@@ -828,20 +863,21 @@ fn q39_and_q38_join_keys_prune_the_fact_scan() {
         assert_eq!(ref_engine.dynamic_filters, 0);
         assert_eq!(ref_read.len(), region_reads(&cluster, fact).len());
 
-        session.update_config(|c| c.adaptive = false);
-        let (fixed_rows, fixed_store, fixed_engine, fixed_read) = measure(&session);
-        session.update_config(|c| c.adaptive = true);
-        assert_rows_close(&rows, &fixed_rows, "fixed plans");
-        assert_eq!(fixed_engine.dynamic_filters, 0);
+        let (unkeyed_rows, unkeyed_store, unkeyed_engine, unkeyed_read) = measure(&unkeyed);
+        assert_rows_close(&rows, &unkeyed_rows, "no key pruning");
+        assert_eq!(unkeyed_engine.dynamic_filters, 0);
         // q38's quarter is three months of the four loaded: fewer rows, but
         // a row in every region.
-        assert!(read.len() <= fixed_read.len(), "{read:?} / {fixed_read:?}");
-        assert!(store.rpc_count <= fixed_store.rpc_count);
-        assert!(store.bytes_returned < fixed_store.bytes_returned);
-        assert!(engine.scan_rows < fixed_engine.scan_rows);
+        assert!(
+            read.len() <= unkeyed_read.len(),
+            "{read:?} / {unkeyed_read:?}"
+        );
+        assert!(store.rpc_count <= unkeyed_store.rpc_count);
+        assert!(store.bytes_returned < unkeyed_store.bytes_returned);
+        assert!(engine.scan_rows < unkeyed_engine.scan_rows);
         // What reaches the exchanges is what the joins let through, and the
         // joins let through what they always did.
-        assert_eq!(engine.shuffle_rows, fixed_engine.shuffle_rows);
+        assert_eq!(engine.shuffle_rows, unkeyed_engine.shuffle_rows);
 
         assert_rows_close(&rows, &run(&memory, &sql), "MemTables");
 
@@ -853,14 +889,17 @@ fn q39_and_q38_join_keys_prune_the_fact_scan() {
             // key, one BulkGet each instead of a scanner.
             assert_eq!((engine.dynamic_filters, engine.subplans_reused), (3, 3));
             assert_eq!(read, first_two_months);
-            assert!(store.rpc_count < fixed_store.rpc_count);
+            assert!(store.rpc_count < unkeyed_store.rpc_count);
             let date_dim = 2; // a scanner per month
             assert_eq!(
                 store.scanner_opens,
                 first_two_months.len() as u64 + date_dim
             );
             let others = 4; // item, warehouse, date_dim per month
-            assert_eq!(fixed_store.scanner_opens, inventory_regions as u64 + others);
+            assert_eq!(
+                unkeyed_store.scanner_opens,
+                inventory_regions as u64 + others
+            );
         }
     }
     assert!(session
@@ -891,10 +930,10 @@ fn q39_and_q38_join_keys_prune_the_fact_scan() {
 #[test]
 fn join_keys_are_not_passed_where_the_rule_does_not_hold() {
     let (cluster, generator, session) = tpcds_over_hbase();
-    // Every query leaves the cluster the RPCs it costs with plans fixed at
-    // plan time, which pass no keys.
+    // Every query leaves the cluster the RPCs it costs over tables that
+    // prune on no key, which are passed no keys.
     let unchanged = |session: &Arc<Session>, sql: &str, why: &str| {
-        let measure = || {
+        let measure = |session: &Arc<Session>| {
             let (store, engine) = (cluster.metrics.snapshot(), session.metrics.snapshot());
             let rows = run(session, sql);
             (
@@ -903,15 +942,13 @@ fn join_keys_are_not_passed_where_the_rule_does_not_hold() {
                 session.metrics.snapshot().delta_since(&engine),
             )
         };
-        let (rows, store, engine) = measure();
-        session.update_config(|c| c.adaptive = false);
-        let (fixed_rows, fixed_store, _) = measure();
-        session.update_config(|c| c.adaptive = true);
+        let (rows, store, engine) = measure(session);
+        let (unkeyed_rows, unkeyed_store, _) = measure(&without_key_pruning(session));
         assert_eq!(engine.dynamic_filters, 0, "{why}");
-        assert_eq!(rows, fixed_rows, "{why}");
-        assert_eq!(store.rpc_count, fixed_store.rpc_count, "{why}");
-        assert_eq!(store.scanner_opens, fixed_store.scanner_opens, "{why}");
-        assert_eq!(store.cells_scanned, fixed_store.cells_scanned, "{why}");
+        assert_eq!(rows, unkeyed_rows, "{why}");
+        assert_eq!(store.rpc_count, unkeyed_store.rpc_count, "{why}");
+        assert_eq!(store.scanner_opens, unkeyed_store.scanner_opens, "{why}");
+        assert_eq!(store.cells_scanned, unkeyed_store.cells_scanned, "{why}");
     };
     unchanged(
         &session,
