@@ -230,7 +230,7 @@ const BOUNDS: [Bound; 32] = [
     ("fig4_shc", "kvstore.client.bytes_shipped_per_op", AtMost(129000.0), CHARGED),
     ("fig4_shc", "kvstore.network.modeled_rpc_us_per_op", AtMost(6000.0), CHARGED),
     ("fig4_shc", "engine.shuffle.bytes_per_op", AtMost(186251.0), KERNELS),
-    ("fig4_shc", "engine.scheduler.tasks_per_op", AtMost(25.0), KERNELS),
+    ("fig4_shc", "engine.scheduler.tasks_per_op", AtMost(17.0), KERNELS),
     ("fig4_generic", "bench.error_rate", Equal(0.0), CORRECT),
     ("fig4_generic", "kvstore.client.rpcs_per_op", AtMost(19.0), BASELINE),
     ("fig4_generic", "kvstore.client.connections_per_op", AtMost(14.0), BASELINE),
@@ -241,7 +241,7 @@ const BOUNDS: [Bound; 32] = [
     ("engine_mem", "bench.error_rate", Equal(0.0), CORRECT),
     ("engine_mem", "engine.shuffle.bytes_per_op", AtMost(311372.0), EXECUTOR),
     ("engine_mem", "engine.shuffle.rows_per_op", AtMost(4097.0), EXECUTOR),
-    ("engine_mem", "engine.scheduler.tasks_per_op", AtMost(31.0), EXECUTOR),
+    ("engine_mem", "engine.scheduler.tasks_per_op", AtMost(17.0), EXECUTOR),
     ("engine_mem", "engine.scan.rows_per_op", AtMost(12186.0), EXECUTOR),
     ("engine_mem", "engine.columnar.batch_fill", AtLeast(0.51), FULL_BATCHES),
     ("engine_mem", "engine.physical.peak_bytes", AtMost(432000.0), PEAK),

@@ -29,8 +29,6 @@ shc_obs::metrics_registry! {
             preferred_tasks,
             /// Preferred tasks that actually ran on their preferred host.
             local_tasks,
-            /// Total bytes materialized in operators (memory-usage proxy).
-            materialized_bytes,
             /// Failed task attempts that were re-run on another executor.
             task_retries,
             /// Rows held by the batches counted in `batches_built`.
@@ -50,7 +48,8 @@ shc_obs::metrics_registry! {
             dynamic_filters,
         }
         watermarks {
-            /// High-water mark of bytes held at once across pipeline stages.
+            /// Bytes of the largest single stage output materialized (a
+            /// memory-usage proxy): what `record_materialized` keeps.
             peak_bytes,
         }
         histograms {
@@ -168,9 +167,9 @@ impl ShuffleEdges {
 }
 
 impl QueryMetrics {
-    /// Record a stage materializing `bytes` at once; updates the peak.
+    /// Record a stage output materializing `bytes` at once; keeps the
+    /// largest.
     pub fn record_materialized(&self, bytes: u64) {
-        self.materialized_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.peak_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
 
@@ -203,7 +202,6 @@ mod tests {
         m.record_materialized(200);
         let s = m.snapshot();
         assert_eq!(s.shuffle_bytes, 100);
-        assert_eq!(s.materialized_bytes, 700);
         assert_eq!(s.peak_bytes, 500);
     }
 

@@ -5,22 +5,27 @@
 //! tasks and accounts for what moved; the hash kernels themselves live in
 //! `hash_join` and `hash_aggregate`, over the key table of `key_table`.
 //!
-//! Every operator takes and returns [`Partition`]s — runs of fixed-size
-//! columnar batches. Only the sort materializes rows inside itself, and
-//! emits batches again; rows leave the executor once, in [`collect`]. A join
-//! or aggregate runs its inputs to completion first, so its strategy and its
-//! exchange partition count are chosen once, from the bytes that arrived.
+//! An operator returns a `Pipeline`: its output's tasks, not yet run. A
+//! scan partition, an exchange partition's probe or a materialized
+//! partition is one task; a filter, a projection, an alias or the probe of a
+//! broadcast right input adds a step to each task of its input. Only a
+//! breaker runs a stage (`Pipeline::run`): a join's build side, a shuffle
+//! join, an aggregate, a sort, a limit, dynamic pruning's filtering input
+//! and [`collect`]. Batches flow as [`Partition`]s; rows leave the executor
+//! once, in [`collect`]. Join strategies and exchange partition counts are
+//! chosen once, from the bytes that arrived.
 //!
 //! The plan is executed as a DAG, not a tree: each distinct subplan runs
 //! once, and every later occurrence of it (`LogicalPlan::repeated_subplans`)
-//! is handed the first one's partitions. Nor is it always executed in plan
-//! order: an inner join whose one input is small and filtered runs that
-//! input first and hands its keys to the scan its other input starts from
-//! (dynamic partition pruning, `LogicalPlan::dynamic_filters`).
+//! is handed the first one's partitions, produced by whichever consumer's
+//! tasks ran first. Nor is it always executed in plan order: an inner join
+//! whose one input is small and filtered runs that input first and hands its
+//! keys to the scan its other input starts from (dynamic partition pruning,
+//! `LogicalPlan::dynamic_filters`).
 
 use crate::columnar::{
-    batches_num_rows, eval_predicate_mask, gather_rows, partitions_byte_size, rows_to_batches,
-    BatchBuilder, ColumnarBatch, Partition, DEFAULT_BATCH_ROWS,
+    batches_byte_size, batches_num_rows, eval_predicate_mask, gather_rows, partitions_byte_size,
+    rows_to_batches, BatchBuilder, Partition, DEFAULT_BATCH_ROWS,
 };
 use crate::datasource::ScanPartition;
 use crate::error::{EngineError, Result};
@@ -91,19 +96,6 @@ impl Default for ExecContext {
             shuffle_edges: crate::metrics::ShuffleEdges::new(),
             timeline: None,
             sched_faults: None,
-        }
-    }
-}
-
-impl ExecContext {
-    /// Scheduler observability context for one stage of this query.
-    fn stage_obs(&self, label: &'static str, prof: Option<&Arc<OpProfile>>) -> StageObs {
-        StageObs {
-            timeline: self.timeline.clone(),
-            task_metrics: Some(Arc::clone(&self.task_metrics)),
-            label,
-            op: prof.map(|p| p.id),
-            faults: self.sched_faults.clone(),
         }
     }
 }
@@ -195,26 +187,6 @@ impl OpProfile {
             dynamic_filter_keys: OnceLock::new(),
             children,
         })
-    }
-
-    fn record_output(&self, partitions: &[Partition], elapsed: Option<u64>) {
-        let rows: usize = partitions.iter().map(|p| batches_num_rows(p)).sum();
-        let bytes = partitions_byte_size(partitions);
-        self.rows.fetch_add(rows as u64, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        let batches: usize = partitions.iter().map(Vec::len).sum();
-        self.batches.fetch_add(batches as u64, Ordering::Relaxed);
-        self.record_shape(partitions, elapsed);
-    }
-
-    /// Partition count and elapsed time only — for operators (scans) whose
-    /// tasks already accumulated rows/bytes/batches batch by batch.
-    fn record_shape(&self, partitions: &[Partition], elapsed: Option<u64>) {
-        self.partitions
-            .store(partitions.len() as u64, Ordering::Relaxed);
-        if let Some(us) = elapsed {
-            self.elapsed_us.fetch_add(us, Ordering::Relaxed);
-        }
     }
 
     pub fn note(&self, text: String) {
@@ -320,11 +292,22 @@ struct SharedResults {
 struct SharedSlot {
     /// Occurrences that have not been handed the result yet.
     waiting: usize,
-    /// `None` until the first occurrence has run, and again once the last
-    /// one has taken ownership.
-    partitions: Option<Vec<Partition>>,
+    /// `None` until the first occurrence has been offered, and again once
+    /// the last one has taken it.
+    partitions: Option<Vec<Arc<Mutex<SharedPart>>>>,
+    /// Timeline label and operator of the first occurrence's tasks.
+    stage: Stage,
     /// Profile id of the operator that produced `partitions`.
     producer: Option<usize>,
+}
+
+/// One partition of a shared subplan's output. Its task runs once, inside
+/// whichever occurrence's consumer runs first, and every occurrence is
+/// handed what it produced.
+enum SharedPart {
+    /// The source and steps that produce it, not yet run.
+    Pending(Task),
+    Ready(Partition),
 }
 
 impl SharedResults {
@@ -342,6 +325,7 @@ impl SharedResults {
             shared.slots.push(SharedSlot {
                 waiting: group.len() - 1,
                 partitions: None,
+                stage: ("", None),
                 producer: None,
             });
         }
@@ -354,34 +338,86 @@ impl SharedResults {
     }
 
     /// The result of an earlier occurrence of `plan`, with the id of the
-    /// operator that produced it: a clone (an `Arc` per column) while other
-    /// occurrences still wait, the partitions themselves for the last one.
-    fn take(&mut self, plan: &LogicalPlan) -> Option<(Vec<Partition>, Option<usize>)> {
+    /// operator that produced it.
+    fn take(&mut self, plan: &LogicalPlan, ctx: &ExecContext) -> Option<(Pipeline, Option<usize>)> {
         let slot = self.slot(plan)?;
-        slot.partitions.as_ref()?;
+        let out = shared_pipeline(slot.partitions.as_ref()?, slot.stage, ctx);
         slot.waiting -= 1;
-        let partitions = if slot.waiting == 0 {
-            slot.partitions.take()
-        } else {
-            slot.partitions.clone()
-        };
-        partitions.map(|p| (p, slot.producer))
+        if slot.waiting == 0 {
+            slot.partitions = None;
+        }
+        Some((out, slot.producer))
     }
 
-    /// After the first occurrence of a repeated subplan ran: keep a handle
-    /// on its output for the later ones.
-    fn offer(&mut self, plan: &LogicalPlan, out: &[Partition], prof: Option<&Arc<OpProfile>>) {
-        if let Some(slot) = self.slot(plan) {
-            slot.partitions = Some(out.to_vec());
-            slot.producer = prof.map(|p| p.id);
-            if let Some(p) = prof {
-                p.note(format!(
-                    "op #{}: result shared with {} later operator(s)",
-                    p.id, slot.waiting
-                ));
-            }
+    /// The first occurrence of a repeated subplan: keep a handle on its
+    /// output for the later ones. Its tasks are not run here; the first
+    /// consumer to run runs them, with its own steps.
+    fn offer(
+        &mut self,
+        plan: &LogicalPlan,
+        out: Pipeline,
+        ctx: &ExecContext,
+        prof: Option<&Arc<OpProfile>>,
+    ) -> Pipeline {
+        let Some(slot) = self.slot(plan) else {
+            return out;
+        };
+        slot.producer = prof.map(|p| p.id);
+        if let Some(p) = prof {
+            p.note(format!(
+                "op #{}: result shared with {} later operator(s)",
+                p.id, slot.waiting
+            ));
         }
+        slot.stage = out.stage;
+        let parts: Vec<SharedPart> = match out.input {
+            Input::Done(parts) => parts.into_iter().map(SharedPart::Ready).collect(),
+            Input::Tasks(tasks) => fuse(tasks, out.steps, &ctx.metrics)
+                .into_iter()
+                .map(SharedPart::Pending)
+                .collect(),
+        };
+        let parts: Vec<_> = parts.into_iter().map(|p| Arc::new(Mutex::new(p))).collect();
+        let mut first = shared_pipeline(&parts, slot.stage, ctx);
+        first.join_notes = out.join_notes;
+        slot.partitions = Some(parts);
+        first
     }
+}
+
+/// An occurrence's output of a shared subplan: the partitions themselves
+/// once every one is produced (an `Arc` per column), else a task each that
+/// produces it unless another occurrence's stage already did.
+fn shared_pipeline(parts: &[Arc<Mutex<SharedPart>>], stage: Stage, ctx: &ExecContext) -> Pipeline {
+    let ready: Option<Vec<Partition>> = parts
+        .iter()
+        .map(|part| match &*part.lock() {
+            SharedPart::Ready(out) => Some(out.clone()),
+            SharedPart::Pending(_) => None,
+        })
+        .collect();
+    if let Some(out) = ready {
+        record_stage_memory(&out, ctx);
+        return Pipeline::done(out);
+    }
+    let tasks = parts.iter().map(|part| {
+        let (preferred, retries) = match &*part.lock() {
+            SharedPart::Pending(task) => (task.preferred_host.clone(), task.retries),
+            SharedPart::Ready(_) => (None, 0),
+        };
+        let part = Arc::clone(part);
+        Task::new(preferred, move |host| {
+            let mut part = part.lock();
+            let out = match &mut *part {
+                SharedPart::Pending(task) => (task.run)(host)?,
+                SharedPart::Ready(out) => out.clone(),
+            };
+            *part = SharedPart::Ready(out.clone());
+            Ok(out)
+        })
+        .with_retries(retries)
+    });
+    Pipeline::new(Input::Tasks(tasks.collect()), stage)
 }
 
 /// The keys one filtering input of a join produced, for the scans they
@@ -553,13 +589,13 @@ pub fn collect_profiled(
 ) -> Result<(Vec<Row>, Arc<OpProfile>)> {
     let profile = OpProfile::build(plan);
     let mut state = PlanState::of(plan, Some(&profile));
-    let rows = gather_rows(execute_node(plan, ctx, &mut state, Some(&profile))?);
-    Ok((rows, profile))
+    let out = execute_node(plan, ctx, &mut state, Some(&profile))?.run(ctx)?;
+    Ok((gather_rows(out), profile))
 }
 
 /// Execute a plan, returning partitioned output.
 pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<Partition>> {
-    execute_node(plan, ctx, &mut PlanState::of(plan, None), None)
+    execute_node(plan, ctx, &mut PlanState::of(plan, None), None)?.run(ctx)
 }
 
 /// Static span name for an operator (span names must not allocate).
@@ -589,20 +625,261 @@ fn dtype_or_boxed(derived: Result<DataType>) -> DataType {
     derived.unwrap_or(DataType::Binary)
 }
 
-/// `rows` as one partition of counted batches: what an operator that worked
-/// on whole rows emits.
-fn emit_rows(dtypes: &[DataType], rows: &[Row], ctx: &ExecContext) -> Partition {
-    let batches = rows_to_batches(dtypes, rows, ctx.batch_size);
-    for batch in &batches {
-        count_batch(&ctx.metrics, batch);
-    }
-    batches
+// ----------------------------------------------------------------------
+// Pipelines
+// ----------------------------------------------------------------------
+
+/// Timeline label and operator of a stage.
+type Stage = (&'static str, Option<usize>);
+
+/// What an operator's output counts as, besides its profile's rows, bytes
+/// and batches: nothing more (batches handed on, as by a column projection,
+/// an alias or a reused result), batches it built (`batches_built`,
+/// `batch_rows`), or batches a scan built from what it read (also
+/// `scan_rows`, `scan_bytes`).
+#[derive(Clone, Copy, PartialEq)]
+enum Emits {
+    Passed,
+    Built,
+    Scanned,
 }
 
-/// Count a freshly constructed batch in the session metrics.
-fn count_batch(metrics: &QueryMetrics, batch: &ColumnarBatch) {
-    metrics.add(&metrics.batches_built, 1);
-    metrics.add(&metrics.batch_rows, batch.num_rows() as u64);
+/// What one step counted for one operator in one task attempt.
+#[derive(Default)]
+struct Counts {
+    rows: u64,
+    bytes: u64,
+    batches: u64,
+    /// A filter's rows read and kept.
+    sel_in: u64,
+    sel_out: u64,
+    /// Trace-clock time from the attempt's start to the operator's output,
+    /// its input's included, as `OpProfile::elapsed_us` is inclusive.
+    us: u64,
+}
+
+/// What one task attempt counted, by operator. It reaches the query's
+/// metrics and the operators' profiles only once the attempt succeeds, so a
+/// retried task counts nothing twice.
+struct Tally {
+    /// `trace::thread_cost_us` when the attempt started.
+    start: u64,
+    counted: Vec<(Option<Arc<OpProfile>>, Emits, Counts)>,
+}
+
+impl Tally {
+    fn new() -> Tally {
+        Tally {
+            start: trace::thread_cost_us(),
+            counted: Vec::new(),
+        }
+    }
+
+    /// `part` as the output of `prof`'s operator.
+    fn emitted(&mut self, prof: Option<&Arc<OpProfile>>, part: &Partition, emits: Emits) {
+        let counts = Counts {
+            rows: batches_num_rows(part) as u64,
+            bytes: batches_byte_size(part) as u64,
+            batches: part.len() as u64,
+            us: trace::thread_cost_us() - self.start,
+            ..Counts::default()
+        };
+        self.counted.push((prof.cloned(), emits, counts));
+    }
+
+    fn flush(self, m: &QueryMetrics) {
+        for (prof, emits, c) in self.counted {
+            if emits != Emits::Passed {
+                m.add(&m.batches_built, c.batches);
+                m.add(&m.batch_rows, c.rows);
+            }
+            if emits == Emits::Scanned {
+                m.add(&m.scan_rows, c.rows);
+                m.add(&m.scan_bytes, c.bytes);
+            }
+            if let Some(p) = prof {
+                p.rows.fetch_add(c.rows, Ordering::Relaxed);
+                p.bytes.fetch_add(c.bytes, Ordering::Relaxed);
+                p.batches.fetch_add(c.batches, Ordering::Relaxed);
+                p.sel_in_rows.fetch_add(c.sel_in, Ordering::Relaxed);
+                p.sel_out_rows.fetch_add(c.sel_out, Ordering::Relaxed);
+                p.elapsed_us.fetch_add(c.us, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// A narrow operator, applied inside a task to the partition it produced.
+type Step = Arc<dyn Fn(Partition, &mut Tally) -> Result<Partition> + Send + Sync>;
+
+/// What an operator returns: its output, not yet produced.
+struct Pipeline {
+    input: Input,
+    /// Applied in order to what each task's source produced.
+    steps: Vec<Step>,
+    /// The stage that runs the tasks.
+    stage: Stage,
+    /// Each broadcast join whose left input probes inside these tasks: its
+    /// profile and its right input's bytes. Its `strategy=` note needs the
+    /// left input's bytes too, so `run` writes it.
+    join_notes: Vec<(Arc<OpProfile>, usize)>,
+}
+
+enum Input {
+    /// Materialized, with no step: a step turns it into a task each.
+    Done(Vec<Partition>),
+    Tasks(Vec<Task>),
+}
+
+impl Pipeline {
+    fn new(input: Input, stage: Stage) -> Pipeline {
+        Pipeline {
+            input,
+            steps: Vec::new(),
+            stage,
+            join_notes: Vec::new(),
+        }
+    }
+
+    fn done(parts: Vec<Partition>) -> Pipeline {
+        Pipeline::new(Input::Done(parts), ("", None))
+    }
+
+    /// Partitions it produces, one per task.
+    fn len(&self) -> usize {
+        match &self.input {
+            Input::Done(parts) => parts.len(),
+            Input::Tasks(tasks) => tasks.len(),
+        }
+    }
+
+    /// The output, once materialized.
+    fn output(&self) -> Option<&[Partition]> {
+        match &self.input {
+            Input::Done(parts) => Some(parts),
+            Input::Tasks(_) => None,
+        }
+    }
+
+    /// Every task runs `step` over the partition it produced. Materialized
+    /// partitions become one task each, whose stage is recorded under
+    /// `label` and `prof`'s operator.
+    fn then(
+        mut self,
+        label: &'static str,
+        prof: Option<&Arc<OpProfile>>,
+        step: impl Fn(Partition, &mut Tally) -> Result<Partition> + Send + Sync + 'static,
+    ) -> Pipeline {
+        if let Input::Done(parts) = self.input {
+            self.input = Input::Tasks(parts.into_iter().map(|p| once_task(p, Ok)).collect());
+            self.stage = (label, prof.map(|p| p.id));
+        }
+        self.steps.push(Arc::new(step));
+        self
+    }
+
+    /// The output, counted as `prof`'s operator's and as `emits` says:
+    /// inside each task, or here when materialized.
+    fn emits(self, prof: Option<&Arc<OpProfile>>, emits: Emits, m: &QueryMetrics) -> Pipeline {
+        if let Some(p) = prof {
+            p.partitions.store(self.len() as u64, Ordering::Relaxed);
+        }
+        let prof = prof.cloned();
+        if let Some(parts) = self.output() {
+            let mut tally = Tally::new();
+            for part in parts {
+                tally.emitted(prof.as_ref(), part, emits);
+            }
+            tally.flush(m);
+            return self;
+        }
+        self.then("", None, move |part, tally| {
+            tally.emitted(prof.as_ref(), &part, emits);
+            Ok(part)
+        })
+    }
+
+    /// Produce the output: run the tasks, each with every step, as one
+    /// stage, unless it is materialized already.
+    fn run(self, ctx: &ExecContext) -> Result<Vec<Partition>> {
+        let tasks = match self.input {
+            Input::Done(parts) => return Ok(parts),
+            Input::Tasks(tasks) => fuse(tasks, self.steps, &ctx.metrics),
+        };
+        let obs = StageObs {
+            timeline: ctx.timeline.clone(),
+            task_metrics: Some(Arc::clone(&ctx.task_metrics)),
+            label: self.stage.0,
+            op: self.stage.1,
+            faults: ctx.sched_faults.clone(),
+        };
+        let out = run_stage(&ctx.executors, tasks, &ctx.metrics, &obs)?;
+        record_stage_memory(&out, ctx);
+        for (p, right_bytes) in self.join_notes {
+            let left_bytes = p.children[0].bytes.load(Ordering::Relaxed) as usize;
+            p.note(JoinStrategy::BroadcastRight.note(left_bytes, right_bytes, ctx));
+        }
+        Ok(out)
+    }
+
+    /// The output's bytes, running it first unless it is materialized.
+    fn materialize(&mut self, ctx: &ExecContext) -> Result<usize> {
+        if let Input::Tasks(_) = self.input {
+            let pipeline = std::mem::replace(self, Pipeline::done(Vec::new()));
+            *self = Pipeline::done(pipeline.run(ctx)?);
+        }
+        Ok(self.output().map_or(0, partitions_byte_size))
+    }
+}
+
+/// `tasks`, each running `steps` in order over the partition it produced;
+/// what the steps counted is flushed once the attempt succeeded.
+fn fuse(tasks: Vec<Task>, steps: Vec<Step>, metrics: &Arc<QueryMetrics>) -> Vec<Task> {
+    let steps = Arc::new(steps);
+    let fused = tasks.into_iter().map(|mut task| {
+        let metrics = Arc::clone(metrics);
+        let steps = Arc::clone(&steps);
+        let mut run = task.run;
+        task.run = Box::new(move |host| {
+            let mut tally = Tally::new();
+            let mut part = run(host)?;
+            for step in steps.iter() {
+                part = step(part, &mut tally)?;
+            }
+            tally.flush(&metrics);
+            Ok(part)
+        });
+        task
+    });
+    fused.collect()
+}
+
+/// A filter step: each batch's predicate evaluates to a selection bitmap,
+/// then a single gather keeps the selected rows columnar; a batch none of
+/// whose rows are selected is dropped. Rows read and kept count on `prof`.
+fn filter(
+    predicate: BoundExpr,
+    prof: Option<&Arc<OpProfile>>,
+) -> impl Fn(Partition, &mut Tally) -> Result<Partition> + Send + Sync + 'static {
+    let prof = prof.cloned();
+    move |batches, tally| {
+        let mut out = Vec::with_capacity(batches.len());
+        let sel_in = batches_num_rows(&batches) as u64;
+        for batch in batches {
+            let mask = eval_predicate_mask(&predicate, &batch)?;
+            if mask.count_ones() > 0 {
+                out.push(batch.select(&mask));
+            }
+        }
+        let sel_out = batches_num_rows(&out) as u64;
+        let counts = Counts {
+            sel_in,
+            sel_out,
+            ..Counts::default()
+        };
+        tally.counted.push((prof.clone(), Emits::Passed, counts));
+        Ok(out)
+    }
 }
 
 /// Recursive execution; `prof` is the profile node for *this* operator
@@ -612,20 +889,20 @@ fn execute_node<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<Partition>> {
+) -> Result<Pipeline> {
     if let Some(out) = state.dynamic.ahead.remove(&(plan as *const LogicalPlan)) {
         // Ran ahead of its join, profiled and counted then.
-        return Ok(out);
+        return Ok(Pipeline::done(out));
     }
-    if let Some((out, producer)) = state.shared.take(plan) {
-        // This subplan already ran elsewhere in the query: no stage, no
-        // task, no RPC — only its output shape shows in the profile.
+    if let Some((out, producer)) = state.shared.take(plan, ctx) {
+        // This subplan already ran elsewhere in the query, or runs inside
+        // whichever of its consumers runs first: no stage, no RPC of its
+        // own — only its output shape shows in the profile.
         ctx.metrics.add(&ctx.metrics.subplans_reused, 1);
         if let (Some(p), Some(producer)) = (prof, producer) {
-            p.record_output(&out, None);
             let _ = p.reused_from.set(producer);
         }
-        return Ok(out);
+        return Ok(out.emits(prof, Emits::Passed, &ctx.metrics));
     }
     let mut sp = trace::span(op_name(plan));
     if sp.is_active() {
@@ -652,32 +929,9 @@ fn execute_node<'a>(
         LogicalPlan::Filter { predicate, input } => {
             let schema = input.schema()?;
             let bound = predicate.bind(&schema)?;
-            let partitions = execute_node(input, ctx, state, child(prof, 0))?;
-            let op_prof = prof.map(Arc::clone);
-            let metrics = Arc::clone(&ctx.metrics);
-            parallel_map(partitions, ctx, move |batches| {
-                // Each batch's predicate evaluates to a selection bitmap,
-                // then a single gather keeps the selected rows columnar.
-                let mut out = Vec::with_capacity(batches.len());
-                let (mut sel_in, mut sel_out) = (0u64, 0u64);
-                for batch in batches {
-                    let mask = eval_predicate_mask(&bound, &batch)?;
-                    sel_in += batch.num_rows() as u64;
-                    let kept = mask.count_ones();
-                    sel_out += kept as u64;
-                    if kept == 0 {
-                        continue;
-                    }
-                    let selected = batch.select(&mask);
-                    count_batch(&metrics, &selected);
-                    out.push(selected);
-                }
-                if let Some(p) = &op_prof {
-                    p.sel_in_rows.fetch_add(sel_in, Ordering::Relaxed);
-                    p.sel_out_rows.fetch_add(sel_out, Ordering::Relaxed);
-                }
-                Ok(out)
-            })
+            let input = execute_node(input, ctx, state, child(prof, 0))?;
+            let out = input.then("map", prof, filter(bound, prof));
+            Ok(out.emits(prof, Emits::Built, &ctx.metrics))
         }
         LogicalPlan::Projection { exprs, input } => {
             let schema = input.schema()?;
@@ -694,14 +948,17 @@ fn execute_node<'a>(
                     _ => None,
                 })
                 .collect();
+            let emits = match col_indices {
+                Some(_) => Emits::Passed,
+                None => Emits::Built,
+            };
             let out_dtypes: Vec<DataType> = exprs
                 .iter()
                 .map(|(e, _)| dtype_or_boxed(e.data_type(&schema)))
                 .collect();
-            let metrics = Arc::clone(&ctx.metrics);
             let batch_size = ctx.batch_size;
-            let partitions = execute_node(input, ctx, state, child(prof, 0))?;
-            parallel_map(partitions, ctx, move |batches| {
+            let input = execute_node(input, ctx, state, child(prof, 0))?;
+            let out = input.then("map", prof, move |batches, _| {
                 if let Some(indices) = &col_indices {
                     return Ok(batches.into_iter().map(|b| b.project(indices)).collect());
                 }
@@ -717,12 +974,9 @@ fn execute_node<'a>(
                         builder.push_row(&Row::new(values));
                     }
                 }
-                let out = builder.finish();
-                for b in &out {
-                    count_batch(&metrics, b);
-                }
-                Ok(out)
-            })
+                Ok(builder.finish())
+            });
+            Ok(out.emits(prof, emits, &ctx.metrics))
         }
         LogicalPlan::Join {
             left,
@@ -748,6 +1002,7 @@ fn execute_node<'a>(
             let mut left = *n;
             let mut out = Vec::new();
             for batch in execute_node(input, ctx, state, child(prof, 0))?
+                .run(ctx)?
                 .into_iter()
                 .flatten()
             {
@@ -755,36 +1010,36 @@ fn execute_node<'a>(
                     break;
                 }
                 let batch = if batch.num_rows() > left {
-                    let head = batch.gather(&(0..left as u32).collect::<Vec<_>>());
-                    count_batch(&ctx.metrics, &head);
-                    head
+                    // The one batch a limit builds.
+                    ctx.metrics.add(&ctx.metrics.batches_built, 1);
+                    ctx.metrics.add(&ctx.metrics.batch_rows, left as u64);
+                    batch.gather(&(0..left as u32).collect::<Vec<_>>())
                 } else {
                     batch
                 };
                 left -= batch.num_rows();
                 out.push(batch);
             }
-            Ok(vec![out])
+            Ok(Pipeline::done(vec![out]).emits(prof, Emits::Passed, &ctx.metrics))
         }
-        LogicalPlan::SubqueryAlias { input, .. } => execute_node(input, ctx, state, child(prof, 0)),
+        LogicalPlan::SubqueryAlias { input, .. } => {
+            let input = execute_node(input, ctx, state, child(prof, 0))?;
+            Ok(input.emits(prof, Emits::Passed, &ctx.metrics))
+        }
         LogicalPlan::Values { schema, rows } => {
             let rows: Vec<Row> = rows.iter().cloned().map(Row::new).collect();
-            Ok(vec![emit_rows(&schema.data_types(), &rows, ctx)])
+            let batches = rows_to_batches(&schema.data_types(), &rows, ctx.batch_size);
+            Ok(Pipeline::done(vec![batches]).emits(prof, Emits::Built, &ctx.metrics))
         }
     }?;
     if let Some(p) = prof {
+        // Building a pipeline runs only the breakers below it; its tasks
+        // count their own time (`Tally`).
         let elapsed = t0.and_then(|start| trace::now_us().map(|end| end.saturating_sub(start)));
-        if matches!(plan, LogicalPlan::Scan { .. }) {
-            // Scan tasks stream their partitions and already counted
-            // rows/bytes per batch; recording the gathered output again
-            // would double every figure.
-            p.record_shape(&out, elapsed);
-        } else {
-            p.record_output(&out, elapsed);
-        }
+        p.elapsed_us
+            .fetch_add(elapsed.unwrap_or(0), Ordering::Relaxed);
     }
-    state.shared.offer(plan, &out, prof);
-    Ok(out)
+    Ok(state.shared.offer(plan, out, ctx, prof))
 }
 
 fn exec_sort<'a>(
@@ -793,7 +1048,7 @@ fn exec_sort<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<Partition>> {
+) -> Result<Pipeline> {
     let schema = input.schema()?;
     let bound: Vec<(BoundExpr, bool)> = keys
         .iter()
@@ -802,7 +1057,7 @@ fn exec_sort<'a>(
     // Gathered to the driver and sorted as rows, each with its key values
     // evaluated once.
     let mut keyed: Vec<(Vec<Value>, Row)> =
-        gather_rows(execute_node(input, ctx, state, child(prof, 0))?)
+        gather_rows(execute_node(input, ctx, state, child(prof, 0))?.run(ctx)?)
             .into_iter()
             .map(|row| {
                 let key = bound
@@ -822,7 +1077,8 @@ fn exec_sort<'a>(
         std::cmp::Ordering::Equal
     });
     let rows: Vec<Row> = keyed.into_iter().map(|(_, row)| row).collect();
-    Ok(vec![emit_rows(&schema.data_types(), &rows, ctx)])
+    let batches = rows_to_batches(&schema.data_types(), &rows, ctx.batch_size);
+    Ok(Pipeline::done(vec![batches]).emits(prof, Emits::Built, &ctx.metrics))
 }
 
 // ----------------------------------------------------------------------
@@ -855,7 +1111,7 @@ fn dynamic_filter_keys<'a>(
             .as_ref()
             .and_then(|(plan, prof)| profile_of(plan, prof, source.side));
         state.dynamic.running_ahead = true;
-        let parts = execute_node(source.side, ctx, state, prof.as_ref());
+        let parts = execute_node(source.side, ctx, state, prof.as_ref()).and_then(|p| p.run(ctx));
         state.dynamic.running_ahead = false;
         let parts = parts?;
         state
@@ -891,7 +1147,7 @@ fn exec_scan<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<Partition>> {
+) -> Result<Pipeline> {
     // Translate pushable predicates to source form; remember which engine
     // expression each came from.
     let mut translated: Vec<SourceFilter> = Vec::new();
@@ -972,16 +1228,11 @@ fn exec_scan<'a>(
     }
 
     let batch_size = ctx.batch_size.max(1);
-    let metrics = Arc::clone(&ctx.metrics);
     let op_id = prof.map(|p| p.id);
-    let op_prof = prof.map(Arc::clone);
     let tasks: Vec<Task> = partitions
         .into_iter()
         .enumerate()
         .map(|(part_index, part): (usize, Arc<dyn ScanPartition>)| {
-            let residual = residual.clone();
-            let metrics = Arc::clone(&metrics);
-            let op_prof = op_prof.clone();
             let preferred = part.preferred_host().map(String::from);
             Task::new(preferred, move |running_on| {
                 // `region_scan` spans emitted by the provider nest under
@@ -995,61 +1246,25 @@ fn exec_scan<'a>(
                     psp.annotate("partition", part_index);
                     psp.annotate("desc", part.describe());
                 }
-                // The partition streams its batches; each has the residual
-                // filter applied as a selection bitmap on arrival, so
-                // unselected rows never travel further. Counters flush only
-                // on task success to stay exact under retries.
                 let mut out: Partition = Vec::new();
-                let mut stat_rows = 0u64;
-                let mut stat_bytes = 0u64;
-                let mut stat_sel_in = 0u64;
-                let mut stat_sel_out = 0u64;
                 part.execute(running_on, batch_size, &mut |batch| {
-                    let batch = match &residual {
-                        Some(pred) => {
-                            stat_sel_in += batch.num_rows() as u64;
-                            let mask = eval_predicate_mask(pred, &batch)?;
-                            let batch = batch.select(&mask);
-                            stat_sel_out += batch.num_rows() as u64;
-                            batch
-                        }
-                        None => batch,
-                    };
                     if batch.num_rows() > 0 {
-                        stat_rows += batch.num_rows() as u64;
-                        stat_bytes += batch.byte_size() as u64;
                         out.push(batch);
                     }
                     Ok(())
                 })?;
-                let stat_batches = out.len() as u64;
-                metrics.add(&metrics.scan_rows, stat_rows);
-                metrics.add(&metrics.scan_bytes, stat_bytes);
-                metrics.add(&metrics.batch_rows, stat_rows);
-                metrics.add(&metrics.batches_built, stat_batches);
-                if let Some(p) = &op_prof {
-                    p.rows.fetch_add(stat_rows, Ordering::Relaxed);
-                    p.bytes.fetch_add(stat_bytes, Ordering::Relaxed);
-                    p.batches.fetch_add(stat_batches, Ordering::Relaxed);
-                    // Residual filters run inside the scan as selection
-                    // bitmaps; report their selectivity exactly like a
-                    // standalone Filter would.
-                    p.sel_in_rows.fetch_add(stat_sel_in, Ordering::Relaxed);
-                    p.sel_out_rows.fetch_add(stat_sel_out, Ordering::Relaxed);
-                }
                 Ok(out)
             })
             .with_retries(ctx.executors.task_retries)
         })
         .collect();
-    let out = run_stage(
-        &ctx.executors,
-        tasks,
-        &ctx.metrics,
-        &ctx.stage_obs("scan", prof),
-    )?;
-    record_stage_memory(&out, ctx);
-    Ok(out)
+    // The residual filter is the scan's own step: its selectivity shows on
+    // the scan, and what it keeps is what the scan emits.
+    let mut scan = Pipeline::new(Input::Tasks(tasks), ("scan", op_id));
+    if let Some(residual) = residual {
+        scan = scan.then("scan", prof, filter(residual, prof));
+    }
+    Ok(scan.emits(prof, Emits::Scanned, &ctx.metrics))
 }
 
 // ----------------------------------------------------------------------
@@ -1080,29 +1295,39 @@ impl JoinStrategy {
             ),
         }
     }
+
+    /// The `strategy=` profile note.
+    fn note(self, left_bytes: usize, right_bytes: usize, ctx: &ExecContext) -> String {
+        format!(
+            "strategy={} (left_bytes={left_bytes}, right_bytes={right_bytes}, threshold={})",
+            self.describe(),
+            ctx.broadcast_threshold
+        )
+    }
 }
 
 /// Pick a join strategy from the byte sizes of its inputs, observed once
-/// both have run.
+/// they ran. A small right input of an inner join is broadcast whatever the
+/// left one holds, so `left` runs here only when the right one is not small;
+/// otherwise its own tasks probe the table.
 fn choose_join_strategy(
-    left_bytes: usize,
+    left: &mut Pipeline,
     right_bytes: usize,
     join_type: JoinType,
     ctx: &ExecContext,
-) -> JoinStrategy {
-    if join_type == JoinType::Inner {
-        if right_bytes <= ctx.broadcast_threshold {
-            return JoinStrategy::BroadcastRight;
-        }
-        if left_bytes <= ctx.broadcast_threshold {
-            return JoinStrategy::BroadcastLeft;
-        }
+) -> Result<JoinStrategy> {
+    if join_type == JoinType::Inner && right_bytes <= ctx.broadcast_threshold {
+        return Ok(JoinStrategy::BroadcastRight);
+    }
+    let left_bytes = left.materialize(ctx)?;
+    if join_type == JoinType::Inner && left_bytes <= ctx.broadcast_threshold {
+        return Ok(JoinStrategy::BroadcastLeft);
     }
     // Left joins must observe every left row, so the build side is always
     // the right; inner joins build whichever side is smaller.
     let build_left = join_type == JoinType::Inner && left_bytes < right_bytes;
     let n = exchange_partitions(left_bytes + right_bytes);
-    JoinStrategy::Shuffle { n, build_left }
+    Ok(JoinStrategy::Shuffle { n, build_left })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1115,7 +1340,7 @@ fn exec_join<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<Partition>> {
+) -> Result<Pipeline> {
     let left_schema = left.schema()?;
     let right_schema = right.schema()?;
     let left_keys: Vec<BoundExpr> = on
@@ -1138,36 +1363,41 @@ fn exec_join<'a>(
         .cloned();
     let run_input = |i: usize, state: &mut PlanState<'a>| {
         let input = if i == 0 { left } else { right };
-        let parts = execute_node(input, ctx, state, child(prof, i))?;
-        if let Some((_, keys)) = filtering.as_ref().filter(|(f, _)| std::ptr::eq(*f, input)) {
-            state
-                .dynamic
-                .collect_keys(input, keys, &parts, ctx, child(prof, i))?;
-            if let (Some(p), Some(first)) = (prof, child(prof, i)) {
-                p.note(format!(
-                    "dynamic filter: filtering side op #{} ran first",
-                    first.id
-                ));
-            }
+        let out = execute_node(input, ctx, state, child(prof, i))?;
+        let Some((_, keys)) = filtering.as_ref().filter(|(f, _)| std::ptr::eq(*f, input)) else {
+            return Ok(out);
+        };
+        let parts = out.run(ctx)?;
+        state
+            .dynamic
+            .collect_keys(input, keys, &parts, ctx, child(prof, i))?;
+        if let (Some(p), Some(first)) = (prof, child(prof, i)) {
+            p.note(format!(
+                "dynamic filter: filtering side op #{} ran first",
+                first.id
+            ));
         }
-        Ok::<_, EngineError>(parts)
+        Ok::<_, EngineError>(Pipeline::done(parts))
     };
-    let (left_parts, right_parts) = match &filtering {
+    let (mut left_input, right_input) = match &filtering {
         Some((side, _)) if std::ptr::eq(*side, right) => {
-            let right_parts = run_input(1, state)?;
-            (run_input(0, state)?, right_parts)
+            let right_input = run_input(1, state)?;
+            (run_input(0, state)?, right_input)
         }
         _ => (run_input(0, state)?, run_input(1, state)?),
     };
-    let left_bytes = partitions_byte_size(&left_parts);
+    let right_parts = right_input.run(ctx)?;
     let right_bytes = partitions_byte_size(&right_parts);
-    let strategy = choose_join_strategy(left_bytes, right_bytes, join_type, ctx);
+    let strategy = choose_join_strategy(&mut left_input, right_bytes, join_type, ctx)?;
+    // A left input that probes inside its own tasks has its size known only
+    // once they ran, and `run` writes the note then.
+    let left_bytes = left_input.output().map(partitions_byte_size);
+    let mut join_note = None;
     if let Some(p) = prof {
-        p.note(format!(
-            "strategy={} (left_bytes={left_bytes}, right_bytes={right_bytes}, threshold={})",
-            strategy.describe(),
-            ctx.broadcast_threshold
-        ));
+        match left_bytes {
+            Some(left_bytes) => p.note(strategy.note(left_bytes, right_bytes, ctx)),
+            None => join_note = Some((Arc::clone(p), right_bytes)),
+        }
     }
 
     // Which input is built into the table; the other one probes it.
@@ -1176,7 +1406,7 @@ fn exec_join<'a>(
         JoinStrategy::BroadcastRight => false,
         JoinStrategy::Shuffle { build_left, .. } => build_left,
     };
-    let (left_parts, right_parts) = match strategy {
+    let (left_input, right_parts) = match strategy {
         JoinStrategy::Shuffle { n, .. } => {
             // Each side of the exchange is its own labeled edge, keyed by
             // the join operator's plan position.
@@ -1187,20 +1417,21 @@ fn exec_join<'a>(
                 shuffle_batches_by_key(parts, keys, n, &ctx.metrics, edge)
             };
             (
-                shuffle(left_parts, &left_keys, "left")?,
+                Pipeline::done(shuffle(left_input.run(ctx)?, &left_keys, "left")?),
                 shuffle(right_parts, &right_keys, "right")?,
             )
         }
         _ => {
-            let (build_bytes, _) = build_first(build_left, left_bytes, right_bytes);
-            let (_, probe_parts) = build_first(build_left, &left_parts, &right_parts);
-            let copies = probe_parts.len().max(1) as u64;
-            ctx.metrics
-                .add(&ctx.metrics.broadcast_bytes, build_bytes as u64 * copies);
-            (left_parts, right_parts)
+            let (build_bytes, _) = build_first(build_left, left_bytes, Some(right_bytes));
+            let (_, copies) = build_first(build_left, left_input.len(), right_parts.len());
+            let copies = copies.max(1) as u64;
+            ctx.metrics.add(
+                &ctx.metrics.broadcast_bytes,
+                build_bytes.unwrap_or(0) as u64 * copies,
+            );
+            (left_input, right_parts)
         }
     };
-    let (build_parts, probe_parts) = build_first(build_left, left_parts, right_parts);
     let (build_keys, probe_keys) = build_first(build_left, left_keys, right_keys);
     let (build_dtypes, _) = build_first(build_left, left_dtypes, right_dtypes);
     let probe = Arc::new(Probe {
@@ -1209,7 +1440,7 @@ fn exec_join<'a>(
         emit_unmatched: join_type == JoinType::Left && !build_left,
         batch_size: ctx.batch_size.max(1),
     });
-    let tasks: Vec<Task> = if matches!(strategy, JoinStrategy::Shuffle { .. }) {
+    let mut out = if let JoinStrategy::Shuffle { .. } = strategy {
         // One table per exchange partition, built by the task that probes it.
         let build = Arc::new((build_keys, build_dtypes));
         let probe_task = |parts| {
@@ -1218,26 +1449,20 @@ fn exec_join<'a>(
                 JoinTable::build(vec![bpart], &build.0, &build.1)?.probe(ppart, &probe)
             })
         };
+        let (build_parts, probe_parts) = build_first(build_left, left_input.run(ctx)?, right_parts);
         let pairs = build_parts.into_iter().zip(probe_parts);
-        pairs.map(probe_task).collect()
+        let tasks = pairs.map(probe_task).collect();
+        Pipeline::new(Input::Tasks(tasks), ("probe", prof.map(|p| p.id)))
     } else {
-        // One table, built here and shared by every probe task.
-        let table = Arc::new(JoinTable::build(build_parts, &build_keys, &build_dtypes)?);
-        let probe_task = |part| {
-            let (table, probe) = (Arc::clone(&table), Arc::clone(&probe));
-            once_task(part, move |part| table.probe(part, &probe))
-        };
-        probe_parts.into_iter().map(probe_task).collect()
+        // One table, built here; every task of the other input probes it as
+        // one more step.
+        let (build_input, probe_input) =
+            build_first(build_left, left_input, Pipeline::done(right_parts));
+        let table = JoinTable::build(build_input.run(ctx)?, &build_keys, &build_dtypes)?;
+        probe_input.then("probe", prof, move |part, _| table.probe(part, &probe))
     };
-    let out = run_stage(
-        &ctx.executors,
-        tasks,
-        &ctx.metrics,
-        &ctx.stage_obs("probe", prof),
-    )?;
-    count_batches(&out, ctx);
-    record_stage_memory(&out, ctx);
-    Ok(out)
+    out.join_notes.extend(join_note);
+    Ok(out.emits(prof, Emits::Built, &ctx.metrics))
 }
 
 // ----------------------------------------------------------------------
@@ -1251,7 +1476,7 @@ fn exec_aggregate<'a>(
     ctx: &ExecContext,
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
-) -> Result<Vec<Partition>> {
+) -> Result<Pipeline> {
     let schema = input.schema()?;
     let group_exprs: Vec<BoundExpr> = group
         .iter()
@@ -1267,7 +1492,7 @@ fn exec_aggregate<'a>(
         })
         .collect::<Result<_>>()?;
 
-    let input_parts = execute_node(input, ctx, state, child(prof, 0))?;
+    let input_parts = execute_node(input, ctx, state, child(prof, 0))?.run(ctx)?;
     let n_out = exchange_partitions(partitions_byte_size(&input_parts));
     if let Some(p) = prof {
         p.note(format!("exchange_partitions={n_out}"));
@@ -1298,9 +1523,8 @@ fn exec_aggregate<'a>(
         moved.bytes,
         moved.rows,
     );
-    count_batches(&out, ctx);
     record_stage_memory(&out, ctx);
-    Ok(out)
+    Ok(Pipeline::done(out).emits(prof, Emits::Built, &ctx.metrics))
 }
 
 // ----------------------------------------------------------------------
@@ -1331,33 +1555,6 @@ fn once_task<T: Send + 'static>(
     })
 }
 
-/// Run a narrow (per-partition) transformation on the executor pool.
-fn parallel_map(
-    partitions: Vec<Partition>,
-    ctx: &ExecContext,
-    f: impl Fn(Partition) -> Result<Partition> + Send + Sync + Clone + 'static,
-) -> Result<Vec<Partition>> {
-    let tasks: Vec<Task> = partitions
-        .into_iter()
-        .map(|part| once_task(part, f.clone()))
-        .collect();
-    let out = run_stage(
-        &ctx.executors,
-        tasks,
-        &ctx.metrics,
-        &ctx.stage_obs("map", None),
-    )?;
-    record_stage_memory(&out, ctx);
-    Ok(out)
-}
-
-/// Count the batches a hash operator built, once its stage is through.
-fn count_batches(partitions: &[Partition], ctx: &ExecContext) {
-    for batch in partitions.iter().flatten() {
-        count_batch(&ctx.metrics, batch);
-    }
-}
-
 fn record_stage_memory(partitions: &[Partition], ctx: &ExecContext) {
     ctx.metrics
         .record_materialized(partitions_byte_size(partitions) as u64);
@@ -1367,6 +1564,7 @@ fn record_stage_memory(partitions: &[Partition], ctx: &ExecContext) {
 mod tests {
     use super::*;
     use crate::aggregate::AggFunc;
+    use crate::columnar::ColumnarBatch;
     use crate::expr::Expr;
     use crate::memtable::MemTable;
     use crate::reference::{canonical, canonical_multiset, evaluate};
@@ -1515,6 +1713,37 @@ mod tests {
         assert!(snap.broadcast_bytes > 0);
         assert_eq!(snap.shuffle_bytes, 0);
         assert_matches_reference(&plan);
+    }
+
+    #[test]
+    fn chained_broadcast_joins_each_note_their_strategy() {
+        // Both probes run inside the users scan's task (the depts scan is
+        // the other one); each join's note carries the bytes its own left
+        // input produced there.
+        let plan = LogicalPlan::Join {
+            left: Box::new(LogicalPlan::Join {
+                left: Box::new(scan(users_table(), "users")),
+                right: Box::new(scan(depts_table(), "depts")),
+                on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
+                join_type: JoinType::Inner,
+            }),
+            right: Box::new(LogicalPlan::Values {
+                schema: Schema::new(vec![Field::new("b", DataType::Utf8)]),
+                rows: vec![vec![Value::Utf8("north".into())]],
+            }),
+            on: vec![(Expr::col("building"), Expr::col("b"))],
+            join_type: JoinType::Inner,
+        };
+        let ctx = ExecContext::default();
+        let (rows, profile) = collect_profiled(&plan, &ctx).unwrap();
+        assert_eq!((rows.len(), ctx.metrics.snapshot().tasks), (10, 2));
+        for join in [&profile, &profile.children[0]] {
+            let left_bytes = join.children[0].bytes.load(Ordering::Relaxed);
+            let note = format!("strategy=broadcast (left_bytes={left_bytes}, ");
+            let notes = join.notes.lock();
+            assert_eq!(notes.len(), 1, "{notes:?}");
+            assert!(notes[0].starts_with(&note), "{notes:?}");
+        }
     }
 
     #[test]
@@ -1679,7 +1908,6 @@ mod tests {
         collect(&plan, &ctx).unwrap();
         let snap = ctx.metrics.snapshot();
         assert!(snap.peak_bytes > 0);
-        assert!(snap.materialized_bytes >= snap.peak_bytes);
     }
 
     #[test]
@@ -1782,13 +2010,42 @@ mod tests {
         }
         assert_eq!(
             reference_snap.tasks - snap.tasks,
-            2,
-            "one scan and one filter stage less, one task each: the table's \
+            1,
+            "one scan stage less, its filter inside its one task: the table's \
              20 rows pack into one scan partition"
         );
         assert_eq!(rows.len(), 2);
         assert_eq!(sorted_debug(rows), sorted_debug(reference));
         assert_matches_reference(&shared);
+    }
+
+    #[test]
+    fn a_shared_scan_runs_inside_whichever_consumer_runs_first() {
+        // The join runs its right input first, so the tasks of the later
+        // occurrence produce what the first one, left, then probes with.
+        let users = users_table();
+        let block = |alias: &str| LogicalPlan::SubqueryAlias {
+            alias: alias.into(),
+            input: Box::new(LogicalPlan::Filter {
+                predicate: Expr::col("id").lt(Expr::lit(5i64)),
+                input: Box::new(scan(Arc::clone(&users), "users")),
+            }),
+        };
+        let plan = join_on_dept(block("l"), block("r"), "r");
+        let ctx = ExecContext::default();
+        let (rows, profile) = collect_profiled(&plan, &ctx).unwrap();
+        let snap = ctx.metrics.snapshot();
+        assert_eq!((snap.subplans_reused, snap.scan_rows), (1, 20));
+        assert_eq!(snap.tasks, 2, "one task per occurrence, none to share");
+        // Pre-order: 0 join, 1 alias l, 2 filter, 3 scan, 4 alias r,
+        // 5 filter (reused).
+        let (producer, reused) = (&profile.children[0].children[0], &profile.children[1]);
+        assert_eq!(reused.children[0].reused_from.get(), Some(&2));
+        let read_kept = [&producer.sel_in_rows, &producer.sel_out_rows];
+        assert_eq!(read_kept.map(|c| c.load(Ordering::Relaxed)), [20, 5]);
+        assert_eq!(reused.rows.load(Ordering::Relaxed), 5);
+        assert_eq!(rows.len(), 13);
+        assert_matches_reference(&plan);
     }
 
     #[test]
@@ -1872,6 +2129,78 @@ mod tests {
         let rows = collect(&plan, &ctx).unwrap();
         assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
         assert_eq!(sorted_debug(rows), expected);
+
+        // A scan, its filter and the probe of a broadcast `VALUES` (which
+        // runs no stage) are one task: its failed first attempt counts
+        // nothing, and the retry counts every step once.
+        let chain = LogicalPlan::Join {
+            left: Box::new(LogicalPlan::Filter {
+                predicate: Expr::col("id").lt(Expr::lit(5i64)),
+                input: Box::new(scan(users, "users")),
+            }),
+            right: Box::new(LogicalPlan::Values {
+                schema: Schema::new(vec![Field::new("d", DataType::Utf8)]),
+                rows: vec![vec![Value::Utf8("a".into())]],
+            }),
+            on: vec![(Expr::col("dept"), Expr::col("d"))],
+            join_type: JoinType::Inner,
+        };
+        let run = |faults: Option<Arc<SchedulerFaults>>| {
+            let ctx = ExecContext {
+                sched_faults: faults,
+                ..Default::default()
+            };
+            let (rows, profile) = collect_profiled(&chain, &ctx).unwrap();
+            let mut steps = Vec::new();
+            profile.walk(&mut |p| {
+                let counters = [&p.rows, &p.batches, &p.sel_in_rows, &p.sel_out_rows];
+                steps.push(counters.map(|c| c.load(Ordering::Relaxed)));
+            });
+            let m = ctx.metrics.snapshot();
+            let counts = [m.scan_rows, m.batches_built, m.batch_rows, m.tasks];
+            (sorted_debug(rows), steps, counts, m.task_retries)
+        };
+        let faults = SchedulerFaults::new();
+        faults.fail_once_on_host("localhost", "injected");
+        let (rows, steps, counts, retries) = run(Some(faults));
+        assert_eq!(retries, 1);
+        assert_eq!(counts[3], 1, "scan, filter and probe run as one task");
+        // Join, filter, scan: rows, batches, rows a filter read and kept.
+        let chained = [[3, 1, 0, 0], [5, 1, 20, 5], [20, 1, 0, 0]];
+        assert_eq!(steps[..3], chained);
+        assert_eq!((rows, steps, counts, 0), run(None));
+
+        // A step that fails after the filter counted: the retried task
+        // counts the filter and its output once.
+        let users = scan(users_table(), "users");
+        let batches = execute(&users, &ExecContext::default()).unwrap().remove(0);
+        let source = Task::new(None, move |_| Ok(batches.clone())).with_retries(1);
+        let predicate = Expr::col("id")
+            .lt(Expr::lit(5i64))
+            .bind(&users.schema().unwrap());
+        let (ctx, prof) = (ExecContext::default(), OpProfile::build(&users));
+        let failed = std::sync::atomic::AtomicBool::new(false);
+        let out = Pipeline::new(Input::Tasks(vec![source]), ("scan", Some(prof.id)))
+            .then("scan", Some(&prof), filter(predicate.unwrap(), Some(&prof)))
+            .emits(Some(&prof), Emits::Built, &ctx.metrics)
+            .then("map", None, move |part, _| {
+                match failed.swap(true, Ordering::Relaxed) {
+                    true => Ok(part),
+                    false => Err(EngineError::Execution("after the filter".into())),
+                }
+            })
+            .run(&ctx)
+            .unwrap();
+        assert_eq!(batches_num_rows(&out[0]), 5);
+        let counters = [
+            &prof.rows,
+            &prof.batches,
+            &prof.sel_in_rows,
+            &prof.sel_out_rows,
+        ];
+        assert_eq!(counters.map(|c| c.load(Ordering::Relaxed)), [5, 1, 20, 5]);
+        let m = ctx.metrics.snapshot();
+        assert_eq!((m.task_retries, m.batches_built, m.batch_rows), (1, 1, 5));
     }
 
     use crate::memtable::KeyedTable;

@@ -9,15 +9,17 @@
 //! join a shuffle join a change of that hash moves rows between tasks and
 //! changes the batches they are cut into, for q39a and q39b alike. (The
 //! aggregate's exchange is pinned by `hash_aggregate`'s own test: moving it
-//! leaves these figures as they are.)
+//! leaves these figures as they are.) Stage rounds, counted off the
+//! query's task timeline, pin where the pipelines break: a narrow operator
+//! or a broadcast probe runs inside the task that produced its input.
 
 use shc::prelude::*;
 
 /// `(broadcast_threshold, shuffle_bytes, shuffle_rows, broadcast_bytes,
-/// tasks, batches_built)`: as planned and re-planned (dimension tables
-/// broadcast, only the aggregates exchange), then with every join a
-/// shuffle join.
-type Moved = (usize, u64, u64, u64, u64, u64);
+/// tasks, batches_built, stage_rounds)`: with the default broadcast bound
+/// (dimension tables broadcast, only the aggregates exchange), then with
+/// every join a shuffle join.
+type Moved = (usize, u64, u64, u64, u64, u64, usize);
 
 /// Runs `sql` in both configurations: each returns `result_rows` rows and
 /// moves what `expected` says.
@@ -25,13 +27,22 @@ fn assert_moves(sql: &str, result_rows: usize, expected: [Moved; 2]) {
     let generator = Generator::new(Scale::from_gb(10.0), 2018);
     let session = Session::new_default();
     shc::tpcds::load_into_memory(&session, &generator, &Table::Q39_TABLES, 5);
-    for (broadcast_threshold, shuffle_bytes, shuffle_rows, broadcast_bytes, tasks, batches) in
-        expected
+    for (
+        broadcast_threshold,
+        shuffle_bytes,
+        shuffle_rows,
+        broadcast_bytes,
+        tasks,
+        batches,
+        rounds,
+    ) in expected
     {
         session.update_config(|c| c.broadcast_threshold = broadcast_threshold);
         let before = session.metrics.snapshot();
-        let rows = session.sql(sql).unwrap().collect().unwrap();
+        let analysis = session.sql(sql).unwrap().collect_analyzed().unwrap();
         let moved = session.metrics.snapshot().delta_since(&before);
+        let rows = analysis.rows;
+        let stage_rounds = analysis.timeline.stages().len();
         assert_eq!(
             rows.len(),
             result_rows,
@@ -43,9 +54,17 @@ fn assert_moves(sql: &str, result_rows: usize, expected: [Moved; 2]) {
                 moved.shuffle_rows,
                 moved.broadcast_bytes,
                 moved.tasks,
-                moved.batches_built
+                moved.batches_built,
+                stage_rounds
             ),
-            (shuffle_bytes, shuffle_rows, broadcast_bytes, tasks, batches),
+            (
+                shuffle_bytes,
+                shuffle_rows,
+                broadcast_bytes,
+                tasks,
+                batches,
+                rounds
+            ),
             "broadcast_threshold = {broadcast_threshold}"
         );
     }
@@ -58,8 +77,8 @@ fn q39a_over_memtables_moves_the_pinned_figures() {
         &shc::tpcds::queries::q39a(2001, 1),
         34,
         [
-            (broadcast, 312_284, 4_109, 20_868, 31, 39),
-            (0, 1_111_190, 27_740, 0, 25, 111),
+            (broadcast, 312_284, 4_109, 20_868, 17, 39, 9),
+            (0, 1_111_190, 27_740, 0, 21, 111, 15),
         ],
     );
 }
@@ -73,8 +92,8 @@ fn q39b_over_memtables_moves_the_pinned_figures() {
         // what it moves still depends on where its groups land.
         0,
         [
-            (broadcast, 312_284, 4_109, 20_868, 31, 37),
-            (0, 1_087_700, 27_305, 0, 25, 109),
+            (broadcast, 312_284, 4_109, 20_868, 17, 37, 9),
+            (0, 1_087_700, 27_305, 0, 21, 109, 15),
         ],
     );
 }

@@ -477,6 +477,25 @@ fn explain_analyze_row_counts_match_actual_cardinality() {
         // Every rendered operator line carries observed values.
         let rendered = analysis.profile.render();
         assert!(rendered.contains("(actual: rows="), "{rendered}");
+        // A scan's time counts its own tasks, though the stage that runs
+        // them also runs the steps above it: at least half of their time.
+        let tasks = analysis.timeline.tasks();
+        for stage in analysis.timeline.stages() {
+            let run_us: u64 = tasks
+                .iter()
+                .filter(|t| t.stage_id == stage.stage_id)
+                .map(|t| t.run_us)
+                .sum();
+            let mut scan_us = None;
+            analysis.profile.walk(&mut |p| {
+                if stage.label == "scan" && stage.op == Some(p.id) {
+                    scan_us = Some(p.elapsed_us.load(std::sync::atomic::Ordering::Relaxed));
+                }
+            });
+            if let Some(scan_us) = scan_us {
+                assert!(2 * scan_us >= run_us, "{sql}: {scan_us} µs of {run_us}");
+            }
+        }
     }
 
     // Scan operators attribute their rows to the regions actually read:
@@ -666,6 +685,9 @@ fn q39_month_blocks_share_one_scan_of_each_table() {
         .filter(|s| s.label == "scan")
         .count();
     assert_eq!(scans, 5);
+    // Stage rounds: a filter, a projection or a broadcast probe runs inside
+    // the task that produced its input; only pipeline breakers run stages.
+    assert_eq!(timeline.stages().len(), 9);
     // `system.queries.rpc_count` is what the cluster counted for the query.
     register_system_tables(&session, &cluster);
     let before = cluster.metrics.snapshot();
