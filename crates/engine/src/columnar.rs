@@ -1,11 +1,17 @@
 //! Columnar execution batches: fixed-size batches of typed column vectors
-//! (i64/f64/bool), null bitmaps, and dictionary-encoded strings, plus the
-//! vectorized predicate kernels that evaluate filters to selection bitmaps.
+//! (i64/f64/bool), null bitmaps, and dictionary-encoded strings; and the
+//! evaluation of expressions over them, all of it.
 //!
 //! The execution currency of the physical layer is [`Partition`]: a run of
 //! [`ColumnarBatch`]es. Every operator takes and returns partitions; rows
 //! are materialized once, by [`gather_rows`], when `collect` hands the
 //! result to the caller.
+//!
+//! An expression over a batch is a column ([`eval_column`]: projections,
+//! keys, aggregate arguments, sort keys) or, as a predicate, a selection
+//! bitmap ([`eval_predicate_mask`]). A column reference is the batch's own
+//! column, and a comparison of typed columns or an `IS [NOT] NULL` a tight
+//! loop; anything else goes through one row-by-row loop.
 //!
 //! **Losslessness contract**: `ColumnarBatch::from_rows` followed by
 //! `to_rows` reproduces the input exactly, down to the `Value` variant.
@@ -952,8 +958,7 @@ pub fn partitions_byte_size(parts: &[Partition]) -> usize {
 }
 
 /// Materialize partitions as one row vector, in partition then batch order:
-/// the driver-side gather `collect` ends with, and what the sort, the one
-/// operator that works on whole rows, starts from.
+/// the driver-side gather `collect` ends with.
 pub fn gather_rows(parts: Vec<Partition>) -> Vec<Row> {
     let total: usize = parts.iter().map(|p| batches_num_rows(p)).sum();
     let mut out = Vec::with_capacity(total);
@@ -964,52 +969,120 @@ pub fn gather_rows(parts: Vec<Partition>) -> Vec<Row> {
 }
 
 // ----------------------------------------------------------------------
-// Vectorized predicate kernels
+// Expression evaluation
 // ----------------------------------------------------------------------
 
-/// Evaluate `expr` as a SQL predicate over a whole batch, producing a
-/// selection bitmap (bit set = row passes; NULL counts as false, matching
-/// [`BoundExpr::eval_predicate`]). Comparisons over typed columns run as
-/// tight loops; `AND`/`OR` compose selection masks bitwise, which is sound
-/// because predicate-truth (NULL→false) distributes over both. `NOT` is
-/// deliberately row-wise: `NOT NULL` is NULL (false as a predicate), so
-/// inverting a selection mask would wrongly select NULL rows.
-pub fn eval_predicate_mask(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Bitmap> {
-    if let Some(mask) = eval_mask_vectorized(expr, batch)? {
-        return Ok(mask);
+/// `expr` over every row of `batch`, as a column. A column reference is the
+/// batch's own column; anything else is evaluated row by row into a column
+/// built as `dtype` (`Binary`, boxed storage, hands back exactly the values
+/// it was given).
+pub fn eval_column(
+    expr: &BoundExpr,
+    dtype: DataType,
+    batch: &ColumnarBatch,
+) -> Result<Arc<Column>> {
+    if let BoundExpr::Column(c, _) = expr {
+        return Ok(Arc::clone(&batch.columns[*c]));
     }
-    let n = batch.num_rows();
-    let mut mask = Bitmap::new(n);
-    for i in 0..n {
-        if expr.eval_predicate(&batch.row_at(i))? {
-            mask.set(i, true);
-        }
-    }
-    Ok(mask)
+    let mut builder = ColumnBuilder::new(dtype);
+    eval_rows(expr, batch, 0..batch.num_rows(), |_, v| builder.push(&v))?;
+    Ok(Arc::new(builder.finish()))
 }
 
-fn eval_mask_vectorized(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Option<Bitmap>> {
+/// The executor's one value loop: `expr` evaluated on each of `rows` of
+/// `batch`, handed with its row to `each`.
+fn eval_rows(
+    expr: &BoundExpr,
+    batch: &ColumnarBatch,
+    rows: impl Iterator<Item = usize>,
+    mut each: impl FnMut(usize, Value),
+) -> Result<()> {
+    for i in rows {
+        each(i, expr.eval(&batch.row_at(i))?);
+    }
+    Ok(())
+}
+
+/// What a predicate makes of each row of a batch: the rows it makes true
+/// and the rows it makes false. NULL, or any other non-boolean, is neither.
+struct Truth {
+    yes: Bitmap,
+    no: Bitmap,
+}
+
+impl Truth {
+    fn of(n: usize, at: impl Fn(usize) -> Option<bool>) -> Truth {
+        let (mut yes, mut no) = (Bitmap::new(n), Bitmap::new(n));
+        for i in 0..n {
+            match at(i) {
+                Some(true) => yes.set(i, true),
+                Some(false) => no.set(i, true),
+                None => {}
+            }
+        }
+        Truth { yes, no }
+    }
+
+    /// True and false swapped when `swap`: NOT, bit for bit.
+    fn swapped_if(self, swap: bool) -> Truth {
+        match swap {
+            true => Truth {
+                yes: self.no,
+                no: self.yes,
+            },
+            false => self,
+        }
+    }
+}
+
+/// Evaluate `expr` as a SQL predicate over a whole batch, producing a
+/// selection bitmap: the rows it makes true, as
+/// [`BoundExpr::eval_predicate`] would row by row, and an error where that
+/// would err.
+pub fn eval_predicate_mask(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Bitmap> {
+    Ok(truth(expr, batch, &Bitmap::new(batch.num_rows()))?.yes)
+}
+
+/// The [`Truth`] of `expr` over the rows of `batch` not in `skip`, which an
+/// enclosing AND or OR has already decided: they are not evaluated, and what
+/// they come back as means nothing. Comparisons of typed columns with each
+/// other or a literal, and `IS [NOT] NULL` of a column, run as tight loops;
+/// AND and OR combine the two sides' bitmaps and evaluate their right side
+/// only on the rows their left side left open, as `eval` short-circuits.
+/// Everything else, NOT included (NOT of a non-boolean is an error), is
+/// evaluated row by row.
+fn truth(expr: &BoundExpr, batch: &ColumnarBatch, skip: &Bitmap) -> Result<Truth> {
+    if let BoundExpr::BinaryOp {
+        left,
+        op: op @ (BinaryOp::And | BinaryOp::Or),
+        right,
+    } = expr
+    {
+        // OR is AND with true and false swapped: decided where the left side
+        // is false, the right side evaluated on the rest.
+        let or = *op == BinaryOp::Or;
+        let mut out = truth(left, batch, skip)?.swapped_if(or);
+        let mut decided = out.no.clone();
+        decided.or_in_place(skip);
+        let right = truth(right, batch, &decided)?.swapped_if(or);
+        out.yes.and_in_place(&right.yes);
+        out.no.or_in_place(&right.no);
+        return Ok(out.swapped_if(or));
+    }
+    if let Some(truth) = truth_kernel(expr, batch) {
+        return Ok(truth);
+    }
+    let n = batch.num_rows();
+    let mut values = vec![None; n];
+    let open = (0..n).filter(|&i| !skip.get(i));
+    eval_rows(expr, batch, open, |i, v| values[i] = v.as_bool())?;
+    Ok(Truth::of(n, |i| values[i]))
+}
+
+fn truth_kernel(expr: &BoundExpr, batch: &ColumnarBatch) -> Option<Truth> {
     match expr {
-        BoundExpr::BinaryOp {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            let mut mask = eval_predicate_mask(left, batch)?;
-            mask.and_in_place(&eval_predicate_mask(right, batch)?);
-            Ok(Some(mask))
-        }
-        BoundExpr::BinaryOp {
-            left,
-            op: BinaryOp::Or,
-            right,
-        } => {
-            let mut mask = eval_predicate_mask(left, batch)?;
-            mask.or_in_place(&eval_predicate_mask(right, batch)?);
-            Ok(Some(mask))
-        }
         BoundExpr::BinaryOp { left, op, right } if op.is_comparison() => {
-            Ok(match (&**left, &**right) {
+            match (&**left, &**right) {
                 (BoundExpr::Column(ci, _), BoundExpr::Literal(v)) => {
                     cmp_column_literal(batch.column(*ci), *op, v)
                 }
@@ -1020,35 +1093,17 @@ fn eval_mask_vectorized(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Optio
                     cmp_column_column(batch.column(*a), batch.column(*b), *op)
                 }
                 _ => None,
-            })
+            }
         }
-        BoundExpr::IsNull(e) => Ok(match &**e {
+        BoundExpr::IsNull(e) | BoundExpr::IsNotNull(e) => match &**e {
             BoundExpr::Column(ci, _) => {
                 let col = batch.column(*ci);
-                let mut mask = Bitmap::new(col.len());
-                for i in 0..col.len() {
-                    if col.is_null(i) {
-                        mask.set(i, true);
-                    }
-                }
-                Some(mask)
+                let null = matches!(expr, BoundExpr::IsNull(_));
+                Some(Truth::of(col.len(), |i| Some(col.is_null(i) == null)))
             }
             _ => None,
-        }),
-        BoundExpr::IsNotNull(e) => Ok(match &**e {
-            BoundExpr::Column(ci, _) => {
-                let col = batch.column(*ci);
-                let mut mask = Bitmap::new(col.len());
-                for i in 0..col.len() {
-                    if !col.is_null(i) {
-                        mask.set(i, true);
-                    }
-                }
-                Some(mask)
-            }
-            _ => None,
-        }),
-        _ => Ok(None),
+        },
+        _ => None,
     }
 }
 
@@ -1075,125 +1130,79 @@ fn ord_matches(op: BinaryOp, o: Ordering) -> bool {
     }
 }
 
+/// `op` on each of `n` rows whose sides `ord` orders (`None`: they compare
+/// to nothing), NULL on the rows `null` names, which `ord` is not asked
+/// about.
+fn compare(
+    n: usize,
+    null: impl Fn(usize) -> bool,
+    op: BinaryOp,
+    ord: impl Fn(usize) -> Option<Ordering>,
+) -> Truth {
+    Truth::of(n, |i| match null(i) {
+        true => None,
+        false => ord(i).map(|o| ord_matches(op, o)),
+    })
+}
+
 /// Column-vs-literal comparison kernel; `None` means no typed kernel
 /// applies (caller falls back to row-wise evaluation). Semantics mirror
 /// [`Value::sql_cmp`]: integers compare exactly, any float promotes both
-/// sides to `f64`, NULL never matches.
-fn cmp_column_literal(col: &Column, op: BinaryOp, lit: &Value) -> Option<Bitmap> {
+/// sides to `f64`, NULL and NaN compare to nothing.
+fn cmp_column_literal(col: &Column, op: BinaryOp, lit: &Value) -> Option<Truth> {
     let n = col.len();
     if lit.is_null() {
-        // Comparison with NULL is NULL — selects nothing.
-        return Some(Bitmap::new(n));
+        // Comparison with NULL is NULL for every row.
+        return Some(Truth::of(n, |_| None));
     }
-    let mut mask = Bitmap::new(n);
-    match &col.data {
+    let null = |i: usize| col.is_null(i);
+    Some(match &col.data {
         ColumnData::Int64(vals) => match lit {
             Value::Float32(_) | Value::Float64(_) => {
                 let rhs = lit.as_f64()?;
-                for (i, v) in vals.iter().enumerate() {
-                    if !col.nulls.get(i) {
-                        if let Some(o) = (*v as f64).partial_cmp(&rhs) {
-                            if ord_matches(op, o) {
-                                mask.set(i, true);
-                            }
-                        }
-                    }
-                }
+                compare(n, null, op, |i| (vals[i] as f64).partial_cmp(&rhs))
             }
             _ => {
                 let rhs = lit.as_i64()?;
-                for (i, v) in vals.iter().enumerate() {
-                    if !col.nulls.get(i) && ord_matches(op, v.cmp(&rhs)) {
-                        mask.set(i, true);
-                    }
-                }
+                compare(n, null, op, |i| Some(vals[i].cmp(&rhs)))
             }
         },
         ColumnData::Float64(vals) => {
             let rhs = lit.as_f64()?;
-            for (i, v) in vals.iter().enumerate() {
-                if !col.nulls.get(i) {
-                    if let Some(o) = v.partial_cmp(&rhs) {
-                        if ord_matches(op, o) {
-                            mask.set(i, true);
-                        }
-                    }
-                }
-            }
+            compare(n, null, op, |i| vals[i].partial_cmp(&rhs))
         }
         ColumnData::Dict { dict, codes } => {
             let rhs = lit.as_str()?;
             // One comparison per distinct value, then a code-indexed map.
-            let hits: Vec<bool> = dict
-                .iter()
-                .map(|d| ord_matches(op, d.as_str().cmp(rhs)))
-                .collect();
-            for (i, &c) in codes.iter().enumerate() {
-                if !col.nulls.get(i) && hits[c as usize] {
-                    mask.set(i, true);
-                }
-            }
+            let hits: Vec<Ordering> = dict.iter().map(|d| d.as_str().cmp(rhs)).collect();
+            compare(n, null, op, |i| Some(hits[codes[i] as usize]))
         }
         ColumnData::Bool(vals) => {
             let rhs = lit.as_bool()?;
-            for (i, v) in vals.iter().enumerate() {
-                if !col.nulls.get(i) && ord_matches(op, v.cmp(&rhs)) {
-                    mask.set(i, true);
-                }
-            }
+            compare(n, null, op, |i| Some(vals[i].cmp(&rhs)))
         }
         ColumnData::Other(_) => return None,
-    }
-    Some(mask)
+    })
 }
 
 /// Column-vs-column comparison kernel for same-family typed storages.
-fn cmp_column_column(a: &Column, b: &Column, op: BinaryOp) -> Option<Bitmap> {
+fn cmp_column_column(a: &Column, b: &Column, op: BinaryOp) -> Option<Truth> {
     if a.len() != b.len() {
         return None;
     }
-    let n = a.len();
-    let mut mask = Bitmap::new(n);
-    match (&a.data, &b.data) {
+    let (n, null) = (a.len(), |i: usize| a.is_null(i) || b.is_null(i));
+    Some(match (&a.data, &b.data) {
         (ColumnData::Int64(x), ColumnData::Int64(y)) => {
-            for i in 0..n {
-                if !a.nulls.get(i) && !b.nulls.get(i) && ord_matches(op, x[i].cmp(&y[i])) {
-                    mask.set(i, true);
-                }
-            }
+            compare(n, null, op, |i| Some(x[i].cmp(&y[i])))
         }
         (ColumnData::Float64(x), ColumnData::Float64(y)) => {
-            for i in 0..n {
-                if !a.nulls.get(i) && !b.nulls.get(i) {
-                    if let Some(o) = x[i].partial_cmp(&y[i]) {
-                        if ord_matches(op, o) {
-                            mask.set(i, true);
-                        }
-                    }
-                }
-            }
+            compare(n, null, op, |i| x[i].partial_cmp(&y[i]))
         }
         (ColumnData::Int64(x), ColumnData::Float64(y)) => {
-            for i in 0..n {
-                if !a.nulls.get(i) && !b.nulls.get(i) {
-                    if let Some(o) = (x[i] as f64).partial_cmp(&y[i]) {
-                        if ord_matches(op, o) {
-                            mask.set(i, true);
-                        }
-                    }
-                }
-            }
+            compare(n, null, op, |i| (x[i] as f64).partial_cmp(&y[i]))
         }
         (ColumnData::Float64(x), ColumnData::Int64(y)) => {
-            for i in 0..n {
-                if !a.nulls.get(i) && !b.nulls.get(i) {
-                    if let Some(o) = x[i].partial_cmp(&(y[i] as f64)) {
-                        if ord_matches(op, o) {
-                            mask.set(i, true);
-                        }
-                    }
-                }
-            }
+            compare(n, null, op, |i| x[i].partial_cmp(&(y[i] as f64)))
         }
         (
             ColumnData::Dict {
@@ -1204,26 +1213,14 @@ fn cmp_column_column(a: &Column, b: &Column, op: BinaryOp) -> Option<Bitmap> {
                 dict: db,
                 codes: cb,
             },
-        ) => {
-            for i in 0..n {
-                if !a.nulls.get(i)
-                    && !b.nulls.get(i)
-                    && ord_matches(op, da[ca[i] as usize].cmp(&db[cb[i] as usize]))
-                {
-                    mask.set(i, true);
-                }
-            }
-        }
+        ) => compare(n, null, op, |i| {
+            Some(da[ca[i] as usize].cmp(&db[cb[i] as usize]))
+        }),
         (ColumnData::Bool(x), ColumnData::Bool(y)) => {
-            for i in 0..n {
-                if !a.nulls.get(i) && !b.nulls.get(i) && ord_matches(op, x[i].cmp(&y[i])) {
-                    mask.set(i, true);
-                }
-            }
+            compare(n, null, op, |i| Some(x[i].cmp(&y[i])))
         }
         _ => return None,
-    }
-    Some(mask)
+    })
 }
 
 #[cfg(test)]
@@ -1390,6 +1387,14 @@ mod tests {
     #[test]
     fn predicate_mask_matches_row_eval() {
         let schema = schema();
+        let cast = || {
+            let dept = Box::new(Expr::col("dept"));
+            let cast = Expr::Cast {
+                expr: dept,
+                to: DataType::Int32,
+            };
+            cast.gt(Expr::lit(1))
+        };
         let batch = ColumnarBatch::from_rows(&dtypes(), &sample_rows());
         let exprs = vec![
             Expr::col("id").gt_eq(Expr::lit(4i64)),
@@ -1401,19 +1406,40 @@ mod tests {
             Expr::col("dept")
                 .eq(Expr::lit("even"))
                 .or(Expr::col("score").gt(Expr::lit(4.0))),
-            // NOT over a nullable column — must go through the row-wise
-            // path and still match.
+            // NOT over a nullable column: row 3 stays NULL, neither true
+            // nor false.
             Expr::Not(Box::new(Expr::col("dept").eq(Expr::lit("even")))),
             Expr::col("dept").is_null(),
             Expr::col("score").is_not_null(),
             Expr::lit(1i64).lt(Expr::col("id")),
+            // A right side that errs on every string it is evaluated on:
+            // AND and OR must not evaluate it where their left side decided.
+            Expr::col("id").lt(Expr::lit(0i64)).and(cast()),
+            Expr::col("id").gt_eq(Expr::lit(0i64)).or(cast()),
+            Expr::col("dept")
+                .is_null()
+                .and(Expr::col("id").lt(Expr::lit(5i64)).or(cast())),
+            // A left side NULL on row 7: the right side decides there.
+            Expr::col("score")
+                .lt(Expr::lit(0.0))
+                .and(Expr::Not(Box::new(Expr::col("dept").eq(Expr::lit("odd"))))),
+            Expr::col("score").lt(Expr::lit(0.0)).and(cast()),
+            // Evaluated on row 1, "odd": an error.
+            Expr::col("dept").eq(Expr::lit("even")).or(cast()),
         ];
         for expr in exprs {
             let bound = expr.bind(&schema).unwrap();
-            let mask = eval_predicate_mask(&bound, &batch).unwrap();
-            for i in 0..batch.num_rows() {
-                let expect = bound.eval_predicate(&batch.row_at(i)).unwrap();
-                assert_eq!(mask.get(i), expect, "{expr:?} row {i}");
+            let rows: Result<Vec<bool>> = (0..batch.num_rows())
+                .map(|i| bound.eval_predicate(&batch.row_at(i)))
+                .collect();
+            match (eval_predicate_mask(&bound, &batch), rows) {
+                (Ok(mask), Ok(rows)) => {
+                    for (i, expect) in rows.into_iter().enumerate() {
+                        assert_eq!(mask.get(i), expect, "{expr:?} row {i}");
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                (mask, rows) => panic!("{expr:?}: mask {mask:?}, rows {rows:?}"),
             }
         }
     }

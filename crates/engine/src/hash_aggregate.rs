@@ -18,10 +18,10 @@
 //! partition, so two runs over one input agree on it.
 
 use crate::aggregate::Accumulator;
-use crate::columnar::{Column, ColumnBuilder, ColumnarBatch, Partition};
+use crate::columnar::{eval_column, Column, ColumnBuilder, ColumnarBatch, Partition};
 use crate::error::Result;
 use crate::expr::BoundExpr;
-use crate::key_table::{expr_column, hash_rows, key_columns, KeyTable};
+use crate::key_table::{hash_rows, key_columns, KeyTable};
 use crate::shuffle::partition_hash_rows;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -145,7 +145,7 @@ impl Groups {
                 }
                 continue;
             };
-            let arg = expr_column(arg, batch)?;
+            let arg = eval_column(arg, DataType::Binary, batch)?;
             let rows = (0..n).filter(|&row| !arg.is_null(row));
             match (typed, arg.i64_slice(), arg.f64_slice()) {
                 (true, Some(v), _) => {

@@ -1,10 +1,12 @@
 //! The key table both hash operators run on: the distinct keys of a join's
 //! build side, or the groups of an aggregate, held as typed columns.
 //!
-//! A key is looked up by its [`KeyHasher`] hash, computed once where it is
-//! first read off a batch ([`hash_rows`]); the `u64` then travels with it —
-//! into the table, out of a partial aggregate, into the table that merges
-//! it. Where a key goes is a different hash: an exchange sends it to
+//! A key is a column per expression ([`key_columns`], through
+//! [`eval_column`]: a column reference is the batch's own column, a computed
+//! key a boxed one). It is looked up by its [`KeyHasher`] hash, computed once
+//! where it is first read off a batch ([`hash_rows`]); the `u64` then travels
+//! with it — into the table, out of a partial aggregate, into the table that
+//! merges it. Where a key goes is a different hash: an exchange sends it to
 //! partition `hash % n` of [`crate::shuffle::partition_hash_rows`], which
 //! stays SipHash so that placement does not move with the lookup hash. Both
 //! hashes are fed by [`Column::group_hash_into`], so `Int32(5)`,
@@ -12,30 +14,19 @@
 //! [`ColumnBuilder::group_eq_at`], i.e. [`crate::value::Value::group_eq`]
 //! read off typed storage; neither a `Value` nor a `Vec` is made per row.
 
-use crate::columnar::{Column, ColumnBuilder, ColumnarBatch};
+use crate::columnar::{eval_column, Column, ColumnBuilder, ColumnarBatch};
 use crate::error::Result;
 use crate::expr::BoundExpr;
 use crate::value::DataType;
 use std::hash::Hasher;
 use std::sync::Arc;
 
-/// `expr` over `batch` as a column: a column reference is the batch's own
-/// column, anything else is evaluated row by row into a boxed one, which
-/// hands back exactly the values it was given.
-pub(crate) fn expr_column(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Arc<Column>> {
-    if let BoundExpr::Column(c, _) = expr {
-        return Ok(Arc::clone(&batch.columns()[*c]));
-    }
-    let mut builder = ColumnBuilder::new(DataType::Binary);
-    for i in 0..batch.num_rows() {
-        builder.push(&expr.eval(&batch.row_at(i))?);
-    }
-    Ok(Arc::new(builder.finish()))
-}
-
 /// The key `exprs` make over `batch`, a column each.
 pub(crate) fn key_columns(exprs: &[BoundExpr], batch: &ColumnarBatch) -> Result<Vec<Arc<Column>>> {
-    exprs.iter().map(|e| expr_column(e, batch)).collect()
+    exprs
+        .iter()
+        .map(|e| eval_column(e, DataType::Binary, batch))
+        .collect()
 }
 
 /// The lookup hash: a seedless word hasher. Each 8-byte word is mixed in

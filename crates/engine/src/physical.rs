@@ -24,15 +24,14 @@
 //! `LogicalPlan::dynamic_filters`).
 
 use crate::columnar::{
-    batches_byte_size, batches_num_rows, eval_predicate_mask, gather_rows, partitions_byte_size,
-    rows_to_batches, BatchBuilder, Partition, DEFAULT_BATCH_ROWS,
+    batches_byte_size, batches_num_rows, eval_column, eval_predicate_mask, gather_rows,
+    partitions_byte_size, BatchBuilder, ColumnarBatch, Partition, DEFAULT_BATCH_ROWS,
 };
 use crate::datasource::ScanPartition;
 use crate::error::{EngineError, Result};
 use crate::expr::{BoundExpr, Expr};
 use crate::hash_aggregate::{hash_aggregate, BoundAgg};
 use crate::hash_join::{JoinTable, Probe};
-use crate::key_table::expr_column;
 use crate::logical::{AggExpr, DynamicFilter, JoinType, LogicalPlan};
 use crate::metrics::QueryMetrics;
 use crate::row::Row;
@@ -501,7 +500,7 @@ impl<'a> DynamicPruning<'a> {
                 let bound = key.bind(&schema)?;
                 let mut values = Vec::new();
                 for batch in parts.iter().flatten() {
-                    let column = expr_column(&bound, batch)?;
+                    let column = eval_column(&bound, DataType::Binary, batch)?;
                     values.extend((0..batch.num_rows()).map(|i| column.value(i)));
                 }
                 Some(distinct_keys(values))
@@ -939,42 +938,25 @@ fn execute_node<'a>(
                 .iter()
                 .map(|(e, _)| e.bind(&schema))
                 .collect::<Result<_>>()?;
-            // Pure column references project as column slices (an Arc copy
-            // per column); anything else needs evaluation.
-            let col_indices: Option<Vec<usize>> = bound
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Column(i, _) => Some(*i),
-                    _ => None,
-                })
-                .collect();
-            let emits = match col_indices {
-                Some(_) => Emits::Passed,
-                None => Emits::Built,
+            // A column reference is the input's column (an Arc copy), so a
+            // projection of nothing else hands its input's batches on.
+            let emits = match bound.iter().all(|e| matches!(e, BoundExpr::Column(..))) {
+                true => Emits::Passed,
+                false => Emits::Built,
             };
             let out_dtypes: Vec<DataType> = exprs
                 .iter()
                 .map(|(e, _)| dtype_or_boxed(e.data_type(&schema)))
                 .collect();
-            let batch_size = ctx.batch_size;
             let input = execute_node(input, ctx, state, child(prof, 0))?;
             let out = input.then("map", prof, move |batches, _| {
-                if let Some(indices) = &col_indices {
-                    return Ok(batches.into_iter().map(|b| b.project(indices)).collect());
-                }
-                // Computed projection: evaluate row-wise, emit columnar.
-                let mut builder = BatchBuilder::new(out_dtypes.clone(), batch_size);
-                for batch in &batches {
-                    for i in 0..batch.num_rows() {
-                        let row = batch.row_at(i);
-                        let values = bound
-                            .iter()
-                            .map(|e| e.eval(&row))
-                            .collect::<Result<Vec<_>>>()?;
-                        builder.push_row(&Row::new(values));
-                    }
-                }
-                Ok(builder.finish())
+                let project = |batch: ColumnarBatch| {
+                    let columns = bound.iter().zip(&out_dtypes);
+                    let columns = columns.map(|(e, &dtype)| eval_column(e, dtype, &batch));
+                    let columns = columns.collect::<Result<_>>()?;
+                    Ok(ColumnarBatch::with_row_count(columns, batch.num_rows()))
+                };
+                batches.into_iter().map(project).collect()
             });
             Ok(out.emits(prof, emits, &ctx.metrics))
         }
@@ -1027,8 +1009,9 @@ fn execute_node<'a>(
             Ok(input.emits(prof, Emits::Passed, &ctx.metrics))
         }
         LogicalPlan::Values { schema, rows } => {
-            let rows: Vec<Row> = rows.iter().cloned().map(Row::new).collect();
-            let batches = rows_to_batches(&schema.data_types(), &rows, ctx.batch_size);
+            let mut batches = BatchBuilder::new(schema.data_types(), ctx.batch_size);
+            rows.iter().for_each(|row| batches.push_values(row));
+            let batches = batches.finish();
             Ok(Pipeline::done(vec![batches]).emits(prof, Emits::Built, &ctx.metrics))
         }
     }?;
@@ -1054,31 +1037,41 @@ fn exec_sort<'a>(
         .iter()
         .map(|(e, asc)| Ok((e.bind(&schema)?, *asc)))
         .collect::<Result<_>>()?;
-    // Gathered to the driver and sorted as rows, each with its key values
-    // evaluated once.
-    let mut keyed: Vec<(Vec<Value>, Row)> =
-        gather_rows(execute_node(input, ctx, state, child(prof, 0))?.run(ctx)?)
-            .into_iter()
-            .map(|row| {
-                let key = bound
-                    .iter()
-                    .map(|(e, _)| e.eval(&row))
-                    .collect::<Result<_>>()?;
-                Ok((key, row))
-            })
-            .collect::<Result<_>>()?;
-    keyed.sort_by(|(a, _), (b, _)| {
-        for ((va, vb), (_, asc)) in a.iter().zip(b).zip(&bound) {
-            let ord = va.sort_cmp(vb);
+    // Gathered to the driver as one batch and sorted there; no rows, no
+    // batch.
+    let input = execute_node(input, ctx, state, child(prof, 0))?.run(ctx)?;
+    let input = input.concat();
+    let batches = match input.is_empty() {
+        true => Vec::new(),
+        false => sorted(&ColumnarBatch::concat(&input), &bound, ctx.batch_size)?,
+    };
+    Ok(Pipeline::done(vec![batches]).emits(prof, Emits::Built, &ctx.metrics))
+}
+
+/// The rows of `all` ordered by `keys` (each ascending or not) and cut into
+/// batches of `batch_size`: the key values are evaluated once, a permutation
+/// of the rows is ordered by them, and the rows are gathered in that order.
+fn sorted(all: &ColumnarBatch, keys: &[(BoundExpr, bool)], batch_size: usize) -> Result<Partition> {
+    let n = all.num_rows();
+    let values: Vec<Vec<Value>> = keys
+        .iter()
+        .map(|(e, _)| {
+            let key = eval_column(e, DataType::Binary, all)?;
+            Ok((0..n).map(|i| key.value(i)).collect())
+        })
+        .collect::<Result<_>>()?;
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by(|&a, &b| {
+        for (key, (_, asc)) in values.iter().zip(keys) {
+            let ord = key[a as usize].sort_cmp(&key[b as usize]);
             if ord != std::cmp::Ordering::Equal {
                 return if *asc { ord } else { ord.reverse() };
             }
         }
         std::cmp::Ordering::Equal
     });
-    let rows: Vec<Row> = keyed.into_iter().map(|(_, row)| row).collect();
-    let batches = rows_to_batches(&schema.data_types(), &rows, ctx.batch_size);
-    Ok(Pipeline::done(vec![batches]).emits(prof, Emits::Built, &ctx.metrics))
+    let batches = order.chunks(batch_size.max(1));
+    Ok(batches.map(|rows| all.gather(rows)).collect())
 }
 
 // ----------------------------------------------------------------------
@@ -1644,6 +1637,30 @@ mod tests {
         for ctx in contexts() {
             let rows = collect(plan, &ctx).unwrap();
             assert_eq!(comparable(plan, &rows), expected, "{}", plan.explain());
+        }
+    }
+
+    #[test]
+    fn and_and_or_skip_their_right_side_where_their_left_side_decided() {
+        // Casting "a" or "b" to an integer is an error, so a row that
+        // reaches the cast fails the query.
+        let cast = || {
+            let dept = Box::new(Expr::col("dept"));
+            let cast = Expr::Cast {
+                expr: dept,
+                to: DataType::Int32,
+            };
+            cast.gt(Expr::lit(1))
+        };
+        for predicate in [
+            Expr::col("id").lt(Expr::lit(0i64)).and(cast()),
+            Expr::col("id").gt_eq(Expr::lit(0i64)).or(cast()),
+        ] {
+            let plan = LogicalPlan::Filter {
+                predicate,
+                input: Box::new(scan(users_table(), "users")),
+            };
+            assert_matches_reference(&plan);
         }
     }
 
@@ -3009,9 +3026,14 @@ mod tests {
                     .or(Expr::col("ak").is_null()),
                 Expr::col("ak").is_not_null(),
                 Expr::col("n").mul(Expr::lit(2i64)).gt(Expr::col("x")),
+                // A kernel's comparison ANDed with a computed one, and a NOT.
+                Expr::col("x")
+                    .gt(Expr::lit(-1.5))
+                    .and(Expr::col("n").mul(Expr::lit(2i64)).gt(Expr::col("x"))),
+                Expr::Not(Box::new(Expr::col("g").eq(Expr::lit("g1")))),
             ];
             plan = LogicalPlan::Filter {
-                predicate: predicates[rng.gen_range(0..4usize)].clone(),
+                predicate: predicates[rng.gen_range(0..predicates.len())].clone(),
                 input: Box::new(plan),
             };
         }
@@ -3136,13 +3158,12 @@ mod tests {
         if rng.gen_bool(0.5) {
             // By every output column, so only rows equal throughout tie;
             // group keys come first and decide before an inexact float can.
-            let keys = plan
-                .schema()
-                .unwrap()
-                .field_names()
-                .into_iter()
-                .map(|c| (Expr::col(c), rng.gen_bool(0.5)))
-                .collect();
+            // Before them, one computed key: whether the first is NULL.
+            let schema = plan.schema().unwrap();
+            let names = schema.field_names();
+            let computed = (Expr::col(names[0]).is_null(), rng.gen_bool(0.5));
+            let columns = names.into_iter().map(|c| (Expr::col(c), rng.gen_bool(0.5)));
+            let keys = std::iter::once(computed).chain(columns).collect();
             plan = LogicalPlan::Sort {
                 keys,
                 input: Box::new(plan),
