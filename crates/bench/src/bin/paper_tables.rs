@@ -516,8 +516,9 @@ fn table1() {
             ],
         ],
     );
-    // Live demonstration of the thread-pool concurrency row: N queries
-    // share one in-process executor pool.
+    // Live demonstration of the concurrency row: N queries from N threads
+    // on one in-process session. No pool is shared: each querying thread
+    // runs its tasks on worker threads of its own.
     let env = Env::build(&EnvConfig {
         nominal_gb: 0.5,
         num_servers: 2,
@@ -539,7 +540,7 @@ fn table1() {
         }
     });
     println!(
-        "\n  (demo: 4 concurrent queries served by one thread pool in {:.0} ms)",
+        "\n  (demo: 4 concurrent queries on one session, one thread each, each with its own workers, in {:.0} ms)",
         started.elapsed().as_secs_f64() * 1000.0
     );
 }

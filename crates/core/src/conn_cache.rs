@@ -8,6 +8,9 @@
 //! reference count has been zero for longer than the delay it is given
 //! (`connectionCloseDelay`, 10 minutes by default). Nothing calls it on a
 //! timer.
+//!
+//! Each connection keeps its own region-location cache, filled from the
+//! master's meta; the client's recovery rule drops an entry that went stale.
 
 use parking_lot::Mutex;
 use shc_kvstore::client::{Connection, IdleConnection};
@@ -22,7 +25,6 @@ struct CacheEntry {
     /// Held without its cluster, which each lease supplies: an entry must
     /// not keep a cluster, and the cluster's files, alive.
     connection: IdleConnection,
-    cluster: Weak<HBaseCluster>,
     refcount: usize,
     /// Set when the refcount last dropped to zero.
     zero_since: Option<Instant>,
@@ -85,7 +87,6 @@ impl ConnectionCache {
                 let connection = Connection::open(Arc::clone(cluster), token);
                 v.insert(CacheEntry {
                     connection: connection.idle(),
-                    cluster: Arc::downgrade(cluster),
                     refcount: 1,
                     zero_since: None,
                 });
@@ -120,22 +121,6 @@ impl ConnectionCache {
                     .is_some_and(|since| since.elapsed() >= close_delay))
         });
         before - entries.len()
-    }
-
-    /// Broadcast a region-location invalidation for `table` to every cached
-    /// connection. After a split/move/failover, a single task's failure can
-    /// repair the cached topology for all connections in the process, the
-    /// way the HBase client shares its meta cache per connection. Returns
-    /// how many connections were told: those whose cluster is still up.
-    pub fn invalidate_locations(&self, table: &shc_kvstore::types::TableName) -> usize {
-        let mut told = 0;
-        for entry in self.entries.lock().values() {
-            if let Some(cluster) = entry.cluster.upgrade() {
-                entry.connection.resume(cluster).invalidate_locations(table);
-                told += 1;
-            }
-        }
-        told
     }
 
     pub fn len(&self) -> usize {
@@ -265,30 +250,6 @@ mod tests {
         let a = cache.acquire(&cluster, Some(ta));
         let b = cache.acquire(&cluster, Some(tb));
         assert_ne!(a.connection().id, b.connection().id);
-    }
-
-    #[test]
-    fn invalidation_broadcasts_to_cached_connections() {
-        use shc_kvstore::types::{FamilyDescriptor, TableDescriptor, TableName};
-        let cache = ConnectionCache::new();
-        let cluster = cluster("inv");
-        let name = TableName::default_ns("t");
-        cluster
-            .create_table(
-                TableDescriptor::new(name.clone()).with_family(FamilyDescriptor::new("cf")),
-            )
-            .unwrap();
-        let lease = cache.acquire(&cluster, None);
-        lease.locate_regions(&name).unwrap(); // populate the location cache
-        let before = cluster.metrics.snapshot().location_invalidations;
-        let told = cache.invalidate_locations(&name);
-        assert_eq!(told, 1);
-        assert_eq!(
-            cluster.metrics.snapshot().location_invalidations,
-            before + 1
-        );
-        // The connection recovers by re-reading meta.
-        assert_eq!(lease.locate_regions(&name).unwrap().len(), 1);
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!    (§V.B.2), issues Scans/BulkGets, and reads every reply block
 //!    straight into engine columns using the catalog's codecs
 //!    (`BlockColumns`, the one decode path of the connector).
+//!
+//! A task keeps the region layout it was planned with. When that layout
+//! goes stale (a split, a move, a failover), the store client re-locates
+//! each failed RPC from the master's meta under its recovery rule; an error
+//! the client gives up on fails the task, and the engine's scheduler re-runs
+//! the task from scratch. The connector itself never reruns work.
 
 use crate::catalog::HBaseTableCatalog;
 use crate::conf::{PruningMode, SHCConf};
@@ -34,7 +40,6 @@ use shc_engine::value::{DataType, Value};
 use shc_kvstore::cellblock;
 use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
-use shc_kvstore::error::KvError;
 use shc_kvstore::filter::{Filter, RowRange};
 use shc_kvstore::master::RegionLocation;
 use shc_kvstore::security::AuthToken;
@@ -559,47 +564,15 @@ struct HBaseScanPartition {
 }
 
 impl HBaseScanPartition {
-    /// All ranges this partition is responsible for, independent of the
-    /// (possibly stale) region assignment.
-    fn merged_ranges(&self) -> RangeSet {
-        RangeSet::from_ranges(
-            self.work
-                .iter()
-                .flat_map(|(_, ranges)| ranges.ranges().iter().cloned()),
-        )
-    }
-
-    /// Re-derive (region, ranges) work against the current region layout,
-    /// after a split or move invalidated the planned one.
-    fn relocate(
-        &self,
-        connection: &Arc<Connection>,
-    ) -> EngineResult<Vec<(RegionLocation, RangeSet)>> {
-        connection.invalidate_locations(&self.relation.catalog.table);
-        let regions = connection
-            .locate_regions(&self.relation.catalog.table)
-            .map_err(|e| EngineError::DataSource(e.to_string()))?;
-        let ranges = self.merged_ranges();
-        let mut out = Vec::new();
-        for location in regions {
-            let clipped = ranges.clip(&location.info.start_key, &location.info.end_key);
-            if !clipped.is_empty() {
-                out.push((location, clipped));
-            }
-        }
-        Ok(out)
-    }
-
     fn run_work(
         &self,
         table: &shc_kvstore::client::Table,
-        work: &[(RegionLocation, RangeSet)],
         running_on: &str,
         rows_out: &mut RowsOut<'_>,
     ) -> ShcResult<()> {
         let conf = &self.relation.conf;
         let mut columns = BlockColumns::default();
-        for (location, ranges) in work {
+        for (location, ranges) in &self.work {
             // One attribution span per region visited. Rows are counted as
             // scanned (before engine-side residual filtering), so retried
             // visits show the work actually performed. The scanner runs on
@@ -681,8 +654,6 @@ impl HBaseScanPartition {
 pub(crate) struct RowsOut<'a> {
     builder: BatchBuilder,
     on_batch: &'a mut dyn FnMut(ColumnarBatch) -> EngineResult<()>,
-    /// Rows taken so far, handed on or still in the builder.
-    taken: usize,
 }
 
 impl<'a> RowsOut<'a> {
@@ -696,28 +667,17 @@ impl<'a> RowsOut<'a> {
         RowsOut {
             builder: BatchBuilder::new(decoder.dtypes(), batch_size),
             on_batch,
-            taken: 0,
         }
     }
 
     /// Take one row, given as its values in output order.
     fn push(&mut self, values: &[Value]) -> EngineResult<()> {
-        self.taken += 1;
         self.builder.push_values_to(values, self.on_batch)
     }
 
     /// Hand on the rows still in the builder.
     pub(crate) fn finish(self) -> EngineResult<()> {
         self.builder.finish_to(self.on_batch)
-    }
-}
-
-/// Whether the client stopped on an error a fresh layout can cure: a
-/// transient one, or its retry budget spent on one.
-fn gave_up_on_transient(e: &KvError) -> bool {
-    match e {
-        KvError::RetriesExhausted { last, .. } => last.is_transient(),
-        e => e.is_transient(),
     }
 }
 
@@ -739,24 +699,10 @@ impl ScanPartition for HBaseScanPartition {
             .connection()
             .table(self.relation.catalog.table.clone());
         let mut rows_out = RowsOut::new(&self.decoder, batch_size, on_batch);
-        match self.run_work(&table, &self.work, running_on, &mut rows_out) {
-            Ok(()) => {}
-            // The planned region layout went stale (split/move between
-            // planning and execution): refresh locations and retry once,
-            // exactly like the HBase client's NotServingRegion handling.
-            // The client already retried under its recovery rule; this extra
-            // partition-level pass rebuilds the partition's work list from
-            // fresh locations, which also repairs stale locality planning.
-            // Only safe while no row has been taken — whether it went on in
-            // a batch or still sits in the builder, a rerun would read it
-            // again — so after that the error propagates and the scheduler
-            // retries the whole task from scratch.
-            Err(ShcError::Store(e)) if rows_out.taken == 0 && gave_up_on_transient(&e) => {
-                let work = self.relocate(lease.connection())?;
-                self.run_work(&table, &work, running_on, &mut rows_out)?;
-            }
-            Err(e) => return Err(e.into()),
-        }
+        // A stale layout (a split or move since planning) is the client's
+        // to recover from, RPC by RPC; an error it gives up on fails the
+        // task, which the scheduler re-runs from scratch.
+        self.run_work(&table, running_on, &mut rows_out)?;
         rows_out.finish()
     }
 
@@ -1373,6 +1319,7 @@ mod tests {
 
     #[test]
     fn a_stale_layout_met_with_rows_in_the_builder_never_repeats_them() {
+        use shc_kvstore::client::MAX_ATTEMPTS;
         use shc_kvstore::fault::{FaultKind, FaultRule, RpcOp};
         let (cluster, relation) = one_server(1024);
         let regions = cluster.master.regions_of(&relation.catalog.table).unwrap();
@@ -1383,7 +1330,7 @@ mod tests {
                 FaultRule::new(FaultKind::NotServing)
                     .on_op(RpcOp::Scan)
                     .on_region(regions[region].info.region_id)
-                    .first_n(4),
+                    .first_n(MAX_ATTEMPTS),
             );
         };
         let run = |seen: &mut Vec<String>| {
@@ -1392,30 +1339,26 @@ mod tests {
                 Ok(())
             })
         };
-
-        // The last region refuses with the first two regions' twenty rows
-        // taken and, at this batch size, none of them handed on yet. A rerun
-        // from fresh locations would read them again: it is refused, and the
-        // error goes to the scheduler, which runs the task from scratch.
-        refuse_scans_of(2);
-        let mut seen = Vec::new();
-        let err = run(&mut seen).unwrap_err();
-        assert!(err.to_string().contains("not serving"), "{err}");
-        assert!(seen.is_empty(), "nothing of the failed attempt escaped");
-        run(&mut seen).unwrap();
-        assert_eq!(seen.len(), 30);
-
-        // The first region refuses before anything was taken: the partition
-        // re-derives its work and reads every row once.
-        refuse_scans_of(0);
-        let mut seen = Vec::new();
-        run(&mut seen).unwrap();
         let expected: Vec<String> = (0..30).map(|i| format!("row{i:02}")).collect();
-        assert_eq!(seen, expected);
+
+        // Whichever region refuses — the last, with the first two regions'
+        // twenty rows decoded but not handed on, or the first, with none —
+        // the partition hands on nothing and returns the client's error.
+        // The scheduler's rerun of the task reads every row once.
+        for region in [2, 0] {
+            refuse_scans_of(region);
+            let mut seen = Vec::new();
+            let err = run(&mut seen).unwrap_err();
+            assert!(err.to_string().contains("not serving"), "{err}");
+            let exhausted = format!("failed after {MAX_ATTEMPTS} attempts");
+            assert!(err.to_string().contains(&exhausted), "{err}");
+            assert!(seen.is_empty(), "nothing of the failed attempt escaped");
+            run(&mut seen).unwrap();
+            assert_eq!(seen, expected, "region {region}");
+        }
 
         // A crashed server answers `ServerNotFound`, transient like a moved
-        // region: with nothing taken the partition re-derives its work and
-        // spends a second retry budget before the error goes up.
+        // region: the client spends one retry budget and the error goes up.
         let server = cluster.server(0).unwrap();
         server.crash();
         let before = cluster.metrics.snapshot();
@@ -1430,7 +1373,11 @@ mod tests {
             .snapshot()
             .delta_since(&before)
             .client_retries;
-        assert_eq!(retries, 6, "two passes of four attempts");
+        assert_eq!(
+            retries,
+            u64::from(MAX_ATTEMPTS - 1),
+            "one pass of the client's attempts"
+        );
         server.restart();
         run(&mut seen).unwrap();
         assert_eq!(seen, expected);

@@ -990,17 +990,68 @@ pub fn eval_column(
 }
 
 /// The executor's one value loop: `expr` evaluated on each of `rows` of
-/// `batch`, handed with its row to `each`.
+/// `batch`, handed with its row to `each`. One row is reused throughout,
+/// filled with only the columns `expr` reads; the rest stay NULL.
 fn eval_rows(
     expr: &BoundExpr,
     batch: &ColumnarBatch,
     rows: impl Iterator<Item = usize>,
     mut each: impl FnMut(usize, Value),
 ) -> Result<()> {
+    let mut read = Vec::new();
+    columns_read(expr, &mut read);
+    read.sort_unstable();
+    read.dedup();
+    let mut row = Row::new(vec![Value::Null; batch.num_columns()]);
     for i in rows {
-        each(i, expr.eval(&batch.row_at(i))?);
+        for &c in &read {
+            row.values[c] = batch.column(c).value(i);
+        }
+        each(i, expr.eval(&row)?);
     }
     Ok(())
+}
+
+/// Push the index of every column `expr` reads onto `out`.
+fn columns_read(expr: &BoundExpr, out: &mut Vec<usize>) {
+    match expr {
+        BoundExpr::Column(i, _) => out.push(*i),
+        BoundExpr::Literal(_) => {}
+        BoundExpr::BinaryOp { left, right, .. } => {
+            columns_read(left, out);
+            columns_read(right, out);
+        }
+        BoundExpr::Not(e)
+        | BoundExpr::IsNull(e)
+        | BoundExpr::IsNotNull(e)
+        | BoundExpr::Negate(e)
+        | BoundExpr::Like { expr: e, .. }
+        | BoundExpr::Cast { expr: e, .. } => columns_read(e, out),
+        BoundExpr::InList { expr, list, .. } => {
+            columns_read(expr, out);
+            list.iter().for_each(|e| columns_read(e, out));
+        }
+        BoundExpr::Between {
+            expr, low, high, ..
+        } => {
+            columns_read(expr, out);
+            columns_read(low, out);
+            columns_read(high, out);
+        }
+        BoundExpr::Case {
+            branches,
+            else_expr,
+        } => {
+            for (when, then) in branches {
+                columns_read(when, out);
+                columns_read(then, out);
+            }
+            if let Some(e) = else_expr {
+                columns_read(e, out);
+            }
+        }
+        BoundExpr::ScalarFunc { args, .. } => args.iter().for_each(|e| columns_read(e, out)),
+    }
 }
 
 /// What a predicate makes of each row of a batch: the rows it makes true

@@ -42,17 +42,6 @@ impl BinaryOp {
                 | BinaryOp::GtEq
         )
     }
-
-    pub fn is_arithmetic(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Plus
-                | BinaryOp::Minus
-                | BinaryOp::Multiply
-                | BinaryOp::Divide
-                | BinaryOp::Modulo
-        )
-    }
 }
 
 impl fmt::Display for BinaryOp {

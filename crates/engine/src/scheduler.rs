@@ -109,7 +109,7 @@ impl Default for ExecutorConfig {
 }
 
 /// What a scheduler fault rule injects into a matching task attempt.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Injection {
     /// Add this much modeled virtual-µs to the attempt's cost (charged in
     /// full by the scheduler at stage end).
@@ -122,8 +122,6 @@ enum Injection {
 struct FaultRule {
     host: String,
     injection: Injection,
-    /// Remaining firings; `None` = unlimited.
-    remaining: Option<u32>,
 }
 
 /// Deterministic fault injection for the scheduler, keyed by executor
@@ -141,21 +139,11 @@ impl SchedulerFaults {
         Arc::new(Self::default())
     }
 
-    /// Every attempt on `host` is slowed by `us` modeled microseconds.
-    pub fn delay_on_host(&self, host: &str, us: u64) {
-        self.rules.lock().push(FaultRule {
-            host: host.to_string(),
-            injection: Injection::DelayUs(us),
-            remaining: None,
-        });
-    }
-
     /// The first attempt on `host` is slowed by `us` modeled microseconds.
     pub fn delay_once_on_host(&self, host: &str, us: u64) {
         self.rules.lock().push(FaultRule {
             host: host.to_string(),
             injection: Injection::DelayUs(us),
-            remaining: Some(1),
         });
     }
 
@@ -164,27 +152,14 @@ impl SchedulerFaults {
         self.rules.lock().push(FaultRule {
             host: host.to_string(),
             injection: Injection::Fail(msg.to_string()),
-            remaining: Some(1),
         });
     }
 
     /// Consume and return the injection for the next attempt on `host`.
     fn next(&self, host: &str) -> Option<Injection> {
         let mut rules = self.rules.lock();
-        for rule in rules.iter_mut() {
-            if rule.host != host {
-                continue;
-            }
-            match &mut rule.remaining {
-                None => return Some(rule.injection.clone()),
-                Some(0) => continue,
-                Some(n) => {
-                    *n -= 1;
-                    return Some(rule.injection.clone());
-                }
-            }
-        }
-        None
+        let at = rules.iter().position(|rule| rule.host == host)?;
+        Some(rules.remove(at).injection)
     }
 }
 

@@ -258,7 +258,7 @@ impl Connection {
 
     /// Drop cached locations (after splits/moves). Counted in the cluster
     /// metrics when an entry was actually evicted.
-    pub fn invalidate_locations(&self, table: &TableName) {
+    fn invalidate_locations(&self, table: &TableName) {
         if self.location_cache.lock().remove(table).is_some() {
             self.cluster
                 .metrics

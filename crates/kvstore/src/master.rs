@@ -1,6 +1,8 @@
 //! The HMaster: table administration, region assignment and load balancing.
-//! It never touches data-path requests, matching the paper's description —
-//! clients go straight to region servers once they know the layout.
+//! Its meta is the one record of where each region lives; clients read it
+//! through their connection's location cache. It never touches data-path
+//! requests, matching the paper's description — clients go straight to
+//! region servers once they know the layout.
 
 use crate::clock::Clock;
 use crate::error::{KvError, Result};
@@ -149,10 +151,6 @@ impl Master {
                 Arc::clone(&self.storage),
             )?;
             server.open_region(Arc::new(region));
-            self.zk.set(
-                &format!("/hbase/table/{}/region/{}", descriptor.name, region_id),
-                server.hostname.clone(),
-            );
             regions.push(RegionLocation {
                 info,
                 server_id: server.server_id,
@@ -183,10 +181,6 @@ impl Master {
                     region.remove_storage_dir();
                 }
             }
-            self.zk.delete(&format!(
-                "/hbase/table/{}/region/{}",
-                name, loc.info.region_id
-            ));
         }
         Ok(())
     }
@@ -240,18 +234,6 @@ impl Master {
             return Err(KvError::TableDisabled(name.to_string()));
         }
         Ok(meta.regions.clone())
-    }
-
-    /// The region hosting `row`.
-    pub fn locate(&self, name: &TableName, row: &[u8]) -> Result<RegionLocation> {
-        let regions = self.regions_of(name)?;
-        regions
-            .into_iter()
-            .find(|loc| loc.info.contains_row(row))
-            .ok_or_else(|| KvError::NoRegionForRow {
-                table: name.to_string(),
-                row: row.to_vec(),
-            })
     }
 
     /// Split one region in two at its natural midpoint; daughters stay on
@@ -324,8 +306,40 @@ impl Master {
         Ok(())
     }
 
-    /// Administratively move one region to a target server: flush it,
-    /// re-home it on the target's WAL and update the meta registry.
+    /// Move one region from `src` to `dst`: flush it, close it on `src`,
+    /// rewire it to `dst`'s WAL, open it there and point its meta location
+    /// at `dst`. Journals one `region` event. Every move — administrative,
+    /// balancing or failover — goes through here.
+    fn rehome(&self, region: Arc<Region>, src: &RegionServer, dst: &RegionServer) -> Result<()> {
+        let region_id = region.info.region_id;
+        let table = region.info.table.clone();
+        region.flush()?;
+        src.close_region(region_id);
+        region.rewire_wal(dst.wal());
+        dst.open_region(region);
+        self.with_meta_mut(&table, |meta| {
+            if let Some(loc) = meta
+                .regions
+                .iter_mut()
+                .find(|l| l.info.region_id == region_id)
+            {
+                loc.server_id = dst.server_id;
+                loc.hostname = dst.hostname.clone();
+            }
+            Ok(())
+        })?;
+        self.journal(
+            shc_obs::Severity::Info,
+            "region",
+            format!(
+                "moved region {region_id} from server {} to server {}",
+                src.server_id, dst.server_id
+            ),
+        );
+        Ok(())
+    }
+
+    /// Administratively move one region to a target server.
     pub fn move_region(&self, name: &TableName, region_id: u64, dest_server_id: u64) -> Result<()> {
         let src_id = {
             let tables = self.tables.read();
@@ -350,35 +364,11 @@ impl Master {
             .iter()
             .find(|s| s.server_id == dest_server_id)
             .ok_or(KvError::ServerNotFound(dest_server_id))?;
-        let region = src.region(region_id)?;
-        region.flush()?;
-        src.close_region(region_id);
-        region.rewire_wal(dst.wal());
-        dst.open_region(region);
-        let dst_host = dst.hostname.clone();
-        drop(servers);
-        self.with_meta_mut(name, |meta| {
-            if let Some(loc) = meta
-                .regions
-                .iter_mut()
-                .find(|l| l.info.region_id == region_id)
-            {
-                loc.server_id = dest_server_id;
-                loc.hostname = dst_host;
-            }
-            Ok(())
-        })?;
-        self.journal(
-            shc_obs::Severity::Info,
-            "region",
-            format!("moved region {region_id} from server {src_id} to server {dest_server_id}"),
-        );
-        Ok(())
+        self.rehome(src.region(region_id)?, src, dst)
     }
 
     /// Even out region counts across servers by moving regions from the most
-    /// to the least loaded server. Regions are flushed before moving so the
-    /// WAL handoff is clean. Returns the number of moves performed.
+    /// to the least loaded server. Returns the number of moves performed.
     pub fn balance(&self) -> Result<usize> {
         let servers = self.servers.read();
         if servers.len() < 2 {
@@ -400,28 +390,11 @@ impl Master {
                 break;
             }
             let src = &servers[max_idx];
-            let dst = &servers[min_idx];
             let region_id = match src.region_ids().into_iter().next() {
                 Some(id) => id,
                 None => break,
             };
-            let region = src.region(region_id)?;
-            region.flush()?;
-            src.close_region(region_id);
-            region.rewire_wal(dst.wal());
-            let table = region.info.table.clone();
-            dst.open_region(region);
-            self.with_meta_mut(&table, |meta| {
-                if let Some(loc) = meta
-                    .regions
-                    .iter_mut()
-                    .find(|l| l.info.region_id == region_id)
-                {
-                    loc.server_id = dst.server_id;
-                    loc.hostname = dst.hostname.clone();
-                }
-                Ok(())
-            })?;
+            self.rehome(src.region(region_id)?, src, &servers[min_idx])?;
             moves += 1;
         }
         Ok(moves)
@@ -522,8 +495,8 @@ impl Master {
     /// Reassign every region hosted by a dead server onto the surviving
     /// servers. This is the WAL-split path: the dead server's segment files
     /// are read back once, each region replays its own records from them
-    /// (its memstores died with the process), flushes the recovered state to
-    /// store files, and only then is re-homed onto a live server's WAL.
+    /// (its memstores died with the process), and is then re-homed onto a
+    /// live server, which flushes the recovered state to store files first.
     /// Returns the number of regions reassigned.
     pub fn fail_over_server(&self, dead_server_id: u64) -> Result<usize> {
         let servers = self.servers.read();
@@ -541,18 +514,18 @@ impl Master {
                 "no live server to fail over to".to_string(),
             ));
         }
-        let mut moved = 0;
+        let region_ids = dead.region_ids();
         self.journal(
             shc_obs::Severity::Error,
             "failover",
             format!(
                 "server {dead_server_id} declared dead; reassigning {} region(s)",
-                dead.region_ids().len()
+                region_ids.len()
             ),
         );
         // Reading the files works on a closed log; each flush truncates it.
         let mut log = wal::split_by_region(dead.wal().read_records()?);
-        for (i, region_id) in dead.region_ids().into_iter().enumerate() {
+        for (i, &region_id) in region_ids.iter().enumerate() {
             let region = dead.region(region_id)?;
             region.recover_from_wal(log.remove(&region_id).unwrap_or_default());
             self.metrics.add(&self.metrics.wal_replays, 1);
@@ -561,39 +534,10 @@ impl Master {
                 "wal",
                 format!("replayed WAL for region {region_id} of dead server {dead_server_id}"),
             );
-            region.flush()?;
-            dead.close_region(region_id);
-            let dst = &live[i % live.len()];
-            region.rewire_wal(dst.wal());
-            let table = region.info.table.clone();
-            dst.open_region(Arc::clone(&region));
-            self.zk.set(
-                &format!("/hbase/table/{}/region/{}", table, region_id),
-                dst.hostname.clone(),
-            );
-            self.with_meta_mut(&table, |meta| {
-                if let Some(loc) = meta
-                    .regions
-                    .iter_mut()
-                    .find(|l| l.info.region_id == region_id)
-                {
-                    loc.server_id = dst.server_id;
-                    loc.hostname = dst.hostname.clone();
-                }
-                Ok(())
-            })?;
+            self.rehome(region, dead, &live[i % live.len()])?;
             self.metrics.add(&self.metrics.regions_reassigned, 1);
-            self.journal(
-                shc_obs::Severity::Info,
-                "region",
-                format!(
-                    "region {region_id} reassigned from server {dead_server_id} to server {}",
-                    dst.server_id
-                ),
-            );
-            moved += 1;
         }
-        Ok(moved)
+        Ok(region_ids.len())
     }
 
     /// Simulate master failover: a fresh master has no in-memory meta, so it
@@ -719,13 +663,22 @@ mod tests {
         ));
     }
 
+    /// The meta location of the region owning `row`.
+    fn owner(master: &Master, name: &TableName, row: &[u8]) -> RegionLocation {
+        let regions = master.regions_of(name).unwrap();
+        regions
+            .into_iter()
+            .find(|l| l.info.contains_row(row))
+            .unwrap()
+    }
+
     #[test]
     fn locate_finds_owning_region() {
         let (master, _) = setup(2);
         master.create_table(descriptor("t", &["m"])).unwrap();
         let name = TableName::default_ns("t");
-        let lo = master.locate(&name, b"a").unwrap();
-        let hi = master.locate(&name, b"z").unwrap();
+        let lo = owner(&master, &name, b"a");
+        let hi = owner(&master, &name, b"z");
         assert_ne!(lo.info.region_id, hi.info.region_id);
         assert!(lo.info.contains_row(b"a"));
         assert!(hi.info.contains_row(b"z"));
@@ -793,7 +746,7 @@ mod tests {
         let name = TableName::default_ns("t");
         {
             let servers = servers.read();
-            let lo = master.locate(&name, b"a").unwrap();
+            let lo = owner(&master, &name, b"a");
             for i in 0..5 {
                 servers
                     .iter()
@@ -848,7 +801,7 @@ mod tests {
         let servers = servers.read();
         // Equal load on both regions.
         for row in [b"a".as_slice(), b"z".as_slice()] {
-            let loc = master.locate(&name, row).unwrap();
+            let loc = owner(&master, &name, row);
             servers[0]
                 .put(
                     loc.info.region_id,
@@ -890,5 +843,92 @@ mod tests {
         assert!(moves >= 2);
         let counts: Vec<usize> = servers.read().iter().map(|s| s.region_count()).collect();
         assert!(counts.iter().all(|&c| c == 3), "counts = {counts:?}");
+    }
+
+    /// Every meta location names a server that hosts that region, and no
+    /// other server hosts it.
+    fn assert_meta_matches_servers(master: &Master, servers: &SharedServers, name: &TableName) {
+        let servers = servers.read();
+        for loc in master.regions_of(name).unwrap() {
+            let id = loc.info.region_id;
+            let hosts: Vec<&Arc<RegionServer>> = servers
+                .iter()
+                .filter(|s| s.region_ids().contains(&id))
+                .collect();
+            assert_eq!(hosts.len(), 1, "region {id} is hosted once");
+            assert_eq!(
+                (hosts[0].server_id, &hosts[0].hostname),
+                (loc.server_id, &loc.hostname),
+                "region {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn meta_names_the_host_after_split_move_balance_and_failover() {
+        let (master, servers) = setup(3);
+        master.create_table(descriptor("t", &["g", "p"])).unwrap();
+        let name = TableName::default_ns("t");
+        for row in ["a", "b", "c", "d", "h", "i", "q", "r"] {
+            let loc = owner(&master, &name, row.as_bytes());
+            let put = Put::new(row).add("cf", "q", "v");
+            let servers = servers.read();
+            servers[loc.server_id as usize]
+                .put(loc.info.region_id, &[put], None)
+                .unwrap();
+        }
+        assert_meta_matches_servers(&master, &servers, &name);
+
+        let first = owner(&master, &name, b"a");
+        master.split_region(&name, first.info.region_id).unwrap();
+        assert_meta_matches_servers(&master, &servers, &name);
+
+        // Pile every region onto server 0, then let the balancer spread
+        // them out again.
+        for loc in master.regions_of(&name).unwrap() {
+            master.move_region(&name, loc.info.region_id, 0).unwrap();
+            assert_meta_matches_servers(&master, &servers, &name);
+        }
+        assert!(master.balance().unwrap() >= 2);
+        assert_meta_matches_servers(&master, &servers, &name);
+
+        servers.read()[1].crash();
+        assert!(master.fail_over_server(1).unwrap() >= 1);
+        assert_meta_matches_servers(&master, &servers, &name);
+        assert!(master
+            .regions_of(&name)
+            .unwrap()
+            .iter()
+            .all(|l| l.server_id != 1));
+        // Meta is the one record: ZooKeeper holds no region location.
+        let znodes = master.zk.children(&format!("/hbase/table/{name}/region"));
+        assert!(znodes.is_empty(), "{znodes:?}");
+    }
+
+    #[test]
+    fn balance_journals_one_region_event_per_move() {
+        let (master, servers) = setup(2);
+        let journal = shc_obs::EventJournal::new(64);
+        master.attach_event_journal(Arc::clone(&journal));
+        master
+            .create_table(descriptor("t", &["b", "c", "d", "e", "f"]))
+            .unwrap();
+        let name = TableName::default_ns("t");
+        for loc in master.regions_of(&name).unwrap() {
+            master.move_region(&name, loc.info.region_id, 0).unwrap();
+        }
+        assert_eq!(servers.read()[0].region_count(), 6);
+        let region_events = || {
+            journal
+                .events()
+                .iter()
+                .filter(|e| e.category == "region")
+                .count()
+        };
+        let before = region_events();
+        assert_eq!(before, 3, "one event per move_region that moved");
+        let moves = master.balance().unwrap();
+        assert_eq!(moves, 3);
+        assert_eq!(region_events() - before, moves);
     }
 }

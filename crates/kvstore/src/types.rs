@@ -81,13 +81,6 @@ pub struct CellKey {
     pub cell_type: CellType,
 }
 
-impl CellKey {
-    /// True when `other` names the same (row, family, qualifier) column.
-    pub fn same_column(&self, other: &CellKey) -> bool {
-        self.row == other.row && self.family == other.family && self.qualifier == other.qualifier
-    }
-}
-
 impl Ord for CellKey {
     fn cmp(&self, other: &Self) -> Ordering {
         CellRef::new(self, &[]).key_cmp(&CellRef::new(other, &[]))

@@ -1,6 +1,7 @@
-//! A miniature ZooKeeper: a hierarchical key-value registry used for naming
-//! and configuration — master registration, region-server membership, and
-//! the meta-table location — exactly the roles ZooKeeper plays for HBase.
+//! A miniature ZooKeeper: a hierarchical key-value registry holding master
+//! registration (`/hbase/master`) and region-server membership
+//! (`/hbase/rs/<host>`), which `Connection::open` reads. Region locations
+//! are not kept here: the master's meta is their one record.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -28,10 +29,6 @@ impl ZooKeeper {
         self.reads
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.nodes.read().get(path).cloned()
-    }
-
-    pub fn delete(&self, path: &str) -> bool {
-        self.nodes.write().remove(path).is_some()
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -91,13 +88,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_exists() {
+    fn exists_reports_set_nodes() {
         let zk = ZooKeeper::new();
+        assert!(!zk.exists("/a"));
         zk.set("/a", "1");
         assert!(zk.exists("/a"));
-        assert!(zk.delete("/a"));
-        assert!(!zk.exists("/a"));
-        assert!(!zk.delete("/a"));
     }
 
     #[test]

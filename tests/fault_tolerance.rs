@@ -672,36 +672,6 @@ fn retry_budget_exhaustion_returns_clean_error() {
 }
 
 #[test]
-fn location_cache_invalidation_broadcasts_through_conn_cache() {
-    use shc::kvstore::prelude::*;
-    use shc::prelude::ConnectionCache;
-    let cluster = faulty_kv_cluster(2, 0xfa08, 30);
-    let name = TableName::default_ns("t");
-    let cache = ConnectionCache::new();
-    let lease = cache.acquire(&cluster, None);
-    lease.locate_regions(&name).unwrap(); // warm the location cache
-    let table = lease.connection().table(name.clone());
-    let baseline = scan_keys(&table);
-
-    let loc = &cluster.master.regions_of(&name).unwrap()[0];
-    let dst = (loc.server_id + 1) % 2;
-    cluster
-        .master
-        .move_region(&name, loc.info.region_id, dst)
-        .unwrap();
-    let before = cluster.metrics.snapshot();
-    // One broadcast repairs every cached connection in the process...
-    assert_eq!(cache.invalidate_locations(&name), 1);
-    let delta = cluster.metrics.snapshot().delta_since(&before);
-    assert!(delta.location_invalidations >= 1);
-    // ...so the next scan routes straight to the new server, no retry.
-    let before = cluster.metrics.snapshot();
-    assert_eq!(scan_keys(&table), baseline);
-    let delta = cluster.metrics.snapshot().delta_since(&before);
-    assert_eq!(delta.client_retries, 0, "fresh locations need no retry");
-}
-
-#[test]
 fn multi_region_scan_survives_not_serving_mid_flight() {
     // Regression (paper §VI.B): transient RegionNotServing answers during an
     // in-flight multi-region SQL scan must not lose or duplicate rows.
@@ -757,6 +727,55 @@ fn multi_region_scan_survives_not_serving_mid_flight() {
         delta.client_retries >= 2,
         "both failed region scans retried"
     );
+}
+
+#[test]
+fn a_region_refusing_every_client_attempt_fails_the_task_and_the_rerun_reads_each_row_once() {
+    // The client re-locates a refused scan MAX_ATTEMPTS times, then gives
+    // up; the connector hands the error to the scheduler, whose one task
+    // retry reads the whole partition again, with no row lost or repeated.
+    use shc::kvstore::client::MAX_ATTEMPTS;
+    use shc::kvstore::prelude::*;
+    let cluster = HBaseCluster::start(ClusterConfig {
+        num_servers: 2,
+        ..Default::default()
+    });
+    let catalog = Arc::new(HBaseTableCatalog::parse_simple(CATALOG).unwrap());
+    write_rows(
+        &cluster,
+        &catalog,
+        &SHCConf::default().with_new_table_regions(4),
+        &rows(100),
+    )
+    .unwrap();
+    let session = Session::new_default();
+    register_hbase_table(
+        &session,
+        Arc::clone(&cluster),
+        Arc::clone(&catalog),
+        SHCConf::default(),
+        "journal",
+    );
+    let sql = "SELECT entry FROM journal ORDER BY entry";
+    let baseline = session.sql(sql).unwrap().collect().unwrap();
+    assert_eq!(baseline.len(), 100);
+
+    // The first region its task reads: the refusal comes before any row.
+    let region = cluster.master.regions_of(&catalog.table).unwrap()[0].clone();
+    cluster.faults().add_rule(
+        FaultRule::new(FaultKind::NotServing)
+            .on_op(RpcOp::Scan)
+            .on_region(region.info.region_id)
+            .first_n(MAX_ATTEMPTS),
+    );
+    let before = (cluster.metrics.snapshot(), session.metrics.snapshot());
+    let got = session.sql(sql).unwrap().collect().unwrap();
+    assert_eq!(got, baseline, "every row exactly once");
+    let store = cluster.metrics.snapshot().delta_since(&before.0);
+    let engine = session.metrics.snapshot().delta_since(&before.1);
+    assert_eq!(store.faults_injected, u64::from(MAX_ATTEMPTS));
+    assert_eq!(store.client_retries, u64::from(MAX_ATTEMPTS - 1));
+    assert_eq!(engine.task_retries, 1, "the scheduler reran the task");
 }
 
 #[test]
