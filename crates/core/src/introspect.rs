@@ -286,12 +286,9 @@ fn stage_stats_schema() -> Schema {
     ])
 }
 
-/// Register the twelve `system.*` virtual tables on `session`, backed by
-/// `cluster`; install the RPC and storage-I/O probes that let the query
-/// log attribute store RPCs, block reads, cache hits, and WAL appends to
-/// individual queries; put the cluster's series store
-/// ([`HBaseCluster::tsdb`]) behind `system.metrics_history`; and add the
-/// seven default alert rules
+/// Register the `system.*` virtual tables on `session`, backed by
+/// `cluster`; put the cluster's series store ([`HBaseCluster::tsdb`])
+/// behind `system.metrics_history`; and add the seven default alert rules
 /// (`block_cache_hit_ratio_low`, `task_retry_spike`, `write_stall_rate`,
 /// `compaction_backlog_growth`, `stage_skew_high`, `straggler_spike`,
 /// `region_hot_sustained`) to the session's alert engine. Returns the
@@ -300,21 +297,6 @@ fn stage_stats_schema() -> Schema {
 /// Call once per (session, cluster) pair — typically right after the
 /// session's user tables are registered.
 pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster>) -> Vec<String> {
-    {
-        let cluster = Arc::clone(cluster);
-        session.set_rpc_probe(move || cluster.metrics.snapshot().rpc_count);
-    }
-    {
-        let cluster = Arc::clone(cluster);
-        session.set_io_probe(move || {
-            let snap = cluster.metrics.snapshot();
-            QueryIo {
-                blocks_read: snap.block_cache_misses,
-                block_cache_hits: snap.block_cache_hits,
-                wal_bytes_appended: snap.wal_bytes_written,
-            }
-        });
-    }
     register_default_alerts(session, cluster);
 
     let regions_cluster = Arc::clone(cluster);

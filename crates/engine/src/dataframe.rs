@@ -12,7 +12,8 @@ use crate::optimizer::optimize;
 use crate::physical;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::session::Session;
+use crate::session::{ExecStats, Session};
+use crate::task_timeline::{TaskTimeline, DEFAULT_TIMELINE_CAPACITY};
 use std::sync::Arc;
 
 /// Shorthand constructor for a column reference (`col("t.a")`).
@@ -159,57 +160,14 @@ impl DataFrame {
     }
 
     /// Optimize and execute, returning all rows. When query logging is
-    /// enabled, the run executes under a fresh virtual-clock tracer so the
-    /// log entry carries a deterministic duration and per-query RPC count.
+    /// enabled, the run is traced and recorded like
+    /// [`collect_analyzed`](Self::collect_analyzed)'s, without a profile.
     pub fn collect(&self) -> Result<Vec<Row>> {
         let plan = self.optimized_plan()?;
-        let mut ctx = self.session.exec_context();
         if self.session.query_log().capacity() == 0 {
-            return physical::collect(&plan, &ctx);
+            return physical::collect(&plan, &self.session.exec_context(), None);
         }
-        let rpc_before = self.session.rpc_probe_value();
-        let io_before = self.session.io_probe_value();
-        let trace_id = self.session.mint_trace_id();
-        let timeline = crate::task_timeline::TaskTimeline::new(
-            trace_id,
-            crate::task_timeline::DEFAULT_TIMELINE_CAPACITY,
-        );
-        ctx.timeline = Some(Arc::clone(&timeline));
-        let tracer = shc_obs::Tracer::with_id(trace_id);
-        tracer.attach_journal(Arc::clone(self.session.events()));
-        let result = {
-            let mut root = tracer.root("query");
-            root.annotate("trace_id", format_args!("{trace_id:#x}"));
-            physical::collect(&plan, &ctx)
-        };
-        let duration_us = tracer.now_us();
-        let rpcs = self.session.rpc_probe_value().saturating_sub(rpc_before);
-        let io = self.session.io_probe_value().delta_since(&io_before);
-        match result {
-            Ok(rows) => {
-                self.session.record_query(
-                    self.sql_text.as_deref(),
-                    &plan,
-                    crate::session::ExecStats {
-                        duration_us,
-                        rows_returned: rows.len() as u64,
-                        rpc_count: rpcs,
-                        trace_id,
-                        io,
-                    },
-                );
-                self.session.store_run(tracer.finish(), timeline);
-                Ok(rows)
-            }
-            Err(e) => {
-                // Errored queries leave a journaled record and an automatic
-                // flight-recorder dump; the partial trace stays resolvable.
-                self.session
-                    .note_query_error(trace_id, duration_us, &e.to_string());
-                self.session.store_run(tracer.finish(), timeline);
-                Err(e)
-            }
-        }
+        Ok(self.run_recorded(&plan, None)?.0)
     }
 
     /// Optimize and execute under a fresh [`shc_obs::Tracer`], recording
@@ -219,38 +177,9 @@ impl DataFrame {
     /// the same query over the same data produce identical traces.
     pub fn collect_analyzed(&self) -> Result<QueryAnalysis> {
         let plan = self.optimized_plan()?;
-        let mut ctx = self.session.exec_context();
-        let rpc_before = self.session.rpc_probe_value();
-        let io_before = self.session.io_probe_value();
-        let trace_id = self.session.mint_trace_id();
-        let timeline = crate::task_timeline::TaskTimeline::new(
-            trace_id,
-            crate::task_timeline::DEFAULT_TIMELINE_CAPACITY,
-        );
-        ctx.timeline = Some(Arc::clone(&timeline));
-        let tracer = shc_obs::Tracer::with_id(trace_id);
-        tracer.attach_journal(Arc::clone(self.session.events()));
-        let (rows, profile) = {
-            let mut root = tracer.root("query");
-            root.annotate("trace_id", format_args!("{trace_id:#x}"));
-            physical::collect_profiled(&plan, &ctx)?
-        };
-        let duration_us = tracer.now_us();
-        let rpcs = self.session.rpc_probe_value().saturating_sub(rpc_before);
-        let io = self.session.io_probe_value().delta_since(&io_before);
-        self.session.record_query(
-            self.sql_text.as_deref(),
-            &plan,
-            crate::session::ExecStats {
-                duration_us,
-                rows_returned: rows.len() as u64,
-                rpc_count: rpcs,
-                trace_id,
-                io,
-            },
-        );
-        let trace = tracer.finish();
-        self.session.store_run(trace.clone(), Arc::clone(&timeline));
+        let profile = physical::OpProfile::build(&plan);
+        let (rows, trace, timeline) = self.run_recorded(&plan, Some(&profile))?;
+        let trace = trace.expect("a profiled run hands its trace back");
         attach_region_attribution(&profile, &trace);
         let (mut subplans_reused, mut dynamic_filters) = (0, 0);
         profile.walk(&mut |p| {
@@ -262,11 +191,53 @@ impl DataFrame {
             profile,
             trace,
             plan,
-            io,
             timeline,
             subplans_reused,
             dynamic_filters,
         })
+    }
+
+    /// Execute `plan` under a fresh tracer and task timeline, profiled into
+    /// `profile` when given, and record the run: a query-log entry (its RPC
+    /// count the trace's `rpc` spans), or for an error a journaled event and
+    /// a flight-recorder dump; either way the trace and timeline stay
+    /// resolvable by TraceId. A profiled run also hands a copy of its trace
+    /// back; a plain collect, which reads none, is spared the copy.
+    fn run_recorded(
+        &self,
+        plan: &LogicalPlan,
+        profile: Option<&Arc<physical::OpProfile>>,
+    ) -> Result<(Vec<Row>, Option<shc_obs::Trace>, Arc<TaskTimeline>)> {
+        let mut ctx = self.session.exec_context();
+        let trace_id = self.session.mint_trace_id();
+        let timeline = TaskTimeline::new(trace_id, DEFAULT_TIMELINE_CAPACITY);
+        ctx.timeline = Some(Arc::clone(&timeline));
+        let tracer = shc_obs::Tracer::with_id(trace_id);
+        tracer.attach_journal(Arc::clone(self.session.events()));
+        let result = {
+            let mut root = tracer.root("query");
+            root.annotate("trace_id", format_args!("{trace_id:#x}"));
+            physical::collect(plan, &ctx, profile)
+        };
+        let duration_us = tracer.now_us();
+        let trace = tracer.finish();
+        match &result {
+            Ok(rows) => self.session.record_query(
+                self.sql_text.as_deref(),
+                plan,
+                ExecStats {
+                    duration_us,
+                    rows_returned: rows.len() as u64,
+                    trace: &trace,
+                },
+            ),
+            Err(e) => self
+                .session
+                .note_query_error(trace_id, duration_us, &e.to_string()),
+        }
+        let kept = profile.map(|_| trace.clone());
+        self.session.store_run(trace, Arc::clone(&timeline));
+        Ok((result?, kept, timeline))
     }
 
     /// Run the query and render the physical plan tree annotated with the
@@ -276,14 +247,10 @@ impl DataFrame {
     pub fn explain_analyze(&self) -> Result<String> {
         let analysis = self.collect_analyzed()?;
         let mut out = format!(
-            "== Physical Plan (analyzed, {} rows returned) ==\n{}I/O: blocks_read={} \
-             block_cache_hits={} wal_bytes_appended={}\nsubplans_reused={}\n\
+            "== Physical Plan (analyzed, {} rows returned) ==\n{}subplans_reused={}\n\
              dynamic_filters={}\n",
             analysis.rows.len(),
             analysis.profile.render(),
-            analysis.io.blocks_read,
-            analysis.io.block_cache_hits,
-            analysis.io.wal_bytes_appended,
             analysis.subplans_reused,
             analysis.dynamic_filters,
         );
@@ -348,15 +315,12 @@ pub struct QueryAnalysis {
     pub trace: shc_obs::Trace,
     /// The optimized plan that was executed.
     pub plan: LogicalPlan,
-    /// Storage I/O attributed to this execution (all zero when the session
-    /// has no I/O probe).
-    pub io: crate::query_log::QueryIo,
     /// Per-task execution timeline of this run: one [`TaskProfile`]
     /// (placement, queue wait, attempts) per scheduled task, grouped into
     /// stages with skew and locality statistics.
     ///
     /// [`TaskProfile`]: crate::task_timeline::TaskProfile
-    pub timeline: Arc<crate::task_timeline::TaskTimeline>,
+    pub timeline: Arc<TaskTimeline>,
     /// Operators of this run that were handed an identical subplan's result
     /// instead of executing (the query's share of
     /// `QueryMetrics::subplans_reused`).

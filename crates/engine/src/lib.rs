@@ -88,7 +88,7 @@ pub mod prelude {
         TaskMetricsSnapshot,
     };
     pub use crate::physical::{OpProfile, RegionScanProfile};
-    pub use crate::query_log::{QueryIo, QueryLog, QueryLogEntry};
+    pub use crate::query_log::{QueryLog, QueryLogEntry};
     pub use crate::row::Row;
     pub use crate::scheduler::{ExecutorConfig, SchedulerFaults};
     pub use crate::schema::{Field, Schema};

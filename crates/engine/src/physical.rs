@@ -72,7 +72,7 @@ pub struct ExecContext {
     /// Rows per columnar batch.
     pub batch_size: usize,
     /// Session-level task-execution metrics: the straggler counter
-    /// plus the `shc_task_{queue_wait_us,run_us}` histograms.
+    /// plus the `shc_task_run_us` histogram.
     pub task_metrics: Arc<crate::metrics::TaskMetrics>,
     /// Per-exchange-edge shuffle attribution (labeled split of the global
     /// `shuffle_bytes` counter).
@@ -118,8 +118,8 @@ pub struct RegionScanProfile {
 }
 
 /// Observed runtime statistics for one physical operator, mirroring the
-/// logical plan tree. Built by [`collect_profiled`] before execution and
-/// filled in as each operator completes; rendered by
+/// logical plan tree. Built by [`OpProfile::build`] before execution,
+/// handed to [`collect`] and filled in as each operator completes; rendered by
 /// `DataFrame::explain_analyze`.
 pub struct OpProfile {
     /// Pre-order index in the plan tree; also the `op` annotation on this
@@ -575,26 +575,24 @@ fn profile_of(
         .find_map(|(c, p)| profile_of(c, p, target))
 }
 
-/// Execute a plan to completion, returning all rows at the driver.
-pub fn collect(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
-    Ok(gather_rows(execute(plan, ctx)?))
-}
-
-/// Like [`collect`], but also records per-operator runtime statistics into
-/// a freshly built [`OpProfile`] tree and returns it alongside the rows.
-pub fn collect_profiled(
+/// Execute a plan to completion, returning all rows at the driver. With a
+/// `profile` built by [`OpProfile::build`] from the same plan, each
+/// operator's runtime statistics are recorded into its node.
+pub fn collect(
     plan: &LogicalPlan,
     ctx: &ExecContext,
-) -> Result<(Vec<Row>, Arc<OpProfile>)> {
-    let profile = OpProfile::build(plan);
-    let mut state = PlanState::of(plan, Some(&profile));
-    let out = execute_node(plan, ctx, &mut state, Some(&profile))?.run(ctx)?;
-    Ok((gather_rows(out), profile))
+    profile: Option<&Arc<OpProfile>>,
+) -> Result<Vec<Row>> {
+    Ok(gather_rows(execute(plan, ctx, profile)?))
 }
 
 /// Execute a plan, returning partitioned output.
-pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Vec<Partition>> {
-    execute_node(plan, ctx, &mut PlanState::of(plan, None), None)?.run(ctx)
+fn execute(
+    plan: &LogicalPlan,
+    ctx: &ExecContext,
+    profile: Option<&Arc<OpProfile>>,
+) -> Result<Vec<Partition>> {
+    execute_node(plan, ctx, &mut PlanState::of(plan, profile), profile)?.run(ctx)
 }
 
 /// Static span name for an operator (span names must not allocate).
@@ -1604,6 +1602,15 @@ mod tests {
         }
     }
 
+    fn collect_profiled(
+        plan: &LogicalPlan,
+        ctx: &ExecContext,
+    ) -> Result<(Vec<Row>, Arc<OpProfile>)> {
+        let profile = OpProfile::build(plan);
+        let rows = collect(plan, ctx, Some(&profile))?;
+        Ok((rows, profile))
+    }
+
     fn sorted_debug(mut rows: Vec<Row>) -> Vec<String> {
         rows.sort_by_key(|r| format!("{:?}", r.values));
         rows.iter().map(|r| format!("{r:?}")).collect()
@@ -1635,7 +1642,7 @@ mod tests {
     fn assert_matches_reference(plan: &LogicalPlan) {
         let expected = comparable(plan, &evaluate(plan).unwrap());
         for ctx in contexts() {
-            let rows = collect(plan, &ctx).unwrap();
+            let rows = collect(plan, &ctx, None).unwrap();
             assert_eq!(comparable(plan, &rows), expected, "{}", plan.explain());
         }
     }
@@ -1674,7 +1681,7 @@ mod tests {
                 input: Box::new(scan(users_table(), "users")),
             }),
         };
-        let mut rows = collect(&plan, &ctx).unwrap();
+        let mut rows = collect(&plan, &ctx, None).unwrap();
         rows.sort_by_key(|r| r.get(0).as_i64());
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0].get(0), &Value::Int64(30));
@@ -1695,7 +1702,7 @@ mod tests {
             projection: None,
             filters: vec![Expr::col("id").add(Expr::lit(0i64)).gt(Expr::lit(17i64))],
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 2);
         assert_matches_reference(&plan);
     }
@@ -1710,7 +1717,7 @@ mod tests {
             projection: Some(vec![1]),
             filters: vec![],
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert!(rows.iter().all(|r| r.len() == 1));
     }
 
@@ -1723,7 +1730,7 @@ mod tests {
             on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
             join_type: JoinType::Inner,
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 20);
         assert_eq!(rows[0].len(), 5);
         let snap = ctx.metrics.snapshot();
@@ -1775,7 +1782,7 @@ mod tests {
             on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
             join_type: JoinType::Inner,
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(ctx.metrics.snapshot().shuffle_bytes > 0);
     }
@@ -1799,7 +1806,7 @@ mod tests {
             on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
             join_type: JoinType::Left,
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 20);
         let unmatched = rows.iter().filter(|r| r.get(3).is_null()).count();
         assert_eq!(unmatched, 10);
@@ -1818,7 +1825,7 @@ mod tests {
             input: Box::new(scan(users_table(), "users")),
             lookups: Vec::new(),
         };
-        let mut rows = collect(&plan, &ctx).unwrap();
+        let mut rows = collect(&plan, &ctx, None).unwrap();
         rows.sort_by(|a, b| a.get(0).as_str().unwrap().cmp(b.get(0).as_str().unwrap()));
         assert_eq!(rows.len(), 2);
         // Evens 0..18 avg = 9, odds 1..19 avg = 10.
@@ -1846,7 +1853,7 @@ mod tests {
             batch_size: 8,
             ..Default::default()
         };
-        let first = execute(&plan, &ctx).unwrap();
+        let first = execute(&plan, &ctx, None).unwrap();
         assert_eq!(first.len(), 1);
         let sizes: Vec<usize> = first[0].iter().map(ColumnarBatch::num_rows).collect();
         assert_eq!(sizes, vec![8, 8, 4]);
@@ -1856,10 +1863,10 @@ mod tests {
                 .map(|r| r.get(column).as_i64().unwrap())
                 .collect::<Vec<_>>()
         };
-        let scanned = ints(execute(&users, &ctx).unwrap(), 0);
+        let scanned = ints(execute(&users, &ctx, None).unwrap(), 0);
         let grouped = ints(first, 1);
         assert_eq!(grouped, scanned.iter().map(|id| id * 3).collect::<Vec<_>>());
-        let again = ints(execute(&plan, &ctx).unwrap(), 1);
+        let again = ints(execute(&plan, &ctx, None).unwrap(), 1);
         assert_eq!(again, grouped, "a second run");
         assert_matches_reference(&plan);
     }
@@ -1877,7 +1884,7 @@ mod tests {
             input: Box::new(scan(empty, "e")),
             lookups: Vec::new(),
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0), &Value::Int64(0));
     }
@@ -1892,7 +1899,7 @@ mod tests {
                 input: Box::new(scan(users_table(), "users")),
             }),
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].get(0), &Value::Int64(19));
         assert_eq!(rows[2].get(0), &Value::Int64(17));
@@ -1910,7 +1917,7 @@ mod tests {
             input: Box::new(scan(users_table(), "users")),
             lookups: Vec::new(),
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         // Sample stddev of 0..19 is sqrt(35).
         match rows[0].get(0) {
             Value::Float64(v) => assert!((v - 35.0f64.sqrt()).abs() < 1e-9),
@@ -1922,7 +1929,7 @@ mod tests {
     fn memory_metrics_track_peak() {
         let ctx = ExecContext::default();
         let plan = scan(users_table(), "users");
-        collect(&plan, &ctx).unwrap();
+        collect(&plan, &ctx, None).unwrap();
         let snap = ctx.metrics.snapshot();
         assert!(snap.peak_bytes > 0);
     }
@@ -1948,7 +1955,7 @@ mod tests {
             input: Box::new(scan(table, "t")),
             lookups: Vec::new(),
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(format!("{:?}", rows[0].get(0)), "Int32(-2)");
         assert_eq!(format!("{:?}", rows[0].get(1)), "Int32(7)");
     }
@@ -2004,13 +2011,13 @@ mod tests {
         );
 
         let ctx = ExecContext::default();
-        let rows = collect(&shared, &ctx).unwrap();
+        let rows = collect(&shared, &ctx, None).unwrap();
         let snap = ctx.metrics.snapshot();
         assert_eq!(snap.subplans_reused, 1);
         assert_eq!(snap.scan_rows, 20, "users scanned once");
 
         let reference_ctx = ExecContext::default();
-        let reference = collect(&separate, &reference_ctx).unwrap();
+        let reference = collect(&separate, &reference_ctx, None).unwrap();
         let reference_snap = reference_ctx.metrics.snapshot();
         assert_eq!(reference_snap.subplans_reused, 0);
         assert_eq!(reference_snap.scan_rows, 40);
@@ -2021,7 +2028,12 @@ mod tests {
             (dept_block_from(&users, "r", "users", 1), 1, 20),
         ] {
             let ctx = ExecContext::default();
-            collect(&join_on_dept(dept_block(&users, "l"), right, "r"), &ctx).unwrap();
+            collect(
+                &join_on_dept(dept_block(&users, "l"), right, "r"),
+                &ctx,
+                None,
+            )
+            .unwrap();
             assert_eq!(ctx.metrics.snapshot().subplans_reused, reused);
             assert_eq!(ctx.metrics.snapshot().scan_rows, scan_rows);
         }
@@ -2074,7 +2086,7 @@ mod tests {
             "x",
         );
         let ctx = ExecContext::default();
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].len(), 6);
         let snap = ctx.metrics.snapshot();
@@ -2116,7 +2128,7 @@ mod tests {
     fn a_task_failure_inside_a_shared_subplan_is_retried_or_fails_the_query_once() {
         let users = users_table();
         let plan = join_on_dept(dept_block(&users, "l"), dept_block(&users, "r"), "r");
-        let expected = sorted_debug(collect(&plan, &ExecContext::default()).unwrap());
+        let expected = sorted_debug(collect(&plan, &ExecContext::default(), None).unwrap());
 
         // The first attempt of the query is a scan task of the shared block.
         let faults = SchedulerFaults::new();
@@ -2125,7 +2137,7 @@ mod tests {
             sched_faults: Some(Arc::clone(&faults)),
             ..Default::default()
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         let snap = ctx.metrics.snapshot();
         assert_eq!(snap.task_retries, 1);
         assert_eq!(snap.subplans_reused, 1);
@@ -2140,10 +2152,10 @@ mod tests {
             ..Default::default()
         };
         ctx.executors.task_retries = 0;
-        let err = collect(&plan, &ctx).unwrap_err();
+        let err = collect(&plan, &ctx, None).unwrap_err();
         assert!(err.to_string().contains("injected again"), "{err}");
         assert_eq!(ctx.metrics.snapshot().subplans_reused, 0);
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(ctx.metrics.snapshot().subplans_reused, 1);
         assert_eq!(sorted_debug(rows), expected);
 
@@ -2190,7 +2202,9 @@ mod tests {
         // A step that fails after the filter counted: the retried task
         // counts the filter and its output once.
         let users = scan(users_table(), "users");
-        let batches = execute(&users, &ExecContext::default()).unwrap().remove(0);
+        let batches = execute(&users, &ExecContext::default(), None)
+            .unwrap()
+            .remove(0);
         let source = Task::new(None, move |_| Ok(batches.clone())).with_retries(1);
         let predicate = Expr::col("id")
             .lt(Expr::lit(5i64))
@@ -2322,7 +2336,7 @@ mod tests {
         let table = facts();
         let plan = facts_of_dims_below(table.clone(), 3);
         let ctx = ExecContext::default();
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         // Keys are distinct (1 occurs twice), not NULL, in order, and still
         // `Int32`: casting to the column's type is the source's business.
         assert_eq!(*table.offered.lock(), vec![keys_in(&[0, 1, 2])]);
@@ -2343,7 +2357,9 @@ mod tests {
             join_type: JoinType::Inner,
         };
         assert_eq!(
-            collect(&all_dims, &ExecContext::default()).unwrap().len(),
+            collect(&all_dims, &ExecContext::default(), None)
+                .unwrap()
+                .len(),
             44
         );
         let every_key: Vec<i32> = (0..10).collect();
@@ -2352,7 +2368,7 @@ mod tests {
         // A table that prunes on no column reads all of it for the same rows.
         let unkeyed = ExecContext::default();
         let reference = facts_of_dims_below(no_key_pruning(table.clone()), 3);
-        let reference = collect(&reference, &unkeyed).unwrap();
+        let reference = collect(&reference, &unkeyed, None).unwrap();
         assert_eq!(table.offered.lock().last().unwrap(), &vec![]);
         assert_eq!(unkeyed.metrics.snapshot().dynamic_filters, 0);
         assert_eq!(unkeyed.metrics.snapshot().scan_rows, 40 + 4);
@@ -2376,7 +2392,7 @@ mod tests {
             join_type,
         };
         let ctx = ExecContext::default();
-        let again = collect(&swapped, &ctx).unwrap();
+        let again = collect(&swapped, &ctx, None).unwrap();
         assert_eq!(table.offered.lock().last().unwrap(), &keys_in(&[0, 1, 2]));
         assert_eq!(ctx.metrics.snapshot().dynamic_filters, 1);
         assert_eq!(again.len(), rows.len());
@@ -2387,7 +2403,7 @@ mod tests {
     fn an_empty_key_set_is_still_a_key_set() {
         let table = facts();
         let ctx = ExecContext::default();
-        let rows = collect(&facts_of_dims_below(table.clone(), 0), &ctx).unwrap();
+        let rows = collect(&facts_of_dims_below(table.clone(), 0), &ctx, None).unwrap();
         assert!(rows.is_empty());
         assert_eq!(*table.offered.lock(), vec![keys_in(&[])]);
         assert_eq!(ctx.metrics.snapshot().scan_rows, 0);
@@ -2444,10 +2460,10 @@ mod tests {
                 on: vec![(key.clone(), Expr::col("d.dk"))],
                 join_type,
             };
-            let rows = collect(&with(table.clone()), &ctx).unwrap();
+            let rows = collect(&with(table.clone()), &ctx, None).unwrap();
             assert_eq!(table.offered.lock().pop().unwrap(), vec![], "{why}");
             assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0, "{why}");
-            let reference = collect(&with(no_key_pruning(table.clone())), &ctx).unwrap();
+            let reference = collect(&with(no_key_pruning(table.clone())), &ctx, None).unwrap();
             table.offered.lock().clear();
             assert_eq!(sorted_debug(rows), sorted_debug(reference), "{why}");
         }
@@ -2491,7 +2507,7 @@ mod tests {
         assert_eq!(rows.len(), 4, "v with k = 2, in both blocks");
         let unkeyed = ExecContext::default();
         let reference = two_blocks_over_one_scan(no_key_pruning(table.clone()), from_2_below_5);
-        let reference = collect(&reference, &unkeyed).unwrap();
+        let reference = collect(&reference, &unkeyed, None).unwrap();
         assert_eq!(unkeyed.metrics.snapshot().scan_rows, 40 + 4 + 3);
         assert_eq!(unkeyed.metrics.snapshot().tasks, snap.tasks);
         assert_eq!(sorted_debug(rows), sorted_debug(reference));
@@ -2526,7 +2542,7 @@ mod tests {
         // pushed for the other block either.
         let plan = two_blocks_over_one_scan(table.clone(), vec![]);
         let ctx = ExecContext::default();
-        collect(&plan, &ctx).unwrap();
+        collect(&plan, &ctx, None).unwrap();
         assert_eq!(table.offered.lock().pop().unwrap(), vec![]);
         assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0);
     }
@@ -2535,7 +2551,7 @@ mod tests {
     fn a_task_failure_in_the_filtering_input_is_retried_or_fails_the_query_once() {
         let table = facts();
         let plan = facts_of_dims_below(table.clone(), 3);
-        let expected = sorted_debug(collect(&plan, &ExecContext::default()).unwrap());
+        let expected = sorted_debug(collect(&plan, &ExecContext::default(), None).unwrap());
         table.offered.lock().clear();
 
         // The filtering input runs first: the query's first task is its scan.
@@ -2545,7 +2561,7 @@ mod tests {
             sched_faults: Some(Arc::clone(&faults)),
             ..Default::default()
         };
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         let snap = ctx.metrics.snapshot();
         assert_eq!((snap.task_retries, snap.dynamic_filters), (1, 1));
         assert_eq!(snap.scan_rows, 12 + 4, "the failed attempt counted nothing");
@@ -2560,11 +2576,11 @@ mod tests {
             ..Default::default()
         };
         ctx.executors.task_retries = 0;
-        let err = collect(&plan, &ctx).unwrap_err();
+        let err = collect(&plan, &ctx, None).unwrap_err();
         assert!(err.to_string().contains("injected again"), "{err}");
         assert_eq!(table.offered.lock().len(), 1);
         assert_eq!(ctx.metrics.snapshot().dynamic_filters, 0);
-        let rows = collect(&plan, &ctx).unwrap();
+        let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(ctx.metrics.snapshot().dynamic_filters, 1);
         assert_eq!(sorted_debug(rows), expected);
     }
@@ -2657,7 +2673,7 @@ mod tests {
             }),
             lookups: Vec::new(),
         };
-        let parts = execute(&no_columns, &ExecContext::default()).unwrap();
+        let parts = execute(&no_columns, &ExecContext::default(), None).unwrap();
         assert_eq!(gather_rows(parts), vec![Row::new(vec![Value::Int64(20)])]);
         assert_matches_reference(&no_columns);
 
@@ -2674,7 +2690,7 @@ mod tests {
             input: Box::new(scan(empty.clone(), "e")),
             lookups: Vec::new(),
         };
-        let parts = execute(&no_rows, &ExecContext::default()).unwrap();
+        let parts = execute(&no_rows, &ExecContext::default(), None).unwrap();
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1, "one batch");
         assert_eq!(
             gather_rows(parts),
@@ -2688,7 +2704,7 @@ mod tests {
             input: Box::new(scan(empty, "e")),
             lookups: Vec::new(),
         };
-        assert!(collect(&grouped, &ExecContext::default())
+        assert!(collect(&grouped, &ExecContext::default(), None)
             .unwrap()
             .is_empty());
     }
@@ -2708,7 +2724,7 @@ mod tests {
             batch_size: 2,
             ..Default::default()
         };
-        let parts = execute(&values, &ctx).unwrap();
+        let parts = execute(&values, &ctx, None).unwrap();
         let sizes: Vec<usize> = parts[0].iter().map(ColumnarBatch::num_rows).collect();
         assert_eq!(sizes, vec![2, 2, 1]);
         assert_eq!(parts[0][0].column(1).dict_size(), Some(2), "typed columns");
@@ -2719,13 +2735,13 @@ mod tests {
             n,
             input: Box::new(values.clone()),
         };
-        let parts = execute(&limit(3), &ctx).unwrap();
+        let parts = execute(&limit(3), &ctx, None).unwrap();
         let sizes: Vec<usize> = parts[0].iter().map(ColumnarBatch::num_rows).collect();
         assert_eq!(sizes, vec![2, 1]);
         for n in [0, 3, 5, 9] {
             assert_matches_reference(&limit(n));
         }
-        let none = execute(&limit(0), &ctx).unwrap();
+        let none = execute(&limit(0), &ctx, None).unwrap();
         assert_eq!(none.len(), 1);
         assert!(none[0].is_empty(), "no rows, no batch");
         // Above a filter that keeps nothing, and below an aggregate.
@@ -2749,7 +2765,7 @@ mod tests {
             exprs: vec![(Expr::col("id"), "id".into()), (untyped, "u".into())],
             input: Box::new(users),
         };
-        let parts = execute(&plan, &ExecContext::default()).unwrap();
+        let parts = execute(&plan, &ExecContext::default(), None).unwrap();
         let batch = parts.iter().flatten().next().unwrap();
         assert_eq!(batch.dtypes(), vec![DataType::Int64, DataType::Binary]);
         assert!(batch.column(0).i64_slice().is_some(), "derived: typed");
@@ -2784,7 +2800,7 @@ mod tests {
                 input: Box::new(scan(table.clone(), "t")),
             };
             assert_matches_reference(&plan);
-            let xs: Vec<Value> = collect(&plan, &ExecContext::default())
+            let xs: Vec<Value> = collect(&plan, &ExecContext::default(), None)
                 .unwrap()
                 .iter()
                 .map(|r| r.get(1).clone())

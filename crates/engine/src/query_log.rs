@@ -1,7 +1,7 @@
 //! A bounded, in-memory log of executed queries — the engine's slow-query
-//! log. Every `collect()` records one [`QueryLogEntry`] (SQL text when the
-//! query came through `Session::sql`, plan digest, virtual duration, rows
-//! returned, RPC count), and entries whose virtual duration exceeds
+//! log. Every traced run that succeeds records one [`QueryLogEntry`] (SQL
+//! text when the query came through `Session::sql`, plan digest, virtual
+//! duration, rows returned, RPC count), and entries whose virtual duration exceeds
 //! `SessionConfig::slow_query_threshold_us` are flagged slow. The log is a
 //! ring buffer: once `capacity` entries are held, the oldest falls off.
 //!
@@ -11,34 +11,6 @@
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Per-query storage I/O attribution, diffed from cluster counters around
-/// one execution (all zero when no I/O probe is installed).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryIo {
-    /// Disk block reads — block-cache misses charged while the query ran.
-    pub blocks_read: u64,
-    /// Block-cache hits while the query ran.
-    pub block_cache_hits: u64,
-    /// WAL bytes appended while the query ran (nonzero for write paths like
-    /// `write_to` against a store-backed sink).
-    pub wal_bytes_appended: u64,
-}
-
-impl QueryIo {
-    /// Counter delta from an earlier reading of the same probe.
-    pub fn delta_since(&self, earlier: &QueryIo) -> QueryIo {
-        QueryIo {
-            blocks_read: self.blocks_read.saturating_sub(earlier.blocks_read),
-            block_cache_hits: self
-                .block_cache_hits
-                .saturating_sub(earlier.block_cache_hits),
-            wal_bytes_appended: self
-                .wal_bytes_appended
-                .saturating_sub(earlier.wal_bytes_appended),
-        }
-    }
-}
 
 /// One executed query as the log remembers it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,18 +26,15 @@ pub struct QueryLogEntry {
     /// Virtual-clock duration of the execution, in modeled microseconds.
     pub duration_us: u64,
     pub rows_returned: u64,
-    /// Store RPCs issued while the query ran (from the session's RPC probe;
-    /// zero when no probe is installed).
+    /// Store RPCs the query issued: the `rpc` spans of its finished trace,
+    /// which holds its own RPCs and no other query's.
     pub rpc_count: u64,
     /// True when `duration_us` exceeded the session's slow-query threshold
     /// at record time.
     pub slow: bool,
-    /// TraceId minted for this execution (0 when tracing was off). Joins
-    /// this entry to its `system.events` rows and its exportable trace.
+    /// TraceId minted for this execution. Joins this entry to its
+    /// `system.events` rows and its exportable trace.
     pub trace_id: u64,
-    /// Storage I/O attributed to this execution (from the session's I/O
-    /// probe; all zero when none is installed).
-    pub io: QueryIo,
 }
 
 /// Bounded ring buffer of [`QueryLogEntry`], shared by session and system
@@ -149,7 +118,6 @@ mod tests {
             rpc_count: 2,
             slow,
             trace_id: 0,
-            io: QueryIo::default(),
         }
     }
 

@@ -177,8 +177,7 @@ const STRAGGLER_MIN_RUN_US: u64 = 1_000;
 pub struct StageObs {
     /// Per-query timeline receiving this stage's [`TaskProfile`]s.
     pub timeline: Option<Arc<TaskTimeline>>,
-    /// Session-level task metrics (queue-wait/run histograms, straggler
-    /// counter).
+    /// Session-level task metrics (run histogram, straggler counter).
     pub task_metrics: Option<Arc<TaskMetrics>>,
     /// Stage label for the timeline (`scan`, `probe`, `map`, …).
     pub label: &'static str,
@@ -513,9 +512,6 @@ fn run_lane(
         let cost0 = shc_obs::trace::thread_cost_us();
         let (outcome, injected_us) = run_attempt(&mut slot.run, host, slot.injection.take());
         let cost = shc_obs::trace::thread_cost_us().saturating_sub(cost0) + injected_us;
-        if shc_obs::trace::active() {
-            metrics.task_duration_us.record(cost);
-        }
         drop(sp);
         slot.injected_us += injected_us;
         slot.attempts.push(TaskAttempt {
@@ -594,8 +590,6 @@ fn finalize_stage(
         }
         if traced {
             if let Some(tm) = &obs.task_metrics {
-                tm.queue_wait_us
-                    .record_with_exemplar(slot.queue_wait_us, trace_id);
                 tm.run_us.record_with_exemplar(run_us, trace_id);
             }
         }

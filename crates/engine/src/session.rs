@@ -9,7 +9,7 @@ use crate::logical::LogicalPlan;
 use crate::metrics::{QueryMetrics, ShuffleEdges, TaskMetrics};
 use crate::parser::parse;
 use crate::physical::ExecContext;
-use crate::query_log::{plan_digest, QueryIo, QueryLog, QueryLogEntry};
+use crate::query_log::{plan_digest, QueryLog, QueryLogEntry};
 use crate::scheduler::{ExecutorConfig, SchedulerFaults};
 use crate::task_timeline::TaskTimeline;
 use parking_lot::{Mutex, RwLock};
@@ -19,15 +19,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-execution measurements handed to [`Session::record_query`]: the
-/// virtual duration, result cardinality, and the RPC / storage-I/O deltas
-/// observed across the collect.
+/// virtual duration, result cardinality, and the run's finished trace, whose
+/// TraceId and `rpc` spans the log entry records.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ExecStats {
+pub(crate) struct ExecStats<'a> {
     pub duration_us: u64,
     pub rows_returned: u64,
-    pub rpc_count: u64,
-    pub trace_id: u64,
-    pub io: QueryIo,
+    pub trace: &'a Trace,
 }
 
 /// Session-level configuration.
@@ -69,21 +67,13 @@ pub struct Session {
     views: RwLock<HashMap<String, LogicalPlan>>,
     pub metrics: Arc<QueryMetrics>,
     /// Scheduler task metrics: the straggler counter plus the
-    /// `shc_task_{queue_wait_us,run_us}` histograms.
+    /// `shc_task_run_us` histogram.
     task_metrics: Arc<TaskMetrics>,
     /// Per-exchange-edge shuffle attribution (labeled split of the global
     /// `shuffle_bytes` counter).
     shuffle_edges: Arc<ShuffleEdges>,
     /// The slow-query ring buffer; shared with `system.queries`.
     query_log: Arc<QueryLog>,
-    /// Cumulative store-RPC counter, installed by the layer that connects
-    /// this session to a cluster. The query log diffs it around each
-    /// execution to attribute RPCs per query.
-    rpc_probe: RwLock<Option<Box<dyn Fn() -> u64 + Send + Sync>>>,
-    /// Cumulative storage-I/O counters (block reads, cache hits, WAL bytes),
-    /// installed alongside the RPC probe; diffed per execution to attribute
-    /// I/O to queries.
-    io_probe: RwLock<Option<Box<dyn Fn() -> QueryIo + Send + Sync>>>,
     /// TraceId mint: one id per `collect()`, starting at 1 (0 = untraced).
     next_trace_id: AtomicU64,
     /// Query-layer flight recorder (scheduler retries, slow queries, query
@@ -113,8 +103,6 @@ impl Session {
             task_metrics: TaskMetrics::new(),
             shuffle_edges: ShuffleEdges::new(),
             query_log,
-            rpc_probe: RwLock::new(None),
-            io_probe: RwLock::new(None),
             next_trace_id: AtomicU64::new(1),
             events: EventJournal::new(1024),
             alerts: AlertEngine::new(),
@@ -175,34 +163,6 @@ impl Session {
     /// The session's query log (also backing `system.queries`).
     pub fn query_log(&self) -> &Arc<QueryLog> {
         &self.query_log
-    }
-
-    /// Install the cumulative store-RPC counter used to attribute RPCs to
-    /// queries. The closure must be monotonic (e.g. a cluster's `rpc_count`
-    /// metric); the log records the delta across each execution.
-    pub fn set_rpc_probe(&self, probe: impl Fn() -> u64 + Send + Sync + 'static) {
-        *self.rpc_probe.write() = Some(Box::new(probe));
-    }
-
-    /// Current probe reading; zero when no probe is installed.
-    pub fn rpc_probe_value(&self) -> u64 {
-        self.rpc_probe.read().as_ref().map(|p| p()).unwrap_or(0)
-    }
-
-    /// Install the cumulative storage-I/O counters used to attribute disk
-    /// reads, cache hits, and WAL appends to queries. Like the RPC probe,
-    /// the closure must read monotonic counters; the log records deltas.
-    pub fn set_io_probe(&self, probe: impl Fn() -> QueryIo + Send + Sync + 'static) {
-        *self.io_probe.write() = Some(Box::new(probe));
-    }
-
-    /// Current I/O probe reading; all zero when no probe is installed.
-    pub fn io_probe_value(&self) -> QueryIo {
-        self.io_probe
-            .read()
-            .as_ref()
-            .map(|p| p())
-            .unwrap_or_default()
     }
 
     /// This session's flight recorder (also backing `system.events`).
@@ -293,21 +253,15 @@ impl Session {
 
     /// Append one execution to the query log, flagging it slow when its
     /// virtual duration exceeds the configured threshold. Slow queries are
-    /// journaled and trigger an automatic flight-recorder dump. Returns the
-    /// assigned entry id (0 when logging is disabled).
-    pub(crate) fn record_query(
-        &self,
-        sql: Option<&str>,
-        plan: &LogicalPlan,
-        stats: ExecStats,
-    ) -> u64 {
+    /// journaled and trigger an automatic flight-recorder dump.
+    pub(crate) fn record_query(&self, sql: Option<&str>, plan: &LogicalPlan, stats: ExecStats) {
         let ExecStats {
             duration_us,
             rows_returned,
-            rpc_count,
-            trace_id,
-            io,
+            trace,
         } = stats;
+        let trace_id = trace.trace_id;
+        let rpc_count = trace.spans.iter().filter(|s| s.name == "rpc").count() as u64;
         let slow = duration_us > self.config.read().slow_query_threshold_us;
         let id = self.query_log.record(QueryLogEntry {
             id: 0,
@@ -318,7 +272,6 @@ impl Session {
             rpc_count,
             slow,
             trace_id,
-            io,
         });
         if slow {
             self.events.record_with_trace(
@@ -330,7 +283,6 @@ impl Session {
             );
             *self.last_event_dump.lock() = Some(self.events.render());
         }
-        id
     }
 
     /// A DataFrame over a registered table.
@@ -519,6 +471,31 @@ mod tests {
         );
         s.sql("SELECT id FROM t").unwrap().collect().unwrap();
         assert!(s.query_log().is_empty());
+    }
+
+    #[test]
+    fn a_failed_explain_analyze_is_recorded_like_a_failed_collect() {
+        let s = session_with_data();
+        let faults = SchedulerFaults::new();
+        s.update_config(|c| {
+            c.executors.task_retries = 0;
+            c.scheduler_faults = Some(Arc::clone(&faults));
+        });
+        for (trace_id, analyzed) in [(1, false), (2, true)] {
+            faults.fail_once_on_host("localhost", "injected");
+            let df = s.sql("SELECT id FROM users").unwrap();
+            let err = match analyzed {
+                false => df.collect().err(),
+                true => df.collect_analyzed().err(),
+            };
+            let err = err.expect("the injected fault fails the query");
+            assert!(err.to_string().contains("injected"), "{err}");
+            // A journaled error, a dump holding it, a resolvable trace.
+            let dump = s.last_event_dump().expect("an errored query dumps events");
+            assert_eq!(dump.matches("query failed").count(), trace_id as usize);
+            assert!(s.trace_for(trace_id).is_some_and(|t| !t.is_empty()));
+        }
+        assert!(s.query_log().is_empty(), "a failed query logs no entry");
     }
 
     #[test]

@@ -61,6 +61,14 @@ fn rpc_span(op: &str, loc: &RegionLocation) -> trace::SpanGuard {
     sp
 }
 
+/// Release the scanner cursor `id` at `loc`: a `close_scanner` RPC, with its
+/// `rpc` span like every other but no charge. Best effort: the server's
+/// lease reclaims a cursor whose close fails.
+fn close_cursor(server: &RegionServer, loc: &RegionLocation, id: u64, token: Option<&AuthToken>) {
+    let _sp = rpc_span("close_scanner", loc);
+    let _ = server.close_scanner(id, token);
+}
+
 /// Back off before a retry: record the wait into the backoff histogram and
 /// the trace (as a `backoff` span whose duration is the modeled wait), then
 /// actually sleep it.
@@ -664,7 +672,7 @@ impl RegionScanner {
         let token = connection.token();
         let close = |id: Option<u64>| {
             if let Some(id) = id {
-                let _ = server.close_scanner(id, token);
+                close_cursor(&server, &loc, id, token);
             }
         };
         let mut sp = rpc_span(held.map_or("open_scanner", |_| "next_batch"), &loc);
@@ -741,9 +749,8 @@ impl RegionScanner {
 impl Drop for RegionScanner {
     fn drop(&mut self) {
         if let Some(cursor) = self.cursor.take() {
-            let _ = cursor
-                .server
-                .close_scanner(cursor.id, self.table.connection.token());
+            let token = self.table.connection.token();
+            close_cursor(&cursor.server, &cursor.loc, cursor.id, token);
         }
     }
 }

@@ -168,18 +168,9 @@ impl RegionServer {
 
     /// Common RPC entry: reject if the process is down, then let the fault
     /// injector drop/delay/fail the request before it touches a region.
-    /// Opens a server-side span so query traces show where each RPC landed
-    /// (the simulated server executes on the caller's thread, so the active
-    /// trace context is already in scope).
     fn rpc_entry(&self, op: RpcOp, region_id: u64) -> Result<()> {
         if self.offline.load(Ordering::Acquire) {
             return Err(KvError::ServerNotFound(self.server_id));
-        }
-        let mut sp = shc_obs::trace::span("server_rpc");
-        if sp.is_active() {
-            sp.annotate("op", format!("{op:?}"));
-            sp.annotate("server", self.server_id);
-            sp.annotate("region", region_id);
         }
         let injector = self.fault.read().clone();
         match injector {

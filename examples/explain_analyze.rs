@@ -6,7 +6,7 @@
 //! 1. the physical plan tree annotated with *observed* per-operator rows,
 //!    bytes, partitions and virtual time, and the decisions each operator
 //!    took, plus per-region scan attribution (which region, which server);
-//! 2. the latency histogram summaries (RPC round trips, task durations)
+//! 2. the latency histogram summaries (RPC round trips, retry backoff)
 //!    with p50/p95/p99;
 //! 3. both metric registries in Prometheus text exposition format.
 //!
@@ -62,7 +62,6 @@ fn main() -> Result<()> {
     println!("{annotated}");
 
     let store = cluster.metrics.snapshot();
-    let engine = session.metrics.snapshot();
     println!(
         "RPC round-trip latency:   {}",
         store.rpc_latency_us.summary()
@@ -70,10 +69,6 @@ fn main() -> Result<()> {
     println!(
         "Retry backoff:            {}",
         store.retry_backoff_us.summary()
-    );
-    println!(
-        "Task duration:            {}",
-        engine.task_duration_us.summary()
     );
 
     println!("\nPrometheus exposition (store + engine):");

@@ -4,6 +4,7 @@
 
 use shc::core::introspect::register_system_tables;
 use shc::kvstore::client::Connection;
+use shc::kvstore::fault::RpcOp;
 use shc::kvstore::network::NetworkSim;
 use shc::kvstore::types::{FamilyDescriptor, Get, Put, Scan, TableDescriptor, TableName};
 use shc::prelude::*;
@@ -143,6 +144,64 @@ fn slow_query_is_captured_with_rpc_count() {
     );
     assert_eq!(slow[0].get(2).as_str().unwrap().len(), 16);
     assert!(slow[0].get(3).as_i64().unwrap() > 10);
+}
+
+/// A query's `rpc_count` is its own RPCs: a `Table::get` that another
+/// thread issues while the query's first scan RPC is in flight is the
+/// cluster's, not the query's.
+#[test]
+fn overlapping_queries_do_not_share_rpc_counts() {
+    let cluster = cluster_with_events(2, NetworkSim::off());
+    let conn = Connection::open(Arc::clone(&cluster), None);
+    let events = conn.table(TableName::default_ns("events"));
+    for i in 0..20 {
+        events
+            .put(Put::new(format!("row-{i:02}")).add("cf", "q", format!("{i}")))
+            .unwrap();
+    }
+    let session = Session::new_default();
+    register_system_tables(&session, &cluster);
+    register_hbase_table(
+        &session,
+        Arc::clone(&cluster),
+        Arc::new(
+            HBaseTableCatalog::parse_simple(
+                r#"{"table":{"namespace":"default","name":"events"},
+                    "rowkey":"key",
+                    "columns":{
+                      "key":{"cf":"rowkey","col":"key","type":"string"},
+                      "q":{"cf":"cf","col":"q","type":"string"}}}"#,
+            )
+            .unwrap(),
+        ),
+        SHCConf::default(),
+        "events",
+    );
+    let sql = "SELECT COUNT(*) FROM events";
+    let run = || {
+        let before = cluster.metrics.snapshot();
+        let rows = session.sql(sql).unwrap().collect().unwrap();
+        assert_eq!(rows[0].get(0), &Value::Int64(20));
+        let counted = cluster.metrics.snapshot().delta_since(&before).rpc_count;
+        (
+            session.query_log().entries().last().unwrap().rpc_count,
+            counted,
+        )
+    };
+
+    let (alone, counted) = run();
+    assert_eq!(
+        alone, counted,
+        "a query run alone is charged what the cluster counted"
+    );
+    cluster.faults().on_nth_op(Some(RpcOp::Scan), 1, move || {
+        std::thread::spawn(move || events.get(Get::new("row-00")).unwrap())
+            .join()
+            .unwrap();
+    });
+    let (overlapped, counted) = run();
+    assert_eq!(counted, alone + 1, "the outsider's get reached the cluster");
+    assert_eq!(overlapped, alone, "and is not charged to the query");
 }
 
 /// Missed heartbeats mark a server dead in `ClusterStatus` (and drop it
