@@ -22,7 +22,7 @@ use crate::relation::{BlockColumns, RowDecoder, RowsOut};
 use shc_engine::columnar::ColumnarBatch;
 use shc_engine::datasource::{ScanPartition, TableProvider};
 use shc_engine::error::{EngineError, Result as EngineResult};
-use shc_engine::schema::Schema;
+use shc_engine::schema::SchemaRef;
 use shc_engine::source_filter::SourceFilter;
 use shc_kvstore::client::Connection;
 use shc_kvstore::cluster::HBaseCluster;
@@ -33,6 +33,8 @@ use std::sync::Arc;
 /// The generic-source baseline provider.
 pub struct GenericHBaseRelation {
     pub catalog: Arc<HBaseTableCatalog>,
+    /// The catalog's relational schema, built with the relation.
+    schema: SchemaRef,
     cluster: Arc<HBaseCluster>,
 }
 
@@ -41,13 +43,17 @@ impl GenericHBaseRelation {
         cluster: Arc<HBaseCluster>,
         catalog: Arc<HBaseTableCatalog>,
     ) -> Arc<GenericHBaseRelation> {
-        Arc::new(GenericHBaseRelation { cluster, catalog })
+        Arc::new(GenericHBaseRelation {
+            schema: Arc::new(catalog.schema()),
+            cluster,
+            catalog,
+        })
     }
 }
 
 impl TableProvider for GenericHBaseRelation {
-    fn schema(&self) -> Schema {
-        self.catalog.schema()
+    fn schema(&self) -> SchemaRef {
+        Arc::clone(&self.schema)
     }
 
     /// A generic source cannot prune columns at the store.

@@ -34,7 +34,7 @@ use shc_engine::columnar::{BatchBuilder, ColumnarBatch};
 use shc_engine::datasource::{ScanPartition, TableProvider};
 use shc_engine::error::{EngineError, Result as EngineResult};
 use shc_engine::row::Row;
-use shc_engine::schema::Schema;
+use shc_engine::schema::SchemaRef;
 use shc_engine::source_filter::SourceFilter;
 use shc_engine::value::{DataType, Value};
 use shc_kvstore::cellblock;
@@ -50,6 +50,8 @@ use std::sync::Arc;
 /// The SHC table provider.
 pub struct HBaseRelation {
     pub catalog: Arc<HBaseTableCatalog>,
+    /// The catalog's relational schema, built with the relation.
+    schema: SchemaRef,
     pub conf: SHCConf,
     cluster: Arc<HBaseCluster>,
     cache: Arc<ConnectionCache>,
@@ -63,6 +65,7 @@ impl HBaseRelation {
         conf: SHCConf,
     ) -> Arc<HBaseRelation> {
         Arc::new(HBaseRelation {
+            schema: Arc::new(catalog.schema()),
             catalog,
             conf,
             cluster,
@@ -80,6 +83,7 @@ impl HBaseRelation {
         credentials: Arc<SHCCredentialsManager>,
     ) -> Arc<HBaseRelation> {
         Arc::new(HBaseRelation {
+            schema: Arc::new(catalog.schema()),
             catalog,
             conf,
             cluster,
@@ -157,8 +161,8 @@ impl ConnectionLease {
 }
 
 impl TableProvider for HBaseRelation {
-    fn schema(&self) -> Schema {
-        self.catalog.schema()
+    fn schema(&self) -> SchemaRef {
+        Arc::clone(&self.schema)
     }
 
     fn supports_projection(&self) -> bool {
@@ -300,6 +304,7 @@ impl HBaseRelation {
     fn clone_handle(&self) -> Arc<HBaseRelation> {
         Arc::new(HBaseRelation {
             catalog: Arc::clone(&self.catalog),
+            schema: Arc::clone(&self.schema),
             conf: self.conf.clone(),
             cluster: Arc::clone(&self.cluster),
             cache: Arc::clone(&self.cache),

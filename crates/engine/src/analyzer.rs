@@ -45,13 +45,13 @@ fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<LogicalPlan> {
     let mut residual_filters: Vec<Expr> = Vec::new();
     for join in &query.joins {
         let right = plan_factor(&join.relation, catalog)?;
-        let left_schema = plan.schema()?;
-        let right_schema = right.schema()?;
+        let left_schema = plan.schema();
+        let right_schema = right.schema();
         let mut conjuncts = Vec::new();
         flatten_and(&join.on, &mut conjuncts);
         let mut on = Vec::new();
         for c in conjuncts {
-            match split_equi(&c, &left_schema, &right_schema) {
+            match split_equi(&c, left_schema, right_schema) {
                 Some(pair) => on.push(pair),
                 None => residual_filters.push(c),
             }
@@ -62,30 +62,24 @@ fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<LogicalPlan> {
                 join.on
             )));
         }
-        plan = LogicalPlan::Join {
-            left: Box::new(plan),
-            right: Box::new(right),
+        plan = LogicalPlan::join(
+            plan,
+            right,
             on,
-            join_type: if join.left_outer {
+            if join.left_outer {
                 JoinType::Left
             } else {
                 JoinType::Inner
             },
-        };
+        );
     }
     for f in residual_filters {
-        plan = LogicalPlan::Filter {
-            predicate: f,
-            input: Box::new(plan),
-        };
+        plan = LogicalPlan::filter(f, plan);
     }
 
     // WHERE.
     if let Some(pred) = &query.where_clause {
-        plan = LogicalPlan::Filter {
-            predicate: pred.clone(),
-            input: Box::new(plan),
-        };
+        plan = LogicalPlan::filter(pred.clone(), plan);
     }
 
     // Aggregation?
@@ -105,7 +99,7 @@ fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<LogicalPlan> {
     // pre-projection schema — `ORDER BY t.col` must work even when the
     // select list renames or drops the qualifier.
     if !query.order_by.is_empty() {
-        let out_schema = plan.schema()?;
+        let out_schema = plan.schema();
         // SQL ordinals: `ORDER BY 2` means the second output column.
         let mut order_by = query.order_by.clone();
         for (e, _) in order_by.iter_mut() {
@@ -126,30 +120,21 @@ fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<LogicalPlan> {
         }
         let resolves_out = order_by
             .iter()
-            .all(|(e, _)| e.data_type(&out_schema).is_ok());
+            .all(|(e, _)| e.data_type(out_schema).is_ok());
         if resolves_out {
-            plan = LogicalPlan::Sort {
-                keys: order_by,
-                input: Box::new(plan),
-            };
-        } else if let LogicalPlan::Projection { exprs, input } = plan {
-            let inner_schema = input.schema()?;
+            plan = LogicalPlan::sort(order_by, plan);
+        } else if let LogicalPlan::Projection { exprs, input, .. } = plan {
+            let inner_schema = input.schema();
             let resolves_inner = order_by
                 .iter()
-                .all(|(e, _)| e.data_type(&inner_schema).is_ok());
+                .all(|(e, _)| e.data_type(inner_schema).is_ok());
             if !resolves_inner {
                 return Err(EngineError::Analysis(format!(
                     "ORDER BY key {} not found in select output or its input",
                     order_by[0].0
                 )));
             }
-            plan = LogicalPlan::Projection {
-                exprs,
-                input: Box::new(LogicalPlan::Sort {
-                    keys: order_by,
-                    input,
-                }),
-            };
+            plan = LogicalPlan::projection(exprs, LogicalPlan::sort(order_by, *input));
         } else {
             return Err(EngineError::Analysis(format!(
                 "ORDER BY key {} not found in query output",
@@ -158,10 +143,7 @@ fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<LogicalPlan> {
         }
     }
     if let Some(n) = query.limit {
-        plan = LogicalPlan::Limit {
-            n,
-            input: Box::new(plan),
-        };
+        plan = LogicalPlan::limit(n, plan);
     }
     Ok(plan)
 }
@@ -170,28 +152,25 @@ fn plan_factor(factor: &TableFactor, catalog: &dyn Catalog) -> Result<LogicalPla
     match factor {
         TableFactor::Table { name, alias } => {
             if let Some(view) = catalog.view(name) {
-                return Ok(LogicalPlan::SubqueryAlias {
-                    alias: alias.clone().unwrap_or_else(|| name.clone()),
-                    input: Box::new(view),
-                });
+                return Ok(LogicalPlan::subquery_alias(
+                    alias.clone().unwrap_or_else(|| name.clone()),
+                    view,
+                ));
             }
             let provider = catalog
                 .table(name)
                 .ok_or_else(|| EngineError::TableNotFound(name.clone()))?;
-            Ok(LogicalPlan::Scan {
-                table_name: name.clone(),
-                qualifier: alias.clone().unwrap_or_else(|| name.clone()),
+            Ok(LogicalPlan::scan(
+                name.clone(),
+                alias.clone().unwrap_or_else(|| name.clone()),
                 provider,
-                projection: None,
-                filters: vec![],
-            })
+                None,
+                vec![],
+            ))
         }
         TableFactor::Derived { subquery, alias } => {
             let inner = plan_query(subquery, catalog)?;
-            Ok(LogicalPlan::SubqueryAlias {
-                alias: alias.clone(),
-                input: Box::new(inner),
-            })
+            Ok(LogicalPlan::subquery_alias(alias.clone(), inner))
         }
     }
 }
@@ -237,7 +216,7 @@ fn plan_projection(query: &Query, input: LogicalPlan) -> Result<LogicalPlan> {
     if query.items.len() == 1 && matches!(query.items[0], SelectItem::Star) {
         return Ok(input);
     }
-    let input_schema = input.schema()?;
+    let input_schema = input.schema();
     let mut exprs: Vec<(Expr, String)> = Vec::new();
     for item in &query.items {
         match item {
@@ -263,10 +242,7 @@ fn plan_projection(query: &Query, input: LogicalPlan) -> Result<LogicalPlan> {
             }
         }
     }
-    Ok(LogicalPlan::Projection {
-        exprs,
-        input: Box::new(input),
-    })
+    Ok(LogicalPlan::projection(exprs, input))
 }
 
 fn plan_aggregate(query: &Query, input: LogicalPlan, has_agg: bool) -> Result<LogicalPlan> {
@@ -291,12 +267,7 @@ fn plan_aggregate(query: &Query, input: LogicalPlan, has_agg: bool) -> Result<Lo
             let name = alias.clone().unwrap_or_else(|| expr.default_name());
             group.push((expr.clone(), name));
         }
-        return Ok(LogicalPlan::Aggregate {
-            group,
-            aggs: vec![],
-            input: Box::new(input),
-            lookups: Vec::new(),
-        });
+        return Ok(LogicalPlan::aggregate(group, vec![], input, Vec::new()));
     }
 
     // GROUP BY: every scalar select item must match a group expression.
@@ -340,25 +311,14 @@ fn plan_aggregate(query: &Query, input: LogicalPlan, has_agg: bool) -> Result<Lo
             SelectItem::Star => unreachable!("rejected above"),
         }
     }
-    let mut plan = LogicalPlan::Aggregate {
-        group,
-        aggs,
-        input: Box::new(input),
-        lookups: Vec::new(),
-    };
+    let mut plan = LogicalPlan::aggregate(group, aggs, input, Vec::new());
     // HAVING filters the aggregate output (aliases resolve here).
     if let Some(having) = &query.having {
-        plan = LogicalPlan::Filter {
-            predicate: having.clone(),
-            input: Box::new(plan),
-        };
+        plan = LogicalPlan::filter(having.clone(), plan);
     }
     // Final projection establishes select order and drops group columns not
     // selected.
-    Ok(LogicalPlan::Projection {
-        exprs: output,
-        input: Box::new(plan),
-    })
+    Ok(LogicalPlan::projection(output, plan))
 }
 
 /// Structural expression match, ignoring qualifiers on column references so
@@ -423,14 +383,14 @@ mod tests {
     #[test]
     fn simple_select_builds_projection() {
         let p = plan("SELECT id, score FROM users").unwrap();
-        let s = p.schema().unwrap();
+        let s = p.schema();
         assert_eq!(s.field_names(), vec!["id", "score"]);
     }
 
     #[test]
     fn select_star_passthrough() {
         let p = plan("SELECT * FROM users").unwrap();
-        assert_eq!(p.schema().unwrap().len(), 3);
+        assert_eq!(p.schema().len(), 3);
         assert!(matches!(p, LogicalPlan::Scan { .. }));
     }
 
@@ -483,7 +443,7 @@ mod tests {
     #[test]
     fn group_by_with_aggregates() {
         let p = plan("SELECT dept, AVG(score) AS m, COUNT(*) n FROM users GROUP BY dept").unwrap();
-        let s = p.schema().unwrap();
+        let s = p.schema();
         assert_eq!(s.field_names(), vec!["dept", "m", "n"]);
         assert_eq!(s.field(1).data_type, DataType::Float64);
     }
@@ -522,13 +482,13 @@ mod tests {
              WHERE x.m > 1.0",
         )
         .unwrap();
-        assert_eq!(p.schema().unwrap().field_names(), vec!["m"]);
+        assert_eq!(p.schema().field_names(), vec!["m"]);
     }
 
     #[test]
     fn global_aggregate_without_group() {
         let p = plan("SELECT COUNT(*) FROM users").unwrap();
-        let s = p.schema().unwrap();
+        let s = p.schema();
         assert_eq!(s.len(), 1);
         assert_eq!(s.field(0).data_type, DataType::Int64);
     }
@@ -543,7 +503,7 @@ mod tests {
     #[test]
     fn table_alias_qualifies_columns() {
         let p = plan("SELECT u.id FROM users u WHERE u.score > 0").unwrap();
-        assert_eq!(p.schema().unwrap().field_names(), vec!["id"]);
+        assert_eq!(p.schema().field_names(), vec!["id"]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::logical::{AggExpr, JoinType, LogicalPlan};
 use crate::optimizer::optimize;
 use crate::physical;
 use crate::row::Row;
-use crate::schema::Schema;
+use crate::schema::SchemaRef;
 use crate::session::{ExecStats, Session};
 use crate::task_timeline::{TaskTimeline, DEFAULT_TIMELINE_CAPACITY};
 use std::sync::Arc;
@@ -55,16 +55,13 @@ impl DataFrame {
         &self.plan
     }
 
-    pub fn schema(&self) -> Result<Schema> {
+    pub fn schema(&self) -> &SchemaRef {
         self.plan.schema()
     }
 
     /// Project expressions: `df.select(vec![(col("a"), "a".into())])`.
     pub fn select(&self, exprs: Vec<(Expr, String)>) -> DataFrame {
-        self.with_plan(LogicalPlan::Projection {
-            exprs,
-            input: Box::new(self.plan.clone()),
-        })
+        self.with_plan(LogicalPlan::projection(exprs, self.plan.clone()))
     }
 
     /// Project existing columns by name.
@@ -85,20 +82,17 @@ impl DataFrame {
     }
 
     pub fn filter(&self, predicate: Expr) -> DataFrame {
-        self.with_plan(LogicalPlan::Filter {
-            predicate,
-            input: Box::new(self.plan.clone()),
-        })
+        self.with_plan(LogicalPlan::filter(predicate, self.plan.clone()))
     }
 
     /// Equi-join on key pairs.
     pub fn join(&self, right: &DataFrame, on: Vec<(Expr, Expr)>, join_type: JoinType) -> DataFrame {
-        self.with_plan(LogicalPlan::Join {
-            left: Box::new(self.plan.clone()),
-            right: Box::new(right.plan.clone()),
+        self.with_plan(LogicalPlan::join(
+            self.plan.clone(),
+            right.plan.clone(),
             on,
             join_type,
-        })
+        ))
     }
 
     /// Start a grouped aggregation.
@@ -111,34 +105,28 @@ impl DataFrame {
 
     /// Global aggregation (no grouping keys).
     pub fn agg(&self, aggs: Vec<(AggExpr, String)>) -> DataFrame {
-        self.with_plan(LogicalPlan::Aggregate {
-            group: vec![],
+        self.with_plan(LogicalPlan::aggregate(
+            vec![],
             aggs,
-            input: Box::new(self.plan.clone()),
-            lookups: Vec::new(),
-        })
+            self.plan.clone(),
+            Vec::new(),
+        ))
     }
 
     pub fn sort(&self, keys: Vec<(Expr, bool)>) -> DataFrame {
-        self.with_plan(LogicalPlan::Sort {
-            keys,
-            input: Box::new(self.plan.clone()),
-        })
+        self.with_plan(LogicalPlan::sort(keys, self.plan.clone()))
     }
 
     pub fn limit(&self, n: usize) -> DataFrame {
-        self.with_plan(LogicalPlan::Limit {
-            n,
-            input: Box::new(self.plan.clone()),
-        })
+        self.with_plan(LogicalPlan::limit(n, self.plan.clone()))
     }
 
     /// Re-qualify the output columns (named subquery).
     pub fn alias(&self, alias: &str) -> DataFrame {
-        self.with_plan(LogicalPlan::SubqueryAlias {
-            alias: alias.to_string(),
-            input: Box::new(self.plan.clone()),
-        })
+        self.with_plan(LogicalPlan::subquery_alias(
+            alias.to_string(),
+            self.plan.clone(),
+        ))
     }
 
     /// Register this DataFrame's plan as a temp view in the session.
@@ -387,12 +375,7 @@ impl GroupedData {
                 (e, name)
             })
             .collect();
-        let plan = LogicalPlan::Aggregate {
-            group,
-            aggs,
-            input: Box::new(self.df.plan.clone()),
-            lookups: Vec::new(),
-        };
+        let plan = LogicalPlan::aggregate(group, aggs, self.df.plan.clone(), Vec::new());
         DataFrame {
             session: self.df.session,
             plan,
@@ -433,7 +416,7 @@ pub fn stddev(e: Expr) -> AggExpr {
 mod tests {
     use super::*;
     use crate::memtable::MemTable;
-    use crate::schema::Field;
+    use crate::schema::{Field, Schema};
     use crate::value::{DataType, Value};
 
     fn session() -> Arc<Session> {

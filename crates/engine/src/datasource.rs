@@ -15,7 +15,7 @@
 use crate::columnar::{ColumnarBatch, DEFAULT_BATCH_ROWS};
 use crate::error::Result;
 use crate::row::Row;
-use crate::schema::Schema;
+use crate::schema::SchemaRef;
 use crate::source_filter::SourceFilter;
 use std::sync::Arc;
 
@@ -61,8 +61,8 @@ pub fn partition_rows(part: &dyn ScanPartition, running_on: &str) -> Result<Vec<
 
 /// A table that can be scanned through the data source API.
 pub trait TableProvider: Send + Sync {
-    /// Full schema of the table.
-    fn schema(&self) -> Schema;
+    /// Full schema of the table, built when the provider is.
+    fn schema(&self) -> SchemaRef;
 
     /// Can this provider honor column projection at the source? Providers
     /// that return `false` (the paper's "general data source" baseline)
@@ -126,7 +126,7 @@ pub trait TableProvider: Send + Sync {
 mod tests {
     use super::*;
     use crate::columnar::BatchBuilder;
-    use crate::schema::Field;
+    use crate::schema::{Field, Schema};
     use crate::value::{DataType, Value};
 
     struct OnePartition;
@@ -145,8 +145,8 @@ mod tests {
 
     struct Fixed;
     impl TableProvider for Fixed {
-        fn schema(&self) -> Schema {
-            Schema::new(vec![Field::new("x", DataType::Int32)])
+        fn schema(&self) -> SchemaRef {
+            Arc::new(Schema::new(vec![Field::new("x", DataType::Int32)]))
         }
         fn scan(
             &self,

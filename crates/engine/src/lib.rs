@@ -58,6 +58,11 @@ pub mod metrics;
 pub mod optimizer;
 pub mod parser;
 pub mod physical;
+/// TPC-DS q39a and q39b, whose text the workload crate owns: plans the
+/// tests build.
+#[cfg(test)]
+#[path = "../../tpcds/src/queries/q39.rs"]
+mod q39;
 pub mod query_log;
 #[cfg(test)]
 mod reference;
@@ -91,7 +96,7 @@ pub mod prelude {
     pub use crate::query_log::{QueryLog, QueryLogEntry};
     pub use crate::row::Row;
     pub use crate::scheduler::{ExecutorConfig, SchedulerFaults};
-    pub use crate::schema::{Field, Schema};
+    pub use crate::schema::{Field, Schema, SchemaRef};
     pub use crate::session::{Session, SessionConfig};
     pub use crate::source_filter::SourceFilter;
     pub use crate::system::{SystemCatalog, SystemTable};

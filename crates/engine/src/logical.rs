@@ -6,7 +6,7 @@ use crate::aggregate::AggFunc;
 use crate::datasource::TableProvider;
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
-use crate::schema::{Field, Schema};
+use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -59,7 +59,12 @@ impl AggExpr {
     }
 }
 
-/// A logical plan node.
+/// A logical plan node. Each node holds its output schema, built once by
+/// its constructor ([`LogicalPlan::scan`], [`LogicalPlan::filter`], ...):
+/// a filter, sort or limit shares its input's, and a rule that replaces an
+/// input derives the node's own again only when the input's changed
+/// (`map_inputs`). Build nodes through the constructors; the fields are
+/// public for matching.
 #[derive(Clone)]
 pub enum LogicalPlan {
     /// A data source scan with pushed-down projection and filters.
@@ -75,15 +80,18 @@ pub enum LogicalPlan {
         /// on the source applying them — the physical planner re-applies
         /// whatever the provider reports as unhandled.
         filters: Vec<Expr>,
+        schema: SchemaRef,
     },
     Filter {
         predicate: Expr,
         input: Box<LogicalPlan>,
+        schema: SchemaRef,
     },
     Projection {
         /// (expression, output name) pairs.
         exprs: Vec<(Expr, String)>,
         input: Box<LogicalPlan>,
+        schema: SchemaRef,
     },
     Join {
         left: Box<LogicalPlan>,
@@ -91,6 +99,7 @@ pub enum LogicalPlan {
         /// Equi-join keys: (left expr, right expr).
         on: Vec<(Expr, Expr)>,
         join_type: JoinType,
+        schema: SchemaRef,
     },
     Aggregate {
         /// (group expression, output name).
@@ -102,76 +111,195 @@ pub enum LogicalPlan {
         /// below (eager aggregation), by name; empty for one it did not
         /// move. Shown in `EXPLAIN ANALYZE` only.
         lookups: Vec<String>,
+        schema: SchemaRef,
     },
     Sort {
         /// (key, ascending).
         keys: Vec<(Expr, bool)>,
         input: Box<LogicalPlan>,
+        schema: SchemaRef,
     },
     Limit {
         n: usize,
         input: Box<LogicalPlan>,
+        schema: SchemaRef,
     },
     /// Re-qualifies the input's columns: `FROM (SELECT ...) alias`.
     SubqueryAlias {
         alias: String,
         input: Box<LogicalPlan>,
+        schema: SchemaRef,
     },
     /// Literal rows, for tests and VALUES-style sources.
     Values {
-        schema: Schema,
+        schema: SchemaRef,
         rows: Vec<Vec<Value>>,
     },
 }
 
 impl LogicalPlan {
+    pub fn scan(
+        table_name: String,
+        qualifier: String,
+        provider: Arc<dyn TableProvider>,
+        projection: Option<Vec<usize>>,
+        filters: Vec<Expr>,
+    ) -> LogicalPlan {
+        let schema = scan_schema(&qualifier, &*provider, projection.as_deref());
+        LogicalPlan::Scan {
+            table_name,
+            qualifier,
+            provider,
+            projection,
+            filters,
+            schema: Arc::new(schema),
+        }
+    }
+
+    pub fn filter(predicate: Expr, input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Filter {
+            predicate,
+            schema: Arc::clone(input.schema()),
+            input: Box::new(input),
+        }
+    }
+
+    pub fn projection(exprs: Vec<(Expr, String)>, input: LogicalPlan) -> LogicalPlan {
+        let schema = projection_schema(&exprs, input.schema());
+        LogicalPlan::Projection {
+            exprs,
+            input: Box::new(input),
+            schema: Arc::new(schema),
+        }
+    }
+
+    pub fn join(
+        left: LogicalPlan,
+        right: LogicalPlan,
+        on: Vec<(Expr, Expr)>,
+        join_type: JoinType,
+    ) -> LogicalPlan {
+        let schema = join_schema(left.schema(), right.schema());
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            on,
+            join_type,
+            schema: Arc::new(schema),
+        }
+    }
+
+    pub fn aggregate(
+        group: Vec<(Expr, String)>,
+        aggs: Vec<(AggExpr, String)>,
+        input: LogicalPlan,
+        lookups: Vec<String>,
+    ) -> LogicalPlan {
+        let schema = aggregate_schema(&group, &aggs, input.schema());
+        LogicalPlan::Aggregate {
+            group,
+            aggs,
+            input: Box::new(input),
+            lookups,
+            schema: Arc::new(schema),
+        }
+    }
+
+    pub fn sort(keys: Vec<(Expr, bool)>, input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Sort {
+            keys,
+            schema: Arc::clone(input.schema()),
+            input: Box::new(input),
+        }
+    }
+
+    pub fn limit(n: usize, input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Limit {
+            n,
+            schema: Arc::clone(input.schema()),
+            input: Box::new(input),
+        }
+    }
+
+    pub fn subquery_alias(alias: String, input: LogicalPlan) -> LogicalPlan {
+        let schema = alias_schema(&alias, input.schema());
+        LogicalPlan::SubqueryAlias {
+            alias,
+            input: Box::new(input),
+            schema: Arc::new(schema),
+        }
+    }
+
+    pub fn values(schema: Schema, rows: Vec<Vec<Value>>) -> LogicalPlan {
+        LogicalPlan::Values {
+            schema: Arc::new(schema),
+            rows,
+        }
+    }
+
     /// The output schema of this node. For scans this respects both the
     /// pushed projection and the provider's ability to honor it: a provider
     /// without projection support always emits full-width rows (the paper's
     /// generic-source baseline).
-    pub fn schema(&self) -> Result<Schema> {
+    pub fn schema(&self) -> &SchemaRef {
         match self {
+            LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Filter { schema, .. }
+            | LogicalPlan::Projection { schema, .. }
+            | LogicalPlan::Join { schema, .. }
+            | LogicalPlan::Aggregate { schema, .. }
+            | LogicalPlan::Sort { schema, .. }
+            | LogicalPlan::Limit { schema, .. }
+            | LogicalPlan::SubqueryAlias { schema, .. }
+            | LogicalPlan::Values { schema, .. } => schema,
+        }
+    }
+
+    /// Derive this node's schema again from its inputs', after a rule
+    /// replaced one. An equal schema keeps the node's `Arc`, so the nodes
+    /// above it keep theirs.
+    pub(crate) fn rederive_schema(&mut self) {
+        let derived = match &*self {
             LogicalPlan::Scan {
                 qualifier,
                 provider,
                 projection,
                 ..
-            } => {
-                let full = provider.schema().with_qualifier(qualifier);
-                Ok(match projection {
-                    Some(indices) if provider.supports_projection() => full.project(indices),
-                    _ => full,
-                })
+            } => scan_schema(qualifier, &**provider, projection.as_deref()),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => {
+                let shared = Arc::clone(input.schema());
+                *self.schema_mut() = shared;
+                return;
             }
-            LogicalPlan::Filter { input, .. } => input.schema(),
-            LogicalPlan::Projection { exprs, input } => {
-                let input_schema = input.schema()?;
-                let fields = exprs
-                    .iter()
-                    .map(|(e, name)| Ok(Field::new(name.clone(), e.data_type(&input_schema)?)))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Schema::new(fields))
+            LogicalPlan::Projection { exprs, input, .. } => {
+                projection_schema(exprs, input.schema())
             }
-            LogicalPlan::Join { left, right, .. } => Ok(left.schema()?.join(&right.schema()?)),
+            LogicalPlan::Join { left, right, .. } => join_schema(left.schema(), right.schema()),
             LogicalPlan::Aggregate {
                 group, aggs, input, ..
-            } => {
-                let input_schema = input.schema()?;
-                let mut fields = Vec::with_capacity(group.len() + aggs.len());
-                for (e, name) in group {
-                    fields.push(Field::new(name.clone(), e.data_type(&input_schema)?));
-                }
-                for (agg, name) in aggs {
-                    fields.push(Field::new(name.clone(), agg.output_type(&input_schema)?));
-                }
-                Ok(Schema::new(fields))
-            }
-            LogicalPlan::Sort { input, .. } => input.schema(),
-            LogicalPlan::Limit { input, .. } => input.schema(),
-            LogicalPlan::SubqueryAlias { alias, input } => {
-                Ok(input.schema()?.with_qualifier(alias))
-            }
-            LogicalPlan::Values { schema, .. } => Ok(schema.clone()),
+            } => aggregate_schema(group, aggs, input.schema()),
+            LogicalPlan::SubqueryAlias { alias, input, .. } => alias_schema(alias, input.schema()),
+            LogicalPlan::Values { .. } => return,
+        };
+        let schema = self.schema_mut();
+        if **schema != derived {
+            *schema = Arc::new(derived);
+        }
+    }
+
+    fn schema_mut(&mut self) -> &mut SchemaRef {
+        match self {
+            LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Filter { schema, .. }
+            | LogicalPlan::Projection { schema, .. }
+            | LogicalPlan::Join { schema, .. }
+            | LogicalPlan::Aggregate { schema, .. }
+            | LogicalPlan::Sort { schema, .. }
+            | LogicalPlan::Limit { schema, .. }
+            | LogicalPlan::SubqueryAlias { schema, .. }
+            | LogicalPlan::Values { schema, .. } => schema,
         }
     }
 
@@ -258,57 +386,96 @@ impl LogicalPlan {
         }
     }
 
-    /// This node with each input replaced by `f` of it, in plan order.
+    /// This node with each input replaced by `f` of it, in plan order. The
+    /// node's schema is derived again only when an input's schema is not the
+    /// one it was built over.
     pub(crate) fn map_inputs(
         self,
         mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
     ) -> Result<LogicalPlan> {
-        let mut map = |input: Box<LogicalPlan>| f(*input).map(Box::new);
-        Ok(match self {
-            LogicalPlan::Filter { predicate, input } => LogicalPlan::Filter {
+        let mut same = true;
+        let mut map = |input: Box<LogicalPlan>| {
+            // Held across `f`, so no new schema can take the old one's
+            // address.
+            let before = Arc::clone(input.schema());
+            let after = f(*input)?;
+            same &= Arc::ptr_eq(&before, after.schema());
+            Ok::<_, EngineError>(Box::new(after))
+        };
+        let mut plan = match self {
+            LogicalPlan::Filter {
+                predicate,
+                input,
+                schema,
+            } => LogicalPlan::Filter {
                 predicate,
                 input: map(input)?,
+                schema,
             },
-            LogicalPlan::Projection { exprs, input } => LogicalPlan::Projection {
+            LogicalPlan::Projection {
+                exprs,
+                input,
+                schema,
+            } => LogicalPlan::Projection {
                 exprs,
                 input: map(input)?,
+                schema,
             },
             LogicalPlan::Join {
                 left,
                 right,
                 on,
                 join_type,
+                schema,
             } => LogicalPlan::Join {
                 left: map(left)?,
                 right: map(right)?,
                 on,
                 join_type,
+                schema,
             },
             LogicalPlan::Aggregate {
                 group,
                 aggs,
                 input,
                 lookups,
+                schema,
             } => LogicalPlan::Aggregate {
                 group,
                 aggs,
                 input: map(input)?,
                 lookups,
+                schema,
             },
-            LogicalPlan::Sort { keys, input } => LogicalPlan::Sort {
+            LogicalPlan::Sort {
+                keys,
+                input,
+                schema,
+            } => LogicalPlan::Sort {
                 keys,
                 input: map(input)?,
+                schema,
             },
-            LogicalPlan::Limit { n, input } => LogicalPlan::Limit {
+            LogicalPlan::Limit { n, input, schema } => LogicalPlan::Limit {
                 n,
                 input: map(input)?,
+                schema,
             },
-            LogicalPlan::SubqueryAlias { alias, input } => LogicalPlan::SubqueryAlias {
+            LogicalPlan::SubqueryAlias {
+                alias,
+                input,
+                schema,
+            } => LogicalPlan::SubqueryAlias {
                 alias,
                 input: map(input)?,
+                schema,
             },
             leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
-        })
+        };
+        if !same {
+            plan.rederive_schema();
+        }
+        Ok(plan)
     }
 
     /// The position in this node's output of a column no two of its rows
@@ -320,17 +487,16 @@ impl LogicalPlan {
         match self {
             LogicalPlan::Scan { provider, .. } => {
                 let key = provider.unique_key()?;
-                self.schema().ok()?.resolve(None, &key).ok()
+                self.schema().resolve(None, &key).ok()
             }
             LogicalPlan::Filter { input, .. } | LogicalPlan::SubqueryAlias { input, .. } => {
                 input.unique_key()
             }
-            LogicalPlan::Projection { exprs, input } => {
+            LogicalPlan::Projection { exprs, input, .. } => {
                 let key = input.unique_key()?;
-                let schema = input.schema().ok()?;
                 exprs
                     .iter()
-                    .position(|(e, _)| column_index(e, &schema) == Some(key))
+                    .position(|(e, _)| column_index(e, input.schema()) == Some(key))
             }
             _ => None,
         }
@@ -338,84 +504,193 @@ impl LogicalPlan {
 
     /// Validate that every expression in the tree resolves and type-checks.
     pub fn check(&self) -> Result<()> {
+        for child in self.children() {
+            child.check()?;
+        }
         match self {
             LogicalPlan::Scan {
-                filters,
-                provider,
-                qualifier,
-                ..
+                filters, schema, ..
             } => {
-                let schema = provider.schema().with_qualifier(qualifier);
                 for f in filters {
-                    let t = f.data_type(&schema)?;
+                    let t = f.data_type(schema)?;
                     if t != DataType::Boolean {
                         return Err(EngineError::Analysis(format!(
                             "pushed filter {f} is not boolean"
                         )));
                     }
                 }
-                Ok(())
             }
-            LogicalPlan::Filter { predicate, input } => {
-                input.check()?;
-                let t = predicate.data_type(&input.schema()?)?;
+            LogicalPlan::Filter {
+                predicate, input, ..
+            } => {
+                let t = predicate.data_type(input.schema())?;
                 if t != DataType::Boolean {
                     return Err(EngineError::Analysis(format!(
                         "filter predicate {predicate} has type {t}, expected boolean"
                     )));
                 }
-                Ok(())
             }
-            LogicalPlan::Projection { exprs, input } => {
-                input.check()?;
-                let schema = input.schema()?;
+            LogicalPlan::Projection { exprs, input, .. } => {
                 for (e, _) in exprs {
-                    e.data_type(&schema)?;
+                    e.data_type(input.schema())?;
                 }
-                Ok(())
             }
             LogicalPlan::Join {
                 left, right, on, ..
             } => {
-                left.check()?;
-                right.check()?;
-                let (ls, rs) = (left.schema()?, right.schema()?);
                 for (l, r) in on {
-                    let lt = l.data_type(&ls)?;
-                    let rt = r.data_type(&rs)?;
+                    let lt = l.data_type(left.schema())?;
+                    let rt = r.data_type(right.schema())?;
                     if !lt.comparable_with(rt) {
                         return Err(EngineError::Analysis(format!(
                             "join keys {l} ({lt}) and {r} ({rt}) are not comparable"
                         )));
                     }
                 }
-                Ok(())
             }
             LogicalPlan::Aggregate {
                 group, aggs, input, ..
             } => {
-                input.check()?;
-                let schema = input.schema()?;
                 for (e, _) in group {
-                    e.data_type(&schema)?;
+                    e.data_type(input.schema())?;
                 }
                 for (a, _) in aggs {
-                    a.output_type(&schema)?;
+                    a.output_type(input.schema())?;
                 }
-                Ok(())
             }
-            LogicalPlan::Sort { keys, input } => {
-                input.check()?;
-                let schema = input.schema()?;
+            LogicalPlan::Sort { keys, input, .. } => {
                 for (e, _) in keys {
-                    e.data_type(&schema)?;
+                    e.data_type(input.schema())?;
                 }
-                Ok(())
             }
-            LogicalPlan::Limit { input, .. } => input.check(),
-            LogicalPlan::SubqueryAlias { input, .. } => input.check(),
-            LogicalPlan::Values { .. } => Ok(()),
+            LogicalPlan::Limit { .. }
+            | LogicalPlan::SubqueryAlias { .. }
+            | LogicalPlan::Values { .. } => {}
         }
+        Ok(())
+    }
+}
+
+// ----------------------------------------------------------------------
+// Output schemas: one function per kind of node, over its inputs' schemas
+// ----------------------------------------------------------------------
+
+/// The type to build an output column with. Where none can be derived the
+/// column is built as `Binary`, whose storage is boxed [`Value`]s: whatever
+/// the expression evaluates to comes back out exactly. The analyzer's
+/// [`check`](LogicalPlan::check) rejects such a plan; one built by hand runs.
+fn dtype_or_boxed(derived: Result<DataType>) -> DataType {
+    derived.unwrap_or(DataType::Binary)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Schemas derived on this thread: what the tests count plan rewrites
+    /// by.
+    pub(crate) static SCHEMA_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn built(schema: Schema) -> Schema {
+    #[cfg(test)]
+    SCHEMA_BUILDS.with(|n| n.set(n.get() + 1));
+    schema
+}
+
+fn scan_schema(
+    qualifier: &str,
+    provider: &dyn TableProvider,
+    projection: Option<&[usize]>,
+) -> Schema {
+    let full = provider.schema();
+    built(match projection {
+        Some(indices) if provider.supports_projection() => {
+            full.project(indices).with_qualifier(qualifier)
+        }
+        _ => full.with_qualifier(qualifier),
+    })
+}
+
+fn projection_schema(exprs: &[(Expr, String)], input: &Schema) -> Schema {
+    let fields = exprs
+        .iter()
+        .map(|(e, name)| Field::new(name.clone(), dtype_or_boxed(e.data_type(input))));
+    built(Schema::new(fields.collect()))
+}
+
+fn join_schema(left: &Schema, right: &Schema) -> Schema {
+    built(left.join(right))
+}
+
+fn aggregate_schema(
+    group: &[(Expr, String)],
+    aggs: &[(AggExpr, String)],
+    input: &Schema,
+) -> Schema {
+    let groups = group
+        .iter()
+        .map(|(e, name)| Field::new(name.clone(), dtype_or_boxed(e.data_type(input))));
+    let aggs = aggs
+        .iter()
+        .map(|(a, name)| Field::new(name.clone(), dtype_or_boxed(a.output_type(input))));
+    built(Schema::new(groups.chain(aggs).collect()))
+}
+
+fn alias_schema(alias: &str, input: &Schema) -> Schema {
+    built(input.with_qualifier(alias))
+}
+
+#[cfg(test)]
+impl LogicalPlan {
+    /// This node's output schema derived from scratch, its inputs' as well:
+    /// what the one it holds must equal.
+    pub(crate) fn derived_schema(&self) -> Schema {
+        match self {
+            LogicalPlan::Scan {
+                qualifier,
+                provider,
+                projection,
+                ..
+            } => scan_schema(qualifier, &**provider, projection.as_deref()),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.derived_schema(),
+            LogicalPlan::Projection { exprs, input, .. } => {
+                projection_schema(exprs, &input.derived_schema())
+            }
+            LogicalPlan::Join { left, right, .. } => {
+                join_schema(&left.derived_schema(), &right.derived_schema())
+            }
+            LogicalPlan::Aggregate {
+                group, aggs, input, ..
+            } => aggregate_schema(group, aggs, &input.derived_schema()),
+            LogicalPlan::SubqueryAlias { alias, input, .. } => {
+                alias_schema(alias, &input.derived_schema())
+            }
+            LogicalPlan::Values { schema, .. } => Schema::clone(schema),
+        }
+    }
+
+    /// Panics at the first node, top down, whose schema is not the one
+    /// derived from scratch.
+    pub(crate) fn assert_schemas_fresh(&self) {
+        assert_eq!(
+            **self.schema(),
+            self.derived_schema(),
+            "stale schema at {}",
+            self.describe()
+        );
+        for child in self.children() {
+            child.assert_schemas_fresh();
+        }
+    }
+
+    /// Nodes in this plan.
+    pub(crate) fn node_count(&self) -> usize {
+        1 + self
+            .children()
+            .iter()
+            .map(|c| c.node_count())
+            .sum::<usize>()
     }
 }
 
@@ -762,19 +1037,12 @@ impl<'a, 'g> PlanIndex<'a, 'g> {
     fn filter_for(&self, at: usize) -> Option<DynamicFilter<'a>> {
         let scan = self.nodes[at].0;
         let LogicalPlan::Scan {
-            provider,
-            projection,
-            ..
+            provider, schema, ..
         } = scan
         else {
             return None;
         };
-        let full = provider.schema();
-        let pushed = projection
-            .as_deref()
-            .filter(|_| provider.supports_projection());
-        (0..pushed.map_or(full.len(), <[usize]>::len)).find_map(|out| {
-            let field = full.field(pushed.map_or(out, |indices| indices[out]));
+        schema.fields.iter().enumerate().find_map(|(out, field)| {
             // `0.0 = -0.0` joins, but the two need not encode alike.
             let float = matches!(field.data_type, DataType::Float32 | DataType::Float64);
             if float || !provider.prunes_partitions_on(&field.name) {
@@ -814,11 +1082,10 @@ impl<'a, 'g> PlanIndex<'a, 'g> {
         let up = parent?;
         match self.nodes[up].0 {
             LogicalPlan::Filter { .. } | LogicalPlan::SubqueryAlias { .. } => self.sources(up, col),
-            LogicalPlan::Projection { exprs, input } => {
-                let schema = input.schema().ok()?;
+            LogicalPlan::Projection { exprs, input, .. } => {
                 let out = exprs
                     .iter()
-                    .position(|(e, _)| column_index(e, &schema) == Some(col))?;
+                    .position(|(e, _)| column_index(e, input.schema()) == Some(col))?;
                 self.sources(up, out)
             }
             join @ LogicalPlan::Join {
@@ -826,6 +1093,7 @@ impl<'a, 'g> PlanIndex<'a, 'g> {
                 right,
                 on,
                 join_type: JoinType::Inner,
+                ..
             } => {
                 let from_left = std::ptr::eq(&**left, node);
                 let (mine, other) = if from_left {
@@ -833,11 +1101,10 @@ impl<'a, 'g> PlanIndex<'a, 'g> {
                 } else {
                     (right, left)
                 };
-                let schema = mine.schema().ok()?;
                 let key = on
                     .iter()
                     .map(|(l, r)| if from_left { (l, r) } else { (r, l) })
-                    .find(|(mine, _)| column_index(mine, &schema) == Some(col));
+                    .find(|(key, _)| column_index(key, mine.schema()) == Some(col));
                 match key {
                     Some((_, key)) if other.has_predicate() => Some(vec![KeySource {
                         join,
@@ -845,11 +1112,7 @@ impl<'a, 'g> PlanIndex<'a, 'g> {
                         key,
                     }]),
                     _ => {
-                        let shift = if from_left {
-                            0
-                        } else {
-                            left.schema().ok()?.len()
-                        };
+                        let shift = if from_left { 0 } else { left.schema().len() };
                         self.sources(up, col + shift)
                     }
                 }
@@ -955,48 +1218,43 @@ mod tests {
             ]),
             1,
         );
-        LogicalPlan::Scan {
-            table_name: "t".into(),
-            qualifier: "t".into(),
-            provider: Arc::new(table),
-            projection: None,
-            filters: vec![],
-        }
+        LogicalPlan::scan("t".into(), "t".into(), Arc::new(table), None, vec![])
     }
 
     #[test]
     fn scan_schema_is_qualified() {
-        let s = scan().schema().unwrap();
+        let plan = scan();
+        let s = plan.schema();
         assert_eq!(s.len(), 3);
         assert_eq!(s.field(0).qualifier.as_deref(), Some("t"));
     }
 
     #[test]
     fn projection_schema_infers_types() {
-        let plan = LogicalPlan::Projection {
-            exprs: vec![
+        let plan = LogicalPlan::projection(
+            vec![
                 (Expr::col("id").add(Expr::lit(1i64)), "id1".into()),
                 (Expr::col("score").div(Expr::lit(2i64)), "half".into()),
             ],
-            input: Box::new(scan()),
-        };
-        let s = plan.schema().unwrap();
+            scan(),
+        );
+        let s = plan.schema();
         assert_eq!(s.field(0).data_type, DataType::Int64);
         assert_eq!(s.field(1).data_type, DataType::Float64);
     }
 
     #[test]
     fn aggregate_schema_groups_then_aggs() {
-        let plan = LogicalPlan::Aggregate {
-            group: vec![(Expr::col("name"), "name".into())],
-            aggs: vec![
+        let plan = LogicalPlan::aggregate(
+            vec![(Expr::col("name"), "name".into())],
+            vec![
                 (AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into()),
                 (AggExpr::count_star(), "n".into()),
             ],
-            input: Box::new(scan()),
-            lookups: Vec::new(),
-        };
-        let s = plan.schema().unwrap();
+            scan(),
+            Vec::new(),
+        );
+        let s = plan.schema();
         assert_eq!(s.field_names(), vec!["name", "m", "n"]);
         assert_eq!(s.field(1).data_type, DataType::Float64);
         assert_eq!(s.field(2).data_type, DataType::Int64);
@@ -1004,56 +1262,47 @@ mod tests {
 
     #[test]
     fn check_rejects_non_boolean_filter() {
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("id").add(Expr::lit(1i64)),
-            input: Box::new(scan()),
-        };
+        let plan = LogicalPlan::filter(Expr::col("id").add(Expr::lit(1i64)), scan());
         assert!(plan.check().is_err());
     }
 
     #[test]
     fn check_rejects_incomparable_join_keys() {
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan()),
-            right: Box::new(LogicalPlan::SubqueryAlias {
-                alias: "u".into(),
-                input: Box::new(scan()),
-            }),
-            on: vec![(Expr::col("t.id"), Expr::col("u.name"))],
-            join_type: JoinType::Inner,
-        };
+        let plan = LogicalPlan::join(
+            scan(),
+            LogicalPlan::subquery_alias("u".into(), scan()),
+            vec![(Expr::col("t.id"), Expr::col("u.name"))],
+            JoinType::Inner,
+        );
         assert!(plan.check().is_err());
     }
 
     #[test]
     fn subquery_alias_requalifies() {
-        let plan = LogicalPlan::SubqueryAlias {
-            alias: "x".into(),
-            input: Box::new(scan()),
-        };
-        let s = plan.schema().unwrap();
+        let plan = LogicalPlan::subquery_alias("x".into(), scan());
+        let s = plan.schema();
         assert!(s.fields.iter().all(|f| f.qualifier.as_deref() == Some("x")));
         assert_eq!(s.resolve(Some("x"), "id").unwrap(), 0);
     }
 
     #[test]
     fn values_schema_passthrough() {
-        let plan = LogicalPlan::Values {
-            schema: Schema::new(vec![Field::new("v", DataType::Int32)]),
-            rows: vec![vec![Value::Int32(1)]],
-        };
-        assert_eq!(plan.schema().unwrap().len(), 1);
+        let plan = LogicalPlan::values(
+            Schema::new(vec![Field::new("v", DataType::Int32)]),
+            vec![vec![Value::Int32(1)]],
+        );
+        assert_eq!(plan.schema().len(), 1);
         assert!(plan.check().is_ok());
     }
 
     fn scan_of(provider: &Arc<MemTable>, qualifier: &str) -> LogicalPlan {
-        LogicalPlan::Scan {
-            table_name: "t".into(),
-            qualifier: qualifier.into(),
-            provider: Arc::clone(provider) as Arc<dyn TableProvider>,
-            projection: Some(vec![0, 2]),
-            filters: vec![Expr::col("id").gt(Expr::lit(1i64))],
-        }
+        LogicalPlan::scan(
+            "t".into(),
+            qualifier.into(),
+            Arc::clone(provider) as Arc<dyn TableProvider>,
+            Some(vec![0, 2]),
+            vec![Expr::col("id").gt(Expr::lit(1i64))],
+        )
     }
 
     fn table() -> Arc<MemTable> {
@@ -1068,21 +1317,21 @@ mod tests {
     }
 
     fn join(left: LogicalPlan, right: LogicalPlan, join_type: JoinType) -> LogicalPlan {
-        LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            on: vec![(Expr::col("l.id"), Expr::col("r.id"))],
+        LogicalPlan::join(
+            left,
+            right,
+            vec![(Expr::col("l.id"), Expr::col("r.id"))],
             join_type,
-        }
+        )
     }
 
     fn count_by_id(input: LogicalPlan) -> LogicalPlan {
-        LogicalPlan::Aggregate {
-            group: vec![(Expr::col("id"), "id".into())],
-            aggs: vec![(AggExpr::count_star(), "n".into())],
-            input: Box::new(input),
-            lookups: Vec::new(),
-        }
+        LogicalPlan::aggregate(
+            vec![(Expr::col("id"), "id".into())],
+            vec![(AggExpr::count_star(), "n".into())],
+            input,
+            Vec::new(),
+        )
     }
 
     #[test]
@@ -1093,12 +1342,14 @@ mod tests {
         // Equal content, equal name, another instance: a different source.
         assert!(!base.same_subplan(&scan_of(&table(), "t")));
         assert!(!base.same_subplan(&scan_of(&t, "u")), "qualifier");
-        let with = |projection: Option<Vec<usize>>, filters: Vec<Expr>| LogicalPlan::Scan {
-            table_name: "t".into(),
-            qualifier: "t".into(),
-            provider: Arc::clone(&t) as Arc<dyn TableProvider>,
-            projection,
-            filters,
+        let with = |projection: Option<Vec<usize>>, filters: Vec<Expr>| {
+            LogicalPlan::scan(
+                "t".into(),
+                "t".into(),
+                Arc::clone(&t) as Arc<dyn TableProvider>,
+                projection,
+                filters,
+            )
         };
         let gt = |v: Value| vec![Expr::col("id").gt(Expr::Literal(v))];
         assert!(base.same_subplan(&with(Some(vec![0, 2]), gt(Value::Int64(1)))));
@@ -1115,10 +1366,7 @@ mod tests {
             "operator"
         );
 
-        let alias = |a: &str| LogicalPlan::SubqueryAlias {
-            alias: a.into(),
-            input: Box::new(scan_of(&t, "t")),
-        };
+        let alias = |a: &str| LogicalPlan::subquery_alias(a.into(), scan_of(&t, "t"));
         let inner = join(alias("l"), alias("r"), JoinType::Inner);
         assert!(inner.same_subplan(&join(alias("l"), alias("r"), JoinType::Inner)));
         assert!(!inner.same_subplan(&join(alias("l"), alias("r"), JoinType::Left)));
@@ -1126,17 +1374,19 @@ mod tests {
 
         let agg = count_by_id(scan_of(&t, "t"));
         assert!(agg.same_subplan(&count_by_id(scan_of(&t, "t"))));
-        let renamed = LogicalPlan::Aggregate {
-            group: vec![(Expr::col("id"), "id".into())],
-            aggs: vec![(AggExpr::count_star(), "cnt".into())],
-            input: Box::new(scan_of(&t, "t")),
-            lookups: Vec::new(),
-        };
+        let renamed = LogicalPlan::aggregate(
+            vec![(Expr::col("id"), "id".into())],
+            vec![(AggExpr::count_star(), "cnt".into())],
+            scan_of(&t, "t"),
+            Vec::new(),
+        );
         assert!(!agg.same_subplan(&renamed), "output name");
 
-        let values = |v: Value| LogicalPlan::Values {
-            schema: Schema::new(vec![Field::new("v", DataType::Int64)]),
-            rows: vec![vec![v]],
+        let values = |v: Value| {
+            LogicalPlan::values(
+                Schema::new(vec![Field::new("v", DataType::Int64)]),
+                vec![vec![v]],
+            )
         };
         assert!(values(Value::Int64(7)).same_subplan(&values(Value::Int64(7))));
         assert!(!values(Value::Int64(7)).same_subplan(&values(Value::Int32(7))));
@@ -1145,10 +1395,8 @@ mod tests {
     #[test]
     fn repeated_subplans_lists_only_the_outermost_repeats() {
         let t = table();
-        let block = |alias: &str| LogicalPlan::SubqueryAlias {
-            alias: alias.into(),
-            input: Box::new(count_by_id(scan_of(&t, "t"))),
-        };
+        let block =
+            |alias: &str| LogicalPlan::subquery_alias(alias.into(), count_by_id(scan_of(&t, "t")));
         // The aggregate repeats; the scan under it repeats only because the
         // aggregate does, so it is not a group of its own.
         let plan = join(block("l"), block("r"), JoinType::Inner);
@@ -1161,12 +1409,12 @@ mod tests {
 
         // A third, bare use of the scan outside any repeated aggregate pairs
         // with the scan inside the aggregate that runs (the first one).
-        let with_scan = LogicalPlan::Join {
-            left: Box::new(plan.clone()),
-            right: Box::new(scan_of(&t, "t")),
-            on: vec![(Expr::col("l.id"), Expr::col("t.id"))],
-            join_type: JoinType::Inner,
-        };
+        let with_scan = LogicalPlan::join(
+            plan.clone(),
+            scan_of(&t, "t"),
+            vec![(Expr::col("l.id"), Expr::col("t.id"))],
+            JoinType::Inner,
+        );
         let groups = with_scan.repeated_subplans();
         assert_eq!(groups.len(), 2);
         let scans = groups
@@ -1176,12 +1424,12 @@ mod tests {
         assert_eq!(scans.len(), 2);
 
         // Three uses: one group, occurrences in execution order.
-        let three = LogicalPlan::Join {
-            left: Box::new(plan),
-            right: Box::new(block("x")),
-            on: vec![(Expr::col("l.id"), Expr::col("x.id"))],
-            join_type: JoinType::Inner,
-        };
+        let three = LogicalPlan::join(
+            plan,
+            block("x"),
+            vec![(Expr::col("l.id"), Expr::col("x.id"))],
+            JoinType::Inner,
+        );
         let groups = three.repeated_subplans();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 3);
@@ -1190,10 +1438,7 @@ mod tests {
         let other = table();
         let distinct = join(
             block("l"),
-            LogicalPlan::SubqueryAlias {
-                alias: "r".into(),
-                input: Box::new(count_by_id(scan_of(&other, "t"))),
-            },
+            LogicalPlan::subquery_alias("r".into(), count_by_id(scan_of(&other, "t"))),
             JoinType::Inner,
         );
         assert!(distinct.repeated_subplans().is_empty());
@@ -1211,13 +1456,7 @@ mod tests {
         qualifier: &str,
         filters: Vec<Expr>,
     ) -> LogicalPlan {
-        LogicalPlan::Scan {
-            table_name: "t".into(),
-            qualifier: qualifier.into(),
-            provider,
-            projection: None,
-            filters,
-        }
+        LogicalPlan::scan("t".into(), qualifier.into(), provider, None, filters)
     }
 
     /// `d`: a plain table, filtered unless `filtered` is false.
@@ -1236,19 +1475,11 @@ mod tests {
         on: (Expr, Expr),
         join_type: JoinType,
     ) -> LogicalPlan {
-        LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            on: vec![on],
-            join_type,
-        }
+        LogicalPlan::join(left, right, vec![on], join_type)
     }
 
     fn alias(name: &str, input: LogicalPlan) -> LogicalPlan {
-        LogicalPlan::SubqueryAlias {
-            alias: name.into(),
-            input: Box::new(input),
-        }
+        LogicalPlan::subquery_alias(name.into(), input)
     }
 
     fn filters_of(plan: &LogicalPlan) -> Vec<DynamicFilter<'_>> {
@@ -1260,19 +1491,19 @@ mod tests {
         let fact = keyed("id");
         // Through a plain-column projection, an alias and a filter, on the
         // left of one join and the right of another that only carries it.
-        let wrapped = LogicalPlan::Filter {
-            predicate: Expr::col("f.score").gt(Expr::lit(0.0)),
-            input: Box::new(alias(
+        let wrapped = LogicalPlan::filter(
+            Expr::col("f.score").gt(Expr::lit(0.0)),
+            alias(
                 "f",
-                LogicalPlan::Projection {
-                    exprs: vec![
+                LogicalPlan::projection(
+                    vec![
                         (Expr::col("score"), "score".into()),
                         (Expr::col("id"), "id".into()),
                     ],
-                    input: Box::new(scan_as(fact.clone(), "t", vec![])),
-                },
-            )),
-        };
+                    scan_as(fact.clone(), "t", vec![]),
+                ),
+            ),
+        );
         let carried = join_keys(
             dim("other", false),
             wrapped,
@@ -1360,10 +1591,10 @@ mod tests {
             inner(
                 alias(
                     "f",
-                    LogicalPlan::Projection {
-                        exprs: vec![(Expr::col("id").add(Expr::lit(1i64)), "id".into())],
-                        input: Box::new(scan_as(fact.clone(), "t", vec![])),
-                    },
+                    LogicalPlan::projection(
+                        vec![(Expr::col("id").add(Expr::lit(1i64)), "id".into())],
+                        scan_as(fact.clone(), "t", vec![]),
+                    ),
                 ),
                 dim("d", true),
                 on(),
@@ -1371,14 +1602,7 @@ mod tests {
             "a computed projection",
         );
         none(
-            inner(
-                LogicalPlan::Limit {
-                    n: 5,
-                    input: Box::new(f()),
-                },
-                dim("d", true),
-                on(),
-            ),
+            inner(LogicalPlan::limit(5, f()), dim("d", true), on()),
             "a limit picks other rows from a narrower scan",
         );
         // A float key column: `0.0 = -0.0`, but they encode differently.
@@ -1407,11 +1631,13 @@ mod tests {
                 ),
             )
         };
-        let both = |second_filtered: bool| LogicalPlan::Join {
-            left: Box::new(block("l", true)),
-            right: Box::new(block("r", second_filtered)),
-            on: vec![(Expr::col("l.name"), Expr::col("r.name"))],
-            join_type: JoinType::Inner,
+        let both = |second_filtered: bool| {
+            LogicalPlan::join(
+                block("l", true),
+                block("r", second_filtered),
+                vec![(Expr::col("l.name"), Expr::col("r.name"))],
+                JoinType::Inner,
+            )
         };
         // The scan runs once for both blocks: its filter is the union of
         // both blocks' keys, listed once, for the occurrence that runs.
@@ -1470,13 +1696,10 @@ mod tests {
 
     #[test]
     fn explain_renders_tree() {
-        let plan = LogicalPlan::Limit {
-            n: 10,
-            input: Box::new(LogicalPlan::Filter {
-                predicate: Expr::col("id").gt(Expr::lit(1i64)),
-                input: Box::new(scan()),
-            }),
-        };
+        let plan = LogicalPlan::limit(
+            10,
+            LogicalPlan::filter(Expr::col("id").gt(Expr::lit(1i64)), scan()),
+        );
         let text = plan.explain();
         assert!(text.contains("Limit: 10"));
         assert!(text.contains("Filter:"));

@@ -13,7 +13,7 @@ use crate::datasource::{ScanPartition, TableProvider};
 use crate::error::{EngineError, Result};
 use crate::expr::{BoundExpr, Expr};
 use crate::row::Row;
-use crate::schema::Schema;
+use crate::schema::{Schema, SchemaRef};
 use crate::source_filter::SourceFilter;
 use crate::value::{DataType, Value};
 use parking_lot::RwLock;
@@ -71,7 +71,7 @@ fn pack(lens: &[usize]) -> Vec<Range<usize>> {
 
 /// An in-memory, partitioned table.
 pub struct MemTable {
-    schema: Schema,
+    schema: SchemaRef,
     /// The declared unique key, by position in `schema`: no two rows share
     /// a non-NULL value of it, checked when it is declared and on every
     /// insert.
@@ -89,7 +89,7 @@ impl MemTable {
             batches: Vec::new(),
         })];
         MemTable {
-            schema,
+            schema: Arc::new(schema),
             unique_key: None,
             stored: RwLock::new(Stored { lens, runs }),
         }
@@ -199,8 +199,8 @@ impl ScanPartition for MemPartition {
 }
 
 impl TableProvider for MemTable {
-    fn schema(&self) -> Schema {
-        self.schema.clone()
+    fn schema(&self) -> SchemaRef {
+        Arc::clone(&self.schema)
     }
 
     /// MemTable applies every filter it is handed.
@@ -304,7 +304,7 @@ impl KeyedTable {
 
 #[cfg(test)]
 impl TableProvider for KeyedTable {
-    fn schema(&self) -> Schema {
+    fn schema(&self) -> SchemaRef {
         self.table.schema()
     }
 
@@ -405,7 +405,7 @@ mod tests {
         // Declaring a key the rows already break, or no column at all, fails.
         let mut rows: Vec<Row> = (0..4).map(row).collect();
         rows.push(row(2));
-        let schema = table().schema();
+        let schema = Schema::clone(&table().schema());
         let err = |table: MemTable, key: &str| table.with_unique_key(key).err().unwrap();
         let dup = MemTable::with_rows(schema.clone(), rows, 2);
         assert!(err(dup, "id").to_string().contains("duplicate value 2"));

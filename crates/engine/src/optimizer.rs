@@ -20,8 +20,9 @@
 use crate::error::Result;
 use crate::expr::{BinaryOp, Expr};
 use crate::logical::{column_index, AggExpr, JoinType, LogicalPlan};
-use crate::schema::Schema;
+use crate::schema::{Schema, SchemaRef};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Run the full rule pipeline: fold constants, push filters down, move
 /// aggregates below lookups, push the filters that stopped on them down
@@ -37,7 +38,9 @@ pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
 
 fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
     match plan {
-        LogicalPlan::Filter { predicate, input } => {
+        LogicalPlan::Filter {
+            predicate, input, ..
+        } => {
             let mut input = push_down_filters(*input)?;
             let mut conjuncts = Vec::new();
             crate::analyzer::flatten_and(&predicate, &mut conjuncts);
@@ -54,112 +57,75 @@ fn resolves(expr: &Expr, schema: &Schema) -> bool {
     expr.data_type(schema).is_ok()
 }
 
-/// Place one conjunct as low in the plan as it can legally go.
-fn push_filter(conjunct: Expr, plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Scan {
-            table_name,
-            qualifier,
-            provider,
-            projection,
-            mut filters,
-        } => {
-            filters.push(conjunct);
-            LogicalPlan::Scan {
-                table_name,
-                qualifier,
-                provider,
-                projection,
-                filters,
-            }
-        }
-        LogicalPlan::Filter { predicate, input } => match push_filter(conjunct, *input)? {
+/// Place one conjunct as low in the plan as it can legally go. A filter
+/// never changes a schema, so every node on the way keeps its own.
+fn push_filter(conjunct: Expr, mut plan: LogicalPlan) -> Result<LogicalPlan> {
+    if let LogicalPlan::Filter {
+        predicate, input, ..
+    } = plan
+    {
+        return Ok(match push_filter(conjunct, *input)? {
             // Stopped right below: one filter of both.
             LogicalPlan::Filter {
                 predicate: below,
                 input,
-            } => LogicalPlan::Filter {
-                predicate: predicate.and(below),
-                input,
-            },
-            pushed => LogicalPlan::Filter {
-                predicate,
-                input: Box::new(pushed),
-            },
-        },
+                ..
+            } => LogicalPlan::filter(predicate.and(below), *input),
+            pushed => LogicalPlan::filter(predicate, pushed),
+        });
+    }
+    // The input the conjunct moves into, and the conjunct as that input
+    // reads it; or the conjunct, which stays above this node.
+    let into = match &mut plan {
+        LogicalPlan::Scan { filters, .. } => {
+            filters.push(conjunct);
+            return Ok(plan);
+        }
         LogicalPlan::Join {
             left,
             right,
-            on,
             join_type,
+            ..
         } => {
-            let left_schema = left.schema()?;
-            let right_schema = right.schema()?;
-            if resolves(&conjunct, &left_schema) {
-                LogicalPlan::Join {
-                    left: Box::new(push_filter(conjunct, *left)?),
-                    right,
-                    on,
-                    join_type,
-                }
-            } else if join_type == JoinType::Inner && resolves(&conjunct, &right_schema) {
-                LogicalPlan::Join {
-                    left,
-                    right: Box::new(push_filter(conjunct, *right)?),
-                    on,
-                    join_type,
-                }
+            if resolves(&conjunct, left.schema()) {
+                Ok((0, conjunct))
+            } else if *join_type == JoinType::Inner && resolves(&conjunct, right.schema()) {
+                Ok((1, conjunct))
             } else {
-                LogicalPlan::Filter {
-                    predicate: conjunct,
-                    input: Box::new(LogicalPlan::Join {
-                        left,
-                        right,
-                        on,
-                        join_type,
-                    }),
-                }
+                Err(conjunct)
             }
         }
-        LogicalPlan::SubqueryAlias { alias, input } => {
-            let stripped = strip_qualifier(&conjunct, &alias);
-            if resolves(&stripped, &input.schema()?) {
-                LogicalPlan::SubqueryAlias {
-                    alias,
-                    input: Box::new(push_filter(stripped, *input)?),
-                }
-            } else {
-                LogicalPlan::Filter {
-                    predicate: conjunct,
-                    input: Box::new(LogicalPlan::SubqueryAlias { alias, input }),
-                }
+        LogicalPlan::SubqueryAlias { alias, input, .. } => {
+            let stripped = strip_qualifier(&conjunct, alias);
+            match resolves(&stripped, input.schema()) {
+                true => Ok((0, stripped)),
+                false => Err(conjunct),
             }
         }
-        LogicalPlan::Projection { exprs, input } => {
-            // Rewrite output-column references to their defining
-            // expressions; push below when everything rewrites.
-            match substitute_projection(&conjunct, &exprs) {
-                Some(rewritten) if resolves(&rewritten, &input.schema()?) => {
-                    LogicalPlan::Projection {
-                        exprs,
-                        input: Box::new(push_filter(rewritten, *input)?),
-                    }
-                }
-                _ => LogicalPlan::Filter {
-                    predicate: conjunct,
-                    input: Box::new(LogicalPlan::Projection { exprs, input }),
-                },
+        // Rewrite output-column references to their defining expressions;
+        // push below when everything rewrites.
+        LogicalPlan::Projection { exprs, input, .. } => {
+            match substitute_projection(&conjunct, exprs) {
+                Some(rewritten) if resolves(&rewritten, input.schema()) => Ok((0, rewritten)),
+                _ => Err(conjunct),
             }
         }
-        LogicalPlan::Sort { keys, input } => LogicalPlan::Sort {
-            keys,
-            input: Box::new(push_filter(conjunct, *input)?),
-        },
+        LogicalPlan::Sort { .. } => Ok((0, conjunct)),
         // Aggregate (HAVING), Limit, Values: the filter stays put.
-        other => LogicalPlan::Filter {
-            predicate: conjunct,
-            input: Box::new(other),
-        },
+        _ => Err(conjunct),
+    };
+    let (target, conjunct) = match into {
+        Ok(into) => into,
+        Err(conjunct) => return Ok(LogicalPlan::filter(conjunct, plan)),
+    };
+    let mut conjunct = Some(conjunct);
+    let mut at = 0;
+    plan.map_inputs(|input| {
+        at += 1;
+        match conjunct.take_if(|_| at - 1 == target) {
+            Some(conjunct) => push_filter(conjunct, input),
+            None => Ok(input),
+        }
     })
 }
 
@@ -269,38 +235,29 @@ fn map_columns(expr: &Expr, f: &impl Fn(Option<&String>, &str) -> Expr) -> Expr 
 // ----------------------------------------------------------------------
 
 fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan.map_inputs(fold_plan)? {
-        LogicalPlan::Filter { predicate, input } => {
-            let folded = fold_expr(predicate);
-            // `WHERE true` disappears entirely.
-            if matches!(folded, Expr::Literal(Value::Boolean(true))) {
-                *input
-            } else {
-                LogicalPlan::Filter {
-                    predicate: folded,
-                    input,
-                }
-            }
+    let mut plan = plan.map_inputs(fold_plan)?;
+    if let LogicalPlan::Filter {
+        predicate, input, ..
+    } = plan
+    {
+        // `WHERE true` disappears entirely.
+        return Ok(match fold_expr(predicate) {
+            Expr::Literal(Value::Boolean(true)) => *input,
+            folded => LogicalPlan::filter(folded, *input),
+        });
+    }
+    match &mut plan {
+        LogicalPlan::Projection { exprs, .. } => {
+            *exprs = exprs.drain(..).map(|(e, n)| (fold_expr(e), n)).collect();
+            plan.rederive_schema();
         }
-        LogicalPlan::Projection { exprs, input } => LogicalPlan::Projection {
-            exprs: exprs.into_iter().map(|(e, n)| (fold_expr(e), n)).collect(),
-            input,
-        },
-        LogicalPlan::Scan {
-            table_name,
-            qualifier,
-            provider,
-            projection,
-            filters,
-        } => LogicalPlan::Scan {
-            table_name,
-            qualifier,
-            provider,
-            projection,
-            filters: filters.into_iter().map(fold_expr).collect(),
-        },
-        other => other,
-    })
+        // Filters do not shape a scan's output.
+        LogicalPlan::Scan { filters, .. } => {
+            *filters = filters.drain(..).map(fold_expr).collect();
+        }
+        _ => {}
+    }
+    Ok(plan)
 }
 
 /// Fold literal-only subtrees and simplify boolean identities.
@@ -381,185 +338,126 @@ fn add_refs(expr: &Expr, set: &mut ColSet) {
 }
 
 /// Annotate scans with the minimal projection. `required = None` means the
-/// parent needs every column.
+/// parent needs every column. A node whose inputs keep their schemas keeps
+/// its own.
 fn prune_columns(plan: LogicalPlan, required: Option<ColSet>) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Projection { exprs, input } => {
-            let mut needs = ColSet::new();
-            for (e, _) in &exprs {
-                add_refs(e, &mut needs);
-            }
-            LogicalPlan::Projection {
-                exprs,
-                input: Box::new(prune_columns(*input, Some(needs))?),
-            }
+    let with = |required: Option<ColSet>, exprs: &mut dyn Iterator<Item = &Expr>| {
+        required.map(|mut req| {
+            exprs.for_each(|e| add_refs(e, &mut req));
+            req
+        })
+    };
+    // What each input must still supply, in plan order.
+    let inputs: Vec<Option<ColSet>> = match &plan {
+        LogicalPlan::Projection { exprs, .. } => {
+            vec![with(Some(ColSet::new()), &mut exprs.iter().map(|(e, _)| e))]
         }
-        LogicalPlan::Filter { predicate, input } => {
-            let child_req = match required {
-                None => None,
-                Some(mut req) => {
-                    add_refs(&predicate, &mut req);
-                    Some(req)
-                }
-            };
-            LogicalPlan::Filter {
-                predicate,
-                input: Box::new(prune_columns(*input, child_req)?),
-            }
-        }
-        LogicalPlan::Aggregate {
-            group,
-            aggs,
-            input,
-            lookups,
-        } => {
-            let mut needs = ColSet::new();
-            for (e, _) in &group {
-                add_refs(e, &mut needs);
-            }
-            for (a, _) in &aggs {
-                if let Some(arg) = &a.arg {
-                    add_refs(arg, &mut needs);
-                }
-            }
-            LogicalPlan::Aggregate {
-                group,
-                aggs,
-                input: Box::new(prune_columns(*input, Some(needs))?),
-                lookups,
-            }
+        LogicalPlan::Filter { predicate, .. } => vec![with(required, &mut [predicate].into_iter())],
+        LogicalPlan::Aggregate { group, aggs, .. } => {
+            let args = aggs.iter().filter_map(|(a, _)| a.arg.as_ref());
+            vec![with(
+                Some(ColSet::new()),
+                &mut group.iter().map(|(e, _)| e).chain(args),
+            )]
         }
         LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => {
-            let (left_req, right_req) = match &required {
-                None => (None, None),
-                Some(req) => {
-                    let left_schema = left.schema()?;
-                    let right_schema = right.schema()?;
-                    let mut lr = ColSet::new();
-                    let mut rr = ColSet::new();
-                    let mut all = req.clone();
-                    for (l, r) in &on {
-                        add_refs(l, &mut lr);
-                        add_refs(r, &mut rr);
-                        let _ = (l, r);
-                    }
-                    for (q, n) in all.drain(..) {
-                        let as_expr = Expr::Column {
-                            qualifier: q.clone(),
-                            name: n.clone(),
-                        };
-                        if resolves(&as_expr, &left_schema) {
-                            lr.push((q, n));
-                        } else if resolves(&as_expr, &right_schema) {
-                            rr.push((q, n));
-                        } else {
-                            // Ambiguous or unknown: keep everything safe.
-                            return Ok(LogicalPlan::Join {
-                                left: Box::new(prune_columns(*left, None)?),
-                                right: Box::new(prune_columns(*right, None)?),
-                                on,
-                                join_type,
-                            });
-                        }
-                    }
-                    lr.dedup();
-                    rr.dedup();
-                    (Some(lr), Some(rr))
-                }
-            };
-            LogicalPlan::Join {
-                left: Box::new(prune_columns(*left, left_req)?),
-                right: Box::new(prune_columns(*right, right_req)?),
-                on,
-                join_type,
-            }
-        }
-        LogicalPlan::Sort { keys, input } => {
-            let child_req = match required {
-                None => None,
-                Some(mut req) => {
-                    for (e, _) in &keys {
-                        add_refs(e, &mut req);
-                    }
-                    Some(req)
-                }
-            };
-            LogicalPlan::Sort {
-                keys,
-                input: Box::new(prune_columns(*input, child_req)?),
-            }
-        }
-        LogicalPlan::Limit { n, input } => LogicalPlan::Limit {
-            n,
-            input: Box::new(prune_columns(*input, required)?),
+            left, right, on, ..
+        } => match required {
+            None => vec![None, None],
+            Some(req) => join_requirements(req, on, left.schema(), right.schema()),
         },
-        LogicalPlan::SubqueryAlias { alias, input } => {
-            let child_req = required.map(|req| {
+        LogicalPlan::Sort { keys, .. } => vec![with(required, &mut keys.iter().map(|(e, _)| e))],
+        LogicalPlan::Limit { .. } => vec![required],
+        LogicalPlan::SubqueryAlias { alias, .. } => {
+            // References qualified by the alias translate to unqualified
+            // inner references.
+            vec![required.map(|req| {
                 req.into_iter()
-                    .map(|(q, n)| {
-                        // References qualified by the alias translate to
-                        // unqualified inner references.
-                        match q {
-                            Some(ref a) if a.eq_ignore_ascii_case(&alias) => (None, n),
-                            other => (other, n),
-                        }
+                    .map(|(q, n)| match q {
+                        Some(ref a) if a.eq_ignore_ascii_case(alias) => (None, n),
+                        other => (other, n),
                     })
                     .collect::<ColSet>()
-            });
-            LogicalPlan::SubqueryAlias {
-                alias,
-                input: Box::new(prune_columns(*input, child_req)?),
-            }
+            })]
         }
-        LogicalPlan::Scan {
-            table_name,
-            qualifier,
-            provider,
-            projection: _,
-            filters,
-        } => {
-            let projection = match required {
-                None => None,
-                Some(req) => {
-                    let provider_schema = provider.schema();
-                    // Filter columns must survive the projection: the
-                    // engine re-applies unhandled filters on scan output.
-                    let mut needed = req;
-                    for f in &filters {
-                        add_refs(f, &mut needed);
-                    }
-                    let mut indices: Vec<usize> = Vec::new();
-                    for (_, name) in &needed {
-                        // Resolve by name against the provider schema.
-                        if let Ok(idx) = provider_schema.resolve(None, name) {
-                            if !indices.contains(&idx) {
-                                indices.push(idx);
-                            }
-                        }
-                    }
-                    indices.sort_unstable();
-                    if indices.len() >= provider_schema.len() {
-                        None // nothing to prune
-                    } else {
-                        Some(indices)
-                    }
+        LogicalPlan::Scan { .. } => return Ok(prune_scan(plan, required)),
+        LogicalPlan::Values { .. } => return Ok(plan),
+    };
+    let mut inputs = inputs.into_iter();
+    plan.map_inputs(|input| prune_columns(input, inputs.next().flatten()))
+}
+
+/// What a join's left and right inputs must supply for `required` above it
+/// and its keys `on`: every column where the input that resolves it needs
+/// it, or everything from both where one resolves on neither side.
+fn join_requirements(
+    required: ColSet,
+    on: &[(Expr, Expr)],
+    left: &Schema,
+    right: &Schema,
+) -> Vec<Option<ColSet>> {
+    let mut lr = ColSet::new();
+    let mut rr = ColSet::new();
+    for (l, r) in on {
+        add_refs(l, &mut lr);
+        add_refs(r, &mut rr);
+    }
+    for (q, n) in required {
+        let as_expr = Expr::Column {
+            qualifier: q.clone(),
+            name: n.clone(),
+        };
+        if resolves(&as_expr, left) {
+            lr.push((q, n));
+        } else if resolves(&as_expr, right) {
+            rr.push((q, n));
+        } else {
+            // Ambiguous or unknown: keep everything safe.
+            return vec![None, None];
+        }
+    }
+    lr.dedup();
+    rr.dedup();
+    vec![Some(lr), Some(rr)]
+}
+
+/// `scan` reading only the provider columns `required` or its filters
+/// name; the same node where that is the projection it has.
+fn prune_scan(mut scan: LogicalPlan, required: Option<ColSet>) -> LogicalPlan {
+    let LogicalPlan::Scan {
+        provider,
+        projection,
+        filters,
+        ..
+    } = &mut scan
+    else {
+        unreachable!("prune_scan is handed scans")
+    };
+    let pruned = required.and_then(|mut needed| {
+        let provider_schema = provider.schema();
+        // Filter columns must survive the projection: the engine re-applies
+        // unhandled filters on scan output.
+        for f in filters.iter() {
+            add_refs(f, &mut needed);
+        }
+        let mut indices: Vec<usize> = Vec::new();
+        for (_, name) in &needed {
+            // Resolve by name against the provider schema.
+            if let Ok(idx) = provider_schema.resolve(None, name) {
+                if !indices.contains(&idx) {
+                    indices.push(idx);
                 }
-            };
-            LogicalPlan::Scan {
-                table_name,
-                qualifier,
-                provider,
-                projection,
-                filters,
             }
         }
-        leaf => leaf,
-    })
+        indices.sort_unstable();
+        // Every column: nothing to prune.
+        (indices.len() < provider_schema.len()).then_some(indices)
+    });
+    if pruned != *projection {
+        *projection = pruned;
+        scan.rederive_schema();
+    }
+    scan
 }
 
 // ----------------------------------------------------------------------
@@ -588,26 +486,22 @@ fn prune_columns(plan: LogicalPlan, required: Option<ColSet>) -> Result<LogicalP
 /// aggregate in their original order, under a projection that restores the
 /// aggregate's output columns.
 fn aggregate_below_lookups(plan: LogicalPlan) -> Result<LogicalPlan> {
-    match plan.map_inputs(aggregate_below_lookups)? {
+    let plan = plan.map_inputs(aggregate_below_lookups)?;
+    let found = match &plan {
         LogicalPlan::Aggregate {
-            group,
-            aggs,
-            input,
-            lookups,
-        } if !group.is_empty() => {
-            let found = lookups_of(&group, &aggs, &input)?;
-            if found.is_empty() {
-                return Ok(LogicalPlan::Aggregate {
-                    group,
-                    aggs,
-                    input,
-                    lookups,
-                });
-            }
-            eager_aggregate(group, aggs, *input, found)
-        }
-        other => Ok(other),
-    }
+            group, aggs, input, ..
+        } if !group.is_empty() => lookups_of(group, aggs, input),
+        _ => Vec::new(),
+    };
+    Ok(match (found.is_empty(), plan) {
+        (
+            false,
+            LogicalPlan::Aggregate {
+                group, aggs, input, ..
+            },
+        ) => eager_aggregate(group, aggs, *input, found),
+        (_, plan) => plan,
+    })
 }
 
 /// An input of an inner-join chain the aggregate above it can be moved
@@ -616,7 +510,7 @@ struct Lookup {
     /// Position among the chain's inputs, in plan order.
     at: usize,
     /// Its output schema: the columns only it supplies.
-    schema: Schema,
+    schema: SchemaRef,
     /// The join key over it (its unique key), and the fact column the join
     /// equates with it.
     key: Expr,
@@ -669,7 +563,9 @@ struct Chain<'a> {
 impl<'a> Chain<'a> {
     fn walk(&mut self, plan: &'a LogicalPlan, pair: Option<KeyPair<'a>>) {
         match plan {
-            LogicalPlan::Filter { predicate, input } if in_chain(input) => {
+            LogicalPlan::Filter {
+                predicate, input, ..
+            } if in_chain(input) => {
                 self.exprs.push((None, predicate));
                 self.walk(input, None);
             }
@@ -678,6 +574,7 @@ impl<'a> Chain<'a> {
                 right,
                 on,
                 join_type: JoinType::Inner,
+                ..
             } => {
                 let id = self.joins;
                 self.joins += 1;
@@ -702,27 +599,27 @@ fn lookups_of(
     group: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
     input: &LogicalPlan,
-) -> Result<Vec<Lookup>> {
+) -> Vec<Lookup> {
     if !in_chain(input) {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let mut chain = Chain::default();
     chain.walk(input, None);
-    let whole = input.schema()?;
+    let whole = input.schema();
     let mut found: Vec<Lookup> = Vec::new();
     let mut used_joins = Vec::new();
     for (at, &(plan, pair)) in chain.inputs.iter().enumerate() {
         let Some((join, key, fact)) = pair else {
             continue;
         };
-        let schema = plan.schema()?;
+        let schema = plan.schema();
         let unique = plan
             .unique_key()
-            .is_some_and(|k| column_index(key, &schema) == Some(k));
-        let fact_at = column_index(fact, &whole);
+            .is_some_and(|k| column_index(key, schema) == Some(k));
+        let fact_at = column_index(fact, whole);
         let keyed_group = group.iter().any(|(g, _)| {
-            let g = column_index(g, &whole);
-            g.is_some() && (g == column_index(key, &whole) || g == fact_at)
+            let g = column_index(g, whole);
+            g.is_some() && (g == column_index(key, whole) || g == fact_at)
         });
         let qualifies = unique
             && !plan.has_predicate()
@@ -732,26 +629,26 @@ fn lookups_of(
             && chain
                 .exprs
                 .iter()
-                .all(|&(owner, e)| owner == Some(join) || !reads(e, &schema))
+                .all(|&(owner, e)| owner == Some(join) || !reads(e, schema))
             && aggs
                 .iter()
-                .all(|(a, _)| a.arg.as_ref().is_none_or(|e| !reads(e, &schema)))
+                .all(|(a, _)| a.arg.as_ref().is_none_or(|e| !reads(e, schema)))
             // A group column it supplies is all its own.
             && group.iter().all(|(g, _)| {
-                !reads(g, &schema) || columns_of(g).iter().all(|c| resolves(c, &schema))
+                !reads(g, schema) || columns_of(g).iter().all(|c| resolves(c, schema))
             });
         if qualifies {
             used_joins.push(join);
             found.push(Lookup {
                 at,
-                schema,
+                schema: Arc::clone(schema),
                 key: key.clone(),
                 fact: fact.clone(),
                 name: relation_name(plan),
             });
         }
     }
-    Ok(found)
+    found
 }
 
 /// What `EXPLAIN ANALYZE` calls a join input: its alias or table name.
@@ -775,8 +672,8 @@ fn eager_aggregate(
     aggs: Vec<(AggExpr, String)>,
     input: LogicalPlan,
     lookups: Vec<Lookup>,
-) -> Result<LogicalPlan> {
-    let whole = input.schema()?;
+) -> LogicalPlan {
+    let whole = input.schema();
     let supplied = |g: &Expr| lookups.iter().any(|l| reads(g, &l.schema));
     // Group by what stays below, plus each lookup's fact column.
     let mut below: Vec<(Expr, String)> = group
@@ -786,10 +683,10 @@ fn eager_aggregate(
         .collect();
     let mut fact_names = Vec::new();
     for lookup in &lookups {
-        let fact_at = column_index(&lookup.fact, &whole);
+        let fact_at = column_index(&lookup.fact, whole);
         let name = match below
             .iter()
-            .find(|(g, _)| column_index(g, &whole) == fact_at)
+            .find(|(g, _)| column_index(g, whole) == fact_at)
         {
             Some((_, name)) => name.clone(),
             None => {
@@ -821,12 +718,7 @@ fn eager_aggregate(
             })
     };
     if outputs.iter().any(|name| clash(name)) {
-        return Ok(LogicalPlan::Aggregate {
-            group,
-            aggs,
-            input: Box::new(input),
-            lookups: Vec::new(),
-        });
+        return LogicalPlan::aggregate(group, aggs, input, Vec::new());
     }
 
     let at: Vec<usize> = lookups.iter().map(|l| l.at).collect();
@@ -837,19 +729,19 @@ fn eager_aggregate(
         qualifier: None,
         name: name.clone(),
     };
-    let mut plan = LogicalPlan::Aggregate {
-        group: below,
-        aggs: aggs.clone(),
-        input: Box::new(rest),
-        lookups: lookups.iter().map(|l| l.name.clone()).collect(),
-    };
+    let mut plan = LogicalPlan::aggregate(
+        below,
+        aggs.clone(),
+        rest,
+        lookups.iter().map(|l| l.name.clone()).collect(),
+    );
     for ((lookup, side), fact) in lookups.iter().zip(taken).zip(&fact_names) {
-        plan = LogicalPlan::Join {
-            left: Box::new(plan),
-            right: Box::new(side),
-            on: vec![(column(fact), lookup.key.clone())],
-            join_type: JoinType::Inner,
-        };
+        plan = LogicalPlan::join(
+            plan,
+            side,
+            vec![(column(fact), lookup.key.clone())],
+            JoinType::Inner,
+        );
     }
     let exprs = group
         .iter()
@@ -859,10 +751,7 @@ fn eager_aggregate(
         })
         .chain(aggs.iter().map(|(_, name)| (column(name), name.clone())))
         .collect();
-    Ok(LogicalPlan::Projection {
-        exprs,
-        input: Box::new(plan),
-    })
+    LogicalPlan::projection(exprs, plan)
 }
 
 /// `plan`'s inner-join chain without the inputs at positions `remove`
@@ -875,25 +764,25 @@ fn without_inputs(
     taken: &mut Vec<LogicalPlan>,
 ) -> Option<LogicalPlan> {
     match plan {
-        LogicalPlan::Filter { predicate, input } if in_chain(&input) => Some(LogicalPlan::Filter {
+        LogicalPlan::Filter {
+            predicate, input, ..
+        } if in_chain(&input) => Some(LogicalPlan::filter(
             predicate,
-            input: Box::new(without_inputs(*input, remove, at, taken)?),
-        }),
+            without_inputs(*input, remove, at, taken)?,
+        )),
         LogicalPlan::Join {
             left,
             right,
             on,
             join_type: JoinType::Inner,
+            ..
         } => {
             let left = without_inputs(*left, remove, at, taken);
             let right = without_inputs(*right, remove, at, taken);
             match (left, right) {
-                (Some(left), Some(right)) => Some(LogicalPlan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    on,
-                    join_type: JoinType::Inner,
-                }),
+                (Some(left), Some(right)) => {
+                    Some(LogicalPlan::join(left, right, on, JoinType::Inner))
+                }
                 (kept, None) | (None, kept) => kept,
             }
         }
@@ -923,13 +812,13 @@ mod tests {
                 .map(|c| Field::new(*c, DataType::Int64))
                 .collect(),
         );
-        LogicalPlan::Scan {
-            table_name: "t".into(),
-            qualifier: "t".into(),
-            provider: Arc::new(MemTable::new(schema, 1)),
-            projection: None,
-            filters: vec![],
-        }
+        LogicalPlan::scan(
+            "t".into(),
+            "t".into(),
+            Arc::new(MemTable::new(schema, 1)),
+            None,
+            vec![],
+        )
     }
 
     fn scan_filters(plan: &LogicalPlan) -> Vec<String> {
@@ -947,10 +836,7 @@ mod tests {
 
     #[test]
     fn filter_reaches_scan() {
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("a").gt(Expr::lit(1i64)),
-            input: Box::new(scan(&["a", "b"])),
-        };
+        let plan = LogicalPlan::filter(Expr::col("a").gt(Expr::lit(1i64)), scan(&["a", "b"]));
         let optimized = push_down_filters(plan).unwrap();
         assert!(matches!(optimized, LogicalPlan::Scan { .. }));
         assert_eq!(scan_filters(&optimized), vec!["(a > 1)"]);
@@ -958,21 +844,18 @@ mod tests {
 
     #[test]
     fn conjuncts_split_across_join_sides() {
-        let join = LogicalPlan::Join {
-            left: Box::new(scan(&["a"])),
-            right: Box::new(LogicalPlan::SubqueryAlias {
-                alias: "r".into(),
-                input: Box::new(scan(&["b"])),
-            }),
-            on: vec![(Expr::col("a"), Expr::col("b"))],
-            join_type: JoinType::Inner,
-        };
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("a")
+        let join = LogicalPlan::join(
+            scan(&["a"]),
+            LogicalPlan::subquery_alias("r".into(), scan(&["b"])),
+            vec![(Expr::col("a"), Expr::col("b"))],
+            JoinType::Inner,
+        );
+        let plan = LogicalPlan::filter(
+            Expr::col("a")
                 .gt(Expr::lit(1i64))
                 .and(Expr::col("r.b").lt(Expr::lit(5i64))),
-            input: Box::new(join),
-        };
+            join,
+        );
         let optimized = push_down_filters(plan).unwrap();
         match &optimized {
             LogicalPlan::Join { left, right, .. } => {
@@ -996,32 +879,26 @@ mod tests {
 
     #[test]
     fn left_join_right_side_filter_stays_above() {
-        let join = LogicalPlan::Join {
-            left: Box::new(scan(&["a"])),
-            right: Box::new(LogicalPlan::SubqueryAlias {
-                alias: "r".into(),
-                input: Box::new(scan(&["b"])),
-            }),
-            on: vec![(Expr::col("a"), Expr::col("b"))],
-            join_type: JoinType::Left,
-        };
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("r.b").lt(Expr::lit(5i64)),
-            input: Box::new(join),
-        };
+        let join = LogicalPlan::join(
+            scan(&["a"]),
+            LogicalPlan::subquery_alias("r".into(), scan(&["b"])),
+            vec![(Expr::col("a"), Expr::col("b"))],
+            JoinType::Left,
+        );
+        let plan = LogicalPlan::filter(Expr::col("r.b").lt(Expr::lit(5i64)), join);
         let optimized = push_down_filters(plan).unwrap();
         assert!(matches!(optimized, LogicalPlan::Filter { .. }));
     }
 
     #[test]
     fn filter_pushes_through_projection_with_substitution() {
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("double_a").gt(Expr::lit(4i64)),
-            input: Box::new(LogicalPlan::Projection {
-                exprs: vec![(Expr::col("a").mul(Expr::lit(2i64)), "double_a".into())],
-                input: Box::new(scan(&["a"])),
-            }),
-        };
+        let plan = LogicalPlan::filter(
+            Expr::col("double_a").gt(Expr::lit(4i64)),
+            LogicalPlan::projection(
+                vec![(Expr::col("a").mul(Expr::lit(2i64)), "double_a".into())],
+                scan(&["a"]),
+            ),
+        );
         let optimized = push_down_filters(plan).unwrap();
         // Top node is now the projection; the rewritten filter reached the
         // scan as (a * 2) > 4.
@@ -1046,20 +923,17 @@ mod tests {
 
     #[test]
     fn where_true_is_removed() {
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::lit(1i64).eq(Expr::lit(1i64)),
-            input: Box::new(scan(&["a"])),
-        };
+        let plan = LogicalPlan::filter(Expr::lit(1i64).eq(Expr::lit(1i64)), scan(&["a"]));
         let optimized = fold_plan(plan).unwrap();
         assert!(matches!(optimized, LogicalPlan::Scan { .. }));
     }
 
     #[test]
     fn pruning_sets_scan_projection() {
-        let plan = LogicalPlan::Projection {
-            exprs: vec![(Expr::col("c"), "c".into())],
-            input: Box::new(scan(&["a", "b", "c", "d"])),
-        };
+        let plan = LogicalPlan::projection(
+            vec![(Expr::col("c"), "c".into())],
+            scan(&["a", "b", "c", "d"]),
+        );
         let optimized = prune_columns(plan, None).unwrap();
         match &optimized {
             LogicalPlan::Projection { input, .. } => match &**input {
@@ -1074,19 +948,20 @@ mod tests {
 
     #[test]
     fn pruning_keeps_filter_columns() {
-        let plan = LogicalPlan::Projection {
-            exprs: vec![(Expr::col("a"), "a".into())],
-            input: Box::new(LogicalPlan::Scan {
-                table_name: "t".into(),
-                qualifier: "t".into(),
-                provider: match scan(&["a", "b", "c"]) {
-                    LogicalPlan::Scan { provider, .. } => provider,
-                    _ => unreachable!(),
-                },
-                projection: None,
-                filters: vec![Expr::col("c").gt(Expr::lit(0i64))],
-            }),
+        let provider = match scan(&["a", "b", "c"]) {
+            LogicalPlan::Scan { provider, .. } => provider,
+            _ => unreachable!(),
         };
+        let plan = LogicalPlan::projection(
+            vec![(Expr::col("a"), "a".into())],
+            LogicalPlan::scan(
+                "t".into(),
+                "t".into(),
+                provider,
+                None,
+                vec![Expr::col("c").gt(Expr::lit(0i64))],
+            ),
+        );
         let optimized = prune_columns(plan, None).unwrap();
         match &optimized {
             LogicalPlan::Projection { input, .. } => match &**input {
@@ -1113,12 +988,12 @@ mod tests {
     fn aggregate_prunes_to_group_and_agg_columns() {
         use crate::aggregate::AggFunc;
         use crate::logical::AggExpr;
-        let plan = LogicalPlan::Aggregate {
-            group: vec![(Expr::col("a"), "a".into())],
-            aggs: vec![(AggExpr::new(AggFunc::Sum, Expr::col("c")), "s".into())],
-            input: Box::new(scan(&["a", "b", "c"])),
-            lookups: Vec::new(),
-        };
+        let plan = LogicalPlan::aggregate(
+            vec![(Expr::col("a"), "a".into())],
+            vec![(AggExpr::new(AggFunc::Sum, Expr::col("c")), "s".into())],
+            scan(&["a", "b", "c"]),
+            Vec::new(),
+        );
         let optimized = prune_columns(plan, None).unwrap();
         match &optimized {
             LogicalPlan::Aggregate { input, .. } => match &**input {
@@ -1133,10 +1008,10 @@ mod tests {
 
     #[test]
     fn full_pipeline_runs() {
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("a").gt(Expr::lit(1i64)).and(Expr::lit(true)),
-            input: Box::new(scan(&["a", "b"])),
-        };
+        let plan = LogicalPlan::filter(
+            Expr::col("a").gt(Expr::lit(1i64)).and(Expr::lit(true)),
+            scan(&["a", "b"]),
+        );
         let optimized = optimize(plan).unwrap();
         assert_eq!(scan_filters(&optimized), vec!["(a > 1)"]);
     }
@@ -1144,22 +1019,21 @@ mod tests {
     #[test]
     fn stacked_filters_become_one() {
         use crate::aggregate::AggFunc;
-        let agg = LogicalPlan::Aggregate {
-            group: vec![(Expr::col("a"), "a".into())],
-            aggs: vec![(AggExpr::new(AggFunc::Sum, Expr::col("b")), "s".into())],
-            input: Box::new(scan(&["a", "b"])),
-            lookups: Vec::new(),
-        };
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("s").gt(Expr::lit(1i64)),
-            input: Box::new(LogicalPlan::Filter {
-                predicate: Expr::col("s").gt(Expr::lit(2i64)),
-                input: Box::new(agg),
-            }),
-        };
+        let agg = LogicalPlan::aggregate(
+            vec![(Expr::col("a"), "a".into())],
+            vec![(AggExpr::new(AggFunc::Sum, Expr::col("b")), "s".into())],
+            scan(&["a", "b"]),
+            Vec::new(),
+        );
+        let plan = LogicalPlan::filter(
+            Expr::col("s").gt(Expr::lit(1i64)),
+            LogicalPlan::filter(Expr::col("s").gt(Expr::lit(2i64)), agg),
+        );
         let optimized = push_down_filters(plan).unwrap();
         match &optimized {
-            LogicalPlan::Filter { predicate, input } => {
+            LogicalPlan::Filter {
+                predicate, input, ..
+            } => {
                 assert_eq!(predicate.to_string(), "((s > 2) AND (s > 1))");
                 assert!(matches!(**input, LogicalPlan::Aggregate { .. }));
             }
@@ -1186,13 +1060,7 @@ mod tests {
         if let Some(key) = key {
             table = table.with_unique_key(key).unwrap();
         }
-        LogicalPlan::Scan {
-            table_name: name.into(),
-            qualifier: name.into(),
-            provider: Arc::new(table),
-            projection: None,
-            filters: vec![],
-        }
+        LogicalPlan::scan(name.into(), name.into(), Arc::new(table), None, vec![])
     }
 
     /// Inventory-like facts: (item, warehouse, date, qty); item 7 and
@@ -1238,23 +1106,22 @@ mod tests {
     }
 
     fn join(left: LogicalPlan, right: LogicalPlan, l: &str, r: &str) -> LogicalPlan {
-        LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            on: vec![(Expr::col(l), Expr::col(r))],
-            join_type: JoinType::Inner,
-        }
+        LogicalPlan::join(
+            left,
+            right,
+            vec![(Expr::col(l), Expr::col(r))],
+            JoinType::Inner,
+        )
     }
 
     fn grouped(group: &[&str], aggs: &[(&str, &str)], input: LogicalPlan) -> LogicalPlan {
         use crate::aggregate::AggFunc;
-        LogicalPlan::Aggregate {
-            group: group
+        LogicalPlan::aggregate(
+            group
                 .iter()
                 .map(|g| (Expr::col(*g), g.to_string()))
                 .collect(),
-            aggs: aggs
-                .iter()
+            aggs.iter()
                 .map(|(arg, name)| {
                     (
                         AggExpr::new(AggFunc::Stddev, Expr::col(*arg)),
@@ -1262,9 +1129,9 @@ mod tests {
                     )
                 })
                 .collect(),
-            input: Box::new(input),
-            lookups: Vec::new(),
-        }
+            input,
+            Vec::new(),
+        )
     }
 
     /// q39's month block: facts ⋈ item ⋈ warehouse ⋈ date_dim, grouped by
@@ -1309,7 +1176,7 @@ mod tests {
         let (ra, rb) = (evaluate(a).unwrap(), evaluate(b).unwrap());
         assert!(!ra.is_empty());
         assert_eq!(canonical_multiset(&ra), canonical_multiset(&rb));
-        assert_eq!(a.schema().unwrap(), b.schema().unwrap());
+        assert_eq!(a.schema(), b.schema());
     }
 
     #[test]
@@ -1359,10 +1226,10 @@ mod tests {
 
         // The whole pipeline puts a filter on the aggregate's output
         // directly on the aggregate, below the lookups.
-        let filtered = LogicalPlan::Filter {
-            predicate: Expr::col("stdev").gt(Expr::lit(1.0)),
-            input: Box::new(month_block(items(Some("i_sk")))),
-        };
+        let filtered = LogicalPlan::filter(
+            Expr::col("stdev").gt(Expr::lit(1.0)),
+            month_block(items(Some("i_sk"))),
+        );
         let optimized = optimize(filtered.clone()).unwrap();
         same_rows(&filtered, &optimized);
         let text = optimized.explain();
@@ -1429,10 +1296,10 @@ mod tests {
                 grouped(
                     &["i_sk"],
                     &[("qty", "s")],
-                    LogicalPlan::Filter {
-                        predicate: Expr::col("i_name").lt(Expr::col("qty")),
-                        input: Box::new(item_join(keyed())),
-                    },
+                    LogicalPlan::filter(
+                        Expr::col("i_name").lt(Expr::col("qty")),
+                        item_join(keyed()),
+                    ),
                 ),
             ),
             (
@@ -1440,12 +1307,12 @@ mod tests {
                 grouped(
                     &["i_sk"],
                     &[("qty", "s")],
-                    LogicalPlan::Join {
-                        left: Box::new(facts()),
-                        right: Box::new(keyed()),
-                        on: vec![(Expr::col("f_item"), Expr::col("i_sk"))],
-                        join_type: JoinType::Left,
-                    },
+                    LogicalPlan::join(
+                        facts(),
+                        keyed(),
+                        vec![(Expr::col("f_item"), Expr::col("i_sk"))],
+                        JoinType::Left,
+                    ),
                 ),
             ),
             (

@@ -491,13 +491,13 @@ impl<'a> DynamicPruning<'a> {
         prof: Option<&Arc<OpProfile>>,
     ) -> Result<()> {
         let small = partitions_byte_size(parts) <= ctx.broadcast_threshold;
-        let schema = side.schema()?;
+        let schema = side.schema();
         for &key in keys {
             if self.keys.contains_key(&(key as *const Expr)) {
                 continue;
             }
             let values = if small {
-                let bound = key.bind(&schema)?;
+                let bound = key.bind(schema)?;
                 let mut values = Vec::new();
                 for batch in parts.iter().flatten() {
                     let column = eval_column(&bound, DataType::Binary, batch)?;
@@ -613,13 +613,6 @@ fn op_name(plan: &LogicalPlan) -> &'static str {
 /// The `i`th child of a profile node, when profiling at all.
 fn child(prof: Option<&Arc<OpProfile>>, i: usize) -> Option<&Arc<OpProfile>> {
     prof.and_then(|p| p.children.get(i))
-}
-
-/// The type to build an output column with. Where none can be derived the
-/// column is built as `Binary`, whose storage is boxed [`Value`]s: whatever
-/// the expression evaluates to comes back out exactly.
-fn dtype_or_boxed(derived: Result<DataType>) -> DataType {
-    derived.unwrap_or(DataType::Binary)
 }
 
 // ----------------------------------------------------------------------
@@ -923,18 +916,22 @@ fn execute_node<'a>(
             state,
             prof,
         ),
-        LogicalPlan::Filter { predicate, input } => {
-            let schema = input.schema()?;
-            let bound = predicate.bind(&schema)?;
+        LogicalPlan::Filter {
+            predicate, input, ..
+        } => {
+            let bound = predicate.bind(input.schema())?;
             let input = execute_node(input, ctx, state, child(prof, 0))?;
             let out = input.then("map", prof, filter(bound, prof));
             Ok(out.emits(prof, Emits::Built, &ctx.metrics))
         }
-        LogicalPlan::Projection { exprs, input } => {
-            let schema = input.schema()?;
+        LogicalPlan::Projection {
+            exprs,
+            input,
+            schema,
+        } => {
             let bound: Vec<BoundExpr> = exprs
                 .iter()
-                .map(|(e, _)| e.bind(&schema))
+                .map(|(e, _)| e.bind(input.schema()))
                 .collect::<Result<_>>()?;
             // A column reference is the input's column (an Arc copy), so a
             // projection of nothing else hands its input's batches on.
@@ -942,10 +939,8 @@ fn execute_node<'a>(
                 true => Emits::Passed,
                 false => Emits::Built,
             };
-            let out_dtypes: Vec<DataType> = exprs
-                .iter()
-                .map(|(e, _)| dtype_or_boxed(e.data_type(&schema)))
-                .collect();
+            // Where no type derives, the column is built `Binary` (boxed).
+            let out_dtypes = schema.data_types();
             let input = execute_node(input, ctx, state, child(prof, 0))?;
             let out = input.then("map", prof, move |batches, _| {
                 let project = |batch: ColumnarBatch| {
@@ -963,20 +958,22 @@ fn execute_node<'a>(
             right,
             on,
             join_type,
+            ..
         } => exec_join(plan, left, right, on, *join_type, ctx, state, prof),
         LogicalPlan::Aggregate {
             group,
             aggs,
             input,
             lookups,
+            ..
         } => {
             if let (Some(p), false) = (prof, lookups.is_empty()) {
                 p.note(format!("aggregated below lookups: {}", lookups.join(", ")));
             }
-            exec_aggregate(group, aggs, input, ctx, state, prof)
+            exec_aggregate(plan, group, aggs, input, ctx, state, prof)
         }
-        LogicalPlan::Sort { keys, input } => exec_sort(keys, input, ctx, state, prof),
-        LogicalPlan::Limit { n, input } => {
+        LogicalPlan::Sort { keys, input, .. } => exec_sort(keys, input, ctx, state, prof),
+        LogicalPlan::Limit { n, input, .. } => {
             // The first `n` rows in partition order, gathered to one
             // partition; the batch the limit falls in is cut.
             let mut left = *n;
@@ -1030,10 +1027,10 @@ fn exec_sort<'a>(
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Pipeline> {
-    let schema = input.schema()?;
+    let schema = input.schema();
     let bound: Vec<(BoundExpr, bool)> = keys
         .iter()
-        .map(|(e, asc)| Ok((e.bind(&schema)?, *asc)))
+        .map(|(e, asc)| Ok((e.bind(schema)?, *asc)))
         .collect::<Result<_>>()?;
     // Gathered to the driver as one batch and sorted there; no rows, no
     // batch.
@@ -1161,12 +1158,12 @@ fn exec_scan<'a>(
             residual_exprs.push(expr);
         }
     }
-    let scan_schema = plan.schema()?;
+    let scan_schema = plan.schema();
     let residual_count = residual_exprs.len();
     let residual: Option<BoundExpr> = residual_exprs
         .into_iter()
         .reduce(|a, b| a.and(b))
-        .map(|e| e.bind(&scan_schema))
+        .map(|e| e.bind(scan_schema))
         .transpose()?;
 
     let effective_projection = if provider.supports_projection() {
@@ -1332,15 +1329,15 @@ fn exec_join<'a>(
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Pipeline> {
-    let left_schema = left.schema()?;
-    let right_schema = right.schema()?;
+    let left_schema = left.schema();
+    let right_schema = right.schema();
     let left_keys: Vec<BoundExpr> = on
         .iter()
-        .map(|(l, _)| l.bind(&left_schema))
+        .map(|(l, _)| l.bind(left_schema))
         .collect::<Result<_>>()?;
     let right_keys: Vec<BoundExpr> = on
         .iter()
-        .map(|(_, r)| r.bind(&right_schema))
+        .map(|(_, r)| r.bind(right_schema))
         .collect::<Result<_>>()?;
     let left_dtypes = left_schema.data_types();
     let right_dtypes = right_schema.data_types();
@@ -1461,6 +1458,7 @@ fn exec_join<'a>(
 // ----------------------------------------------------------------------
 
 fn exec_aggregate<'a>(
+    plan: &LogicalPlan,
     group: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
     input: &'a LogicalPlan,
@@ -1468,17 +1466,17 @@ fn exec_aggregate<'a>(
     state: &mut PlanState<'a>,
     prof: Option<&Arc<OpProfile>>,
 ) -> Result<Pipeline> {
-    let schema = input.schema()?;
+    let schema = input.schema();
     let group_exprs: Vec<BoundExpr> = group
         .iter()
-        .map(|(e, _)| e.bind(&schema))
+        .map(|(e, _)| e.bind(schema))
         .collect::<Result<_>>()?;
     let bound_aggs: Vec<BoundAgg> = aggs
         .iter()
         .map(|(a, _)| {
             Ok(BoundAgg {
                 template: a.func.accumulator(),
-                arg: a.arg.as_ref().map(|e| e.bind(&schema)).transpose()?,
+                arg: a.arg.as_ref().map(|e| e.bind(schema)).transpose()?,
             })
         })
         .collect::<Result<_>>()?;
@@ -1492,12 +1490,7 @@ fn exec_aggregate<'a>(
     // Partial aggregation per input partition, exchange of the partial
     // states by group-key hash, finalisation into batches of the operator's
     // output schema: all three on this thread (`hash_aggregate`).
-    let out_dtypes: Vec<DataType> = group
-        .iter()
-        .map(|(e, _)| e.data_type(&schema))
-        .chain(aggs.iter().map(|(a, _)| a.output_type(&schema)))
-        .map(dtype_or_boxed)
-        .collect();
+    let out_dtypes = plan.schema().data_types();
     let batch_size = ctx.batch_size.max(1);
     let (out, moved) = hash_aggregate(
         input_parts,
@@ -1559,7 +1552,7 @@ mod tests {
     use crate::expr::Expr;
     use crate::memtable::MemTable;
     use crate::reference::{canonical, canonical_multiset, evaluate};
-    use crate::schema::{Field, Schema};
+    use crate::schema::{Field, Schema, SchemaRef};
     use crate::value::DataType;
 
     fn users_table() -> Arc<MemTable> {
@@ -1593,13 +1586,7 @@ mod tests {
     }
 
     fn scan(provider: Arc<MemTable>, name: &str) -> LogicalPlan {
-        LogicalPlan::Scan {
-            table_name: name.into(),
-            qualifier: name.into(),
-            provider,
-            projection: None,
-            filters: vec![],
-        }
+        LogicalPlan::scan(name.into(), name.into(), provider, None, vec![])
     }
 
     fn collect_profiled(
@@ -1663,10 +1650,7 @@ mod tests {
             Expr::col("id").lt(Expr::lit(0i64)).and(cast()),
             Expr::col("id").gt_eq(Expr::lit(0i64)).or(cast()),
         ] {
-            let plan = LogicalPlan::Filter {
-                predicate,
-                input: Box::new(scan(users_table(), "users")),
-            };
+            let plan = LogicalPlan::filter(predicate, scan(users_table(), "users"));
             assert_matches_reference(&plan);
         }
     }
@@ -1674,13 +1658,13 @@ mod tests {
     #[test]
     fn scan_filter_project_pipeline() {
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Projection {
-            exprs: vec![(Expr::col("id").mul(Expr::lit(2i64)), "double".into())],
-            input: Box::new(LogicalPlan::Filter {
-                predicate: Expr::col("id").gt_eq(Expr::lit(15i64)),
-                input: Box::new(scan(users_table(), "users")),
-            }),
-        };
+        let plan = LogicalPlan::projection(
+            vec![(Expr::col("id").mul(Expr::lit(2i64)), "double".into())],
+            LogicalPlan::filter(
+                Expr::col("id").gt_eq(Expr::lit(15i64)),
+                scan(users_table(), "users"),
+            ),
+        );
         let mut rows = collect(&plan, &ctx, None).unwrap();
         rows.sort_by_key(|r| r.get(0).as_i64());
         assert_eq!(rows.len(), 5);
@@ -1695,13 +1679,13 @@ mod tests {
         // Filter with arithmetic can't translate to SourceFilter, so it must
         // run engine-side on the scan output.
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Scan {
-            table_name: "users".into(),
-            qualifier: "users".into(),
-            provider: users_table(),
-            projection: None,
-            filters: vec![Expr::col("id").add(Expr::lit(0i64)).gt(Expr::lit(17i64))],
-        };
+        let plan = LogicalPlan::scan(
+            "users".into(),
+            "users".into(),
+            users_table(),
+            None,
+            vec![Expr::col("id").add(Expr::lit(0i64)).gt(Expr::lit(17i64))],
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 2);
         assert_matches_reference(&plan);
@@ -1710,13 +1694,13 @@ mod tests {
     #[test]
     fn scan_projection_pushdown_narrows() {
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Scan {
-            table_name: "users".into(),
-            qualifier: "users".into(),
-            provider: users_table(),
-            projection: Some(vec![1]),
-            filters: vec![],
-        };
+        let plan = LogicalPlan::scan(
+            "users".into(),
+            "users".into(),
+            users_table(),
+            Some(vec![1]),
+            vec![],
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert!(rows.iter().all(|r| r.len() == 1));
     }
@@ -1724,12 +1708,12 @@ mod tests {
     #[test]
     fn broadcast_join_small_right() {
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan(users_table(), "users")),
-            right: Box::new(scan(depts_table(), "depts")),
-            on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
-            join_type: JoinType::Inner,
-        };
+        let plan = LogicalPlan::join(
+            scan(users_table(), "users"),
+            scan(depts_table(), "depts"),
+            vec![(Expr::col("dept"), Expr::col("dept_name"))],
+            JoinType::Inner,
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 20);
         assert_eq!(rows[0].len(), 5);
@@ -1744,20 +1728,20 @@ mod tests {
         // Both probes run inside the users scan's task (the depts scan is
         // the other one); each join's note carries the bytes its own left
         // input produced there.
-        let plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Join {
-                left: Box::new(scan(users_table(), "users")),
-                right: Box::new(scan(depts_table(), "depts")),
-                on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
-                join_type: JoinType::Inner,
-            }),
-            right: Box::new(LogicalPlan::Values {
-                schema: Schema::new(vec![Field::new("b", DataType::Utf8)]),
-                rows: vec![vec![Value::Utf8("north".into())]],
-            }),
-            on: vec![(Expr::col("building"), Expr::col("b"))],
-            join_type: JoinType::Inner,
-        };
+        let plan = LogicalPlan::join(
+            LogicalPlan::join(
+                scan(users_table(), "users"),
+                scan(depts_table(), "depts"),
+                vec![(Expr::col("dept"), Expr::col("dept_name"))],
+                JoinType::Inner,
+            ),
+            LogicalPlan::values(
+                Schema::new(vec![Field::new("b", DataType::Utf8)]),
+                vec![vec![Value::Utf8("north".into())]],
+            ),
+            vec![(Expr::col("building"), Expr::col("b"))],
+            JoinType::Inner,
+        );
         let ctx = ExecContext::default();
         let (rows, profile) = collect_profiled(&plan, &ctx).unwrap();
         assert_eq!((rows.len(), ctx.metrics.snapshot().tasks), (10, 2));
@@ -1776,12 +1760,12 @@ mod tests {
             broadcast_threshold: 0,
             ..Default::default()
         };
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan(users_table(), "users")),
-            right: Box::new(scan(depts_table(), "depts")),
-            on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
-            join_type: JoinType::Inner,
-        };
+        let plan = LogicalPlan::join(
+            scan(users_table(), "users"),
+            scan(depts_table(), "depts"),
+            vec![(Expr::col("dept"), Expr::col("dept_name"))],
+            JoinType::Inner,
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(ctx.metrics.snapshot().shuffle_bytes > 0);
@@ -1800,12 +1784,12 @@ mod tests {
             vec![Row::new(vec![Value::Utf8("a".into())])],
             1,
         ));
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan(users_table(), "users")),
-            right: Box::new(scan(right, "d")),
-            on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
-            join_type: JoinType::Left,
-        };
+        let plan = LogicalPlan::join(
+            scan(users_table(), "users"),
+            scan(right, "d"),
+            vec![(Expr::col("dept"), Expr::col("dept_name"))],
+            JoinType::Left,
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 20);
         let unmatched = rows.iter().filter(|r| r.get(3).is_null()).count();
@@ -1816,15 +1800,15 @@ mod tests {
     #[test]
     fn group_by_aggregation() {
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Aggregate {
-            group: vec![(Expr::col("dept"), "dept".into())],
-            aggs: vec![
+        let plan = LogicalPlan::aggregate(
+            vec![(Expr::col("dept"), "dept".into())],
+            vec![
                 (AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into()),
                 (AggExpr::count_star(), "n".into()),
             ],
-            input: Box::new(scan(users_table(), "users")),
-            lookups: Vec::new(),
-        };
+            scan(users_table(), "users"),
+            Vec::new(),
+        );
         let mut rows = collect(&plan, &ctx, None).unwrap();
         rows.sort_by(|a, b| a.get(0).as_str().unwrap().cmp(b.get(0).as_str().unwrap()));
         assert_eq!(rows.len(), 2);
@@ -1838,15 +1822,15 @@ mod tests {
     #[test]
     fn groups_come_out_in_the_order_they_were_first_seen_run_after_run() {
         let users = scan(users_table(), "users");
-        let plan = LogicalPlan::Aggregate {
-            group: vec![
+        let plan = LogicalPlan::aggregate(
+            vec![
                 (Expr::col("dept"), "dept".into()),
                 (Expr::col("id").mul(Expr::lit(3i64)), "k".into()),
             ],
-            aggs: vec![(AggExpr::count_star(), "n".into())],
-            input: Box::new(users.clone()),
-            lookups: Vec::new(),
-        };
+            vec![(AggExpr::count_star(), "n".into())],
+            users.clone(),
+            Vec::new(),
+        );
         // Small enough for one exchange partition: the order is that of the
         // input, partition by partition.
         let ctx = ExecContext {
@@ -1878,12 +1862,12 @@ mod tests {
             Schema::new(vec![Field::new("x", DataType::Int64)]),
             2,
         ));
-        let plan = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![(AggExpr::count_star(), "n".into())],
-            input: Box::new(scan(empty, "e")),
-            lookups: Vec::new(),
-        };
+        let plan = LogicalPlan::aggregate(
+            vec![],
+            vec![(AggExpr::count_star(), "n".into())],
+            scan(empty, "e"),
+            Vec::new(),
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0), &Value::Int64(0));
@@ -1892,13 +1876,10 @@ mod tests {
     #[test]
     fn sort_and_limit() {
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Limit {
-            n: 3,
-            input: Box::new(LogicalPlan::Sort {
-                keys: vec![(Expr::col("id"), false)],
-                input: Box::new(scan(users_table(), "users")),
-            }),
-        };
+        let plan = LogicalPlan::limit(
+            3,
+            LogicalPlan::sort(vec![(Expr::col("id"), false)], scan(users_table(), "users")),
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].get(0), &Value::Int64(19));
@@ -1908,15 +1889,15 @@ mod tests {
     #[test]
     fn stddev_aggregation_matches_reference() {
         let ctx = ExecContext::default();
-        let plan = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![(
+        let plan = LogicalPlan::aggregate(
+            vec![],
+            vec![(
                 AggExpr::new(AggFunc::Stddev, Expr::col("score")),
                 "sd".into(),
             )],
-            input: Box::new(scan(users_table(), "users")),
-            lookups: Vec::new(),
-        };
+            scan(users_table(), "users"),
+            Vec::new(),
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         // Sample stddev of 0..19 is sqrt(35).
         match rows[0].get(0) {
@@ -1946,15 +1927,15 @@ mod tests {
             Row::new(vec![Value::Int32(5)]),
         ];
         let table = Arc::new(MemTable::with_rows(schema, rows, 2));
-        let plan = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![
+        let plan = LogicalPlan::aggregate(
+            vec![],
+            vec![
                 (AggExpr::new(AggFunc::Min, Expr::col("x")), "lo".into()),
                 (AggExpr::new(AggFunc::Max, Expr::col("x")), "hi".into()),
             ],
-            input: Box::new(scan(table, "t")),
-            lookups: Vec::new(),
-        };
+            scan(table, "t"),
+            Vec::new(),
+        );
         let rows = collect(&plan, &ctx, None).unwrap();
         assert_eq!(format!("{:?}", rows[0].get(0)), "Int32(-2)");
         assert_eq!(format!("{:?}", rows[0].get(1)), "Int32(7)");
@@ -1972,30 +1953,30 @@ mod tests {
         qualifier: &str,
         min_id: i64,
     ) -> LogicalPlan {
-        LogicalPlan::SubqueryAlias {
-            alias: alias.into(),
-            input: Box::new(LogicalPlan::Aggregate {
-                group: vec![(Expr::col("dept"), "dept".into())],
-                aggs: vec![(AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into())],
-                input: Box::new(LogicalPlan::Filter {
-                    predicate: Expr::col("id").gt_eq(Expr::lit(min_id)),
-                    input: Box::new(scan(Arc::clone(users), qualifier)),
-                }),
-                lookups: Vec::new(),
-            }),
-        }
+        LogicalPlan::subquery_alias(
+            alias.into(),
+            LogicalPlan::aggregate(
+                vec![(Expr::col("dept"), "dept".into())],
+                vec![(AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into())],
+                LogicalPlan::filter(
+                    Expr::col("id").gt_eq(Expr::lit(min_id)),
+                    scan(Arc::clone(users), qualifier),
+                ),
+                Vec::new(),
+            ),
+        )
     }
 
     fn join_on_dept(left: LogicalPlan, right: LogicalPlan, right_alias: &str) -> LogicalPlan {
-        LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            on: vec![(
+        LogicalPlan::join(
+            left,
+            right,
+            vec![(
                 Expr::col("l.dept"),
                 Expr::col(format!("{right_alias}.dept")),
             )],
-            join_type: JoinType::Inner,
-        }
+            JoinType::Inner,
+        )
     }
 
     #[test]
@@ -2053,12 +2034,14 @@ mod tests {
         // The join runs its right input first, so the tasks of the later
         // occurrence produce what the first one, left, then probes with.
         let users = users_table();
-        let block = |alias: &str| LogicalPlan::SubqueryAlias {
-            alias: alias.into(),
-            input: Box::new(LogicalPlan::Filter {
-                predicate: Expr::col("id").lt(Expr::lit(5i64)),
-                input: Box::new(scan(Arc::clone(&users), "users")),
-            }),
+        let block = |alias: &str| {
+            LogicalPlan::subquery_alias(
+                alias.into(),
+                LogicalPlan::filter(
+                    Expr::col("id").lt(Expr::lit(5i64)),
+                    scan(Arc::clone(&users), "users"),
+                ),
+            )
         };
         let plan = join_on_dept(block("l"), block("r"), "r");
         let ctx = ExecContext::default();
@@ -2162,18 +2145,15 @@ mod tests {
         // A scan, its filter and the probe of a broadcast `VALUES` (which
         // runs no stage) are one task: its failed first attempt counts
         // nothing, and the retry counts every step once.
-        let chain = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Filter {
-                predicate: Expr::col("id").lt(Expr::lit(5i64)),
-                input: Box::new(scan(users, "users")),
-            }),
-            right: Box::new(LogicalPlan::Values {
-                schema: Schema::new(vec![Field::new("d", DataType::Utf8)]),
-                rows: vec![vec![Value::Utf8("a".into())]],
-            }),
-            on: vec![(Expr::col("dept"), Expr::col("d"))],
-            join_type: JoinType::Inner,
-        };
+        let chain = LogicalPlan::join(
+            LogicalPlan::filter(Expr::col("id").lt(Expr::lit(5i64)), scan(users, "users")),
+            LogicalPlan::values(
+                Schema::new(vec![Field::new("d", DataType::Utf8)]),
+                vec![vec![Value::Utf8("a".into())]],
+            ),
+            vec![(Expr::col("dept"), Expr::col("d"))],
+            JoinType::Inner,
+        );
         let run = |faults: Option<Arc<SchedulerFaults>>| {
             let ctx = ExecContext {
                 sched_faults: faults,
@@ -2206,9 +2186,7 @@ mod tests {
             .unwrap()
             .remove(0);
         let source = Task::new(None, move |_| Ok(batches.clone())).with_retries(1);
-        let predicate = Expr::col("id")
-            .lt(Expr::lit(5i64))
-            .bind(&users.schema().unwrap());
+        let predicate = Expr::col("id").lt(Expr::lit(5i64)).bind(users.schema());
         let (ctx, prof) = (ExecContext::default(), OpProfile::build(&users));
         let failed = std::sync::atomic::AtomicBool::new(false);
         let out = Pipeline::new(Input::Tasks(vec![source]), ("scan", Some(prof.id)))
@@ -2244,7 +2222,7 @@ mod tests {
     struct NoKeyPruning(Provider);
 
     impl crate::datasource::TableProvider for NoKeyPruning {
-        fn schema(&self) -> Schema {
+        fn schema(&self) -> SchemaRef {
             self.0.schema()
         }
         fn supports_projection(&self) -> bool {
@@ -2301,27 +2279,17 @@ mod tests {
         qualifier: &str,
         filters: Vec<Expr>,
     ) -> LogicalPlan {
-        LogicalPlan::Scan {
-            table_name: qualifier.into(),
-            qualifier: qualifier.into(),
-            provider,
-            projection: None,
-            filters,
-        }
+        LogicalPlan::scan(qualifier.into(), qualifier.into(), provider, None, filters)
     }
 
     /// `f JOIN d ON f.k = d.dk WHERE d.dk < below`.
     fn facts_of_dims_below(facts: Provider, below: i32) -> LogicalPlan {
-        LogicalPlan::Join {
-            left: Box::new(scan_where(facts, "f", vec![])),
-            right: Box::new(scan_where(
-                dims(),
-                "d",
-                vec![Expr::col("dk").lt(Expr::lit(below))],
-            )),
-            on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
-            join_type: JoinType::Inner,
-        }
+        LogicalPlan::join(
+            scan_where(facts, "f", vec![]),
+            scan_where(dims(), "d", vec![Expr::col("dk").lt(Expr::lit(below))]),
+            vec![(Expr::col("f.k"), Expr::col("d.dk"))],
+            JoinType::Inner,
+        )
     }
 
     fn keys_in(values: &[i32]) -> Vec<SourceFilter> {
@@ -2347,15 +2315,15 @@ mod tests {
 
         // A row without a key joins nothing and names no key; a `Filter`
         // operator is as good a predicate as a pushed one.
-        let all_dims = LogicalPlan::Join {
-            left: Box::new(scan_where(table.clone(), "f", vec![])),
-            right: Box::new(LogicalPlan::Filter {
-                predicate: Expr::col("d.tag").eq(Expr::lit("t")),
-                input: Box::new(scan_where(dims(), "d", vec![])),
-            }),
-            on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
-            join_type: JoinType::Inner,
-        };
+        let all_dims = LogicalPlan::join(
+            scan_where(table.clone(), "f", vec![]),
+            LogicalPlan::filter(
+                Expr::col("d.tag").eq(Expr::lit("t")),
+                scan_where(dims(), "d", vec![]),
+            ),
+            vec![(Expr::col("f.k"), Expr::col("d.dk"))],
+            JoinType::Inner,
+        );
         assert_eq!(
             collect(&all_dims, &ExecContext::default(), None)
                 .unwrap()
@@ -2381,16 +2349,17 @@ mod tests {
             right,
             on,
             join_type,
+            ..
         } = plan
         else {
             unreachable!()
         };
-        let swapped = LogicalPlan::Join {
-            left: right,
-            right: left,
-            on: on.into_iter().map(|(l, r)| (r, l)).collect(),
+        let swapped = LogicalPlan::join(
+            *right,
+            *left,
+            on.into_iter().map(|(l, r)| (r, l)).collect(),
             join_type,
-        };
+        );
         let ctx = ExecContext::default();
         let again = collect(&swapped, &ctx, None).unwrap();
         assert_eq!(table.offered.lock().last().unwrap(), &keys_in(&[0, 1, 2]));
@@ -2454,11 +2423,13 @@ mod tests {
                 "the other input is larger than a broadcast",
             ),
         ] {
-            let with = |facts: Provider| LogicalPlan::Join {
-                left: Box::new(scan_where(facts, "f", vec![])),
-                right: Box::new(scan_where(dims(), "d", dim_filters.clone())),
-                on: vec![(key.clone(), Expr::col("d.dk"))],
-                join_type,
+            let with = |facts: Provider| {
+                LogicalPlan::join(
+                    scan_where(facts, "f", vec![]),
+                    scan_where(dims(), "d", dim_filters.clone()),
+                    vec![(key.clone(), Expr::col("d.dk"))],
+                    join_type,
+                )
             };
             let rows = collect(&with(table.clone()), &ctx, None).unwrap();
             assert_eq!(table.offered.lock().pop().unwrap(), vec![], "{why}");
@@ -2472,21 +2443,23 @@ mod tests {
     /// Two blocks `f JOIN d WHERE dk < 3` and `f JOIN d WHERE dk >= 2 AND
     /// dk < below` joined on `v`: the scan of `f` is a repeated subplan.
     fn two_blocks_over_one_scan(facts: Provider, second: Vec<Expr>) -> LogicalPlan {
-        let block = |name: &str, dim_filters: Vec<Expr>| LogicalPlan::SubqueryAlias {
-            alias: name.into(),
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(scan_where(facts.clone(), "f", vec![])),
-                right: Box::new(scan_where(dims(), "d", dim_filters)),
-                on: vec![(Expr::col("f.k"), Expr::col("d.dk"))],
-                join_type: JoinType::Inner,
-            }),
+        let block = |name: &str, dim_filters: Vec<Expr>| {
+            LogicalPlan::subquery_alias(
+                name.into(),
+                LogicalPlan::join(
+                    scan_where(facts.clone(), "f", vec![]),
+                    scan_where(dims(), "d", dim_filters),
+                    vec![(Expr::col("f.k"), Expr::col("d.dk"))],
+                    JoinType::Inner,
+                ),
+            )
         };
-        LogicalPlan::Join {
-            left: Box::new(block("l", vec![Expr::col("dk").lt(Expr::lit(3))])),
-            right: Box::new(block("r", second)),
-            on: vec![(Expr::col("l.v"), Expr::col("r.v"))],
-            join_type: JoinType::Inner,
-        }
+        LogicalPlan::join(
+            block("l", vec![Expr::col("dk").lt(Expr::lit(3))]),
+            block("r", second),
+            vec![(Expr::col("l.v"), Expr::col("r.v"))],
+            JoinType::Inner,
+        )
     }
 
     #[test]
@@ -2587,10 +2560,10 @@ mod tests {
 
     #[test]
     fn filter_profile_records_selectivity_and_batches() {
-        let plan = LogicalPlan::Filter {
-            predicate: Expr::col("id").lt(Expr::lit(5i64)),
-            input: Box::new(scan(users_table(), "users")),
-        };
+        let plan = LogicalPlan::filter(
+            Expr::col("id").lt(Expr::lit(5i64)),
+            scan(users_table(), "users"),
+        );
         let ctx = ExecContext::default();
         let (rows, profile) = collect_profiled(&plan, &ctx).unwrap();
         assert_eq!(rows.len(), 5);
@@ -2606,45 +2579,42 @@ mod tests {
 
     /// `SELECT dept, AVG(score) m, COUNT(*) n FROM users GROUP BY dept`.
     fn dept_stats() -> LogicalPlan {
-        LogicalPlan::Aggregate {
-            group: vec![(Expr::col("dept"), "dept".into())],
-            aggs: vec![
+        LogicalPlan::aggregate(
+            vec![(Expr::col("dept"), "dept".into())],
+            vec![
                 (AggExpr::new(AggFunc::Avg, Expr::col("score")), "m".into()),
                 (AggExpr::count_star(), "n".into()),
             ],
-            input: Box::new(scan(users_table(), "users")),
-            lookups: Vec::new(),
-        }
+            scan(users_table(), "users"),
+            Vec::new(),
+        )
     }
 
     #[test]
     fn operators_above_an_aggregate_take_its_batches() {
-        let having = LogicalPlan::Filter {
-            predicate: Expr::col("m").gt(Expr::lit(9.5)),
-            input: Box::new(dept_stats()),
-        };
-        let computed = LogicalPlan::Projection {
-            exprs: vec![
+        let having = LogicalPlan::filter(Expr::col("m").gt(Expr::lit(9.5)), dept_stats());
+        let computed = LogicalPlan::projection(
+            vec![
                 (Expr::col("dept"), "dept".into()),
                 (Expr::col("m").div(Expr::col("n")), "ratio".into()),
             ],
-            input: Box::new(dept_stats()),
-        };
-        let joined = LogicalPlan::Join {
-            left: Box::new(dept_stats()),
-            right: Box::new(scan(depts_table(), "depts")),
-            on: vec![(Expr::col("dept"), Expr::col("dept_name"))],
-            join_type: JoinType::Left,
-        };
-        let again = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![
+            dept_stats(),
+        );
+        let joined = LogicalPlan::join(
+            dept_stats(),
+            scan(depts_table(), "depts"),
+            vec![(Expr::col("dept"), Expr::col("dept_name"))],
+            JoinType::Left,
+        );
+        let again = LogicalPlan::aggregate(
+            vec![],
+            vec![
                 (AggExpr::new(AggFunc::Sum, Expr::col("n")), "rows".into()),
                 (AggExpr::new(AggFunc::Max, Expr::col("m")), "top".into()),
             ],
-            input: Box::new(dept_stats()),
-            lookups: Vec::new(),
-        };
+            dept_stats(),
+            Vec::new(),
+        );
         for plan in [having, computed, joined, again] {
             assert_matches_reference(&plan);
             // Every operator of the plan emitted batches, the aggregate and
@@ -2661,18 +2631,18 @@ mod tests {
     fn count_star_counts_rows_that_have_no_columns_and_inputs_that_have_no_rows() {
         // An empty pushed projection: batches with a row count and nothing
         // else reach the aggregate.
-        let no_columns = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![(AggExpr::count_star(), "n".into())],
-            input: Box::new(LogicalPlan::Scan {
-                table_name: "users".into(),
-                qualifier: "users".into(),
-                provider: users_table(),
-                projection: Some(vec![]),
-                filters: vec![],
-            }),
-            lookups: Vec::new(),
-        };
+        let no_columns = LogicalPlan::aggregate(
+            vec![],
+            vec![(AggExpr::count_star(), "n".into())],
+            LogicalPlan::scan(
+                "users".into(),
+                "users".into(),
+                users_table(),
+                Some(vec![]),
+                vec![],
+            ),
+            Vec::new(),
+        );
         let parts = execute(&no_columns, &ExecContext::default(), None).unwrap();
         assert_eq!(gather_rows(parts), vec![Row::new(vec![Value::Int64(20)])]);
         assert_matches_reference(&no_columns);
@@ -2681,15 +2651,15 @@ mod tests {
             Schema::new(vec![Field::new("x", DataType::Int64)]),
             2,
         ));
-        let no_rows = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![
+        let no_rows = LogicalPlan::aggregate(
+            vec![],
+            vec![
                 (AggExpr::count_star(), "n".into()),
                 (AggExpr::new(AggFunc::Sum, Expr::col("x")), "s".into()),
             ],
-            input: Box::new(scan(empty.clone(), "e")),
-            lookups: Vec::new(),
-        };
+            scan(empty.clone(), "e"),
+            Vec::new(),
+        );
         let parts = execute(&no_rows, &ExecContext::default(), None).unwrap();
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1, "one batch");
         assert_eq!(
@@ -2698,12 +2668,12 @@ mod tests {
         );
         assert_matches_reference(&no_rows);
         // Grouped, there is no group to report.
-        let grouped = LogicalPlan::Aggregate {
-            group: vec![(Expr::col("x"), "x".into())],
-            aggs: vec![(AggExpr::count_star(), "n".into())],
-            input: Box::new(scan(empty, "e")),
-            lookups: Vec::new(),
-        };
+        let grouped = LogicalPlan::aggregate(
+            vec![(Expr::col("x"), "x".into())],
+            vec![(AggExpr::count_star(), "n".into())],
+            scan(empty, "e"),
+            Vec::new(),
+        );
         assert!(collect(&grouped, &ExecContext::default(), None)
             .unwrap()
             .is_empty());
@@ -2711,15 +2681,15 @@ mod tests {
 
     #[test]
     fn values_and_limits_emit_batches() {
-        let values = LogicalPlan::Values {
-            schema: Schema::new(vec![
+        let values = LogicalPlan::values(
+            Schema::new(vec![
                 Field::new("k", DataType::Int32),
                 Field::new("s", DataType::Utf8),
             ]),
-            rows: (0..5)
+            (0..5)
                 .map(|i| vec![Value::Int32(i), Value::Utf8(format!("s{i}"))])
                 .collect(),
-        };
+        );
         let ctx = ExecContext {
             batch_size: 2,
             ..Default::default()
@@ -2731,10 +2701,7 @@ mod tests {
         assert_matches_reference(&values);
 
         // A limit keeps whole batches and cuts the one it falls in.
-        let limit = |n| LogicalPlan::Limit {
-            n,
-            input: Box::new(values.clone()),
-        };
+        let limit = |n| LogicalPlan::limit(n, values.clone());
         let parts = execute(&limit(3), &ctx, None).unwrap();
         let sizes: Vec<usize> = parts[0].iter().map(ColumnarBatch::num_rows).collect();
         assert_eq!(sizes, vec![2, 1]);
@@ -2745,12 +2712,12 @@ mod tests {
         assert_eq!(none.len(), 1);
         assert!(none[0].is_empty(), "no rows, no batch");
         // Above a filter that keeps nothing, and below an aggregate.
-        let nothing = LogicalPlan::Aggregate {
-            group: vec![],
-            aggs: vec![(AggExpr::count_star(), "n".into())],
-            input: Box::new(limit(0)),
-            lookups: Vec::new(),
-        };
+        let nothing = LogicalPlan::aggregate(
+            vec![],
+            vec![(AggExpr::count_star(), "n".into())],
+            limit(0),
+            Vec::new(),
+        );
         assert_matches_reference(&nothing);
     }
 
@@ -2760,11 +2727,11 @@ mod tests {
         // evaluated, it is NULL for every row.
         let untyped = Expr::col("dept").lt(Expr::lit(1i64));
         let users = scan(users_table(), "users");
-        assert!(untyped.data_type(&users.schema().unwrap()).is_err());
-        let plan = LogicalPlan::Projection {
-            exprs: vec![(Expr::col("id"), "id".into()), (untyped, "u".into())],
-            input: Box::new(users),
-        };
+        assert!(untyped.data_type(users.schema()).is_err());
+        let plan = LogicalPlan::projection(
+            vec![(Expr::col("id"), "id".into()), (untyped, "u".into())],
+            users,
+        );
         let parts = execute(&plan, &ExecContext::default(), None).unwrap();
         let batch = parts.iter().flatten().next().unwrap();
         assert_eq!(batch.dtypes(), vec![DataType::Int64, DataType::Binary]);
@@ -2795,10 +2762,10 @@ mod tests {
             .collect();
         let table = Arc::new(MemTable::with_rows(schema, rows, 3));
         for asc in [true, false] {
-            let plan = LogicalPlan::Sort {
-                keys: vec![(Expr::col("x"), asc), (Expr::col("i"), true)],
-                input: Box::new(scan(table.clone(), "t")),
-            };
+            let plan = LogicalPlan::sort(
+                vec![(Expr::col("x"), asc), (Expr::col("i"), true)],
+                scan(table.clone(), "t"),
+            );
             assert_matches_reference(&plan);
             let xs: Vec<Value> = collect(&plan, &ExecContext::default(), None)
                 .unwrap()
@@ -2850,7 +2817,7 @@ mod tests {
     }
 
     impl crate::datasource::TableProvider for Striped {
-        fn schema(&self) -> Schema {
+        fn schema(&self) -> SchemaRef {
             self.table.schema()
         }
         fn supports_projection(&self) -> bool {
@@ -3048,23 +3015,21 @@ mod tests {
                     .and(Expr::col("n").mul(Expr::lit(2i64)).gt(Expr::col("x"))),
                 Expr::Not(Box::new(Expr::col("g").eq(Expr::lit("g1")))),
             ];
-            plan = LogicalPlan::Filter {
-                predicate: predicates[rng.gen_range(0..predicates.len())].clone(),
-                input: Box::new(plan),
-            };
+            plan =
+                LogicalPlan::filter(predicates[rng.gen_range(0..predicates.len())].clone(), plan);
         }
         if rng.gen_bool(0.5) {
             let keep = |name: &str| (Expr::col(name), name.to_string());
-            plan = LogicalPlan::Projection {
-                exprs: vec![
+            plan = LogicalPlan::projection(
+                vec![
                     keep("ak"),
                     keep("g"),
                     (Expr::col("x").mul(Expr::lit(2.0)), "x".into()),
                     (Expr::col("n").add(Expr::col("ak")), "n".into()),
                     keep("f"),
                 ],
-                input: Box::new(plan),
-            };
+                plan,
+            );
         }
         // A key the kernels read off a column, and the same key computed.
         let ak_computed = || Expr::col("ak").add(Expr::lit(0i64));
@@ -3082,16 +3047,16 @@ mod tests {
                 vec![(ak_computed(), Expr::col("bk"))],
                 vec![(Expr::col("f"), Expr::col("bk"))],
             ];
-            plan = LogicalPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(scan_where(right.clone(), "b", vec![])),
-                on: on[rng.gen_range(0..on.len())].clone(),
-                join_type: if rng.gen_bool(0.5) {
+            plan = LogicalPlan::join(
+                plan,
+                scan_where(right.clone(), "b", vec![]),
+                on[rng.gen_range(0..on.len())].clone(),
+                if rng.gen_bool(0.5) {
                     JoinType::Inner
                 } else {
                     JoinType::Left
                 },
-            };
+            );
         }
         // A lookup of `d` by `ak`, on a declared unique key or not, with a
         // filter of its own or not.
@@ -3102,16 +3067,16 @@ mod tests {
                 true => vec![Expr::col("dv").gt(Expr::lit(0))],
                 false => vec![],
             };
-            plan = LogicalPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(scan_where(d.clone(), "d", filters)),
-                on: vec![(Expr::col("ak"), Expr::col("dk"))],
-                join_type: if rng.gen_bool(0.8) {
+            plan = LogicalPlan::join(
+                plan,
+                scan_where(d.clone(), "d", filters),
+                vec![(Expr::col("ak"), Expr::col("dk"))],
+                if rng.gen_bool(0.8) {
                     JoinType::Inner
                 } else {
                     JoinType::Left
                 },
-            };
+            );
         }
         if rng.gen_bool(0.6) {
             let mut groups: Vec<Vec<&str>> = vec![
@@ -3158,37 +3123,27 @@ mod tests {
                 bit += 1;
                 mask >> (bit - 1) & 1 == 1
             });
-            plan = LogicalPlan::Aggregate {
-                group: groups[rng.gen_range(0..groups.len())]
-                    .iter()
-                    .map(|c| match *c {
-                        "ak + 0" => (ak_computed(), "k".to_string()),
-                        c => (Expr::col(c), c.to_string()),
-                    })
-                    .collect(),
-                aggs,
-                input: Box::new(plan),
-                lookups: Vec::new(),
-            };
+            let group = groups[rng.gen_range(0..groups.len())]
+                .iter()
+                .map(|c| match *c {
+                    "ak + 0" => (ak_computed(), "k".to_string()),
+                    c => (Expr::col(c), c.to_string()),
+                })
+                .collect();
+            plan = LogicalPlan::aggregate(group, aggs, plan, Vec::new());
         }
         if rng.gen_bool(0.5) {
             // By every output column, so only rows equal throughout tie;
             // group keys come first and decide before an inexact float can.
             // Before them, one computed key: whether the first is NULL.
-            let schema = plan.schema().unwrap();
+            let schema = plan.schema();
             let names = schema.field_names();
             let computed = (Expr::col(names[0]).is_null(), rng.gen_bool(0.5));
             let columns = names.into_iter().map(|c| (Expr::col(c), rng.gen_bool(0.5)));
             let keys = std::iter::once(computed).chain(columns).collect();
-            plan = LogicalPlan::Sort {
-                keys,
-                input: Box::new(plan),
-            };
+            plan = LogicalPlan::sort(keys, plan);
             if rng.gen_bool(0.5) {
-                plan = LogicalPlan::Limit {
-                    n: rng.gen_range(0..9usize),
-                    input: Box::new(plan),
-                };
+                plan = LogicalPlan::limit(rng.gen_range(0..9usize), plan);
             }
         }
         plan
@@ -3252,5 +3207,78 @@ mod tests {
     fn moved_below(plan: &LogicalPlan) -> bool {
         matches!(plan, LogicalPlan::Aggregate { lookups, .. } if !lookups.is_empty())
             || plan.children().into_iter().any(moved_below)
+    }
+
+    /// `sql` analyzed over empty tables of q39's four, each keyed on its
+    /// row key as the workload declares them.
+    fn q39_plan(sql: &str) -> LogicalPlan {
+        let session = crate::session::Session::new_default();
+        let table = |columns: &[(&str, DataType)], key: &str| {
+            let fields = columns.iter().map(|&(c, t)| Field::new(c, t)).collect();
+            let table = MemTable::new(Schema::new(fields), 2);
+            match key {
+                "" => table,
+                key => table.with_unique_key(key).unwrap(),
+            }
+        };
+        use DataType::{Int32, Int64, Utf8};
+        for (name, columns, key) in [
+            (
+                "date_dim",
+                &[("d_date_sk", Int64), ("d_year", Int32), ("d_moy", Int32)][..],
+                "d_date_sk",
+            ),
+            (
+                "item",
+                &[("i_item_sk", Int64), ("i_item_id", Utf8)][..],
+                "i_item_sk",
+            ),
+            (
+                "warehouse",
+                &[("w_warehouse_sk", Int64), ("w_warehouse_name", Utf8)][..],
+                "w_warehouse_sk",
+            ),
+            (
+                "inventory",
+                &[
+                    ("inv_date_sk", Int64),
+                    ("inv_item_sk", Int64),
+                    ("inv_warehouse_sk", Int64),
+                    ("inv_quantity_on_hand", Int32),
+                ][..],
+                "",
+            ),
+        ] {
+            session.register_table(name, Arc::new(table(columns, key)));
+        }
+        session.sql(sql).unwrap().plan().clone()
+    }
+
+    #[test]
+    fn every_node_holds_the_schema_derived_from_scratch() {
+        let tables = random_plan_tables();
+        let mut rng = StdRng::seed_from_u64(2018);
+        let q39 = [crate::q39::q39a(2001, 1), crate::q39::q39b(2001, 1)];
+        let plans = (0..400)
+            .map(|_| random_plan(&mut rng, &tables))
+            .chain(q39.iter().map(|sql| q39_plan(sql)));
+        for plan in plans {
+            plan.assert_schemas_fresh();
+            crate::optimizer::optimize(plan)
+                .unwrap()
+                .assert_schemas_fresh();
+        }
+    }
+
+    #[test]
+    fn optimizing_q39a_derives_at_most_two_schemas_a_node() {
+        use crate::logical::SCHEMA_BUILDS;
+        let plan = q39_plan(&crate::q39::q39a(2001, 1));
+        let nodes = plan.node_count();
+        let before = SCHEMA_BUILDS.with(|n| n.get());
+        let optimized = crate::optimizer::optimize(plan).unwrap();
+        let built = SCHEMA_BUILDS.with(|n| n.get()) - before;
+        assert!(moved_below(&optimized), "the plan the workload runs");
+        assert!(built <= 2 * nodes, "{built} schemas for {nodes} nodes");
     }
 }

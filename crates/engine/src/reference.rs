@@ -44,15 +44,17 @@ pub(crate) fn evaluate(plan: &LogicalPlan) -> Result<Vec<Row>> {
                 _ => rows,
             })
         }
-        LogicalPlan::Filter { predicate, input } => {
-            let bound = predicate.bind(&input.schema()?)?;
+        LogicalPlan::Filter {
+            predicate, input, ..
+        } => {
+            let bound = predicate.bind(input.schema())?;
             keep(evaluate(input)?, |row| bound.eval_predicate(row))
         }
-        LogicalPlan::Projection { exprs, input } => {
-            let schema = input.schema()?;
+        LogicalPlan::Projection { exprs, input, .. } => {
+            let schema = input.schema();
             let bound = exprs
                 .iter()
-                .map(|(e, _)| e.bind(&schema))
+                .map(|(e, _)| e.bind(schema))
                 .collect::<Result<Vec<_>>>()?;
             evaluate(input)?
                 .iter()
@@ -68,11 +70,12 @@ pub(crate) fn evaluate(plan: &LogicalPlan) -> Result<Vec<Row>> {
             right,
             on,
             join_type,
+            ..
         } => {
-            let (left_schema, right_schema) = (left.schema()?, right.schema()?);
+            let (left_schema, right_schema) = (left.schema(), right.schema());
             let mut keys = Vec::new();
             for (l, r) in on {
-                keys.push((l.bind(&left_schema)?, r.bind(&right_schema)?));
+                keys.push((l.bind(left_schema)?, r.bind(right_schema)?));
             }
             let right_rows = evaluate(right)?;
             let mut out = Vec::new();
@@ -98,10 +101,10 @@ pub(crate) fn evaluate(plan: &LogicalPlan) -> Result<Vec<Row>> {
         LogicalPlan::Aggregate {
             group, aggs, input, ..
         } => {
-            let schema = input.schema()?;
+            let schema = input.schema();
             let group_exprs = group
                 .iter()
-                .map(|(e, _)| e.bind(&schema))
+                .map(|(e, _)| e.bind(schema))
                 .collect::<Result<Vec<_>>>()?;
             // Group token → the group's key as first seen, and its rows.
             let mut groups: BTreeMap<Vec<String>, (Vec<Value>, Vec<Row>)> = BTreeMap::new();
@@ -120,17 +123,17 @@ pub(crate) fn evaluate(plan: &LogicalPlan) -> Result<Vec<Row>> {
             let mut out = Vec::new();
             for (mut values, rows) in groups.into_values() {
                 for (agg, _) in aggs {
-                    values.push(aggregate(agg, &rows, &schema)?);
+                    values.push(aggregate(agg, &rows, schema)?);
                 }
                 out.push(Row::new(values));
             }
             Ok(out)
         }
-        LogicalPlan::Sort { keys, input } => {
-            let schema = input.schema()?;
+        LogicalPlan::Sort { keys, input, .. } => {
+            let schema = input.schema();
             let bound = keys
                 .iter()
-                .map(|(e, asc)| Ok((e.bind(&schema)?, *asc)))
+                .map(|(e, asc)| Ok((e.bind(schema)?, *asc)))
                 .collect::<Result<Vec<_>>>()?;
             let mut keyed = Vec::new();
             for row in evaluate(input)? {
@@ -157,7 +160,7 @@ pub(crate) fn evaluate(plan: &LogicalPlan) -> Result<Vec<Row>> {
             });
             Ok(keyed.into_iter().map(|(_, row)| row).collect())
         }
-        LogicalPlan::Limit { n, input } => Ok(evaluate(input)?.into_iter().take(*n).collect()),
+        LogicalPlan::Limit { n, input, .. } => Ok(evaluate(input)?.into_iter().take(*n).collect()),
         LogicalPlan::SubqueryAlias { input, .. } => evaluate(input),
         LogicalPlan::Values { rows, .. } => Ok(rows.iter().cloned().map(Row::new).collect()),
     }
@@ -275,13 +278,13 @@ mod tests {
     use crate::value::DataType;
 
     fn values(rows: Vec<Vec<Value>>) -> LogicalPlan {
-        LogicalPlan::Values {
-            schema: Schema::new(vec![
+        LogicalPlan::values(
+            Schema::new(vec![
                 Field::new("k", DataType::Int32),
                 Field::new("x", DataType::Float64),
             ]),
             rows,
-        }
+        )
     }
 
     /// The oracle itself, against answers worked out by hand.
@@ -295,11 +298,11 @@ mod tests {
             vec![Value::Int32(2), Value::Float64(f64::NAN)],
         ]);
         let agg = |f| (AggExpr::new(f, Expr::col("x")), "a".to_string());
-        let grouped = LogicalPlan::Sort {
-            keys: vec![(Expr::col("k"), true)],
-            input: Box::new(LogicalPlan::Aggregate {
-                group: vec![(Expr::col("k"), "k".into())],
-                aggs: vec![
+        let grouped = LogicalPlan::sort(
+            vec![(Expr::col("k"), true)],
+            LogicalPlan::aggregate(
+                vec![(Expr::col("k"), "k".into())],
+                vec![
                     (AggExpr::count_star(), "n".into()),
                     agg(AggFunc::Count),
                     agg(AggFunc::Sum),
@@ -307,10 +310,10 @@ mod tests {
                     agg(AggFunc::Min),
                     agg(AggFunc::Stddev),
                 ],
-                input: Box::new(input.clone()),
-                lookups: Vec::new(),
-            }),
-        };
+                input.clone(),
+                Vec::new(),
+            ),
+        );
         assert_eq!(
             canonical(&evaluate(&grouped).unwrap()),
             vec![
@@ -323,24 +326,15 @@ mod tests {
         );
 
         // A NULL key joins nothing, a left join keeps it; NaN sorts last.
-        let joined = LogicalPlan::Sort {
-            keys: vec![(Expr::col("l.x"), false)],
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(LogicalPlan::SubqueryAlias {
-                    alias: "l".into(),
-                    input: Box::new(input.clone()),
-                }),
-                right: Box::new(LogicalPlan::SubqueryAlias {
-                    alias: "r".into(),
-                    input: Box::new(LogicalPlan::Limit {
-                        n: 1,
-                        input: Box::new(input),
-                    }),
-                }),
-                on: vec![(Expr::col("l.k"), Expr::col("r.k"))],
-                join_type: JoinType::Left,
-            }),
-        };
+        let joined = LogicalPlan::sort(
+            vec![(Expr::col("l.x"), false)],
+            LogicalPlan::join(
+                LogicalPlan::subquery_alias("l".into(), input.clone()),
+                LogicalPlan::subquery_alias("r".into(), LogicalPlan::limit(1, input)),
+                vec![(Expr::col("l.k"), Expr::col("r.k"))],
+                JoinType::Left,
+            ),
+        );
         let rows = evaluate(&joined).unwrap();
         let xs: Vec<String> = rows.iter().map(|r| format!("{:?}", r.get(1))).collect();
         assert_eq!(

@@ -87,31 +87,21 @@ impl Schema {
     /// Unqualified names match on field name alone and must be unambiguous.
     /// Qualified names must match qualifier and name.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let matches: Vec<usize> = self
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                let name_ok = f.name.eq_ignore_ascii_case(name);
-                match qualifier {
-                    Some(q) => {
-                        name_ok
-                            && f.qualifier
-                                .as_deref()
-                                .is_some_and(|fq| fq.eq_ignore_ascii_case(q))
-                    }
-                    None => name_ok,
-                }
-            })
-            .map(|(i, _)| i)
-            .collect();
-        match matches.len() {
-            1 => Ok(matches[0]),
-            0 => Err(EngineError::Analysis(format!(
+        let mut matches = self.fields.iter().enumerate().filter(|(_, f)| {
+            f.name.eq_ignore_ascii_case(name)
+                && qualifier.is_none_or(|q| {
+                    f.qualifier
+                        .as_deref()
+                        .is_some_and(|fq| fq.eq_ignore_ascii_case(q))
+                })
+        });
+        match (matches.next(), matches.next()) {
+            (Some((i, _)), None) => Ok(i),
+            (None, _) => Err(EngineError::Analysis(format!(
                 "column not found: {}{name}",
                 qualifier.map(|q| format!("{q}.")).unwrap_or_default()
             ))),
-            _ => Err(EngineError::Analysis(format!(
+            (Some(_), Some(_)) => Err(EngineError::Analysis(format!(
                 "ambiguous column reference: {name}"
             ))),
         }

@@ -292,13 +292,7 @@ impl Session {
             .ok_or_else(|| EngineError::TableNotFound(name.to_string()))?;
         Ok(DataFrame::new(
             Arc::clone(self),
-            LogicalPlan::Scan {
-                table_name: name.to_string(),
-                qualifier: name.to_string(),
-                provider,
-                projection: None,
-                filters: vec![],
-            },
+            LogicalPlan::scan(name.to_string(), name.to_string(), provider, None, vec![]),
         ))
     }
 

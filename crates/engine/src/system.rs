@@ -22,7 +22,7 @@ use crate::columnar::{BatchBuilder, ColumnarBatch};
 use crate::datasource::{ScanPartition, TableProvider};
 use crate::error::Result;
 use crate::row::Row;
-use crate::schema::Schema;
+use crate::schema::{Schema, SchemaRef};
 use crate::session::Session;
 use crate::source_filter::SourceFilter;
 use crate::value::DataType;
@@ -35,7 +35,7 @@ pub type RowsFn = Arc<dyn Fn(&[SourceFilter]) -> Vec<Row> + Send + Sync>;
 /// A live virtual table backed by a row-producing closure.
 pub struct SystemTable {
     name: String,
-    schema: Schema,
+    schema: SchemaRef,
     rows: RowsFn,
 }
 
@@ -47,7 +47,7 @@ impl SystemTable {
     ) -> Self {
         SystemTable {
             name: name.into(),
-            schema,
+            schema: Arc::new(schema),
             rows: Arc::new(move |_filters| rows()),
         }
     }
@@ -63,7 +63,7 @@ impl SystemTable {
     ) -> Self {
         SystemTable {
             name: name.into(),
-            schema,
+            schema: Arc::new(schema),
             rows: Arc::new(rows),
         }
     }
@@ -98,8 +98,8 @@ impl ScanPartition for SystemPartition {
 }
 
 impl TableProvider for SystemTable {
-    fn schema(&self) -> Schema {
-        self.schema.clone()
+    fn schema(&self) -> SchemaRef {
+        Arc::clone(&self.schema)
     }
 
     fn supports_projection(&self) -> bool {

@@ -63,7 +63,7 @@ fn run(session: &Arc<Session>, sql: &str) -> Vec<Row> {
 struct NoKeyPruning(Arc<dyn TableProvider>);
 
 impl TableProvider for NoKeyPruning {
-    fn schema(&self) -> Schema {
+    fn schema(&self) -> SchemaRef {
         self.0.schema()
     }
     fn supports_projection(&self) -> bool {
@@ -689,7 +689,6 @@ fn q39_month_blocks_share_one_scan_of_each_table() {
     // the task that produced its input; only pipeline breakers run stages.
     assert_eq!(timeline.stages().len(), 9);
     // `system.queries.rpc_count` is what the cluster counted for the query.
-    register_system_tables(&session, &cluster);
     let before = cluster.metrics.snapshot();
     session
         .sql(&shc::tpcds::queries::q39a(2001, 1))
