@@ -18,7 +18,6 @@
 //! | `system.regions` | region on a live server                        |
 //! | `system.servers` | server that ever heartbeated (live or dead)    |
 //! | `system.tables`  | table, rolled up over live servers             |
-//! | `system.metrics` | scalar metric in either registry, prefixed     |
 //! | `system.queries` | retained query-log entry (slow ones flagged)   |
 //! | `system.events`  | flight-recorder event (store + query journals) |
 //! | `system.alerts`  | alert rule, evaluated at scan time             |
@@ -119,13 +118,6 @@ fn tables_schema() -> Schema {
         Field::new("write_requests", DataType::Int64),
         Field::new("memstore_bytes", DataType::Int64),
         Field::new("store_file_bytes", DataType::Int64),
-    ])
-}
-
-fn metrics_schema() -> Schema {
-    Schema::new(vec![
-        Field::new("name", DataType::Utf8),
-        Field::new("value", DataType::Int64),
     ])
 }
 
@@ -302,8 +294,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
     let regions_cluster = Arc::clone(cluster);
     let servers_cluster = Arc::clone(cluster);
     let tables_cluster = Arc::clone(cluster);
-    let metrics_cluster = Arc::clone(cluster);
-    let query_metrics = Arc::clone(&session.metrics);
     let query_log = Arc::clone(session.query_log());
     let events_cluster = Arc::clone(cluster);
     let session_events = Arc::clone(session.events());
@@ -376,26 +366,6 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
                         ])
                     })
                     .collect()
-            },
-        ))
-        .with_table(SystemTable::new(
-            "system.metrics",
-            metrics_schema(),
-            move || {
-                let mut rows = Vec::new();
-                for (name, value) in metrics_cluster.metrics.snapshot().counter_values() {
-                    rows.push(Row::new(vec![
-                        Value::Utf8(format!("{STORE_PREFIX}{name}")),
-                        Value::Int64(value as i64),
-                    ]));
-                }
-                for (name, value) in query_metrics.snapshot().counter_values() {
-                    rows.push(Row::new(vec![
-                        Value::Utf8(format!("{}{name}", shc_engine::metrics::EXPOSITION_PREFIX)),
-                        Value::Int64(value as i64),
-                    ]));
-                }
-                rows
             },
         ))
         .with_table(SystemTable::new(
@@ -508,16 +478,13 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
                 let mut rows = Vec::new();
                 for tl in session.timelines() {
                     let trace_id = format!("{:#x}", tl.trace_id());
-                    let labels: std::collections::HashMap<u64, &'static str> =
-                        tl.stages().iter().map(|s| (s.stage_id, s.label)).collect();
                     for t in tl.tasks() {
+                        let label = &tl.stages()[t.stage_id as usize].label;
                         for a in &t.attempts {
                             rows.push(Row::new(vec![
                                 Value::Utf8(trace_id.clone()),
                                 Value::Int64(t.stage_id as i64),
-                                Value::Utf8(
-                                    labels.get(&t.stage_id).copied().unwrap_or("?").to_string(),
-                                ),
+                                Value::Utf8(label.clone()),
                                 Value::Int64(t.task_index as i64),
                                 Value::Int64(a.attempt as i64),
                                 Value::Int64(a.exec as i64),
@@ -557,7 +524,7 @@ pub fn register_system_tables(session: &Arc<Session>, cluster: &Arc<HBaseCluster
                         rows.push(Row::new(vec![
                             Value::Utf8(trace_id.clone()),
                             Value::Int64(s.stage_id as i64),
-                            Value::Utf8(s.label.to_string()),
+                            Value::Utf8(s.label),
                             Value::Int64(s.tasks as i64),
                             Value::Int64(s.rows_min as i64),
                             Value::Int64(s.rows_median as i64),
@@ -823,7 +790,6 @@ mod tests {
                 "system.regions",
                 "system.servers",
                 "system.tables",
-                "system.metrics",
                 "system.queries",
                 "system.events",
                 "system.alerts",
@@ -850,13 +816,6 @@ mod tests {
             .unwrap();
         assert_eq!(servers.len(), 2);
         assert_eq!(servers[0].get(0).as_str(), Some("host-0"));
-
-        let metric = session
-            .sql("SELECT value FROM system.metrics WHERE name = 'shc_store_rpc_count'")
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert!(metric[0].get(0).as_i64().unwrap() >= 4);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::physical;
 use crate::row::Row;
 use crate::schema::SchemaRef;
 use crate::session::{ExecStats, Session};
-use crate::task_timeline::{TaskTimeline, DEFAULT_TIMELINE_CAPACITY};
+use crate::task_timeline::TaskTimeline;
 use std::sync::Arc;
 
 /// Shorthand constructor for a column reference (`col("t.a")`).
@@ -166,9 +166,10 @@ impl DataFrame {
     pub fn collect_analyzed(&self) -> Result<QueryAnalysis> {
         let plan = self.optimized_plan()?;
         let profile = physical::OpProfile::build(&plan);
-        let (rows, trace, timeline) = self.run_recorded(&plan, Some(&profile))?;
+        let (rows, trace) = self.run_recorded(&plan, Some(&profile))?;
         let trace = trace.expect("a profiled run hands its trace back");
         attach_region_attribution(&profile, &trace);
+        let timeline = TaskTimeline::of(&trace);
         let (mut subplans_reused, mut dynamic_filters) = (0, 0);
         profile.walk(&mut |p| {
             subplans_reused += p.reused_from.get().is_some() as u64;
@@ -185,21 +186,19 @@ impl DataFrame {
         })
     }
 
-    /// Execute `plan` under a fresh tracer and task timeline, profiled into
-    /// `profile` when given, and record the run: a query-log entry (its RPC
-    /// count the trace's `rpc` spans), or for an error a journaled event and
-    /// a flight-recorder dump; either way the trace and timeline stay
-    /// resolvable by TraceId. A profiled run also hands a copy of its trace
+    /// Execute `plan` under a fresh tracer, profiled into `profile` when
+    /// given, and record the run: a query-log entry (its RPC count the
+    /// trace's `rpc` spans), or for an error a journaled event and a
+    /// flight-recorder dump; either way the trace stays resolvable by
+    /// TraceId. A profiled run also hands a copy of its trace
     /// back; a plain collect, which reads none, is spared the copy.
     fn run_recorded(
         &self,
         plan: &LogicalPlan,
         profile: Option<&Arc<physical::OpProfile>>,
-    ) -> Result<(Vec<Row>, Option<shc_obs::Trace>, Arc<TaskTimeline>)> {
-        let mut ctx = self.session.exec_context();
+    ) -> Result<(Vec<Row>, Option<shc_obs::Trace>)> {
+        let ctx = self.session.exec_context();
         let trace_id = self.session.mint_trace_id();
-        let timeline = TaskTimeline::new(trace_id, DEFAULT_TIMELINE_CAPACITY);
-        ctx.timeline = Some(Arc::clone(&timeline));
         let tracer = shc_obs::Tracer::with_id(trace_id);
         tracer.attach_journal(Arc::clone(self.session.events()));
         let result = {
@@ -224,8 +223,8 @@ impl DataFrame {
                 .note_query_error(trace_id, duration_us, &e.to_string()),
         }
         let kept = profile.map(|_| trace.clone());
-        self.session.store_run(trace, Arc::clone(&timeline));
-        Ok((result?, kept, timeline))
+        self.session.store_run(trace);
+        Ok((result?, kept))
     }
 
     /// Run the query and render the physical plan tree annotated with the
@@ -303,12 +302,12 @@ pub struct QueryAnalysis {
     pub trace: shc_obs::Trace,
     /// The optimized plan that was executed.
     pub plan: LogicalPlan,
-    /// Per-task execution timeline of this run: one [`TaskProfile`]
-    /// (placement, queue wait, attempts) per scheduled task, grouped into
-    /// stages with skew and locality statistics.
+    /// Per-task execution timeline of this run, read from `trace`: one
+    /// [`TaskProfile`] (placement, queue wait, attempts) per scheduled
+    /// task, grouped into stages with skew and locality statistics.
     ///
     /// [`TaskProfile`]: crate::task_timeline::TaskProfile
-    pub timeline: Arc<TaskTimeline>,
+    pub timeline: TaskTimeline,
     /// Operators of this run that were handed an identical subplan's result
     /// instead of executing (the query's share of
     /// `QueryMetrics::subplans_reused`).

@@ -234,83 +234,86 @@ fn map_columns(expr: &Expr, f: &impl Fn(Option<&String>, &str) -> Expr) -> Expr 
 // Rule 2: constant folding
 // ----------------------------------------------------------------------
 
-fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
+pub(crate) fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
     let mut plan = plan.map_inputs(fold_plan)?;
-    if let LogicalPlan::Filter {
-        predicate, input, ..
-    } = plan
-    {
-        // `WHERE true` disappears entirely.
-        return Ok(match fold_expr(predicate) {
-            Expr::Literal(Value::Boolean(true)) => *input,
-            folded => LogicalPlan::filter(folded, *input),
-        });
-    }
     match &mut plan {
+        LogicalPlan::Filter { predicate, .. } => {
+            fold_expr(predicate);
+        }
+        // A projection's schema changes only where an expression folded.
         LogicalPlan::Projection { exprs, .. } => {
-            *exprs = exprs.drain(..).map(|(e, n)| (fold_expr(e), n)).collect();
-            plan.rederive_schema();
+            let mut folded = false;
+            for (e, _) in exprs.iter_mut() {
+                folded |= fold_expr(e);
+            }
+            if folded {
+                plan.rederive_schema();
+            }
         }
         // Filters do not shape a scan's output.
         LogicalPlan::Scan { filters, .. } => {
-            *filters = filters.drain(..).map(fold_expr).collect();
+            filters.iter_mut().for_each(|f| {
+                fold_expr(f);
+            });
         }
         _ => {}
     }
-    Ok(plan)
+    // `WHERE true` disappears entirely.
+    Ok(match plan {
+        LogicalPlan::Filter {
+            predicate, input, ..
+        } if is_true(&predicate) => *input,
+        plan => plan,
+    })
 }
 
-/// Fold literal-only subtrees and simplify boolean identities.
-pub fn fold_expr(expr: Expr) -> Expr {
+/// Fold literal-only subtrees and simplify boolean identities, in place.
+/// Returns whether anything folded; an expression that does not fold is
+/// left as it was, its boxes included.
+pub fn fold_expr(expr: &mut Expr) -> bool {
     // Fold children first.
-    let expr = match expr {
-        Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
-            left: Box::new(fold_expr(*left)),
-            op,
-            right: Box::new(fold_expr(*right)),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(fold_expr(*e))),
-        Expr::Negate(e) => Expr::Negate(Box::new(fold_expr(*e))),
-        other => other,
+    let children = match expr {
+        Expr::BinaryOp { left, right, .. } => fold_expr(left) | fold_expr(right),
+        Expr::Not(e) | Expr::Negate(e) => fold_expr(e),
+        _ => false,
     };
+    match simplified(expr) {
+        Some(simpler) => {
+            *expr = simpler;
+            true
+        }
+        None => children,
+    }
+}
+
+/// What `expr`, its children folded, simplifies to, moved out of it; `None`
+/// when it does not simplify.
+fn simplified(expr: &mut Expr) -> Option<Expr> {
     // Boolean identities.
-    if let Expr::BinaryOp { left, op, right } = &expr {
+    if let Expr::BinaryOp { left, op, right } = expr {
+        let take =
+            |side: &mut Box<Expr>| std::mem::replace(&mut **side, Expr::Literal(Value::Null));
         match op {
-            BinaryOp::And => {
-                if is_true(left) {
-                    return (**right).clone();
-                }
-                if is_true(right) {
-                    return (**left).clone();
-                }
-                if is_false(left) || is_false(right) {
-                    return Expr::Literal(Value::Boolean(false));
-                }
+            BinaryOp::And if is_true(left) => return Some(take(right)),
+            BinaryOp::And if is_true(right) => return Some(take(left)),
+            BinaryOp::And if is_false(left) || is_false(right) => {
+                return Some(Expr::Literal(Value::Boolean(false)))
             }
-            BinaryOp::Or => {
-                if is_false(left) {
-                    return (**right).clone();
-                }
-                if is_false(right) {
-                    return (**left).clone();
-                }
-                if is_true(left) || is_true(right) {
-                    return Expr::Literal(Value::Boolean(true));
-                }
+            BinaryOp::Or if is_false(left) => return Some(take(right)),
+            BinaryOp::Or if is_false(right) => return Some(take(left)),
+            BinaryOp::Or if is_true(left) || is_true(right) => {
+                return Some(Expr::Literal(Value::Boolean(true)))
             }
             _ => {}
         }
     }
     // Literal-only subtrees evaluate now.
-    if is_literal_only(&expr) && !matches!(expr, Expr::Literal(_)) {
-        let empty = Schema::empty();
-        if let Ok(bound) = expr.bind(&empty) {
-            if let Ok(v) = bound.eval(&crate::row::Row::default()) {
-                return Expr::Literal(v);
-            }
-        }
+    if matches!(expr, Expr::Literal(_)) || !is_literal_only(expr) {
+        return None;
     }
-    expr
+    let bound = expr.bind(&Schema::empty()).ok()?;
+    let value = bound.eval(&crate::row::Row::default()).ok()?;
+    Some(Expr::Literal(value))
 }
 
 fn is_true(e: &Expr) -> bool {
@@ -908,17 +911,26 @@ mod tests {
 
     #[test]
     fn constant_folding_simplifies() {
+        let folded = |mut e: Expr| {
+            assert!(fold_expr(&mut e), "{e} folds");
+            e
+        };
         let e = Expr::lit(2i64).add(Expr::lit(3i64)).gt(Expr::lit(4i64));
-        assert_eq!(fold_expr(e), Expr::Literal(Value::Boolean(true)));
+        assert_eq!(folded(e), Expr::Literal(Value::Boolean(true)));
 
         let e = Expr::lit(true).and(Expr::col("a").gt(Expr::lit(1i64)));
-        assert_eq!(fold_expr(e), Expr::col("a").gt(Expr::lit(1i64)));
+        assert_eq!(folded(e), Expr::col("a").gt(Expr::lit(1i64)));
 
         let e = Expr::lit(false).and(Expr::col("a").gt(Expr::lit(1i64)));
-        assert_eq!(fold_expr(e), Expr::Literal(Value::Boolean(false)));
+        assert_eq!(folded(e), Expr::Literal(Value::Boolean(false)));
 
         let e = Expr::lit(true).or(Expr::col("a").gt(Expr::lit(1i64)));
-        assert_eq!(fold_expr(e), Expr::Literal(Value::Boolean(true)));
+        assert_eq!(folded(e), Expr::Literal(Value::Boolean(true)));
+
+        let mut e = Expr::col("a").gt(Expr::lit(1i64)).and(Expr::col("b"));
+        let before = e.clone();
+        assert!(!fold_expr(&mut e), "nothing to fold");
+        assert_eq!(e, before);
     }
 
     #[test]

@@ -38,7 +38,6 @@ use crate::row::Row;
 use crate::scheduler::{run_stage, ExecutorConfig, SchedulerFaults, StageObs, Task};
 use crate::shuffle::shuffle_batches_by_key;
 use crate::source_filter::SourceFilter;
-use crate::task_timeline::TaskTimeline;
 use crate::value::{DataType, Value};
 use parking_lot::Mutex;
 use shc_obs::trace;
@@ -77,9 +76,6 @@ pub struct ExecContext {
     /// Per-exchange-edge shuffle attribution (labeled split of the global
     /// `shuffle_bytes` counter).
     pub shuffle_edges: Arc<crate::metrics::ShuffleEdges>,
-    /// Per-query task timeline scheduler stages record into; `None` for
-    /// untraced queries (timelines ride the query trace).
-    pub timeline: Option<Arc<TaskTimeline>>,
     /// Scheduler-level fault injection (tests and examples).
     pub sched_faults: Option<Arc<SchedulerFaults>>,
 }
@@ -93,7 +89,6 @@ impl Default for ExecContext {
             batch_size: DEFAULT_BATCH_ROWS,
             task_metrics: crate::metrics::TaskMetrics::new(),
             shuffle_edges: crate::metrics::ShuffleEdges::new(),
-            timeline: None,
             sched_faults: None,
         }
     }
@@ -797,7 +792,6 @@ impl Pipeline {
             Input::Tasks(tasks) => fuse(tasks, self.steps, &ctx.metrics),
         };
         let obs = StageObs {
-            timeline: ctx.timeline.clone(),
             task_metrics: Some(Arc::clone(&ctx.task_metrics)),
             label: self.stage.0,
             op: self.stage.1,
@@ -3280,5 +3274,19 @@ mod tests {
         let built = SCHEMA_BUILDS.with(|n| n.get()) - before;
         assert!(moved_below(&optimized), "the plan the workload runs");
         assert!(built <= 2 * nodes, "{built} schemas for {nodes} nodes");
+    }
+
+    #[test]
+    fn folding_q39a_derives_no_schema() {
+        use crate::logical::SCHEMA_BUILDS;
+        let plan = q39_plan(&crate::q39::q39a(2001, 1));
+        let before = SCHEMA_BUILDS.with(|n| n.get());
+        let folded = crate::optimizer::fold_plan(plan).unwrap();
+        assert_eq!(
+            SCHEMA_BUILDS.with(|n| n.get()) - before,
+            0,
+            "q39a folds nothing"
+        );
+        folded.assert_schemas_fresh();
     }
 }

@@ -33,17 +33,21 @@
 //! finished stage. The driver parks the round's workers again once every
 //! lane has replied; they exit when the driver thread does.
 //!
-//! Every stage records per-task [`TaskProfile`]s (queue wait, per-attempt
-//! modeled cost measured via [`shc_obs::trace::thread_cost_us`], full
-//! attempt chains including failures) into the query's [`TaskTimeline`].
-//! At stage end a straggler detector flags tasks whose winning run cost
-//! exceeds `max(k × median, floor)` and journals a `category=straggler`
-//! event.
+//! A traced stage is one `stage` span, annotated with its label and
+//! operator, and every attempt of its tasks one `task` span under it,
+//! annotated with its placement, its lane-relative interval (its modeled
+//! cost measured via [`shc_obs::trace::thread_cost_us`]) and its error or
+//! output size — the records [`TaskTimeline::of`] reads back from the
+//! finished trace. At stage end a straggler detector flags tasks whose
+//! winning run cost exceeds `max(k × median, floor)`, journals a
+//! `category=straggler` event, and annotates the stage span with the
+//! cutoff it applied.
+//!
+//! [`TaskTimeline::of`]: crate::task_timeline::TaskTimeline::of
 
 use crate::columnar::{batches_byte_size, batches_num_rows, Partition};
 use crate::error::{EngineError, Result};
 use crate::metrics::{QueryMetrics, TaskMetrics};
-use crate::task_timeline::{TaskAttempt, TaskProfile, TaskTimeline};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -171,15 +175,13 @@ const STRAGGLER_K: f64 = 3.0;
 /// tick-level noise in trivial stages from firing the detector.
 const STRAGGLER_MIN_RUN_US: u64 = 1_000;
 
-/// Observability context for one scheduler stage: where to record task
-/// profiles and task metrics, and which faults to inject. The default
-/// records nothing and injects nothing.
+/// Observability context for one scheduler stage: how to label its span,
+/// where to record task metrics, and which faults to inject. The default
+/// records no metrics and injects nothing.
 pub struct StageObs {
-    /// Per-query timeline receiving this stage's [`TaskProfile`]s.
-    pub timeline: Option<Arc<TaskTimeline>>,
     /// Session-level task metrics (run histogram, straggler counter).
     pub task_metrics: Option<Arc<TaskMetrics>>,
-    /// Stage label for the timeline (`scan`, `probe`, `map`, …).
+    /// Stage label for the stage span (`scan`, `probe`, `map`, …).
     pub label: &'static str,
     /// Operator id (pre-order index in the physical plan) when known.
     pub op: Option<usize>,
@@ -190,7 +192,6 @@ pub struct StageObs {
 impl Default for StageObs {
     fn default() -> Self {
         StageObs {
-            timeline: None,
             task_metrics: None,
             label: "stage",
             op: None,
@@ -206,12 +207,16 @@ struct Slot {
     preferred: Option<String>,
     run: TaskFn,
     retries: u32,
-    queue_wait_us: u64,
-    attempts: Vec<TaskAttempt>,
+    /// Attempts run so far.
+    attempts: u32,
+    /// Lane the last attempt ran on.
+    last_lane: usize,
+    /// Modeled cost of the last attempt, its injected delay included.
+    last_cost_us: u64,
     /// Fault verdict for the next attempt, drawn when it was placed.
     injection: Option<Injection>,
-    /// Injected delay of every attempt so far; kept out of the public
-    /// profile and charged to the query clock at stage end.
+    /// Injected delay of every attempt so far, charged to the query clock
+    /// at stage end.
     injected_us: u64,
 }
 
@@ -288,8 +293,9 @@ fn run_attempt(
     (outcome, injected_us)
 }
 
-/// Run a batch of tasks as one observed stage: records per-task profiles
-/// into the stage's timeline and detects stragglers on the virtual clock.
+/// Run a batch of tasks as one observed stage: records it and its task
+/// attempts as spans of the active trace and detects stragglers on the
+/// virtual clock.
 pub fn run_stage(
     config: &ExecutorConfig,
     tasks: Vec<Task>,
@@ -314,11 +320,11 @@ pub fn run_stage(
     metrics.add(&metrics.tasks, n_tasks as u64);
     let preferred = tasks.iter().filter(|t| t.preferred_host.is_some()).count() as u64;
     metrics.add(&metrics.preferred_tasks, preferred);
-    let stage_id = obs
-        .timeline
-        .as_ref()
-        .map(|tl| tl.begin_stage(obs.label, obs.op))
-        .unwrap_or(0);
+    let mut stage = shc_obs::trace::grouping_span("stage");
+    stage.annotate("label", obs.label);
+    if let Some(op) = obs.op {
+        stage.annotate("op", op);
+    }
     let verdict = |lane: usize| obs.faults.as_ref().and_then(|f| f.next(&hosts[lane]));
 
     // Submit-time placement: one FIFO queue per executor lane.
@@ -332,8 +338,9 @@ pub fn run_stage(
             preferred: task.preferred_host,
             run: task.run,
             retries: task.retries,
-            queue_wait_us: 0,
-            attempts: Vec::new(),
+            attempts: 0,
+            last_lane: lane,
+            last_cost_us: 0,
             injection: verdict(lane),
             injected_us: 0,
         });
@@ -345,7 +352,7 @@ pub fn run_stage(
     let mut clocks = vec![0u64; n_exec];
     let mut finished = Vec::with_capacity(n_tasks);
     // Lanes may run on parked workers: carry the driver's trace context
-    // across so task/RPC spans attach to the active query trace.
+    // across so task/RPC spans attach to the stage span.
     let trace_ctx = shc_obs::trace::capture();
     while queues.iter().any(|q| !q.is_empty()) {
         let mut jobs = queues
@@ -385,7 +392,7 @@ pub fn run_stage(
         }
         failed.sort_by_key(|slot| slot.index);
         for mut slot in failed {
-            let attempts_done = slot.attempts.len() as u32;
+            let attempts_done = slot.attempts;
             metrics.add(&metrics.task_retries, 1);
             shc_obs::trace::record_event(
                 shc_obs::Severity::Warn,
@@ -397,15 +404,14 @@ pub fn run_stage(
                     slot.retries + 1
                 ),
             );
-            let from = slot.attempts.last().map_or(0, |a| a.exec);
-            let lane = replace_lane(from, attempts_done, n_exec);
+            let lane = replace_lane(slot.last_lane, attempts_done, n_exec);
             slot.injection = verdict(lane);
             queues[lane].push(slot);
         }
     }
 
     finished.sort_by_key(|f| f.slot.index);
-    finalize_stage(stage_id, finished, obs)
+    finalize_stage(&mut stage, finished, obs)
 }
 
 /// One lane's work for a round. It owns everything the lane uses, so a
@@ -474,8 +480,8 @@ fn spawn_worker() -> Mailbox {
 
 /// Drain one lane's queue for a round, starting at the lane's `clock`: its
 /// lane-relative virtual time, which advances by the modeled cost of each
-/// attempt the lane runs. All timeline timestamps use it (never the shared
-/// query clock) so profiles are byte-identical across runs.
+/// attempt the lane runs. The task spans' lane annotations use it (never
+/// the shared query clock) so timelines are byte-identical across runs.
 fn run_lane(
     lane: usize,
     host: &str,
@@ -486,10 +492,8 @@ fn run_lane(
     let mut finished = Vec::new();
     let mut failed = Vec::new();
     for mut slot in queue {
-        if slot.attempts.is_empty() {
-            slot.queue_wait_us = clock;
-        }
-        let attempt = slot.attempts.len() as u32 + 1;
+        slot.attempts += 1;
+        let attempt = slot.attempts;
         let local = slot.preferred.as_deref() == Some(host);
         if local {
             metrics.add(&metrics.local_tasks, 1);
@@ -501,8 +505,8 @@ fn run_lane(
             sp.annotate("exec", lane);
             sp.annotate("attempt", attempt);
             sp.annotate("local", local);
-            if let Some(tid) = shc_obs::trace::current_trace_id() {
-                sp.annotate("trace_id", format_args!("{tid:#x}"));
+            if let Some(preferred) = &slot.preferred {
+                sp.annotate("preferred", preferred);
             }
         }
         // Attempt cost on the trace's deterministic clock, measured as this
@@ -512,18 +516,21 @@ fn run_lane(
         let cost0 = shc_obs::trace::thread_cost_us();
         let (outcome, injected_us) = run_attempt(&mut slot.run, host, slot.injection.take());
         let cost = shc_obs::trace::thread_cost_us().saturating_sub(cost0) + injected_us;
+        if sp.is_active() {
+            sp.annotate("lane_start_us", clock);
+            sp.annotate("lane_end_us", clock + cost);
+            match &outcome {
+                Err(e) => sp.annotate("error", e),
+                Ok(part) => {
+                    sp.annotate("rows", batches_num_rows(part));
+                    sp.annotate("bytes", batches_byte_size(part));
+                }
+            }
+        }
         drop(sp);
         slot.injected_us += injected_us;
-        slot.attempts.push(TaskAttempt {
-            attempt,
-            exec: lane,
-            host: host.to_string(),
-            start_us: clock,
-            end_us: clock + cost,
-            cost_us: cost,
-            error: outcome.as_ref().err().map(|e| e.to_string()),
-            winner: false,
-        });
+        slot.last_lane = lane;
+        slot.last_cost_us = cost;
         clock += cost;
         match outcome {
             Err(_) if attempt <= slot.retries => failed.push(slot),
@@ -538,10 +545,10 @@ fn run_lane(
 }
 
 /// Stage-end analysis on the driver: straggler detection, deferred clock
-/// charging, histogram recording, and timeline persistence. `finished`
-/// holds every task once, in task order.
+/// charging and histogram recording. `finished` holds every task once, in
+/// task order; `stage` is the stage's span, which records the cutoff.
 fn finalize_stage(
-    stage_id: u64,
+    stage: &mut shc_obs::SpanGuard,
     finished: Vec<Finished>,
     obs: &StageObs,
 ) -> Result<Vec<Partition>> {
@@ -549,7 +556,7 @@ fn finalize_stage(
     let mut runs: Vec<u64> = finished
         .iter()
         .filter(|f| f.outcome.is_ok())
-        .filter_map(|f| f.slot.attempts.last().map(|a| a.cost_us))
+        .map(|f| f.slot.last_cost_us)
         .collect();
     runs.sort_unstable();
     let cutoff = if runs.len() >= 2 {
@@ -558,20 +565,18 @@ fn finalize_stage(
     } else {
         None
     };
+    if let Some(cutoff) = cutoff {
+        stage.annotate("cutoff", cutoff);
+    }
 
     let traced = shc_obs::trace::active();
     let trace_id = shc_obs::trace::current_trace_id().unwrap_or(0);
     let mut injected_us = 0;
-    let mut profiles = Vec::with_capacity(finished.len());
     let mut results = Vec::with_capacity(finished.len());
-    for Finished { mut slot, outcome } in finished {
+    for Finished { slot, outcome } in finished {
         injected_us += slot.injected_us;
-        // The winner is the last attempt of a task that succeeded.
-        let last = slot.attempts.len() - 1;
-        slot.attempts[last].winner = outcome.is_ok();
-        let run_us = slot.attempts[last].cost_us;
-        let straggler = outcome.is_ok() && cutoff.is_some_and(|c| run_us > c);
-        if straggler {
+        let run_us = slot.last_cost_us;
+        if outcome.is_ok() && cutoff.is_some_and(|c| run_us > c) {
             if let Some(tm) = &obs.task_metrics {
                 tm.add(&tm.stragglers, 1);
             }
@@ -579,8 +584,8 @@ fn finalize_stage(
                 shc_obs::Severity::Warn,
                 "straggler",
                 format!(
-                    "stage {} task {} ran {}us (cutoff {}us, k={})",
-                    stage_id,
+                    "{} stage task {} ran {}us (cutoff {}us, k={})",
+                    obs.label,
                     slot.index,
                     run_us,
                     cutoff.unwrap_or(0),
@@ -593,36 +598,10 @@ fn finalize_stage(
                 tm.run_us.record_with_exemplar(run_us, trace_id);
             }
         }
-        if obs.timeline.is_some() {
-            // Sizing an output walks its columns (dictionary columns row by
-            // row): only when a profile will hold the numbers.
-            let (rows, bytes) = match &outcome {
-                Ok(p) => (batches_num_rows(p) as u64, batches_byte_size(p) as u64),
-                Err(_) => (0, 0),
-            };
-            let (host, exec) = (slot.attempts[last].host.clone(), slot.attempts[last].exec);
-            profiles.push(TaskProfile {
-                stage_id,
-                task_index: slot.index,
-                local: slot.preferred.as_deref() == Some(host.as_str()),
-                preferred_host: slot.preferred,
-                host,
-                exec,
-                queue_wait_us: slot.queue_wait_us,
-                run_us,
-                rows,
-                bytes,
-                straggler,
-                attempts: slot.attempts,
-            });
-        }
         results.push(outcome);
     }
     // Every injected delay is charged in full: the stage waited it out.
     shc_obs::trace::advance_us(injected_us);
-    if let Some(tl) = &obs.timeline {
-        tl.record_tasks(profiles);
-    }
     results.into_iter().collect()
 }
 
@@ -631,6 +610,7 @@ mod tests {
     use super::*;
     use crate::columnar::ColumnarBatch;
     use crate::row::Row;
+    use crate::task_timeline::TaskTimeline;
     use crate::value::{DataType, Value};
 
     /// A one-row partition: `id`, and the host that produced it.
@@ -941,6 +921,16 @@ mod tests {
         assert_eq!(results.len(), 100);
     }
 
+    /// Run `stage` under a fresh tracer and read its timeline back.
+    fn traced(stage: impl FnOnce()) -> TaskTimeline {
+        let tracer = shc_obs::Tracer::new();
+        {
+            let _root = tracer.root("query");
+            stage();
+        }
+        TaskTimeline::of(&tracer.finish())
+    }
+
     #[test]
     fn retry_records_full_attempt_chain() {
         let cfg = ExecutorConfig {
@@ -951,16 +941,16 @@ mod tests {
         let metrics = QueryMetrics::new();
         let faults = SchedulerFaults::new();
         faults.fail_once_on_host("h0", "executor lost");
-        let tl = TaskTimeline::new(0, 64);
         let obs = StageObs {
-            timeline: Some(Arc::clone(&tl)),
             faults: Some(faults),
             label: "scan",
             ..StageObs::default()
         };
-        let task = mk_task(Some("h0"), 5).with_retries(1);
-        let results = run_stage(&cfg, vec![task], &metrics, &obs).unwrap();
-        assert_eq!(results.len(), 1);
+        let tl = traced(|| {
+            let task = mk_task(Some("h0"), 5).with_retries(1);
+            let results = run_stage(&cfg, vec![task], &metrics, &obs).unwrap();
+            assert_eq!(results.len(), 1);
+        });
         let tasks = tl.tasks();
         assert_eq!(tasks.len(), 1);
         let t = &tasks[0];
@@ -988,18 +978,14 @@ mod tests {
             let metrics = QueryMetrics::new();
             let faults = SchedulerFaults::new();
             faults.delay_once_on_host("h1", 50_000);
-            let tl = TaskTimeline::new(0, 64);
             let tm = TaskMetrics::new();
             let obs = StageObs {
-                timeline: Some(Arc::clone(&tl)),
                 task_metrics: Some(Arc::clone(&tm)),
                 faults: Some(faults),
                 label: "scan",
                 ..StageObs::default()
             };
-            let tracer = shc_obs::Tracer::new();
-            {
-                let _root = tracer.root("query");
+            let tl = traced(|| {
                 let tasks: Vec<Task> = (0..3)
                     .map(|i| {
                         let pref = format!("h{i}");
@@ -1007,7 +993,7 @@ mod tests {
                     })
                     .collect();
                 run_stage(&cfg, tasks, &metrics, &obs).unwrap();
-            }
+            });
             (tl, tm)
         };
         let (tl, tm) = run();
@@ -1016,7 +1002,7 @@ mod tests {
         assert_eq!(tl.stage_stats()[0].stragglers, 1);
         let straggler = tl
             .tasks()
-            .into_iter()
+            .iter()
             .find(|t| t.straggler)
             .expect("straggler profiled");
         assert_eq!(straggler.host, "h1");
@@ -1037,16 +1023,12 @@ mod tests {
             let faults = SchedulerFaults::new();
             faults.fail_once_on_host("h0", "executor lost");
             faults.fail_once_on_host("h0", "executor lost");
-            let tl = TaskTimeline::new(0, 64);
             let obs = StageObs {
-                timeline: Some(Arc::clone(&tl)),
                 faults: Some(faults),
                 label: "scan",
                 ..StageObs::default()
             };
-            let tracer = shc_obs::Tracer::new();
-            {
-                let _root = tracer.root("query");
+            let tl = traced(|| {
                 let tasks: Vec<Task> = (0..4)
                     .map(|i| {
                         Task::new(Some(format!("h{}", i % 2)), move |_| {
@@ -1057,7 +1039,7 @@ mod tests {
                     })
                     .collect();
                 run_stage(&cfg, tasks, &metrics, &obs).unwrap();
-            }
+            });
             assert_eq!(metrics.snapshot().task_retries, 2);
             tl
         };
@@ -1091,15 +1073,11 @@ mod tests {
         };
         let run = || {
             let metrics = QueryMetrics::new();
-            let tl = TaskTimeline::new(0, 64);
             let obs = StageObs {
-                timeline: Some(Arc::clone(&tl)),
                 label: "map",
                 ..StageObs::default()
             };
-            let tracer = shc_obs::Tracer::new();
-            {
-                let _root = tracer.root("query");
+            traced(|| {
                 let tasks: Vec<Task> = (0..3)
                     .map(|i| {
                         Task::new(None, move |_| {
@@ -1109,8 +1087,7 @@ mod tests {
                     })
                     .collect();
                 run_stage(&cfg, tasks, &metrics, &obs).unwrap();
-            }
-            tl
+            })
         };
         let tl = run();
         let tasks = tl.tasks();

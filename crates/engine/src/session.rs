@@ -81,12 +81,12 @@ pub struct Session {
     events: Arc<EventJournal>,
     /// Threshold alert rules, evaluated on demand (`system.alerts` scans).
     alerts: Arc<AlertEngine>,
-    /// Recent finished runs, oldest first: each query's trace, keyed by
-    /// TraceId through [`trace_for`](Self::trace_for) — what makes a slow
-    /// query's TraceId resolvable to an exportable Chrome trace — and its
-    /// task timeline, which backs `system.task_timeline` and
-    /// `system.stage_stats`.
-    runs: Mutex<VecDeque<(Trace, Arc<TaskTimeline>)>>,
+    /// Recent finished runs' traces, oldest first, keyed by TraceId through
+    /// [`trace_for`](Self::trace_for) — what makes a slow query's TraceId
+    /// resolvable to an exportable Chrome trace. Each one's task timeline,
+    /// which backs `system.task_timeline` and `system.stage_stats`, is read
+    /// from it ([`TaskTimeline::of`]).
+    runs: Mutex<VecDeque<Trace>>,
     /// Flight-recorder dump captured when the most recent query errored or
     /// tripped the slow threshold.
     last_event_dump: Mutex<Option<String>>,
@@ -181,10 +181,9 @@ impl Session {
         self.next_trace_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Remember a finished run's trace and task timeline so its TraceId
-    /// stays resolvable (bounded by the query-log capacity; oldest evicted
-    /// first).
-    pub fn store_run(&self, trace: Trace, timeline: Arc<TaskTimeline>) {
+    /// Remember a finished run's trace so its TraceId stays resolvable
+    /// (bounded by the query-log capacity; oldest evicted first).
+    pub fn store_run(&self, trace: Trace) {
         let capacity = self.query_log.capacity();
         if capacity == 0 {
             return;
@@ -193,7 +192,7 @@ impl Session {
         if runs.len() == capacity {
             runs.pop_front();
         }
-        runs.push_back((trace, timeline));
+        runs.push_back(trace);
     }
 
     /// Resolve a TraceId recorded in `system.queries` to its trace.
@@ -201,8 +200,8 @@ impl Session {
         self.runs
             .lock()
             .iter()
-            .find(|(t, _)| t.trace_id == trace_id)
-            .map(|(t, _)| t.clone())
+            .find(|t| t.trace_id == trace_id)
+            .cloned()
     }
 
     /// Scheduler task metrics (the straggler counter and the
@@ -217,19 +216,15 @@ impl Session {
         &self.shuffle_edges
     }
 
-    /// The most recently stored task timeline, if any.
-    pub fn last_timeline(&self) -> Option<Arc<TaskTimeline>> {
-        self.runs.lock().back().map(|(_, tl)| Arc::clone(tl))
+    /// The task timeline of the most recently stored run, if any.
+    pub fn last_timeline(&self) -> Option<TaskTimeline> {
+        self.runs.lock().back().map(TaskTimeline::of)
     }
 
-    /// All retained task timelines, oldest first (backs
+    /// The task timelines of all retained runs, oldest first (backs
     /// `system.task_timeline` and `system.stage_stats`).
-    pub fn timelines(&self) -> Vec<Arc<TaskTimeline>> {
-        self.runs
-            .lock()
-            .iter()
-            .map(|(_, tl)| Arc::clone(tl))
-            .collect()
+    pub fn timelines(&self) -> Vec<TaskTimeline> {
+        self.runs.lock().iter().map(TaskTimeline::of).collect()
     }
 
     /// The flight-recorder dump captured by the most recent slow or errored
@@ -319,7 +314,6 @@ impl Session {
             metrics: Arc::clone(&self.metrics),
             task_metrics: Arc::clone(&self.task_metrics),
             shuffle_edges: Arc::clone(&self.shuffle_edges),
-            timeline: None,
             broadcast_threshold: cfg.broadcast_threshold,
             batch_size: cfg.batch_size,
             sched_faults: cfg.scheduler_faults.clone(),

@@ -1,24 +1,31 @@
-//! Per-query task-execution timeline: the scheduler's flight recorder.
+//! Per-query task-execution timeline, read from the query's trace.
 //!
-//! Every stage the scheduler runs appends one [`TaskProfile`] per task into
-//! a bounded per-query [`TaskTimeline`]: where the task wanted to run vs
-//! where it ran, how long it waited behind earlier work on its executor
-//! lane, the modeled cost of every attempt (failed ones included — attempt
-//! chains survive retries), and the rows/bytes it produced.
+//! The scheduler records every stage it runs as a `stage` span (annotated
+//! with its `label`, its operator `op` when known, and the straggler
+//! `cutoff` it applied) and every task attempt as a `task` span under it,
+//! annotated with where the attempt ran (`index`, `attempt`, `exec`,
+//! `host`, `preferred`), its lane-relative interval (`lane_start_us`,
+//! `lane_end_us`) and its outcome (`error`, or the `rows`/`bytes` it
+//! produced). [`TaskTimeline::of`] rebuilds one [`TaskProfile`] per task
+//! from those spans: where the task wanted to run vs where it ran, how
+//! long it waited behind earlier work on its executor lane, the modeled
+//! cost of every attempt (failed ones included — attempt chains survive
+//! retries), and the rows/bytes it produced.
 //! [`TaskTimeline::stage_stats`] aggregates the profiles into per-stage
 //! skew statistics (rows/bytes min/median/max, skew ratio, locality hit
-//! ratio, straggler count) — the numbers
-//! behind `system.task_timeline`, `system.stage_stats`, the `skew:` /
-//! `locality:` lines in `explain_analyze`, and the `stage_skew_high`
-//! alert.
+//! ratio, straggler count) — the numbers behind `system.task_timeline`,
+//! `system.stage_stats`, the `skew:` / `locality:` lines in
+//! `explain_analyze`, and the `stage_skew_high` alert.
 //!
 //! All times are **lane-relative virtual microseconds**: each executor
 //! lane starts at 0 for the stage and advances by the modeled cost of the
 //! attempts it runs, so the same query over the same data yields a
-//! byte-identical timeline regardless of thread interleaving (the shared
-//! query clock, by contrast, interleaves charges from all lanes).
+//! byte-identical timeline regardless of thread interleaving (the spans'
+//! own intervals, on the shared query clock, interleave charges from all
+//! lanes).
 
-use parking_lot::Mutex;
+use shc_obs::{SpanRecord, Trace};
+use std::collections::HashMap;
 
 /// One attempt of one task: where it ran and what it cost. Failed attempts
 /// keep their error; the attempt that produced the task's result is marked
@@ -72,9 +79,10 @@ pub struct TaskProfile {
 /// One scheduler stage: a batch of tasks submitted together.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageRecord {
+    /// The stage's position among the query's stages, from 0.
     pub stage_id: u64,
     /// What the stage computed: `scan`, `probe`, `map`, …
-    pub label: &'static str,
+    pub label: String,
     /// Operator id (pre-order index in the physical plan) when known.
     pub op: Option<usize>,
 }
@@ -83,7 +91,7 @@ pub struct StageRecord {
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageStats {
     pub stage_id: u64,
-    pub label: &'static str,
+    pub label: String,
     pub tasks: u64,
     pub rows_min: u64,
     pub rows_median: u64,
@@ -105,34 +113,119 @@ pub struct StageStats {
     pub stragglers: u64,
 }
 
-#[derive(Default)]
-struct TimelineInner {
-    next_stage_id: u64,
-    stages: Vec<StageRecord>,
-    tasks: Vec<TaskProfile>,
-    /// Profiles discarded once `tasks` hit the capacity bound.
-    dropped: u64,
-}
-
-/// Bounded per-query recorder of stage and task profiles. One is created
-/// per traced `collect()` and kept by the session (joinable on TraceId via
-/// `system.task_timeline` / `system.stage_stats`).
+/// The stage and task records of one finished query, as its trace holds
+/// them. Tasks are in stage order, and in task order within a stage.
+#[derive(Clone, Debug, Default)]
 pub struct TaskTimeline {
     trace_id: u64,
-    capacity: usize,
-    inner: Mutex<TimelineInner>,
+    stages: Vec<StageRecord>,
+    tasks: Vec<TaskProfile>,
 }
 
-/// Default bound on profiles kept per query.
-pub const DEFAULT_TIMELINE_CAPACITY: usize = 4096;
+/// One `task` span, read: the attempt plus what its task carries.
+struct SeenAttempt {
+    stage: u64,
+    index: usize,
+    preferred: Option<String>,
+    rows: u64,
+    bytes: u64,
+    attempt: TaskAttempt,
+}
+
+fn num(span: &SpanRecord, key: &str) -> Option<u64> {
+    span.attr(key).and_then(|v| v.parse().ok())
+}
 
 impl TaskTimeline {
-    pub fn new(trace_id: u64, capacity: usize) -> std::sync::Arc<Self> {
-        std::sync::Arc::new(TaskTimeline {
-            trace_id,
-            capacity: capacity.max(1),
-            inner: Mutex::new(TimelineInner::default()),
-        })
+    /// Read the timeline of the query `trace` recorded: its `stage` spans
+    /// in allocation order (so in submission order), each with the `task`
+    /// spans under it. One pass over the spans — a parent precedes its
+    /// children — plus a sort of the attempts.
+    pub fn of(trace: &Trace) -> TaskTimeline {
+        let mut stages = Vec::new();
+        let mut cutoffs = Vec::new();
+        // Stage span id → its position in `stages`.
+        let mut stage_of: HashMap<u64, u64> = HashMap::new();
+        let mut seen = Vec::new();
+        for span in &trace.spans {
+            match span.name {
+                "stage" => {
+                    let stage_id = stages.len() as u64;
+                    stage_of.insert(span.id, stage_id);
+                    stages.push(StageRecord {
+                        stage_id,
+                        label: span.attr("label").unwrap_or("stage").to_string(),
+                        op: num(span, "op").map(|op| op as usize),
+                    });
+                    cutoffs.push(num(span, "cutoff"));
+                }
+                "task" => {
+                    let Some(&stage) = span.parent.and_then(|p| stage_of.get(&p)) else {
+                        continue;
+                    };
+                    let start_us = num(span, "lane_start_us").unwrap_or(0);
+                    let end_us = num(span, "lane_end_us").unwrap_or(start_us);
+                    seen.push(SeenAttempt {
+                        stage,
+                        index: num(span, "index").unwrap_or(0) as usize,
+                        preferred: span.attr("preferred").map(str::to_string),
+                        rows: num(span, "rows").unwrap_or(0),
+                        bytes: num(span, "bytes").unwrap_or(0),
+                        attempt: TaskAttempt {
+                            attempt: num(span, "attempt").unwrap_or(1) as u32,
+                            exec: num(span, "exec").unwrap_or(0) as usize,
+                            host: span.attr("host").unwrap_or_default().to_string(),
+                            start_us,
+                            end_us,
+                            cost_us: end_us.saturating_sub(start_us),
+                            error: span.attr("error").map(str::to_string),
+                            winner: false,
+                        },
+                    });
+                }
+                _ => {}
+            }
+        }
+        seen.sort_by_key(|s| (s.stage, s.index, s.attempt.attempt));
+
+        let mut tasks: Vec<TaskProfile> = Vec::new();
+        for s in seen {
+            match tasks.last_mut() {
+                Some(t) if (t.stage_id, t.task_index) == (s.stage, s.index) => {
+                    t.attempts.push(s.attempt);
+                    (t.rows, t.bytes) = (s.rows, s.bytes);
+                }
+                _ => tasks.push(TaskProfile {
+                    stage_id: s.stage,
+                    task_index: s.index,
+                    preferred_host: s.preferred,
+                    host: String::new(),
+                    exec: 0,
+                    local: false,
+                    queue_wait_us: s.attempt.start_us,
+                    run_us: 0,
+                    rows: s.rows,
+                    bytes: s.bytes,
+                    straggler: false,
+                    attempts: vec![s.attempt],
+                }),
+            }
+        }
+        // The last attempt decides: it ran the task to its result or error.
+        for t in &mut tasks {
+            let last = t.attempts.last_mut().expect("a task has an attempt");
+            last.winner = last.error.is_none();
+            t.host = last.host.clone();
+            t.exec = last.exec;
+            t.run_us = last.cost_us;
+            t.local = t.preferred_host.as_deref() == Some(t.host.as_str());
+            t.straggler = last.winner && cutoffs[t.stage_id as usize].is_some_and(|c| t.run_us > c);
+        }
+        TaskTimeline {
+            trace_id: trace.trace_id,
+            stages,
+            tasks,
+        }
     }
 
     /// TraceId of the query this timeline records (0 = anonymous).
@@ -140,61 +233,27 @@ impl TaskTimeline {
         self.trace_id
     }
 
-    /// Open the next stage, returning its id. Stage ids are allocated in
-    /// submission order (scheduler stages are serialized on the driver).
-    pub fn begin_stage(&self, label: &'static str, op: Option<usize>) -> u64 {
-        let mut inner = self.inner.lock();
-        let stage_id = inner.next_stage_id;
-        inner.next_stage_id += 1;
-        inner.stages.push(StageRecord {
-            stage_id,
-            label,
-            op,
-        });
-        stage_id
+    pub fn stages(&self) -> &[StageRecord] {
+        &self.stages
     }
 
-    /// Append the finished profiles of one stage, dropping (and counting)
-    /// whatever exceeds the capacity bound.
-    pub fn record_tasks(&self, profiles: Vec<TaskProfile>) {
-        let mut inner = self.inner.lock();
-        for p in profiles {
-            if inner.tasks.len() < self.capacity {
-                inner.tasks.push(p);
-            } else {
-                inner.dropped += 1;
-            }
-        }
+    pub fn tasks(&self) -> &[TaskProfile] {
+        &self.tasks
     }
 
-    pub fn stages(&self) -> Vec<StageRecord> {
-        self.inner.lock().stages.clone()
+    /// The tasks of one stage, in task order.
+    fn tasks_of(&self, stage_id: u64) -> &[TaskProfile] {
+        let from = self.tasks.partition_point(|t| t.stage_id < stage_id);
+        let to = self.tasks.partition_point(|t| t.stage_id <= stage_id);
+        &self.tasks[from..to]
     }
 
-    pub fn tasks(&self) -> Vec<TaskProfile> {
-        self.inner.lock().tasks.clone()
-    }
-
-    /// Profiles discarded because the timeline was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// Aggregate the recorded profiles into per-stage statistics, in stage
-    /// order. Stages whose profiles were all dropped report zero tasks.
+    /// Aggregate the task profiles into per-stage statistics, in stage
+    /// order.
     pub fn stage_stats(&self) -> Vec<StageStats> {
-        let inner = self.inner.lock();
-        inner
-            .stages
+        self.stages
             .iter()
-            .map(|stage| {
-                let tasks: Vec<&TaskProfile> = inner
-                    .tasks
-                    .iter()
-                    .filter(|t| t.stage_id == stage.stage_id)
-                    .collect();
-                stats_for(stage, &tasks)
-            })
+            .map(|stage| stats_for(stage, self.tasks_of(stage.stage_id)))
             .collect()
     }
 
@@ -228,10 +287,7 @@ impl TaskTimeline {
                 s.run_max_us,
                 s.stragglers,
             ));
-            let mut tasks = self.tasks();
-            tasks.retain(|t| t.stage_id == s.stage_id);
-            tasks.sort_by_key(|t| t.task_index);
-            for t in tasks {
+            for t in self.tasks_of(s.stage_id) {
                 out.push_str(&format!(
                     "  task {} pref={} host={} exec={} local={} wait={}us run={}us \
                      rows={} bytes={} straggler={}\n",
@@ -264,9 +320,6 @@ impl TaskTimeline {
                 }
             }
         }
-        if self.dropped() > 0 {
-            out.push_str(&format!("(+{} task profiles dropped)\n", self.dropped()));
-        }
         out
     }
 }
@@ -280,7 +333,7 @@ fn median_sorted(sorted: &[u64]) -> u64 {
     }
 }
 
-fn stats_for(stage: &StageRecord, tasks: &[&TaskProfile]) -> StageStats {
+fn stats_for(stage: &StageRecord, tasks: &[TaskProfile]) -> StageStats {
     let mut rows: Vec<u64> = tasks.iter().map(|t| t.rows).collect();
     let mut bytes: Vec<u64> = tasks.iter().map(|t| t.bytes).collect();
     let mut runs: Vec<u64> = tasks.iter().map(|t| t.run_us).collect();
@@ -305,7 +358,7 @@ fn stats_for(stage: &StageRecord, tasks: &[&TaskProfile]) -> StageStats {
         .count();
     StageStats {
         stage_id: stage.stage_id,
-        label: stage.label,
+        label: stage.label.clone(),
         tasks: tasks.len() as u64,
         rows_min: rows.first().copied().unwrap_or(0),
         rows_median,
@@ -331,42 +384,57 @@ fn stats_for(stage: &StageRecord, tasks: &[&TaskProfile]) -> StageStats {
 mod tests {
     use super::*;
 
-    fn profile(stage: u64, idx: usize, rows: u64, run: u64) -> TaskProfile {
-        TaskProfile {
-            stage_id: stage,
-            task_index: idx,
-            preferred_host: Some("h0".into()),
-            host: "h0".into(),
-            exec: 0,
-            local: true,
-            queue_wait_us: idx as u64,
-            run_us: run,
-            rows,
-            bytes: rows * 24,
-            straggler: false,
-            attempts: vec![TaskAttempt {
-                attempt: 1,
-                exec: 0,
-                host: "h0".into(),
-                start_us: 0,
-                end_us: run,
-                cost_us: run,
-                error: None,
-                winner: true,
-            }],
+    fn span(
+        id: u64,
+        parent: Option<u64>,
+        name: &'static str,
+        attrs: &[(&'static str, &str)],
+    ) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name,
+            start_us: id,
+            end_us: id + 1,
+            attrs: attrs.iter().map(|(k, v)| (*k, v.to_string())).collect(),
         }
+    }
+
+    /// The `task` span of a successful first attempt on `h0`, preferring
+    /// `h0`, that waited `index` µs and ran `run` µs.
+    fn task(id: u64, stage: u64, index: usize, rows: u64, run: u64) -> SpanRecord {
+        let wait = index as u64;
+        let attrs = [
+            ("index", index.to_string()),
+            ("attempt", "1".into()),
+            ("exec", "0".into()),
+            ("host", "h0".into()),
+            ("preferred", "h0".into()),
+            ("lane_start_us", wait.to_string()),
+            ("lane_end_us", (wait + run).to_string()),
+            ("rows", rows.to_string()),
+            ("bytes", (rows * 24).to_string()),
+        ];
+        let attrs: Vec<_> = attrs.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        span(id, Some(stage), "task", &attrs)
+    }
+
+    fn trace(spans: Vec<SpanRecord>) -> Trace {
+        Trace { trace_id: 7, spans }
     }
 
     #[test]
     fn stage_stats_report_skew_and_locality() {
-        let tl = TaskTimeline::new(7, 128);
-        let sid = tl.begin_stage("scan", Some(2));
-        tl.record_tasks(vec![
-            profile(sid, 0, 200, 400),
-            profile(sid, 1, 5, 10),
-            profile(sid, 2, 5, 10),
-            profile(sid, 3, 5, 10),
-        ]);
+        let tl = TaskTimeline::of(&trace(vec![
+            span(0, None, "query", &[]),
+            span(1, Some(0), "stage", &[("label", "scan"), ("op", "2")]),
+            task(2, 1, 0, 200, 400),
+            task(3, 1, 1, 5, 10),
+            task(4, 1, 2, 5, 10),
+            task(5, 1, 3, 5, 10),
+        ]));
+        assert_eq!(tl.trace_id(), 7);
+        assert_eq!(tl.stages()[0].op, Some(2));
         let stats = tl.stage_stats();
         assert_eq!(stats.len(), 1);
         let s = &stats[0];
@@ -376,12 +444,16 @@ mod tests {
         assert_eq!(s.locality_hit_ratio, Some(1.0));
         assert_eq!((s.run_min_us, s.run_median_us, s.run_max_us), (10, 10, 400));
         assert_eq!(s.queue_wait_max_us, 3);
+        // No cutoff on the stage span, no straggler.
+        assert_eq!(s.stragglers, 0);
     }
 
     #[test]
     fn empty_stage_has_no_ratios() {
-        let tl = TaskTimeline::new(0, 4);
-        tl.begin_stage("map", None);
+        let tl = TaskTimeline::of(&trace(vec![
+            span(0, None, "query", &[]),
+            span(1, Some(0), "stage", &[("label", "map")]),
+        ]));
         let s = &tl.stage_stats()[0];
         assert_eq!(s.tasks, 0);
         assert_eq!(s.skew_ratio, None);
@@ -389,41 +461,43 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_drops_and_counts() {
-        let tl = TaskTimeline::new(0, 2);
-        let sid = tl.begin_stage("scan", None);
-        tl.record_tasks((0..5).map(|i| profile(sid, i, 1, 1)).collect());
-        assert_eq!(tl.tasks().len(), 2);
-        assert_eq!(tl.dropped(), 3);
-        assert!(tl.render().contains("(+3 task profiles dropped)"));
-    }
-
-    #[test]
     fn render_is_deterministic_and_shows_attempt_chains() {
-        let mk = || {
-            let tl = TaskTimeline::new(9, 16);
-            let sid = tl.begin_stage("scan", Some(1));
-            let mut p = profile(sid, 0, 10, 50);
-            p.attempts.insert(
-                0,
-                TaskAttempt {
-                    attempt: 1,
-                    exec: 1,
-                    host: "h1".into(),
-                    start_us: 0,
-                    end_us: 5,
-                    cost_us: 5,
-                    error: Some("executor lost".into()),
-                    winner: false,
-                },
-            );
-            p.attempts[1].attempt = 2;
-            tl.record_tasks(vec![p]);
-            tl.render()
-        };
-        let a = mk();
-        assert_eq!(a, mk());
-        assert!(a.contains("error=executor lost"));
-        assert!(a.contains("winner"));
+        let failed = span(
+            2,
+            Some(1),
+            "task",
+            &[
+                ("index", "0"),
+                ("attempt", "1"),
+                ("exec", "1"),
+                ("host", "h1"),
+                ("preferred", "h0"),
+                ("lane_start_us", "0"),
+                ("lane_end_us", "5"),
+                ("error", "executor lost"),
+            ],
+        );
+        let mut retry = task(3, 1, 0, 10, 50);
+        retry.attrs[1].1 = "2".into();
+        let tl = TaskTimeline::of(&trace(vec![
+            span(0, None, "query", &[]),
+            span(1, Some(0), "stage", &[("label", "scan"), ("cutoff", "40")]),
+            retry,
+            failed,
+        ]));
+        let t = &tl.tasks()[0];
+        assert_eq!(t.attempts.len(), 2, "both attempts, in attempt order");
+        assert!(!t.attempts[0].winner);
+        assert!(t.attempts[1].winner);
+        assert!(t.local && t.straggler, "50us ran past the 40us cutoff");
+        assert_eq!(
+            tl.render(),
+            "stage 0 [scan]: tasks=1 rows=10/10/10 bytes=240/240/240 skew=1.00 \
+             locality=1.00 wait_max=0us run=50/50/50us stragglers=1\n\
+             \x20 task 0 pref=h0 host=h0 exec=0 local=true wait=0us run=50us rows=10 \
+             bytes=240 straggler=true\n\
+             \x20   attempt 1 exec=1 host=h1 [0..5] 5us error=executor lost\n\
+             \x20   attempt 2 exec=0 host=h0 [0..50] 50us winner\n"
+        );
     }
 }

@@ -178,7 +178,7 @@ impl Tracer {
     /// until the returned guard drops.
     pub fn root(&self, name: &'static str) -> SpanGuard {
         let buffer = self.buffer_for_current_thread();
-        start_span(self.clone(), buffer, None, name)
+        start_span(self.clone(), buffer, None, name, true)
     }
 
     /// Merge all per-thread buffers into one [`Trace`]. Call after every
@@ -203,9 +203,14 @@ fn start_span(
     buffer: Arc<ThreadBuffer>,
     parent: Option<u64>,
     name: &'static str,
+    ticks: bool,
 ) -> SpanGuard {
     let id = tracer.next_id();
-    let start_us = tracer.now_us();
+    let start_us = if ticks {
+        tracer.now_us()
+    } else {
+        tracer.peek_us()
+    };
     STACK.with(|s| {
         s.borrow_mut().push(Frame {
             tracer: tracer.clone(),
@@ -217,6 +222,7 @@ fn start_span(
         data: Some(SpanData {
             tracer,
             buffer,
+            ticks,
             record: SpanRecord {
                 id,
                 parent,
@@ -233,6 +239,17 @@ fn start_span(
 /// inert guard when no tracer is active. This is the instrumentation entry
 /// point used throughout the engine and the kvstore.
 pub fn span(name: &'static str) -> SpanGuard {
+    child_span(name, true)
+}
+
+/// Like [`span`], but the span reads the virtual clock without ticking it,
+/// at either end: a span that only groups its children (a scheduler stage)
+/// and so moves no other span's interval, its parent's included.
+pub fn grouping_span(name: &'static str) -> SpanGuard {
+    child_span(name, false)
+}
+
+fn child_span(name: &'static str, ticks: bool) -> SpanGuard {
     let top = STACK.with(|s| {
         s.borrow()
             .last()
@@ -240,7 +257,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     });
     match top {
         None => SpanGuard { data: None },
-        Some((tracer, buffer, parent)) => start_span(tracer, buffer, Some(parent), name),
+        Some((tracer, buffer, parent)) => start_span(tracer, buffer, Some(parent), name, ticks),
     }
 }
 
@@ -362,6 +379,8 @@ impl Drop for ContextGuard {
 struct SpanData {
     tracer: Tracer,
     buffer: Arc<ThreadBuffer>,
+    /// Whether opening and closing the span tick the clock.
+    ticks: bool,
     record: SpanRecord,
 }
 
@@ -388,7 +407,11 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(mut d) = self.data.take() {
-            d.record.end_us = d.tracer.now_us();
+            d.record.end_us = if d.ticks {
+                d.tracer.now_us()
+            } else {
+                d.tracer.peek_us()
+            };
             STACK.with(|s| {
                 let popped = s.borrow_mut().pop();
                 debug_assert_eq!(
@@ -837,6 +860,36 @@ mod tests {
             ]
             .concat()
         );
+    }
+
+    #[test]
+    fn a_grouping_span_moves_no_other_span() {
+        let run = |grouped: bool| {
+            let tracer = Tracer::new();
+            {
+                let _r = tracer.root("query");
+                let _g = grouped.then(|| grouping_span("stage"));
+                let _t = span("task");
+                advance_us(10);
+            }
+            tracer.finish()
+        };
+        let (plain, grouped) = (run(false), run(true));
+        assert!(grouped.is_well_formed());
+        let interval = |t: &Trace, name| {
+            let s = t.spans_named(name)[0];
+            (s.start_us, s.end_us)
+        };
+        for name in ["query", "task"] {
+            assert_eq!(interval(&plain, name), interval(&grouped, name));
+        }
+        // The stage spans its task, which is its child.
+        let (stage, task) = (
+            grouped.spans_named("stage")[0],
+            grouped.spans_named("task")[0],
+        );
+        assert_eq!(task.parent, Some(stage.id));
+        assert!(stage.start_us <= task.start_us && task.end_us < stage.end_us);
     }
 
     #[test]

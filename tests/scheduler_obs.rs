@@ -80,11 +80,7 @@ fn straggler_detector_fires_exactly_once_with_query_trace_id() {
     );
     // The timeline marks exactly the delayed task.
     let timeline = session.last_timeline().unwrap();
-    let flagged: Vec<_> = timeline
-        .tasks()
-        .into_iter()
-        .filter(|t| t.straggler)
-        .collect();
+    let flagged: Vec<_> = timeline.tasks().iter().filter(|t| t.straggler).collect();
     assert_eq!(flagged.len(), 1);
     assert_eq!(flagged[0].host, "h1");
 }
@@ -114,7 +110,7 @@ fn retries_keep_full_attempt_chains_and_shuffle_edges_are_attributed() {
     let timeline = session.last_timeline().unwrap();
     let retried: Vec<_> = timeline
         .tasks()
-        .into_iter()
+        .iter()
         .filter(|t| t.attempts.len() == 2)
         .collect();
     assert_eq!(retried.len(), 1, "one injected failure, one retried task");
@@ -317,3 +313,125 @@ fn straggler_spike_alert_fires_once_then_clears() {
     assert_eq!(state, "ok");
     assert_eq!(fired, 1, "clearing must not re-fire");
 }
+
+// ----------------------------------------------------------------------
+// Golden timelines: what the scheduler recorded for a straggler, a retry
+// and q39a, rendered byte for byte.
+// ----------------------------------------------------------------------
+
+fn fault_timeline(faults: Arc<SchedulerFaults>) -> String {
+    let session = obs_session(Some(faults));
+    session.sql(QUERY).unwrap().collect().unwrap();
+    session.last_timeline().unwrap().render()
+}
+
+#[test]
+fn a_delayed_host_renders_the_golden_timeline() {
+    assert_eq!(fault_timeline(delayed_faults()), STRAGGLER_TIMELINE);
+}
+
+#[test]
+fn a_failed_attempt_renders_the_golden_timeline() {
+    let faults = SchedulerFaults::new();
+    faults.fail_once_on_host("h0", "executor lost");
+    assert_eq!(fault_timeline(faults), RETRY_TIMELINE);
+}
+
+/// q39a over in-memory TPC-DS tables on a two-executor pool.
+#[test]
+fn q39a_over_memtables_renders_the_golden_timeline() {
+    let generator = Generator::new(Scale::from_gb(10.0), 2018);
+    let session = Session::new(SessionConfig {
+        executors: ExecutorConfig {
+            num_executors: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    shc::tpcds::load_into_memory(&session, &generator, &Table::Q39_TABLES, 5);
+    let sql = shc::tpcds::queries::q39a(2001, 1);
+    session.sql(&sql).unwrap().collect().unwrap();
+    assert_eq!(session.last_timeline().unwrap().render(), Q39A_TIMELINE);
+}
+
+const STRAGGLER_TIMELINE: &str = r"stage 0 [scan]: tasks=6 rows=600/600/600 bytes=8400/8400/8400 skew=1.00 locality=- wait_max=50002us run=2/2/50002us stragglers=1
+  task 0 pref=- host=h0 exec=0 local=false wait=0us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=0 host=h0 [0..2] 2us winner
+  task 1 pref=- host=h1 exec=1 local=false wait=0us run=50002us rows=600 bytes=8400 straggler=true
+    attempt 1 exec=1 host=h1 [0..50002] 50002us winner
+  task 2 pref=- host=h2 exec=2 local=false wait=0us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=2 host=h2 [0..2] 2us winner
+  task 3 pref=- host=h0 exec=0 local=false wait=2us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=0 host=h0 [2..4] 2us winner
+  task 4 pref=- host=h1 exec=1 local=false wait=50002us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=1 host=h1 [50002..50004] 2us winner
+  task 5 pref=- host=h2 exec=2 local=false wait=2us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=2 host=h2 [2..4] 2us winner
+stage 1 [map]: tasks=1 rows=3/3/3 bytes=66/66/66 skew=1.00 locality=- wait_max=0us run=0/0/0us stragglers=0
+  task 0 pref=- host=h0 exec=0 local=false wait=0us run=0us rows=3 bytes=66 straggler=false
+    attempt 1 exec=0 host=h0 [0..0] 0us winner
+";
+
+const RETRY_TIMELINE: &str = r"stage 0 [scan]: tasks=6 rows=600/600/600 bytes=8400/8400/8400 skew=1.00 locality=- wait_max=2us run=2/2/2us stragglers=0
+  task 0 pref=- host=h1 exec=1 local=false wait=0us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=0 host=h0 [0..0] 0us error=execution error: executor lost
+    attempt 2 exec=1 host=h1 [4..6] 2us winner
+  task 1 pref=- host=h1 exec=1 local=false wait=0us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=1 host=h1 [0..2] 2us winner
+  task 2 pref=- host=h2 exec=2 local=false wait=0us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=2 host=h2 [0..2] 2us winner
+  task 3 pref=- host=h0 exec=0 local=false wait=0us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=0 host=h0 [0..2] 2us winner
+  task 4 pref=- host=h1 exec=1 local=false wait=2us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=1 host=h1 [2..4] 2us winner
+  task 5 pref=- host=h2 exec=2 local=false wait=2us run=2us rows=600 bytes=8400 straggler=false
+    attempt 1 exec=2 host=h2 [2..4] 2us winner
+stage 1 [map]: tasks=1 rows=3/3/3 bytes=66/66/66 skew=1.00 locality=- wait_max=0us run=0/0/0us stragglers=0
+  task 0 pref=- host=h0 exec=0 local=false wait=0us run=0us rows=3 bytes=66 straggler=false
+    attempt 1 exec=0 host=h0 [0..0] 0us winner
+";
+
+const Q39A_TIMELINE: &str = r"stage 0 [scan]: tasks=1 rows=30/30/30 bytes=720/720/720 skew=1.00 locality=- wait_max=0us run=2/2/2us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=2us rows=30 bytes=720 straggler=false
+    attempt 1 exec=0 host=localhost [0..2] 2us winner
+stage 1 [scan]: tasks=5 rows=590/591/641 bytes=30680/30732/33332 skew=1.08 locality=- wait_max=4us run=2/2/2us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=2us rows=590 bytes=30680 straggler=false
+    attempt 1 exec=0 host=localhost [0..2] 2us winner
+  task 1 pref=- host=localhost exec=1 local=false wait=0us run=2us rows=591 bytes=30732 straggler=false
+    attempt 1 exec=1 host=localhost [0..2] 2us winner
+  task 2 pref=- host=localhost exec=0 local=false wait=2us run=2us rows=641 bytes=33332 straggler=false
+    attempt 1 exec=0 host=localhost [2..4] 2us winner
+  task 3 pref=- host=localhost exec=1 local=false wait=2us run=2us rows=619 bytes=32188 straggler=false
+    attempt 1 exec=1 host=localhost [2..4] 2us winner
+  task 4 pref=- host=localhost exec=0 local=false wait=4us run=2us rows=591 bytes=30732 straggler=false
+    attempt 1 exec=0 host=localhost [4..6] 2us winner
+stage 2 [scan]: tasks=1 rows=120/120/120 bytes=1920/1920/1920 skew=1.00 locality=- wait_max=0us run=2/2/2us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=2us rows=120 bytes=1920 straggler=false
+    attempt 1 exec=0 host=localhost [0..2] 2us winner
+stage 3 [scan]: tasks=1 rows=6/6/6 bytes=228/228/228 skew=1.00 locality=- wait_max=0us run=2/2/2us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=2us rows=6 bytes=228 straggler=false
+    attempt 1 exec=0 host=localhost [0..2] 2us winner
+stage 4 [scan]: tasks=1 rows=30/30/30 bytes=720/720/720 skew=1.00 locality=- wait_max=0us run=2/2/2us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=2us rows=30 bytes=720 straggler=false
+    attempt 1 exec=0 host=localhost [0..2] 2us winner
+stage 5 [probe]: tasks=5 rows=572/596/625 bytes=29744/30992/32500 skew=1.05 locality=- wait_max=0us run=0/0/0us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=0us rows=605 bytes=31460 straggler=false
+    attempt 1 exec=0 host=localhost [0..0] 0us winner
+  task 1 pref=- host=localhost exec=1 local=false wait=0us run=0us rows=594 bytes=30888 straggler=false
+    attempt 1 exec=1 host=localhost [0..0] 0us winner
+  task 2 pref=- host=localhost exec=0 local=false wait=0us run=0us rows=572 bytes=29744 straggler=false
+    attempt 1 exec=0 host=localhost [0..0] 0us winner
+  task 3 pref=- host=localhost exec=1 local=false wait=0us run=0us rows=596 bytes=30992 straggler=false
+    attempt 1 exec=1 host=localhost [0..0] 0us winner
+  task 4 pref=- host=localhost exec=0 local=false wait=0us run=0us rows=625 bytes=32500 straggler=false
+    attempt 1 exec=0 host=localhost [0..0] 0us winner
+stage 6 [map]: tasks=1 rows=142/142/142 bytes=9372/9372/9372 skew=1.00 locality=- wait_max=0us run=0/0/0us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=0us rows=142 bytes=9372 straggler=false
+    attempt 1 exec=0 host=localhost [0..0] 0us winner
+stage 7 [map]: tasks=1 rows=34/34/34 bytes=4216/4216/4216 skew=1.00 locality=- wait_max=0us run=0/0/0us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=0us rows=34 bytes=4216 straggler=false
+    attempt 1 exec=0 host=localhost [0..0] 0us winner
+stage 8 [map]: tasks=1 rows=34/34/34 bytes=2176/2176/2176 skew=1.00 locality=- wait_max=0us run=0/0/0us stragglers=0
+  task 0 pref=- host=localhost exec=0 local=false wait=0us run=0us rows=34 bytes=2176 straggler=false
+    attempt 1 exec=0 host=localhost [0..0] 0us winner
+";
