@@ -706,8 +706,7 @@ fn register_default_alerts(session: &Arc<Session>, cluster: &Arc<HBaseCluster>) 
         .with_exemplar(move || {
             skew_exemplar_session
                 .upgrade()
-                .and_then(|s| s.last_timeline())
-                .map(|tl| tl.trace_id())
+                .and_then(|s| s.last_trace_id())
                 .unwrap_or(0)
         }),
     );

@@ -9,9 +9,12 @@
 //!
 //! An expression over a batch is a column ([`eval_column`]: projections,
 //! keys, aggregate arguments, sort keys) or, as a predicate, a selection
-//! bitmap ([`eval_predicate_mask`]). A column reference is the batch's own
-//! column, and a comparison of typed columns or an `IS [NOT] NULL` a tight
-//! loop; anything else goes through one row-by-row loop.
+//! bitmap ([`eval_predicate_mask`]). What a kernel covers runs as a typed
+//! loop: a column reference is the batch's own column; `+ - * / %` and
+//! negation over numeric columns and literals are `numeric_kernel`'s, with
+//! `eval`'s values and NULLs to the bit; a comparison of columns, literals
+//! and such arithmetic, and `IS [NOT] NULL` of a column, fill the mask
+//! directly. Anything else goes through one row-by-row loop, `eval_rows`.
 //!
 //! **Losslessness contract**: `ColumnarBatch::from_rows` followed by
 //! `to_rows` reproduces the input exactly, down to the `Value` variant.
@@ -23,6 +26,7 @@ use crate::error::Result;
 use crate::expr::{BinaryOp, BoundExpr};
 use crate::row::Row;
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -362,27 +366,45 @@ impl Column {
         Column::new(self.dtype, nulls, data)
     }
 
-    /// Feed the grouping hash of the value at `i` into `state`, exactly as
-    /// [`Value::group_hash`] would — without materializing the `Value`.
-    pub fn group_hash_into(&self, i: usize, state: &mut impl std::hash::Hasher) {
+    /// Feed the grouping hash of each cell into the state of its row, `states[i]`
+    /// for cell `i`, exactly as [`Value::group_hash`] would: one loop per
+    /// storage, no `Value` made.
+    pub fn group_hash_each<H: std::hash::Hasher>(&self, states: &mut [H]) {
         use std::hash::Hash;
-        if self.nulls.get(i) {
-            0u8.hash(state);
-            return;
-        }
-        match &self.data {
-            ColumnData::Int64(v) => (4u8, v[i]).hash(state),
-            ColumnData::Float64(v) => {
-                let f = v[i];
-                if f.fract() == 0.0 && f.abs() < 9e15 {
-                    (4u8, f as i64).hash(state);
-                } else {
-                    (5u8, f.to_bits()).hash(state);
+        /// `hash` of each cell into its state; a NULL cell hashes as `0u8`.
+        fn each<H: std::hash::Hasher, T>(
+            states: &mut [H],
+            nulls: &Bitmap,
+            cells: impl Iterator<Item = T>,
+            hash: impl Fn(T, &mut H),
+        ) {
+            let cells = states.iter_mut().zip(cells);
+            if nulls.count_ones() == 0 {
+                cells.for_each(|(state, cell)| hash(cell, state));
+            } else {
+                for (i, (state, cell)) in cells.enumerate() {
+                    match nulls.get(i) {
+                        true => 0u8.hash(state),
+                        false => hash(cell, state),
+                    }
                 }
             }
-            ColumnData::Bool(v) => (1u8, v[i]).hash(state),
-            ColumnData::Dict { dict, codes } => (2u8, dict[codes[i] as usize].as_str()).hash(state),
-            ColumnData::Other(v) => v[i].group_hash(state),
+        }
+        let nulls = &self.nulls;
+        match &self.data {
+            ColumnData::Int64(v) => each(states, nulls, v.iter(), |&x, s| (4u8, x).hash(s)),
+            ColumnData::Float64(v) => each(states, nulls, v.iter(), |&f, s| {
+                if f.fract() == 0.0 && f.abs() < 9e15 {
+                    (4u8, f as i64).hash(s);
+                } else {
+                    (5u8, f.to_bits()).hash(s);
+                }
+            }),
+            ColumnData::Bool(v) => each(states, nulls, v.iter(), |&b, s| (1u8, b).hash(s)),
+            ColumnData::Dict { dict, codes } => each(states, nulls, codes.iter(), |&c, s| {
+                (2u8, dict[c as usize].as_str()).hash(s)
+            }),
+            ColumnData::Other(v) => each(states, nulls, v.iter(), |x, s| x.group_hash(s)),
         }
     }
 }
@@ -973,9 +995,11 @@ pub fn gather_rows(parts: Vec<Partition>) -> Vec<Row> {
 // ----------------------------------------------------------------------
 
 /// `expr` over every row of `batch`, as a column. A column reference is the
-/// batch's own column; anything else is evaluated row by row into a column
-/// built as `dtype` (`Binary`, boxed storage, hands back exactly the values
-/// it was given).
+/// batch's own column, and arithmetic over numeric columns a typed column
+/// from `numeric_kernel`, kept as it is where `dtype` is its type;
+/// anything else is evaluated row by row. Either way the column is built
+/// as `dtype` (`Binary`, boxed storage, hands back exactly the values it
+/// was given).
 pub fn eval_column(
     expr: &BoundExpr,
     dtype: DataType,
@@ -985,8 +1009,199 @@ pub fn eval_column(
         return Ok(Arc::clone(&batch.columns[*c]));
     }
     let mut builder = ColumnBuilder::new(dtype);
-    eval_rows(expr, batch, 0..batch.num_rows(), |_, v| builder.push(&v))?;
+    match numeric_kernel(expr, batch) {
+        Some(col) if col.dtype == dtype => return Ok(Arc::new(col)),
+        Some(col) => (0..col.len()).for_each(|i| builder.push(&col.value(i))),
+        None => eval_rows(expr, batch, 0..batch.num_rows(), |_, v| builder.push(&v))?,
+    }
     Ok(Arc::new(builder.finish()))
+}
+
+/// A side of an operator a kernel runs: a column of the batch, or one that
+/// [`numeric_kernel`] computed, or a literal.
+enum Operand<'a> {
+    Column(Arc<Column>),
+    Literal(&'a Value),
+}
+
+fn operand<'a>(expr: &'a BoundExpr, batch: &ColumnarBatch) -> Option<Operand<'a>> {
+    match expr {
+        BoundExpr::Column(c, _) => Some(Operand::Column(Arc::clone(&batch.columns[*c]))),
+        BoundExpr::Literal(v) => Some(Operand::Literal(v)),
+        _ => numeric_kernel(expr, batch).map(|c| Operand::Column(Arc::new(c))),
+    }
+}
+
+/// A numeric operand read for one mode of arithmetic: a value per row, or
+/// one for all of them.
+enum Side<'a, T: Clone> {
+    Each(Cow<'a, [T]>),
+    All(T),
+}
+
+impl<T: Copy> Side<'_, T> {
+    /// `f` of the two sides, row by row, over `n` rows.
+    fn zip<U>(&self, other: &Side<T>, n: usize, f: impl Fn(T, T) -> U) -> Vec<U> {
+        match (self, other) {
+            (Side::Each(a), Side::Each(b)) => {
+                a.iter().zip(b.iter()).map(|(&a, &b)| f(a, b)).collect()
+            }
+            (Side::Each(a), &Side::All(b)) => a.iter().map(|&a| f(a, b)).collect(),
+            (&Side::All(a), Side::Each(b)) => b.iter().map(|&b| f(a, b)).collect(),
+            (&Side::All(a), &Side::All(b)) => (0..n).map(|_| f(a, b)).collect(),
+        }
+    }
+
+    /// The rows where this side is `zero`.
+    fn rows_equal(&self, zero: T, n: usize) -> Bitmap
+    where
+        T: PartialEq,
+    {
+        let mut out = Bitmap::new(n);
+        match self {
+            Side::Each(v) => v
+                .iter()
+                .enumerate()
+                .for_each(|(i, &x)| out.set(i, x == zero)),
+            &Side::All(x) => (0..n).for_each(|i| out.set(i, x == zero)),
+        }
+        out
+    }
+}
+
+impl Operand<'_> {
+    /// Whether arithmetic with this side runs in float mode: a float
+    /// column or literal. `None` when the side is not numeric.
+    fn is_float(&self) -> Option<bool> {
+        match self {
+            Operand::Column(c) => match &c.data {
+                ColumnData::Int64(_) => Some(false),
+                ColumnData::Float64(_) => Some(true),
+                _ => None,
+            },
+            Operand::Literal(v) => match v {
+                Value::Float32(_) | Value::Float64(_) => Some(true),
+                Value::Null => Some(false),
+                _ => v.as_i64().map(|_| false),
+            },
+        }
+    }
+
+    fn floats(&self) -> Side<'_, f64> {
+        match self {
+            Operand::Column(c) => match &c.data {
+                ColumnData::Float64(v) => Side::Each(Cow::Borrowed(v)),
+                ColumnData::Int64(v) => Side::Each(v.iter().map(|&x| x as f64).collect()),
+                _ => unreachable!("a numeric column"),
+            },
+            Operand::Literal(v) => Side::All(v.as_f64().expect("a numeric literal")),
+        }
+    }
+
+    fn ints(&self) -> Side<'_, i64> {
+        match self {
+            Operand::Column(c) => Side::Each(Cow::Borrowed(c.i64_slice().expect("integers"))),
+            Operand::Literal(v) => Side::All(v.as_i64().expect("an integer literal")),
+        }
+    }
+
+    /// The rows where this side is NULL, or `None` where it is a NULL
+    /// literal.
+    fn nulls(&self, n: usize) -> Option<Bitmap> {
+        match self {
+            Operand::Column(c) => Some(c.nulls.clone()),
+            Operand::Literal(Value::Null) => None,
+            Operand::Literal(_) => Some(Bitmap::new(n)),
+        }
+    }
+}
+
+/// `expr` over every row of `batch` as a typed column, where it is `+ - *
+/// / %` or a negation over numeric columns, literals and such arithmetic:
+/// the values [`BoundExpr::eval`] gives row by row, NULLs in the same
+/// places. Arithmetic is `Int64`, or `Float64` in float mode (either side
+/// a float, or a division); a negation keeps its operand's type. `None`
+/// for anything else; the kernel itself never fails, as a numeric operand
+/// cannot make `eval` fail.
+fn numeric_kernel(expr: &BoundExpr, batch: &ColumnarBatch) -> Option<Column> {
+    let n = batch.num_rows();
+    let (left, op, right) = match expr {
+        BoundExpr::BinaryOp { left, op, right } => (left, *op, right),
+        BoundExpr::Negate(e) => {
+            let Operand::Column(col) = operand(e, batch)? else {
+                return None;
+            };
+            return negate(&col);
+        }
+        _ => return None,
+    };
+    use BinaryOp::*;
+    if !matches!(op, Plus | Minus | Multiply | Divide | Modulo) {
+        return None;
+    }
+    let (a, b) = (operand(left, batch)?, operand(right, batch)?);
+    let float_mode = a.is_float()? | b.is_float()? | (op == Divide);
+    let (Some(mut nulls), Some(b_nulls)) = (a.nulls(n), b.nulls(n)) else {
+        let mut all_null = ColumnBuilder::new(DataType::Int64);
+        (0..n).for_each(|_| all_null.push_null());
+        return Some(all_null.finish());
+    };
+    nulls.or_in_place(&b_nulls);
+    // A zero divisor makes a NULL too; every NULL's slot holds 0, as a
+    // builder's does.
+    let (dtype, data) = if float_mode {
+        let (x, y) = (a.floats(), b.floats());
+        let mut v = match op {
+            Plus => x.zip(&y, n, |a, b| a + b),
+            Minus => x.zip(&y, n, |a, b| a - b),
+            Multiply => x.zip(&y, n, |a, b| a * b),
+            Divide => x.zip(&y, n, |a, b| a / b),
+            _ => x.zip(&y, n, |a, b| a % b),
+        };
+        if matches!(op, Divide | Modulo) {
+            nulls.or_in_place(&y.rows_equal(0.0, n));
+        }
+        nulls
+            .indices()
+            .into_iter()
+            .for_each(|i| v[i as usize] = 0.0);
+        (DataType::Float64, ColumnData::Float64(v))
+    } else {
+        let (x, y) = (a.ints(), b.ints());
+        let mut v = match op {
+            Plus => x.zip(&y, n, i64::wrapping_add),
+            Minus => x.zip(&y, n, i64::wrapping_sub),
+            Multiply => x.zip(&y, n, i64::wrapping_mul),
+            _ => x.zip(&y, n, |a, b| if b == 0 { 0 } else { a.wrapping_rem(b) }),
+        };
+        if op == Modulo {
+            nulls.or_in_place(&y.rows_equal(0, n));
+        }
+        nulls.indices().into_iter().for_each(|i| v[i as usize] = 0);
+        (DataType::Int64, ColumnData::Int64(v))
+    };
+    Some(Column::new(dtype, nulls, data))
+}
+
+/// `-col`, of the column's type: integers wrap at their width, as
+/// [`BoundExpr::eval`]'s do. `None` where `eval` cannot negate (a
+/// timestamp, a non-numeric column).
+fn negate(col: &Column) -> Option<Column> {
+    let data = match &col.data {
+        ColumnData::Float64(v) => ColumnData::Float64(v.iter().map(|&x| -x).collect()),
+        ColumnData::Int64(v) => {
+            let neg: fn(i64) -> i64 = match col.dtype {
+                DataType::Int8 => |x| (x as i8).wrapping_neg() as i64,
+                DataType::Int16 => |x| (x as i16).wrapping_neg() as i64,
+                DataType::Int32 => |x| (x as i32).wrapping_neg() as i64,
+                DataType::Int64 => i64::wrapping_neg,
+                _ => return None,
+            };
+            ColumnData::Int64(v.iter().map(|&x| neg(x)).collect())
+        }
+        _ => return None,
+    };
+    Some(Column::new(col.dtype, col.nulls.clone(), data))
 }
 
 /// The executor's one value loop: `expr` evaluated on each of `rows` of
@@ -1097,9 +1312,11 @@ pub fn eval_predicate_mask(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Bi
 /// The [`Truth`] of `expr` over the rows of `batch` not in `skip`, which an
 /// enclosing AND or OR has already decided: they are not evaluated, and what
 /// they come back as means nothing. Comparisons of typed columns with each
-/// other or a literal, and `IS [NOT] NULL` of a column, run as tight loops;
-/// AND and OR combine the two sides' bitmaps and evaluate their right side
-/// only on the rows their left side left open, as `eval` short-circuits.
+/// other or a literal, and `IS [NOT] NULL` of a column, run as tight loops,
+/// a side [`numeric_kernel`] computes counting as a typed column (it never
+/// fails, so the skipped rows it computes raise nothing); AND and OR
+/// combine the two sides' bitmaps and evaluate their right side only on
+/// the rows their left side left open, as `eval` short-circuits.
 /// Everything else, NOT included (NOT of a non-boolean is an error), is
 /// evaluated row by row.
 fn truth(expr: &BoundExpr, batch: &ColumnarBatch, skip: &Bitmap) -> Result<Truth> {
@@ -1133,16 +1350,12 @@ fn truth(expr: &BoundExpr, batch: &ColumnarBatch, skip: &Bitmap) -> Result<Truth
 fn truth_kernel(expr: &BoundExpr, batch: &ColumnarBatch) -> Option<Truth> {
     match expr {
         BoundExpr::BinaryOp { left, op, right } if op.is_comparison() => {
-            match (&**left, &**right) {
-                (BoundExpr::Column(ci, _), BoundExpr::Literal(v)) => {
-                    cmp_column_literal(batch.column(*ci), *op, v)
+            match (operand(left, batch)?, operand(right, batch)?) {
+                (Operand::Column(a), Operand::Literal(v)) => cmp_column_literal(&a, *op, v),
+                (Operand::Literal(v), Operand::Column(b)) => {
+                    cmp_column_literal(&b, flip_comparison(*op), v)
                 }
-                (BoundExpr::Literal(v), BoundExpr::Column(ci, _)) => {
-                    cmp_column_literal(batch.column(*ci), flip_comparison(*op), v)
-                }
-                (BoundExpr::Column(a, _), BoundExpr::Column(b, _)) => {
-                    cmp_column_column(batch.column(*a), batch.column(*b), *op)
-                }
+                (Operand::Column(a), Operand::Column(b)) => cmp_column_column(&a, &b, *op),
                 _ => None,
             }
         }
@@ -1279,6 +1492,8 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::schema::{Field, Schema};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1544,15 +1759,297 @@ mod tests {
         assert!(refused.unwrap_err().to_string().contains("sink full"));
     }
 
+    /// The same value, variant included: floats bit for bit (signed zeros
+    /// apart), any NaN the same as any other.
+    fn same(a: &Value, b: &Value) -> bool {
+        let floats = |x: f64, y: f64| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan();
+        match (a, b) {
+            (Value::Float64(x), Value::Float64(y)) => floats(*x, *y),
+            (Value::Float32(x), Value::Float32(y)) => floats(*x as f64, *y as f64),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+        }
+    }
+
+    /// Columns of every numeric type the kernels read, with NULLs, zeros,
+    /// integer extremes, NaN and zeros of both signs among their values,
+    /// and a string column whose cast to a number fails on most rows.
+    fn numeric_rows(rng: &mut StdRng, n: usize) -> (Schema, Vec<DataType>, Vec<Row>) {
+        let fields = [
+            ("i", DataType::Int32),
+            ("l", DataType::Int64),
+            ("m", DataType::Int64),
+            ("f", DataType::Float32),
+            ("d", DataType::Float64),
+            ("e", DataType::Float64),
+            ("s", DataType::Utf8),
+        ];
+        let ints = [-3, -1, 0, 0, 1, 2, 7, i64::MIN, i64::MAX];
+        let floats = [-0.0, 0.0, 0.5, -2.0, 3.0, f64::NAN, f64::INFINITY, 1e300];
+        let rows = (0..n)
+            .map(|_| {
+                let cells = fields.iter().map(|&(_, dtype)| {
+                    if rng.gen_bool(0.15) {
+                        return Value::Null;
+                    }
+                    let int = ints[rng.gen_range(0..ints.len())];
+                    let float = floats[rng.gen_range(0..floats.len())];
+                    match dtype {
+                        DataType::Int32 => {
+                            Value::Int32(int.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
+                        }
+                        DataType::Int64 => Value::Int64(int),
+                        DataType::Float32 => Value::Float32(float as f32),
+                        DataType::Float64 => Value::Float64(float),
+                        _ => Value::Utf8(["5", "x", "-2"][rng.gen_range(0..3usize)].to_string()),
+                    }
+                });
+                Row::new(cells.collect())
+            })
+            .collect();
+        let schema = Schema::new(fields.iter().map(|&(n, t)| Field::new(n, t)).collect());
+        let dtypes = fields.iter().map(|&(_, t)| t).collect();
+        (schema, dtypes, rows)
+    }
+
+    /// A random arithmetic expression over the numeric columns and literals
+    /// of every numeric kind, NULL and zero divisors among them.
+    fn arithmetic(rng: &mut StdRng, depth: u32) -> Expr {
+        let lits = [
+            Value::Int32(0),
+            Value::Int32(-1),
+            Value::Int64(3),
+            Value::Int64(i64::MIN),
+            Value::Float32(2.5),
+            Value::Float64(0.0),
+            Value::Float64(-0.0),
+            Value::Float64(f64::NAN),
+            Value::Null,
+        ];
+        let leaf = |rng: &mut StdRng| match rng.gen_range(0..3usize) {
+            0 => Expr::Literal(lits[rng.gen_range(0..lits.len())].clone()),
+            _ => Expr::col(["i", "l", "m", "f", "d", "e"][rng.gen_range(0..6usize)]),
+        };
+        if depth == 0 || rng.gen_bool(0.25) {
+            return leaf(rng);
+        }
+        let ops = [
+            BinaryOp::Plus,
+            BinaryOp::Minus,
+            BinaryOp::Multiply,
+            BinaryOp::Divide,
+            BinaryOp::Modulo,
+        ];
+        match rng.gen_range(0..6usize) {
+            // A negation of a column or of arithmetic: a literal's folds.
+            5 => Expr::Negate(Box::new(match arithmetic(rng, depth - 1) {
+                Expr::Literal(_) => Expr::col(["i", "l", "f", "d"][rng.gen_range(0..4usize)]),
+                e => e,
+            })),
+            k => Expr::BinaryOp {
+                left: Box::new(arithmetic(rng, depth - 1)),
+                op: ops[k],
+                right: Box::new(arithmetic(rng, depth - 1)),
+            },
+        }
+    }
+
+    /// The row path's column: `values` pushed into a builder of `dtype`.
+    fn built(dtype: DataType, values: &[Value]) -> Column {
+        let mut builder = ColumnBuilder::new(dtype);
+        values.iter().for_each(|v| builder.push(v));
+        builder.finish()
+    }
+
+    #[test]
+    fn the_numeric_kernel_gives_the_values_and_columns_of_row_eval() {
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..400 {
+            let n = rng.gen_range(1..70usize);
+            let (schema, dtypes, rows) = numeric_rows(&mut rng, n);
+            let batch = ColumnarBatch::from_rows(&dtypes, &rows);
+            let expr = arithmetic(&mut rng, 3);
+            if matches!(expr, Expr::Literal(_) | Expr::Column { .. }) {
+                continue;
+            }
+            let bound = expr.bind(&schema).unwrap();
+            let want: Vec<Value> = rows.iter().map(|r| bound.eval(r).unwrap()).collect();
+            let kernel = numeric_kernel(&bound, &batch).unwrap_or_else(|| panic!("{expr}"));
+            for (i, v) in want.iter().enumerate() {
+                assert!(
+                    same(&kernel.value(i), v),
+                    "{expr} row {i}: {:?} vs {v:?}",
+                    kernel.value(i)
+                );
+            }
+            // As the declared type, and boxed: what the row path built.
+            let declared = expr.data_type(&schema).unwrap_or(DataType::Binary);
+            for dtype in [declared, DataType::Binary] {
+                let (col, row_path) = (
+                    eval_column(&bound, dtype, &batch).unwrap(),
+                    built(dtype, &want),
+                );
+                assert_eq!(col.data_type(), dtype, "{expr}");
+                assert_eq!(
+                    col.i64_slice().is_some(),
+                    row_path.i64_slice().is_some(),
+                    "{expr}"
+                );
+                assert_eq!(
+                    col.f64_slice().is_some(),
+                    row_path.f64_slice().is_some(),
+                    "{expr}"
+                );
+                assert_eq!(col.byte_size(), row_path.byte_size(), "{expr}");
+                for (i, v) in want.iter().enumerate() {
+                    assert!(same(&col.value(i), v), "{expr} as {dtype} row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn computed_comparisons_under_and_or_mask_what_row_eval_selects() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let comparisons = [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+        ];
+        // q39's filter: `stdev / mean > 1.0`.
+        let cov = || Expr::col("d").div(Expr::col("e")).gt(Expr::lit(1.0));
+        // Errs on every row whose string is not a number.
+        let cast = || {
+            let s = Box::new(Expr::col("s"));
+            Expr::Cast {
+                expr: s,
+                to: DataType::Int32,
+            }
+            .gt(Expr::lit(1))
+        };
+        for round in 0..400 {
+            let n = rng.gen_range(1..70usize);
+            let (schema, dtypes, rows) = numeric_rows(&mut rng, n);
+            let batch = ColumnarBatch::from_rows(&dtypes, &rows);
+            let mut computed = || {
+                let left = match arithmetic(&mut rng, 2) {
+                    Expr::Literal(_) | Expr::Column { .. } => Expr::col("l").div(Expr::col("m")),
+                    e => e,
+                };
+                let right = match rng.gen_range(0..3usize) {
+                    0 => Expr::lit(rng.gen_range(-2..3i64)),
+                    1 => Expr::col(["i", "f", "d"][rng.gen_range(0..3usize)]),
+                    _ => arithmetic(&mut rng, 1),
+                };
+                let op = comparisons[rng.gen_range(0..comparisons.len())];
+                let (left, right) = (Box::new(left), Box::new(right));
+                Expr::BinaryOp { left, op, right }
+            };
+            let (a, b) = (computed(), computed());
+            for term in [&a, &b] {
+                let bound = term.bind(&schema).unwrap();
+                assert!(truth_kernel(&bound, &batch).is_some(), "{term}");
+            }
+            let expr = match round % 4 {
+                0 => cov().and(a).or(b.and(cast())),
+                1 => a.or(cov()).and(cast().or(b)),
+                2 => cast().and(a).or(cov().and(b)),
+                _ => Expr::col("s").is_null().or(a.and(b)).and(cov().or(cast())),
+            };
+            let bound = expr.bind(&schema).unwrap();
+            let rows: Result<Vec<bool>> = rows.iter().map(|r| bound.eval_predicate(r)).collect();
+            match (eval_predicate_mask(&bound, &batch), rows) {
+                (Ok(mask), Ok(rows)) => {
+                    for (i, expect) in rows.into_iter().enumerate() {
+                        assert_eq!(mask.get(i), expect, "{expr} row {i}");
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                (mask, rows) => panic!("{expr}: mask {mask:?}, rows {rows:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integer_overflow_wraps_in_eval_folding_and_the_kernel() {
+        let rem = |l: Expr, r: Expr| Expr::BinaryOp {
+            left: Box::new(l),
+            op: BinaryOp::Modulo,
+            right: Box::new(r),
+        };
+        let neg = |e: Expr| Expr::Negate(Box::new(e));
+        let cases = [
+            (rem(Expr::lit(i64::MIN), Expr::lit(-1i64)), Value::Int64(0)),
+            (neg(Expr::lit(i64::MIN)), Value::Int64(i64::MIN)),
+            (neg(Expr::lit(i32::MIN)), Value::Int32(i32::MIN)),
+        ];
+        for (expr, want) in cases {
+            let bound = expr.bind(&Schema::empty()).unwrap();
+            assert!(
+                same(&bound.eval(&Row::default()).unwrap(), &want),
+                "eval {expr}"
+            );
+            let mut folded = expr.clone();
+            assert!(crate::optimizer::fold_expr(&mut folded), "{expr} folds");
+            assert!(
+                matches!(&folded, Expr::Literal(v) if same(v, &want)),
+                "fold {expr}: {folded}"
+            );
+        }
+        let schema = Schema::new(vec![
+            Field::new("l", DataType::Int64),
+            Field::new("m", DataType::Int64),
+            Field::new("i", DataType::Int32),
+        ]);
+        let rows = vec![
+            Row::new(vec![
+                Value::Int64(i64::MIN),
+                Value::Int64(-1),
+                Value::Int32(i32::MIN),
+            ]),
+            Row::new(vec![
+                Value::Int64(i64::MIN),
+                Value::Int64(0),
+                Value::Int32(5),
+            ]),
+        ];
+        let batch =
+            ColumnarBatch::from_rows(&[DataType::Int64, DataType::Int64, DataType::Int32], &rows);
+        let cases = [
+            (
+                rem(Expr::col("l"), Expr::col("m")),
+                [Value::Int64(0), Value::Null],
+            ),
+            (
+                neg(Expr::col("l")),
+                [Value::Int64(i64::MIN), Value::Int64(i64::MIN)],
+            ),
+            (
+                neg(Expr::col("i")),
+                [Value::Int32(i32::MIN), Value::Int32(-5)],
+            ),
+        ];
+        for (expr, want) in cases {
+            let bound = expr.bind(&schema).unwrap();
+            let kernel = numeric_kernel(&bound, &batch).unwrap();
+            for (i, (row, v)) in rows.iter().zip(&want).enumerate() {
+                assert!(same(&kernel.value(i), v), "kernel {expr} row {i}");
+                assert!(same(&bound.eval(row).unwrap(), v), "eval {expr} row {i}");
+            }
+        }
+    }
+
     #[test]
     fn group_hash_matches_value_group_hash() {
         use std::hash::Hasher;
         let batch = ColumnarBatch::from_rows(&dtypes(), &sample_rows());
         for c in 0..batch.num_columns() {
             let col = batch.column(c);
-            for i in 0..col.len() {
-                let mut h1 = std::collections::hash_map::DefaultHasher::new();
-                col.group_hash_into(i, &mut h1);
+            let mut states = vec![std::collections::hash_map::DefaultHasher::new(); col.len()];
+            col.group_hash_each(&mut states);
+            for (i, h1) in states.iter().enumerate() {
                 let mut h2 = std::collections::hash_map::DefaultHasher::new();
                 col.value(i).group_hash(&mut h2);
                 assert_eq!(h1.finish(), h2.finish(), "col {c} row {i}");

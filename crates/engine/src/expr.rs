@@ -666,10 +666,11 @@ impl BoundExpr {
             BoundExpr::ScalarFunc { func, args } => eval_scalar_func(*func, args, row)?,
             BoundExpr::Negate(e) => match e.eval(row)? {
                 Value::Null => Value::Null,
-                Value::Int8(v) => Value::Int8(-v),
-                Value::Int16(v) => Value::Int16(-v),
-                Value::Int32(v) => Value::Int32(-v),
-                Value::Int64(v) => Value::Int64(-v),
+                // Integers wrap: the most negative value negates to itself.
+                Value::Int8(v) => Value::Int8(v.wrapping_neg()),
+                Value::Int16(v) => Value::Int16(v.wrapping_neg()),
+                Value::Int32(v) => Value::Int32(v.wrapping_neg()),
+                Value::Int64(v) => Value::Int64(v.wrapping_neg()),
                 Value::Float32(v) => Value::Float32(-v),
                 Value::Float64(v) => Value::Float64(-v),
                 other => return Err(EngineError::Execution(format!("cannot negate {other}"))),
@@ -777,7 +778,8 @@ fn eval_binary(left: Value, op: BinaryOp, right: impl FnOnce() -> Result<Value>)
                 if b == 0 {
                     return Ok(Value::Null);
                 }
-                a % b
+                // `i64::MIN % -1` overflows; it wraps to 0.
+                a.wrapping_rem(b)
             }
             _ => unreachable!(),
         };

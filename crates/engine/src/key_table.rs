@@ -9,7 +9,7 @@
 //! merges it. Where a key goes is a different hash: an exchange sends it to
 //! partition `hash % n` of [`crate::shuffle::partition_hash_rows`], which
 //! stays SipHash so that placement does not move with the lookup hash. Both
-//! hashes are fed by [`Column::group_hash_into`], so `Int32(5)`,
+//! hashes are fed by [`Column::group_hash_each`], so `Int32(5)`,
 //! `Int64(5)` and `Float64(5.0)` are one key under either. Equality is
 //! [`ColumnBuilder::group_eq_at`], i.e. [`crate::value::Value::group_eq`]
 //! read off typed storage; neither a `Value` nor a `Vec` is made per row.
@@ -82,20 +82,20 @@ pub(crate) fn hash_rows(cols: &[Arc<Column>], n: usize, out: &mut Vec<u64>) {
     hash_rows_with::<KeyHasher>(cols, n, out);
 }
 
-/// The `H` hash of each of the `n` rows of the key `cols` make, into `out`.
+/// The `H` hash of each of the `n` rows of the key `cols` make, into `out`,
+/// worked out a column at a time: each column's typed loop feeds its cells
+/// into the rows' states, so the hasher is the same row by row.
 pub(crate) fn hash_rows_with<H: Hasher + Default>(
     cols: &[Arc<Column>],
     n: usize,
     out: &mut Vec<u64>,
 ) {
+    let mut states: Vec<H> = (0..n).map(|_| H::default()).collect();
+    for col in cols {
+        col.group_hash_each(&mut states);
+    }
     out.clear();
-    out.extend((0..n).map(|i| {
-        let mut state = H::default();
-        for col in cols {
-            col.group_hash_into(i, &mut state);
-        }
-        state.finish()
-    }));
+    out.extend(states.iter().map(H::finish));
 }
 
 /// Distinct keys in the order they were first seen, each with its hash.
@@ -209,13 +209,15 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// A column of `n` cells of one kind, drawn from few enough values that
-    /// cells repeat — within the column and across kinds (`3`, `3.0`).
+    /// cells repeat — within the column and across kinds (`3`, `3.0`) — and
+    /// `i64`'s extremes among the `Int64` ones.
     /// `kind` 6 is a boxed column holding a little of everything.
     fn random_column(rng: &mut StdRng, kind: usize, n: usize) -> (DataType, Vec<Value>) {
         let floats = [-0.0, 0.0, 3.0, 2.5, -1.0, f64::NAN, 1e300, 7.0];
         let mut cell = |kind: usize| match kind {
             _ if rng.gen_bool(0.15) => Value::Null,
             0 => Value::Int32(rng.gen_range(-1..8i32)),
+            1 if rng.gen_bool(0.1) => Value::Int64([i64::MIN, i64::MAX][rng.gen_range(0..2usize)]),
             1 => Value::Int64(rng.gen_range(-1..8i64)),
             2 => Value::Float64(floats[rng.gen_range(0..floats.len())]),
             3 => Value::Float32(floats[rng.gen_range(0..floats.len())] as f32),

@@ -216,6 +216,11 @@ impl Session {
         &self.shuffle_edges
     }
 
+    /// The TraceId of the most recently stored run, if any.
+    pub fn last_trace_id(&self) -> Option<u64> {
+        self.runs.lock().back().map(|t| t.trace_id)
+    }
+
     /// The task timeline of the most recently stored run, if any.
     pub fn last_timeline(&self) -> Option<TaskTimeline> {
         self.runs.lock().back().map(TaskTimeline::of)
